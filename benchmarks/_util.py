@@ -7,7 +7,9 @@ so EXPERIMENTS.md can quote the exact rows.
 
 from __future__ import annotations
 
+import argparse
 import os
+import sys
 
 from repro.obs.export import write_json_artifact
 from repro.sim.harness import ExperimentTable
@@ -75,3 +77,30 @@ def publish_perf(filename: str, records: list, **extra: object) -> str:
     payload = {"schema": PERF_SCHEMA, "records": list(records)}
     payload.update(extra)
     return write_json_artifact(os.path.join(RESULTS_DIR, filename), payload)
+
+
+def run_perf_bench(name, doc, benches, gates, configure=None) -> int:
+    """The ``main()`` every perf-gate script shares.
+
+    Parses ``--smoke``/``--seed`` (plus whatever *configure* adds to the
+    parser), runs each ``bench(args) -> record``, archives the records as
+    ``BENCH_<name>[_smoke].json``, then asks ``gates(args, *records)``
+    for the reasons the run fails its gate.  Returns the exit status.
+    """
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true",
+                        help="small fast run (used by the CI perf gate)")
+    parser.add_argument("--seed", type=int, default=7)
+    if configure is not None:
+        configure(parser)
+    args = parser.parse_args()
+
+    records = [bench(args) for bench in benches]
+    suffix = "_smoke" if args.smoke else ""
+    path = publish_perf(f"BENCH_{name}{suffix}.json", records, smoke=args.smoke)
+    print(f"json artifact written: {path}")
+
+    failed = list(gates(args, *records))
+    for reason in failed:
+        print(f"FAILED: {reason}", file=sys.stderr)
+    return 1 if failed else 0

@@ -18,8 +18,8 @@ notification messages.
 
 import pytest
 
+from repro.api import Cluster
 from repro.sim.harness import ExperimentTable
-from repro.sim.scenarios import build_topology, run_root_transaction
 from repro.txn.disconnection import run_case_c_child_disconnection
 
 from _util import publish
@@ -34,8 +34,8 @@ BUSHY = {
 
 
 def run_point(scope: str, units_per_peer: int = 10):
-    scenario = build_topology(BUSHY, super_peers=("AP1",), chain_scope=scope)
-    txn, _ = run_root_transaction(scenario)
+    scenario = Cluster.from_topology(BUSHY, super_peers=("AP1",), chain_scope=scope)
+    txn, _ = scenario.run_topology()
     # Every leaf/branch holds pending continuous work; the txn is doomed
     # once AP3 dies, whether or not a peer has been told.
     workers = [p for p in scenario.peers if p not in ("AP1", "AP3")]

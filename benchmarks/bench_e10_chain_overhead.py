@@ -14,10 +14,10 @@ i.e. negligible next to a single fragment copy (E9's ~3 KB).
 
 import pytest
 
+from repro.api import Cluster
 from repro.p2p.messages import InvokeRequest
 from repro.sim.harness import ExperimentTable, ratio
 from repro.sim.rng import SeededRng
-from repro.sim.scenarios import build_topology, run_root_transaction
 from repro.sim.workload import generate_invocation_tree, tree_peers
 
 from _util import publish
@@ -48,13 +48,13 @@ def run_point(depth: int, seed: int = 31):
     rng = SeededRng(seed)
     topology = generate_invocation_tree(rng, depth=depth, fanout=2, fanout_jitter=False)
     peers = len(tree_peers(topology))
-    scenario = build_topology(topology, super_peers=("AP1",))
+    scenario = Cluster.from_topology(topology, super_peers=("AP1",))
     counter = _ByteCounter(scenario.network)
-    txn, error = run_root_transaction(scenario)
+    txn, error = scenario.run_topology()
     assert error is None
-    baseline = build_topology(topology, super_peers=("AP1",), chaining=False)
+    baseline = Cluster.from_topology(topology, super_peers=("AP1",), chaining=False)
     base_counter = _ByteCounter(baseline.network)
-    run_root_transaction(baseline)
+    baseline.run_topology()
     return {
         "depth": depth,
         "peers": peers,

@@ -25,8 +25,8 @@ decreasing in failure depth.
 
 import pytest
 
+from repro.api import Cluster
 from repro.sim.harness import ExperimentTable
-from repro.sim.scenarios import build_topology, run_root_transaction
 from repro.txn.recovery import FaultPolicy
 
 from _util import publish
@@ -44,7 +44,7 @@ def run_config(fail_depth: int, forward: bool):
     """Fail S<fail_depth> after its local work; optionally a retry handler
     sits at the invoking peer (depth-1)."""
     topology = linear_topology(CHAIN_LENGTH)
-    scenario = build_topology(topology, super_peers=("AP1",))
+    scenario = Cluster.from_topology(topology, super_peers=("AP1",))
     scenario.injector.fault_service(
         f"AP{fail_depth}", f"S{fail_depth}", "Crash", times=1, point="after_execute"
     )
@@ -53,7 +53,7 @@ def run_config(fail_depth: int, forward: bool):
             f"S{fail_depth}",
             [FaultPolicy(fault_names={"Crash"}, retry_times=1)],
         )
-    txn, error = run_root_transaction(scenario)
+    txn, error = scenario.run_topology()
     comp_nodes = sum(p.manager.compensation_cost for p in scenario.peers.values())
     return {
         "fail_depth": fail_depth,

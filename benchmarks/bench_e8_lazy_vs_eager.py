@@ -13,7 +13,8 @@ proportionally — the reason lazy is "the preferred mode".
 
 import pytest
 
-from repro.axml.materialize import InvocationOutcome, MaterializationEngine
+from repro.axml.materialize import MaterializationEngine
+from repro.outcome import Outcome
 from repro.query.parser import parse_select
 from repro.sim.harness import ExperimentTable, ratio
 from repro.sim.rng import SeededRng
@@ -25,7 +26,7 @@ ITEMS = 40
 
 
 def _resolver(call, params):
-    return InvocationOutcome(["<stock>fresh</stock>"])
+    return Outcome(["<stock>fresh</stock>"])
 
 
 def run_point(density: float, seed: int = 23):

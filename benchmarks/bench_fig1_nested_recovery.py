@@ -14,8 +14,8 @@ work and compensation cost are strictly below full backward recovery.
 
 import pytest
 
+from repro.api import Cluster
 from repro.sim.harness import ExperimentTable
-from repro.sim.scenarios import build_fig1, run_root_transaction
 from repro.txn.recovery import FaultPolicy
 
 from _util import publish, publish_json
@@ -27,7 +27,7 @@ METRICS_BY_CONFIG = {}
 
 def run_config(handler_at: str):
     """One Fig. 1 run: AP5 faults after its work; optional handler."""
-    scenario = build_fig1()
+    scenario = Cluster.fig1()
     scenario.injector.fault_service(
         "AP5", "S5", "Crash", times=1, point="after_execute"
     )
@@ -35,7 +35,7 @@ def run_config(handler_at: str):
         scenario.peer(handler_at).set_fault_policy(
             "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=2)]
         )
-    txn, error = run_root_transaction(scenario)
+    txn, error = scenario.run_topology()
     compensation_cost = sum(
         peer.manager.compensation_cost for peer in scenario.peers.values()
     )

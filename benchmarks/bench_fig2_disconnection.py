@@ -13,8 +13,8 @@ soon as possible and reuse already performed work as much as possible":
 
 import pytest
 
+from repro.api import Cluster
 from repro.sim.harness import ExperimentTable
-from repro.sim.scenarios import build_fig2, run_root_transaction
 from repro.txn.disconnection import (
     run_case_c_child_disconnection,
     run_case_d_sibling_disconnection,
@@ -35,7 +35,7 @@ def _stash(case: str, chaining: bool, scenario) -> None:
 
 def _fig2(chaining: bool, with_replacement: bool = False):
     extra = ("APX",) if with_replacement else ()
-    scenario = build_fig2(extra_peers=extra, chaining=chaining)
+    scenario = Cluster.fig2(extra_peers=extra, chaining=chaining)
     if with_replacement:
         scenario.replication.replicate_service("S3", "APX")
         scenario.replication.replicate_document("D3", "APX")
@@ -50,7 +50,7 @@ def _fig2(chaining: bool, with_replacement: bool = False):
 def run_case_b(chaining: bool):
     scenario = _fig2(chaining, with_replacement=True)
     scenario.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
-    txn, error = run_root_transaction(scenario)
+    txn, error = scenario.run_topology()
     _stash("b", chaining, scenario)
     return {
         "case": "b:parent-dies",
@@ -66,7 +66,7 @@ def run_case_b(chaining: bool):
 
 def run_case_c(chaining: bool):
     scenario = _fig2(chaining)
-    txn, _ = run_root_transaction(scenario)
+    txn, _ = scenario.run_topology()
     scenario.peer("AP6").add_pending_work(txn.txn_id, units=20, unit_duration=0.05)
     if not chaining:
         # Ground truth for waste accounting: the txn is doomed either way.
@@ -89,7 +89,7 @@ def run_case_c(chaining: bool):
 
 def run_case_d(chaining: bool):
     scenario = _fig2(chaining)
-    txn, _ = run_root_transaction(scenario)
+    txn, _ = scenario.run_topology()
     scenario.network.disconnect("AP3")
     report = run_case_d_sibling_disconnection(scenario.peer("AP4"), txn.txn_id, "AP3")
     informed = int(txn.txn_id in scenario.peer("AP2").known_doomed) + int(

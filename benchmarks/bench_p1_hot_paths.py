@@ -24,7 +24,6 @@ byte-identity are machine-independent claims; raw wall times are this
 machine's and are informational only.
 """
 
-import argparse
 import sys
 import time
 
@@ -41,7 +40,7 @@ from repro.xmlstore.names import QName
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.path import TraversalMeter
 
-from _util import perf_record, publish_perf
+from _util import perf_record, run_perf_bench
 
 #: Queries of Part A: a bare descendant step and a filtered one (the
 #: paper's ``<location>`` queries are exactly this shape, §3.1).
@@ -184,45 +183,31 @@ def bench_sweep(args) -> dict:
     )
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small fast run (used by the CI perf gate)")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=4,
-                        help="worker processes for Part B's parallel leg")
-    args = parser.parse_args()
-
-    query_rec = bench_queries(args)
-    sweep_rec = bench_sweep(args)
-
-    suffix = "_smoke" if args.smoke else ""
-    path = publish_perf(
-        f"BENCH_P1{suffix}.json",
-        [query_rec, sweep_rec],
-        smoke=args.smoke,
-    )
-    print(f"json artifact written: {path}")
-
-    # -- gates ------------------------------------------------------------
-    failed = []
+def gates(args, query_rec, sweep_rec):
+    """Reasons this run fails its gate.  Speedup ratios; wall time only with cores."""
     required = 1.0 if args.smoke else 2.0
     if query_rec["speedup"] <= required:
-        failed.append(
+        yield (
             f"indexed query eval speedup {query_rec['speedup']}x <= {required}x"
         )
     # Byte-identity was asserted above; wall-time reduction is only a
     # fair ask when there are >= 2 cores to spread the sweep over.
     if available_cores() >= 2 and sweep_rec["speedup"] <= 1.0:
-        failed.append(
+        yield (
             f"parallel sweep speedup {sweep_rec['speedup']}x <= 1x "
             f"on {available_cores()} cores"
         )
-    if failed:
-        for reason in failed:
-            print(f"FAILED: {reason}", file=sys.stderr)
-        return 1
-    return 0
+
+
+def _configure(parser) -> None:
+    parser.add_argument("--workers", type=int, default=4,
+                        help="worker processes for Part B's parallel leg")
+
+
+def main() -> int:
+    return run_perf_bench(
+        "P1", __doc__, [bench_queries, bench_sweep], gates, configure=_configure
+    )
 
 
 if __name__ == "__main__":

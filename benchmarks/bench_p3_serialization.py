@@ -30,11 +30,10 @@ Out:  benchmarks/results/BENCH_P3[_smoke].json   (repro-bench-perf/1)
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
-from _util import perf_record, publish_perf
+from _util import perf_record, run_perf_bench
 
 from repro.chaos import ChaosConfig, run_chaos
 from repro.chaos.shrink import summary_text
@@ -219,56 +218,39 @@ def bench_structural_clone(args) -> dict:
     )
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small fast run (used by the CI perf gate)")
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
-    reduction_rec = bench_serialization_reduction(args)
-    clone_rec = bench_structural_clone(args)
-
-    suffix = "_smoke" if args.smoke else ""
-    path = publish_perf(
-        f"BENCH_P3{suffix}.json",
-        [reduction_rec, clone_rec],
-        smoke=args.smoke,
-    )
-    print(f"json artifact written: {path}")
-
-    # -- gates (deterministic counters first, wall time only with cores) --
-    failed = []
+def gates(args, reduction_rec, clone_rec):
+    """Reasons this run fails its gate.  Deterministic counters first, wall time only with cores."""
     if reduction_rec["mismatched_summaries"] != 0:
-        failed.append(
+        yield (
             f"{reduction_rec['mismatched_summaries']} seeds produced "
             f"different run summaries with the fast path on vs off"
         )
     if reduction_rec["violations_total"] != 0:
-        failed.append(
+        yield (
             f"chaos runs reported {reduction_rec['violations_total']} "
             f"oracle violations (expected 0)"
         )
     if reduction_rec["speedup"] < 3.0:
-        failed.append(
+        yield (
             f"serialization reduction {reduction_rec['speedup']}x < 3x "
             f"({reduction_rec['builds_off']} cold vs "
             f"{reduction_rec['builds_on']} cached renders)"
         )
     if not clone_rec["byte_identical"]:
-        failed.append("structural clone output diverged from the round trip")
+        yield "structural clone output diverged from the round trip"
     # Wall time is only a fair ask when the machine has >= 2 cores; on a
     # loaded single-core box the cold/cached runs contend with the world.
     if available_cores() >= 2 and reduction_rec["wall_speedup"] <= 1.0:
-        failed.append(
+        yield (
             f"fast path wall speedup {reduction_rec['wall_speedup']}x <= 1x "
             f"on {available_cores()} cores"
         )
-    if failed:
-        for reason in failed:
-            print(f"FAILED: {reason}", file=sys.stderr)
-        return 1
-    return 0
+
+
+def main() -> int:
+    return run_perf_bench(
+        "P3", __doc__, [bench_serialization_reduction, bench_structural_clone], gates
+    )
 
 
 if __name__ == "__main__":

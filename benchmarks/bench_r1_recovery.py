@@ -29,13 +29,12 @@ Out:  benchmarks/results/BENCH_R1[_smoke].json   (repro-bench-perf/1)
 
 from __future__ import annotations
 
-import argparse
 import shutil
 import sys
 import tempfile
 import time
 
-from _util import perf_record, publish_perf
+from _util import perf_record, run_perf_bench
 
 from repro.axml.document import AXMLDocument
 from repro.p2p.network import SimNetwork
@@ -212,49 +211,32 @@ def bench_group_commit(args) -> dict:
     )
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small fast run (used by the CI perf gate)")
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
-    recovery_rec = bench_recovery(args)
-    commit_rec = bench_group_commit(args)
-
-    suffix = "_smoke" if args.smoke else ""
-    path = publish_perf(
-        f"BENCH_R1{suffix}.json",
-        [recovery_rec, commit_rec],
-        smoke=args.smoke,
-    )
-    print(f"json artifact written: {path}")
-
-    # -- gates (deterministic counters, not wall time) --------------------
-    failed = []
+def gates(args, recovery_rec, commit_rec):
+    """Reasons this run fails its gate.  Deterministic counters, not wall time."""
     interval = recovery_rec["checkpoint_every"]
     for row in recovery_rec["rows"]:
         if row["replay_no_checkpoint"] != row["wal_length"]:
-            failed.append(
+            yield (
                 f"no-checkpoint replay {row['replay_no_checkpoint']} != "
                 f"WAL length {row['wal_length']} (expected exactly linear)"
             )
         if row["replay_checkpointed"] > interval:
-            failed.append(
+            yield (
                 f"checkpointed replay {row['replay_checkpointed']} > "
                 f"interval {interval} at WAL length {row['wal_length']}"
             )
     if commit_rec["wal_batch_flushes"] * 2 > commit_rec["wal_appends"]:
-        failed.append(
+        yield (
             f"group commit flushed {commit_rec['wal_batch_flushes']} "
             f"batches for {commit_rec['wal_appends']} appends "
             f"(expected <= half)"
         )
-    if failed:
-        for reason in failed:
-            print(f"FAILED: {reason}", file=sys.stderr)
-        return 1
-    return 0
+
+
+def main() -> int:
+    return run_perf_bench(
+        "R1", __doc__, [bench_recovery, bench_group_commit], gates
+    )
 
 
 if __name__ == "__main__":

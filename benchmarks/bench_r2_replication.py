@@ -23,11 +23,10 @@ Out:  benchmarks/results/BENCH_R2[_smoke].json   (repro-bench-perf/1)
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 
-from _util import perf_record, publish_perf
+from _util import perf_record, run_perf_bench
 
 from repro.axml.document import AXMLDocument
 from repro.chaos import ChaosConfig, run_chaos
@@ -155,50 +154,33 @@ def bench_failover_replay(args) -> dict:
     )
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small fast run (used by the CI perf gate)")
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
-    sweep_rec = bench_replicated_sweep(args)
-    replay_rec = bench_failover_replay(args)
-
-    suffix = "_smoke" if args.smoke else ""
-    path = publish_perf(
-        f"BENCH_R2{suffix}.json",
-        [sweep_rec, replay_rec],
-        smoke=args.smoke,
-    )
-    print(f"json artifact written: {path}")
-
-    # -- gates (deterministic counters, not wall time) --------------------
-    failed = []
+def gates(args, sweep_rec, replay_rec):
+    """Reasons this run fails its gate.  Deterministic counters, not wall time."""
     if sweep_rec["violations_total"] != 0:
-        failed.append(
+        yield (
             f"replicated sweep reported {sweep_rec['violations_total']} "
             f"oracle violations (expected 0)"
         )
     if sweep_rec["nondeterministic_seeds"] != 0:
-        failed.append(
+        yield (
             f"{sweep_rec['nondeterministic_seeds']} seeds were not "
             f"byte-identical on rerun"
         )
     if not any(row["failovers"] > 0 for row in sweep_rec["rows"]):
-        failed.append("sweep never exercised a failover (weak coverage)")
+        yield "sweep never exercised a failover (weak coverage)"
     replayed = replay_rec["failover_replay_entries"]
     lag = replay_rec["shipped_lag"]
     if not (1 <= replayed <= lag):
-        failed.append(
+        yield (
             f"failover replayed {replayed} entries for a shipped lag of "
             f"{lag} (expected 1 <= replayed <= lag)"
         )
-    if failed:
-        for reason in failed:
-            print(f"FAILED: {reason}", file=sys.stderr)
-        return 1
-    return 0
+
+
+def main() -> int:
+    return run_perf_bench(
+        "R2", __doc__, [bench_replicated_sweep, bench_failover_replay], gates
+    )
 
 
 if __name__ == "__main__":

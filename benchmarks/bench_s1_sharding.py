@@ -27,12 +27,11 @@ Out:  benchmarks/results/BENCH_S1[_smoke].json   (repro-bench-perf/1)
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 import time
 
-from _util import perf_record, publish_perf
+from _util import perf_record, run_perf_bench
 
 from repro.axml.document import AXMLDocument
 from repro.chaos import ChaosConfig, run_chaos
@@ -206,7 +205,7 @@ def bench_sharded_sweep(args) -> dict:
         config = ChaosConfig(
             seed=seed, txns=txns, providers=3, fault_rate=0.2,
             crash_rate=0.3, replicas=1, sharding=True, shard_spares=1,
-            durability="wal",
+            durability=True,
         )
         result = run_chaos(config)
         rerun = run_chaos(config)
@@ -251,91 +250,73 @@ def bench_sharded_sweep(args) -> dict:
     )
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="small fast run (used by the CI perf gate)")
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-
-    scaling_rec = bench_ring_scaling(args)
-    migration_rec = bench_migration_disruption(args)
-    sweep_rec = bench_sharded_sweep(args)
-
-    suffix = "_smoke" if args.smoke else ""
-    path = publish_perf(
-        f"BENCH_S1{suffix}.json",
-        [scaling_rec, migration_rec, sweep_rec],
-        smoke=args.smoke,
-    )
-    print(f"json artifact written: {path}")
-
-    # -- gates (deterministic counters, not wall time) --------------------
-    failed = []
+def gates(args, scaling_rec, migration_rec, sweep_rec):
+    """Reasons this run fails its gate.  Deterministic counters, not wall time."""
     for row in scaling_rec["rows"]:
         if row["balance_factor"] > BALANCE_BOUND:
-            failed.append(
+            yield (
                 f"N={row['members']}: balance factor "
                 f"{row['balance_factor']} exceeds {BALANCE_BOUND}"
             )
         if row["moved_on_join"] > row["join_bound"]:
-            failed.append(
+            yield (
                 f"N={row['members']}: join moved {row['moved_on_join']} "
                 f"keys, bound {row['join_bound']}"
             )
         if not row["moved_to_new_only"]:
-            failed.append(
+            yield (
                 f"N={row['members']}: a join moved keys to an old member"
             )
     if migration_rec["migrations"] != 1:
-        failed.append(
+        yield (
             f"migration bench completed {migration_rec['migrations']} "
             f"migrations (expected exactly 1)"
         )
     if migration_rec["migration_deferred_txns"] > migration_rec[
         "in_flight_at_barrier"
     ]:
-        failed.append(
+        yield (
             f"barrier deferred {migration_rec['migration_deferred_txns']} "
             f"txns for {migration_rec['in_flight_at_barrier']} in flight"
         )
     shipped = migration_rec["migration_entries_shipped"]
     tail = migration_rec["tail_txns"]
     if not (1 <= shipped <= tail):
-        failed.append(
+        yield (
             f"migration shipped {shipped} tail entries for {tail} tail "
             f"commits (expected 1 <= shipped <= tail — never a re-copy)"
         )
     if migration_rec["tail_applied_on_target"] != tail:
-        failed.append(
+        yield (
             f"only {migration_rec['tail_applied_on_target']}/{tail} tail "
             f"commits reached the migrated shard"
         )
     if sweep_rec["violations_total"] != 0:
-        failed.append(
+        yield (
             f"sharded sweep reported {sweep_rec['violations_total']} "
             f"oracle violations (expected 0)"
         )
     if sweep_rec["nondeterministic_seeds"] != 0:
-        failed.append(
+        yield (
             f"{sweep_rec['nondeterministic_seeds']} seeds were not "
             f"byte-identical on rerun"
         )
     if not any(row["migrations"] > 0 for row in sweep_rec["rows"]):
-        failed.append("sweep never completed a migration (weak coverage)")
+        yield "sweep never completed a migration (weak coverage)"
     for row in sweep_rec["rows"]:
         churn = row["migrations"] + row["migration_aborts"]
         bound = churn * sweep_rec["concurrency"]
         if row["migration_deferred_txns"] > bound:
-            failed.append(
+            yield (
                 f"seed {row['seed']}: {row['migration_deferred_txns']} "
                 f"deferred txns exceeds churn x concurrency ({bound})"
             )
-    if failed:
-        for reason in failed:
-            print(f"FAILED: {reason}", file=sys.stderr)
-        return 1
-    return 0
+
+
+def main() -> int:
+    return run_perf_bench(
+        "S1", __doc__, [bench_ring_scaling, bench_migration_disruption, bench_sharded_sweep], gates
+    )
 
 
 if __name__ == "__main__":

@@ -24,18 +24,19 @@ Quickstart::
                    "</location></action>")
     # exiting the with-block committed the transaction
 
-The legacy entry points (``repro.sim.scenarios.build_*`` and
-``run_root_transaction``) still work but emit ``DeprecationWarning`` and
-delegate here.
+Seeded chaos runs are configured by one frozen
+:class:`~repro.chaos.ChaosConfig` (re-exported here) and run through
+:func:`chaos` / :func:`chaos_sweep`.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.axml.document import AXMLDocument
+from repro.chaos.runner import ChaosConfig, run_chaos
+from repro.chaos.runner import chaos_sweep as _chaos_sweep
 from repro.outcome import Outcome, OutcomeStatus
 from repro.p2p.failure import FailureInjector
 from repro.p2p.network import SimNetwork
@@ -43,7 +44,15 @@ from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import DelegatingService, FunctionService, Service
+from repro.sim.scenarios import (
+    ATPLIST_XML,
+    FIG1_TOPOLOGY,
+    FIG2_TOPOLOGY,
+    _marker_action,
+    _peer_document,
+)
 from repro.sim.scheduler import TransactionScheduler
+from repro.sim.workload import tree_peers
 from repro.txn.operations import OperationOutcome
 from repro.txn.recovery import FaultPolicy
 
@@ -53,7 +62,7 @@ __all__ = [
     "Transaction",
     "Outcome",
     "OutcomeStatus",
-    "RunConfig",
+    "ChaosConfig",
     "SweepConfig",
     "chaos",
     "chaos_sweep",
@@ -194,7 +203,7 @@ class Cluster:
         self.replication = ReplicationManager(self.network)
         #: The placement directory — the routing-truth holder maps the
         #: replication manager and elastic sharding share.
-        self.directory = self.replication.directory
+        self.directory = self.network.directory
         self.peers: Dict[str, AXMLPeer] = {}
         #: invocation topology: peer → list of (child_peer, method).
         self.topology: Topology = {}
@@ -302,8 +311,6 @@ class Cluster:
     ) -> "Cluster":
         """The §3.1 running example: AP1 hosts ATPList.xml; AP2 serves
         getPoints; AP3 serves getGrandSlamsWonbyYear."""
-        from repro.sim.scenarios import ATPLIST_XML
-
         cluster = cls()
         for peer_id in ("AP1", "AP2", "AP3"):
             cluster.add_peer(
@@ -361,16 +368,8 @@ class Cluster:
         topology order); ``extra_peers`` creates idle peers for
         recovery/replica experiments.
         """
-        from repro.sim.scenarios import _marker_action, _peer_document
-
         cluster = cls(hop_latency=hop_latency)
-        peer_ids: List[str] = []
-        for parent, children in topology.items():
-            if parent not in peer_ids:
-                peer_ids.append(parent)
-            for child, _ in children:
-                if child not in peer_ids:
-                    peer_ids.append(child)
+        peer_ids = tree_peers(topology)
         for extra in extra_peers:
             if extra not in peer_ids:
                 peer_ids.append(extra)
@@ -415,149 +414,29 @@ class Cluster:
     @classmethod
     def fig1(cls, **kwargs) -> "Cluster":
         """Fig. 1's deployment (6 peers, nested invocations)."""
-        from repro.sim.scenarios import FIG1_TOPOLOGY
-
         return cls.from_topology(FIG1_TOPOLOGY, **kwargs)
 
     @classmethod
     def fig2(cls, **kwargs) -> "Cluster":
         """Fig. 2's deployment (AP1 is a super peer, per the chain)."""
-        from repro.sim.scenarios import FIG2_TOPOLOGY
-
         kwargs.setdefault("super_peers", ("AP1",))
         return cls.from_topology(FIG2_TOPOLOGY, **kwargs)
-
-    # -- bridging to/from the legacy Scenario shape --------------------
-
-    @classmethod
-    def wrap(cls, scenario) -> "Cluster":
-        """Adopt a legacy :class:`~repro.sim.scenarios.Scenario`."""
-        cluster = cls.__new__(cls)
-        cluster.network = scenario.network
-        cluster.injector = scenario.injector
-        cluster.replication = scenario.replication
-        cluster.peers = dict(scenario.peers)
-        cluster.topology = dict(scenario.topology)
-        return cluster
-
-    def as_scenario(self):
-        """This cluster in the legacy Scenario shape (for old callers)."""
-        from repro.sim.scenarios import Scenario
-
-        return Scenario(
-            self.network,
-            self.injector,
-            dict(self.peers),
-            self.replication,
-            dict(self.topology),
-        )
 
     def __repr__(self) -> str:
         return f"Cluster(peers={sorted(self.peers)})"
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One run's knobs — the single configuration surface.
-
-    The same frozen value drives :func:`chaos`, one cell of a
-    :class:`SweepConfig`, and the ``repro chaos`` / ``repro bench`` /
-    ``repro report`` CLIs (whose flags map onto these fields through
-    :func:`add_run_arguments` / :meth:`from_namespace`).  Fields mirror
-    :class:`~repro.chaos.ChaosConfig` plus the PR 7 WAL knobs;
-    :meth:`to_chaos_config` applies the implicit-durability rule the
-    CLI always had (crash faults, WAL mutations, checkpointing and
-    batching all need the on-disk WAL, so they switch it on).
-    """
-
-    seed: int = 7
-    txns: int = 20
-    providers: int = 6
-    origins: int = 2
-    concurrency: int = 4
-    ops_per_txn: int = 3
-    invoke_fraction: float = 0.6
-    fault_rate: float = 0.2
-    handlers: bool = False
-    mutate: str = ""
-    durability: bool = False
-    crash_rate: float = 0.0
-    #: WAL checkpoint interval in appended entries; 0 = no checkpoints.
-    checkpoint_every: int = 0
-    #: WAL group-commit batch size; 1 = flush every frame.
-    wal_batch: int = 1
-    #: Replicas per provider document/service; 0 = no replication.
-    replicas: int = 0
-    #: Committed entries buffered per channel before one WAL-ship
-    #: message goes on the wire.
-    ship_batch: int = 1
-    #: Elastic sharding: place provider shards by the consistent-hash
-    #: ring (``repro.p2p.sharding``) with live migration faults.
-    sharding: bool = False
-    #: Spare peers that join the ring mid-run (needs ``sharding``).
-    shard_spares: int = 0
-
-    def to_chaos_config(self):
-        """The equivalent :class:`~repro.chaos.ChaosConfig` (with the
-        WAL implied when any knob that needs it is set)."""
-        from repro.chaos import ChaosConfig
-
-        return ChaosConfig(
-            seed=self.seed,
-            txns=self.txns,
-            providers=self.providers,
-            origins=self.origins,
-            concurrency=self.concurrency,
-            ops_per_txn=self.ops_per_txn,
-            invoke_fraction=self.invoke_fraction,
-            fault_rate=self.fault_rate,
-            handlers=self.handlers,
-            mutate=self.mutate,
-            durability=bool(
-                self.durability
-                or self.crash_rate > 0
-                or self.mutate == "crash_skip_undo"
-                or self.checkpoint_every > 0
-                or self.wal_batch > 1
-                # WAL shipping streams the durable log, so replication
-                # implies the on-disk WAL too.
-                or self.replicas > 0
-            ),
-            crash_rate=self.crash_rate,
-            checkpoint_every=self.checkpoint_every,
-            wal_batch=self.wal_batch,
-            replicas=self.replicas,
-            ship_batch=self.ship_batch,
-            sharding=self.sharding,
-            shard_spares=self.shard_spares,
-        )
-
-    @classmethod
-    def from_namespace(cls, args) -> "RunConfig":
-        """Build from an argparse namespace produced by a parser that
-        used :func:`add_run_arguments` (missing attributes keep their
-        field defaults, so partial parsers — ``repro bench`` — work)."""
-        values = {}
-        renamed = {"ops_per_txn": "ops"}
-        for f in fields(cls):
-            attr = renamed.get(f.name, f.name)
-            if hasattr(args, attr):
-                value = getattr(args, attr)
-                values[f.name] = f.default if value is None else value
-        return cls(**values)
-
-
-@dataclass(frozen=True)
 class SweepConfig:
-    """A seed sweep over one :class:`RunConfig` base.
+    """A seed sweep over one :class:`~repro.chaos.ChaosConfig` base.
 
     ``concurrencies`` / ``fault_rates`` default to empty, meaning
     "derive from the base run" (its concurrency and fault rate); the
-    ``repro chaos --sweep`` CLI widens concurrencies to
-    ``(2, base.concurrency)`` explicitly, as it always did.
+    ``repro chaos --sweep`` CLI widens concurrencies to 2 and the base
+    concurrency.
     """
 
-    run: RunConfig = field(default_factory=RunConfig)
+    run: ChaosConfig = field(default_factory=ChaosConfig)
     #: How many seeds, ``0..seeds-1``.
     seeds: int = 10
     #: Worker processes (0 = all cores; output byte-identical to serial).
@@ -567,33 +446,34 @@ class SweepConfig:
 
     @classmethod
     def from_namespace(cls, args) -> "SweepConfig":
-        run = RunConfig.from_namespace(args)
+        run = ChaosConfig.from_namespace(args)
         return cls(
             run=run,
             seeds=getattr(args, "seeds", cls.seeds),
             workers=getattr(args, "workers", cls.workers),
-            concurrencies=(2, run.concurrency),
+            # dict.fromkeys: --concurrency 2 must not run every cell twice.
+            concurrencies=tuple(dict.fromkeys((2, run.concurrency))),
         )
 
 
 # -- shared argparse builders (one flag surface for every CLI) -------------
 
 def add_run_arguments(parser) -> None:
-    """Install the :class:`RunConfig` flags on *parser*."""
-    parser.add_argument("--seed", type=int, default=RunConfig.seed)
-    parser.add_argument("--txns", type=int, default=RunConfig.txns)
+    """Install the :class:`~repro.chaos.ChaosConfig` flags on *parser*."""
+    parser.add_argument("--seed", type=int, default=ChaosConfig.seed)
+    parser.add_argument("--txns", type=int, default=ChaosConfig.txns)
     parser.add_argument(
-        "--fault-rate", type=float, default=RunConfig.fault_rate,
+        "--fault-rate", type=float, default=ChaosConfig.fault_rate,
         help="planned faults per transaction (default %(default)s)")
-    parser.add_argument("--providers", type=int, default=RunConfig.providers)
-    parser.add_argument("--origins", type=int, default=RunConfig.origins)
+    parser.add_argument("--providers", type=int, default=ChaosConfig.providers)
+    parser.add_argument("--origins", type=int, default=ChaosConfig.origins)
     parser.add_argument(
-        "--concurrency", type=int, default=RunConfig.concurrency)
+        "--concurrency", type=int, default=ChaosConfig.concurrency)
     parser.add_argument(
-        "--ops", type=int, default=RunConfig.ops_per_txn,
+        "--ops", type=int, default=ChaosConfig.ops_per_txn,
         help="operations per transaction")
     parser.add_argument(
-        "--invoke-fraction", type=float, default=RunConfig.invoke_fraction,
+        "--invoke-fraction", type=float, default=ChaosConfig.invoke_fraction,
         help="fraction of ops that are remote invocations")
     parser.add_argument(
         "--handlers", action="store_true",
@@ -604,28 +484,28 @@ def add_run_arguments(parser) -> None:
                  "crash_skip_undo"),
         help="deliberately break the protocol (oracle demo)")
     parser.add_argument(
-        "--crash-rate", type=float, default=RunConfig.crash_rate,
+        "--crash-rate", type=float, default=ChaosConfig.crash_rate,
         help="planned crash-and-restart faults per transaction "
              "(implies --durability)")
     parser.add_argument(
         "--durability", action="store_true",
         help="give providers an on-disk WAL (crash recovery)")
     parser.add_argument(
-        "--checkpoint-every", type=int, default=RunConfig.checkpoint_every,
+        "--checkpoint-every", type=int, default=ChaosConfig.checkpoint_every,
         dest="checkpoint_every", metavar="N",
         help="WAL checkpoint every N appended entries "
              "(bounds recovery replay; implies --durability)")
     parser.add_argument(
-        "--wal-batch", type=int, default=RunConfig.wal_batch,
+        "--wal-batch", type=int, default=ChaosConfig.wal_batch,
         dest="wal_batch", metavar="N",
         help="WAL group-commit batch size (implies --durability "
              "when > 1)")
     parser.add_argument(
-        "--replicas", type=int, default=RunConfig.replicas, metavar="R",
+        "--replicas", type=int, default=ChaosConfig.replicas, metavar="R",
         help="replicas per provider document/service "
              "(WAL shipping + deterministic failover)")
     parser.add_argument(
-        "--ship-batch", type=int, default=RunConfig.ship_batch,
+        "--ship-batch", type=int, default=ChaosConfig.ship_batch,
         dest="ship_batch", metavar="N",
         help="committed WAL entries batched per ship message")
     parser.add_argument(
@@ -633,7 +513,7 @@ def add_run_arguments(parser) -> None:
         help="consistent-hash shard placement with live migration "
              "(docs/SHARDING.md)")
     parser.add_argument(
-        "--shard-spares", type=int, default=RunConfig.shard_spares,
+        "--shard-spares", type=int, default=ChaosConfig.shard_spares,
         dest="shard_spares", metavar="K",
         help="spare peers that join the ring mid-run and trigger "
              "shard rebalancing (needs --sharding)")
@@ -658,88 +538,38 @@ def add_output_arguments(parser) -> None:
         help="also write the deterministic result as a JSON artifact")
 
 
-def _warn_kwargs_shim(name: str, replacement: str) -> None:
-    # stacklevel=3: this helper -> the shimmed facade -> the caller.
-    warnings.warn(
-        f"{name} with ChaosConfig keyword arguments is deprecated; "
-        f"pass a {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def chaos(config: Optional[RunConfig] = None, **config_kwargs):
+def chaos(config: ChaosConfig):
     """Run one seeded chaos experiment; returns a ``ChaosRunResult``.
 
-    Facade over :mod:`repro.chaos`, configured by one
-    :class:`RunConfig`.  ``result.ok`` says whether the atomicity
-    oracle verified all-or-nothing outcomes::
+    ``result.ok`` says whether the atomicity oracle verified
+    all-or-nothing outcomes::
 
-        from repro.api import RunConfig, chaos
+        from repro.api import ChaosConfig, chaos
 
-        result = chaos(RunConfig(seed=7, txns=20, fault_rate=0.2))
+        result = chaos(ChaosConfig(seed=7, txns=20, fault_rate=0.2))
         assert result.ok, result.violations
-
-    The pre-RunConfig spelling ``chaos(seed=7, txns=20, ...)`` (bare
-    :class:`~repro.chaos.ChaosConfig` keyword arguments) still works
-    but emits a ``DeprecationWarning``.  (Imported lazily:
-    ``repro.chaos`` builds its clusters through this module.)
     """
-    from repro.chaos import ChaosConfig, run_chaos
-
-    if config is not None:
-        if config_kwargs:
-            raise TypeError(
-                "chaos() takes a RunConfig or keyword arguments, not both"
-            )
-        return run_chaos(config.to_chaos_config())
-    _warn_kwargs_shim("chaos()", "RunConfig")
-    return run_chaos(ChaosConfig(**config_kwargs))
+    return run_chaos(config)
 
 
-def chaos_sweep(config=None, workers: int = 1, metrics=None, **config_kwargs):
+def chaos_sweep(config: SweepConfig, metrics=None):
     """Sweep chaos over seeds; returns ``(table, failures)``.
 
-    Facade over :func:`repro.chaos.chaos_sweep`, configured by one
-    :class:`SweepConfig`.  ``workers`` > 1 fans the sweep over
-    processes (0 = all cores) with byte-identical output::
+    ``config.workers`` > 1 fans the sweep over processes (0 = all
+    cores) with byte-identical output::
 
-        from repro.api import RunConfig, SweepConfig, chaos_sweep
+        from repro.api import ChaosConfig, SweepConfig, chaos_sweep
 
         table, failures = chaos_sweep(
-            SweepConfig(run=RunConfig(txns=12), seeds=10, workers=4))
+            SweepConfig(run=ChaosConfig(txns=12), seeds=10, workers=4))
         assert not failures, failures[0].violations
-
-    The pre-SweepConfig spelling — a seeds iterable first plus
-    :class:`~repro.chaos.ChaosConfig` keyword arguments,
-    ``chaos_sweep(range(10), workers=4, txns=12)`` — still works but
-    emits a ``DeprecationWarning``.
     """
-    from repro.chaos import ChaosConfig
-    from repro.chaos import chaos_sweep as _sweep
-
-    if isinstance(config, SweepConfig):
-        if config_kwargs:
-            raise TypeError(
-                "chaos_sweep() takes a SweepConfig or the legacy "
-                "seeds + keyword arguments form, not both"
-            )
-        base = config.run.to_chaos_config()
-        return _sweep(
-            base,
-            seeds=range(config.seeds),
-            concurrencies=config.concurrencies or (base.concurrency,),
-            fault_rates=config.fault_rates or (base.fault_rate,),
-            metrics=metrics,
-            workers=config.workers,
-        )
-    _warn_kwargs_shim("chaos_sweep()", "SweepConfig")
-    base = ChaosConfig(**config_kwargs)
-    return _sweep(
+    base = config.run
+    return _chaos_sweep(
         base,
-        seeds=config,
-        concurrencies=(base.concurrency,),
-        fault_rates=(base.fault_rate,),
+        seeds=range(config.seeds),
+        concurrencies=config.concurrencies or (base.concurrency,),
+        fault_rates=config.fault_rates or (base.fault_rate,),
         metrics=metrics,
-        workers=workers,
+        workers=config.workers,
     )

@@ -20,7 +20,6 @@ from repro.axml.service_call import Param, ServiceCall, install_service_call
 from repro.axml.document import AXMLDocument
 from repro.axml.faults import FaultHandler, RetryPolicy, parse_fault_handlers
 from repro.axml.materialize import (
-    InvocationOutcome,
     MaterializationEngine,
     MaterializationReport,
     MaterializedCall,
@@ -34,7 +33,6 @@ __all__ = [
     "FaultHandler",
     "RetryPolicy",
     "parse_fault_handlers",
-    "InvocationOutcome",
     "MaterializationEngine",
     "MaterializationReport",
     "MaterializedCall",

@@ -29,13 +29,8 @@ from repro.xmlstore.parser import parse_fragment
 from repro.xmlstore.path import NULL_METER, TraversalMeter
 
 
-#: The unified result shape (see :mod:`repro.outcome`).  The old name
-#: ``InvocationOutcome`` remains importable here as a deprecated alias.
-InvocationOutcome = Outcome
-
-
 #: Resolver signature: (call, materialized parameter values) → outcome.
-Resolver = Callable[[ServiceCall, Dict[str, str]], InvocationOutcome]
+Resolver = Callable[[ServiceCall, Dict[str, str]], Outcome]
 
 
 @dataclass
@@ -44,7 +39,7 @@ class MaterializedCall:
 
     method_name: str
     call_id: object
-    outcome: InvocationOutcome
+    outcome: Outcome
     records: List[ChangeRecord] = field(default_factory=list)
     nested_depth: int = 0
 

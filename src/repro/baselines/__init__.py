@@ -4,9 +4,11 @@
   handlers (the state of the art §3.1 says is infeasible for AXML);
 * :mod:`repro.baselines.snapshot_rollback` — traditional whole-document
   undo via snapshots;
-* :mod:`repro.baselines.naive_disconnect` — disconnection handling
-  without chaining (detection only by the direct parent, no reuse);
 * :mod:`repro.baselines.two_phase_commit` — blocking atomic commit.
+
+The §3.3 baseline — disconnection handling without chaining (detection
+only by the direct parent, no reuse) — is a flag, not a module:
+``Cluster.from_topology(..., chaining=False)``.
 """
 
 from repro.baselines.static_compensation import (
@@ -15,7 +17,6 @@ from repro.baselines.static_compensation import (
     CoverageReport,
 )
 from repro.baselines.snapshot_rollback import SnapshotRollback
-from repro.baselines.naive_disconnect import build_naive_variant
 from repro.baselines.two_phase_commit import TwoPhaseCoordinator, TwoPhaseOutcome
 from repro.baselines.lock_manager import LockConflict, LockManager, LockMode
 
@@ -24,7 +25,6 @@ __all__ = [
     "StaticHandler",
     "CoverageReport",
     "SnapshotRollback",
-    "build_naive_variant",
     "TwoPhaseCoordinator",
     "TwoPhaseOutcome",
     "LockConflict",

@@ -239,8 +239,7 @@ class AtomicityOracle:
     def _effect_holders(replication, effect: ExpectedEffect) -> List[str]:
         """Every peer that must carry *effect*'s marker after settlement."""
         if replication is not None:
-            directory = getattr(replication, "directory", None)
-            if directory is not None and directory.is_sharded(effect.document):
+            if replication.directory.is_sharded(effect.document):
                 # Sharded placement: the directory's holder list is
                 # authoritative regardless of the workload's static
                 # peer hint (the ring may have moved the shard).
@@ -266,9 +265,9 @@ class AtomicityOracle:
           placement truth.
         """
         replication = self._replication(peers)
-        directory = getattr(replication, "directory", None)
-        if directory is None or not directory.sharded_docs:
+        if replication is None or not replication.directory.sharded_docs:
             return []
+        directory = replication.directory
         violations: List[Violation] = []
         for doc_name in sorted(directory.sharded_docs):
             holders = directory.document_map.get(doc_name, [])
@@ -289,7 +288,7 @@ class AtomicityOracle:
                         "shard_duplicated", peer=peer_id, document=doc_name,
                         detail="copy outside the directory's holder list",
                     ))
-            ring = getattr(directory, "ring", None)
+            ring = directory.ring
             if ring is not None:
                 want = ring.lookup(doc_name)
                 if want and list(holders) != list(want):

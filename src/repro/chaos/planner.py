@@ -21,7 +21,7 @@ the failure dimensions of §3.2–§3.3:
 * ``crash`` — a provider's *process* dies at a protocol point, losing
   all volatile state (contexts, in-memory log, chains); it restarts
   ``delay`` later and recovers from its durable WAL
-  (``rejoin(mode="in_doubt")``, see ``docs/DURABILITY.md``).  Only
+  (``rejoin(mode=RejoinMode.IN_DOUBT)``, see ``docs/DURABILITY.md``).  Only
   planned when the run enables ``durability``, and sampled from a
   *separate* RNG stream so existing seeds' plans keep their exact
   event prefix;
@@ -335,7 +335,7 @@ class FaultPlanner:
         the fault on the shard coordinator; it fires when a migration
         reaches that phase (there is no way to know at plan time which
         peer will be migrating).  The victim restarts ``delay`` later
-        and recovers from its WAL (``rejoin(mode="in_doubt")``).
+        and recovers from its WAL (``rejoin(mode=RejoinMode.IN_DOUBT)``).
         """
         role = rng.choice(["source", "target"])
         point = rng.choice(["copy", "cutover"])

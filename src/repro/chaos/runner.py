@@ -36,7 +36,7 @@ prove the oracle catches real violations; see :data:`MUTATIONS`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.oracle import AtomicityOracle, ExpectedEffect, Violation
@@ -50,6 +50,7 @@ from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import DelegatingService
 from repro.sim.rng import SeededRng, stable_seed
 from repro.sim.scheduler import COMMITTED, InvokeOp, TxnResult, TxnSpec
+from repro.txn.modes import DurabilityPolicy, RejoinMode
 from repro.txn.recovery import FaultPolicy
 
 #: Deliberate protocol breakages; each trips a distinct oracle kind.
@@ -65,7 +66,17 @@ MUTATIONS = (
 
 @dataclass(frozen=True)
 class ChaosConfig:
-    """Every knob of one chaos run (JSON-round-trippable)."""
+    """Every knob of one run — the single configuration surface
+    (JSON-round-trippable).
+
+    The same frozen value drives :func:`run_chaos`, one cell of a
+    :class:`~repro.api.SweepConfig` and the ``repro chaos`` CLI (whose
+    flags map onto these fields through
+    :func:`~repro.api.add_run_arguments` / :meth:`from_namespace`).
+    Crash faults, the ``crash_skip_undo`` mutation, checkpointing,
+    group commit and replication all work on the on-disk WAL, so
+    setting any of them implies ``durability=True``.
+    """
 
     seed: int = 7
     txns: int = 20
@@ -81,11 +92,11 @@ class ChaosConfig:
     mutate: str = ""
     #: Give every provider a durable on-disk WAL (scratch directories).
     durability: bool = False
-    #: Expected crash events per run = crash_rate * txns (needs durability).
+    #: Expected crash events per run = crash_rate * txns.
     crash_rate: float = 0.0
     #: WAL checkpoint interval in appended entries; 0 = no checkpoints.
     checkpoint_every: int = 0
-    #: WAL group-commit batch size; 1 = flush every frame (PR 5 path).
+    #: WAL group-commit batch size; 1 = flush every frame.
     wal_batch: int = 1
     #: Replicas per provider document/service (0 = no replication).
     #: > 0 turns on WAL shipping, deterministic failover and the
@@ -110,21 +121,14 @@ class ChaosConfig:
             )
         if self.providers < 1 or self.origins < 1 or self.txns < 1:
             raise ValueError("providers, origins and txns must all be >= 1")
-        if self.crash_rate > 0 and not self.durability:
-            raise ValueError(
-                "crash_rate > 0 requires durability=True: a crashed peer "
-                "without an on-disk WAL loses its log unrecoverably"
-            )
-        if self.mutate == "crash_skip_undo" and not self.durability:
-            raise ValueError(
-                "mutate='crash_skip_undo' targets WAL recovery; it "
-                "requires durability=True"
-            )
-        if (self.checkpoint_every > 0 or self.wal_batch > 1) and not self.durability:
-            raise ValueError(
-                "checkpoint_every/wal_batch tune the on-disk WAL; they "
-                "require durability=True"
-            )
+        if (
+            self.crash_rate > 0
+            or self.mutate == "crash_skip_undo"
+            or self.checkpoint_every > 0
+            or self.wal_batch > 1
+            or self.replicas > 0
+        ):
+            object.__setattr__(self, "durability", True)
         if self.checkpoint_every < 0 or self.wal_batch < 1:
             raise ValueError(
                 "checkpoint_every must be >= 0 and wal_batch >= 1"
@@ -176,8 +180,37 @@ class ChaosConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChaosConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        """Rebuild from :meth:`to_dict` output (a repro file's
+        ``config``); unknown keys are ignored, a wrongly typed value is
+        a ``ValueError`` naming the field."""
+        values = {}
+        for f in fields(cls):
+            if f.name not in data:
+                continue
+            value = data[f.name]
+            kind = type(f.default)
+            if kind is float and type(value) is int:
+                value = float(value)
+            if type(value) is not kind:
+                raise ValueError(
+                    f"config field {f.name!r} must be {kind.__name__}, "
+                    f"got {value!r}"
+                )
+            values[f.name] = value
+        return cls(**values)
+
+    @classmethod
+    def from_namespace(cls, args) -> "ChaosConfig":
+        """Build from an argparse namespace produced by a parser that
+        used :func:`~repro.api.add_run_arguments` (missing attributes
+        keep their field defaults)."""
+        values = {}
+        for f in fields(cls):
+            attr = "ops" if f.name == "ops_per_txn" else f.name
+            value = getattr(args, attr, None)
+            if value is not None:
+                values[f.name] = value
+        return cls(**values)
 
 
 @dataclass
@@ -280,19 +313,13 @@ def build_chaos_cluster(config: ChaosConfig):
 def _durability_kwargs(config: ChaosConfig, scratch, peer_id: str) -> Dict[str, object]:
     if scratch is None:
         return {}
-    if config.checkpoint_every > 0 or config.wal_batch > 1:
-        from repro.txn.modes import DurabilityPolicy
-
-        return {
-            "durability": DurabilityPolicy(
-                directory=scratch.path(peer_id),
-                wal_batch=config.wal_batch,
-                checkpoint_every=config.checkpoint_every,
-            )
-        }
-    # Bare path: the exact PR 5 wiring, so checkpoint-less runs stay
-    # byte-identical.
-    return {"durability": scratch.path(peer_id)}
+    return {
+        "durability": DurabilityPolicy(
+            directory=scratch.path(peer_id),
+            wal_batch=config.wal_batch,
+            checkpoint_every=config.checkpoint_every,
+        )
+    }
 
 
 def _spare_names(config: ChaosConfig) -> List[str]:
@@ -547,7 +574,7 @@ def _schedule_kill_primary(cluster, event: FaultEvent) -> None:
 
         def restart() -> None:
             if peer.disconnected:
-                peer.rejoin(mode="in_doubt")
+                peer.rejoin(mode=RejoinMode.IN_DOUBT)
 
         cluster.network.events.schedule(event.delay, restart)
 

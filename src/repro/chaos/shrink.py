@@ -100,18 +100,28 @@ def write_repro_file(path: str, result: ChaosRunResult) -> str:
 
 
 def load_repro_file(path: str) -> tuple:
-    """Parse a repro file back into ``(config, plan)``."""
+    """Parse a repro file back into ``(config, plan)``.
+
+    A malformed file — not JSON, wrong version, ``config``/``plan``
+    missing, a wrongly typed field — raises ``ValueError`` naming what
+    is wrong."""
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValueError("a repro file holds one JSON object")
     version = data.get("version")
     if version != REPRO_VERSION:
         raise ValueError(f"unsupported repro-file version {version!r}")
-    return (
-        ChaosConfig.from_dict(data["config"]),
-        FaultPlan.from_dict(data["plan"]),
-    )
+    for key in ("config", "plan"):
+        if not isinstance(data.get(key), dict):
+            raise ValueError(f"repro file needs a {key!r} object")
+    try:
+        plan = FaultPlan.from_dict(data["plan"])
+    except TypeError as exc:
+        raise ValueError(f"malformed 'plan': {exc}") from None
+    return ChaosConfig.from_dict(data["config"]), plan
 
 
 def replay_repro_file(path: str) -> ChaosRunResult:

@@ -20,12 +20,13 @@ import sys
 from typing import List, Optional
 
 from repro.api import (
+    ChaosConfig,
     Cluster,
-    RunConfig,
     SweepConfig,
     add_output_arguments,
     add_run_arguments,
     add_sweep_arguments,
+    chaos_sweep,
 )
 from repro.sim.scenarios import QUERY_A, QUERY_B
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
@@ -143,12 +144,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     every transaction; 1 means violations (already shrunk to a minimal
     replayable schedule in ``--repro-out``).
     """
-    from repro.chaos import (
-        chaos_sweep,
-        replay_repro_file,
-        run_chaos,
-        shrink_and_report,
-    )
+    from repro.chaos import replay_repro_file, run_chaos, shrink_and_report
     from repro.obs import write_json_artifact
     from repro.sim.metrics import MetricsCollector
 
@@ -162,21 +158,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         _print_chaos_result(result)
         return 1 if result.violations else 0
 
-    # One shared surface: flags -> RunConfig -> ChaosConfig (the
-    # implicit-durability rule lives in RunConfig.to_chaos_config).
-    run_config = RunConfig.from_namespace(args)
-    config = run_config.to_chaos_config()
-
     if args.sweep:
-        sweep_config = SweepConfig.from_namespace(args)
         metrics = MetricsCollector()
         table, failures = chaos_sweep(
-            config,
-            seeds=range(sweep_config.seeds),
-            concurrencies=sweep_config.concurrencies,
-            fault_rates=(config.fault_rate,),
-            metrics=metrics,
-            workers=sweep_config.workers,
+            SweepConfig.from_namespace(args), metrics=metrics
         )
         print(table.render())
         print(
@@ -188,6 +173,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"json artifact written: {args.json_out}")
         return 1 if failures else 0
 
+    config = ChaosConfig.from_namespace(args)
     result = run_chaos(config)
     _print_chaos_result(result)
     if args.json_out:

@@ -1,4 +1,4 @@
-"""Micro-profiler: cheap hot-path counters and wall-clock timers.
+"""Micro-profiler: cheap hot-path counters.
 
 The observability layer (spans, histograms) answers *what happened* in
 virtual time; this module answers *why a run was fast or slow* in real
@@ -15,10 +15,9 @@ Design constraints:
   execution; they may be merged into a run's
   :class:`~repro.sim.metrics.MetricsCollector` (prefixed ``prof_``)
   without breaking byte-identical summaries.
-* **Honest about time** — wall-clock timers (``perf_counter``) are kept
-  in a separate ``timings`` map that is *never* merged into
-  deterministic summaries; benchmarks read them directly and publish
-  them in ``BENCH_*.json`` artifacts, where wall time belongs.
+* **No wall clock** — wall time is not deterministic and would poison
+  byte-identical summaries; it is measured from outside the program by
+  the BENCH_E2E tracer (``benchmarks/e2e/tracing.py``).
 
 Counter vocabulary used across the codebase::
 
@@ -34,19 +33,17 @@ Counter vocabulary used across the codebase::
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional
 
 
 class Profiler:
-    """A bag of counters plus accumulated wall-clock timers."""
+    """A bag of counters."""
 
-    __slots__ = ("counters", "timings")
+    __slots__ = ("counters",)
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {}
-        self.timings: Dict[str, float] = {}
 
     # -- counters (hot path: keep these two lines) ----------------------
 
@@ -56,18 +53,6 @@ class Profiler:
 
     def get(self, name: str) -> int:
         return self.counters.get(name, 0)
-
-    # -- timers ---------------------------------------------------------
-
-    @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Accumulate the block's wall-clock duration under *name*."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.timings[name] = self.timings.get(name, 0.0) + elapsed
 
     # -- snapshots ------------------------------------------------------
 
@@ -84,7 +69,6 @@ class Profiler:
 
     def reset(self) -> None:
         self.counters.clear()
-        self.timings.clear()
 
     def hit_rate(self, hits: str, misses: str) -> Optional[float]:
         """``hits / (hits + misses)`` or ``None`` when neither fired."""
@@ -135,11 +119,9 @@ def profiled(metrics: Any = None, prefix: str = "prof_") -> Iterator[Profiler]:
 
     When *metrics* (a :class:`~repro.sim.metrics.MetricsCollector`) is
     given, the block's counter deltas are merged into it under *prefix*
-    so they surface in ``repro report`` and the run's JSON summary.
-    Timings are deliberately not merged: wall-clock is not deterministic
-    and would poison byte-identical summaries — and neither are the
-    :data:`SUMMARY_LOCAL_COUNTERS`, whose values depend on cache state
-    rather than on the run's logical behaviour.
+    so they surface in ``repro report`` and the run's JSON summary —
+    except the :data:`SUMMARY_LOCAL_COUNTERS`, whose values depend on
+    cache state rather than on the run's logical behaviour.
     """
     before = PROF.snapshot()
     try:

@@ -1,27 +1,7 @@
-"""The unified invocation result type.
-
-Historically the repository grew two shapes for "what a service
-invocation returned": ``InvocationOutcome`` (the AXML resolver path,
-:mod:`repro.axml.materialize`) and ``InvokeResult`` (the RPC reply,
-:mod:`repro.p2p.messages`).  They carried overlapping fields and drifted
-apart.  This module unifies them behind one **frozen** :class:`Outcome`
-with an explicit :class:`OutcomeStatus`; the old names remain importable
-as aliases of :class:`Outcome` for one release (see CHANGES.md for the
-field mapping).
-
-Field mapping:
-
-========================  =========================================
-old field                 Outcome field
-========================  =========================================
-``fragments``             ``fragments`` (both shapes)
-``provider_peer``         ``provider_peer`` (both shapes)
-``compensating_definition``  ``compensating_definition`` (resolver)
-``compensations``         ``compensations`` (RPC)
-``nodes_affected``        ``nodes_affected`` (RPC)
-``chain_text``            ``chain_text`` (RPC)
-(implicit)                ``status`` (new, explicit)
-========================  =========================================
+"""The unified invocation result type: one **frozen** :class:`Outcome`
+with an explicit :class:`OutcomeStatus`, returned by both the AXML
+resolver path (:mod:`repro.axml.materialize`) and the RPC reply
+(:mod:`repro.p2p.messages`).
 """
 
 from __future__ import annotations
@@ -99,7 +79,3 @@ class Outcome:
             compensating_definition=self.compensating_definition,
         )
 
-
-#: Deprecated aliases — importable for one release; see module docstring.
-InvocationOutcome = Outcome
-InvokeResult = Outcome

@@ -14,7 +14,6 @@ from repro.p2p.messages import (
     AbortMessage,
     DisconnectNotice,
     InvokeRequest,
-    InvokeResult,
     RedirectedResult,
 )
 from repro.p2p.network import SimNetwork
@@ -35,7 +34,6 @@ __all__ = [
     "AbortMessage",
     "DisconnectNotice",
     "InvokeRequest",
-    "InvokeResult",
     "RedirectedResult",
     "SimNetwork",
     "AXMLPeer",

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.p2p.network import SimNetwork
+from repro.txn.modes import RejoinMode
 
 #: Injection points inside a service execution.
 POINTS = ("before_execute", "after_local_work", "before_return")
@@ -105,7 +106,7 @@ class FailureInjector:
 
         A crash (``AXMLPeer.crash``) loses all volatile state — unlike a
         scripted disconnection, which only severs links.  The restart
-        drives ``rejoin(mode="in_doubt")``: the peer recovers its
+        drives ``rejoin(mode=RejoinMode.IN_DOUBT)``: the peer recovers its
         operation log from the durable WAL and rebuilds in-doubt
         contexts for a later commit/abort decision.
 
@@ -136,7 +137,7 @@ class FailureInjector:
         primary down regardless of what it is executing, forcing any
         in-flight invocation onto its replicas.  A peer already dead at
         the fire time is left alone; the restart (``rejoin`` with
-        ``mode="in_doubt"``) is scheduled unconditionally so no killed
+        ``mode=RejoinMode.IN_DOUBT``) is scheduled unconditionally so no killed
         peer stays down past settlement.
         """
 
@@ -147,7 +148,7 @@ class FailureInjector:
             peer.crash()
             self.network.events.schedule(
                 restart_delay,
-                lambda: peer.rejoin(mode="in_doubt") if peer.disconnected else None,
+                lambda: peer.rejoin(mode=RejoinMode.IN_DOUBT) if peer.disconnected else None,
             )
 
         self.network.events.schedule_at(time, fire)
@@ -196,7 +197,7 @@ class FailureInjector:
             # left dead (and un-recovered) at oracle time.
             self.network.events.schedule(
                 delay,
-                lambda p=peer: p.rejoin(mode="in_doubt") if p.disconnected else None,
+                lambda p=peer: p.rejoin(mode=RejoinMode.IN_DOUBT) if p.disconnected else None,
             )
             if dead_peer == peer_id:
                 return True

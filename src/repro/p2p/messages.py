@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional, Sequence
 
-from repro.outcome import Outcome
-
 
 def message_kind(message: object) -> str:
     """The lowercase protocol name of *message* (``abort``, ``commit``, …).
@@ -37,7 +35,8 @@ class InvokeRequest:
     """A service invocation: "Invoke method M for transaction T".
 
     ``chain_text`` piggybacks the active-peer chain (§3.3); empty when
-    chaining is disabled (the naive baseline).
+    chaining is disabled (the naive baseline).  The reply is a
+    :class:`repro.outcome.Outcome` (``KIND`` ``"result"``).
     """
 
     KIND: ClassVar[str] = "invoke"
@@ -52,16 +51,6 @@ class InvokeRequest:
     #: (§3.3b: "passing the materialized results directly while invoking
     #: S3 on APX").
     reused_fragments: Dict[str, List[str]] = field(default_factory=dict)
-
-
-#: The reply to an :class:`InvokeRequest` — now the unified, frozen
-#: :class:`repro.outcome.Outcome` (its ``KIND`` stays ``"result"``).
-#: ``compensations`` carries compensating-service definitions when
-#: peer-independent compensation is enabled — ``(provider_peer,
-#: plan_xml)`` pairs (§3.2); ``chain_text`` is the provider's final chain
-#: view, merged back into the caller's (§3.3).  The old name remains
-#: importable here as a deprecated alias.
-InvokeResult = Outcome
 
 
 @dataclass

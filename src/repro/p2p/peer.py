@@ -14,11 +14,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.axml.document import AXMLDocument
 from repro.axml.faults import parse_fault_handlers
-from repro.axml.materialize import InvocationOutcome, Resolver
+from repro.axml.materialize import Resolver
 from repro.axml.service_call import ServiceCall
 from repro.errors import (
     P2PError,
@@ -34,7 +34,6 @@ from repro.p2p.messages import (
     CompensationRequest,
     DisconnectNotice,
     InvokeRequest,
-    InvokeResult,
     RedirectedResult,
     WalShipAck,
     WalShipMessage,
@@ -45,9 +44,10 @@ from repro.query.parser import parse_action
 from repro.services.registry import ServiceRegistry
 from repro.services.service import Service, ServiceResponse
 from repro.obs.spans import Span
+from repro.outcome import Outcome
 from repro.sim.rng import SeededRng, stable_seed
 from repro.txn.manager import TransactionManager
-from repro.txn.modes import DurabilityPolicy, RejoinMode, coerce_durability
+from repro.txn.modes import DurabilityPolicy, RejoinMode
 from repro.txn.operations import OperationOutcome
 from repro.txn.recovery import (
     FaultPolicy,
@@ -74,7 +74,7 @@ class AXMLPeer:
         occ: bool = False,
         injector=None,
         seed: int = 0,
-        durability: Union[None, str, DurabilityPolicy] = None,
+        durability: Optional[DurabilityPolicy] = None,
     ):
         self.peer_id = peer_id
         self.network = network
@@ -107,29 +107,24 @@ class AXMLPeer:
         self.manager = TransactionManager(
             peer_id, self.get_axml_document, validator=validator
         )
-        #: Crash durability: a directory path or a
-        #: :class:`~repro.txn.modes.DurabilityPolicy` enables the
-        #: on-disk WAL (:mod:`repro.txn.durable_wal`); ``None`` keeps
-        #: the log memory-only and peers fail by disconnecting, never
-        #: crashing.  Bare strings are coerced to a policy with default
-        #: knobs (PR 5 behaviour); the original value stays visible as
-        #: ``self.durability`` for old call-sites.
-        self.durability = durability
-        self.durability_policy = coerce_durability(durability)
+        #: Crash durability: a :class:`~repro.txn.modes.DurabilityPolicy`
+        #: enables the on-disk WAL (:mod:`repro.txn.durable_wal`);
+        #: ``None`` keeps the log memory-only and peers fail by
+        #: disconnecting, never crashing.
+        self.durability_policy = durability
         self.wal = None
-        if self.durability_policy is not None:
+        if durability is not None:
             from repro.txn.durable_wal import DurableWal
 
-            policy = self.durability_policy
             self.wal = DurableWal(
-                policy.directory,
+                durability.directory,
                 peer_id=peer_id,
                 metrics=network.metrics,
-                segment_max_frames=policy.segment_max_frames,
-                batch_size=policy.wal_batch,
-                flush_interval=policy.flush_interval,
+                segment_max_frames=durability.segment_max_frames,
+                batch_size=durability.wal_batch,
+                flush_interval=durability.flush_interval,
                 events=network.events,
-                checkpoint_every=policy.checkpoint_every,
+                checkpoint_every=durability.checkpoint_every,
                 document_source=self._snapshot_documents,
             )
             self.manager.log.sink = self.wal
@@ -148,7 +143,7 @@ class AXMLPeer:
         self._incoming_reuse: Dict[Tuple[str, str], List[str]] = {}
         #: Completed executions of *replicated* services, for
         #: exactly-once re-delegation: (txn_id, method, params) →
-        #: InvokeResult.  A parent that failed over re-runs its
+        #: Outcome.  A parent that failed over re-runs its
         #: delegations; a child that already did the work returns its
         #: previous result instead of applying the share twice.
         self._completed_invokes: Dict[
@@ -161,7 +156,7 @@ class AXMLPeer:
         self._pending_work: Dict[str, List] = {}
         #: Transactions currently executing on this peer (services run
         #: synchronously, so a stack suffices).
-        self._txn_stack_storage: List[str] = []
+        self._txn_stack: List[str] = []
         #: txn id → the origin-side transaction span (detached root).
         self._txn_spans: Dict[str, Span] = {}
         self.manager.bind_observability(network.spans)
@@ -242,7 +237,7 @@ class AXMLPeer:
         if txn_id is None:
             return None
 
-        def resolve(call: ServiceCall, params: Dict[str, str]) -> InvocationOutcome:
+        def resolve(call: ServiceCall, params: Dict[str, str]) -> Outcome:
             target = call.peer_hint
             policies = [
                 FaultPolicy.from_handler(h)
@@ -252,13 +247,13 @@ class AXMLPeer:
                 response = self._execute_local_service(
                     txn_id, call.method_name, params
                 )
-                return InvocationOutcome(
+                return Outcome(
                     response.fragments, provider_peer=self.peer_id
                 )
             fragments = self.invoke(
                 txn_id, target, call.method_name, params, policies=policies or None
             )
-            return InvocationOutcome(fragments, provider_peer=target)
+            return Outcome(fragments, provider_peer=target)
 
         return resolve
 
@@ -282,10 +277,6 @@ class AXMLPeer:
 
     def _current_txn(self) -> Optional[str]:
         return self._txn_stack[-1] if self._txn_stack else None
-
-    @property
-    def _txn_stack(self) -> List[str]:
-        return self._txn_stack_storage
 
     # ------------------------------------------------------------------
     # origin role: begin / submit / invoke / commit / abort
@@ -380,15 +371,13 @@ class AXMLPeer:
         """
         self._check_alive()
         params = dict(params or {})
-        directory = getattr(self.network, "directory", None)
-        if directory is not None:
-            # Shard-placed methods follow the placement directory, not
-            # the (possibly stale) static target — delegations written
-            # against the build-time topology keep working after a live
-            # migration moves the primary.
-            routed = directory.route_service(method_name)
-            if routed is not None:
-                target_peer = routed
+        # Shard-placed methods follow the placement directory, not the
+        # (possibly stale) static target — delegations written against
+        # the build-time topology keep working after a live migration
+        # moves the primary.
+        routed = self.network.directory.route_service(method_name)
+        if routed is not None:
+            target_peer = routed
         context = self.manager.context(txn_id)
         context.require_active()
         spans = self.network.spans
@@ -603,7 +592,7 @@ class AXMLPeer:
     # participant role: service execution (callee side of §3.2)
     # ------------------------------------------------------------------
 
-    def handle_invoke(self, request: InvokeRequest) -> InvokeResult:
+    def handle_invoke(self, request: InvokeRequest) -> Outcome:
         """Execute a service for a remote invoker under its transaction."""
         if self.disconnected:
             raise PeerDisconnected(self.peer_id)
@@ -698,7 +687,7 @@ class AXMLPeer:
             # Share hand-off: the entries behind these fragments must be
             # durable before the invoker acts on the result.
             self._wal_barrier()
-            result = InvokeResult(
+            result = Outcome(
                 fragments=response.fragments,
                 provider_peer=self.peer_id,
                 compensations=compensations,
@@ -968,7 +957,7 @@ class AXMLPeer:
     # disconnection handling (§3.3)
     # ------------------------------------------------------------------
 
-    def on_return_failure(self, request: InvokeRequest, result: InvokeResult) -> None:
+    def on_return_failure(self, request: InvokeRequest, result: Outcome) -> None:
         """§3.3(b): we finished a service but our invoker died.
 
         With chaining: push the results (and compensating definitions) up
@@ -1023,7 +1012,7 @@ class AXMLPeer:
     def _drop_completed_invokes(self, txn_id: str) -> None:
         """Invalidate the exactly-once cache for an aborted share.
 
-        Once the share is compensated, a cached :class:`InvokeResult`
+        Once the share is compensated, a cached :class:`Outcome`
         would make a later legitimate re-invocation return stale results
         without redoing the (now undone) work.
         """
@@ -1195,7 +1184,7 @@ class AXMLPeer:
         the peer's durable store and survive, as does the on-disk WAL
         directory when ``durability`` is enabled — that WAL is the only
         route back to compensating in-flight shares after a restart
-        (:meth:`rejoin` with ``mode="in_doubt"``).
+        (:meth:`rejoin` with ``mode=RejoinMode.IN_DOUBT``).
 
         The executing-transaction stack is deliberately left alone: a
         crash mid-service unwinds through ``handle_invoke``'s normal
@@ -1251,7 +1240,7 @@ class AXMLPeer:
     def rejoin(
         self,
         restored_log_text: Optional[str] = None,
-        mode: Union[str, RejoinMode] = RejoinMode.COMPENSATE,
+        mode: RejoinMode = RejoinMode.COMPENSATE,
     ) -> int:
         """Rejoin the network, compensating in-flight transactions.
 
@@ -1268,9 +1257,7 @@ class AXMLPeer:
         the restart-from-disk story, where in-memory contexts are gone
         but the log survives.
 
-        ``mode`` (a :class:`~repro.txn.modes.RejoinMode`; the old
-        strings are coerced) decides what happens to the recovered
-        transactions:
+        ``mode`` decides what happens to the recovered transactions:
 
         * :attr:`RejoinMode.COMPENSATE` (default): compensate every
           recovered share immediately — correct when the rest of the
@@ -1289,11 +1276,12 @@ class AXMLPeer:
         never overwritten).
 
         Returns the number of transactions compensated (or, in
-        ``"in_doubt"`` mode, rebuilt as in-doubt).
+        ``IN_DOUBT`` mode, rebuilt as in-doubt).
         """
         from repro.txn.wal import OperationLog
 
-        mode = RejoinMode.coerce(mode)
+        if not isinstance(mode, RejoinMode):
+            raise TypeError(f"rejoin mode must be a RejoinMode, not {mode!r}")
         self.network.reconnect(self.peer_id)
         self.disconnected = False
         compensated = 0

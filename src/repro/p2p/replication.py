@@ -90,14 +90,10 @@ class ReplicationManager:
             raise P2PError(f"ship_batch must be >= 1, got {ship_batch}")
         #: Committed entries per channel buffered before one ship message.
         self.ship_batch = ship_batch
-        #: The placement directory — the single source of routing truth.
-        #: The manager's holder maps live *in* the directory (the
-        #: ``_document_holders`` / ``_service_holders`` properties
-        #: delegate), so shard migrations flipping directory ownership
-        #: are instantly visible to replication, failover and routing.
-        from repro.p2p.sharding import PlacementDirectory
-
-        self.directory = PlacementDirectory(network)
+        #: The network's placement directory — the only holder maps, so
+        #: shard migrations flipping directory ownership are instantly
+        #: visible to replication, failover and routing.
+        self.directory = network.directory
         #: Methods that were explicitly *replicated* (not merely hosted
         #: on several peers) — the only ones failover may retarget.
         self._replicated_methods: Set[str] = set()
@@ -118,21 +114,10 @@ class ReplicationManager:
         # compensation fallback looks it up on the network).
         network.replication = self
 
-    @property
-    def _document_holders(self) -> Dict[str, List[str]]:
-        """document name → peer ids holding a replica (primary first)."""
-        return self.directory.document_map
-
-    @property
-    def _service_holders(self) -> Dict[str, List[str]]:
-        """method name → peer ids hosting the service."""
-        return self.directory.service_map
-
     # -- documents ---------------------------------------------------------
 
     def register_primary(self, document_name: str, peer_id: str) -> None:
-        self._document_holders.setdefault(document_name, [])
-        holders = self._document_holders[document_name]
+        holders = self.directory.document_map.setdefault(document_name, [])
         if peer_id not in holders:
             holders.insert(0, peer_id)
 
@@ -157,14 +142,15 @@ class ReplicationManager:
         )
         replica = AXMLDocument(copy, name=document_name)
         target_peer.host_document(replica)
-        if to_peer_id not in self._document_holders[document_name]:
-            self._document_holders[document_name].append(to_peer_id)
+        registered = self.directory.document_map[document_name]
+        if to_peer_id not in registered:
+            registered.append(to_peer_id)
         self.network.metrics.incr("documents_replicated")
         return replica
 
     def holders(self, document_name: str) -> List[str]:
         """Peers holding the document, primary first."""
-        return list(self._document_holders.get(document_name, []))
+        return self.directory.document_holders(document_name)
 
     def alive_holder(self, document_name: str) -> Optional[str]:
         for peer_id in self.holders(document_name):
@@ -175,7 +161,7 @@ class ReplicationManager:
     def replicated_documents(self) -> List[str]:
         """Names of documents with more than one holder, sorted."""
         return sorted(
-            name for name, holders in self._document_holders.items()
+            name for name, holders in self.directory.document_map.items()
             if len(holders) > 1
         )
 
@@ -183,19 +169,19 @@ class ReplicationManager:
         """Whether anything is actually replicated (the commit path's
         fast guard: without replicas, shipping is a no-op)."""
         return bool(self._replicated_methods) or any(
-            len(holders) > 1 for holders in self._document_holders.values()
+            len(holders) > 1 for holders in self.directory.document_map.values()
         )
 
     # -- services -------------------------------------------------------------
 
     def register_service(self, method_name: str, peer_id: str) -> None:
-        holders = self._service_holders.setdefault(method_name, [])
+        holders = self.directory.service_map.setdefault(method_name, [])
         if peer_id not in holders:
             holders.append(peer_id)
 
     def replicate_service(self, method_name: str, to_peer_id: str) -> None:
         """Mirror a service implementation onto another peer."""
-        holders = self._service_holders.get(method_name, [])
+        holders = self.directory.service_map.get(method_name, [])
         if not holders:
             raise P2PError(f"no peer hosts service {method_name!r}")
         source_peer = self.network.get_peer(holders[0])
@@ -212,7 +198,7 @@ class ReplicationManager:
         return method_name in self._replicated_methods
 
     def service_holders(self, method_name: str) -> List[str]:
-        return list(self._service_holders.get(method_name, []))
+        return self.directory.service_holders(method_name)
 
     def alive_service_holder(self, method_name: str) -> Optional[str]:
         for peer_id in self.service_holders(method_name):
@@ -255,7 +241,7 @@ class ReplicationManager:
                 wal.flush()
         shipped_any = False
         for entry in entries:
-            holders = self._document_holders.get(entry.document_name, [])
+            holders = self.directory.document_map.get(entry.document_name, [])
             if len(holders) < 2 or source_peer not in holders:
                 continue
             # The committing peer's own copy already shows this logical
@@ -448,7 +434,7 @@ class ReplicationManager:
         if method_name not in self._replicated_methods:
             return None
         others = [
-            p for p in self._service_holders.get(method_name, []) if p != dead_peer
+            p for p in self.directory.service_map.get(method_name, []) if p != dead_peer
         ]
         if not others:
             return None
@@ -462,7 +448,7 @@ class ReplicationManager:
         for the dead peer's replicated documents."""
         candidates = [
             p
-            for p in self._service_holders.get(method_name, [])
+            for p in self.directory.service_map.get(method_name, [])
             if p != dead_peer and self.network.is_alive(p)
         ]
         if not candidates:
@@ -502,8 +488,7 @@ class ReplicationManager:
         promoted primary that has since died (the double-failover case:
         invocations still name the original provider, so the selector is
         asked about *dead_peer* while ``holders[0]`` is someone else)."""
-        for name in sorted(self._document_holders):
-            holders = self._document_holders[name]
+        for name, holders in sorted(self.directory.document_map.items()):
             if len(holders) < 2 or chosen not in holders:
                 continue
             primary = holders[0]
@@ -518,7 +503,7 @@ class ReplicationManager:
         (and its own in-doubt shares resolve against a possibly moved
         primary): schedule every replicated document it holds for a
         settlement resync."""
-        for name, holders in self._document_holders.items():
+        for name, holders in self.directory.document_map.items():
             if len(holders) > 1 and peer_id in holders:
                 self._stale.add((name, peer_id))
 
@@ -564,7 +549,7 @@ class ReplicationManager:
         all-to-all per document and the pending buffers were flushed
         before the resync phase, so its content is the converged state.
         """
-        for candidate in self._document_holders.get(document_name, []):
+        for candidate in self.directory.document_map.get(document_name, []):
             if candidate == holder or (document_name, candidate) in self._stale:
                 continue
             if self.network.is_alive(candidate):
@@ -576,7 +561,7 @@ class ReplicationManager:
         current holder's (crash restarts can leave a holder beyond
         incremental repair — e.g. its share was resolved after the
         primary role moved)."""
-        holders = self._document_holders.get(document_name, [])
+        holders = self.directory.document_map.get(document_name, [])
         if holder not in holders:
             return
         if not self.network.is_alive(holder):

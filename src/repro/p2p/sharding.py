@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import P2PError
 from repro.obs.prof import PROF
+from repro.txn.modes import RejoinMode
 
 
 class ShardRing:
@@ -153,15 +154,13 @@ def moved_keys(
 class PlacementDirectory:
     """The single source of routing truth for documents and services.
 
-    The directory owns the holder maps that
-    :class:`~repro.p2p.replication.ReplicationManager` historically kept
-    private (the manager's ``_document_holders`` / ``_service_holders``
-    now delegate here), plus the *sharded* registries: which documents
+    Every :class:`~repro.p2p.network.SimNetwork` creates one; it owns
+    the holder maps :class:`~repro.p2p.replication.ReplicationManager`
+    registers copies in, plus the *sharded* registries: which documents
     are placed by the ring, and which service method co-locates with
     each.  Routing layers (the scheduler's ``_route_invoke``,
     ``AXMLPeer.invoke``) ask :meth:`route_service` before dispatching —
-    for non-sharded methods that is a no-op ``None``, keeping legacy
-    behaviour byte-identical.
+    for non-sharded methods that answers ``None`` (keep your target).
     """
 
     def __init__(self, network):
@@ -182,8 +181,6 @@ class PlacementDirectory:
         #: coordinator; the oracle's ``directory_stale`` predicate
         #: compares holder lists against it).
         self.ring: Optional[ShardRing] = None
-        # Make the directory discoverable by routing layers.
-        network.directory = self
 
     # -- shard registry --------------------------------------------------
 
@@ -551,7 +548,7 @@ class ShardCoordinator:
 
         def restart() -> None:
             if peer.disconnected:
-                peer.rejoin(mode="in_doubt")
+                peer.rejoin(mode=RejoinMode.IN_DOUBT)
 
         self.network.events.schedule(restart_delay, restart)
 

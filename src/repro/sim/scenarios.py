@@ -1,37 +1,24 @@
-"""Canonical scenarios from the paper.
+"""Canonical scenario *data* from the paper.
 
-* :data:`ATPLIST_XML` — the §3.1 running example (ATPList.xml with the
-  embedded ``getPoints`` and ``getGrandSlamsWonbyYear`` calls).
-* :func:`build_atplist_scenario` — a 3-peer deployment of it: AP1 hosts
-  the document; AP2/AP3 provide the two services.
-* :func:`build_fig1` — Fig. 1's invocation tree
+* :data:`ATPLIST_XML`, :data:`QUERY_A`, :data:`QUERY_B` — the §3.1
+  running example (ATPList.xml with the embedded ``getPoints`` and
+  ``getGrandSlamsWonbyYear`` calls) and its two queries.
+* :data:`FIG1_TOPOLOGY` — Fig. 1's invocation tree
   (AP1 → {S2@AP2, S3@AP3}, AP3 → {S4@AP4, S5@AP5}, AP5 → S6@AP6).
-* :func:`build_fig2` — Fig. 2's tree
+* :data:`FIG2_TOPOLOGY` — Fig. 2's tree
   ([AP1* → AP2 → [AP3 → AP6] || [AP4 → AP5]]).
 
 Every peer in the figure scenarios hosts a small document and a
 delegating service that inserts a marker entry locally before invoking
 its children — so each peer has real work to compensate, and "number of
-XML nodes affected" is a meaningful cost.
-
-The ``build_*`` functions and ``run_root_transaction`` are **deprecated
-shims**: construction now lives behind the :mod:`repro.api` facade
-(:class:`~repro.api.Cluster`), and these delegate to it with a
-``DeprecationWarning``.  The scenario *data* (ATPLIST_XML, the queries,
-the figure topologies) remains canonical here.
+XML nodes affected" is a meaningful cost.  Deployments of this data are
+built by :class:`repro.api.Cluster` (``atplist``, ``fig1``, ``fig2``,
+``from_topology``).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.p2p.failure import FailureInjector
-from repro.p2p.network import SimNetwork
-from repro.p2p.peer import AXMLPeer
-from repro.p2p.replication import ReplicationManager
-from repro.sim.metrics import MetricsCollector
+from typing import Dict, List, Tuple
 
 #: The paper's running example (§3.1), verbatim in structure: two
 #: embedded calls with previous results, one replace-mode, one merge-mode.
@@ -83,58 +70,6 @@ QUERY_B = (
 )
 
 
-@dataclass
-class Scenario:
-    """A built deployment, ready for a test/bench to drive."""
-
-    network: SimNetwork
-    injector: FailureInjector
-    peers: Dict[str, AXMLPeer]
-    replication: ReplicationManager
-    #: invocation topology: peer → list of (child_peer, method) it calls.
-    topology: Dict[str, List[Tuple[str, str]]] = field(default_factory=dict)
-
-    @property
-    def metrics(self) -> MetricsCollector:
-        return self.network.metrics
-
-    def peer(self, peer_id: str) -> AXMLPeer:
-        return self.peers[peer_id]
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} (the repro.api facade) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the ATPList (§3.1) scenario
-# ---------------------------------------------------------------------------
-
-def build_atplist_scenario(
-    peer_independent: bool = False,
-    chaining: bool = True,
-    points_value: str = "890",
-) -> Scenario:
-    """Deprecated shim: AP1 hosts ATPList.xml; AP2 serves getPoints; AP3
-    serves getGrandSlamsWonbyYear.  Use :meth:`repro.api.Cluster.atplist`."""
-    from repro.api import Cluster
-
-    _deprecated("build_atplist_scenario()", "Cluster.atplist()")
-    return Cluster.atplist(
-        peer_independent=peer_independent,
-        chaining=chaining,
-        points_value=points_value,
-    ).as_scenario()
-
-
-# ---------------------------------------------------------------------------
-# figure topologies
-# ---------------------------------------------------------------------------
-
 #: Fig. 1 (§3.2): AP1 invokes S2@AP2 and S3@AP3; processing S3, AP3
 #: invokes S4@AP4 and S5@AP5; processing S5, AP5 invokes S6@AP6.
 FIG1_TOPOLOGY: Dict[str, List[Tuple[str, str]]] = {
@@ -163,62 +98,3 @@ def _marker_action(peer_id: str) -> str:
 def _peer_document(peer_id: str) -> str:
     index = peer_id[2:]
     return f"<D{index}><items/></D{index}>"
-
-
-def build_topology(
-    topology: Dict[str, List[Tuple[str, str]]],
-    super_peers: Sequence[str] = ("AP1",),
-    peer_independent: bool = False,
-    chaining: bool = True,
-    chain_scope: str = "immediate",
-    parent_watch_interval: Optional[float] = None,
-    hop_latency: float = 0.005,
-    extra_peers: Sequence[str] = (),
-) -> Scenario:
-    """Deprecated shim: build a scenario for an arbitrary invocation
-    topology.  Use :meth:`repro.api.Cluster.from_topology`."""
-    from repro.api import Cluster
-
-    _deprecated("build_topology()", "Cluster.from_topology()")
-    return Cluster.from_topology(
-        topology,
-        super_peers=super_peers,
-        peer_independent=peer_independent,
-        chaining=chaining,
-        chain_scope=chain_scope,
-        parent_watch_interval=parent_watch_interval,
-        hop_latency=hop_latency,
-        extra_peers=extra_peers,
-    ).as_scenario()
-
-
-def build_fig1(**kwargs) -> Scenario:
-    """Deprecated shim: the Fig. 1 deployment (6 peers, nested
-    invocations).  Use :meth:`repro.api.Cluster.fig1`."""
-    from repro.api import Cluster
-
-    _deprecated("build_fig1()", "Cluster.fig1()")
-    return Cluster.fig1(**kwargs).as_scenario()
-
-
-def build_fig2(**kwargs) -> Scenario:
-    """Deprecated shim: the Fig. 2 deployment (AP1 is a super peer).
-    Use :meth:`repro.api.Cluster.fig2`."""
-    from repro.api import Cluster
-
-    _deprecated("build_fig2()", "Cluster.fig2()")
-    return Cluster.fig2(**kwargs).as_scenario()
-
-
-def run_root_transaction(scenario: Scenario, root: str = "AP1"):
-    """Deprecated shim: begin a transaction at *root* and fire its
-    topology invocations.  Use :meth:`repro.api.Cluster.run_topology`.
-
-    Returns ``(transaction, error)`` — *error* is the exception that
-    reached the origin when recovery ended backward, else None.
-    """
-    from repro.api import Cluster
-
-    _deprecated("run_root_transaction()", "Cluster.run_topology()")
-    handle, error = Cluster.wrap(scenario).run_topology(root)
-    return handle.txn, error

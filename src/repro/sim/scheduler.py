@@ -357,11 +357,9 @@ class TransactionScheduler:
         *now* (possibly mid-migration).  Non-sharded methods fall
         through with ``route_service`` returning ``None``.
         """
-        directory = getattr(self.network, "directory", None)
-        if directory is not None:
-            routed = directory.route_service(operation.method_name)
-            if routed is not None:
-                return routed
+        routed = self.network.directory.route_service(operation.method_name)
+        if routed is not None:
+            return routed
         replication = getattr(self.network, "replication", None)
         if replication is None:
             return operation.target_peer

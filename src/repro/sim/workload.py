@@ -260,7 +260,7 @@ def generate_invocation_tree(
     Peers are named ``AP1..APn`` breadth-first from the root ``AP1``;
     each internal peer invokes 1..*fanout* children down to *depth*
     levels.  The result plugs directly into
-    :func:`repro.sim.scenarios.build_topology`.
+    :meth:`repro.api.Cluster.from_topology`.
     """
     topology: Dict[str, List[Tuple[str, str]]] = {}
     counter = [1]

@@ -1,4 +1,4 @@
-"""Scenario drivers for the §3.3 disconnection cases.
+"""Drivers for the §3.3 disconnection cases.
 
 The mechanics of the chaining protocol live on the peer
 (:class:`repro.p2p.peer.AXMLPeer`): result redirection past a dead

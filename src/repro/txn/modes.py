@@ -1,58 +1,19 @@
-"""Typed durability and rejoin knobs (replacing stringly parameters).
+"""Typed durability and rejoin knobs.
 
-PR 5 grew two stringly-typed parameters: ``AXMLPeer(durability=<dir>)``
-(a bare directory path meaning "attach an on-disk WAL there") and
-``AXMLPeer.rejoin(mode="compensate"|"in_doubt")``.  This module gives
-both a typed surface while keeping every old call-site working — the
-strings are *coerced*, never rejected.
-
-Mapping notes (old → new), in the spirit of ``repro/outcome.py``:
-
-===========================  =============================================
-old spelling                 new spelling
-===========================  =============================================
-``durability=None``          ``durability=None`` (≡ ``Durability.MEMORY``)
-``durability="/wal/dir"``    ``DurabilityPolicy(directory="/wal/dir")``
-                             (≡ ``Durability.WAL`` with default knobs;
-                             the bare string is still accepted and
-                             coerced by :func:`coerce_durability`)
-``rejoin(mode="compensate")``  ``rejoin(mode=RejoinMode.COMPENSATE)``
-``rejoin(mode="in_doubt")``    ``rejoin(mode=RejoinMode.IN_DOUBT)``
-===========================  =============================================
-
-:class:`DurabilityPolicy` also carries the PR 7 write-path knobs that a
-bare path could never express: group-commit batching (``wal_batch``,
-``flush_interval``, ``flush_on_prepare``) and checkpointing
-(``checkpoint_every``) — see ``docs/DURABILITY.md``.
+:class:`DurabilityPolicy` is the one way to give a peer an on-disk WAL
+(``AXMLPeer(durability=DurabilityPolicy(directory=...))``; ``None`` keeps
+the log memory-only) and carries the write-path knobs: group-commit
+batching (``wal_batch``, ``flush_interval``, ``flush_on_prepare``) and
+checkpointing (``checkpoint_every``) — see ``docs/DURABILITY.md``.
+:class:`RejoinMode` is what :meth:`AXMLPeer.rejoin` does with the
+shares it recovers.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
-
-
-class Durability(enum.Enum):
-    """Whether a peer's operation log outlives its process."""
-
-    #: In-memory log only; the peer fails by disconnecting, never crashing.
-    MEMORY = "memory"
-    #: Every log entry streamed to an on-disk WAL (``repro.txn.durable_wal``).
-    WAL = "wal"
-
-    @classmethod
-    def coerce(cls, value: Union["Durability", str]) -> "Durability":
-        """Accept the enum or its string value (``"memory"`` / ``"wal"``)."""
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown durability {value!r}; use one of "
-                f"{[m.value for m in cls]}"
-            ) from None
+from typing import Optional
 
 
 class RejoinMode(enum.Enum):
@@ -65,29 +26,17 @@ class RejoinMode(enum.Enum):
     #: and wait for ``resolve_in_doubt`` — required after a crash.
     IN_DOUBT = "in_doubt"
 
-    @classmethod
-    def coerce(cls, value: Union["RejoinMode", str]) -> "RejoinMode":
-        """Accept the enum or its string value; unknown strings raise
-        the same ``ValueError`` the stringly API raised."""
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(f"unknown rejoin mode {value!r}") from None
-
 
 @dataclass(frozen=True)
 class DurabilityPolicy:
     """Every knob of a peer's durable WAL, in one frozen value.
 
-    ``mode`` is :attr:`Durability.WAL` whenever a ``directory`` is set.
-    The defaults reproduce PR 5's write path exactly: one physical
-    flush per frame (``wal_batch=1``), no flush timer, no checkpoints —
-    so a policy built from a bare directory string changes nothing.
+    The defaults are the plain write path: one physical flush per frame
+    (``wal_batch=1``), no checkpoints.
     """
 
-    directory: str = ""
+    #: Where the WAL segments and checkpoints live.
+    directory: str
     #: Frames buffered per group-commit batch; 1 = flush every frame.
     wal_batch: int = 1
     #: Virtual-time flush quantum for a partially-filled batch (needs
@@ -104,31 +53,11 @@ class DurabilityPolicy:
     segment_max_frames: int = 256
 
     def __post_init__(self) -> None:
+        if not self.directory:
+            raise ValueError("a DurabilityPolicy needs a WAL directory")
         if self.wal_batch < 1:
             raise ValueError("wal_batch must be >= 1")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if self.flush_interval is not None and self.flush_interval <= 0:
             raise ValueError("flush_interval must be positive (or None)")
-
-    @property
-    def mode(self) -> Durability:
-        return Durability.WAL if self.directory else Durability.MEMORY
-
-
-def coerce_durability(
-    value: Union[None, str, DurabilityPolicy]
-) -> Optional[DurabilityPolicy]:
-    """The ``AXMLPeer(durability=...)`` coercion: ``None`` stays None
-    (memory-only), a bare string is a WAL directory with default knobs,
-    a :class:`DurabilityPolicy` passes through."""
-    if value is None:
-        return None
-    if isinstance(value, DurabilityPolicy):
-        return value if value.directory else None
-    if isinstance(value, str):
-        return DurabilityPolicy(directory=value) if value else None
-    raise TypeError(
-        f"durability must be None, a directory path or a DurabilityPolicy, "
-        f"not {type(value).__name__}"
-    )

@@ -53,7 +53,7 @@ class LogEntry:
 
 
 class LogSink(Protocol):
-    """Durability hook: observes the log's mutations as they happen.
+    """Persistence hook: observes the log's mutations as they happen.
 
     ``on_append`` runs *after* the entry joined the in-memory log;
     ``on_truncate`` runs after a finished transaction's entries were
@@ -216,8 +216,6 @@ class OperationLog:
     ) -> "OperationLog":
         """A log adopting *entries* (sorted by seq, duplicates rejected),
         with ``append`` continuing after the highest adopted seq."""
-        import itertools as _itertools
-
         log = cls(peer_id)
         ordered = sorted(entries, key=lambda e: e.seq)
         seen = set()
@@ -229,7 +227,7 @@ class OperationLog:
             seen.add(entry.seq)
         log._entries = list(ordered)
         max_seq = ordered[-1].seq if ordered else 0
-        log._seq = _itertools.count(max_seq + 1)
+        log._seq = itertools.count(max_seq + 1)
         return log
 
 

@@ -2,10 +2,16 @@
 
 The facade is the documented entry point; this test pins its names so
 an accidental rename or removal fails loudly instead of silently
-breaking downstream callers."""
+breaking downstream callers — and pins the *absence* of every second
+spelling the compatibility layer used to carry, so none grows back."""
+
+import importlib
+
+import pytest
 
 import repro
 import repro.api as api
+from repro.chaos import ChaosConfig
 from repro.outcome import Outcome, OutcomeStatus
 
 
@@ -20,7 +26,7 @@ def _public_methods(cls) -> set:
 def test_api_all_snapshot():
     assert api.__all__ == [
         "Cluster", "Session", "Transaction", "Outcome", "OutcomeStatus",
-        "RunConfig", "SweepConfig",
+        "ChaosConfig", "SweepConfig",
         "chaos", "chaos_sweep",
         "add_run_arguments", "add_sweep_arguments", "add_output_arguments",
     ]
@@ -36,10 +42,8 @@ def test_cluster_surface_snapshot():
         "run_until", "run_all", "scheduler", "run_topology",
         # canonical deployments
         "atplist", "fig1", "fig2", "from_topology",
-        # legacy bridge
-        "wrap", "as_scenario",
     }
-    assert _public_methods(api.Cluster) >= expected
+    assert _public_methods(api.Cluster) == expected
     for prop in ("metrics", "spans", "clock", "events"):
         assert isinstance(vars(api.Cluster)[prop], property)
 
@@ -61,11 +65,7 @@ def test_transaction_surface_snapshot():
 def test_unified_outcome_exported():
     assert api.Outcome is Outcome
     assert api.OutcomeStatus is OutcomeStatus
-    # The legacy names stay importable as aliases of the same class.
-    from repro.outcome import InvocationOutcome, InvokeResult
-
-    assert InvocationOutcome is Outcome
-    assert InvokeResult is Outcome
+    assert api.ChaosConfig is ChaosConfig
 
 
 def test_package_exports_facade():
@@ -74,3 +74,47 @@ def test_package_exports_facade():
     assert repro.Outcome is Outcome
     for name in ("Cluster", "Session", "Outcome", "OutcomeStatus"):
         assert name in repro.__all__
+
+
+#: module → names the compatibility layer once exported from it.
+REMOVED = {
+    "repro.api": ("RunConfig",),
+    "repro.sim.scenarios": (
+        "Scenario", "build_atplist_scenario", "build_topology",
+        "build_fig1", "build_fig2", "run_root_transaction",
+    ),
+    "repro.outcome": ("InvocationOutcome", "InvokeResult"),
+    "repro.p2p": ("InvokeResult", "Outcome"),
+    "repro.p2p.messages": ("InvokeResult", "Outcome"),
+    "repro.axml": ("InvocationOutcome", "Outcome"),
+    "repro.axml.materialize": ("InvocationOutcome",),
+    "repro.txn.modes": ("Durability", "coerce_durability"),
+    "repro.baselines": ("build_naive_variant",),
+}
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(module, name) for module, names in REMOVED.items() for name in names],
+)
+def test_removed_spelling_stays_removed(module, name):
+    assert not hasattr(importlib.import_module(module), name)
+
+
+def test_removed_members_stay_removed():
+    from repro.obs.prof import PROF
+    from repro.p2p.peer import AXMLPeer
+    from repro.p2p.replication import ReplicationManager
+    from repro.txn.modes import DurabilityPolicy, RejoinMode
+
+    for owner, name in (
+        (api.Cluster, "wrap"), (api.Cluster, "as_scenario"),
+        (ChaosConfig, "to_chaos_config"), (RejoinMode, "coerce"),
+        (DurabilityPolicy, "mode"),
+        (ReplicationManager, "_document_holders"),
+        (ReplicationManager, "_service_holders"),
+        (AXMLPeer, "_txn_stack"), (PROF, "timer"), (PROF, "timings"),
+    ):
+        assert not hasattr(owner, name), f"{owner!r}.{name} is back"
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.baselines.naive_disconnect")

@@ -17,9 +17,9 @@ at any protocol point), the system terminates with relaxed atomicity —
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Cluster
 from repro.errors import PeerDisconnected, ReproError, ServiceFault
 from repro.sim.rng import SeededRng
-from repro.sim.scenarios import build_topology, run_root_transaction
 from repro.sim.workload import generate_invocation_tree, tree_peers
 from repro.txn.transaction import TransactionState
 from repro.xmlstore.serializer import canonical
@@ -46,7 +46,7 @@ def test_single_failure_atomicity(seed, depth, failure_kind, point_index):
     rng = SeededRng(seed)
     topology = generate_invocation_tree(rng, depth=depth, fanout=2)
     # parent watch on: orphans of an in-flight dead subtree self-detect.
-    scenario = build_topology(
+    scenario = Cluster.from_topology(
         topology, super_peers=("AP1",), parent_watch_interval=0.05
     )
     pre = snapshot_documents(scenario)
@@ -60,7 +60,7 @@ def test_single_failure_atomicity(seed, depth, failure_kind, point_index):
         point = DISCONNECT_POINTS[point_index % len(DISCONNECT_POINTS)]
         scenario.injector.disconnect_during(victim, victim_method, point)
 
-    txn, error = run_root_transaction(scenario)
+    txn, error = scenario.run_topology()
     origin = scenario.peer("AP1")
     if error is None:
         origin.commit(txn.txn_id)
@@ -89,8 +89,8 @@ def test_single_failure_atomicity(seed, depth, failure_kind, point_index):
 def test_no_failure_always_commits(seed, depth):
     rng = SeededRng(seed)
     topology = generate_invocation_tree(rng, depth=depth, fanout=2)
-    scenario = build_topology(topology, super_peers=("AP1",))
-    txn, error = run_root_transaction(scenario)
+    scenario = Cluster.from_topology(topology, super_peers=("AP1",))
+    txn, error = scenario.run_topology()
     assert error is None
     scenario.peer("AP1").commit(txn.txn_id)
     # every participant holds its marker entry
@@ -112,11 +112,11 @@ def test_peer_independent_matches_peer_dependent(seed, depth):
     victim = rng.choice(leaves)
     states = {}
     for peer_independent in (False, True):
-        scenario = build_topology(topology, peer_independent=peer_independent)
+        scenario = Cluster.from_topology(topology, peer_independent=peer_independent)
         scenario.injector.fault_service(
             victim, f"S{victim[2:]}", "Crash", point="after_execute"
         )
-        txn, error = run_root_transaction(scenario)
+        txn, error = scenario.run_topology()
         assert error is not None
         states[peer_independent] = snapshot_documents(scenario)
     assert states[False] == states[True]

@@ -265,6 +265,42 @@ class TestChaosCli:
         assert "chaos_runs = 4" in out
         assert "chaos_violations = 0" in out
 
+    def test_sweep_does_not_repeat_a_concurrency(self, capsys):
+        # --concurrency 2 coincides with the sweep's built-in 2: one
+        # row per seed, not two identical ones.
+        code = main([
+            "chaos", "--sweep", "--seeds", "2", "--txns", "4",
+            "--concurrency", "2",
+        ])
+        assert code == 0
+        assert "chaos_runs = 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, names", [
+        ('{"version": 1, "config": {"txns": "x"}, "plan": {"events": []}}',
+         "txns"),
+        ('{"version": 1, "config": {"handlers": 1}, "plan": {"events": []}}',
+         "handlers"),
+        ('{"version": 1, "config": {}}', "plan"),
+        ('{"version": 1, "plan": {"events": []}}', "config"),
+        ('{"version": 1, "config": {}, "plan": {"events": [{"bogus": 1}]}}',
+         "plan"),
+        ('{"version": 1, "config": {}, "plan": {"events": 3}}', "plan"),
+        ("[1, 2]", "JSON object"),
+        ("{not json", "cannot replay"),
+    ], ids=[
+        "config-str-for-int", "config-int-for-bool", "no-plan", "no-config",
+        "unknown-event-field", "events-not-a-list", "not-an-object",
+        "not-json",
+    ])
+    def test_malformed_repro_file_exits_two(self, tmp_path, capsys, text, names):
+        repro = tmp_path / "bad.json"
+        repro.write_text(text)
+        assert main(["chaos", "--replay", str(repro)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro chaos: cannot replay")
+        assert names in err and "Traceback" not in err
+        assert err.count("\n") == 1
+
 
 class TestInvokeOpUnit:
     def test_params_are_canonicalized(self):

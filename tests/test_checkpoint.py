@@ -2,18 +2,16 @@
 
 Covers the R1 tentpole (checkpoint store round-trips, torn-file
 fallback, bounded tail replay, segment retention, group-commit
-buffering/barriers/crash-discard) plus the PR 7 satellites: the
-`Durability`/`RejoinMode` enums, `RunConfig`/`SweepConfig`, the kwarg
-deprecation shims, and the stacklevel pin for every shim family.
+buffering/barriers/crash-discard) plus the typed surface:
+`DurabilityPolicy`/`RejoinMode` and `ChaosConfig`/`SweepConfig`.
 """
 
 import json
-import warnings
 
 import pytest
 
 import repro.api as api
-from repro.api import RunConfig, SweepConfig
+from repro.api import SweepConfig
 from repro.axml.document import AXMLDocument
 from repro.chaos import ChaosConfig, FaultPlanner, run_chaos
 from repro.chaos.planner import FaultEvent
@@ -23,12 +21,7 @@ from repro.p2p.peer import AXMLPeer
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.checkpoint import Checkpoint, CheckpointStore
-from repro.txn.modes import (
-    Durability,
-    DurabilityPolicy,
-    RejoinMode,
-    coerce_durability,
-)
+from repro.txn.modes import DurabilityPolicy, RejoinMode
 from repro.txn.wal import LogEntry
 from repro.xmlstore.serializer import canonical
 
@@ -329,17 +322,11 @@ class TestCrashConsistencyEveryPoint:
 
 
 class TestModes:
-    def test_durability_coerce(self):
-        assert Durability.coerce("wal") is Durability.WAL
-        assert Durability.coerce(Durability.MEMORY) is Durability.MEMORY
-        with pytest.raises(ValueError, match="unknown durability"):
-            Durability.coerce("tape")
-
-    def test_rejoin_mode_coerce(self):
-        assert RejoinMode.coerce("in_doubt") is RejoinMode.IN_DOUBT
-        assert RejoinMode.coerce(RejoinMode.COMPENSATE) is RejoinMode.COMPENSATE
-        with pytest.raises(ValueError, match="unknown rejoin mode"):
-            RejoinMode.coerce("nonsense")
+    def test_rejoin_mode_rejects_strings(self, tmp_path):
+        network, origin, worker = durable_world(tmp_path)
+        network.disconnect("Worker")
+        with pytest.raises(TypeError, match="RejoinMode"):
+            worker.rejoin(mode="in_doubt")
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -348,17 +335,8 @@ class TestModes:
             DurabilityPolicy(directory="x", checkpoint_every=-1)
         with pytest.raises(ValueError):
             DurabilityPolicy(directory="x", flush_interval=0)
-        assert DurabilityPolicy(directory="x").mode is Durability.WAL
-        assert DurabilityPolicy().mode is Durability.MEMORY
-
-    def test_coerce_durability(self, tmp_path):
-        assert coerce_durability(None) is None
-        assert coerce_durability("") is None
-        policy = coerce_durability(str(tmp_path))
-        assert policy == DurabilityPolicy(directory=str(tmp_path))
-        assert coerce_durability(policy) is policy
-        with pytest.raises(TypeError):
-            coerce_durability(7)
+        with pytest.raises(ValueError, match="directory"):
+            DurabilityPolicy(directory="")
 
     def test_peer_accepts_policy_and_enum(self, tmp_path):
         network, origin, worker = durable_world(tmp_path)
@@ -371,11 +349,12 @@ class TestModes:
 
 class TestRunSweepConfig:
     def test_implicit_durability(self):
-        assert not RunConfig().to_chaos_config().durability
-        assert RunConfig(crash_rate=0.1).to_chaos_config().durability
-        assert RunConfig(checkpoint_every=4).to_chaos_config().durability
-        assert RunConfig(wal_batch=8).to_chaos_config().durability
-        assert RunConfig(mutate="crash_skip_undo").to_chaos_config().durability
+        assert not ChaosConfig().durability
+        assert ChaosConfig(crash_rate=0.1).durability
+        assert ChaosConfig(checkpoint_every=4).durability
+        assert ChaosConfig(wal_batch=8).durability
+        assert ChaosConfig(mutate="crash_skip_undo").durability
+        assert ChaosConfig(replicas=1).durability
 
     def test_cli_flags_map_onto_run_config(self):
         from repro.cli import build_parser
@@ -383,11 +362,12 @@ class TestRunSweepConfig:
         args = build_parser().parse_args([
             "chaos", "--seed", "3", "--txns", "5",
             "--checkpoint-every", "4", "--wal-batch", "8",
-            "--crash-rate", "0.25",
+            "--crash-rate", "0.25", "--ops", "2",
         ])
-        config = RunConfig.from_namespace(args)
-        assert config == RunConfig(
-            seed=3, txns=5, checkpoint_every=4, wal_batch=8, crash_rate=0.25
+        config = ChaosConfig.from_namespace(args)
+        assert config == ChaosConfig(
+            seed=3, txns=5, checkpoint_every=4, wal_batch=8, crash_rate=0.25,
+            ops_per_txn=2,
         )
         sweep = SweepConfig.from_namespace(args)
         assert sweep.run == config
@@ -397,53 +377,27 @@ class TestRunSweepConfig:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(["bench", "--smoke", "--seed", "9"])
-        assert RunConfig.from_namespace(args).seed == 9
+        assert ChaosConfig.from_namespace(args).seed == 9
 
     def test_chaos_accepts_run_config_without_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = api.chaos(RunConfig(txns=4, fault_rate=0.0))
+        result = api.chaos(ChaosConfig(txns=4, fault_rate=0.0))
         assert result.ok
 
     def test_chaos_sweep_accepts_sweep_config(self):
         table, failures = api.chaos_sweep(
-            SweepConfig(run=RunConfig(txns=4, fault_rate=0.0), seeds=2)
+            SweepConfig(run=ChaosConfig(txns=4, fault_rate=0.0), seeds=2)
         )
         assert not failures
         assert len(table.rows) == 2
 
-    def test_kwarg_shims_warn_and_point_at_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = api.chaos(txns=4, fault_rate=0.0)
-        assert result.ok
-        assert caught[0].category is DeprecationWarning
-        assert caught[0].filename == __file__
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.chaos_sweep(range(1), txns=4, fault_rate=0.0)
-        assert caught[0].category is DeprecationWarning
-        assert caught[0].filename == __file__
-
-    def test_legacy_scenario_shims_point_at_caller(self):
-        # The PR 2 shims' stacklevel, pinned: the warning must name this
-        # file, not repro/sim/scenarios.py.
-        from repro.sim.scenarios import build_fig1, run_root_transaction
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            scenario = build_fig1()
-            run_root_transaction(scenario)
-        assert len(caught) == 2
-        assert all(w.category is DeprecationWarning for w in caught)
-        assert all(w.filename == __file__ for w in caught)
-
     def test_config_mixing_rejected(self):
+        # One spelling: a config object, never loose keyword arguments.
         with pytest.raises(TypeError):
-            api.chaos(RunConfig(), txns=4)
+            api.chaos(ChaosConfig(), txns=4)
         with pytest.raises(TypeError):
             api.chaos_sweep(SweepConfig(), txns=4)
+        with pytest.raises(TypeError):
+            api.chaos(txns=4)
 
 
 class TestChaosCheckpointing:
@@ -453,10 +407,10 @@ class TestChaosCheckpointing:
     )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="durability"):
-            ChaosConfig(checkpoint_every=4)
-        with pytest.raises(ValueError, match="durability"):
-            ChaosConfig(wal_batch=8)
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            ChaosConfig(checkpoint_every=-1)
+        with pytest.raises(ValueError, match="wal_batch"):
+            ChaosConfig(wal_batch=0)
 
     def test_to_dict_elides_defaults(self):
         plain = ChaosConfig(seed=1).to_dict()

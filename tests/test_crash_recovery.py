@@ -13,6 +13,7 @@ from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import UpdateService
+from repro.txn.modes import DurabilityPolicy, RejoinMode
 from repro.xmlstore.serializer import canonical
 
 
@@ -20,7 +21,8 @@ def durable_world(tmp_path):
     network = SimNetwork()
     origin = AXMLPeer("Origin", network)
     worker = AXMLPeer(
-        "Worker", network, durability=str(tmp_path / "worker-wal")
+        "Worker", network,
+        durability=DurabilityPolicy(directory=str(tmp_path / "worker-wal")),
     )
     worker.host_document(AXMLDocument.from_xml("<D><slots/></D>", name="D"))
     worker.host_service(UpdateService(
@@ -62,7 +64,7 @@ class TestPeerCrash:
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "x"})
         worker.crash()
-        assert worker.rejoin(mode="in_doubt") == 1
+        assert worker.rejoin(mode=RejoinMode.IN_DOUBT) == 1
         # The in-doubt context was rebuilt from the on-disk WAL.
         context = worker.manager.contexts[txn.txn_id]
         assert not context.is_finished
@@ -77,7 +79,7 @@ class TestPeerCrash:
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "y"})
         worker.crash()
-        worker.rejoin(mode="in_doubt")
+        worker.rejoin(mode=RejoinMode.IN_DOUBT)
         assert worker.resolve_in_doubt(txn.txn_id, committed=True) == "committed"
         assert 'c="y"' in worker.get_axml_document("D").to_xml()
         assert not worker.wal.load().entries  # commit truncated on disk too
@@ -95,7 +97,7 @@ class TestPeerCrash:
     def test_rejoin_rejects_unknown_mode(self, tmp_path):
         network, origin, worker = durable_world(tmp_path)
         network.disconnect("Worker")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             worker.rejoin(mode="nonsense")
 
     def test_crash_during_own_service_execution(self, tmp_path):
@@ -125,10 +127,10 @@ class TestCrashChaos:
     )
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="durability"):
-            ChaosConfig(crash_rate=0.5)
-        with pytest.raises(ValueError, match="durability"):
-            ChaosConfig(mutate="crash_skip_undo")
+        # Crash faults work on the on-disk WAL, so they switch it on.
+        assert ChaosConfig(crash_rate=0.5).durability
+        assert ChaosConfig(mutate="crash_skip_undo").durability
+        assert not ChaosConfig().durability
 
     def test_crash_plan_extends_existing_plan(self):
         providers = [f"AP{i}" for i in range(1, 7)]

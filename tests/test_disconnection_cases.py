@@ -3,8 +3,9 @@ chaining vs the naive baseline."""
 
 import pytest
 
+from repro.api import Cluster
 from repro.errors import PeerDisconnected
-from repro.sim.scenarios import FIG2_TOPOLOGY, build_fig2, run_root_transaction
+from repro.sim.scenarios import FIG2_TOPOLOGY
 from repro.txn.disconnection import (
     run_case_a_leaf_disconnection,
     run_case_b_parent_disconnection,
@@ -16,7 +17,7 @@ from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 
 def fig2_with_replacement(**kwargs):
     """Fig. 2 plus an idle replacement peer APX mirroring S3/D3."""
-    s = build_fig2(extra_peers=("APX",), **kwargs)
+    s = Cluster.fig2(extra_peers=("APX",), **kwargs)
     s.replication.replicate_service("S3", "APX")
     s.replication.replicate_document("D3", "APX")
     return s
@@ -24,8 +25,8 @@ def fig2_with_replacement(**kwargs):
 
 class TestCaseALeaf:
     def test_backward_when_no_policy(self):
-        s = build_fig2()
-        txn, _ = run_root_transaction(s)  # completes; now AP6 dies
+        s = Cluster.fig2()
+        txn, _ = s.run_topology()  # completes; now AP6 dies
         s.network.disconnect("AP6")
         origin = s.peer("AP2")
         txn2 = origin.begin_transaction()
@@ -34,7 +35,7 @@ class TestCaseALeaf:
         assert report.detection_latency is not None
 
     def test_forward_with_replica_policy(self):
-        s = build_fig2(extra_peers=("AP6R",))
+        s = Cluster.fig2(extra_peers=("AP6R",))
         s.replication.replicate_service("S6", "AP6R")
         s.replication.replicate_document("D6", "AP6R")
         s.network.disconnect("AP6")
@@ -59,7 +60,7 @@ class TestCaseBParent:
                          alternative_peer="APX")],
         )
         s.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
-        txn, err = run_root_transaction(s)
+        txn, err = s.run_topology()
         return s, txn, err
 
     def test_chaining_redirects_and_reuses(self):
@@ -92,18 +93,18 @@ class TestCaseBParent:
 
     def test_redirect_skips_dead_grandparent_to_super_peer(self):
         # AP2 (the grandparent) also dies: AP6 must fall through to AP1*.
-        s = build_fig2()
+        s = Cluster.fig2()
         s.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
         s.injector.disconnect_peer_during("AP2", "AP6", "S6", "before_return")
-        txn, err = run_root_transaction(s)
+        txn, err = s.run_topology()
         assert s.metrics.get("results_redirected") == 1
         assert (txn.txn_id, "S6") in s.peer("AP1").reusable_results
 
 
 class TestCaseCChild:
     def test_parent_detects_and_informs_descendants(self):
-        s = build_fig2()
-        txn, _ = run_root_transaction(s)
+        s = Cluster.fig2()
+        txn, _ = s.run_topology()
         s.network.disconnect("AP3")
         report = run_case_c_child_disconnection(s.peer("AP2"), txn.txn_id)
         assert report.recovered
@@ -112,8 +113,8 @@ class TestCaseCChild:
         assert txn.txn_id in s.peer("AP6").known_doomed
 
     def test_informed_descendants_stop_wasting_effort(self):
-        s = build_fig2()
-        txn, _ = run_root_transaction(s)
+        s = Cluster.fig2()
+        txn, _ = s.run_topology()
         s.peer("AP6").add_pending_work(txn.txn_id, units=10, unit_duration=0.1)
         s.network.disconnect("AP3")
         s.peer("AP6").known_doomed.discard(txn.txn_id)
@@ -123,8 +124,8 @@ class TestCaseCChild:
         assert s.metrics.get("work_units_done") == 0
 
     def test_naive_descendants_keep_burning(self):
-        s = build_fig2(chaining=False)
-        txn, _ = run_root_transaction(s)
+        s = Cluster.fig2(chaining=False)
+        txn, _ = s.run_topology()
         s.peer("AP6").add_pending_work(txn.txn_id, units=10, unit_duration=0.1)
         s.peer("AP6").known_doomed.add(txn.txn_id)  # ground truth: doomed
         s.network.disconnect("AP3")
@@ -133,8 +134,8 @@ class TestCaseCChild:
         assert s.metrics.get("work_units_wasted") == 10
 
     def test_alive_children_not_flagged(self):
-        s = build_fig2()
-        txn, _ = run_root_transaction(s)
+        s = Cluster.fig2()
+        txn, _ = s.run_topology()
         report = run_case_c_child_disconnection(s.peer("AP2"), txn.txn_id)
         assert not report.recovered
         assert report.disconnected_peer == ""
@@ -142,8 +143,8 @@ class TestCaseCChild:
 
 class TestCaseDSibling:
     def test_sibling_notifies_parent_and_children(self):
-        s = build_fig2()
-        txn, _ = run_root_transaction(s)
+        s = Cluster.fig2()
+        txn, _ = s.run_topology()
         s.network.disconnect("AP3")
         report = run_case_d_sibling_disconnection(s.peer("AP4"), txn.txn_id, "AP3")
         # AP2 (parent of AP3) and AP6 (child of AP3) both notified.
@@ -152,14 +153,14 @@ class TestCaseDSibling:
         assert txn.txn_id in s.peer("AP6").known_doomed
 
     def test_false_alarm_checked_by_ping(self):
-        s = build_fig2()
-        txn, _ = run_root_transaction(s)
+        s = Cluster.fig2()
+        txn, _ = s.run_topology()
         report = run_case_d_sibling_disconnection(s.peer("AP4"), txn.txn_id, "AP3")
         assert report.descendants_informed == 0
 
     def test_naive_sibling_cannot_notify(self):
-        s = build_fig2(chaining=False)
-        txn, _ = run_root_transaction(s)
+        s = Cluster.fig2(chaining=False)
+        txn, _ = s.run_topology()
         s.network.disconnect("AP3")
         s.peer("AP4").report_stream_timeout(txn.txn_id, "AP3")
         assert txn.txn_id not in s.peer("AP6").known_doomed
@@ -169,9 +170,9 @@ class TestDetectionLatency:
     def test_chaining_detects_before_parent_timeout(self):
         """(b): with chaining, AP6 detects AP3's death at return time —
         long before AP2 would notice by pinging."""
-        s = build_fig2()
+        s = Cluster.fig2()
         s.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
-        run_root_transaction(s)
+        s.run_topology()
         latency = s.metrics.detection_latency("AP3")
         assert latency is not None
         assert latency <= 2 * s.network.hop_latency

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.sim.scenarios import build_fig2, run_root_transaction
+from repro.api import Cluster
 from repro.txn.disconnection import (
     CaseReport,
     run_case_a_leaf_disconnection,
@@ -22,8 +22,8 @@ class TestCaseReport:
 
 class TestCaseAReport:
     def test_report_fields_on_backward(self):
-        scenario = build_fig2()
-        run_root_transaction(scenario)
+        scenario = Cluster.fig2()
+        scenario.run_topology()
         scenario.network.disconnect("AP6")
         parent = scenario.peer("AP3")
         txn = parent.begin_transaction()
@@ -35,7 +35,7 @@ class TestCaseAReport:
         assert "disconnections" not in report.metrics  # already dead before
 
     def test_metrics_delta_only(self):
-        scenario = build_fig2()
+        scenario = Cluster.fig2()
         scenario.metrics.incr("messages", 100)  # pre-existing noise
         scenario.network.disconnect("AP6")
         parent = scenario.peer("AP3")
@@ -47,11 +47,11 @@ class TestCaseAReport:
 
 class TestCaseBReport:
     def test_reuse_counted(self):
-        scenario = build_fig2(extra_peers=("APX",))
+        scenario = Cluster.fig2(extra_peers=("APX",))
         scenario.replication.replicate_service("S3", "APX")
         scenario.replication.replicate_document("D3", "APX")
         scenario.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
-        txn, _ = run_root_transaction(scenario)
+        txn, _ = scenario.run_topology()
         grandparent = scenario.peer("AP2")
         # run_root left AP2's context aborted (backward recovery ran);
         # start a new transaction to drive the replacement invocation.
@@ -68,9 +68,9 @@ class TestCaseBReport:
         assert report.work_reused >= 1
 
     def test_unrecoverable_when_replacement_dead(self):
-        scenario = build_fig2(extra_peers=("APX",))
+        scenario = Cluster.fig2(extra_peers=("APX",))
         scenario.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
-        run_root_transaction(scenario)
+        scenario.run_topology()
         scenario.network.disconnect("APX")
         grandparent = scenario.peer("AP2")
         txn2 = grandparent.begin_transaction()

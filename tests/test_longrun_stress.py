@@ -13,16 +13,17 @@ between and during them.  After the storm, invariants:
 
 import pytest
 
+from repro.api import Cluster
 from repro.errors import ReproError
 from repro.sim.rng import SeededRng
-from repro.sim.scenarios import FIG2_TOPOLOGY, build_topology
+from repro.sim.scenarios import FIG2_TOPOLOGY
 from repro.txn.transaction import TransactionState
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23, 99])
 def test_transaction_storm(seed):
     rng = SeededRng(seed)
-    scenario = build_topology(FIG2_TOPOLOGY, super_peers=("AP1",))
+    scenario = Cluster.from_topology(FIG2_TOPOLOGY, super_peers=("AP1",))
     network = scenario.network
     origin = scenario.peer("AP1")
     committed, aborted = [], []

@@ -9,7 +9,6 @@ from repro.p2p.messages import (
     CompensationRequest,
     DisconnectNotice,
     InvokeRequest,
-    InvokeResult,
     PingMessage,
     RedirectedResult,
 )
@@ -68,19 +67,19 @@ class TestMessages:
         assert request.reused_fragments == {}
 
     def test_invoke_result_defaults(self):
-        result = InvokeResult()
+        result = Outcome()
         assert list(result.fragments) == []
         assert list(result.compensations) == []
         assert result.chain_text == ""
         assert result.status is OutcomeStatus.OK
 
     def test_invoke_result_is_the_unified_outcome(self):
-        # InvokeResult and InvocationOutcome are one frozen Outcome now.
-        from repro.axml.materialize import InvocationOutcome
+        # The RPC reply is the one Outcome class; its metrics/trace kind
+        # stays "result".
+        from repro.p2p.messages import message_kind
 
-        assert InvokeResult is Outcome
-        assert InvocationOutcome is Outcome
-        assert InvokeResult.KIND == "result"
+        assert Outcome.KIND == "result"
+        assert message_kind(Outcome()) == "result"
 
     def test_messages_carry_fields(self):
         assert AbortMessage("T1", "P", "S5").failed_method == "S5"
@@ -100,6 +99,6 @@ class TestMessages:
     def test_outcome_is_frozen(self):
         import dataclasses
 
-        result = InvokeResult(["<x/>"])
+        result = Outcome(["<x/>"])
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.provider_peer = "P"  # type: ignore[misc]

@@ -11,8 +11,8 @@ import json
 
 import pytest
 
+from repro.api import Cluster
 from repro.sim.harness import ExperimentTable
-from repro.sim.scenarios import build_fig1, build_fig2, run_root_transaction
 
 
 def _by_id(spans):
@@ -21,8 +21,8 @@ def _by_id(spans):
 
 class TestHappyPathSpans:
     def test_span_tree_shape(self):
-        scenario = build_fig1()
-        txn, error = run_root_transaction(scenario)
+        scenario = Cluster.fig1()
+        txn, error = scenario.run_topology()
         assert error is None
         scenario.peer("AP1").commit(txn.txn_id)
         spans = scenario.network.spans
@@ -51,8 +51,8 @@ class TestHappyPathSpans:
         assert len(nested) == 3
 
     def test_all_spans_closed_and_timed(self):
-        scenario = build_fig1()
-        txn, _ = run_root_transaction(scenario)
+        scenario = Cluster.fig1()
+        txn, _ = scenario.run_topology()
         scenario.peer("AP1").commit(txn.txn_id)
         spans = scenario.network.spans
         assert spans.summary()["open"] == 0
@@ -60,8 +60,8 @@ class TestHappyPathSpans:
             assert span.duration is not None and span.duration >= 0
 
     def test_rpc_latency_histogram_populated(self):
-        scenario = build_fig1()
-        run_root_transaction(scenario)
+        scenario = Cluster.fig1()
+        scenario.run_topology()
         metrics = scenario.metrics
         hist = metrics.histogram("rpc_latency")
         assert hist.count == 5
@@ -73,11 +73,11 @@ class TestHappyPathSpans:
 
 class TestAbortPathSpans:
     def _aborted_run(self):
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         scenario.injector.fault_service(
             "AP5", "S5", "Crash", point="after_execute"
         )
-        txn, error = run_root_transaction(scenario)
+        txn, error = scenario.run_topology()
         assert error is not None
         return scenario, txn
 
@@ -115,11 +115,11 @@ class TestAbortPathSpans:
 
 class TestDisconnectionSpans:
     def test_disconnected_status_and_detection_histogram(self):
-        scenario = build_fig2()
+        scenario = Cluster.fig2()
         scenario.injector.disconnect_peer_during(
             "AP3", "AP6", "S6", "after_local_work"
         )
-        run_root_transaction(scenario)
+        scenario.run_topology()
         spans = scenario.network.spans
         assert any(
             s.status == "disconnected" for s in spans.by_kind("rpc")
@@ -133,11 +133,11 @@ class TestDisconnectionSpans:
 
 class TestLiveRunExport:
     def test_metrics_and_spans_export_strict_json(self):
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         scenario.injector.fault_service(
             "AP5", "S5", "Crash", point="after_execute"
         )
-        run_root_transaction(scenario)
+        scenario.run_topology()
         metrics_text = scenario.metrics.to_json()
         spans_text = scenario.network.spans.to_json()
         for text in (metrics_text, spans_text):

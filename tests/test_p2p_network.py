@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import PeerDisconnected, UnknownPeer
 from repro.p2p.failure import FailureInjector, PingMonitor
-from repro.p2p.messages import InvokeRequest, InvokeResult
+from repro.outcome import Outcome
+from repro.p2p.messages import InvokeRequest
 from repro.p2p.network import SimNetwork
 from repro.sim.kernel import Clock, EventQueue
 
@@ -23,7 +24,7 @@ class StubPeer:
     def handle_invoke(self, request):
         if self._handler:
             return self._handler(request)
-        return InvokeResult(fragments=[f"<from>{self.peer_id}</from>"])
+        return Outcome(fragments=[f"<from>{self.peer_id}</from>"])
 
     def on_notify(self, message):
         self.notifications.append(message)
@@ -145,7 +146,7 @@ class TestRpc:
     def test_source_dies_before_return(self):
         network = SimNetwork()
         a = StubPeer("A", network)
-        b = StubPeer("B", network, handler=lambda r: (network.disconnect("A"), InvokeResult(["<r/>"]))[1])
+        b = StubPeer("B", network, handler=lambda r: (network.disconnect("A"), Outcome(["<r/>"]))[1])
         with pytest.raises(PeerDisconnected) as exc:
             network.rpc("A", "B", InvokeRequest("T1", "A", "A", "m"))
         assert exc.value.peer_id == "A"

@@ -2,14 +2,14 @@
 
 import pytest
 
+from repro.api import Cluster
 from repro.p2p.streams import open_stream
-from repro.sim.scenarios import build_fig2, run_root_transaction
 
 
 def fig2_with_stream(chaining=True, interval=0.1):
     """Fig. 2 with AP3 streaming data to its sibling AP4."""
-    scenario = build_fig2(chaining=chaining)
-    txn, _ = run_root_transaction(scenario)
+    scenario = Cluster.fig2(chaining=chaining)
+    txn, _ = scenario.run_topology()
     stream = open_stream(
         scenario.network,
         txn.txn_id,

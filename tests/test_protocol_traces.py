@@ -7,16 +7,16 @@ transcript.
 
 import pytest
 
-from repro.sim.scenarios import build_fig1, build_fig2, run_root_transaction
+from repro.api import Cluster
 from repro.sim.trace import TraceAttachError, TraceRecorder
 from repro.txn.recovery import FaultPolicy
 
 
 class TestFig1HappyTrace:
     def test_invocation_order_depth_first(self):
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         recorder = TraceRecorder(scenario.network)
-        txn, error = run_root_transaction(scenario)
+        txn, error = scenario.run_topology()
         assert error is None
         invokes = recorder.shorthand(kinds=("invoke",))
         assert invokes == [
@@ -28,9 +28,9 @@ class TestFig1HappyTrace:
         ]
 
     def test_results_return_inside_out(self):
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         recorder = TraceRecorder(scenario.network)
-        run_root_transaction(scenario)
+        scenario.run_topology()
         results = recorder.shorthand(kinds=("result",))
         assert results == [
             "result:AP2->AP1:S2",
@@ -41,9 +41,9 @@ class TestFig1HappyTrace:
         ]
 
     def test_commit_notifies_every_participant(self):
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         recorder = TraceRecorder(scenario.network)
-        txn, _ = run_root_transaction(scenario)
+        txn, _ = scenario.run_topology()
         scenario.peer("AP1").commit(txn.txn_id)
         commits = [
             line for line in recorder.shorthand(kinds=("notify",))
@@ -55,10 +55,10 @@ class TestFig1HappyTrace:
 class TestFig1AbortTrace:
     def test_paper_walkthrough_messages(self):
         """§3.2 steps 1–4 as an exact message sequence."""
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         recorder = TraceRecorder(scenario.network)
         scenario.injector.fault_service("AP5", "S5", "Crash", point="after_execute")
-        txn, error = run_root_transaction(scenario)
+        txn, error = scenario.run_topology()
         assert error is not None
         aborts = [
             line for line in recorder.shorthand(kinds=("notify",))
@@ -80,13 +80,13 @@ class TestFig1AbortTrace:
         ]
 
     def test_forward_recovery_trace(self):
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         recorder = TraceRecorder(scenario.network)
         scenario.injector.fault_service("AP5", "S5", "Crash", times=1, point="after_execute")
         scenario.peer("AP3").set_fault_policy(
             "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=1)]
         )
-        txn, error = run_root_transaction(scenario)
+        txn, error = scenario.run_topology()
         assert error is None
         invokes = recorder.shorthand(kinds=("invoke",))
         # S5 invoked twice (original + retry); the retry re-runs S6.
@@ -99,10 +99,10 @@ class TestFig1AbortTrace:
 
 class TestFig2DisconnectTrace:
     def test_case_b_redirect_sequence(self):
-        scenario = build_fig2()
+        scenario = Cluster.fig2()
         recorder = TraceRecorder(scenario.network)
         scenario.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
-        txn, _ = run_root_transaction(scenario)
+        txn, _ = scenario.run_topology()
         notifies = recorder.shorthand(kinds=("notify",))
         assert f"notify:AP6->AP2:disconnect_notice:{txn.txn_id}" in notifies
         assert f"notify:AP6->AP2:redirected_result:{txn.txn_id}" in notifies
@@ -112,27 +112,27 @@ class TestFig2DisconnectTrace:
         ) < notifies.index(f"notify:AP6->AP2:redirected_result:{txn.txn_id}")
 
     def test_detach_restores_network(self):
-        scenario = build_fig2()
+        scenario = Cluster.fig2()
         recorder = TraceRecorder(scenario.network)
         recorder.detach()
-        run_root_transaction(scenario)
+        scenario.run_topology()
         assert len(recorder) == 0
 
     def test_detach_is_idempotent(self):
-        scenario = build_fig2()
+        scenario = Cluster.fig2()
         recorder = TraceRecorder(scenario.network)
         recorder.detach()
         recorder.detach()  # second detach is a no-op
         assert not recorder.attached
-        run_root_transaction(scenario)
+        scenario.run_topology()
         assert len(recorder) == 0
 
     def test_double_attach_detaches_innermost_first(self):
-        scenario = build_fig2()
+        scenario = Cluster.fig2()
         outer = TraceRecorder(scenario.network)
         inner = TraceRecorder(scenario.network)
         # Both recorders see traffic while stacked.
-        run_root_transaction(scenario)
+        scenario.run_topology()
         assert len(outer) > 0 and len(inner) > 0
         # Out-of-order detach would orphan the inner wrapper: refused.
         with pytest.raises(TraceAttachError):
@@ -143,12 +143,12 @@ class TestFig2DisconnectTrace:
         assert not outer.attached and not inner.attached
         # The network is fully unwrapped again.
         before_outer, before_inner = len(outer), len(inner)
-        run_root_transaction(build_fig2())
+        Cluster.fig2().run_topology()
         assert len(outer) == before_outer and len(inner) == before_inner
 
     def test_transcript_renders(self):
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         recorder = TraceRecorder(scenario.network)
-        run_root_transaction(scenario)
+        scenario.run_topology()
         transcript = recorder.transcript()
         assert "AP1" in transcript and "invoke(S2)" in transcript

@@ -3,16 +3,13 @@ ATPList) — the executable form of the paper's worked examples."""
 
 import pytest
 
+from repro.api import Cluster
 from repro.errors import PeerDisconnected, ServiceFault
 from repro.query.parser import parse_action
 from repro.sim.scenarios import (
     ATPLIST_XML,
     QUERY_A,
     QUERY_B,
-    build_atplist_scenario,
-    build_fig1,
-    build_fig2,
-    run_root_transaction,
 )
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 from repro.xmlstore.serializer import canonical
@@ -26,7 +23,7 @@ class TestATPListScenario:
     """§3.1's worked examples, running on three real peers."""
 
     def test_query_a_materializes_only_grandslams(self):
-        s = build_atplist_scenario()
+        s = Cluster.atplist()
         ap1 = s.peer("AP1")
         txn = ap1.begin_transaction()
         outcome = ap1.submit(txn.txn_id, f'<action type="query"><location>{QUERY_A}</location></action>')
@@ -35,7 +32,7 @@ class TestATPListScenario:
         assert "2005" in xml and "475" in xml  # points untouched
 
     def test_query_b_materializes_only_points(self):
-        s = build_atplist_scenario()
+        s = Cluster.atplist()
         ap1 = s.peer("AP1")
         txn = ap1.begin_transaction()
         outcome = ap1.submit(txn.txn_id, f'<action type="query"><location>{QUERY_B}</location></action>')
@@ -44,7 +41,7 @@ class TestATPListScenario:
         assert "890" in xml and "475" not in xml
 
     def test_query_abort_compensates_materialization(self):
-        s = build_atplist_scenario()
+        s = Cluster.atplist()
         ap1 = s.peer("AP1")
         pre = canonical(ap1.get_axml_document("ATPList").document)
         txn = ap1.begin_transaction()
@@ -54,7 +51,7 @@ class TestATPListScenario:
         assert canonical(ap1.get_axml_document("ATPList").document) == pre
 
     def test_paper_delete_and_abort(self):
-        s = build_atplist_scenario()
+        s = Cluster.atplist()
         ap1 = s.peer("AP1")
         pre = canonical(ap1.get_axml_document("ATPList").document)
         txn = ap1.begin_transaction()
@@ -68,7 +65,7 @@ class TestATPListScenario:
         assert canonical(ap1.get_axml_document("ATPList").document) == pre
 
     def test_remote_peers_enlisted_by_materialization(self):
-        s = build_atplist_scenario()
+        s = Cluster.atplist()
         ap1 = s.peer("AP1")
         txn = ap1.begin_transaction()
         ap1.submit(txn.txn_id, f'<action type="query"><location>{QUERY_B}</location></action>')
@@ -80,8 +77,8 @@ class TestFig1NestedRecovery:
     """§3.2's protocol walk-through, steps 1-4."""
 
     def test_happy_path_all_work_done(self):
-        s = build_fig1()
-        txn, err = run_root_transaction(s)
+        s = Cluster.fig1()
+        txn, err = s.run_topology()
         assert err is None
         for peer_id in ("AP2", "AP3", "AP4", "AP5", "AP6"):
             assert f'<entry by="{peer_id}"/>' in doc_xml(s, peer_id)
@@ -89,9 +86,9 @@ class TestFig1NestedRecovery:
         assert s.metrics.txn_outcomes[txn.txn_id] == "committed"
 
     def test_ap5_failure_aborts_whole_transaction(self):
-        s = build_fig1()
+        s = Cluster.fig1()
         s.injector.fault_service("AP5", "S5", "Crash", point="after_execute")
-        txn, err = run_root_transaction(s)
+        txn, err = s.run_topology()
         assert isinstance(err, ServiceFault)
         # every peer's share compensated (empty items again)
         for peer_id in s.peers:
@@ -99,20 +96,20 @@ class TestFig1NestedRecovery:
         assert s.metrics.txn_outcomes[txn.txn_id] == "aborted"
 
     def test_abort_messages_reach_invoked_peers(self):
-        s = build_fig1()
+        s = Cluster.fig1()
         s.injector.fault_service("AP5", "S5", "Crash", point="after_execute")
-        run_root_transaction(s)
+        s.run_topology()
         # AP5 -> AP6; AP3 -> AP4; AP1 -> AP2 (three Abort notifications)
         assert s.metrics.get("messages.abort") == 3
         assert s.metrics.get("aborts_received") == 3
 
     def test_fault_handler_at_ap3_stops_propagation(self):
-        s = build_fig1()
+        s = Cluster.fig1()
         s.injector.fault_service("AP5", "S5", "Crash", times=1, point="after_execute")
         s.peer("AP3").set_fault_policy(
             "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=2)]
         )
-        txn, err = run_root_transaction(s)
+        txn, err = s.run_topology()
         assert err is None
         assert s.metrics.get("forward_recoveries") == 1
         # AP1, AP2, AP3 never aborted — undo only as much as required.
@@ -120,35 +117,35 @@ class TestFig1NestedRecovery:
         assert '<entry by="AP2"/>' in doc_xml(s, "AP2")
 
     def test_unmatched_fault_name_propagates(self):
-        s = build_fig1()
+        s = Cluster.fig1()
         s.injector.fault_service("AP5", "S5", "Crash", point="after_execute")
         s.peer("AP3").set_fault_policy(
             "S5", [FaultPolicy(fault_names={"OtherFault"}, retry_times=5)]
         )
-        txn, err = run_root_transaction(s)
+        txn, err = s.run_topology()
         assert isinstance(err, ServiceFault)
 
     def test_exhausted_retries_fall_back_to_backward(self):
-        s = build_fig1()
+        s = Cluster.fig1()
         s.injector.fault_service("AP5", "S5", "Crash", times=-1, point="after_execute")
         s.peer("AP3").set_fault_policy(
             "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=2)]
         )
-        txn, err = run_root_transaction(s)
+        txn, err = s.run_topology()
         assert isinstance(err, ServiceFault)
         assert "<entry" not in doc_xml(s, "AP3")
 
     def test_forward_cost_lower_than_backward(self):
         """§3.2: forward recovery 'undoes only as much as required'."""
-        forward = build_fig1()
+        forward = Cluster.fig1()
         forward.injector.fault_service("AP5", "S5", "Crash", times=1, point="after_execute")
         forward.peer("AP3").set_fault_policy(
             "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=1)]
         )
-        run_root_transaction(forward)
-        backward = build_fig1()
+        forward.run_topology()
+        backward = Cluster.fig1()
         backward.injector.fault_service("AP5", "S5", "Crash", times=1, point="after_execute")
-        run_root_transaction(backward)
+        backward.run_topology()
         forward_comp = sum(
             p.manager.compensation_cost for p in forward.peers.values()
         )
@@ -160,16 +157,16 @@ class TestFig1NestedRecovery:
 
 class TestFig2Chain:
     def test_chain_text_matches_paper(self):
-        s = build_fig2()
-        txn, err = run_root_transaction(s)
+        s = Cluster.fig2()
+        txn, err = s.run_topology()
         assert err is None
         # AP5 is a leaf: its chain view is complete by invocation time.
         chain = s.peer("AP5").chains[txn.txn_id]
         assert chain.to_text() == "[AP1* -> AP2 -> [AP3 -> AP6] || [AP4 -> AP5]]"
 
     def test_super_peer_flag_propagates(self):
-        s = build_fig2()
-        txn, _ = run_root_transaction(s)
+        s = Cluster.fig2()
+        txn, _ = s.run_topology()
         chain = s.peer("AP5").chains[txn.txn_id]
         assert chain.find("AP1").super_peer
         assert not chain.find("AP2").super_peer

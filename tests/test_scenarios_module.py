@@ -1,23 +1,13 @@
-"""Unit tests for the scenario builders (repro.sim.scenarios)."""
+"""Unit tests for the canonical deployments (Cluster.atplist/fig1/fig2/
+from_topology over the repro.sim.scenarios data)."""
 
-import pytest
-
-from repro.sim.scenarios import (
-    ATPLIST_XML,
-    FIG1_TOPOLOGY,
-    FIG2_TOPOLOGY,
-    Scenario,
-    build_atplist_scenario,
-    build_fig1,
-    build_fig2,
-    build_topology,
-    run_root_transaction,
-)
+from repro.api import Cluster
+from repro.sim.scenarios import FIG1_TOPOLOGY, FIG2_TOPOLOGY, QUERY_B
 
 
 class TestAtplistBuilder:
     def test_document_matches_paper(self):
-        scenario = build_atplist_scenario()
+        scenario = Cluster.atplist()
         doc = scenario.peer("AP1").get_axml_document("ATPList")
         xml = doc.to_xml()
         assert "Federer" in xml and "Nadal" in xml
@@ -26,17 +16,15 @@ class TestAtplistBuilder:
         assert 'year="2003"' in xml and 'year="2004"' in xml
 
     def test_services_on_right_peers(self):
-        scenario = build_atplist_scenario()
+        scenario = Cluster.atplist()
         assert scenario.peer("AP2").registry.has("getPoints")
         assert scenario.peer("AP3").registry.has("getGrandSlamsWonbyYear")
         assert not scenario.peer("AP1").registry.has("getPoints")
 
     def test_points_value_configurable(self):
-        scenario = build_atplist_scenario(points_value="1234")
+        scenario = Cluster.atplist(points_value="1234")
         peer = scenario.peer("AP1")
         txn = peer.begin_transaction()
-        from repro.sim.scenarios import QUERY_B
-
         outcome = peer.submit(
             txn.txn_id, f'<action type="query"><location>{QUERY_B}</location></action>'
         )
@@ -45,7 +33,7 @@ class TestAtplistBuilder:
 
 class TestTopologyBuilder:
     def test_fig1_peers_and_services(self):
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         assert set(scenario.peers) == {f"AP{i}" for i in range(1, 7)}
         for index in range(1, 7):
             peer = scenario.peer(f"AP{index}")
@@ -53,22 +41,22 @@ class TestTopologyBuilder:
             assert peer.hosts_document(f"D{index}")
 
     def test_fig2_super_peer(self):
-        scenario = build_fig2()
+        scenario = Cluster.fig2()
         assert scenario.peer("AP1").super_peer
         assert not scenario.peer("AP2").super_peer
 
     def test_extra_peers_idle(self):
-        scenario = build_fig2(extra_peers=("APX",))
+        scenario = Cluster.fig2(extra_peers=("APX",))
         assert "APX" in scenario.peers
         assert len(scenario.peer("APX").registry) == 1  # its own SX service
 
     def test_replication_registered(self):
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         assert scenario.replication.holders("D3") == ["AP3"]
         assert scenario.replication.service_holders("S3") == ["AP3"]
 
     def test_flags_propagate(self):
-        scenario = build_topology(
+        scenario = Cluster.from_topology(
             FIG2_TOPOLOGY,
             peer_independent=True,
             chaining=False,
@@ -82,7 +70,7 @@ class TestTopologyBuilder:
         assert peer.parent_watch_interval == 0.1
 
     def test_topology_copy_stored(self):
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         assert scenario.topology == FIG1_TOPOLOGY
         scenario.topology["AP1"] = []
         assert FIG1_TOPOLOGY["AP1"]  # original untouched
@@ -90,21 +78,21 @@ class TestTopologyBuilder:
 
 class TestRunRootTransaction:
     def test_returns_error_object(self):
-        scenario = build_fig1()
+        scenario = Cluster.fig1()
         scenario.injector.fault_service("AP2", "S2", "X")
-        txn, error = run_root_transaction(scenario)
+        txn, error = scenario.run_topology()
         assert error is not None
-        assert txn.origin_peer == "AP1"
+        assert txn.origin == "AP1"
 
     def test_custom_root(self):
-        scenario = build_fig1()
-        txn, error = run_root_transaction(scenario, root="AP3")
+        scenario = Cluster.fig1()
+        txn, error = scenario.run_topology("AP3")
         assert error is None
         # AP3's branch ran: AP4 and AP5/AP6 have markers
         assert '<entry by="AP4"/>' in scenario.peer("AP4").get_axml_document("D4").to_xml()
 
     def test_metrics_shared(self):
-        scenario = build_fig1()
-        run_root_transaction(scenario)
+        scenario = Cluster.fig1()
+        scenario.run_topology()
         assert scenario.metrics is scenario.network.metrics
         assert scenario.metrics.get("invocations") == 5

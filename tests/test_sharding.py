@@ -163,9 +163,9 @@ class TestShardRing:
 class TestPlacementDirectory:
     def test_non_sharded_methods_route_to_none(self):
         network = SimNetwork()
-        directory = PlacementDirectory(network)
-        assert network.directory is directory
-        assert directory.route_service("anything") is None
+        assert isinstance(network.directory, PlacementDirectory)
+        assert ReplicationManager(network).directory is network.directory
+        assert network.directory.route_service("anything") is None
 
     def test_routes_to_primary_with_liveness_fallback(self):
         network, replication, coordinator, peers = make_sharded_cluster()
@@ -255,7 +255,7 @@ class TestShardedChaos:
         replicas=1,
         sharding=True,
         shard_spares=1,
-        durability="wal",
+        durability=True,
     )
 
     def test_sharded_run_is_clean_and_deterministic(self):
@@ -274,7 +274,7 @@ class TestShardedChaos:
                 replicas=1,
                 sharding=True,
                 shard_spares=1,
-                durability="wal",
+                durability=True,
             )
             result = run_chaos(config)
             assert result.violations == [], (seed, result.violations)

@@ -9,7 +9,8 @@ in reverse order.
 import pytest
 
 from repro.axml.document import AXMLDocument
-from repro.axml.materialize import InvocationOutcome, MaterializationEngine
+from repro.axml.materialize import MaterializationEngine
+from repro.outcome import Outcome
 from repro.query.ast import ActionType
 from repro.query.parser import parse_action
 from repro.query.update import apply_action
@@ -151,8 +152,8 @@ class TestQueryCompensation:
 
     def _resolver(self, call, params):
         if call.method_name == "getPoints":
-            return InvocationOutcome(["<points>890</points>"])
-        return InvocationOutcome(["<grandslamswon year='2005'>A, F</grandslamswon>"])
+            return Outcome(["<points>890</points>"])
+        return Outcome(["<grandslamswon year='2005'>A, F</grandslamswon>"])
 
     def test_query_a_merge_compensation(self):
         from repro.query.parser import parse_select
