@@ -182,8 +182,6 @@ class Session:
         """Begin a transaction with this peer as origin."""
         return Transaction(self._cluster, self.peer, **span_attrs)
 
-    begin = transaction  # explicit-style alias
-
     def __repr__(self) -> str:
         return f"Session({self.peer_id!r})"
 

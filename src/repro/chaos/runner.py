@@ -679,11 +679,9 @@ def _install_crash_skip_undo(
         if wal is None:
             continue
 
-        def mutated(_wal=wal, _orig=wal.reload):
+        def mutated(_orig=wal.reload):
             entries = _orig()
             if not state.fired and entries:
-                dropped = entries[-1]
-                _wal._live = [e for e in _wal._live if e.seq != dropped.seq]
                 state.fired = True
                 return entries[:-1]
             return entries
@@ -768,8 +766,6 @@ def _cleanup_durability(cluster) -> None:
     for peer in cluster.peers.values():
         if peer.wal is not None:
             peer.wal.close()
-            if peer.manager.log is not None:
-                peer.manager.log.sink = None
     scratch.cleanup()
 
 

@@ -71,6 +71,9 @@ class SimNetwork:
         #: Routing layers ask it before dispatch; a non-sharded run is
         #: a directory with no sharded methods.
         self.directory = PlacementDirectory(self)
+        #: The cluster's :class:`~repro.p2p.replication.ReplicationManager`
+        #: (which installs itself here); ``None`` = no replication.
+        self.replication = None
         #: Run-scoped fragment serial (see :func:`next_fragment_serial`):
         #: a module-global counter here would leak across sweep cells in
         #: one process while forked parallel workers start fresh,

@@ -127,7 +127,7 @@ class AXMLPeer:
                 checkpoint_every=durability.checkpoint_every,
                 document_source=self._snapshot_documents,
             )
-            self.manager.log.sink = self.wal
+            self.manager.log.attach(self.wal)
         # Per-peer stream derived with a process-stable digest — never
         # hash(), whose per-process salting (PYTHONHASHSEED) would make
         # "seeded" runs irreproducible across interpreter processes.
@@ -192,12 +192,8 @@ class AXMLPeer:
         durable before this peer sends a message another peer acts on
         (share hand-off, invocation requests).  No-op without group
         commit or with the barrier disabled."""
-        if self.wal is None:
-            return
-        policy = self.durability_policy
-        if policy is not None and not policy.flush_on_prepare:
-            return
-        self.wal.flush()
+        if self.wal is not None and self.durability_policy.flush_on_prepare:
+            self.wal.flush()
 
     def set_fault_policy(
         self, method_name: str, policies: Sequence[FaultPolicy]
@@ -516,7 +512,7 @@ class AXMLPeer:
         Nothing ships when the commit raises (OCC conflict) or when the
         share was already settled.
         """
-        replication = getattr(self.network, "replication", None)
+        replication = self.network.replication
         entries = ()
         if (
             replication is not None
@@ -565,7 +561,7 @@ class AXMLPeer:
     def _apply_peer_independent(self, context: TransactionContext) -> bool:
         """Send compensating definitions to providers (newest first)."""
         complete = True
-        replication = getattr(self.network, "replication", None)
+        replication = self.network.replication
         for provider, plan_xml in reversed(context.received_compensations):
             message = CompensationRequest(context.txn_id, plan_xml, self.peer_id)
             if self.network.notify(self.peer_id, provider, message):
@@ -696,7 +692,7 @@ class AXMLPeer:
                     my_chain.to_text() if (my_chain and self.chaining) else ""
                 ),
             )
-            replication = getattr(self.network, "replication", None)
+            replication = self.network.replication
             if replication is not None and replication.is_replicated_method(
                 request.method_name
             ):
@@ -821,7 +817,7 @@ class AXMLPeer:
         # replicated, and only when the policy names no explicit
         # alternative (an explicit ``axml:sc`` replica always wins).
         select_alternative = None
-        replication = getattr(self.network, "replication", None)
+        replication = self.network.replication
         if replication is not None and not policy.alternative_peer:
             select_alternative = replication.failover_selector(
                 target_peer, method_name
@@ -1106,13 +1102,11 @@ class AXMLPeer:
                     context.record_compensation_definition(provider, plan_xml)
             self.network.metrics.incr("redirected_results_received")
         elif isinstance(message, WalShipMessage):
-            replication = getattr(self.network, "replication", None)
-            if replication is not None:
-                replication.on_ship(self.peer_id, message)
+            if self.network.replication is not None:
+                self.network.replication.on_ship(self.peer_id, message)
         elif isinstance(message, WalShipAck):
-            replication = getattr(self.network, "replication", None)
-            if replication is not None:
-                replication.on_ack(self.peer_id, message)
+            if self.network.replication is not None:
+                self.network.replication.on_ack(self.peer_id, message)
 
     def _on_abort_message(self, message: AbortMessage) -> None:
         """§3.2 step 2: a peer whose invoker aborted compensates its
@@ -1192,19 +1186,7 @@ class AXMLPeer:
         """
         self.network.disconnect(self.peer_id)
         self.disconnected = True
-        self.manager.contexts.clear()
-        from repro.txn.wal import OperationLog
-
-        self.manager.log = OperationLog(self.peer_id)
-        if self.wal is not None:
-            # Group commit: frames still buffered in memory die with the
-            # process.  Their document effects must die too — the
-            # restarted peer's WAL has no record to compensate them from
-            # — so undo them here (the write-ahead rule, enforced late).
-            unflushed = self.wal.discard_unflushed()
-            if unflushed:
-                self._undo_unflushed(unflushed)
-            self.wal.close()
+        self.manager.crash()
         self.chains.clear()
         self.reusable_results.clear()
         self._incoming_reuse.clear()
@@ -1215,53 +1197,26 @@ class AXMLPeer:
         self._txn_spans.clear()
         self.network.metrics.incr("peer_crashes")
 
-    def _undo_unflushed(self, entries) -> None:
-        """Roll the durable store back over entries lost with the
-        group-commit buffer.  Safe because the ``flush_on_prepare``
-        barrier guarantees an unflushed entry belongs to a share whose
-        result was never handed off — the invoker saw this crash as a
-        failed invocation, so no other peer depends on the effect."""
-        from repro.txn.operations import build_compensation
-        from repro.txn.wal import OperationLog
-
-        log = OperationLog.from_entries(self.peer_id, entries)
-        for txn_id in sorted({e.txn_id for e in entries}):
-            for plan in build_compensation(log, txn_id):
-                if plan.document_name not in self.documents:
-                    continue
-                plan.execute(
-                    self.get_axml_document(plan.document_name).document
-                )
-
     # ------------------------------------------------------------------
     # rejoin (the P2P churn story: peers "joining and leaving arbitrarily")
     # ------------------------------------------------------------------
 
-    def rejoin(
-        self,
-        restored_log_text: Optional[str] = None,
-        mode: RejoinMode = RejoinMode.COMPENSATE,
-    ) -> int:
-        """Rejoin the network, compensating in-flight transactions.
+    def rejoin(self, mode: RejoinMode = RejoinMode.COMPENSATE) -> int:
+        """Rejoin the network, settling in-flight transactions.
 
         While this peer was gone, the rest of the system treated it as
         dead: its in-flight transactions were aborted (or completed
-        around it via replicas).  A rejoining peer therefore compensates
-        every local share that never saw a commit — its log has
-        everything needed (§3.1's logging discipline pays off here).
-
-        ``restored_log_text`` replays a log serialized with
-        :meth:`repro.txn.wal.OperationLog.to_text`; with no text but a
-        durable WAL attached (``durability=``), the log is recovered
-        from disk (:meth:`repro.txn.durable_wal.DurableWal.reload`) —
-        the restart-from-disk story, where in-memory contexts are gone
-        but the log survives.
-
-        ``mode`` decides what happens to the recovered transactions:
+        around it via replicas).  The restart itself is
+        :meth:`repro.txn.manager.TransactionManager.recover`: the log is
+        refilled — from disk when a durable WAL is attached
+        (``durability=``), where in-memory contexts are gone but the log
+        survives; otherwise from whatever the in-memory log still holds
+        — and ``mode`` decides what happens to the recovered shares:
 
         * :attr:`RejoinMode.COMPENSATE` (default): compensate every
           recovered share immediately — correct when the rest of the
-          system already aborted around the dead peer.
+          system already aborted around the dead peer.  The log has
+          everything needed (§3.1's logging discipline pays off here).
         * :attr:`RejoinMode.IN_DOUBT`: rebuild an ``ACTIVE`` context per
           recovered transaction and leave the decision to a later
           :meth:`resolve_in_doubt`.  Required after a *crash*: a share
@@ -1278,73 +1233,29 @@ class AXMLPeer:
         Returns the number of transactions compensated (or, in
         ``IN_DOUBT`` mode, rebuilt as in-doubt).
         """
-        from repro.txn.wal import OperationLog
-
         if not isinstance(mode, RejoinMode):
             raise TypeError(f"rejoin mode must be a RejoinMode, not {mode!r}")
         self.network.reconnect(self.peer_id)
         self.disconnected = False
-        compensated = 0
-        restored = None
-        if restored_log_text is not None:
-            restored = OperationLog.from_text(restored_log_text)
-        elif self.wal is not None:
-            restored = OperationLog.from_entries(
-                self.peer_id, self.wal.reload()
+        recovered = self.manager.recover(mode, self._restore_lost_documents)
+        if self.wal is not None and mode is RejoinMode.COMPENSATE:
+            self.network.metrics.incr(
+                "recovery_replays",
+                len({e.txn_id for e in self.wal.last_recovery.entries}),
             )
-            restored.sink = self.wal
-            recovery = self.wal.last_recovery
-            if recovery is not None:
-                for name, xml in sorted(recovery.documents.items()):
-                    if name not in self.documents:
-                        self.documents[name] = AXMLDocument.from_xml(
-                            xml, name=name
-                        )
-        if restored is not None:
-            self.manager.log = restored
-            txn_ids = sorted({entry.txn_id for entry in restored})
-            if mode is RejoinMode.IN_DOUBT:
-                for txn_id in txn_ids:
-                    context = self.manager.begin(
-                        Transaction(txn_id, self.peer_id)
-                    )
-                    context.log_seqs = [
-                        e.seq for e in restored.entries_for(txn_id)
-                    ]
-                    compensated += 1
-            else:
-                for txn_id in txn_ids:
-                    from repro.txn.operations import build_compensation
-
-                    for plan in build_compensation(restored, txn_id):
-                        document = self.get_axml_document(
-                            plan.document_name
-                        ).document
-                        plan.execute(document)
-                    restored.truncate(txn_id)
-                    compensated += 1
-                    self.network.metrics.incr("recovery_replays")
-                    # Rebuild a finished context so later messages are
-                    # ignored.
-                    context = self.manager.contexts.get(txn_id)
-                    if context is not None and not context.is_finished:
-                        self.manager.mark_aborted_without_compensation(txn_id)
-                # Volatile contexts that never wrote a log entry have
-                # nothing on disk; abort them too.
-                for txn_id in list(self.manager.active_transactions()):
-                    self.manager.abort_local(txn_id)
-                    compensated += 1
-        else:
-            for txn_id in list(self.manager.active_transactions()):
-                self.manager.abort_local(txn_id)
-                compensated += 1
         self.network.metrics.incr("peer_rejoins")
-        replication = getattr(self.network, "replication", None)
-        if replication is not None:
+        if self.network.replication is not None:
             # Replica copies on this peer may have missed ships while it
             # was gone; schedule them for a settlement resync.
-            replication.on_peer_rejoined(self.peer_id)
-        return compensated
+            self.network.replication.on_peer_rejoined(self.peer_id)
+        return recovered
+
+    def _restore_lost_documents(self) -> None:
+        """Re-host checkpointed documents this peer no longer holds."""
+        if self.wal is not None:
+            for name, xml in sorted(self.wal.last_recovery.documents.items()):
+                if name not in self.documents:
+                    self.documents[name] = AXMLDocument.from_xml(xml, name=name)
 
     # ------------------------------------------------------------------
     # settlement (driven by external harnesses, e.g. repro.chaos)

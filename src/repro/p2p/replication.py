@@ -235,7 +235,7 @@ class ReplicationManager:
         # at the source.  Normally the commit tombstone's flush barrier
         # already guarantees this; the explicit flush is the safety net
         # for callers that bypass the truncate path.
-        wal = getattr(self.network.get_peer(source_peer), "wal", None)
+        wal = self.network.get_peer(source_peer).wal
         if wal is not None and entries:
             if max(e.seq for e in entries) > wal.last_durable_seq:
                 wal.flush()

@@ -360,7 +360,7 @@ class TransactionScheduler:
         routed = self.network.directory.route_service(operation.method_name)
         if routed is not None:
             return routed
-        replication = getattr(self.network, "replication", None)
+        replication = self.network.replication
         if replication is None:
             return operation.target_peer
         if self.network.is_alive(operation.target_peer):

@@ -44,14 +44,23 @@ needs, see :meth:`CheckpointStore.retire`).
 from __future__ import annotations
 
 import os
+import re
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.txn.wal import LogEntry, entry_bytes, entry_from_xml, entry_to_xml
+from repro.txn.wal import (
+    LogEntry,
+    entry_bytes,
+    entry_from_xml,
+    entry_to_xml,
+    _encode_frame,
+    _read_frame,
+)
 
 CKPT_MAGIC = "AXMLCKPT"
 CKPT_VERSION = 1
+_CKPT_NAME = re.compile(r"ckpt-\d{6}\.ckpt")
 
 
 @dataclass
@@ -92,11 +101,11 @@ class CheckpointStore:
         return f"ckpt-{index:06d}.ckpt"
 
     def paths(self) -> List[str]:
-        """Checkpoint file paths, oldest first."""
+        """Checkpoint file paths, oldest first; other files are not ours."""
         try:
             names = sorted(
                 n for n in os.listdir(self.directory)
-                if n.startswith("ckpt-") and n.endswith(".ckpt")
+                if _CKPT_NAME.fullmatch(n)
             )
         except FileNotFoundError:
             return []
@@ -121,13 +130,9 @@ class CheckpointStore:
             f"{checkpoint.tail_segment}\n".encode("utf-8")
         ]
         for name in sorted(checkpoint.documents):
-            payload = checkpoint.documents[name].encode("utf-8")
-            parts.append(f"D {len(payload)} {name}\n".encode("utf-8"))
-            parts.append(payload + b"\n")
+            parts.append(_encode_frame("D", checkpoint.documents[name], name))
         for entry in sorted(checkpoint.entries, key=lambda e: e.seq):
-            payload = entry_to_xml(entry).encode("utf-8")
-            parts.append(f"E {len(payload)}\n".encode("ascii"))
-            parts.append(payload + b"\n")
+            parts.append(_encode_frame("E", entry_to_xml(entry)))
         body = b"".join(parts)
         blob = body + f"C {zlib.crc32(body) & 0xFFFFFFFF:08x}\n".encode("ascii")
         final = os.path.join(self.directory, self._name(checkpoint.index))
@@ -191,24 +196,16 @@ class CheckpointStore:
         pos = newline + 1
         try:
             while pos < len(body):
-                line_end = body.find(b"\n", pos)
-                if line_end < 0:
+                frame = _read_frame(body, pos)
+                if frame is None:
                     return None
-                fields = body[pos:line_end].decode("utf-8").split(" ")
-                kind = fields[0]
-                length = int(fields[1])
-                start = line_end + 1
-                end = start + length
-                if end + 1 > len(body) or body[end:end + 1] != b"\n":
-                    return None
-                payload = body[start:end].decode("utf-8")
-                if kind == "D" and len(fields) == 3:
-                    checkpoint.documents[fields[2]] = payload
-                elif kind == "E" and len(fields) == 2:
+                kind, name, payload, pos = frame
+                if kind == "D" and name is not None:
+                    checkpoint.documents[name] = payload
+                elif kind == "E" and name is None:
                     checkpoint.entries.append(entry_from_xml(payload))
                 else:
                     return None
-                pos = end + 1
         except (ValueError, IndexError, KeyError):
             return None
         checkpoint.entries.sort(key=lambda e: e.seq)

@@ -2,13 +2,16 @@
 
 The paper's operation log exists so a *recovering* peer can construct
 compensations after a failure, which only works if the log outlives the
-process.  :class:`DurableWal` is an incremental append-only on-disk WAL
-that a peer attaches to its in-memory :class:`~repro.txn.wal.OperationLog`
-via the :class:`~repro.txn.wal.LogSink` hook: every appended
-:class:`~repro.txn.wal.LogEntry` is streamed to disk as a
+process.  :class:`DurableWal` is the disk backend of one
+:class:`~repro.txn.wal.OperationLog`
+(:meth:`~repro.txn.wal.OperationLog.attach`): frames in, frames out.
+Every appended :class:`~repro.txn.wal.LogEntry` is streamed to disk as a
 self-delimiting frame (the entry's own XML encoding, see
 :func:`repro.txn.wal.entry_to_xml`), and every commit/abort-time
-``truncate`` is recorded as a tombstone frame.
+``truncate`` is recorded as a tombstone frame.  The live entry set
+itself stays with the log: the backend reads it from there when it
+compacts or checkpoints, the way it reads documents through
+``document_source``.
 
 Segment format (``wal-000001.seg``, ``wal-000002.seg``, …)::
 
@@ -57,14 +60,24 @@ new counters fire.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.txn.checkpoint import Checkpoint, CheckpointStore
-from repro.txn.wal import LogEntry, entry_bytes, entry_from_xml, entry_to_xml
+from repro.txn.wal import (
+    LogEntry,
+    OperationLog,
+    entry_bytes,
+    entry_from_xml,
+    entry_to_xml,
+    _encode_frame,
+    _read_frame,
+)
 
 MAGIC = "AXMLWAL"
 VERSION = 1
+_SEGMENT_NAME = re.compile(r"wal-\d{6}\.seg")
 
 
 @dataclass
@@ -75,13 +88,9 @@ class WalScan:
     #: True when a torn tail (incomplete or seq-regressing frame) was
     #: detected and discarded during the scan.
     torn: bool = False
-    #: Frames (entries + tombstones) read from the durable prefix.
-    frames: int = 0
     #: Entry frames replayed from segments — with a checkpoint, only the
     #: tail written after it; without, every entry frame on disk.
     replayed: int = 0
-    #: Index of the checkpoint the scan was based on (0 = none).
-    checkpoint_index: int = 0
     #: Newer checkpoint files that failed validation and were skipped.
     checkpoint_torn: int = 0
     #: Document snapshots carried by the checkpoint (name → XML).
@@ -89,7 +98,7 @@ class WalScan:
 
 
 class DurableWal:
-    """Append-only segmented WAL for one peer (a :class:`LogSink`).
+    """Append-only segmented WAL: the disk backend of one peer's log.
 
     ``metrics`` (a :class:`repro.sim.metrics.MetricsCollector`) receives
     ``wal_appends`` / ``wal_bytes`` / ``wal_tombstones`` /
@@ -129,14 +138,13 @@ class DurableWal:
         self.checkpoint_every = checkpoint_every
         self._document_source = document_source
         os.makedirs(directory, exist_ok=True)
-        #: Mirror of the live (not-yet-truncated) entries, for rollover
-        #: and checkpoints.  Includes buffered-but-unflushed entries.
-        self._live: List[LogEntry] = []
-        #: Per-segment byte offset of the durable prefix (set by scans).
-        self._good_offsets: Dict[str, int] = {}
-        #: Group-commit buffer: frames accepted but not yet on disk.
-        self._pending: List[Tuple[str, str]] = []
-        self._pending_entries: List[LogEntry] = []
+        #: The log this backend persists (set by ``OperationLog.attach``)
+        #: — the owner of the live entry set compaction and checkpoints
+        #: read.
+        self.log: Optional[OperationLog] = None
+        #: Group-commit buffer: entries accepted but not yet on disk,
+        #: each with its encoded frame.
+        self._pending: List[Tuple[LogEntry, bytes]] = []
         #: Highest entry seq ever appended (checkpoint header bookkeeping).
         self._last_seq = 0
         #: Highest entry seq durably on disk — the write-ahead high-water
@@ -170,18 +178,16 @@ class DurableWal:
 
     # -- paths ------------------------------------------------------------
 
-    def _segment_name(self, index: int) -> str:
-        return f"wal-{index:06d}.seg"
-
     @staticmethod
     def _segment_index_of(path: str) -> int:
         return int(os.path.basename(path)[4:-4])
 
     def _segment_paths(self) -> List[str]:
+        """This WAL's segments, oldest first; other files are not ours."""
         try:
             names = sorted(
                 n for n in os.listdir(self.directory)
-                if n.startswith("wal-") and n.endswith(".seg")
+                if _SEGMENT_NAME.fullmatch(n)
             )
         except FileNotFoundError:
             return []
@@ -190,7 +196,7 @@ class DurableWal:
     def _open_segment(self, index: int) -> None:
         self._segment_index = index
         self._segment_frames = 0
-        path = os.path.join(self.directory, self._segment_name(index))
+        path = os.path.join(self.directory, f"wal-{index:06d}.seg")
         self._fh = open(path, "ab")
         if self._fh.tell() == 0:
             self._fh.write(f"{MAGIC} {VERSION} {self.peer_id}\n".encode("utf-8"))
@@ -200,23 +206,18 @@ class DurableWal:
         if self.metrics is not None:
             self.metrics.incr(name, amount)
 
-    # -- LogSink ----------------------------------------------------------
+    # -- the log's mutations -----------------------------------------------
 
     def on_append(self, entry: LogEntry) -> None:
-        self._live.append(entry)
         self._last_seq = max(self._last_seq, entry.seq)
         self._incr("wal_appends")
         self._incr("wal_bytes", entry_bytes(entry))
         self._appends_since_ckpt += 1
+        self._pending.append((entry, _encode_frame("E", entry_to_xml(entry))))
         if self.batch_size <= 1:
-            self._write_frame("E", entry_to_xml(entry))
-            self.last_durable_seq = max(self.last_durable_seq, entry.seq)
-            self._maybe_rollover()
-            self._maybe_checkpoint()
-            return
-        self._pending.append(("E", entry_to_xml(entry)))
-        self._pending_entries.append(entry)
-        if len(self._pending) >= self.batch_size:
+            self._flush_pending()
+            self._after_write()
+        elif len(self._pending) >= self.batch_size:
             self.flush()
         elif self._timer is not None:
             self._timer.arm(self.flush_interval)
@@ -224,13 +225,10 @@ class DurableWal:
     def on_truncate(self, txn_id: str) -> None:
         # Barrier: a tombstone must never reach disk before the entries
         # it settles, so any buffered batch flushes first.
-        if self._flush_pending():
-            self._incr("wal_batch_flushes")
-        self._write_frame("T", txn_id)
-        self._live = [e for e in self._live if e.txn_id != txn_id]
+        self._barrier()
+        self._write_frames([_encode_frame("T", txn_id)])
         self._incr("wal_tombstones")
-        self._maybe_rollover()
-        self._maybe_checkpoint()
+        self._after_write()
 
     # -- group commit ------------------------------------------------------
 
@@ -238,42 +236,35 @@ class DurableWal:
         """Write the buffered batch as one multi-frame write; returns
         how many frames were flushed (0 = nothing pending).  This is the
         ``flush_on_prepare`` barrier peers call before message sends."""
+        wrote = self._barrier()
+        if wrote:
+            self._after_write()
+        return wrote
+
+    def _barrier(self) -> int:
         wrote = self._flush_pending()
         if wrote:
             self._incr("wal_batch_flushes")
-            self._maybe_rollover()
-            self._maybe_checkpoint()
         return wrote
 
     def _flush_pending(self) -> int:
-        if not self._pending:
-            return 0
-        if self._fh is None:
-            raise RuntimeError("DurableWal is closed")
-        chunks: List[bytes] = []
-        for kind, payload in self._pending:
-            data = payload.encode("utf-8")
-            chunks.append(f"{kind} {len(data)}\n".encode("ascii"))
-            chunks.append(data)
-            chunks.append(b"\n")
-        self._fh.write(b"".join(chunks))
-        self._fh.flush()
         wrote = len(self._pending)
-        self._segment_frames += wrote
-        if self._pending_entries:
+        if wrote:
+            self._write_frames([frame for _, frame in self._pending])
             self.last_durable_seq = max(
-                self.last_durable_seq,
-                max(e.seq for e in self._pending_entries),
+                self.last_durable_seq, max(e.seq for e, _ in self._pending)
             )
+            self._drop_pending()
+        return wrote
+
+    def _drop_pending(self) -> None:
         self._pending.clear()
-        self._pending_entries.clear()
         if self._timer is not None:
             self._timer.cancel()
-        return wrote
 
     def pending_entries(self) -> List[LogEntry]:
         """Buffered-but-unflushed entries (read-only view)."""
-        return list(self._pending_entries)
+        return [entry for entry, _ in self._pending]
 
     def discard_unflushed(self) -> List[LogEntry]:
         """Crash path: drop the buffered batch *without* writing it.
@@ -283,57 +274,54 @@ class DurableWal:
         log entry never reached disk must not survive the crash either
         (the restarted peer could not compensate it).
         """
-        dropped = list(self._pending_entries)
-        self._pending.clear()
-        self._pending_entries.clear()
-        if self._timer is not None:
-            self._timer.cancel()
+        dropped = self.pending_entries()
+        self._drop_pending()
         if dropped:
-            lost = {e.seq for e in dropped}
-            self._live = [e for e in self._live if e.seq not in lost]
             self._incr("wal_unflushed_discarded", len(dropped))
         return dropped
 
     # -- framing ----------------------------------------------------------
 
-    def _write_frame(self, kind: str, payload: str) -> None:
+    def _write_frames(self, frames: Sequence[bytes]) -> None:
+        """The one physical write: *frames* reach disk together."""
         if self._fh is None:
             raise RuntimeError("DurableWal is closed")
-        data = payload.encode("utf-8")
-        self._fh.write(f"{kind} {len(data)}\n".encode("ascii"))
-        self._fh.write(data)
-        self._fh.write(b"\n")
+        self._fh.write(b"".join(frames))
         self._fh.flush()
-        self._segment_frames += 1
+        self._segment_frames += len(frames)
 
-    def _maybe_rollover(self) -> None:
+    def _after_write(self) -> None:
+        """Compaction policy, consulted after every physical write:
+        checkpoints when enabled, else rollover at the segment cap.
+        Checkpoints subsume rollover compaction — an interleaved
+        compaction could drop a tombstone the checkpoint-plus-tail merge
+        still needs to suppress a checkpointed entry."""
         if self.checkpoint_every > 0:
-            # Checkpoints subsume rollover compaction; an interleaved
-            # compaction could drop a tombstone the checkpoint-plus-tail
-            # merge still needs to suppress a checkpointed entry.
-            return
-        if self._segment_frames < self.segment_max_frames:
-            return
+            if self._appends_since_ckpt >= self.checkpoint_every:
+                self.take_checkpoint()
+        elif self._segment_frames >= self.segment_max_frames:
+            self._compact(self._live_entries())
+            self._incr("wal_compactions")
+
+    def _live_entries(self) -> List[LogEntry]:
+        return list(self.log) if self.log is not None else []
+
+    def _compact(self, entries: Sequence[LogEntry]) -> None:
+        """Rewrite *entries* into a fresh segment numbered past every
+        existing one, then unlink the older segments."""
         old_paths = self._segment_paths()
-        self._fh.close()
-        self._open_segment(self._segment_index + 1)
-        for entry in self._live:
-            self._write_frame("E", entry_to_xml(entry))
-        new_path = os.path.join(
-            self.directory, self._segment_name(self._segment_index)
+        if self._fh is not None:
+            self._fh.close()
+        self._open_segment(
+            self._segment_index_of(old_paths[-1]) + 1 if old_paths else 1
+        )
+        self._write_frames(
+            [_encode_frame("E", entry_to_xml(entry)) for entry in entries]
         )
         for path in old_paths:
-            if path != new_path:
-                os.unlink(path)
-        self._incr("wal_compactions")
+            os.unlink(path)
 
     # -- checkpoints -------------------------------------------------------
-
-    def _maybe_checkpoint(self) -> None:
-        if self.checkpoint_every <= 0:
-            return
-        if self._appends_since_ckpt >= self.checkpoint_every:
-            self.take_checkpoint()
 
     def take_checkpoint(self) -> Optional[Checkpoint]:
         """Publish a checkpoint now and start a fresh tail segment.
@@ -347,8 +335,7 @@ class DurableWal:
         """
         if self._ckpt_store is None:
             return None
-        if self._flush_pending():
-            self._incr("wal_batch_flushes")
+        self._barrier()
         documents = (
             dict(self._document_source())
             if self._document_source is not None else {}
@@ -360,7 +347,7 @@ class DurableWal:
             last_seq=self._last_seq,
             tail_segment=self._segment_index,
             documents=documents,
-            entries=sorted(self._live, key=lambda e: e.seq),
+            entries=self._live_entries(),
         )
         self._ckpt_store.write(checkpoint)
         for path in self._segment_paths():
@@ -398,27 +385,21 @@ class DurableWal:
                 by_seq[entry.seq] = entry
         floor = checkpoint.tail_segment if checkpoint is not None else 0
         torn = False
-        frames = 0
         replayed = 0
         for path in self._segment_paths():
             if self._segment_index_of(path) < floor:
                 continue
-            seg_frames, seg_torn, seg_entries = self._scan_segment(
-                path, by_seq
-            )
-            frames += seg_frames
+            seg_torn, seg_entries = self._scan_segment(path, by_seq)
             torn = torn or seg_torn
             replayed += seg_entries
         if include_pending:
-            for entry in self._pending_entries:
+            for entry, _ in self._pending:
                 by_seq[entry.seq] = entry
         live = [e for _, e in sorted(by_seq.items())]
         return WalScan(
             entries=live,
             torn=torn,
-            frames=frames,
             replayed=replayed,
-            checkpoint_index=checkpoint.index if checkpoint is not None else 0,
             checkpoint_torn=ckpt_torn,
             documents=dict(checkpoint.documents) if checkpoint is not None else {},
         )
@@ -433,74 +414,44 @@ class DurableWal:
         "dead txn id" scan would wrongly drop them (losing the retry's
         share at restart).
 
-        Returns ``(good_frames, torn, entry_frames)``; as a side effect
-        records the byte offset of the durable prefix in
-        ``self._good_offsets``.
+        Returns ``(torn, entry_frames)``.
         """
         with open(path, "rb") as fh:
             blob = fh.read()
         newline = blob.find(b"\n")
-        header_ok = newline >= 0 and blob[:newline].decode(
-            "utf-8", "replace"
-        ).startswith(f"{MAGIC} {VERSION}")
-        if not header_ok:
-            self._good_offsets[path] = 0
-            return 0, True, 0
+        header = (
+            blob[:newline].decode("utf-8", "replace").split(" ")
+            if newline >= 0 else []
+        )
+        if header[:2] != [MAGIC, str(VERSION)]:
+            return True, 0
         pos = newline + 1
-        good = pos
-        frames = 0
         entry_frames = 0
-        torn = False
         last_seq = 0
         while pos < len(blob):
-            frame = self._read_frame(blob, pos)
+            frame = _read_frame(blob, pos)
             if frame is None:
-                torn = True
-                break
-            kind, payload, pos = frame
-            if kind == "E":
+                return True, entry_frames
+            kind, name, payload, pos = frame
+            if kind == "E" and name is None:
                 try:
                     entry = entry_from_xml(payload)
                 except Exception:
-                    torn = True
-                    break
+                    return True, entry_frames
                 if entry.seq <= last_seq:
                     # Seq regression: a stale tail from before a crash.
-                    torn = True
-                    break
+                    return True, entry_frames
                 last_seq = entry.seq
                 by_seq[entry.seq] = entry
                 entry_frames += 1
-            elif kind == "T":
+            elif kind == "T" and name is None:
                 for seq in [
                     s for s, e in by_seq.items() if e.txn_id == payload
                 ]:
                     del by_seq[seq]
             else:
-                torn = True
-                break
-            good = pos
-            frames += 1
-        self._good_offsets[path] = good
-        return frames, torn, entry_frames
-
-    @staticmethod
-    def _read_frame(blob: bytes, pos: int):
-        newline = blob.find(b"\n", pos)
-        if newline < 0:
-            return None
-        header = blob[pos:newline].decode("utf-8", "replace").split(" ")
-        if len(header) != 2 or header[0] not in ("E", "T"):
-            return None
-        try:
-            length = int(header[1])
-        except ValueError:
-            return None
-        start = newline + 1
-        end = start + length
-        if end + 1 > len(blob) or blob[end:end + 1] != b"\n":
-            return None
-        return header[0], blob[start:end].decode("utf-8"), end + 1
+                return True, entry_frames
+        return False, entry_frames
 
     # -- restart ----------------------------------------------------------
 
@@ -508,7 +459,7 @@ class DurableWal:
         """Restart path: recover from checkpoint + tail (or a full scan
         without checkpoints), discard any torn tail, and compact the
         durable live entries into a fresh segment.  Returns the live
-        entries (sorted by seq) for the peer to rebuild its log from;
+        entries (sorted by seq) for the attached log to adopt;
         the full scan — including recovered document snapshots — stays
         available as :attr:`last_recovery`.
 
@@ -519,28 +470,17 @@ class DurableWal:
         compaction (their watermarks point at deleted segments); the
         index keeps counting monotonically.
         """
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        self._good_offsets = {}
         # A reload models a restart: the buffered batch is volatile.
-        self._pending.clear()
-        self._pending_entries.clear()
-        if self._timer is not None:
-            self._timer.cancel()
+        self._drop_pending()
         scan = self.load()
         if scan.torn:
             self._incr("wal_torn_tails")
         if scan.checkpoint_torn:
             self._incr("checkpoints_torn", scan.checkpoint_torn)
         self._incr("recovery_replay_entries", scan.replayed)
-        self._live = list(scan.entries)
-        self._last_seq = max(
-            [e.seq for e in self._live], default=self._last_seq
-        )
-        self.last_durable_seq = max(
-            [e.seq for e in self._live], default=0
-        )
+        seqs = [e.seq for e in scan.entries]
+        self._last_seq = max(seqs, default=self._last_seq)
+        self.last_durable_seq = max(seqs, default=0)
         if self._ckpt_store is not None:
             self._ckpt_index = max(
                 self._ckpt_index, self._ckpt_store.latest_index()
@@ -548,22 +488,10 @@ class DurableWal:
             self._ckpt_store.delete_all()
         self._prev_tail = 0
         self._appends_since_ckpt = 0
-        old_paths = self._segment_paths()
-        last_index = (
-            self._segment_index_of(old_paths[-1]) if old_paths else 0
-        )
-        self._open_segment(last_index + 1)
-        for entry in self._live:
-            self._write_frame("E", entry_to_xml(entry))
-        new_path = os.path.join(
-            self.directory, self._segment_name(self._segment_index)
-        )
-        for path in old_paths:
-            if path != new_path:
-                os.unlink(path)
+        self._compact(scan.entries)
         self._incr("wal_reloads")
         self.last_recovery = scan
-        return list(self._live)
+        return list(scan.entries)
 
     # -- lifecycle --------------------------------------------------------
 

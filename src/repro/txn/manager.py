@@ -18,6 +18,7 @@ from repro.errors import TransactionError
 from repro.query.ast import UpdateAction
 from repro.query.update import ChangeRecord
 from repro.txn.compensation import CompensationPlan
+from repro.txn.modes import RejoinMode
 from repro.txn.operations import (
     OperationOutcome,
     TransactionalOperation,
@@ -26,7 +27,7 @@ from repro.txn.operations import (
 )
 from repro.txn.transaction import Transaction, TransactionContext, TransactionState
 from repro.txn.wal import OperationLog
-from repro.xmlstore.path import TraversalMeter
+from repro.xmlstore.path import NULL_METER, TraversalMeter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.spans import SpanCollector
@@ -209,13 +210,9 @@ class TransactionManager:
             self.validator.abort(txn_id)
         context.transition(TransactionState.COMPENSATING)
         meter = meter or TraversalMeter()
-        executed = 0
         plans = build_compensation(self.log, txn_id, self.ordered_compensation)
         with self._span(f"compensate:{txn_id}", txn_id, plans=str(len(plans))):
-            for plan in plans:
-                document = self._document_provider(plan.document_name).document
-                plan.execute(document, meter)
-                executed += len(plan)
+            executed = self._run_plans(plans, meter)
         self.compensation_cost += meter.nodes_traversed
         context.transition(TransactionState.ABORTED)
         self.log.truncate(txn_id)
@@ -253,17 +250,13 @@ class TransactionManager:
             return 0
         survivors = [e for e in entries if e.seq <= after_seq]
         meter = meter or TraversalMeter()
-        executed = 0
         plans = build_compensation_for_entries(
             list(reversed(tail)), self.ordered_compensation
         )
         with self._span(
             f"compensate_tail:{txn_id}", txn_id, plans=str(len(plans))
         ):
-            for plan in plans:
-                document = self._document_provider(plan.document_name).document
-                plan.execute(document, meter)
-                executed += len(plan)
+            executed = self._run_plans(plans, meter)
         self.compensation_cost += meter.nodes_traversed
         self.log.truncate(txn_id)
         context.log_seqs = []
@@ -279,22 +272,71 @@ class TransactionManager:
             context.log_seqs.append(replayed.seq)
         return executed
 
-    def mark_aborted_without_compensation(self, txn_id: str) -> None:
-        """Abandon a context without compensating (a *dead* peer's state).
+    def _run_plans(
+        self, plans: Sequence[CompensationPlan], meter: TraversalMeter = NULL_METER
+    ) -> int:
+        """Execute *plans* against the hosted documents, in order;
+        returns the number of compensating actions executed."""
+        executed = 0
+        for plan in plans:
+            document = self._document_provider(plan.document_name).document
+            plan.execute(document, meter)
+            executed += len(plan)
+        return executed
 
-        Used when the peer has disconnected: its modifications become
-        unreachable garbage exactly as the paper warns (§3.3's atomicity
-        discussion) — unless peer-independent compensation lets someone
-        else clean up.
+    # -- crash / restart -------------------------------------------------------------
+
+    def crash(self) -> None:
+        """Process death: contexts and the in-memory log are lost.
+
+        With group commit, entries still in the WAL's batch buffer die
+        with the process.  Their document effects must die too — the
+        restarted log has no record to compensate them from — so they
+        are undone here (the write-ahead rule, enforced late).  Safe
+        because the ``flush_on_prepare`` barrier guarantees an unflushed
+        entry belongs to a share whose result was never handed off: the
+        invoker saw this crash as a failed invocation, so no other peer
+        depends on the effect.
         """
-        context = self.context(txn_id)
-        if context.is_finished:
-            return
-        if self.validator is not None:
-            self.validator.abort(txn_id)
-        if context.state is TransactionState.ACTIVE:
-            context.transition(TransactionState.COMPENSATING)
-        context.transition(TransactionState.ABORTED)
+        self.contexts.clear()
+        unflushed = self.log.crash()
+        for txn_id in sorted({e.txn_id for e in unflushed}):
+            self._run_plans(build_compensation_for_entries(
+                [e for e in reversed(unflushed) if e.txn_id == txn_id],
+                self.ordered_compensation,
+            ))
+
+    def recover(
+        self, mode: RejoinMode, restore_store: Optional[Callable[[], None]] = None
+    ) -> int:
+        """Restart: refill the log (:meth:`OperationLog.recover` — from
+        disk when durable) and give every recovered share a context.
+
+        * :attr:`RejoinMode.IN_DOUBT` leaves those contexts ``ACTIVE``
+          for a later decision (``AXMLPeer.resolve_in_doubt``);
+        * :attr:`RejoinMode.COMPENSATE` aborts every active share right
+          away — recovered ones and volatile contexts that never logged.
+
+        *restore_store* runs between the two steps: what the disk read
+        brought back besides entries (checkpointed documents) must be in
+        place before any share is compensated against it.
+
+        Returns the number of shares rebuilt (``IN_DOUBT``) or
+        compensated (``COMPENSATE``).
+        """
+        self.log.recover()
+        if restore_store is not None:
+            restore_store()
+        txn_ids = sorted({entry.txn_id for entry in self.log})
+        for txn_id in txn_ids:
+            context = self.begin(Transaction(txn_id, self.peer_id))
+            context.log_seqs = [e.seq for e in self.log.entries_for(txn_id)]
+        if mode is RejoinMode.IN_DOUBT:
+            return len(txn_ids)
+        pending = self.active_transactions()
+        for txn_id in pending:
+            self.abort_local(txn_id)
+        return len(pending)
 
     # -- peer-independent compensation (§3.2) --------------------------------------
 

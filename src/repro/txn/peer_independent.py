@@ -88,7 +88,7 @@ def dispatch_ledger(
     failures — the atomicity gap the spheres analysis predicts.
     """
     outcome = RecoveryOutcome()
-    replication = getattr(network, "replication", None)
+    replication = network.replication
     for provider, plan_xml in reversed(ledger.entries):
         message = CompensationRequest(ledger.txn_id, plan_xml, recovering_peer)
         if network.notify(recovering_peer, provider, message):

@@ -6,21 +6,28 @@ possible: "the delete operations as well as the results of the
 operations log the returned node ids, and query operations log the
 change records of every service-call materialization they triggered.
 
-The log is append-only.  It lives in memory, round-trips through a text
-form (:meth:`OperationLog.to_text` / :meth:`OperationLog.from_text`),
-and can be made crash-durable by attaching a :class:`LogSink` — see
-:mod:`repro.txn.durable_wal`, which streams every entry to disk at
-append time so a peer that dies mid-transaction can rebuild its log on
-restart and compensate from it (``AXMLPeer.rejoin``).
+The log is append-only and is the *only* owner of the live entry set.
+It lives in memory and becomes crash-durable by attaching a
+:class:`~repro.txn.durable_wal.DurableWal` (:meth:`OperationLog.attach`):
+every append and truncate is streamed to that disk backend, and the log
+carries its own death and rebirth — :meth:`OperationLog.crash` drops the
+volatile entries, :meth:`OperationLog.recover` refills the same object
+from disk — so a peer that dies mid-transaction compensates from it on
+restart (``TransactionManager.recover``).  Each entry has one persisted
+form, :func:`entry_to_xml`, shared by WAL segments, checkpoints and
+replication ships.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.query.update import ChangeRecord
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.txn.durable_wal import DurableWal
 
 
 @dataclass
@@ -52,20 +59,6 @@ class LogEntry:
         return bool(self.records)
 
 
-class LogSink(Protocol):
-    """Persistence hook: observes the log's mutations as they happen.
-
-    ``on_append`` runs *after* the entry joined the in-memory log;
-    ``on_truncate`` runs after a finished transaction's entries were
-    dropped.  :class:`repro.txn.durable_wal.DurableWal` implements this
-    protocol with an on-disk segment file.
-    """
-
-    def on_append(self, entry: LogEntry) -> None: ...
-
-    def on_truncate(self, txn_id: str) -> None: ...
-
-
 class OperationLog:
     """Append-only operation log of one peer."""
 
@@ -73,8 +66,20 @@ class OperationLog:
         self.peer_id = peer_id
         self._entries: List[LogEntry] = []
         self._seq = itertools.count(1)
-        #: Optional durability sink (see :class:`LogSink`).
-        self.sink: Optional[LogSink] = None
+        #: Optional disk backend (see :meth:`attach`); ``None`` = in-memory.
+        self._wal: Optional["DurableWal"] = None
+
+    def attach(self, wal: "DurableWal") -> None:
+        """Make the log crash-durable through *wal*.
+
+        From now on every append/truncate is streamed to the backend
+        (``on_append`` runs *after* the entry joined the log,
+        ``on_truncate`` after a finished transaction's entries were
+        dropped), and the backend reads the live entry set back from
+        this log whenever it compacts or checkpoints.
+        """
+        self._wal = wal
+        wal.log = self
 
     def append(
         self,
@@ -96,8 +101,8 @@ class OperationLog:
             timestamp=timestamp,
         )
         self._entries.append(entry)
-        if self.sink is not None:
-            self.sink.on_append(entry)
+        if self._wal is not None:
+            self._wal.on_append(entry)
         return entry
 
     # -- reading ----------------------------------------------------------
@@ -140,8 +145,8 @@ class OperationLog:
         before = len(self._entries)
         self._entries = [e for e in self._entries if e.txn_id != txn_id]
         removed = before - len(self._entries)
-        if removed and self.sink is not None:
-            self.sink.on_truncate(txn_id)
+        if removed and self._wal is not None:
+            self._wal.on_truncate(txn_id)
         return removed
 
     # -- diagnostics --------------------------------------------------------------
@@ -167,48 +172,29 @@ class OperationLog:
             )
         return "\n".join(lines)
 
-    # -- persistence ---------------------------------------------------------
+    # -- crash / restart ------------------------------------------------------
 
-    def to_text(self) -> str:
-        """Serialize the full log as an XML document.
+    def crash(self) -> List[LogEntry]:
+        """Process death: the in-memory entries are gone and the disk
+        backend (if any) is closed.
 
-        Together with :meth:`from_text` this gives peers a restart
-        story: a peer that went down with in-flight transactions can
-        reload its log and compensate them on rejoin (see
-        ``AXMLPeer.rejoin``).  The encoding dogfoods the library's own
-        XML layer.
+        Returns the entries whose frames never reached disk (the
+        group-commit buffer): the restarted log will not know them, so
+        the caller must undo their document effects.
         """
-        from repro.xmlstore.nodes import Document
-        from repro.xmlstore.serializer import serialize
+        unflushed: List[LogEntry] = []
+        if self._wal is not None:
+            unflushed = self._wal.discard_unflushed()
+            self._wal.close()
+        self._adopt(())
+        return unflushed
 
-        doc = Document("log")
-        root = doc.create_root("log")
-        root.attributes["peer"] = self.peer_id
-        for entry in self._entries:
-            entry_el = root.new_element("entry", _entry_attrs(entry))
-            _fill_entry_element(entry_el, entry)
-        return serialize(doc)
-
-    @classmethod
-    def from_text(cls, text: str) -> "OperationLog":
-        """Restore a log serialized by :meth:`to_text`.
-
-        Entries are re-ordered by ``seq`` — ``undo_entries`` must
-        compensate in true reverse execution order even when the text
-        was merged or reordered in transit — and duplicate seqs are
-        rejected (two entries claiming the same position cannot both be
-        replayed).
-        """
-        from repro.xmlstore.parser import parse_document
-
-        doc = parse_document(text, name="log")
-        entries = [
-            _entry_from_element(entry_el)
-            for entry_el in doc.root.find_children("entry")
-        ]
-        return cls.from_entries(
-            doc.root.attributes.get("peer", ""), entries
-        )
+    def recover(self) -> None:
+        """Restart: refill this log in place — from disk when durable
+        (:meth:`repro.txn.durable_wal.DurableWal.reload`); an in-memory
+        log simply keeps whatever entries survived."""
+        if self._wal is not None:
+            self._adopt(self._wal.reload())
 
     @classmethod
     def from_entries(
@@ -217,56 +203,28 @@ class OperationLog:
         """A log adopting *entries* (sorted by seq, duplicates rejected),
         with ``append`` continuing after the highest adopted seq."""
         log = cls(peer_id)
-        ordered = sorted(entries, key=lambda e: e.seq)
-        seen = set()
-        for entry in ordered:
-            if entry.seq in seen:
-                raise ValueError(
-                    f"duplicate log seq {entry.seq} in restored log"
-                )
-            seen.add(entry.seq)
-        log._entries = list(ordered)
-        max_seq = ordered[-1].seq if ordered else 0
-        log._seq = itertools.count(max_seq + 1)
+        log._adopt(entries)
         return log
 
+    def _adopt(self, entries: Sequence[LogEntry]) -> None:
+        """Replace the live set.  Entries are re-ordered by ``seq`` —
+        ``undo_entries`` must compensate in true reverse execution order
+        even when they arrive merged or reordered — and duplicate seqs
+        are rejected (two entries claiming the same position cannot both
+        be replayed)."""
+        ordered = sorted(entries, key=lambda e: e.seq)
+        for earlier, later in zip(ordered, ordered[1:]):
+            if earlier.seq == later.seq:
+                raise ValueError(
+                    f"duplicate log seq {later.seq} in restored log"
+                )
+        self._entries = ordered
+        self._seq = itertools.count(ordered[-1].seq + 1 if ordered else 1)
+
 
 # ---------------------------------------------------------------------------
-# single-entry XML codec (shared by to_text/from_text and the durable WAL)
+# the one persisted form of an entry (WAL segments, checkpoints, ships)
 # ---------------------------------------------------------------------------
-
-def _entry_attrs(entry: LogEntry) -> dict:
-    return {
-        "seq": str(entry.seq),
-        "txn": entry.txn_id,
-        "kind": entry.kind,
-        "document": entry.document_name,
-        "timestamp": repr(entry.timestamp),
-    }
-
-
-def _fill_entry_element(entry_el, entry: LogEntry) -> None:
-    entry_el.new_element("forward").new_text(entry.action_xml)
-    for record in entry.records:
-        _record_to_element(entry_el, record)
-
-
-def _entry_from_element(entry_el) -> LogEntry:
-    forward_el = entry_el.first_child("forward")
-    records = [
-        _record_from_element(rec_el)
-        for rec_el in entry_el.find_children("record")
-    ]
-    return LogEntry(
-        seq=int(entry_el.attributes["seq"]),
-        txn_id=entry_el.attributes["txn"],
-        kind=entry_el.attributes["kind"],
-        document_name=entry_el.attributes["document"],
-        action_xml=forward_el.text_content() if forward_el is not None else "",
-        records=records,
-        timestamp=float(entry_el.attributes.get("timestamp", "0")),
-    )
-
 
 def entry_to_xml(entry: LogEntry) -> str:
     """One entry as a self-contained XML document (durable-WAL framing).
@@ -288,8 +246,16 @@ def entry_to_xml(entry: LogEntry) -> str:
         return entry._xml_cache
     doc = Document("entry")
     root = doc.create_root("entry")
-    root.attributes.update(_entry_attrs(entry))
-    _fill_entry_element(root, entry)
+    root.attributes.update({
+        "seq": str(entry.seq),
+        "txn": entry.txn_id,
+        "kind": entry.kind,
+        "document": entry.document_name,
+        "timestamp": repr(entry.timestamp),
+    })
+    root.new_element("forward").new_text(entry.action_xml)
+    for record in entry.records:
+        _record_to_element(root, record)
     text = serialize(doc)
     if use_cache:
         PROF.incr("entry_codec_misses")
@@ -301,8 +267,57 @@ def entry_from_xml(text: str) -> LogEntry:
     """Decode one entry serialized by :func:`entry_to_xml`."""
     from repro.xmlstore.parser import parse_document
 
-    doc = parse_document(text, name="entry")
-    return _entry_from_element(doc.root)
+    root = parse_document(text, name="entry").root
+    forward_el = root.first_child("forward")
+    return LogEntry(
+        seq=int(root.attributes["seq"]),
+        txn_id=root.attributes["txn"],
+        kind=root.attributes["kind"],
+        document_name=root.attributes["document"],
+        action_xml=forward_el.text_content() if forward_el is not None else "",
+        records=[
+            _record_from_element(rec_el)
+            for rec_el in root.find_children("record")
+        ],
+        timestamp=float(root.attributes.get("timestamp", "0")),
+    )
+
+
+# ---------------------------------------------------------------------------
+# on-disk framing: ``<kind> <payload-bytes>[ <name>]\n<payload>\n``
+# (WAL segments and checkpoint files share it)
+# ---------------------------------------------------------------------------
+
+def _encode_frame(kind: str, payload: str, name: Optional[str] = None) -> bytes:
+    """One self-delimiting frame; *name* is the optional third header
+    field (the document name of a checkpoint ``D`` frame)."""
+    data = payload.encode("utf-8")
+    header = f"{kind} {len(data)}" if name is None else f"{kind} {len(data)} {name}"
+    return header.encode("utf-8") + b"\n" + data + b"\n"
+
+
+def _read_frame(
+    blob: bytes, pos: int
+) -> Optional[Tuple[str, Optional[str], str, int]]:
+    """Decode the frame starting at *pos* of *blob*.
+
+    Returns ``(kind, name, payload, next_pos)``, or ``None`` when the
+    frame is torn: no header line, a malformed header, a payload shorter
+    than declared, a missing terminator, or bytes that are not UTF-8.
+    """
+    newline = blob.find(b"\n", pos)
+    if newline < 0:
+        return None
+    start = newline + 1
+    try:
+        kind, length, *name = blob[pos:newline].decode("utf-8").split(" ")
+        end = start + int(length)
+        if len(name) > 1 or end < start or blob[end:end + 1] != b"\n":
+            return None
+        payload = blob[start:end].decode("utf-8")
+    except ValueError:  # too few fields, bad length, undecodable bytes
+        return None
+    return kind, (name[0] if name else None), payload, end + 1
 
 
 def entry_bytes(entry: LogEntry) -> int:

@@ -193,6 +193,21 @@ class TestWalCheckpointing:
         assert worker.get_axml_document("D").to_xml() == expected
 
 
+    def test_lost_document_is_restored_before_compensation(self, tmp_path):
+        """COMPENSATE-mode restart: the checkpoint snapshot must be back
+        in place *before* the recovered share is compensated against it."""
+        network, origin, worker = durable_world(tmp_path, checkpoint_every=2)
+        for i in range(4):
+            commit_one(origin, f"c{i}")
+        txn = origin.begin_transaction()
+        origin.invoke(txn.txn_id, "Worker", "book", {"c": "inflight"})
+        worker.crash()
+        del worker.documents["D"]
+        assert worker.rejoin(mode=RejoinMode.COMPENSATE) == 1
+        restored = worker.get_axml_document("D").to_xml()
+        assert restored.count("<slot c=") == 4 and "inflight" not in restored
+
+
 class TestGroupCommit:
     def test_appends_buffer_until_commit_barrier(self, tmp_path):
         network, origin, worker = durable_world(

@@ -6,7 +6,14 @@ import pytest
 
 from repro.sim.kernel import ScratchSpace
 from repro.txn.durable_wal import DurableWal
-from repro.txn.wal import LogEntry, OperationLog, entry_from_xml, entry_to_xml
+from repro.txn.wal import (
+    LogEntry,
+    OperationLog,
+    entry_from_xml,
+    entry_to_xml,
+    _encode_frame,
+    _read_frame,
+)
 
 
 def make_entry(seq, txn_id="T1", action="<a/>"):
@@ -31,7 +38,7 @@ class TestAppendAndLoad:
     def test_append_load_roundtrip(self, tmp_path):
         wal = DurableWal(str(tmp_path), peer_id="P1")
         log = OperationLog("P1")
-        log.sink = wal
+        log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
         log.append("T2", "update", "D", "<b/>")
         scan = wal.load()
@@ -42,7 +49,7 @@ class TestAppendAndLoad:
     def test_tombstone_filters_truncated_txn(self, tmp_path):
         wal = DurableWal(str(tmp_path), peer_id="P1")
         log = OperationLog("P1")
-        log.sink = wal
+        log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
         log.append("T2", "update", "D", "<b/>")
         log.truncate("T1")
@@ -58,7 +65,7 @@ class TestAppendAndLoad:
         # must recover the retry's share.
         wal = DurableWal(str(tmp_path), peer_id="P1")
         log = OperationLog("P1")
-        log.sink = wal
+        log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
         log.truncate("T1")
         retried = log.append("T1", "update", "D", "<b/>")
@@ -74,13 +81,13 @@ class TestAppendAndLoad:
     def test_restart_adopts_directory(self, tmp_path):
         wal = DurableWal(str(tmp_path), peer_id="P1")
         log = OperationLog("P1")
-        log.sink = wal
+        log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
         wal.close()
         reopened = DurableWal(str(tmp_path), peer_id="P1")
         restored = OperationLog.from_entries("P1", reopened.load().entries)
         assert len(restored) == 1
-        restored.sink = reopened
+        restored.attach(reopened)
         entry = restored.append("T2", "update", "D", "<b/>")
         assert entry.seq == 2
         assert len(reopened.load().entries) == 2
@@ -101,7 +108,7 @@ class TestTornTail:
     def _wal_with_entries(self, tmp_path, count=3):
         wal = DurableWal(str(tmp_path), peer_id="P1")
         log = OperationLog("P1")
-        log.sink = wal
+        log.attach(wal)
         for i in range(count):
             log.append("T1", "update", "D", f"<a i='{i}'/>")
         return wal
@@ -130,7 +137,7 @@ class TestTornTail:
     def test_seq_regression_is_a_torn_tail(self, tmp_path):
         wal = self._wal_with_entries(tmp_path, count=2)
         # Hand-forge a stale frame whose seq goes backwards.
-        wal._write_frame("E", entry_to_xml(make_entry(1, txn_id="T9")))
+        wal._write_frames([_encode_frame("E", entry_to_xml(make_entry(1, txn_id="T9")))])
         scan = wal.load()
         assert scan.torn
         assert [(e.seq, e.txn_id) for e in scan.entries] == [
@@ -145,7 +152,7 @@ class TestTornTail:
         seg.write_bytes(seg.read_bytes()[:-5])
         wal2 = DurableWal(str(tmp_path), peer_id="P1")
         log = OperationLog.from_entries("P1", wal2.load().entries)
-        log.sink = wal2
+        log.attach(wal2)
         log.append("T2", "update", "D", "<b/>")
         scan = wal2.load()
         assert not scan.torn
@@ -153,11 +160,89 @@ class TestTornTail:
         wal2.close()
 
 
+class TestHostileDirectory:
+    """Corrupt or foreign files in the WAL directory never crash a
+    restart: undecodable frames are a torn tail, files that are not this
+    WAL's segments/checkpoints are ignored, unknown versions rejected."""
+
+    def _three_entries(self, tmp_path, **wal_kwargs):
+        wal = DurableWal(str(tmp_path), peer_id="P1", **wal_kwargs)
+        log = OperationLog("P1")
+        log.attach(wal)
+        for i in range(3):
+            log.append("T1", "update", "D", f"<a i='{i}'/>")
+        wal.close()
+        return tmp_path / segment_files(tmp_path)[-1]
+
+    def test_undecodable_payload_is_a_torn_tail(self, tmp_path):
+        from repro.sim.metrics import MetricsCollector
+
+        seg = self._three_entries(tmp_path)
+        data = bytearray(seg.read_bytes())
+        data[-10] = 0xFF  # inside the last frame's payload: not UTF-8
+        seg.write_bytes(bytes(data))
+        metrics = MetricsCollector()
+        wal = DurableWal(str(tmp_path), peer_id="P1", metrics=metrics)
+        assert [e.seq for e in wal.last_recovery.entries] == [1, 2]
+        assert metrics.get("wal_torn_tails") == 1
+        assert [e.seq for e in wal.reload()] == [1, 2]
+        wal.close()
+
+    @pytest.mark.parametrize("stray", ["wal-backup.seg", "wal-1.seg", "wal-0000001.seg"])
+    def test_foreign_segment_names_are_ignored(self, tmp_path, stray):
+        self._three_entries(tmp_path)
+        (tmp_path / stray).write_bytes(b"not ours\n")
+        wal = DurableWal(str(tmp_path), peer_id="P1")
+        assert [e.seq for e in wal.load().entries] == [1, 2, 3]
+        assert (tmp_path / stray).read_bytes() == b"not ours\n"
+        wal.close()
+
+    def test_foreign_checkpoint_names_are_ignored(self, tmp_path):
+        self._three_entries(tmp_path, checkpoint_every=2)
+        (tmp_path / "ckpt-backup.ckpt").write_bytes(b"not ours\n")
+        wal = DurableWal(str(tmp_path), peer_id="P1", checkpoint_every=2)
+        assert [e.seq for e in wal.load().entries] == [1, 2, 3]
+        assert (tmp_path / "ckpt-backup.ckpt").exists()
+        wal.close()
+
+    @pytest.mark.parametrize("header", [b"AXMLWAL 10 P1", b"AXMLWAL 1x P1", b"AXMLWALL 1 P1"])
+    def test_header_version_is_compared_as_a_field(self, tmp_path, header):
+        seg = self._three_entries(tmp_path)
+        data = seg.read_bytes()
+        assert data.startswith(b"AXMLWAL 1 P1\n")
+        seg.write_bytes(header + data[data.index(b"\n"):])
+        wal = DurableWal(str(tmp_path), peer_id="P1")
+        assert wal.last_recovery.torn and wal.last_recovery.entries == []
+        wal.close()
+
+
+class TestFrameCodec:
+    def test_roundtrip_with_and_without_name(self):
+        blob = _encode_frame("E", "päyload") + _encode_frame("D", "<d/>", "doc")
+        kind, name, payload, pos = _read_frame(blob, 0)
+        assert (kind, name, payload) == ("E", None, "päyload")
+        assert _read_frame(blob, pos) == ("D", "doc", "<d/>", len(blob))
+
+    @pytest.mark.parametrize("blob", [
+        b"E 3\nab",            # short payload
+        b"E 3\nabcX",          # missing terminator
+        b"E\nabc\n",           # no length field
+        b"E x\nabc\n",         # non-numeric length
+        b"E -1\n\n",           # negative length
+        b"E 3 a b\nabc\n",     # too many header fields
+        b"E 3\na\xffc\n",      # undecodable payload
+        b"\xff 3\nabc\n",      # undecodable header
+        b"E 3",                # no header line at all
+    ])
+    def test_torn_frames_read_as_none(self, blob):
+        assert _read_frame(blob, 0) is None
+
+
 class TestRolloverCompaction:
     def test_rollover_drops_tombstoned_frames(self, tmp_path):
         wal = DurableWal(str(tmp_path), peer_id="P1", segment_max_frames=4)
         log = OperationLog("P1")
-        log.sink = wal
+        log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
         log.append("T1", "update", "D", "<b/>")
         log.append("T2", "update", "D", "<c/>")
@@ -171,7 +256,7 @@ class TestRolloverCompaction:
     def test_restart_after_rollover(self, tmp_path):
         wal = DurableWal(str(tmp_path), peer_id="P1", segment_max_frames=4)
         log = OperationLog("P1")
-        log.sink = wal
+        log.attach(wal)
         for i in range(6):
             log.append(f"T{i}", "update", "D", "<a/>")
         wal.close()
@@ -187,7 +272,7 @@ class TestRolloverCompaction:
             str(tmp_path), peer_id="P1", metrics=metrics, segment_max_frames=4
         )
         log = OperationLog("P1")
-        log.sink = wal
+        log.attach(wal)
         for _ in range(3):
             log.append("T1", "update", "D", "<a/>")
         log.truncate("T1")
@@ -204,7 +289,7 @@ class TestRolloverCompaction:
         metrics = MetricsCollector()
         wal = DurableWal(str(tmp_path), peer_id="P1", metrics=metrics)
         log = OperationLog("P1")
-        log.sink = wal
+        log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
         log.append("T1", "update", "D", "<bb/>")
         assert metrics.get("wal_bytes") == sum(entry_bytes(e) for e in log)

@@ -258,22 +258,6 @@ class TestTransactionManager:
         assert executed == 2
         assert canonical(axml_doc.document) == pre
 
-    def test_mark_aborted_without_compensation(self, axml_doc):
-        manager = self._manager(axml_doc)
-        txn = Transaction.begin("AP1")
-        manager.begin(txn)
-        manager.execute(
-            txn.txn_id,
-            parse_action(
-                '<action type="insert"><data><tag/></data><location>Select i from '
-                "i in Shop//item;</location></action>"
-            ),
-            "Shop",
-        )
-        manager.mark_aborted_without_compensation(txn.txn_id)
-        # The garbage insert is still there: the dead-peer hazard.
-        assert "tag" in canonical(axml_doc.document)
-
     def test_active_transactions(self, axml_doc):
         manager = self._manager(axml_doc)
         t1, t2 = Transaction.begin("AP1"), Transaction.begin("AP1")

@@ -1,4 +1,4 @@
-"""Tests for log persistence and peer rejoin recovery."""
+"""Tests for the per-entry log codec, log adoption and peer rejoin."""
 
 import pytest
 
@@ -9,8 +9,17 @@ from repro.query.parser import parse_action
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.operations import TransactionalOperation, build_compensation
-from repro.txn.wal import OperationLog
+from repro.txn.wal import OperationLog, entry_from_xml, entry_to_xml
 from repro.xmlstore.serializer import canonical
+
+
+def restart(log):
+    """What a restart sees: each entry through the one persisted form
+    (:func:`entry_to_xml`, as in WAL segments and checkpoints), adopted
+    by a fresh log."""
+    return OperationLog.from_entries(
+        log.peer_id, [entry_from_xml(entry_to_xml(entry)) for entry in log]
+    )
 
 
 def populate_log(axml):
@@ -38,7 +47,7 @@ def shop():
 class TestLogSerialization:
     def test_roundtrip_structure(self, shop):
         log = populate_log(shop)
-        restored = OperationLog.from_text(log.to_text())
+        restored = restart(log)
         assert restored.peer_id == "P1"
         assert len(restored) == len(log)
         for original, copy in zip(log, restored):
@@ -53,7 +62,7 @@ class TestLogSerialization:
 
     def test_restored_records_carry_snapshots(self, shop):
         log = populate_log(shop)
-        restored = OperationLog.from_text(log.to_text())
+        restored = restart(log)
         delete_entry = restored.entries_for("T1")[2]
         assert "stock" in delete_entry.records[0].snapshot_xml
 
@@ -66,27 +75,27 @@ class TestLogSerialization:
         pre = canonical(fresh.document)
         # Run the ops on *fresh*, persist the log, restore, compensate.
         log = populate_log(fresh)
-        restored = OperationLog.from_text(log.to_text())
+        restored = restart(log)
         for plan in build_compensation(restored, "T1"):
             plan.execute(fresh.document)
         assert canonical(fresh.document) == pre
 
     def test_seq_continues_after_restore(self, shop):
         log = populate_log(shop)
-        restored = OperationLog.from_text(log.to_text())
+        restored = restart(log)
         entry = restored.append("T2", "update", "Shop", "<a/>")
         assert entry.seq == len(log) + 1
 
     def test_empty_log_roundtrip(self):
         log = OperationLog("P")
-        restored = OperationLog.from_text(log.to_text())
+        restored = restart(log)
         assert len(restored) == 0
 
     def test_zero_record_entry_roundtrip(self):
         log = OperationLog("P")
         log.append("T1", "query", "Shop", "<query>Select i;</query>",
                    records=(), timestamp=1.25)
-        restored = OperationLog.from_text(log.to_text())
+        restored = restart(log)
         entry = restored.entries_for("T1")[0]
         assert entry.records == []
         assert entry.action_xml == "<query>Select i;</query>"
@@ -103,7 +112,7 @@ class TestLogSerialization:
         assert inner.kind == "replace"
         nested = ReplaceRecord(inner.deleted, [inner])
         log.append("T1", "update", "Shop", "<nested/>", records=[nested])
-        restored = OperationLog.from_text(log.to_text())
+        restored = restart(log)
         copy = restored.entries_for("T1")[-1].records[0]
         assert copy.kind == "replace"
         assert copy.inserted[0].kind == "replace"
@@ -114,40 +123,27 @@ class TestLogSerialization:
         stamps = [0.1 + 0.2, 1.0 / 3.0, 123456.78901234567, 0.0]
         for i, stamp in enumerate(stamps):
             log.append("T1", "update", "D", f"<a i='{i}'/>", timestamp=stamp)
-        restored = OperationLog.from_text(log.to_text())
+        restored = restart(log)
         assert [e.timestamp for e in restored] == stamps
 
-    def test_from_text_sorts_by_seq(self, shop):
-        # A merged/reordered log text must still compensate in true
-        # reverse execution order — from_text re-sorts by seq.
+    def test_from_entries_sorts_by_seq(self, shop):
+        # A merged/reordered entry set must still compensate in true
+        # reverse execution order — adoption re-sorts by seq.
         log = populate_log(shop)
-        text = log.to_text()
-        from repro.xmlstore.parser import parse_document
-        from repro.xmlstore.serializer import serialize
-
-        doc = parse_document(text, name="log")
-        entries = doc.root.find_children("entry")
-        order = [el.attributes["seq"] for el in entries]
-        assert order == ["1", "2", "3"]
-        doc.root.children = list(reversed(entries))
-        restored = OperationLog.from_text(serialize(doc))
+        assert [e.seq for e in log] == [1, 2, 3]
+        restored = OperationLog.from_entries("P1", list(reversed(list(log))))
         assert [e.seq for e in restored] == [1, 2, 3]
         assert [e.seq for e in restored.undo_entries("T1")] == [3, 2, 1]
 
-    def test_from_text_rejects_duplicate_seq(self, shop):
-        log = populate_log(shop)
-        from repro.xmlstore.parser import parse_document
-        from repro.xmlstore.serializer import serialize
-
-        doc = parse_document(log.to_text(), name="log")
-        entries = doc.root.find_children("entry")
-        entries[1].attributes["seq"] = entries[0].attributes["seq"]
+    def test_from_entries_rejects_duplicate_seq(self, shop):
+        entries = list(populate_log(shop))
+        entries[1].seq = entries[0].seq
         with pytest.raises(ValueError, match="duplicate"):
-            OperationLog.from_text(serialize(doc))
+            OperationLog.from_entries("P1", entries)
 
     def test_seq_continues_after_restore_and_append(self, shop):
         log = populate_log(shop)
-        restored = OperationLog.from_text(log.to_text())
+        restored = restart(log)
         first = restored.append("T2", "update", "Shop", "<a/>")
         second = restored.append("T2", "update", "Shop", "<b/>")
         assert (first.seq, second.seq) == (len(log) + 1, len(log) + 2)
@@ -223,20 +219,6 @@ class TestPeerRejoin:
         network.disconnect("Worker")
         assert worker.rejoin() == 0
         assert "slot" in worker.get_axml_document("D").to_xml()
-
-    def test_rejoin_from_persisted_log(self):
-        network, origin, worker = self._world()
-        pre = canonical(worker.get_axml_document("D").document)
-        txn = origin.begin_transaction()
-        origin.invoke(txn.txn_id, "Worker", "book", {"c": "x"})
-        saved_log = worker.manager.log.to_text()  # "flushed to disk"
-        network.disconnect("Worker")
-        # simulate a process restart: in-memory state gone, doc + log remain
-        worker.manager.contexts.clear()
-        worker.manager.log = None
-        compensated = worker.rejoin(restored_log_text=saved_log)
-        assert compensated == 1
-        assert canonical(worker.get_axml_document("D").document) == pre
 
     def test_rejoin_metric(self):
         network, origin, worker = self._world()
