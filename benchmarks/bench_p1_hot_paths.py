@@ -1,6 +1,6 @@
-"""P1 — hot-path performance: structural indexes and parallel sweeps.
+"""P1 — hot-path performance: structural indexes, parallel sweeps, parsing.
 
-Two measurements, both gated (a regression makes this script exit 1,
+Three measurements, all gated (a regression makes this script exit 1,
 and CI runs it with ``--smoke`` on every push):
 
 * **Part A — indexed vs. walk-based query evaluation.**  Builds one
@@ -18,6 +18,12 @@ and CI runs it with ``--smoke`` on every push):
   pure busy-work (``pool_floor_time``: spawn + dispatch + the cores'
   real scaling) and asks the sweep to beat serial only when that floor
   does.
+* **Part C — parser scan cost.**  Parses one seeded catalogue twice,
+  the second time with every text run and attribute value ten times
+  longer, under ``sys.setprofile``: the number of Python- and C-level
+  calls must be **equal** — the scanner's cost is per token, not per
+  character.  The count repeats exactly on every machine, so a
+  reintroduced per-character loop fails on a count, not on wall time.
 
 Run:  python benchmarks/bench_p1_hot_paths.py [--smoke] [--seed N]
                                               [--workers N]
@@ -28,6 +34,7 @@ byte-identity are machine-independent claims; raw wall times are this
 machine's and are informational only.
 """
 
+import gc
 import sys
 import time
 
@@ -42,6 +49,7 @@ from repro.sim.rng import SeededRng
 from repro.xmlstore.index import index_disabled
 from repro.xmlstore.names import QName
 from repro.xmlstore.nodes import Document, Element
+from repro.xmlstore.parser import parse_document
 from repro.xmlstore.path import TraversalMeter
 
 from _util import perf_record, run_perf_bench
@@ -203,7 +211,76 @@ def bench_sweep(args) -> dict:
     )
 
 
-def gates(args, query_rec, sweep_rec):
+def build_scan_document(items: int, scale: int, seed: int) -> str:
+    """A seeded catalogue whose text runs and attribute values are *scale*
+    times longer; its tokens (tags, attributes, references) are not."""
+    rng = SeededRng(seed)
+    out = ['<?xml version="1.0"?>\n<catalogue>']
+    for sku in range(items):
+        word = rng.choice(["lorem ", "ipsum ", "dolor "]) * (rng.randint(1, 4) * scale)
+        out.append(
+            f'<item sku="{sku}" note="{word}&amp;{word}"><name>{word}</name>'
+            f"<!-- {word} --><price>{word}&lt;{word}</price><![CDATA[{word}]]></item>\n"
+        )
+    out.append("</catalogue>")
+    return "".join(out)
+
+
+def _calls_while_parsing(text: str) -> int:
+    """Python- and C-level calls made by one ``parse_document(text)``
+    (collector off: a finalizer run mid-parse would be counted too)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        parse_document(text)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+def bench_parser_scan(args) -> dict:
+    items = 200 if args.smoke else 2_000
+    small = build_scan_document(items, 1, args.seed)
+    large = build_scan_document(items, 10, args.seed)
+    nodes = sum(1 for _ in parse_document(small).iter())
+    calls_1x, calls_10x = _calls_while_parsing(small), _calls_while_parsing(large)
+
+    start = time.perf_counter()
+    parse_document(large)
+    wall_time = time.perf_counter() - start
+
+    # Per-character call cost at 1x over the same at 10x: the input
+    # growth itself when the counts are equal, ~1 for a per-character loop.
+    ratio = (len(large) / len(small)) / (calls_10x / calls_1x)
+    print(
+        f"P1/C parser scan: {nodes} nodes, {len(small)} -> {len(large)} chars, "
+        f"{calls_1x} -> {calls_10x} calls ({calls_1x / nodes:.1f} per node)"
+    )
+    return perf_record(
+        "parser_scan_calls",
+        args.seed,
+        wall_time,
+        ratio,
+        nodes=nodes,
+        chars_1x=len(small),
+        chars_10x=len(large),
+        calls_1x=calls_1x,
+        calls_10x=calls_10x,
+        calls_per_node=round(calls_1x / nodes, 2),
+        call_counts_equal=calls_1x == calls_10x,
+    )
+
+
+def gates(args, query_rec, sweep_rec, scan_rec):
     """Reasons this run fails its gate.  Speedup ratios; wall time only
     where the measured pool floor says the machine can deliver one."""
     required = 1.0 if args.smoke else 2.0
@@ -224,6 +301,11 @@ def gates(args, query_rec, sweep_rec):
             f"pool floor {sweep_rec['pool_floor_time']}s beats serial "
             f"{sweep_rec['serial_wall_time']}s on {available_cores()} cores"
         )
+    if not scan_rec["call_counts_equal"]:
+        yield (
+            f"parser made {scan_rec['calls_10x']} calls on the 10x-longer input vs "
+            f"{scan_rec['calls_1x']} on the 1x one: scan cost is per character again"
+        )
 
 
 def _configure(parser) -> None:
@@ -233,7 +315,8 @@ def _configure(parser) -> None:
 
 def main() -> int:
     return run_perf_bench(
-        "P1", __doc__, [bench_queries, bench_sweep], gates, configure=_configure
+        "P1", __doc__, [bench_queries, bench_sweep, bench_parser_scan], gates,
+        configure=_configure,
     )
 
 

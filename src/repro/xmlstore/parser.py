@@ -1,7 +1,16 @@
 """A from-scratch XML parser producing :mod:`repro.xmlstore.nodes` trees.
 
-The parser is a hand-written single-pass recursive-descent parser over a
-character cursor.  It supports the XML subset the paper's documents use:
+The parser is a hand-written single-pass scanner over string offsets:
+character data is delimited with ``str.find("<")``, names, whitespace
+and attributes are matched by precompiled regexes, and open elements sit
+on an explicit stack — so cost is per token, not per character, and
+depth is bounded by memory, not by the interpreter's recursion limit.
+Line and column are derived from the offset only when an error is
+raised.  Node ids are allocated in input order (an element once its
+start tag's attributes are read, a text node where its run ends), which
+logged ids and archived transcripts rely on.
+
+It supports the XML subset the paper's documents use:
 
 * the ``<?xml … ?>`` prolog (ignored),
 * elements with prefixed names and single/double-quoted attributes,
@@ -16,11 +25,11 @@ add no transactional behaviour.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import XmlParseError
-from repro.xmlstore.names import is_valid_name
-from repro.xmlstore.nodes import Document, Element, Text
+from repro.xmlstore.nodes import Document, Element
 
 _ENTITIES = {
     "amp": "&",
@@ -30,213 +39,190 @@ _ENTITIES = {
     "apos": "'",
 }
 
-_WHITESPACE = " \t\r\n"
+_SPACE = r"[ \t\r\n]*"
+#: A name token is the run of these characters (up to a delimiter or the
+#: end of input) ...
+_NAME_CHAR = r"""[^ \t\r\n=/><'"]"""
+#: ... and is valid when it is in the ASCII subset of the XML Name
+#: production (as :func:`~repro.xmlstore.names.is_valid_name`) with
+#: something on both sides of its first colon (as
+#: :meth:`~repro.xmlstore.names.QName.parse`).
+_NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*(?::[A-Za-z0-9_:.\-]+)?"
+
+_skip_space = re.compile(_SPACE).match
+_name_run = re.compile(f"{_NAME_CHAR}*").match
+_is_name = re.compile(_NAME).fullmatch
+_tag_open = re.compile(f"<({_NAME})(?!{_NAME_CHAR})").match
+_attribute = re.compile(f"""{_SPACE}({_NAME}){_SPACE}={_SPACE}(?:"([^"]*)"|'([^']*)')""").match
+_end_tag = re.compile(f"</({_NAME_CHAR}*){_SPACE}").match
+_reference = re.compile("&([^;]*)(;?)")
 
 
-class _Cursor:
-    """Character cursor with line/column tracking for error messages."""
-
-    __slots__ = ("text", "pos", "line", "column")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, length: int = 1) -> str:
-        return self.text[self.pos : self.pos + length]
-
-    def advance(self, count: int = 1) -> str:
-        chunk = self.text[self.pos : self.pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return chunk
-
-    def expect(self, token: str) -> None:
-        if not self.text.startswith(token, self.pos):
-            raise XmlParseError(
-                f"expected {token!r}, found {self.peek(len(token))!r}",
-                self.line,
-                self.column,
-            )
-        self.advance(len(token))
-
-    def skip_whitespace(self) -> None:
-        while not self.at_end() and self.text[self.pos] in _WHITESPACE:
-            self.advance()
-
-    def take_until(self, token: str) -> str:
-        end = self.text.find(token, self.pos)
-        if end < 0:
-            raise XmlParseError(
-                f"unterminated construct: expected {token!r}", self.line, self.column
-            )
-        chunk = self.text[self.pos : end]
-        self.advance(end - self.pos)
-        return chunk
-
-    def error(self, message: str) -> XmlParseError:
-        return XmlParseError(message, self.line, self.column)
+def _error(text: str, pos: int, message: str) -> XmlParseError:
+    """*message* located at offset *pos*, as 1-based line and column."""
+    return XmlParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
 
 
-def _decode_entities(raw: str, cursor: _Cursor) -> str:
-    """Expand entity and character references in *raw*."""
-    if "&" not in raw:
-        return raw
-    out: List[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = raw.find(";", i + 1)
-        if end < 0:
-            raise cursor.error("unterminated entity reference")
-        name = raw[i + 1 : end]
-        if name.startswith("#x") or name.startswith("#X"):
-            try:
-                out.append(chr(int(name[2:], 16)))
-            except ValueError:
-                raise cursor.error(f"bad character reference &{name};")
-        elif name.startswith("#"):
-            try:
-                out.append(chr(int(name[1:])))
-            except ValueError:
-                raise cursor.error(f"bad character reference &{name};")
-        elif name in _ENTITIES:
-            out.append(_ENTITIES[name])
-        else:
-            raise cursor.error(f"unknown entity &{name};")
-        i = end + 1
-    return "".join(out)
+def _expect(text: str, pos: int, token: str) -> int:
+    if not text.startswith(token, pos):
+        raise _error(text, pos, f"expected {token!r}, found {text[pos : pos + len(token)]!r}")
+    return pos + len(token)
 
 
-def _parse_name(cursor: _Cursor) -> str:
-    start = cursor.pos
-    while not cursor.at_end() and cursor.text[cursor.pos] not in " \t\r\n=/><'\"":
-        cursor.advance()
-    name = cursor.text[start : cursor.pos]
-    if not is_valid_name(name.replace(":", "_", 1) if ":" in name else name):
-        raise cursor.error(f"invalid XML name {name!r}")
-    return name
+def _find(text: str, pos: int, token: str) -> int:
+    end = text.find(token, pos)
+    if end < 0:
+        raise _error(text, pos, f"unterminated construct: expected {token!r}")
+    return end
 
 
-def _parse_attributes(cursor: _Cursor) -> Dict[str, str]:
+def _decode_entities(raw: str, text: str, pos: int) -> str:
+    """Expand entity and character references in *raw*, reporting a bad
+    one at offset *pos* of *text*."""
+
+    def expand(match: "re.Match[str]") -> str:
+        name, terminated = match.groups()
+        if not terminated:
+            raise _error(text, pos, "unterminated entity reference")
+        if name in _ENTITIES:
+            return _ENTITIES[name]
+        if not name.startswith("#"):
+            raise _error(text, pos, f"unknown entity &{name};")
+        try:
+            code = int(name[2:], 16) if name[1:2] in ("x", "X") else int(name[1:])
+            if 0xD800 <= code <= 0xDFFF:  # a lone surrogate cannot be encoded
+                raise ValueError(code)
+            return chr(code)
+        except (ValueError, OverflowError):
+            raise _error(text, pos, f"bad character reference &{name};")
+
+    return _reference.sub(expand, raw)
+
+
+def _invalid_name(text: str, pos: int) -> XmlParseError:
+    run = _name_run(text, pos)
+    return _error(text, run.end(), f"invalid XML name {run.group()!r}")
+
+
+def _attribute_error(text: str, pos: int) -> XmlParseError:
+    """Why ``_attribute`` found no ``name = "value"`` at offset *pos*."""
+    run = _name_run(text, pos)
+    if not _is_name(run.group()):
+        return _invalid_name(text, pos)
+    pos = _skip_space(text, run.end()).end()
+    if not text.startswith("=", pos):
+        return _error(text, pos, f"expected '=', found {text[pos : pos + 1]!r}")
+    pos = _skip_space(text, pos + 1).end()
+    quote = text[pos : pos + 1]
+    if quote not in ("'", '"'):
+        return _error(text, pos, "attribute value must be quoted")
+    return _error(text, pos + 1, f"unterminated construct: expected {quote!r}")
+
+
+def _parse_start_tag(
+    text: str, pos: int, document: Document, parent: Optional[Element]
+) -> Tuple[Element, int, bool]:
+    """Read the start tag at offset *pos* and create its element under
+    *parent* (``None``: as the document root).  Returns the element, the
+    offset after the tag and whether the tag left the element open.
+    """
+    match = _tag_open(text, pos)
+    if match is None:
+        raise _invalid_name(text, pos + 1)
+    name = match.group(1)
+    pos = match.end()
     attributes: Dict[str, str] = {}
-    while True:
-        cursor.skip_whitespace()
-        nxt = cursor.peek()
-        if nxt in (">", "/", "?") or cursor.at_end():
-            return attributes
-        name = _parse_name(cursor)
-        cursor.skip_whitespace()
-        cursor.expect("=")
-        cursor.skip_whitespace()
-        quote = cursor.peek()
-        if quote not in ("'", '"'):
-            raise cursor.error("attribute value must be quoted")
-        cursor.advance()
-        value = cursor.take_until(quote)
-        cursor.advance()  # closing quote
-        if name in attributes:
-            raise cursor.error(f"duplicate attribute {name!r}")
-        attributes[name] = _decode_entities(value, cursor)
-
-
-def _skip_misc(cursor: _Cursor) -> None:
-    """Skip whitespace, comments, PIs and the prolog between elements."""
-    while True:
-        cursor.skip_whitespace()
-        if cursor.peek(4) == "<!--":
-            cursor.advance(4)
-            cursor.take_until("-->")
-            cursor.advance(3)
-        elif cursor.peek(2) == "<?":
-            cursor.advance(2)
-            cursor.take_until("?>")
-            cursor.advance(2)
-        elif cursor.peek(9) == "<!DOCTYPE":
-            # Tolerate (and skip) a simple internal-subset-free DOCTYPE.
-            cursor.take_until(">")
-            cursor.advance(1)
-        else:
-            return
-
-
-def _parse_element(cursor: _Cursor, document: Document, parent: Optional[Element]) -> Element:
-    cursor.expect("<")
-    name = _parse_name(cursor)
-    attributes = _parse_attributes(cursor)
+    match = _attribute(text, pos)
+    while match is not None:
+        key, value, single_quoted = match.groups()
+        pos = match.end()
+        if key in attributes:
+            raise _error(text, pos, f"duplicate attribute {key!r}")
+        if value is None:
+            value = single_quoted
+        attributes[key] = _decode_entities(value, text, pos) if "&" in value else value
+        match = _attribute(text, pos)
+    pos = _skip_space(text, pos).end()
+    if text[pos : pos + 1] not in ("", ">", "/", "?"):
+        raise _attribute_error(text, pos)
     if parent is None:
         element = document.create_root(name)
         element.attributes.update(attributes)
     else:
         element = parent.new_element(name, attributes)
-    cursor.skip_whitespace()
-    if cursor.peek(2) == "/>":
-        cursor.advance(2)
-        return element
-    cursor.expect(">")
-    _parse_content(cursor, document, element)
-    cursor.expect("</")
-    closing = _parse_name(cursor)
-    if closing != name:
-        raise cursor.error(f"mismatched closing tag </{closing}> for <{name}>")
-    cursor.skip_whitespace()
-    cursor.expect(">")
-    return element
+    if text.startswith("/>", pos):
+        return element, pos + 2, False
+    return element, _expect(text, pos, ">"), True
 
 
-def _parse_content(cursor: _Cursor, document: Document, parent: Element) -> None:
-    buffer: List[str] = []
-
-    def flush_text() -> None:
-        if buffer:
-            text = _decode_entities("".join(buffer), cursor)
-            if text.strip():
-                parent.new_text(text.strip())
-            buffer.clear()
-
+def _skip_misc(text: str, pos: int) -> int:
+    """Skip whitespace, comments, PIs and the prolog between elements."""
     while True:
-        if cursor.at_end():
-            raise cursor.error(f"unexpected end of input inside <{parent.name.text}>")
-        if cursor.peek(2) == "</":
-            flush_text()
-            return
-        if cursor.peek(4) == "<!--":
-            flush_text()
-            cursor.advance(4)
-            cursor.take_until("-->")
-            cursor.advance(3)
-        elif cursor.peek(9) == "<![CDATA[":
-            # CDATA content is literal: no entity decoding.
-            flush_text()
-            cursor.advance(9)
-            raw = cursor.take_until("]]>")
-            cursor.advance(3)
-            if raw.strip():
-                parent.new_text(raw.strip())
-        elif cursor.peek(2) == "<?":
-            flush_text()
-            cursor.advance(2)
-            cursor.take_until("?>")
-            cursor.advance(2)
-        elif cursor.peek() == "<":
-            flush_text()
-            _parse_element(cursor, document, parent)
+        pos = _skip_space(text, pos).end()
+        if text.startswith("<!--", pos):
+            pos = _find(text, pos + 4, "-->") + 3
+        elif text.startswith("<?", pos):
+            pos = _find(text, pos + 2, "?>") + 2
+        elif text.startswith("<!DOCTYPE", pos):
+            # Tolerate (and skip) a simple internal-subset-free DOCTYPE.
+            pos = _find(text, pos, ">") + 1
         else:
-            buffer.append(cursor.advance())
+            return pos
+
+
+def _parse_element(text: str, pos: int, document: Document, parent: Optional[Element]) -> int:
+    """Parse the element at offset *pos* — start tag, content, end tag —
+    under *parent*; returns the offset after it."""
+    _expect(text, pos, "<")
+    open_elements: List[Element] = []  # innermost last
+    while True:
+        element, pos, is_open = _parse_start_tag(text, pos, document, parent)
+        if is_open:
+            open_elements.append(element)
+            parent = element
+        elif not open_elements:
+            return pos
+        while True:  # content of *parent*, up to the next start tag
+            lt = text.find("<", pos)
+            if lt < 0:
+                raise _error(
+                    text, len(text), f"unexpected end of input inside <{parent.name.text}>"
+                )
+            if lt > pos:
+                run = text[pos:lt]
+                if "&" in run:
+                    run = _decode_entities(run, text, lt)
+                run = run.strip()
+                if run:
+                    parent.new_text(run)
+            if text.startswith("</", lt):
+                match = _end_tag(text, lt)
+                closing, name = match.group(1), parent.name.text
+                if closing != name:
+                    if not _is_name(closing):
+                        raise _invalid_name(text, lt + 2)
+                    raise _error(
+                        text, match.end(1), f"mismatched closing tag </{closing}> for <{name}>"
+                    )
+                pos = _expect(text, match.end(), ">")
+                open_elements.pop()
+                if not open_elements:
+                    return pos
+                parent = open_elements[-1]
+            elif text.startswith("<!--", lt):
+                pos = _find(text, lt + 4, "-->") + 3
+            elif text.startswith("<![CDATA[", lt):
+                # CDATA content is literal: no entity decoding.
+                end = _find(text, lt + 9, "]]>")
+                run = text[lt + 9 : end].strip()
+                if run:
+                    parent.new_text(run)
+                pos = end + 3
+            elif text.startswith("<?", lt):
+                pos = _find(text, lt + 2, "?>") + 2
+            else:
+                pos = lt
+                break
 
 
 def parse_document(text: str, name: str = "") -> Document:
@@ -245,15 +231,13 @@ def parse_document(text: str, name: str = "") -> Document:
     Raises :class:`~repro.errors.XmlParseError` with line/column
     information on malformed input.
     """
-    cursor = _Cursor(text)
     document = Document(name)
-    _skip_misc(cursor)
-    if cursor.at_end():
-        raise cursor.error("document contains no root element")
-    _parse_element(cursor, document, None)
-    _skip_misc(cursor)
-    if not cursor.at_end():
-        raise cursor.error("content after the root element")
+    pos = _skip_misc(text, 0)
+    if pos == len(text):
+        raise _error(text, pos, "document contains no root element")
+    pos = _skip_misc(text, _parse_element(text, pos, document, None))
+    if pos < len(text):
+        raise _error(text, pos, "content after the root element")
     return document
 
 
@@ -264,12 +248,10 @@ def parse_fragment(text: str, document: Document) -> List[Element]:
     results: the fragment's elements are owned by *document* but not yet
     attached anywhere.
     """
-    cursor = _Cursor(text)
     holder = document.create_element("__fragment__")
-    _skip_misc(cursor)
-    while not cursor.at_end():
-        _parse_element(cursor, document, holder)
-        _skip_misc(cursor)
+    pos = _skip_misc(text, 0)
+    while pos < len(text):
+        pos = _skip_misc(text, _parse_element(text, pos, document, holder))
     elements = holder.child_elements()
     for element in list(holder.children):
         element.detach()

@@ -29,14 +29,21 @@ from repro.xmlstore.serializer import canonical, serialize
 # strategies
 # ---------------------------------------------------------------------------
 
-_name = st.text(
-    alphabet=stringlib.ascii_lowercase, min_size=1, max_size=6
+_name_start = stringlib.ascii_letters + "_"
+_ncname = st.builds(
+    str.__add__,
+    st.sampled_from(_name_start),
+    # <= 4 characters in all, so no generated attribute can be "repro:id"
+    st.text(alphabet=_name_start + stringlib.digits + ".-", max_size=3),
 )
+_name = st.one_of(_ncname, st.builds("{}:{}".format, _ncname, _ncname))
 # The store is whitespace-normalizing (the parser trims surrounding
-# whitespace of text nodes), so generated text is pre-stripped.
+# whitespace of text nodes), so generated text is pre-stripped; what is
+# left is parse-normal: markup characters, reference look-alikes,
+# interior line breaks and non-ASCII all survive a round trip.
 _text_value = (
     st.text(
-        alphabet=stringlib.ascii_letters + stringlib.digits + " &<>'\"",
+        alphabet=stringlib.ascii_letters + stringlib.digits + " &<>'\";#[]-?!\n\t\u00e9\u2603",
         min_size=1,
         max_size=12,
     )

@@ -1,5 +1,8 @@
 """Unit tests for the from-scratch XML parser and serializer."""
 
+import gc
+import sys
+
 import pytest
 
 from repro.errors import XmlParseError
@@ -119,6 +122,97 @@ class TestParseErrors:
         with pytest.raises(XmlParseError) as exc:
             parse_document("<r>\n<bad")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text,message,line,column",
+        [
+            # chr() overflow used to escape as OverflowError; a surrogate was
+            # accepted and crashed the WAL's utf-8 encode at append time.
+            ("<a>&#99999999999999999999;</a>", "bad character reference &#99999999999999999999;", 1, 27),
+            ("<a>\n&#xFFFFFFFFFFFFFFFFFFFF;</a>", "bad character reference &#xFFFFFFFFFFFFFFFFFFFF;", 2, 25),
+            ("<a>&#xD800;</a>", "bad character reference &#xD800;", 1, 12),
+            ("<a b='&#57343;'/>", "bad character reference &#57343;", 1, 16),
+            # An empty prefix or local part used to reach QName.parse and die
+            # there as a bare ValueError (or, on attributes, pass unnoticed).
+            ("<:a/>", "invalid XML name ':a'", 1, 4),
+            ("<a:/>", "invalid XML name 'a:'", 1, 4),
+            ("<r>\n  <a :x='1'/></r>", "invalid XML name ':x'", 2, 8),
+            ("<r x:='1'/>", "invalid XML name 'x:'", 1, 6),
+            ("<r></:r>", "invalid XML name ':r'", 1, 8),
+        ],
+    )
+    def test_typed_error_with_position(self, text, message, line, column):
+        with pytest.raises(XmlParseError) as exc:
+            parse_document(text)
+        assert str(exc.value) == f"{message} (line {line}, column {column})"
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    def test_accepted_character_references_encode(self):
+        doc = parse_document("<r>&#xD7FF;&#xE000;&#x10FFFF;</r>")
+        assert doc.root.text_content().encode("utf-8")
+
+
+class TestDeepNesting:
+    """Open elements sit on an explicit stack: depth is bounded by memory,
+    like serialize() and clone_tree(), not by the recursion limit."""
+
+    def test_deeper_than_the_recursion_limit(self):
+        depth = 5000
+        assert depth > sys.getrecursionlimit()
+        doc = parse_document("<a>" * depth + "</a>" * depth)
+        assert sum(1 for _ in doc.iter_elements()) == depth
+
+    def test_deep_document_reads_back(self):
+        doc = Document("deep")
+        node = doc.create_root("r")
+        for level in range(3000):
+            node = node.new_element("e", {"level": str(level)})
+        node.new_text("leaf")
+        text = serialize(doc)
+        assert serialize(doc.clone_tree()) == text
+        assert serialize(parse_document(text)) == text
+
+
+def _scan_fixture(scale: int) -> str:
+    """One document shape whose text runs and attribute values are
+    *scale* times longer (its references and tokens are not)."""
+    pad = "lorem ipsum " * scale
+    item = (
+        f'<item sku="{pad}" note=\'{pad}&amp;{pad}\'>{pad}&lt;{pad}<!-- {pad} -->'
+        f"<![CDATA[{pad}]]><?pi {pad}?><ns:leaf>\n{pad}\n</ns:leaf ></item>"
+    )
+    return f'<?xml version="1.0"?><!-- {pad} -->\n<catalogue>' + item * 20 + "</catalogue>\n"
+
+
+def _calls_while(function, *args) -> int:
+    """Python- and C-level calls made while running ``function(*args)``
+    (collector off: a finalizer run mid-parse would be counted too)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    gc.collect()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        function(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+class TestScanCost:
+    @pytest.mark.parametrize(
+        "parse", [parse_document, lambda text: parse_fragment(text, Document())]
+    )
+    def test_calls_are_per_token_not_per_character(self, parse):
+        small, large = _scan_fixture(1), _scan_fixture(10)
+        assert len(large) > 5 * len(small)
+        assert _calls_while(parse, large) == _calls_while(parse, small)
 
 
 class TestSerializer:
