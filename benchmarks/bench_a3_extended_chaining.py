@@ -41,7 +41,7 @@ def run_point(scope: str, units_per_peer: int = 10):
     workers = [p for p in scenario.peers if p not in ("AP1", "AP3")]
     for peer_id in workers:
         peer = scenario.peer(peer_id)
-        peer.known_doomed.add(txn.txn_id)  # ground truth for waste metering
+        peer.mark_doomed(txn.txn_id)  # ground truth for waste metering
         peer.add_pending_work(txn.txn_id, units=units_per_peer, unit_duration=0.05)
     scenario.network.disconnect("AP3")
     run_case_c_child_disconnection(scenario.peer("AP1"), txn.txn_id)

@@ -70,7 +70,7 @@ def run_case_c(chaining: bool):
     scenario.peer("AP6").add_pending_work(txn.txn_id, units=20, unit_duration=0.05)
     if not chaining:
         # Ground truth for waste accounting: the txn is doomed either way.
-        scenario.peer("AP6").known_doomed.add(txn.txn_id)
+        scenario.peer("AP6").mark_doomed(txn.txn_id)
     scenario.network.disconnect("AP3")
     report = run_case_c_child_disconnection(scenario.peer("AP2"), txn.txn_id)
     scenario.network.events.run_until(scenario.network.clock.now + 5.0)
@@ -92,8 +92,8 @@ def run_case_d(chaining: bool):
     txn, _ = scenario.run_topology()
     scenario.network.disconnect("AP3")
     report = run_case_d_sibling_disconnection(scenario.peer("AP4"), txn.txn_id, "AP3")
-    informed = int(txn.txn_id in scenario.peer("AP2").known_doomed) + int(
-        txn.txn_id in scenario.peer("AP6").known_doomed
+    informed = int(scenario.peer("AP2").is_doomed(txn.txn_id)) + int(
+        scenario.peer("AP6").is_doomed(txn.txn_id)
     )
     _stash("d", chaining, scenario)
     return {

@@ -61,7 +61,7 @@ def main() -> None:
         txn, _ = s.run_topology()
         s.peer("AP6").add_pending_work(txn.txn_id, units=20, unit_duration=0.05)
         if not chaining:
-            s.peer("AP6").known_doomed.add(txn.txn_id)  # ground truth
+            s.peer("AP6").mark_doomed(txn.txn_id)  # ground truth
         s.network.disconnect("AP3")
         report = run_case_c_child_disconnection(s.peer("AP2"), txn.txn_id)
         s.network.events.run_until(s.network.clock.now + 5.0)

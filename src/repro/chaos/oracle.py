@@ -407,7 +407,7 @@ class AtomicityOracle:
     def _check_chains(self, peers: Mapping[str, object]) -> List[Violation]:
         violations: List[Violation] = []
         for peer_id, peer in sorted(peers.items()):
-            for txn_id in sorted(peer.chains):
+            for txn_id in sorted(peer.chain_views()):
                 label = self._decisions.get(txn_id, ("", False))[0]
                 violations.append(Violation(
                     "orphan_chain", label, peer_id,

@@ -144,7 +144,6 @@ class FaultPlanner:
         txns: int,
         fault_rate: float,
         horizon: float,
-        disconnect_origins: bool = False,
         crash_rate: float = 0.0,
         checkpoints: bool = False,
         replicas: int = 0,
@@ -157,7 +156,6 @@ class FaultPlanner:
         self.txns = txns
         self.fault_rate = fault_rate
         self.horizon = horizon
-        self.disconnect_origins = disconnect_origins
         self.crash_rate = crash_rate
         #: Sample mid-checkpoint crash variants (``tear_checkpoint``).
         #: Off by default: the extra draw would perturb the crashplan

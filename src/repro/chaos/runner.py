@@ -43,6 +43,7 @@ from repro.chaos.oracle import AtomicityOracle, ExpectedEffect, Violation
 from repro.chaos.planner import CHAOS_FAULT, FaultEvent, FaultPlan, FaultPlanner
 from repro.obs import run_summary
 from repro.obs.prof import profiled
+from repro.p2p.failure import crash_and_restart
 from repro.p2p.messages import DisconnectNotice, RedirectedResult
 from repro.query.parser import parse_action
 from repro.query.update import apply_action
@@ -50,7 +51,7 @@ from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import DelegatingService
 from repro.sim.rng import SeededRng, stable_seed
 from repro.sim.scheduler import COMMITTED, InvokeOp, TxnResult, TxnSpec
-from repro.txn.modes import DurabilityPolicy, RejoinMode
+from repro.txn.modes import DurabilityPolicy
 from repro.txn.recovery import FaultPolicy
 
 #: Deliberate protocol breakages; each trips a distinct oracle kind.
@@ -567,16 +568,7 @@ def _schedule_kill_primary(cluster, event: FaultEvent) -> None:
     def fire() -> None:
         holders = cluster.network.directory.document_map.get(document, [])
         victim = holders[0] if holders else event.peer
-        peer = cluster.network.get_peer(victim)
-        if peer.disconnected:
-            return
-        peer.crash()
-
-        def restart() -> None:
-            if peer.disconnected:
-                peer.rejoin(mode=RejoinMode.IN_DOUBT)
-
-        cluster.network.events.schedule(event.delay, restart)
+        crash_and_restart(cluster.network, victim, event.delay)
 
     cluster.network.events.schedule_at(event.time, fire)
 
@@ -811,7 +803,7 @@ def _settle_and_check(
     skipped_stale = config.mutate != "stale_chain"
     for peer in cluster.peers.values():
         for txn_id, _committed in decisions:
-            if not skipped_stale and txn_id in peer.chains:
+            if not skipped_stale and txn_id in peer.chain_views():
                 skipped_stale = True  # the deliberate stale entry
                 continue
             peer.forget_transaction(txn_id)

@@ -120,7 +120,7 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         txn, _ = cluster.run_topology()
         cluster.peer("AP6").add_pending_work(txn.txn_id, units=20, unit_duration=0.05)
         if not chaining:
-            cluster.peer("AP6").known_doomed.add(txn.txn_id)
+            cluster.peer("AP6").mark_doomed(txn.txn_id)
         cluster.network.disconnect("AP3")
         report = run_case_c_child_disconnection(cluster.peer("AP2"), txn.txn_id)
         cluster.run_until(cluster.clock.now + 5.0)

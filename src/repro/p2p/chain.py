@@ -17,7 +17,7 @@ carry the paper's ``*`` suffix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.errors import P2PError
 
@@ -37,9 +37,14 @@ class ChainNode:
         return child
 
     def iter(self) -> Iterator["ChainNode"]:
-        yield self
-        for child in self.children:
-            yield from child.iter()
+        """Pre-order walk.  An explicit stack, not recursion: chain text
+        arrives from other peers, so depth is not ours to bound."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack.extend(reversed(node.children))
 
     @property
     def label(self) -> str:
@@ -100,9 +105,10 @@ class PeerChain:
         return [n.peer_id for n in node.iter() if n.peer_id != peer_id]
 
     def ancestors_of(self, peer_id: str) -> List[str]:
-        """Ancestors nearest-first — the fallback order of §3.3(b):
-        "AP6 can try the next closest peer (AP1) or the closest super
-        peer … in the list"."""
+        """Ancestors nearest-first — who may take results meant for a
+        dead *peer_id*, in the fallback order of §3.3(b): "AP6 can try
+        the next closest peer (AP1) or the closest super peer … in the
+        list" (:meth:`closest_super_peer` is always one of them)."""
         node = self.find(peer_id)
         out: List[str] = []
         if node is None:
@@ -177,6 +183,31 @@ class PeerChain:
                 out.append(candidate)
         return out
 
+    def orphan_notice_targets(
+        self, dead_child: str, informer: str, scope: str = "immediate"
+    ) -> List[str]:
+        """§3.3(c): who the parent *informer* tells about its dead child
+        — the orphaned descendants, plus (``extended`` scope, the
+        conclusion's extension) the dead peer's wider family so parallel
+        branches stop wasting effort sooner."""
+        targets = self.descendants_of(dead_child)
+        if scope == "extended":
+            for relative in self.relatives_of(dead_child, "extended"):
+                if relative not in targets and relative != informer:
+                    targets.append(relative)
+        return targets
+
+    def sibling_notice_targets(
+        self, silent_sibling: str, informer: str, scope: str = "immediate"
+    ) -> List[str]:
+        """§3.3(d): who the sibling *informer* tells when another
+        sibling's stream went silent — that peer's relatives."""
+        return [
+            relative
+            for relative in self.relatives_of(silent_sibling, scope)
+            if relative != informer
+        ]
+
     def peers(self) -> List[str]:
         return [n.peer_id for n in self.root.iter()]
 
@@ -217,22 +248,34 @@ class PeerChain:
     # -- serialization (piggybacked on invocations) -----------------------------
 
     def to_text(self) -> str:
-        return f"[{self._format(self.root)}]"
-
-    def _format(self, node: ChainNode) -> str:
-        if not node.children:
-            return node.label
-        if len(node.children) == 1:
-            return f"{node.label} -> {self._format(node.children[0])}"
-        parts = " || ".join(f"[{self._format(c)}]" for c in node.children)
-        return f"{node.label} -> {parts}"
+        parts = ["["]
+        # Nodes still to write, interleaved with the literal separators
+        # that go between them.
+        stack: List[object] = [self.root]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            parts.append(item.label)
+            children = item.children
+            if len(children) == 1:
+                parts.append(" -> ")
+                stack.append(children[0])
+            elif children:
+                parts.append(" -> [")
+                stack.append("]")
+                for child in reversed(children[1:]):
+                    stack.append(child)
+                    stack.append("] || [")
+                stack.append(children[0])
+        parts.append("]")
+        return "".join(parts)
 
     @classmethod
     def from_text(cls, text: str) -> "PeerChain":
-        parser = _ChainParser(text)
-        root = parser.parse()
         chain = cls.__new__(cls)
-        chain.root = root
+        chain.root = _ChainParser(text).parse()
         return chain
 
     def merge(self, other: "PeerChain") -> int:
@@ -264,24 +307,30 @@ class PeerChain:
         ``from_text``-of-``to_text`` round trip, without the
         format/parse cost on every piggybacked invocation.
         """
-        chain = PeerChain.__new__(PeerChain)
-        chain.root = _copy_chain_node(self.root, None)
+        chain = PeerChain(self.root.peer_id, self.root.super_peer)
+        pending = [(self.root, chain.root)]
+        while pending:
+            node, twin = pending.pop()
+            for child in node.children:
+                pending.append(
+                    (child, twin.add_child(child.peer_id, child.super_peer))
+                )
         return chain
 
     def __repr__(self) -> str:
         return f"PeerChain({self.to_text()})"
 
 
-def _copy_chain_node(
-    node: ChainNode, parent: Optional[ChainNode]
-) -> ChainNode:
-    copy = ChainNode(node.peer_id, node.super_peer, parent=parent)
-    copy.children = [_copy_chain_node(child, copy) for child in node.children]
-    return copy
-
-
 class _ChainParser:
-    """Recursive-descent parser for the bracket notation."""
+    """Parser for the bracket notation::
+
+        chain := "[" node "]"
+        node  := label ( "->" ( node | "[" node "]" ( "||" "[" node "]" )* ) )?
+
+    Open brackets live on an explicit stack (no recursion): the text
+    comes from another peer, and a hostile nesting depth must end in a
+    :class:`P2PError` or a chain, never a ``RecursionError``.
+    """
 
     def __init__(self, text: str):
         self.text = text.strip()
@@ -289,39 +338,40 @@ class _ChainParser:
 
     def parse(self) -> ChainNode:
         self._expect("[")
-        node = self._parse_node()
-        self._expect("]")
-        self._skip_ws()
+        root: Optional[ChainNode] = None
+        #: One entry per open bracket: the node its content hangs under.
+        open_brackets: List[Optional[ChainNode]] = [None]
+        parent: Optional[ChainNode] = None
+        while open_brackets:
+            label = self._parse_label()
+            node = ChainNode(label.rstrip("*"), label.endswith("*"), parent=parent)
+            if parent is None:
+                root = node
+            else:
+                parent.children.append(node)
+            self._skip_ws()
+            if self.text.startswith("->", self.pos):
+                self.pos += 2
+                self._skip_ws()
+                parent = node
+                if self.text.startswith("[", self.pos):
+                    self.pos += 1
+                    open_brackets.append(node)
+                continue
+            # A childless node ends its bracket — and every enclosing
+            # bracket whose group it was the last member of.
+            while open_brackets:
+                self._expect("]")
+                parent = open_brackets.pop()
+                self._skip_ws()
+                if parent is not None and self.text.startswith("||", self.pos):
+                    self.pos += 2
+                    self._expect("[")
+                    open_brackets.append(parent)
+                    break
         if self.pos != len(self.text):
             raise P2PError(f"trailing characters in chain text: {self.text!r}")
-        return node
-
-    def _parse_node(self) -> ChainNode:
-        label = self._parse_label()
-        super_peer = label.endswith("*")
-        node = ChainNode(label.rstrip("*"), super_peer)
-        self._skip_ws()
-        if self.text.startswith("->", self.pos):
-            self.pos += 2
-            self._skip_ws()
-            if self.text.startswith("[", self.pos):
-                while True:
-                    self._expect("[")
-                    child = self._parse_node()
-                    self._expect("]")
-                    child.parent = node
-                    node.children.append(child)
-                    self._skip_ws()
-                    if self.text.startswith("||", self.pos):
-                        self.pos += 2
-                        self._skip_ws()
-                    else:
-                        break
-            else:
-                child = self._parse_node()
-                child.parent = node
-                node.children.append(child)
-        return node
+        return root
 
     def _parse_label(self) -> str:
         self._skip_ws()

@@ -13,14 +13,39 @@ disconnection of AP3 via ping (or keep-alive) messages").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.p2p.network import SimNetwork
 from repro.txn.modes import RejoinMode
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (network imports sharding)
+    from repro.p2p.network import SimNetwork
 
 #: Injection points inside a service execution.
 POINTS = ("before_execute", "after_local_work", "before_return")
+
+
+def crash_and_restart(network: "SimNetwork", peer_id: str, restart_delay: float):
+    """Crash *peer_id* now and restart it *restart_delay* later.
+
+    A crash (``AXMLPeer.crash``) loses all volatile state; the restart
+    is ``rejoin(mode=RejoinMode.IN_DOUBT)``: the peer recovers its log
+    from the durable WAL and rebuilds in-doubt contexts for a later
+    commit/abort decision.  A peer already dead is left alone (returns
+    ``None``, else the crashed peer).  The restart is scheduled
+    unconditionally — settlement's ``run_all()`` fires it even when
+    nothing else is pending, so no crashed peer is left dead (and
+    un-recovered) at oracle time.
+    """
+    peer = network.get_peer(peer_id)
+    if peer.disconnected:
+        return None
+    peer.crash()
+    network.events.schedule(
+        restart_delay,
+        lambda: peer.rejoin(mode=RejoinMode.IN_DOUBT) if peer.disconnected else None,
+    )
+    return peer
 
 
 @dataclass
@@ -104,11 +129,8 @@ class FailureInjector:
         """Crash *peer_id* when it reaches an execution point of
         *method_name*, then restart it *restart_delay* later.
 
-        A crash (``AXMLPeer.crash``) loses all volatile state — unlike a
-        scripted disconnection, which only severs links.  The restart
-        drives ``rejoin(mode=RejoinMode.IN_DOUBT)``: the peer recovers its
-        operation log from the durable WAL and rebuilds in-doubt
-        contexts for a later commit/abort decision.
+        A crash loses all volatile state — unlike a scripted
+        disconnection, which only severs links (:func:`crash_and_restart`).
 
         ``tear_checkpoint`` models the crash landing *inside* a
         checkpoint publish: the newest checkpoint file is truncated to
@@ -135,23 +157,11 @@ class FailureInjector:
         The timed analogue of :meth:`crash_peer_during` — the chaos
         planner's ``kill_primary`` fault uses it to take a replicated
         primary down regardless of what it is executing, forcing any
-        in-flight invocation onto its replicas.  A peer already dead at
-        the fire time is left alone; the restart (``rejoin`` with
-        ``mode=RejoinMode.IN_DOUBT``) is scheduled unconditionally so no killed
-        peer stays down past settlement.
+        in-flight invocation onto its replicas.
         """
-
-        def fire() -> None:
-            peer = self.network.get_peer(peer_id)
-            if peer.disconnected:
-                return
-            peer.crash()
-            self.network.events.schedule(
-                restart_delay,
-                lambda: peer.rejoin(mode=RejoinMode.IN_DOUBT) if peer.disconnected else None,
-            )
-
-        self.network.events.schedule_at(time, fire)
+        self.network.events.schedule_at(
+            time, lambda: crash_and_restart(self.network, peer_id, restart_delay)
+        )
 
     def clear(self) -> None:
         """Drop every un-fired fault/disconnect/crash script."""
@@ -182,9 +192,8 @@ class FailureInjector:
         if crash and crash[0]:
             dead_peer, delay, tear = crash
             self._crashes[key] = ("", 0.0, False)
-            peer = self.network.get_peer(dead_peer)
-            peer.crash()
-            if tear and peer.wal is not None:
+            peer = crash_and_restart(self.network, dead_peer, delay)
+            if tear and peer is not None and peer.wal is not None:
                 # The crash lands mid-publish: tear the newest
                 # checkpoint so recovery exercises the fallback path.
                 from repro.txn.checkpoint import CheckpointStore
@@ -192,13 +201,6 @@ class FailureInjector:
                 CheckpointStore(
                     peer.wal.directory, peer.peer_id
                 ).tear_newest()
-            # Restart is unconditional: settlement's run_all() fires it
-            # even when nothing else is pending, so no crashed peer is
-            # left dead (and un-recovered) at oracle time.
-            self.network.events.schedule(
-                delay,
-                lambda p=peer: p.rejoin(mode=RejoinMode.IN_DOUBT) if p.disconnected else None,
-            )
             if dead_peer == peer_id:
                 return True
         dead_peer = self._disconnects.get(key)

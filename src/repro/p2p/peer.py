@@ -14,7 +14,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.axml.document import AXMLDocument
 from repro.axml.faults import parse_fault_handlers
@@ -24,8 +25,11 @@ from repro.errors import (
     P2PError,
     PeerDisconnected,
     ReproError,
+    ServiceError,
     ServiceFault,
+    ServiceNotFound,
     TransactionError,
+    UpdateError,
 )
 from repro.p2p.chain import PeerChain
 from repro.p2p.messages import (
@@ -49,6 +53,7 @@ from repro.sim.rng import SeededRng, stable_seed
 from repro.txn.manager import TransactionManager
 from repro.txn.modes import DurabilityPolicy, RejoinMode
 from repro.txn.operations import OperationOutcome
+from repro.txn.peer_independent import dispatch_compensations
 from repro.txn.recovery import (
     FaultPolicy,
     RecoveryDecision,
@@ -57,6 +62,42 @@ from repro.txn.recovery import (
     select_policy,
 )
 from repro.txn.transaction import Transaction, TransactionContext, TransactionState
+
+
+@dataclass
+class _TxnRecord:
+    """One peer's protocol state for one transaction: what §3.2's
+    transaction context and §3.3's piggybacked peer list need beyond the
+    manager's share.  Kept after commit/abort so late protocol traffic
+    (and the paper's reuse cases) still resolve; dropped whole by
+    :meth:`AXMLPeer.forget_transaction` or :meth:`AXMLPeer.crash`."""
+
+    #: This peer's view of the active-peer chain (§3.3).
+    chain: Optional[PeerChain] = None
+    #: Results redirected past a dead peer, awaiting reuse: method →
+    #: fragments (§3.3b).
+    redirected: Dict[str, List[str]] = field(default_factory=dict)
+    #: Reuse fragments that arrived piggybacked on an InvokeRequest.
+    incoming_reuse: Dict[str, List[str]] = field(default_factory=dict)
+    #: Completed executions of *replicated* services, for exactly-once
+    #: re-delegation: (method, params) → Outcome.  A parent that failed
+    #: over re-runs its delegations; a child that already did the work
+    #: returns its previous result instead of applying the share twice.
+    completed: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Outcome] = field(
+        default_factory=dict
+    )
+    #: The peer learned the transaction is doomed (disconnection
+    #: notices); pending continuous work for it is wasted effort.
+    doomed: bool = False
+    #: Handles of the remaining continuous work units (add_pending_work).
+    work: List = field(default_factory=list)
+    #: The origin-side transaction span (detached root).
+    span: Optional[Span] = None
+
+    def cancel_work(self) -> None:
+        for handle in self.work:
+            handle.cancel()
+        self.work = []
 
 
 class AXMLPeer:
@@ -134,31 +175,11 @@ class AXMLPeer:
         self.rng = SeededRng(stable_seed(seed, peer_id))
         #: Caller-side fault policies per remote method (§3.2 handlers).
         self.fault_policies: Dict[str, List[FaultPolicy]] = {}
-        #: txn id → this peer's view of the active-peer chain (§3.3).
-        self.chains: Dict[str, PeerChain] = {}
-        #: Results redirected past a dead peer, awaiting reuse:
-        #: (txn_id, method) → fragments (§3.3b).
-        self.reusable_results: Dict[Tuple[str, str], List[str]] = {}
-        #: Reuse fragments that arrived piggybacked on an InvokeRequest.
-        self._incoming_reuse: Dict[Tuple[str, str], List[str]] = {}
-        #: Completed executions of *replicated* services, for
-        #: exactly-once re-delegation: (txn_id, method, params) →
-        #: Outcome.  A parent that failed over re-runs its
-        #: delegations; a child that already did the work returns its
-        #: previous result instead of applying the share twice.
-        self._completed_invokes: Dict[
-            Tuple[str, str, Tuple[Tuple[str, str], ...]], object
-        ] = {}
-        #: Transactions this peer learned are doomed (disconnection
-        #: notices); pending continuous work for them is wasted effort.
-        self.known_doomed: Set[str] = set()
-        #: txn id → remaining continuous work units (see add_pending_work).
-        self._pending_work: Dict[str, List] = {}
+        #: txn id → this peer's protocol state for the transaction.
+        self._txns: Dict[str, _TxnRecord] = {}
         #: Transactions currently executing on this peer (services run
         #: synchronously, so a stack suffices).
         self._txn_stack: List[str] = []
-        #: txn id → the origin-side transaction span (detached root).
-        self._txn_spans: Dict[str, Span] = {}
         self.manager.bind_observability(network.spans)
         network.register(self)
 
@@ -200,6 +221,58 @@ class AXMLPeer:
     ) -> None:
         """Caller-side handlers for invocations of *method_name*."""
         self.fault_policies[method_name] = list(policies)
+
+    # ------------------------------------------------------------------
+    # per-transaction protocol state
+    # ------------------------------------------------------------------
+
+    def _record(self, txn_id: str) -> _TxnRecord:
+        record = self._txns.get(txn_id)
+        if record is None:
+            record = self._txns[txn_id] = _TxnRecord()
+        return record
+
+    def _chain(self, txn_id: str) -> Optional[PeerChain]:
+        """The chain view the §3.3 protocol may act on: ``None`` when
+        chaining is off (the naive baseline) or no view is held."""
+        record = self._txns.get(txn_id)
+        return record.chain if record is not None and self.chaining else None
+
+    def chain_views(self) -> Dict[str, PeerChain]:
+        """txn id → the active-peer chain view this peer holds (§3.3)."""
+        return {
+            txn_id: record.chain
+            for txn_id, record in self._txns.items()
+            if record.chain is not None
+        }
+
+    def reroute_chain(self, txn_id: str, old_peer: str, new_peer: str) -> None:
+        """§3.3 rewrite: *new_peer* takes *old_peer*'s place in this
+        peer's chain view, so commit/abort and disconnection traffic
+        reaches the peer that now owns the share (failover, migration)."""
+        chain = self._chain(txn_id)
+        if chain is not None and chain.substitute(
+            old_peer, new_peer, self._peer_is_super(new_peer)
+        ):
+            self.network.metrics.incr("chains_rewritten")
+
+    def mark_doomed(self, txn_id: str) -> None:
+        """This peer learned the transaction cannot commit."""
+        self._record(txn_id).doomed = True
+
+    def is_doomed(self, txn_id: str) -> bool:
+        record = self._txns.get(txn_id)
+        return record is not None and record.doomed
+
+    def take_redirected(self, txn_id: str) -> Dict[str, List[str]]:
+        """Hand over (and forget) the results redirected to this peer
+        for the transaction, method → fragments — a retry passes them
+        on so orphaned children's work is reused, not redone (§3.3b)."""
+        record = self._txns.get(txn_id)
+        if record is None:
+            return {}
+        taken, record.redirected = record.redirected, {}
+        return taken
 
     # ------------------------------------------------------------------
     # ServiceHost protocol (what hosted services may ask of us)
@@ -262,11 +335,10 @@ class AXMLPeer:
             raise TransactionError(
                 f"peer {self.peer_id!r} invoked {method_name!r} outside a transaction"
             )
-        reuse_key = (txn_id, method_name)
-        if reuse_key in self._incoming_reuse:
+        fragments = self._record(txn_id).incoming_reuse.pop(method_name, None)
+        if fragments is not None:
             # §3.3(b): the invoker passed us a dead peer's already
             # materialized results; reuse instead of re-invoking.
-            fragments = self._incoming_reuse.pop(reuse_key)
             self.network.metrics.record_reused_invocation()
             return fragments
         return self.invoke(txn_id, target_peer, method_name, params)
@@ -290,10 +362,11 @@ class AXMLPeer:
         """
         transaction = Transaction.begin(self.peer_id)
         self.manager.begin(transaction)
-        self.chains[transaction.txn_id] = PeerChain(self.peer_id, self.super_peer)
+        record = self._record(transaction.txn_id)
+        record.chain = PeerChain(self.peer_id, self.super_peer)
         # The transaction span is the detached root of this txn's span
         # tree; invocations outside any open span attach themselves here.
-        self._txn_spans[transaction.txn_id] = self.network.spans.start(
+        record.span = self.network.spans.start(
             f"txn:{transaction.txn_id}",
             "transaction",
             peer=self.peer_id,
@@ -304,10 +377,13 @@ class AXMLPeer:
         )
         return transaction
 
-    def _end_txn_span(self, txn_id: str, status: str) -> None:
-        span = self._txn_spans.pop(txn_id, None)
-        if span is not None:
-            self.network.spans.end(span, status=status)
+    def _close_origin(self, txn_id: str, outcome: str, span_status: str = "") -> None:
+        """Account the origin's outcome and end the transaction span."""
+        self.network.metrics.record_txn_outcome(txn_id, outcome)
+        record = self._txns.get(txn_id)
+        if record is not None and record.span is not None:
+            span, record.span = record.span, None
+            self.network.spans.end(span, status=span_status or outcome)
 
     def _exception_status(self, exc: BaseException) -> str:
         if isinstance(exc, PeerDisconnected):
@@ -376,25 +452,25 @@ class AXMLPeer:
             target_peer = routed
         context = self.manager.context(txn_id)
         context.require_active()
+        record = self._record(txn_id)
         spans = self.network.spans
         span = spans.start(
             f"invoke:{method_name}",
             "invoke",
             peer=self.peer_id,
             txn_id=txn_id,
-            parent=spans.current() or self._txn_spans.get(txn_id),
+            parent=spans.current() or record.span,
             target=target_peer,
         )
         status = "ok"
         try:
             edge = context.record_invocation(target_peer, method_name)
-            chain = self.chains.get(txn_id)
-            if chain is not None and self.chaining and not chain.contains(target_peer):
+            chain = self._chain(txn_id)
+            if chain is not None and not chain.contains(target_peer):
                 chain.add_invocation(
                     self.peer_id, target_peer, self._peer_is_super(target_peer)
                 )
-            reuse = dict(reused_fragments or {})
-            stored = self.reusable_results.pop((txn_id, method_name), None)
+            stored = record.redirected.pop(method_name, None)
             if stored is not None:
                 # We hold redirected results for this very method: no need to
                 # re-invoke at all (§3.3b reuse at the recovering peer).
@@ -402,19 +478,11 @@ class AXMLPeer:
                 edge.completed = True
                 status = "reused"
                 return stored
-            request = InvokeRequest(
-                txn_id=txn_id,
-                origin_peer=context.transaction.origin_peer,
-                sender=self.peer_id,
-                method_name=method_name,
-                params=params,
-                chain_text=chain.to_text() if (chain is not None and self.chaining) else "",
-                reused_fragments=reuse,
-            )
-            self.network.metrics.record_invocation()
-            self._wal_barrier()
             try:
-                result = self.network.rpc(self.peer_id, target_peer, request)
+                result = self._send_invoke(
+                    context, target_peer, method_name, params,
+                    dict(reused_fragments or {}),
+                )
             except (ServiceFault, PeerDisconnected) as exc:
                 if isinstance(exc, PeerDisconnected) and exc.peer_id == self.peer_id:
                     raise  # we are the dead one; nothing to recover
@@ -439,13 +507,12 @@ class AXMLPeer:
                 self._backward_recover(txn_id, exclude_peer=exclude)
                 raise
             edge.completed = True
-            for provider, plan_xml in result.compensations:
-                context.record_compensation_definition(provider, plan_xml)
-            if result.chain_text and chain is not None and self.chaining:
-                # Fold the callee's deeper invocations into our view so later
-                # siblings receive the complete active-peer list (§3.3).
-                chain.merge(PeerChain.from_text(result.chain_text))
-            if chain is not None and self.chaining:
+            if chain is not None:
+                if result.chain_text:
+                    # Fold the callee's deeper invocations into our view so
+                    # later siblings receive the complete active-peer list
+                    # (§3.3).
+                    chain.merge(PeerChain.from_text(result.chain_text))
                 self.network.metrics.record_value("chain_length", len(chain.peers()))
             self.network.metrics.record_forward_cost(result.nodes_affected)
             return result.fragments
@@ -454,6 +521,34 @@ class AXMLPeer:
             raise
         finally:
             spans.end(span, status=status)
+
+    def _send_invoke(
+        self,
+        context: TransactionContext,
+        target_peer: str,
+        method_name: str,
+        params: Dict[str, str],
+        reused_fragments: Dict[str, List[str]],
+    ) -> Outcome:
+        """Put one invocation on the wire (first try and retries alike):
+        piggyback the chain view, make the WAL durable first, record the
+        compensating definitions that come back (§3.2)."""
+        chain = self._chain(context.txn_id)
+        request = InvokeRequest(
+            txn_id=context.txn_id,
+            origin_peer=context.transaction.origin_peer,
+            sender=self.peer_id,
+            method_name=method_name,
+            params=params,
+            chain_text=chain.to_text() if chain is not None else "",
+            reused_fragments=reused_fragments,
+        )
+        self.network.metrics.record_invocation()
+        self._wal_barrier()
+        result = self.network.rpc(self.peer_id, target_peer, request)
+        for provider, plan_xml in result.compensations:
+            context.record_compensation_definition(provider, plan_xml)
+        return result
 
     def commit(self, txn_id: str) -> None:
         """Origin-side commit: release local state, tell participants.
@@ -477,29 +572,29 @@ class AXMLPeer:
         try:
             self._commit_local_and_ship(txn_id)
         except ValidationConflict:
-            chain = self.chains.get(txn_id)
-            for peer_id in (
-                [p for p in chain.peers() if p != self.peer_id] if chain else []
-            ):
-                self.network.notify(
-                    self.peer_id, peer_id, AbortMessage(txn_id, self.peer_id)
-                )
-            self._cancel_pending_work(txn_id)
+            self._announce_decision(txn_id, AbortMessage(txn_id, self.peer_id))
             self.network.metrics.incr("occ_conflicts")
-            self.network.metrics.record_txn_outcome(txn_id, "aborted_conflict")
-            self._end_txn_span(txn_id, "conflict")
+            self._close_origin(txn_id, "aborted_conflict", "conflict")
             raise
-        chain = self.chains.get(txn_id)
-        participants = (
-            [p for p in chain.peers() if p != self.peer_id] if chain else []
-        )
-        for peer_id in participants:
-            self.network.notify(
-                self.peer_id, peer_id, CommitMessage(txn_id, self.peer_id)
-            )
+        self._announce_decision(txn_id, CommitMessage(txn_id, self.peer_id))
+        self._close_origin(txn_id, "committed")
+
+    def _announce_decision(self, txn_id: str, message: object) -> None:
+        """The origin's decision goes to every other peer of its chain
+        view; its own continuous work for the transaction is moot."""
+        chain = self._chain(txn_id)
+        if chain is not None:
+            self._tell(chain.peers(), message, but=(self.peer_id,))
         self._cancel_pending_work(txn_id)
-        self.network.metrics.record_txn_outcome(txn_id, "committed")
-        self._end_txn_span(txn_id, "committed")
+
+    def _tell(self, peers, message: object, but: Sequence[str] = ()) -> int:
+        """Notify *peers* except those in *but*; returns how many the
+        message reached."""
+        return sum(
+            self.network.notify(self.peer_id, peer_id, message)
+            for peer_id in peers
+            if peer_id not in but
+        )
 
     def _commit_local_and_ship(self, txn_id: str) -> None:
         """Commit the local share, then stream its committed WAL entries
@@ -517,8 +612,7 @@ class AXMLPeer:
         if (
             replication is not None
             and replication.has_replicas()
-            and self.manager.has_context(txn_id)
-            and not self.manager.contexts[txn_id].is_finished
+            and self.manager.live_context(txn_id) is not None
         ):
             entries = self.manager.log.entries_for(txn_id)
         self.manager.commit_local(txn_id)
@@ -537,51 +631,28 @@ class AXMLPeer:
         context = self.manager.context(txn_id)
         complete = True
         if self.peer_independent and context.received_compensations:
-            complete = self._apply_peer_independent(context)
-            self._drop_completed_invokes(txn_id)
-            self.manager.abort_local(txn_id)
+            replication = self.network.replication
+            complete = dispatch_compensations(
+                context.received_compensations,
+                send=lambda peer_id, plan_xml: self.network.notify(
+                    self.peer_id,
+                    peer_id,
+                    CompensationRequest(txn_id, plan_xml, self.peer_id),
+                ),
+                replica_holders=(
+                    replication.holders if replication is not None else None
+                ),
+                count=self.network.metrics.incr,
+            )
+            self._abort_share(txn_id)
         else:
             self._backward_recover(txn_id)
-            if not self.peer_independent:
-                complete = self._participants_all_reached(txn_id)
-        self.network.metrics.record_txn_outcome(
-            txn_id, "aborted" if complete else "abort_incomplete"
-        )
-        self._end_txn_span(txn_id, "aborted" if complete else "abort_incomplete")
-        return complete
-
-    def _participants_all_reached(self, txn_id: str) -> bool:
-        chain = self.chains.get(txn_id)
-        if chain is None:
-            return True
-        return all(
-            self.network.is_alive(p) for p in chain.peers() if p != self.peer_id
-        )
-
-    def _apply_peer_independent(self, context: TransactionContext) -> bool:
-        """Send compensating definitions to providers (newest first)."""
-        complete = True
-        replication = self.network.replication
-        for provider, plan_xml in reversed(context.received_compensations):
-            message = CompensationRequest(context.txn_id, plan_xml, self.peer_id)
-            if self.network.notify(self.peer_id, provider, message):
-                continue
-            # Provider is gone: try a replica holder of the plan's document.
-            delivered = False
-            if replication is not None:
-                from repro.txn.compensation import CompensationPlan
-
-                document_name = CompensationPlan.from_xml(plan_xml).document_name
-                for holder in replication.holders(document_name):
-                    if holder != provider and self.network.notify(
-                        self.peer_id, holder, message
-                    ):
-                        self.network.metrics.incr("compensations_via_replica")
-                        delivered = True
-                        break
-            if not delivered:
-                self.network.metrics.incr("compensation_failures")
-                complete = False
+            chain = self._chain(txn_id)
+            if not self.peer_independent and chain is not None:
+                complete = all(
+                    self.network.is_alive(p) for p in chain.peers() if p != self.peer_id
+                )
+        self._close_origin(txn_id, "aborted" if complete else "abort_incomplete")
         return complete
 
     # ------------------------------------------------------------------
@@ -590,19 +661,12 @@ class AXMLPeer:
 
     def handle_invoke(self, request: InvokeRequest) -> Outcome:
         """Execute a service for a remote invoker under its transaction."""
-        if self.disconnected:
-            raise PeerDisconnected(self.peer_id)
-        injector = self.injector
-        if injector is not None:
-            injector.check_disconnect(self.peer_id, request.method_name, "before_execute")
-            if self.disconnected:
-                raise PeerDisconnected(self.peer_id)
-        dedup_key = (
-            request.txn_id,
-            request.method_name,
-            tuple(sorted(request.params.items())),
-        )
-        cached = self._completed_invokes.get(dedup_key)
+        self._check_alive()
+        self._injected_disconnect(request.method_name, "before_execute")
+        self._check_alive()
+        dedup_key = (request.method_name, tuple(sorted(request.params.items())))
+        record = self._txns.get(request.txn_id)
+        cached = record.completed.get(dedup_key) if record is not None else None
         if cached is not None:
             # Exactly-once across failover: a parent that failed over
             # re-runs its delegations, and this peer already completed
@@ -618,22 +682,22 @@ class AXMLPeer:
         # enclosing share's (see _partial_backward_recover).
         prior_seq = 0
         prior_edges = 0
-        if self.manager.has_context(request.txn_id):
-            enclosing = self.manager.contexts[request.txn_id]
-            if not enclosing.is_finished:
-                prior_edges = len(enclosing.invocations)
-                prior_seq = max(
-                    (e.seq for e in self.manager.log.entries_for(request.txn_id)),
-                    default=0,
-                )
+        enclosing = self.manager.live_context(request.txn_id)
+        if enclosing is not None:
+            prior_edges = len(enclosing.invocations)
+            prior_seq = max(
+                (e.seq for e in self.manager.log.entries_for(request.txn_id)),
+                default=0,
+            )
         transaction = Transaction(request.txn_id, request.origin_peer)
         context = self.manager.begin(
             transaction, parent_peer=request.sender, service_name=request.method_name
         )
+        record = self._record(request.txn_id)
         if request.chain_text:
-            self.chains[request.txn_id] = PeerChain.from_text(request.chain_text)
+            record.chain = PeerChain.from_text(request.chain_text)
         for method, fragments in request.reused_fragments.items():
-            self._incoming_reuse[(request.txn_id, method)] = list(fragments)
+            record.incoming_reuse[method] = list(fragments)
         span = self.network.spans.start(
             f"service:{request.method_name}",
             "service",
@@ -644,42 +708,24 @@ class AXMLPeer:
         status = "ok"
         self._txn_stack.append(request.txn_id)
         try:
-            if injector is not None:
-                fault_name = injector.check_fault(self.peer_id, request.method_name)
-                if fault_name is not None:
-                    raise ServiceFault(
-                        fault_name,
-                        f"injected fault in {request.method_name}@{self.peer_id}",
-                    )
+            self._injected_fault(request.method_name, "before_execute")
             response = self._execute_local_service(
                 request.txn_id, request.method_name, request.params
             )
-            if injector is not None:
-                fault_name = injector.check_fault(
-                    self.peer_id, request.method_name, "after_execute"
-                )
-                if fault_name is not None:
-                    # Fig. 1's failure shape: the peer fails *while
-                    # processing* the service, after nested invocations.
-                    raise ServiceFault(
-                        fault_name,
-                        f"injected fault in {request.method_name}@{self.peer_id}",
-                    )
-                injector.check_disconnect(
-                    self.peer_id, request.method_name, "after_local_work"
-                )
-                if self.disconnected:
-                    raise PeerDisconnected(self.peer_id)
+            # Fig. 1's failure shape: the peer fails *while processing*
+            # the service, after nested invocations.
+            self._injected_fault(request.method_name, "after_execute")
+            self._injected_disconnect(request.method_name, "after_local_work")
+            self._check_alive()
             compensations = self._collect_compensations(
                 request.txn_id, context, response
             )
-            if injector is not None:
-                injector.check_disconnect(
-                    self.peer_id, request.method_name, "before_return"
-                )
+            # No liveness check: a peer dying here has its work complete
+            # but undelivered — the network reports the death.
+            self._injected_disconnect(request.method_name, "before_return")
             if self.parent_watch_interval is not None:
                 self._arm_parent_watch(request.txn_id, context)
-            my_chain = self.chains.get(request.txn_id)
+            my_chain = self._chain(request.txn_id)
             # Share hand-off: the entries behind these fragments must be
             # durable before the invoker acts on the result.
             self._wal_barrier()
@@ -688,9 +734,7 @@ class AXMLPeer:
                 provider_peer=self.peer_id,
                 compensations=compensations,
                 nodes_affected=response.nodes_affected,
-                chain_text=(
-                    my_chain.to_text() if (my_chain and self.chaining) else ""
-                ),
+                chain_text=my_chain.to_text() if my_chain is not None else "",
             )
             replication = self.network.replication
             if replication is not None and replication.is_replicated_method(
@@ -699,7 +743,7 @@ class AXMLPeer:
                 # Only replicated services can be legitimately re-invoked
                 # (a failed-over parent re-running its delegations); for
                 # them, remember the outcome for exactly-once dedup.
-                self._completed_invokes[dedup_key] = result
+                self._record(request.txn_id).completed[dedup_key] = result
             return result
         except ServiceFault as fault:
             # §3.2 steps 1-2, callee side: abort my share and tell the
@@ -730,14 +774,26 @@ class AXMLPeer:
             self._txn_stack.pop()
             self.network.spans.end(span, status=status)
 
+    def _injected_fault(self, method_name: str, point: str) -> None:
+        """Raise the named fault scripted for this execution point."""
+        if self.injector is not None:
+            fault_name = self.injector.check_fault(self.peer_id, method_name, point)
+            if fault_name is not None:
+                raise ServiceFault(
+                    fault_name, f"injected fault in {method_name}@{self.peer_id}"
+                )
+
+    def _injected_disconnect(self, method_name: str, point: str) -> None:
+        """Fire any disconnection/crash scripted for this execution point."""
+        if self.injector is not None:
+            self.injector.check_disconnect(self.peer_id, method_name, point)
+
     def _execute_local_service(
         self, txn_id: str, method_name: str, params: Dict[str, str]
     ) -> ServiceResponse:
         # Services log their own changes through record_changes() the
         # moment they make them (see ServiceHost), so nothing is logged
         # here — by return time the log already covers this execution.
-        from repro.errors import ServiceError, ServiceNotFound, UpdateError
-
         try:
             service = self.registry.lookup(method_name)
             response = service.execute(params, self)
@@ -788,29 +844,10 @@ class AXMLPeer:
         def reinvoke(peer: str, method: str, p: Dict[str, str]) -> List[str]:
             # Hand any redirected results we hold (§3.3b) to the retry
             # target so orphaned children's work is reused, not redone.
-            reuse: Dict[str, List[str]] = {}
-            for (t, reusable_method), fragments in list(self.reusable_results.items()):
-                if t == txn_id:
-                    reuse[reusable_method] = fragments
-                    del self.reusable_results[(t, reusable_method)]
-            chain = self.chains.get(txn_id)
-            request = InvokeRequest(
-                txn_id=txn_id,
-                origin_peer=self.manager.context(txn_id).transaction.origin_peer,
-                sender=self.peer_id,
-                method_name=method,
-                params=p,
-                chain_text=chain.to_text() if (chain and self.chaining) else "",
-                reused_fragments=reuse,
-            )
-            self.network.metrics.record_invocation()
-            self._wal_barrier()
-            result = self.network.rpc(self.peer_id, peer, request)
-            for provider, plan_xml in result.compensations:
-                self.manager.context(txn_id).record_compensation_definition(
-                    provider, plan_xml
-                )
-            return result.fragments
+            return self._send_invoke(
+                self.manager.context(txn_id), peer, method, p,
+                self.take_redirected(txn_id),
+            ).fragments
 
         # The replication layer offers "the most-caught-up live replica"
         # as a per-retry failover target — only for services it actually
@@ -838,18 +875,10 @@ class AXMLPeer:
             and select_alternative is not None
             and not policy.alternative_peer
         ):
-            # §3.3 rewrite: route the transaction's chain around the dead
-            # primary so commit/abort traffic reaches the replica that now
-            # owns the share — including when the dead peer was an
-            # interior node (its subtree re-parents onto the replica).
-            chain = self.chains.get(txn_id)
-            if chain is not None and self.chaining:
-                if chain.substitute(
-                    target_peer,
-                    decision.alternative_used,
-                    self._peer_is_super(decision.alternative_used),
-                ):
-                    self.network.metrics.incr("chains_rewritten")
+            # Route the transaction's chain around the dead primary —
+            # including when it was an interior node (its subtree
+            # re-parents onto the replica).
+            self.reroute_chain(txn_id, target_peer, decision.alternative_used)
         return decision
 
     def _partial_backward_recover(
@@ -867,25 +896,19 @@ class AXMLPeer:
         the children this frame invoked to abort theirs.
         """
         txn_id = request.txn_id
-        if not self.manager.has_context(txn_id):
-            return
-        context = self.manager.contexts[txn_id]
-        if context.is_finished:
+        context = self.manager.live_context(txn_id)
+        if context is None:
             return
         executed = self.manager.abort_invocation_tail(txn_id, prior_seq)
         self.network.metrics.record_value("compensation_depth", executed)
         self.network.metrics.incr("partial_aborts")
         frame_edges = context.invocations[prior_edges:]
         del context.invocations[prior_edges:]
-        for peer_id in {
-            e.target_peer for e in frame_edges
-            if e.target_peer not in (request.sender, self.peer_id)
-        }:
-            self.network.notify(
-                self.peer_id,
-                peer_id,
-                AbortMessage(txn_id, self.peer_id, request.method_name),
-            )
+        self._tell(
+            {e.target_peer for e in frame_edges},
+            AbortMessage(txn_id, self.peer_id, request.method_name),
+            but=(request.sender, self.peer_id),
+        )
 
     def _backward_recover(self, txn_id: str, exclude_peer: str = "") -> None:
         """Abort my share and notify the peers whose services I invoked.
@@ -893,30 +916,39 @@ class AXMLPeer:
         ``exclude_peer`` is the peer the failure came from (it has
         already recovered itself) or the parent (the re-raise informs it).
         """
-        if not self.manager.has_context(txn_id):
-            return
-        context = self.manager.contexts[txn_id]
-        if context.is_finished:
+        context = self.manager.live_context(txn_id)
+        if context is None:
             return
         discarded = sum(1 for e in context.invocations if e.completed)
         if discarded:
             self.network.metrics.record_discarded_invocation(discarded)
-        self._drop_completed_invokes(txn_id)
-        executed = self.manager.abort_local(txn_id)
+        executed = self._abort_share(txn_id)
         self.network.metrics.record_value("compensation_depth", executed)
         self.network.metrics.incr("local_aborts")
         if context.is_origin:
-            self.network.metrics.record_txn_outcome(txn_id, "aborted")
-            self._end_txn_span(txn_id, "aborted")
-        for peer_id in context.invoked_peers():
-            if peer_id == exclude_peer:
-                continue
-            self.network.notify(
-                self.peer_id,
-                peer_id,
-                AbortMessage(txn_id, self.peer_id, context.service_name or ""),
-            )
-        self._cancel_pending_work(txn_id)
+            self._close_origin(txn_id, "aborted")
+        self._tell(
+            context.invoked_peers(),
+            AbortMessage(txn_id, self.peer_id, context.service_name or ""),
+            but=(exclude_peer,),
+        )
+
+    def _abort_share(self, txn_id: str) -> int:
+        """Compensate whatever share of the transaction this peer holds;
+        returns the number of compensating actions executed.
+
+        The share's exactly-once cache goes first: once the work is
+        undone, a cached :class:`Outcome` would make a later legitimate
+        re-invocation return stale results without redoing it.  Its
+        continuous work is moot either way.
+        """
+        record = self._txns.get(txn_id)
+        if record is not None:
+            record.completed.clear()
+            record.cancel_work()
+        if not self.manager.has_context(txn_id):
+            return 0
+        return self.manager.abort_local(txn_id)
 
     def _arm_parent_watch(self, txn_id: str, context: TransactionContext) -> None:
         """Probe the invoker until the commit/abort decision arrives.
@@ -933,17 +965,12 @@ class AXMLPeer:
         interval = self.parent_watch_interval
 
         def probe() -> None:
-            current = self.manager.contexts.get(txn_id)
-            if (
-                self.disconnected
-                or current is not context
-                or context.is_finished
-            ):
+            if self.disconnected or self.manager.live_context(txn_id) is not context:
                 return
             if self.network.ping(self.peer_id, parent):
                 self.network.events.schedule(interval, probe)
                 return
-            self.known_doomed.add(txn_id)
+            self.mark_doomed(txn_id)
             self._backward_recover(txn_id)
             self.network.metrics.incr("orphan_self_aborts")
 
@@ -964,56 +991,34 @@ class AXMLPeer:
         (the naive baseline's loss of effort).
         """
         txn_id = request.txn_id
-        self.known_doomed.add(txn_id)
-        chain = self.chains.get(txn_id)
-        if not self.chaining or chain is None:
-            self._discard_own_work(txn_id)
-            return
+        self.mark_doomed(txn_id)
+        chain = self._chain(txn_id)
         dead_parent = request.sender
-        notice = DisconnectNotice(
-            txn_id, dead_parent, self.peer_id, self.network.clock.now
-        )
-        redirect = RedirectedResult(
-            txn_id,
-            self.peer_id,
-            dead_parent,
-            request.method_name,
-            list(result.fragments),
-            list(result.compensations),
-        )
-        # Candidate receivers: ancestors of the dead parent, nearest
-        # first, then the closest super peer as the last resort.
-        candidates = chain.ancestors_of(dead_parent)
-        closest_super = chain.closest_super_peer(dead_parent)
-        if closest_super and closest_super not in candidates:
-            candidates.append(closest_super)
-        for ancestor in candidates:
+        for ancestor in chain.ancestors_of(dead_parent) if chain else ():
             if ancestor == self.peer_id or not self.network.is_alive(ancestor):
                 continue
+            notice = DisconnectNotice(
+                txn_id, dead_parent, self.peer_id, self.network.clock.now
+            )
+            redirect = RedirectedResult(
+                txn_id,
+                self.peer_id,
+                dead_parent,
+                request.method_name,
+                list(result.fragments),
+                list(result.compensations),
+            )
             self.network.notify(self.peer_id, ancestor, notice)
             self.network.notify(self.peer_id, ancestor, redirect)
             self.network.metrics.incr("results_redirected")
             return
-        self._discard_own_work(txn_id)
-
-    def _discard_own_work(self, txn_id: str) -> None:
-        if self.manager.has_context(txn_id):
-            context = self.manager.contexts[txn_id]
-            if any(e.completed for e in context.invocations) or context.log_seqs:
-                self.network.metrics.record_discarded_invocation()
-            self._drop_completed_invokes(txn_id)
-            self.manager.abort_local(txn_id)
-        self._cancel_pending_work(txn_id)
-
-    def _drop_completed_invokes(self, txn_id: str) -> None:
-        """Invalidate the exactly-once cache for an aborted share.
-
-        Once the share is compensated, a cached :class:`Outcome`
-        would make a later legitimate re-invocation return stale results
-        without redoing the (now undone) work.
-        """
-        for key in [k for k in self._completed_invokes if k[0] == txn_id]:
-            del self._completed_invokes[key]
+        # Nobody to hand the results to: the work is lost.
+        context = self.manager.contexts.get(txn_id)
+        if context is not None and (
+            any(e.completed for e in context.invocations) or context.log_seqs
+        ):
+            self.network.metrics.record_discarded_invocation()
+        self._abort_share(txn_id)
 
     def check_child_liveness(self, txn_id: str) -> List[str]:
         """§3.3(c): ping my chain children; handle any detected death.
@@ -1023,34 +1028,22 @@ class AXMLPeer:
         effort) and can reuse any redirected results they already sent.
         """
         self._check_alive()
-        chain = self.chains.get(txn_id)
+        chain = self._chain(txn_id)
         if chain is None:
             return []
         dead: List[str] = []
         for child in chain.children_of(self.peer_id):
-            if not self.network.ping(self.peer_id, child):
-                dead.append(child)
-                self._on_child_death(txn_id, child)
+            if self.network.ping(self.peer_id, child):
+                continue
+            dead.append(child)
+            self.mark_doomed(txn_id)
+            informed = self._tell(
+                chain.orphan_notice_targets(child, self.peer_id, self.chain_scope),
+                DisconnectNotice(txn_id, child, self.peer_id, self.network.clock.now),
+            )
+            if informed:
+                self.network.metrics.incr("descendants_informed", informed)
         return dead
-
-    def _on_child_death(self, txn_id: str, dead_child: str) -> None:
-        self.known_doomed.add(txn_id)
-        chain = self.chains.get(txn_id)
-        if chain is None or not self.chaining:
-            return
-        notice = DisconnectNotice(
-            txn_id, dead_child, self.peer_id, self.network.clock.now
-        )
-        targets = list(chain.descendants_of(dead_child))
-        if self.chain_scope == "extended":
-            # Conclusion's extension: also alert the dead peer's wider
-            # family so parallel branches stop wasting effort sooner.
-            for relative in chain.relatives_of(dead_child, "extended"):
-                if relative not in targets and relative != self.peer_id:
-                    targets.append(relative)
-        for target in targets:
-            if self.network.notify(self.peer_id, target, notice):
-                self.network.metrics.incr("descendants_informed")
 
     def report_stream_timeout(self, txn_id: str, silent_sibling: str) -> None:
         """§3.3(d): a sibling's continuous data stream went silent.
@@ -1063,15 +1056,17 @@ class AXMLPeer:
         self._check_alive()
         if self.network.ping(self.peer_id, silent_sibling):
             return  # false alarm: the stream was merely late
-        chain = self.chains.get(txn_id)
-        if chain is None or not self.chaining:
+        chain = self._chain(txn_id)
+        if chain is None:
             return
-        notice = DisconnectNotice(
-            txn_id, silent_sibling, self.peer_id, self.network.clock.now
+        self._tell(
+            chain.sibling_notice_targets(
+                silent_sibling, self.peer_id, self.chain_scope
+            ),
+            DisconnectNotice(
+                txn_id, silent_sibling, self.peer_id, self.network.clock.now
+            ),
         )
-        for relative in chain.relatives_of(silent_sibling, self.chain_scope):
-            if relative != self.peer_id:
-                self.network.notify(self.peer_id, relative, notice)
 
     # ------------------------------------------------------------------
     # notifications
@@ -1093,11 +1088,11 @@ class AXMLPeer:
         elif isinstance(message, DisconnectNotice):
             self._on_disconnect_notice(message)
         elif isinstance(message, RedirectedResult):
-            self.reusable_results[(message.txn_id, message.method_name)] = list(
+            self._record(message.txn_id).redirected[message.method_name] = list(
                 message.fragments
             )
-            if self.manager.has_context(message.txn_id):
-                context = self.manager.contexts[message.txn_id]
+            context = self.manager.contexts.get(message.txn_id)
+            if context is not None:
                 for provider, plan_xml in message.compensations:
                     context.record_compensation_definition(provider, plan_xml)
             self.network.metrics.incr("redirected_results_received")
@@ -1112,11 +1107,9 @@ class AXMLPeer:
         """§3.2 step 2: a peer whose invoker aborted compensates its
         share and cascades to its own children."""
         txn_id = message.txn_id
-        if not self.manager.has_context(txn_id):
-            self._cancel_pending_work(txn_id)
-            return
-        context = self.manager.contexts[txn_id]
-        if context.is_finished:
+        if self.manager.live_context(txn_id) is None:
+            if not self.manager.has_context(txn_id):
+                self._cancel_pending_work(txn_id)
             return
         self.network.metrics.incr("aborts_received")
         self._backward_recover(txn_id, exclude_peer=message.from_peer)
@@ -1128,7 +1121,7 @@ class AXMLPeer:
         rationale: "prevent them from wasting effort").  Recovery itself
         is driven by whichever peer owns the failed invocation edge.
         """
-        self.known_doomed.add(message.txn_id)
+        self.mark_doomed(message.txn_id)
         self._cancel_pending_work(message.txn_id)
         self.network.metrics.incr("disconnect_notices_received")
 
@@ -1146,24 +1139,25 @@ class AXMLPeer:
         unless a notification cancelled them first.  This is the §3.3
         effort model: early notification saves the un-fired units.
         """
-        handles = []
+        work = self._record(txn_id).work
         for i in range(units):
-            handle = self.network.events.schedule(
-                (i + 1) * unit_duration, lambda t=txn_id: self._do_work_unit(t)
+            work.append(
+                self.network.events.schedule(
+                    (i + 1) * unit_duration, lambda t=txn_id: self._do_work_unit(t)
+                )
             )
-            handles.append(handle)
-        self._pending_work.setdefault(txn_id, []).extend(handles)
 
     def _do_work_unit(self, txn_id: str) -> None:
         if self.disconnected:
             return
         self.network.metrics.incr("work_units_done")
-        if txn_id in self.known_doomed:
+        if self.is_doomed(txn_id):
             self.network.metrics.incr("work_units_wasted")
 
     def _cancel_pending_work(self, txn_id: str) -> None:
-        for handle in self._pending_work.pop(txn_id, []):
-            handle.cancel()
+        record = self._txns.get(txn_id)
+        if record is not None:
+            record.cancel_work()
 
     # ------------------------------------------------------------------
     # crash (process death: volatile state lost, disk survives)
@@ -1187,14 +1181,9 @@ class AXMLPeer:
         self.network.disconnect(self.peer_id)
         self.disconnected = True
         self.manager.crash()
-        self.chains.clear()
-        self.reusable_results.clear()
-        self._incoming_reuse.clear()
-        self._completed_invokes.clear()
-        self.known_doomed.clear()
-        for txn_id in list(self._pending_work):
-            self._cancel_pending_work(txn_id)
-        self._txn_spans.clear()
+        for record in self._txns.values():
+            record.cancel_work()
+        self._txns.clear()
         self.network.metrics.incr("peer_crashes")
 
     # ------------------------------------------------------------------
@@ -1272,16 +1261,13 @@ class AXMLPeer:
         compensates.  Returns ``"committed"``, ``"aborted"`` or
         ``"noop"`` (no context / already settled).
         """
-        if not self.manager.has_context(txn_id):
-            return "noop"
-        context = self.manager.contexts[txn_id]
-        if context.is_finished:
+        context = self.manager.live_context(txn_id)
+        if context is None:
             return "noop"
         if committed and context.state is TransactionState.ACTIVE:
             self._commit_local_and_ship(txn_id)
             return "committed"
-        self._drop_completed_invokes(txn_id)
-        self.manager.abort_local(txn_id)
+        self._abort_share(txn_id)
         return "aborted"
 
     def forget_transaction(self, txn_id: str) -> None:
@@ -1292,14 +1278,9 @@ class AXMLPeer:
         paper's reuse cases) still resolve; a harness that *knows* the
         transaction is globally settled calls this to release them.
         """
-        self.chains.pop(txn_id, None)
-        self.known_doomed.discard(txn_id)
-        for key in [k for k in self.reusable_results if k[0] == txn_id]:
-            del self.reusable_results[key]
-        for key in [k for k in self._incoming_reuse if k[0] == txn_id]:
-            del self._incoming_reuse[key]
-        self._drop_completed_invokes(txn_id)
-        self._cancel_pending_work(txn_id)
+        record = self._txns.pop(txn_id, None)
+        if record is not None:
+            record.cancel_work()
 
     # ------------------------------------------------------------------
     # misc

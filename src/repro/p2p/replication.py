@@ -131,22 +131,26 @@ class ReplicationManager:
         holders = self.holders(document_name)
         if not holders:
             raise P2PError(f"no peer holds document {document_name!r}")
-        source_peer = self.network.get_peer(holders[0])
-        target_peer = self.network.get_peer(to_peer_id)
-        source_doc = source_peer.get_axml_document(document_name)
-        # Structural clone preserving ids: identical trees with identical
-        # node identities, independent storage (parse_equivalent keeps the
-        # copy byte-for-byte what the old serialize→parse route produced).
-        copy = source_doc.document.clone_tree(
-            preserve_ids=True, name=document_name, parse_equivalent=True
-        )
-        replica = AXMLDocument(copy, name=document_name)
-        target_peer.host_document(replica)
+        replica = self._copy_document(document_name, holders[0], to_peer_id)
         registered = self.directory.document_map[document_name]
         if to_peer_id not in registered:
             registered.append(to_peer_id)
         self.network.metrics.incr("documents_replicated")
         return replica
+
+    def _copy_document(
+        self, document_name: str, source: str, target: str
+    ) -> AXMLDocument:
+        """Host on *target* a structural clone of *source*'s copy: same
+        trees, same node ids, independent storage (``parse_equivalent``:
+        byte-for-byte what a serialize→parse round trip would give).
+        Holder bookkeeping stays with the caller."""
+        source_peer = self.network.get_peer(source)
+        target_peer = self.network.get_peer(target)
+        copy = source_peer.get_axml_document(document_name).document.clone_tree(
+            preserve_ids=True, name=document_name, parse_equivalent=True
+        )
+        return target_peer.host_document(AXMLDocument(copy, name=document_name))
 
     def holders(self, document_name: str) -> List[str]:
         """Peers holding the document, primary first."""
@@ -308,9 +312,12 @@ class ReplicationManager:
     # -- WAL shipping: replica side ----------------------------------------
 
     def on_ship(self, replica_peer: str, message: WalShipMessage) -> None:
-        """A replica received a batch of shipped frames."""
+        """A replica received a batch of shipped frames — decoded whole
+        before any is queued, so a malformed frame (a typed
+        ``ReproError``) never leaves half a batch in the inbox."""
+        entries = [entry_from_xml(x) for x in message.entries_xml]
         channel = self._channel(message.from_peer, replica_peer)
-        channel.inbox.extend(entry_from_xml(x) for x in message.entries_xml)
+        channel.inbox.extend(entries)
         if replica_peer in self._lagged:
             return  # frames accumulate; no apply, no ack
         self._apply_inbox(channel)
@@ -493,8 +500,7 @@ class ReplicationManager:
                 continue
             primary = holders[0]
             if primary == dead_peer or not self.network.is_alive(primary):
-                holders.remove(chosen)
-                holders.insert(0, chosen)
+                self.directory.move_to_front(holders, chosen)
 
     # -- membership events -------------------------------------------------
 
@@ -569,11 +575,5 @@ class ReplicationManager:
         source = self._resync_source(document_name, holder)
         if source is None:
             return
-        primary = self.network.get_peer(source)
-        target = self.network.get_peer(holder)
-        source_doc = primary.get_axml_document(document_name)
-        copy = source_doc.document.clone_tree(
-            preserve_ids=True, name=document_name, parse_equivalent=True
-        )
-        target.host_document(AXMLDocument(copy, name=document_name))
+        self._copy_document(document_name, source, holder)
         self.network.metrics.incr("replica_resyncs")

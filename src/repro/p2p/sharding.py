@@ -46,7 +46,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import P2PError
 from repro.obs.prof import PROF
-from repro.txn.modes import RejoinMode
+from repro.p2p.failure import crash_and_restart
+
+#: Virtual seconds between two quiescence-barrier rechecks of a migration.
+DEFER_DELAY = 0.05
 
 
 class ShardRing:
@@ -210,7 +213,7 @@ class PlacementDirectory:
 
         Sharded methods route to the current primary, falling back to
         the first alive holder when the primary is down (the holder list
-        is kept primary-first by :meth:`flip_primary` and failover).
+        is kept primary-first by :meth:`move_to_front`).
         """
         if method not in self.sharded_methods:
             return None
@@ -229,16 +232,18 @@ class PlacementDirectory:
         single in-place reorder — every routing layer reads these lists,
         so the flip is one step for the whole system.
         """
-        holders = self.document_map.get(document, [])
-        if new_primary in holders:
-            holders.remove(new_primary)
-            holders.insert(0, new_primary)
+        self.move_to_front(self.document_map.get(document, []), new_primary)
         method = self.sharded_docs.get(document, "")
         if method:
-            service_holders = self.service_map.get(method, [])
-            if new_primary in service_holders:
-                service_holders.remove(new_primary)
-                service_holders.insert(0, new_primary)
+            self.move_to_front(self.service_map.get(method, []), new_primary)
+
+    @staticmethod
+    def move_to_front(holders: List[str], peer_id: str) -> None:
+        """Make *peer_id* the primary of a holder list it is in (in
+        place: every routing layer reads these lists)."""
+        if peer_id in holders:
+            holders.remove(peer_id)
+            holders.insert(0, peer_id)
 
 
 @dataclass
@@ -290,7 +295,6 @@ class ShardCoordinator:
         ring: ShardRing,
         scratch=None,
         cutover_delay: float = 0.05,
-        defer_delay: float = 0.05,
         max_defers: int = 12,
     ):
         self.network = network
@@ -300,7 +304,6 @@ class ShardCoordinator:
         self.ring = ring
         self.scratch = scratch
         self.cutover_delay = cutover_delay
-        self.defer_delay = defer_delay
         self.max_defers = max_defers
         self._migrations: List[ShardMigration] = []
         #: FIFO of armed ``crash_during_migration`` faults:
@@ -470,7 +473,7 @@ class ShardCoordinator:
         migration.defer_count += 1
         if migration.defer_count > self.max_defers:
             return False
-        self.network.events.schedule(self.defer_delay, lambda: retry(migration))
+        self.network.events.schedule(DEFER_DELAY, lambda: retry(migration))
         return True
 
     def _inflight_txns(self, migration: ShardMigration) -> Set[str]:
@@ -499,28 +502,16 @@ class ShardCoordinator:
         """Substitute the target for the source in every transaction
         chain where the source no longer has an unfinished share — so
         future disconnection routing flows around the old holder."""
-        source_peer = self.network.get_peer(migration.source)
-        target_super = bool(
-            getattr(self.network.get_peer(migration.target), "super_peer", False)
-        )
+        source_manager = self.network.get_peer(migration.source).manager
         for peer_id in sorted(self.network.peers()):
             peer = self.network.get_peer(peer_id)
             if peer.disconnected:
                 continue
-            chains = getattr(peer, "chains", None)
-            if not chains:
-                continue
-            for txn_id in sorted(chains):
-                if (
-                    source_peer.manager.has_context(txn_id)
-                    and not source_peer.manager.contexts[txn_id].is_finished
+            for txn_id, chain in sorted(peer.chain_views().items()):
+                if source_manager.live_context(txn_id) is None and chain.contains(
+                    migration.source
                 ):
-                    continue
-                chain = chains[txn_id]
-                if chain.contains(migration.source) and chain.substitute(
-                    migration.source, migration.target, target_super
-                ):
-                    self.network.metrics.incr("chains_rewritten")
+                    peer.reroute_chain(txn_id, migration.source, migration.target)
 
     # -- crash faults ----------------------------------------------------
 
@@ -537,20 +528,8 @@ class ShardCoordinator:
                 continue
             del self._armed[index]
             victim = migration.source if role == "source" else migration.target
-            self._crash_peer(victim, delay)
+            crash_and_restart(self.network, victim, delay)
             return
-
-    def _crash_peer(self, peer_id: str, restart_delay: float) -> None:
-        peer = self.network.get_peer(peer_id)
-        if peer.disconnected:
-            return
-        peer.crash()
-
-        def restart() -> None:
-            if peer.disconnected:
-                peer.rejoin(mode=RejoinMode.IN_DOUBT)
-
-        self.network.events.schedule(restart_delay, restart)
 
     # -- settlement ------------------------------------------------------
 
@@ -587,7 +566,7 @@ class ShardCoordinator:
                     )
                     if source is None:
                         continue  # no surviving copy: the oracle flags shard_lost
-                    self._clone(document, source, target)
+                    self.replication._copy_document(document, source, target)
                 if method and target not in self.directory.service_map.get(method, []):
                     self.replication.replicate_service(method, target)
             if holders and holders[0] != want[0]:
@@ -601,17 +580,6 @@ class ShardCoordinator:
                 service_holders = self.directory.service_map.setdefault(method, [])
                 service_holders[:] = list(want)
         self.directory.active_migration_routes.clear()
-
-    def _clone(self, document: str, source: str, target: str) -> None:
-        from repro.axml.document import AXMLDocument
-
-        source_doc = self.network.get_peer(source).get_axml_document(document)
-        copy = source_doc.document.clone_tree(
-            preserve_ids=True, name=document, parse_equivalent=True
-        )
-        self.network.get_peer(target).host_document(
-            AXMLDocument(copy, name=document)
-        )
 
     def _remove_stage(self, migration: ShardMigration) -> None:
         if migration.stage_path and os.path.exists(migration.stage_path):

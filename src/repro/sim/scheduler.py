@@ -83,6 +83,12 @@ COMMITTED = "committed"
 ABORTED_CONFLICT = "aborted_conflict"
 ABORTED_FAILURE = "aborted_failure"
 
+#: Retry backoff after an OCC conflict: ``BACKOFF_BASE *
+#: BACKOFF_FACTOR ** (attempt - 1)`` virtual seconds, times a seeded
+#: jitter in [0.5, 1.5).
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class TxnSpec:
@@ -164,8 +170,6 @@ class TransactionScheduler:
         max_inflight: int = 4,
         max_attempts: int = 5,
         op_gap: float = 0.01,
-        backoff_base: float = 0.05,
-        backoff_factor: float = 2.0,
         seed: int = 0,
     ):
         if max_inflight < 1:
@@ -178,8 +182,6 @@ class TransactionScheduler:
         #: Virtual seconds between consecutive operations of one txn —
         #: the interleaving granularity of the engine.
         self.op_gap = op_gap
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self.rng = SeededRng(seed)
         self.results: List[TxnResult] = []
         self._inflight = 0
@@ -333,10 +335,8 @@ class TransactionScheduler:
             # Execution failed (service fault that backward-recovered to
             # the origin, a disconnected provider, update error, ...) —
             # the share is already compensated; account and finish.
-            if origin.manager.has_context(state.txn_id):
-                context = origin.manager.contexts[state.txn_id]
-                if not context.is_finished:
-                    self._abort_quietly(origin, state.txn_id)
+            if origin.manager.live_context(state.txn_id) is not None:
+                self._abort_quietly(origin, state.txn_id)
             self._finish(state, ABORTED_FAILURE)
             return
         self._schedule_op(state, index + 1)
@@ -408,8 +408,8 @@ class TransactionScheduler:
         # Exponential backoff with seeded jitter; the admission slot is
         # held through the backoff (the client is still "in the system").
         delay = (
-            self.backoff_base
-            * (self.backoff_factor ** (state.attempt - 1))
+            BACKOFF_BASE
+            * (BACKOFF_FACTOR ** (state.attempt - 1))
             * (0.5 + self.rng.random())
         )
         self.network.events.schedule(delay, lambda: self._start_attempt(state))

@@ -49,6 +49,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ReproError
 from repro.txn.wal import (
     LogEntry,
     entry_bytes,
@@ -206,7 +207,7 @@ class CheckpointStore:
                     checkpoint.entries.append(entry_from_xml(payload))
                 else:
                     return None
-        except (ValueError, IndexError, KeyError):
+        except ReproError:  # a frame that is not a well-formed entry
             return None
         checkpoint.entries.sort(key=lambda e: e.seq)
         return checkpoint

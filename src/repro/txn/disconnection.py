@@ -23,7 +23,7 @@ Case map (Fig. 2 topology, ``[AP1* -> AP2 -> [AP3 -> AP6] || [AP4 -> AP5]]``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import PeerDisconnected, ServiceFault
 from repro.p2p.peer import AXMLPeer
@@ -88,12 +88,9 @@ def run_case_b_parent_disconnection(
     network = grandparent.network
     before = network.metrics.snapshot()
     report = CaseReport("b", dead_parent, grandparent.peer_id)
-    reused: Dict[str, List[str]] = {}
-    for (t, method), fragments in list(grandparent.reusable_results.items()):
-        if t == txn_id:
-            reused[method] = fragments
-            del grandparent.reusable_results[(t, method)]
-            network.metrics.record_reused_invocation()
+    reused = grandparent.take_redirected(txn_id)
+    for _ in reused:
+        network.metrics.record_reused_invocation()
     try:
         grandparent.invoke(
             txn_id,

@@ -64,6 +64,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ReproError
 from repro.txn.checkpoint import Checkpoint, CheckpointStore
 from repro.txn.wal import (
     LogEntry,
@@ -436,7 +437,7 @@ class DurableWal:
             if kind == "E" and name is None:
                 try:
                     entry = entry_from_xml(payload)
-                except Exception:
+                except ReproError:
                     return True, entry_frames
                 if entry.seq <= last_seq:
                     # Seq regression: a stale tail from before a crash.
@@ -445,9 +446,7 @@ class DurableWal:
                 by_seq[entry.seq] = entry
                 entry_frames += 1
             elif kind == "T" and name is None:
-                for seq in [
-                    s for s, e in by_seq.items() if e.txn_id == payload
-                ]:
+                for seq in [s for s, e in by_seq.items() if e.txn_id == payload]:
                     del by_seq[seq]
             else:
                 return True, entry_frames

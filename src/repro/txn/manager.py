@@ -119,6 +119,12 @@ class TransactionManager:
     def has_context(self, txn_id: str) -> bool:
         return txn_id in self.contexts
 
+    def live_context(self, txn_id: str) -> Optional[TransactionContext]:
+        """This peer's share of *txn_id* if it still awaits a decision
+        (a context exists and is not finished), else ``None``."""
+        context = self.contexts.get(txn_id)
+        return None if context is None or context.is_finished else context
+
     # -- operation execution ------------------------------------------------------
 
     def execute(

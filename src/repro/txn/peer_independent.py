@@ -1,4 +1,4 @@
-"""Peer-independent compensation (§3.2), as a reusable recovery driver.
+"""Peer-independent compensation (§3.2): the dispatch decision.
 
 "Let us assume that a peer APY, processing the invocation of a service
 S, also returns the definition of the compensating service CS_SY of S
@@ -10,111 +10,50 @@ executing are, basically, compensating services.  The intuition is to
 free the original peers from the burden of compensation as much as
 possible."
 
-:class:`AXMLPeer` applies this automatically during origin aborts; this
-module exposes the same machinery to *any* peer holding the definitions
-(e.g. a super peer that received them because the origin also died),
-plus inspection helpers for tests and experiments.
+Like :func:`repro.txn.recovery.attempt_forward_recovery`, the decision
+is a pure function over narrow callables: the recovering peer
+(:meth:`repro.p2p.peer.AXMLPeer.abort`) stays the only thing that sends
+messages, and the order/fallback rule is testable without a cluster.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
-from repro.p2p.messages import CompensationRequest
-from repro.p2p.network import SimNetwork
 from repro.txn.compensation import CompensationPlan
 
 
-@dataclass
-class CompensationLedger:
-    """Collected compensating-service definitions of one transaction.
+def dispatch_compensations(
+    definitions: Sequence[Tuple[str, str]],
+    send: Callable[[str, str], bool],
+    replica_holders: Optional[Callable[[str], Sequence[str]]],
+    count: Callable[[str], None],
+) -> bool:
+    """Invoke every compensating definition on its provider, newest first.
 
-    Entries are ``(provider_peer, plan_xml)`` in *forward* receipt order;
-    recovery dispatches them newest-first (reverse order of the forward
-    operations, §3.1).
+    Newest first is §3.1's rule (reverse order of the forward
+    operations).  *definitions* are ``(provider_peer, plan_xml)`` in forward receipt
+    order; ``send(peer_id, plan_xml)`` delivers one compensation request
+    and answers whether it arrived.  When the provider is gone and
+    *replica_holders* (document name → holders, primary first; ``None``
+    without replication) knows another holder of the plan's document,
+    the first one that takes the request stands in
+    (``compensations_via_replica``).  A definition nobody took is a
+    ``compensation_failures`` dead end — the atomicity gap the spheres
+    analysis predicts.  Returns True when every definition was delivered.
     """
-
-    txn_id: str
-    entries: List[Tuple[str, str]] = field(default_factory=list)
-
-    def add(self, provider_peer: str, plan_xml: str) -> None:
-        self.entries.append((provider_peer, plan_xml))
-
-    def providers(self) -> List[str]:
-        seen = set()
-        out: List[str] = []
-        for provider, _ in self.entries:
-            if provider not in seen:
-                seen.add(provider)
-                out.append(provider)
-        return out
-
-    def documents(self) -> List[str]:
-        out: List[str] = []
-        for _, plan_xml in self.entries:
-            name = CompensationPlan.from_xml(plan_xml).document_name
-            if name not in out:
-                out.append(name)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass
-class RecoveryOutcome:
-    """Result of dispatching a ledger."""
-
-    dispatched: int = 0
-    via_replica: int = 0
-    failed: int = 0
-
-    @property
-    def complete(self) -> bool:
-        return self.failed == 0
-
-
-def dispatch_ledger(
-    network: SimNetwork,
-    recovering_peer: str,
-    ledger: CompensationLedger,
-) -> RecoveryOutcome:
-    """Invoke every compensating definition on its original peer.
-
-    Falls back to a replica holder of the plan's document when the
-    original provider is disconnected (the replication manager must be
-    attached to the network).  Dead-end definitions are counted as
-    failures — the atomicity gap the spheres analysis predicts.
-    """
-    outcome = RecoveryOutcome()
-    replication = network.replication
-    for provider, plan_xml in reversed(ledger.entries):
-        message = CompensationRequest(ledger.txn_id, plan_xml, recovering_peer)
-        if network.notify(recovering_peer, provider, message):
-            outcome.dispatched += 1
+    complete = True
+    for provider, plan_xml in reversed(definitions):
+        if send(provider, plan_xml):
             continue
-        delivered = False
-        if replication is not None:
-            document_name = CompensationPlan.from_xml(plan_xml).document_name
-            for holder in replication.holders(document_name):
-                if holder != provider and network.notify(
-                    recovering_peer, holder, message
-                ):
-                    outcome.dispatched += 1
-                    outcome.via_replica += 1
-                    network.metrics.incr("compensations_via_replica")
-                    delivered = True
-                    break
-        if not delivered:
-            outcome.failed += 1
-            network.metrics.incr("compensation_failures")
-    return outcome
-
-
-def ledger_from_context(context) -> CompensationLedger:
-    """Build a ledger from a transaction context's received definitions."""
-    ledger = CompensationLedger(context.txn_id)
-    for provider, plan_xml in context.received_compensations:
-        ledger.add(provider, plan_xml)
-    return ledger
+        if replica_holders is not None and any(
+            holder != provider and send(holder, plan_xml)
+            for holder in replica_holders(
+                CompensationPlan.from_xml(plan_xml).document_name
+            )
+        ):
+            count("compensations_via_replica")
+            continue
+        count("compensation_failures")
+        complete = False
+    return complete

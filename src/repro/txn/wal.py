@@ -24,6 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
+from repro.errors import TransactionError
 from repro.query.update import ChangeRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -264,23 +265,34 @@ def entry_to_xml(entry: LogEntry) -> str:
 
 
 def entry_from_xml(text: str) -> LogEntry:
-    """Decode one entry serialized by :func:`entry_to_xml`."""
+    """Decode one entry serialized by :func:`entry_to_xml`.
+
+    The text may come from disk or from another peer (a ship frame), so
+    every way it can be wrong is a typed error: ill-formed XML is the
+    parser's :class:`~repro.errors.XmlParseError`, a missing or
+    ill-typed attribute a :class:`~repro.errors.TransactionError`.
+    """
     from repro.xmlstore.parser import parse_document
 
     root = parse_document(text, name="entry").root
     forward_el = root.first_child("forward")
-    return LogEntry(
-        seq=int(root.attributes["seq"]),
-        txn_id=root.attributes["txn"],
-        kind=root.attributes["kind"],
-        document_name=root.attributes["document"],
-        action_xml=forward_el.text_content() if forward_el is not None else "",
-        records=[
-            _record_from_element(rec_el)
-            for rec_el in root.find_children("record")
-        ],
-        timestamp=float(root.attributes.get("timestamp", "0")),
-    )
+    try:
+        return LogEntry(
+            seq=int(root.attributes["seq"]),
+            txn_id=root.attributes["txn"],
+            kind=root.attributes["kind"],
+            document_name=root.attributes["document"],
+            action_xml=forward_el.text_content() if forward_el is not None else "",
+            records=[
+                _record_from_element(rec_el)
+                for rec_el in root.find_children("record")
+            ],
+            timestamp=float(root.attributes.get("timestamp", "0")),
+        )
+    except (KeyError, ValueError, RecursionError) as exc:
+        # RecursionError: replace records nest, and the parser (which
+        # does not recurse) lets any depth through.
+        raise TransactionError(f"malformed log entry: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +428,8 @@ def _record_from_element(element) -> ChangeRecord:
         )
     if kind == "replace":
         children = element.find_children("record")
+        if not children:
+            raise ValueError("a replace record holds a delete, then its inserts")
         deleted = _record_from_element(children[0])
         inserted = [_record_from_element(child) for child in children[1:]]
         return ReplaceRecord(deleted, inserted)

@@ -90,6 +90,10 @@ REMOVED = {
     "repro.axml.materialize": ("InvocationOutcome",),
     "repro.txn.modes": ("Durability", "coerce_durability"),
     "repro.baselines": ("build_naive_variant",),
+    "repro.txn.peer_independent": (
+        "CompensationLedger", "RecoveryOutcome", "dispatch_ledger",
+        "ledger_from_context",
+    ),
 }
 
 
@@ -118,3 +122,37 @@ def test_removed_members_stay_removed():
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.baselines.naive_disconnect")
+
+
+def test_per_transaction_side_tables_stay_folded():
+    """One record per transaction: the seven side tables (and the
+    methods that re-spelled their lifecycle) have no alias, and the
+    single-valued options are constants."""
+    import inspect
+
+    from repro.chaos.planner import FaultPlanner
+    from repro.p2p.network import SimNetwork
+    from repro.p2p.peer import AXMLPeer
+    from repro.p2p.sharding import ShardCoordinator
+    from repro.sim.scheduler import TransactionScheduler
+
+    peer = AXMLPeer("AP1", SimNetwork())
+    peer.begin_transaction()
+    for name in (
+        "chains", "reusable_results", "_incoming_reuse", "_completed_invokes",
+        "known_doomed", "_pending_work", "_txn_spans",
+        "_apply_peer_independent", "_drop_completed_invokes",
+        "_discard_own_work", "_on_child_death", "_participants_all_reached",
+        "_end_txn_span",
+    ):
+        assert not hasattr(peer, name), f"AXMLPeer.{name} is back"
+    for owner, name in (
+        (ShardCoordinator, "_crash_peer"), (ShardCoordinator, "_clone"),
+    ):
+        assert not hasattr(owner, name), f"{owner!r}.{name} is back"
+    for owner, names in (
+        (FaultPlanner, ("disconnect_origins",)),
+        (TransactionScheduler, ("backoff_base", "backoff_factor")),
+        (ShardCoordinator, ("defer_delay",)),
+    ):
+        assert not set(names) & set(inspect.signature(owner).parameters)

@@ -134,7 +134,7 @@ class TestHarnessRuns:
     def test_settlement_leaves_no_protocol_state(self):
         result = run_chaos(ChaosConfig(seed=6, txns=10, fault_rate=0.5))
         for peer in result.cluster.peers.values():
-            assert not peer.chains
+            assert not peer.chain_views()
             assert len(peer.manager.log) == 0
 
     def test_handlers_mode_runs_clean(self):
@@ -162,10 +162,10 @@ class TestSettlementApis:
         result = run_chaos(ChaosConfig(seed=2, txns=4, fault_rate=0.0))
         origin = result.cluster.peer("C1")
         txn = origin.begin_transaction()
-        assert txn.txn_id in origin.chains
+        assert txn.txn_id in origin.chain_views()
         origin.resolve_in_doubt(txn.txn_id, committed=False)
         origin.forget_transaction(txn.txn_id)
-        assert txn.txn_id not in origin.chains
+        assert txn.txn_id not in origin.chain_views()
 
 
 class TestShrinkAndRepro:

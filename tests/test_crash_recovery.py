@@ -47,7 +47,7 @@ class TestPeerCrash:
         assert not network.is_alive("Worker")
         assert len(worker.manager.log) == 0
         assert worker.manager.contexts == {}
-        assert worker.chains == {}
+        assert worker.chain_views() == {}
         assert network.metrics.get("peer_crashes") == 1
 
     def test_documents_survive_a_crash(self, tmp_path):

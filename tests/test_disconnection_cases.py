@@ -98,7 +98,7 @@ class TestCaseBParent:
         s.injector.disconnect_peer_during("AP2", "AP6", "S6", "before_return")
         txn, err = s.run_topology()
         assert s.metrics.get("results_redirected") == 1
-        assert (txn.txn_id, "S6") in s.peer("AP1").reusable_results
+        assert "S6" in s.peer("AP1").take_redirected(txn.txn_id)
 
 
 class TestCaseCChild:
@@ -110,14 +110,13 @@ class TestCaseCChild:
         assert report.recovered
         assert report.disconnected_peer == "AP3"
         assert report.descendants_informed == 1  # AP6
-        assert txn.txn_id in s.peer("AP6").known_doomed
+        assert s.peer("AP6").is_doomed(txn.txn_id)
 
     def test_informed_descendants_stop_wasting_effort(self):
         s = Cluster.fig2()
         txn, _ = s.run_topology()
         s.peer("AP6").add_pending_work(txn.txn_id, units=10, unit_duration=0.1)
         s.network.disconnect("AP3")
-        s.peer("AP6").known_doomed.discard(txn.txn_id)
         run_case_c_child_disconnection(s.peer("AP2"), txn.txn_id)
         s.network.events.run_until(s.network.clock.now + 5.0)
         # The DisconnectNotice cancelled the pending units.
@@ -127,7 +126,7 @@ class TestCaseCChild:
         s = Cluster.fig2(chaining=False)
         txn, _ = s.run_topology()
         s.peer("AP6").add_pending_work(txn.txn_id, units=10, unit_duration=0.1)
-        s.peer("AP6").known_doomed.add(txn.txn_id)  # ground truth: doomed
+        s.peer("AP6").mark_doomed(txn.txn_id)  # ground truth: doomed
         s.network.disconnect("AP3")
         run_case_c_child_disconnection(s.peer("AP2"), txn.txn_id)
         s.network.events.run_until(s.network.clock.now + 5.0)
@@ -149,8 +148,8 @@ class TestCaseDSibling:
         report = run_case_d_sibling_disconnection(s.peer("AP4"), txn.txn_id, "AP3")
         # AP2 (parent of AP3) and AP6 (child of AP3) both notified.
         assert report.descendants_informed == 2
-        assert txn.txn_id in s.peer("AP2").known_doomed
-        assert txn.txn_id in s.peer("AP6").known_doomed
+        assert s.peer("AP2").is_doomed(txn.txn_id)
+        assert s.peer("AP6").is_doomed(txn.txn_id)
 
     def test_false_alarm_checked_by_ping(self):
         s = Cluster.fig2()
@@ -163,7 +162,7 @@ class TestCaseDSibling:
         txn, _ = s.run_topology()
         s.network.disconnect("AP3")
         s.peer("AP4").report_stream_timeout(txn.txn_id, "AP3")
-        assert txn.txn_id not in s.peer("AP6").known_doomed
+        assert not s.peer("AP6").is_doomed(txn.txn_id)
 
 
 class TestDetectionLatency:

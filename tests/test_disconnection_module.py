@@ -4,6 +4,7 @@
 import pytest
 
 from repro.api import Cluster
+from repro.p2p.messages import RedirectedResult
 from repro.txn.disconnection import (
     CaseReport,
     run_case_a_leaf_disconnection,
@@ -56,10 +57,11 @@ class TestCaseBReport:
         # run_root left AP2's context aborted (backward recovery ran);
         # start a new transaction to drive the replacement invocation.
         txn2 = grandparent.begin_transaction()
-        # move the redirected result into the new transaction's key
-        for (old_txn, method), fragments in list(grandparent.reusable_results.items()):
-            grandparent.reusable_results[(txn2.txn_id, method)] = fragments
-            del grandparent.reusable_results[(old_txn, method)]
+        # redirect the held results again, to the new transaction
+        for method, fragments in grandparent.take_redirected(txn.txn_id).items():
+            grandparent.on_notify(
+                RedirectedResult(txn2.txn_id, "AP6", "AP3", method, fragments, [])
+            )
         report = run_case_b_parent_disconnection(
             grandparent, txn2.txn_id, "AP3", "APX", "S3"
         )

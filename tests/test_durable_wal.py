@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.errors import TransactionError
 from repro.sim.kernel import ScratchSpace
 from repro.txn.durable_wal import DurableWal
 from repro.txn.wal import (
@@ -14,6 +15,19 @@ from repro.txn.wal import (
     _encode_frame,
     _read_frame,
 )
+
+
+#: Well-formed XML that is not a log entry: attributes missing or of the
+#: wrong type (``KeyError('seq')`` / bare ``ValueError`` before typing).
+MALFORMED_ENTRIES = [
+    "<x/>",
+    "<entry seq='x'/>",
+    '<entry seq="1" txn="T" kind="update" document="D" timestamp="soon"/>',
+    '<entry seq="1" txn="T" kind="update" document="D"><record kind="odd"/></entry>',
+    '<entry seq="1" txn="T" kind="update" document="D">'
+    '<record kind="insert" node="n1" parent="d1.n1" index="0"/></entry>',
+    '<entry seq="1" txn="T" kind="update" document="D"><record kind="replace"/></entry>',
+]
 
 
 def make_entry(seq, txn_id="T1", action="<a/>"):
@@ -32,6 +46,21 @@ class TestEntryCodec:
         entry = make_entry(7, txn_id="T42", action="<x y='1'/>")
         copy = entry_from_xml(entry_to_xml(entry))
         assert copy == entry
+
+    @pytest.mark.parametrize("text", MALFORMED_ENTRIES)
+    def test_malformed_entry_is_a_typed_error(self, text):
+        with pytest.raises(TransactionError, match="malformed log entry"):
+            entry_from_xml(text)
+
+    def test_nested_replace_records_do_not_recurse(self):
+        depth = 3000
+        text = (
+            '<entry seq="1" txn="T" kind="update" document="D">'
+            + '<record kind="replace">' * depth + "</record>" * depth
+            + "</entry>"
+        )
+        with pytest.raises(TransactionError, match="malformed log entry"):
+            entry_from_xml(text)
 
 
 class TestAppendAndLoad:
@@ -187,6 +216,28 @@ class TestHostileDirectory:
         assert metrics.get("wal_torn_tails") == 1
         assert [e.seq for e in wal.reload()] == [1, 2]
         wal.close()
+
+    @pytest.mark.parametrize("text", MALFORMED_ENTRIES[:2])
+    def test_malformed_entry_frame_is_a_torn_tail(self, tmp_path, text):
+        seg = self._three_entries(tmp_path)
+        with open(seg, "ab") as handle:
+            handle.write(_encode_frame("E", text))
+        wal = DurableWal(str(tmp_path), peer_id="P1")
+        assert wal.last_recovery.torn
+        assert [e.seq for e in wal.last_recovery.entries] == [1, 2, 3]
+        wal.close()
+
+    def test_scan_does_not_swallow_programming_errors(self, tmp_path, monkeypatch):
+        import repro.txn.durable_wal as durable_wal
+
+        self._three_entries(tmp_path)
+
+        def broken(payload):
+            raise RuntimeError("not a decode failure")
+
+        monkeypatch.setattr(durable_wal, "entry_from_xml", broken)
+        with pytest.raises(RuntimeError):
+            DurableWal(str(tmp_path), peer_id="P1")
 
     @pytest.mark.parametrize("stray", ["wal-backup.seg", "wal-1.seg", "wal-0000001.seg"])
     def test_foreign_segment_names_are_ignored(self, tmp_path, stray):

@@ -167,4 +167,4 @@ class TestRemoteSubquery:
             placement,
             parse_select(f"Select b from b in {placement.fragment_document}//book;"),
         )
-        assert ap1.chains[txn.txn_id].contains("AP2")
+        assert ap1.chain_views()[txn.txn_id].contains("AP2")

@@ -106,16 +106,16 @@ class TestRemoteInvocation:
         network, ap1, ap2 = make_pair()
         txn = ap1.begin_transaction()
         ap1.invoke(txn.txn_id, "AP2", "setPrice", {"price": "55"})
-        chain = ap1.chains[txn.txn_id]
+        chain = ap1.chain_views()[txn.txn_id]
         assert chain.children_of("AP1") == ["AP2"]
         # callee received the chain view
-        assert ap2.chains[txn.txn_id].contains("AP2")
+        assert ap2.chain_views()[txn.txn_id].contains("AP2")
 
     def test_no_chain_when_disabled(self):
         network, ap1, ap2 = make_pair(chaining=False)
         txn = ap1.begin_transaction()
         ap1.invoke(txn.txn_id, "AP2", "setPrice", {"price": "55"})
-        assert txn.txn_id not in ap2.chains
+        assert txn.txn_id not in ap2.chain_views()
 
     def test_service_fault_aborts_participant(self):
         network, ap1, ap2 = make_pair()
@@ -284,6 +284,6 @@ class TestContinuousWork:
         network, ap1, _ = make_pair()
         txn = ap1.begin_transaction()
         ap1.add_pending_work(txn.txn_id, units=5, unit_duration=0.1)
-        ap1.known_doomed.add(txn.txn_id)
+        ap1.mark_doomed(txn.txn_id)
         network.events.run_until(5.0)
         assert network.metrics.get("work_units_wasted") == 5

@@ -58,8 +58,8 @@ class TestSilenceDetection:
         scenario.network.events.run_until(0.5)
         scenario.network.disconnect("AP3")
         scenario.network.events.run_until(3.0)
-        assert txn.txn_id in scenario.peer("AP2").known_doomed
-        assert txn.txn_id in scenario.peer("AP6").known_doomed
+        assert scenario.peer("AP2").is_doomed(txn.txn_id)
+        assert scenario.peer("AP6").is_doomed(txn.txn_id)
 
     def test_naive_consumer_cannot_notify(self):
         scenario, txn, stream = fig2_with_stream(chaining=False)
@@ -67,7 +67,7 @@ class TestSilenceDetection:
         scenario.network.disconnect("AP3")
         scenario.network.events.run_until(3.0)
         assert stream.silence_reported
-        assert txn.txn_id not in scenario.peer("AP6").known_doomed
+        assert not scenario.peer("AP6").is_doomed(txn.txn_id)
 
     def test_detection_latency_bounded(self):
         scenario, txn, stream = fig2_with_stream(interval=0.1)

@@ -126,6 +126,30 @@ class TestWalShipping:
         assert "44" in peers["AP3"].get_axml_document("Shop2").to_xml()
 
 
+    @pytest.mark.parametrize("hostile", ["<x/>", "<entry seq='x'/>", "<entry"])
+    def test_malformed_ship_frame_is_a_typed_error_and_queues_nothing(self, hostile):
+        """Ship frames come from another peer: a frame that is not a log
+        entry is a typed error, and the good frames of the same batch
+        are not half-applied."""
+        from repro.errors import ReproError
+        from repro.p2p.messages import WalShipMessage
+        from repro.txn.wal import entry_to_xml
+
+        network, replication, peers = make_cluster()
+        good = entry_to_xml(LogEntry(
+            seq=1, txn_id="T1", kind="update", document_name="Shop2",
+            action_xml=INSERT_FLAG, records=[], timestamp=0.0,
+        ))
+        message = WalShipMessage(
+            from_peer="AP2", to_peer="AP3", entries_xml=[good, hostile],
+            first_seq=1, last_seq=2,
+        )
+        with pytest.raises(ReproError):
+            peers["AP3"].on_notify(message)
+        assert replication._channel("AP2", "AP3").inbox == []
+        assert "shipped" not in peers["AP3"].get_axml_document("Shop2").to_xml()
+
+
 class TestDeterministicFailoverSelection:
     def test_most_caught_up_replica_wins(self):
         network, replication, peers = make_cluster(replicas=("AP3", "AP4"))

@@ -70,7 +70,7 @@ class TestATPListScenario:
         txn = ap1.begin_transaction()
         ap1.submit(txn.txn_id, f'<action type="query"><location>{QUERY_B}</location></action>')
         # getPoints lives on AP2: the chain shows the enlistment.
-        assert ap1.chains[txn.txn_id].contains("AP2")
+        assert ap1.chain_views()[txn.txn_id].contains("AP2")
 
 
 class TestFig1NestedRecovery:
@@ -161,12 +161,12 @@ class TestFig2Chain:
         txn, err = s.run_topology()
         assert err is None
         # AP5 is a leaf: its chain view is complete by invocation time.
-        chain = s.peer("AP5").chains[txn.txn_id]
+        chain = s.peer("AP5").chain_views()[txn.txn_id]
         assert chain.to_text() == "[AP1* -> AP2 -> [AP3 -> AP6] || [AP4 -> AP5]]"
 
     def test_super_peer_flag_propagates(self):
         s = Cluster.fig2()
         txn, _ = s.run_topology()
-        chain = s.peer("AP5").chains[txn.txn_id]
+        chain = s.peer("AP5").chain_views()[txn.txn_id]
         assert chain.find("AP1").super_peer
         assert not chain.find("AP2").super_peer

@@ -275,18 +275,21 @@ class TestReplication:
 
 
 class TestPeerIndependentLedger:
-    def test_ledger_roundtrip(self):
-        from repro.txn.peer_independent import CompensationLedger
-        from repro.txn.compensation import CompensationPlan
+    @staticmethod
+    def _dispatch(network, definitions):
+        """The §3.2 dispatch as the origin "O" of "T1" wires it."""
+        from repro.p2p.messages import CompensationRequest
+        from repro.txn.peer_independent import dispatch_compensations
 
-        ledger = CompensationLedger("T1")
-        plan = CompensationPlan("DocA")
-        ledger.add("P1", plan.to_xml())
-        ledger.add("P2", CompensationPlan("DocB").to_xml())
-        ledger.add("P1", CompensationPlan("DocA").to_xml())
-        assert len(ledger) == 3
-        assert ledger.providers() == ["P1", "P2"]
-        assert ledger.documents() == ["DocA", "DocB"]
+        replication = network.replication
+        return dispatch_compensations(
+            definitions,
+            send=lambda peer_id, plan_xml: network.notify(
+                "O", peer_id, CompensationRequest("T1", plan_xml, "O")
+            ),
+            replica_holders=replication.holders if replication is not None else None,
+            count=network.metrics.incr,
+        )
 
     def test_dispatch_falls_back_to_replica(self):
         from repro.axml.document import AXMLDocument
@@ -294,35 +297,28 @@ class TestPeerIndependentLedger:
         from repro.p2p.peer import AXMLPeer
         from repro.p2p.replication import ReplicationManager
         from repro.txn.compensation import CompensationPlan
-        from repro.txn.peer_independent import CompensationLedger, dispatch_ledger
 
         network = SimNetwork()
-        origin = AXMLPeer("O", network)
+        AXMLPeer("O", network)
         provider = AXMLPeer("P", network)
-        replica_holder = AXMLPeer("R", network)
+        AXMLPeer("R", network)
         replication = ReplicationManager(network)
         provider.host_document(AXMLDocument.from_xml("<D><x/></D>", name="D"))
         replication.register_primary("D", "P")
         replication.replicate_document("D", "R")
-        ledger = CompensationLedger("T1")
-        ledger.add("P", CompensationPlan("D").to_xml())
         network.disconnect("P")
-        outcome = dispatch_ledger(network, "O", ledger)
-        assert outcome.complete
-        assert outcome.via_replica == 1
+        assert self._dispatch(network, [("P", CompensationPlan("D").to_xml())])
+        assert network.metrics.get("compensations_via_replica") == 1
+        assert network.metrics.get("peer_independent_compensations") == 1
 
     def test_dispatch_failure_counted(self):
         from repro.p2p.network import SimNetwork
         from repro.p2p.peer import AXMLPeer
         from repro.txn.compensation import CompensationPlan
-        from repro.txn.peer_independent import CompensationLedger, dispatch_ledger
 
         network = SimNetwork()
         AXMLPeer("O", network)
         AXMLPeer("P", network)
-        ledger = CompensationLedger("T1")
-        ledger.add("P", CompensationPlan("D").to_xml())
         network.disconnect("P")
-        outcome = dispatch_ledger(network, "O", ledger)
-        assert not outcome.complete
-        assert outcome.failed == 1
+        assert not self._dispatch(network, [("P", CompensationPlan("D").to_xml())])
+        assert network.metrics.get("compensation_failures") == 1
