@@ -1,6 +1,6 @@
 """P1 — hot-path performance: structural indexes, parallel sweeps, parsing.
 
-Three measurements, all gated (a regression makes this script exit 1,
+Four measurements, all gated (a regression makes this script exit 1,
 and CI runs it with ``--smoke`` on every push):
 
 * **Part A — indexed vs. walk-based query evaluation.**  Builds one
@@ -24,6 +24,13 @@ and CI runs it with ``--smoke`` on every push):
   calls must be **equal** — the scanner's cost is per token, not per
   character.  The count repeats exactly on every machine, so a
   reintroduced per-character loop fails on a count, not on wall time.
+* **Part D — a location costs what it touches.**  The protocol's inner
+  loop (§3.1: ``<location>`` query, then touch the node it returned) as
+  an insert located by ``D//items``, on a ``<D><items>…</items></D>``
+  document holding N markers and 100·N (smoke: 10·N).  The ``//items``
+  step has one candidate whatever the document holds, so the time per
+  operation must not grow with it (gate: large <= 3x small; an ordering
+  that re-ranks the document after every write measures ~76x).
 
 Run:  python benchmarks/bench_p1_hot_paths.py [--smoke] [--seed N]
                                               [--workers N]
@@ -42,7 +49,8 @@ from repro.chaos import ChaosConfig, chaos_sweep
 from repro.obs import stable_json
 from repro.obs.prof import PROF
 from repro.query.evaluate import evaluate_select
-from repro.query.parser import parse_select
+from repro.query.parser import parse_action, parse_select
+from repro.query.update import apply_action
 from repro.sim.metrics import MetricsCollector
 from repro.sim.parallel import available_cores, parallel_map
 from repro.sim.rng import SeededRng
@@ -280,7 +288,63 @@ def bench_parser_scan(args) -> dict:
     )
 
 
-def gates(args, query_rec, sweep_rec, scan_rec):
+#: Part D's operation: the shape every BENCH_E2E ladder rung issues.
+LOCATE_INSERT = (
+    '<action type="insert"><data><m/></data>'
+    "<location>Select i from i in D//items;</location></action>"
+)
+
+
+def _insert_locate_per_op(markers: int, ops: int) -> float:
+    """Seconds per insert+locate (best of 3 documents) on a document that
+    holds *markers* markers when the timing starts."""
+    action = parse_action(LOCATE_INSERT)
+    best = float("inf")
+    for _ in range(3):
+        doc = Document("D")
+        items = doc.create_root(QName("D")).new_element("items")
+        for _ in range(markers):
+            items.new_element("m")
+        start = time.perf_counter()
+        for _ in range(ops):
+            result = apply_action(doc, action)
+        best = min(best, (time.perf_counter() - start) / ops)
+        assert len(items.children) == markers + ops
+        assert result.records[0].index == markers + ops - 1
+    return best
+
+
+def bench_locate_insert(args) -> dict:
+    small = 500
+    large = small * (10 if args.smoke else 100)
+    ops = 200 if args.smoke else 400
+    before = PROF.snapshot()
+    small_per_op = _insert_locate_per_op(small, ops)
+    large_per_op = _insert_locate_per_op(large, ops)
+    delta = PROF.delta_since(before)
+    hits = delta.get("query_index_hits", 0)
+    walks = delta.get("query_tree_walks", 0)
+    ratio = large_per_op / small_per_op
+    print(
+        f"P1/D insert+locate: {small_per_op * 1e6:.0f} us/op under {small} "
+        f"markers vs {large_per_op * 1e6:.0f} us/op under {large} ({ratio:.2f}x)"
+    )
+    return perf_record(
+        "insert_locate_scaling",
+        args.seed,
+        large_per_op * ops,
+        small_per_op / large_per_op,
+        index_hit_rate=hits / (hits + walks) if hits + walks else 0.0,
+        markers_small=small,
+        markers_large=large,
+        ops=ops,
+        per_op_us_small=round(small_per_op * 1e6, 1),
+        per_op_us_large=round(large_per_op * 1e6, 1),
+        per_op_ratio=round(ratio, 4),
+    )
+
+
+def gates(args, query_rec, sweep_rec, scan_rec, locate_rec):
     """Reasons this run fails its gate.  Speedup ratios; wall time only
     where the measured pool floor says the machine can deliver one."""
     required = 1.0 if args.smoke else 2.0
@@ -306,6 +370,12 @@ def gates(args, query_rec, sweep_rec, scan_rec):
             f"parser made {scan_rec['calls_10x']} calls on the 10x-longer input vs "
             f"{scan_rec['calls_1x']} on the 1x one: scan cost is per character again"
         )
+    if locate_rec["per_op_ratio"] > 3.0:
+        yield (
+            f"insert+locate costs {locate_rec['per_op_ratio']}x more per op under "
+            f"{locate_rec['markers_large']} markers than under "
+            f"{locate_rec['markers_small']}: a location pays for the document again"
+        )
 
 
 def _configure(parser) -> None:
@@ -315,7 +385,8 @@ def _configure(parser) -> None:
 
 def main() -> int:
     return run_perf_bench(
-        "P1", __doc__, [bench_queries, bench_sweep, bench_parser_scan], gates,
+        "P1", __doc__,
+        [bench_queries, bench_sweep, bench_parser_scan, bench_locate_insert], gates,
         configure=_configure,
     )
 

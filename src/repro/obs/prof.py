@@ -26,7 +26,6 @@ Counter vocabulary used across the codebase::
     query_tree_walks      descendant steps answered by a subtree walk
     query_walk_nodes      elements visited by those walks
     comp_log_lookups      O(1) id lookups for compensation-log targets
-    index_rank_rebuilds   epoch-invalidated rank-cache rebuilds
     eventq_scheduled/_fired/_cancelled/_compactions   kernel heap ops
     messages_sent         simulated network sends
 """

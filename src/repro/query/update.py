@@ -203,7 +203,7 @@ def _apply_insert(
     affected = 0
     for target in targets:
         for fragment_xml in action.data:
-            node = _insert_fragment(
+            node, index = _insert_fragment(
                 document, target, fragment_xml, action.anchor, action.rebind
             )
             affected += node.subtree_size()
@@ -211,7 +211,7 @@ def _apply_insert(
                 InsertRecord(
                     node_id=node.node_id,
                     parent_id=target.node_id,
-                    index=node.index_in_parent(),
+                    index=index,
                     inserted_xml=fragment_xml,
                 )
             )
@@ -230,7 +230,9 @@ def _insert_fragment(
     fragment_xml: str,
     anchor: Optional[Tuple[str, str]],
     rebind: bool = False,
-) -> Element:
+) -> Tuple[Element, int]:
+    """Parse one fragment and place it under *parent*; returns the node
+    and the child position it landed at."""
     fragments = parse_fragment(fragment_xml, document)
     if len(fragments) != 1:
         raise UpdateError(
@@ -239,25 +241,22 @@ def _insert_fragment(
     node = fragments[0]
     if rebind:
         rebind_element_ids(node, document)
-    if anchor is None:
-        parent.append(node)
-        return node
-    mode, anchor_id_text = anchor
-    anchor_id = NodeId.parse(anchor_id_text)
-    if not document.has_node(anchor_id):
-        # Anchor vanished (e.g. deleted by a concurrent operation): degrade
-        # to append, the paper's unordered behaviour.
-        parent.append(node)
-        return node
-    anchor_node = document.get_node(anchor_id)
-    if anchor_node.parent is not parent:
-        parent.append(node)
-        return node
-    if mode == "before":
-        parent.insert_before(anchor_node, node)
-    else:
-        parent.insert_after(anchor_node, node)
-    return node
+    if anchor is not None:
+        mode, anchor_id_text = anchor
+        anchor_id = NodeId.parse(anchor_id_text)
+        # A vanished anchor (e.g. deleted by a concurrent operation) or
+        # one that moved elsewhere degrades to append, the paper's
+        # unordered behaviour.
+        if document.has_node(anchor_id):
+            anchor_node = document.get_node(anchor_id)
+            if anchor_node.parent is parent:
+                index = parent.children.index(anchor_node)
+                if mode != "before":
+                    index += 1
+                parent.insert_at(index, node)
+                return node, index
+    parent.append(node)
+    return node, len(parent.children) - 1
 
 
 def _apply_replace(
@@ -274,9 +273,9 @@ def _apply_replace(
         if target is document.root:
             raise UpdateError("cannot replace the document root")
         parent = target.parent
-        position = target.index_in_parent()
         affected += target.subtree_size()
         delete_record = _detach_to_record(target)
+        position = delete_record.index
         insert_records: List[InsertRecord] = []
         for offset, fragment_xml in enumerate(action.data):
             fragments = parse_fragment(fragment_xml, document)

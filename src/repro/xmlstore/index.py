@@ -10,34 +10,32 @@ compensation-log node lookups — all reduce to two access patterns:
 
 :class:`StructuralIndex` adds the tag half: a *postings* index from
 element local name to the elements carrying it, maintained incrementally
-as nodes are created, adopted and vacuumed, plus an epoch-guarded
-document-order rank cache used to answer descendant steps without a tree
-walk.  ViP2P (PAPERS.md) gets its XML-in-P2P performance from exactly
-this move — materialized access structures instead of per-query walks.
+as nodes are created, adopted and vacuumed.  ViP2P (PAPERS.md) gets its
+XML-in-P2P performance from exactly this move — access structures that
+are maintained, not recomputed per query.
 
-Invalidation model
-------------------
-Postings track *existence* (every element owned by the document, attached
-or logically deleted) and are exact at all times.  *Attachment* and
-*document order* are resolved through :meth:`order_ranks`: a pre-order
-walk of the live tree, pruning ``axml`` metadata subtrees, cached against
-the document's mutation epoch.  Any structural mutation (attach, detach,
-id adoption, root creation) bumps the epoch; the next indexed query
-rebuilds the rank map once and every later query reuses it.  A document
-that mutates on every query degrades gracefully to walk cost; a document
-queried repeatedly between mutations amortizes the rebuild to ~0.
+Postings track *existence* (every element owned by the document,
+attached or logically deleted) and are exact at all times.  *Attachment*
+and *document order* are properties of the tree, so they are read off
+the tree when a query asks: :meth:`StructuralIndex.order_ranks` climbs
+parent pointers from each posting candidate to the query's context and
+orders the survivors by walking only the branches that lead to them
+(Lugiez & Martin, PAPERS.md: a node *is* its path of positions from the
+root).  Nothing is cached, so no mutation has anything to invalidate: a
+``//name`` step costs what it touches — the candidates' ancestor chains
+and those ancestors' child lists — whether or not the document changed
+since the last query.
 
 The module-level switch (:func:`set_index_enabled`,
-:func:`index_disabled`) lets benchmarks and invalidation tests compare
-indexed answers against fresh full-tree walks.
+:func:`index_disabled`) lets benchmarks and parity tests compare indexed
+answers against fresh full-tree walks.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, Mapping
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping
 
-from repro.obs.prof import PROF
 from repro.xmlstore.names import is_axml_meta_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,16 +72,14 @@ def index_disabled() -> Iterator[None]:
 
 
 class StructuralIndex:
-    """Tag-name postings + epoch-cached document-order ranks for one document."""
+    """Tag-name postings + on-demand document ordering for one document."""
 
-    __slots__ = ("_document", "_postings", "_rank_epoch", "_ranks")
+    __slots__ = ("_document", "_postings")
 
     def __init__(self, document: "Document"):
         self._document = document
         #: local name → insertion-ordered {NodeId: Element} postings.
         self._postings: Dict[str, Dict["NodeId", "Element"]] = {}
-        self._rank_epoch = -1
-        self._ranks: Dict["NodeId", int] = {}
 
     # -- incremental maintenance (driven by the node layer) -----------------
 
@@ -98,14 +94,8 @@ class StructuralIndex:
             bucket.pop(old_id, None)
             bucket[element.node_id] = element
 
-    def drop_id(self, node_id: "NodeId") -> None:
-        """Forget a vacuumed id (the element may be any local name)."""
-        for bucket in self._postings.values():
-            if bucket.pop(node_id, None) is not None:
-                return
-
     def drop_element(self, element: "Element") -> None:
-        """Forget a vacuumed element (cheap path when the node is known)."""
+        """Forget a vacuumed element."""
         bucket = self._postings.get(element.name.local)
         if bucket is not None:
             bucket.pop(element.node_id, None)
@@ -114,8 +104,6 @@ class StructuralIndex:
         """Drop everything; pairs with a wholesale node-map reset
         (snapshot rollback swaps the entire tree out from under us)."""
         self._postings.clear()
-        self._ranks = {}
-        self._rank_epoch = -1
 
     # -- queries ------------------------------------------------------------
 
@@ -123,47 +111,66 @@ class StructuralIndex:
         """Every element of the document (attached or not) with that name."""
         return self._postings.get(local_name, _EMPTY)
 
-    def order_ranks(self) -> Dict["NodeId", int]:
-        """Pre-order rank of every *live* element, pruning axml metadata.
+    def order_ranks(
+        self, candidates: Iterable["Element"], under: "Element"
+    ) -> List["Element"]:
+        """The *candidates* a logical descendant walk from *under* would
+        reach, in the order it would reach them.
 
-        Membership in the returned map is the attachment test: an element
-        has a rank iff it is reachable from the root without crossing an
-        ``axml:params``/handler subtree — exactly the set a logical
-        descendant walk can reach.  Rebuilt lazily when the document's
-        mutation epoch moved; reused byte-for-byte otherwise.
+        A candidate survives iff climbing its parent pointers meets
+        *under* before an ``axml:params``/handler element or a missing
+        parent (logically deleted) — *under* itself survives whatever
+        its name.  Verdicts are memoised on every node a climb passes,
+        so ancestors shared by several candidates are climbed once and a
+        chain of same-name matches stays linear.  Two or more survivors
+        are put in document order by a pre-order walk from *under* that
+        descends only into nodes some climb marked as leading to one.
+
+        The two identity-keyed containers are looked up, never iterated:
+        output order comes from *candidates* and from child lists only.
         """
-        document = self._document
-        epoch = document.mutation_epoch
-        if epoch == self._rank_epoch:
-            return self._ranks
-        ranks: Dict["NodeId", int] = {}
-        root = document.root
-        if root is not None:
-            rank = 0
-            stack = [root]
-            while stack:
-                element = stack.pop()
-                ranks[element.node_id] = rank
-                rank += 1
-                for child in reversed(element.children):
-                    name = getattr(child, "name", None)
-                    if name is not None and not is_axml_meta_name(name):
-                        stack.append(child)
-        self._ranks = ranks
-        self._rank_epoch = epoch
-        PROF.incr("index_rank_rebuilds")
-        return ranks
+        leads_to_match: Dict[object, bool] = {under: True}
+        branching = set()
+        survivors: List["Element"] = []
+        for candidate in candidates:
+            trail = []
+            node = candidate
+            while True:
+                verdict = leads_to_match.get(node)
+                if verdict is not None:
+                    break
+                if node is None or is_axml_meta_name(node.name):
+                    verdict = False
+                    break
+                trail.append(node)
+                node = node.parent
+            for passed in trail:
+                leads_to_match[passed] = verdict
+            if verdict:
+                survivors.append(candidate)
+                for passed in trail:
+                    branching.add(passed.parent)
+        if len(survivors) < 2:
+            return survivors
+        wanted = set(survivors)
+        ordered: List["Element"] = []
+        stack = [under]
+        while stack:
+            node = stack.pop()
+            if node in wanted:
+                ordered.append(node)
+            if node in branching:
+                stack.extend(filter(leads_to_match.get, reversed(node.children)))
+        return ordered
 
     # -- introspection ------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Counters for reports and tests (sizes, epoch, cache state)."""
+        """Counters for reports and tests (sizes, epoch)."""
         return {
             "tags": len(self._postings),
             "entries": sum(len(bucket) for bucket in self._postings.values()),
             "epoch": self._document.mutation_epoch,
-            "rank_cache_epoch": self._rank_epoch,
-            "ranked": len(self._ranks),
         }
 
     def __repr__(self) -> str:

@@ -41,10 +41,9 @@ class _ObservedAttributes(dict):
 
     The serialization cache is keyed by :attr:`Document.content_epoch`,
     which must move on *every* observable change — including attribute
-    writes, which do not alter the tree structure (so they leave the
-    structural ``mutation_epoch``, and with it the index rank cache,
-    untouched).  Subclassing ``dict`` keeps reads at native speed; only
-    the mutating operations pay the one extra increment.
+    writes, which do not alter the tree structure.  Subclassing ``dict``
+    keeps reads at native speed; only the mutating operations pay the one
+    extra increment.
     """
 
     __slots__ = ("_document",)
@@ -207,19 +206,19 @@ class Node:
         if self.parent is None:
             raise XmlStructureError("cannot detach a parentless node")
         parent = self.parent
-        idx = self.index_in_parent()
-        before = self.preceding_sibling()
-        after = self.following_sibling()
-        parent.children.pop(idx)
-        self.parent = None
-        self._document._note_detach(parent, self)
-        return DetachRecord(
+        siblings = parent.children
+        idx = siblings.index(self)  # the one scan: the neighbours are idx ± 1
+        record = DetachRecord(
             node=self,
             parent_id=parent.node_id,
             index=idx,
-            before_id=before.node_id if before is not None else None,
-            after_id=after.node_id if after is not None else None,
+            before_id=siblings[idx - 1].node_id if idx else None,
+            after_id=siblings[idx + 1].node_id if idx + 1 < len(siblings) else None,
         )
+        del siblings[idx]
+        self.parent = None
+        self._document._note_detach(parent, self)
+        return record
 
     # -- introspection -------------------------------------------------------
 
@@ -486,7 +485,7 @@ class Document:
 
     @property
     def mutation_epoch(self) -> int:
-        """Monotonic counter of structural mutations; guards index caches."""
+        """Monotonic counter of structural mutations."""
         return self._epoch
 
     @property
@@ -508,7 +507,7 @@ class Document:
 
     def _note_content_change(self) -> None:
         """A content-only mutation (attribute/text write): serialization
-        caches are stale, but the index rank cache is not."""
+        caches are stale, the tree structure is not."""
         self._content_epoch += 1
 
     def _note_attach(self, parent: Element, child: Node) -> None:

@@ -20,7 +20,7 @@ recovery, and experiment E7 reads this meter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.errors import QuerySyntaxError
 from repro.obs.prof import PROF
@@ -233,37 +233,33 @@ def _indexed_descendants(
     if step.name is None or len(context) != 1 or not index_enabled():
         return None
     ctx = context[0]
-    document = ctx.document
-    ranks = document.index.order_ranks()
-    if ctx.node_id not in ranks:
+    if not _in_live_tree(ctx):
         return None  # detached or metadata-shadowed context: walk it
-    postings = document.index.postings(step.name.local)
+    index = ctx.document.index
+    postings = index.postings(step.name.local)
     logical = ctx._logical_count
     if len(postings) > logical:
         PROF.incr("query_index_skips")
         return None
     meter.touch(logical)
     PROF.incr("query_index_hits")
-    is_root = ctx.parent is None
-    matches: List[Tuple[int, Element]] = []
-    for element in postings.values():
-        rank = ranks.get(element.node_id)
-        if rank is None:
-            continue  # logically deleted, or inside an axml metadata region
-        if not _name_matches(step, element):
-            continue
-        if not is_root and not _has_ancestor_or_self(element, ctx):
-            continue
-        matches.append((rank, element))
-    matches.sort()
-    return [element for _, element in matches]
+    return index.order_ranks(
+        [element for element in postings.values() if _name_matches(step, element)],
+        ctx,
+    )
 
 
-def _has_ancestor_or_self(element: Element, ancestor: Element) -> bool:
+def _in_live_tree(element: Element) -> bool:
+    """True when a logical descendant walk from the document root would
+    reach *element*: its parent chain ends at the root without crossing
+    (or starting on) an ``axml`` metadata element."""
+    root = element.document.root
     node: Optional[Element] = element
     while node is not None:
-        if node is ancestor:
+        if node is root:
             return True
+        if is_axml_meta_name(node.name):
+            return False
         node = node.parent
     return False
 

@@ -101,7 +101,7 @@ class TestSerializeCache:
         assert "<extra/>" not in serialize(doc)
 
     def test_attribute_write_leaves_structural_epoch_alone(self):
-        # Attribute/text writes must not invalidate the index rank cache.
+        # Attribute/text writes are content-only: the structural epoch stays.
         doc = build_doc()
         structural = doc.mutation_epoch
         content = doc.content_epoch

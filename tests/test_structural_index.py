@@ -1,5 +1,5 @@
-"""Structural index (repro.xmlstore.index): maintenance, invalidation,
-meter parity.
+"""Structural index (repro.xmlstore.index): maintenance, on-demand
+ordering, meter parity.
 
 The contract under test: with the index enabled, every query returns the
 same nodes in the same order AND charges the traversal meter the same
@@ -7,13 +7,18 @@ count as a fresh full-tree walk — after any interleaving of mutations,
 including compensation replay.
 """
 
+import sys
+
+import pytest
+
+from repro.query.ast import ActionType, UpdateAction
 from repro.query.evaluate import evaluate_select
 from repro.query.parser import parse_action, parse_select
 from repro.query.update import apply_action
 from repro.sim.rng import SeededRng
-from repro.txn.compensation import compensating_actions_for
+from repro.txn.compensation import compensating_actions_for, node_query
 from repro.xmlstore.index import index_disabled, index_enabled, set_index_enabled
-from repro.xmlstore.names import QName
+from repro.xmlstore.names import QName, is_axml_meta_name
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.path import TraversalMeter, parse_path
@@ -31,13 +36,15 @@ ATP = (
 )
 
 
-def assert_parity(doc, path_text):
-    """Indexed answer == walk answer, nodes, order and meter charge."""
+def assert_parity(context, path_text):
+    """Indexed answer == walk answer, nodes, order and meter charge.
+
+    *context* is a document or any element of one (attached or not)."""
     path = parse_path(path_text)
     fast_meter, slow_meter = TraversalMeter(), TraversalMeter()
-    fast = path.evaluate(doc, fast_meter)
+    fast = path.evaluate(context, fast_meter)
     with index_disabled():
-        slow = path.evaluate(doc, slow_meter)
+        slow = path.evaluate(context, slow_meter)
     assert [n.node_id for n in fast] == [n.node_id for n in slow], path_text
     assert fast_meter.nodes_traversed == slow_meter.nodes_traversed, path_text
     return fast
@@ -55,9 +62,12 @@ class TestPostingsMaintenance:
         player = parse_path("ATPList//player").evaluate(doc)[0]
         player.detach()
         # Existence is tracked (the id stays resolvable for compensation)...
-        assert len(doc.index.postings("player")) == 3
-        # ...but the live-tree rank map no longer contains it.
-        assert player.node_id not in doc.index.order_ranks()
+        candidates = list(doc.index.postings("player").values())
+        assert len(candidates) == 3
+        # ...but ordering the candidates under the root drops it...
+        assert player not in doc.index.order_ranks(candidates, doc.root)
+        # ...while under itself (the walk a detached context gets) it leads.
+        assert doc.index.order_ranks(candidates, player) == [player]
         assert len(assert_parity(doc, "ATPList//player")) == 2
 
     def test_vacuum_drops_postings(self):
@@ -84,13 +94,6 @@ class TestPostingsMaintenance:
         e1 = doc.mutation_epoch
         child.detach()
         assert doc.mutation_epoch > e1
-
-    def test_rank_cache_reused_between_mutations(self):
-        doc = parse_document(ATP, name="ATPList")
-        first = doc.index.order_ranks()
-        assert doc.index.order_ranks() is first  # same epoch, same object
-        parse_path("ATPList//player").evaluate(doc)[0].detach()
-        assert doc.index.order_ranks() is not first
 
 
 class TestMeterParity:
@@ -162,32 +165,133 @@ class TestMutateUnderQuery:
                     assert_parity(doc, path_text)
         assert canonical(doc) == pre  # compensation restored the document
 
+    #: What the property inserts: plain and nested same-name matches (a
+    #: match that is an ancestor of a match), an ``axml:sc`` whose params
+    #: region hides matches beside visible results, a handler region —
+    #: in ``x``/``y``/``z`` filler no query names, so that postings stay
+    #: smaller than most subtrees and the index is not refused.
+    FRAGMENTS = (
+        "<a><x/><y/></a>",
+        "<x><b><a/><c/></b><y><z/></y></x>",
+        "<y><a><a><b/><a/><z/></a></a><x/></y>",
+        "<c><axml:sc xmlns:axml='x' service='S'><axml:params>"
+        "<axml:param name='p'><a><b/></a></axml:param></axml:params>"
+        "<a/><b/><x><z/></x></axml:sc></c>",
+        "<z><axml:sc xmlns:axml='x' service='S'><axml:catch fault='F'>"
+        "<a><c/></a></axml:catch><c><a/><y/></c></axml:sc><x/></z>",
+    )
+
     def test_randomized_equivalence(self):
+        """Seeded property: after every insert/delete/replace, every
+        compensation replay (detached candidates come back under their
+        rebound ids) and every id-preserving clone, ``//name`` from the
+        root, an inner element, a detached element and a
+        metadata-shadowed element answers exactly as the walk does."""
         rng = SeededRng(41)
         doc = Document("R")
-        root = doc.create_root(QName("R"))
-        live = [root]
-        for step in range(120):
+        doc.create_root(QName("R"))
+        undo = []  # applied results, newest last, not yet compensated
+        detached = []  # elements a delete/replace took out of the tree
+        cases = {"root": 0, "inner": 0, "detached": 0, "shadowed": 0}
+        for round_no in range(200):
+            elements = list(doc.iter_elements())
+            target = rng.choice(elements)
+            by_id = node_query(target.node_id, "R")
             roll = rng.random()
-            if roll < 0.55 or len(live) < 3:
-                parent = rng.choice(live)
-                child = parent.append(
-                    Element(doc, rng.choice(["a", "b", "c"]))
+            if target is doc.root or (roll < 0.5 and len(elements) < 300):
+                anchor = None
+                if target.children and rng.coin(0.4):
+                    sibling = rng.choice(target.children)
+                    anchor = (rng.choice(["before", "after"]), repr(sibling.node_id))
+                action = UpdateAction(
+                    ActionType.INSERT, by_id, (rng.choice(self.FRAGMENTS),), anchor
                 )
-                live.append(child)
+            elif roll < 0.8:
+                action = UpdateAction(ActionType.DELETE, by_id)
             else:
-                victim = rng.choice(live[1:])
-                if victim.is_attached():
-                    victim.detach()
-                    live = [
-                        e for e in live
-                        if e is doc.root or e.is_attached()
-                    ]
-            if step % 10 == 0:
-                for name in ("a", "b", "c"):
-                    assert_parity(doc, f"R//{name}")
-        for name in ("a", "b", "c"):
-            assert_parity(doc, f"R//{name}")
+                action = UpdateAction(
+                    ActionType.REPLACE, by_id, (rng.choice(self.FRAGMENTS),)
+                )
+            result = apply_action(doc, action)
+            if target.parent is None and target is not doc.root:
+                detached.append(target)
+            undo.append(result)
+            if rng.coin(0.3):
+                for action in compensating_actions_for(undo.pop(), "R", True):
+                    apply_action(doc, action, tolerate_missing_targets=True)
+            if round_no % 20 == 19:
+                # Carry on in a copy whose ids were adopted, not allocated.
+                copy = Document("R")
+                copy.root = doc.root.clone_into(copy, preserve_ids=True)
+                doc, detached = copy, []
+            elements = list(doc.iter_elements())
+            shadowed = [
+                e for e in elements
+                if any(is_axml_meta_name(n.name) for n in [e, *e.ancestors()])
+            ]
+            # Inner contexts big enough that the index is not refused.
+            inner = [e for e in elements[1:] if e._logical_count >= 8] or elements
+            contexts = {"inner": inner, "detached": detached, "shadowed": shadowed}
+            for name in ("a", "b", "c"):
+                assert_parity(doc, f"R//{name}")
+                cases["root"] += 1
+                for kind, pool in contexts.items():
+                    if pool:
+                        assert_parity(rng.choice(pool), f"//{name}")
+                        cases[kind] += 1
+        assert all(cases.values()), cases
+        assert sum(cases.values()) >= 2000, cases
+
+    def test_deep_same_name_chain_is_linear(self):
+        """3 000 nested ``<a>``: every match is an ancestor of the next.
+        Parity with the walk, and the climbs are memoised — bounded by a
+        call count (exact on any machine), not by wall time."""
+        depth = 3000
+        doc = Document("a")
+        node = doc.create_root(QName("a"))
+        for _ in range(depth - 1):
+            node = node.new_element("a")
+        path = parse_path("a//a")
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event in ("call", "c_call"):
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            fast = path.evaluate(doc)
+        finally:
+            sys.setprofile(previous)
+        assert len(fast) == depth
+        assert calls < 20 * depth, calls  # quadratic would be ~4.5 M
+        assert_parity(doc, "a//a")
+        assert_parity(node.parent, "//a")
+
+
+class TestInsertRecordIndex:
+    """``_apply_insert`` logs the position it placed the node at — the
+    same number ``index_in_parent()`` would find by scanning."""
+
+    @pytest.mark.parametrize("anchor", [None, "before", "after", "vanished"])
+    def test_logged_index_is_position_in_parent(self, anchor):
+        doc = parse_document(ATP, name="ATPList")
+        players = parse_path("ATPList//player").evaluate(doc)
+        attribute = ""
+        if anchor == "vanished":
+            attribute = f' anchor="before:d{doc.serial}.n99999"'
+        elif anchor is not None:
+            attribute = f' anchor="{anchor}:{players[1].node_id!r}"'
+        result = apply_action(doc, parse_action(
+            f'<action type="insert"{attribute}><data><player rank="9"/></data>'
+            "<location>Select r from r in ATPList;</location></action>"
+        ))
+        (record,) = result.records
+        expected = {None: 3, "before": 1, "after": 2, "vanished": 3}[anchor]
+        assert record.index == expected
+        assert record.index == doc.get_node(record.node_id).index_in_parent()
 
 
 class TestSelectEvaluationParity:
