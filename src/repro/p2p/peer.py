@@ -905,7 +905,7 @@ class AXMLPeer:
         frame_edges = context.invocations[prior_edges:]
         del context.invocations[prior_edges:]
         self._tell(
-            {e.target_peer for e in frame_edges},
+            dict.fromkeys(e.target_peer for e in frame_edges),  # once each, in order
             AbortMessage(txn_id, self.peer_id, request.method_name),
             but=(request.sender, self.peer_id),
         )

@@ -5,6 +5,8 @@ per-transaction record that holds their state on a peer.
   :class:`~repro.p2p.chain.PeerChain` methods on the Fig. 2 chain;
 * peer-independent compensation dispatch: one function over fake
   callables;
+* partial backward recovery tells the frame's children in invocation
+  order, whatever ``PYTHONHASHSEED`` is;
 * whatever happened to a transaction on a peer, ``forget_transaction``
   and ``crash`` release all of it.
 """
@@ -22,6 +24,7 @@ from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.compensation import CompensationPlan
 from repro.txn.peer_independent import dispatch_compensations
+from repro.txn.transaction import Transaction
 
 FIG2 = "[AP1* -> AP2 -> [AP3 -> AP6] || [AP4 -> AP5]]"
 
@@ -148,6 +151,31 @@ class TestPeerIndependentDispatch:
         )
         assert not complete
         assert sent == ["P1"] and counters == ["compensation_failures"]
+
+
+class TestPartialRecoveryFanOut:
+    """§3.2 on a co-located share: "Abort T" goes to each child of the
+    failed frame once, first invocation first — not in set order."""
+
+    def test_children_are_told_in_invocation_order(self):
+        network = SimNetwork()
+        peer = AXMLPeer("AP1", network)
+        context = peer.manager.begin(
+            Transaction("T1", "AP0"), parent_peer="AP0", service_name="S1"
+        )
+        context.record_invocation("AP2", "enclosing")  # not this frame's
+        invoked = ["AP7", "AP3", "AP9", "AP0", "AP3", "AP5", "AP8", "AP4", "AP7", "AP6"]
+        for target in invoked:
+            context.record_invocation(target, "S")
+        told = []
+        network.notify = lambda sender, target, message: told.append(target) or True
+        peer._partial_backward_recover(
+            InvokeRequest("T1", "AP0", "AP0", "S1"), prior_seq=0, prior_edges=1
+        )
+        # the invoker (request.sender) hears through the re-raised fault
+        assert told == ["AP7", "AP3", "AP9", "AP5", "AP8", "AP4", "AP6"]
+        assert told not in (sorted(told), sorted(told, reverse=True))
+        assert context.invoked_peers() == ["AP2"]
 
 
 # -- record lifecycle ----------------------------------------------------
