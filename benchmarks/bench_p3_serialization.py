@@ -1,28 +1,21 @@
-"""P3 — the serialization fast path: cached canonical XML, structural
-clone and the memoized entry codec.
+"""P3 — what is left of the serialization fast path: the memoized entry
+codec and the structural clone (docs/PERF.md, "Serialization fast path").
 
-Two measurements (docs/PERF.md, "Serialization fast path"):
-
-* **Part A — serialization reduction on the replicated checkpointed
-  chaos workload.**  Seeded chaos runs with durability, checkpoints,
-  group commit and ``replicas=3`` are executed twice each: fast path on
-  (caches + structural clone + memoized entry codec) and fast path off
-  (:func:`repro.xmlstore.fastpath.fast_path_disabled` — every encode
-  recomputed, every clone a serialize→parse round trip).  Gates:
-
-  - each seed's run summary is **byte-identical** across the two modes
-    (the fast path is observably invisible),
-  - zero oracle violations in both modes,
-  - the fast path performs **>= 3x fewer** full-document tree renders
-    (the ``serialize_tree_builds`` profiler counter) than the cold path,
-  - wall time is not worse (only asked when the machine has >= 2 cores;
-    loaded single-core CI boxes make wall gates meaningless).
+* **Part A — entry-codec memo on the replicated checkpointed chaos
+  workload.**  Seeded chaos runs with durability, checkpoints, group
+  commit and ``replicas=3``: every logged entry goes to the WAL, into
+  checkpoints and to three replicas, and is encoded once
+  (:func:`repro.txn.wal.entry_to_xml` memoizes the frame on the entry).
+  Reported: ``entry_codec_hits/misses``, full-document renders
+  (``serialize_tree_builds``), digest-first replica matches.  Gates:
+  zero oracle violations, and the memo serves at least half of the
+  frames asked for (a count, exact on any machine).
 
 * **Part B — structural clone vs. round-trip copy.**  Deep-copies a
   deep/wide P1-style document via :meth:`Document.clone_tree` and via
-  the historical serialize→``parse_document``→``rebind_ids`` route, and
-  requires the two copies to serialize **byte-identically** (ids
-  included).  Wall times are informational.
+  the serialize→``parse_document``→``rebind_ids`` route, and requires
+  the two copies to serialize **byte-identically** (ids included).
+  Wall times are informational.
 
 Run:  python benchmarks/bench_p3_serialization.py [--smoke] [--seed N]
 Out:  benchmarks/results/BENCH_P3[_smoke].json   (repro-bench-perf/1)
@@ -36,58 +29,33 @@ import time
 from _util import perf_record, run_perf_bench
 
 from repro.chaos import ChaosConfig, run_chaos
-from repro.chaos.shrink import summary_text
 from repro.obs.prof import PROF
-from repro.sim.parallel import available_cores
 from repro.sim.rng import SeededRng
-from repro.xmlstore.fastpath import fast_path_disabled
 from repro.xmlstore.names import QName
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import rebind_ids, serialize
 
-#: The fast-path effectiveness counters Part A reports (all of them are
-#: summary-local — see ``repro.obs.prof.SUMMARY_LOCAL_COUNTERS`` — so
-#: they are read straight from :data:`PROF` deltas, never from the run
-#: summary, which must stay byte-identical across modes).
-FASTPATH_COUNTERS = (
-    "serialize_tree_builds",
-    "serialize_cache_hits",
-    "serialize_cache_misses",
-    "serialize_digest_hits",
-    "serialize_digest_misses",
-    "clone_fast",
-    "clone_fallback",
+#: What Part A reports.  All are summary-local (see
+#: ``repro.obs.prof.SUMMARY_LOCAL_COUNTERS``), so they are read straight
+#: from :data:`PROF` deltas, never from the run summary.
+CODEC_COUNTERS = (
     "entry_codec_hits",
     "entry_codec_misses",
+    "serialize_tree_builds",
     "replica_digest_matches",
 )
 
 
-def _measured_run(config: ChaosConfig):
-    """One chaos run returning (summary text, violations, counter deltas,
-    wall seconds)."""
-    before = PROF.snapshot()
-    start = time.perf_counter()
-    result = run_chaos(config)
-    elapsed = time.perf_counter() - start
-    delta = PROF.delta_since(before)
-    counters = {name: delta.get(name, 0) for name in FASTPATH_COUNTERS}
-    return summary_text(result), len(result.violations), counters, elapsed
-
-
-def bench_serialization_reduction(args) -> dict:
-    """Part A: >= 3x fewer tree renders, byte-identical summaries."""
+def bench_entry_codec_memo(args) -> dict:
+    """Part A: each entry is encoded once however often it is written."""
     seeds = range(1, 2) if args.smoke else range(1, 4)
     txns = 16 if args.smoke else 20
     ops = 4 if args.smoke else 5
     rows = []
-    builds_on_total = 0
-    builds_off_total = 0
-    wall_on_total = 0.0
-    wall_off_total = 0.0
+    totals = dict.fromkeys(CODEC_COUNTERS, 0)
     violations_total = 0
-    mismatched_summaries = 0
+    wall_total = 0.0
     for seed in seeds:
         config = ChaosConfig(
             seed=seed, txns=txns, ops_per_txn=ops,
@@ -95,60 +63,40 @@ def bench_serialization_reduction(args) -> dict:
             durability=True, checkpoint_every=4, wal_batch=4,
             replicas=3, ship_batch=2,
         )
-        summary_on, viol_on, on, wall_on = _measured_run(config)
-        with fast_path_disabled():
-            summary_off, viol_off, off, wall_off = _measured_run(config)
-        identical = summary_on == summary_off
-        mismatched_summaries += 0 if identical else 1
-        violations_total += viol_on + viol_off
-        builds_on = on["serialize_tree_builds"]
-        builds_off = off["serialize_tree_builds"]
-        builds_on_total += builds_on
-        builds_off_total += builds_off
-        wall_on_total += wall_on
-        wall_off_total += wall_off
-        ratio = builds_off / builds_on if builds_on else float("inf")
-        rows.append({
-            "seed": seed,
-            "summary_identical": identical,
-            "violations_on": viol_on,
-            "violations_off": viol_off,
-            "builds_on": builds_on,
-            "builds_off": builds_off,
-            "build_ratio": round(ratio, 2),
-            "counters_on": on,
-        })
+        before = PROF.snapshot()
+        start = time.perf_counter()
+        result = run_chaos(config)
+        wall_total += time.perf_counter() - start
+        delta = PROF.delta_since(before)
+        counters = {name: delta.get(name, 0) for name in CODEC_COUNTERS}
+        for name, value in counters.items():
+            totals[name] += value
+        violations_total += len(result.violations)
+        rows.append({"seed": seed, "violations": len(result.violations), "counters": counters})
         print(
-            f"P3/A seed {seed}: renders {builds_off} cold vs {builds_on} "
-            f"cached ({ratio:.2f}x fewer), {on['entry_codec_hits']} entry "
-            f"frames reused, {on['clone_fast']} fast clones "
-            f"({on['clone_fallback']} fallbacks), summary identical={identical}"
+            f"P3/A seed {seed}: {counters['entry_codec_misses']} entries encoded, "
+            f"{counters['entry_codec_hits']} frames reused, "
+            f"{counters['serialize_tree_builds']} document renders, "
+            f"{counters['replica_digest_matches']} replicas matched by digest"
         )
-    build_ratio = (
-        builds_off_total / builds_on_total if builds_on_total else float("inf")
-    )
-    wall_speedup = wall_off_total / wall_on_total if wall_on_total else float("inf")
+    asked = totals["entry_codec_hits"] + totals["entry_codec_misses"]
+    reuse = asked / totals["entry_codec_misses"] if totals["entry_codec_misses"] else float("inf")
     print(
-        f"P3/A total: {builds_off_total} -> {builds_on_total} renders "
-        f"({build_ratio:.2f}x reduction), wall {wall_off_total:.3f}s -> "
-        f"{wall_on_total:.3f}s ({wall_speedup:.2f}x)"
+        f"P3/A total: {asked} frames asked for, {totals['entry_codec_misses']} "
+        f"encoded ({reuse:.2f}x reuse), wall {wall_total:.3f}s"
     )
     return perf_record(
-        "serialization_reduction",
+        "entry_codec_memo",
         args.seed,
-        wall_on_total,
-        round(build_ratio, 4),
+        wall_total,
+        round(reuse, 4),
         seeds=list(seeds),
         txns_per_seed=txns,
         ops_per_txn=ops,
         replicas=3,
-        builds_on=builds_on_total,
-        builds_off=builds_off_total,
-        wall_speedup=round(wall_speedup, 4),
-        cold_wall_time=round(wall_off_total, 6),
         violations_total=violations_total,
-        mismatched_summaries=mismatched_summaries,
         rows=rows,
+        **totals,
     )
 
 
@@ -190,8 +138,8 @@ def bench_structural_clone(args) -> dict:
 
     start = time.perf_counter()
     for _ in range(reps):
-        # roundtrip-ok: this IS the measured baseline — the historical
-        # copy route Part B compares the structural clone against.
+        # roundtrip-ok: this IS the measured baseline — the copy route
+        # Part B compares the structural clone against.
         slow_copy = parse_document(reference, name=doc.name)
         rebind_ids(slow_copy)
     slow_time = time.perf_counter() - start
@@ -218,38 +166,26 @@ def bench_structural_clone(args) -> dict:
     )
 
 
-def gates(args, reduction_rec, clone_rec):
-    """Reasons this run fails its gate.  Deterministic counters first, wall time only with cores."""
-    if reduction_rec["mismatched_summaries"] != 0:
+def gates(args, memo_rec, clone_rec):
+    """Reasons this run fails its gate: counts and byte-identity only."""
+    if memo_rec["violations_total"] != 0:
         yield (
-            f"{reduction_rec['mismatched_summaries']} seeds produced "
-            f"different run summaries with the fast path on vs off"
-        )
-    if reduction_rec["violations_total"] != 0:
-        yield (
-            f"chaos runs reported {reduction_rec['violations_total']} "
+            f"chaos runs reported {memo_rec['violations_total']} "
             f"oracle violations (expected 0)"
         )
-    if reduction_rec["speedup"] < 3.0:
+    if memo_rec["speedup"] < 2.0:
         yield (
-            f"serialization reduction {reduction_rec['speedup']}x < 3x "
-            f"({reduction_rec['builds_off']} cold vs "
-            f"{reduction_rec['builds_on']} cached renders)"
+            f"entry-codec memo reuse {memo_rec['speedup']}x < 2x "
+            f"({memo_rec['entry_codec_hits']} hits, "
+            f"{memo_rec['entry_codec_misses']} encodes)"
         )
     if not clone_rec["byte_identical"]:
         yield "structural clone output diverged from the round trip"
-    # Wall time is only a fair ask when the machine has >= 2 cores; on a
-    # loaded single-core box the cold/cached runs contend with the world.
-    if available_cores() >= 2 and reduction_rec["wall_speedup"] <= 1.0:
-        yield (
-            f"fast path wall speedup {reduction_rec['wall_speedup']}x <= 1x "
-            f"on {available_cores()} cores"
-        )
 
 
 def main() -> int:
     return run_perf_bench(
-        "P3", __doc__, [bench_serialization_reduction, bench_structural_clone], gates
+        "P3", __doc__, [bench_entry_codec_memo, bench_structural_clone], gates
     )
 
 

@@ -34,7 +34,6 @@ multi-transaction engine.  See ``examples/`` for full scenarios and
 __version__ = "1.0.0"
 
 from repro.errors import (
-    AtomicityViolation,
     CompensationError,
     PeerDisconnected,
     QueryError,
@@ -88,7 +87,6 @@ __all__ = [
     "PeerDisconnected",
     "TransactionError",
     "CompensationError",
-    "AtomicityViolation",
     # xml
     "Document",
     "Element",

@@ -192,13 +192,6 @@ class ServiceCall:
             values[param.name] = param.value or ""
         return values
 
-    def fault_handler_elements(self) -> List[Element]:
-        return [
-            child
-            for child in self.element.child_elements()
-            if child.name in (CATCH_NAME, CATCHALL_NAME)
-        ]
-
     def result_nodes(self) -> List[Node]:
         """The current result region: children outside params/handlers."""
         excluded = {PARAMS_NAME, CATCH_NAME, CATCHALL_NAME, RETRY_NAME}

@@ -52,9 +52,6 @@ class SnapshotRollback:
         self.stats.nodes_copied += document.size()
         self.stats.approx_bytes += len(serialize(document, include_ids=True))
 
-    def has_snapshot(self, txn_id: str, document_name: str) -> bool:
-        return (txn_id, document_name) in self._snapshots
-
     def rollback(self, txn_id: str, axml_document: AXMLDocument) -> bool:
         """Restore the pre-transaction state; True if a snapshot existed.
 

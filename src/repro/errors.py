@@ -134,17 +134,9 @@ class TransactionError(ReproError):
     """Base class for transactional errors."""
 
 
-class TransactionAborted(TransactionError):
-    """Raised when an operation is attempted on an aborted transaction."""
-
-
 class TransactionStateError(TransactionError):
     """Raised on an illegal transaction state transition."""
 
 
 class CompensationError(TransactionError):
     """Raised when a compensating operation cannot be constructed/applied."""
-
-
-class AtomicityViolation(TransactionError):
-    """Raised when atomicity can no longer be guaranteed (paper §3.3)."""

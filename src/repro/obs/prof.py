@@ -26,6 +26,9 @@ Counter vocabulary used across the codebase::
     query_tree_walks      descendant steps answered by a subtree walk
     query_walk_nodes      elements visited by those walks
     comp_log_lookups      O(1) id lookups for compensation-log targets
+    serialize_tree_builds  whole-document renders
+    entry_codec_hits/_misses  log-entry frames reused from the entry / encoded
+    replica_digest_matches  replica pairs the oracle accepted on digest alone
     eventq_scheduled/_fired/_cancelled/_compactions   kernel heap ops
     messages_sent         simulated network sends
 """
@@ -85,21 +88,14 @@ class Profiler:
 #: global between unrelated measurements is only needed in benchmarks.
 PROF = Profiler()
 
-#: Counters that never merge into run summaries.  These count *cache
-#: effectiveness* of the serialization fast path, which by design varies
-#: with the fast-path switch while the run's observable behaviour does
-#: not — merging them would make "cache on" and "cache off" summaries
-#: differ and break the byte-identity guarantee the P3 bench asserts.
-#: Benchmarks read them straight from :data:`PROF` instead.
+#: Counters that never merge into run summaries: they count how the
+#: work was done (document renders, entry-codec memo traffic,
+#: digest-first matches), not what the run did.  The frozen BENCH_E2E
+#: harness and ``bench_p3`` read them straight from :data:`PROF`, and
+#: run summaries keep the bytes they have always had.
 SUMMARY_LOCAL_COUNTERS = frozenset(
     {
-        "serialize_cache_hits",
-        "serialize_cache_misses",
         "serialize_tree_builds",
-        "serialize_digest_hits",
-        "serialize_digest_misses",
-        "clone_fast",
-        "clone_fallback",
         "entry_codec_hits",
         "entry_codec_misses",
         "replica_digest_matches",
@@ -119,8 +115,7 @@ def profiled(metrics: Any = None, prefix: str = "prof_") -> Iterator[Profiler]:
     When *metrics* (a :class:`~repro.sim.metrics.MetricsCollector`) is
     given, the block's counter deltas are merged into it under *prefix*
     so they surface in ``repro report`` and the run's JSON summary —
-    except the :data:`SUMMARY_LOCAL_COUNTERS`, whose values depend on
-    cache state rather than on the run's logical behaviour.
+    except the :data:`SUMMARY_LOCAL_COUNTERS`.
     """
     before = PROF.snapshot()
     try:

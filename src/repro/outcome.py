@@ -66,16 +66,3 @@ class Outcome:
 
     def texts(self) -> List[str]:
         return list(self.fragments)
-
-    def with_status(self, status: OutcomeStatus) -> "Outcome":
-        """A copy of this outcome under a different status."""
-        return Outcome(
-            fragments=self.fragments,
-            provider_peer=self.provider_peer,
-            status=status,
-            compensations=self.compensations,
-            nodes_affected=self.nodes_affected,
-            chain_text=self.chain_text,
-            compensating_definition=self.compensating_definition,
-        )
-

@@ -142,14 +142,12 @@ class ReplicationManager:
         self, document_name: str, source: str, target: str
     ) -> AXMLDocument:
         """Host on *target* a structural clone of *source*'s copy: same
-        trees, same node ids, independent storage (``parse_equivalent``:
-        byte-for-byte what a serialize→parse round trip would give).
-        Holder bookkeeping stays with the caller."""
+        trees, same node ids, independent storage.  Holder bookkeeping
+        stays with the caller."""
         source_peer = self.network.get_peer(source)
         target_peer = self.network.get_peer(target)
-        copy = source_peer.get_axml_document(document_name).document.clone_tree(
-            preserve_ids=True, name=document_name, parse_equivalent=True
-        )
+        source_document = source_peer.get_axml_document(document_name).document
+        copy = source_document.clone_tree(preserve_ids=True, name=document_name)
         return target_peer.host_document(AXMLDocument(copy, name=document_name))
 
     def holders(self, document_name: str) -> List[str]:
@@ -417,9 +415,6 @@ class ReplicationManager:
                 continue
             self._apply_inbox(channel)
             self._send_ack(channel)
-
-    def is_lagged(self, peer_id: str) -> bool:
-        return peer_id in self._lagged
 
     # -- failover ----------------------------------------------------------
 

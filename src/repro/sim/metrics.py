@@ -126,9 +126,6 @@ class MetricsCollector:
     def record_forward_cost(self, nodes: int) -> None:
         self.incr("nodes_affected_forward", nodes)
 
-    def record_compensation_cost(self, nodes: int) -> None:
-        self.incr("nodes_affected_compensation", nodes)
-
     def record_detection(
         self,
         disconnected_peer: str,

@@ -380,10 +380,6 @@ class TransactionManager:
 
     # -- inspection ------------------------------------------------------------------
 
-    def validator_stats(self) -> Optional[Dict[str, float]]:
-        """OCC validation counters, or None when OCC is off."""
-        return None if self.validator is None else self.validator.stats()
-
     def active_transactions(self) -> List[str]:
         return [
             txn_id

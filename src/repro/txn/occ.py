@@ -25,7 +25,7 @@ concurrent child insertion/deletion under it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import TransactionError
 from repro.query.evaluate import QueryResult
@@ -161,10 +161,6 @@ class OptimisticValidator:
 
     def active_transactions(self) -> List[str]:
         return list(self._active)
-
-    def footprint_sizes(self, txn_id: str) -> Tuple[int, int]:
-        footprint = self._footprint(txn_id)
-        return len(footprint.reads), len(footprint.writes)
 
     def _footprint(self, txn_id: str) -> _TxnFootprint:
         try:

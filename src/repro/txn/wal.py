@@ -237,12 +237,10 @@ def entry_to_xml(entry: LogEntry) -> str:
     memoized frame provably identical to a fresh render.
     """
     from repro.obs.prof import PROF
-    from repro.xmlstore.fastpath import fast_path_enabled
     from repro.xmlstore.nodes import Document
     from repro.xmlstore.serializer import serialize
 
-    use_cache = fast_path_enabled()
-    if use_cache and entry._xml_cache is not None:
+    if entry._xml_cache is not None:
         PROF.incr("entry_codec_hits")
         return entry._xml_cache
     doc = Document("entry")
@@ -257,10 +255,8 @@ def entry_to_xml(entry: LogEntry) -> str:
     root.new_element("forward").new_text(entry.action_xml)
     for record in entry.records:
         _record_to_element(root, record)
-    text = serialize(doc)
-    if use_cache:
-        PROF.incr("entry_codec_misses")
-        entry._xml_cache = text
+    PROF.incr("entry_codec_misses")
+    entry._xml_cache = text = serialize(doc)
     return text
 
 

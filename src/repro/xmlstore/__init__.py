@@ -4,9 +4,8 @@ This package implements the XML storage layer the paper's AXML documents
 live in: a mutable ordered tree with stable node identifiers
 (:mod:`repro.xmlstore.nodes`), a hand-written parser
 (:mod:`repro.xmlstore.parser`), serialization
-(:mod:`repro.xmlstore.serializer`), a path engine
-(:mod:`repro.xmlstore.path`) and a structural differ
-(:mod:`repro.xmlstore.diff`).
+(:mod:`repro.xmlstore.serializer`) and a path engine
+(:mod:`repro.xmlstore.path`).
 
 Stable node ids matter transactionally: the paper (§3.1) assumes an AXML
 insert "returns the (unique) ID of the inserted node" so that its
@@ -18,13 +17,7 @@ from repro.xmlstore.names import QName, AXML_NS, AXML_PREFIX
 from repro.xmlstore.nodes import Document, Element, Text, Node, NodeId
 from repro.xmlstore.parser import parse_document, parse_fragment
 from repro.xmlstore.serializer import serialize, pretty, canonical, canonical_digest
-from repro.xmlstore.fastpath import (
-    fast_path_enabled,
-    set_fast_path_enabled,
-    fast_path_disabled,
-)
 from repro.xmlstore.path import PathExpr, parse_path
-from repro.xmlstore.diff import diff_documents, EditScript, EditOp
 
 __all__ = [
     "QName",
@@ -41,12 +34,6 @@ __all__ = [
     "pretty",
     "canonical",
     "canonical_digest",
-    "fast_path_enabled",
-    "set_fast_path_enabled",
-    "fast_path_disabled",
     "PathExpr",
     "parse_path",
-    "diff_documents",
-    "EditScript",
-    "EditOp",
 ]

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping
 from repro.xmlstore.names import is_axml_meta_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.xmlstore.nodes import Document, Element, NodeId
+    from repro.xmlstore.nodes import Element, NodeId
 
 _EMPTY: Dict[object, object] = {}
 
@@ -74,10 +74,9 @@ def index_disabled() -> Iterator[None]:
 class StructuralIndex:
     """Tag-name postings + on-demand document ordering for one document."""
 
-    __slots__ = ("_document", "_postings")
+    __slots__ = ("_postings",)
 
-    def __init__(self, document: "Document"):
-        self._document = document
+    def __init__(self) -> None:
         #: local name → insertion-ordered {NodeId: Element} postings.
         self._postings: Dict[str, Dict["NodeId", "Element"]] = {}
 
@@ -166,16 +165,12 @@ class StructuralIndex:
     # -- introspection ------------------------------------------------------
 
     def stats(self) -> Dict[str, int]:
-        """Counters for reports and tests (sizes, epoch)."""
+        """Counters for reports and tests (sizes)."""
         return {
             "tags": len(self._postings),
             "entries": sum(len(bucket) for bucket in self._postings.values()),
-            "epoch": self._document.mutation_epoch,
         }
 
     def __repr__(self) -> str:
         stats = self.stats()
-        return (
-            f"StructuralIndex(tags={stats['tags']}, entries={stats['entries']}, "
-            f"epoch={stats['epoch']})"
-        )
+        return f"StructuralIndex(tags={stats['tags']}, entries={stats['entries']})"

@@ -20,74 +20,23 @@ properties of the store that plain DOM trees do not give you for free:
 Node ids are allocated from a per-document counter, so two documents can
 be built independently and merged without coordination (ids are qualified
 by the document's own id).
+
+A document is its tree, the id → node map, the tag postings
+(:mod:`repro.xmlstore.index`) and the per-element logical counts the
+traversal meter charges — nothing derived from them is kept, so a write
+has nothing to invalidate and attributes and text are plain fields.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import NodeNotFound, XmlStructureError
-from repro.obs.prof import PROF
-from repro.xmlstore.fastpath import fast_path_enabled
 from repro.xmlstore.index import StructuralIndex
 from repro.xmlstore.names import QName, is_axml_meta_name
 
 _document_counter = itertools.count(1)
-
-
-class _ObservedAttributes(dict):
-    """An element's attribute map, reporting writes to the document.
-
-    The serialization cache is keyed by :attr:`Document.content_epoch`,
-    which must move on *every* observable change — including attribute
-    writes, which do not alter the tree structure.  Subclassing ``dict``
-    keeps reads at native speed; only the mutating operations pay the one
-    extra increment.
-    """
-
-    __slots__ = ("_document",)
-
-    def __init__(self, document: "Document", *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._document = document
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self._document._note_content_change()
-
-    def __delitem__(self, key) -> None:
-        super().__delitem__(key)
-        self._document._note_content_change()
-
-    def pop(self, key, *default):
-        had = key in self
-        value = super().pop(key, *default)
-        if had:
-            self._document._note_content_change()
-        return value
-
-    def popitem(self):
-        item = super().popitem()
-        self._document._note_content_change()
-        return item
-
-    def clear(self) -> None:
-        if self:
-            super().clear()
-            self._document._note_content_change()
-
-    def update(self, *args, **kwargs) -> None:
-        super().update(*args, **kwargs)
-        if args or kwargs:
-            self._document._note_content_change()
-
-    def setdefault(self, key, default=None):
-        if key in self:
-            return self[key]
-        super().__setitem__(key, default)
-        self._document._note_content_change()
-        return default
 
 
 class NodeId:
@@ -231,14 +180,40 @@ class Node:
         return ""
 
     def clone_into(self, document: "Document", preserve_ids: bool = False) -> "Node":
-        """Deep-copy this subtree into *document*.
+        """Deep-copy this subtree into *document*; returns the detached copy.
 
         With ``preserve_ids=True`` the copy keeps the original ids — used
         when logging deleted subtrees for compensation, so re-insertion
-        restores identities.  Preserved ids are re-registered with the
-        target document.
+        restores identities — re-registered with the target document;
+        otherwise it allocates fresh ones in document order, as a parse
+        of the same text would.
+
+        The one copier (:meth:`Document.clone_tree` and
+        :meth:`Document.restore_from` are this on the root).  It keeps
+        its open elements on an explicit stack, so depth is bounded by
+        memory, and builds top-down: no cycle is possible, so it skips
+        :meth:`Element.append`'s check, and it copies ``_logical_count``
+        instead of re-propagating it per attach — O(n) where appends
+        would be O(n · depth), with the same resulting state.
         """
-        raise NotImplementedError
+        top: Optional[Node] = None
+        pending: List[Tuple[Node, Optional[Element]]] = [(self, None)]
+        while pending:
+            source, parent = pending.pop()
+            if isinstance(source, Element):
+                clone: Node = Element(document, source.name, source.attributes)
+                clone._logical_count = source._logical_count
+                pending.extend((child, clone) for child in reversed(source.children))
+            else:
+                clone = Text(document, source.value)
+            if preserve_ids:
+                document._adopt_id(clone, source.node_id)
+            if parent is None:
+                top = clone
+            else:
+                clone.parent = parent
+                parent.children.append(clone)
+        return top
 
 
 class DetachRecord:
@@ -268,31 +243,14 @@ class DetachRecord:
 class Text(Node):
     """A text node."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("value",)
 
     def __init__(self, document: "Document", value: str):
         super().__init__(document)
-        self._value = value
-
-    @property
-    def value(self) -> str:
-        return self._value
-
-    @value.setter
-    def value(self, new_value: str) -> None:
-        # A text rewrite changes serialized output without moving any
-        # node, so it bumps only the content epoch.
-        self._value = new_value
-        self._document._note_content_change()
+        self.value = value
 
     def text_content(self) -> str:
         return self.value
-
-    def clone_into(self, document: "Document", preserve_ids: bool = False) -> "Text":
-        clone = Text(document, self.value)
-        if preserve_ids:
-            document._adopt_id(clone, self.node_id)
-        return clone
 
     def __repr__(self) -> str:
         return f"Text({self.value!r}, id={self.node_id!r})"
@@ -320,9 +278,8 @@ class Element(Node):
     ):
         super().__init__(document)
         self.name: QName = QName.parse(name) if isinstance(name, str) else name
-        self.attributes: Dict[str, str] = _ObservedAttributes(
-            document, attributes or {}
-        )
+        # a copy: the caller's mapping (often another element's) stays its own
+        self.attributes: Dict[str, str] = dict(attributes) if attributes else {}
         self.children: List[Node] = []
         self._logical_count = 1
         document.index.add_element(self)
@@ -416,7 +373,15 @@ class Element(Node):
     # -- content ----------------------------------------------------------------
 
     def text_content(self) -> str:
-        return "".join(child.text_content() for child in self.children)
+        parts: List[str] = []
+        pending: List[Node] = self.children[::-1]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, Text):
+                parts.append(node.value)
+            else:
+                pending.extend(reversed(node.children))
+        return "".join(parts)
 
     def set_text(self, value: str) -> None:
         """Replace all children with a single text node holding *value*."""
@@ -425,15 +390,14 @@ class Element(Node):
         self.new_text(value)
 
     def subtree_size(self) -> int:
-        return 1 + sum(child.subtree_size() for child in self.children)
-
-    def clone_into(self, document: "Document", preserve_ids: bool = False) -> "Element":
-        clone = Element(document, self.name, dict(self.attributes))
-        if preserve_ids:
-            document._adopt_id(clone, self.node_id)
-        for child in self.children:
-            clone.append(child.clone_into(document, preserve_ids=preserve_ids))
-        return clone
+        size = 0
+        pending: List[Node] = [self]
+        while pending:
+            node = pending.pop()
+            size += 1
+            if isinstance(node, Element):
+                pending.extend(node.children)
+        return size
 
     def __repr__(self) -> str:
         return f"Element(<{self.name.text}>, id={self.node_id!r}, children={len(self.children)})"
@@ -453,15 +417,7 @@ class Document:
         self.serial = next(_document_counter)
         self._next_node_serial = itertools.count(1)
         self._index: Dict[NodeId, Node] = {}
-        self._epoch = 0
-        self._content_epoch = 0
-        #: Serialization cache: (include_ids, declaration) →
-        #: (content_epoch, text).  Written by
-        #: :func:`repro.xmlstore.serializer.serialize`.
-        self._serialize_cache: Dict[Tuple[bool, bool], Tuple[int, str]] = {}
-        #: Canonical-digest cache: (content_epoch, hex digest).
-        self._digest_cache: Optional[Tuple[int, str]] = None
-        self.index = StructuralIndex(self)
+        self.index = StructuralIndex()
         self.root: Optional[Element] = None
 
     # -- id management -----------------------------------------------------------
@@ -479,44 +435,14 @@ class Document:
         self._index[node_id] = node
         if isinstance(node, Element):
             self.index.rekey_element(node, old_id)
-        self._bump_structure()
 
-    # -- structural bookkeeping ---------------------------------------------------
-
-    @property
-    def mutation_epoch(self) -> int:
-        """Monotonic counter of structural mutations."""
-        return self._epoch
-
-    @property
-    def content_epoch(self) -> int:
-        """Monotonic counter of *observable* mutations.
-
-        Moves with every structural mutation **and** every attribute or
-        text write — exactly the changes that can alter serialized
-        output.  Keys the serialization and digest caches, so "unchanged
-        since last serialize" is a single integer comparison.
-        """
-        return self._content_epoch
-
-    def _bump_structure(self) -> None:
-        """A structural mutation: both epochs move (attach/detach also
-        changes what serialization would emit)."""
-        self._epoch += 1
-        self._content_epoch += 1
-
-    def _note_content_change(self) -> None:
-        """A content-only mutation (attribute/text write): serialization
-        caches are stale, the tree structure is not."""
-        self._content_epoch += 1
+    # -- logical-count bookkeeping ------------------------------------------------
 
     def _note_attach(self, parent: Element, child: Node) -> None:
-        self._bump_structure()
         if isinstance(child, Element) and not is_axml_meta_name(child.name):
             _propagate_logical_count(parent, child._logical_count)
 
     def _note_detach(self, parent: Element, child: Node) -> None:
-        self._bump_structure()
         if isinstance(child, Element) and not is_axml_meta_name(child.name):
             _propagate_logical_count(parent, -child._logical_count)
 
@@ -529,7 +455,6 @@ class Document:
         if self.root is not None:
             raise XmlStructureError("document already has a root element")
         self.root = Element(self, name, attributes)
-        self._bump_structure()
         return self.root
 
     def create_element(
@@ -537,10 +462,6 @@ class Document:
     ) -> Element:
         """Create a detached element owned by this document."""
         return Element(self, name, attributes)
-
-    def create_text(self, value: str) -> Text:
-        """Create a detached text node owned by this document."""
-        return Text(self, value)
 
     # -- lookup -----------------------------------------------------------------------
 
@@ -594,54 +515,20 @@ class Document:
         return self.clone_tree(preserve_ids=preserve_ids)
 
     def clone_tree(
-        self,
-        preserve_ids: bool = True,
-        name: Optional[str] = None,
-        parse_equivalent: bool = False,
+        self, preserve_ids: bool = True, name: Optional[str] = None
     ) -> "Document":
-        """Direct structural copy of the document — the serialization
-        fast path's replacement for serialize→``parse_document`` round
-        trips (replication, resync, snapshots).
+        """Structural copy of the document (replication, resync,
+        snapshots) — what a serialize→``parse_document`` round trip of a
+        parser- or update-built tree yields, without the text.
 
         ``preserve_ids=True`` keeps every node's id (re-registered with
         the copy, as a compensating action addressing the same ids must
         resolve on the replica); ``preserve_ids=False`` is the
         id-rebinding variant — the copy allocates fresh ids.
-
-        ``parse_equivalent=True`` guarantees the copy is byte-identical
-        to what the historical serialize→``parse_document`` route
-        produced.  The parser *normalizes* text — adjacent text runs
-        merge into one node, surrounding whitespace is stripped,
-        whitespace-only runs are dropped — so when the tree is not
-        already in that normal form the clone falls back to the real
-        round trip (counted as ``clone_fallback``; the common case is
-        the direct copy, ``clone_fast``).  Trees built by the parser or
-        by the update layer are always parse-normal.
         """
-        target_name = self.name if name is None else name
-        if parse_equivalent and not (
-            fast_path_enabled() and _parse_normal(self.root)
-        ):
-            PROF.incr("clone_fallback")
-            from repro.xmlstore.parser import parse_document
-            from repro.xmlstore.serializer import rebind_ids, serialize
-
-            if self.root is None:
-                return Document(target_name)
-            # roundtrip-ok: the approved fallback site — the one place a
-            # serialize→parse round trip is still allowed (see
-            # tools/check_serialization_hygiene.py).
-            copy = parse_document(
-                serialize(self, include_ids=preserve_ids), name=target_name
-            )
-            if preserve_ids:
-                rebind_ids(copy)
-            return copy
-        PROF.incr("clone_fast")
-        copy = Document(target_name)
+        copy = Document(self.name if name is None else name)
         if self.root is not None:
-            copy.root = _fast_clone_element(self.root, copy, preserve_ids)
-            copy._bump_structure()
+            copy.root = self.root.clone_into(copy, preserve_ids)
         return copy
 
     def restore_from(self, snapshot: "Document", preserve_ids: bool = True) -> None:
@@ -649,15 +536,13 @@ class Document:
         of *snapshot*'s (the snapshot-rollback restore path).
 
         Existing references to this :class:`Document` object stay valid;
-        the node map, structural index and serialization caches are all
-        reset/invalided in one step.
+        the node map and the structural index are reset in one step.
         """
         self.root = None
         self._index.clear()
         self.index.clear()
         if snapshot.root is not None:
-            self.root = _fast_clone_element(snapshot.root, self, preserve_ids)
-        self._bump_structure()
+            self.root = snapshot.root.clone_into(self, preserve_ids)
 
     def __repr__(self) -> str:
         return f"Document({self.name!r}, serial=d{self.serial}, size={self.size()})"
@@ -677,74 +562,3 @@ def _propagate_logical_count(parent: Element, delta: int) -> None:
         if is_axml_meta_name(node.name):
             break
         node = node.parent
-
-
-def _parse_normal(root: Optional[Element]) -> bool:
-    """True when a serialize→parse round trip of this tree is the
-    identity (modulo node ids).
-
-    The parser normalizes text: strips surrounding whitespace, drops
-    whitespace-only runs, merges adjacent runs.  A tree already in that
-    normal form round-trips to an identical tree, so
-    :meth:`Document.clone_tree` may copy it structurally.
-    """
-    if root is None:
-        return True
-    stack: List[Element] = [root]
-    while stack:
-        element = stack.pop()
-        previous_was_text = False
-        for child in element.children:
-            if isinstance(child, Text):
-                if previous_was_text:
-                    return False
-                value = child.value
-                if not value or value != value.strip():
-                    return False
-                previous_was_text = True
-            else:
-                previous_was_text = False
-                stack.append(child)
-    return True
-
-
-def _fast_clone_element(
-    source: Element, document: Document, preserve_ids: bool
-) -> Element:
-    """Iteratively deep-copy *source* into *document*.
-
-    Unlike :meth:`Node.clone_into` + :meth:`Element.append`, this skips
-    the per-attach cycle check (the copy is built top-down, so no cycle
-    is possible) and copies ``_logical_count`` directly instead of
-    re-propagating it per attach — O(n) instead of O(n²) on deep trees,
-    with identical resulting state (including TraversalMeter charges).
-    """
-    clone = Element(document, source.name, source.attributes)
-    clone._logical_count = source._logical_count
-    if preserve_ids:
-        document._adopt_id(clone, source.node_id)
-    stack: List[Tuple[Element, Element]] = [(source, clone)]
-    while stack:
-        src, dst = stack.pop()
-        for child in src.children:
-            if isinstance(child, Element):
-                child_clone: Node = Element(document, child.name, child.attributes)
-                child_clone._logical_count = child._logical_count
-            else:
-                child_clone = Text(document, child.value)
-            if preserve_ids:
-                document._adopt_id(child_clone, child.node_id)
-            child_clone.parent = dst
-            dst.children.append(child_clone)
-            if isinstance(child, Element):
-                stack.append((child, child_clone))
-    return clone
-
-
-def walk_match(
-    start: Element, predicate: Callable[[Element], bool]
-) -> Iterator[Element]:
-    """Yield descendant-or-self elements of *start* matching *predicate*."""
-    for element in start.iter_elements():
-        if predicate(element):
-            yield element

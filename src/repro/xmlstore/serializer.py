@@ -12,6 +12,12 @@ Two renderings are provided:
 ``include_ids=True`` adds an internal ``repro:id`` attribute so node ids
 survive a serialize/parse round trip; the parser side is handled by
 :func:`strip_ids` / :func:`rebind_ids`.
+
+Every call renders the tree as it is at the call; nothing is kept on
+the document.  Copies do not come through here
+(:meth:`~repro.xmlstore.nodes.Document.clone_tree` is structural), and
+the one text that is reused, a log entry's frame, is kept on the entry
+(:func:`repro.txn.wal.entry_to_xml`).
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import hashlib
 from typing import List, Optional, Union
 
 from repro.obs.prof import PROF
-from repro.xmlstore.fastpath import fast_path_enabled
 from repro.xmlstore.nodes import Document, Element, Node, NodeId, Text
 
 #: Attribute used to persist node ids across serialization.
@@ -78,8 +83,7 @@ def _render(
     node: Node, include_ids: bool, declaration: bool, document_level: bool
 ) -> str:
     if document_level:
-        # The quantity the P3 perf gate counts: full-document tree
-        # renders actually performed (cache hits never reach here).
+        # What BENCH_E2E and the P3 bench count: full-document renders.
         PROF.incr("serialize_tree_builds")
     out: List[str] = []
     if declaration:
@@ -91,27 +95,10 @@ def _render(
 def serialize(
     node: Union[Document, Node], include_ids: bool = False, declaration: bool = False
 ) -> str:
-    """Serialize a document or subtree to compact XML text.
-
-    Document-level output is cached on the document, keyed by its
-    :attr:`~repro.xmlstore.nodes.Document.content_epoch` and the
-    rendering flags; any mutation moves the epoch, so a cached string is
-    returned only while the tree is byte-for-byte unchanged.
-    """
+    """Serialize a document or subtree to compact XML text."""
     if isinstance(node, Document):
         if node.root is None:
             return ""
-        if fast_path_enabled():
-            key = (include_ids, declaration)
-            epoch = node.content_epoch
-            cached = node._serialize_cache.get(key)
-            if cached is not None and cached[0] == epoch:
-                PROF.incr("serialize_cache_hits")
-                return cached[1]
-            PROF.incr("serialize_cache_misses")
-            text = _render(node.root, include_ids, declaration, document_level=True)
-            node._serialize_cache[key] = (epoch, text)
-            return text
         return _render(node.root, include_ids, declaration, document_level=True)
     return _render(node, include_ids, declaration, document_level=False)
 
@@ -203,20 +190,8 @@ def canonical_digest(node: Union[Document, Node]) -> str:
     names, attributes, text), so equal digests prove convergence; the
     converse does not hold for order-insensitive comparisons, which must
     fall back to their own canonical form on mismatch (see
-    ``chaos/oracle.py``).  Document digests are cached per content
-    epoch, so steady-state equality checks cost one integer compare and
-    one string compare.
+    ``chaos/oracle.py``).
     """
-    if isinstance(node, Document) and fast_path_enabled():
-        epoch = node.content_epoch
-        cached = node._digest_cache
-        if cached is not None and cached[0] == epoch:
-            PROF.incr("serialize_digest_hits")
-            return cached[1]
-        PROF.incr("serialize_digest_misses")
-        digest = hashlib.sha256(canonical(node).encode("utf-8")).hexdigest()
-        node._digest_cache = (epoch, digest)
-        return digest
     return hashlib.sha256(canonical(node).encode("utf-8")).hexdigest()
 
 

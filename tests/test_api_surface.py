@@ -76,7 +76,8 @@ def test_package_exports_facade():
         assert name in repro.__all__
 
 
-#: module → names the compatibility layer once exported from it.
+#: module → names it once exported: the compatibility layer's second
+#: spellings, the serialization-cache switch, and surface nothing called.
 REMOVED = {
     "repro.api": ("RunConfig",),
     "repro.sim.scenarios": (
@@ -94,6 +95,13 @@ REMOVED = {
         "CompensationLedger", "RecoveryOutcome", "dispatch_ledger",
         "ledger_from_context",
     ),
+    "repro.xmlstore": (
+        "fast_path_enabled", "set_fast_path_enabled", "fast_path_disabled",
+        "diff_documents", "EditScript", "EditOp",
+    ),
+    "repro.xmlstore.nodes": ("walk_match",),
+    "repro.errors": ("TransactionAborted", "AtomicityViolation"),
+    "repro": ("AtomicityViolation",),
 }
 
 
@@ -106,10 +114,18 @@ def test_removed_spelling_stays_removed(module, name):
 
 
 def test_removed_members_stay_removed():
+    import inspect
+
+    from repro.axml.service_call import ServiceCall
+    from repro.baselines.snapshot_rollback import SnapshotRollback
     from repro.obs.prof import PROF
     from repro.p2p.peer import AXMLPeer
     from repro.p2p.replication import ReplicationManager
+    from repro.sim.metrics import MetricsCollector
+    from repro.txn.manager import TransactionManager
     from repro.txn.modes import DurabilityPolicy, RejoinMode
+    from repro.txn.occ import OptimisticValidator
+    from repro.xmlstore.nodes import Document
 
     for owner, name in (
         (api.Cluster, "wrap"), (api.Cluster, "as_scenario"),
@@ -118,10 +134,25 @@ def test_removed_members_stay_removed():
         (ReplicationManager, "_document_holders"),
         (ReplicationManager, "_service_holders"),
         (AXMLPeer, "_txn_stack"), (PROF, "timer"), (PROF, "timings"),
+        # no serialization cache, so nothing counts mutations ...
+        (Document, "content_epoch"), (Document, "mutation_epoch"),
+        (Document("probe"), "_serialize_cache"), (Document("probe"), "_digest_cache"),
+        # ... and no caller anywhere
+        (Document, "create_text"), (Outcome, "with_status"),
+        (ServiceCall, "fault_handler_elements"),
+        (OptimisticValidator, "footprint_sizes"),
+        (TransactionManager, "validator_stats"),
+        (MetricsCollector, "record_compensation_cost"),
+        (ReplicationManager, "is_lagged"), (SnapshotRollback, "has_snapshot"),
     ):
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
-    with pytest.raises(ModuleNotFoundError):
-        importlib.import_module("repro.baselines.naive_disconnect")
+    assert "parse_equivalent" not in inspect.signature(Document.clone_tree).parameters
+    for module in (
+        "repro.baselines.naive_disconnect",
+        "repro.xmlstore.fastpath", "repro.xmlstore.diff",
+    ):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
 
 def test_per_transaction_side_tables_stay_folded():

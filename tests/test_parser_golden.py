@@ -3,10 +3,10 @@
 The corpus was written by ``tools/gen_parser_golden.py`` at the parent
 of PR 14, i.e. by the per-character cursor parser the scanning parser
 replaced: 2 400 fuzzed inputs with the tree (ids included, so id
-allocation order is pinned), the error text and position, the ids a
-failed ``parse_fragment`` leaves behind, and the document epochs.  The
-scanning parser must reproduce every row except the ones its two
-typed-error fixes changed on purpose, listed in ``BUGFIX_ROWS``.
+allocation order is pinned), the error text and position, and the ids a
+failed ``parse_fragment`` leaves behind.  The scanning parser must
+reproduce every row except the ones its two typed-error fixes changed
+on purpose, listed in ``BUGFIX_ROWS``.
 """
 
 import importlib.util

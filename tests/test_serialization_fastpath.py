@@ -1,34 +1,25 @@
-"""The serialization fast path (PR 9): epoch-cached serialize/digest,
-structural clone, memoized entry codec, digest-first replica checks.
+"""What is left of the serialization fast path (PR 9) now that the
+document-level cache is gone: the structural clone, the memoized entry
+codec and the digest-first replica check.
 
-The contract under test is *invisibility*: with the fast path on, every
-observable output — serialized text, digests, clone contents, chaos run
-summaries — is byte-identical to what the cold path (every call
-recomputed, every clone a serialize→parse round trip) produces.
+Each is pinned against the plain spelling it stands in for: ``serialize``
+renders the tree as it is at the call, a structural clone equals the
+serialize→parse round trip of a parser-built tree, a memoized frame
+equals a fresh encode of the decoded entry.
 """
 
 import hashlib
-
-from hypothesis import given, settings, strategies as st
 
 from repro.axml.document import AXMLDocument
 from repro.baselines.snapshot_rollback import SnapshotRollback
 from repro.chaos import ChaosConfig, run_chaos
 from repro.chaos.oracle import AtomicityOracle
-from repro.chaos.shrink import summary_text
 from repro.obs.prof import PROF, SUMMARY_LOCAL_COUNTERS, profiled
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
-from repro.query.evaluate import evaluate_select
-from repro.query.parser import parse_select
 from repro.sim.metrics import MetricsCollector
 from repro.txn.wal import LogEntry, entry_from_xml, entry_to_xml
-from repro.xmlstore.fastpath import (
-    fast_path_disabled,
-    fast_path_enabled,
-    set_fast_path_enabled,
-)
 from repro.xmlstore.nodes import Document
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import (
@@ -52,14 +43,8 @@ def sha(text: str) -> str:
 
 
 class TestSerializeCache:
-    def test_repeat_serialize_hits_cache(self):
-        doc = build_doc()
-        first = serialize(doc)
-        before = PROF.snapshot()
-        assert serialize(doc) == first
-        delta = PROF.delta_since(before)
-        assert delta.get("serialize_cache_hits") == 1
-        assert "serialize_tree_builds" not in delta
+    """No cache is left: a render after any kind of write, following an
+    earlier render of the same document, shows the write."""
 
     def test_rendering_flags_are_cached_separately(self):
         doc = build_doc()
@@ -100,45 +85,10 @@ class TestSerializeCache:
         doc.root.children[-1].detach()
         assert "<extra/>" not in serialize(doc)
 
-    def test_attribute_write_leaves_structural_epoch_alone(self):
-        # Attribute/text writes are content-only: the structural epoch stays.
-        doc = build_doc()
-        structural = doc.mutation_epoch
-        content = doc.content_epoch
-        doc.root.children[0].attributes["id"] = "7"
-        assert doc.mutation_epoch == structural
-        assert doc.content_epoch > content
-
-    def test_disabled_path_bypasses_cache(self):
-        doc = build_doc()
-        warm = serialize(doc)
-        before = PROF.snapshot()
-        with fast_path_disabled():
-            assert not fast_path_enabled()
-            assert serialize(doc) == warm
-        delta = PROF.delta_since(before)
-        assert delta.get("serialize_tree_builds") == 1
-        assert "serialize_cache_hits" not in delta
-        assert fast_path_enabled()
-
-    def test_set_fast_path_enabled_returns_previous(self):
-        assert set_fast_path_enabled(False) is True
-        assert set_fast_path_enabled(True) is False
-
 
 class TestCanonicalDigest:
     def test_digest_is_sha256_of_canonical_text(self):
         doc = build_doc()
-        assert canonical_digest(doc) == sha(canonical(doc))
-
-    def test_digest_is_cached_and_invalidated(self):
-        doc = build_doc()
-        first = canonical_digest(doc)
-        before = PROF.snapshot()
-        assert canonical_digest(doc) == first
-        assert PROF.delta_since(before).get("serialize_digest_hits") == 1
-        doc.root.new_element("extra")
-        assert canonical_digest(doc) != first
         assert canonical_digest(doc) == sha(canonical(doc))
 
     def test_equal_trees_equal_digests(self):
@@ -171,34 +121,16 @@ class TestCloneTree:
         assert "<extra/>" in serialize(copy)
 
     def test_parse_equivalent_matches_roundtrip_exactly(self):
+        # A structural clone of a parse-normal tree (anything the parser
+        # or the update layer built) equals the round trip.
         doc = build_doc()
-        with fast_path_disabled():
-            roundtrip = parse_document(
-                serialize(doc, include_ids=True), name="copy"
-            )
-            rebind_ids(roundtrip)
-        fast = doc.clone_tree(preserve_ids=True, name="copy", parse_equivalent=True)
-        assert serialize(fast, include_ids=True) == serialize(
+        roundtrip = parse_document(serialize(doc, include_ids=True), name="copy")
+        rebind_ids(roundtrip)
+        clone = doc.clone_tree(preserve_ids=True, name="copy")
+        assert serialize(clone, include_ids=True) == serialize(
             roundtrip, include_ids=True
         )
-
-    def test_non_parse_normal_tree_falls_back(self):
-        # Whitespace-padded and adjacent text nodes are normalized by the
-        # parser; a parse-equivalent clone must take the real round trip
-        # and end up identical to it.
-        doc = Document("messy")
-        root = doc.create_root("root")
-        root.new_text("  padded  ")
-        root.new_text("runs")
-        before = PROF.snapshot()
-        copy = doc.clone_tree(preserve_ids=True, parse_equivalent=True)
-        assert PROF.delta_since(before).get("clone_fallback") == 1
-        with fast_path_disabled():
-            reference = parse_document(serialize(doc, include_ids=True))
-            rebind_ids(reference)
-        assert serialize(copy, include_ids=True) == serialize(
-            reference, include_ids=True
-        )
+        assert clone.name == roundtrip.name
 
     def test_structural_clone_keeps_messy_text_without_parse_equivalence(self):
         doc = Document("messy")
@@ -210,7 +142,6 @@ class TestCloneTree:
     def test_empty_document_clones(self):
         doc = Document("empty")
         assert doc.clone_tree(preserve_ids=True).root is None
-        assert doc.clone_tree(parse_equivalent=True, preserve_ids=True).root is None
 
     def test_logical_counts_copied(self):
         doc = build_doc()
@@ -257,9 +188,12 @@ class TestEntryCodecMemo:
 
     def test_memoized_frame_identical_to_cold(self):
         entry = self.entry()
-        with fast_path_disabled():
-            cold = entry_to_xml(entry)
         warm = entry_to_xml(entry)
+        # Decoding never seeds the memo, so encoding the decoded entry
+        # is a cold render of the same entry.
+        before = PROF.snapshot()
+        cold = entry_to_xml(entry_from_xml(warm))
+        assert PROF.delta_since(before).get("entry_codec_misses") == 1
         assert warm == cold
         before = PROF.snapshot()
         assert entry_to_xml(entry) == cold
@@ -273,12 +207,6 @@ class TestEntryCodecMemo:
         assert decoded._xml_cache is None
         assert entry_to_xml(decoded) == frame
 
-    def test_disabled_path_never_caches(self):
-        entry = self.entry()
-        with fast_path_disabled():
-            entry_to_xml(entry)
-            assert entry._xml_cache is None
-
     def test_cache_field_excluded_from_equality(self):
         a, b = self.entry(), self.entry()
         entry_to_xml(a)
@@ -287,9 +215,9 @@ class TestEntryCodecMemo:
 
 class TestSummaryLocalCounters:
     def test_fastpath_counters_stay_out_of_run_summaries(self):
-        # The chaos runner merges PROF deltas into run metrics; cache
-        # counters vary with the fast-path switch while behaviour does
-        # not, so they must be skipped or summaries lose byte-identity.
+        # The chaos runner merges PROF deltas into run metrics; these
+        # count how the work was done, not what the run did, and run
+        # summaries have never carried them.
         metrics = MetricsCollector()
         with profiled(metrics):
             serialize(build_doc())
@@ -348,89 +276,12 @@ class TestOracleDigestFirst:
         assert kinds == {"replica_diverged"}
 
 
-# ---------------------------------------------------------------------------
-# the property: the cache is invisible under arbitrary interleavings
-# ---------------------------------------------------------------------------
-
-_ops = st.lists(
-    st.tuples(
-        st.sampled_from(
-            ["attr", "text", "add", "detach", "clone", "snapshot",
-             "rollback", "query", "digest"]
-        ),
-        st.integers(0, 10**6),
-    ),
-    min_size=1,
-    max_size=30,
-)
-
-
-@given(ops=_ops)
-@settings(max_examples=60, deadline=None)
-def test_cached_output_always_matches_cold_serialization(ops):
-    doc = build_doc()
-    query = parse_select("Select n from n in Shop//price;")
-    snapshot = None
-    clones = []
-    for kind, pick in ops:
-        elements = list(doc.iter_elements())
-        element = elements[pick % len(elements)]
-        if kind == "attr":
-            element.attributes["k"] = str(pick % 7)
-        elif kind == "text":
-            element.set_text(str(pick % 100))
-        elif kind == "add":
-            element.new_element(f"n{pick % 5}")
-        elif kind == "detach" and element.parent is not None:
-            element.detach()
-        elif kind == "clone":
-            clones.append(doc.clone_tree(preserve_ids=bool(pick % 2)))
-        elif kind == "snapshot":
-            snapshot = doc.clone(preserve_ids=True)
-        elif kind == "rollback" and snapshot is not None:
-            doc.restore_from(snapshot)
-        elif kind == "query":
-            evaluate_select(query, doc)
-        elif kind == "digest":
-            canonical_digest(doc)
-        # The invariant, after every step: cached output == cold output.
-        warm_plain = serialize(doc)
-        warm_ids = serialize(doc, include_ids=True)
-        with fast_path_disabled():
-            assert serialize(doc) == warm_plain
-            assert serialize(doc, include_ids=True) == warm_ids
-        assert canonical_digest(doc) == sha(canonical(doc))
-    for clone in clones:
-        with fast_path_disabled():
-            assert serialize(clone) == serialize(clone)
-
-
-# ---------------------------------------------------------------------------
-# regression: chaos run summaries are byte-identical, fast path on vs off
-# ---------------------------------------------------------------------------
-
 class TestSummaryByteIdentity:
-    CONFIGS = {
-        "plain_c1": ChaosConfig(seed=3, txns=6, fault_rate=0.2),
-        "checkpointed_r1": ChaosConfig(
-            seed=3, txns=6, fault_rate=0.2, crash_rate=0.3,
-            durability=True, checkpoint_every=4, wal_batch=4,
-        ),
-        "replicated_r2": ChaosConfig(
+    def test_no_fastpath_counters_in_summaries(self):
+        result = run_chaos(ChaosConfig(
             seed=3, txns=6, fault_rate=0.2, crash_rate=0.3,
             durability=True, replicas=2, ship_batch=2,
-        ),
-    }
-
-    def test_summaries_identical_with_cache_on_and_off(self):
-        for label, config in self.CONFIGS.items():
-            warm = summary_text(run_chaos(config))
-            with fast_path_disabled():
-                cold = summary_text(run_chaos(config))
-            assert warm == cold, f"{label}: summary diverged with fast path on"
-
-    def test_no_fastpath_counters_in_summaries(self):
-        result = run_chaos(self.CONFIGS["replicated_r2"])
+        ))
         counters = result.summary["metrics"]["counters"]
         leaked = [
             name for name in counters

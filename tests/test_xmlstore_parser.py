@@ -5,7 +5,11 @@ import sys
 
 import pytest
 
+from repro.axml.document import AXMLDocument
 from repro.errors import XmlParseError
+from repro.p2p.distribution import distribute_fragment
+from repro.p2p.network import SimNetwork
+from repro.p2p.peer import AXMLPeer
 from repro.xmlstore.nodes import Document
 from repro.xmlstore.parser import parse_document, parse_fragment
 from repro.xmlstore.serializer import (
@@ -154,7 +158,17 @@ class TestParseErrors:
 
 class TestDeepNesting:
     """Open elements sit on an explicit stack: depth is bounded by memory,
-    like serialize() and clone_tree(), not by the recursion limit."""
+    not by the recursion limit — in the parser, the serializer, the one
+    copier and the subtree measures alike."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        doc = Document("deep")
+        node = doc.create_root("r")
+        for level in range(3000):
+            node = node.new_element("e", {"level": str(level)})
+        node.new_text("leaf")
+        return doc
 
     def test_deeper_than_the_recursion_limit(self):
         depth = 5000
@@ -162,15 +176,34 @@ class TestDeepNesting:
         doc = parse_document("<a>" * depth + "</a>" * depth)
         assert sum(1 for _ in doc.iter_elements()) == depth
 
-    def test_deep_document_reads_back(self):
-        doc = Document("deep")
-        node = doc.create_root("r")
-        for level in range(3000):
-            node = node.new_element("e", {"level": str(level)})
-        node.new_text("leaf")
-        text = serialize(doc)
-        assert serialize(doc.clone_tree()) == text
+    def test_deep_document_reads_back(self, deep):
+        text = serialize(deep)
+        assert serialize(deep.clone_tree()) == text
         assert serialize(parse_document(text)) == text
+
+    def test_deep_subtree_copies_into_another_document(self, deep):
+        other = Document("other")
+        other.root = deep.root.clone_into(other)
+        assert serialize(other) == serialize(deep)
+        assert other.root._logical_count == deep.root._logical_count == 3001
+
+    def test_deep_document_has_a_size(self, deep):
+        assert deep.size() == 3002
+
+    def test_deep_document_has_a_repr(self, deep):
+        assert repr(deep) == f"Document('deep', serial=d{deep.serial}, size=3002)"
+
+    def test_deep_text_content(self, deep):
+        assert deep.root.text_content() == "leaf"
+
+    def test_deep_fragment_distributes(self, deep):
+        network = SimNetwork()
+        owner, target = AXMLPeer("AP1", network), AXMLPeer("AP2", network)
+        owner.host_document(AXMLDocument(deep.clone_tree(), name="deep"))
+        placement = distribute_fragment(owner, "deep", "deep/e", target)
+        fragment = target.get_axml_document(placement.fragment_document).document
+        assert fragment.size() == 3001
+        assert fragment.root.text_content() == "leaf"
 
 
 def _scan_fixture(scale: int) -> str:

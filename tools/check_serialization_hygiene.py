@@ -11,11 +11,9 @@ keeps them from creeping back in.  Two patterns are flagged:
 * ``X.from_text(....to_text())`` in one expression (the old
   ``PeerChain.copy`` shape); give the type a structural ``copy()``.
 
-An occurrence is *approved* by a ``roundtrip-ok`` comment on the same
-line or within the five lines above it (used by the clone fallback in
-``xmlstore/nodes.py``, which deliberately takes the round trip when the
-tree is not parse-normal, and by benchmark baselines that measure the
-round trip itself).
+Under ``benchmarks/`` an occurrence is *approved* by a ``roundtrip-ok``
+comment on the same line or within the five lines above it (a baseline
+that measures the round trip itself).  Nothing under ``src/`` is.
 
 Usage: python tools/check_serialization_hygiene.py  (exit 1 on findings)
 """
@@ -34,6 +32,8 @@ SCAN_DIRS = ("src", "benchmarks")
 
 APPROVAL = "roundtrip-ok"
 APPROVAL_WINDOW = 5
+#: The only directory where an approval comment counts.
+APPROVAL_DIR = "benchmarks"
 
 PATTERNS = (
     (
@@ -47,7 +47,7 @@ PATTERNS = (
 )
 
 
-def check_file(path: str) -> list:
+def check_file(path: str, approvable: bool) -> list:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     lines = text.splitlines()
@@ -56,7 +56,7 @@ def check_file(path: str) -> list:
         for match in pattern.finditer(text):
             lineno = text.count("\n", 0, match.start()) + 1
             window = lines[max(0, lineno - 1 - APPROVAL_WINDOW):lineno]
-            if any(APPROVAL in line for line in window):
+            if approvable and any(APPROVAL in line for line in window):
                 continue
             findings.append((path, lineno, message))
     return findings
@@ -70,15 +70,17 @@ def main() -> int:
             for filename in sorted(filenames):
                 if not filename.endswith(".py"):
                     continue
-                findings.extend(check_file(os.path.join(dirpath, filename)))
+                findings.extend(
+                    check_file(os.path.join(dirpath, filename), scan_dir == APPROVAL_DIR)
+                )
     for path, lineno, message in findings:
         rel = os.path.relpath(path, ROOT)
         print(f"{rel}:{lineno}: {message}", file=sys.stderr)
     if findings:
         print(
             f"\n{len(findings)} serialization round trip(s) found; copy trees "
-            f"with Document.clone_tree() / a structural copy(), or mark a "
-            f"deliberate fallback with a '{APPROVAL}' comment.",
+            f"with Document.clone_tree() / a structural copy(); a benchmark "
+            f"baseline may carry a '{APPROVAL}' comment.",
             file=sys.stderr,
         )
         return 1

@@ -11,7 +11,7 @@ parser.  Re-running ``--write`` later re-pins the corpus to whatever
 parser is checked out, so do it only on purpose; ``--check`` reports
 how many rows the checked-out parser reproduces.
 
-Each row is ``{"mode", "input", "ok" | "error", "allocated", "epochs"}``:
+Each row is ``{"mode", "input", "ok" | "error", "allocated"}``:
 
 * ``ok`` — ``serialize(include_ids=True)`` of the result with the
   document serial normalised to ``d0`` (so id allocation order is
@@ -19,8 +19,7 @@ Each row is ``{"mode", "input", "ok" | "error", "allocated", "epochs"}``:
 * ``error`` — ``[message, line, column]`` of the ``XmlParseError`` (or
   ``["<ExcType>", 0, 0]`` for an untyped escape);
 * ``allocated`` — node ids the target document handed out
-  (``parse_fragment`` only: failed parses leave their ids behind);
-* ``epochs`` — ``[mutation_epoch, content_epoch]`` after a success.
+  (``parse_fragment`` only: failed parses leave their ids behind).
 """
 
 from __future__ import annotations
@@ -227,7 +226,6 @@ def observe(mode: str, text: str) -> Dict[str, object]:
             document = host
             rendered = "".join(serialize(e, include_ids=True) for e in parse_fragment(text, host))
         row["ok"] = rendered.replace(f"d{document.serial}.n", "d0.n")
-        row["epochs"] = [document.mutation_epoch, document.content_epoch]
     except XmlParseError as exc:
         row["error"] = [str(exc.args[0]).rsplit(" (line ", 1)[0], exc.line, exc.column]
     except Exception as exc:  # an untyped escape is itself pinned behaviour
