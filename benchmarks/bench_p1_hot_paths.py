@@ -1,6 +1,6 @@
 """P1 — hot-path performance: structural indexes, parallel sweeps, parsing.
 
-Four measurements, all gated (a regression makes this script exit 1,
+Five measurements, all gated (a regression makes this script exit 1,
 and CI runs it with ``--smoke`` on every push):
 
 * **Part A — indexed vs. walk-based query evaluation.**  Builds one
@@ -31,6 +31,13 @@ and CI runs it with ``--smoke`` on every push):
   step has one candidate whatever the document holds, so the time per
   operation must not grow with it (gate: large <= 3x small; an ordering
   that re-ranks the document after every write measures ~76x).
+* **Part E — a service parses its definition once.**  1 000 executions
+  of the chaos marker service (``<chaos txn="$tag" step="$step"/>`` into
+  ``D1//items``) under ``sys.setprofile``: they must enter
+  ``parse_document``, ``tokenize``, ``parse_path`` and
+  ``UpdateAction.to_xml`` **0** times and ``parse_fragment`` exactly
+  once each (the bound data still becomes nodes through text).  Counts,
+  so exact on every machine.
 
 Run:  python benchmarks/bench_p1_hot_paths.py [--smoke] [--seed N]
                                               [--workers N]
@@ -45,10 +52,14 @@ import gc
 import sys
 import time
 
+from repro.axml.document import AXMLDocument
 from repro.chaos import ChaosConfig, chaos_sweep
+from repro.chaos.runner import _chaos_service
 from repro.obs import stable_json
 from repro.obs.prof import PROF
+from repro.query.ast import UpdateAction
 from repro.query.evaluate import evaluate_select
+from repro.query.lexer import tokenize
 from repro.query.parser import parse_action, parse_select
 from repro.query.update import apply_action
 from repro.sim.metrics import MetricsCollector
@@ -57,8 +68,8 @@ from repro.sim.rng import SeededRng
 from repro.xmlstore.index import index_disabled
 from repro.xmlstore.names import QName
 from repro.xmlstore.nodes import Document, Element
-from repro.xmlstore.parser import parse_document
-from repro.xmlstore.path import TraversalMeter
+from repro.xmlstore.parser import parse_document, parse_fragment
+from repro.xmlstore.path import TraversalMeter, parse_path
 
 from _util import perf_record, run_perf_bench
 
@@ -344,7 +355,65 @@ def bench_locate_insert(args) -> dict:
     )
 
 
-def gates(args, query_rec, sweep_rec, scan_rec, locate_rec):
+class _MarkerHost:
+    """The ServiceHost Part E's service runs against: one document, and
+    a log that keeps the action text it is handed."""
+
+    def __init__(self) -> None:
+        self.document = AXMLDocument.from_xml("<D1><items/></D1>", name="D1")
+        self.logged = []
+
+    def get_axml_document(self, name):
+        return self.document
+
+    def record_changes(self, records, document_name, action_xml):
+        self.logged.append(action_xml)
+
+
+#: Part E: what an execution may (``parse_fragment``) and may not enter.
+TEXT_ROUND_TRIP = (parse_document, tokenize, parse_path, UpdateAction.to_xml, parse_fragment)
+
+
+def bench_service_template(args) -> dict:
+    executions = 1_000
+    service = _chaos_service(1, providers=1)  # no children: no delegation
+    host = _MarkerHost()
+    entered = {function.__code__: 0 for function in TEXT_ROUND_TRIP}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in entered:
+            entered[frame.f_code] += 1
+
+    before = PROF.snapshot()
+    sys.setprofile(count)
+    try:
+        start = time.perf_counter()
+        for i in range(executions):
+            service.execute({"tag": f"T{i:03d}", "step": f"s{i % 4}"}, host)
+        wall_time = time.perf_counter() - start
+    finally:
+        sys.setprofile(None)
+    delta = PROF.delta_since(before)
+    calls = {function.__qualname__: entered[function.__code__] for function in TEXT_ROUND_TRIP}
+    assert len(host.document.document.root.first_child("items").children) == executions
+    assert host.logged[-1] == parse_action(host.logged[-1]).to_xml()
+    print(
+        f"P1/E service template: {executions} marker executions -> "
+        + ", ".join(f"{name} {n}" for name, n in calls.items())
+    )
+    return perf_record(
+        "service_template_calls",
+        args.seed,
+        wall_time,
+        executions / max(1, sum(calls.values())),  # 1.0; 0.2 when every call re-parsed
+        executions=executions,
+        calls=calls,
+        bound=delta.get("service_template_bound", 0),
+        text=delta.get("service_template_text", 0),
+    )
+
+
+def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec):
     """Reasons this run fails its gate.  Speedup ratios; wall time only
     where the measured pool floor says the machine can deliver one."""
     required = 1.0 if args.smoke else 2.0
@@ -376,6 +445,14 @@ def gates(args, query_rec, sweep_rec, scan_rec, locate_rec):
             f"{locate_rec['markers_large']} markers than under "
             f"{locate_rec['markers_small']}: a location pays for the document again"
         )
+    expected = {name: 0 for name in template_rec["calls"]}
+    expected["parse_fragment"] = template_rec["executions"]
+    if template_rec["calls"] != expected or template_rec["text"]:
+        yield (
+            f"{template_rec['executions']} marker executions entered {template_rec['calls']} "
+            f"({template_rec['text']} through the text path), expected {expected}: "
+            "a service re-parses its definition again"
+        )
 
 
 def _configure(parser) -> None:
@@ -386,7 +463,9 @@ def _configure(parser) -> None:
 def main() -> int:
     return run_perf_bench(
         "P1", __doc__,
-        [bench_queries, bench_sweep, bench_parser_scan, bench_locate_insert], gates,
+        [bench_queries, bench_sweep, bench_parser_scan, bench_locate_insert,
+         bench_service_template],
+        gates,
         configure=_configure,
     )
 

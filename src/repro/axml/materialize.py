@@ -194,7 +194,7 @@ class MaterializationEngine:
                     InsertRecord(
                         node_id=node.node_id,
                         parent_id=sc_element.node_id,
-                        index=node.index_in_parent(),
+                        index=len(sc_element.children) - 1,
                         inserted_xml=fragment,
                     )
                 )

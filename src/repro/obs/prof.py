@@ -28,6 +28,9 @@ Counter vocabulary used across the codebase::
     comp_log_lookups      O(1) id lookups for compensation-log targets
     serialize_tree_builds  whole-document renders
     entry_codec_hits/_misses  log-entry frames reused from the entry / encoded
+    service_template_bound/_text  service executions that bound their
+                          parameters into the compiled definition /
+                          substituted and parsed its text
     replica_digest_matches  replica pairs the oracle accepted on digest alone
     eventq_scheduled/_fired/_cancelled/_compactions   kernel heap ops
     messages_sent         simulated network sends
@@ -90,15 +93,18 @@ PROF = Profiler()
 
 #: Counters that never merge into run summaries: they count how the
 #: work was done (document renders, entry-codec memo traffic,
-#: digest-first matches), not what the run did.  The frozen BENCH_E2E
-#: harness and ``bench_p3`` read them straight from :data:`PROF`, and
-#: run summaries keep the bytes they have always had.
+#: digest-first matches, bound vs. re-parsed service definitions), not
+#: what the run did.  The frozen BENCH_E2E harness and ``bench_p3`` read
+#: them straight from :data:`PROF`, and run summaries keep the bytes
+#: they have always had.
 SUMMARY_LOCAL_COUNTERS = frozenset(
     {
         "serialize_tree_builds",
         "entry_codec_hits",
         "entry_codec_misses",
         "replica_digest_matches",
+        "service_template_bound",
+        "service_template_text",
         # Directory consultations happen on every routed invocation —
         # including ones outside the profiled block (settlement,
         # benches poking at clusters) — so the count is cache-like

@@ -16,15 +16,28 @@ as literals on the right-hand side of an operator.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from repro.errors import QuerySyntaxError
 
 KEYWORDS = {"select", "from", "in", "where", "and", "or"}
 
-_OPERATORS = ("!=", "<>", "<=", ">=", "=", "<", ">")
-_WHITESPACE = " \t\r\n"
+#: One token (or an unterminated quote) after optional whitespace.  A
+#: word runs up to whitespace, punctuation, a quote or an operator; a
+#: ``!`` that no ``=`` follows is an ordinary word character.
+_TOKEN = re.compile(
+    r"""[ \t\r\n]*(?:
+        (?P<COMMA>,)
+      | (?P<SEMI>;)
+      | '(?P<single>[^']*)' | "(?P<double>[^"]*)"
+      | (?P<unterminated>['"])
+      | (?P<OP>!=|<>|<=|>=|=|<|>)
+      | (?P<word>(?:[^ \t\r\n,;'"!<>=]|!(?!=))+)
+    )""",
+    re.VERBOSE,
+).match
 
 
 @dataclass(frozen=True)
@@ -42,50 +55,22 @@ class Token:
 def tokenize(text: str) -> List[Token]:
     """Split *text* into tokens; raises :class:`QuerySyntaxError` on junk."""
     tokens: List[Token] = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        ch = text[pos]
-        if ch in _WHITESPACE:
-            pos += 1
-            continue
-        if ch == ",":
-            tokens.append(Token("COMMA", ",", pos))
-            pos += 1
-            continue
-        if ch == ";":
-            tokens.append(Token("SEMI", ";", pos))
-            pos += 1
-            continue
-        if ch in ("'", '"'):
-            end = text.find(ch, pos + 1)
-            if end < 0:
-                raise QuerySyntaxError("unterminated string literal", pos)
-            tokens.append(Token("STRING", text[pos + 1 : end], pos))
-            pos = end + 1
-            continue
-        op = _match_operator(text, pos)
-        if op:
-            tokens.append(Token("OP", "!=" if op == "<>" else op, pos))
-            pos += len(op)
-            continue
-        end = pos
-        while end < length and text[end] not in _WHITESPACE + ",;'\"" and not _match_operator(text, end):
-            end += 1
-        word = text[pos:end]
-        if not word:
-            raise QuerySyntaxError(f"unexpected character {ch!r}", pos)
-        lowered = word.lower()
-        if lowered in KEYWORDS:
-            tokens.append(Token("KEYWORD", lowered, pos))
-        else:
-            tokens.append(Token("PATH", word, pos))
-        pos = end
+    match = _TOKEN(text)
+    while match is not None:
+        kind = match.lastgroup
+        value, pos = match.group(kind), match.start(kind)
+        if kind == "word":
+            lowered = value.lower()
+            if lowered in KEYWORDS:
+                kind, value = "KEYWORD", lowered
+            else:
+                kind = "PATH"
+        elif kind == "OP" and value == "<>":
+            value = "!="
+        elif kind in ("single", "double"):
+            kind, pos = "STRING", pos - 1
+        elif kind == "unterminated":
+            raise QuerySyntaxError("unterminated string literal", pos)
+        tokens.append(Token(kind, value, pos))
+        match = _TOKEN(text, match.end())
     return tokens
-
-
-def _match_operator(text: str, pos: int) -> str:
-    for op in _OPERATORS:
-        if text.startswith(op, pos):
-            return op
-    return ""

@@ -19,18 +19,36 @@ paper's needs:
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.axml.document import AXMLDocument
 from repro.axml.materialize import MaterializationEngine, Resolver
-from repro.errors import ServiceError, ServiceFault
-from repro.query.ast import ActionType
+from repro.errors import ReproError, ServiceError, ServiceFault
+from repro.obs.prof import PROF
+from repro.query.ast import (
+    ActionType,
+    BooleanCondition,
+    Comparison,
+    Condition,
+    SelectQuery,
+    UpdateAction,
+)
 from repro.query.evaluate import evaluate_select
-from repro.query.parser import parse_action, parse_select
-from repro.query.update import ChangeRecord, apply_action
+from repro.query.lexer import KEYWORDS
+from repro.query.parser import (
+    action_from_element,
+    iter_comparisons,
+    parse_action,
+    parse_select,
+)
+from repro.query.update import ChangeRecord, UpdateResult, apply_action
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.xmlstore.nodes import Text
+from repro.xmlstore.parser import parse_document
 from repro.xmlstore.path import TraversalMeter
 from repro.xmlstore.serializer import serialize
 
@@ -116,6 +134,202 @@ def substitute(template: str, params: Dict[str, str]) -> str:
         raise ServiceError(f"malformed template: {exc}")
 
 
+#: Compilation parses a template once with its i-th hole filled by
+#: ``zzhole<i>zz`` and looks for where each of these sentinels landed.
+_MARK = "zzhole"
+_SENTINEL = re.compile(_MARK + r"(\d+)zz")
+
+#: The values a compiled template binds: one word of characters that
+#: are inert in XML character data, in a quoted attribute value and in
+#: a Select token alike, so putting one where a sentinel stood cannot
+#: change the parse.  Deliberately narrow — whatever it turns away
+#: (spaces, markup, quotes, non-ASCII, the empty string) is still served,
+#: through the text path.
+_inert = re.compile(r"[A-Za-z0-9_.:-]+").fullmatch
+
+
+def _bindable(params: Dict[str, str], names: Iterable[str]) -> bool:
+    """Whether every hole has an inert value (and no Select keyword,
+    which the lexer would not read as a literal)."""
+    for name in names:
+        value = params.get(name)
+        if not isinstance(value, str) or _inert(value) is None or value.lower() in KEYWORDS:
+            return False
+    return True
+
+
+class _Holes:
+    """The mapping :class:`string.Template` substitutes from while a
+    template compiles: names the holes in order of occurrence."""
+
+    def __init__(self) -> None:
+        self.names: List[str] = []
+
+    def __getitem__(self, name: str) -> str:
+        self.names.append(name)
+        return f"{_MARK}{len(self.names) - 1}zz"
+
+
+def _fill_with_sentinels(text: str) -> Tuple[str, List[str]]:
+    """*text* with hole *i* replaced by sentinel *i*, and the holes' names."""
+    if _MARK in text or "&#" in text:  # a character reference could spell a sentinel
+        raise ValueError("template text collides with the sentinels")
+    holes = _Holes()
+    return string.Template(text).substitute(holes), holes.names
+
+
+def _format_of(rendered: str, names: Sequence[str]) -> str:
+    """Canonical text with sentinels → a ``%(name)s`` format string."""
+    return _SENTINEL.sub(
+        lambda match: f"%({names[int(match[1])]})s", rendered.replace("%", "%%")
+    )
+
+
+def _literal_holes(query: SelectQuery) -> Dict[str, int]:
+    """sentinel → hole number, for each hole that is the whole literal of
+    a where-comparison — the one place in a Select where a value is data."""
+    matches = (_SENTINEL.fullmatch(c.literal) for c in iter_comparisons(query.where))
+    return {match[0]: int(match[1]) for match in matches if match is not None}
+
+
+def _all_found_once(found: Sequence[int], names: Sequence[str]) -> bool:
+    """Whether every hole landed, exactly once, where a value is data."""
+    return sorted(found) == list(range(len(names)))
+
+
+def _bind_where(condition: Condition, literals: Dict[str, str]) -> Condition:
+    if isinstance(condition, Comparison):
+        literal = literals.get(condition.literal)
+        if literal is None:
+            return condition
+        return Comparison(condition.left, condition.op, literal)
+    return BooleanCondition(
+        condition.op, tuple(_bind_where(part, literals) for part in condition.parts)
+    )
+
+
+def _bind_query(
+    query: SelectQuery, literal_names: Dict[str, str], params: Dict[str, str]
+) -> SelectQuery:
+    """*query* with each sentinel literal replaced by the value of the
+    parameter it stands for; *query* itself when it has none."""
+    if not literal_names:
+        return query
+    literals = {sentinel: params[name] for sentinel, name in literal_names.items()}
+    return SelectQuery(
+        query.select_paths, query.var, query.source, _bind_where(query.where, literals)
+    )
+
+
+class SelectTemplate:
+    """A Select statement with ``$name`` holes, parsed once.
+
+    :meth:`bind` returns the :class:`~repro.query.ast.SelectQuery` that
+    ``parse_select(substitute(text, params))`` builds.  When every hole
+    is the whole literal of a where-comparison and every value is inert
+    (see ``_inert``), it gets there by rebuilding the where-clause around
+    the values; otherwise — a hole in a path or name, a value with a
+    space or a quote in it, a template that does not parse — by
+    substituting and parsing the text, errors included.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self._query: Optional[SelectQuery] = None  # None: text only
+        try:
+            filled, names = _fill_with_sentinels(text)
+            query = parse_select(filled)
+        except (ValueError, ReproError):
+            return  # binding raises what this text has always raised
+        holes = _literal_holes(query)
+        if _all_found_once(list(holes.values()), names):
+            self._query = query
+            self._literal_names = {sentinel: names[i] for sentinel, i in holes.items()}
+
+    def bind(self, params: Dict[str, str]) -> SelectQuery:
+        if self._query is not None and _bindable(params, self._literal_names.values()):
+            PROF.incr("service_template_bound")
+            return _bind_query(self._query, self._literal_names, params)
+        PROF.incr("service_template_text")
+        return parse_select(substitute(self.text, params))
+
+
+class ActionTemplate:
+    """An ``<action>`` document with ``$name`` holes, parsed once.
+
+    :meth:`bind` returns what ``parse_action(substitute(text, params))``
+    builds, plus that action's ``to_xml()`` text for the log.  A hole is
+    bound without parsing where its value is data — in an attribute
+    value or character data below ``<data>``, or as the whole literal of
+    a where-comparison of the ``<location>`` — and inert (see
+    ``_inert``): the data fragments and the logged text are then
+    ``%``-formatted from canonical text split at the holes, and a
+    hole-free location is shared by every bound action.  Anything else
+    takes the text path, errors included, as for :class:`SelectTemplate`.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self._action: Optional[UpdateAction] = None  # None: text only
+        try:
+            filled, names = _fill_with_sentinels(text)
+            root = parse_document(filled, name="action").root
+            action = action_from_element(root)
+        except (ValueError, ReproError):
+            return  # binding raises what this text has always raised
+        holes = _literal_holes(action.location)
+        found = list(holes.values())
+        for data_element in root.find_children("data"):
+            for node in islice(data_element.iter(), 1, None):  # below <data>
+                values = [node.value] if isinstance(node, Text) else node.attributes.values()
+                found.extend(int(i) for value in values for i in _SENTINEL.findall(value))
+        if _all_found_once(found, names):
+            self._action = action
+            self._names = tuple(dict.fromkeys(names))
+            self._literal_names = {sentinel: names[i] for sentinel, i in holes.items()}
+            self._data_formats = [_format_of(fragment, names) for fragment in action.data]
+            self._xml_format = _format_of(action.to_xml(), names)
+
+    def bind(self, params: Dict[str, str]) -> Tuple[UpdateAction, str]:
+        template = self._action
+        if template is not None and _bindable(params, self._names):
+            PROF.incr("service_template_bound")
+            action = UpdateAction(
+                template.action_type,
+                _bind_query(template.location, self._literal_names, params),
+                tuple(fragment % params for fragment in self._data_formats),
+                template.anchor,
+                template.rebind,
+            )
+            return action, self._xml_format % params
+        PROF.incr("service_template_text")
+        action = parse_action(substitute(self.text, params))
+        return action, action.to_xml()
+
+
+def _apply_template(
+    template: ActionTemplate,
+    params: Dict[str, str],
+    descriptor: ServiceDescriptor,
+    host: ServiceHost,
+) -> Tuple[UpdateResult, ServiceResponse]:
+    """Bind *template*, apply the action to its document and log the
+    changes before anything else happens: a later delegation may fail,
+    and the local work must already be compensatable."""
+    action, action_xml = template.bind(params)
+    document_name = descriptor.target_document or action.location.document_name
+    axml_document = host.get_axml_document(document_name)
+    meter = TraversalMeter()
+    result = apply_action(axml_document.document, action, meter)
+    if result.records:
+        host.record_changes(result.records, document_name, action_xml)
+    return result, ServiceResponse(
+        records=list(result.records),
+        document_name=document_name,
+        nodes_affected=meter.nodes_traversed,
+    )
+
+
 class QueryService(Service):
     """An AXML query service over one hosted document.
 
@@ -134,11 +348,11 @@ class QueryService(Service):
         super().__init__(descriptor)
         if evaluation not in ("lazy", "eager"):
             raise ServiceError(f"evaluation must be lazy or eager, not {evaluation!r}")
-        self.template = template
+        self.template = SelectTemplate(template)
         self.evaluation = evaluation
 
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
-        query = parse_select(substitute(self.template, params))
+        query = self.template.bind(params)
         document_name = self.descriptor.target_document or query.document_name
         axml_document = host.get_axml_document(document_name)
         meter = TraversalMeter()
@@ -176,25 +390,14 @@ class UpdateService(Service):
 
     def __init__(self, descriptor: ServiceDescriptor, template: str):
         super().__init__(descriptor)
-        self.template = template
+        self.template = ActionTemplate(template)
 
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
-        action = parse_action(substitute(self.template, params))
-        document_name = self.descriptor.target_document or action.location.document_name
-        axml_document = host.get_axml_document(document_name)
-        meter = TraversalMeter()
-        result = apply_action(axml_document.document, action, meter)
-        if result.records:
-            host.record_changes(result.records, document_name, action.to_xml())
-        fragments = [
+        result, response = _apply_template(self.template, params, self.descriptor, host)
+        response.fragments = [
             f'<inserted id="{node_id!r}"/>' for node_id in result.inserted_ids
         ] or [f'<updated count="{result.target_count}"/>']
-        return ServiceResponse(
-            fragments=fragments,
-            records=list(result.records),
-            document_name=document_name,
-            nodes_affected=meter.nodes_traversed,
-        )
+        return response
 
 
 #: Signature of a function-service body: params → result fragments.
@@ -255,7 +458,9 @@ class DelegatingService(Service):
     ):
         super().__init__(descriptor)
         self.delegations = list(delegations)
-        self.local_action_template = local_action_template
+        self.local_action_template = (
+            None if local_action_template is None else ActionTemplate(local_action_template)
+        )
         #: Constant result fragments appended to every response (lets
         #: scenario services produce observable, reusable results).
         self.extra_fragments = list(extra_fragments)
@@ -263,21 +468,10 @@ class DelegatingService(Service):
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
         response = ServiceResponse()
         if self.local_action_template is not None:
-            action = parse_action(substitute(self.local_action_template, params))
-            document_name = (
-                self.descriptor.target_document or action.location.document_name
+            result, response = _apply_template(
+                self.local_action_template, params, self.descriptor, host
             )
-            axml_document = host.get_axml_document(document_name)
-            meter = TraversalMeter()
-            result = apply_action(axml_document.document, action, meter)
-            if result.records:
-                # Log immediately: a later delegation may fail, and the
-                # local work must already be compensatable.
-                host.record_changes(result.records, document_name, action.to_xml())
-            response.records.extend(result.records)
-            response.document_name = document_name
-            response.nodes_affected = meter.nodes_traversed
-            if action.action_type is ActionType.QUERY and result.query_result:
+            if result.action.action_type is ActionType.QUERY and result.query_result:
                 response.fragments.extend(
                     serialize(node) for node in result.query_result.all_nodes()
                 )

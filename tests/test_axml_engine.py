@@ -233,6 +233,24 @@ class TestMaterialization:
         assert [n.text_content() for n in results] == ["1", "2"]
         assert [r.kind for r in report.change_records()] == ["insert"]
 
+    @pytest.mark.parametrize("mode, first_index", [("merge", 4), ("replace", 2)])
+    def test_logged_insert_indexes(self, mode, first_index):
+        # The index is where the node sits under the sc element, counted
+        # past its params/catch children and (merge) the earlier results.
+        doc = AXMLDocument.from_xml(
+            f"<D><axml:sc mode='{mode}' methodName='m'><axml:params/><axml:catchAll/>"
+            "<r>0</r><r>1</r></axml:sc></D>"
+        )
+        fragments = ["<r>2</r>", "<r>3</r><r>4</r>", "<r>5</r>"]
+        engine = MaterializationEngine(doc, lambda call, params: Outcome(fragments))
+        inserts = [r for r in engine.materialize_all().change_records() if r.kind == "insert"]
+        assert [r.index for r in inserts] == list(range(first_index, first_index + 4))
+        sc = doc.service_calls()[0].element
+        assert [sc.children[r.index].node_id for r in inserts] == [r.node_id for r in inserts]
+        assert [r.inserted_xml for r in inserts] == [
+            fragments[0], fragments[1], fragments[1], fragments[2]
+        ]
+
     def test_params_passed_to_resolver(self):
         doc = self._doc()
         seen = {}

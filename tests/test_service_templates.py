@@ -1,0 +1,366 @@
+"""Compiled service templates against the text path they replace.
+
+A service parses its definition once (``SelectTemplate`` /
+``ActionTemplate`` in ``repro.services.service``) and binds parameters
+into the parsed form.  The reference is what every execution did before:
+``parse_select(substitute(text, params))`` / ``parse_action(...)`` and
+the action's ``to_xml()``.  For every template string in the tree and a
+list of hostile values the two must agree — equal frozen dataclasses and
+equal logged bytes, or the same exception type and message — and the
+tests below also pin *which* path a (template, value) pair takes, since
+agreement alone would hold for a compiler that never compiled anything.
+
+Pinned on purpose, not endorsed: parameters are spliced as markup, so
+``tag = a"/><evil x="1`` inserts a second node and
+``name = x or i/price > 0`` widens a where clause (ROADMAP item 2(iii)).
+"""
+
+import ast
+import string
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.axml.document import AXMLDocument
+from repro.obs.prof import PROF
+from repro.query.ast import ActionType
+from repro.query.evaluate import evaluate_select
+from repro.query.parser import parse_action, parse_select
+from repro.query.update import apply_action
+from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.service import (
+    ActionTemplate,
+    DelegatingService,
+    QueryService,
+    SelectTemplate,
+    UpdateService,
+    substitute,
+)
+from repro.xmlstore.serializer import serialize
+from tests.test_services import StubHost
+
+ROOT = Path(__file__).resolve().parent.parent
+
+VALUES = [
+    "T001", "s0", "42", "-1.5e3", "é", "", "a b", "Roger  Federer", "In", "and", "a;b", "'x y'",
+    "a=b", "x or i/price > 0", "a&b", "a&amp;b", "a<b", 'a"/><evil x="1', "$x", "$$",
+]
+#: The values of VALUES a compiled template binds; every other one must
+#: reach the text path.
+INERT = {"T001", "s0", "42", "-1.5e3"}
+
+MARKER = (
+    '<action type="insert"><data><chaos txn="$tag" step="$step"/></data>'
+    "<location>Select d from d in D//items;</location></action>"
+)
+POINTS = "Select p/points from p in ATPList//player where p/name/lastname = $name;"
+
+#: Template shapes the tree does not happen to contain.  These compile:
+#: every hole sits where a value is data.
+COMPILED_TEMPLATES = [
+    MARKER,
+    POINTS,
+    '<action type="insert"><data><m a="${tag}x" b="$$5">$tag $$ ${step}</m>t$step</data>'
+    "<location>Select d from d in D//items where d/@k = '$tag' and d/n != ${step};</location>"
+    "</action>",
+    "Select p from p in D//x where p/a = ${a} or p/b >= $b and p/c = \"$a\";",
+    '<action type="replace"><data><price cur="$$">$price</price></data>'
+    "<location>Select i/price from i in Shop//item where i/@id = $id;</location></action>",
+    '<action type="delete"><location>Select i from i in Shop//item where i/@id = $id;</location>'
+    "</action>",
+    '<action type="query"><location>Select i/price from i in Shop//item;</location></action>',
+]
+TEXT_ONLY_TEMPLATES = [
+    # a hole where a value is not data
+    '<action type="insert"><data><$tag/></data><location>Select d from d in D;</location></action>',
+    '<action type="insert"><data><m $tag="1"/></data><location>Select d from d in D;</location>'
+    "</action>",
+    '<action type="$type"><data><m/></data><location>Select d from d in D;</location></action>',
+    '<action type="insert" anchor="after:$node"><data><m/></data>'
+    "<location>Select d from d in D;</location></action>",
+    '<action type="insert"><data note="$tag"><m/></data><location>Select d from d in D;</location>'
+    "</action>",
+    '<action type="insert"><data><m/><!-- $tag --></data><location>Select d from d in D;'
+    "</location></action>",
+    '<action type="insert"><data><m a="&#122;zhole0zz" b="$tag"/></data>'
+    "<location>Select d from d in D;</location></action>",
+    "Select p from p in D//$step;",
+    "Select p/$field from p in D//x;",
+    "Select p from p in $doc//x where p/a = 1;",
+    "Select p from p in D//x where p/$field = 1;",
+    "Select p from p in D//x where p/a = x$v;",
+    "Select p from p in D//x where p/a = Roger $v;",
+    "Select p from p in D//x where p/a $op 1;",
+    "$q",
+    # malformed: the constructor must not raise, binding raises what it always has
+    "Select p from p in D//x where p/a = $;",
+    "Select p from p in D//x where p/a = ${a;",
+    '<action type="insert"><data><m></data><location>Select d from d in D;</location></action>',
+    '<action type="insert"><data><m a="$tag"/></data></action>',
+    "<action type='insert'><data>$tag</data><location>Select from;</location></action>",
+    "zzhole0zz $a",
+    "",
+]
+
+
+def _flatten(node):
+    """The text of a string constant or f-string (``{expr}`` → ``X1``)."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_flatten(part) or "X1" for part in node.values)
+    return None
+
+
+def _tree_templates():
+    """Every string in src/, examples/, benchmarks/bench_*.py and tests/
+    that looks like a Select or an ``<action>`` (f-strings flattened)."""
+    files = [
+        *sorted((ROOT / "src").rglob("*.py")),
+        *sorted((ROOT / "examples").glob("*.py")),
+        *sorted((ROOT / "benchmarks").glob("bench_*.py")),
+        *sorted((ROOT / "tests").glob("*.py")),
+    ]
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            text = _flatten(node)
+            if text and len(text) < 600 and ("<action" in text or "select " in text.lower()):
+                found.append(text)
+    return list(dict.fromkeys(found))
+
+
+EXTRA_TEMPLATES = COMPILED_TEMPLATES + TEXT_ONLY_TEMPLATES
+TREE_TEMPLATES = _tree_templates()
+TEMPLATES = list(dict.fromkeys(EXTRA_TEMPLATES + TREE_TEMPLATES))
+
+
+def _hole_names(text):
+    names = (m.group("named") or m.group("braced") for m in string.Template.pattern.finditer(text))
+    return list(dict.fromkeys(name for name in names if name))
+
+
+def _outcome(thunk):
+    try:
+        return thunk()
+    except Exception as exc:  # the error is part of the contract
+        return type(exc), str(exc)
+
+
+def _text_action(text, params):
+    action = parse_action(substitute(text, params))
+    return action, action.to_xml()
+
+
+def _assert_same(text, params):
+    """Both template kinds agree with their text path on (*text*, *params*)."""
+    bound = _outcome(lambda: SelectTemplate(text).bind(params))
+    assert bound == _outcome(lambda: parse_select(substitute(text, params)))
+    bound = _outcome(lambda: ActionTemplate(text).bind(params))
+    assert bound == _outcome(lambda: _text_action(text, params))
+    if not isinstance(bound[0], type):
+        action, action_xml = bound
+        assert action.to_xml() == action_xml
+
+
+def _parameter_sets(names):
+    for value in VALUES:
+        yield {name: value for name in names}
+    yield {name: VALUES[(i * 7 + 3) % len(VALUES)] for i, name in enumerate(names)}
+    yield {name: "T001" for name in names[1:]}  # one missing
+    yield {**{name: "s0" for name in names}, "unused": 'x"<'}  # one extra
+
+
+def test_the_tree_has_templates_to_check():
+    assert len(TEMPLATES) > 100
+    assert any("$tag" in text and "<chaos" in text for text in TREE_TEMPLATES)
+    assert sum(bool(_hole_names(text)) for text in TEMPLATES) > 30
+
+
+def test_bind_agrees_with_the_text_path():
+    # One test, not one per template: a template's text is no test id.
+    for text in TEMPLATES:
+        for params in _parameter_sets(_hole_names(text)):
+            _assert_same(text, params)
+
+
+_hostile = st.text(alphabet="aT0.:-_ '\"<>&;=$/,!\né", max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([t for t in EXTRA_TEMPLATES if _hole_names(t)]),
+    st.lists(_hostile, min_size=3, max_size=3),
+)
+def test_bind_agrees_on_generated_values(text, values):
+    _assert_same(text, dict(zip(_hole_names(text), values)))
+
+
+# -- which path ---------------------------------------------------------------
+
+
+def _paths_taken(thunk):
+    before = PROF.snapshot()
+    _outcome(thunk)
+    delta = PROF.delta_since(before)
+    return delta.get("service_template_bound", 0), delta.get("service_template_text", 0)
+
+
+def _kind(text):
+    return ActionTemplate if text.startswith("<action") else SelectTemplate
+
+
+def test_only_inert_values_are_bound():
+    for text in COMPILED_TEMPLATES:
+        compiled = _kind(text)(text)
+        for value in VALUES if _hole_names(text) else ():
+            params = {name: value for name in _hole_names(text)}
+            expected = (1, 0) if value in INERT else (0, 1)
+            assert _paths_taken(lambda: compiled.bind(params)) == expected, (text, value)
+
+
+def test_holes_in_markup_and_malformed_templates_stay_text_only():
+    for text in TEXT_ONLY_TEMPLATES:
+        params = {name: "T001" for name in _hole_names(text)}
+        for kind in (ActionTemplate, SelectTemplate):
+            compiled = kind(text)  # never raises
+            assert _paths_taken(lambda: compiled.bind(params)) == (0, 1), text
+
+
+def test_missing_parameter_and_non_string_value_take_the_text_path():
+    compiled = ActionTemplate(MARKER)
+    assert _paths_taken(lambda: compiled.bind({"tag": "T001"})) == (0, 1)
+    assert _paths_taken(lambda: compiled.bind({"tag": "T001", "step": 3})) == (0, 1)
+    action, _ = compiled.bind({"tag": "T001", "step": 3})
+    assert action.data == ('<chaos step="3" txn="T001"/>',)
+
+
+def test_hole_free_location_is_shared():
+    compiled = ActionTemplate(MARKER)
+    first, _ = compiled.bind({"tag": "T001", "step": "s0"})
+    second, _ = compiled.bind({"tag": "T002", "step": "s1"})
+    assert first.location is second.location
+    assert first.data != second.data
+
+
+def test_spliced_markup_is_pinned_not_endorsed():
+    action, _ = ActionTemplate(MARKER).bind({"tag": 'a"/><evil x="1', "step": "s0"})
+    assert action.data == ('<chaos txn="a"/>', '<evil step="s0" x="1"/>')
+    query = SelectTemplate(POINTS).bind({"name": "x or p/points > 0"})
+    assert str(query.where) == "p/name/lastname = x or p/points > 0"
+
+
+# -- through the services -----------------------------------------------------
+
+
+class RecordingHost(StubHost):
+    """Keeps the logged text and the records, not just their count."""
+
+    def record_changes(self, records, document_name, action_xml):
+        self.recorded.append((document_name, [repr(r) for r in records], action_xml))
+
+
+SHOP = (
+    "<Shop><item id='1'><price>10</price></item><item id='2'><price>20</price></item>"
+    "<items/></Shop>"
+)
+SERVICE_TEMPLATES = [
+    '<action type="insert"><data><chaos txn="$tag" step="$step"/></data>'
+    "<location>Select d from d in Shop//items;</location></action>",
+    '<action type="replace"><data><price>$tag</price></data>'
+    "<location>Select i/price from i in Shop//item where i/@id = $step;</location></action>",
+    '<action type="delete"><location>Select i from i in Shop//item where i/price = $tag;'
+    "</location></action>",
+    '<action type="query"><location>Select i/price from i in Shop//item where i/@id = $step;'
+    "</location></action>",
+]
+
+
+def _host():
+    return RecordingHost({"Shop": AXMLDocument.from_xml(SHOP, name="Shop")})
+
+
+def _reference_run(text, params, host, update_fragments):
+    """What ``UpdateService._run`` and the local half of
+    ``DelegatingService._run`` did before templates compiled."""
+    action = parse_action(substitute(text, params))
+    document = host.get_axml_document("Shop").document
+    result = apply_action(document, action)
+    if result.records:
+        host.record_changes(result.records, "Shop", action.to_xml())
+    if update_fragments:
+        return [f'<inserted id="{i!r}"/>' for i in result.inserted_ids] or [
+            f'<updated count="{result.target_count}"/>'
+        ]
+    if action.action_type is ActionType.QUERY and result.query_result:
+        return [serialize(node) for node in result.query_result.all_nodes()]
+    return []
+
+
+def _ids_normalised(host, value):
+    serial = host.get_axml_document("Shop").document.serial
+    return repr(value).replace(f"d{serial}.", "d0.")
+
+
+@pytest.mark.parametrize("text", SERVICE_TEMPLATES, ids=["insert", "replace", "delete", "query"])
+@pytest.mark.parametrize(
+    "value", ["20", "T001", "a b", 'a"/><evil x="1', "", "and", "1 or i/@id = 2"],
+    ids=["number", "word", "space", "markup", "empty", "keyword", "widening"],
+)
+@pytest.mark.parametrize("delegating", [False, True], ids=["update", "delegating"])
+def test_service_execution_matches_the_text_path(text, value, delegating):
+    params = {"tag": value, "step": "2" if value == "20" else value}
+    descriptor = ServiceDescriptor(
+        "S", kind="update", params=(ParamSpec("tag"), ParamSpec("step")), target_document="Shop"
+    )
+    if delegating:
+        service = DelegatingService(descriptor, [("AP2", "S2")], local_action_template=text)
+    else:
+        service = UpdateService(descriptor, text)
+    host, reference_host = _host(), _host()
+
+    def run():
+        response = service.execute(params, host)
+        return response.fragments, len(response.records), response.document_name
+
+    def reference():
+        fragments = _reference_run(text, params, reference_host, not delegating)
+        if delegating:
+            fragments += ["<from peer='AP2'/>"]
+        return fragments, sum(len(r[1]) for r in reference_host.recorded), "Shop"
+
+    assert _ids_normalised(host, _outcome(run)) == _ids_normalised(
+        reference_host, _outcome(reference)
+    )
+    assert _ids_normalised(host, host.recorded) == _ids_normalised(
+        reference_host, reference_host.recorded
+    )
+    assert host.get_axml_document("Shop").to_xml() == reference_host.get_axml_document(
+        "Shop"
+    ).to_xml()
+
+
+def test_query_service_matches_the_text_path():
+    for value in ["10", "20", "0", "-1.5e3", "a b", "'2 0'", "0 or i/price > 0", ""]:
+        _check_query_service(value)
+
+
+def _check_query_service(value):
+    text = "Select i/price from i in Shop//item where i/price > $low;"
+    service = QueryService(ServiceDescriptor("q", kind="query", params=(ParamSpec("low"),)), text)
+    host = _host()
+
+    def reference():
+        query = parse_select(substitute(text, {"low": value}))
+        document = host.get_axml_document("Shop").document
+        return [serialize(node) for node in evaluate_select(query, document).all_nodes()]
+
+    assert _outcome(lambda: service.execute({"low": value}, host).fragments) == _outcome(reference)
+
+
+def test_the_definition_text_stays_readable():
+    service = UpdateService(ServiceDescriptor("S", kind="update"), MARKER)
+    assert service.template.text == MARKER
+    delegating = DelegatingService(ServiceDescriptor("S", kind="delegating"), [])
+    assert delegating.local_action_template is None

@@ -19,7 +19,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src" / "repro") + os.sep
-FORK_COUNTERS = ("serialize_tree_", "entry_codec_", "query_index_", "query_tree_")  # prefixes
+FORK_COUNTERS = (  # prefixes
+    "serialize_tree_", "entry_codec_", "query_index_", "query_tree_", "service_template_",
+)
 entered = set()
 
 
