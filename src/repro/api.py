@@ -26,7 +26,7 @@ Quickstart::
 
 Seeded chaos runs are configured by one frozen
 :class:`~repro.chaos.ChaosConfig` (re-exported here) and run through
-:func:`chaos` / :func:`chaos_sweep`.
+:func:`repro.chaos.run_chaos` / :func:`chaos_sweep`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.axml.document import AXMLDocument
-from repro.chaos.runner import ChaosConfig, run_chaos
+from repro.chaos.runner import MUTATIONS, ChaosConfig
 from repro.chaos.runner import chaos_sweep as _chaos_sweep
 from repro.outcome import Outcome, OutcomeStatus
 from repro.p2p.failure import FailureInjector
@@ -64,7 +64,6 @@ __all__ = [
     "OutcomeStatus",
     "ChaosConfig",
     "SweepConfig",
-    "chaos",
     "chaos_sweep",
     "add_run_arguments",
     "add_sweep_arguments",
@@ -477,9 +476,7 @@ def add_run_arguments(parser) -> None:
         "--handlers", action="store_true",
         help="install retry fault policies (forward recovery)")
     parser.add_argument(
-        "--mutate", default="",
-        choices=("skip_undo", "double_apply", "stale_chain",
-                 "crash_skip_undo"),
+        "--mutate", default="", choices=MUTATIONS,
         help="deliberately break the protocol (oracle demo)")
     parser.add_argument(
         "--crash-rate", type=float, default=ChaosConfig.crash_rate,
@@ -534,20 +531,6 @@ def add_output_arguments(parser) -> None:
     parser.add_argument(
         "--json-out", metavar="PATH",
         help="also write the deterministic result as a JSON artifact")
-
-
-def chaos(config: ChaosConfig):
-    """Run one seeded chaos experiment; returns a ``ChaosRunResult``.
-
-    ``result.ok`` says whether the atomicity oracle verified
-    all-or-nothing outcomes::
-
-        from repro.api import ChaosConfig, chaos
-
-        result = chaos(ChaosConfig(seed=7, txns=20, fault_rate=0.2))
-        assert result.ok, result.violations
-    """
-    return run_chaos(config)
 
 
 def chaos_sweep(config: SweepConfig, metrics=None):

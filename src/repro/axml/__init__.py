@@ -18,7 +18,7 @@ Java implementation, is obsolete).  The engine implements the semantics
 
 from repro.axml.service_call import Param, ServiceCall, install_service_call
 from repro.axml.document import AXMLDocument
-from repro.axml.faults import FaultHandler, RetryPolicy, parse_fault_handlers
+from repro.axml.faults import parse_fault_handlers
 from repro.axml.materialize import (
     MaterializationEngine,
     MaterializationReport,
@@ -30,8 +30,6 @@ __all__ = [
     "ServiceCall",
     "install_service_call",
     "AXMLDocument",
-    "FaultHandler",
-    "RetryPolicy",
     "parse_fault_handlers",
     "MaterializationEngine",
     "MaterializationReport",

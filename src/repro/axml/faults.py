@@ -7,131 +7,59 @@ The paper attaches BPEL4WS-style handlers to ``axml:sc`` elements::
     <axml:catchAll>…</axml:catchAll>
 
 The handler body is "either some Java code or constructs like
-``<axml:retry times="" wait=""><axml:sc …/></axml:retry>``".  We model
-the body as one of:
-
-* a :class:`RetryPolicy` — retry *times* times, waiting *wait* simulated
-  seconds between attempts, optionally against an alternative (replica)
-  service call;
-* a named hook (the "Java code" case) — resolved at run time against a
-  registry of Python callables the application provides;
-* absorb — an empty body: the fault is considered handled.
-
-Nested recovery (:mod:`repro.txn.recovery`) consults these handlers to
-decide forward vs backward recovery at each peer.
+``<axml:retry times="" wait=""><axml:sc …/></axml:retry>``".
+:func:`parse_fault_handlers` reads them straight into the caller-side
+:class:`~repro.txn.recovery.FaultPolicy` list that nested recovery
+(:mod:`repro.txn.recovery`) consults to decide forward vs backward
+recovery at each peer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import List
 
 from repro.errors import ServiceCallError
+from repro.txn.recovery import FaultPolicy
 from repro.xmlstore.names import CATCH_NAME, CATCHALL_NAME, RETRY_NAME, SC_NAME
 from repro.xmlstore.nodes import Element
 
-#: Signature of an application hook: receives the fault name and the
-#: handler element, returns True when the fault is handled.
-HookFn = Callable[[str, Element], bool]
 
+def parse_fault_handlers(sc_element: Element) -> List[FaultPolicy]:
+    """The fault policies declared on an ``axml:sc`` element, in
+    document order (:func:`~repro.txn.recovery.select_policy` applies
+    §3.2's matching: first specific catch, then catchAll).
 
-@dataclass
-class RetryPolicy:
-    """The ``<axml:retry times=".." wait="..">`` construct.
+    The handler body decides the policy:
 
-    ``alternative`` holds the optional embedded ``axml:sc`` element for
-    retrying against a replicated peer (§3.2: "The optional <axml:sc …>
-    allows retrying the invocation using a replicated peer").
+    * ``<axml:retry times=".." wait="..">`` — retry that often, waiting
+      that many simulated seconds between attempts; an embedded
+      ``<axml:sc serviceURL="axml://P">`` retries against the replicated
+      peer ``P`` (§3.2: "The optional <axml:sc …> allows retrying the
+      invocation using a replicated peer");
+    * a ``hook="…"`` attribute (the "Java code" case) — a policy that
+      handles nothing: no application code is registered anywhere, so
+      the fault propagates (backward recovery);
+    * otherwise absorb: the fault is considered handled.
     """
-
-    times: int
-    wait: float
-    alternative: Optional[Element] = None
-
-    @property
-    def uses_replica(self) -> bool:
-        return self.alternative is not None
-
-
-@dataclass
-class FaultHandler:
-    """A parsed ``axml:catch`` / ``axml:catchAll`` handler.
-
-    ``fault_name`` is ``None`` for catchAll.  Exactly one of ``retry``,
-    ``hook_name`` or neither (absorb) describes the body.
-    """
-
-    fault_name: Optional[str]
-    element: Element
-    retry: Optional[RetryPolicy] = None
-    hook_name: Optional[str] = None
-
-    @property
-    def is_catch_all(self) -> bool:
-        return self.fault_name is None
-
-    def matches(self, fault_name: str) -> bool:
-        return self.is_catch_all or self.fault_name == fault_name
-
-
-def parse_fault_handlers(sc_element: Element) -> List[FaultHandler]:
-    """Extract the fault handlers declared on an ``axml:sc`` element.
-
-    Handlers are returned in document order; matching semantics (first
-    specific match, then catchAll) are implemented by
-    :func:`select_handler`.
-    """
-    handlers: List[FaultHandler] = []
+    policies: List[FaultPolicy] = []
     for child in sc_element.child_elements():
         if child.name == CATCH_NAME:
-            fault_name = child.attributes.get("faultName", "")
-            if not fault_name:
+            if not child.attributes.get("faultName"):
                 raise ServiceCallError("axml:catch is missing faultName")
-            handlers.append(_build_handler(fault_name, child))
+            policy = FaultPolicy(fault_names={child.attributes["faultName"]})
         elif child.name == CATCHALL_NAME:
-            handlers.append(_build_handler(None, child))
-    return handlers
-
-
-def _build_handler(fault_name: Optional[str], element: Element) -> FaultHandler:
-    retry_el = element.first_child(RETRY_NAME)
-    if retry_el is not None:
-        times = int(retry_el.attributes.get("times", "1"))
-        wait = float(retry_el.attributes.get("wait", "0"))
-        alternative = retry_el.first_child(SC_NAME)
-        return FaultHandler(
-            fault_name, element, retry=RetryPolicy(times, wait, alternative)
-        )
-    hook_name = element.attributes.get("hook")
-    return FaultHandler(fault_name, element, hook_name=hook_name)
-
-
-def select_handler(
-    handlers: List[FaultHandler], fault_name: str
-) -> Optional[FaultHandler]:
-    """Pick the handler for *fault_name*: specific catches win, then
-    catchAll, else ``None`` (fault propagates — backward recovery)."""
-    for handler in handlers:
-        if not handler.is_catch_all and handler.matches(fault_name):
-            return handler
-    for handler in handlers:
-        if handler.is_catch_all:
-            return handler
-    return None
-
-
-class HookRegistry:
-    """Registry of application fault hooks (the paper's "Java code" case)."""
-
-    def __init__(self) -> None:
-        self._hooks: Dict[str, HookFn] = {}
-
-    def register(self, name: str, fn: HookFn) -> None:
-        self._hooks[name] = fn
-
-    def run(self, hook_name: str, fault_name: str, element: Element) -> bool:
-        """Invoke the named hook; unknown hooks leave the fault unhandled."""
-        hook = self._hooks.get(hook_name)
-        if hook is None:
-            return False
-        return bool(hook(fault_name, element))
+            policy = FaultPolicy(fault_names=None)
+        else:
+            continue
+        retry = child.first_child(RETRY_NAME)
+        if retry is None:
+            policy.absorb = "hook" not in child.attributes
+        else:
+            policy.retry_times = int(retry.attributes.get("times", "1"))
+            policy.retry_wait = float(retry.attributes.get("wait", "0"))
+            replica = retry.first_child(SC_NAME)
+            url = "" if replica is None else replica.attributes.get("serviceURL", "")
+            if url.startswith("axml://"):
+                policy.alternative_peer = url[len("axml://"):]
+        policies.append(policy)
+    return policies

@@ -4,7 +4,7 @@
   handlers (the state of the art §3.1 says is infeasible for AXML);
 * :mod:`repro.baselines.snapshot_rollback` — traditional whole-document
   undo via snapshots;
-* :mod:`repro.baselines.two_phase_commit` — blocking atomic commit.
+* :mod:`repro.baselines.lock_manager` — pessimistic document locks.
 
 The §3.3 baseline — disconnection handling without chaining (detection
 only by the direct parent, no reuse) — is a flag, not a module:
@@ -17,7 +17,6 @@ from repro.baselines.static_compensation import (
     CoverageReport,
 )
 from repro.baselines.snapshot_rollback import SnapshotRollback
-from repro.baselines.two_phase_commit import TwoPhaseCoordinator, TwoPhaseOutcome
 from repro.baselines.lock_manager import LockConflict, LockManager, LockMode
 
 __all__ = [
@@ -25,8 +24,6 @@ __all__ = [
     "StaticHandler",
     "CoverageReport",
     "SnapshotRollback",
-    "TwoPhaseCoordinator",
-    "TwoPhaseOutcome",
     "LockConflict",
     "LockManager",
     "LockMode",

@@ -36,7 +36,6 @@ from repro.chaos.runner import (
     chaos_sweep,
     describe_plan,
     generate_workload,
-    rerun,
     run_chaos,
 )
 from repro.chaos.shrink import (
@@ -68,7 +67,6 @@ __all__ = [
     "generate_workload",
     "load_repro_file",
     "replay_repro_file",
-    "rerun",
     "run_chaos",
     "shrink_and_report",
     "shrink_plan",

@@ -40,11 +40,16 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chaos.oracle import AtomicityOracle, ExpectedEffect, Violation
-from repro.chaos.planner import CHAOS_FAULT, FaultEvent, FaultPlan, FaultPlanner
+from repro.chaos.planner import (
+    CHAOS_FAULT,
+    FAULT_KINDS,
+    FaultEvent,
+    FaultPlan,
+    FaultPlanner,
+    typed_fields,
+)
 from repro.obs import run_summary
 from repro.obs.prof import profiled
-from repro.p2p.failure import crash_and_restart
-from repro.p2p.messages import DisconnectNotice, RedirectedResult
 from repro.query.parser import parse_action
 from repro.query.update import apply_action
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
@@ -52,7 +57,7 @@ from repro.services.service import DelegatingService
 from repro.sim.rng import SeededRng, stable_seed
 from repro.sim.scheduler import COMMITTED, InvokeOp, TxnResult, TxnSpec
 from repro.txn.modes import DurabilityPolicy
-from repro.txn.recovery import FaultPolicy
+from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 
 #: Deliberate protocol breakages; each trips a distinct oracle kind.
 MUTATIONS = (
@@ -159,24 +164,12 @@ class ChaosConfig:
         return self.txns / self.arrival_rate + 2.0
 
     def to_dict(self) -> Dict[str, object]:
+        """Every field, with the :data:`_ELIDED_AT_DEFAULT` knobs left
+        out while they sit at their defaults."""
         out = dict(asdict(self))
-        # Elide the PR 7 WAL knobs at their defaults so summaries and
-        # replay files of checkpoint-less runs stay byte-identical to
-        # what earlier versions emitted.
-        if self.checkpoint_every == 0:
-            out.pop("checkpoint_every")
-        if self.wal_batch == 1:
-            out.pop("wal_batch")
-        # Same rule for the PR 8 replication knobs.
-        if self.replicas == 0:
-            out.pop("replicas")
-        if self.ship_batch == 1:
-            out.pop("ship_batch")
-        # ... and the sharding knobs.
-        if not self.sharding:
-            out.pop("sharding")
-        if self.shard_spares == 0:
-            out.pop("shard_spares")
+        for name in _ELIDED_AT_DEFAULT:
+            if out[name] == getattr(type(self), name):
+                del out[name]
         return out
 
     @classmethod
@@ -184,21 +177,7 @@ class ChaosConfig:
         """Rebuild from :meth:`to_dict` output (a repro file's
         ``config``); unknown keys are ignored, a wrongly typed value is
         a ``ValueError`` naming the field."""
-        values = {}
-        for f in fields(cls):
-            if f.name not in data:
-                continue
-            value = data[f.name]
-            kind = type(f.default)
-            if kind is float and type(value) is int:
-                value = float(value)
-            if type(value) is not kind:
-                raise ValueError(
-                    f"config field {f.name!r} must be {kind.__name__}, "
-                    f"got {value!r}"
-                )
-            values[f.name] = value
-        return cls(**values)
+        return cls(**typed_fields(cls, data, "config"))
 
     @classmethod
     def from_namespace(cls, args) -> "ChaosConfig":
@@ -212,6 +191,16 @@ class ChaosConfig:
             if value is not None:
                 values[f.name] = value
         return cls(**values)
+
+
+#: Knobs added after the first pinned summaries (WAL tuning,
+#: replication, sharding): elided from :meth:`ChaosConfig.to_dict` at
+#: their defaults so summaries and replay files of runs that do not use
+#: them stay byte-identical to what earlier versions emitted.
+_ELIDED_AT_DEFAULT = (
+    "checkpoint_every", "wal_batch", "replicas", "ship_batch",
+    "sharding", "shard_spares",
+)
 
 
 @dataclass
@@ -238,13 +227,6 @@ class ChaosRunResult:
             expected=self.expected,
             txn_ids={r.label: list(r.txn_ids) for r in self.results},
         )
-
-
-class _MutationState:
-    """Once-only firing shared by every wrapped peer."""
-
-    def __init__(self) -> None:
-        self.fired = False
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +258,7 @@ def build_chaos_cluster(config: ChaosConfig):
     from repro.api import Cluster
 
     cluster = Cluster()
+    cluster.replication.ship_batch = config.ship_batch
     scratch = None
     if config.durability:
         from repro.sim.kernel import ScratchSpace
@@ -299,15 +282,11 @@ def build_chaos_cluster(config: ChaosConfig):
         cluster.host_service(provider, _chaos_service(i, config.providers))
     for spare in _spare_names(config):
         cluster.add_peer(spare, **_durability_kwargs(config, scratch, spare))
-    if config.handlers:
-        policy = [FaultPolicy(fault_names={CHAOS_FAULT}, retry_times=2)]
-        for peer_id in origins + providers:
-            for i in range(1, config.providers + 1):
-                cluster.peer(peer_id).set_fault_policy(f"S{i}", policy)
     if config.sharding:
         _place_sharded(cluster, config, providers)
     elif config.replicas > 0:
         _place_replicas(cluster, config, providers)
+    _install_fault_policies(cluster, config)
     return cluster, origins, providers
 
 
@@ -353,16 +332,9 @@ def _place_sharded(cluster, config: ChaosConfig, providers: Sequence[str]) -> No
     service ``S<i>``) lands on ``ring.lookup("D<i>")`` — primary first,
     then ``config.replicas`` replica holders.  Spares start *outside*
     the ring; planned ``shard_join`` events bring them in mid-run.
-
-    As with :func:`_place_replicas`, every peer gets a
-    ``PeerDisconnected`` retry policy for every service so forward
-    recovery engages (and consults the directory/failover selector)
-    when a shard holder dies mid-invocation.
     """
     from repro.p2p.sharding import ShardCoordinator, ShardRing
-    from repro.txn.recovery import DISCONNECT_FAULT
 
-    cluster.replication.ship_batch = config.ship_batch
     ring = ShardRing(
         seed=stable_seed(config.seed, "ring"),
         members=providers,
@@ -385,12 +357,6 @@ def _place_sharded(cluster, config: ChaosConfig, providers: Sequence[str]) -> No
         for holder in owners[1:]:
             cluster.replication.replicate_document(document, holder)
             cluster.replication.replicate_service(method, holder)
-    policies = [FaultPolicy(fault_names={DISCONNECT_FAULT}, retry_times=2)]
-    if config.handlers:
-        policies.insert(0, FaultPolicy(fault_names={CHAOS_FAULT}, retry_times=2))
-    for peer in cluster.peers.values():
-        for i in range(1, config.providers + 1):
-            peer.set_fault_policy(f"S{i}", policies)
 
 
 def _place_replicas(cluster, config: ChaosConfig, providers: Sequence[str]) -> None:
@@ -398,16 +364,7 @@ def _place_replicas(cluster, config: ChaosConfig, providers: Sequence[str]) -> N
     get ``config.replicas`` copies on distinct other providers, drawn
     from the dedicated ``"placement"`` RNG stream (placement depends on
     the seed and the knobs only — never on dict order).
-
-    Every peer also gets a ``PeerDisconnected`` retry policy for every
-    service: forward recovery must engage (and consult the failover
-    selector) when a replicated provider dies mid-invocation —
-    without a handler the §3.2 default is backward recovery and the
-    replicas would never be asked.
     """
-    from repro.txn.recovery import DISCONNECT_FAULT
-
-    cluster.replication.ship_batch = config.ship_batch
     rng = SeededRng(stable_seed(config.seed, "placement"))
     for provider in providers:
         index = int(provider[2:])
@@ -417,11 +374,25 @@ def _place_replicas(cluster, config: ChaosConfig, providers: Sequence[str]) -> N
             pool.remove(choice)
             cluster.replication.replicate_document(f"D{index}", choice)
             cluster.replication.replicate_service(f"S{index}", choice)
-    policies = [FaultPolicy(fault_names={DISCONNECT_FAULT}, retry_times=2)]
+
+
+def _install_fault_policies(cluster, config: ChaosConfig) -> None:
+    """The §3.2 retry policies of a run, on every peer (spares included)
+    for every marker service: ``ChaosFault`` when ``config.handlers``,
+    then ``PeerDisconnected`` when documents have other holders
+    (replicas, or shards that migrate) — forward recovery must engage
+    (and consult the directory/failover selector) when a holder dies
+    mid-invocation; without a handler the §3.2 default is backward
+    recovery and the replicas would never be asked.
+    """
+    names = []
     if config.handlers:
-        # Runs after (and replaces) the handlers block's assignment, so
-        # the chaos-fault retry policy must be carried along.
-        policies.insert(0, FaultPolicy(fault_names={CHAOS_FAULT}, retry_times=2))
+        names.append(CHAOS_FAULT)
+    if config.replicas > 0 or config.sharding:
+        names.append(DISCONNECT_FAULT)
+    if not names:
+        return
+    policies = [FaultPolicy(fault_names={name}, retry_times=2) for name in names]
     for peer in cluster.peers.values():
         for i in range(1, config.providers + 1):
             peer.set_fault_policy(f"S{i}", policies)
@@ -475,59 +446,13 @@ def generate_workload(
 # ---------------------------------------------------------------------------
 
 def apply_plan(cluster, config: ChaosConfig, plan: FaultPlan) -> None:
-    """Script every planned event onto the injector / message hook."""
-    message_event: Optional[FaultEvent] = None
+    """Script every planned event onto the injector / message hook /
+    event queue, each by its :data:`~repro.chaos.planner.FAULT_KINDS`
+    row."""
     for event in plan.events:
         if config.sharding:
             event = _resharded(cluster, event)
-        if event.kind == "service_fault":
-            cluster.injector.fault_service(
-                event.peer, event.method, event.fault_name,
-                times=1, point=event.point,
-            )
-        elif event.kind == "disconnect":
-            cluster.injector.disconnect_at(event.peer, event.time)
-        elif event.kind == "disconnect_point":
-            cluster.injector.disconnect_peer_during(
-                event.peer, event.trigger, event.method, event.point
-            )
-        elif event.kind == "message_chaos":
-            message_event = event
-        elif event.kind == "crash":
-            cluster.injector.crash_peer_during(
-                event.peer, event.method, event.point,
-                restart_delay=event.delay,
-                tear_checkpoint=event.tear_checkpoint,
-            )
-        elif event.kind == "kill_primary":
-            if config.sharding:
-                # The primary of the planned peer's shard moves with
-                # migrations; resolve it when the kill fires.
-                _schedule_kill_primary(cluster, event)
-            else:
-                cluster.injector.kill_at(
-                    event.peer, event.time, restart_delay=event.delay
-                )
-        elif event.kind == "lag_replica":
-            _schedule_lag(cluster, event)
-        elif event.kind == "shard_join":
-            cluster.network.events.schedule_at(
-                event.time,
-                lambda e=event: cluster.shard_coordinator.add_peer(e.peer),
-            )
-        elif event.kind == "shard_retire":
-            cluster.network.events.schedule_at(
-                event.time,
-                lambda e=event: cluster.shard_coordinator.retire_peer(e.peer),
-            )
-        elif event.kind == "crash_during_migration":
-            cluster.shard_coordinator.arm_crash(
-                event.trigger, event.point, event.delay
-            )
-        else:
-            raise ValueError(f"unknown fault event kind {event.kind!r}")
-    if message_event is not None:
-        _install_message_chaos(cluster, config, message_event)
+        FAULT_KINDS[event.kind][1](cluster, config, event)
 
 
 def _resharded(cluster, event: FaultEvent) -> FaultEvent:
@@ -536,8 +461,8 @@ def _resharded(cluster, event: FaultEvent) -> FaultEvent:
     The planner scripts faults against the static heap topology
     (``AP<i>`` runs ``S<i>``); under sharding the ring decides who
     actually executes what, so point faults are remapped to the
-    placement directory's primary at apply time.  Timed kinds that the
-    runner already resolves at fire time (``kill_primary``,
+    placement directory's primary at apply time.  Timed kinds that
+    resolve their victim at fire time (``kill_primary``,
     ``lag_replica``) and placement-free kinds pass through unchanged.
     """
     directory = cluster.network.directory
@@ -559,126 +484,59 @@ def _resharded(cluster, event: FaultEvent) -> FaultEvent:
     return event
 
 
-def _schedule_kill_primary(cluster, event: FaultEvent) -> None:
-    """Sharded ``kill_primary``: crash whoever is primary for the
-    planned peer's shard *when the event fires* (migrations may have
-    moved it), restarting in-doubt ``delay`` later."""
-    document = f"D{event.peer[2:]}"
-
-    def fire() -> None:
-        holders = cluster.network.directory.document_map.get(document, [])
-        victim = holders[0] if holders else event.peer
-        crash_and_restart(cluster.network, victim, event.delay)
-
-    cluster.network.events.schedule_at(event.time, fire)
-
-
-def _schedule_lag(cluster, event: FaultEvent) -> None:
-    """Script one ``lag_replica`` event.
-
-    The planned ``peer`` names the *primary* (the planner does not know
-    the placement map); the concrete lagged replica is resolved when the
-    event fires — the smallest-id live non-primary holder of the
-    primary's document at that moment, which is deterministic because
-    holder lists and virtual time are.
-    """
-    document = f"D{event.peer[2:]}"
-
-    def fire() -> None:
-        replication = cluster.replication
-        holders = replication.holders(document)
-        candidates = sorted(
-            h for h in holders[1:] if cluster.network.is_alive(h)
-        )
-        if not candidates:
-            return
-        replication.lag_replica(candidates[0], duration=event.delay)
-
-    cluster.network.events.schedule_at(event.time, fire)
-
-
-def _install_message_chaos(cluster, config: ChaosConfig, event: FaultEvent) -> None:
-    """Drop/delay the §3.3 best-effort messages via the network hook.
-
-    Decision messages (commit/abort/compensation requests) stay
-    reliable: the protocol's atomicity argument assumes they eventually
-    arrive, and settlement models exactly that eventuality.
-    """
-    rng = SeededRng(stable_seed(config.seed, "nethook"))
-
-    def hook(source_id: str, target_id: str, message: object):
-        if not isinstance(message, (DisconnectNotice, RedirectedResult)):
-            return None
-        roll = rng.random()
-        if roll < event.drop_rate:
-            return "drop"
-        if roll < event.drop_rate + event.delay_rate:
-            return round(rng.uniform(0.01, event.max_delay), 4)
-        return None
-
-    cluster.network.set_message_hook(hook)
-
-
 # ---------------------------------------------------------------------------
 # mutations
 # ---------------------------------------------------------------------------
 
-def _install_skip_undo(cluster, providers: Sequence[str], state: _MutationState) -> None:
-    """First provider-side compensation silently loses its newest entry."""
-    for provider in providers:
-        manager = cluster.peer(provider).manager
+def _install_mutation(cluster, mutate: str, providers: Sequence[str]) -> None:
+    """Wrap one method of every provider so that the first call that can
+    break the protocol does — once per run, whichever provider gets
+    there first.  (``stale_chain`` needs no wrapper: settlement skips
+    one ``forget_transaction``.)"""
+    fired = False
 
-        def mutated(txn_id, meter=None, _manager=manager, _orig=manager.abort_local):
-            if not state.fired:
-                entries = _manager.log.entries_for(txn_id)
-                if entries:
-                    _manager.log._entries.remove(entries[-1])
-                    state.fired = True
-            return _orig(txn_id, meter)
+    def once(condition) -> bool:
+        nonlocal fired
+        if fired or not condition:
+            return False
+        fired = True
+        return True
 
-        manager.abort_local = mutated
-
-
-def _install_double_apply(cluster, providers: Sequence[str], state: _MutationState) -> None:
-    """First provider-side insert is applied twice but logged once."""
     for provider in providers:
         peer = cluster.peer(provider)
+        manager, wal = peer.manager, peer.wal
+        if mutate == "skip_undo":
+            # The first compensation silently loses its newest entry.
+            def abort_local(txn_id, meter=None, _manager=manager,
+                            _orig=manager.abort_local):
+                entries = _manager.log.entries_for(txn_id)
+                if once(entries):
+                    _manager.log._entries.remove(entries[-1])
+                return _orig(txn_id, meter)
 
-        def mutated(records, document_name, action_xml,
-                    _peer=peer, _orig=peer.record_changes):
-            _orig(records, document_name, action_xml)
-            if not state.fired and records:
-                apply_action(
-                    _peer.get_axml_document(document_name).document,
-                    parse_action(action_xml),
-                )
-                state.fired = True
+            manager.abort_local = abort_local
+        elif mutate == "double_apply":
+            # The first insert is applied twice but logged once.
+            def record_changes(records, document_name, action_xml,
+                               _peer=peer, _orig=peer.record_changes):
+                _orig(records, document_name, action_xml)
+                if once(records):
+                    apply_action(
+                        _peer.get_axml_document(document_name).document,
+                        parse_action(action_xml),
+                    )
 
-        peer.record_changes = mutated
+            peer.record_changes = record_changes
+        elif mutate == "crash_skip_undo" and wal is not None:
+            # The first crash recovery silently loses its newest
+            # disk-recovered entry — the across-a-restart analogue of
+            # skip_undo.  If this is *not* flagged, the restarted peer
+            # was compensating from somewhere other than the on-disk WAL.
+            def reload(_orig=wal.reload):
+                entries = _orig()
+                return entries[:-1] if once(entries) else entries
 
-
-def _install_crash_skip_undo(
-    cluster, providers: Sequence[str], state: _MutationState
-) -> None:
-    """First crash recovery silently loses its newest disk-recovered
-    entry — the across-a-restart analogue of ``skip_undo``.
-
-    If this is *not* flagged, the restarted peer was compensating from
-    somewhere other than the on-disk WAL.
-    """
-    for provider in providers:
-        wal = cluster.peer(provider).wal
-        if wal is None:
-            continue
-
-        def mutated(_orig=wal.reload):
-            entries = _orig()
-            if not state.fired and entries:
-                state.fired = True
-                return entries[:-1]
-            return entries
-
-        wal.reload = mutated
+            wal.reload = reload
 
 
 # ---------------------------------------------------------------------------
@@ -690,28 +548,9 @@ def run_chaos(config: ChaosConfig, plan: Optional[FaultPlan] = None) -> ChaosRun
     cluster, origins, providers = build_chaos_cluster(config)
     try:
         if plan is None:
-            plan = FaultPlanner(
-                seed=config.seed,
-                providers=providers,
-                provider_methods={p: f"S{p[2:]}" for p in providers},
-                txns=config.txns,
-                fault_rate=config.fault_rate,
-                horizon=config.horizon,
-                crash_rate=config.crash_rate,
-                checkpoints=config.checkpoint_every > 0,
-                replicas=config.replicas,
-                sharding=config.sharding,
-                spares=_spare_names(config),
-            ).plan()
+            plan = FaultPlanner(config, providers, _spare_names(config)).plan()
         apply_plan(cluster, config, plan)
-
-        mutation = _MutationState()
-        if config.mutate == "skip_undo":
-            _install_skip_undo(cluster, providers, mutation)
-        elif config.mutate == "double_apply":
-            _install_double_apply(cluster, providers, mutation)
-        elif config.mutate == "crash_skip_undo":
-            _install_crash_skip_undo(cluster, providers, mutation)
+        _install_mutation(cluster, config.mutate, providers)
 
         specs, expected = generate_workload(config, origins, providers)
         scheduler = cluster.scheduler(
@@ -725,9 +564,7 @@ def run_chaos(config: ChaosConfig, plan: Optional[FaultPlan] = None) -> ChaosRun
         # across reruns and across serial vs. parallel sweep execution).
         with profiled(cluster.metrics):
             results = scheduler.run()
-            violations = _settle_and_check(
-                cluster, config, results, expected, mutation
-            )
+            violations = _settle_and_check(cluster, config, results, expected)
         summary = {
             "version": 1,
             "config": config.to_dict(),
@@ -766,7 +603,6 @@ def _settle_and_check(
     config: ChaosConfig,
     results: List[TxnResult],
     expected: List[ExpectedEffect],
-    mutation: _MutationState,
 ) -> List[Violation]:
     # (1) drain: delayed messages and late planned events still fire
     # while dead peers are dead — chaos timing is part of the run.
@@ -818,63 +654,22 @@ def _settle_and_check(
 
 def describe_plan(plan: FaultPlan) -> List[str]:
     """Human-readable one-liners, one per event (CLI / docs output)."""
-    lines = []
-    for event in plan.events:
-        if event.kind == "service_fault":
-            lines.append(
-                f"service_fault {event.method}@{event.peer} [{event.point}]"
-            )
-        elif event.kind == "disconnect":
-            lines.append(f"disconnect {event.peer} @t={event.time}")
-        elif event.kind == "disconnect_point":
-            lines.append(
-                f"disconnect {event.peer} while {event.trigger} runs "
-                f"{event.method} [{event.point}]"
-            )
-        elif event.kind == "crash":
-            lines.append(
-                f"crash {event.peer} during {event.method} [{event.point}] "
-                f"restart after {event.delay}"
-            )
-        elif event.kind == "kill_primary":
-            lines.append(
-                f"kill_primary {event.peer} @t={event.time} "
-                f"restart after {event.delay}"
-            )
-        elif event.kind == "lag_replica":
-            lines.append(
-                f"lag_replica of {event.peer} @t={event.time} "
-                f"for {event.delay}"
-            )
-        elif event.kind == "shard_join":
-            lines.append(f"shard_join {event.peer} @t={event.time}")
-        elif event.kind == "shard_retire":
-            lines.append(f"shard_retire {event.peer} @t={event.time}")
-        elif event.kind == "crash_during_migration":
-            lines.append(
-                f"crash_during_migration {event.trigger} at {event.point} "
-                f"restart after {event.delay}"
-            )
-        else:
-            lines.append(
-                f"message_chaos drop={event.drop_rate} "
-                f"delay={event.delay_rate} max_delay={event.max_delay}"
-            )
-    return lines
-
-
-def rerun(result: ChaosRunResult) -> ChaosRunResult:
-    """Same config, same plan — the determinism primitive shrink relies on."""
-    return run_chaos(replace(result.config), plan=result.plan)
+    return [FAULT_KINDS[e.kind][0].format(**asdict(e)) for e in plan.events]
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_row(config: ChaosConfig, result: ChaosRunResult) -> Dict[str, object]:
-    """One table row of a sweep — shared by the serial and parallel paths
-    so both produce byte-identical tables."""
+def _sweep_cell(config: ChaosConfig) -> Dict[str, object]:
+    """One sweep point: run + reduce to a picklable table row.
+
+    The full :class:`ChaosRunResult` (cluster, closures) never crosses
+    a process boundary; failing configs are re-run in the parent —
+    runs are deterministic, so the re-run reproduces the exact failure
+    and yields a shrink-ready result object.
+    """
+    result = run_chaos(config)
     committed = sum(1 for r in result.results if r.committed)
     return {
         "seed": config.seed,
@@ -886,18 +681,6 @@ def _sweep_row(config: ChaosConfig, result: ChaosRunResult) -> Dict[str, object]
         "aborted": len(result.results) - committed,
         "violations": len(result.violations),
     }
-
-
-def _sweep_cell(config: ChaosConfig) -> Dict[str, object]:
-    """Worker-side sweep point: run + reduce to a picklable row.
-
-    The full :class:`ChaosRunResult` (cluster, closures) never crosses
-    the process boundary; failing configs are re-run in the parent —
-    runs are deterministic, so the re-run reproduces the exact failure
-    and yields a shrink-ready result object.
-    """
-    result = run_chaos(config)
-    return _sweep_row(config, result)
 
 
 def chaos_sweep(
@@ -923,7 +706,7 @@ def chaos_sweep(
     """
     from repro.sim.harness import ExperimentTable
     from repro.sim.metrics import MetricsCollector
-    from repro.sim.parallel import parallel_map, resolve_workers
+    from repro.sim.parallel import parallel_map
 
     metrics = metrics or MetricsCollector()
     table = ExperimentTable(
@@ -940,24 +723,11 @@ def chaos_sweep(
         for seed in seeds
     ]
     failures: List[ChaosRunResult] = []
-    if resolve_workers(workers, len(configs)) > 1:
-        rows = parallel_map(_sweep_cell, configs, workers)
-        for config, row in zip(configs, rows):
-            table.add_row(**row)
-            metrics.incr("chaos_runs")
-            if row["violations"]:
-                metrics.incr("chaos_violations", row["violations"])
-                failures.append(run_chaos(config))
-    else:
-        for config in configs:
-            result = run_chaos(config)
-            table.add_row(**_sweep_row(config, result))
-            metrics.incr("chaos_runs")
-            if result.violations:
-                metrics.incr("chaos_violations", len(result.violations))
-                failures.append(result)
-    table.add_note(
-        f"{len(list(seeds)) * len(list(concurrencies)) * len(list(fault_rates))}"
-        f" runs, {len(failures)} failing"
-    )
+    for config, row in zip(configs, parallel_map(_sweep_cell, configs, workers)):
+        table.add_row(**row)
+        metrics.incr("chaos_runs")
+        if row["violations"]:
+            metrics.incr("chaos_violations", row["violations"])
+            failures.append(run_chaos(config))
+    table.add_note(f"{len(configs)} runs, {len(failures)} failing")
     return table, failures

@@ -103,8 +103,8 @@ def load_repro_file(path: str) -> tuple:
     """Parse a repro file back into ``(config, plan)``.
 
     A malformed file — not JSON, wrong version, ``config``/``plan``
-    missing, a wrongly typed field — raises ``ValueError`` naming what
-    is wrong."""
+    missing, a wrongly typed field, an unknown fault kind — raises
+    ``ValueError`` naming what is wrong, before anything is built."""
     import json
 
     with open(path, "r", encoding="utf-8") as handle:
@@ -119,7 +119,7 @@ def load_repro_file(path: str) -> tuple:
             raise ValueError(f"repro file needs a {key!r} object")
     try:
         plan = FaultPlan.from_dict(data["plan"])
-    except TypeError as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed 'plan': {exc}") from None
     return ChaosConfig.from_dict(data["config"]), plan
 

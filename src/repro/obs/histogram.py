@@ -111,14 +111,6 @@ class Histogram:
             out["values"] = list(self.values)
         return out
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Histogram":
-        """Rebuild from :meth:`to_dict` output (requires ``values``)."""
-        histogram = cls(str(data.get("name", "")))
-        for value in data.get("values", []):  # type: ignore[union-attr]
-            histogram.record(float(value))
-        return histogram
-
     def __repr__(self) -> str:
         if not self.values:
             return f"Histogram({self.name!r}, empty)"

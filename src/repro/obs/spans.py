@@ -19,7 +19,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
-from repro.obs.export import stable_json
 
 
 @dataclass
@@ -59,23 +58,6 @@ class Span:
             "parent_id": self.parent_id,
             "attrs": dict(self.attrs),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Span":
-        return cls(
-            span_id=int(data["span_id"]),  # type: ignore[arg-type]
-            name=str(data["name"]),
-            kind=str(data["kind"]),
-            peer=str(data.get("peer", "")),
-            txn_id=str(data.get("txn_id", "")),
-            start=float(data.get("start", 0.0)),  # type: ignore[arg-type]
-            end=None if data.get("end") is None else float(data["end"]),  # type: ignore[arg-type]
-            status=str(data.get("status", "running")),
-            parent_id=(
-                None if data.get("parent_id") is None else int(data["parent_id"])  # type: ignore[arg-type]
-            ),
-            attrs={str(k): str(v) for k, v in dict(data.get("attrs", {})).items()},  # type: ignore[arg-type]
-        )
 
     def __str__(self) -> str:
         took = "…" if self.duration is None else f"{self.duration:.4f}s"
@@ -209,23 +191,6 @@ class SpanCollector:
             "summary": self.summary(),
             "spans": [span.to_dict() for span in self.spans],
         }
-
-    def to_json(self) -> str:
-        """Valid, stable JSON (sorted keys, no ``Infinity``/``NaN``)."""
-        return stable_json(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpanCollector":
-        """Rebuild a read-only collector from :meth:`to_json` output."""
-        import json
-
-        data = json.loads(text)
-        collector = cls()
-        collector.spans = [Span.from_dict(d) for d in data.get("spans", [])]
-        if collector.spans:
-            top = max(span.span_id for span in collector.spans)
-            collector._ids = itertools.count(top + 1)
-        return collector
 
     def __repr__(self) -> str:
         return f"SpanCollector(spans={len(self.spans)}, open={len(self._stack)})"

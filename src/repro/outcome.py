@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Sequence, Tuple
 
 
 class OutcomeStatus(enum.Enum):
@@ -36,9 +36,8 @@ class Outcome:
     ``fragments`` are serialized XML results (possibly containing further
     ``axml:sc`` elements — nested invocation).  ``compensations`` carries
     ``(provider_peer, plan_xml)`` compensating-service definitions under
-    peer-independent compensation (§3.2); ``compensating_definition`` is
-    the legacy single-definition slot the resolver path used.
-    ``chain_text`` is the provider's final active-peer chain view (§3.3).
+    peer-independent compensation (§3.2); ``chain_text`` is the
+    provider's final active-peer chain view (§3.3).
 
     Instances are frozen: a result is a value, not a mutable message —
     construct a new one instead of editing in place.
@@ -53,7 +52,6 @@ class Outcome:
     compensations: Sequence[Tuple[str, str]] = field(default_factory=tuple)
     nodes_affected: int = 0
     chain_text: str = ""
-    compensating_definition: Optional[str] = None
 
     @property
     def ok(self) -> bool:

@@ -19,7 +19,7 @@ from repro.p2p.messages import (
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
-from repro.p2p.failure import FailureInjector, PingMonitor
+from repro.p2p.failure import FailureInjector
 from repro.p2p.distribution import (
     FragmentPlacement,
     distribute_fragment,
@@ -39,7 +39,6 @@ __all__ = [
     "AXMLPeer",
     "ReplicationManager",
     "FailureInjector",
-    "PingMonitor",
     "FragmentPlacement",
     "distribute_fragment",
     "remote_subquery",

@@ -1,4 +1,4 @@
-"""Failure injection and liveness monitoring.
+"""Failure injection.
 
 :class:`FailureInjector` scripts the failures an experiment wants:
 named service faults (consumed by §3.2's fault handlers) and peer
@@ -6,15 +6,17 @@ disconnections triggered either at protocol points — *before* a service
 executes, *after* its local work, *before its results return* (the
 §3.3(b) window) — or at absolute virtual times.
 
-:class:`PingMonitor` implements keep-alive detection for the cases where
-nobody is blocked on the dead peer (§3.3(c): "AP2 detects the
-disconnection of AP3 via ping (or keep-alive) messages").
+Keep-alive detection for the cases where nobody is blocked on the dead
+peer (§3.3(c): "AP2 detects the disconnection of AP3 via ping (or
+keep-alive) messages") is the protocol's own:
+:meth:`repro.p2p.peer.AXMLPeer.check_child_liveness` over
+:meth:`repro.p2p.network.SimNetwork.ping`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.txn.modes import RejoinMode
 
@@ -88,16 +90,6 @@ class FailureInjector:
             raise ValueError(f"unknown fault point {point!r}")
         self._faults[(peer_id, method_name, point)] = _FaultScript(fault_name, times)
 
-    def disconnect_during(
-        self, peer_id: str, method_name: str, point: str = "after_local_work"
-    ) -> None:
-        """Disconnect *peer_id* when it reaches *point* of *method_name*.
-
-        ``point="before_return"`` models a peer dying with its work
-        complete but undelivered.
-        """
-        self.disconnect_peer_during(peer_id, peer_id, method_name, point)
-
     def disconnect_peer_during(
         self,
         dead_peer: str,
@@ -112,7 +104,8 @@ class FailureInjector:
         ``disconnect_peer_during("AP3", "AP6", "S6")`` and AP3 dies while
         AP6 is still processing S6 — AP6 then "detects the disconnection
         of AP3 while trying to return the results of processing service
-        S6".
+        S6".  With *dead_peer* = *trigger_peer* the executing peer itself
+        dies (``point="before_return"``: work complete but undelivered).
         """
         if point not in POINTS:
             raise ValueError(f"unknown injection point {point!r}; use one of {POINTS}")
@@ -147,20 +140,6 @@ class FailureInjector:
         """Disconnect *peer_id* at an absolute virtual time."""
         self.network.events.schedule_at(
             time, lambda: self.network.disconnect(peer_id)
-        )
-
-    def kill_at(
-        self, peer_id: str, time: float, restart_delay: float = 0.5
-    ) -> None:
-        """Crash *peer_id* at an absolute virtual time, restart it later.
-
-        The timed analogue of :meth:`crash_peer_during` — the chaos
-        planner's ``kill_primary`` fault uses it to take a replicated
-        primary down regardless of what it is executing, forcing any
-        in-flight invocation onto its replicas.
-        """
-        self.network.events.schedule_at(
-            time, lambda: crash_and_restart(self.network, peer_id, restart_delay)
         )
 
     def clear(self) -> None:
@@ -209,42 +188,3 @@ class FailureInjector:
         self._disconnects[key] = ""
         self.network.disconnect(dead_peer)
         return dead_peer == peer_id
-
-
-class PingMonitor:
-    """Periodic keep-alive probing of a watch list."""
-
-    def __init__(
-        self,
-        network: SimNetwork,
-        watcher_peer: str,
-        interval: float = 0.05,
-    ):
-        self.network = network
-        self.watcher_peer = watcher_peer
-        self.interval = interval
-        #: peer id → callback fired once on detected death.
-        self._watched: Dict[str, Callable[[str], None]] = {}
-        self._notified: set = set()
-
-    def watch(self, peer_id: str, on_death: Callable[[str], None]) -> None:
-        self._watched[peer_id] = on_death
-        self._schedule(peer_id)
-
-    def _schedule(self, peer_id: str) -> None:
-        self.network.events.schedule(self.interval, lambda: self._probe(peer_id))
-
-    def _probe(self, peer_id: str) -> None:
-        if peer_id not in self._watched or peer_id in self._notified:
-            return
-        if not self.network.is_alive(self.watcher_peer):
-            return  # a dead watcher probes nothing
-        if self.network.ping(self.watcher_peer, peer_id):
-            self._schedule(peer_id)
-            return
-        self._notified.add(peer_id)
-        callback = self._watched.pop(peer_id)
-        callback(peer_id)
-
-    def unwatch(self, peer_id: str) -> None:
-        self._watched.pop(peer_id, None)

@@ -201,9 +201,6 @@ class AXMLPeer:
         except KeyError:
             raise P2PError(f"peer {self.peer_id!r} does not host document {name!r}")
 
-    def hosts_document(self, name: str) -> bool:
-        return name in self.documents
-
     def _snapshot_documents(self) -> Dict[str, str]:
         """Serialized hosted documents, for the WAL's checkpointer."""
         return {name: doc.to_xml() for name, doc in self.documents.items()}
@@ -300,7 +297,7 @@ class AXMLPeer:
         Local calls (``serviceURL`` empty or naming this peer) execute
         in-process; remote calls go through :meth:`invoke` under the
         current transaction, with any ``axml:catch`` handlers on the sc
-        element adapted to caller-side fault policies.
+        element as its caller-side fault policies.
         """
         txn_id = self._current_txn()
         if txn_id is None:
@@ -308,10 +305,7 @@ class AXMLPeer:
 
         def resolve(call: ServiceCall, params: Dict[str, str]) -> Outcome:
             target = call.peer_hint
-            policies = [
-                FaultPolicy.from_handler(h)
-                for h in parse_fault_handlers(call.element)
-            ]
+            policies = parse_fault_handlers(call.element)
             if target in ("", self.peer_id):
                 response = self._execute_local_service(
                     txn_id, call.method_name, params
@@ -1015,7 +1009,8 @@ class AXMLPeer:
         # Nobody to hand the results to: the work is lost.
         context = self.manager.contexts.get(txn_id)
         if context is not None and (
-            any(e.completed for e in context.invocations) or context.log_seqs
+            any(e.completed for e in context.invocations)
+            or self.manager.log.entries_for(txn_id)
         ):
             self.network.metrics.record_discarded_invocation()
         self._abort_share(txn_id)

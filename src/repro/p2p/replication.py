@@ -154,12 +154,6 @@ class ReplicationManager:
         """Peers holding the document, primary first."""
         return self.directory.document_holders(document_name)
 
-    def alive_holder(self, document_name: str) -> Optional[str]:
-        for peer_id in self.holders(document_name):
-            if self.network.is_alive(peer_id):
-                return peer_id
-        return None
-
     def replicated_documents(self) -> List[str]:
         """Names of documents with more than one holder, sorted."""
         return sorted(

@@ -10,7 +10,7 @@ document it operates on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.errors import ServiceError
 
@@ -55,20 +55,3 @@ class ServiceDescriptor:
                 f"service {self.method_name!r} is missing required parameters: "
                 f"{', '.join(missing)}"
             )
-
-    def to_wsdl(self) -> str:
-        """A minimal WSDL-flavoured XML rendering of the descriptor."""
-        param_parts = "".join(
-            f'<part name="{p.name}" required="{str(p.required).lower()}"/>'
-            for p in self.params
-        )
-        return (
-            f'<definitions name="{self.method_name}" '
-            f'targetNamespace="{self.namespace or self.method_name}">'
-            f'<message name="{self.method_name}Request">{param_parts}</message>'
-            f'<message name="{self.method_name}Response">'
-            f'<part name="{self.result_name}"/></message>'
-            f'<portType name="{self.method_name}PortType">'
-            f'<operation name="{self.method_name}" kind="{self.kind}"/>'
-            f"</portType></definitions>"
-        )

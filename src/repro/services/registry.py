@@ -8,10 +8,9 @@ through, and the discovery surface replication uses to mirror services.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict
 
 from repro.errors import ServiceNotFound
-from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import Service
 
 
@@ -27,9 +26,6 @@ class ServiceRegistry:
         self._services[service.method_name] = service
         return service
 
-    def unregister(self, method_name: str) -> None:
-        self._services.pop(method_name, None)
-
     def lookup(self, method_name: str) -> Service:
         try:
             return self._services[method_name]
@@ -41,15 +37,5 @@ class ServiceRegistry:
     def has(self, method_name: str) -> bool:
         return method_name in self._services
 
-    def descriptors(self) -> List[ServiceDescriptor]:
-        """All hosted descriptors (the peer's 'WSDL directory')."""
-        return [s.descriptor for s in self._services.values()]
-
-    def __iter__(self) -> Iterator[Service]:
-        return iter(self._services.values())
-
     def __len__(self) -> int:
         return len(self._services)
-
-    def __contains__(self, method_name: str) -> bool:
-        return method_name in self._services

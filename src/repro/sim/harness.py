@@ -1,4 +1,4 @@
-"""Experiment harness: runs parameter sweeps and prints result tables.
+"""Experiment harness: collects sweep results into printable tables.
 
 The paper has no quantitative tables (see DESIGN.md); the harness prints
 the derived experiment tables EXPERIMENTS.md records, one row per
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.obs.export import stable_json, write_json_artifact
+from repro.obs.export import write_json_artifact
 
 
 @dataclass
@@ -42,9 +42,6 @@ class ExperimentTable:
     def add_note(self, note: str) -> None:
         self.notes.append(note)
 
-    def column(self, name: str) -> List[Any]:
-        return [row.get(name) for row in self.rows]
-
     @staticmethod
     def _format(value: Any) -> str:
         if value is None:
@@ -73,9 +70,6 @@ class ExperimentTable:
             lines.append(f"note: {note}")
         return "\n".join(lines)
 
-    def print(self) -> None:  # pragma: no cover - console convenience
-        print(self.render())
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "title": self.title,
@@ -84,26 +78,9 @@ class ExperimentTable:
             "notes": list(self.notes),
         }
 
-    def to_json(self) -> str:
-        """Strict JSON (sorted keys, non-finite floats → null)."""
-        return stable_json(self.to_dict())
-
     def write_json(self, path: str) -> str:
         """Write the table as a JSON artifact; returns *path*."""
         return write_json_artifact(path, self.to_dict())
-
-
-def sweep(
-    title: str,
-    columns: Sequence[str],
-    points: Sequence[Any],
-    run_point: Callable[[Any], Dict[str, Any]],
-) -> ExperimentTable:
-    """Run *run_point* for every parameter point and collect the table."""
-    table = ExperimentTable(title, columns)
-    for point in points:
-        table.add_row(**run_point(point))
-    return table
 
 
 def ratio(numerator: float, denominator: float) -> Optional[float]:

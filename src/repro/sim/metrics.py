@@ -16,18 +16,16 @@ quantities EXPERIMENTS.md reports:
 Alongside the counters, named :class:`repro.obs.histogram.Histogram`
 distributions capture the quantities a single integer cannot — RPC
 latency, detection latency, compensation depth, chain length — and
-:meth:`MetricsCollector.to_json` exports everything as strict JSON
-(sorted keys, no ``Infinity``/``NaN``) for ``BENCH_*.json`` trajectories.
+:meth:`MetricsCollector.to_dict` exports everything JSON-safe (no
+``Infinity``/``NaN``; :func:`repro.obs.export.stable_json` writes it).
 """
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, DefaultDict, Dict, List, Optional
 
-from repro.obs.export import stable_json
 from repro.obs.prof import PROF
 from repro.obs.histogram import Histogram
 
@@ -175,8 +173,8 @@ class MetricsCollector:
     def to_dict(self, include_values: bool = True) -> Dict[str, Any]:
         """Everything the collector holds, as a JSON-safe dict.
 
-        ``include_values`` keeps raw histogram samples so the export
-        round-trips losslessly through :meth:`from_json`.
+        ``include_values`` keeps the raw histogram samples beside each
+        summary.
         """
         return {
             "counters": dict(sorted(self.counters.items())),
@@ -188,31 +186,6 @@ class MetricsCollector:
             "txn_outcomes": dict(sorted(self.txn_outcomes.items())),
             "detection_latency": self.detection_latency(),
         }
-
-    def to_json(self, include_values: bool = True) -> str:
-        """Strict, stable JSON (sorted keys, no ``Infinity``/``NaN``)."""
-        return stable_json(self.to_dict(include_values=include_values))
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsCollector":
-        """Rebuild a collector from :meth:`to_json` output."""
-        data = json.loads(text)
-        collector = cls()
-        for name, value in data.get("counters", {}).items():
-            collector.counters[name] = int(value)
-        for name, payload in data.get("histograms", {}).items():
-            collector.histograms[name] = Histogram.from_dict(payload)
-        for event in data.get("detections", []):
-            collector.detections.append(
-                DetectionEvent(
-                    event["disconnected_peer"],
-                    event["detected_by"],
-                    event["disconnect_time"],
-                    event["detect_time"],
-                )
-            )
-        collector.txn_outcomes.update(data.get("txn_outcomes", {}))
-        return collector
 
     def __repr__(self) -> str:
         keys = ", ".join(f"{k}={v}" for k, v in sorted(self.counters.items()))

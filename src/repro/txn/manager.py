@@ -144,8 +144,6 @@ class TransactionManager:
         outcome = operation.execute(
             axml_document, resolver, self.log, timestamp=timestamp
         )
-        if outcome.log_entry is not None:
-            context.log_seqs.append(outcome.log_entry.seq)
         if self.validator is not None:
             from repro.txn.occ import read_ids, written_ids
 
@@ -167,7 +165,7 @@ class TransactionManager:
         """Log changes made by a service executed for a remote invoker."""
         context = self.context(txn_id)
         context.require_active()
-        entry = self.log.append(
+        self.log.append(
             txn_id=txn_id,
             kind="service",
             document_name=document_name,
@@ -175,7 +173,6 @@ class TransactionManager:
             records=records,
             timestamp=timestamp,
         )
-        context.log_seqs.append(entry.seq)
 
     # -- commit / abort ---------------------------------------------------------------
 
@@ -265,9 +262,8 @@ class TransactionManager:
             executed = self._run_plans(plans, meter)
         self.compensation_cost += meter.nodes_traversed
         self.log.truncate(txn_id)
-        context.log_seqs = []
         for entry in survivors:
-            replayed = self.log.append(
+            self.log.append(
                 txn_id=entry.txn_id,
                 kind=entry.kind,
                 document_name=entry.document_name,
@@ -275,7 +271,6 @@ class TransactionManager:
                 records=entry.records,
                 timestamp=entry.timestamp,
             )
-            context.log_seqs.append(replayed.seq)
         return executed
 
     def _run_plans(
@@ -335,8 +330,7 @@ class TransactionManager:
             restore_store()
         txn_ids = sorted({entry.txn_id for entry in self.log})
         for txn_id in txn_ids:
-            context = self.begin(Transaction(txn_id, self.peer_id))
-            context.log_seqs = [e.seq for e in self.log.entries_for(txn_id)]
+            self.begin(Transaction(txn_id, self.peer_id))
         if mode is RejoinMode.IN_DOUBT:
             return len(txn_ids)
         pending = self.active_transactions()

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.axml.faults import FaultHandler
 from repro.errors import PeerDisconnected, ReproError, ServiceFault
 
 #: The synthetic fault name under which a callee's disconnection is
@@ -34,9 +33,10 @@ DISCONNECT_FAULT = "PeerDisconnected"
 class FaultPolicy:
     """A caller-side fault policy for one remote method.
 
-    The in-memory equivalent of the ``axml:catch``/``axml:retry``
-    handlers attached to an embedded service call.  ``fault_names=None``
-    is catchAll.
+    The in-memory form of the ``axml:catch``/``axml:retry`` handlers
+    attached to an embedded service call
+    (:func:`repro.axml.faults.parse_fault_handlers` reads them into
+    it).  ``fault_names=None`` is catchAll.
     """
 
     fault_names: Optional[Set[str]] = None
@@ -52,24 +52,6 @@ class FaultPolicy:
 
     def matches(self, fault_name: str) -> bool:
         return self.fault_names is None or fault_name in self.fault_names
-
-    @classmethod
-    def from_handler(cls, handler: FaultHandler) -> "FaultPolicy":
-        """Adapt a parsed ``axml:catch`` handler to a policy."""
-        names = None if handler.is_catch_all else {handler.fault_name}
-        if handler.retry is not None:
-            alternative = ""
-            if handler.retry.alternative is not None:
-                url = handler.retry.alternative.attributes.get("serviceURL", "")
-                if url.startswith("axml://"):
-                    alternative = url[len("axml://") :]
-            return cls(
-                fault_names=names,
-                retry_times=handler.retry.times,
-                retry_wait=handler.retry.wait,
-                alternative_peer=alternative,
-            )
-        return cls(fault_names=names, absorb=handler.hook_name is None)
 
 
 @dataclass

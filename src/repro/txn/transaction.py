@@ -98,14 +98,10 @@ class TransactionContext:
         self.state = TransactionState.ACTIVE
         #: Outgoing invocations, in execution order.
         self.invocations: List[InvocationEdge] = []
-        #: Log sequence numbers of this context's entries in the peer WAL.
-        self.log_seqs: List[int] = []
         #: Compensating-service definitions received from providers
         #: (peer-independent compensation, §3.2): provider peer →
         #: serialized CompensationPlan XML, in receipt order.
         self.received_compensations: List[tuple] = []
-        #: The active-peer chain as known to this peer (§3.3).
-        self.chain_text: str = ""
 
     @property
     def txn_id(self) -> str:

@@ -122,16 +122,6 @@ class OperationLog:
         """Entries to compensate, newest first (reverse execution order)."""
         return list(reversed(self.entries_for(txn_id)))
 
-    def documents_touched(self, txn_id: str) -> List[str]:
-        """Distinct documents the transaction modified, in first-touch order."""
-        seen = set()
-        out: List[str] = []
-        for entry in self.entries_for(txn_id):
-            if entry.records and entry.document_name not in seen:
-                seen.add(entry.document_name)
-                out.append(entry.document_name)
-        return out
-
     def record_count(self, txn_id: str) -> int:
         return sum(len(e.records) for e in self.entries_for(txn_id))
 
@@ -162,16 +152,6 @@ class OperationLog:
         """
         entries = self.entries_for(txn_id) if txn_id else self._entries
         return sum(entry_bytes(entry) for entry in entries)
-
-    def dump(self) -> str:
-        """Human-readable text form of the whole log."""
-        lines = []
-        for e in self._entries:
-            lines.append(
-                f"#{e.seq} [{e.txn_id}] {e.kind} doc={e.document_name} "
-                f"records={len(e.records)} t={e.timestamp:.3f} {e.action_xml}"
-            )
-        return "\n".join(lines)
 
     # -- crash / restart ------------------------------------------------------
 

@@ -164,13 +164,6 @@ class StructuralIndex:
 
     # -- introspection ------------------------------------------------------
 
-    def stats(self) -> Dict[str, int]:
-        """Counters for reports and tests (sizes)."""
-        return {
-            "tags": len(self._postings),
-            "entries": sum(len(bucket) for bucket in self._postings.values()),
-        }
-
     def __repr__(self) -> str:
-        stats = self.stats()
-        return f"StructuralIndex(tags={stats['tags']}, entries={stats['entries']})"
+        entries = sum(len(bucket) for bucket in self._postings.values())
+        return f"StructuralIndex(tags={len(self._postings)}, entries={entries})"

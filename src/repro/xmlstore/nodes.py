@@ -124,25 +124,6 @@ class Node:
             raise XmlStructureError("node has no parent")
         return self.parent.children.index(self)
 
-    def preceding_sibling(self) -> Optional["Node"]:
-        """The sibling immediately before this node, or None."""
-        if self.parent is None:
-            return None
-        idx = self.index_in_parent()
-        if idx == 0:
-            return None
-        return self.parent.children[idx - 1]
-
-    def following_sibling(self) -> Optional["Node"]:
-        """The sibling immediately after this node, or None."""
-        if self.parent is None:
-            return None
-        idx = self.index_in_parent()
-        siblings = self.parent.children
-        if idx + 1 >= len(siblings):
-            return None
-        return siblings[idx + 1]
-
     # -- mutation -----------------------------------------------------------
 
     def detach(self) -> "DetachRecord":
@@ -302,16 +283,6 @@ class Element(Node):
         self.children.insert(index, child)
         self._document._note_attach(self, child)
         return child
-
-    def insert_before(self, anchor: Node, child: Node) -> Node:
-        """Insert *child* immediately before *anchor* (a current child)."""
-        idx = self.children.index(anchor)
-        return self.insert_at(idx, child)
-
-    def insert_after(self, anchor: Node, child: Node) -> Node:
-        """Insert *child* immediately after *anchor* (a current child)."""
-        idx = self.children.index(anchor)
-        return self.insert_at(idx + 1, child)
 
     def new_element(
         self, name: Union[str, QName], attributes: Optional[Dict[str, str]] = None

@@ -93,11 +93,6 @@ class PathExpr:
         return "".join(out)
 
     @property
-    def returns_text(self) -> bool:
-        """True when the final step is ``text()``."""
-        return bool(self.steps) and self.steps[-1].axis == "text"
-
-    @property
     def attribute_name(self) -> Optional[str]:
         """The attribute a terminal ``@name`` step selects, or None."""
         if self.steps and self.steps[-1].axis == "attribute":
@@ -126,15 +121,6 @@ class PathExpr:
             elif attr in owner.attributes:
                 values.append(owner.attributes[attr])
         return values
-
-    def parent_path(self) -> "PathExpr":
-        """The path with a ``..`` step appended.
-
-        This is exactly how §3.1 forms the location of a delete's
-        compensating insert: ``p/citizenship`` becomes
-        ``p/citizenship/..``.
-        """
-        return PathExpr(tuple(self.steps) + (Step("parent"),))
 
     def child_names(self) -> List[str]:
         """Local names of the child steps (used by lazy materialization)."""

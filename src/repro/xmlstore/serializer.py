@@ -11,7 +11,7 @@ Two renderings are provided:
 
 ``include_ids=True`` adds an internal ``repro:id`` attribute so node ids
 survive a serialize/parse round trip; the parser side is handled by
-:func:`strip_ids` / :func:`rebind_ids`.
+:func:`rebind_ids` / :func:`rebind_element_ids`.
 
 Every call renders the tree as it is at the call; nothing is kept on
 the document.  Copies do not come through here
@@ -134,12 +134,6 @@ def pretty(node: Union[Document, Node], indent: str = "  ") -> str:
     return "\n".join(out)
 
 
-def strip_ids(document: Document) -> None:
-    """Remove persisted ``repro:id`` attributes from every element."""
-    for element in document.iter_elements():
-        element.attributes.pop(ID_ATTRIBUTE, None)
-
-
 def rebind_ids(document: Document) -> int:
     """Re-adopt persisted ``repro:id`` attributes as real node ids.
 
@@ -193,8 +187,3 @@ def canonical_digest(node: Union[Document, Node]) -> str:
     ``chaos/oracle.py``).
     """
     return hashlib.sha256(canonical(node).encode("utf-8")).hexdigest()
-
-
-def trees_equal(a: Union[Document, Node], b: Union[Document, Node]) -> bool:
-    """Structural equality of two documents/subtrees (ids ignored)."""
-    return canonical(a) == canonical(b)

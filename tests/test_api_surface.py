@@ -27,7 +27,7 @@ def test_api_all_snapshot():
     assert api.__all__ == [
         "Cluster", "Session", "Transaction", "Outcome", "OutcomeStatus",
         "ChaosConfig", "SweepConfig",
-        "chaos", "chaos_sweep",
+        "chaos_sweep",
         "add_run_arguments", "add_sweep_arguments", "add_output_arguments",
     ]
 
@@ -79,18 +79,34 @@ def test_package_exports_facade():
 #: module → names it once exported: the compatibility layer's second
 #: spellings, the serialization-cache switch, and surface nothing called.
 REMOVED = {
-    "repro.api": ("RunConfig",),
+    "repro.api": ("RunConfig", "chaos"),
+    "repro.chaos": ("rerun",),
+    "repro.chaos.planner": ("KINDS",),
+    "repro.chaos.runner": (
+        "_MutationState", "_sweep_row", "_install_skip_undo",
+        "_install_double_apply", "_install_crash_skip_undo",
+        "_install_message_chaos", "_schedule_kill_primary", "_schedule_lag",
+    ),
+    "repro.axml.faults": (
+        "FaultHandler", "RetryPolicy", "HookRegistry", "select_handler",
+        "_build_handler",
+    ),
+    "repro.p2p.failure": ("PingMonitor",),
+    "repro.sim.harness": ("sweep",),
+    "repro.xmlstore.serializer": ("strip_ids", "trees_equal"),
     "repro.sim.scenarios": (
         "Scenario", "build_atplist_scenario", "build_topology",
         "build_fig1", "build_fig2", "run_root_transaction",
     ),
     "repro.outcome": ("InvocationOutcome", "InvokeResult"),
-    "repro.p2p": ("InvokeResult", "Outcome"),
+    "repro.p2p": ("InvokeResult", "Outcome", "PingMonitor"),
     "repro.p2p.messages": ("InvokeResult", "Outcome"),
-    "repro.axml": ("InvocationOutcome", "Outcome"),
+    "repro.axml": ("InvocationOutcome", "Outcome", "FaultHandler", "RetryPolicy"),
     "repro.axml.materialize": ("InvocationOutcome",),
     "repro.txn.modes": ("Durability", "coerce_durability"),
-    "repro.baselines": ("build_naive_variant",),
+    "repro.baselines": (
+        "build_naive_variant", "TwoPhaseCoordinator", "TwoPhaseOutcome",
+    ),
     "repro.txn.peer_independent": (
         "CompensationLedger", "RecoveryOutcome", "dispatch_ledger",
         "ledger_from_context",
@@ -118,14 +134,26 @@ def test_removed_members_stay_removed():
 
     from repro.axml.service_call import ServiceCall
     from repro.baselines.snapshot_rollback import SnapshotRollback
+    from repro.obs.histogram import Histogram
     from repro.obs.prof import PROF
+    from repro.obs.spans import Span, SpanCollector
+    from repro.p2p.failure import FailureInjector
+    from repro.p2p.network import SimNetwork
     from repro.p2p.peer import AXMLPeer
     from repro.p2p.replication import ReplicationManager
+    from repro.services.descriptor import ServiceDescriptor
+    from repro.services.registry import ServiceRegistry
+    from repro.sim.harness import ExperimentTable
     from repro.sim.metrics import MetricsCollector
     from repro.txn.manager import TransactionManager
     from repro.txn.modes import DurabilityPolicy, RejoinMode
     from repro.txn.occ import OptimisticValidator
-    from repro.xmlstore.nodes import Document
+    from repro.txn.recovery import FaultPolicy
+    from repro.txn.transaction import Transaction, TransactionContext
+    from repro.txn.wal import OperationLog
+    from repro.xmlstore.index import StructuralIndex
+    from repro.xmlstore.nodes import Document, Element, Node
+    from repro.xmlstore.path import PathExpr
 
     for owner, name in (
         (api.Cluster, "wrap"), (api.Cluster, "as_scenario"),
@@ -144,11 +172,31 @@ def test_removed_members_stay_removed():
         (TransactionManager, "validator_stats"),
         (MetricsCollector, "record_compensation_cost"),
         (ReplicationManager, "is_lagged"), (SnapshotRollback, "has_snapshot"),
+        # one model of a §3.2 handler, one owner of a share's log entries
+        (FaultPolicy, "from_handler"),
+        (TransactionContext(Transaction("T", "P"), "P"), "log_seqs"),
+        (TransactionContext(Transaction("T", "P"), "P"), "chain_text"),
+        (Outcome(), "compensating_definition"),
+        (ReplicationManager, "alive_holder"), (AXMLPeer, "hosts_document"),
+        (FailureInjector, "disconnect_during"), (FailureInjector, "kill_at"),
+        # entered by no benchmark, example or CI command, no paper claim
+        (SpanCollector, "to_json"), (SpanCollector, "from_json"),
+        (MetricsCollector, "to_json"), (MetricsCollector, "from_json"),
+        (Span, "from_dict"), (Histogram, "from_dict"),
+        (ExperimentTable, "column"), (ExperimentTable, "print"),
+        (ExperimentTable, "to_json"),
+        (ServiceRegistry, "unregister"), (ServiceRegistry, "descriptors"),
+        (ServiceRegistry, "__iter__"), (ServiceRegistry, "__contains__"),
+        (Node, "preceding_sibling"), (Node, "following_sibling"),
+        (Element, "insert_before"), (Element, "insert_after"),
+        (OperationLog, "dump"), (OperationLog, "documents_touched"),
+        (StructuralIndex, "stats"), (PathExpr, "parent_path"),
+        (PathExpr, "returns_text"), (ServiceDescriptor, "to_wsdl"),
     ):
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
     assert "parse_equivalent" not in inspect.signature(Document.clone_tree).parameters
     for module in (
-        "repro.baselines.naive_disconnect",
+        "repro.baselines.naive_disconnect", "repro.baselines.two_phase_commit",
         "repro.xmlstore.fastpath", "repro.xmlstore.diff",
     ):
         with pytest.raises(ModuleNotFoundError):
@@ -182,7 +230,12 @@ def test_per_transaction_side_tables_stay_folded():
     ):
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
     for owner, names in (
-        (FaultPlanner, ("disconnect_origins",)),
+        # the planner reads the ChaosConfig it plans for, not copies of it
+        (FaultPlanner, (
+            "disconnect_origins", "seed", "txns", "fault_rate", "horizon",
+            "crash_rate", "checkpoints", "replicas", "sharding",
+            "provider_methods",
+        )),
         (TransactionScheduler, ("backoff_base", "backoff_factor")),
         (ShardCoordinator, ("defer_delay",)),
     ):

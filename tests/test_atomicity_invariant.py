@@ -58,7 +58,9 @@ def test_single_failure_atomicity(seed, depth, failure_kind, point_index):
         scenario.injector.fault_service(victim, victim_method, "Crash", point=point)
     elif failure_kind == "disconnect":
         point = DISCONNECT_POINTS[point_index % len(DISCONNECT_POINTS)]
-        scenario.injector.disconnect_during(victim, victim_method, point)
+        scenario.injector.disconnect_peer_during(
+            victim, victim, victim_method, point
+        )
 
     txn, error = scenario.run_topology()
     origin = scenario.peer("AP1")

@@ -4,7 +4,7 @@ materialization (repro.axml)."""
 import pytest
 
 from repro.axml.document import AXMLDocument
-from repro.axml.faults import parse_fault_handlers, select_handler, HookRegistry
+from repro.axml.faults import parse_fault_handlers
 from repro.axml.materialize import (
     Outcome,
     MaterializationEngine,
@@ -12,6 +12,7 @@ from repro.axml.materialize import (
 from repro.axml.service_call import ServiceCall, install_service_call
 from repro.errors import MaterializationError, ServiceCallError
 from repro.query.parser import parse_select
+from repro.txn.recovery import select_policy
 from repro.xmlstore.parser import parse_document
 
 SC_DOC = """
@@ -128,23 +129,23 @@ class TestFaultHandlers:
     def test_parse(self):
         handlers = self._handlers()
         assert len(handlers) == 2
-        assert handlers[0].fault_name == "A"
-        assert handlers[0].retry.times == 3
-        assert handlers[0].retry.wait == 0.5
-        assert handlers[1].is_catch_all
+        assert handlers[0].fault_names == {"A"}
+        assert handlers[0].retry_times == 3
+        assert handlers[0].retry_wait == 0.5
+        assert handlers[1].fault_names is None
 
     def test_select_specific_first(self):
         handlers = self._handlers()
-        assert select_handler(handlers, "A").fault_name == "A"
+        assert select_policy(handlers, "A") is handlers[0]
 
     def test_select_catchall_fallback(self):
         handlers = self._handlers()
-        assert select_handler(handlers, "Z").is_catch_all
+        assert select_policy(handlers, "Z") is handlers[1]
 
     def test_select_none(self):
         doc = parse_document("<D><axml:sc methodName='m'/></D>")
         handlers = parse_fault_handlers(doc.root.child_elements()[0])
-        assert select_handler(handlers, "A") is None
+        assert select_policy(handlers, "A") is None
 
     def test_retry_with_replica(self):
         doc = parse_document(
@@ -154,21 +155,23 @@ class TestFaultHandlers:
             "</axml:retry></axml:catch></axml:sc></D>"
         )
         handlers = parse_fault_handlers(doc.root.child_elements()[0])
-        assert handlers[0].retry.uses_replica
+        assert handlers[0].alternative_peer == "replica"
 
     def test_catch_without_name_rejected(self):
         doc = parse_document("<D><axml:sc methodName='m'><axml:catch/></axml:sc></D>")
         with pytest.raises(ServiceCallError):
             parse_fault_handlers(doc.root.child_elements()[0])
 
-    def test_hook_registry(self):
-        registry = HookRegistry()
-        calls = []
-        registry.register("fix", lambda fault, el: calls.append(fault) or True)
-        doc = parse_document("<D/>")
-        assert registry.run("fix", "A", doc.root)
-        assert calls == ["A"]
-        assert not registry.run("missing", "A", doc.root)
+    def test_hook_body_handles_nothing(self):
+        # The "Java code" case: nothing is registered to run, so the
+        # policy neither absorbs nor retries and the fault propagates.
+        doc = parse_document(
+            "<D><axml:sc methodName='m'><axml:catch faultName='A' hook='fix'/>"
+            "</axml:sc></D>"
+        )
+        (policy,) = parse_fault_handlers(doc.root.child_elements()[0])
+        assert select_policy([policy], "A") is policy
+        assert (policy.absorb, policy.retry_times, policy.hook) == (False, 0, None)
 
 
 class TestAXMLDocument:

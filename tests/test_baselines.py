@@ -7,28 +7,10 @@ from repro.axml.materialize import MaterializationEngine
 from repro.outcome import Outcome
 from repro.baselines.snapshot_rollback import SnapshotRollback
 from repro.baselines.static_compensation import CoverageReport, StaticCompensator
-from repro.baselines.two_phase_commit import TwoPhaseCoordinator, TwoPhaseOutcome
-from repro.p2p.network import SimNetwork
 from repro.query.parser import parse_action, parse_select
 from repro.query.update import apply_action
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import canonical
-
-
-class StubPeer:
-    def __init__(self, peer_id, network):
-        self.peer_id = peer_id
-        self.disconnected = False
-        network.register(self)
-
-    def handle_invoke(self, request):  # pragma: no cover - unused
-        raise AssertionError
-
-    def on_notify(self, message):
-        pass
-
-    def on_return_failure(self, request, result):  # pragma: no cover
-        pass
 
 
 class TestStaticCompensator:
@@ -171,54 +153,3 @@ class TestSnapshotRollback:
         )
         rollback.rollback("T1", doc)
         assert doc.document.get_node(a_id).is_attached()
-
-
-class TestTwoPhaseCommit:
-    def _network(self, peers=("A", "B", "C")):
-        network = SimNetwork()
-        for peer_id in peers:
-            StubPeer(peer_id, network)
-        return network
-
-    def test_all_alive_commits(self):
-        network = self._network()
-        coordinator = TwoPhaseCoordinator(network, "A")
-        record = coordinator.run("T1", ["B", "C"])
-        assert record.outcome is TwoPhaseOutcome.COMMITTED
-
-    def test_no_vote_aborts(self):
-        network = self._network()
-        coordinator = TwoPhaseCoordinator(network, "A")
-        coordinator.force_no_vote("B")
-        record = coordinator.run("T1", ["B", "C"])
-        assert record.outcome is TwoPhaseOutcome.ABORTED
-        assert record.refused == ["B"]
-
-    def test_dead_at_prepare_aborts(self):
-        network = self._network()
-        network.disconnect("C")
-        record = TwoPhaseCoordinator(network, "A").run("T1", ["B", "C"])
-        assert record.outcome is TwoPhaseOutcome.ABORTED
-        assert record.unreachable_at_prepare == ["C"]
-
-    def test_death_between_prepare_and_decision_blocks(self):
-        network = self._network()
-        coordinator = TwoPhaseCoordinator(network, "A")
-
-        # B dies right after voting: simulate by disconnecting between
-        # phases using a patched run — here we disconnect during phase 2
-        # by pre-scheduling at the time phase 2 starts.
-        original_is_alive = network.is_alive
-        calls = {"n": 0}
-
-        def flaky_is_alive(peer_id):
-            calls["n"] += 1
-            if peer_id == "B" and calls["n"] > 2:  # dead by decision time
-                return False
-            return original_is_alive(peer_id)
-
-        network.is_alive = flaky_is_alive
-        record = coordinator.run("T1", ["B", "C"])
-        assert record.outcome is TwoPhaseOutcome.BLOCKED
-        assert record.undelivered_decisions == ["B"]
-        assert coordinator.blocked_rate() == 1.0

@@ -2,14 +2,21 @@
 settlement, shrink + repro files, sweeps and the CLI surface."""
 
 import json
+import os
+import re
+from dataclasses import replace
 
 import pytest
 
 from repro.chaos import (
+    CHAOS_FAULT,
     ChaosConfig,
+    FaultEvent,
     FaultPlan,
     FaultPlanner,
+    build_chaos_cluster,
     chaos_sweep,
+    describe_plan,
     load_repro_file,
     replay_repro_file,
     run_chaos,
@@ -17,6 +24,8 @@ from repro.chaos import (
     shrink_plan,
     write_repro_file,
 )
+from repro.chaos.planner import FAULT_KINDS
+from repro.chaos.runner import _cleanup_durability
 from repro.cli import main
 from repro.p2p.network import SimNetwork
 from repro.sim.metrics import MetricsCollector
@@ -24,15 +33,11 @@ from repro.sim.scheduler import InvokeOp
 
 
 def _planner(seed, fault_rate=0.5, txns=20):
-    providers = [f"AP{i}" for i in range(1, 7)]
-    return FaultPlanner(
-        seed=seed,
-        providers=providers,
-        provider_methods={p: f"S{p[2:]}" for p in providers},
-        txns=txns,
-        fault_rate=fault_rate,
-        horizon=3.0,
+    # arrival_rate = txns keeps the horizon at 3.0 virtual seconds.
+    config = ChaosConfig(
+        seed=seed, txns=txns, fault_rate=fault_rate, arrival_rate=float(txns)
     )
+    return FaultPlanner(config, [f"AP{i}" for i in range(1, 7)])
 
 
 class TestFaultPlanner:
@@ -63,6 +68,30 @@ class TestFaultPlanner:
         smaller = plan.without(0)
         assert len(smaller) == len(plan) - 1
         assert smaller.events == plan.events[1:]
+
+    def test_unknown_kind_cannot_be_built(self):
+        # apply_plan and describe_plan index FAULT_KINDS without a check.
+        with pytest.raises(ValueError, match="unknown fault event kind 'meteor'"):
+            FaultEvent(kind="meteor")
+
+    def test_every_fault_kind_is_documented_sampled_and_described(self):
+        # A kind is one FAULT_KINDS row; the docs table and the planner
+        # must know exactly the same set.
+        docs = os.path.join(os.path.dirname(__file__), "..", "docs", "CHAOS.md")
+        with open(docs, encoding="utf-8") as handle:
+            fault_model = handle.read().split("## Fault model")[1].split("\n## ")[0]
+        assert set(re.findall(r"^\| `(\w+)` \|", fault_model, re.M)) == set(FAULT_KINDS)
+        everything = ChaosConfig(
+            txns=40, fault_rate=1.0, crash_rate=0.3, checkpoint_every=4,
+            replicas=1, sharding=True, shard_spares=2,
+        )
+        sampled = set()
+        for seed in range(4):
+            config = replace(everything, seed=seed)
+            plan = FaultPlanner(config, [f"AP{i}" for i in range(1, 7)], ["SP1", "SP2"]).plan()
+            sampled |= {event.kind for event in plan.events}
+            assert len(describe_plan(plan)) == len(plan)
+        assert sampled == set(FAULT_KINDS)
 
 
 class TestMessageHook:
@@ -147,6 +176,34 @@ class TestHarnessRuns:
         with pytest.raises(ValueError):
             ChaosConfig(mutate="nonsense")
 
+    @pytest.mark.parametrize("handlers", [False, True])
+    @pytest.mark.parametrize("shape, moves", [
+        (dict(), False),
+        (dict(replicas=1), True),
+        (dict(sharding=True), True),
+        (dict(sharding=True, shard_spares=2, replicas=1), True),
+    ], ids=["plain", "replicas", "sharding", "sharding-spares-replicas"])
+    def test_fault_policies_per_cluster_shape(self, handlers, shape, moves):
+        # ChaosFault retries iff handlers; PeerDisconnected retries iff
+        # documents have other holders — the same ordered list for every
+        # marker service on *every* peer, spares included.
+        config = ChaosConfig(providers=4, handlers=handlers, **shape)
+        cluster, origins, providers = build_chaos_cluster(config)
+        try:
+            names = [CHAOS_FAULT] * handlers + ["PeerDisconnected"] * moves
+            expected = {
+                f"S{i}": [({name}, 2) for name in names] for i in range(1, 5)
+            } if names else {}
+            spares = [f"SP{k}" for k in range(1, config.shard_spares + 1)]
+            assert list(cluster.peers) == origins + providers + spares
+            for peer in cluster.peers.values():
+                assert {
+                    method: [(p.fault_names, p.retry_times) for p in policies]
+                    for method, policies in peer.fault_policies.items()
+                } == expected
+        finally:
+            _cleanup_durability(cluster)
+
 
 class TestSettlementApis:
     def test_resolve_in_doubt_matches_decision(self):
@@ -225,6 +282,15 @@ class TestSweep:
         assert len(table.rows) == 4
 
 
+def _repro_with(event: str) -> str:
+    """A repro file that is well-formed up to its second event, *event*
+    (JSON text) — so a rejection must come before anything is scripted."""
+    return (
+        '{"version": 1, "config": {"txns": 4}, "plan": {"events": ['
+        '{"kind": "disconnect", "peer": "AP2", "time": 0.1}, %s]}}' % event
+    )
+
+
 class TestChaosCli:
     def test_single_run_exit_zero_and_json(self, tmp_path, capsys):
         out = tmp_path / "summary.json"
@@ -287,10 +353,30 @@ class TestChaosCli:
         ('{"version": 1, "config": {}, "plan": {"events": 3}}', "plan"),
         ("[1, 2]", "JSON object"),
         ("{not json", "cannot replay"),
+        (_repro_with('{"kind": "disconnect", "peer": "AP1", "time": "soon"}'),
+         "malformed 'plan': fault event field 'time' must be float"),
+        (_repro_with('{"kind": "crash", "peer": "AP1", "delay": [1]}'),
+         "malformed 'plan': fault event field 'delay' must be float"),
+        (_repro_with('{"kind": "message_chaos", "drop_rate": true}'),
+         "malformed 'plan': fault event field 'drop_rate' must be float"),
+        (_repro_with('{"kind": "crash", "peer": "AP1", "tear_checkpoint": 1}'),
+         "malformed 'plan': fault event field 'tear_checkpoint' must be bool"),
+        (_repro_with('{"kind": "disconnect", "peer": 7, "time": 0.5}'),
+         "malformed 'plan': fault event field 'peer' must be str"),
+        (_repro_with('{"kind": "meteor", "peer": "AP1"}'),
+         "malformed 'plan': unknown fault event kind 'meteor'"),
+        (_repro_with('{"kind": ["crash"]}'), "malformed 'plan': unknown fault event kind"),
+        (_repro_with('{"kind": "disconnect", "peer": "AP1", "when": 0.5}'),
+         "malformed 'plan': unknown fault event field(s) ['when']"),
+        (_repro_with('"disconnect"'), "malformed 'plan': a fault event is a JSON object"),
     ], ids=[
         "config-str-for-int", "config-int-for-bool", "no-plan", "no-config",
         "unknown-event-field", "events-not-a-list", "not-an-object",
         "not-json",
+        "event-time-str", "event-delay-list", "event-drop-rate-bool",
+        "event-tear-int", "event-peer-int", "event-unknown-kind",
+        "event-kind-not-a-string", "event-unknown-field-known-kind",
+        "event-not-an-object",
     ])
     def test_malformed_repro_file_exits_two(self, tmp_path, capsys, text, names):
         repro = tmp_path / "bad.json"

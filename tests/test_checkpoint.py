@@ -7,6 +7,7 @@ buffering/barriers/crash-discard) plus the typed surface:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -395,7 +396,7 @@ class TestRunSweepConfig:
         assert ChaosConfig.from_namespace(args).seed == 9
 
     def test_chaos_accepts_run_config_without_warning(self):
-        result = api.chaos(ChaosConfig(txns=4, fault_rate=0.0))
+        result = run_chaos(ChaosConfig(txns=4, fault_rate=0.0))
         assert result.ok
 
     def test_chaos_sweep_accepts_sweep_config(self):
@@ -408,11 +409,11 @@ class TestRunSweepConfig:
     def test_config_mixing_rejected(self):
         # One spelling: a config object, never loose keyword arguments.
         with pytest.raises(TypeError):
-            api.chaos(ChaosConfig(), txns=4)
+            run_chaos(ChaosConfig(), txns=4)
         with pytest.raises(TypeError):
             api.chaos_sweep(SweepConfig(), txns=4)
         with pytest.raises(TypeError):
-            api.chaos(txns=4)
+            run_chaos(txns=4)
 
 
 class TestChaosCheckpointing:
@@ -444,13 +445,11 @@ class TestChaosCheckpointing:
 
     def test_tear_flag_only_sampled_with_checkpoints(self):
         providers = ["AP1", "AP2"]
-        kwargs = dict(
-            seed=11, providers=providers,
-            provider_methods={p: f"S{p[2:]}" for p in providers},
-            txns=40, fault_rate=0.0, horizon=3.0, crash_rate=0.5,
+        config = ChaosConfig(
+            seed=11, txns=40, fault_rate=0.0, arrival_rate=40.0, crash_rate=0.5
         )
-        off = FaultPlanner(**kwargs).plan()
-        on = FaultPlanner(checkpoints=True, **kwargs).plan()
+        off = FaultPlanner(config, providers).plan()
+        on = FaultPlanner(replace(config, checkpoint_every=4), providers).plan()
         assert all(not e.tear_checkpoint for e in off.events)
         assert any(e.tear_checkpoint for e in on.events)
         # The tear draw happens after the base fields, so existing

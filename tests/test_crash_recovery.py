@@ -2,6 +2,7 @@
 chaos harness's crash fault kind."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -68,7 +69,7 @@ class TestPeerCrash:
         # The in-doubt context was rebuilt from the on-disk WAL.
         context = worker.manager.contexts[txn.txn_id]
         assert not context.is_finished
-        assert context.log_seqs == [1]
+        assert [e.seq for e in worker.manager.log.entries_for(txn.txn_id)] == [1]
         assert worker.resolve_in_doubt(txn.txn_id, committed=False) == "aborted"
         assert canonical(worker.get_axml_document("D").document) == pre
         assert len(worker.manager.log) == 0
@@ -134,16 +135,9 @@ class TestCrashChaos:
 
     def test_crash_plan_extends_existing_plan(self):
         providers = [f"AP{i}" for i in range(1, 7)]
-        kwargs = dict(
-            seed=4,
-            providers=providers,
-            provider_methods={p: f"S{p[2:]}" for p in providers},
-            txns=20,
-            fault_rate=0.5,
-            horizon=3.0,
-        )
-        base = FaultPlanner(**kwargs).plan()
-        crashy = FaultPlanner(crash_rate=0.2, **kwargs).plan()
+        config = ChaosConfig(seed=4, txns=20, fault_rate=0.5)
+        base = FaultPlanner(config, providers).plan()
+        crashy = FaultPlanner(replace(config, crash_rate=0.2), providers).plan()
         # Existing seeds keep their exact prefix: crash events are
         # sampled from a separate stream and appended.
         assert crashy.events[: len(base)] == base.events

@@ -132,7 +132,7 @@ def test_recovered_log_is_the_durable_prefix(tmp_path, wal_mode):
     assert manager.recover(RejoinMode.IN_DOUBT) == 1  # T3 only
     assert manager.log is log
     assert [e.seq for e in log] == durable
-    assert manager.contexts["T3"].log_seqs == durable
+    assert [e.seq for e in log.entries_for("T3")] == durable
     _insert(manager, "T3", "h")
     assert [e.seq for e in log][-1] == durable[-1] + 1
     wal.close()

@@ -83,10 +83,10 @@ class TestHistogramEdges:
         b.record(3.0)
         a.merge(b)
         assert a.count == 2 and a.max == 3.0
-        rebuilt = Histogram.from_dict(a.to_dict())
-        assert rebuilt.name == "lat"
-        assert rebuilt.values == a.values
-        assert rebuilt.summary() == a.summary()
+        exported = a.to_dict()
+        assert exported["name"] == "lat"
+        assert exported["values"] == a.values == [1.0, 3.0]
+        assert {k: exported[k] for k in a.summary()} == a.summary()
 
 
 class TestSpanCollector:
@@ -157,15 +157,11 @@ class TestSpanCollector:
         parent = spans.start("p", "invoke", peer="AP1", txn_id="T1", target="AP2")
         clock[0] = 0.5
         spans.end(parent, status="fault", fault_name="Crash")
-        text = spans.to_json()
+        text = stable_json(spans.to_dict())
         data = json.loads(text)  # must be strict JSON
         assert data["summary"]["total"] == 1
-        rebuilt = SpanCollector.from_json(text)
-        assert len(rebuilt) == 1
-        clone = rebuilt.spans[0]
-        assert clone.to_dict() == parent.to_dict()
-        # New spans in the rebuilt collector keep ids unique.
-        assert rebuilt.start("q", "rpc").span_id > clone.span_id
+        assert data["spans"] == [parent.to_dict()]
+        assert data["spans"][0]["duration"] == 0.5
 
     def test_span_str_renders(self):
         span = Span(1, "s", "rpc")
@@ -228,22 +224,18 @@ class TestMetricsHistograms:
         metrics.record_value("rpc_latency", 0.03)
         metrics.record_detection("AP3", "AP6", 1.0, 1.01)
         metrics.record_txn_outcome("T1", "aborted")
-        text = metrics.to_json()
+        text = stable_json(metrics.to_dict())
         assert "Infinity" not in text and "NaN" not in text
         data = json.loads(text)
         assert data["histograms"]["rpc_latency"]["p50"] == 0.01
         assert data["histograms"]["rpc_latency"]["p95"] == 0.03
-        rebuilt = MetricsCollector.from_json(text)
-        assert rebuilt.get("messages.abort") == 1
-        assert rebuilt.p95("rpc_latency") == 0.03
-        # Detections round-trip without double-recording the histogram.
-        assert len(rebuilt.detections) == 1
-        assert rebuilt.histogram("detection_latency").count == 1
-        assert rebuilt.txn_outcomes == {"T1": "aborted"}
-        assert rebuilt.to_json() == text
+        assert data["counters"]["messages.abort"] == 1
+        assert len(data["detections"]) == 1
+        assert data["histograms"]["detection_latency"]["count"] == 1
+        assert data["txn_outcomes"] == {"T1": "aborted"}
 
     def test_empty_collector_exports_null_detection_latency(self):
-        data = json.loads(MetricsCollector().to_json())
+        data = json.loads(stable_json(MetricsCollector().to_dict()))
         assert data["detection_latency"] is None
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PeerDisconnected, UnknownPeer
-from repro.p2p.failure import FailureInjector, PingMonitor
+from repro.p2p.failure import FailureInjector
 from repro.outcome import Outcome
 from repro.p2p.messages import InvokeRequest
 from repro.p2p.network import SimNetwork
@@ -238,7 +238,7 @@ class TestFailureInjector:
         network = SimNetwork()
         StubPeer("P", network)
         injector = FailureInjector(network)
-        injector.disconnect_during("P", "m", point="before_return")
+        injector.disconnect_peer_during("P", "P", "m", point="before_return")
         assert injector.check_disconnect("P", "m", "before_return")
         assert not network.is_alive("P")
         # one-shot
@@ -267,45 +267,6 @@ class TestFailureInjector:
 
     def test_bad_point_rejected(self):
         with pytest.raises(ValueError):
-            FailureInjector(SimNetwork()).disconnect_during("P", "m", point="sideways")
-
-
-class TestPingMonitor:
-    def test_detects_death(self):
-        network = SimNetwork()
-        StubPeer("W", network)
-        StubPeer("T", network)
-        deaths = []
-        monitor = PingMonitor(network, "W", interval=0.1)
-        monitor.watch("T", deaths.append)
-        network.events.run_until(0.35)
-        assert deaths == []
-        network.disconnect("T")
-        network.events.run_until(1.0)
-        assert deaths == ["T"]
-        # detection latency was recorded
-        assert network.metrics.detection_latency("T") < 0.2
-
-    def test_dead_watcher_stops(self):
-        network = SimNetwork()
-        StubPeer("W", network)
-        StubPeer("T", network)
-        deaths = []
-        monitor = PingMonitor(network, "W", interval=0.1)
-        monitor.watch("T", deaths.append)
-        network.disconnect("W")
-        network.disconnect("T")
-        network.events.run_until(1.0)
-        assert deaths == []
-
-    def test_unwatch(self):
-        network = SimNetwork()
-        StubPeer("W", network)
-        StubPeer("T", network)
-        deaths = []
-        monitor = PingMonitor(network, "W", interval=0.1)
-        monitor.watch("T", deaths.append)
-        monitor.unwatch("T")
-        network.disconnect("T")
-        network.events.run_until(1.0)
-        assert deaths == []
+            FailureInjector(SimNetwork()).disconnect_peer_during(
+                "P", "P", "m", point="sideways"
+            )

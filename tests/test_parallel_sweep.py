@@ -62,9 +62,12 @@ class TestChaosSweepIdentity:
         # A mutated config fails the oracle; the parallel path must hand
         # back full, shrink-ready results for exactly the same configs.
         bad = ChaosConfig(txns=6, providers=3, mutate="skip_undo")
-        kwargs = dict(seeds=[3], concurrencies=(2,), fault_rates=(0.2,))
-        _, serial_failures = chaos_sweep(bad, workers=1, **kwargs)
-        _, parallel_failures = chaos_sweep(bad, workers=2, **kwargs)
+        # Several cells: one item never reaches the pool.
+        kwargs = dict(seeds=[1, 2, 3], concurrencies=(2,), fault_rates=(0.2,))
+        serial, serial_failures = chaos_sweep(bad, workers=1, **kwargs)
+        parallel, parallel_failures = chaos_sweep(bad, workers=2, **kwargs)
+        assert serial.render() == parallel.render()
+        assert serial_failures
         assert [f.config for f in serial_failures] == [
             f.config for f in parallel_failures
         ]

@@ -122,8 +122,8 @@ class TestPeerGuards:
         network, a, b = make_pair()
         with pytest.raises(ReproError):
             a.get_axml_document("nope")
-        assert not a.hosts_document("nope")
-        assert b.hosts_document("D")
+        assert "nope" not in a.documents
+        assert "D" in b.documents
 
     def test_invoke_on_finished_context_rejected(self):
         network, a, b = make_pair()

@@ -52,8 +52,7 @@ class TestFromHandler:
             "<axml:sc methodName='m' serviceURL='axml://replica'/>"
             "</axml:retry></axml:catch></axml:sc></D>"
         )
-        handler = parse_fault_handlers(doc.root.child_elements()[0])[0]
-        policy = FaultPolicy.from_handler(handler)
+        policy = parse_fault_handlers(doc.root.child_elements()[0])[0]
         assert policy.fault_names == {"F"}
         assert policy.retry_times == 4
         assert policy.retry_wait == 2.5
@@ -63,8 +62,7 @@ class TestFromHandler:
         doc = parse_document(
             "<D><axml:sc methodName='m'><axml:catchAll/></axml:sc></D>"
         )
-        handler = parse_fault_handlers(doc.root.child_elements()[0])[0]
-        policy = FaultPolicy.from_handler(handler)
+        policy = parse_fault_handlers(doc.root.child_elements()[0])[0]
         assert policy.fault_names is None
         assert policy.absorb
 

@@ -38,7 +38,7 @@ class TestTopologyBuilder:
         for index in range(1, 7):
             peer = scenario.peer(f"AP{index}")
             assert peer.registry.has(f"S{index}")
-            assert peer.hosts_document(f"D{index}")
+            assert f"D{index}" in peer.documents
 
     def test_fig2_super_peer(self):
         scenario = Cluster.fig2()

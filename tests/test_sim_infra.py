@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import P2PError
 from repro.p2p.chain import PeerChain
-from repro.sim.harness import ExperimentTable, mean, ratio, sweep
+from repro.sim.harness import ExperimentTable, mean, ratio
 from repro.sim.metrics import MetricsCollector
 from repro.sim.rng import SeededRng
 from repro.sim.workload import (
@@ -174,16 +174,6 @@ class TestHarness:
         with pytest.raises(ValueError):
             table.add_row(zzz=1)
 
-    def test_column_access(self):
-        table = ExperimentTable("T", ["a"])
-        table.add_row(a=1)
-        table.add_row(a=2)
-        assert table.column("a") == [1, 2]
-
-    def test_sweep(self):
-        table = sweep("S", ["p", "v"], [1, 2, 3], lambda p: {"p": p, "v": p * p})
-        assert table.column("v") == [1, 4, 9]
-
     def test_ratio(self):
         assert ratio(4, 2) == 2
         assert ratio(0, 0) == 1.0
@@ -247,24 +237,6 @@ class TestReplication:
         x_id = doc.document.root.child_elements()[0].node_id
         assert replica.document.has_node(x_id)
         assert replication.holders("D") == ["A", "B"]
-
-    def test_alive_holder_skips_dead(self):
-        from repro.axml.document import AXMLDocument
-        from repro.p2p.network import SimNetwork
-        from repro.p2p.peer import AXMLPeer
-        from repro.p2p.replication import ReplicationManager
-
-        network = SimNetwork()
-        a = AXMLPeer("A", network)
-        b = AXMLPeer("B", network)
-        replication = ReplicationManager(network)
-        a.host_document(AXMLDocument.from_xml("<D/>", name="D"))
-        replication.register_primary("D", "A")
-        replication.replicate_document("D", "B")
-        network.disconnect("A")
-        assert replication.alive_holder("D") == "B"
-        network.disconnect("B")
-        assert replication.alive_holder("D") is None
 
     def test_replicate_missing_document(self):
         from repro.p2p.network import SimNetwork

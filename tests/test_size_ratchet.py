@@ -33,6 +33,11 @@ def test_growth_new_large_files_and_unbanked_shrinks_are_findings():
 
 def test_update_only_ever_lowers_a_record():
     tool = _tool()
-    recorded = {"src/a.py": 900, "src/b.py": 600, "src/small.py": 520}
-    counts = {"src/a.py": 950, "src/b.py": 550, "src/small.py": 480}
-    assert tool.ratcheted(recorded, counts) == {"src/a.py": 900, "src/b.py": 550}
+    recorded = {"src/a.py": 900, "src/b.py": 600, "src/small.py": 520,
+                "src/pinned.py": 470, "src/gone.py": 300}
+    counts = {"src/a.py": 950, "src/b.py": 550, "src/small.py": 480,
+              "src/pinned.py": 460}
+    assert tool.ratcheted(recorded, counts) == {
+        "src/a.py": 900, "src/b.py": 550,
+        "src/pinned.py": 460,  # pinned under the limit by hand: stays
+    }

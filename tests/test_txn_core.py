@@ -82,21 +82,6 @@ class TestOperationLog:
         assert len(log) == 1
         assert log.entries_for("T1") == []
 
-    def test_documents_touched_requires_records(self, axml_doc):
-        from repro.query.update import apply_action
-
-        log = OperationLog()
-        result = apply_action(
-            axml_doc.document,
-            parse_action(
-                '<action type="delete"><location>Select i/price from i in '
-                "Shop//item;</location></action>"
-            ),
-        )
-        log.append("T1", "update", "Shop", "<a/>", records=result.records)
-        log.append("T1", "query", "Other", "<a/>")  # no records
-        assert log.documents_touched("T1") == ["Shop"]
-
     def test_approximate_bytes_grows(self, axml_doc):
         from repro.query.update import apply_action
 
@@ -111,11 +96,6 @@ class TestOperationLog:
         )
         log.append("T1", "update", "Shop", "<a/>", records=result.records)
         assert log.approximate_bytes() > before
-
-    def test_dump(self):
-        log = OperationLog()
-        log.append("T1", "update", "D", "<a/>", timestamp=1.5)
-        assert "T1" in log.dump()
 
 
 class TestTransactionalOperation:

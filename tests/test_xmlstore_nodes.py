@@ -79,16 +79,6 @@ class TestTreeConstruction:
         root.insert_at(-5, y)
         assert root.children[0] is y
 
-    def test_insert_before_after(self, doc):
-        root = doc.root
-        a = root.first_child("a")
-        n1 = doc.create_element("n1")
-        n2 = doc.create_element("n2")
-        root.insert_before(a, n1)
-        root.insert_after(a, n2)
-        names = [c.name.local for c in root.child_elements()]
-        assert names == ["n1", "a", "n2", "b"]
-
     def test_set_text_replaces_children(self, doc):
         a = doc.root.first_child("a")
         a.set_text("new")
@@ -104,14 +94,6 @@ class TestNavigation:
     def test_ancestors(self, doc):
         c = doc.root.first_child("b").first_child("c")
         assert [e.name.local for e in c.ancestors()] == ["b", "root"]
-
-    def test_siblings(self, doc):
-        a = doc.root.first_child("a")
-        b = doc.root.first_child("b")
-        assert a.following_sibling() is b
-        assert b.preceding_sibling() is a
-        assert a.preceding_sibling() is None
-        assert b.following_sibling() is None
 
     def test_root_and_attached(self, doc):
         c = doc.root.first_child("b").first_child("c")

@@ -46,7 +46,7 @@ class TestParsePath:
 
     def test_text_step(self):
         path = parse_path("name/text()")
-        assert path.returns_text
+        assert path.steps[-1].axis == "text"
 
     def test_prefixed_name(self):
         path = parse_path("axml:sc")
@@ -103,10 +103,6 @@ class TestEvaluate:
         from repro.xmlstore.nodes import Document
 
         assert parse_path("//x").evaluate(Document()) == []
-
-    def test_parent_path_helper(self):
-        path = parse_path("p/citizenship").parent_path()
-        assert str(path) == "p/citizenship/.."
 
     def test_child_names(self):
         assert parse_path("p/name/lastname").child_names() == ["p", "name", "lastname"]

@@ -12,6 +12,10 @@ when
   must bank it: ``--update`` rewrites the records, downwards only, and
   drops files that fell to the limit or below).
 
+A file at or under the limit may be pinned by hand (a record at its
+current size — a module a PR deliberately moved code into); such a
+record is checked and banked like any other and survives ``--update``.
+
 So the recorded numbers only ever go down.
 
 Usage: python tools/check_size_ratchet.py [--update]  (exit 1 on findings)
@@ -67,7 +71,7 @@ def ratcheted(recorded: Dict[str, int], counts: Dict[str, int]) -> Dict[str, int
     return {
         path: min(record, counts[path])
         for path, record in sorted(recorded.items())
-        if counts.get(path, 0) > LIMIT
+        if path in counts and (counts[path] > LIMIT or record <= LIMIT)
     }
 
 
@@ -86,7 +90,7 @@ def main(argv: List[str]) -> int:
         print(problem, file=sys.stderr)
     if problems:
         return 1
-    print(f"size ratchet: {len(recorded)} files over {LIMIT} lines, none grew")
+    print(f"size ratchet: {len(recorded)} recorded files, none grew")
     return 0
 
 

@@ -2,11 +2,13 @@
 
 Runs the non-test traffic in this process under one ``sys.setprofile`` hook: the
 ``BENCHMARK.json`` workloads (``benchmarks.e2e.child --smoke``), ``examples/*.py``, the
-non-pytest ``run: PYTHONPATH=src python ...`` lines of ``.github/workflows/ci.yml`` and
-``pytest benchmarks/ --ignore=benchmarks/e2e``.  Prints per item its exit status and the
-``PROF`` counters on either side of each fork, then every function under ``src/repro/``
-none of it entered — candidates for ROADMAP item 6; check tests and docs/PAPER_MAP.md
-first.  Not seen: pool workers, and ``bench_p1`` after its Part C installs its own hook.
+eight ``python -m repro ...`` figure/report commands, the non-pytest
+``run: PYTHONPATH=src python ...`` lines of ``.github/workflows/ci.yml``, and ``pytest``
+over the paper-claim benches (``bench_e*``, ``bench_a*``, ``bench_fig*``).  Prints per
+item its exit status and the ``PROF`` counters on either side of each fork, then every
+function under ``src/repro/`` none of it entered, with their line total — candidates
+for ROADMAP item 8; check tests and docs/PAPER_MAP.md first.  Not seen: pool workers,
+and ``bench_p1`` after its Part C installs its own hook.
 """
 
 import contextlib
@@ -30,8 +32,16 @@ def hook(frame, event, arg):
         entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
 
+CLI_COMMANDS = (  # the figure/report surface of the verify skill
+    "atplist --query A", "atplist --query B --abort",
+    "fig1 --fault AP5:S5 --handler AP3:S5",
+    "fig2 --case b", "fig2 --case c", "fig2 --case d",
+    "report --scenario fig1 --fault AP5:S5", "spheres --super-fraction 0.5",
+)
+
+
 def defined_functions():
-    """``(file, first line) -> qualified name`` of every def under src/repro/."""
+    """``(file, first line) -> (qualified name, lines)`` of every def under src/repro/."""
     found = {}
     for path in Path(SRC).rglob("*.py"):
         pending = [compile(path.read_text(), str(path), "exec")]
@@ -39,7 +49,10 @@ def defined_functions():
             code = pending.pop()
             pending.extend(c for c in code.co_consts if hasattr(c, "co_code"))
             if not code.co_name.startswith("<"):  # <module>, <lambda>, <listcomp>
-                found[str(path), code.co_firstlineno] = code.co_qualname
+                last = max(line for _, _, line in code.co_lines() if line)
+                found[str(path), code.co_firstlineno] = (
+                    code.co_qualname, last - code.co_firstlineno + 1
+                )
     return found
 
 
@@ -48,10 +61,17 @@ def traffic():
     for workload in json.loads(Path("BENCHMARK.json").read_text())["workloads"]:
         yield f"-m benchmarks.e2e.child --workload {workload['name']} --seed 0 --smoke".split()
     yield from ([str(path)] for path in sorted(Path("examples").glob("*.py")))
+    yield from (f"-m repro {command}".split() for command in CLI_COMMANDS)
     ci = Path(".github/workflows/ci.yml").read_text()
     for command in re.findall(r"run: PYTHONPATH=src python (?!-m pytest)(.+)", ci):
         yield command.split()
-    yield "-m pytest benchmarks --ignore=benchmarks/e2e -q -p no:cacheprovider".split()
+    # The paper-claim benches — every pytest-collected file under benchmarks/
+    # outside e2e/; the other bench_*.py are scripts the CI lines above run.
+    claims = sorted(
+        str(path) for path in Path("benchmarks").glob("bench_*.py")
+        if re.match(r"bench_(e\d|a\d|fig)", path.name)
+    )
+    yield ["-m", "pytest", *claims, "-q", "-p", "no:cacheprovider"]
 
 
 def run(argv):
@@ -77,6 +97,9 @@ if __name__ == "__main__":
         PROF.counters.clear()  # not reset(): the hook is still armed
     functions = defined_functions()
     idle = sorted(set(functions) - entered)
-    print(f"{len(idle)} of {len(functions)} functions under src/repro/ never entered:")
+    print(
+        f"{len(idle)} of {len(functions)} functions "
+        f"({sum(functions[key][1] for key in idle)} lines) under src/repro/ never entered:"
+    )
     for path, line in idle:
-        print(f"  {os.path.relpath(path, ROOT)}:{line} {functions[path, line]}")
+        print(f"  {os.path.relpath(path, ROOT)}:{line} {functions[path, line][0]}")
