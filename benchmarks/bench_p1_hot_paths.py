@@ -5,8 +5,8 @@ and CI runs it with ``--smoke`` on every push):
 
 * **Part A — indexed vs. walk-based query evaluation.**  Builds one
   deep, wide document (depth 6, fanout 8; node-budgeted) and evaluates
-  descendant Select queries with the structural index enabled and then
-  forcibly disabled (:func:`repro.xmlstore.index.index_disabled`).
+  descendant Select queries from the structural index and then by the
+  reference walk (``path._indexed_descendants`` patched to decline).
   Results and traversal-meter charges must be identical; wall time must
   not be (gate: indexed strictly faster in smoke, >= 2x in full runs).
 * **Part B — serial vs. parallel C1 chaos sweep.**  Runs the same sweep
@@ -51,6 +51,7 @@ machine's and are informational only.
 import gc
 import sys
 import time
+from unittest import mock
 
 from repro.axml.document import AXMLDocument
 from repro.chaos import ChaosConfig, chaos_sweep
@@ -65,7 +66,7 @@ from repro.query.update import apply_action
 from repro.sim.metrics import MetricsCollector
 from repro.sim.parallel import available_cores, parallel_map
 from repro.sim.rng import SeededRng
-from repro.xmlstore.index import index_disabled
+from repro.xmlstore import path as path_module
 from repro.xmlstore.names import QName
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_document, parse_fragment
@@ -79,6 +80,12 @@ QUERIES = (
     "Select n from n in Bench//needle;",
     "Select n from n in Bench//needle where n/@rank = 3;",
 )
+
+
+def walk_only():
+    """The reference walk: inside the block every descendant step's index
+    lookup declines, so ``_logical_descendants`` answers it."""
+    return mock.patch.object(path_module, "_indexed_descendants", lambda *args: None)
 
 
 def build_bench_document(depth: int, fanout: int, budget: int, seed: int) -> Document:
@@ -119,7 +126,7 @@ def bench_queries(args) -> dict:
     for query in queries:
         fast_meter, slow_meter = TraversalMeter(), TraversalMeter()
         fast = evaluate_select(query, doc, fast_meter)
-        with index_disabled():
+        with walk_only():
             slow = evaluate_select(query, doc, slow_meter)
         fast_ids = [n.node_id for b in fast.bindings for n in b.nodes()]
         slow_ids = [n.node_id for b in slow.bindings for n in b.nodes()]
@@ -142,7 +149,7 @@ def bench_queries(args) -> dict:
     hit_rate = hits / (hits + walks) if hits + walks else 0.0
 
     start = time.perf_counter()
-    with index_disabled():
+    with walk_only():
         for _ in range(reps):
             for query in queries:
                 evaluate_select(query, doc)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.axml.service_call import ServiceCall
 from repro.query.ast import SelectQuery
 from repro.xmlstore.names import SC_NAME
-from repro.xmlstore.nodes import Document, Element
+from repro.xmlstore.nodes import Document
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import pretty, serialize
 
@@ -42,24 +42,19 @@ class AXMLDocument:
     def service_calls(self) -> List[ServiceCall]:
         """All embedded service calls, in document order.
 
-        Calls nested inside another call's parameter list are *excluded*:
-        they are materialized as part of their owner, not independently.
+        Calls inside another call's machinery — its parameter list or a
+        §3.2 handler's replica — are *excluded*: they are materialized
+        as part of their owner (or invoked by recovery), not
+        independently.  This is ``//axml:sc`` read off the structural
+        index, not a walk of the document.
         """
-        out: List[ServiceCall] = []
-        for element in self.document.iter_elements():
-            if element.name != SC_NAME:
-                continue
-            if self._inside_params(element):
-                continue
-            out.append(ServiceCall(element))
-        return out
-
-    @staticmethod
-    def _inside_params(element: Element) -> bool:
-        for ancestor in element.ancestors():
-            if ancestor.name.local == "params" and ancestor.name.prefix == "axml":
-                return True
-        return False
+        root = self.document.root
+        if root is None:
+            return []
+        index = self.document.index
+        postings = index.postings(SC_NAME.local).values()
+        candidates = [element for element in postings if element.name == SC_NAME]
+        return [ServiceCall(element) for element in index.order_ranks(candidates, root)]
 
     def calls_for_query(self, query: SelectQuery) -> List[ServiceCall]:
         """Lazy-materialization set: calls whose results the query needs.
@@ -79,10 +74,13 @@ class AXMLDocument:
         needed = set(query.required_names())
         if not needed:
             return []
+        calls = self.service_calls()
+        if not calls:
+            return []
         source_names = self._source_names(query)
         scope_ids = self._source_scope_ids(query)
         selected: List[ServiceCall] = []
-        for call in self.service_calls():
+        for call in calls:
             names = set(call.result_names)
             if not names:
                 continue

@@ -81,13 +81,11 @@ class MaterializationEngine:
         resolver: Resolver,
         meter: TraversalMeter = NULL_METER,
         max_depth: int = 8,
-        follow_nested_results: bool = True,
     ):
         self.axml_document = axml_document
         self.resolver = resolver
         self.meter = meter
         self.max_depth = max_depth
-        self.follow_nested_results = follow_nested_results
 
     # -- public entry points ---------------------------------------------------
 
@@ -140,9 +138,8 @@ class MaterializationEngine:
             nested_depth=depth,
         )
         report.calls.append(materialized)
-        if self.follow_nested_results:
-            for nested in call.nested_result_calls():
-                self._materialize(nested, report, depth + 1)
+        for nested in call.nested_result_calls():
+            self._materialize(nested, report, depth + 1)
 
     def _resolve_params(
         self, call: ServiceCall, report: MaterializationReport, depth: int

@@ -21,17 +21,15 @@ ones (§1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ServiceCallError
 from repro.xmlstore.names import (
-    CATCH_NAME,
-    CATCHALL_NAME,
     PARAM_NAME,
     PARAMS_NAME,
-    RETRY_NAME,
     SC_NAME,
     VALUE_NAME,
+    is_axml_meta_name,
 )
 from repro.xmlstore.nodes import Element, Node
 from repro.xmlstore.parser import parse_fragment
@@ -194,13 +192,11 @@ class ServiceCall:
 
     def result_nodes(self) -> List[Node]:
         """The current result region: children outside params/handlers."""
-        excluded = {PARAMS_NAME, CATCH_NAME, CATCHALL_NAME, RETRY_NAME}
-        out: List[Node] = []
-        for child in self.element.children:
-            if isinstance(child, Element) and child.name in excluded:
-                continue
-            out.append(child)
-        return out
+        return [
+            child
+            for child in self.element.children
+            if not (isinstance(child, Element) and is_axml_meta_name(child.name))
+        ]
 
     def nested_result_calls(self) -> List["ServiceCall"]:
         """Service calls sitting in the result region (nested invocation)."""

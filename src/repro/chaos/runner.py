@@ -341,10 +341,7 @@ def _place_sharded(cluster, config: ChaosConfig, providers: Sequence[str]) -> No
         vnodes=16,
         replicas=config.replicas,
     )
-    coordinator = ShardCoordinator(
-        cluster.network, cluster.replication, ring,
-        scratch=getattr(cluster, "scratch", None),
-    )
+    coordinator = ShardCoordinator(cluster.network, cluster.replication, ring)
     cluster.shard_coordinator = coordinator
     for i in range(1, config.providers + 1):
         document, method = f"D{i}", f"S{i}"

@@ -39,7 +39,6 @@ never need to chase a migrated copy.
 from __future__ import annotations
 
 import bisect
-import os
 import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -260,7 +259,6 @@ class ShardMigration:
     defer_count: int = 0
     #: Distinct in-flight transactions the barrier deferred behind.
     deferred: Set[str] = field(default_factory=set)
-    stage_path: Optional[str] = None
 
 
 class ShardCoordinator:
@@ -293,7 +291,6 @@ class ShardCoordinator:
         network,
         replication,
         ring: ShardRing,
-        scratch=None,
         cutover_delay: float = 0.05,
         max_defers: int = 12,
     ):
@@ -302,7 +299,6 @@ class ShardCoordinator:
         self.directory: PlacementDirectory = replication.directory
         self.directory.ring = ring
         self.ring = ring
-        self.scratch = scratch
         self.cutover_delay = cutover_delay
         self.max_defers = max_defers
         self._migrations: List[ShardMigration] = []
@@ -372,20 +368,15 @@ class ShardCoordinator:
         method = self.directory.sharded_docs.get(document, "")
         migration = ShardMigration(document, method, source, target)
         self._migrations.append(migration)
-        self.network.events.schedule(0.0, lambda: self._try_copy(migration))
+        self.network.events.schedule(0.0, lambda: self._run_phase(migration, "copy"))
         return migration
 
-    def _try_copy(self, migration: ShardMigration) -> None:
-        if migration not in self._migrations:
+    def _run_phase(self, migration: ShardMigration, point: str) -> None:
+        """One barrier-guarded phase: ``copy``, then ``cutover``."""
+        if not self._at_barrier(migration, point):
             return
-        self._consume_armed("copy", migration)
-        if not self._endpoints_alive(migration):
-            self._abort(migration)
-            return
-        blocked = self._inflight_txns(migration)
-        if blocked:
-            if not self._defer(migration, blocked, self._try_copy):
-                self._abort(migration)
+        if point == "cutover":
+            self._finish(migration)
             return
         self._copy_shard(migration)
         migration.state = "copied"
@@ -393,28 +384,13 @@ class ShardCoordinator:
             (migration.document, migration.target)
         )
         self.network.events.schedule(
-            self.cutover_delay, lambda: self._try_cutover(migration)
+            self.cutover_delay, lambda: self._run_phase(migration, "cutover")
         )
-
-    def _try_cutover(self, migration: ShardMigration) -> None:
-        if migration not in self._migrations:
-            return
-        self._consume_armed("cutover", migration)
-        if not self._endpoints_alive(migration):
-            self._abort(migration)
-            return
-        blocked = self._inflight_txns(migration)
-        if blocked:
-            if not self._defer(migration, blocked, self._try_cutover):
-                self._abort(migration)
-            return
-        self._finish(migration)
 
     def _copy_shard(self, migration: ShardMigration) -> None:
         """Ship the shard to the target: document clone (ids preserved,
         clean state — the quiescence barrier already held) plus the
-        co-located service, and a staging marker in the scratch space
-        that the cutover removes (crash diagnostics)."""
+        co-located service."""
         if migration.target not in self.directory.document_map.get(
             migration.document, []
         ):
@@ -423,18 +399,10 @@ class ShardCoordinator:
             migration.method, []
         ):
             self.replication.replicate_service(migration.method, migration.target)
-        if self.scratch is not None:
-            path = os.path.join(
-                self.scratch.path("migrations"),
-                f"{migration.document}.stage",
-            )
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(f"{migration.source} -> {migration.target}\n")
-            migration.stage_path = path
 
     def _finish(self, migration: ShardMigration) -> None:
         """Atomic cutover: flip directory ownership in one step, rewrite
-        §3.3 chains around the old holder, drop the staging marker.
+        §3.3 chains around the old holder.
 
         The source *remains* a holder — a crashed source resolving an
         in-doubt share later must still ship its entries, which requires
@@ -446,7 +414,6 @@ class ShardCoordinator:
         self.directory.active_migration_routes.discard(
             (migration.document, migration.target)
         )
-        self._remove_stage(migration)
         migration.state = "done"
         self._migrations.remove(migration)
         self.network.metrics.incr("migrations")
@@ -456,13 +423,28 @@ class ShardCoordinator:
         self.directory.active_migration_routes.discard(
             (migration.document, migration.target)
         )
-        self._remove_stage(migration)
         self._migrations.remove(migration)
         self.network.metrics.incr("migration_aborts")
 
     # -- barriers --------------------------------------------------------
 
-    def _defer(self, migration, blocked: Set[str], retry) -> bool:
+    def _at_barrier(self, migration: ShardMigration, point: str) -> bool:
+        """True when *point* may run now: the migration is still planned,
+        both endpoints survived the faults armed for this point and the
+        shard is quiescent; else the phase was rescheduled or aborted."""
+        if migration not in self._migrations:
+            return False
+        self._consume_armed(point, migration)
+        alive = self.network.is_alive
+        if not (alive(migration.source) and alive(migration.target)):
+            self._abort(migration)
+            return False
+        blocked = self._inflight_txns(migration)
+        if blocked and not self._defer(migration, blocked, point):
+            self._abort(migration)
+        return not blocked
+
+    def _defer(self, migration: ShardMigration, blocked: Set[str], point: str) -> bool:
         """Count newly deferred transactions and reschedule the phase;
         False when the defer budget is spent (the migration parks and
         settlement takes over)."""
@@ -473,7 +455,7 @@ class ShardCoordinator:
         migration.defer_count += 1
         if migration.defer_count > self.max_defers:
             return False
-        self.network.events.schedule(DEFER_DELAY, lambda: retry(migration))
+        self.network.events.schedule(DEFER_DELAY, lambda: self._run_phase(migration, point))
         return True
 
     def _inflight_txns(self, migration: ShardMigration) -> Set[str]:
@@ -490,11 +472,6 @@ class ShardCoordinator:
             ):
                 blocked.add(txn_id)
         return blocked
-
-    def _endpoints_alive(self, migration: ShardMigration) -> bool:
-        return self.network.is_alive(migration.source) and self.network.is_alive(
-            migration.target
-        )
 
     # -- chain rewrite (§3.3 around the old holder) ----------------------
 
@@ -580,8 +557,3 @@ class ShardCoordinator:
                 service_holders = self.directory.service_map.setdefault(method, [])
                 service_holders[:] = list(want)
         self.directory.active_migration_routes.clear()
-
-    def _remove_stage(self, migration: ShardMigration) -> None:
-        if migration.stage_path and os.path.exists(migration.stage_path):
-            os.remove(migration.stage_path)
-        migration.stage_path = None

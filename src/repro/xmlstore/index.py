@@ -25,16 +25,11 @@ root).  Nothing is cached, so no mutation has anything to invalidate: a
 ``//name`` step costs what it touches — the candidates' ancestor chains
 and those ancestors' child lists — whether or not the document changed
 since the last query.
-
-The module-level switch (:func:`set_index_enabled`,
-:func:`index_disabled`) lets benchmarks and parity tests compare indexed
-answers against fresh full-tree walks.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping
 
 from repro.xmlstore.names import is_axml_meta_name
 
@@ -42,33 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.xmlstore.nodes import Element, NodeId
 
 _EMPTY: Dict[object, object] = {}
-
-#: Global switch consulted by the query layer; flipped by benchmarks and
-#: invalidation tests to force the walk-based reference path.
-_ENABLED = True
-
-
-def index_enabled() -> bool:
-    """True when the query layer may consult structural indexes."""
-    return _ENABLED
-
-
-def set_index_enabled(enabled: bool) -> bool:
-    """Set the global index switch; returns the previous value."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def index_disabled() -> Iterator[None]:
-    """Force walk-based evaluation within the block (bench/test oracle)."""
-    previous = set_index_enabled(False)
-    try:
-        yield
-    finally:
-        set_index_enabled(previous)
 
 
 class StructuralIndex:

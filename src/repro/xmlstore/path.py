@@ -24,7 +24,6 @@ from typing import List, Optional, Sequence, Union
 
 from repro.errors import QuerySyntaxError
 from repro.obs.prof import PROF
-from repro.xmlstore.index import index_enabled
 from repro.xmlstore.names import (
     QName,
     is_axml_meta_name,
@@ -207,20 +206,19 @@ def _indexed_descendants(
     """Answer a named descendant step from the document's structural index.
 
     Returns None (fall back to the subtree walk) when the fast path does
-    not apply: the index is disabled, the name test is ``*``, there are
-    multiple context nodes (walk order is per-context, not global), the
-    context itself sits outside the live logical tree, or the postings
-    list is larger than the context's logical subtree (walking is
-    cheaper).  When it does answer, the traversal meter is charged the
+    not apply: the name test is ``*``, there are multiple context nodes
+    (walk order is per-context, not global), or the postings list is
+    larger than the context's logical subtree (walking is cheaper).
+    The context may be any element of the document — detached, or
+    inside call machinery: ``order_ranks`` climbs no further than it.
+    When the index answers, the traversal meter is charged the
     *logical* visit count — the same number of nodes the walk would have
     touched — so the paper's traversal-cost experiments (§3.2, E7) keep
     their semantics regardless of which path ran.
     """
-    if step.name is None or len(context) != 1 or not index_enabled():
+    if step.name is None or len(context) != 1:
         return None
     ctx = context[0]
-    if not _in_live_tree(ctx):
-        return None  # detached or metadata-shadowed context: walk it
     index = ctx.document.index
     postings = index.postings(step.name.local)
     logical = ctx._logical_count
@@ -235,21 +233,6 @@ def _indexed_descendants(
     )
 
 
-def _in_live_tree(element: Element) -> bool:
-    """True when a logical descendant walk from the document root would
-    reach *element*: its parent chain ends at the root without crossing
-    (or starting on) an ``axml`` metadata element."""
-    root = element.document.root
-    node: Optional[Element] = element
-    while node is not None:
-        if node is root:
-            return True
-        if is_axml_meta_name(node.name):
-            return False
-        node = node.parent
-    return False
-
-
 # AXML transparency (paper §1/§3.1): the results of an embedded service
 # call logically stand where the ``axml:sc`` element sits, so ``p/points``
 # must find ``<points>`` inside ``<axml:sc …><points>890</points></axml:sc>``.
@@ -259,14 +242,6 @@ def _in_live_tree(element: Element) -> bool:
 # so the structural index prunes exactly the same subtrees.
 
 
-def _is_sc(element: Element) -> bool:
-    return is_sc_name(element.name)
-
-
-def _is_axml_meta(element: Element) -> bool:
-    return is_axml_meta_name(element.name)
-
-
 def _logical_children(node: Element, step: Step) -> List[Element]:
     """Direct children with sc containers expanded (unless explicitly named)."""
     explicit_axml = step.name is not None and step.name.prefix == "axml"
@@ -274,11 +249,11 @@ def _logical_children(node: Element, step: Step) -> List[Element]:
     stack = [child for child in reversed(node.children) if isinstance(child, Element)]
     while stack:
         child = stack.pop()
-        if _is_sc(child) and not explicit_axml:
+        if is_sc_name(child.name) and not explicit_axml:
             results = [
                 grand
                 for grand in child.children
-                if isinstance(grand, Element) and not _is_axml_meta(grand)
+                if isinstance(grand, Element) and not is_axml_meta_name(grand.name)
             ]
             stack.extend(reversed(results))
             continue
@@ -298,7 +273,7 @@ def _logical_descendants(node: Element) -> List[Element]:
         current = stack.pop()
         out.append(current)
         for child in reversed(current.children):
-            if isinstance(child, Element) and not _is_axml_meta(child):
+            if isinstance(child, Element) and not is_axml_meta_name(child.name):
                 stack.append(child)
     return out
 

@@ -140,14 +140,9 @@ def rebind_ids(document: Document) -> int:
     Returns the number of elements whose id was rebound.  Elements without
     the attribute keep their freshly allocated ids.
     """
-    rebound = 0
-    for element in list(document.iter_elements()):
-        raw = element.attributes.pop(ID_ATTRIBUTE, None)
-        if raw is None:
-            continue
-        document._adopt_id(element, NodeId.parse(raw))
-        rebound += 1
-    return rebound
+    if document.root is None:
+        return 0
+    return rebind_element_ids(document.root, document)
 
 
 def rebind_element_ids(element: Element, document: Document) -> int:

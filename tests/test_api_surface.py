@@ -116,6 +116,11 @@ REMOVED = {
         "diff_documents", "EditScript", "EditOp",
     ),
     "repro.xmlstore.nodes": ("walk_match",),
+    # one way to ask "index or walk?" (no switch), one definition of machinery
+    "repro.xmlstore.index": (
+        "index_enabled", "set_index_enabled", "index_disabled", "_ENABLED",
+    ),
+    "repro.xmlstore.path": ("_in_live_tree", "_is_sc", "_is_axml_meta"),
     "repro.errors": ("TransactionAborted", "AtomicityViolation"),
     "repro": ("AtomicityViolation",),
 }
@@ -132,6 +137,8 @@ def test_removed_spelling_stays_removed(module, name):
 def test_removed_members_stay_removed():
     import inspect
 
+    from repro.axml.document import AXMLDocument
+    from repro.axml.materialize import MaterializationEngine
     from repro.axml.service_call import ServiceCall
     from repro.baselines.snapshot_rollback import SnapshotRollback
     from repro.obs.histogram import Histogram
@@ -141,6 +148,7 @@ def test_removed_members_stay_removed():
     from repro.p2p.network import SimNetwork
     from repro.p2p.peer import AXMLPeer
     from repro.p2p.replication import ReplicationManager
+    from repro.p2p.sharding import ShardCoordinator, ShardMigration
     from repro.services.descriptor import ServiceDescriptor
     from repro.services.registry import ServiceRegistry
     from repro.sim.harness import ExperimentTable
@@ -192,9 +200,13 @@ def test_removed_members_stay_removed():
         (OperationLog, "dump"), (OperationLog, "documents_touched"),
         (StructuralIndex, "stats"), (PathExpr, "parent_path"),
         (PathExpr, "returns_text"), (ServiceDescriptor, "to_wsdl"),
+        (AXMLDocument, "_inside_params"), (ShardMigration, "stage_path"),
+        (ShardCoordinator, "_remove_stage"),
     ):
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
     assert "parse_equivalent" not in inspect.signature(Document.clone_tree).parameters
+    assert "scratch" not in inspect.signature(ShardCoordinator).parameters
+    assert "follow_nested_results" not in inspect.signature(MaterializationEngine).parameters
     for module in (
         "repro.baselines.naive_disconnect", "repro.baselines.two_phase_commit",
         "repro.xmlstore.fastpath", "repro.xmlstore.diff",

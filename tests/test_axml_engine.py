@@ -14,6 +14,7 @@ from repro.errors import MaterializationError, ServiceCallError
 from repro.query.parser import parse_select
 from repro.txn.recovery import select_policy
 from repro.xmlstore.parser import parse_document
+from repro.xmlstore.serializer import serialize
 
 SC_DOC = """
 <Doc>
@@ -201,6 +202,15 @@ class TestAXMLDocument:
         doc = AXMLDocument.from_xml(SC_DOC, name="Doc")
         assert len(doc.continuous_calls()) == 1
 
+    def test_frequency_on_a_handler_replica_is_no_subscription(self):
+        doc = AXMLDocument.from_xml(
+            "<D><axml:sc methodName='m' serviceURL='axml://AP2'><axml:catchAll>"
+            "<axml:retry times='1' wait='0'>"
+            "<axml:sc methodName='m' serviceURL='axml://AP3' frequency='5'/>"
+            "</axml:retry></axml:catchAll></axml:sc></D>"
+        )
+        assert doc.continuous_calls() == []
+
     def test_name_defaults_to_root(self):
         doc = AXMLDocument.from_xml("<Shop/>")
         assert doc.name == "Shop"
@@ -309,6 +319,37 @@ class TestMaterialization:
         engine = MaterializationEngine(doc, resolver, max_depth=3)
         with pytest.raises(MaterializationError):
             engine.materialize_all()
+
+    @pytest.mark.parametrize("handler", ["catch faultName='F'", "catchAll"])
+    def test_handler_replica_call_is_machinery(self, handler):
+        """§3.2: the ``axml:sc`` inside ``axml:retry`` names where to
+        retry; it is not an embedded call of the document."""
+        tag = handler.split()[0]
+        doc = AXMLDocument.from_xml(
+            "<D><axml:sc serviceURL='axml://AP2' methodName='getX'>"
+            f"<axml:{handler}><axml:retry times='2' wait='0.1'>"
+            "<axml:sc serviceURL='axml://AP3' methodName='getX'/>"
+            f"</axml:retry></axml:{tag}><x>1</x></axml:sc></D>"
+        )
+        (call,) = doc.service_calls()
+        assert call.peer_hint == "AP2"
+        handler_element = call.element.first_child(f"axml:{tag}")
+        before = serialize(handler_element, include_ids=True)
+        invoked = []
+
+        def resolver(call, params):
+            invoked.append(call.peer_hint)
+            return Outcome(["<x>2</x>"])
+
+        report = MaterializationEngine(doc, resolver).materialize_all()
+        assert invoked == ["AP2"]
+        assert report.invocation_count == 1
+        assert serialize(handler_element, include_ids=True) == before
+        assert [n.text_content() for n in call.result_nodes()] == ["2"]
+        (policy,) = parse_fault_handlers(call.element)
+        assert (policy.alternative_peer, policy.retry_times) == ("AP3", 2)
+        query = parse_select("Select d/x from d in D;")
+        assert [c.peer_hint for c in doc.calls_for_query(query)] == ["AP2"]
 
     def test_lazy_for_query(self):
         doc = AXMLDocument.from_xml(

@@ -4,7 +4,9 @@
 * dynamic compensation restores the canonical pre-state for arbitrary
   operation sequences — the paper's central correctness claim;
 * peer chains round-trip through the bracket notation;
-* the operation log's undo order is the reverse of execution order.
+* the operation log's undo order is the reverse of execution order;
+* ``AXMLDocument.service_calls()`` (an index lookup) lists what a walk
+  that prunes call machinery lists.
 """
 
 import string as stringlib
@@ -21,6 +23,7 @@ from repro.sim.workload import OperationMix, generate_catalogue, generate_operat
 from repro.txn.compensation import compensating_actions_for
 from repro.txn.operations import build_compensation
 from repro.txn.wal import OperationLog
+from repro.xmlstore.names import AXML_META_LOCALS, SC_NAME
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import canonical, serialize
@@ -229,3 +232,79 @@ class TestLogProperty:
         log.truncate("T1")
         assert log.entries_for("T1") == []
         assert len(log.entries_for("T2")) == t2_count
+
+
+# ---------------------------------------------------------------------------
+# service-call discovery
+# ---------------------------------------------------------------------------
+
+#: Content beside every piece of call machinery, so that drawn trees put
+#: ``axml:sc`` under params, under handlers and in result regions.
+_AXML_NAMES = (
+    "item", "x", "axml:sc", "axml:sc", "axml:params", "axml:param",
+    "axml:catch", "axml:catchAll", "axml:retry",
+)
+
+
+@st.composite
+def axml_trees(draw, max_depth=5):
+    def build(parent: Element, depth: int) -> None:
+        for _ in range(draw(st.integers(0, 3))):
+            child = parent.new_element(draw(st.sampled_from(_AXML_NAMES)))
+            if depth < max_depth:
+                build(child, depth + 1)
+
+    document = Document("D")
+    build(document.create_root("D"), 0)
+    return document
+
+
+def walked_calls(document: Document, pruned=AXML_META_LOCALS):
+    """Ids of the ``axml:sc`` elements a walk from the root reaches when
+    it does not enter an ``axml:<pruned>`` child — the reference."""
+    out = []
+    stack = [document.root]
+    while stack:
+        element = stack.pop()
+        if element.name == SC_NAME:
+            out.append(element.node_id)
+        stack.extend(
+            child
+            for child in reversed(element.children)
+            if isinstance(child, Element)
+            and not (child.name.is_axml and child.name.local in pruned)
+        )
+    return out
+
+
+def listed_calls(document: Document):
+    return [call.call_id for call in AXMLDocument(document).service_calls()]
+
+
+class TestServiceCallDiscovery:
+    @given(axml_trees(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_index_lookup_equals_pruning_walk(self, document, data):
+        original = walked_calls(document)
+        assert listed_calls(document) == original
+        handlers = AXML_META_LOCALS - {"params"}
+        if not any(
+            ancestor.name.is_axml and ancestor.name.local in handlers
+            for call in document.index.postings("sc").values()
+            for ancestor in call.ancestors()
+        ):
+            # No handler replica: what the params-only walk listed before.
+            assert walked_calls(document, pruned={"params"}) == original
+        assert listed_calls(document.clone_tree(preserve_ids=True)) == original
+
+        elements = list(document.iter_elements())[1:]
+        if not elements:
+            return
+        victim = data.draw(st.sampled_from(elements))
+        inside = {e.node_id for e in victim.iter_elements()}
+        record = victim.detach()
+        assert listed_calls(document) == walked_calls(document)
+        assert not inside & set(listed_calls(document))
+        assert listed_calls(document.clone_tree(preserve_ids=True)) == walked_calls(document)
+        document.get_node(record.parent_id).insert_at(record.index, victim)
+        assert listed_calls(document) == original

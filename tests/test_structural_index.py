@@ -1,23 +1,25 @@
 """Structural index (repro.xmlstore.index): maintenance, on-demand
 ordering, meter parity.
 
-The contract under test: with the index enabled, every query returns the
-same nodes in the same order AND charges the traversal meter the same
-count as a fresh full-tree walk — after any interleaving of mutations,
-including compensation replay.
+The contract under test: answered from the index, every query returns
+the same nodes in the same order AND charges the traversal meter the
+same count as a fresh full-tree walk — after any interleaving of
+mutations, including compensation replay.
 """
 
 import sys
+from unittest import mock
 
 import pytest
 
+from repro.obs.prof import PROF
 from repro.query.ast import ActionType, UpdateAction
 from repro.query.evaluate import evaluate_select
 from repro.query.parser import parse_action, parse_select
 from repro.query.update import apply_action
 from repro.sim.rng import SeededRng
 from repro.txn.compensation import compensating_actions_for, node_query
-from repro.xmlstore.index import index_disabled, index_enabled, set_index_enabled
+from repro.xmlstore import path as path_module
 from repro.xmlstore.names import QName, is_axml_meta_name
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_document
@@ -36,6 +38,12 @@ ATP = (
 )
 
 
+def walk_only():
+    """The reference walk: inside the block every descendant step's index
+    lookup declines, so ``_logical_descendants`` answers it."""
+    return mock.patch.object(path_module, "_indexed_descendants", lambda *args: None)
+
+
 def assert_parity(context, path_text):
     """Indexed answer == walk answer, nodes, order and meter charge.
 
@@ -43,7 +51,7 @@ def assert_parity(context, path_text):
     path = parse_path(path_text)
     fast_meter, slow_meter = TraversalMeter(), TraversalMeter()
     fast = path.evaluate(context, fast_meter)
-    with index_disabled():
+    with walk_only():
         slow = path.evaluate(context, slow_meter)
     assert [n.node_id for n in fast] == [n.node_id for n in slow], path_text
     assert fast_meter.nodes_traversed == slow_meter.nodes_traversed, path_text
@@ -87,7 +95,7 @@ class TestPostingsMaintenance:
         assert len(candidates) == 3
         # ...but ordering the candidates under the root drops it...
         assert player not in doc.index.order_ranks(candidates, doc.root)
-        # ...while under itself (the walk a detached context gets) it leads.
+        # ...while under itself (a query whose context is the detached node) it leads.
         assert doc.index.order_ranks(candidates, player) == [player]
         assert len(assert_parity(doc, "ATPList//player")) == 2
 
@@ -326,28 +334,49 @@ class TestSelectEvaluationParity:
         )
         fast_meter, slow_meter = TraversalMeter(), TraversalMeter()
         fast = evaluate_select(query, doc, fast_meter)
-        with index_disabled():
+        with walk_only():
             slow = evaluate_select(query, doc, slow_meter)
         assert fast.texts() == slow.texts() == ["Spanish"]
         assert fast_meter.nodes_traversed == slow_meter.nodes_traversed
 
 
-class TestToggle:
-    def test_disabled_context_restores(self):
-        assert index_enabled()
-        with index_disabled():
-            assert not index_enabled()
-            with index_disabled():
-                assert not index_enabled()
-            assert not index_enabled()
-        assert index_enabled()
+class TestContextOutsideLiveTree:
+    """Contexts a walk from the document root never reaches are answered
+    from the index like any other: same nodes, order and meter charge as
+    the walk, and ``query_index_hits`` is the counter that moves."""
 
-    def test_set_returns_previous(self):
-        assert set_index_enabled(False) is True
-        try:
-            assert set_index_enabled(True) is False
-        finally:
-            set_index_enabled(True)
+    #: 14 elements, three of them ``<a>`` (one an ancestor of another).
+    BODY = "<x><a><y/><a/></a></x><y><z/><z/><a/></y><z/><z/><x/><x/><y/><y/>"
+    DOC = (
+        f"<r><live>{BODY}</live><gone>{BODY}</gone>"
+        "<axml:sc xmlns:axml='x' service='S'>"
+        f"<axml:params><axml:param name='p'><w>{BODY}</w></axml:param></axml:params>"
+        f"<axml:catch faultName='F'>{BODY}<axml:retry><a/></axml:retry></axml:catch>"
+        "</axml:sc></r>"
+    )
+
+    def contexts(self):
+        doc = parse_document(self.DOC, name="r")
+        gone = doc.root.first_child("gone")
+        gone.detach()
+        (under_params,) = doc.index.postings("w").values()
+        (handler,) = doc.index.postings("catch").values()
+        return {"detached": gone, "under params": under_params, "is a catch": handler}
+
+    @pytest.mark.parametrize("kind", ["detached", "under params", "is a catch"])
+    def test_answered_from_the_index_like_the_walk(self, kind):
+        context = self.contexts()[kind]
+        before = PROF.snapshot()
+        found = parse_path("//a").evaluate(context)
+        moved = PROF.delta_since(before)
+        assert moved.get("query_index_hits") == 1, moved
+        assert "query_tree_walks" not in moved and "query_index_skips" not in moved
+        # The handler's own ``axml:retry`` stays machinery below it.
+        assert len(found) == 3
+        assert all(context in [n, *n.ancestors()] for n in found)
+        assert found == assert_parity(context, "//a")
+        assert_parity(context, "//z")
+        assert_parity(context, "//nosuch")
 
 
 class TestSnapshotRollbackInvalidation:

@@ -1,15 +1,21 @@
 """Unit tests for transactions, WAL, operations, manager and spheres."""
 
+from unittest import mock
+
 import pytest
 
 from repro.axml.document import AXMLDocument
 from repro.errors import TransactionError, TransactionStateError
 from repro.query.parser import parse_action
+from repro.sim.rng import SeededRng
+from repro.sim.workload import generate_catalogue
 from repro.txn.manager import TransactionManager
 from repro.txn.operations import TransactionalOperation, build_compensation
 from repro.txn.spheres import analyze_sphere, sphere_guarantee_rate
 from repro.txn.transaction import Transaction, TransactionContext, TransactionState
 from repro.txn.wal import OperationLog
+from repro.xmlstore.nodes import Element
+from repro.xmlstore.path import PathExpr
 from repro.xmlstore.serializer import canonical
 
 
@@ -125,6 +131,33 @@ class TestTransactionalOperation:
         outcome = op.execute(axml_doc, None, log)
         assert outcome.query_result.texts() == ["10", "20"]
         assert outcome.change_records() == []
+
+    def test_lazy_query_on_call_free_catalogue_walks_nothing(self):
+        """No ``axml:sc`` anywhere: deciding so reads one posting list —
+        no tree iteration, and the source path is evaluated by the
+        query alone, not a second time to scope calls that do not exist."""
+        catalogue = generate_catalogue(SeededRng(5), 600)
+        action = parse_action(
+            '<action type="query"><location>Select b/title from b in '
+            "Catalogue//book where b/sku = 17;</location></action>"
+        )
+        source = action.location.source
+        evaluated = []
+        real_evaluate = PathExpr.evaluate
+
+        def evaluate(path, *args, **kwargs):
+            evaluated.append(path)
+            return real_evaluate(path, *args, **kwargs)
+
+        with mock.patch.object(PathExpr, "evaluate", evaluate):
+            with mock.patch.object(Element, "iter", side_effect=AssertionError("walked")):
+                assert catalogue.calls_for_query(action.location) == []
+            assert evaluated == []
+            outcome = TransactionalOperation("T1", action).execute(
+                catalogue, lambda call, params: None, OperationLog()
+            )
+        assert outcome.materialization.invocation_count == 0
+        assert sum(path is source for path in evaluated) == 1
 
     def test_bad_evaluation_mode(self):
         with pytest.raises(ValueError):
