@@ -373,7 +373,7 @@ class _MarkerHost:
     def get_axml_document(self, name):
         return self.document
 
-    def record_changes(self, records, document_name, action_xml):
+    def record_changes(self, records, document_name, action_xml, action):
         self.logged.append(action_xml)
 
 

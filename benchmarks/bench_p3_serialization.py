@@ -3,9 +3,10 @@ codec and the structural clone (docs/PERF.md, "Serialization fast path").
 
 * **Part A — entry-codec memo on the replicated checkpointed chaos
   workload.**  Seeded chaos runs with durability, checkpoints, group
-  commit and ``replicas=3``: every logged entry goes to the WAL, into
-  checkpoints and to three replicas, and is encoded once
-  (:func:`repro.txn.wal.entry_to_xml` memoizes the frame on the entry).
+  commit and ``replicas=3``: every logged entry goes to the WAL and into
+  checkpoints, and is encoded once (:func:`repro.txn.wal.entry_to_xml`
+  memoizes the frame on the entry); ships to the three replicas carry
+  the entry itself and encode nothing.
   Reported: ``entry_codec_hits/misses``, full-document renders
   (``serialize_tree_builds``), digest-first replica matches.  Gates:
   zero oracle violations, and the memo serves at least half of the

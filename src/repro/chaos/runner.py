@@ -50,7 +50,7 @@ from repro.chaos.planner import (
 )
 from repro.obs import run_summary
 from repro.obs.prof import profiled
-from repro.query.parser import parse_action
+from repro.query.parser import parse_action  # noqa: F401 - alias benchmarks/e2e's tracer test reads
 from repro.query.update import apply_action
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import DelegatingService
@@ -109,7 +109,7 @@ class ChaosConfig:
     #: ``kill_primary``/``lag_replica`` fault kinds.
     replicas: int = 0
     #: Committed entries buffered per ship channel before one
-    #: :class:`~repro.p2p.messages.WalShipMessage` goes on the wire.
+    #: :class:`~repro.p2p.messages.WalShipMessage` carries them, unencoded.
     ship_batch: int = 1
     #: Elastic sharding: place provider documents/services by a
     #: consistent-hash ring (``repro.p2p.sharding``) instead of the
@@ -514,14 +514,11 @@ def _install_mutation(cluster, mutate: str, providers: Sequence[str]) -> None:
             manager.abort_local = abort_local
         elif mutate == "double_apply":
             # The first insert is applied twice but logged once.
-            def record_changes(records, document_name, action_xml,
+            def record_changes(records, document_name, action_xml, action,
                                _peer=peer, _orig=peer.record_changes):
-                _orig(records, document_name, action_xml)
+                _orig(records, document_name, action_xml, action)
                 if once(records):
-                    apply_action(
-                        _peer.get_axml_document(document_name).document,
-                        parse_action(action_xml),
-                    )
+                    apply_action(_peer.get_axml_document(document_name).document, action)
 
             peer.record_changes = record_changes
         elif mutate == "crash_skip_undo" and wal is not None:

@@ -15,7 +15,10 @@ already used.  :func:`message_kind` resolves it for any message object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.txn.wal import LogEntry
 
 
 def message_kind(message: object) -> str:
@@ -124,16 +127,18 @@ class CompensationRequest:
 class WalShipMessage:
     """Primary → replica: a batch of committed, shipped WAL entries.
 
-    Each element of ``entries_xml`` is one ``entry_to_xml``
-    frame — the same per-entry codec the on-disk WAL uses, so the wire
-    format and the disk format cannot drift.  ``first_seq``/``last_seq``
-    bound the batch in the source peer's seq space."""
+    ``entries`` are the :class:`~repro.txn.wal.LogEntry` objects the
+    source logged, parsed action included — a simulated ship moves no
+    byte out of the process, and an entry is never mutated after append.
+    Their ``entry_to_xml`` frame is the disk form only.
+    ``first_seq``/``last_seq`` bound the batch in the source peer's seq
+    space."""
 
     KIND: ClassVar[str] = "wal_ship"
 
     from_peer: str
     to_peer: str
-    entries_xml: List[str] = field(default_factory=list)
+    entries: Tuple["LogEntry", ...] = ()
     first_seq: int = 0
     last_seq: int = 0
 

@@ -278,17 +278,14 @@ class AXMLPeer:
     def random(self) -> float:
         return self.rng.random()
 
-    def record_changes(self, records, document_name: str, action_xml: str) -> None:
+    def record_changes(self, records, document_name: str, action_xml: str, action) -> None:
         """ServiceHost hook: log tree changes as the service makes them."""
         txn_id = self._current_txn()
         if txn_id is None or not records:
             return
         self.manager.record_service_changes(
-            txn_id,
-            document_name,
-            action_xml=action_xml,
-            records=records,
-            timestamp=self.network.clock.now,
+            txn_id, document_name, action_xml, records,
+            timestamp=self.network.clock.now, action=action,
         )
 
     def materialization_resolver(self) -> Optional[Resolver]:

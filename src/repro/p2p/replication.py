@@ -16,12 +16,12 @@ replication time* only, which made retry-on-replica succeed strictly by
 construction.  It is now a real subsystem (see ``docs/REPLICATION.md``):
 
 * **WAL shipping** — when a holder commits a transaction share, the
-  committed :class:`~repro.txn.wal.LogEntry` frames touching replicated
+  committed :class:`~repro.txn.wal.LogEntry` objects touching replicated
   documents are streamed to every other holder over the simulated
   network (:class:`~repro.p2p.messages.WalShipMessage`, batched by
-  ``ship_batch``), re-using the exact per-entry XML codec the on-disk
-  WAL uses.  Replicas apply the frames to their copies and return
-  acked high-water marks (:class:`~repro.p2p.messages.WalShipAck`).
+  ``ship_batch``).  Replicas apply each entry's parsed action to their
+  copies and return acked high-water marks
+  (:class:`~repro.p2p.messages.WalShipAck`).
 * **Deterministic failover** — when a primary dies mid-transaction,
   :func:`repro.txn.recovery.attempt_forward_recovery` asks
   :meth:`failover_selector` for a replacement: the most-caught-up live
@@ -44,9 +44,9 @@ from repro.axml.document import AXMLDocument
 from repro.errors import P2PError
 from repro.p2p.messages import WalShipAck, WalShipMessage
 from repro.p2p.network import SimNetwork
-from repro.query.parser import parse_action
+from repro.query.ast import ActionType
 from repro.query.update import apply_action
-from repro.txn.wal import LogEntry, entry_bytes, entry_from_xml, entry_to_xml
+from repro.txn.wal import LogEntry, entry_bytes
 
 
 @dataclass
@@ -55,7 +55,7 @@ class _ShipChannel:
 
     Seq numbers live in the *source* peer's WAL seq space.  ``pending``
     holds committed entries not yet put on the wire (the ship batch);
-    ``inbox`` holds delivered frames the replica has not applied yet
+    ``inbox`` holds delivered entries the replica has not applied yet
     (it is lagging, or delivery raced settlement).
     """
 
@@ -272,7 +272,7 @@ class ReplicationManager:
         message = WalShipMessage(
             from_peer=channel.source,
             to_peer=channel.replica,
-            entries_xml=[entry_to_xml(e) for e in batch],
+            entries=tuple(batch),
             first_seq=batch[0].seq,
             last_seq=batch[-1].seq,
         )
@@ -284,8 +284,7 @@ class ReplicationManager:
         # inside the notify call — seqs added afterwards would never be
         # pruned and the window would read as permanently lagged.
         channel.shipped_seq = max(channel.shipped_seq, batch[-1].seq)
-        shipped_seqs = [e.seq for e in batch]
-        channel.unacked.extend(shipped_seqs)
+        channel.unacked.extend(e.seq for e in batch)
         metrics.record_value("ship_lag", float(len(channel.unacked)))
         delivered = self.network.notify(channel.source, channel.replica, message)
         if not delivered:
@@ -295,34 +294,29 @@ class ReplicationManager:
             # frames here would silently under-replicate a holder that
             # may later be *promoted* — resync can't repair the primary.
             channel.pending[:0] = batch
-            channel.unacked = [
-                s for s in channel.unacked if s not in shipped_seqs
-            ]
+            shipped = {e.seq for e in batch}
+            channel.unacked = [s for s in channel.unacked if s not in shipped]
             metrics.incr("ship_failures")
-            return
 
     # -- WAL shipping: replica side ----------------------------------------
 
     def on_ship(self, replica_peer: str, message: WalShipMessage) -> None:
-        """A replica received a batch of shipped frames — decoded whole
-        before any is queued, so a malformed frame (a typed
-        ``ReproError``) never leaves half a batch in the inbox."""
-        entries = [entry_from_xml(x) for x in message.entries_xml]
+        """A replica received a batch of shipped entries."""
         channel = self._channel(message.from_peer, replica_peer)
-        channel.inbox.extend(entries)
+        channel.inbox.extend(message.entries)
         if replica_peer in self._lagged:
-            return  # frames accumulate; no apply, no ack
+            return  # entries accumulate; no apply, no ack
         self._apply_inbox(channel)
         self._send_ack(channel)
 
     def _apply_inbox(self, channel: _ShipChannel) -> None:
-        """Apply a channel's delivered-but-unapplied frames in seq order.
+        """Apply a channel's delivered-but-unapplied entries in seq order.
 
-        Frames for a (txn, document) the receiver itself holds live log
+        Entries for a (txn, document) the receiver itself holds live log
         entries for are *deferred*, not dropped: the receiver's own share
         is a different operation of the same transaction (shipping it now
         would race the receiver's own commit/abort decision), so the
-        frame stays in the inbox until that share resolves — at the
+        entry stays in the inbox until that share resolves — at the
         latest, settlement's apply pass after every in-doubt share was
         decided.  Dropping it instead would silently lose a sibling
         operation's effect on this replica.
@@ -349,15 +343,19 @@ class ReplicationManager:
                 metrics.incr("ship_deferred_entries")
                 continue
             channel.applied_seq = max(channel.applied_seq, entry.seq)
-            if entry.kind == "query":
-                # Replaying a query would re-materialize embedded service
-                # calls on the replica; queries don't carry replicable
-                # forward effects of their own.
-                metrics.incr("ship_skipped_queries")
+            action = entry.action
+            if action.action_type is ActionType.QUERY:
+                # Re-running a query would re-invoke the services it
+                # materialized; what they changed is resynced at settlement
+                # (replaying the records waits for a defined apply order).
+                if entry.records:
+                    self._stale.add((entry.document_name, channel.replica))
+                    metrics.incr("ship_stale_queries")
+                else:
+                    metrics.incr("ship_skipped_queries")
                 continue
             self._applied_keys.add(key)
-            document = peer.get_axml_document(entry.document_name)
-            apply_action(document.document, parse_action(entry.action_xml))
+            apply_action(peer.get_axml_document(entry.document_name).document, action)
             metrics.incr("replica_applied_entries")
         channel.inbox[:] = deferred
 

@@ -71,9 +71,14 @@ class ServiceHost(Protocol):
         ...
 
     def record_changes(
-        self, records: Sequence[ChangeRecord], document_name: str, action_xml: str
+        self,
+        records: Sequence[ChangeRecord],
+        document_name: str,
+        action_xml: str,
+        action: UpdateAction,
     ) -> None:
-        """Log tree changes the moment they happen.
+        """Log tree changes the moment they happen, with the executed
+        *action* and its ``to_xml()`` text *action_xml*.
 
         Services call this *before* continuing with further work (e.g.
         delegations), so a failure later in the execution still finds the
@@ -322,7 +327,7 @@ def _apply_template(
     meter = TraversalMeter()
     result = apply_action(axml_document.document, action, meter)
     if result.records:
-        host.record_changes(result.records, document_name, action_xml)
+        host.record_changes(result.records, document_name, action_xml, action)
     return result, ServiceResponse(
         records=list(result.records),
         document_name=document_name,
@@ -366,9 +371,8 @@ class QueryService(Service):
                 report = engine.materialize_all()
             records.extend(report.change_records())
             if records:
-                host.record_changes(
-                    records, document_name, f"<service method='{self.method_name}'/>"
-                )
+                action = UpdateAction(ActionType.QUERY, query)
+                host.record_changes(records, document_name, action.to_xml(), action)
         result = evaluate_select(query, axml_document.document, meter)
         fragments = [serialize(node) for node in result.all_nodes()]
         return ServiceResponse(

@@ -161,8 +161,10 @@ class TransactionManager:
         action_xml: str,
         records: Sequence[ChangeRecord],
         timestamp: float = 0.0,
+        action: Optional[UpdateAction] = None,
     ) -> None:
-        """Log changes made by a service executed for a remote invoker."""
+        """Log changes made by a service executed for a remote invoker;
+        *action* is the executed action ``action_xml`` spells."""
         context = self.context(txn_id)
         context.require_active()
         self.log.append(
@@ -172,6 +174,7 @@ class TransactionManager:
             action_xml=action_xml,
             records=records,
             timestamp=timestamp,
+            action=action,
         )
 
     # -- commit / abort ---------------------------------------------------------------
@@ -270,6 +273,7 @@ class TransactionManager:
                 action_xml=entry.action_xml,
                 records=entry.records,
                 timestamp=entry.timestamp,
+                action=entry._action,  # the memo: a survivor is not parsed here
             )
         return executed
 

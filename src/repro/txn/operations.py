@@ -109,6 +109,7 @@ class TransactionalOperation:
             action_xml=self.action.to_xml(),
             records=records,
             timestamp=timestamp,
+            action=self.action,
         )
         return outcome
 

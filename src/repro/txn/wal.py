@@ -14,8 +14,9 @@ carries its own death and rebirth — :meth:`OperationLog.crash` drops the
 volatile entries, :meth:`OperationLog.recover` refills the same object
 from disk — so a peer that dies mid-transaction compensates from it on
 restart (``TransactionManager.recover``).  Each entry has one persisted
-form, :func:`entry_to_xml`, shared by WAL segments, checkpoints and
-replication ships.
+form, :func:`entry_to_xml`, shared by WAL segments and checkpoints;
+replication ships hand replicas the entries themselves, whose parsed
+:attr:`LogEntry.action` is the one the appending code executed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.errors import TransactionError
 from repro.query.update import ChangeRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.query.ast import UpdateAction
     from repro.txn.durable_wal import DurableWal
 
 
@@ -50,14 +52,28 @@ class LogEntry:
     timestamp: float = 0.0
     #: Memoized :func:`entry_to_xml` frame.  Entries are immutable after
     #: append, so the first encode (durable-WAL write) is reused by the
-    #: checkpoint and by every replication ship instead of re-rendering.
+    #: checkpoint instead of re-rendering.
     _xml_cache: Optional[str] = field(
+        default=None, repr=False, compare=False
+    )
+    #: Memoized :attr:`action`: seeded by the code that executed it.
+    _action: Optional["UpdateAction"] = field(
         default=None, repr=False, compare=False
     )
 
     @property
     def is_compensatable(self) -> bool:
         return bool(self.records)
+
+    @property
+    def action(self) -> "UpdateAction":
+        """``action_xml`` parsed — at most once per entry (a decoded one
+        parses on first use; an appended one usually arrives seeded)."""
+        if self._action is None:
+            from repro.query.parser import parse_action
+
+            self._action = parse_action(self.action_xml)
+        return self._action
 
 
 class OperationLog:
@@ -90,8 +106,10 @@ class OperationLog:
         action_xml: str,
         records: Sequence[ChangeRecord] = (),
         timestamp: float = 0.0,
+        action: Optional["UpdateAction"] = None,
     ) -> LogEntry:
-        """Append a forward operation's log entry and return it."""
+        """Append a forward operation's log entry and return it; *action*
+        is ``action_xml`` already parsed, when the caller holds it."""
         entry = LogEntry(
             seq=next(self._seq),
             txn_id=txn_id,
@@ -100,6 +118,7 @@ class OperationLog:
             action_xml=action_xml,
             records=list(records),
             timestamp=timestamp,
+            _action=action,
         )
         self._entries.append(entry)
         if self._wal is not None:
@@ -204,17 +223,17 @@ class OperationLog:
 
 
 # ---------------------------------------------------------------------------
-# the one persisted form of an entry (WAL segments, checkpoints, ships)
+# the one persisted form of an entry (WAL segments, checkpoints)
 # ---------------------------------------------------------------------------
 
 def entry_to_xml(entry: LogEntry) -> str:
     """One entry as a self-contained XML document (durable-WAL framing).
 
     Frames are memoized on the entry (entries are immutable once
-    appended), so an entry written to the WAL, folded into a checkpoint
-    and shipped to R replicas encodes once rather than 2+R times.  The
-    cache is encode-side only: decoding never seeds it, keeping the
-    memoized frame provably identical to a fresh render.
+    appended), so an entry written to the WAL and folded into a
+    checkpoint encodes once.  The cache is encode-side only: decoding
+    never seeds it, keeping the memoized frame provably identical to a
+    fresh render.
     """
     from repro.obs.prof import PROF
     from repro.xmlstore.nodes import Document
@@ -243,8 +262,8 @@ def entry_to_xml(entry: LogEntry) -> str:
 def entry_from_xml(text: str) -> LogEntry:
     """Decode one entry serialized by :func:`entry_to_xml`.
 
-    The text may come from disk or from another peer (a ship frame), so
-    every way it can be wrong is a typed error: ill-formed XML is the
+    The text comes from disk (a WAL segment or a checkpoint), so every
+    way it can be wrong is a typed error: ill-formed XML is the
     parser's :class:`~repro.errors.XmlParseError`, a missing or
     ill-typed attribute a :class:`~repro.errors.TransactionError`.
     """

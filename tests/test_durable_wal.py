@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.errors import TransactionError
+from repro.errors import ReproError, TransactionError, XmlParseError
 from repro.sim.kernel import ScratchSpace
 from repro.txn.durable_wal import DurableWal
 from repro.txn.wal import (
@@ -18,7 +18,8 @@ from repro.txn.wal import (
 
 
 #: Well-formed XML that is not a log entry: attributes missing or of the
-#: wrong type (``KeyError('seq')`` / bare ``ValueError`` before typing).
+#: wrong type (``KeyError('seq')`` / bare ``ValueError`` before typing) —
+#: and, last, a torn one (the parser's own typed error).
 MALFORMED_ENTRIES = [
     "<x/>",
     "<entry seq='x'/>",
@@ -27,6 +28,7 @@ MALFORMED_ENTRIES = [
     '<entry seq="1" txn="T" kind="update" document="D">'
     '<record kind="insert" node="n1" parent="d1.n1" index="0"/></entry>',
     '<entry seq="1" txn="T" kind="update" document="D"><record kind="replace"/></entry>',
+    "<entry",
 ]
 
 
@@ -49,8 +51,10 @@ class TestEntryCodec:
 
     @pytest.mark.parametrize("text", MALFORMED_ENTRIES)
     def test_malformed_entry_is_a_typed_error(self, text):
-        with pytest.raises(TransactionError, match="malformed log entry"):
+        with pytest.raises(ReproError) as raised:
             entry_from_xml(text)
+        if not isinstance(raised.value, XmlParseError):
+            assert "malformed log entry" in str(raised.value)
 
     def test_nested_replace_records_do_not_recurse(self):
         depth = 3000

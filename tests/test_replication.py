@@ -1,11 +1,17 @@
 """WAL shipping, deterministic failover, and resync (docs/REPLICATION.md).
 
-These pin the replication subsystem's protocol-level behaviour: frames
-ship on commit and carry acked high-water marks, failover picks the
-most-caught-up replica deterministically, a lagging replica catches up
-by replaying its inbox, and sibling-share frames are deferred — never
-dropped — while the receiver's own share is in doubt.
+These pin the replication subsystem's protocol-level behaviour: logged
+entries ship on commit (unencoded, their action parsed at most once) and
+carry acked high-water marks, failover picks the most-caught-up replica
+deterministically, a lagging replica catches up by replaying its inbox,
+sibling-share entries are deferred — never dropped — while the
+receiver's own share is in doubt, and a query's materialization reaches
+replicas through settlement's resync.
 """
+
+import contextlib
+import copy
+import sys
 
 import pytest
 
@@ -17,13 +23,22 @@ from repro.p2p.chain import PeerChain
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
+from repro.query.parser import parse_action
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
-from repro.services.service import UpdateService
+from repro.services.service import FunctionService, QueryService, UpdateService
+from repro.txn.modes import DurabilityPolicy, RejoinMode
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 from repro.txn.transaction import Transaction, TransactionState
-from repro.txn.wal import LogEntry
+from repro.txn.wal import LogEntry, OperationLog, entry_from_xml
 
 SHOP2 = "<Shop2><item id='1'><price>10</price><stock>3</stock></item></Shop2>"
+
+#: Shop2 whose item embeds a call to AP4's getStock (answers 7).
+SHOP2_WITH_CALL = (
+    "<Shop2><item id='1'><price>10</price>"
+    '<axml:sc serviceURL="axml://AP4" methodName="getStock" mode="replace"/>'
+    "</item></Shop2>"
+)
 
 SET_PRICE = (
     '<action type="replace"><data><price>$price</price></data>'
@@ -36,15 +51,15 @@ INSERT_FLAG = (
 )
 
 
-def make_cluster(replicas=("AP3",), ship_batch=1):
+def make_cluster(replicas=("AP3",), ship_batch=1, durability=None, shop=SHOP2):
     """AP1 (origin) + AP2 (primary for Shop2/setPrice) + replica peers."""
     network = SimNetwork()
     replication = ReplicationManager(network, ship_batch=ship_batch)
     peers = {
         "AP1": AXMLPeer("AP1", network),
-        "AP2": AXMLPeer("AP2", network),
+        "AP2": AXMLPeer("AP2", network, durability=durability),
     }
-    peers["AP2"].host_document(AXMLDocument.from_xml(SHOP2, name="Shop2"))
+    peers["AP2"].host_document(AXMLDocument.from_xml(shop, name="Shop2"))
     peers["AP2"].host_service(
         UpdateService(
             ServiceDescriptor(
@@ -65,6 +80,24 @@ def make_cluster(replicas=("AP3",), ship_batch=1):
 
 def retry_policy():
     return [FaultPolicy(fault_names={DISCONNECT_FAULT}, retry_times=1)]
+
+
+@contextlib.contextmanager
+def entered(*functions):
+    """Count calls of *functions* (by code object, so however a caller
+    bound them) inside the block: name → count."""
+    codes = {function.__code__: function.__name__ for function in functions}
+    calls = dict.fromkeys(codes.values(), 0)
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
 
 
 class TestWalShipping:
@@ -126,28 +159,68 @@ class TestWalShipping:
         assert "44" in peers["AP3"].get_axml_document("Shop2").to_xml()
 
 
-    @pytest.mark.parametrize("hostile", ["<x/>", "<entry seq='x'/>", "<entry"])
-    def test_malformed_ship_frame_is_a_typed_error_and_queues_nothing(self, hostile):
-        """Ship frames come from another peer: a frame that is not a log
-        entry is a typed error, and the good frames of the same batch
-        are not half-applied."""
-        from repro.errors import ReproError
-        from repro.p2p.messages import WalShipMessage
-        from repro.txn.wal import entry_to_xml
+class TestShipCarriesEntries:
+    """A ship hands replicas the entries the primary logged, parsed
+    action included: nothing is encoded, decoded or re-parsed per
+    replica."""
 
-        network, replication, peers = make_cluster()
-        good = entry_to_xml(LogEntry(
-            seq=1, txn_id="T1", kind="update", document_name="Shop2",
-            action_xml=INSERT_FLAG, records=[], timestamp=0.0,
-        ))
-        message = WalShipMessage(
-            from_peer="AP2", to_peer="AP3", entries_xml=[good, hostile],
-            first_seq=1, last_seq=2,
+    def test_commit_neither_decodes_nor_parses_on_the_ship_path(self):
+        network, replication, peers = make_cluster(replicas=("AP3", "AP4"))
+        txn = peers["AP1"].begin_transaction()
+        peers["AP1"].invoke(txn.txn_id, "AP2", "setPrice", {"price": "88"})
+        with entered(parse_action, entry_from_xml) as calls:
+            peers["AP1"].commit(txn.txn_id)
+        assert calls == {"parse_action": 0, "entry_from_xml": 0}
+        for replica in ("AP3", "AP4"):
+            assert "88" in peers[replica].get_axml_document("Shop2").to_xml()
+
+    def test_entry_recovered_from_disk_is_parsed_once_for_two_replicas(self, tmp_path):
+        network, replication, peers = make_cluster(
+            replicas=("AP3", "AP4"),
+            durability=DurabilityPolicy(directory=str(tmp_path / "wal")),
         )
-        with pytest.raises(ReproError):
-            peers["AP3"].on_notify(message)
-        assert replication._channel("AP2", "AP3").inbox == []
-        assert "shipped" not in peers["AP3"].get_axml_document("Shop2").to_xml()
+        ap2 = peers["AP2"]
+        txn = peers["AP1"].begin_transaction()
+        peers["AP1"].invoke(txn.txn_id, "AP2", "setPrice", {"price": "88"})
+        ap2.crash()
+        ap2.rejoin(mode=RejoinMode.IN_DOUBT)
+        with entered(parse_action, entry_from_xml) as calls:
+            assert ap2.resolve_in_doubt(txn.txn_id, committed=True) == "committed"
+        assert calls == {"parse_action": 1, "entry_from_xml": 0}
+        for replica in ("AP3", "AP4"):
+            assert "88" in peers[replica].get_axml_document("Shop2").to_xml()
+
+    def test_replicas_leave_the_shipped_entry_as_logged(self):
+        network, replication, peers = make_cluster(replicas=("AP3", "AP4"))
+        txn = peers["AP1"].begin_transaction()
+        peers["AP1"].invoke(txn.txn_id, "AP2", "setPrice", {"price": "88"})
+        (entry,) = peers["AP2"].manager.log.entries_for(txn.txn_id)
+        before = copy.deepcopy(entry)
+        peers["AP1"].commit(txn.txn_id)
+        assert network.metrics.get("replica_applied_entries") == 2
+        assert entry == before
+        assert entry.action == before.action
+
+    @pytest.mark.parametrize("shape", [
+        dict(replicas=2),
+        dict(replicas=2, handlers=True, ship_batch=2),
+        dict(replicas=2, sharding=True, shard_spares=2, crash_rate=0.02),
+    ], ids=["replicated", "handlers-batched", "sharded"])
+    def test_seeded_actions_are_what_parsing_the_logged_text_gives(self, monkeypatch, shape):
+        seeded = []
+        append = OperationLog.append
+
+        def recording_append(log, *args, **kwargs):
+            entry = append(log, *args, **kwargs)
+            if entry._action is not None:
+                seeded.append(entry)
+            return entry
+
+        monkeypatch.setattr(OperationLog, "append", recording_append)
+        for seed in range(3):
+            run_chaos(ChaosConfig(seed=seed, txns=40, durability=True, **shape))
+        assert seeded
+        assert all(parse_action(e.action_xml) == e.action for e in seeded)
 
 
 class TestDeterministicFailoverSelection:
@@ -288,6 +361,52 @@ class TestDeferredSiblingShareFrames:
         assert "<shipped" in ap3.get_axml_document("Shop2").to_xml()
         assert channel.inbox == []
         assert channel.applied_seq == 5
+
+
+def materializing_cluster():
+    """make_cluster over SHOP2_WITH_CALL, an eager query service ``q`` on
+    the primary, and AP4 answering the embedded getStock call."""
+    network, replication, peers = make_cluster(shop=SHOP2_WITH_CALL)
+    peers["AP2"].host_service(QueryService(
+        ServiceDescriptor("q", kind="query", target_document="Shop2"),
+        "Select i from i in Shop2//item;", evaluation="eager",
+    ))
+    peers["AP4"] = AXMLPeer("AP4", network)
+    peers["AP4"].host_service(FunctionService(
+        ServiceDescriptor("getStock", kind="function"), lambda params: ["<stock>7</stock>"],
+    ))
+    return network, replication, peers
+
+
+class TestReplicatedMaterialization:
+    """A query is never re-run on a replica (it would re-invoke the
+    services it materialized); the document it changed is resynced at
+    settlement instead."""
+
+    def assert_converged(self, replication, peers):
+        replication.settle()
+        primary = peers["AP2"].get_axml_document("Shop2").to_xml()
+        assert "<stock>7</stock>" in primary
+        assert peers["AP3"].get_axml_document("Shop2").to_xml() == primary
+
+    def test_query_service_materialization_reaches_the_replica(self):
+        network, replication, peers = materializing_cluster()
+        txn = peers["AP1"].begin_transaction()
+        peers["AP1"].invoke(txn.txn_id, "AP2", "q", {})
+        peers["AP1"].commit(txn.txn_id)
+        assert network.metrics.get("ship_stale_queries") == 1
+        self.assert_converged(replication, peers)
+
+    def test_submitted_query_materialization_reaches_the_replica(self):
+        network, replication, peers = materializing_cluster()
+        ap2 = peers["AP2"]
+        txn = ap2.begin_transaction()
+        query = '<action type="query"><location>Select i from i in Shop2//item;</location></action>'
+        outcome = ap2.submit(txn.txn_id, query, evaluation="eager")
+        assert outcome.log_entry.kind == "query" and outcome.log_entry.records
+        ap2.commit(txn.txn_id)
+        self.assert_converged(replication, peers)
+        assert network.metrics.get("replica_resyncs") == 1
 
 
 class TestResync:

@@ -257,7 +257,9 @@ def test_spliced_markup_is_pinned_not_endorsed():
 class RecordingHost(StubHost):
     """Keeps the logged text and the records, not just their count."""
 
-    def record_changes(self, records, document_name, action_xml):
+    def record_changes(self, records, document_name, action_xml, action):
+        # The seeded action is what parsing the logged text gives back.
+        assert parse_action(action_xml) == action
         self.recorded.append((document_name, [repr(r) for r in records], action_xml))
 
 
@@ -288,7 +290,7 @@ def _reference_run(text, params, host, update_fragments):
     document = host.get_axml_document("Shop").document
     result = apply_action(document, action)
     if result.records:
-        host.record_changes(result.records, "Shop", action.to_xml())
+        host.record_changes(result.records, "Shop", action.to_xml(), action)
     if update_fragments:
         return [f'<inserted id="{i!r}"/>' for i in result.inserted_ids] or [
             f'<updated count="{result.target_count}"/>'

@@ -36,7 +36,7 @@ class StubHost:
         self.invocations.append((target_peer, method_name))
         return [f"<from peer='{target_peer}'/>"]
 
-    def record_changes(self, records, document_name, action_xml):
+    def record_changes(self, records, document_name, action_xml, action):
         self.recorded.append((document_name, len(records)))
 
     def random(self):
