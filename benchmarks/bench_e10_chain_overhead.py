@@ -23,6 +23,11 @@ from repro.sim.workload import generate_invocation_tree, tree_peers
 from _util import publish
 
 
+def _chain_bytes(chain) -> int:
+    """The carried chain's size in the paper's bracket notation."""
+    return 0 if chain is None else len(chain.to_text())
+
+
 class _ByteCounter:
     """Wraps network.rpc to sum chain-text payload bytes."""
 
@@ -36,11 +41,11 @@ class _ByteCounter:
 
     def _rpc(self, source_id, target_id, request: InvokeRequest):
         self.invocations += 1
-        size = len(request.chain_text)
+        size = _chain_bytes(request.chain)
         self.total_chain_bytes += size
         self.max_chain_bytes = max(self.max_chain_bytes, size)
         result = self._original(source_id, target_id, request)
-        self.total_chain_bytes += len(result.chain_text)
+        self.total_chain_bytes += _chain_bytes(result.chain)
         return result
 
 

@@ -112,13 +112,16 @@ class SpanCollector:
         return span
 
     def end(self, span: Span, status: str = "ok", **attrs: str) -> Span:
-        """Close a span (idempotent); removes it from the active stack."""
+        """Close a span (idempotent); takes it off the active stack by identity."""
         if span.end is None:
             span.end = self.now()
             span.status = status
             span.attrs.update({k: str(v) for k, v in attrs.items()})
-        if span in self._stack:
-            self._stack.remove(span)
+        stack = self._stack
+        for position in range(len(stack) - 1, -1, -1):
+            if stack[position] is span:
+                del stack[position]
+                break
         return span
 
     @contextmanager

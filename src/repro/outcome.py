@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.p2p.chain import PeerChain
 
 
 class OutcomeStatus(enum.Enum):
@@ -36,8 +39,8 @@ class Outcome:
     ``fragments`` are serialized XML results (possibly containing further
     ``axml:sc`` elements — nested invocation).  ``compensations`` carries
     ``(provider_peer, plan_xml)`` compensating-service definitions under
-    peer-independent compensation (§3.2); ``chain_text`` is the
-    provider's final active-peer chain view (§3.3).
+    peer-independent compensation (§3.2); ``chain`` snapshots the
+    provider's final active-peer chain view (§3.3), ``None`` if off.
 
     Instances are frozen: a result is a value, not a mutable message —
     construct a new one instead of editing in place.
@@ -51,7 +54,7 @@ class Outcome:
     status: OutcomeStatus = OutcomeStatus.OK
     compensations: Sequence[Tuple[str, str]] = field(default_factory=tuple)
     nodes_affected: int = 0
-    chain_text: str = ""
+    chain: Optional["PeerChain"] = field(default=None, compare=False)
 
     @property
     def ok(self) -> bool:

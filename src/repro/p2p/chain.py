@@ -7,17 +7,18 @@ invoking the service S6 of AP6."
 The chain is the invocation tree of one transaction, piggybacked on
 every invocation so that *any* peer detecting a disconnection can route
 around it: children find their grandparent or the closest super peer,
-parents find the orphaned descendants, siblings find everybody.
-
-The bracket notation round-trips through :meth:`PeerChain.to_text` /
-:meth:`PeerChain.from_text` (we write ``->`` for the arrow); super peers
-carry the paper's ``*`` suffix.
+parents find the orphaned descendants, siblings find everybody.  It
+travels as a :meth:`PeerChain.copy` snapshot (``InvokeRequest.chain``
+out, ``Outcome.chain`` back).  The paper's bracket notation is for the
+edges (``repr``, E10's bytes): it round-trips through
+:meth:`PeerChain.to_text` / :meth:`PeerChain.from_text` (we write ``->``
+for the arrow); super peers carry the paper's ``*`` suffix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import P2PError
 
@@ -37,8 +38,8 @@ class ChainNode:
         return child
 
     def iter(self) -> Iterator["ChainNode"]:
-        """Pre-order walk.  An explicit stack, not recursion: chain text
-        arrives from other peers, so depth is not ours to bound."""
+        """Pre-order walk on an explicit stack: :meth:`PeerChain.from_text`
+        accepts any nesting depth, so depth is not ours to bound."""
         stack = [self]
         while stack:
             node = stack.pop()
@@ -56,6 +57,14 @@ class PeerChain:
 
     def __init__(self, root_peer: str, root_super: bool = False):
         self.root = ChainNode(root_peer, root_super)
+        #: peer id → the node a pre-order walk meets first.
+        self._index: Dict[str, ChainNode] = {root_peer: self.root}
+
+    def _reindex(self) -> None:
+        """Rebuild the index in place from a walk (after a rewrite)."""
+        self._index.clear()
+        for node in self.root.iter():
+            self._index.setdefault(node.peer_id, node)
 
     # -- construction -----------------------------------------------------
 
@@ -66,18 +75,24 @@ class PeerChain:
         parent = self.find(parent_peer)
         if parent is None:
             raise P2PError(f"peer {parent_peer!r} is not in the chain")
-        return parent.add_child(child_peer, child_super)
+        child = parent.add_child(child_peer, child_super)
+        if child_peer in self._index:
+            self._reindex()  # a repeated peer: the walk says which comes first
+        else:
+            self._index[child_peer] = child
+        return child
 
     # -- lookup --------------------------------------------------------------
 
     def find(self, peer_id: str) -> Optional[ChainNode]:
-        for node in self.root.iter():
-            if node.peer_id == peer_id:
-                return node
-        return None
+        return self._index.get(peer_id)
 
     def contains(self, peer_id: str) -> bool:
-        return self.find(peer_id) is not None
+        return peer_id in self._index
+
+    def __len__(self) -> int:
+        """Distinct peers in the chain (the protocol never repeats one)."""
+        return len(self._index)
 
     def parent_of(self, peer_id: str) -> Optional[str]:
         node = self.find(peer_id)
@@ -233,19 +248,20 @@ class PeerChain:
         if existing is None:
             node.peer_id = new_peer
             node.super_peer = super_peer
-            return True
-        if node.parent is None:
+        elif node.parent is None:
             # The root (origin) cannot be spliced out; leave it alone.
             return False
-        for child in node.children:
-            child.parent = existing
-            existing.children.append(child)
-        node.children = []
-        node.parent.children.remove(node)
-        node.parent = None
+        else:
+            for child in node.children:
+                child.parent = existing
+                existing.children.append(child)
+            node.children = []
+            node.parent.children.remove(node)
+            node.parent = None
+        self._reindex()
         return True
 
-    # -- serialization (piggybacked on invocations) -----------------------------
+    # -- the paper's bracket notation -----------------------------------------
 
     def to_text(self) -> str:
         parts = ["["]
@@ -276,6 +292,8 @@ class PeerChain:
     def from_text(cls, text: str) -> "PeerChain":
         chain = cls.__new__(cls)
         chain.root = _ChainParser(text).parse()
+        chain._index = {}
+        chain._reindex()
         return chain
 
     def merge(self, other: "PeerChain") -> int:
@@ -287,34 +305,37 @@ class PeerChain:
         edge does).
         """
         added = 0
-        # Breadth-first so parents are inserted before their children.
+        index = self._index
+        # Breadth-first so parents are inserted before their children:
+        # the loop also visits what it appends.
         pending = [other.root]
-        while pending:
-            node = pending.pop(0)
+        for node in pending:
             for child in node.children:
                 pending.append(child)
-                if self.contains(child.peer_id) or not self.contains(node.peer_id):
+                if child.peer_id in index or node.peer_id not in index:
                     continue
                 self.add_invocation(node.peer_id, child.peer_id, child.super_peer)
                 added += 1
         return added
 
     def copy(self) -> "PeerChain":
-        """Independent deep copy of the chain.
+        """Independent deep copy: the snapshot an invocation carries.
 
         A direct structural copy of the node tree — equivalent to (and
-        pinned against, in ``tests/test_p2p_chain.py``) the historical
-        ``from_text``-of-``to_text`` round trip, without the
-        format/parse cost on every piggybacked invocation.
+        pinned against, in ``tests/test_p2p_chain.py``) the
+        ``from_text``-of-``to_text`` round trip.  The index is copied
+        with it: a twin is indexed where its original is.
         """
         chain = PeerChain(self.root.peer_id, self.root.super_peer)
+        index, twin_index = self._index, chain._index
         pending = [(self.root, chain.root)]
         while pending:
             node, twin = pending.pop()
             for child in node.children:
-                pending.append(
-                    (child, twin.add_child(child.peer_id, child.super_peer))
-                )
+                child_twin = twin.add_child(child.peer_id, child.super_peer)
+                if index[child.peer_id] is child:
+                    twin_index[child.peer_id] = child_twin
+                pending.append((child, child_twin))
         return chain
 
     def __repr__(self) -> str:

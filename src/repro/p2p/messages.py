@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.p2p.chain import PeerChain
     from repro.txn.wal import LogEntry
 
 
@@ -37,9 +38,9 @@ def message_kind(message: object) -> str:
 class InvokeRequest:
     """A service invocation: "Invoke method M for transaction T".
 
-    ``chain_text`` piggybacks the active-peer chain (§3.3); empty when
-    chaining is disabled (the naive baseline).  The reply is a
-    :class:`repro.outcome.Outcome` (``KIND`` ``"result"``).
+    ``chain`` piggybacks a snapshot of the active-peer chain (§3.3) that
+    the callee adopts as its view; ``None`` when chaining is disabled
+    (the naive baseline).  The reply is an :class:`repro.outcome.Outcome`.
     """
 
     KIND: ClassVar[str] = "invoke"
@@ -49,7 +50,7 @@ class InvokeRequest:
     sender: str
     method_name: str
     params: Dict[str, str] = field(default_factory=dict)
-    chain_text: str = ""
+    chain: Optional["PeerChain"] = None
     #: Pre-materialized parameter results reused from an orphaned child
     #: (§3.3b: "passing the materialized results directly while invoking
     #: S3 on APX").

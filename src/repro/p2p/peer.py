@@ -499,12 +499,12 @@ class AXMLPeer:
                 raise
             edge.completed = True
             if chain is not None:
-                if result.chain_text:
+                if result.chain is not None:
                     # Fold the callee's deeper invocations into our view so
                     # later siblings receive the complete active-peer list
                     # (§3.3).
-                    chain.merge(PeerChain.from_text(result.chain_text))
-                self.network.metrics.record_value("chain_length", len(chain.peers()))
+                    chain.merge(result.chain)
+                self.network.metrics.record_value("chain_length", len(chain))
             self.network.metrics.record_forward_cost(result.nodes_affected)
             return result.fragments
         except BaseException as exc:
@@ -522,8 +522,8 @@ class AXMLPeer:
         reused_fragments: Dict[str, List[str]],
     ) -> Outcome:
         """Put one invocation on the wire (first try and retries alike):
-        piggyback the chain view, make the WAL durable first, record the
-        compensating definitions that come back (§3.2)."""
+        piggyback a snapshot of the chain view, make the WAL durable first,
+        record the compensating definitions that come back (§3.2)."""
         chain = self._chain(context.txn_id)
         request = InvokeRequest(
             txn_id=context.txn_id,
@@ -531,7 +531,7 @@ class AXMLPeer:
             sender=self.peer_id,
             method_name=method_name,
             params=params,
-            chain_text=chain.to_text() if chain is not None else "",
+            chain=chain.copy() if chain is not None else None,
             reused_fragments=reused_fragments,
         )
         self.network.metrics.record_invocation()
@@ -685,8 +685,8 @@ class AXMLPeer:
             transaction, parent_peer=request.sender, service_name=request.method_name
         )
         record = self._record(request.txn_id)
-        if request.chain_text:
-            record.chain = PeerChain.from_text(request.chain_text)
+        if request.chain is not None:
+            record.chain = request.chain
         for method, fragments in request.reused_fragments.items():
             record.incoming_reuse[method] = list(fragments)
         span = self.network.spans.start(
@@ -725,7 +725,7 @@ class AXMLPeer:
                 provider_peer=self.peer_id,
                 compensations=compensations,
                 nodes_affected=response.nodes_affected,
-                chain_text=my_chain.to_text() if my_chain is not None else "",
+                chain=my_chain.copy() if my_chain is not None else None,
             )
             replication = self.network.replication
             if replication is not None and replication.is_replicated_method(
@@ -733,7 +733,7 @@ class AXMLPeer:
             ):
                 # Only replicated services can be legitimately re-invoked
                 # (a failed-over parent re-running its delegations); for
-                # them, remember the outcome for exactly-once dedup.
+                # them, keep the outcome, chain snapshot and all, for dedup.
                 self._record(request.txn_id).completed[dedup_key] = result
             return result
         except ServiceFault as fault:

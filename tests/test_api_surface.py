@@ -145,6 +145,7 @@ def test_removed_members_stay_removed():
     from repro.obs.prof import PROF
     from repro.obs.spans import Span, SpanCollector
     from repro.p2p.failure import FailureInjector
+    from repro.p2p.messages import InvokeRequest
     from repro.p2p.network import SimNetwork
     from repro.p2p.peer import AXMLPeer
     from repro.p2p.replication import ReplicationManager
@@ -185,6 +186,8 @@ def test_removed_members_stay_removed():
         (TransactionContext(Transaction("T", "P"), "P"), "log_seqs"),
         (TransactionContext(Transaction("T", "P"), "P"), "chain_text"),
         (Outcome(), "compensating_definition"),
+        # the chain travels as a PeerChain snapshot, not bracket text
+        (InvokeRequest("T", "O", "S", "m"), "chain_text"), (Outcome(), "chain_text"),
         (ReplicationManager, "alive_holder"), (AXMLPeer, "hosts_document"),
         (FailureInjector, "disconnect_during"), (FailureInjector, "kill_at"),
         # entered by no benchmark, example or CI command, no paper claim

@@ -1,10 +1,15 @@
 """Unit tests for the observability layer (repro.obs)."""
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.obs import (
     Histogram,
     Span,
@@ -121,6 +126,38 @@ class TestSpanCollector:
         spans.end(span, status="error")  # ignored: already finished
         assert span.status == "ok"
         assert span.duration == 1.0
+
+    def test_ending_a_non_top_span_removes_exactly_that_span(self):
+        spans = SpanCollector()
+        outer = spans.start("outer", "invoke")
+        middle = spans.start("middle", "rpc")
+        inner = spans.start("inner", "service")
+        spans.end(middle, status="fault")
+        assert spans.current() is inner
+        assert "open=2" in repr(spans)
+        spans.end(middle, status="ok")  # a second end is a no-op
+        assert middle.status == "fault"
+        assert spans.current() is inner and "open=2" in repr(spans)
+        spans.end(inner)
+        assert spans.current() is outer
+        spans.end(outer)
+        assert spans.current() is None
+
+    def test_report_artifact_is_pinned(self, tmp_path):
+        """The span stack is maintained by identity: the observability
+        artifact of Fig. 1 with a fault is the same bytes as when the
+        stack compared spans field by field.  A fresh interpreter, since
+        transaction ids count per process."""
+        path = tmp_path / "report.json"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        subprocess.run(
+            [sys.executable, "-m", "repro", "report", "--fault", "AP5:S5",
+             "--json-out", str(path)],
+            check=True, env=env, stdout=subprocess.DEVNULL,
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c1a2ab7a5567d7a5b78dae924825a98d32664a31553950a3d3a01992734c0631"
+        )
 
     def test_context_manager_captures_exception_type(self):
         spans = SpanCollector()

@@ -264,7 +264,8 @@ def test_forget_and_crash_release_everything_a_transaction_left(events, forgotte
         elif kind == "serve":
             peer.handle_invoke(InvokeRequest(
                 txn_id, "AP9", "AP9", "setShop", {"price": "7"},
-                chain_text="[AP9 -> AP1*]", reused_fragments={"m": ["<f/>"]},
+                chain=PeerChain.from_text("[AP9 -> AP1*]"),
+                reused_fragments={"m": ["<f/>"]},
             ))
         elif kind == "redirected":
             peer.on_notify(RedirectedResult(txn_id, "AP6", "AP3", "S6", ["<r/>"]))

@@ -3,13 +3,18 @@
 
 PR 9's structural clone (``Document.clone_tree``) replaced every
 serialize→``parse_document`` round trip on the hot paths; this check
-keeps them from creeping back in.  Two patterns are flagged:
+keeps them from creeping back in.  Three patterns are flagged:
 
 * ``parse_document(serialize(...))`` — including the multi-line form —
   which re-parses text that was just rendered from a live tree; use
   ``Document.clone_tree()`` instead.
 * ``X.from_text(....to_text())`` in one expression (the old
   ``PeerChain.copy`` shape); give the type a structural ``copy()``.
+* under ``src/``, any ``from_text(`` or ``.to_text(`` call outside
+  ``src/repro/p2p/chain.py``: an invocation carries its active-peer
+  chain as a ``PeerChain`` snapshot, and the bracket text is the paper's
+  notation for the edges (``repr``, E10's byte count), not a per-hop
+  encoding.
 
 Under ``benchmarks/`` an occurrence is *approved* by a ``roundtrip-ok``
 comment on the same line or within the five lines above it (a baseline
@@ -46,13 +51,20 @@ PATTERNS = (
     ),
 )
 
+#: Only the chain module renders or parses chain text under ``src/``.
+CHAIN_MODULE = os.path.join("src", "repro", "p2p", "chain.py")
+CHAIN_TEXT = (
+    re.compile(r"\bfrom_text\(|\.to_text\("),
+    "chain text outside p2p/chain.py — carry the PeerChain (copy() a snapshot)",
+)
 
-def check_file(path: str, approvable: bool) -> list:
+
+def check_file(path: str, approvable: bool, patterns=PATTERNS) -> list:
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     lines = text.splitlines()
     findings = []
-    for pattern, message in PATTERNS:
+    for pattern, message in patterns:
         for match in pattern.finditer(text):
             lineno = text.count("\n", 0, match.start()) + 1
             window = lines[max(0, lineno - 1 - APPROVAL_WINDOW):lineno]
@@ -70,9 +82,11 @@ def main() -> int:
             for filename in sorted(filenames):
                 if not filename.endswith(".py"):
                     continue
-                findings.extend(
-                    check_file(os.path.join(dirpath, filename), scan_dir == APPROVAL_DIR)
-                )
+                path = os.path.join(dirpath, filename)
+                patterns = PATTERNS
+                if scan_dir == "src" and os.path.relpath(path, ROOT) != CHAIN_MODULE:
+                    patterns = PATTERNS + (CHAIN_TEXT,)
+                findings.extend(check_file(path, scan_dir == APPROVAL_DIR, patterns))
     for path, lineno, message in findings:
         rel = os.path.relpath(path, ROOT)
         print(f"{rel}:{lineno}: {message}", file=sys.stderr)
