@@ -20,7 +20,6 @@ import pytest
 
 from repro.api import Cluster
 from repro.sim.harness import ExperimentTable
-from repro.txn.disconnection import run_case_c_child_disconnection
 
 from _util import publish
 
@@ -44,7 +43,7 @@ def run_point(scope: str, units_per_peer: int = 10):
         peer.mark_doomed(txn.txn_id)  # ground truth for waste metering
         peer.add_pending_work(txn.txn_id, units=units_per_peer, unit_duration=0.05)
     scenario.network.disconnect("AP3")
-    run_case_c_child_disconnection(scenario.peer("AP1"), txn.txn_id)
+    scenario.peer("AP1").check_child_liveness(txn.txn_id)
     scenario.network.events.run_until(scenario.network.clock.now + 10.0)
     return {
         "scope": scope,

@@ -15,10 +15,6 @@ import pytest
 
 from repro.api import Cluster
 from repro.sim.harness import ExperimentTable
-from repro.txn.disconnection import (
-    run_case_c_child_disconnection,
-    run_case_d_sibling_disconnection,
-)
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 
 from _util import publish, publish_json
@@ -72,13 +68,13 @@ def run_case_c(chaining: bool):
         # Ground truth for waste accounting: the txn is doomed either way.
         scenario.peer("AP6").mark_doomed(txn.txn_id)
     scenario.network.disconnect("AP3")
-    report = run_case_c_child_disconnection(scenario.peer("AP2"), txn.txn_id)
+    dead = scenario.peer("AP2").check_child_liveness(txn.txn_id)
     scenario.network.events.run_until(scenario.network.clock.now + 5.0)
     _stash("c", chaining, scenario)
     return {
         "case": "c:child-dies",
         "protocol": "chaining" if chaining else "naive",
-        "recovered": int(report.recovered),
+        "recovered": int(bool(dead)),
         "redirected": 0,
         "reused": 0,
         "discarded": scenario.metrics.get("invocations_discarded"),
@@ -91,7 +87,7 @@ def run_case_d(chaining: bool):
     scenario = _fig2(chaining)
     txn, _ = scenario.run_topology()
     scenario.network.disconnect("AP3")
-    report = run_case_d_sibling_disconnection(scenario.peer("AP4"), txn.txn_id, "AP3")
+    scenario.peer("AP4").report_stream_timeout(txn.txn_id, "AP3")
     informed = int(scenario.peer("AP2").is_doomed(txn.txn_id)) + int(
         scenario.peer("AP6").is_doomed(txn.txn_id)
     )

@@ -8,10 +8,6 @@ Run:  python examples/disconnection_resilience.py
 """
 
 from repro.api import Cluster
-from repro.txn.disconnection import (
-    run_case_c_child_disconnection,
-    run_case_d_sibling_disconnection,
-)
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 
 
@@ -63,10 +59,11 @@ def main() -> None:
         if not chaining:
             s.peer("AP6").mark_doomed(txn.txn_id)  # ground truth
         s.network.disconnect("AP3")
-        report = run_case_c_child_disconnection(s.peer("AP2"), txn.txn_id)
+        s.peer("AP2").check_child_liveness(txn.txn_id)
+        informed = s.metrics.get("descendants_informed")
         s.network.events.run_until(s.network.clock.now + 5.0)
         label = "chaining" if chaining else "naive   "
-        print(f"  [{label}] descendants informed={report.descendants_informed} "
+        print(f"  [{label}] descendants informed={informed} "
               f"work units wasted={s.metrics.get('work_units_wasted')}")
     print("  the chain lets AP2 warn AP6 (AP3's orphan), saving its pending effort.\n")
 
@@ -75,9 +72,9 @@ def main() -> None:
     s = Cluster.fig2()
     txn, _ = s.run_topology()
     s.network.disconnect("AP3")
-    report = run_case_d_sibling_disconnection(s.peer("AP4"), txn.txn_id, "AP3")
+    s.peer("AP4").report_stream_timeout(txn.txn_id, "AP3")
     print(f"  AP4 notified AP3's parent and children: "
-          f"{report.descendants_informed} peers now know\n")
+          f"{s.metrics.get('disconnect_notices_received')} peers now know\n")
 
     # ------------------------------------------------ spheres of atomicity
     print("spheres of atomicity: can this transaction guarantee atomicity?")

@@ -69,7 +69,7 @@ from repro.txn import (
     compensate_records,
 )
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
-from repro.outcome import Outcome, OutcomeStatus
+from repro.outcome import Outcome
 from repro.api import Cluster, Session
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "Cluster",
     "Session",
     "Outcome",
-    "OutcomeStatus",
     "__version__",
     # errors
     "ReproError",

@@ -26,18 +26,16 @@ Quickstart::
 
 Seeded chaos runs are configured by one frozen
 :class:`~repro.chaos.ChaosConfig` (re-exported here) and run through
-:func:`repro.chaos.run_chaos` / :func:`chaos_sweep`.
+:func:`repro.chaos.run_chaos` / :func:`repro.chaos.chaos_sweep`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.axml.document import AXMLDocument
 from repro.chaos.runner import MUTATIONS, ChaosConfig
-from repro.chaos.runner import chaos_sweep as _chaos_sweep
-from repro.outcome import Outcome, OutcomeStatus
+from repro.outcome import Outcome
 from repro.p2p.failure import FailureInjector
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
@@ -61,12 +59,8 @@ __all__ = [
     "Session",
     "Transaction",
     "Outcome",
-    "OutcomeStatus",
     "ChaosConfig",
-    "SweepConfig",
-    "chaos_sweep",
     "add_run_arguments",
-    "add_sweep_arguments",
     "add_output_arguments",
 ]
 
@@ -423,36 +417,6 @@ class Cluster:
         return f"Cluster(peers={sorted(self.peers)})"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """A seed sweep over one :class:`~repro.chaos.ChaosConfig` base.
-
-    ``concurrencies`` / ``fault_rates`` default to empty, meaning
-    "derive from the base run" (its concurrency and fault rate); the
-    ``repro chaos --sweep`` CLI widens concurrencies to 2 and the base
-    concurrency.
-    """
-
-    run: ChaosConfig = field(default_factory=ChaosConfig)
-    #: How many seeds, ``0..seeds-1``.
-    seeds: int = 10
-    #: Worker processes (0 = all cores; output byte-identical to serial).
-    workers: int = 1
-    concurrencies: Tuple[int, ...] = ()
-    fault_rates: Tuple[float, ...] = ()
-
-    @classmethod
-    def from_namespace(cls, args) -> "SweepConfig":
-        run = ChaosConfig.from_namespace(args)
-        return cls(
-            run=run,
-            seeds=getattr(args, "seeds", cls.seeds),
-            workers=getattr(args, "workers", cls.workers),
-            # dict.fromkeys: --concurrency 2 must not run every cell twice.
-            concurrencies=tuple(dict.fromkeys((2, run.concurrency))),
-        )
-
-
 # -- shared argparse builders (one flag surface for every CLI) -------------
 
 def add_run_arguments(parser) -> None:
@@ -514,43 +478,9 @@ def add_run_arguments(parser) -> None:
              "shard rebalancing (needs --sharding)")
 
 
-def add_sweep_arguments(parser, workers_help: str = "") -> None:
-    """Install the :class:`SweepConfig` flags on *parser*."""
-    parser.add_argument(
-        "--workers", type=int, default=SweepConfig.workers,
-        help=workers_help or
-        "worker processes for the sweep (0 = all cores; "
-        "output is byte-identical to serial)")
-    parser.add_argument(
-        "--seeds", type=int, default=SweepConfig.seeds,
-        help="(--sweep) how many seeds, 0..N-1")
-
-
 def add_output_arguments(parser) -> None:
     """Install the shared artifact flag (``--json-out``) on *parser*."""
     parser.add_argument(
         "--json-out", metavar="PATH",
         help="also write the deterministic result as a JSON artifact")
 
-
-def chaos_sweep(config: SweepConfig, metrics=None):
-    """Sweep chaos over seeds; returns ``(table, failures)``.
-
-    ``config.workers`` > 1 fans the sweep over processes (0 = all
-    cores) with byte-identical output::
-
-        from repro.api import ChaosConfig, SweepConfig, chaos_sweep
-
-        table, failures = chaos_sweep(
-            SweepConfig(run=ChaosConfig(txns=12), seeds=10, workers=4))
-        assert not failures, failures[0].violations
-    """
-    base = config.run
-    return _chaos_sweep(
-        base,
-        seeds=range(config.seeds),
-        concurrencies=config.concurrencies or (base.concurrency,),
-        fault_rates=config.fault_rates or (base.fault_rate,),
-        metrics=metrics,
-        workers=config.workers,
-    )

@@ -9,14 +9,14 @@ doesn't receive data at the specified interval".
 
 :class:`ContinuousDriver` schedules periodic materialization of every
 ``frequency``-carrying call of a document on the simulation's event
-queue.  :class:`StreamSubscription` models the §3.3(d) direct
-sibling-to-sibling data flow: a consumer that notices the producer's
-silence and reports it through the peer's chain.
+queue.  The §3.3(d) sibling-to-sibling stream, whose consumer reports
+the producer's silence through the peer's chain, is
+:class:`repro.p2p.streams.SiblingStream`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.axml.document import AXMLDocument
@@ -119,40 +119,3 @@ class ContinuousDriver:
             self.on_tick(record)
         self._schedule(call_id, period)
 
-
-@dataclass
-class StreamSubscription:
-    """A §3.3(d) sibling data stream: producer pushes, consumer watches.
-
-    The consumer expects one datum every ``interval`` seconds.  The
-    simulation delivers via :meth:`deliver`; :meth:`check` (scheduled by
-    the consumer peer) compares the last delivery time against the
-    interval plus ``grace`` and fires ``on_silence`` once when the
-    producer has gone quiet — the §3.3(d) detection trigger.
-    """
-
-    producer_peer: str
-    consumer_peer: str
-    interval: float
-    grace: float = 0.5
-    last_delivery: float = 0.0
-    delivered: int = 0
-    silent: bool = False
-    on_silence: Optional[Callable[[str], None]] = None
-
-    def deliver(self, now: float) -> None:
-        self.last_delivery = now
-        self.delivered += 1
-        self.silent = False
-
-    def check(self, now: float) -> bool:
-        """Returns True (and fires the callback once) when the stream is
-        overdue."""
-        if self.silent:
-            return True
-        overdue = now - self.last_delivery > self.interval * (1 + self.grace)
-        if overdue:
-            self.silent = True
-            if self.on_silence is not None:
-                self.on_silence(self.producer_peer)
-        return overdue

@@ -243,12 +243,12 @@ class AtomicityOracle:
                 # Sharded placement: the directory's holder list is
                 # authoritative regardless of the workload's static
                 # peer hint (the ring may have moved the shard).
-                holders = replication.holders(effect.document)
+                holders = replication.directory.document_holders(effect.document)
                 if holders:
-                    return list(holders)
-            holders = replication.holders(effect.document)
+                    return holders
+            holders = replication.directory.document_holders(effect.document)
             if len(holders) > 1 and effect.peer in holders:
-                return list(holders)
+                return holders
         return [effect.peer]
 
     def _check_shards(self, peers: Mapping[str, object]) -> List[Violation]:
@@ -270,7 +270,7 @@ class AtomicityOracle:
         directory = replication.directory
         violations: List[Violation] = []
         for doc_name in sorted(directory.sharded_docs):
-            holders = directory.document_map.get(doc_name, [])
+            holders = directory.document_holders(doc_name)
             alive = [
                 h for h in holders
                 if h in peers
@@ -326,7 +326,7 @@ class AtomicityOracle:
             return []
         violations: List[Violation] = []
         for doc_name in sorted(replication.replicated_documents()):
-            holders = replication.holders(doc_name)
+            holders = replication.directory.document_holders(doc_name)
             if len(holders) < 2:
                 continue
             primary = peers.get(holders[0])

@@ -179,8 +179,7 @@ def _fire_kill_primary(cluster, config, event: FaultEvent) -> None:
     in-doubt ``delay`` later."""
     victim = event.peer
     if config.sharding:
-        holders = cluster.network.directory.document_map.get(f"D{victim[2:]}", [])
-        victim = holders[0] if holders else victim
+        victim = cluster.network.directory.primary(f"D{victim[2:]}") or victim
     crash_and_restart(cluster.network, victim, event.delay)
 
 
@@ -188,7 +187,7 @@ def _fire_lag_replica(cluster, config, event: FaultEvent) -> None:
     """Lag the smallest-id live non-primary holder of the planned
     primary's document at this moment — deterministic because holder
     lists and virtual time are."""
-    holders = cluster.replication.holders(f"D{event.peer[2:]}")
+    holders = cluster.network.directory.document_holders(f"D{event.peer[2:]}")
     candidates = sorted(h for h in holders[1:] if cluster.network.is_alive(h))
     if candidates:
         cluster.replication.lag_replica(candidates[0], duration=event.delay)

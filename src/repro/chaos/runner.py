@@ -75,8 +75,8 @@ class ChaosConfig:
     """Every knob of one run — the single configuration surface
     (JSON-round-trippable).
 
-    The same frozen value drives :func:`run_chaos`, one cell of a
-    :class:`~repro.api.SweepConfig` and the ``repro chaos`` CLI (whose
+    The same frozen value drives :func:`run_chaos`, one cell of
+    :func:`chaos_sweep` and the ``repro chaos`` CLI (whose
     flags map onto these fields through
     :func:`~repro.api.add_run_arguments` / :meth:`from_namespace`).
     Crash faults, the ``crash_skip_undo`` mutation, checkpointing,
@@ -389,7 +389,7 @@ def _install_fault_policies(cluster, config: ChaosConfig) -> None:
         names.append(DISCONNECT_FAULT)
     if not names:
         return
-    policies = [FaultPolicy(fault_names={name}, retry_times=2) for name in names]
+    policies = [FaultPolicy(fault_names={n}, retry_times=2) for n in names]  # hash-ok: membership
     for peer in cluster.peers.values():
         for i in range(1, config.providers + 1):
             peer.set_fault_policy(f"S{i}", policies)
@@ -465,7 +465,7 @@ def _resharded(cluster, event: FaultEvent) -> FaultEvent:
     directory = cluster.network.directory
 
     def primary_of(method: str) -> str:
-        holders = directory.service_map.get(method, [])
+        holders = directory.service_holders(method)
         return holders[0] if holders else ""
 
     if event.kind in ("service_fault", "crash"):

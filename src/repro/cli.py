@@ -22,11 +22,8 @@ from typing import List, Optional
 from repro.api import (
     ChaosConfig,
     Cluster,
-    SweepConfig,
     add_output_arguments,
     add_run_arguments,
-    add_sweep_arguments,
-    chaos_sweep,
 )
 from repro.sim.scenarios import QUERY_A, QUERY_B
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
@@ -96,11 +93,6 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     """Run one of the Fig. 2 disconnection cases (b/c/d)."""
-    from repro.txn.disconnection import (
-        run_case_c_child_disconnection,
-        run_case_d_sibling_disconnection,
-    )
-
     chaining = not args.no_chaining
     if args.case == "b":
         cluster = Cluster.fig2(extra_peers=("APX",), chaining=chaining)
@@ -122,17 +114,19 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         if not chaining:
             cluster.peer("AP6").mark_doomed(txn.txn_id)
         cluster.network.disconnect("AP3")
-        report = run_case_c_child_disconnection(cluster.peer("AP2"), txn.txn_id)
+        cluster.peer("AP2").check_child_liveness(txn.txn_id)
+        informed = cluster.metrics.get("descendants_informed")
         cluster.run_until(cluster.clock.now + 5.0)
         print(f"case (c) [{'chaining' if chaining else 'naive'}]: "
-              f"informed={report.descendants_informed}")
+              f"informed={informed}")
     else:  # d
         cluster = Cluster.fig2(chaining=chaining)
         txn, _ = cluster.run_topology()
         cluster.network.disconnect("AP3")
-        report = run_case_d_sibling_disconnection(cluster.peer("AP4"), txn.txn_id, "AP3")
+        cluster.peer("AP4").report_stream_timeout(txn.txn_id, "AP3")
+        informed = cluster.metrics.get("disconnect_notices_received")
         print(f"case (d) [{'chaining' if chaining else 'naive'}]: "
-              f"relatives informed={report.descendants_informed}")
+              f"relatives informed={informed}")
     _print_metrics(cluster)
     return 0
 
@@ -144,7 +138,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     every transaction; 1 means violations (already shrunk to a minimal
     replayable schedule in ``--repro-out``).
     """
-    from repro.chaos import replay_repro_file, run_chaos, shrink_and_report
+    from repro.chaos import chaos_sweep, replay_repro_file, run_chaos, shrink_and_report
     from repro.obs import write_json_artifact
     from repro.sim.metrics import MetricsCollector
 
@@ -158,10 +152,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         _print_chaos_result(result)
         return 1 if result.violations else 0
 
+    config = ChaosConfig.from_namespace(args)
     if args.sweep:
         metrics = MetricsCollector()
         table, failures = chaos_sweep(
-            SweepConfig.from_namespace(args), metrics=metrics
+            config,
+            seeds=range(args.seeds),
+            # dict.fromkeys: --concurrency 2 must not run every cell twice.
+            concurrencies=tuple(dict.fromkeys((2, config.concurrency))),
+            fault_rates=(config.fault_rate,),
+            metrics=metrics,
+            workers=args.workers,
         )
         print(table.render())
         print(
@@ -173,7 +174,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"json artifact written: {args.json_out}")
         return 1 if failures else 0
 
-    config = ChaosConfig.from_namespace(args)
     result = run_chaos(config)
     _print_chaos_result(result)
     if args.json_out:
@@ -344,17 +344,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_b.add_argument("--smoke", action="store_true",
                      help="small fast sweep (used by CI)")
-    add_run_arguments(p_b)
-    add_sweep_arguments(p_b)
-    add_output_arguments(p_b)
+    p_b.add_argument("--seed", type=int, default=7)
     p_b.set_defaults(fn=cmd_bench)
 
     p_ch = subparsers.add_parser(
         "chaos", help="seeded chaos harness + atomicity oracle"
     )
     add_run_arguments(p_ch)
-    add_sweep_arguments(p_ch)
-    add_output_arguments(p_ch)
+    p_ch.add_argument("--seeds", type=int, default=10,
+                      help="(--sweep) how many seeds, 0..N-1")
     p_ch.add_argument("--sweep", action="store_true",
                       help="sweep seeds x concurrency x fault-rate")
     p_ch.add_argument("--replay", metavar="FILE",
@@ -362,6 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("--repro-out", metavar="PATH", default="chaos_repro.json",
                       help="where the minimized repro file goes on failure")
     p_ch.set_defaults(fn=cmd_chaos)
+    for sweeping in (p_b, p_ch):
+        sweeping.add_argument(
+            "--workers", type=int, default=1,
+            help="worker processes for the sweep (0 = all cores; "
+                 "output is byte-identical to serial)")
+        add_output_arguments(sweeping)
 
     p_sp = subparsers.add_parser("spheres", help="spheres-of-atomicity analysis")
     p_sp.add_argument("--super-fraction", type=float, default=0.5)

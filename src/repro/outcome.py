@@ -1,35 +1,15 @@
-"""The unified invocation result type: one **frozen** :class:`Outcome`
-with an explicit :class:`OutcomeStatus`, returned by both the AXML
-resolver path (:mod:`repro.axml.materialize`) and the RPC reply
-(:mod:`repro.p2p.messages`).
+"""The unified invocation result type: one **frozen** :class:`Outcome`,
+returned by both the AXML resolver path (:mod:`repro.axml.materialize`)
+and the RPC reply (:mod:`repro.p2p.messages`).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.p2p.chain import PeerChain
-
-
-class OutcomeStatus(enum.Enum):
-    """How an invocation concluded.
-
-    ``OK`` — executed normally; ``REUSED`` — satisfied from redirected
-    results without re-invoking (§3.3b); ``RECOVERED`` — a fault was
-    absorbed by forward recovery (§3.2); the remaining values name the
-    failure that surfaced when no recovery applied.
-    """
-
-    OK = "ok"
-    REUSED = "reused"
-    RECOVERED = "recovered"
-    CONFLICT = "conflict"
-    FAULT = "fault"
-    DISCONNECTED = "disconnected"
-    ERROR = "error"
 
 
 @dataclass(frozen=True)
@@ -51,19 +31,6 @@ class Outcome:
 
     fragments: Sequence[str] = field(default_factory=tuple)
     provider_peer: str = ""
-    status: OutcomeStatus = OutcomeStatus.OK
     compensations: Sequence[Tuple[str, str]] = field(default_factory=tuple)
     nodes_affected: int = 0
     chain: Optional["PeerChain"] = field(default=None, compare=False)
-
-    @property
-    def ok(self) -> bool:
-        """True when the invocation delivered usable results."""
-        return self.status in (
-            OutcomeStatus.OK,
-            OutcomeStatus.REUSED,
-            OutcomeStatus.RECOVERED,
-        )
-
-    def texts(self) -> List[str]:
-        return list(self.fragments)

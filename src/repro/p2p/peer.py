@@ -622,7 +622,6 @@ class AXMLPeer:
         context = self.manager.context(txn_id)
         complete = True
         if self.peer_independent and context.received_compensations:
-            replication = self.network.replication
             complete = dispatch_compensations(
                 context.received_compensations,
                 send=lambda peer_id, plan_xml: self.network.notify(
@@ -631,7 +630,8 @@ class AXMLPeer:
                     CompensationRequest(txn_id, plan_xml, self.peer_id),
                 ),
                 replica_holders=(
-                    replication.holders if replication is not None else None
+                    None if self.network.replication is None
+                    else self.network.directory.document_holders
                 ),
                 count=self.network.metrics.incr,
             )

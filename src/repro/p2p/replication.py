@@ -128,7 +128,7 @@ class ReplicationManager:
         compensating actions address nodes by id, and the replica resolves
         the same ids.
         """
-        holders = self.holders(document_name)
+        holders = self.directory.document_holders(document_name)
         if not holders:
             raise P2PError(f"no peer holds document {document_name!r}")
         replica = self._copy_document(document_name, holders[0], to_peer_id)
@@ -149,10 +149,6 @@ class ReplicationManager:
         source_document = source_peer.get_axml_document(document_name).document
         copy = source_document.clone_tree(preserve_ids=True, name=document_name)
         return target_peer.host_document(AXMLDocument(copy, name=document_name))
-
-    def holders(self, document_name: str) -> List[str]:
-        """Peers holding the document, primary first."""
-        return self.directory.document_holders(document_name)
 
     def replicated_documents(self) -> List[str]:
         """Names of documents with more than one holder, sorted."""
@@ -192,15 +188,6 @@ class ReplicationManager:
         """Whether the service was explicitly replicated (failover- and
         dedup-eligible); merely hosting it on several peers is not."""
         return method_name in self._replicated_methods
-
-    def service_holders(self, method_name: str) -> List[str]:
-        return self.directory.service_holders(method_name)
-
-    def alive_service_holder(self, method_name: str) -> Optional[str]:
-        for peer_id in self.service_holders(method_name):
-            if self.network.is_alive(peer_id):
-                return peer_id
-        return None
 
     # -- WAL shipping: primary side ----------------------------------------
 

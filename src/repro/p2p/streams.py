@@ -17,10 +17,9 @@ children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
-from repro.axml.continuous import StreamSubscription
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 
@@ -36,7 +35,12 @@ class StreamData:
 
 
 class SiblingStream:
-    """A periodic producer→consumer data flow with silence detection."""
+    """A periodic producer→consumer data flow with silence detection.
+
+    The consumer expects one datum every ``interval`` seconds and checks
+    on the same period; once nothing arrived for ``interval × (1 +
+    grace)`` the producer is ``silent`` — the §3.3(d) detection trigger.
+    """
 
     def __init__(
         self,
@@ -53,17 +57,14 @@ class SiblingStream:
         self.producer = producer
         self.consumer = consumer
         self.interval = interval
+        self.grace = grace
         self.payload_xml = payload_xml
         self.sequence = 0
         self.received: List[StreamData] = []
-        self.silence_reported = False
-        self.subscription = StreamSubscription(
-            producer.peer_id,
-            consumer.peer_id,
-            interval=interval,
-            grace=grace,
-            on_silence=self._on_silence,
-        )
+        self.last_delivery = 0.0
+        #: Set when the consumer reported the producer; a false alarm
+        #: (the producer answers the confirming ping) clears it again.
+        self.silent = False
         self._running = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -71,7 +72,7 @@ class SiblingStream:
     def start(self) -> None:
         """Begin producing and watching."""
         self._running = True
-        self.subscription.last_delivery = self.network.clock.now
+        self.last_delivery = self.network.clock.now
         self._schedule_production()
         self._schedule_check()
 
@@ -100,7 +101,11 @@ class SiblingStream:
     def deliver(self, datum: StreamData) -> None:
         """Called by the consumer peer when a datum arrives."""
         self.received.append(datum)
-        self.subscription.deliver(self.network.clock.now)
+        self.last_delivery = self.network.clock.now
+
+    def overdue(self) -> bool:
+        """No datum for longer than ``interval × (1 + grace)``."""
+        return self.network.clock.now - self.last_delivery > self.interval * (1 + self.grace)
 
     def _schedule_check(self) -> None:
         self.network.events.schedule(self.interval, self._check)
@@ -108,24 +113,22 @@ class SiblingStream:
     def _check(self) -> None:
         if not self._running or self.consumer.disconnected:
             return
-        self.subscription.check(self.network.clock.now)
-        if not self.subscription.silent:
+        if self.overdue():
+            self._on_silence()
+        if not self.silent:
             self._schedule_check()
 
-    def _on_silence(self, producer_peer: str) -> None:
+    def _on_silence(self) -> None:
         """§3.3(d): the consumer reports the silent sibling through the
         chain (after the ping confirmation inside report_stream_timeout)."""
-        if self.silence_reported:
-            return
-        self.silence_reported = True
+        self.silent = True
         self.network.metrics.incr("stream_silences")
-        self.consumer.report_stream_timeout(self.txn_id, producer_peer)
-        if not self.network.is_alive(producer_peer):
+        self.consumer.report_stream_timeout(self.txn_id, self.producer.peer_id)
+        if not self.network.is_alive(self.producer.peer_id):
             self.stop()
         else:
             # False alarm (late data): resume watching.
-            self.silence_reported = False
-            self.subscription.silent = False
+            self.silent = False
             self._schedule_check()
 
 

@@ -367,11 +367,11 @@ class TransactionScheduler:
             return operation.target_peer
         if not replication.is_replicated_method(operation.method_name):
             return operation.target_peer
-        holder = replication.alive_service_holder(operation.method_name)
-        if holder is None:
-            return operation.target_peer
-        self.network.metrics.incr("scheduler_reroutes")
-        return holder
+        for holder in self.network.directory.service_holders(operation.method_name):
+            if self.network.is_alive(holder):
+                self.network.metrics.incr("scheduler_reroutes")
+                return holder
+        return operation.target_peer
 
     @staticmethod
     def _abort_quietly(origin, txn_id: str) -> None:

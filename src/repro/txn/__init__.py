@@ -10,9 +10,11 @@ Modules
 * :mod:`repro.txn.compensation` — §3.1 dynamic compensation construction.
 * :mod:`repro.txn.recovery` — §3.2 nested recovery protocol.
 * :mod:`repro.txn.peer_independent` — §3.2 peer-independent compensation.
-* :mod:`repro.txn.disconnection` — §3.3 disconnection handling (chaining).
 * :mod:`repro.txn.spheres` — §3.3 spheres of atomicity.
 * :mod:`repro.txn.manager` — the per-peer transaction manager.
+
+§3.3's disconnection handling (chaining) is peer protocol: it lives on
+:class:`repro.p2p.peer.AXMLPeer` over :mod:`repro.p2p.chain`.
 """
 
 from repro.txn.transaction import (

@@ -147,7 +147,7 @@ class OptimisticValidator:
         self._tick += 1
         if footprint.writes:
             self._committed.append(
-                _CommittedWrite(txn_id, self._tick, set(footprint.writes))
+                _CommittedWrite(txn_id, self._tick, set(footprint.writes))  # hash-ok: intersected
             )
             if len(self._committed) > self._history_limit:
                 self._committed = self._committed[-self._history_limit :]

@@ -96,8 +96,8 @@ def analyze_sphere(
             )
     return SphereAnalysis(
         guaranteed=not at_risk,
-        participants=participant_set,
-        at_risk_peers=frozenset(at_risk),
+        participants=participant_set,  # hash-ok: a set field, read by membership
+        at_risk_peers=frozenset(at_risk),  # hash-ok: a set field, read by membership
         reasons=reasons,
     )
 

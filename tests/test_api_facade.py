@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import Cluster
 from repro.errors import ReproError
+from repro.outcome import Outcome
 
 
 class TestClusterBuilding:
@@ -13,7 +14,7 @@ class TestClusterBuilding:
         cluster.add_peer("AP1")
         doc = cluster.host_document("AP1", "<D><x/></D>", name="D")
         assert cluster.peer("AP1").get_axml_document("D") is doc
-        assert cluster.replication.holders("D") == ["AP1"]
+        assert cluster.directory.document_holders("D") == ["AP1"]
 
     def test_host_document_text_requires_name(self):
         cluster = Cluster()
@@ -73,7 +74,7 @@ class TestTransactionContextManager:
             outcome = txn.invoke(
                 "AP2", "getPoints", {"name": "Roger Federer"}
             )
-        assert outcome.ok
+        assert isinstance(outcome, Outcome)
         assert outcome.provider_peer == "AP2"
         assert any("890" in f for f in outcome.fragments)
 

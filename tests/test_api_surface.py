@@ -12,7 +12,7 @@ import pytest
 import repro
 import repro.api as api
 from repro.chaos import ChaosConfig
-from repro.outcome import Outcome, OutcomeStatus
+from repro.outcome import Outcome
 
 
 def _public_methods(cls) -> set:
@@ -25,10 +25,8 @@ def _public_methods(cls) -> set:
 
 def test_api_all_snapshot():
     assert api.__all__ == [
-        "Cluster", "Session", "Transaction", "Outcome", "OutcomeStatus",
-        "ChaosConfig", "SweepConfig",
-        "chaos_sweep",
-        "add_run_arguments", "add_sweep_arguments", "add_output_arguments",
+        "Cluster", "Session", "Transaction", "Outcome", "ChaosConfig",
+        "add_run_arguments", "add_output_arguments",
     ]
 
 
@@ -64,7 +62,6 @@ def test_transaction_surface_snapshot():
 
 def test_unified_outcome_exported():
     assert api.Outcome is Outcome
-    assert api.OutcomeStatus is OutcomeStatus
     assert api.ChaosConfig is ChaosConfig
 
 
@@ -72,14 +69,17 @@ def test_package_exports_facade():
     assert repro.Cluster is api.Cluster
     assert repro.Session is api.Session
     assert repro.Outcome is Outcome
-    for name in ("Cluster", "Session", "Outcome", "OutcomeStatus"):
+    for name in ("Cluster", "Session", "Outcome"):
         assert name in repro.__all__
 
 
 #: module → names it once exported: the compatibility layer's second
 #: spellings, the serialization-cache switch, and surface nothing called.
 REMOVED = {
-    "repro.api": ("RunConfig", "chaos"),
+    "repro.api": (
+        "RunConfig", "chaos", "SweepConfig", "chaos_sweep", "add_sweep_arguments",
+        "OutcomeStatus",
+    ),
     "repro.chaos": ("rerun",),
     "repro.chaos.planner": ("KINDS",),
     "repro.chaos.runner": (
@@ -98,7 +98,9 @@ REMOVED = {
         "Scenario", "build_atplist_scenario", "build_topology",
         "build_fig1", "build_fig2", "run_root_transaction",
     ),
-    "repro.outcome": ("InvocationOutcome", "InvokeResult"),
+    "repro.outcome": ("InvocationOutcome", "InvokeResult", "OutcomeStatus"),
+    # §3.3(d)'s stream is one class, p2p.streams.SiblingStream
+    "repro.axml.continuous": ("StreamSubscription",),
     "repro.p2p": ("InvokeResult", "Outcome", "PingMonitor"),
     "repro.p2p.messages": ("InvokeResult", "Outcome"),
     "repro.axml": ("InvocationOutcome", "Outcome", "FaultHandler", "RetryPolicy"),
@@ -122,7 +124,7 @@ REMOVED = {
     ),
     "repro.xmlstore.path": ("_in_live_tree", "_is_sc", "_is_axml_meta"),
     "repro.errors": ("TransactionAborted", "AtomicityViolation"),
-    "repro": ("AtomicityViolation",),
+    "repro": ("AtomicityViolation", "OutcomeStatus"),
 }
 
 
@@ -189,6 +191,11 @@ def test_removed_members_stay_removed():
         # the chain travels as a PeerChain snapshot, not bracket text
         (InvokeRequest("T", "O", "S", "m"), "chain_text"), (Outcome(), "chain_text"),
         (ReplicationManager, "alive_holder"), (AXMLPeer, "hosts_document"),
+        # an Outcome carries results; nothing ever set a status on one
+        (Outcome, "status"), (Outcome(), "status"), (Outcome, "ok"), (Outcome, "texts"),
+        # holder lists are read from the PlacementDirectory, not a wrapper
+        (ReplicationManager, "holders"), (ReplicationManager, "service_holders"),
+        (ReplicationManager, "alive_service_holder"),
         (FailureInjector, "disconnect_during"), (FailureInjector, "kill_at"),
         # entered by no benchmark, example or CI command, no paper claim
         (SpanCollector, "to_json"), (SpanCollector, "from_json"),
@@ -213,6 +220,8 @@ def test_removed_members_stay_removed():
     for module in (
         "repro.baselines.naive_disconnect", "repro.baselines.two_phase_commit",
         "repro.xmlstore.fastpath", "repro.xmlstore.diff",
+        # the §3.3 cases are driven on the peer itself
+        "repro.txn.disconnection",
     ):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)

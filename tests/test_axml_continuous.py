@@ -1,11 +1,14 @@
-"""Unit tests for continuous/periodic services (repro.axml.continuous)."""
+"""Unit tests for continuous/periodic services (repro.axml.continuous)
+and the §3.3(d) subscription stream (repro.p2p.streams)."""
 
 import pytest
 
-from repro.axml.continuous import ContinuousDriver, StreamSubscription
+from repro.api import Cluster
+from repro.axml.continuous import ContinuousDriver
 from repro.axml.document import AXMLDocument
 from repro.outcome import Outcome
 from repro.errors import ServiceFault
+from repro.p2p.streams import SiblingStream, StreamData
 from repro.sim.kernel import Clock, EventQueue
 
 DOC = (
@@ -96,32 +99,62 @@ class TestContinuousDriver:
 
 
 class TestStreamSubscription:
+    """The §3.3(d) subscription stream's silence clock, on
+    :class:`repro.p2p.streams.SiblingStream`: Fig. 2's AP3 streams to its
+    sibling AP4 once per ``interval``."""
+
+    @staticmethod
+    def _stream(**kwargs):
+        cluster = Cluster.fig2()
+        txn, _ = cluster.run_topology()
+        stream = SiblingStream(
+            cluster.network, txn.txn_id, cluster.peer("AP3"), cluster.peer("AP4"),
+            interval=1.0, **kwargs,
+        )
+        start = cluster.clock.now
+
+        def at(t):
+            cluster.clock.advance_to(start + t)
+
+        def deliver(t):
+            at(t)
+            stream.deliver(StreamData(txn.txn_id, "AP3", len(stream.received) + 1))
+
+        return cluster, stream, at, deliver
+
     def test_delivery_resets_silence(self):
-        sub = StreamSubscription("P", "C", interval=1.0)
-        sub.deliver(1.0)
-        assert not sub.check(1.5)
-        sub.deliver(2.0)
-        assert not sub.check(2.9)
+        _, stream, at, deliver = self._stream()
+        deliver(1.0)
+        at(1.5)
+        assert not stream.overdue()
+        deliver(2.0)
+        at(2.9)
+        assert not stream.overdue()
 
     def test_silence_detected_after_grace(self):
-        fired = []
-        sub = StreamSubscription("P", "C", interval=1.0, grace=0.5,
-                                 on_silence=fired.append)
-        sub.deliver(1.0)
-        assert not sub.check(2.4)  # within interval*(1+grace)
-        assert sub.check(2.6)
-        assert fired == ["P"]
+        cluster, stream, at, deliver = self._stream(grace=0.5)
+        deliver(1.0)
+        at(2.4)
+        assert not stream.overdue()  # within interval*(1+grace)
+        at(2.6)
+        assert stream.overdue()
+        # Started and then left without data, the consumer reports it.
+        cluster.network.disconnect("AP3")
+        stream.start()
+        cluster.run_until(cluster.clock.now + 2.0)
+        assert stream.silent
+        assert cluster.metrics.get("stream_silences") == 1
 
     def test_callback_fires_once(self):
-        fired = []
-        sub = StreamSubscription("P", "C", interval=1.0, on_silence=fired.append)
-        sub.deliver(0.0)
-        sub.check(10.0)
-        sub.check(20.0)
-        assert fired == ["P"]
+        cluster, stream, _, _ = self._stream()
+        cluster.network.disconnect("AP3")
+        stream.start()
+        cluster.run_until(cluster.clock.now + 20.0)
+        assert stream.silent
+        assert cluster.metrics.get("stream_silences") == 1
 
     def test_counts(self):
-        sub = StreamSubscription("P", "C", interval=1.0)
+        _, stream, _, deliver = self._stream()
         for t in (1.0, 2.0, 3.0):
-            sub.deliver(t)
-        assert sub.delivered == 3
+            deliver(t)
+        assert len(stream.received) == 3

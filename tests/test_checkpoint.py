@@ -3,7 +3,7 @@
 Covers the R1 tentpole (checkpoint store round-trips, torn-file
 fallback, bounded tail replay, segment retention, group-commit
 buffering/barriers/crash-discard) plus the typed surface:
-`DurabilityPolicy`/`RejoinMode` and `ChaosConfig`/`SweepConfig`.
+`DurabilityPolicy`/`RejoinMode` and `ChaosConfig`.
 """
 
 import json
@@ -11,8 +11,6 @@ from dataclasses import replace
 
 import pytest
 
-import repro.api as api
-from repro.api import SweepConfig
 from repro.axml.document import AXMLDocument
 from repro.chaos import ChaosConfig, FaultPlanner, run_chaos
 from repro.chaos.planner import FaultEvent
@@ -385,33 +383,34 @@ class TestRunSweepConfig:
             seed=3, txns=5, checkpoint_every=4, wal_batch=8, crash_rate=0.25,
             ops_per_txn=2,
         )
-        sweep = SweepConfig.from_namespace(args)
-        assert sweep.run == config
-        assert sweep.concurrencies == (2, config.concurrency)
 
     def test_bench_parser_shares_the_flags(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["bench", "--smoke", "--seed", "9"])
-        assert ChaosConfig.from_namespace(args).seed == 9
+        parser = build_parser()
+        args = parser.parse_args([
+            "bench", "--smoke", "--seed", "9", "--workers", "2",
+            "--json-out", "t1.json",
+        ])
+        assert (args.smoke, args.seed, args.workers, args.json_out) == (
+            True, 9, 2, "t1.json",
+        )
+        defaults = parser.parse_args(["bench"])
+        assert (defaults.seed, defaults.workers) == (7, 1)
+        # bench runs the T1 sweep, not a chaos run: no chaos flag parses.
+        for flag in (["--replicas", "2"], ["--sharding"], ["--seeds", "50"]):
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args(["bench", *flag])
+            assert exit_info.value.code == 2
 
     def test_chaos_accepts_run_config_without_warning(self):
         result = run_chaos(ChaosConfig(txns=4, fault_rate=0.0))
         assert result.ok
 
-    def test_chaos_sweep_accepts_sweep_config(self):
-        table, failures = api.chaos_sweep(
-            SweepConfig(run=ChaosConfig(txns=4, fault_rate=0.0), seeds=2)
-        )
-        assert not failures
-        assert len(table.rows) == 2
-
     def test_config_mixing_rejected(self):
         # One spelling: a config object, never loose keyword arguments.
         with pytest.raises(TypeError):
             run_chaos(ChaosConfig(), txns=4)
-        with pytest.raises(TypeError):
-            api.chaos_sweep(SweepConfig(), txns=4)
         with pytest.raises(TypeError):
             run_chaos(txns=4)
 

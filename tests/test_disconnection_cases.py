@@ -1,17 +1,15 @@
 """Integration tests for the §3.3 disconnection cases (a)-(d),
-chaining vs the naive baseline."""
+chaining vs the naive baseline.
+
+Each case is one call on the detecting peer: (a) ``invoke`` of the dead
+leaf, (b) ``take_redirected`` + ``invoke`` on a replacement, (c)
+``check_child_liveness``, (d) ``report_stream_timeout``.  Every run is a
+fresh cluster, so a counter's value is what the case produced."""
 
 import pytest
 
 from repro.api import Cluster
 from repro.errors import PeerDisconnected
-from repro.sim.scenarios import FIG2_TOPOLOGY
-from repro.txn.disconnection import (
-    run_case_a_leaf_disconnection,
-    run_case_b_parent_disconnection,
-    run_case_c_child_disconnection,
-    run_case_d_sibling_disconnection,
-)
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 
 
@@ -30,9 +28,9 @@ class TestCaseALeaf:
         s.network.disconnect("AP6")
         origin = s.peer("AP2")
         txn2 = origin.begin_transaction()
-        report = run_case_a_leaf_disconnection(origin, txn2.txn_id, "AP6", "S6")
-        assert not report.recovered
-        assert report.detection_latency is not None
+        with pytest.raises(PeerDisconnected):
+            origin.invoke(txn2.txn_id, "AP6", "S6", {})
+        assert s.metrics.detection_latency("AP6") is not None
 
     def test_forward_with_replica_policy(self):
         s = Cluster.fig2(extra_peers=("AP6R",))
@@ -46,8 +44,7 @@ class TestCaseALeaf:
                          alternative_peer="AP6R")],
         )
         txn = parent.begin_transaction()
-        report = run_case_a_leaf_disconnection(parent, txn.txn_id, "AP6", "S6")
-        assert report.recovered
+        parent.invoke(txn.txn_id, "AP6", "S6", {})  # forward recovery on AP6R
         assert '<entry by="AP6"/>' in s.peer("AP6R").get_axml_document("D6").to_xml()
 
 
@@ -106,10 +103,8 @@ class TestCaseCChild:
         s = Cluster.fig2()
         txn, _ = s.run_topology()
         s.network.disconnect("AP3")
-        report = run_case_c_child_disconnection(s.peer("AP2"), txn.txn_id)
-        assert report.recovered
-        assert report.disconnected_peer == "AP3"
-        assert report.descendants_informed == 1  # AP6
+        assert s.peer("AP2").check_child_liveness(txn.txn_id) == ["AP3"]
+        assert s.metrics.get("descendants_informed") == 1  # AP6
         assert s.peer("AP6").is_doomed(txn.txn_id)
 
     def test_informed_descendants_stop_wasting_effort(self):
@@ -117,7 +112,7 @@ class TestCaseCChild:
         txn, _ = s.run_topology()
         s.peer("AP6").add_pending_work(txn.txn_id, units=10, unit_duration=0.1)
         s.network.disconnect("AP3")
-        run_case_c_child_disconnection(s.peer("AP2"), txn.txn_id)
+        s.peer("AP2").check_child_liveness(txn.txn_id)
         s.network.events.run_until(s.network.clock.now + 5.0)
         # The DisconnectNotice cancelled the pending units.
         assert s.metrics.get("work_units_done") == 0
@@ -128,16 +123,15 @@ class TestCaseCChild:
         s.peer("AP6").add_pending_work(txn.txn_id, units=10, unit_duration=0.1)
         s.peer("AP6").mark_doomed(txn.txn_id)  # ground truth: doomed
         s.network.disconnect("AP3")
-        run_case_c_child_disconnection(s.peer("AP2"), txn.txn_id)
+        s.peer("AP2").check_child_liveness(txn.txn_id)
         s.network.events.run_until(s.network.clock.now + 5.0)
         assert s.metrics.get("work_units_wasted") == 10
 
     def test_alive_children_not_flagged(self):
         s = Cluster.fig2()
         txn, _ = s.run_topology()
-        report = run_case_c_child_disconnection(s.peer("AP2"), txn.txn_id)
-        assert not report.recovered
-        assert report.disconnected_peer == ""
+        assert s.peer("AP2").check_child_liveness(txn.txn_id) == []
+        assert s.metrics.get("descendants_informed") == 0
 
 
 class TestCaseDSibling:
@@ -145,17 +139,17 @@ class TestCaseDSibling:
         s = Cluster.fig2()
         txn, _ = s.run_topology()
         s.network.disconnect("AP3")
-        report = run_case_d_sibling_disconnection(s.peer("AP4"), txn.txn_id, "AP3")
+        s.peer("AP4").report_stream_timeout(txn.txn_id, "AP3")
         # AP2 (parent of AP3) and AP6 (child of AP3) both notified.
-        assert report.descendants_informed == 2
+        assert s.metrics.get("disconnect_notices_received") == 2
         assert s.peer("AP2").is_doomed(txn.txn_id)
         assert s.peer("AP6").is_doomed(txn.txn_id)
 
     def test_false_alarm_checked_by_ping(self):
         s = Cluster.fig2()
         txn, _ = s.run_topology()
-        report = run_case_d_sibling_disconnection(s.peer("AP4"), txn.txn_id, "AP3")
-        assert report.descendants_informed == 0
+        s.peer("AP4").report_stream_timeout(txn.txn_id, "AP3")
+        assert s.metrics.get("disconnect_notices_received") == 0
 
     def test_naive_sibling_cannot_notify(self):
         s = Cluster.fig2(chaining=False)

@@ -1,24 +1,11 @@
-"""Unit tests for the disconnection scenario drivers
-(repro.txn.disconnection) beyond the integration coverage."""
+"""Unit tests for the case (a)/(b) recovery steps, driven directly on
+the peer, beyond the integration coverage in test_disconnection_cases."""
 
 import pytest
 
 from repro.api import Cluster
+from repro.errors import PeerDisconnected
 from repro.p2p.messages import RedirectedResult
-from repro.txn.disconnection import (
-    CaseReport,
-    run_case_a_leaf_disconnection,
-    run_case_b_parent_disconnection,
-)
-from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
-
-
-class TestCaseReport:
-    def test_defaults(self):
-        report = CaseReport("a", "AP6", "AP3")
-        assert report.detection_latency is None
-        assert report.work_reused == 0
-        assert not report.recovered
 
 
 class TestCaseAReport:
@@ -26,24 +13,13 @@ class TestCaseAReport:
         scenario = Cluster.fig2()
         scenario.run_topology()
         scenario.network.disconnect("AP6")
+        disconnections = scenario.metrics.get("disconnections")
         parent = scenario.peer("AP3")
         txn = parent.begin_transaction()
-        report = run_case_a_leaf_disconnection(parent, txn.txn_id, "AP6", "S6")
-        assert report.case == "a"
-        assert report.disconnected_peer == "AP6"
-        assert report.detected_by == "AP3"
-        assert not report.recovered
-        assert "disconnections" not in report.metrics  # already dead before
-
-    def test_metrics_delta_only(self):
-        scenario = Cluster.fig2()
-        scenario.metrics.incr("messages", 100)  # pre-existing noise
-        scenario.network.disconnect("AP6")
-        parent = scenario.peer("AP3")
-        txn = parent.begin_transaction()
-        report = run_case_a_leaf_disconnection(parent, txn.txn_id, "AP6", "S6")
-        # the delta excludes the pre-existing 100
-        assert report.metrics.get("messages", 0) < 100
+        with pytest.raises(PeerDisconnected):
+            parent.invoke(txn.txn_id, "AP6", "S6", {})
+        # AP6 was already dead before: invoking it counts no new disconnection.
+        assert scenario.metrics.get("disconnections") == disconnections
 
 
 class TestCaseBReport:
@@ -62,12 +38,10 @@ class TestCaseBReport:
             grandparent.on_notify(
                 RedirectedResult(txn2.txn_id, "AP6", "AP3", method, fragments, [])
             )
-        report = run_case_b_parent_disconnection(
-            grandparent, txn2.txn_id, "AP3", "APX", "S3"
-        )
-        assert report.case == "b"
-        assert report.recovered
-        assert report.work_reused >= 1
+        reused = grandparent.take_redirected(txn2.txn_id)
+        assert len(reused) >= 1
+        # The replacement recovers, passing the orphan's results along.
+        grandparent.invoke(txn2.txn_id, "APX", "S3", {}, reused_fragments=reused)
 
     def test_unrecoverable_when_replacement_dead(self):
         scenario = Cluster.fig2(extra_peers=("APX",))
@@ -76,7 +50,8 @@ class TestCaseBReport:
         scenario.network.disconnect("APX")
         grandparent = scenario.peer("AP2")
         txn2 = grandparent.begin_transaction()
-        report = run_case_b_parent_disconnection(
-            grandparent, txn2.txn_id, "AP3", "APX", "S3"
-        )
-        assert not report.recovered
+        with pytest.raises(PeerDisconnected):
+            grandparent.invoke(
+                txn2.txn_id, "APX", "S3", {},
+                reused_fragments=grandparent.take_redirected(txn2.txn_id),
+            )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.outcome import Outcome, OutcomeStatus
+from repro.outcome import Outcome
 from repro.p2p.messages import (
     AbortMessage,
     CommitMessage,
@@ -71,7 +71,6 @@ class TestMessages:
         assert list(result.fragments) == []
         assert list(result.compensations) == []
         assert result.chain is None
-        assert result.status is OutcomeStatus.OK
 
     def test_invoke_result_is_the_unified_outcome(self):
         # The RPC reply is the one Outcome class; its metrics/trace kind

@@ -65,7 +65,7 @@ class TestDistributeFragment:
     def test_registered_with_replication(self, world):
         network, ap1, ap2, doc = world
         placement = distribute_fragment(ap1, "Lib", "//books", ap2)
-        assert network.replication.holders(placement.fragment_document) == ["AP2"]
+        assert network.directory.document_holders(placement.fragment_document) == ["AP2"]
 
 
 class TestFragmentCopy:

@@ -25,7 +25,7 @@ class TestHealthyStream:
         scenario, txn, stream = fig2_with_stream()
         scenario.network.events.run_until(1.05)
         assert len(stream.received) >= 8
-        assert not stream.silence_reported
+        assert not stream.silent
 
     def test_sequence_monotone(self):
         scenario, txn, stream = fig2_with_stream()
@@ -48,7 +48,7 @@ class TestSilenceDetection:
         scenario.network.events.run_until(0.5)
         scenario.network.disconnect("AP3")
         scenario.network.events.run_until(3.0)
-        assert stream.silence_reported
+        assert stream.silent
         assert scenario.metrics.get("stream_silences") == 1
 
     def test_detection_triggers_chain_notices(self):
@@ -66,7 +66,7 @@ class TestSilenceDetection:
         scenario.network.events.run_until(0.5)
         scenario.network.disconnect("AP3")
         scenario.network.events.run_until(3.0)
-        assert stream.silence_reported
+        assert stream.silent
         assert not scenario.peer("AP6").is_doomed(txn.txn_id)
 
     def test_detection_latency_bounded(self):
@@ -84,4 +84,4 @@ class TestSilenceDetection:
         scenario.network.disconnect("AP4")
         scenario.network.disconnect("AP3")
         scenario.network.events.run_until(3.0)
-        assert not stream.silence_reported
+        assert not stream.silent

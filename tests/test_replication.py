@@ -251,7 +251,23 @@ class TestDeterministicFailoverSelection:
         network, replication, peers = make_cluster()
         network.disconnect("AP2")
         replication.select_failover("AP2", "setPrice")
-        assert replication.holders("Shop2")[0] == "AP3"
+        assert replication.directory.primary("Shop2") == "AP3"
+
+    def test_split_primary_after_failover_is_pinned_not_endorsed(self):
+        """"Who is primary" is stored twice: promotion reorders the
+        document's holder list but not its method's, and the scheduler's
+        reroute (like ``route_service``) reads the method's.  This pins
+        today's routing, not a design (ROADMAP 1(b), 2)."""
+        from repro.sim.scheduler import InvokeOp, TransactionScheduler
+
+        network, replication, peers = make_cluster(replicas=("AP4", "AP3"))
+        network.disconnect("AP2")
+        assert replication.select_failover("AP2", "setPrice") == "AP3"
+        directory = replication.directory
+        assert directory.primary("Shop2") == "AP3"
+        assert directory.service_holders("setPrice") == ["AP2", "AP4", "AP3"]
+        route = TransactionScheduler(network)._route_invoke
+        assert route(InvokeOp("AP2", "setPrice")) == "AP4"  # not the promoted AP3
 
 
 class TestFailover:
@@ -287,7 +303,7 @@ class TestFailover:
         peers["AP1"].commit(txn2.txn_id)
         assert "72" in peers["AP4"].get_axml_document("Shop2").to_xml()
         assert network.metrics.get("failovers") == 2
-        assert replication.holders("Shop2")[0] == "AP4"
+        assert replication.directory.primary("Shop2") == "AP4"
 
     def test_lagging_replica_mid_batch_catches_up_on_unlag(self):
         network, replication, peers = make_cluster()

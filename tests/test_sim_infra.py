@@ -236,7 +236,7 @@ class TestReplication:
         replica = replication.replicate_document("D", "B")
         x_id = doc.document.root.child_elements()[0].node_id
         assert replica.document.has_node(x_id)
-        assert replication.holders("D") == ["A", "B"]
+        assert replication.directory.document_holders("D") == ["A", "B"]
 
     def test_replicate_missing_document(self):
         from repro.p2p.network import SimNetwork
@@ -253,13 +253,15 @@ class TestPeerIndependentLedger:
         from repro.p2p.messages import CompensationRequest
         from repro.txn.peer_independent import dispatch_compensations
 
-        replication = network.replication
         return dispatch_compensations(
             definitions,
             send=lambda peer_id, plan_xml: network.notify(
                 "O", peer_id, CompensationRequest("T1", plan_xml, "O")
             ),
-            replica_holders=replication.holders if replication is not None else None,
+            replica_holders=(
+                None if network.replication is None
+                else network.directory.document_holders
+            ),
             count=network.metrics.incr,
         )
 
