@@ -16,7 +16,7 @@ from repro.query.update import apply_action
 from repro.sim.harness import ExperimentTable, ratio
 from repro.sim.rng import SeededRng
 from repro.sim.workload import OperationMix, generate_catalogue, generate_operation
-from repro.txn.operations import TransactionalOperation, build_compensation
+from repro.txn.operations import TransactionalOperation, build_compensation_for_entries
 from repro.txn.wal import OperationLog
 from repro.xmlstore.serializer import canonical
 
@@ -40,7 +40,7 @@ def run_point(item_count: int, seed: int = 11):
         except UpdateError:
             continue
     log_bytes = log.approximate_bytes("T1")
-    for plan in build_compensation(log, "T1"):
+    for plan in build_compensation_for_entries(log.undo_entries("T1")):
         plan.execute(axml.document)
     assert canonical(axml.document) == pre
     # --- snapshot-based run (same seed → same workload) ------------------

@@ -55,11 +55,16 @@ class InvokeRequest:
     #: (§3.3b: "passing the materialized results directly while invoking
     #: S3 on APX").
     reused_fragments: Dict[str, List[str]] = field(default_factory=dict)
+    #: The caller's run-unique id for this invocation (edge).
+    edge_id: int = field(default=0, repr=False)
 
 
 @dataclass
 class AbortMessage:
-    """"Abort T_A" (§3.2's nested recovery protocol)."""
+    """"Abort T_A" (§3.2's nested recovery protocol).
+
+    A receiver undoes the frames it ran for the invocations ``edge_ids``
+    names — its whole share when it names none (T aborts as a whole)."""
 
     KIND: ClassVar[str] = "abort"
 
@@ -67,6 +72,7 @@ class AbortMessage:
     from_peer: str
     failed_method: str = ""
     reason: str = ""
+    edge_ids: Tuple[int, ...] = field(default=(), repr=False)
 
 
 @dataclass

@@ -13,6 +13,7 @@ protocols on top of these primitives.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, List, Optional, Protocol, Union
 
 from repro.errors import PeerDisconnected, ServiceFault, UnknownPeer
@@ -79,11 +80,16 @@ class SimNetwork:
         #: one process while forked parallel workers start fresh,
         #: breaking serial↔parallel summary byte-identity.
         self._fragment_serial = 0
+        self._edge_ids = itertools.count(1)  # likewise run-scoped
 
     def next_fragment_serial(self) -> int:
         """The next distribution serial for this network (1-based)."""
         self._fragment_serial += 1
         return self._fragment_serial
+
+    def next_edge_id(self) -> int:
+        """A run-unique id for one invocation edge, which an Abort names."""
+        return next(self._edge_ids)
 
     # -- membership -------------------------------------------------------
 

@@ -15,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.axml.document import AXMLDocument
 from repro.axml.faults import parse_fault_handlers
@@ -61,7 +61,8 @@ from repro.txn.recovery import (
     fault_name_of,
     select_policy,
 )
-from repro.txn.transaction import Transaction, TransactionContext, TransactionState
+from repro.txn.transaction import InvocationEdge, InvocationFrame, Transaction
+from repro.txn.transaction import TransactionContext, TransactionState
 
 
 @dataclass
@@ -79,13 +80,6 @@ class _TxnRecord:
     redirected: Dict[str, List[str]] = field(default_factory=dict)
     #: Reuse fragments that arrived piggybacked on an InvokeRequest.
     incoming_reuse: Dict[str, List[str]] = field(default_factory=dict)
-    #: Completed executions of *replicated* services, for exactly-once
-    #: re-delegation: (method, params) → Outcome.  A parent that failed
-    #: over re-runs its delegations; a child that already did the work
-    #: returns its previous result instead of applying the share twice.
-    completed: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], Outcome] = field(
-        default_factory=dict
-    )
     #: The peer learned the transaction is doomed (disconnection
     #: notices); pending continuous work for it is wasted effort.
     doomed: bool = False
@@ -428,9 +422,9 @@ class AXMLPeer:
 
         Implements the caller side of nested recovery (§3.2): on failure,
         try the fault policies (forward recovery — retry, replica,
-        absorb, hook); if unhandled, perform backward recovery (abort the
-        local share, send "Abort T" to other invoked peers) and re-raise
-        so the failure propagates toward the origin.
+        absorb, hook); if unhandled, perform backward recovery (undo the
+        calling frame — at the origin, the whole share — and send "Abort
+        T" to the peers it invoked) and re-raise toward the origin.
         """
         self._check_alive()
         params = dict(params or {})
@@ -455,7 +449,7 @@ class AXMLPeer:
         )
         status = "ok"
         try:
-            edge = context.record_invocation(target_peer, method_name)
+            edge = context.record_invocation(target_peer, method_name, self.network.next_edge_id())
             chain = self._chain(txn_id)
             if chain is not None and not chain.contains(target_peer):
                 chain.add_invocation(
@@ -472,14 +466,12 @@ class AXMLPeer:
             try:
                 result = self._send_invoke(
                     context, target_peer, method_name, params,
-                    dict(reused_fragments or {}),
+                    dict(reused_fragments or {}), edge.edge_id,
                 )
             except (ServiceFault, PeerDisconnected) as exc:
                 if isinstance(exc, PeerDisconnected) and exc.peer_id == self.peer_id:
                     raise  # we are the dead one; nothing to recover
-                decision = self._try_forward_recovery(
-                    txn_id, target_peer, method_name, params, exc, policies
-                )
+                decision = self._try_forward_recovery(txn_id, edge, params, exc, policies)
                 if decision.handled:
                     edge.completed = True
                     self.network.metrics.incr("forward_recoveries")
@@ -487,15 +479,14 @@ class AXMLPeer:
                         self.network.metrics.incr("replica_retries")
                     status = "recovered"
                     return decision.fragments
-                edge.failed = True
-                # The failed peer already aborted its whole share
-                # (exclude it, §3.2) — unless partial recovery kept an
-                # enclosing co-located share alive there, in which case
-                # only this Abort notice can settle it.
-                exclude = (
-                    "" if getattr(exc, "share_retained", False) else target_peer
+                frames = context.open_frames[-1:] or None
+                # The failed peer already undid this invocation's frame
+                # (§3.2); it hears only of other invocations we undo.
+                again = self.network.is_alive(target_peer) and any(
+                    e is not edge and e.target_peer == target_peer
+                    for e in context.edges_of(frames)
                 )
-                self._backward_recover(txn_id, exclude_peer=exclude)
+                self._backward_recover(txn_id, frames, "" if again else target_peer)
                 raise
             edge.completed = True
             if chain is not None:
@@ -520,6 +511,7 @@ class AXMLPeer:
         method_name: str,
         params: Dict[str, str],
         reused_fragments: Dict[str, List[str]],
+        edge_id: int,
     ) -> Outcome:
         """Put one invocation on the wire (first try and retries alike):
         piggyback a snapshot of the chain view, make the WAL durable first,
@@ -533,6 +525,7 @@ class AXMLPeer:
             params=params,
             chain=chain.copy() if chain is not None else None,
             reused_fragments=reused_fragments,
+            edge_id=edge_id,
         )
         self.network.metrics.record_invocation()
         self._wal_barrier()
@@ -655,31 +648,18 @@ class AXMLPeer:
         self._check_alive()
         self._injected_disconnect(request.method_name, "before_execute")
         self._check_alive()
-        dedup_key = (request.method_name, tuple(sorted(request.params.items())))
-        record = self._txns.get(request.txn_id)
-        cached = record.completed.get(dedup_key) if record is not None else None
-        if cached is not None:
+        params = tuple(sorted(request.params.items()))
+        known = self.manager.contexts.get(request.txn_id)
+        kept = known.kept_frame(request.method_name, params) if known else None
+        if kept is not None:
             # Exactly-once across failover: a parent that failed over
             # re-runs its delegations, and this peer already completed
             # this exact invocation for the same transaction.  Return
-            # the previous result — the §3.3(b) "reuse, don't redo"
-            # idea applied callee-side.
+            # the previous result — §3.3(b)'s "reuse, don't redo" applied
+            # callee-side — from a frame now answering to this invocation.
+            kept.invoker, kept.edge_id = request.sender, request.edge_id
             self.network.metrics.incr("invocations_deduped")
-            return cached
-        # Snapshot what this peer already holds for the transaction: a
-        # rerouted or failed-over service can land on a peer that also
-        # executes one of its (transitive) delegates, and a fault in
-        # this frame must then only undo THIS frame's work, not the
-        # enclosing share's (see _partial_backward_recover).
-        prior_seq = 0
-        prior_edges = 0
-        enclosing = self.manager.live_context(request.txn_id)
-        if enclosing is not None:
-            prior_edges = len(enclosing.invocations)
-            prior_seq = max(
-                (e.seq for e in self.manager.log.entries_for(request.txn_id)),
-                default=0,
-            )
+            return kept.outcome
         transaction = Transaction(request.txn_id, request.origin_peer)
         context = self.manager.begin(
             transaction, parent_peer=request.sender, service_name=request.method_name
@@ -698,6 +678,9 @@ class AXMLPeer:
         )
         status = "ok"
         self._txn_stack.append(request.txn_id)
+        # This execution is one frame of the share: what it logs and
+        # invokes is undone with it, and only with it.
+        frame = context.open_frame(request.sender, request.edge_id, request.method_name, params)
         try:
             self._injected_fault(request.method_name, "before_execute")
             response = self._execute_local_service(
@@ -715,7 +698,7 @@ class AXMLPeer:
             # but undelivered — the network reports the death.
             self._injected_disconnect(request.method_name, "before_return")
             if self.parent_watch_interval is not None:
-                self._arm_parent_watch(request.txn_id, context)
+                self._arm_parent_watch(request.txn_id, frame)
             my_chain = self._chain(request.txn_id)
             # Share hand-off: the entries behind these fragments must be
             # durable before the invoker acts on the result.
@@ -734,26 +717,14 @@ class AXMLPeer:
                 # Only replicated services can be legitimately re-invoked
                 # (a failed-over parent re-running its delegations); for
                 # them, keep the outcome, chain snapshot and all, for dedup.
-                self._record(request.txn_id).completed[dedup_key] = result
+                frame.outcome = result
             return result
-        except ServiceFault as fault:
-            # §3.2 steps 1-2, callee side: abort my share and tell the
-            # peers whose services I invoked; then let the fault travel
-            # back to my invoker.
+        except ServiceFault:
+            # §3.2 steps 1-2, callee side: undo this frame and tell the peers
+            # it invoked; then let the fault travel back to my invoker.
             status = "fault"
             if not self.disconnected:
-                if prior_seq > 0 or prior_edges > 0:
-                    # This peer also holds an *enclosing* active share of
-                    # the same transaction (co-located via reroute or
-                    # failover): only this frame's work may be undone.
-                    # The flag tells the invoker this peer still has a
-                    # live share to settle if the fault goes unhandled.
-                    self._partial_backward_recover(request, prior_seq, prior_edges)
-                    fault.share_retained = True
-                else:
-                    self._backward_recover(
-                        request.txn_id, exclude_peer=request.sender
-                    )
+                self._backward_recover(request.txn_id, [frame], exclude_peer=request.sender)
             raise
         except PeerDisconnected:
             # Either I died mid-execution (do nothing — dead peers take
@@ -762,6 +733,7 @@ class AXMLPeer:
             status = "disconnected"
             raise
         finally:
+            context.open_frames.remove(frame)
             self._txn_stack.pop()
             self.network.spans.end(span, status=status)
 
@@ -820,12 +792,12 @@ class AXMLPeer:
     def _try_forward_recovery(
         self,
         txn_id: str,
-        target_peer: str,
-        method_name: str,
+        edge: InvocationEdge,
         params: Dict[str, str],
         exc: ReproError,
         policies: Optional[Sequence[FaultPolicy]],
     ) -> RecoveryDecision:
+        target_peer, method_name = edge.target_peer, edge.method_name
         fault_name = fault_name_of(exc)
         available = list(policies or self.fault_policies.get(method_name, []))
         policy = select_policy(available, fault_name)
@@ -837,7 +809,7 @@ class AXMLPeer:
             # target so orphaned children's work is reused, not redone.
             return self._send_invoke(
                 self.manager.context(txn_id), peer, method, p,
-                self.take_redirected(txn_id),
+                self.take_redirected(txn_id), edge.edge_id,
             ).fragments
 
         # The replication layer offers "the most-caught-up live replica"
@@ -872,97 +844,70 @@ class AXMLPeer:
             self.reroute_chain(txn_id, target_peer, decision.alternative_used)
         return decision
 
-    def _partial_backward_recover(
-        self, request: InvokeRequest, prior_seq: int, prior_edges: int
+    def _backward_recover(
+        self, txn_id: str, frames: Optional[List[InvocationFrame]] = None, exclude_peer: str = ""
     ) -> None:
-        """Backward-recover only the failed invocation's share.
-
-        A replica reroute or failover can execute a service on a peer
-        that also runs one of its delegates under the same transaction.
-        The usual callee-side recovery (``_backward_recover``) aborts
-        the peer's *whole* local share — which here would silently
-        destroy the enclosing invocation's completed work while that
-        invocation carries on and commits.  Instead: compensate only the
-        log tail this frame appended (``seq > prior_seq``) and tell only
-        the children this frame invoked to abort theirs.
-        """
-        txn_id = request.txn_id
+        """Undo *frames* (and the frames nested in them) and tell the peers
+        they invoked with an Abort naming those invocations; ``None`` —
+        the transaction aborts — undoes the whole share, and its Abort
+        names none.  A participant's last frames go as its whole share.
+        ``exclude_peer`` is the peer the failure came from (it has already
+        recovered itself) or the parent (the re-raise informs it)."""
         context = self.manager.live_context(txn_id)
         if context is None:
             return
-        executed = self.manager.abort_invocation_tail(txn_id, prior_seq)
-        self.network.metrics.record_value("compensation_depth", executed)
-        self.network.metrics.incr("partial_aborts")
-        frame_edges = context.invocations[prior_edges:]
-        del context.invocations[prior_edges:]
-        self._tell(
-            dict.fromkeys(e.target_peer for e in frame_edges),  # once each, in order
-            AbortMessage(txn_id, self.peer_id, request.method_name),
-            but=(request.sender, self.peer_id),
-        )
-
-    def _backward_recover(self, txn_id: str, exclude_peer: str = "") -> None:
-        """Abort my share and notify the peers whose services I invoked.
-
-        ``exclude_peer`` is the peer the failure came from (it has
-        already recovered itself) or the parent (the re-raise informs it).
-        """
-        context = self.manager.live_context(txn_id)
-        if context is None:
-            return
-        discarded = sum(1 for e in context.invocations if e.completed)
+        if frames is not None:
+            frames = [f for f in frames if f in context.frames]
+            if not frames:
+                return
+        edges = context.edges_of(frames)
+        discarded = sum(1 for e in edges if e.completed)
         if discarded:
             self.network.metrics.record_discarded_invocation(discarded)
-        executed = self._abort_share(txn_id)
-        self.network.metrics.record_value("compensation_depth", executed)
-        self.network.metrics.incr("local_aborts")
-        if context.is_origin:
-            self._close_origin(txn_id, "aborted")
-        self._tell(
-            context.invoked_peers(),
-            AbortMessage(txn_id, self.peer_id, context.service_name or ""),
-            but=(exclude_peer,),
+        whole = frames is None or (
+            not context.is_origin and len(context.scope(frames)) == len(context.frames)
         )
+        executed = self._abort_share(txn_id) if whole else self.manager.abort_frames(txn_id, frames)
+        self.network.metrics.record_value("compensation_depth", executed)
+        self.network.metrics.incr("local_aborts" if whole else "partial_aborts")
+        if whole and context.is_origin:
+            self._close_origin(txn_id, "aborted")
+        failed = frames[0].method_name if frames else context.service_name or ""
+        named = () if frames is None else tuple(e.edge_id for e in edges)
+        self._tell(dict.fromkeys(e.target_peer for e in edges),  # once each, in order
+                   AbortMessage(txn_id, self.peer_id, failed, edge_ids=named), but=(exclude_peer,))
 
     def _abort_share(self, txn_id: str) -> int:
-        """Compensate whatever share of the transaction this peer holds;
-        returns the number of compensating actions executed.
-
-        The share's exactly-once cache goes first: once the work is
-        undone, a cached :class:`Outcome` would make a later legitimate
-        re-invocation return stale results without redoing it.  Its
-        continuous work is moot either way.
-        """
-        record = self._txns.get(txn_id)
-        if record is not None:
-            record.completed.clear()
-            record.cancel_work()
+        """Compensate whatever share of the transaction this peer holds,
+        frames and their kept outcomes included, and cancel its
+        continuous work; returns the compensating actions executed."""
+        self._cancel_pending_work(txn_id)
         if not self.manager.has_context(txn_id):
             return 0
         return self.manager.abort_local(txn_id)
 
-    def _arm_parent_watch(self, txn_id: str, context: TransactionContext) -> None:
-        """Probe the invoker until the commit/abort decision arrives.
+    def _arm_parent_watch(self, txn_id: str, frame: InvocationFrame) -> None:
+        """Probe *frame*'s invoker until the commit/abort decision arrives.
 
         A participant whose invoker dies *after* the results were
         delivered is an in-doubt orphan: no Abort can reach it (the dead
         peer was the only one who knew about it).  The keep-alive probe
         is its §3.3 self-defense — on detecting the invoker's death it
-        aborts and compensates its own share, cascading to its children.
+        undoes the frames it ran for that invoker, cascading to their
+        children.
         """
-        parent = context.parent_peer
-        if parent is None:
-            return
+        parent = frame.invoker
         interval = self.parent_watch_interval
 
         def probe() -> None:
-            if self.disconnected or self.manager.live_context(txn_id) is not context:
+            context = self.manager.live_context(txn_id)
+            if self.disconnected or context is None or frame not in context.frames:
                 return
             if self.network.ping(self.peer_id, parent):
                 self.network.events.schedule(interval, probe)
                 return
             self.mark_doomed(txn_id)
-            self._backward_recover(txn_id)
+            self._backward_recover(txn_id, [f for f in context.frames if f.invoker == parent])
             self.network.metrics.incr("orphan_self_aborts")
 
         self.network.events.schedule(interval, probe)
@@ -1096,15 +1041,23 @@ class AXMLPeer:
                 self.network.replication.on_ack(self.peer_id, message)
 
     def _on_abort_message(self, message: AbortMessage) -> None:
-        """§3.2 step 2: a peer whose invoker aborted compensates its
-        share and cascades to its own children."""
+        """§3.2 step 2: a peer whose invoker aborted compensates the
+        frames it ran for the invocations the Abort names — its whole
+        share when it names none, or when a restart rebuilt the share
+        from the log without frames — and cascades to its children."""
         txn_id = message.txn_id
-        if self.manager.live_context(txn_id) is None:
+        context = self.manager.live_context(txn_id)
+        if context is None:
             if not self.manager.has_context(txn_id):
                 self._cancel_pending_work(txn_id)
             return
+        frames = None
+        if message.edge_ids and context.frames:
+            frames = [f for f in context.frames if f.edge_id in message.edge_ids]
+            if not frames:
+                return  # those invocations' frames are undone already
         self.network.metrics.incr("aborts_received")
-        self._backward_recover(txn_id, exclude_peer=message.from_peer)
+        self._backward_recover(txn_id, frames, exclude_peer=message.from_peer)
 
     def _on_disconnect_notice(self, message: DisconnectNotice) -> None:
         """A peer involved in one of our transactions disconnected.

@@ -22,11 +22,10 @@ from repro.txn.modes import RejoinMode
 from repro.txn.operations import (
     OperationOutcome,
     TransactionalOperation,
-    build_compensation,
     build_compensation_for_entries,
 )
-from repro.txn.transaction import Transaction, TransactionContext, TransactionState
-from repro.txn.wal import OperationLog
+from repro.txn.transaction import InvocationFrame, Transaction, TransactionContext, TransactionState
+from repro.txn.wal import LogEntry, OperationLog
 from repro.xmlstore.path import NULL_METER, TraversalMeter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -144,6 +143,7 @@ class TransactionManager:
         outcome = operation.execute(
             axml_document, resolver, self.log, timestamp=timestamp
         )
+        context.record_entry(outcome.log_entry)
         if self.validator is not None:
             from repro.txn.occ import read_ids, written_ids
 
@@ -167,7 +167,7 @@ class TransactionManager:
         *action* is the executed action ``action_xml`` spells."""
         context = self.context(txn_id)
         context.require_active()
-        self.log.append(
+        context.record_entry(self.log.append(
             txn_id=txn_id,
             kind="service",
             document_name=document_name,
@@ -175,7 +175,7 @@ class TransactionManager:
             records=records,
             timestamp=timestamp,
             action=action,
-        )
+        ))
 
     # -- commit / abort ---------------------------------------------------------------
 
@@ -201,10 +201,15 @@ class TransactionManager:
                 self.abort_local(txn_id)
                 raise
         context.transition(TransactionState.COMMITTED)
+        # Committed frames are never undone: only exactly-once outcomes stay.
+        context.frames = [f for f in context.frames if f.outcome is not None]
+        for frame in context.frames:
+            frame.entries, frame.edges, frame.enclosing = [], [], ()
         self.log.truncate(txn_id)
 
     def abort_local(self, txn_id: str, meter: Optional[TraversalMeter] = None) -> int:
-        """Backward recovery of this peer's share: compensate from the log.
+        """Backward recovery of this peer's whole share: :meth:`_undo`
+        over every entry the transaction logged here.
 
         Returns the number of compensating actions executed.  Idempotent:
         an already-aborted context compensates nothing.
@@ -215,66 +220,44 @@ class TransactionManager:
         if self.validator is not None:
             self.validator.abort(txn_id)
         context.transition(TransactionState.COMPENSATING)
+        context.frames.clear()
+        executed = self._undo(context, self.log.undo_entries(txn_id), meter)
+        context.transition(TransactionState.ABORTED)
+        return executed
+
+    def abort_frames(self, txn_id: str, frames: List[InvocationFrame]) -> int:
+        """Backward recovery of part of this peer's share: undo
+        ``context.scope(frames)``, whose frames and invocations leave the
+        share; it stays ACTIVE for the rest.  Returns the number of
+        compensating actions executed."""
+        context = self.context(txn_id)
+        entries = sorted(context.detach(frames), key=lambda e: e.seq, reverse=True)
+        return self._undo(context, entries) if entries else 0
+
+    def _undo(
+        self, context: TransactionContext, entries: Sequence[LogEntry],
+        meter: Optional[TraversalMeter] = None,
+    ) -> int:
+        """Compensate *entries* (newest first) and remove them from the log,
+        crash-safely: ``truncate`` writes the transaction's tombstone and
+        the survivors are appended again after it (their frames follow
+        the copies), so a restart recovers exactly the survivors."""
+        txn_id = context.txn_id
         meter = meter or TraversalMeter()
-        plans = build_compensation(self.log, txn_id, self.ordered_compensation)
+        plans = build_compensation_for_entries(entries, self.ordered_compensation)
         with self._span(f"compensate:{txn_id}", txn_id, plans=str(len(plans))):
             executed = self._run_plans(plans, meter)
         self.compensation_cost += meter.nodes_traversed
-        context.transition(TransactionState.ABORTED)
+        undone = {e.seq for e in entries}
+        survivors = [e for e in self.log.entries_for(txn_id) if e.seq not in undone]
         self.log.truncate(txn_id)
-        return executed
-
-    def abort_invocation_tail(
-        self,
-        txn_id: str,
-        after_seq: int,
-        meter: Optional[TraversalMeter] = None,
-    ) -> int:
-        """Compensate only the entries appended after *after_seq*.
-
-        Partial backward recovery for a peer that holds more than one
-        share of the same transaction — a failed-over (or rerouted)
-        service co-located with a delegate it invokes.  Aborting the
-        whole local share there would destroy the *enclosing*
-        invocation's completed work; instead, only the failed
-        invocation's tail is undone and dropped from the log, and the
-        context stays ACTIVE so a forward-recovery retry can continue.
-
-        The log rewrite is crash-safe: ``truncate`` writes the
-        transaction's tombstone and the surviving entries are appended
-        again after it, so with the WAL's in-order tombstone semantics a
-        restart recovers exactly the surviving share.
-
-        Returns the number of compensating actions executed.
-        """
-        context = self.context(txn_id)
-        if context.is_finished:
-            return 0
-        entries = self.log.entries_for(txn_id)
-        tail = [e for e in entries if e.seq > after_seq]
-        if not tail:
-            return 0
-        survivors = [e for e in entries if e.seq <= after_seq]
-        meter = meter or TraversalMeter()
-        plans = build_compensation_for_entries(
-            list(reversed(tail)), self.ordered_compensation
-        )
-        with self._span(
-            f"compensate_tail:{txn_id}", txn_id, plans=str(len(plans))
-        ):
-            executed = self._run_plans(plans, meter)
-        self.compensation_cost += meter.nodes_traversed
-        self.log.truncate(txn_id)
-        for entry in survivors:
-            self.log.append(
-                txn_id=entry.txn_id,
-                kind=entry.kind,
-                document_name=entry.document_name,
-                action_xml=entry.action_xml,
-                records=entry.records,
-                timestamp=entry.timestamp,
-                action=entry._action,  # the memo: a survivor is not parsed here
-            )
+        renewed = {  # an entry's parsed action goes with it: a survivor is not re-parsed
+            e.seq: self.log.append(e.txn_id, e.kind, e.document_name, e.action_xml,
+                                   e.records, e.timestamp, e._action)
+            for e in survivors
+        }
+        for frame in context.frames:
+            frame.entries = [renewed.get(e.seq, e) for e in frame.entries]
         return executed
 
     def _run_plans(

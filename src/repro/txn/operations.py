@@ -117,27 +117,16 @@ class TransactionalOperation:
         return f"TransactionalOperation({self.txn_id}, {self.action.action_type.value})"
 
 
-def build_compensation(
-    log: OperationLog, txn_id: str, ordered: bool = True
-) -> List[CompensationPlan]:
-    """Construct the full compensation of a transaction from the log.
-
-    Returns one plan per touched document, each holding the compensating
-    actions of that document's entries in reverse execution order.  Plans
-    are returned most-recently-touched document first, so executing them
-    in list order preserves global reverse order across documents.
-    """
-    return build_compensation_for_entries(log.undo_entries(txn_id), ordered)
-
-
 def build_compensation_for_entries(
     undo_entries, ordered: bool = True
 ) -> List[CompensationPlan]:
-    """Compensation plans for an explicit entry list (newest first).
+    """Compensation plans for log entries given newest first.
 
-    The subset variant of :func:`build_compensation`: partial backward
-    recovery compensates only one invocation's tail of a transaction's
-    log, not the whole transaction.
+    One plan per document the entries — a whole share's
+    (``OperationLog.undo_entries``) or some invocation frames' — touch,
+    holding its entries' compensating actions in reverse execution order.
+    Plans come most-recently-touched document first, so executing them in
+    list order preserves global reverse order across documents.
     """
     plans: List[CompensationPlan] = []
     by_document = {}

@@ -9,9 +9,9 @@ transaction."
 
 One :class:`Transaction` value identifies the global unit; each
 participant peer holds its own :class:`TransactionContext` with the
-local log span, the services it invoked on other peers, received
-compensating-service definitions (peer-independent mode) and the active
-peer chain (§3.3).
+services it invoked on other peers, received compensating-service
+definitions (peer-independent mode) and its share as
+:class:`InvocationFrame` s — the unit every undo names.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Tuple
 
 from repro.errors import TransactionStateError
+from repro.txn.wal import LogEntry
 
 _txn_counter = itertools.count(1)
 
@@ -63,7 +64,7 @@ class Transaction:
         return self.txn_id
 
 
-@dataclass
+@dataclass(eq=False)
 class InvocationEdge:
     """One remote invocation made while processing the transaction.
 
@@ -74,8 +75,27 @@ class InvocationEdge:
 
     target_peer: str
     method_name: str
+    edge_id: int = 0
     completed: bool = False
-    failed: bool = False
+
+
+@dataclass(eq=False)
+class InvocationFrame:
+    """One service execution for one incoming invocation: the undo unit.
+
+    §3.2: "undo only as much as required".  It holds the entries logged
+    and invocations made while it was the innermost executing frame;
+    frames opened meanwhile list it in ``enclosing`` and go with it.
+    ``outcome`` is its exactly-once result."""
+
+    invoker: str
+    edge_id: int
+    method_name: str
+    params: Tuple[Tuple[str, str], ...] = ()
+    enclosing: Tuple["InvocationFrame", ...] = ()
+    entries: List[LogEntry] = field(default_factory=list)
+    edges: List[InvocationEdge] = field(default_factory=list)
+    outcome: Optional[object] = None
 
 
 class TransactionContext:
@@ -102,6 +122,11 @@ class TransactionContext:
         #: (peer-independent compensation, §3.2): provider peer →
         #: serialized CompensationPlan XML, in receipt order.
         self.received_compensations: List[tuple] = []
+        #: The share as the frames of the invocations it served, in
+        #: arrival order; what an origin does itself is in none.
+        self.frames: List[InvocationFrame] = []
+        #: Frames executing now, innermost last.
+        self.open_frames: List[InvocationFrame] = []
 
     @property
     def txn_id(self) -> str:
@@ -133,20 +158,57 @@ class TransactionContext:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def record_invocation(self, target_peer: str, method_name: str) -> InvocationEdge:
-        edge = InvocationEdge(target_peer, method_name)
+    def record_invocation(
+        self, target_peer: str, method_name: str, edge_id: int = 0
+    ) -> InvocationEdge:
+        edge = InvocationEdge(target_peer, method_name, edge_id)
         self.invocations.append(edge)
+        if self.open_frames:
+            self.open_frames[-1].edges.append(edge)
         return edge
+
+    def record_entry(self, entry: LogEntry) -> None:
+        if self.open_frames:
+            self.open_frames[-1].entries.append(entry)
+
+    def open_frame(
+        self, invoker: str, edge_id: int, method_name: str, params: tuple = ()
+    ) -> InvocationFrame:
+        frame = InvocationFrame(invoker, edge_id, method_name, params, tuple(self.open_frames))
+        self.frames.append(frame)
+        self.open_frames.append(frame)
+        return frame
+
+    def scope(self, frames: List[InvocationFrame]) -> List[InvocationFrame]:
+        """*frames* and the frames nested in them, in arrival order."""
+        return [g for g in self.frames if any(f is g or f in g.enclosing for f in frames)]
+
+    def edges_of(self, frames: Optional[List[InvocationFrame]]) -> List[InvocationEdge]:
+        """The invocations made in ``scope(frames)`` — by the whole share
+        for ``None`` — in execution order."""
+        if frames is None:
+            return list(self.invocations)
+        made = [edge for g in self.scope(frames) for edge in g.edges]
+        return [edge for edge in self.invocations if edge in made]
+
+    def detach(self, frames: List[InvocationFrame]) -> List[LogEntry]:
+        """Drop ``scope(frames)`` and its invocations from the share;
+        returns the entries it logged."""
+        gone, made = self.scope(frames), self.edges_of(frames)
+        self.frames = [f for f in self.frames if f not in gone]
+        self.invocations = [e for e in self.invocations if e not in made]
+        return [entry for g in gone for entry in g.entries]
+
+    def kept_frame(self, method_name: str, params: tuple) -> Optional[InvocationFrame]:
+        """A held frame that ran this exact call and kept its outcome."""
+        return next((
+            f for f in self.frames
+            if f.outcome is not None and (f.method_name, f.params) == (method_name, params)
+        ), None)
 
     def invoked_peers(self) -> List[str]:
         """Distinct peers whose services this context invoked, in order."""
-        seen: Set[str] = set()
-        out: List[str] = []
-        for edge in self.invocations:
-            if edge.target_peer not in seen:
-                seen.add(edge.target_peer)
-                out.append(edge.target_peer)
-        return out
+        return list(dict.fromkeys(edge.target_peer for edge in self.invocations))
 
     def record_compensation_definition(self, provider_peer: str, plan_xml: str) -> None:
         self.received_compensations.append((provider_peer, plan_xml))

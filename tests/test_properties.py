@@ -21,7 +21,7 @@ from repro.query.update import apply_action
 from repro.sim.rng import SeededRng
 from repro.sim.workload import OperationMix, generate_catalogue, generate_operation
 from repro.txn.compensation import compensating_actions_for
-from repro.txn.operations import build_compensation
+from repro.txn.operations import build_compensation_for_entries
 from repro.txn.wal import OperationLog
 from repro.xmlstore.names import AXML_META_LOCALS, SC_NAME
 from repro.xmlstore.nodes import Document, Element
@@ -135,7 +135,7 @@ class TestCompensationProperty:
     @given(st.integers(0, 2**31 - 1), st.integers(1, 10))
     @settings(max_examples=30, deadline=None)
     def test_log_driven_compensation(self, seed, length):
-        """Same invariant, via the WAL + build_compensation path."""
+        """Same invariant, via the WAL + build_compensation_for_entries path."""
         rng = SeededRng(seed)
         axml = generate_catalogue(rng, item_count=rng.randint(3, 8), name="Cat")
         log = OperationLog("P")
@@ -148,7 +148,7 @@ class TestCompensationProperty:
                 TransactionalOperation("T1", action).execute(axml, None, log)
             except UpdateError:
                 continue
-        for plan in build_compensation(log, "T1"):
+        for plan in build_compensation_for_entries(log.undo_entries("T1")):
             plan.execute(axml.document)
         assert canonical(axml.document) == pre
 

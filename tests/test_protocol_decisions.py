@@ -5,7 +5,7 @@ per-transaction record that holds their state on a peer.
   :class:`~repro.p2p.chain.PeerChain` methods on the Fig. 2 chain;
 * peer-independent compensation dispatch: one function over fake
   callables;
-* partial backward recovery tells the frame's children in invocation
+* undoing one invocation frame tells its children in invocation
   order, whatever ``PYTHONHASHSEED`` is;
 * whatever happened to a transaction on a peer, ``forget_transaction``
   and ``crash`` release all of it.
@@ -154,8 +154,9 @@ class TestPeerIndependentDispatch:
 
 
 class TestPartialRecoveryFanOut:
-    """§3.2 on a co-located share: "Abort T" goes to each child of the
-    failed frame once, first invocation first — not in set order."""
+    """§3.2 on a share of two frames: undoing one tells each of its
+    children once, first invocation first — not in set order — and the
+    Abort names exactly that frame's invocations."""
 
     def test_children_are_told_in_invocation_order(self):
         network = SimNetwork()
@@ -163,19 +164,27 @@ class TestPartialRecoveryFanOut:
         context = peer.manager.begin(
             Transaction("T1", "AP0"), parent_peer="AP0", service_name="S1"
         )
-        context.record_invocation("AP2", "enclosing")  # not this frame's
+        kept = context.open_frame("AP0", 1, "S0")
+        context.record_invocation("AP2", "S", 2)  # not the undone frame's
+        context.open_frames.remove(kept)
+        undone = context.open_frame("AP0", 3, "S1")
         invoked = ["AP7", "AP3", "AP9", "AP0", "AP3", "AP5", "AP8", "AP4", "AP7", "AP6"]
-        for target in invoked:
-            context.record_invocation(target, "S")
+        for edge_id, target in enumerate(invoked, start=10):
+            context.record_invocation(target, "S", edge_id)
+        context.open_frames.remove(undone)
         told = []
-        network.notify = lambda sender, target, message: told.append(target) or True
-        peer._partial_backward_recover(
-            InvokeRequest("T1", "AP0", "AP0", "S1"), prior_seq=0, prior_edges=1
-        )
-        # the invoker (request.sender) hears through the re-raised fault
-        assert told == ["AP7", "AP3", "AP9", "AP5", "AP8", "AP4", "AP6"]
-        assert told not in (sorted(told), sorted(told, reverse=True))
-        assert context.invoked_peers() == ["AP2"]
+        network.notify = lambda sender, target, message: told.append(
+            (target, message.edge_ids)
+        ) or True
+        peer._backward_recover("T1", [undone], exclude_peer="AP0")
+        # the invoker hears through the re-raised fault
+        assert [target for target, _ in told] == [
+            "AP7", "AP3", "AP9", "AP5", "AP8", "AP4", "AP6",
+        ]
+        assert {ids for _, ids in told} == {tuple(range(10, 20))}
+        targets = [target for target, _ in told]
+        assert targets not in (sorted(targets), sorted(targets, reverse=True))
+        assert context.invoked_peers() == ["AP2"] and context.frames == [kept]
 
 
 # -- record lifecycle ----------------------------------------------------

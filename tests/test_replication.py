@@ -447,26 +447,24 @@ class TestResync:
 
 
 class TestPartialBackwardRecovery:
-    def test_abort_invocation_tail_keeps_earlier_share(self):
+    def test_frame_undo_keeps_earlier_share(self):
         network, replication, peers = make_cluster(replicas=())
-        ap2 = peers["AP2"]
-        txn = ap2.begin_transaction()
-        ap2.submit(txn.txn_id, SET_PRICE.replace("$price", "42"))
-        boundary = max(
-            e.seq for e in ap2.manager.log.entries_for(txn.txn_id)
-        )
-        ap2.submit(txn.txn_id, SET_PRICE.replace("$price", "77"))
-        executed = ap2.manager.abort_invocation_tail(txn.txn_id, boundary)
+        ap1, ap2 = peers["AP1"], peers["AP2"]
+        txn = ap1.begin_transaction()
+        for price in ("42", "77"):
+            ap1.invoke(txn.txn_id, "AP2", "setPrice", {"price": price})
+        context = ap2.manager.context(txn.txn_id)
+        kept, undone = context.frames
+        executed = ap2.manager.abort_frames(txn.txn_id, [undone])
         assert executed >= 1
         xml = ap2.get_axml_document("Shop2").to_xml()
         assert "42" in xml and "77" not in xml
-        # The context stays ACTIVE and the surviving share still commits.
-        context = ap2.manager.context(txn.txn_id)
-        assert context.state is TransactionState.ACTIVE
-        assert [
-            e.document_name for e in ap2.manager.log.entries_for(txn.txn_id)
-        ] == ["Shop2"]
-        ap2.commit(txn.txn_id)
+        # The context stays ACTIVE, the survivor's entry was logged again
+        # after the tombstone, and the surviving share still commits.
+        assert context.state is TransactionState.ACTIVE and context.frames == [kept]
+        log = ap2.manager.log.entries_for(txn.txn_id)
+        assert [e.document_name for e in log] == ["Shop2"] and kept.entries == log
+        ap1.commit(txn.txn_id)
         assert "42" in ap2.get_axml_document("Shop2").to_xml()
 
 

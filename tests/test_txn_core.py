@@ -10,7 +10,7 @@ from repro.query.parser import parse_action
 from repro.sim.rng import SeededRng
 from repro.sim.workload import generate_catalogue
 from repro.txn.manager import TransactionManager
-from repro.txn.operations import TransactionalOperation, build_compensation
+from repro.txn.operations import TransactionalOperation, build_compensation_for_entries
 from repro.txn.spheres import analyze_sphere, sphere_guarantee_rate
 from repro.txn.transaction import Transaction, TransactionContext, TransactionState
 from repro.txn.wal import OperationLog
@@ -176,7 +176,7 @@ class TestTransactionalOperation:
             ),
         )
         op.execute(axml_doc, None, log)
-        plans = build_compensation(log, "T1")
+        plans = build_compensation_for_entries(log.undo_entries("T1"))
         assert len(plans) == 1
         assert plans[0].document_name == "Shop"
         assert len(plans[0]) == 2

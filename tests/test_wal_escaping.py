@@ -2,7 +2,7 @@
 
 from repro.axml.document import AXMLDocument
 from repro.query.parser import parse_action
-from repro.txn.operations import TransactionalOperation, build_compensation
+from repro.txn.operations import TransactionalOperation, build_compensation_for_entries
 from repro.txn.wal import OperationLog, entry_from_xml, entry_to_xml
 from repro.xmlstore.serializer import canonical
 
@@ -32,7 +32,7 @@ def test_snapshot_with_entities_roundtrips():
     restored = restart(log)
     snapshot = restored.entries_for("T1")[0].records[0].snapshot_xml
     assert "&amp;" in snapshot  # still-escaped content inside the snapshot
-    for plan in build_compensation(restored, "T1"):
+    for plan in build_compensation_for_entries(restored.undo_entries("T1")):
         plan.execute(axml.document)
     assert canonical(axml.document) == pre
     name = axml.document.root.child_elements()[0].first_child("name")
@@ -85,6 +85,6 @@ def test_deep_subtree_snapshot_roundtrips():
             "</location></action>"
         ),
     ).execute(axml, None, log)
-    for plan in build_compensation(restart(log), "T1"):
+    for plan in build_compensation_for_entries(restart(log).undo_entries("T1")):
         plan.execute(axml.document)
     assert canonical(axml.document) == pre

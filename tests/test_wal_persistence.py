@@ -8,7 +8,7 @@ from repro.p2p.peer import AXMLPeer
 from repro.query.parser import parse_action
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import UpdateService
-from repro.txn.operations import TransactionalOperation, build_compensation
+from repro.txn.operations import TransactionalOperation, build_compensation_for_entries
 from repro.txn.wal import OperationLog, entry_from_xml, entry_to_xml
 from repro.xmlstore.serializer import canonical
 
@@ -76,7 +76,7 @@ class TestLogSerialization:
         # Run the ops on *fresh*, persist the log, restore, compensate.
         log = populate_log(fresh)
         restored = restart(log)
-        for plan in build_compensation(restored, "T1"):
+        for plan in build_compensation_for_entries(restored.undo_entries("T1")):
             plan.execute(fresh.document)
         assert canonical(fresh.document) == pre
 
