@@ -8,15 +8,13 @@ Two measurements (DESIGN.md index row R1):
   ``recovery_replay_entries`` grows linearly with N.  With
   ``checkpoint_every=K``, recovery loads the newest checkpoint and
   replays only the segment tail — bounded by K regardless of N.
-* Part B, write-path group commit: a T1-style multi-invoke commit
-  workload against a durable worker, with ``wal_batch=1`` (one physical
-  flush per frame, the PR 5 path) vs a batched WAL (one multi-frame
-  flush per batch, barriers at commit time) — the batched leg must
-  issue far fewer physical flushes for the same logical appends.
-  Note the batched leg relaxes ``flush_on_prepare``: with the barrier
-  on, every share hand-off flushes the (1-entry) batch anyway, which is
-  exactly the durability the protocol demands — group commit pays off
-  on the ops *between* protocol messages, not across them.
+* Part B, write-path group commit: a durable origin commits
+  transactions of several local ``submit``s each — no message between
+  them, so nothing forces a write-ahead barrier before the commit —
+  with ``wal_batch=1`` (one physical flush per frame) vs a batched WAL
+  (the commit-time tombstone barrier writes the transaction's entries
+  as one multi-frame flush).  The batched leg must issue far fewer
+  physical flushes for the same logical appends.
 
 Gates are deterministic (logical counters, not wall time): replay
 counts must be exactly linear without checkpoints and ≤ the checkpoint
@@ -41,7 +39,7 @@ from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import UpdateService
-from repro.txn.modes import DurabilityPolicy, RejoinMode
+from repro.txn.modes import DurabilityPolicy
 
 
 def _durable_world(directory: str, checkpoint_every: int):
@@ -84,7 +82,7 @@ def _measure_recovery(wal_length: int, checkpoint_every: int):
         worker.crash()
         before = network.metrics.get("recovery_replay_entries")
         start = time.perf_counter()
-        worker.rejoin(mode=RejoinMode.IN_DOUBT)
+        worker.rejoin()
         elapsed = time.perf_counter() - start
         replayed = network.metrics.get("recovery_replay_entries") - before
         return replayed, elapsed
@@ -130,38 +128,27 @@ def bench_recovery(args) -> dict:
     )
 
 
-def _commit_workload(policy: DurabilityPolicy, txns: int, ops: int):
-    """Run *txns* committed transactions of *ops* invokes each against a
-    worker using *policy*; returns ``(seconds, counters_dict)``."""
+def _commit_workload(wal_batch: int, txns: int, ops: int):
+    """Run *txns* committed transactions of *ops* local submits each on a
+    durable origin with *wal_batch*; returns ``(seconds, counters_dict)``."""
     scratch = tempfile.mkdtemp(prefix="bench-r1-")
     try:
         network = SimNetwork()
-        origin = AXMLPeer("Origin", network)
-        worker = AXMLPeer(
-            "Worker", network,
-            durability=DurabilityPolicy(
-                directory=scratch,
-                wal_batch=policy.wal_batch,
-                flush_on_prepare=policy.flush_on_prepare,
-            ),
+        origin = AXMLPeer(
+            "Origin", network,
+            durability=DurabilityPolicy(directory=scratch, wal_batch=wal_batch),
         )
-        worker.host_document(
+        origin.host_document(
             AXMLDocument.from_xml("<D><slots/></D>", name="D")
         )
-        worker.host_service(UpdateService(
-            ServiceDescriptor(
-                "book", kind="update", params=(ParamSpec("c"),),
-                target_document="D",
-            ),
-            '<action type="insert"><data><slot c="$c"/></data>'
-            "<location>Select d from d in D//slots;</location></action>",
-        ))
         start = time.perf_counter()
         for i in range(txns):
             txn = origin.begin_transaction()
             for j in range(ops):
-                origin.invoke(
-                    txn.txn_id, "Worker", "book", {"c": f"c{i}.{j}"}
+                origin.submit(
+                    txn.txn_id,
+                    f'<action type="insert"><data><slot c="c{i}.{j}"/></data>'
+                    "<location>Select d from d in D//slots;</location></action>",
                 )
             origin.commit(txn.txn_id)
         elapsed = time.perf_counter() - start
@@ -173,15 +160,10 @@ def _commit_workload(policy: DurabilityPolicy, txns: int, ops: int):
 def bench_group_commit(args) -> dict:
     txns = 16 if args.smoke else 100
     ops = 4
-    serial_time, serial_counters = _commit_workload(
-        DurabilityPolicy(directory="x", wal_batch=1), txns, ops
-    )
+    serial_time, serial_counters = _commit_workload(1, txns, ops)
     # Batched leg: accumulate each transaction's entries and let the
     # commit-time tombstone barrier write them as one multi-frame flush.
-    batched_time, batched_counters = _commit_workload(
-        DurabilityPolicy(directory="x", wal_batch=32, flush_on_prepare=False),
-        txns, ops,
-    )
+    batched_time, batched_counters = _commit_workload(32, txns, ops)
 
     appends = batched_counters.get("wal_appends", 0)
     batch_flushes = batched_counters.get("wal_batch_flushes", 0)

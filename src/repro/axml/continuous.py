@@ -17,7 +17,7 @@ the producer's silence through the peer's chain, is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.axml.document import AXMLDocument
 from repro.axml.materialize import MaterializationEngine, Resolver
@@ -41,8 +41,8 @@ class ContinuousDriver:
     """Drives the periodic calls of one document on an event queue.
 
     Each call with a ``frequency`` attribute is re-materialized every
-    ``frequency`` simulated seconds until :meth:`stop` (or until the
-    call element disappears from the document — e.g. compensated away).
+    ``frequency`` simulated seconds until the call element disappears
+    from the document — e.g. compensated away.
     Failures of a tick are recorded, not raised: a periodic refresh that
     fails simply retries at the next tick (the §3.2 machinery only kicks
     in for transactional invocations).
@@ -60,23 +60,13 @@ class ContinuousDriver:
         self.events = events
         self.on_tick = on_tick
         self.history: List[TickRecord] = []
-        self._running: Dict[NodeId, bool] = {}
 
     def start(self) -> int:
         """Schedule every continuous call; returns how many were found."""
         calls = self.axml_document.continuous_calls()
         for call in calls:
-            self._running[call.call_id] = True
             self._schedule(call.call_id, call.frequency or 1.0)
         return len(calls)
-
-    def stop(self, call_id: Optional[NodeId] = None) -> None:
-        """Stop one call's ticks (or all of them)."""
-        if call_id is None:
-            for key in self._running:
-                self._running[key] = False
-            return
-        self._running[call_id] = False
 
     def tick_count(self, method_name: Optional[str] = None) -> int:
         return sum(
@@ -89,16 +79,12 @@ class ContinuousDriver:
         self.events.schedule(period, lambda: self._tick(call_id, period))
 
     def _tick(self, call_id: NodeId, period: float) -> None:
-        if not self._running.get(call_id):
-            return
         document = self.axml_document.document
         if not document.has_node(call_id):
-            self._running[call_id] = False
             return
         element = document.get_node(call_id)
         if not element.is_attached():
             # The call was compensated/deleted: subscription lapses.
-            self._running[call_id] = False
             return
         call = ServiceCall(element)
         engine = MaterializationEngine(self.axml_document, self.resolver)

@@ -142,8 +142,8 @@ class AXMLDocument:
     def to_pretty(self) -> str:
         return pretty(self.document)
 
-    def size(self) -> int:
-        return self.document.size()
-
     def __repr__(self) -> str:
-        return f"AXMLDocument({self.name!r}, size={self.size()}, calls={len(self.service_calls())})"
+        return (
+            f"AXMLDocument({self.name!r}, size={self.document.size()}, "
+            f"calls={len(self.service_calls())})"
+        )

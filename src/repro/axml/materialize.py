@@ -16,7 +16,7 @@ network messages so that peer disconnection can strike mid-materialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from repro.axml.document import AXMLDocument
 from repro.axml.service_call import ServiceCall
@@ -62,9 +62,6 @@ class MaterializationReport:
 
     def methods(self) -> List[str]:
         return [call.method_name for call in self.calls]
-
-    def merge(self, other: "MaterializationReport") -> None:
-        self.calls.extend(other.calls)
 
 
 class MaterializationEngine:

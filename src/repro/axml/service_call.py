@@ -81,10 +81,6 @@ class ServiceCall:
         return mode
 
     @property
-    def service_namespace(self) -> str:
-        return self.element.attributes.get("serviceNameSpace", "")
-
-    @property
     def service_url(self) -> str:
         """Where the service lives — in our P2P layer, ``axml://<peer>``."""
         return self.element.attributes.get("serviceURL", "")
@@ -177,18 +173,6 @@ class ServiceCall:
             value = value_el.text_content() if value_el is not None else param_el.text_content()
             out.append(Param(name, value=value))
         return out
-
-    def param_values(self) -> Dict[str, str]:
-        """Name→value mapping; raises if a nested param is unmaterialized."""
-        values: Dict[str, str] = {}
-        for param in self.params():
-            if param.is_nested:
-                raise ServiceCallError(
-                    f"parameter {param.name!r} is a nested service call and "
-                    "has not been materialized"
-                )
-            values[param.name] = param.value or ""
-        return values
 
     def result_nodes(self) -> List[Node]:
         """The current result region: children outside params/handlers."""

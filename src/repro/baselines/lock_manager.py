@@ -21,8 +21,7 @@ single-threaded simulation honest — there is nobody to block.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.errors import TransactionError
 from repro.xmlstore.nodes import Element, NodeId
@@ -108,12 +107,6 @@ class LockManager:
             if holders.pop(txn_id, None) is not None:
                 released += 1
         return released
-
-    def holders_of(self, node_id: NodeId) -> Dict[str, LockMode]:
-        return dict(self._table.get(node_id, {}))
-
-    def held_by(self, txn_id: str) -> int:
-        return sum(1 for holders in self._table.values() if txn_id in holders)
 
     # -- tree-aware helpers ----------------------------------------------------
 

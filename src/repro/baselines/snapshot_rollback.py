@@ -11,8 +11,8 @@ deeper reason the paper builds on compensation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.axml.document import AXMLDocument
 from repro.xmlstore.nodes import Document
@@ -65,16 +65,3 @@ class SnapshotRollback:
             return False
         axml_document.document.restore_from(snapshot, preserve_ids=True)
         return True
-
-    def release(self, txn_id: str) -> int:
-        """Drop all snapshots of a committed transaction; returns count."""
-        keys = [k for k in self._snapshots if k[0] == txn_id]
-        for key in keys:
-            del self._snapshots[key]
-        return len(keys)
-
-    def approximate_bytes(self) -> int:
-        """Live snapshot footprint (compare with OperationLog bytes)."""
-        return sum(
-            len(serialize(doc, include_ids=True)) for doc in self._snapshots.values()
-        )

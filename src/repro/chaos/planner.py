@@ -21,11 +21,10 @@ a cluster); together they cover the failure dimensions of §3.2–§3.3:
   decisions are assumed reliable (see ``docs/CHAOS.md``);
 * ``crash`` — a provider's *process* dies at a protocol point, losing
   all volatile state (contexts, in-memory log, chains); it restarts
-  ``delay`` later and recovers from its durable WAL
-  (``rejoin(mode=RejoinMode.IN_DOUBT)``, see ``docs/DURABILITY.md``).  Only
-  planned when the run enables ``durability``, and sampled from a
-  *separate* RNG stream so existing seeds' plans keep their exact
-  event prefix;
+  ``delay`` later and recovers from its durable WAL (``rejoin()``,
+  see ``docs/DURABILITY.md``).  Only planned when the run enables
+  ``durability``, and sampled from a *separate* RNG stream so existing
+  seeds' plans keep their exact event prefix;
 * ``kill_primary`` / ``lag_replica`` — replication faults (see
   ``docs/REPLICATION.md``): a whole-process crash of a replicated
   primary at an absolute time, and a replica whose WAL-apply loop is
@@ -456,7 +455,7 @@ class FaultPlanner:
         the fault on the shard coordinator; it fires when a migration
         reaches that phase (there is no way to know at plan time which
         peer will be migrating).  The victim restarts ``delay`` later
-        and recovers from its WAL (``rejoin(mode=RejoinMode.IN_DOUBT)``).
+        and recovers from its WAL (``rejoin()``).
         """
         role = rng.choice(["source", "target"])
         point = rng.choice(["copy", "cutover"])

@@ -21,10 +21,10 @@ and the scheduler client would die with it.
 Settlement
 ----------
 After the scheduler drains: (1) run every pending event (delayed
-messages, late planned disconnects); (2) reconnect dead peers —
-deliberately *not* via :meth:`AXMLPeer.rejoin`, which compensates every
-active share and would wrongly undo the share of a transaction that
-committed while the peer was dead; (3) resolve each peer's in-doubt
+messages, late planned disconnects, crash restarts); (2) reconnect
+dead peers — merely disconnected, so their volatile state is intact and
+there is nothing to recover (:meth:`AXMLPeer.rejoin` is the crash
+path's restart); (3) resolve each peer's in-doubt
 shares against the origin's decision (``resolve_in_doubt``), which is
 exactly what a returning peer can learn by asking any chain member;
 (4) release per-transaction protocol state (``forget_transaction``).

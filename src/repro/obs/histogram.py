@@ -34,11 +34,6 @@ class Histogram:
         self.values.append(value)
         self._sorted = None
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's samples into this one."""
-        self.values.extend(other.values)
-        self._sorted = None
-
     # -- statistics -----------------------------------------------------
 
     def __len__(self) -> int:

@@ -123,7 +123,7 @@ class PeerChain:
         """Ancestors nearest-first — who may take results meant for a
         dead *peer_id*, in the fallback order of §3.3(b): "AP6 can try
         the next closest peer (AP1) or the closest super peer … in the
-        list" (:meth:`closest_super_peer` is always one of them)."""
+        list" (the closest super peer is by construction one of them)."""
         node = self.find(peer_id)
         out: List[str] = []
         if node is None:
@@ -133,18 +133,6 @@ class PeerChain:
             out.append(current.peer_id)
             current = current.parent
         return out
-
-    def closest_super_peer(self, peer_id: str) -> Optional[str]:
-        """Nearest super-peer ancestor of *peer_id* (or None)."""
-        node = self.find(peer_id)
-        if node is None:
-            return None
-        current = node.parent
-        while current is not None:
-            if current.super_peer:
-                return current.peer_id
-            current = current.parent
-        return None
 
     # -- extended relations (the conclusion's future-work chaining) ---------
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.txn.modes import RejoinMode
-
 if TYPE_CHECKING:  # pragma: no cover - typing only (network imports sharding)
     from repro.p2p.network import SimNetwork
 
@@ -31,13 +29,12 @@ def crash_and_restart(network: "SimNetwork", peer_id: str, restart_delay: float)
     """Crash *peer_id* now and restart it *restart_delay* later.
 
     A crash (``AXMLPeer.crash``) loses all volatile state; the restart
-    is ``rejoin(mode=RejoinMode.IN_DOUBT)``: the peer recovers its log
-    from the durable WAL and rebuilds in-doubt contexts for a later
-    commit/abort decision.  A peer already dead is left alone (returns
-    ``None``, else the crashed peer).  The restart is scheduled
-    unconditionally — settlement's ``run_all()`` fires it even when
-    nothing else is pending, so no crashed peer is left dead (and
-    un-recovered) at oracle time.
+    is ``rejoin()``: the peer recovers its log from the durable WAL and
+    rebuilds in-doubt contexts for a later commit/abort decision.  A
+    peer already dead is left alone (returns ``None``, else the crashed
+    peer).  The restart is scheduled unconditionally — settlement's
+    ``run_all()`` fires it even when nothing else is pending, so no
+    crashed peer is left dead (and un-recovered) at oracle time.
     """
     peer = network.get_peer(peer_id)
     if peer.disconnected:
@@ -45,7 +42,7 @@ def crash_and_restart(network: "SimNetwork", peer_id: str, restart_delay: float)
     peer.crash()
     network.events.schedule(
         restart_delay,
-        lambda: peer.rejoin(mode=RejoinMode.IN_DOUBT) if peer.disconnected else None,
+        lambda: peer.rejoin() if peer.disconnected else None,
     )
     return peer
 
@@ -141,12 +138,6 @@ class FailureInjector:
         self.network.events.schedule_at(
             time, lambda: self.network.disconnect(peer_id)
         )
-
-    def clear(self) -> None:
-        """Drop every un-fired fault/disconnect/crash script."""
-        self._faults.clear()
-        self._disconnects.clear()
-        self._crashes.clear()
 
     # -- hooks consulted by peers -----------------------------------------------
 

@@ -14,7 +14,7 @@ protocols on top of these primitives.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Protocol, Union
+from typing import Callable, Dict, Optional, Protocol, Union
 
 from repro.errors import PeerDisconnected, ServiceFault, UnknownPeer
 from repro.obs.spans import SpanCollector
@@ -102,9 +102,6 @@ class SimNetwork:
             return self._peers[peer_id]
         except KeyError:
             raise UnknownPeer(f"no peer {peer_id!r} in the network")
-
-    def peers(self) -> List[str]:
-        return list(self._peers)
 
     def disconnect(self, peer_id: str) -> None:
         """Mark *peer_id* as having left the network (§1: arbitrarily)."""

@@ -51,7 +51,7 @@ from repro.obs.spans import Span
 from repro.outcome import Outcome
 from repro.sim.rng import SeededRng, stable_seed
 from repro.txn.manager import TransactionManager
-from repro.txn.modes import DurabilityPolicy, RejoinMode
+from repro.txn.modes import DurabilityPolicy
 from repro.txn.operations import OperationOutcome
 from repro.txn.peer_independent import dispatch_compensations
 from repro.txn.recovery import (
@@ -146,7 +146,6 @@ class AXMLPeer:
         #: enables the on-disk WAL (:mod:`repro.txn.durable_wal`);
         #: ``None`` keeps the log memory-only and peers fail by
         #: disconnecting, never crashing.
-        self.durability_policy = durability
         self.wal = None
         if durability is not None:
             from repro.txn.durable_wal import DurableWal
@@ -157,7 +156,6 @@ class AXMLPeer:
                 metrics=network.metrics,
                 segment_max_frames=durability.segment_max_frames,
                 batch_size=durability.wal_batch,
-                flush_interval=durability.flush_interval,
                 events=network.events,
                 checkpoint_every=durability.checkpoint_every,
                 document_source=self._snapshot_documents,
@@ -200,11 +198,11 @@ class AXMLPeer:
         return {name: doc.to_xml() for name, doc in self.documents.items()}
 
     def _wal_barrier(self) -> None:
-        """The ``flush_on_prepare`` barrier: buffered WAL frames must be
+        """The write-ahead barrier (§3.1): buffered WAL frames must be
         durable before this peer sends a message another peer acts on
         (share hand-off, invocation requests).  No-op without group
-        commit or with the barrier disabled."""
-        if self.wal is not None and self.durability_policy.flush_on_prepare:
+        commit."""
+        if self.wal is not None:
             self.wal.flush()
 
     def set_fault_policy(
@@ -1117,7 +1115,7 @@ class AXMLPeer:
         the peer's durable store and survive, as does the on-disk WAL
         directory when ``durability`` is enabled — that WAL is the only
         route back to compensating in-flight shares after a restart
-        (:meth:`rejoin` with ``mode=RejoinMode.IN_DOUBT``).
+        (:meth:`rejoin`).
 
         The executing-transaction stack is deliberately left alone: a
         crash mid-service unwinds through ``handle_invoke``'s normal
@@ -1135,28 +1133,22 @@ class AXMLPeer:
     # rejoin (the P2P churn story: peers "joining and leaving arbitrarily")
     # ------------------------------------------------------------------
 
-    def rejoin(self, mode: RejoinMode = RejoinMode.COMPENSATE) -> int:
-        """Rejoin the network, settling in-flight transactions.
+    def rejoin(self) -> int:
+        """Rejoin the network with every recovered share in doubt.
 
-        While this peer was gone, the rest of the system treated it as
-        dead: its in-flight transactions were aborted (or completed
-        around it via replicas).  The restart itself is
+        The restart itself is
         :meth:`repro.txn.manager.TransactionManager.recover`: the log is
         refilled — from disk when a durable WAL is attached
         (``durability=``), where in-memory contexts are gone but the log
         survives; otherwise from whatever the in-memory log still holds
-        — and ``mode`` decides what happens to the recovered shares:
-
-        * :attr:`RejoinMode.COMPENSATE` (default): compensate every
-          recovered share immediately — correct when the rest of the
-          system already aborted around the dead peer.  The log has
-          everything needed (§3.1's logging discipline pays off here).
-        * :attr:`RejoinMode.IN_DOUBT`: rebuild an ``ACTIVE`` context per
-          recovered transaction and leave the decision to a later
-          :meth:`resolve_in_doubt`.  Required after a *crash*: a share
-          whose invocation completed before the crash may belong to a
-          transaction that globally committed — compensating it
-          unconditionally would undo committed work.
+        — and every recovered transaction gets an ``ACTIVE`` context that
+        waits for :meth:`resolve_in_doubt`.  Compensating on restart
+        instead would be wrong after a *crash*: a share whose invocation
+        completed before the crash may belong to a transaction that
+        globally committed, and undoing it would undo committed work
+        (§3.2).  A caller that knows the rest of the system aborted
+        around this peer settles each live share with
+        ``resolve_in_doubt(txn_id, committed=False)``.
 
         With checkpointing enabled, recovery restores any document
         snapshot the latest valid checkpoint carried for a document this
@@ -1164,19 +1156,11 @@ class AXMLPeer:
         the durable store and survive a crash, so existing documents are
         never overwritten).
 
-        Returns the number of transactions compensated (or, in
-        ``IN_DOUBT`` mode, rebuilt as in-doubt).
+        Returns the number of transactions rebuilt as in-doubt.
         """
-        if not isinstance(mode, RejoinMode):
-            raise TypeError(f"rejoin mode must be a RejoinMode, not {mode!r}")
         self.network.reconnect(self.peer_id)
         self.disconnected = False
-        recovered = self.manager.recover(mode, self._restore_lost_documents)
-        if self.wal is not None and mode is RejoinMode.COMPENSATE:
-            self.network.metrics.incr(
-                "recovery_replays",
-                len({e.txn_id for e in self.wal.last_recovery.entries}),
-            )
+        recovered = self.manager.recover(self._restore_lost_documents)
         self.network.metrics.incr("peer_rejoins")
         if self.network.replication is not None:
             # Replica copies on this peer may have missed ships while it

@@ -23,8 +23,9 @@ module makes placement elastic:
   plan) and **live shard migration** with an atomic cutover: the source
   ships the document plus the committed WAL tail over the existing
   replication ship channels, defers in-flight transactions at a
-  quiescence barrier, flips directory ownership in one step, and
-  rewrites §3.3 peer chains around the old holder.  Every point is
+  quiescence barrier and flips directory ownership in one step.  No
+  §3.3 chain is rewritten: the source stays a holder, and a transaction
+  with a live share at the source keeps needing it.  Every point is
   crash-safe (the ``crash_during_migration`` chaos fault kind): a crash
   parks the migration and settlement reconciles placement with the ring.
 
@@ -277,8 +278,7 @@ class ShardCoordinator:
        ``migration_entries_shipped`` — the WAL tail).
     2. **cutover** — waits for quiescence again (newly arrived
        transactions are counted as ``migration_deferred_txns``), then
-       flips directory ownership in one step and rewrites §3.3 peer
-       chains around the old holder.
+       flips directory ownership in one step.
 
     A crash of source or target at either point (the
     ``crash_during_migration`` fault) aborts the migration;
@@ -401,8 +401,7 @@ class ShardCoordinator:
             self.replication.replicate_service(migration.method, migration.target)
 
     def _finish(self, migration: ShardMigration) -> None:
-        """Atomic cutover: flip directory ownership in one step, rewrite
-        §3.3 chains around the old holder.
+        """Atomic cutover: flip directory ownership in one step.
 
         The source *remains* a holder — a crashed source resolving an
         in-doubt share later must still ship its entries, which requires
@@ -410,7 +409,6 @@ class ShardCoordinator:
         lists back to the ring's assignment.
         """
         self.directory.flip_primary(migration.document, migration.target)
-        self._rewrite_chains(migration)
         self.directory.active_migration_routes.discard(
             (migration.document, migration.target)
         )
@@ -472,23 +470,6 @@ class ShardCoordinator:
             ):
                 blocked.add(txn_id)
         return blocked
-
-    # -- chain rewrite (§3.3 around the old holder) ----------------------
-
-    def _rewrite_chains(self, migration: ShardMigration) -> None:
-        """Substitute the target for the source in every transaction
-        chain where the source no longer has an unfinished share — so
-        future disconnection routing flows around the old holder."""
-        source_manager = self.network.get_peer(migration.source).manager
-        for peer_id in sorted(self.network.peers()):
-            peer = self.network.get_peer(peer_id)
-            if peer.disconnected:
-                continue
-            for txn_id, chain in sorted(peer.chain_views().items()):
-                if source_manager.live_context(txn_id) is None and chain.contains(
-                    migration.source
-                ):
-                    peer.reroute_chain(txn_id, migration.source, migration.target)
 
     # -- crash faults ----------------------------------------------------
 

@@ -9,7 +9,7 @@ evaluation that makes query compensation necessary (§3.1) — is composed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.errors import QueryEvaluationError
 from repro.obs.prof import PROF
@@ -57,9 +57,6 @@ class QueryResult:
     def texts(self) -> List[str]:
         """Text content of every selected node (convenience for tests)."""
         return [node.text_content() for node in self.all_nodes()]
-
-    def is_empty(self) -> bool:
-        return not self.bindings
 
     def __len__(self) -> int:
         return len(self.bindings)

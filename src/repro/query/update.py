@@ -14,7 +14,7 @@ exactly those records; :mod:`repro.txn.wal` persists them and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.errors import UpdateError
 from repro.query.ast import ActionType, SelectQuery, UpdateAction

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.obs.prof import PROF
 
@@ -83,10 +83,6 @@ class EventHandle:
     def cancelled(self) -> bool:
         return self._event.cancelled
 
-    @property
-    def time(self) -> float:
-        return self._event.time
-
 
 class EventQueue:
     """Deferred callbacks ordered by virtual time."""
@@ -135,16 +131,6 @@ class EventQueue:
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
         """Run *callback* at absolute virtual time *time*."""
         return self.schedule(max(0.0, time - self.clock.now), callback)
-
-    def pending(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)
-
-    def next_time(self) -> Optional[float]:
-        """Virtual time of the next live event, or None when drained."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-            self._pop_skipped()
-        return self._heap[0].time if self._heap else None
 
     def step(self) -> bool:
         """Fire exactly one event (the earliest live one).

@@ -93,15 +93,8 @@ class MetricsCollector:
     def p50(self, name: str) -> Optional[float]:
         return self.percentile(name, 50)
 
-    def p95(self, name: str) -> Optional[float]:
-        return self.percentile(name, 95)
-
     def p99(self, name: str) -> Optional[float]:
         return self.percentile(name, 99)
-
-    def max_value(self, name: str) -> Optional[float]:
-        histogram = self.histograms.get(name)
-        return None if histogram is None else histogram.max
 
     # -- convenience recorders --------------------------------------------
 

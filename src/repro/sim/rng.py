@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import List, Optional, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -46,9 +46,6 @@ class SeededRng:
     def sample(self, items: Sequence[T], k: int) -> List[T]:
         return self._rng.sample(items, k)
 
-    def shuffle(self, items: List[T]) -> None:
-        self._rng.shuffle(items)
-
     def uniform(self, low: float, high: float) -> float:
         return self._rng.uniform(low, high)
 
@@ -59,7 +56,3 @@ class SeededRng:
     def coin(self, probability: float) -> bool:
         """True with the given probability."""
         return self._rng.random() < probability
-
-    def fork(self, salt: int = 1) -> "SeededRng":
-        """A child RNG with a derived seed (independent streams)."""
-        return SeededRng(self._rng.randrange(2**31) ^ (salt * 0x9E3779B1))

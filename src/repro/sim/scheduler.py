@@ -460,14 +460,6 @@ class TransactionScheduler:
 
     # -- inspection -----------------------------------------------------
 
-    @property
-    def inflight(self) -> int:
-        return self._inflight
-
-    @property
-    def backlog_depth(self) -> int:
-        return len(self._backlog)
-
     def outcome_counts(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for result in self.results:

@@ -1,7 +1,7 @@
 """Protocol trace recording.
 
 Wraps a :class:`SimNetwork` so every interaction — invocation, result,
-failure, notification, ping — is appended to an ordered trace.  Tests
+failure, notification — is appended to an ordered trace.  Tests
 assert exact protocol message sequences (the executable equivalent of
 the paper's prose walk-throughs), and the CLI/examples can print traces
 as human-readable protocol transcripts.
@@ -9,8 +9,8 @@ as human-readable protocol transcripts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
 from repro.errors import PeerDisconnected, ReproError, ServiceFault
 from repro.p2p.messages import InvokeRequest, message_kind
@@ -32,13 +32,13 @@ class TraceEvent:
     """One recorded interaction."""
 
     time: float
-    kind: str  # invoke | result | fault | disconnected | notify | ping
+    kind: str  # invoke | result | fault | disconnected | notify
     source: str
     target: str
     detail: str = ""
 
     def __str__(self) -> str:
-        arrow = "->" if self.kind in ("invoke", "notify", "ping") else "<-"
+        arrow = "->" if self.kind in ("invoke", "notify") else "<-"
         return (
             f"[{self.time:8.4f}] {self.source:>6} {arrow} {self.target:<6} "
             f"{self.kind}({self.detail})"
@@ -53,11 +53,9 @@ class TraceRecorder:
         self.events: List[TraceEvent] = []
         self._original_rpc = network.rpc
         self._original_notify = network.notify
-        self._original_ping = network.ping
         self._attached = True
         network.rpc = self._rpc
         network.notify = self._notify
-        network.ping = self._ping
 
     # -- wrappers -----------------------------------------------------------
 
@@ -88,16 +86,7 @@ class TraceRecorder:
         self._record("notify", source_id, target_id, detail)
         return self._original_notify(source_id, target_id, message)
 
-    def _ping(self, source_id: str, target_id: str) -> bool:
-        alive = self._original_ping(source_id, target_id)
-        self._record("ping", source_id, target_id, "alive" if alive else "dead")
-        return alive
-
     # -- reading ----------------------------------------------------------------
-
-    @property
-    def attached(self) -> bool:
-        return self._attached
 
     def detach(self) -> None:
         """Restore the network methods this recorder wrapped.
@@ -111,30 +100,14 @@ class TraceRecorder:
         """
         if not self._attached:
             return
-        if (
-            self.network.rpc != self._rpc
-            or self.network.notify != self._notify
-            or self.network.ping != self._ping
-        ):
+        if self.network.rpc != self._rpc or self.network.notify != self._notify:
             raise TraceAttachError(
                 "cannot detach: another recorder is still attached on top "
                 "of this one (detach recorders innermost-first)"
             )
         self.network.rpc = self._original_rpc
         self.network.notify = self._original_notify
-        self.network.ping = self._original_ping
         self._attached = False
-
-    def shorthand(self, kinds: Optional[Tuple[str, ...]] = None) -> List[str]:
-        """Compact ``kind:source->target:detail`` lines for assertions."""
-        out = []
-        for event in self.events:
-            if kinds is not None and event.kind not in kinds:
-                continue
-            out.append(
-                f"{event.kind}:{event.source}->{event.target}:{event.detail}"
-            )
-        return out
 
     def transcript(self) -> str:
         return "\n".join(str(event) for event in self.events)

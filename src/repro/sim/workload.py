@@ -166,16 +166,6 @@ def generate_operation(
     )
 
 
-def generate_transaction(
-    rng: SeededRng,
-    document: AXMLDocument,
-    length: int,
-    mix: Optional[OperationMix] = None,
-) -> List[UpdateAction]:
-    """A transactional unit: *length* operations over one document."""
-    return [generate_operation(rng, document, mix) for _ in range(length)]
-
-
 # ---------------------------------------------------------------------------
 # load generation for the throughput experiments (T1)
 # ---------------------------------------------------------------------------

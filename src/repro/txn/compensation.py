@@ -151,14 +151,9 @@ class CompensationPlan:
     document_name: str
     actions: List[UpdateAction] = field(default_factory=list)
 
-    def extend_from_records(
-        self, records: Sequence[ChangeRecord], ordered: bool = True
-    ) -> None:
+    def extend_from_records(self, records: Sequence[ChangeRecord]) -> None:
         """Append compensation for *records* (newest forward op first)."""
-        self.actions.extend(compensate_records(records, self.document_name, ordered))
-
-    def is_empty(self) -> bool:
-        return not self.actions
+        self.actions.extend(compensate_records(records, self.document_name))
 
     def to_xml(self) -> str:
         """Serialize as a ``<compensation>`` document for shipping."""

@@ -30,11 +30,11 @@ a consistent prefix of what the peer had applied.
 
 Group commit (``batch_size`` > 1): appends accumulate in a bounded
 in-memory buffer and reach disk as **one multi-frame write** when the
-buffer fills, when the virtual-time flush quantum (``flush_interval``)
+buffer fills, when the virtual-time flush quantum (:data:`FLUSH_INTERVAL`)
 expires, or when a **barrier** forces them out: tombstone frames always
 flush first (a commit/compensation record must never precede its
 entries), and peers flush before protocol-critical message sends (the
-``flush_on_prepare`` barrier — see ``docs/DURABILITY.md``).  Buffered
+write-ahead barrier — see ``docs/DURABILITY.md``).  Buffered
 frames are volatile: a crash discards them (:meth:`discard_unflushed`),
 and the crashing peer undoes their document effects so the durable
 prefix and the durable store agree.
@@ -79,6 +79,8 @@ from repro.txn.wal import (
 MAGIC = "AXMLWAL"
 VERSION = 1
 _SEGMENT_NAME = re.compile(r"wal-\d{6}\.seg")
+#: Virtual seconds a partial group-commit batch waits for the flush timer.
+FLUSH_INTERVAL = 0.05
 
 
 @dataclass
@@ -119,7 +121,6 @@ class DurableWal:
         metrics=None,
         segment_max_frames: int = 256,
         batch_size: int = 1,
-        flush_interval: Optional[float] = None,
         events=None,
         checkpoint_every: int = 0,
         document_source: Optional[Callable[[], Dict[str, str]]] = None,
@@ -135,7 +136,6 @@ class DurableWal:
         self.metrics = metrics
         self.segment_max_frames = segment_max_frames
         self.batch_size = batch_size
-        self.flush_interval = flush_interval
         self.checkpoint_every = checkpoint_every
         self._document_source = document_source
         os.makedirs(directory, exist_ok=True)
@@ -163,7 +163,7 @@ class DurableWal:
         #: What the last :meth:`reload` recovered (a :class:`WalScan`).
         self.last_recovery: Optional[WalScan] = None
         self._timer = None
-        if events is not None and batch_size > 1 and flush_interval:
+        if events is not None and batch_size > 1:
             from repro.sim.kernel import OneShotTimer
 
             self._timer = OneShotTimer(events, self.flush)
@@ -221,7 +221,7 @@ class DurableWal:
         elif len(self._pending) >= self.batch_size:
             self.flush()
         elif self._timer is not None:
-            self._timer.arm(self.flush_interval)
+            self._timer.arm(FLUSH_INTERVAL)
 
     def on_truncate(self, txn_id: str) -> None:
         # Barrier: a tombstone must never reach disk before the entries
@@ -236,7 +236,7 @@ class DurableWal:
     def flush(self) -> int:
         """Write the buffered batch as one multi-frame write; returns
         how many frames were flushed (0 = nothing pending).  This is the
-        ``flush_on_prepare`` barrier peers call before message sends."""
+        write-ahead barrier peers call before message sends."""
         wrote = self._barrier()
         if wrote:
             self._after_write()

@@ -18,7 +18,6 @@ from repro.errors import TransactionError
 from repro.query.ast import UpdateAction
 from repro.query.update import ChangeRecord
 from repro.txn.compensation import CompensationPlan
-from repro.txn.modes import RejoinMode
 from repro.txn.operations import (
     OperationOutcome,
     TransactionalOperation,
@@ -43,14 +42,12 @@ class TransactionManager:
         self,
         peer_id: str,
         document_provider: DocumentProvider,
-        ordered_compensation: bool = True,
         validator: Optional["OptimisticValidator"] = None,
     ):
         self.peer_id = peer_id
         self.log = OperationLog(peer_id)
         self.contexts: Dict[str, TransactionContext] = {}
         self._document_provider = document_provider
-        self.ordered_compensation = ordered_compensation
         #: Optional optimistic concurrency control (see repro.txn.occ):
         #: when set, executions are tracked and commit validates; a
         #: conflict aborts-and-compensates, then raises.
@@ -240,11 +237,12 @@ class TransactionManager:
     ) -> int:
         """Compensate *entries* (newest first) and remove them from the log,
         crash-safely: ``truncate`` writes the transaction's tombstone and
-        the survivors are appended again after it (their frames follow
-        the copies), so a restart recovers exactly the survivors."""
+        the survivors are appended again after it and flushed at once —
+        their results may already be handed off (§3.1) — so a restart
+        recovers exactly the survivors (their frames follow the copies)."""
         txn_id = context.txn_id
         meter = meter or TraversalMeter()
-        plans = build_compensation_for_entries(entries, self.ordered_compensation)
+        plans = build_compensation_for_entries(entries)
         with self._span(f"compensate:{txn_id}", txn_id, plans=str(len(plans))):
             executed = self._run_plans(plans, meter)
         self.compensation_cost += meter.nodes_traversed
@@ -256,6 +254,8 @@ class TransactionManager:
                                    e.records, e.timestamp, e._action)
             for e in survivors
         }
+        if survivors:
+            self.log.flush()
         for frame in context.frames:
             frame.entries = [renewed.get(e.seq, e) for e in frame.entries]
         return executed
@@ -281,7 +281,7 @@ class TransactionManager:
         with the process.  Their document effects must die too — the
         restarted log has no record to compensate them from — so they
         are undone here (the write-ahead rule, enforced late).  Safe
-        because the ``flush_on_prepare`` barrier guarantees an unflushed
+        because the peer's write-ahead barrier guarantees an unflushed
         entry belongs to a share whose result was never handed off: the
         invoker saw this crash as a failed invocation, so no other peer
         depends on the effect.
@@ -290,27 +290,19 @@ class TransactionManager:
         unflushed = self.log.crash()
         for txn_id in sorted({e.txn_id for e in unflushed}):
             self._run_plans(build_compensation_for_entries(
-                [e for e in reversed(unflushed) if e.txn_id == txn_id],
-                self.ordered_compensation,
+                [e for e in reversed(unflushed) if e.txn_id == txn_id]
             ))
 
-    def recover(
-        self, mode: RejoinMode, restore_store: Optional[Callable[[], None]] = None
-    ) -> int:
+    def recover(self, restore_store: Optional[Callable[[], None]] = None) -> int:
         """Restart: refill the log (:meth:`OperationLog.recover` — from
-        disk when durable) and give every recovered share a context.
-
-        * :attr:`RejoinMode.IN_DOUBT` leaves those contexts ``ACTIVE``
-          for a later decision (``AXMLPeer.resolve_in_doubt``);
-        * :attr:`RejoinMode.COMPENSATE` aborts every active share right
-          away — recovered ones and volatile contexts that never logged.
+        disk when durable) and give every recovered share an ``ACTIVE``
+        context that waits for a decision (``AXMLPeer.resolve_in_doubt``).
 
         *restore_store* runs between the two steps: what the disk read
         brought back besides entries (checkpointed documents) must be in
-        place before any share is compensated against it.
+        place before any share is settled against it.
 
-        Returns the number of shares rebuilt (``IN_DOUBT``) or
-        compensated (``COMPENSATE``).
+        Returns the number of shares rebuilt.
         """
         self.log.recover()
         if restore_store is not None:
@@ -318,12 +310,7 @@ class TransactionManager:
         txn_ids = sorted({entry.txn_id for entry in self.log})
         for txn_id in txn_ids:
             self.begin(Transaction(txn_id, self.peer_id))
-        if mode is RejoinMode.IN_DOUBT:
-            return len(txn_ids)
-        pending = self.active_transactions()
-        for txn_id in pending:
-            self.abort_local(txn_id)
-        return len(pending)
+        return len(txn_ids)
 
     # -- peer-independent compensation (§3.2) --------------------------------------
 
@@ -337,7 +324,7 @@ class TransactionManager:
         along with the invocation results."
         """
         plan = CompensationPlan(document_name)
-        plan.extend_from_records(records, self.ordered_compensation)
+        plan.extend_from_records(records)
         return plan.to_xml()
 
     def apply_compensation_xml(
@@ -358,12 +345,3 @@ class TransactionManager:
             plan.execute(document, meter)
         self.compensation_cost += meter.nodes_traversed
         return len(plan)
-
-    # -- inspection ------------------------------------------------------------------
-
-    def active_transactions(self) -> List[str]:
-        return [
-            txn_id
-            for txn_id, ctx in self.contexts.items()
-            if ctx.state is TransactionState.ACTIVE
-        ]

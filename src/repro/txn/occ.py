@@ -25,7 +25,7 @@ concurrent child insertion/deletion under it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Set
 
 from repro.errors import TransactionError
 from repro.query.evaluate import QueryResult
@@ -109,7 +109,6 @@ class OptimisticValidator:
         self._active: Dict[str, _TxnFootprint] = {}
         self._committed: List[_CommittedWrite] = []
         self._history_limit = history_limit
-        self.validations = 0
         self.conflicts = 0
 
     # -- lifecycle ---------------------------------------------------------
@@ -133,7 +132,6 @@ class OptimisticValidator:
         """Backward validation: fail on read/write overlap with any
         transaction that committed after this one began."""
         footprint = self._footprint(txn_id)
-        self.validations += 1
         for committed in self._committed:
             if committed.commit_tick <= footprint.start_tick:
                 continue
@@ -157,11 +155,6 @@ class OptimisticValidator:
         """Drop tracking for an aborted transaction (no history entry)."""
         self._active.pop(txn_id, None)
 
-    # -- introspection --------------------------------------------------------
-
-    def active_transactions(self) -> List[str]:
-        return list(self._active)
-
     def _footprint(self, txn_id: str) -> _TxnFootprint:
         try:
             return self._active[txn_id]
@@ -169,17 +162,3 @@ class OptimisticValidator:
             raise TransactionError(
                 f"{txn_id} is not tracked; call begin() first"
             )
-
-    @property
-    def conflict_rate(self) -> float:
-        return self.conflicts / self.validations if self.validations else 0.0
-
-    def stats(self) -> Dict[str, float]:
-        """Validation counters for reports and benchmark rows."""
-        return {
-            "validations": self.validations,
-            "conflicts": self.conflicts,
-            "conflict_rate": self.conflict_rate,
-            "active": len(self._active),
-            "committed_history": len(self._committed),
-        }

@@ -8,8 +8,8 @@ compensation — the unit the recovery protocols reason about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.axml.document import AXMLDocument
 from repro.axml.materialize import (
@@ -117,9 +117,7 @@ class TransactionalOperation:
         return f"TransactionalOperation({self.txn_id}, {self.action.action_type.value})"
 
 
-def build_compensation_for_entries(
-    undo_entries, ordered: bool = True
-) -> List[CompensationPlan]:
+def build_compensation_for_entries(undo_entries) -> List[CompensationPlan]:
     """Compensation plans for log entries given newest first.
 
     One plan per document the entries — a whole share's
@@ -138,5 +136,5 @@ def build_compensation_for_entries(
             plan = CompensationPlan(entry.document_name)
             by_document[entry.document_name] = plan
             plans.append(plan)
-        plan.extend_from_records(entry.records, ordered)
+        plan.extend_from_records(entry.records)
     return plans

@@ -62,10 +62,6 @@ class LogEntry:
     )
 
     @property
-    def is_compensatable(self) -> bool:
-        return bool(self.records)
-
-    @property
     def action(self) -> "UpdateAction":
         """``action_xml`` parsed — at most once per entry (a decoded one
         parses on first use; an appended one usually arrives seeded)."""
@@ -172,6 +168,12 @@ class OperationLog:
         entries = self.entries_for(txn_id) if txn_id else self._entries
         return sum(entry_bytes(entry) for entry in entries)
 
+    def flush(self) -> None:
+        """Make every appended entry durable now (a no-op in memory or
+        without group commit)."""
+        if self._wal is not None:
+            self._wal.flush()
+
     # -- crash / restart ------------------------------------------------------
 
     def crash(self) -> List[LogEntry]:
@@ -195,16 +197,6 @@ class OperationLog:
         log simply keeps whatever entries survived."""
         if self._wal is not None:
             self._adopt(self._wal.reload())
-
-    @classmethod
-    def from_entries(
-        cls, peer_id: str, entries: Sequence[LogEntry]
-    ) -> "OperationLog":
-        """A log adopting *entries* (sorted by seq, duplicates rejected),
-        with ``append`` continuing after the highest adopted seq."""
-        log = cls(peer_id)
-        log._adopt(entries)
-        return log
 
     def _adopt(self, entries: Sequence[LogEntry]) -> None:
         """Replace the live set.  Entries are re-ordered by ``seq`` —

@@ -62,11 +62,6 @@ class QName:
             return f"{self.prefix}:{self.local}"
         return self.local
 
-    @property
-    def is_axml(self) -> bool:
-        """True when the name lives in the reserved ``axml`` prefix."""
-        return self.prefix == AXML_PREFIX
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.text
 

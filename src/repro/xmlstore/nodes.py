@@ -354,12 +354,6 @@ class Element(Node):
                 pending.extend(reversed(node.children))
         return "".join(parts)
 
-    def set_text(self, value: str) -> None:
-        """Replace all children with a single text node holding *value*."""
-        for child in list(self.children):
-            child.detach()
-        self.new_text(value)
-
     def subtree_size(self) -> int:
         size = 0
         pending: List[Node] = [self]

@@ -105,7 +105,7 @@ REMOVED = {
     "repro.p2p.messages": ("InvokeResult", "Outcome"),
     "repro.axml": ("InvocationOutcome", "Outcome", "FaultHandler", "RetryPolicy"),
     "repro.axml.materialize": ("InvocationOutcome",),
-    "repro.txn.modes": ("Durability", "coerce_durability"),
+    "repro.txn.modes": ("Durability", "coerce_durability", "RejoinMode"),
     "repro.baselines": (
         "build_naive_variant", "TwoPhaseCoordinator", "TwoPhaseOutcome",
     ),
@@ -157,7 +157,7 @@ def test_removed_members_stay_removed():
     from repro.sim.harness import ExperimentTable
     from repro.sim.metrics import MetricsCollector
     from repro.txn.manager import TransactionManager
-    from repro.txn.modes import DurabilityPolicy, RejoinMode
+    from repro.txn.modes import DurabilityPolicy
     from repro.txn.occ import OptimisticValidator
     from repro.txn.recovery import FaultPolicy
     from repro.txn.transaction import Transaction, TransactionContext
@@ -168,7 +168,7 @@ def test_removed_members_stay_removed():
 
     for owner, name in (
         (api.Cluster, "wrap"), (api.Cluster, "as_scenario"),
-        (ChaosConfig, "to_chaos_config"), (RejoinMode, "coerce"),
+        (ChaosConfig, "to_chaos_config"),
         (DurabilityPolicy, "mode"),
         (ReplicationManager, "_document_holders"),
         (ReplicationManager, "_service_holders"),
@@ -212,6 +212,16 @@ def test_removed_members_stay_removed():
         (PathExpr, "returns_text"), (ServiceDescriptor, "to_wsdl"),
         (AXMLDocument, "_inside_params"), (ShardMigration, "stage_path"),
         (ShardCoordinator, "_remove_stage"),
+        # entered only by tests (tools/traffic_census.py), no paper claim
+        (TransactionManager, "active_transactions"),
+        (OptimisticValidator, "active_transactions"), (OptimisticValidator, "stats"),
+        (OptimisticValidator, "conflict_rate"), (OperationLog, "from_entries"),
+        (ShardCoordinator, "_rewrite_chains"), (FailureInjector, "clear"),
+        (MetricsCollector, "p95"), (MetricsCollector, "max_value"),
+        (Histogram, "merge"), (SnapshotRollback, "release"),
+        (SnapshotRollback, "approximate_bytes"), (AXMLDocument, "size"),
+        (ServiceCall, "param_values"), (ServiceCall, "service_namespace"),
+        (Element, "set_text"),
     ):
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
     assert "parse_equivalent" not in inspect.signature(Document.clone_tree).parameters
@@ -264,3 +274,24 @@ def test_per_transaction_side_tables_stay_folded():
         (ShardCoordinator, ("defer_delay",)),
     ):
         assert not set(names) & set(inspect.signature(owner).parameters)
+
+
+def test_one_rejoin_mode_and_four_durability_knobs():
+    """A restart rebuilds every recovered share in doubt — there is no
+    mode that compensates unconditionally — and the write-ahead barrier
+    and the flush quantum are not options."""
+    import dataclasses
+    import inspect
+
+    from repro.p2p.peer import AXMLPeer
+    from repro.txn.durable_wal import DurableWal
+    from repro.txn.manager import TransactionManager
+    from repro.txn.modes import DurabilityPolicy
+
+    assert list(inspect.signature(AXMLPeer.rejoin).parameters) == ["self"]
+    assert "mode" not in inspect.signature(TransactionManager.recover).parameters
+    assert [f.name for f in dataclasses.fields(DurabilityPolicy)] == [
+        "directory", "wal_batch", "checkpoint_every", "segment_max_frames",
+    ]
+    assert "ordered_compensation" not in inspect.signature(TransactionManager).parameters
+    assert "flush_interval" not in inspect.signature(DurableWal).parameters

@@ -75,7 +75,7 @@ class TestAttributeWhere:
         q = parse_select(
             "Select p/name from p in ATPList//player where p/@ghost = 1;"
         )
-        assert evaluate_select(q, DOC).is_empty()
+        assert len(evaluate_select(q, DOC)) == 0
 
     def test_combined_with_element_condition(self):
         q = parse_select(

@@ -55,12 +55,14 @@ class TestContinuousDriver:
         assert driver.history[0].records == 2  # replace = delete + insert
 
     def test_stop(self):
+        # A subscription stops when its call leaves the document (e.g.
+        # compensated away) after it has ticked.
         doc, events, driver = make_driver(
             lambda c, p: Outcome(["<quote>1</quote>"])
         )
         driver.start()
         events.run_until(1.0)
-        driver.stop()
+        doc.service_calls()[0].element.detach()
         events.run_until(10.0)
         assert driver.tick_count() == 1
 

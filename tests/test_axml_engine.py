@@ -46,7 +46,6 @@ class TestServiceCall:
         assert call.service_url == "axml://P2"
         assert call.peer_hint == "P2"
         assert call.frequency == 5.0
-        assert call.service_namespace == "ns"
 
     def test_params(self):
         params = self._call().params()
@@ -56,7 +55,13 @@ class TestServiceCall:
         assert not params[0].is_nested
 
     def test_param_values(self):
-        assert self._call().param_values() == {"id": "42"}
+        # What a materialization hands the resolver: name → value text.
+        seen = []
+        doc = AXMLDocument.from_xml(SC_DOC, name="Doc")
+        MaterializationEngine(
+            doc, lambda call, params: seen.append(params) or Outcome([])
+        ).materialize_all()
+        assert seen == [{"id": "42"}]
 
     def test_result_nodes_exclude_machinery(self):
         nodes = self._call().result_nodes()
@@ -103,7 +108,7 @@ class TestServiceCall:
             frequency=2.0,
         )
         assert call.mode == "merge"
-        assert call.param_values() == {"a": "1"}
+        assert [(p.name, p.value) for p in call.params()] == [("a", "1")]
         assert call.result_name == "x"
         assert call.frequency == 2.0
 
@@ -117,8 +122,6 @@ class TestServiceCall:
         params = call.params()
         assert params[0].is_nested
         assert params[0].nested_call.method_name == "inner"
-        with pytest.raises(ServiceCallError):
-            call.param_values()
 
 
 class TestFaultHandlers:

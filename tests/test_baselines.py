@@ -123,13 +123,6 @@ class TestSnapshotRollback:
     def test_rollback_without_snapshot(self):
         assert not SnapshotRollback().rollback("T1", self._doc())
 
-    def test_release_on_commit(self):
-        doc = self._doc()
-        rollback = SnapshotRollback()
-        rollback.guard("T1", doc)
-        assert rollback.release("T1") == 1
-        assert not rollback.rollback("T1", doc)
-
     def test_cost_scales_with_document_size(self):
         small, big = SnapshotRollback(), SnapshotRollback()
         small.guard("T", self._doc())

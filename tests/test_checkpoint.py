@@ -3,7 +3,7 @@
 Covers the R1 tentpole (checkpoint store round-trips, torn-file
 fallback, bounded tail replay, segment retention, group-commit
 buffering/barriers/crash-discard) plus the typed surface:
-`DurabilityPolicy`/`RejoinMode` and `ChaosConfig`.
+`DurabilityPolicy` and `ChaosConfig`.
 """
 
 import json
@@ -20,7 +20,8 @@ from repro.p2p.peer import AXMLPeer
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.checkpoint import Checkpoint, CheckpointStore
-from repro.txn.modes import DurabilityPolicy, RejoinMode
+from repro.txn.modes import DurabilityPolicy
+from repro.txn.recovery import FaultPolicy
 from repro.txn.wal import LogEntry
 from repro.xmlstore.serializer import canonical
 
@@ -52,6 +53,29 @@ def durable_world(tmp_path, **policy_kwargs):
         "<location>Select d from d in D//slots;</location></action>",
     ))
     return network, origin, worker
+
+
+def durable_origin(tmp_path, **policy_kwargs):
+    """A durable origin that writes its own document with local submits:
+    no message between two submits, so only the batch size, the flush
+    timer or the commit's tombstone flushes the group-commit buffer."""
+    network = SimNetwork()
+    origin = AXMLPeer(
+        "Origin", network,
+        durability=DurabilityPolicy(
+            directory=str(tmp_path / "origin-wal"), **policy_kwargs
+        ),
+    )
+    origin.host_document(AXMLDocument.from_xml("<D><slots/></D>", name="D"))
+    return network, origin
+
+
+def submit_one(origin, txn, c):
+    origin.submit(
+        txn.txn_id,
+        f'<action type="insert"><data><slot c="{c}"/></data>'
+        "<location>Select d from d in D//slots;</location></action>",
+    )
 
 
 def commit_one(origin, c):
@@ -124,7 +148,7 @@ class TestWalCheckpointing:
             commit_one(origin, f"c{i}")
         worker.crash()
         before = network.metrics.get("recovery_replay_entries")
-        worker.rejoin(mode=RejoinMode.IN_DOUBT)
+        worker.rejoin()
         replayed = network.metrics.get("recovery_replay_entries") - before
         assert replayed <= 4
         assert network.metrics.get("checkpoints") >= 2
@@ -162,7 +186,7 @@ class TestWalCheckpointing:
         expected = canonical(worker.get_axml_document("D").document)
         worker.crash()
         CheckpointStore(worker.wal.directory, "Worker").tear_newest()
-        worker.rejoin(mode=RejoinMode.IN_DOUBT)
+        worker.rejoin()
         assert network.metrics.get("checkpoints_torn") == 1
         assert canonical(worker.get_axml_document("D").document) == expected
         assert not worker.wal.load().entries
@@ -174,7 +198,7 @@ class TestWalCheckpointing:
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "inflight"})
         worker.crash()
-        assert worker.rejoin(mode=RejoinMode.IN_DOUBT) == 1
+        assert worker.rejoin() == 1
         assert worker.resolve_in_doubt(txn.txn_id, committed=False) == "aborted"
         assert "inflight" not in worker.get_axml_document("D").to_xml()
         assert worker.get_axml_document("D").to_xml().count("<slot c=") == 4
@@ -188,13 +212,13 @@ class TestWalCheckpointing:
         # Model a restart on a host that lost the store's materialized
         # document: the checkpoint snapshot brings it back.
         del worker.documents["D"]
-        worker.rejoin(mode=RejoinMode.IN_DOUBT)
+        worker.rejoin()
         assert worker.get_axml_document("D").to_xml() == expected
 
 
     def test_lost_document_is_restored_before_compensation(self, tmp_path):
-        """COMPENSATE-mode restart: the checkpoint snapshot must be back
-        in place *before* the recovered share is compensated against it."""
+        """The checkpoint snapshot is back in place when ``rejoin``
+        returns, so the recovered share compensates against it."""
         network, origin, worker = durable_world(tmp_path, checkpoint_every=2)
         for i in range(4):
             commit_one(origin, f"c{i}")
@@ -202,85 +226,97 @@ class TestWalCheckpointing:
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "inflight"})
         worker.crash()
         del worker.documents["D"]
-        assert worker.rejoin(mode=RejoinMode.COMPENSATE) == 1
+        assert worker.rejoin() == 1
+        assert worker.resolve_in_doubt(txn.txn_id, committed=False) == "aborted"
         restored = worker.get_axml_document("D").to_xml()
         assert restored.count("<slot c=") == 4 and "inflight" not in restored
 
 
 class TestGroupCommit:
     def test_appends_buffer_until_commit_barrier(self, tmp_path):
-        network, origin, worker = durable_world(
-            tmp_path, wal_batch=8, flush_on_prepare=False,
-        )
+        network, origin = durable_origin(tmp_path, wal_batch=8)
         txn = origin.begin_transaction()
-        origin.invoke(txn.txn_id, "Worker", "book", {"c": "a"})
-        origin.invoke(txn.txn_id, "Worker", "book", {"c": "b"})
-        assert len(worker.wal.pending_entries()) == 2
-        assert not worker.wal.load().entries          # nothing on disk yet
-        assert len(worker.wal.load(include_pending=True).entries) == 2
+        submit_one(origin, txn, "a")
+        submit_one(origin, txn, "b")
+        assert len(origin.wal.pending_entries()) == 2
+        assert not origin.wal.load().entries          # nothing on disk yet
+        assert len(origin.wal.load(include_pending=True).entries) == 2
         origin.commit(txn.txn_id)
         # The tombstone barrier flushed the batch before truncating.
-        assert worker.wal.pending_entries() == []
+        assert origin.wal.pending_entries() == []
         assert network.metrics.get("wal_batch_flushes") == 1
-        assert not worker.wal.load().entries          # then truncated
+        assert not origin.wal.load().entries          # then truncated
 
     def test_flush_on_prepare_barrier_at_hand_off(self, tmp_path):
         network, origin, worker = durable_world(tmp_path, wal_batch=8)
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "a"})
-        # flush_on_prepare (the default) flushed at the share hand-off:
-        # the entry is durable before the invoker saw the result.
+        # The write-ahead barrier flushed at the share hand-off: the
+        # entry is durable before the invoker saw the result.
         assert worker.wal.pending_entries() == []
         assert [e.seq for e in worker.wal.load().entries] == [1]
 
     def test_batch_size_triggers_flush(self, tmp_path):
-        network, origin, worker = durable_world(
-            tmp_path, wal_batch=2, flush_on_prepare=False,
-        )
+        network, origin = durable_origin(tmp_path, wal_batch=2)
         txn = origin.begin_transaction()
-        origin.invoke(txn.txn_id, "Worker", "book", {"c": "a"})
-        assert len(worker.wal.pending_entries()) == 1
-        origin.invoke(txn.txn_id, "Worker", "book", {"c": "b"})
-        assert worker.wal.pending_entries() == []     # batch filled -> one write
+        submit_one(origin, txn, "a")
+        assert len(origin.wal.pending_entries()) == 1
+        submit_one(origin, txn, "b")
+        assert origin.wal.pending_entries() == []     # batch filled -> one write
         assert network.metrics.get("wal_batch_flushes") == 1
 
     def test_flush_interval_quantum(self, tmp_path):
-        network, origin, worker = durable_world(
-            tmp_path, wal_batch=8, flush_interval=0.05,
-            flush_on_prepare=False,
-        )
+        network, origin = durable_origin(tmp_path, wal_batch=8)
         txn = origin.begin_transaction()
-        origin.invoke(txn.txn_id, "Worker", "book", {"c": "a"})
-        assert len(worker.wal.pending_entries()) == 1
+        submit_one(origin, txn, "a")
+        assert len(origin.wal.pending_entries()) == 1
         network.events.run_until(network.clock.now + 0.1)
-        assert worker.wal.pending_entries() == []
-        assert [e.seq for e in worker.wal.load().entries] == [1]
+        assert origin.wal.pending_entries() == []
+        assert [e.seq for e in origin.wal.load().entries] == [1]
         # The one-shot timer drained: run_all() must not spin.
-        assert network.events.pending() == 0
+        assert not network.events.step()
 
     def test_crash_discards_unflushed_and_undoes_effects(self, tmp_path):
-        network, origin, worker = durable_world(
-            tmp_path, wal_batch=8, flush_on_prepare=False,
-        )
-        pre = canonical(worker.get_axml_document("D").document)
+        network, origin = durable_origin(tmp_path, wal_batch=8)
+        pre = canonical(origin.get_axml_document("D").document)
         txn = origin.begin_transaction()
-        origin.invoke(txn.txn_id, "Worker", "book", {"c": "lost"})
-        worker.crash()
+        submit_one(origin, txn, "lost")
+        origin.crash()
         # Buffered-but-unflushed entries are gone after restart, and the
         # store shows no trace of their effects.
         assert network.metrics.get("wal_unflushed_discarded") == 1
-        assert canonical(worker.get_axml_document("D").document) == pre
-        assert worker.rejoin(mode=RejoinMode.IN_DOUBT) == 0
-        assert not worker.wal.load().entries
+        assert canonical(origin.get_axml_document("D").document) == pre
+        assert origin.rejoin() == 0
+        assert not origin.wal.load().entries
 
     def test_graceful_close_persists_buffer(self, tmp_path):
-        network, origin, worker = durable_world(
-            tmp_path, wal_batch=8, flush_on_prepare=False,
-        )
+        network, origin = durable_origin(tmp_path, wal_batch=8)
+        txn = origin.begin_transaction()
+        submit_one(origin, txn, "a")
+        origin.wal.close()
+        assert [e.seq for e in origin.wal.reload()] == [1]
+
+    def test_partial_undo_keeps_handed_off_entries_durable(self, tmp_path):
+        """§3.1 write-ahead across a partial undo: the worker undoes only
+        its faulted second invocation, re-appending the first one's entry
+        after the tombstone.  That entry's result was already handed off,
+        so it must be on disk before a crash can discard the buffer."""
+        network, origin, worker = durable_world(tmp_path, wal_batch=8)
+        injector = FailureInjector(network)
+        worker.injector = injector
+        origin.set_fault_policy("book", [FaultPolicy(absorb=True)])
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "a"})
-        worker.wal.close()
-        assert [e.seq for e in worker.wal.reload()] == [1]
+        injector.fault_service("Worker", "book", "boom", point="after_execute")
+        assert origin.invoke(txn.txn_id, "Worker", "book", {"c": "b"}) == []
+        assert network.metrics.get("partial_aborts") == 1
+        assert worker.wal.pending_entries() == []
+        worker.crash()                                 # before any later barrier
+        origin.commit(txn.txn_id)
+        assert worker.rejoin() == 1
+        assert worker.resolve_in_doubt(txn.txn_id, committed=True) == "committed"
+        slots = worker.get_axml_document("D").to_xml()
+        assert 'c="a"' in slots and 'c="b"' not in slots
 
 
 class TestCrashConsistencyEveryPoint:
@@ -336,28 +372,19 @@ class TestCrashConsistencyEveryPoint:
 
 
 class TestModes:
-    def test_rejoin_mode_rejects_strings(self, tmp_path):
-        network, origin, worker = durable_world(tmp_path)
-        network.disconnect("Worker")
-        with pytest.raises(TypeError, match="RejoinMode"):
-            worker.rejoin(mode="in_doubt")
-
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             DurabilityPolicy(directory="x", wal_batch=0)
         with pytest.raises(ValueError):
             DurabilityPolicy(directory="x", checkpoint_every=-1)
-        with pytest.raises(ValueError):
-            DurabilityPolicy(directory="x", flush_interval=0)
         with pytest.raises(ValueError, match="directory"):
             DurabilityPolicy(directory="")
 
     def test_peer_accepts_policy_and_enum(self, tmp_path):
         network, origin, worker = durable_world(tmp_path)
-        assert worker.durability_policy.wal_batch == 1
-        assert worker.wal is not None
+        assert worker.wal.batch_size == 1
         network.disconnect("Worker")
-        worker.rejoin(mode=RejoinMode.COMPENSATE)
+        worker.rejoin()
         assert not worker.disconnected
 
 

@@ -14,7 +14,7 @@ from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import UpdateService
-from repro.txn.modes import DurabilityPolicy, RejoinMode
+from repro.txn.modes import DurabilityPolicy
 from repro.xmlstore.serializer import canonical
 
 
@@ -65,7 +65,7 @@ class TestPeerCrash:
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "x"})
         worker.crash()
-        assert worker.rejoin(mode=RejoinMode.IN_DOUBT) == 1
+        assert worker.rejoin() == 1
         # The in-doubt context was rebuilt from the on-disk WAL.
         context = worker.manager.contexts[txn.txn_id]
         assert not context.is_finished
@@ -80,26 +80,26 @@ class TestPeerCrash:
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "y"})
         worker.crash()
-        worker.rejoin(mode=RejoinMode.IN_DOUBT)
+        worker.rejoin()
         assert worker.resolve_in_doubt(txn.txn_id, committed=True) == "committed"
         assert 'c="y"' in worker.get_axml_document("D").to_xml()
         assert not worker.wal.load().entries  # commit truncated on disk too
 
     def test_default_rejoin_compensates_from_disk(self, tmp_path):
+        """A caller that knows the transaction aborted around the dead
+        peer settles every rebuilt share with ``committed=False``."""
         network, origin, worker = durable_world(tmp_path)
         pre = canonical(worker.get_axml_document("D").document)
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "x"})
         worker.crash()
         assert worker.rejoin() == 1
+        assert [
+            worker.resolve_in_doubt(txn_id, committed=False)
+            for txn_id in list(worker.manager.contexts)
+        ] == ["aborted"]
         assert canonical(worker.get_axml_document("D").document) == pre
-        assert network.metrics.get("recovery_replays") == 1
-
-    def test_rejoin_rejects_unknown_mode(self, tmp_path):
-        network, origin, worker = durable_world(tmp_path)
-        network.disconnect("Worker")
-        with pytest.raises(TypeError):
-            worker.rejoin(mode="nonsense")
+        assert network.metrics.get("recovery_replay_entries") == 1
 
     def test_crash_during_own_service_execution(self, tmp_path):
         from repro.errors import PeerDisconnected, TransactionError

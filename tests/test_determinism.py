@@ -57,7 +57,8 @@ for _ in range(8):
         continue  # backward recovery already aborted the transaction
     origin.commit(txn.txn_id)
 
-print("\\n".join(recorder.shorthand()))
+for event in recorder.events:
+    print(f"{event.kind}:{event.source}->{event.target}:{event.detail}")
 """
 
 

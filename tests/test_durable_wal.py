@@ -118,9 +118,10 @@ class TestAppendAndLoad:
         log.append("T1", "update", "D", "<a/>")
         wal.close()
         reopened = DurableWal(str(tmp_path), peer_id="P1")
-        restored = OperationLog.from_entries("P1", reopened.load().entries)
-        assert len(restored) == 1
+        restored = OperationLog("P1")
         restored.attach(reopened)
+        restored.recover()
+        assert len(restored) == 1
         entry = restored.append("T2", "update", "D", "<b/>")
         assert entry.seq == 2
         assert len(reopened.load().entries) == 2
@@ -184,8 +185,9 @@ class TestTornTail:
         seg = tmp_path / segment_files(tmp_path)[-1]
         seg.write_bytes(seg.read_bytes()[:-5])
         wal2 = DurableWal(str(tmp_path), peer_id="P1")
-        log = OperationLog.from_entries("P1", wal2.load().entries)
+        log = OperationLog("P1")
         log.attach(wal2)
+        log.recover()
         log.append("T2", "update", "D", "<b/>")
         scan = wal2.load()
         assert not scan.torn

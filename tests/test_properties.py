@@ -23,7 +23,7 @@ from repro.sim.workload import OperationMix, generate_catalogue, generate_operat
 from repro.txn.compensation import compensating_actions_for
 from repro.txn.operations import build_compensation_for_entries
 from repro.txn.wal import OperationLog
-from repro.xmlstore.names import AXML_META_LOCALS, SC_NAME
+from repro.xmlstore.names import AXML_META_LOCALS, AXML_PREFIX, SC_NAME
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import canonical, serialize
@@ -272,7 +272,7 @@ def walked_calls(document: Document, pruned=AXML_META_LOCALS):
             child
             for child in reversed(element.children)
             if isinstance(child, Element)
-            and not (child.name.is_axml and child.name.local in pruned)
+            and not (child.name.prefix == AXML_PREFIX and child.name.local in pruned)
         )
     return out
 
@@ -289,7 +289,7 @@ class TestServiceCallDiscovery:
         assert listed_calls(document) == original
         handlers = AXML_META_LOCALS - {"params"}
         if not any(
-            ancestor.name.is_axml and ancestor.name.local in handlers
+            ancestor.name.prefix == AXML_PREFIX and ancestor.name.local in handlers
             for call in document.index.postings("sc").values()
             for ancestor in call.ancestors()
         ):

@@ -12,13 +12,22 @@ from repro.sim.trace import TraceAttachError, TraceRecorder
 from repro.txn.recovery import FaultPolicy
 
 
+def shorthand(recorder, kind):
+    """The recorded *kind* events as ``kind:source->target:detail``."""
+    return [
+        f"{e.kind}:{e.source}->{e.target}:{e.detail}"
+        for e in recorder.events
+        if e.kind == kind
+    ]
+
+
 class TestFig1HappyTrace:
     def test_invocation_order_depth_first(self):
         scenario = Cluster.fig1()
         recorder = TraceRecorder(scenario.network)
         txn, error = scenario.run_topology()
         assert error is None
-        invokes = recorder.shorthand(kinds=("invoke",))
+        invokes = shorthand(recorder, "invoke")
         assert invokes == [
             "invoke:AP1->AP2:S2",
             "invoke:AP1->AP3:S3",
@@ -31,7 +40,7 @@ class TestFig1HappyTrace:
         scenario = Cluster.fig1()
         recorder = TraceRecorder(scenario.network)
         scenario.run_topology()
-        results = recorder.shorthand(kinds=("result",))
+        results = shorthand(recorder, "result")
         assert results == [
             "result:AP2->AP1:S2",
             "result:AP4->AP3:S4",
@@ -46,7 +55,7 @@ class TestFig1HappyTrace:
         txn, _ = scenario.run_topology()
         scenario.peer("AP1").commit(txn.txn_id)
         commits = [
-            line for line in recorder.shorthand(kinds=("notify",))
+            line for line in shorthand(recorder, "notify")
             if ":commit:" in line
         ]
         assert len(commits) == 5  # AP2..AP6
@@ -61,7 +70,7 @@ class TestFig1AbortTrace:
         txn, error = scenario.run_topology()
         assert error is not None
         aborts = [
-            line for line in recorder.shorthand(kinds=("notify",))
+            line for line in shorthand(recorder, "notify")
             if ":abort:" in line
         ]
         # Step 1: AP5 -> AP6 (peer whose service it had invoked).
@@ -71,7 +80,7 @@ class TestFig1AbortTrace:
             f"notify:AP3->AP4:abort:{txn.txn_id}",
             f"notify:AP1->AP2:abort:{txn.txn_id}",
         ]
-        faults = recorder.shorthand(kinds=("fault",))
+        faults = shorthand(recorder, "fault")
         # The fault travels AP5 -> AP3 -> AP1 (the rpc fault propagation
         # is visible at each unwinding hop).
         assert faults == [
@@ -88,12 +97,12 @@ class TestFig1AbortTrace:
         )
         txn, error = scenario.run_topology()
         assert error is None
-        invokes = recorder.shorthand(kinds=("invoke",))
+        invokes = shorthand(recorder, "invoke")
         # S5 invoked twice (original + retry); the retry re-runs S6.
         assert invokes.count("invoke:AP3->AP5:S5") == 2
         assert invokes.count("invoke:AP5->AP6:S6") == 2
         # The abort of the failed first attempt reached AP6 exactly once.
-        aborts = [l for l in recorder.shorthand(kinds=("notify",)) if ":abort:" in l]
+        aborts = [l for l in shorthand(recorder, "notify") if ":abort:" in l]
         assert aborts == [f"notify:AP5->AP6:abort:{txn.txn_id}"]
 
 
@@ -103,7 +112,7 @@ class TestFig2DisconnectTrace:
         recorder = TraceRecorder(scenario.network)
         scenario.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
         txn, _ = scenario.run_topology()
-        notifies = recorder.shorthand(kinds=("notify",))
+        notifies = shorthand(recorder, "notify")
         assert f"notify:AP6->AP2:disconnect_notice:{txn.txn_id}" in notifies
         assert f"notify:AP6->AP2:redirected_result:{txn.txn_id}" in notifies
         # The notice precedes the redirected payload.
@@ -123,7 +132,7 @@ class TestFig2DisconnectTrace:
         recorder = TraceRecorder(scenario.network)
         recorder.detach()
         recorder.detach()  # second detach is a no-op
-        assert not recorder.attached
+        assert not recorder._attached
         scenario.run_topology()
         assert len(recorder) == 0
 
@@ -137,10 +146,10 @@ class TestFig2DisconnectTrace:
         # Out-of-order detach would orphan the inner wrapper: refused.
         with pytest.raises(TraceAttachError):
             outer.detach()
-        assert outer.attached
+        assert outer._attached
         inner.detach()
         outer.detach()
-        assert not outer.attached and not inner.attached
+        assert not outer._attached and not inner._attached
         # The network is fully unwrapped again.
         before_outer, before_inner = len(outer), len(inner)
         Cluster.fig2().run_topology()

@@ -51,7 +51,7 @@ class TestBasicEvaluation:
             "Select p from p in ATPList//player where p/name/lastname = Borg;"
         )
         result = evaluate_select(q, doc)
-        assert result.is_empty()
+        assert len(result) == 0
         assert len(result) == 0
 
     def test_bare_variable_selects_binding(self, doc):
@@ -132,14 +132,14 @@ class TestIdSource:
 
     def test_missing_id_is_empty(self, doc):
         q = parse_select("Select n from n in id(d999.n999@ATPList);")
-        assert evaluate_select(q, doc).is_empty()
+        assert len(evaluate_select(q, doc)) == 0
 
     def test_detached_id_is_empty(self, doc):
         player = doc.root.child_elements()[0]
         node_id = player.node_id
         player.detach()
         q = parse_select(f"Select n from n in id({node_id!r}@ATPList);")
-        assert evaluate_select(q, doc).is_empty()
+        assert len(evaluate_select(q, doc)) == 0
 
     def test_where_applies_to_id_source(self, doc):
         player = doc.root.child_elements()[0]
@@ -147,7 +147,7 @@ class TestIdSource:
             f"Select n from n in id({player.node_id!r}@ATPList) "
             "where n/citizenship = Spanish;"
         )
-        assert evaluate_select(q, doc).is_empty()
+        assert len(evaluate_select(q, doc)) == 0
 
 
 class TestMeter:
@@ -161,4 +161,4 @@ class TestMeter:
         from repro.xmlstore.nodes import Document
 
         q = parse_select("Select p from p in D//x;")
-        assert evaluate_select(q, Document()).is_empty()
+        assert len(evaluate_select(q, Document())) == 0

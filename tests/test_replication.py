@@ -26,7 +26,7 @@ from repro.p2p.replication import ReplicationManager
 from repro.query.parser import parse_action
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import FunctionService, QueryService, UpdateService
-from repro.txn.modes import DurabilityPolicy, RejoinMode
+from repro.txn.modes import DurabilityPolicy
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 from repro.txn.transaction import Transaction, TransactionState
 from repro.txn.wal import LogEntry, OperationLog, entry_from_xml
@@ -183,7 +183,7 @@ class TestShipCarriesEntries:
         txn = peers["AP1"].begin_transaction()
         peers["AP1"].invoke(txn.txn_id, "AP2", "setPrice", {"price": "88"})
         ap2.crash()
-        ap2.rejoin(mode=RejoinMode.IN_DOUBT)
+        ap2.rejoin()
         with entered(parse_action, entry_from_xml) as calls:
             assert ap2.resolve_in_doubt(txn.txn_id, committed=True) == "committed"
         assert calls == {"parse_action": 1, "entry_from_xml": 0}

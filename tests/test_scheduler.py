@@ -96,11 +96,11 @@ class TestAdmissionControl:
         for i in range(6):
             scheduler.submit(TxnSpec(f"t{i}", "AP1", (_insert_op(doc_name),)))
         scheduler.run()
-        peak = network.metrics.max_value("inflight")
+        peak = network.metrics.histogram("inflight").max
         assert peak is not None and peak <= 2
         assert network.metrics.get("sched_queued") == 4
-        assert scheduler.backlog_depth == 0
-        assert scheduler.inflight == 0
+        assert not scheduler._backlog
+        assert scheduler._inflight == 0
 
     def test_backlog_drains_fifo(self):
         network, _, doc_name = _simple_cluster()

@@ -298,7 +298,7 @@ class TestCompensationPlan:
 
     def test_empty_plan(self):
         plan = CompensationPlan("D")
-        assert plan.is_empty()
+        assert len(plan) == 0
         assert len(plan) == 0
 
     def test_from_xml_rejects_wrong_root(self):

@@ -277,7 +277,7 @@ class TestTransactionManager:
         manager.begin(t1)
         manager.begin(t2)
         manager.commit_local(t2.txn_id)
-        assert manager.active_transactions() == [t1.txn_id]
+        assert [t for t in manager.contexts if manager.live_context(t)] == [t1.txn_id]
 
 
 class TestSpheres:

@@ -88,7 +88,7 @@ class TestValidator:
         with pytest.raises(ValidationConflict) as exc:
             validator.validate_and_commit("reader")
         assert exc.value.conflicting_txn == "writer"
-        assert validator.conflict_rate == 0.5
+        assert validator.conflicts == 1
 
     def test_commit_before_start_is_invisible(self, shop):
         validator = OptimisticValidator()

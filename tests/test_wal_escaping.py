@@ -9,9 +9,9 @@ from repro.xmlstore.serializer import canonical
 
 def restart(log):
     """Every entry through the persisted form, adopted by a fresh log."""
-    return OperationLog.from_entries(
-        log.peer_id, [entry_from_xml(entry_to_xml(entry)) for entry in log]
-    )
+    restored = OperationLog(log.peer_id)
+    restored._adopt([entry_from_xml(entry_to_xml(entry)) for entry in log])
+    return restored
 
 
 def test_snapshot_with_entities_roundtrips():

@@ -13,13 +13,19 @@ from repro.txn.wal import OperationLog, entry_from_xml, entry_to_xml
 from repro.xmlstore.serializer import canonical
 
 
+def adopted(peer_id, entries):
+    """A fresh log that adopted *entries* the way a restart does
+    (``OperationLog.recover``)."""
+    log = OperationLog(peer_id)
+    log._adopt(entries)
+    return log
+
+
 def restart(log):
     """What a restart sees: each entry through the one persisted form
     (:func:`entry_to_xml`, as in WAL segments and checkpoints), adopted
     by a fresh log."""
-    return OperationLog.from_entries(
-        log.peer_id, [entry_from_xml(entry_to_xml(entry)) for entry in log]
-    )
+    return adopted(log.peer_id, [entry_from_xml(entry_to_xml(e)) for e in log])
 
 
 def populate_log(axml):
@@ -99,7 +105,6 @@ class TestLogSerialization:
         entry = restored.entries_for("T1")[0]
         assert entry.records == []
         assert entry.action_xml == "<query>Select i;</query>"
-        assert not entry.is_compensatable
 
     def test_replace_of_replace_roundtrip(self, shop):
         # Nest a ReplaceRecord inside another ReplaceRecord's inserted
@@ -131,7 +136,7 @@ class TestLogSerialization:
         # reverse execution order — adoption re-sorts by seq.
         log = populate_log(shop)
         assert [e.seq for e in log] == [1, 2, 3]
-        restored = OperationLog.from_entries("P1", list(reversed(list(log))))
+        restored = adopted("P1", list(reversed(list(log))))
         assert [e.seq for e in restored] == [1, 2, 3]
         assert [e.seq for e in restored.undo_entries("T1")] == [3, 2, 1]
 
@@ -139,7 +144,7 @@ class TestLogSerialization:
         entries = list(populate_log(shop))
         entries[1].seq = entries[0].seq
         with pytest.raises(ValueError, match="duplicate"):
-            OperationLog.from_entries("P1", entries)
+            adopted("P1", entries)
 
     def test_seq_continues_after_restore_and_append(self, shop):
         log = populate_log(shop)
@@ -205,11 +210,24 @@ class TestPeerRejoin:
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "x"})
         network.disconnect("Worker")
-        # worker comes back: its share was in flight, so it compensates
-        compensated = worker.rejoin()
-        assert compensated == 1
+        # worker comes back with its in-flight share in doubt; the
+        # transaction was aborted around it, so it compensates
+        assert worker.rejoin() == 1
+        assert worker.resolve_in_doubt(txn.txn_id, committed=False) == "aborted"
         assert canonical(worker.get_axml_document("D").document) == pre
         assert network.is_alive("Worker")
+
+    def test_rejoin_keeps_a_share_that_committed_meanwhile(self):
+        # The origin committed while the worker was away: the share the
+        # worker rebuilds in doubt settles as committed, not compensated.
+        network, origin, worker = self._world()
+        txn = origin.begin_transaction()
+        origin.invoke(txn.txn_id, "Worker", "book", {"c": "x"})
+        network.disconnect("Worker")
+        origin.commit(txn.txn_id)  # the decision cannot reach the worker
+        assert worker.rejoin() == 1
+        assert worker.resolve_in_doubt(txn.txn_id, committed=True) == "committed"
+        assert 'c="x"' in worker.get_axml_document("D").to_xml()
 
     def test_rejoin_after_commit_is_noop(self):
         network, origin, worker = self._world()

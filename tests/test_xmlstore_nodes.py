@@ -79,12 +79,6 @@ class TestTreeConstruction:
         root.insert_at(-5, y)
         assert root.children[0] is y
 
-    def test_set_text_replaces_children(self, doc):
-        a = doc.root.first_child("a")
-        a.set_text("new")
-        assert a.text_content() == "new"
-        assert len(a.children) == 1
-
 
 class TestNavigation:
     def test_iter_preorder(self, doc):
@@ -205,4 +199,4 @@ class TestTextAndAttributes:
         d = Document()
         root = d.create_root("axml:sc")
         assert root.name == QName("sc", "axml")
-        assert root.name.is_axml
+        assert root.name.prefix == "axml"
