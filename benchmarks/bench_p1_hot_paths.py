@@ -35,8 +35,8 @@ and CI runs it with ``--smoke`` on every push):
   of the chaos marker service (``<chaos txn="$tag" step="$step"/>`` into
   ``D1//items``) under ``sys.setprofile``: they must enter
   ``parse_document``, ``tokenize``, ``parse_path`` and
-  ``UpdateAction.to_xml`` **0** times and ``parse_fragment`` exactly
-  once each (the bound data still becomes nodes through text).  Counts,
+  ``UpdateAction.to_xml`` and ``parse_fragment`` **0** times (the bound
+  ``<data>`` becomes nodes by cloning the template's prototype).  Counts,
   so exact on every machine.
 
 Run:  python benchmarks/bench_p1_hot_paths.py [--smoke] [--seed N]
@@ -377,7 +377,7 @@ class _MarkerHost:
         self.logged.append(action_xml)
 
 
-#: Part E: what an execution may (``parse_fragment``) and may not enter.
+#: Part E: what an execution may not enter.
 TEXT_ROUND_TRIP = (parse_document, tokenize, parse_path, UpdateAction.to_xml, parse_fragment)
 
 
@@ -412,7 +412,7 @@ def bench_service_template(args) -> dict:
         "service_template_calls",
         args.seed,
         wall_time,
-        executions / max(1, sum(calls.values())),  # 1.0; 0.2 when every call re-parsed
+        executions / (executions + sum(calls.values())),  # 1.0; less when an execution re-parses
         executions=executions,
         calls=calls,
         bound=delta.get("service_template_bound", 0),
@@ -453,7 +453,6 @@ def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec):
             f"{locate_rec['markers_small']}: a location pays for the document again"
         )
     expected = {name: 0 for name in template_rec["calls"]}
-    expected["parse_fragment"] = template_rec["executions"]
     if template_rec["calls"] != expected or template_rec["text"]:
         yield (
             f"{template_rec['executions']} marker executions entered {template_rec['calls']} "

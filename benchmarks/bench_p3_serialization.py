@@ -8,7 +8,8 @@ codec and the structural clone (docs/PERF.md, "Serialization fast path").
   memoizes the frame on the entry); ships to the three replicas carry
   the entry itself and encode nothing.
   Reported: ``entry_codec_hits/misses``, full-document renders
-  (``serialize_tree_builds``), digest-first replica matches.  Gates:
+  (``serialize_tree_builds``: documents only, since a frame is written
+  straight from its entry), digest-first replica matches.  Gates:
   zero oracle violations, and the memo serves at least half of the
   frames asked for (a count, exact on any machine).
 

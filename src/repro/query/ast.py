@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+from repro.xmlstore.nodes import Document, Element
+from repro.xmlstore.parser import parse_fragment
 from repro.xmlstore.path import PathExpr
 
 
@@ -193,6 +195,25 @@ class UpdateAction:
     #: re-adopted as real node ids on insertion — compensating inserts
     #: restore the identities of the nodes they bring back.
     rebind: bool = False
+    #: ``data`` as nodes, memoized like ``LogEntry.action``: per fragment
+    #: the elements its text parses to (``None``: not parsed yet), plus
+    #: the function that fills a compiled template's holes in a copy
+    #: (``None``: nothing to fill).  Seeded by whoever built the action
+    #: from a tree; see :meth:`prototype`.
+    _prototypes: Optional[Tuple[List[Optional[List[Element]]], Optional[Callable[[str], str]]]] = (
+        field(default=None, repr=False, compare=False)
+    )
+
+    def prototype(self, position: int) -> Tuple[List[Element], Optional[Callable[[str], str]]]:
+        """Fragment *position* of ``data`` from the memo — parsed into a
+        scratch document on its first use when no tree seeded it (e.g. a
+        compensation's snapshot text)."""
+        if self._prototypes is None:
+            object.__setattr__(self, "_prototypes", ([None] * len(self.data), None))
+        fragments, fill = self._prototypes
+        if fragments[position] is None:
+            fragments[position] = parse_fragment(self.data[position], Document("data"))
+        return fragments[position], fill
 
     def to_xml(self) -> str:
         """Serialize back to the paper's ``<action>`` document form.

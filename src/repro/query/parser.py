@@ -16,7 +16,7 @@ from repro.query.ast import (
     VarPath,
 )
 from repro.query.lexer import Token, tokenize
-from repro.xmlstore.nodes import Element
+from repro.xmlstore.nodes import Element, Node, Text
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.path import PathExpr, parse_path
 from repro.xmlstore.serializer import serialize
@@ -243,10 +243,8 @@ def action_from_element(root: Element) -> UpdateAction:
     if location_el is None:
         raise QuerySyntaxError("<action> is missing its <location> query")
     location = parse_select(location_el.text_content())
-    data: List[str] = []
-    for data_el in root.find_children("data"):
-        for child in data_el.children:
-            data.append(serialize(child))
+    children = [child for data_el in root.find_children("data") for child in data_el.children]
+    data = [serialize(child) for child in children]
     anchor: Optional[Tuple[str, str]] = None
     anchor_text = root.attributes.get("anchor")
     if anchor_text:
@@ -259,4 +257,16 @@ def action_from_element(root: Element) -> UpdateAction:
             f"<action type={action_type.value!r}> requires a <data> payload"
         )
     rebind = root.attributes.get("rebind", "") == "true"
-    return UpdateAction(action_type, location, tuple(data), anchor, rebind)
+    prototypes = [[child] if _clone_parses(child) else None for child in children]
+    return UpdateAction(action_type, location, tuple(data), anchor, rebind, (prototypes, None))
+
+
+def _clone_parses(child: Node) -> bool:
+    """Whether a clone of *child* is what parsing its serialized text
+    gives: it is an element, and no two text nodes in it are adjacent
+    siblings (the text would hold them as one run)."""
+    return isinstance(child, Element) and not any(
+        isinstance(left, Text) and isinstance(right, Text)
+        for element in child.iter_elements()
+        for left, right in zip(element.children, element.children[1:])
+    )

@@ -19,8 +19,7 @@ from typing import List, Optional, Tuple, Union
 from repro.errors import UpdateError
 from repro.query.ast import ActionType, SelectQuery, UpdateAction
 from repro.query.evaluate import QueryResult, evaluate_select
-from repro.xmlstore.nodes import Document, Element, Node, NodeId
-from repro.xmlstore.parser import parse_fragment
+from repro.xmlstore.nodes import Document, Element, Node, NodeId, Text
 from repro.xmlstore.path import NULL_METER, TraversalMeter
 from repro.xmlstore.serializer import rebind_element_ids, serialize
 
@@ -202,10 +201,9 @@ def _apply_insert(
     inserted_ids: List[NodeId] = []
     affected = 0
     for target in targets:
-        for fragment_xml in action.data:
-            node, index = _insert_fragment(
-                document, target, fragment_xml, action.anchor, action.rebind
-            )
+        for position, fragment_xml in enumerate(action.data):
+            node = _materialize(document, action, position)
+            index = _insert_fragment(document, target, node, action.anchor)
             affected += node.subtree_size()
             records.append(
                 InsertRecord(
@@ -224,23 +222,38 @@ def _apply_insert(
     )
 
 
+def _materialize(document: Document, action: UpdateAction, position: int) -> Element:
+    """Fragment *position* of *action*'s ``<data>`` as new, detached nodes
+    of *document*: a clone of its prototype, holes filled, with the ids a
+    ``parse_fragment`` of its text would hand out (the serial that
+    parser's holder element takes is skipped, then pre-order).  Text
+    that does not parse leaves no other serial used: it was parsed
+    elsewhere."""
+    next(document._next_node_serial)
+    elements, fill = action.prototype(position)
+    if len(elements) != 1:
+        raise UpdateError(
+            f"<data> fragment must contain exactly one element, got {len(elements)}"
+        )
+    node = elements[0].clone_into(document)
+    if fill is not None:
+        for each in node.iter():
+            if isinstance(each, Text):
+                each.value = fill(each.value)
+            else:
+                each.attributes = {key: fill(value) for key, value in each.attributes.items()}
+    if action.rebind:
+        rebind_element_ids(node, document)
+    return node
+
+
 def _insert_fragment(
     document: Document,
     parent: Element,
-    fragment_xml: str,
+    node: Element,
     anchor: Optional[Tuple[str, str]],
-    rebind: bool = False,
-) -> Tuple[Element, int]:
-    """Parse one fragment and place it under *parent*; returns the node
-    and the child position it landed at."""
-    fragments = parse_fragment(fragment_xml, document)
-    if len(fragments) != 1:
-        raise UpdateError(
-            f"<data> fragment must contain exactly one element, got {len(fragments)}"
-        )
-    node = fragments[0]
-    if rebind:
-        rebind_element_ids(node, document)
+) -> int:
+    """Place *node* under *parent*; returns the child position it landed at."""
     if anchor is not None:
         mode, anchor_id_text = anchor
         anchor_id = NodeId.parse(anchor_id_text)
@@ -254,9 +267,9 @@ def _insert_fragment(
                 if mode != "before":
                     index += 1
                 parent.insert_at(index, node)
-                return node, index
+                return index
     parent.append(node)
-    return node, len(parent.children) - 1
+    return len(parent.children) - 1
 
 
 def _apply_replace(
@@ -278,15 +291,7 @@ def _apply_replace(
         position = delete_record.index
         insert_records: List[InsertRecord] = []
         for offset, fragment_xml in enumerate(action.data):
-            fragments = parse_fragment(fragment_xml, document)
-            if len(fragments) != 1:
-                raise UpdateError(
-                    "<data> fragment must contain exactly one element, "
-                    f"got {len(fragments)}"
-                )
-            node = fragments[0]
-            if action.rebind:
-                rebind_element_ids(node, document)
+            node = _materialize(document, action, offset)
             parent.insert_at(position + offset, node)
             affected += node.subtree_size()
             insert_records.append(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
@@ -290,6 +291,7 @@ class ActionTemplate:
                 found.extend(int(i) for value in values for i in _SENTINEL.findall(value))
         if _all_found_once(found, names):
             self._action = action
+            self._hole_names = names
             self._names = tuple(dict.fromkeys(names))
             self._literal_names = {sentinel: names[i] for sentinel, i in holes.items()}
             self._data_formats = [_format_of(fragment, names) for fragment in action.data]
@@ -299,12 +301,18 @@ class ActionTemplate:
         template = self._action
         if template is not None and _bindable(params, self._names):
             PROF.incr("service_template_bound")
+            prototypes = None  # some fragment is not clonable: parse this action's text
+            if None not in template._prototypes[0]:  # holes filled while cloning
+                names = self._hole_names
+                fill = partial(_SENTINEL.sub, lambda match: params[names[int(match[1])]])
+                prototypes = (template._prototypes[0], fill)
             action = UpdateAction(
                 template.action_type,
                 _bind_query(template.location, self._literal_names, params),
                 tuple(fragment % params for fragment in self._data_formats),
                 template.anchor,
                 template.rebind,
+                prototypes,
             )
             return action, self._xml_format % params
         PROF.incr("service_template_text")

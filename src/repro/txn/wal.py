@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TransactionError
 from repro.query.update import ChangeRecord
+from repro.xmlstore.serializer import escape_attribute, escape_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.query.ast import UpdateAction
@@ -221,33 +222,30 @@ class OperationLog:
 def entry_to_xml(entry: LogEntry) -> str:
     """One entry as a self-contained XML document (durable-WAL framing).
 
-    Frames are memoized on the entry (entries are immutable once
-    appended), so an entry written to the WAL and folded into a
-    checkpoint encodes once.  The cache is encode-side only: decoding
-    never seeds it, keeping the memoized frame provably identical to a
-    fresh render.
+    Written straight from the entry in :func:`~repro.xmlstore.serializer.serialize`'s
+    bytes: attributes sorted by name, and a text-bearing child is always
+    ``<x>…</x>``, even when its text is empty.  Frames are memoized on
+    the entry (entries are immutable once appended), so an entry written
+    to the WAL and folded into a checkpoint encodes once.  The cache is
+    encode-side only: decoding never seeds it, keeping the memoized
+    frame provably identical to a fresh render.
     """
     from repro.obs.prof import PROF
-    from repro.xmlstore.nodes import Document
-    from repro.xmlstore.serializer import serialize
 
     if entry._xml_cache is not None:
         PROF.incr("entry_codec_hits")
         return entry._xml_cache
-    doc = Document("entry")
-    root = doc.create_root("entry")
-    root.attributes.update({
-        "seq": str(entry.seq),
-        "txn": entry.txn_id,
-        "kind": entry.kind,
-        "document": entry.document_name,
-        "timestamp": repr(entry.timestamp),
-    })
-    root.new_element("forward").new_text(entry.action_xml)
+    out = [
+        f'<entry document="{escape_attribute(entry.document_name)}" '
+        f'kind="{escape_attribute(entry.kind)}" seq="{entry.seq}" '
+        f'timestamp="{entry.timestamp!r}" txn="{escape_attribute(entry.txn_id)}">'
+        f"<forward>{escape_text(entry.action_xml)}</forward>"
+    ]
     for record in entry.records:
-        _record_to_element(root, record)
+        _write_record(record, out)
+    out.append("</entry>")
     PROF.incr("entry_codec_misses")
-    entry._xml_cache = text = serialize(doc)
+    entry._xml_cache = text = "".join(out)
     return text
 
 
@@ -346,38 +344,30 @@ def _record_bytes(record: ChangeRecord) -> int:
     return total
 
 
-def _record_to_element(parent, record: ChangeRecord) -> None:
+def _write_record(record: ChangeRecord, out: List[str]) -> None:
+    """Append *record*'s ``<record>`` element to *out* (attributes in
+    name order, as :func:`entry_to_xml` writes them)."""
     from repro.query.update import DeleteRecord, InsertRecord, ReplaceRecord
 
     if isinstance(record, DeleteRecord):
-        el = parent.new_element(
-            "record",
-            {
-                "kind": "delete",
-                "node": repr(record.node_id),
-                "parent": repr(record.parent_id),
-                "index": str(record.index),
-                "before": repr(record.before_id) if record.before_id else "",
-                "after": repr(record.after_id) if record.after_id else "",
-            },
+        before = repr(record.before_id) if record.before_id else ""
+        after = repr(record.after_id) if record.after_id else ""
+        out.append(
+            f'<record after="{after}" before="{before}" index="{record.index}" '
+            f'kind="delete" node="{record.node_id!r}" parent="{record.parent_id!r}">'
+            f"<snapshot>{escape_text(record.snapshot_xml)}</snapshot></record>"
         )
-        el.new_element("snapshot").new_text(record.snapshot_xml)
     elif isinstance(record, InsertRecord):
-        el = parent.new_element(
-            "record",
-            {
-                "kind": "insert",
-                "node": repr(record.node_id),
-                "parent": repr(record.parent_id),
-                "index": str(record.index),
-            },
+        out.append(
+            f'<record index="{record.index}" kind="insert" node="{record.node_id!r}" '
+            f'parent="{record.parent_id!r}"><data>{escape_text(record.inserted_xml)}</data></record>'
         )
-        el.new_element("data").new_text(record.inserted_xml)
     elif isinstance(record, ReplaceRecord):
-        el = parent.new_element("record", {"kind": "replace"})
-        _record_to_element(el, record.deleted)
+        out.append('<record kind="replace">')
+        _write_record(record.deleted, out)
         for inserted in record.inserted:
-            _record_to_element(el, inserted)
+            _write_record(inserted, out)
+        out.append("</record>")
     else:  # pragma: no cover - exhaustive
         raise TypeError(f"unknown record {record!r}")
 

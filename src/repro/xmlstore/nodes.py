@@ -307,7 +307,7 @@ class Element(Node):
             raise XmlStructureError(
                 "cannot attach a node from a different document; use clone_into"
             )
-        if child is self or (isinstance(child, Element) and self in child.iter()):
+        if child is self or child in self.ancestors():
             raise XmlStructureError("attaching a node under itself creates a cycle")
 
     # -- navigation ------------------------------------------------------------

@@ -9,6 +9,8 @@ list of hostile values the two must agree — equal frozen dataclasses and
 equal logged bytes, or the same exception type and message — and the
 tests below also pin *which* path a (template, value) pair takes, since
 agreement alone would hold for a compiler that never compiled anything.
+The last section checks that ``<data>`` cloned from an action's
+prototypes is, ids included, what parsing the ``<data>`` text gave.
 
 Pinned on purpose, not endorsed: parameters are spliced as markup, so
 ``tag = a"/><evil x="1`` inserts a second node and
@@ -16,6 +18,7 @@ Pinned on purpose, not endorsed: parameters are spliced as markup, so
 """
 
 import ast
+import dataclasses
 import string
 from pathlib import Path
 
@@ -23,11 +26,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.axml.document import AXMLDocument
+from repro.errors import UpdateError
 from repro.obs.prof import PROF
-from repro.query.ast import ActionType
+from repro.query.ast import ActionType, UpdateAction
 from repro.query.evaluate import evaluate_select
 from repro.query.parser import parse_action, parse_select
-from repro.query.update import apply_action
+from repro.query.update import _materialize, apply_action
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import (
     ActionTemplate,
@@ -37,7 +41,10 @@ from repro.services.service import (
     UpdateService,
     substitute,
 )
-from repro.xmlstore.serializer import serialize
+from repro.txn.compensation import compensating_actions_for
+from repro.xmlstore.nodes import Document
+from repro.xmlstore.parser import parse_fragment
+from repro.xmlstore.serializer import rebind_element_ids, serialize
 from tests.test_services import StubHost
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -366,3 +373,129 @@ def test_the_definition_text_stays_readable():
     assert service.template.text == MARKER
     delegating = DelegatingService(ServiceDescriptor("S", kind="delegating"), [])
     assert delegating.local_action_template is None
+
+
+# -- <data> becomes nodes by cloning ------------------------------------------
+
+
+def _parse_fragment_as_before(document, fragment_xml, rebind):
+    """How ``<data>`` text became nodes before actions carried prototypes."""
+    fragments = parse_fragment(fragment_xml, document)
+    if len(fragments) != 1:
+        raise UpdateError(f"<data> fragment must contain exactly one element, got {len(fragments)}")
+    if rebind:
+        rebind_element_ids(fragments[0], document)
+    return fragments[0]
+
+
+def _rendered(document, build):
+    """*build*(document) rendered with ids, the document's serial
+    normalised, and the serial its next node would take."""
+    rendered = _outcome(lambda: serialize(build(document), include_ids=True))
+    rendered = repr(rendered).replace(f"d{document.serial}.", "d0.")
+    return rendered, next(document._next_node_serial)
+
+
+def _assert_clone_is_parse(action):
+    """Each fragment of *action* cloned into a fresh document is what
+    parsing its text there gives: tree, ids and serials used, or the
+    error (which now uses the holder's serial only)."""
+    for position, fragment_xml in enumerate(action.data):
+        cloned = _rendered(Document("twin"), lambda doc: _materialize(doc, action, position))
+        parsed = _rendered(
+            Document("twin"),
+            lambda doc: _parse_fragment_as_before(doc, fragment_xml, action.rebind),
+        )
+        if cloned[0].startswith("(<class"):
+            assert (cloned[0], cloned[1]) == (parsed[0], 2), (action, position)
+        else:
+            assert cloned == parsed, (action, position)
+
+
+def _actions_of(text, params):
+    """The bound action, the text path's and an unseeded copy of each."""
+    actions = []
+    for build in (lambda: ActionTemplate(text).bind(params)[0], lambda: _text_action(text, params)[0]):
+        action = _outcome(build)
+        if isinstance(action, UpdateAction):
+            actions += [action, dataclasses.replace(action, _prototypes=None)]
+    return actions
+
+
+def test_cloned_data_is_what_its_text_parses_to():
+    # One test over every template of the tree, as for bind above.
+    checked = 0
+    for text in TEMPLATES:
+        for params in _parameter_sets(_hole_names(text)):
+            for action in _actions_of(text, params):
+                _assert_clone_is_parse(action)
+                checked += len(action.data)
+    assert checked > 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([t for t in EXTRA_TEMPLATES if _hole_names(t)]),
+    st.lists(_hostile, min_size=3, max_size=3),
+)
+def test_clone_agrees_with_parse_on_generated_values(text, values):
+    for action in _actions_of(text, dict(zip(_hole_names(text), values))):
+        _assert_clone_is_parse(action)
+
+
+def test_only_the_bound_path_fills_holes_while_cloning():
+    compiled = ActionTemplate(MARKER)
+    for value in VALUES:
+        bound = _outcome(lambda: compiled.bind({"tag": value, "step": "s0"}))
+        if isinstance(bound[0], type):
+            continue  # the text path raised, as the text always did
+        fills = bound[0]._prototypes is not None and bound[0]._prototypes[1] is not None
+        assert fills == (value in INERT), value
+
+
+def test_snapshot_text_parses_once_and_rebinds_ids():
+    axml = AXMLDocument.from_xml(SHOP, name="Shop")
+    document = axml.document
+    deleted = apply_action(document, parse_action(
+        '<action type="delete"><location>Select i from i in Shop//item where i/@id = 2;'
+        "</location></action>"
+    ))
+    (compensation,) = compensating_actions_for(deleted, "Shop")
+    assert compensation._prototypes is None  # snapshot text: parsed on first use
+    restored = apply_action(document, compensation)
+    assert restored.inserted_ids == [deleted.records[0].node_id]
+    assert compensation._prototypes is not None
+    _assert_clone_is_parse(compensation)
+
+
+def _apply_twins(action, reference):
+    """*action* and *reference* applied to twin Shop documents."""
+    outcomes = []
+    for each in (action, reference):
+        document = AXMLDocument.from_xml(SHOP, name="Shop").document
+        result = _outcome(lambda: apply_action(document, each))
+        rendered = serialize(document, include_ids=True)
+        if not isinstance(result, tuple):
+            result = (result.records, result.inserted_ids)
+        outcomes.append(repr((rendered, result)).replace(f"d{document.serial}.", "d0."))
+    return outcomes
+
+
+@pytest.mark.parametrize("text", SERVICE_TEMPLATES[:2], ids=["insert", "replace"])
+@pytest.mark.parametrize("value", ["20", "T001", "a b", 'a"/><evil x="1', "", "and"])
+def test_apply_of_a_seeded_action_matches_an_unseeded_copy(text, value):
+    params = {"tag": value, "step": "2" if value == "20" else value}
+    for action in _actions_of(text, params)[::2]:
+        seeded, unseeded = _apply_twins(action, dataclasses.replace(action, _prototypes=None))
+        assert seeded == unseeded
+
+
+def test_template_inserts_leave_no_fragment_holder_behind():
+    service = UpdateService(ServiceDescriptor("S", kind="update"), SERVICE_TEMPLATES[0])
+    host = _host()
+    for i in range(50):
+        service.execute({"tag": f"T{i:03d}", "step": "s0"}, host)
+    document = host.get_axml_document("Shop").document
+    assert len(document.root.first_child("items").children) == 50
+    assert not document.index.postings("__fragment__")
+    assert len(document._index) == document.size()

@@ -70,6 +70,20 @@ class TestTreeConstruction:
         with pytest.raises(XmlStructureError):
             rec.node.append(rec.node)
 
+    def test_attaching_under_own_descendant_rejected(self, doc):
+        b = doc.root.first_child("b")
+        b.detach()
+        deep = b.first_child("c")
+        for _ in range(3000):  # the check climbs ancestors: no recursion, O(depth)
+            deep = deep.new_element("c")
+        for parent in (deep, b.first_child("c")):
+            with pytest.raises(XmlStructureError, match="^attaching a node under itself creates a cycle$"):
+                parent.append(b)
+            with pytest.raises(XmlStructureError, match="creates a cycle"):
+                parent.insert_at(0, b)
+        doc.root.append(b)  # its own ancestors are no obstacle elsewhere
+        assert b.parent is doc.root
+
     def test_insert_at_clamps(self, doc):
         root = doc.root
         x = doc.create_element("x")

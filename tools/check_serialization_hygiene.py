@@ -15,6 +15,13 @@ keeps them from creeping back in.  Three patterns are flagged:
   chain as a ``PeerChain`` snapshot, and the bracket text is the paper's
   notation for the edges (``repr``, E10's byte count), not a per-hop
   encoding.
+* under ``src/``, any ``parse_fragment(`` call outside the
+  ``UpdateAction`` ``<data>`` memo (``query/ast.py``) and the two axml
+  readers of service results (``axml/materialize.py``,
+  ``axml/service_call.py``): an insert clones its action's prototype
+  instead of re-parsing the ``<data>`` text.
+* in ``src/repro/txn/wal.py``, any ``Document(``: ``entry_to_xml``
+  writes a frame straight from the entry, not through a scratch tree.
 
 Under ``benchmarks/`` an occurrence is *approved* by a ``roundtrip-ok``
 comment on the same line or within the five lines above it (a baseline
@@ -58,6 +65,39 @@ CHAIN_TEXT = (
     "chain text outside p2p/chain.py — carry the PeerChain (copy() a snapshot)",
 )
 
+#: Under ``src/`` a ``<data>`` fragment is parsed once, by the action's
+#: first-use memo; only service results and materialized calls arrive
+#: as text to parse.
+FRAGMENT_PARSERS = tuple(
+    os.path.join("src", "repro", *parts)
+    for parts in (("query", "ast.py"), ("axml", "materialize.py"), ("axml", "service_call.py"),
+                  ("xmlstore", "parser.py"))
+)
+FRAGMENT_TEXT = (
+    re.compile(r"\bparse_fragment\("),
+    "parse_fragment outside the <data> memo (query/ast.py) and the axml result readers — "
+    "clone the action's prototype (UpdateAction.prototype)",
+)
+
+#: The WAL encoder writes a frame straight from the entry.
+WAL_MODULE = os.path.join("src", "repro", "txn", "wal.py")
+WAL_TREE = (
+    re.compile(r"\bDocument\("),
+    "a scratch Document in txn/wal.py — write the frame from the entry (entry_to_xml)",
+)
+
+
+def src_patterns(rel: str) -> tuple:
+    """The patterns a file under ``src/`` is checked against."""
+    patterns = PATTERNS
+    if rel != CHAIN_MODULE:
+        patterns += (CHAIN_TEXT,)
+    if rel not in FRAGMENT_PARSERS:
+        patterns += (FRAGMENT_TEXT,)
+    if rel == WAL_MODULE:
+        patterns += (WAL_TREE,)
+    return patterns
+
 
 def check_file(path: str, approvable: bool, patterns=PATTERNS) -> list:
     with open(path, encoding="utf-8") as handle:
@@ -84,8 +124,8 @@ def main() -> int:
                     continue
                 path = os.path.join(dirpath, filename)
                 patterns = PATTERNS
-                if scan_dir == "src" and os.path.relpath(path, ROOT) != CHAIN_MODULE:
-                    patterns = PATTERNS + (CHAIN_TEXT,)
+                if scan_dir == "src":
+                    patterns = src_patterns(os.path.relpath(path, ROOT))
                 findings.extend(check_file(path, scan_dir == APPROVAL_DIR, patterns))
     for path, lineno, message in findings:
         rel = os.path.relpath(path, ROOT)
