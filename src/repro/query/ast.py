@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_fragment
@@ -55,6 +57,10 @@ class Comparison:
     left: VarPath
     op: str
     literal: str
+    #: ``op`` as a function, and ``literal`` as a number or None (see
+    #: :meth:`matches`): both read once, when the comparison is built.
+    _compare: Optional[Callable[[Any, Any], bool]] = field(init=False, repr=False, compare=False)
+    _number: Optional[float] = field(init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.literal}"
@@ -62,28 +68,41 @@ class Comparison:
     def matches(self, value: str) -> bool:
         """Apply the comparison to a candidate text value.
 
-        Comparisons try numeric interpretation first (so ``points > 400``
-        behaves as expected) and fall back to string comparison.
+        Two numbers compare as numbers (so ``points > 400`` behaves as
+        expected); anything else compares as strings.  A text is a number
+        when ``float()`` reads it as a finite value and it holds no ``_``
+        (so ``NaN``, ``Infinity`` and ``1_000`` are strings, and
+        ``" 12 "`` is 12).
         """
-        left: Union[float, str]
-        right: Union[float, str]
-        try:
-            left, right = float(value), float(self.literal)
-        except ValueError:
-            left, right = value, self.literal
-        if self.op == "=":
-            return left == right
-        if self.op == "!=":
-            return left != right
-        if self.op == "<":
-            return left < right
-        if self.op == ">":
-            return left > right
-        if self.op == "<=":
-            return left <= right
-        if self.op == ">=":
-            return left >= right
-        raise ValueError(f"unknown operator {self.op!r}")
+        compare = self._compare
+        if compare is None:
+            raise ValueError(f"unknown operator {self.op!r}")
+        if self._number is not None:
+            number = _as_number(value)
+            if number is not None:
+                return compare(number, self._number)
+        return compare(value, self.literal)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_compare", _OPERATORS.get(self.op))
+        object.__setattr__(self, "_number", _as_number(self.literal))
+
+
+_OPERATORS: Dict[str, Callable[[Any, Any], bool]] = {
+    "=": operator.eq, "!=": operator.ne, "<": operator.lt,
+    ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+}
+
+
+def _as_number(text: str) -> Optional[float]:
+    """*text* as the number a where-clause compares, or None (a string)."""
+    if "_" in text:
+        return None
+    try:
+        number = float(text)
+    except ValueError:
+        return None
+    return number if math.isfinite(number) else None
 
 
 @dataclass(frozen=True)

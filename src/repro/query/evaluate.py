@@ -9,20 +9,13 @@ evaluation that makes query compensation necessary (§3.1) — is composed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterable, List, Set
 
 from repro.errors import QueryEvaluationError
 from repro.obs.prof import PROF
-from repro.query.ast import (
-    Comparison,
-    Condition,
-    NodeRef,
-    SelectQuery,
-    VarPath,
-)
-from repro.xmlstore.nodes import NodeId
-from repro.xmlstore.nodes import Document, Element, Node
-from repro.xmlstore.path import NULL_METER, TraversalMeter
+from repro.query.ast import Comparison, Condition, NodeRef, SelectQuery
+from repro.xmlstore.nodes import Document, Element, Node, NodeId, Text
+from repro.xmlstore.path import NULL_METER, TraversalMeter, attribute_values_of
 
 
 @dataclass
@@ -73,27 +66,26 @@ def evaluate_select(
     ``where`` condition filters bindings (a comparison holds if *any*
     node reached by its left path satisfies it — existential semantics);
     each select path is then evaluated relative to every surviving
-    binding.
+    binding.  The where-clause filters all candidates at once
+    (:func:`_filter`), through paths compiled once (``PathExpr``).
     """
     if document.root is None:
         return QueryResult(query, [])
     candidates = _source_nodes(query, document, meter)
+    if query.where is not None:
+        candidates = _filter(query.where, candidates, meter)
     bindings: List[Binding] = []
     for node in candidates:
-        if not isinstance(node, Element):
-            continue
-        if query.where is not None and not _condition_holds(query.where, node, meter):
-            continue
         binding = Binding(node)
         for vp in query.select_paths:
-            binding.selected[str(vp)] = _eval_varpath(vp, node, meter)
+            binding.selected[str(vp)] = vp.path.evaluate(node, meter) if vp.path.steps else [node]
         bindings.append(binding)
     return QueryResult(query, bindings)
 
 
 def _source_nodes(
     query: SelectQuery, document: Document, meter: TraversalMeter
-) -> List[Node]:
+) -> List[Element]:
     """Resolve the query source: a path, or an id reference (``id(..@..)``).
 
     An id reference that no longer resolves — or resolves to a detached
@@ -113,25 +105,57 @@ def _source_nodes(
     return query.source.evaluate(document, meter)
 
 
-def _eval_varpath(vp: VarPath, context: Element, meter: TraversalMeter) -> List[Node]:
-    if not vp.path.steps:
-        return [context]
-    return vp.path.evaluate(context, meter)
+def _filter(
+    condition: Condition, candidates: List[Element], meter: TraversalMeter
+) -> List[Element]:
+    """The *candidates* *condition* holds for, in order.
 
-
-def _condition_holds(
-    condition: Condition, context: Element, meter: TraversalMeter
-) -> bool:
+    Each part sees only the candidates a candidate-by-candidate short
+    circuit would evaluate it on: ``and`` filters the survivors of its
+    previous parts, ``or`` runs a part only on the candidates every
+    earlier part rejected.  So bindings, their order and the meter total
+    are what evaluating the clause candidate by candidate gives.
+    """
+    if not candidates:
+        return candidates
     if isinstance(condition, Comparison):
-        if condition.left.path.steps and condition.left.path.attribute_name:
-            # Attribute comparison: ``p/@rank = 1`` (paper documents are
-            # attribute-rich).  Existential over the reached attributes.
-            values = condition.left.path.attribute_values(context, meter)
-            return any(condition.matches(value) for value in values)
-        nodes = _eval_varpath(condition.left, context, meter)
-        return any(condition.matches(node.text_content()) for node in nodes)
+        return _comparison(condition, candidates, meter)
     if condition.op == "and":
-        return all(_condition_holds(part, context, meter) for part in condition.parts)
+        for part in condition.parts:
+            candidates = _filter(part, candidates, meter)
+        return candidates
     if condition.op == "or":
-        return any(_condition_holds(part, context, meter) for part in condition.parts)
+        passed: Set[int] = set()
+        remaining = candidates
+        for part in condition.parts:
+            passed.update(map(id, _filter(part, remaining, meter)))
+            remaining = [node for node in remaining if id(node) not in passed]
+        return [node for node in candidates if id(node) in passed]
     raise QueryEvaluationError(f"unknown boolean operator {condition.op!r}")
+
+
+def _comparison(
+    comparison: Comparison, candidates: List[Element], meter: TraversalMeter
+) -> List[Element]:
+    """Apply the left path to every candidate at once; keep a candidate
+    when any node it reaches (or, for ``@name``, any value) matches."""
+    attribute = comparison.left.path.attribute_name
+    kept: List[Element] = []
+    for candidate, reached in zip(candidates, comparison.left.path.each(candidates, meter)):
+        if attribute is not None:
+            values: Iterable[str] = attribute_values_of(reached, attribute)
+        else:
+            values = map(_text, reached)
+        for value in values:
+            if comparison.matches(value):
+                kept.append(candidate)
+                break
+    return kept
+
+
+def _text(node: Element) -> str:
+    """``node.text_content()``, read directly off a lone text child."""
+    children = node.children
+    if len(children) == 1 and children[0].__class__ is Text:
+        return children[0].value
+    return node.text_content()

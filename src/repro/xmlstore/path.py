@@ -15,16 +15,23 @@ Evaluation counts the nodes it traverses through an optional
 :class:`TraversalMeter`; the paper (§3.2) uses "the number of XML nodes
 affected (traversed)" as the cost measure of forward vs backward
 recovery, and experiment E7 reads this meter.
+
+A path compiles once, on its first evaluation, into one function per
+step, chosen by axis and name test and memoized on the frozen
+expression.  A step charges the meter once, with the count a node-by-node
+walk would have charged; :meth:`PathExpr.each` runs the same functions
+over many contexts at a time, each kept apart (a where-clause's filter).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import QuerySyntaxError
 from repro.obs.prof import PROF
 from repro.xmlstore.names import (
+    AXML_PREFIX,
     QName,
     is_axml_meta_name,
     is_sc_name,
@@ -43,9 +50,6 @@ class TraversalMeter:
 
     def touch(self, count: int = 1) -> None:
         self.nodes_traversed += count
-
-    def reset(self) -> None:
-        self.nodes_traversed = 0
 
 
 #: A meter that is always available so call sites never branch on None.
@@ -80,6 +84,10 @@ class PathExpr:
     """A parsed path: a sequence of steps, evaluated left to right."""
 
     steps: Sequence[Step] = field(default_factory=tuple)
+    #: The compiled steps, memoized on first evaluation (see ``_compile``).
+    _plan: Optional[Tuple[Tuple["_StepFunction", ...], Tuple[bool, ...]]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __str__(self) -> str:
         out: List[str] = []
@@ -99,28 +107,6 @@ class PathExpr:
             return name.local if name is not None else "*"
         return None
 
-    def attribute_values(
-        self,
-        context: Union[Document, Element, Sequence[Element]],
-        meter: TraversalMeter = NULL_METER,
-    ) -> List[str]:
-        """Evaluate a path ending in ``@name``: the attribute values of
-        the elements the prefix reaches (missing attributes are skipped;
-        ``@*`` yields every attribute value)."""
-        attr = self.attribute_name
-        if attr is None:
-            raise QuerySyntaxError(f"path {self} does not end in an attribute step")
-        owners = self.evaluate(context, meter)
-        values: List[str] = []
-        for owner in owners:
-            if not isinstance(owner, Element):
-                continue
-            if attr == "*":
-                values.extend(owner.attributes.values())
-            elif attr in owner.attributes:
-                values.append(owner.attributes[attr])
-        return values
-
     def child_names(self) -> List[str]:
         """Local names of the child steps (used by lazy materialization)."""
         return [step.name.local for step in self.steps
@@ -137,66 +123,158 @@ class PathExpr:
         callers read ``text_content()`` themselves — keeping the result
         homogeneous simplifies update targets.
         """
-        steps = list(self.steps)
+        functions, repeats = self._plan or self._compile_steps()
+        start = 0
         if isinstance(context, Document):
             current: List[Element] = [context.root] if context.root is not None else []
             # Absolute-path convention (paper's ``ATPList//player``): a
             # leading child step names the root element itself — or the
             # *document* (distributed fragments keep their subtree's root
             # name but are addressed by their document name).
-            if current and steps and steps[0].axis == "child":
+            if current and self.steps and self.steps[0].axis == "child":
                 meter.touch()
-                step_name = steps[0].name
-                if _name_matches(steps[0], current[0]) or (
+                step_name = self.steps[0].name
+                if _name_matches(self.steps[0], current[0]) or (
                     step_name is not None
                     and not step_name.prefix
                     and step_name.local == context.name
                 ):
-                    steps = steps[1:]
+                    start = 1
                 else:
                     current = []
+            single = True
         elif isinstance(context, Element):
-            current = [context]
+            current, single = [context], True
         else:
-            current = list(context)
-        for step in steps:
-            if step.axis in ("text", "attribute"):
-                # Terminal value steps: the owning elements are returned;
-                # callers extract text_content()/attribute values.
-                break
-            current = _apply_step(step, current, meter)
-        return _dedupe(current)
+            current, single = list(context), False
+        groups = [current]
+        for function in functions[start:]:
+            groups = function(groups, meter)
+        nodes: List[Node] = groups[0]
+        if len(nodes) > 1 and (repeats[start] or not single):
+            nodes = list({id(node): node for node in nodes}.values())
+        return nodes
+
+    def each(
+        self, contexts: Sequence[Element], meter: TraversalMeter = NULL_METER
+    ) -> List[List[Element]]:
+        """What the path reaches from each of *contexts* on its own: one
+        list per context, in order, not deduplicated (a where-clause only
+        asks whether any reached node matches).  Charges the meter what
+        evaluating the path once per context would."""
+        groups = [[context] for context in contexts]
+        for function in (self._plan or self._compile_steps())[0]:
+            groups = function(groups, meter)
+        return groups
+
+    def _compile_steps(self) -> Tuple[Tuple["_StepFunction", ...], Tuple[bool, ...]]:
+        plan = _compile(self.steps)
+        object.__setattr__(self, "_plan", plan)
+        return plan
 
 
-def _apply_step(
-    step: Step, context: List[Element], meter: TraversalMeter
-) -> List[Element]:
-    result: List[Element] = []
+def attribute_values_of(owners: Sequence[Element], name: str) -> List[str]:
+    """The values of attribute *name* on *owners*, in order (an owner
+    without it is skipped; ``*`` yields every value): what a path ending
+    in ``@name`` selects from the elements its other steps reach."""
+    if name == "*":
+        return [value for owner in owners for value in owner.attributes.values()]
+    return [owner.attributes[name] for owner in owners if name in owner.attributes]
+
+
+#: A compiled step: per-context node lists in, per-context results out.
+_StepFunction = Callable[[List[List[Element]], TraversalMeter], List[List[Element]]]
+
+
+def _compile(steps: Sequence[Step]) -> Tuple[Tuple[_StepFunction, ...], Tuple[bool, ...]]:
+    """One function per navigation step (a terminal ``text()`` / ``@name``
+    step ends the walk: callers read the values off the elements), plus,
+    for start step 0 and 1, whether the steps from there can reach a
+    node twice from a single context.  Only a parent step, or a step after
+    a descendant step (nested matches), can; a child chain cannot, since
+    every node has one logical parent."""
+    functions: List[_StepFunction] = []
+    axes: List[str] = []
+    for step in steps:
+        if step.axis in ("text", "attribute"):
+            break
+        functions.append(_compile_step(step))
+        axes.append(step.axis)
+    # Evaluation starts at step 0, or at 1 when a document's root name
+    # consumed the first step.
+    repeats = tuple("parent" in axes[start:] or "descendant" in axes[start:-1] for start in (0, 1))
+    return tuple(functions), repeats
+
+
+def _compile_step(step: Step) -> _StepFunction:
     if step.axis == "child":
-        for node in context:
-            for child in _logical_children(node, step):
-                meter.touch()
-                if _name_matches(step, child):
-                    result.append(child)
-    elif step.axis == "descendant":
-        indexed = _indexed_descendants(step, context, meter)
-        if indexed is not None:
-            return indexed
-        PROF.incr("query_tree_walks")
-        for node in context:
-            descendants = _logical_descendants(node)
-            PROF.incr("query_walk_nodes", len(descendants))
-            for descendant in descendants:
-                meter.touch()
-                if _name_matches(step, descendant):
-                    result.append(descendant)
-    elif step.axis == "parent":
-        for node in context:
-            meter.touch()
-            if node.parent is not None:
-                result.append(node.parent)
-    else:  # pragma: no cover - parser never produces other axes
-        raise AssertionError(f"unknown axis {step.axis!r}")
+        return _child_step(step)
+    if step.axis == "descendant":
+        return lambda groups, meter: [_descendants(step, group, meter) for group in groups]
+    if step.axis == "parent":
+        return _parent_step
+    raise AssertionError(f"unknown axis {step.axis!r}")  # the parser makes no other
+
+
+def _child_step(step: Step) -> _StepFunction:
+    """``name`` or ``*``: one loop over each node's children, charging
+    the meter once for every element child it passes.  A node with an
+    ``axml:sc`` child (unless the test names ``axml:`` machinery itself)
+    goes through :func:`_logical_children` instead."""
+    any_name = step.name is None
+    local = "" if any_name else step.name.local
+    prefix = "" if any_name else step.name.prefix
+    expand = prefix != AXML_PREFIX
+
+    def apply(groups: List[List[Element]], meter: TraversalMeter) -> List[List[Element]]:
+        touched = 0
+        results = []
+        for group in groups:
+            out: List[Element] = []
+            for node in group:
+                mark, seen = len(out), touched
+                for child in node.children:
+                    if child.__class__ is not Element:
+                        continue
+                    name = child.name
+                    if expand and name.prefix == AXML_PREFIX and name.local == "sc":
+                        break
+                    touched += 1
+                    if any_name or (name.local == local and name.prefix == prefix):
+                        out.append(child)
+                else:
+                    continue
+                del out[mark:]
+                touched = seen
+                for child in _logical_children(node, step):
+                    touched += 1
+                    if _name_matches(step, child):
+                        out.append(child)
+            results.append(out)
+        meter.touch(touched)
+        return results
+
+    return apply
+
+
+def _parent_step(groups: List[List[Element]], meter: TraversalMeter) -> List[List[Element]]:
+    meter.touch(sum(len(group) for group in groups))
+    return [[node.parent for node in group if node.parent is not None] for group in groups]
+
+
+def _descendants(step: Step, context: List[Element], meter: TraversalMeter) -> List[Element]:
+    """``//name`` or ``//*`` from one context list: the index when it
+    answers, else a walk of each node's logical subtree."""
+    indexed = _indexed_descendants(step, context, meter)
+    if indexed is not None:
+        return indexed
+    PROF.incr("query_tree_walks")
+    result: List[Element] = []
+    for node in context:
+        descendants = _logical_descendants(node)
+        PROF.incr("query_walk_nodes", len(descendants))
+        meter.touch(len(descendants))
+        result.extend(d for d in descendants if _name_matches(step, d))
     return result
 
 
@@ -227,8 +305,9 @@ def _indexed_descendants(
         return None
     meter.touch(logical)
     PROF.incr("query_index_hits")
+    prefix = step.name.prefix
     return index.order_ranks(
-        [element for element in postings.values() if _name_matches(step, element)],
+        [element for element in postings.values() if element.name.prefix == prefix],
         ctx,
     )
 
@@ -284,16 +363,6 @@ def _name_matches(step: Step, element: Element) -> bool:
     if step.name.prefix:
         return element.name == step.name
     return element.name.local == step.name.local and not element.name.prefix
-
-
-def _dedupe(nodes: List[Element]) -> List[Node]:
-    seen = set()
-    out: List[Node] = []
-    for node in nodes:
-        if node.node_id not in seen:
-            seen.add(node.node_id)
-            out.append(node)
-    return out
 
 
 def parse_path(text: str) -> PathExpr:

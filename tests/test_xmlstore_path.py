@@ -121,12 +121,6 @@ class TestTraversalMeter:
         parse_path("citizenship").evaluate(player, shallow)
         assert deep.nodes_traversed > shallow.nodes_traversed
 
-    def test_reset(self):
-        meter = TraversalMeter()
-        meter.touch(5)
-        meter.reset()
-        assert meter.nodes_traversed == 0
-
 
 class TestAxmlTransparency:
     AXML = parse_document(
