@@ -39,14 +39,16 @@ and CI runs it with ``--smoke`` on every push):
   ``<data>`` becomes nodes by cloning the template's prototype).  Counts,
   so exact on every machine.
 
-* **Part F — a where-clause filters its candidates in one pass.**  One
-  ``Select i/price from i in C//book where i/sku = X`` over a seeded
-  600-item catalogue (~100 ``book`` candidates) under ``sys.setprofile``:
-  the Python-level calls per candidate must stay under
-  ``PLAN_CALLS_PER_CANDIDATE``.  Re-entering the generic path walker
-  once per candidate measured 36.4 per candidate; the compiled plan 4.5
-  (Python 3.11).
-  A count, so exact on every machine.
+* **Part F — a where-clause filters its candidates before they are
+  ordered.**  One ``Select i/price from i in C//book where i/sku = X``
+  over a seeded 600-item catalogue (~100 ``book`` candidates) under
+  ``sys.setprofile``: the Python-level calls per candidate must stay
+  under ``PLAN_CALLS_PER_CANDIDATE``, and ``StructuralIndex.order_ranks``
+  must be handed at most the Select's survivors (here: never, since one
+  survives).  Re-entering the generic path walker once per candidate
+  measured 36.4 per candidate; the compiled plan that ordered all
+  candidates first 4.5; filtering first, with the sku test compiled into
+  the child loop, 0.62 (Python 3.11).  Counts, so exact on every machine.
 
 Run:  python benchmarks/bench_p1_hot_paths.py [--smoke] [--seed N]
                                               [--workers N]
@@ -76,6 +78,7 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.parallel import available_cores, parallel_map
 from repro.sim.rng import SeededRng
 from repro.xmlstore import path as path_module
+from repro.xmlstore.index import StructuralIndex
 from repro.xmlstore.names import QName
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_document, parse_fragment
@@ -433,8 +436,10 @@ def bench_service_template(args) -> dict:
 CATEGORIES = ("book", "cd", "dvd", "game", "map", "toy")
 FIELDS = ("title", "author", "year", "price", "publisher")
 #: Part F's gate: Python-level calls per candidate of one sku-selective
-#: Select (the compiled plan makes 4.5; a per-candidate walker 36.4).
-PLAN_CALLS_PER_CANDIDATE = 6.0
+#: Select (filter before order makes 0.62; ordering every candidate
+#: first 4.5; a per-candidate walker 36.4).  Under 1.0, a Python call
+#: per candidate fails it.
+PLAN_CALLS_PER_CANDIDATE = 1.0
 
 
 def build_catalogue(items: int, seed: int) -> Document:
@@ -472,6 +477,15 @@ def bench_select_plan(args) -> dict:
         sys.setprofile(None)
         gc.enable()
     assert [b.context for b in result.bindings] == [books[len(books) // 2]]
+    ordered: list = []  # how many candidates each order_ranks call got
+    real_order_ranks = StructuralIndex.order_ranks
+
+    def order_ranks(index, candidates, under):
+        ordered.append(len(candidates))
+        return real_order_ranks(index, candidates, under)
+
+    with mock.patch.object(StructuralIndex, "order_ranks", order_ranks):
+        evaluate_select(parse_select(text), doc)
 
     start = time.perf_counter()
     for _ in range(200):
@@ -481,6 +495,7 @@ def bench_select_plan(args) -> dict:
     print(
         f"P1/F select plan: {len(books)} candidates -> {calls} Python calls "
         f"({per_candidate:.2f} per candidate, gate {PLAN_CALLS_PER_CANDIDATE}); "
+        f"order_ranks handed {ordered} for {len(result.bindings)} survivor(s); "
         f"{wall_time * 1e6:.0f} us per parse + evaluate"
     )
     return perf_record(
@@ -493,6 +508,8 @@ def bench_select_plan(args) -> dict:
         calls=calls,
         calls_per_candidate=round(per_candidate, 3),
         bound=PLAN_CALLS_PER_CANDIDATE,
+        ordered=ordered,
+        survivors=len(result.bindings),
     )
 
 
@@ -540,6 +557,11 @@ def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec, plan_r
             f"one sku-selective Select made {plan_rec['calls_per_candidate']} Python calls "
             f"per candidate (bound {PLAN_CALLS_PER_CANDIDATE}): the where-clause "
             "walks each candidate through the generic path evaluator again"
+        )
+    if any(count > plan_rec["survivors"] for count in plan_rec["ordered"]):
+        yield (
+            f"order_ranks was handed {plan_rec['ordered']} candidates for "
+            f"{plan_rec['survivors']} survivor(s): the Select orders before it filters"
         )
 
 

@@ -61,6 +61,11 @@ class Comparison:
     #: :meth:`matches`): both read once, when the comparison is built.
     _compare: Optional[Callable[[Any, Any], bool]] = field(init=False, repr=False, compare=False)
     _number: Optional[float] = field(init=False, repr=False, compare=False)
+    #: The comparison compiled into a filter over candidates, memoized on
+    #: first use by :mod:`repro.query.evaluate`.
+    _plan: Optional[Callable[..., Any]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __str__(self) -> str:
         return f"{self.left} {self.op} {self.literal}"

@@ -9,13 +9,13 @@ evaluation that makes query compensation necessary (§3.1) — is composed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import QueryEvaluationError
 from repro.obs.prof import PROF
 from repro.query.ast import Comparison, Condition, NodeRef, SelectQuery
-from repro.xmlstore.nodes import Document, Element, Node, NodeId, Text
-from repro.xmlstore.path import NULL_METER, TraversalMeter, attribute_values_of
+from repro.xmlstore.nodes import Document, Element, Node, NodeId
+from repro.xmlstore.path import NULL_METER, TraversalMeter, logical_text
 
 
 @dataclass
@@ -48,8 +48,9 @@ class QueryResult:
         return out
 
     def texts(self) -> List[str]:
-        """Text content of every selected node (convenience for tests)."""
-        return [node.text_content() for node in self.all_nodes()]
+        """The logical text of every selected node (:func:`logical_text`:
+        call metadata is not content)."""
+        return [logical_text(node) for node in self.all_nodes()]
 
     def __len__(self) -> int:
         return len(self.bindings)
@@ -67,15 +68,17 @@ def evaluate_select(
     node reached by its left path satisfies it — existential semantics);
     each select path is then evaluated relative to every surviving
     binding.  The where-clause filters all candidates at once
-    (:func:`_filter`), through paths compiled once (``PathExpr``).
+    (:func:`_filter`), through paths compiled once (``PathExpr``), and
+    before they are put in document order: reach → filter → order (see
+    ``PathExpr.evaluate``).  The filter is per candidate and its meter
+    charges are sums, so the order it sees changes nothing.
     """
     if document.root is None:
         return QueryResult(query, [])
-    candidates = _source_nodes(query, document, meter)
-    if query.where is not None:
-        candidates = _filter(query.where, candidates, meter)
+    where = query.where
+    keep = None if where is None else (lambda nodes: _filter(where, nodes, meter))
     bindings: List[Binding] = []
-    for node in candidates:
+    for node in _source_nodes(query, document, meter, keep):
         binding = Binding(node)
         for vp in query.select_paths:
             binding.selected[str(vp)] = vp.path.evaluate(node, meter) if vp.path.steps else [node]
@@ -84,9 +87,13 @@ def evaluate_select(
 
 
 def _source_nodes(
-    query: SelectQuery, document: Document, meter: TraversalMeter
+    query: SelectQuery,
+    document: Document,
+    meter: TraversalMeter,
+    keep: Optional[Callable[[List[Element]], List[Element]]],
 ) -> List[Element]:
-    """Resolve the query source: a path, or an id reference (``id(..@..)``).
+    """Resolve the query source, a path or an id reference
+    (``id(..@..)``), and filter it through *keep* (the where-clause).
 
     An id reference that no longer resolves — or resolves to a detached
     node — yields no bindings rather than an error: a compensating
@@ -101,8 +108,8 @@ def _source_nodes(
         meter.touch()
         if not isinstance(node, Element) or not node.is_attached():
             return []
-        return [node]
-    return query.source.evaluate(document, meter)
+        return [node] if keep is None else keep([node])
+    return query.source.evaluate(document, meter, keep)
 
 
 def _filter(
@@ -137,25 +144,48 @@ def _filter(
 def _comparison(
     comparison: Comparison, candidates: List[Element], meter: TraversalMeter
 ) -> List[Element]:
-    """Apply the left path to every candidate at once; keep a candidate
-    when any node it reaches (or, for ``@name``, any value) matches."""
-    attribute = comparison.left.path.attribute_name
-    kept: List[Element] = []
-    for candidate, reached in zip(candidates, comparison.left.path.each(candidates, meter)):
-        if attribute is not None:
-            values: Iterable[str] = attribute_values_of(reached, attribute)
-        else:
-            values = map(_text, reached)
-        for value in values:
-            if comparison.matches(value):
-                kept.append(candidate)
-                break
-    return kept
+    """Keep a candidate when any node its left path reaches (or, for
+    ``@name``, any value) matches: one filter, compiled on first use."""
+    plan = comparison._plan
+    if plan is None:
+        plan = _compile_comparison(comparison)
+        object.__setattr__(comparison, "_plan", plan)
+    return plan(candidates, meter)
 
 
-def _text(node: Element) -> str:
-    """``node.text_content()``, read directly off a lone text child."""
-    children = node.children
-    if len(children) == 1 and children[0].__class__ is Text:
-        return children[0].value
-    return node.text_content()
+def _compile_comparison(
+    comparison: Comparison,
+) -> Callable[[List[Element], TraversalMeter], List[Element]]:
+    """The left path's own test when its last step is a child step
+    (``PathExpr.compile_test``); otherwise apply the path to every
+    candidate at once and compare the values it reaches."""
+    path = comparison.left.path
+    if comparison._compare is not None:  # an unknown operator raises below
+        test = path.compile_test(comparison._compare, comparison.literal, comparison._number)
+        if test is not None:
+            return test
+    attribute = path.attribute_name
+
+    def apply(candidates: List[Element], meter: TraversalMeter) -> List[Element]:
+        kept: List[Element] = []
+        for candidate, reached in zip(candidates, path.each(candidates, meter)):
+            if attribute is not None:
+                values: Iterable[str] = attribute_values_of(reached, attribute)
+            else:
+                values = map(logical_text, reached)
+            for value in values:
+                if comparison.matches(value):
+                    kept.append(candidate)
+                    break
+        return kept
+
+    return apply
+
+
+def attribute_values_of(owners: Sequence[Element], name: str) -> List[str]:
+    """The values of attribute *name* on *owners*, in order (an owner
+    without it is skipped; ``*`` yields every value): what a path ending
+    in ``@name`` selects from the elements its other steps reach."""
+    if name == "*":
+        return [value for owner in owners for value in owner.attributes.values()]
+    return [owner.attributes[name] for owner in owners if name in owner.attributes]

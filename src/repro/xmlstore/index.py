@@ -17,19 +17,21 @@ are maintained, not recomputed per query.
 Postings track *existence* (every element owned by the document,
 attached or logically deleted) and are exact at all times.  *Attachment*
 and *document order* are properties of the tree, so they are read off
-the tree when a query asks: :meth:`StructuralIndex.order_ranks` climbs
-parent pointers from each posting candidate to the query's context and
-orders the survivors by walking only the branches that lead to them
-(Lugiez & Martin, PAPERS.md: a node *is* its path of positions from the
-root).  Nothing is cached, so no mutation has anything to invalidate: a
-``//name`` step costs what it touches — the candidates' ancestor chains
-and those ancestors' child lists — whether or not the document changed
-since the last query.
+the tree when a query asks, in two steps a Select runs apart:
+:meth:`StructuralIndex.reachable` climbs parent pointers from each
+posting candidate to the query's context (reach), and
+:meth:`StructuralIndex.order_ranks` also orders the survivors by walking
+only the branches that lead to them (Lugiez & Martin, PAPERS.md: a node
+*is* its path of positions from the root).  A where-clause filters
+between the two, so only its survivors are ordered.  Nothing is cached,
+so no mutation has anything to invalidate: a ``//name`` step costs what
+it touches — the candidates' ancestor chains and those ancestors' child
+lists — whether or not the document changed since the last query.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.xmlstore.names import is_axml_meta_name
 
@@ -78,45 +80,29 @@ class StructuralIndex:
         """Every element of the document (attached or not) with that name."""
         return self._postings.get(local_name, _EMPTY)
 
-    def order_ranks(
-        self, candidates: Iterable["Element"], under: "Element"
+    def reachable(
+        self, candidates: Sequence["Element"], under: "Element"
     ) -> List["Element"]:
         """The *candidates* a logical descendant walk from *under* would
-        reach, in the order it would reach them.
+        reach, in the order given (the climbs of :meth:`order_ranks`,
+        without its ordering walk)."""
+        return _climb(candidates, under)[0]
 
-        A candidate survives iff climbing its parent pointers meets
-        *under* before an ``axml:params``/handler element or a missing
-        parent (logically deleted) — *under* itself survives whatever
-        its name.  Verdicts are memoised on every node a climb passes,
-        so ancestors shared by several candidates are climbed once and a
-        chain of same-name matches stays linear.  Two or more survivors
-        are put in document order by a pre-order walk from *under* that
-        descends only into nodes some climb marked as leading to one.
+    def order_ranks(
+        self, candidates: Sequence["Element"], under: "Element"
+    ) -> List["Element"]:
+        """The *candidates* a logical descendant walk from *under* would
+        reach, in the order it would reach them (*candidates* carry one
+        name that is not call metadata: see :func:`_climb`).
+
+        Two or more survivors of :func:`_climb` are put in document
+        order by a pre-order walk from *under* that descends only into
+        nodes some climb marked as leading to one.
 
         The two identity-keyed containers are looked up, never iterated:
-        output order comes from *candidates* and from child lists only.
+        output order comes from child lists only.
         """
-        leads_to_match: Dict[object, bool] = {under: True}
-        branching = set()
-        survivors: List["Element"] = []
-        for candidate in candidates:
-            trail = []
-            node = candidate
-            while True:
-                verdict = leads_to_match.get(node)
-                if verdict is not None:
-                    break
-                if node is None or is_axml_meta_name(node.name):
-                    verdict = False
-                    break
-                trail.append(node)
-                node = node.parent
-            for passed in trail:
-                leads_to_match[passed] = verdict
-            if verdict:
-                survivors.append(candidate)
-                for passed in trail:
-                    branching.add(passed.parent)
+        survivors, leads_to_match, branching = _climb(candidates, under)
         if len(survivors) < 2:
             return survivors
         wanted = set(survivors)
@@ -135,3 +121,48 @@ class StructuralIndex:
     def __repr__(self) -> str:
         entries = sum(len(bucket) for bucket in self._postings.values())
         return f"StructuralIndex(tags={len(self._postings)}, entries={entries})"
+
+
+def _climb(
+    candidates: Sequence["Element"], under: "Element"
+) -> Tuple[List["Element"], Dict[object, bool], Set[object]]:
+    """The candidates that survive, in the order given, plus the verdict
+    memo and the nodes whose children lead to a survivor.
+
+    A candidate survives iff it is *under*, or its parent is, or climbing
+    its parent pointers meets *under* before an ``axml:params``/handler
+    element or a missing parent (logically deleted).  The candidates
+    themselves are not call metadata: they carry one name, which the
+    caller checks once.  Verdicts are memoised on every node a climb
+    passes, so ancestors shared by several candidates are climbed once
+    and a chain of same-name matches stays linear.
+    """
+    leads_to_match: Dict[object, bool] = {under: True}
+    branching = {under}
+    survivors: List["Element"] = []
+    for candidate in candidates:
+        node = candidate.parent
+        if node is under:
+            leads_to_match[candidate] = True
+            survivors.append(candidate)
+            continue
+        verdict = leads_to_match.get(candidate)
+        if verdict is None:
+            trail = [candidate]
+            while True:
+                verdict = leads_to_match.get(node)
+                if verdict is not None:
+                    break
+                if node is None or is_axml_meta_name(node.name):
+                    verdict = False
+                    break
+                trail.append(node)
+                node = node.parent
+            for passed in trail:
+                leads_to_match[passed] = verdict
+            if verdict:
+                for passed in trail:
+                    branching.add(passed.parent)
+        if verdict:
+            survivors.append(candidate)
+    return survivors, leads_to_match, branching

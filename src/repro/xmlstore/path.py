@@ -21,12 +21,20 @@ step, chosen by axis and name test and memoized on the frozen
 expression.  A step charges the meter once, with the count a node-by-node
 walk would have charged; :meth:`PathExpr.each` runs the same functions
 over many contexts at a time, each kept apart (a where-clause's filter).
+
+A Select runs reach → filter → order: the where-clause (*keep*) sees a
+``//name`` step's reachable candidates before only its survivors are put
+in document order, and a comparison whose path ends in a child step is
+compiled as a test (:meth:`PathExpr.compile_test`).  Comparisons and
+results read :func:`logical_text`: call metadata is not content.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from math import isfinite
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import QuerySyntaxError
 from repro.obs.prof import PROF
@@ -37,7 +45,7 @@ from repro.xmlstore.names import (
     is_sc_name,
     is_valid_name,
 )
-from repro.xmlstore.nodes import Document, Element, Node
+from repro.xmlstore.nodes import Document, Element, Node, Text
 
 
 class TraversalMeter:
@@ -85,18 +93,13 @@ class PathExpr:
 
     steps: Sequence[Step] = field(default_factory=tuple)
     #: The compiled steps, memoized on first evaluation (see ``_compile``).
-    _plan: Optional[Tuple[Tuple["_StepFunction", ...], Tuple[bool, ...]]] = field(
-        default=None, repr=False, compare=False
-    )
+    _plan: Optional["_Plan"] = field(default=None, repr=False, compare=False)
 
     def __str__(self) -> str:
         out: List[str] = []
         for i, step in enumerate(self.steps):
             text = str(step)
-            if i == 0 or text.startswith("//"):
-                out.append(text)
-            else:
-                out.append("/" + text)
+            out.append(text if i == 0 or text.startswith("//") else "/" + text)
         return "".join(out)
 
     @property
@@ -116,14 +119,17 @@ class PathExpr:
         self,
         context: Union[Document, Element, Sequence[Element]],
         meter: TraversalMeter = NULL_METER,
+        keep: Optional[Callable[[List[Element]], List[Element]]] = None,
     ) -> List[Node]:
         """Evaluate against a context node (or node list), document order.
 
         A ``text`` final step returns the element nodes it was applied to;
-        callers read ``text_content()`` themselves — keeping the result
-        homogeneous simplifies update targets.
+        callers read :func:`logical_text` themselves — keeping the result
+        homogeneous simplifies update targets.  *keep* (a where-clause)
+        filters the result, keeping order; when the index answers a last
+        ``//name`` step, it runs before the survivors are ordered.
         """
-        functions, repeats = self._plan or self._compile_steps()
+        functions, repeats, tail = self._plan or self._compile_steps()
         start = 0
         if isinstance(context, Document):
             current: List[Element] = [context.root] if context.root is not None else []
@@ -147,13 +153,16 @@ class PathExpr:
             current, single = [context], True
         else:
             current, single = list(context), False
-        groups = [current]
-        for function in functions[start:]:
-            groups = function(groups, meter)
+        groups = _run(functions[start:len(functions) - (tail is not None)], [current], meter)
         nodes: List[Node] = groups[0]
+        if tail is not None:
+            reached = _indexed_descendants(tail, nodes, meter, keep)
+            if reached is not None:
+                return reached  # from one context: no node twice
+            nodes = _walk_descendants(tail, nodes, meter)
         if len(nodes) > 1 and (repeats[start] or not single):
             nodes = list({id(node): node for node in nodes}.values())
-        return nodes
+        return nodes if keep is None else keep(nodes)
 
     def each(
         self, contexts: Sequence[Element], meter: TraversalMeter = NULL_METER
@@ -162,48 +171,66 @@ class PathExpr:
         list per context, in order, not deduplicated (a where-clause only
         asks whether any reached node matches).  Charges the meter what
         evaluating the path once per context would."""
-        groups = [[context] for context in contexts]
-        for function in (self._plan or self._compile_steps())[0]:
-            groups = function(groups, meter)
-        return groups
+        functions = (self._plan or self._compile_steps())[0]
+        return _run(functions, [[context] for context in contexts], meter)
 
-    def _compile_steps(self) -> Tuple[Tuple["_StepFunction", ...], Tuple[bool, ...]]:
+    def compile_test(
+        self, compare: Callable[[Any, Any], bool], literal: str, number: Optional[float]
+    ) -> Optional[Callable[[List[Element], TraversalMeter], List[Element]]]:
+        """The where-clause ``path op literal`` as one filter over
+        candidates, or None unless the path's last navigation step is a
+        child step (``i/sku``, ``p/name/lastname``, ``i/sku/text()``).
+        The earlier steps run as in :meth:`each`, the last as a test
+        (:func:`_child_step`): same kept candidates, order and meter
+        charge as :meth:`each` followed by ``Comparison.matches``."""
+        functions = (self._plan or self._compile_steps())[0]
+        steps = [step for step in self.steps if step.axis not in ("text", "attribute")]
+        if not steps or steps[-1].axis != "child" or self.attribute_name is not None:
+            return None
+        test = _child_step(steps[-1], (compare, literal, number))
+        earlier = functions[:-1]
+
+        def apply(candidates: List[Element], meter: TraversalMeter) -> List[Element]:
+            if earlier:
+                groups: Any = _run(earlier, [[node] for node in candidates], meter)
+            else:
+                groups = zip(candidates)  # each candidate is its own group
+            return [node for node, hit in zip(candidates, test(groups, meter)) if hit]
+
+        return apply
+
+    def _compile_steps(self) -> "_Plan":
         plan = _compile(self.steps)
         object.__setattr__(self, "_plan", plan)
         return plan
 
 
-def attribute_values_of(owners: Sequence[Element], name: str) -> List[str]:
-    """The values of attribute *name* on *owners*, in order (an owner
-    without it is skipped; ``*`` yields every value): what a path ending
-    in ``@name`` selects from the elements its other steps reach."""
-    if name == "*":
-        return [value for owner in owners for value in owner.attributes.values()]
-    return [owner.attributes[name] for owner in owners if name in owner.attributes]
-
-
 #: A compiled step: per-context node lists in, per-context results out.
 _StepFunction = Callable[[List[List[Element]], TraversalMeter], List[List[Element]]]
+#: Step functions; per start step 0 / 1, whether a node can repeat; a last
+#: descendant step, which ``evaluate`` runs itself (to filter first).
+_Plan = Tuple[Tuple[_StepFunction, ...], Tuple[bool, ...], Optional[Step]]
 
 
-def _compile(steps: Sequence[Step]) -> Tuple[Tuple[_StepFunction, ...], Tuple[bool, ...]]:
-    """One function per navigation step (a terminal ``text()`` / ``@name``
-    step ends the walk: callers read the values off the elements), plus,
-    for start step 0 and 1, whether the steps from there can reach a
-    node twice from a single context.  Only a parent step, or a step after
-    a descendant step (nested matches), can; a child chain cannot, since
-    every node has one logical parent."""
-    functions: List[_StepFunction] = []
-    axes: List[str] = []
-    for step in steps:
-        if step.axis in ("text", "attribute"):
-            break
-        functions.append(_compile_step(step))
-        axes.append(step.axis)
+def _run(functions, groups: List[List[Element]], meter: TraversalMeter) -> List[List[Element]]:
+    for function in functions:
+        groups = function(groups, meter)
+    return groups
+
+
+def _compile(steps: Sequence[Step]) -> _Plan:
+    """One function per navigation step (callers read a terminal
+    ``text()`` / ``@name`` off the elements), plus, for start step 0 and
+    1, whether the steps from there can reach a node twice from a single
+    context: only a parent step, or a step after a descendant step
+    (nested matches), can, since every node has one logical parent."""
+    navigation = [step for step in steps if step.axis not in ("text", "attribute")]
+    axes = [step.axis for step in navigation]
     # Evaluation starts at step 0, or at 1 when a document's root name
     # consumed the first step.
     repeats = tuple("parent" in axes[start:] or "descendant" in axes[start:-1] for start in (0, 1))
-    return tuple(functions), repeats
+    tail = navigation[-1] if axes and axes[-1] == "descendant" else None
+    return tuple(map(_compile_step, navigation)), repeats, tail
 
 
 def _compile_step(step: Step) -> _StepFunction:
@@ -216,41 +243,68 @@ def _compile_step(step: Step) -> _StepFunction:
     raise AssertionError(f"unknown axis {step.axis!r}")  # the parser makes no other
 
 
-def _child_step(step: Step) -> _StepFunction:
+_NAN = float("nan")
+
+
+def _child_step(step: Step, test: Optional[Tuple[Callable, str, Optional[float]]] = None):
     """``name`` or ``*``: one loop over each node's children, charging
     the meter once for every element child it passes.  A node with an
     ``axml:sc`` child (unless the test names ``axml:`` machinery itself)
-    goes through :func:`_logical_children` instead."""
+    goes through :func:`_logical_children` instead.
+
+    With *test* = ``(compare, literal, number)`` it returns, per group,
+    whether a matching child's :func:`logical_text` passes it (charging
+    the same, and comparing no more in a group once one has passed)."""
     any_name = step.name is None
     local = "" if any_name else step.name.local
     prefix = "" if any_name else step.name.prefix
     expand = prefix != AXML_PREFIX
+    collect = test is None
+    compare, literal, number = test or (None, "", None)
 
-    def apply(groups: List[List[Element]], meter: TraversalMeter) -> List[List[Element]]:
+    def apply(groups, meter):
         touched = 0
         results = []
+        out: List[Element] = []  # a test leaves it empty
         for group in groups:
-            out: List[Element] = []
+            if collect:
+                out = []
+            hit = False
             for node in group:
-                mark, seen = len(out), touched
-                for child in node.children:
-                    if child.__class__ is not Element:
-                        continue
-                    name = child.name
-                    if expand and name.prefix == AXML_PREFIX and name.local == "sc":
+                mark, seen, before = len(out), touched, hit
+                children = node.children
+                while True:
+                    for child in children:
+                        if child.__class__ is not Element:
+                            continue
+                        name = child.name
+                        if expand and name.prefix == AXML_PREFIX and name.local == "sc":
+                            break  # redo this node over its logical children
+                        touched += 1
+                        if not any_name and (name.local != local or name.prefix != prefix):
+                            continue
+                        if collect:
+                            out.append(child)
+                        elif not hit:
+                            value = child.children
+                            if len(value) == 1 and value[0].__class__ is Text:
+                                value = value[0].value
+                            else:
+                                value = logical_text(child)
+                            # Comparison.matches, inlined: no call per node.
+                            num = _NAN  # a string, unless both sides are numbers
+                            if number is not None and "_" not in value:
+                                try:
+                                    num = float(value)
+                                except ValueError:
+                                    pass
+                            hit = compare(num, number) if isfinite(num) else compare(value, literal)
+                    else:
                         break
-                    touched += 1
-                    if any_name or (name.local == local and name.prefix == prefix):
-                        out.append(child)
-                else:
-                    continue
-                del out[mark:]
-                touched = seen
-                for child in _logical_children(node, step):
-                    touched += 1
-                    if _name_matches(step, child):
-                        out.append(child)
-            results.append(out)
+                    del out[mark:]
+                    touched, hit = seen, before
+                    children = _logical_children(node, step)
+            results.append(out if collect else hit)
         meter.touch(touched)
         return results
 
@@ -263,11 +317,12 @@ def _parent_step(groups: List[List[Element]], meter: TraversalMeter) -> List[Lis
 
 
 def _descendants(step: Step, context: List[Element], meter: TraversalMeter) -> List[Element]:
-    """``//name`` or ``//*`` from one context list: the index when it
-    answers, else a walk of each node's logical subtree."""
+    """``//name`` or ``//*`` from one context list: index, else walk."""
     indexed = _indexed_descendants(step, context, meter)
-    if indexed is not None:
-        return indexed
+    return indexed if indexed is not None else _walk_descendants(step, context, meter)
+
+
+def _walk_descendants(step: Step, context: List[Element], meter: TraversalMeter) -> List[Element]:
     PROF.incr("query_tree_walks")
     result: List[Element] = []
     for node in context:
@@ -279,20 +334,18 @@ def _descendants(step: Step, context: List[Element], meter: TraversalMeter) -> L
 
 
 def _indexed_descendants(
-    step: Step, context: List[Element], meter: TraversalMeter
+    step: Step, context: List[Element], meter: TraversalMeter, keep: Optional[Callable] = None
 ) -> Optional[List[Element]]:
-    """Answer a named descendant step from the document's structural index.
-
-    Returns None (fall back to the subtree walk) when the fast path does
-    not apply: the name test is ``*``, there are multiple context nodes
-    (walk order is per-context, not global), or the postings list is
-    larger than the context's logical subtree (walking is cheaper).
-    The context may be any element of the document — detached, or
-    inside call machinery: ``order_ranks`` climbs no further than it.
-    When the index answers, the traversal meter is charged the
-    *logical* visit count — the same number of nodes the walk would have
-    touched — so the paper's traversal-cost experiments (§3.2, E7) keep
-    their semantics regardless of which path ran.
+    """Answer a named descendant step from the document's structural
+    index, or return None (the walk answers) when the test is ``*``,
+    there are several context nodes (walk order is per context), or the
+    postings list is larger than the context's logical subtree.  The
+    context may be any element — detached, or inside call machinery: the
+    index climbs no further than it.  The meter is charged the *logical*
+    visit count, what the walk would touch, so the paper's traversal
+    cost (§3.2, E7) does not depend on which ran.  With *keep*, the
+    reachable candidates go through it in postings order, and only two
+    or more survivors are put in document order.
     """
     if step.name is None or len(context) != 1:
         return None
@@ -306,10 +359,13 @@ def _indexed_descendants(
     meter.touch(logical)
     PROF.incr("query_index_hits")
     prefix = step.name.prefix
-    return index.order_ranks(
-        [element for element in postings.values() if element.name.prefix == prefix],
-        ctx,
-    )
+    candidates = [element for element in postings.values() if element.name.prefix == prefix]
+    if is_axml_meta_name(step.name):  # once per step: every candidate has the name
+        candidates = [element for element in candidates if element is ctx]
+    if keep is None:
+        return index.order_ranks(candidates, ctx)
+    survivors = keep(index.reachable(candidates, ctx))
+    return index.order_ranks(survivors, ctx) if len(survivors) > 1 else survivors
 
 
 # AXML transparency (paper §1/§3.1): the results of an embedded service
@@ -329,14 +385,10 @@ def _logical_children(node: Element, step: Step) -> List[Element]:
     while stack:
         child = stack.pop()
         if is_sc_name(child.name) and not explicit_axml:
-            results = [
-                grand
-                for grand in child.children
-                if isinstance(grand, Element) and not is_axml_meta_name(grand.name)
-            ]
-            stack.extend(reversed(results))
-            continue
-        out.append(child)
+            stack.extend(grand for grand in reversed(child.children)
+                         if isinstance(grand, Element) and not is_axml_meta_name(grand.name))
+        else:
+            out.append(child)
     return out
 
 
@@ -355,6 +407,26 @@ def _logical_descendants(node: Element) -> List[Element]:
             if isinstance(child, Element) and not is_axml_meta_name(child.name):
                 stack.append(child)
     return out
+
+
+def logical_text(node: Node) -> str:
+    """The text a query reads off *node*: its subtree's text with
+    ``axml:sc`` transparent and call metadata (params, handlers) skipped.
+    ``text_content()`` reads the machinery too: it serves the log."""
+    if node.__class__ is Text:
+        return node.value
+    children = node.children
+    if len(children) == 1 and children[0].__class__ is Text:
+        return children[0].value
+    parts: List[str] = []
+    pending = children[::-1]
+    while pending:
+        child = pending.pop()
+        if child.__class__ is Text:
+            parts.append(child.value)
+        elif not is_axml_meta_name(child.name):
+            pending.extend(reversed(child.children))
+    return "".join(parts)
 
 
 def _name_matches(step: Step, element: Element) -> bool:
@@ -381,32 +453,18 @@ def parse_path(text: str) -> PathExpr:
     text = text.strip()
     if not text:
         raise QuerySyntaxError("empty path expression")
+    parts = re.split("(//?)", text)  # step, separator, step, …
+    descendant = False
+    if not parts[0]:  # a leading separator
+        descendant, parts = parts[1] == "//", parts[2:]
+        if parts == [""]:
+            raise QuerySyntaxError(f"no steps in path: {text!r}")
     steps: List[Step] = []
-    pos = 0
-    descendant_next = False
-    if text.startswith("//"):
-        descendant_next = True
-        pos = 2
-    elif text.startswith("/"):
-        pos = 1
-    while pos < len(text):
-        end = pos
-        while end < len(text) and text[end] != "/":
-            end += 1
-        token = text[pos:end].strip()
-        steps.append(_make_step(token, descendant_next, text))
-        descendant_next = False
-        pos = end
-        if pos < len(text):
-            if text.startswith("//", pos):
-                descendant_next = True
-                pos += 2
-            else:
-                pos += 1
-            if pos >= len(text):
-                raise QuerySyntaxError(f"path ends with a separator: {text!r}")
-    if not steps:
-        raise QuerySyntaxError(f"no steps in path: {text!r}")
+    for k in range(0, len(parts), 2):
+        if k and k == len(parts) - 1 and not parts[k]:
+            raise QuerySyntaxError(f"path ends with a separator: {text!r}")
+        steps.append(_make_step(parts[k].strip(), descendant, text))
+        descendant = k + 1 < len(parts) and parts[k + 1] == "//"
     for step in steps[:-1]:
         if step.axis in ("text", "attribute"):
             raise QuerySyntaxError(
@@ -437,7 +495,6 @@ def _make_step(token: str, descendant: bool, full_text: str) -> Step:
     if token == "*":
         return Step(axis)
     name = QName.parse(token)
-    check = name.local
-    if not is_valid_name(check):
+    if not is_valid_name(name.local):
         raise QuerySyntaxError(f"invalid step name {token!r} in {full_text!r}")
     return Step(axis, name)

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.errors import QuerySyntaxError
-from repro.query.evaluate import evaluate_select
+from repro.query.evaluate import attribute_values_of, evaluate_select
 from repro.query.parser import parse_action, parse_select
 from repro.query.update import apply_action
 from repro.txn.compensation import compensating_actions_for
 from repro.xmlstore.parser import parse_document
-from repro.xmlstore.path import attribute_values_of, parse_path
+from repro.xmlstore.path import parse_path
 from repro.xmlstore.serializer import canonical
 
 DOC = parse_document(

@@ -1,31 +1,42 @@
 """Compiled Select plans against the per-candidate interpreter they replaced.
 
 ``PathExpr`` compiles its steps, and ``evaluate_select`` runs a
-where-clause over the whole candidate list at once.  The reference
-below is the evaluator as it stood before: the generic step walker
-re-entered once per candidate, with ``and``/``or`` short-circuiting per
-candidate.  Over generated trees (``axml:sc`` containers, params / catch
-/ retry regions, prefixed names, detached subtrees) and generated
-where-clauses (nested ``and``/``or``, ``@attr``, ``text()``, ``..``,
-``*``, ``//``, all six operators), both must give the same bindings (by
-identity, in order), the same selected nodes, the same traversal-meter
-total, the same ``query_*`` profiler counts, and the same exception —
-from the index and from the reference walk alike.
+where-clause over the whole candidate list at once, before the source's
+``//name`` candidates are put in document order (reach → filter →
+order).  The reference below is the evaluator as it stood before plans:
+the generic step walker re-entered once per candidate, with ``and``/``or``
+short-circuiting per candidate.  It orders every ``//name`` step by a
+pre-order walk of the context's logical subtree and never asks the
+structural index to order anything, and it reads a node's text by its
+own reading of the logical-text rule (``axml:sc`` transparent, call
+metadata skipped).  Over generated trees (``axml:sc`` containers,
+params / catch / retry regions, prefixed names, nested same-name
+elements, detached subtrees) and generated where-clauses (nested
+``and``/``or``, ``@attr``, ``text()``, ``..``, ``*``, ``//``, all six
+operators), both must give the same bindings (by identity, in order),
+the same selected nodes, the same traversal-meter total, the same
+``query_*`` profiler counts, and the same exception — from the index and
+from the reference walk alike.
 """
 
 import contextlib
+from collections import Counter
 from typing import List
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.errors import QueryEvaluationError
 from repro.obs.prof import PROF
 from repro.query.ast import BooleanCondition, Comparison, NodeRef, SelectQuery, VarPath
 from repro.query.evaluate import evaluate_select
+from repro.query.parser import parse_select
 from repro.xmlstore import path as path_module
+from repro.xmlstore.index import StructuralIndex
 from repro.xmlstore.names import QName
-from repro.xmlstore.nodes import Document, Element, NodeId
+from repro.xmlstore.nodes import Document, Element, NodeId, Text
+from repro.xmlstore.parser import parse_document
 from repro.xmlstore.path import PathExpr, TraversalMeter, parse_path
 
 from tests.test_structural_index import walk_only
@@ -34,8 +45,29 @@ from tests.test_structural_index import walk_only
 # The reference: per-candidate evaluation, as before plans
 # ---------------------------------------------------------------------------
 
+META_LOCALS = ("params", "catch", "catchAll", "retry")
 
-def ref_path(path: PathExpr, context, meter: TraversalMeter) -> List[Element]:
+
+def ref_text(node) -> str:
+    """The logical text, read independently: every text node of the
+    subtree except those under an ``axml:`` params / handler element
+    below *node*."""
+    if isinstance(node, Text):
+        return node.value
+    out = []
+
+    def visit(element):
+        for child in element.children:
+            if isinstance(child, Text):
+                out.append(child.value)
+            elif not (child.name.prefix == "axml" and child.name.local in META_LOCALS):
+                visit(child)
+
+    visit(node)
+    return "".join(out)
+
+
+def ref_path(path: PathExpr, context, meter: TraversalMeter, indexed: bool) -> List[Element]:
     steps = list(path.steps)
     if isinstance(context, Document):
         current = [context.root] if context.root is not None else []
@@ -55,7 +87,7 @@ def ref_path(path: PathExpr, context, meter: TraversalMeter) -> List[Element]:
     for step in steps:
         if step.axis in ("text", "attribute"):
             break
-        current = ref_step(step, current, meter)
+        current = ref_step(step, current, meter, indexed)
     seen, out = set(), []
     for node in current:
         if node.node_id not in seen:
@@ -64,7 +96,7 @@ def ref_path(path: PathExpr, context, meter: TraversalMeter) -> List[Element]:
     return out
 
 
-def ref_step(step, context: List[Element], meter: TraversalMeter) -> List[Element]:
+def ref_step(step, context: List[Element], meter: TraversalMeter, indexed: bool) -> List[Element]:
     result = []
     if step.axis == "child":
         for node in context:
@@ -73,9 +105,18 @@ def ref_step(step, context: List[Element], meter: TraversalMeter) -> List[Elemen
                 if path_module._name_matches(step, child):
                     result.append(child)
     elif step.axis == "descendant":
-        indexed = path_module._indexed_descendants(step, context, meter)
-        if indexed is not None:
-            return indexed
+        if indexed and step.name is not None and len(context) == 1:
+            # The index answers (the counters and the charge say so), and
+            # what it must answer is the walk's result, in walk order.
+            ctx = context[0]
+            if len(ctx.document.index.postings(step.name.local)) <= ctx._logical_count:
+                PROF.incr("query_index_hits")
+                meter.touch(ctx._logical_count)
+                return [
+                    d for d in path_module._logical_descendants(ctx)
+                    if path_module._name_matches(step, d)
+                ]
+            PROF.incr("query_index_skips")
         PROF.incr("query_tree_walks")
         for node in context:
             descendants = path_module._logical_descendants(node)
@@ -92,28 +133,28 @@ def ref_step(step, context: List[Element], meter: TraversalMeter) -> List[Elemen
     return result
 
 
-def ref_holds(condition, context: Element, meter: TraversalMeter) -> bool:
+def ref_holds(condition, context: Element, meter: TraversalMeter, indexed: bool) -> bool:
     if isinstance(condition, Comparison):
         path = condition.left.path
         if path.steps and path.attribute_name:
             attr = path.attribute_name
             values = []
-            for owner in ref_path(path, context, meter):
+            for owner in ref_path(path, context, meter, indexed):
                 if attr == "*":
                     values.extend(owner.attributes.values())
                 elif attr in owner.attributes:
                     values.append(owner.attributes[attr])
             return any(condition.matches(value) for value in values)
-        nodes = ref_path(path, context, meter) if path.steps else [context]
-        return any(condition.matches(node.text_content()) for node in nodes)
+        nodes = ref_path(path, context, meter, indexed) if path.steps else [context]
+        return any(condition.matches(ref_text(node)) for node in nodes)
     if condition.op == "and":
-        return all(ref_holds(part, context, meter) for part in condition.parts)
+        return all(ref_holds(part, context, meter, indexed) for part in condition.parts)
     if condition.op == "or":
-        return any(ref_holds(part, context, meter) for part in condition.parts)
+        return any(ref_holds(part, context, meter, indexed) for part in condition.parts)
     raise QueryEvaluationError(f"unknown boolean operator {condition.op!r}")
 
 
-def ref_select(query: SelectQuery, document: Document, meter: TraversalMeter):
+def ref_select(query: SelectQuery, document: Document, meter: TraversalMeter, indexed: bool):
     """``[(context, {key: nodes})]`` per binding."""
     if document.root is None:
         return []
@@ -125,14 +166,16 @@ def ref_select(query: SelectQuery, document: Document, meter: TraversalMeter):
         meter.touch()
         candidates = [node] if node.is_attached() else []
     else:
-        candidates = ref_path(query.source, document, meter)
+        candidates = ref_path(query.source, document, meter, indexed)
     out = []
     for node in candidates:
-        if query.where is not None and not ref_holds(query.where, node, meter):
+        if query.where is not None and not ref_holds(query.where, node, meter, indexed):
             continue
         selected = {}
         for vp in query.select_paths:
-            selected[str(vp)] = ref_path(vp.path, node, meter) if vp.path.steps else [node]
+            selected[str(vp)] = (
+                ref_path(vp.path, node, meter, indexed) if vp.path.steps else [node]
+            )
         out.append((node, selected))
     return out
 
@@ -175,7 +218,9 @@ def _fill(data, parent: Element, depth: int) -> None:
                 _fill(data, child, depth + 1)
 
 
-STEPS = ("a", "b", "c", "p:a", "axml:sc", "*", "..", "//a", "//b", "//*", "//axml:sc")
+STEPS = (
+    "a", "b", "c", "p:a", "axml:sc", "*", "..", "//a", "//b", "//*", "//axml:sc", "//axml:params",
+)
 TERMINALS = ("", "text()", "@rank", "@*")
 
 
@@ -223,7 +268,10 @@ def poison(condition, target: int, counter=None):
     return BooleanCondition("xor" if here == target else condition.op, parts)
 
 
-SOURCES = ("R//a", "R//*", "R/*", "R//b", "R//axml:sc", "R", "//a", "R/a/..", "R//a/..", "X//a")
+SOURCES = (
+    "R//a", "R//*", "R/*", "R//b", "R//axml:sc", "R//axml:catch", "R", "//a", "R/a/..",
+    "R//a/..", "X//a",
+)
 
 
 def nodes_of(doc: Document) -> List[Element]:
@@ -298,7 +346,7 @@ def test_select_matches_per_candidate_reference(walk, data):
         source = parse_path(data.draw(st.sampled_from(SOURCES)))
     query = SelectQuery(selects, "i", source, where)
     with _mode(walk):
-        expected = outcome(lambda meter: ref_select(query, doc, meter))
+        expected = outcome(lambda meter: ref_select(query, doc, meter, not walk))
         got = outcome(lambda meter: [
             (b.context, b.selected) for b in evaluate_select(query, doc, meter).bindings
         ])
@@ -320,15 +368,18 @@ def test_paths_match_reference_from_any_context(walk, data):
     path = data.draw(paths())
     contexts = data.draw(st.lists(st.sampled_from(nodes_of(doc)), max_size=4))
     with _mode(walk):
-        same(outcome(lambda m: path.evaluate(doc, m)), outcome(lambda m: ref_path(path, doc, m)))
+        same(
+            outcome(lambda m: path.evaluate(doc, m)),
+            outcome(lambda m: ref_path(path, doc, m, not walk)),
+        )
         for context in contexts:
             same(
                 outcome(lambda m: path.evaluate(context, m)),
-                outcome(lambda m: ref_path(path, context, m)),
+                outcome(lambda m: ref_path(path, context, m, not walk)),
             )
         same(
             outcome(lambda m: path.evaluate(contexts, m)),
-            outcome(lambda m: ref_path(path, contexts, m)),
+            outcome(lambda m: ref_path(path, contexts, m, not walk)),
         )
         # each(): one reach per context, the per-context evaluation
         # before its deduplication (a where-clause is existential).
@@ -337,8 +388,151 @@ def test_paths_match_reference_from_any_context(walk, data):
                 list({id(n): n for n in reached}.values())
                 for reached in path.each(contexts, m)
             ]),
-            outcome(lambda m: [ref_path(path, context, m) for context in contexts]),
+            outcome(lambda m: [ref_path(path, context, m, not walk) for context in contexts]),
         )
+
+
+# ---------------------------------------------------------------------------
+# Filter before order: several survivors, under different parents
+# ---------------------------------------------------------------------------
+
+
+def build_wide_document(data) -> Document:
+    """``a`` candidates spread over several parents, nested in one
+    another (``a`` in ``a``), inside ``axml:sc`` containers and
+    params / handler regions, and (maybe) one detached subtree — each with
+    a ``b`` child and a ``rank``, so a loose where-clause keeps two or
+    more of them and their order has to be made."""
+    doc = Document("R")
+    parents = [doc.create_root(QName("R"))]
+    for _ in range(data.draw(st.integers(3, 10))):
+        parent = data.draw(st.sampled_from(parents))
+        kind = data.draw(st.sampled_from(("a", "a", "a", "b", "sc", "region")))
+        if kind == "sc":
+            node = parent.new_element("axml:sc", {"service": "S"})
+        elif kind == "region":
+            region = data.draw(st.sampled_from(META))
+            node = parent.new_element("axml:sc", {"service": "S"}).new_element(f"axml:{region}")
+        else:
+            node = parent.new_element(kind, {"rank": data.draw(st.sampled_from(("1", "2")))})
+            node.new_element("b").new_text(data.draw(st.sampled_from(("1", "2", " 1 "))))
+        parents.append(node)
+    maybe_detach(data, doc)
+    return doc
+
+
+WIDE_WHERES = (
+    "i/b = 1", "i/b != 2", "i/b/text() < 2", "i/@rank = 1", "i//b = 1",
+    "i/a/b = 1", "i/b = 1 or i/@rank = 2", "i/b = 1 and i/.. = 1", "i/b > 9",
+)
+
+
+def _spy_order_ranks(calls: list):
+    real = StructuralIndex.order_ranks
+
+    def order_ranks(index, candidates, under):
+        calls.append((list(candidates), under))
+        return real(index, candidates, under)
+
+    return mock.patch.object(StructuralIndex, "order_ranks", order_ranks)
+
+
+def _where(text: str):
+    return parse_select(f"Select i from i in R//a where {text};").where
+
+
+@WALKS
+def test_filtered_survivors_are_ordered_like_the_walk(walk):
+    """The where-clause runs on the reachable candidates in postings
+    order; only its survivors are put in document order, and that order
+    is the walk's.  The counters check the generator really makes two or
+    more survivors, under different parents, nested in one another."""
+    exercised: Counter = Counter()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        doc = build_wide_document(data)
+        loose = data.draw(st.booleans())
+        where = data.draw(st.sampled_from(WIDE_WHERES).map(_where) if loose else conditions)
+        query = SelectQuery((VarPath("i", parse_path("b")),), "i", parse_path("R//a"), where)
+        indexed = not walk and len(doc.index.postings("a")) <= doc.root._logical_count
+        calls: list = []
+        with _mode(walk):
+            expected = outcome(lambda meter: ref_select(query, doc, meter, not walk))
+            with _spy_order_ranks(calls):
+                got = outcome(lambda meter: [
+                    (b.context, b.selected) for b in evaluate_select(query, doc, meter).bindings
+                ])
+            same(got, expected)
+        if not indexed or got[0] == "raised":
+            return
+        survivors = [context for context, _ in got[0]]
+        if loose:  # no where-path of these climbs from the root
+            from_source = [{id(n) for n in call} for call, under in calls if under is doc.root]
+            assert from_source == ([{id(n) for n in survivors}] if len(survivors) > 1 else [])
+        if len(survivors) < 2:
+            return
+        exercised["ordered"] += 1
+        event("two or more survivors ordered")
+        if len({id(n.parent) for n in survivors}) > 1:
+            exercised["parents"] += 1
+            event("survivors under different parents")
+        if any(a in b.ancestors() for a in survivors for b in survivors):
+            exercised["nested"] += 1
+            event("a survivor nested in another")
+
+    check()
+    if not walk:
+        assert exercised["ordered"] and exercised["parents"] and exercised["nested"], exercised
+
+
+class TestLogicalText:
+    """Where-clauses and ``text()`` read a node's logical text: an
+    ``axml:sc`` is transparent, its params and fault handlers are not
+    content."""
+
+    DOC = (
+        '<C><it><sku>1</sku><price>1<axml:sc service="s">'
+        '<axml:params><axml:param name="p"><axml:value>9</axml:value></axml:param>'
+        "</axml:params><axml:catch>x</axml:catch>0</axml:sc></price></it></C>"
+    )
+
+    def select(self, text: str):
+        return evaluate_select(parse_select(text), parse_document(self.DOC))
+
+    @pytest.mark.parametrize("where", ["i/price = 10", "i//price = 10", "i/* = 10"])
+    def test_call_metadata_is_not_compared(self, where):
+        assert len(self.select(f"Select i from i in C//it where {where};")) == 1
+
+    @pytest.mark.parametrize("where", ["i/price = 19x0", "i//price = 19x0", "i/price = 190"])
+    def test_params_and_handlers_are_not_read(self, where):
+        assert len(self.select(f"Select i from i in C//it where {where};")) == 0
+
+    def test_text_step_reads_the_logical_text(self):
+        assert self.select("Select i/price/text() from i in C//it;").texts() == ["10"]
+
+    def test_params_stay_out_of_descendant_steps(self):
+        assert len(self.select("Select i from i in C//it where i/price//value = 9;")) == 0
+
+    def test_explicit_params_are_still_addressable(self):
+        result = self.select("Select i/price/axml:sc/axml:params from i in C//it;")
+        assert result.texts() == ["9"]
+
+    @WALKS
+    def test_a_metadata_step_reaches_only_its_context(self, walk):
+        doc = parse_document(self.DOC)
+        params = next(e for e in doc.root.iter_elements() if e.name.local == "params")
+        with _mode(walk):
+            assert parse_path("C//axml:params").evaluate(doc) == []
+            assert parse_path("//axml:params").evaluate(params) == [params]
+            for where in ("", " where i/axml:param/axml:value = 9"):
+                query = parse_select(f"Select i from i in C//axml:params{where};")
+                assert evaluate_select(query, doc).bindings == []
+
+    def test_log_readers_keep_the_raw_text(self):
+        price = parse_document(self.DOC).root.first_child("it").first_child("price")
+        assert price.text_content() == "19x0"
 
 
 class TestNumericComparison:
