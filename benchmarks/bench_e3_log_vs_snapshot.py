@@ -16,8 +16,9 @@ from repro.query.update import apply_action
 from repro.sim.harness import ExperimentTable, ratio
 from repro.sim.rng import SeededRng
 from repro.sim.workload import OperationMix, generate_catalogue, generate_operation
-from repro.txn.operations import TransactionalOperation, build_compensation_for_entries
-from repro.txn.wal import OperationLog
+from repro.txn.compensation import build_compensation_for_entries
+from repro.txn.manager import TransactionManager
+from repro.txn.transaction import Transaction
 from repro.xmlstore.serializer import canonical
 
 from _util import publish
@@ -31,12 +32,14 @@ def run_point(item_count: int, seed: int = 11):
     # --- log-based run --------------------------------------------------
     axml = generate_catalogue(rng, item_count=item_count, name="Cat")
     doc_nodes = axml.document.size()
-    log = OperationLog("P")
+    manager = TransactionManager("P", lambda name: axml)
+    manager.begin(Transaction("T1", "P"))
+    log = manager.log
     pre = canonical(axml.document)
     for _ in range(TXN_LENGTH):
         action = generate_operation(rng, axml, UPDATE_MIX, selective=True)
         try:
-            TransactionalOperation("T1", action).execute(axml, None, log)
+            manager.execute("T1", action, axml.name)
         except UpdateError:
             continue
     log_bytes = log.approximate_bytes("T1")

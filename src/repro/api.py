@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.axml.document import AXMLDocument
+from repro.axml.materialize import OperationOutcome
 from repro.chaos.runner import MUTATIONS, ChaosConfig
 from repro.outcome import Outcome
 from repro.p2p.failure import FailureInjector
@@ -51,7 +52,6 @@ from repro.sim.scenarios import (
 )
 from repro.sim.scheduler import TransactionScheduler
 from repro.sim.workload import tree_peers
-from repro.txn.operations import OperationOutcome
 from repro.txn.recovery import FaultPolicy
 
 __all__ = [

@@ -11,22 +11,36 @@ is built from these records at run time.
 The engine is transport-agnostic: it invokes services through a
 *resolver* callable, which the P2P layer implements with real (simulated)
 network messages so that peer disconnection can strike mid-materialization.
+
+:func:`run_action` is the one place an operation runs: an origin's
+``submit`` and a query service both go through it, and log what it
+returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.axml.document import AXMLDocument
 from repro.axml.service_call import ServiceCall
 from repro.errors import MaterializationError
 from repro.outcome import Outcome
-from repro.query.ast import SelectQuery
-from repro.query.update import ChangeRecord, InsertRecord, detach_to_record
+from repro.query.ast import ActionType, SelectQuery, UpdateAction
+from repro.query.evaluate import QueryResult, evaluate_select
+from repro.query.update import (
+    ChangeRecord,
+    InsertRecord,
+    UpdateResult,
+    apply_action,
+    detach_to_record,
+)
 from repro.xmlstore.nodes import Element
 from repro.xmlstore.parser import parse_fragment
 from repro.xmlstore.path import NULL_METER, TraversalMeter
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.txn.wal import LogEntry
 
 
 #: Resolver signature: (call, materialized parameter values) → outcome.
@@ -62,6 +76,63 @@ class MaterializationReport:
 
     def methods(self) -> List[str]:
         return [call.method_name for call in self.calls]
+
+
+@dataclass
+class OperationOutcome:
+    """What running one operation produced."""
+
+    action: UpdateAction
+    update_result: Optional[UpdateResult] = None
+    query_result: Optional[QueryResult] = None
+    materialization: Optional[MaterializationReport] = None
+    #: The entry the transaction manager logged it under, if it did.
+    log_entry: Optional["LogEntry"] = None
+    nodes_affected: int = 0
+
+    def change_records(self) -> List[ChangeRecord]:
+        """Every tree change: update records plus materialization records."""
+        records: List[ChangeRecord] = []
+        if self.materialization is not None:
+            records.extend(self.materialization.change_records())
+        if self.update_result is not None:
+            records.extend(self.update_result.records)
+        return records
+
+
+def run_action(
+    action: UpdateAction,
+    axml_document: AXMLDocument,
+    resolver: Optional[Resolver],
+    evaluation: str = "lazy",
+) -> OperationOutcome:
+    """Run *action* against *axml_document*; the caller logs the outcome.
+
+    A query first materializes the embedded calls it needs (``lazy``,
+    §3.1's preferred mode) or all of them (``eager``) through
+    *resolver*; those change records are what make the query
+    compensatable.  ``resolver=None`` skips materialization (a purely
+    local read over already-materialized data).
+    """
+    if evaluation not in ("lazy", "eager"):
+        raise ValueError(f"evaluation must be lazy or eager, not {evaluation!r}")
+    meter = TraversalMeter()
+    outcome = OperationOutcome(action)
+    if action.action_type is ActionType.QUERY:
+        if resolver is not None:
+            engine = MaterializationEngine(axml_document, resolver, meter)
+            outcome.materialization = (
+                engine.materialize_for_query(action.location)
+                if evaluation == "lazy"
+                else engine.materialize_all()
+            )
+        outcome.query_result = evaluate_select(
+            action.location, axml_document.document, meter
+        )
+    else:
+        outcome.update_result = apply_action(axml_document.document, action, meter)
+    outcome.nodes_affected = meter.nodes_traversed
+    return outcome
 
 
 class MaterializationEngine:

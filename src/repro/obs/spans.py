@@ -10,15 +10,22 @@ is its parent.
 Long-lived spans that do not nest strictly (a transaction stays open
 across many top-level invocations) start *detached*: they never join the
 stack, and children name them explicitly via ``parent=``.
+
+A step opened as ``with collector.span(...) as span:`` ends by one rule
+(:class:`_SpanScope`): ``ok``; ``disconnected`` with ``dead_peer``
+when a :class:`~repro.errors.PeerDisconnected` escapes; ``fault`` with
+``fault_name`` for a :class:`~repro.errors.ServiceFault`;
+``error:<Type>`` for any other exception.  A body that ended its span
+itself (``reused``, ``recovered``) keeps that status.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
+from repro.errors import PeerDisconnected, ServiceFault
 
 
 @dataclass
@@ -64,6 +71,32 @@ class Span:
         return f"[{self.kind}] {self.name} ({self.status}, {took})"
 
 
+class _SpanScope:
+    """What :meth:`SpanCollector.span` returns: the module's rule."""
+
+    __slots__ = ("collector", "span")
+
+    def __init__(self, collector: "SpanCollector", span: Span):
+        self.collector = collector
+        self.span = span
+
+    def __enter__(self) -> Span:
+        return self.span
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        span = self.span
+        if span.end is None:  # else the body already chose the status
+            if exc is None:
+                self.collector.end(span)
+            elif isinstance(exc, PeerDisconnected):
+                self.collector.end(span, "disconnected", dead_peer=exc.peer_id)
+            elif isinstance(exc, ServiceFault):
+                self.collector.end(span, "fault", fault_name=exc.fault_name)
+            else:
+                self.collector.end(span, f"error:{type(exc).__name__}")
+        return False
+
+
 class SpanCollector:
     """Collects spans for one simulation run.
 
@@ -94,6 +127,27 @@ class SpanCollector:
         ``detached`` keeps the span off the active stack (for long-lived
         spans, e.g. whole transactions, that outlive strict nesting).
         """
+        return self._open(name, kind, peer, txn_id, parent, attrs, detached)
+
+    def span(
+        self,
+        name: str,
+        kind: str,
+        peer: str = "",
+        txn_id: str = "",
+        parent: Optional[Span] = None,
+        **attrs: str,
+    ) -> "_SpanScope":
+        """``with collector.span(...) as span:`` opens a span on the stack
+        that ends by the module's rule."""
+        return _SpanScope(self, self._open(name, kind, peer, txn_id, parent, attrs, False))
+
+    def _open(
+        self, name: str, kind: str, peer: str, txn_id: str,
+        parent: Optional[Span], attrs: Dict[str, str], detached: bool,
+    ) -> Span:
+        # *attrs* is the dict the caller's ``**attrs`` built: passing it
+        # on as ``**attrs`` again would copy it once per span.
         if parent is None and self._stack:
             parent = self._stack[-1]
         span = Span(
@@ -116,34 +170,17 @@ class SpanCollector:
         if span.end is None:
             span.end = self.now()
             span.status = status
-            span.attrs.update({k: str(v) for k, v in attrs.items()})
+            if attrs:
+                span.attrs.update({k: str(v) for k, v in attrs.items()})
         stack = self._stack
-        for position in range(len(stack) - 1, -1, -1):
+        if stack and stack[-1] is span:
+            stack.pop()
+            return span
+        for position in range(len(stack) - 2, -1, -1):
             if stack[position] is span:
                 del stack[position]
                 break
         return span
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        kind: str,
-        peer: str = "",
-        txn_id: str = "",
-        parent: Optional[Span] = None,
-        **attrs: str,
-    ) -> Iterator[Span]:
-        """Context manager: ``ok`` on exit, the exception type on raise."""
-        opened = self.start(name, kind, peer=peer, txn_id=txn_id, parent=parent, **attrs)
-        try:
-            yield opened
-        except BaseException as exc:
-            self.end(opened, status=f"error:{type(exc).__name__}")
-            raise
-        else:
-            if opened.end is None:
-                self.end(opened, status="ok")
 
     def current(self) -> Optional[Span]:
         """The innermost open (stacked) span, if any."""

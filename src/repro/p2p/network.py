@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, Optional, Protocol, Union
 
-from repro.errors import PeerDisconnected, ServiceFault, UnknownPeer
+from repro.errors import PeerDisconnected, UnknownPeer
 from repro.obs.spans import SpanCollector
 from repro.outcome import Outcome
 from repro.p2p.messages import InvokeRequest, message_kind
@@ -144,28 +144,16 @@ class SimNetwork:
         ``rpc_latency`` histogram, success or failure alike.
         """
         self.metrics.record_message("invoke")
-        span = self.spans.start(
-            f"rpc:{request.method_name}",
-            "rpc",
-            peer=source_id,
-            txn_id=request.txn_id,
-            target=target_id,
-        )
         started = self.clock.now
         try:
-            result = self._rpc_deliver(source_id, target_id, request)
-        except PeerDisconnected as exc:
-            self.spans.end(span, status="disconnected", dead_peer=exc.peer_id)
-            raise
-        except ServiceFault as fault:
-            self.spans.end(span, status="fault", fault_name=fault.fault_name)
-            raise
-        except Exception:
-            self.spans.end(span, status="error")
-            raise
-        else:
-            self.spans.end(span, status="ok")
-            return result
+            with self.spans.span(
+                f"rpc:{request.method_name}",
+                "rpc",
+                peer=source_id,
+                txn_id=request.txn_id,
+                target=target_id,
+            ):
+                return self._rpc_deliver(source_id, target_id, request)
         finally:
             self.metrics.record_value("rpc_latency", self.clock.now - started)
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.axml.document import AXMLDocument
 from repro.axml.faults import parse_fault_handlers
-from repro.axml.materialize import Resolver
+from repro.axml.materialize import OperationOutcome, Resolver
 from repro.axml.service_call import ServiceCall
 from repro.errors import (
     P2PError,
@@ -43,7 +43,6 @@ from repro.p2p.messages import (
     WalShipMessage,
 )
 from repro.p2p.network import SimNetwork
-from repro.query.ast import UpdateAction
 from repro.query.parser import parse_action
 from repro.services.registry import ServiceRegistry
 from repro.services.service import Service, ServiceResponse
@@ -52,7 +51,6 @@ from repro.outcome import Outcome
 from repro.sim.rng import SeededRng, stable_seed
 from repro.txn.manager import TransactionManager
 from repro.txn.modes import DurabilityPolicy
-from repro.txn.operations import OperationOutcome
 from repro.txn.peer_independent import dispatch_compensations
 from repro.txn.recovery import (
     FaultPolicy,
@@ -360,20 +358,14 @@ class AXMLPeer:
         )
         return transaction
 
-    def _close_origin(self, txn_id: str, outcome: str, span_status: str = "") -> None:
-        """Account the origin's outcome and end the transaction span."""
+    def _close_origin(self, txn_id: str, outcome: str) -> None:
+        """Account the origin's outcome and end the transaction span with
+        it as status — once, by the step that decides the outcome."""
         self.network.metrics.record_txn_outcome(txn_id, outcome)
         record = self._txns.get(txn_id)
         if record is not None and record.span is not None:
             span, record.span = record.span, None
-            self.network.spans.end(span, status=span_status or outcome)
-
-    def _exception_status(self, exc: BaseException) -> str:
-        if isinstance(exc, PeerDisconnected):
-            return "disconnected"
-        if isinstance(exc, ServiceFault):
-            return "fault"
-        return "error"
+            self.network.spans.end(span, status=outcome)
 
     def submit(
         self,
@@ -437,16 +429,14 @@ class AXMLPeer:
         context.require_active()
         record = self._record(txn_id)
         spans = self.network.spans
-        span = spans.start(
+        with spans.span(
             f"invoke:{method_name}",
             "invoke",
             peer=self.peer_id,
             txn_id=txn_id,
             parent=spans.current() or record.span,
             target=target_peer,
-        )
-        status = "ok"
-        try:
+        ) as span:
             edge = context.record_invocation(target_peer, method_name, self.network.next_edge_id())
             chain = self._chain(txn_id)
             if chain is not None and not chain.contains(target_peer):
@@ -459,7 +449,7 @@ class AXMLPeer:
                 # re-invoke at all (§3.3b reuse at the recovering peer).
                 self.network.metrics.record_reused_invocation()
                 edge.completed = True
-                status = "reused"
+                spans.end(span, status="reused")
                 return stored
             try:
                 result = self._send_invoke(
@@ -475,7 +465,7 @@ class AXMLPeer:
                     self.network.metrics.incr("forward_recoveries")
                     if decision.used_alternative:
                         self.network.metrics.incr("replica_retries")
-                    status = "recovered"
+                    spans.end(span, status="recovered")
                     return decision.fragments
                 frames = context.open_frames[-1:] or None
                 # The failed peer already undid this invocation's frame
@@ -496,11 +486,6 @@ class AXMLPeer:
                 self.network.metrics.record_value("chain_length", len(chain))
             self.network.metrics.record_forward_cost(result.nodes_affected)
             return result.fragments
-        except BaseException as exc:
-            status = self._exception_status(exc)
-            raise
-        finally:
-            spans.end(span, status=status)
 
     def _send_invoke(
         self,
@@ -556,7 +541,7 @@ class AXMLPeer:
         except ValidationConflict:
             self._announce_decision(txn_id, AbortMessage(txn_id, self.peer_id))
             self.network.metrics.incr("occ_conflicts")
-            self._close_origin(txn_id, "aborted_conflict", "conflict")
+            self._close_origin(txn_id, "aborted_conflict")
             raise
         self._announce_decision(txn_id, CommitMessage(txn_id, self.peer_id))
         self._close_origin(txn_id, "committed")
@@ -611,7 +596,6 @@ class AXMLPeer:
         """
         self._check_alive()
         context = self.manager.context(txn_id)
-        complete = True
         if self.peer_independent and context.received_compensations:
             complete = dispatch_compensations(
                 context.received_compensations,
@@ -627,14 +611,15 @@ class AXMLPeer:
                 count=self.network.metrics.incr,
             )
             self._abort_share(txn_id)
-        else:
-            self._backward_recover(txn_id)
-            chain = self._chain(txn_id)
-            if not self.peer_independent and chain is not None:
-                complete = all(
-                    self.network.is_alive(p) for p in chain.peers() if p != self.peer_id
-                )
-        self._close_origin(txn_id, "aborted" if complete else "abort_incomplete")
+            self._close_origin(txn_id, "aborted" if complete else "abort_incomplete")
+            return complete
+        chain = self._chain(txn_id)
+        complete = self.peer_independent or chain is None or all(
+            self.network.is_alive(p) for p in chain.peers() if p != self.peer_id
+        )
+        # An origin whose share a failed invocation already aborted
+        # closed then; this abort has nothing left to close.
+        self._backward_recover(txn_id, outcome="aborted" if complete else "abort_incomplete")
         return complete
 
     # ------------------------------------------------------------------
@@ -667,73 +652,70 @@ class AXMLPeer:
             record.chain = request.chain
         for method, fragments in request.reused_fragments.items():
             record.incoming_reuse[method] = list(fragments)
-        span = self.network.spans.start(
+        with self.network.spans.span(
             f"service:{request.method_name}",
             "service",
             peer=self.peer_id,
             txn_id=request.txn_id,
             sender=request.sender,
-        )
-        status = "ok"
-        self._txn_stack.append(request.txn_id)
-        # This execution is one frame of the share: what it logs and
-        # invokes is undone with it, and only with it.
-        frame = context.open_frame(request.sender, request.edge_id, request.method_name, params)
-        try:
-            self._injected_fault(request.method_name, "before_execute")
-            response = self._execute_local_service(
-                request.txn_id, request.method_name, request.params
+        ):
+            self._txn_stack.append(request.txn_id)
+            # This execution is one frame of the share: what it logs and
+            # invokes is undone with it, and only with it.
+            frame = context.open_frame(
+                request.sender, request.edge_id, request.method_name, params
             )
-            # Fig. 1's failure shape: the peer fails *while processing*
-            # the service, after nested invocations.
-            self._injected_fault(request.method_name, "after_execute")
-            self._injected_disconnect(request.method_name, "after_local_work")
-            self._check_alive()
-            compensations = self._collect_compensations(
-                request.txn_id, context, response
-            )
-            # No liveness check: a peer dying here has its work complete
-            # but undelivered — the network reports the death.
-            self._injected_disconnect(request.method_name, "before_return")
-            if self.parent_watch_interval is not None:
-                self._arm_parent_watch(request.txn_id, frame)
-            my_chain = self._chain(request.txn_id)
-            # Share hand-off: the entries behind these fragments must be
-            # durable before the invoker acts on the result.
-            self._wal_barrier()
-            result = Outcome(
-                fragments=response.fragments,
-                provider_peer=self.peer_id,
-                compensations=compensations,
-                nodes_affected=response.nodes_affected,
-                chain=my_chain.copy() if my_chain is not None else None,
-            )
-            replication = self.network.replication
-            if replication is not None and replication.is_replicated_method(
-                request.method_name
-            ):
-                # Only replicated services can be legitimately re-invoked
-                # (a failed-over parent re-running its delegations); for
-                # them, keep the outcome, chain snapshot and all, for dedup.
-                frame.outcome = result
-            return result
-        except ServiceFault:
-            # §3.2 steps 1-2, callee side: undo this frame and tell the peers
-            # it invoked; then let the fault travel back to my invoker.
-            status = "fault"
-            if not self.disconnected:
-                self._backward_recover(request.txn_id, [frame], exclude_peer=request.sender)
-            raise
-        except PeerDisconnected:
-            # Either I died mid-execution (do nothing — dead peers take
-            # no actions) or an unrecoverable child failure already
-            # triggered my backward recovery in invoke().
-            status = "disconnected"
-            raise
-        finally:
-            context.open_frames.remove(frame)
-            self._txn_stack.pop()
-            self.network.spans.end(span, status=status)
+            try:
+                self._injected_fault(request.method_name, "before_execute")
+                response = self._execute_local_service(
+                    request.txn_id, request.method_name, request.params
+                )
+                # Fig. 1's failure shape: the peer fails *while processing*
+                # the service, after nested invocations.
+                self._injected_fault(request.method_name, "after_execute")
+                self._injected_disconnect(request.method_name, "after_local_work")
+                self._check_alive()
+                compensations = self._collect_compensations(
+                    request.txn_id, context, response
+                )
+                # No liveness check: a peer dying here has its work complete
+                # but undelivered — the network reports the death.
+                self._injected_disconnect(request.method_name, "before_return")
+                if self.parent_watch_interval is not None:
+                    self._arm_parent_watch(request.txn_id, frame)
+                my_chain = self._chain(request.txn_id)
+                # Share hand-off: the entries behind these fragments must be
+                # durable before the invoker acts on the result.
+                self._wal_barrier()
+                result = Outcome(
+                    fragments=response.fragments,
+                    provider_peer=self.peer_id,
+                    compensations=compensations,
+                    nodes_affected=response.nodes_affected,
+                    chain=my_chain.copy() if my_chain is not None else None,
+                )
+                replication = self.network.replication
+                if replication is not None and replication.is_replicated_method(
+                    request.method_name
+                ):
+                    # Only replicated services can be legitimately re-invoked
+                    # (a failed-over parent re-running its delegations); for
+                    # them, keep the outcome, chain snapshot and all, for dedup.
+                    frame.outcome = result
+                return result
+            except ServiceFault:
+                # §3.2 steps 1-2, callee side: undo this frame and tell the
+                # peers it invoked; then let the fault travel back to my
+                # invoker.  (A PeerDisconnected needs nothing here: either I
+                # died mid-execution — dead peers take no actions — or an
+                # unrecoverable child failure already triggered my backward
+                # recovery in invoke().)
+                if not self.disconnected:
+                    self._backward_recover(request.txn_id, [frame], exclude_peer=request.sender)
+                raise
+            finally:
+                context.open_frames.remove(frame)
+                self._txn_stack.pop()
 
     def _injected_fault(self, method_name: str, point: str) -> None:
         """Raise the named fault scripted for this execution point."""
@@ -843,14 +825,17 @@ class AXMLPeer:
         return decision
 
     def _backward_recover(
-        self, txn_id: str, frames: Optional[List[InvocationFrame]] = None, exclude_peer: str = ""
+        self, txn_id: str, frames: Optional[List[InvocationFrame]] = None,
+        exclude_peer: str = "", outcome: str = "aborted",
     ) -> None:
         """Undo *frames* (and the frames nested in them) and tell the peers
         they invoked with an Abort naming those invocations; ``None`` —
         the transaction aborts — undoes the whole share, and its Abort
         names none.  A participant's last frames go as its whole share.
         ``exclude_peer`` is the peer the failure came from (it has already
-        recovered itself) or the parent (the re-raise informs it)."""
+        recovered itself) or the parent (the re-raise informs it).  An
+        origin undoing its whole share closes the transaction as
+        *outcome*."""
         context = self.manager.live_context(txn_id)
         if context is None:
             return
@@ -869,7 +854,7 @@ class AXMLPeer:
         self.network.metrics.record_value("compensation_depth", executed)
         self.network.metrics.incr("local_aborts" if whole else "partial_aborts")
         if whole and context.is_origin:
-            self._close_origin(txn_id, "aborted")
+            self._close_origin(txn_id, outcome)
         failed = frames[0].method_name if frames else context.service_name or ""
         named = () if frames is None else tuple(e.edge_id for e in edges)
         self._tell(dict.fromkeys(e.target_peer for e in edges),  # once each, in order

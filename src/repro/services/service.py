@@ -27,7 +27,7 @@ from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.axml.document import AXMLDocument
-from repro.axml.materialize import MaterializationEngine, Resolver
+from repro.axml.materialize import Resolver, run_action
 from repro.errors import ReproError, ServiceError, ServiceFault
 from repro.obs.prof import PROF
 from repro.query.ast import (
@@ -38,7 +38,6 @@ from repro.query.ast import (
     SelectQuery,
     UpdateAction,
 )
-from repro.query.evaluate import evaluate_select
 from repro.query.lexer import KEYWORDS
 from repro.query.parser import (
     action_from_element,
@@ -47,7 +46,7 @@ from repro.query.parser import (
     parse_select,
 )
 from repro.query.update import ChangeRecord, UpdateResult, apply_action
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.xmlstore.nodes import Text
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.path import TraversalMeter
@@ -367,27 +366,21 @@ class QueryService(Service):
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
         query = self.template.bind(params)
         document_name = self.descriptor.target_document or query.document_name
-        axml_document = host.get_axml_document(document_name)
-        meter = TraversalMeter()
-        records: List[ChangeRecord] = []
-        resolver = host.materialization_resolver()
-        if resolver is not None:
-            engine = MaterializationEngine(axml_document, resolver, meter)
-            if self.evaluation == "lazy":
-                report = engine.materialize_for_query(query)
-            else:
-                report = engine.materialize_all()
-            records.extend(report.change_records())
-            if records:
-                action = UpdateAction(ActionType.QUERY, query)
-                host.record_changes(records, document_name, action.to_xml(), action)
-        result = evaluate_select(query, axml_document.document, meter)
-        fragments = [serialize(node) for node in result.all_nodes()]
+        action = UpdateAction(ActionType.QUERY, query)
+        outcome = run_action(
+            action,
+            host.get_axml_document(document_name),
+            host.materialization_resolver(),
+            self.evaluation,
+        )
+        records = outcome.change_records()
+        if records:
+            host.record_changes(records, document_name, action.to_xml(), action)
         return ServiceResponse(
-            fragments=fragments,
+            fragments=[serialize(node) for node in outcome.query_result.all_nodes()],
             records=records,
             document_name=document_name,
-            nodes_affected=meter.nodes_traversed,
+            nodes_affected=outcome.nodes_affected,
         )
 
 

@@ -6,7 +6,6 @@ Modules
   contexts (§3.2's ``TC_Ax``).
 * :mod:`repro.txn.wal` — the operation log: location-query results,
   inserted-node ids, old values — what dynamic compensation reads.
-* :mod:`repro.txn.operations` — transactional operation wrappers.
 * :mod:`repro.txn.compensation` — §3.1 dynamic compensation construction.
 * :mod:`repro.txn.recovery` — §3.2 nested recovery protocol.
 * :mod:`repro.txn.peer_independent` — §3.2 peer-independent compensation.
@@ -23,7 +22,6 @@ from repro.txn.transaction import (
     TransactionState,
 )
 from repro.txn.wal import LogEntry, OperationLog
-from repro.txn.operations import TransactionalOperation
 from repro.txn.compensation import (
     compensate_records,
     compensating_actions_for,
@@ -37,7 +35,6 @@ __all__ = [
     "TransactionState",
     "LogEntry",
     "OperationLog",
-    "TransactionalOperation",
     "compensate_records",
     "compensating_actions_for",
     "CompensationPlan",

@@ -194,3 +194,26 @@ class CompensationPlan:
 
     def __len__(self) -> int:
         return len(self.actions)
+
+
+def build_compensation_for_entries(undo_entries) -> List[CompensationPlan]:
+    """Compensation plans for log entries given newest first.
+
+    One plan per document the entries — a whole share's
+    (``OperationLog.undo_entries``) or some invocation frames' — touch,
+    holding its entries' compensating actions in reverse execution order.
+    Plans come most-recently-touched document first, so executing them in
+    list order preserves global reverse order across documents.
+    """
+    plans: List[CompensationPlan] = []
+    by_document = {}
+    for entry in undo_entries:
+        if not entry.records:
+            continue
+        plan = by_document.get(entry.document_name)
+        if plan is None:
+            plan = CompensationPlan(entry.document_name)
+            by_document[entry.document_name] = plan
+            plans.append(plan)
+        plan.extend_from_records(entry.records)
+    return plans

@@ -13,16 +13,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.axml.document import AXMLDocument
-from repro.axml.materialize import Resolver
+from repro.axml.materialize import OperationOutcome, Resolver, run_action
 from repro.errors import TransactionError
-from repro.query.ast import UpdateAction
+from repro.query.ast import ActionType, UpdateAction
 from repro.query.update import ChangeRecord
-from repro.txn.compensation import CompensationPlan
-from repro.txn.operations import (
-    OperationOutcome,
-    TransactionalOperation,
-    build_compensation_for_entries,
-)
+from repro.txn.compensation import CompensationPlan, build_compensation_for_entries
 from repro.txn.transaction import InvocationFrame, Transaction, TransactionContext, TransactionState
 from repro.txn.wal import LogEntry, OperationLog
 from repro.xmlstore.path import NULL_METER, TraversalMeter
@@ -132,21 +127,24 @@ class TransactionManager:
         evaluation: str = "lazy",
         timestamp: float = 0.0,
     ) -> OperationOutcome:
-        """Execute one operation under the transaction and log it."""
+        """Run one operation under the transaction (:func:`run_action`)
+        and log it, records or none, as a ``query`` or ``update`` entry."""
         context = self.context(txn_id)
         context.require_active()
-        axml_document = self._document_provider(document_name)
-        operation = TransactionalOperation(txn_id, action, evaluation)
-        outcome = operation.execute(
-            axml_document, resolver, self.log, timestamp=timestamp
+        outcome = run_action(
+            action, self._document_provider(document_name), resolver, evaluation
         )
-        context.record_entry(outcome.log_entry)
+        records = outcome.change_records()
+        outcome.log_entry = self._log(
+            context,
+            "query" if action.action_type is ActionType.QUERY else "update",
+            document_name, action.to_xml(), records, timestamp, action,
+        )
         if self.validator is not None:
             from repro.txn.occ import read_ids, written_ids
 
             if outcome.query_result is not None:
                 self.validator.track_reads(txn_id, read_ids(outcome.query_result))
-            records = outcome.change_records()
             if records:
                 self.validator.track_writes(txn_id, written_ids(records))
         return outcome
@@ -164,15 +162,24 @@ class TransactionManager:
         *action* is the executed action ``action_xml`` spells."""
         context = self.context(txn_id)
         context.require_active()
-        context.record_entry(self.log.append(
-            txn_id=txn_id,
-            kind="service",
-            document_name=document_name,
-            action_xml=action_xml,
-            records=records,
-            timestamp=timestamp,
-            action=action,
-        ))
+        self._log(context, "service", document_name, action_xml, records, timestamp, action)
+
+    def _log(
+        self,
+        context: TransactionContext,
+        kind: str,
+        document_name: str,
+        action_xml: str,
+        records: Sequence[ChangeRecord],
+        timestamp: float,
+        action: Optional[UpdateAction],
+    ) -> LogEntry:
+        """Append one entry to the log and to *context*'s open frame."""
+        entry = self.log.append(
+            context.txn_id, kind, document_name, action_xml, records, timestamp, action
+        )
+        context.record_entry(entry)
+        return entry
 
     # -- commit / abort ---------------------------------------------------------------
 

@@ -106,6 +106,8 @@ REMOVED = {
     "repro.axml": ("InvocationOutcome", "Outcome", "FaultHandler", "RetryPolicy"),
     "repro.axml.materialize": ("InvocationOutcome",),
     "repro.txn.modes": ("Durability", "coerce_durability", "RejoinMode"),
+    # one function runs an operation: repro.axml.materialize.run_action
+    "repro.txn": ("TransactionalOperation",),
     "repro.baselines": (
         "build_naive_variant", "TwoPhaseCoordinator", "TwoPhaseOutcome",
     ),
@@ -171,6 +173,8 @@ def test_removed_members_stay_removed():
         (ChaosConfig, "to_chaos_config"),
         (DurabilityPolicy, "mode"),
         (ReplicationManager, "_document_holders"),
+        # SpanCollector.span owns the exception → status rule
+        (AXMLPeer, "_exception_status"),
         (ReplicationManager, "_service_holders"),
         (AXMLPeer, "_txn_stack"), (PROF, "timer"), (PROF, "timings"),
         # no serialization cache, so nothing counts mutations ...

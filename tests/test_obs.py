@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import repro
+from repro.errors import PeerDisconnected, ServiceFault
 from repro.obs import (
     Histogram,
     Span,
@@ -155,7 +156,7 @@ class TestSpanCollector:
             check=True, env=env, stdout=subprocess.DEVNULL,
         )
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "c1a2ab7a5567d7a5b78dae924825a98d32664a31553950a3d3a01992734c0631"
+            "899c99b22367fc3e2ae7359877b296357744e0d81304f4029a9c0c7efad48f09"
         )
 
     def test_context_manager_captures_exception_type(self):
@@ -165,6 +166,22 @@ class TestSpanCollector:
                 raise RuntimeError("x")
         assert spans.spans[0].status == "error:RuntimeError"
         assert spans.spans[0].finished
+
+    def test_span_rule_names_faults_and_disconnections(self):
+        spans = SpanCollector()
+        for error in (PeerDisconnected("B"), ServiceFault("Crash", "x"), KeyError("k")):
+            with pytest.raises(type(error)):
+                with spans.span("step", "invoke"):
+                    raise error
+        with spans.span("step", "invoke") as span:
+            spans.end(span, status="reused")
+        assert [(s.status, s.attrs) for s in spans.spans] == [
+            ("disconnected", {"dead_peer": "B"}),
+            ("fault", {"fault_name": "Crash"}),
+            ("error:KeyError", {}),
+            ("reused", {}),
+        ]
+        assert spans.current() is None
 
     def test_slowest_orders_by_duration(self):
         clock = [0.0]

@@ -12,8 +12,15 @@ import json
 import pytest
 
 from repro.api import Cluster
+from repro.axml.document import AXMLDocument
+from repro.errors import P2PError
 from repro.obs import stable_json
+from repro.p2p.network import SimNetwork
+from repro.p2p.peer import AXMLPeer
+from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.service import UpdateService
 from repro.sim.harness import ExperimentTable
+from repro.txn.occ import ValidationConflict
 
 
 def _by_id(spans):
@@ -130,6 +137,97 @@ class TestDisconnectionSpans:
             metrics.detections
         )
         assert metrics.detection_latency("AP3") is not None
+
+
+SET_PRICE = (
+    '<action type="replace"><data><price>$price</price></data>'
+    "<location>Select i/price from i in {doc}//item;</location></action>"
+)
+
+
+def _pair(target_document="Shop2", occ=False):
+    """A (origin, hosts Shop) and B (hosts Shop2 and ``setPrice`` on
+    *target_document*)."""
+    network = SimNetwork()
+    a = AXMLPeer("A", network, occ=occ)
+    b = AXMLPeer("B", network)
+    for peer, name in ((a, "Shop"), (b, "Shop2")):
+        peer.host_document(AXMLDocument.from_xml(
+            f"<{name}><item><price>10</price></item></{name}>", name=name
+        ))
+    b.host_service(UpdateService(
+        ServiceDescriptor(
+            "setPrice", kind="update", params=(ParamSpec("price"),),
+            target_document=target_document,
+        ),
+        SET_PRICE.format(doc=target_document),
+    ))
+    return network, a, b
+
+
+class TestTransactionSpanStatus:
+    """The transaction span ends once, with the outcome the metrics record."""
+
+    def _statuses(self, network, txn_id):
+        span, = network.spans.by_kind("transaction")
+        return span.status, network.metrics.txn_outcomes[txn_id]
+
+    def test_committed(self):
+        network, a, _ = _pair()
+        txn = a.begin_transaction()
+        a.invoke(txn.txn_id, "B", "setPrice", {"price": "5"})
+        a.commit(txn.txn_id)
+        assert self._statuses(network, txn.txn_id) == ("committed", "committed")
+
+    def test_aborted(self):
+        network, a, _ = _pair()
+        txn = a.begin_transaction()
+        a.invoke(txn.txn_id, "B", "setPrice", {"price": "5"})
+        assert a.abort(txn.txn_id)
+        assert self._statuses(network, txn.txn_id) == ("aborted", "aborted")
+
+    def test_abort_incomplete(self):
+        network, a, _ = _pair()
+        txn = a.begin_transaction()
+        a.invoke(txn.txn_id, "B", "setPrice", {"price": "5"})
+        network.disconnect("B")
+        assert not a.abort(txn.txn_id)
+        assert self._statuses(network, txn.txn_id) == (
+            "abort_incomplete", "abort_incomplete"
+        )
+
+    def test_aborted_conflict(self):
+        network, a, _ = _pair(occ=True)
+        query = (
+            '<action type="query"><location>Select i/price from i in Shop//item;'
+            "</location></action>"
+        )
+        reader, writer = a.begin_transaction(), a.begin_transaction()
+        a.submit(reader.txn_id, query)
+        a.submit(writer.txn_id, SET_PRICE.format(doc="Shop").replace("$price", "50"))
+        a.submit(reader.txn_id, SET_PRICE.format(doc="Shop").replace("$price", "70"))
+        a.commit(writer.txn_id)
+        with pytest.raises(ValidationConflict):
+            a.commit(reader.txn_id)
+        span = next(
+            s for s in network.spans.by_kind("transaction") if s.txn_id == reader.txn_id
+        )
+        assert (span.status, network.metrics.txn_outcomes[reader.txn_id]) == (
+            "aborted_conflict", "aborted_conflict"
+        )
+
+
+def test_every_step_of_an_invocation_reports_an_escaping_error():
+    """An exception other than a fault or a disconnection (B does not
+    host the service's document) ends the invoke, rpc and service spans
+    alike."""
+    network, a, _ = _pair(target_document="Elsewhere")
+    txn = a.begin_transaction()
+    with pytest.raises(P2PError):
+        a.invoke(txn.txn_id, "B", "setPrice", {"price": "5"})
+    statuses = {kind: [s.status for s in network.spans.by_kind(kind)]
+                for kind in ("invoke", "rpc", "service")}
+    assert statuses == {kind: ["error:P2PError"] for kind in statuses}
 
 
 class TestLiveRunExport:

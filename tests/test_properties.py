@@ -20,8 +20,9 @@ from repro.query.parser import parse_action
 from repro.query.update import apply_action
 from repro.sim.rng import SeededRng
 from repro.sim.workload import OperationMix, generate_catalogue, generate_operation
-from repro.txn.compensation import compensating_actions_for
-from repro.txn.operations import build_compensation_for_entries
+from repro.txn.compensation import build_compensation_for_entries, compensating_actions_for
+from repro.txn.manager import TransactionManager
+from repro.txn.transaction import Transaction
 from repro.txn.wal import OperationLog
 from repro.xmlstore.names import AXML_META_LOCALS, AXML_PREFIX, SC_NAME
 from repro.xmlstore.nodes import Document, Element
@@ -138,17 +139,16 @@ class TestCompensationProperty:
         """Same invariant, via the WAL + build_compensation_for_entries path."""
         rng = SeededRng(seed)
         axml = generate_catalogue(rng, item_count=rng.randint(3, 8), name="Cat")
-        log = OperationLog("P")
+        manager = TransactionManager("P", lambda name: axml)
+        manager.begin(Transaction("T1", "P"))
         pre = canonical(axml.document)
-        from repro.txn.operations import TransactionalOperation
-
         for _ in range(length):
             action = generate_operation(rng, axml)
             try:
-                TransactionalOperation("T1", action).execute(axml, None, log)
+                manager.execute("T1", action, axml.name)
             except UpdateError:
                 continue
-        for plan in build_compensation_for_entries(log.undo_entries("T1")):
+        for plan in build_compensation_for_entries(manager.log.undo_entries("T1")):
             plan.execute(axml.document)
         assert canonical(axml.document) == pre
 

@@ -5,12 +5,13 @@ from unittest import mock
 import pytest
 
 from repro.axml.document import AXMLDocument
+from repro.axml.materialize import run_action
 from repro.errors import TransactionError, TransactionStateError
 from repro.query.parser import parse_action
 from repro.sim.rng import SeededRng
 from repro.sim.workload import generate_catalogue
 from repro.txn.manager import TransactionManager
-from repro.txn.operations import TransactionalOperation, build_compensation_for_entries
+from repro.txn.compensation import build_compensation_for_entries
 from repro.txn.spheres import analyze_sphere, sphere_guarantee_rate
 from repro.txn.transaction import Transaction, TransactionContext, TransactionState
 from repro.txn.wal import OperationLog
@@ -105,30 +106,33 @@ class TestOperationLog:
 
 
 class TestTransactionalOperation:
+    """One operation: :func:`run_action` runs it, and
+    ``TransactionManager.execute`` logs what it returns."""
+
+    def _logged(self, axml_doc, action_xml):
+        manager = TransactionManager("P", lambda name: axml_doc)
+        manager.begin(Transaction("T1", "P"))
+        return manager.log, manager.execute("T1", parse_action(action_xml), axml_doc.name)
+
     def test_update_logged(self, axml_doc):
-        log = OperationLog()
-        op = TransactionalOperation(
-            "T1",
-            parse_action(
-                '<action type="insert"><data><tag/></data><location>Select i from '
-                "i in Shop//item;</location></action>"
-            ),
+        log, outcome = self._logged(
+            axml_doc,
+            '<action type="insert"><data><tag/></data><location>Select i from '
+            "i in Shop//item;</location></action>",
         )
-        outcome = op.execute(axml_doc, None, log)
         assert outcome.log_entry is not None
         assert len(outcome.change_records()) == 2  # one insert per item
         assert log.entries_for("T1")
 
     def test_query_without_resolver_logs_no_records(self, axml_doc):
-        log = OperationLog()
-        op = TransactionalOperation(
-            "T1",
+        outcome = run_action(
             parse_action(
                 '<action type="query"><location>Select i/price from i in '
                 "Shop//item;</location></action>"
             ),
+            axml_doc,
+            None,
         )
-        outcome = op.execute(axml_doc, None, log)
         assert outcome.query_result.texts() == ["10", "20"]
         assert outcome.change_records() == []
 
@@ -153,29 +157,23 @@ class TestTransactionalOperation:
             with mock.patch.object(Element, "iter", side_effect=AssertionError("walked")):
                 assert catalogue.calls_for_query(action.location) == []
             assert evaluated == []
-            outcome = TransactionalOperation("T1", action).execute(
-                catalogue, lambda call, params: None, OperationLog()
-            )
+            outcome = run_action(action, catalogue, lambda call, params: None)
         assert outcome.materialization.invocation_count == 0
         assert sum(path is source for path in evaluated) == 1
 
     def test_bad_evaluation_mode(self):
         with pytest.raises(ValueError):
-            TransactionalOperation("T1", parse_action(
+            run_action(parse_action(
                 '<action type="query"><location>Select i from i in S//x;'
                 "</location></action>"
-            ), evaluation="psychic")
+            ), AXMLDocument.from_xml("<S/>", name="S"), None, evaluation="psychic")
 
     def test_build_compensation_per_document(self, axml_doc):
-        log = OperationLog()
-        op = TransactionalOperation(
-            "T1",
-            parse_action(
-                '<action type="delete"><location>Select i/price from i in '
-                "Shop//item;</location></action>"
-            ),
+        log, _ = self._logged(
+            axml_doc,
+            '<action type="delete"><location>Select i/price from i in '
+            "Shop//item;</location></action>",
         )
-        op.execute(axml_doc, None, log)
         plans = build_compensation_for_entries(log.undo_entries("T1"))
         assert len(plans) == 1
         assert plans[0].document_name == "Shop"

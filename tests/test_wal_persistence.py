@@ -8,7 +8,9 @@ from repro.p2p.peer import AXMLPeer
 from repro.query.parser import parse_action
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import UpdateService
-from repro.txn.operations import TransactionalOperation, build_compensation_for_entries
+from repro.txn.compensation import build_compensation_for_entries
+from repro.txn.manager import TransactionManager
+from repro.txn.transaction import Transaction
 from repro.txn.wal import OperationLog, entry_from_xml, entry_to_xml
 from repro.xmlstore.serializer import canonical
 
@@ -29,7 +31,8 @@ def restart(log):
 
 
 def populate_log(axml):
-    log = OperationLog("P1")
+    manager = TransactionManager("P1", lambda name: axml)
+    manager.begin(Transaction("T1", "P1"))
     actions = [
         '<action type="insert"><data><tag a="1">t</tag></data>'
         "<location>Select i from i in Shop//item;</location></action>",
@@ -39,8 +42,8 @@ def populate_log(axml):
         "Shop//item;</location></action>",
     ]
     for xml in actions:
-        TransactionalOperation("T1", parse_action(xml)).execute(axml, None, log)
-    return log
+        manager.execute("T1", parse_action(xml), axml.name)
+    return manager.log
 
 
 @pytest.fixture
