@@ -6,7 +6,15 @@ that the dynamically constructed compensation restores the canonical
 pre-state every time.  Columns report the run-time log footprint and the
 paper's cost measure (nodes affected) for the forward operation vs its
 compensation.
+
+``log_bytes`` counts logged node ids, whose ``d<serial>`` is the
+process-wide serial of their document; each paper operation therefore
+runs with document serials counted from 1, as in a fresh process, so the
+column does not depend on how many documents were built before it.
 """
+
+import itertools
+from unittest import mock
 
 import pytest
 
@@ -18,6 +26,7 @@ from repro.sim.rng import SeededRng
 from repro.sim.scenarios import QUERY_A, QUERY_B
 from repro.sim.workload import generate_catalogue, generate_operation
 from repro.txn.compensation import compensating_actions_for
+from repro.xmlstore import nodes
 from repro.xmlstore.path import TraversalMeter
 from repro.xmlstore.serializer import canonical
 
@@ -41,6 +50,11 @@ PAPER_OPS = [
 
 
 def run_paper_op(label, action_xml):
+    with mock.patch.object(nodes, "_document_counter", itertools.count(1)):
+        return _run_paper_op(label, action_xml)
+
+
+def _run_paper_op(label, action_xml):
     scenario = Cluster.atplist()
     peer = scenario.peer("AP1")
     document = peer.get_axml_document("ATPList")
@@ -90,6 +104,14 @@ def run_random_batch(seed: int, transactions: int = 20, length: int = 6):
                 apply_action(axml.document, comp, tolerate_missing_targets=True)
         restored += int(canonical(axml.document) == pre)
     return restored, transactions, records_total
+
+
+def test_e1_log_bytes_do_not_depend_on_earlier_documents():
+    """The same table after 0 and after 50 more documents were built."""
+    before = [run_paper_op(label, xml) for label, xml in PAPER_OPS]
+    for _ in range(50):
+        nodes.Document()
+    assert [run_paper_op(label, xml) for label, xml in PAPER_OPS] == before
 
 
 def test_e1_dynamic_compensation(benchmark):

@@ -48,7 +48,13 @@ and CI runs it with ``--smoke`` on every push):
   survives).  Re-entering the generic path walker once per candidate
   measured 36.4 per candidate; the compiled plan that ordered all
   candidates first 4.5; filtering first, with the sku test compiled into
-  the child loop, 0.62 (Python 3.11).  Counts, so exact on every machine.
+  the child loop, 0.62 (Python 3.11).  That cold count includes building
+  the ``sku`` value postings, so the build makes no Python call per
+  element.  A second evaluation of the same Select on the unchanged
+  catalogue runs under ``sys.settrace``: its line events per candidate
+  must stay under ``WARM_LINES_PER_CANDIDATE`` (the child loop per
+  candidate measured 71.6; the value-postings lookup 10.7).  Counts, so
+  exact on every machine.
 
 Run:  python benchmarks/bench_p1_hot_paths.py [--smoke] [--seed N]
                                               [--workers N]
@@ -440,6 +446,10 @@ FIELDS = ("title", "author", "year", "price", "publisher")
 #: first 4.5; a per-candidate walker 36.4).  Under 1.0, a Python call
 #: per candidate fails it.
 PLAN_CALLS_PER_CANDIDATE = 1.0
+#: Part F's warm gate: line events per candidate of the same Select run
+#: again (a child loop per candidate measured 71.6, the value-postings
+#: lookup 10.7).
+WARM_LINES_PER_CANDIDATE = 20.0
 
 
 def build_catalogue(items: int, seed: int) -> Document:
@@ -477,6 +487,23 @@ def bench_select_plan(args) -> dict:
         sys.setprofile(None)
         gc.enable()
     assert [b.context for b in result.bindings] == [books[len(books) // 2]]
+    lines = 0
+
+    def trace(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return trace
+
+    gc.collect()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        warm = evaluate_select(query, doc)  # plans compiled, value postings built
+    finally:
+        sys.settrace(None)
+        gc.enable()
+    assert [b.context for b in warm.bindings] == [books[len(books) // 2]]
     ordered: list = []  # how many candidates each order_ranks call got
     real_order_ranks = StructuralIndex.order_ranks
 
@@ -492,9 +519,12 @@ def bench_select_plan(args) -> dict:
         evaluate_select(parse_select(text), doc)
     wall_time = (time.perf_counter() - start) / 200
     per_candidate = calls / len(books)
+    warm_per_candidate = lines / len(books)
     print(
         f"P1/F select plan: {len(books)} candidates -> {calls} Python calls "
         f"({per_candidate:.2f} per candidate, gate {PLAN_CALLS_PER_CANDIDATE}); "
+        f"warm: {lines} line events ({warm_per_candidate:.2f} per candidate, "
+        f"gate {WARM_LINES_PER_CANDIDATE}); "
         f"order_ranks handed {ordered} for {len(result.bindings)} survivor(s); "
         f"{wall_time * 1e6:.0f} us per parse + evaluate"
     )
@@ -508,6 +538,9 @@ def bench_select_plan(args) -> dict:
         calls=calls,
         calls_per_candidate=round(per_candidate, 3),
         bound=PLAN_CALLS_PER_CANDIDATE,
+        warm_lines=lines,
+        warm_lines_per_candidate=round(warm_per_candidate, 3),
+        warm_bound=WARM_LINES_PER_CANDIDATE,
         ordered=ordered,
         survivors=len(result.bindings),
     )
@@ -557,6 +590,12 @@ def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec, plan_r
             f"one sku-selective Select made {plan_rec['calls_per_candidate']} Python calls "
             f"per candidate (bound {PLAN_CALLS_PER_CANDIDATE}): the where-clause "
             "walks each candidate through the generic path evaluator again"
+        )
+    if plan_rec["warm_lines_per_candidate"] > WARM_LINES_PER_CANDIDATE:
+        yield (
+            f"the same Select run again made {plan_rec['warm_lines_per_candidate']} line "
+            f"events per candidate (bound {WARM_LINES_PER_CANDIDATE}): the where-clause "
+            "loops over each candidate's children again"
         )
     if any(count > plan_rec["survivors"] for count in plan_rec["ordered"]):
         yield (

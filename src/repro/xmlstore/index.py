@@ -23,38 +23,68 @@ posting candidate to the query's context (reach), and
 :meth:`StructuralIndex.order_ranks` also orders the survivors by walking
 only the branches that lead to them (Lugiez & Martin, PAPERS.md: a node
 *is* its path of positions from the root).  A where-clause filters
-between the two, so only its survivors are ordered.  Nothing is cached,
-so no mutation has anything to invalidate: a ``//name`` step costs what
-it touches — the candidates' ancestor chains and those ancestors' child
-lists — whether or not the document changed since the last query.
+between the two, so only its survivors are ordered.  Neither keeps
+anything between queries: a ``//name`` step costs what it touches — the
+candidates' ancestor chains and those ancestors' child lists — whether
+or not the document changed since the last query.
+
+The one structure that outlives a query is the *value postings* of
+:meth:`StructuralIndex.value_join`, which answers the where-clause
+``var/name = literal`` (``i/sku = X``: one child step) without looping
+over each candidate's children: per element local name, built on the
+first such lookup, a map from each element's logical text, and from that
+text read as a number, to the elements carrying it (ViP2P, PAPERS.md,
+answers value predicates from such access structures).  So a write has
+something to invalidate, and the node layer does it: a name's maps are
+dropped when an element of that
+name is created or vacuumed, when the logical text of an element of that
+name changes (the attach/detach climb of
+:func:`repro.xmlstore.nodes._propagate_logical_count`), and on
+:meth:`StructuralIndex.clear`.  Text is otherwise written only into a
+fresh, detached clone before anything queries it (``_materialize`` in
+:mod:`repro.query.update`), and ``tools/check_serialization_hygiene.py``
+keeps it that way.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Set, Tuple
+from math import isfinite
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.xmlstore.names import is_axml_meta_name
+from repro.xmlstore.names import AXML_PREFIX, QName, is_axml_meta_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.xmlstore.nodes import Element, NodeId
+    from repro.xmlstore.path import TraversalMeter
 
 _EMPTY: Dict[object, object] = {}
+_CHILD_COUNT = attrgetter("_child_count")
+#: Per local name: logical text → elements, and that text as a number
+#: (``Comparison.matches``'s reading) → elements.
+_ValueMaps = Tuple[Dict[str, List["Element"]], Dict[float, List["Element"]]]
 
 
 class StructuralIndex:
-    """Tag-name postings + on-demand document ordering for one document."""
+    """Tag and value postings plus on-demand document ordering for one document."""
 
-    __slots__ = ("_postings",)
+    __slots__ = ("_postings", "_values")
 
     def __init__(self) -> None:
         #: local name → insertion-ordered {NodeId: Element} postings.
         self._postings: Dict[str, Dict["NodeId", "Element"]] = {}
+        #: local name → its value maps, built by :meth:`value_join` and
+        #: dropped by the node layer when they may be stale.
+        self._values: Dict[str, _ValueMaps] = {}
 
     # -- incremental maintenance (driven by the node layer) -----------------
 
     def add_element(self, element: "Element") -> None:
         """Register a newly created element under its local name."""
-        self._postings.setdefault(element.name.local, {})[element.node_id] = element
+        local = element.name.local
+        self._postings.setdefault(local, {})[element.node_id] = element
+        if self._values:
+            self._values.pop(local, None)
 
     def rekey_element(self, element: "Element", old_id: "NodeId") -> None:
         """Move an element's posting after :meth:`Document._adopt_id`."""
@@ -68,11 +98,13 @@ class StructuralIndex:
         bucket = self._postings.get(element.name.local)
         if bucket is not None:
             bucket.pop(element.node_id, None)
+        self._values.pop(element.name.local, None)
 
     def clear(self) -> None:
         """Drop everything; pairs with a wholesale node-map reset
         (snapshot rollback swaps the entire tree out from under us)."""
         self._postings.clear()
+        self._values.clear()
 
     # -- queries ------------------------------------------------------------
 
@@ -116,11 +148,82 @@ class StructuralIndex:
                 stack.extend(filter(leads_to_match.get, reversed(node.children)))
         return ordered
 
+    def value_join(
+        self,
+        step_name: QName,
+        literal: str,
+        number: Optional[float],
+        candidates: List["Element"],
+        meter: "TraversalMeter",
+    ) -> List["Element"]:
+        """The *candidates* with a logical child named *step_name* (not
+        ``axml:``) whose logical text equals the where-clause literal, in
+        the order given: ``PathExpr.compile_test``'s child loop for
+        ``var/name = literal``, answered from the value postings.
+
+        The literal is looked up (as a number when it reads as one:
+        then only a number can equal it), each hit with the step's
+        prefix is mapped to its logical parent — its parent, and on
+        through ``axml:sc`` containers, which are transparent — and the
+        candidates in that set are kept.  The meter is charged what the
+        loop passes, every candidate's ``_child_count``.
+        """
+        local = step_name.local
+        maps = self._values.get(local)
+        if maps is None:
+            maps = self._values[local] = _value_maps(self._postings.get(local, _EMPTY))
+        hits = maps[0].get(literal) if number is None else maps[1].get(number)
+        meter.touch(sum(map(_CHILD_COUNT, candidates)))
+        if not hits:
+            return []
+        prefix = step_name.prefix
+        parents = set()
+        for hit in hits:
+            if hit.name.prefix != prefix:
+                continue
+            node = hit.parent
+            while node is not None:
+                parents.add(node)
+                name = node.name
+                if name.local != "sc" or name.prefix != AXML_PREFIX:
+                    break
+                node = node.parent
+        return list(filter(parents.__contains__, candidates))
+
     # -- introspection ------------------------------------------------------
 
     def __repr__(self) -> str:
         entries = sum(len(bucket) for bucket in self._postings.values())
         return f"StructuralIndex(tags={len(self._postings)}, entries={entries})"
+
+
+def _value_maps(postings: Mapping["NodeId", "Element"]) -> _ValueMaps:
+    """The value maps of one name's *postings*: no Python call per
+    element unless its text is not one text child (then
+    :func:`~repro.xmlstore.path.logical_text` reads it)."""
+    from repro.xmlstore.nodes import Text  # the node layer imports this module
+    from repro.xmlstore.path import logical_text
+
+    texts: Dict[str, List["Element"]] = {}
+    numbers: Dict[float, List["Element"]] = {}
+    for element in postings.values():
+        children = element.children
+        if not children:
+            value = ""
+        elif len(children) == 1 and children[0].__class__ is Text:
+            value = children[0].value
+        else:
+            value = logical_text(element)
+        texts.setdefault(value, []).append(element)
+        if "_" in value:
+            continue
+        try:
+            number = float(value)
+        except ValueError:
+            continue
+        if isfinite(number):
+            numbers.setdefault(number, []).append(element)
+    return texts, numbers
 
 
 def _climb(

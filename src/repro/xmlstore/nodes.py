@@ -23,8 +23,9 @@ by the document's own id).
 
 A document is its tree, the id → node map, the tag postings
 (:mod:`repro.xmlstore.index`) and the per-element logical counts the
-traversal meter charges — nothing derived from them is kept, so a write
-has nothing to invalidate and attributes and text are plain fields.
+traversal meter charges; the index's value postings, the one derived
+structure, are dropped by the attach/detach climb when they may be stale
+(:func:`_propagate_logical_count`).  Attributes and text are plain fields.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import NodeNotFound, XmlStructureError
 from repro.xmlstore.index import StructuralIndex
-from repro.xmlstore.names import QName, is_axml_meta_name
+from repro.xmlstore.names import AXML_META_LOCALS, AXML_PREFIX, QName, is_axml_meta_name
 
 _document_counter = itertools.count(1)
 
@@ -54,11 +55,8 @@ class NodeId:
         self.node_serial = node_serial
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, NodeId)
-            and self.doc_serial == other.doc_serial
-            and self.node_serial == other.node_serial
-        )
+        return (isinstance(other, NodeId) and self.doc_serial == other.doc_serial
+                and self.node_serial == other.node_serial)
 
     def __hash__(self) -> int:
         return hash((self.doc_serial, self.node_serial))
@@ -147,7 +145,7 @@ class Node:
         )
         del siblings[idx]
         self.parent = None
-        self._document._note_detach(parent, self)
+        _propagate_logical_count(parent, self, -1)
         return record
 
     # -- introspection -------------------------------------------------------
@@ -173,9 +171,9 @@ class Node:
         :meth:`Document.restore_from` are this on the root).  It keeps
         its open elements on an explicit stack, so depth is bounded by
         memory, and builds top-down: no cycle is possible, so it skips
-        :meth:`Element.append`'s check, and it copies ``_logical_count``
-        instead of re-propagating it per attach — O(n) where appends
-        would be O(n · depth), with the same resulting state.
+        :meth:`Element.append`'s check, and it copies the two logical
+        counts instead of re-propagating them per attach — O(n) where
+        appends would be O(n · depth), with the same resulting state.
         """
         top: Optional[Node] = None
         pending: List[Tuple[Node, Optional[Element]]] = [(self, None)]
@@ -184,6 +182,7 @@ class Node:
             if isinstance(source, Element):
                 clone: Node = Element(document, source.name, source.attributes)
                 clone._logical_count = source._logical_count
+                clone._child_count = source._child_count
                 pending.extend((child, clone) for child in reversed(source.children))
             else:
                 clone = Text(document, source.value)
@@ -206,14 +205,8 @@ class DetachRecord:
 
     __slots__ = ("node", "parent_id", "index", "before_id", "after_id")
 
-    def __init__(
-        self,
-        node: Node,
-        parent_id: NodeId,
-        index: int,
-        before_id: Optional[NodeId],
-        after_id: Optional[NodeId],
-    ):
+    def __init__(self, node: Node, parent_id: NodeId, index: int,
+                 before_id: Optional[NodeId], after_id: Optional[NodeId]):
         self.node = node
         self.parent_id = parent_id
         self.index = index
@@ -243,13 +236,15 @@ class Element(Node):
     ``_logical_count`` is the element count of the *logical* subtree —
     descendant-or-self elements, pruning ``axml`` metadata regions —
     which is exactly how many nodes a descendant walk
-    (:func:`repro.xmlstore.path._logical_descendants`) would visit.  It
-    is maintained incrementally on attach/detach so indexed descendant
-    steps can charge the :class:`~repro.xmlstore.path.TraversalMeter`
-    the same logical cost as the walk they replace.
+    (:func:`repro.xmlstore.path._logical_descendants`) would visit;
+    ``_child_count`` is how many element children a child step passes
+    (``axml:sc`` expanded: ``path._logical_children``).  Both are kept
+    on attach/detach so the index can charge the
+    :class:`~repro.xmlstore.path.TraversalMeter` what the walk or loop
+    it replaces would.
     """
 
-    __slots__ = ("name", "attributes", "children", "_logical_count")
+    __slots__ = ("name", "attributes", "children", "_logical_count", "_child_count")
 
     def __init__(
         self,
@@ -263,6 +258,7 @@ class Element(Node):
         self.attributes: Dict[str, str] = dict(attributes) if attributes else {}
         self.children: List[Node] = []
         self._logical_count = 1
+        self._child_count = 0
         document.index.add_element(self)
 
     # -- construction helpers -------------------------------------------------
@@ -272,7 +268,7 @@ class Element(Node):
         self._check_adoptable(child)
         child.parent = self
         self.children.append(child)
-        self._document._note_attach(self, child)
+        _propagate_logical_count(self, child, 1)
         return child
 
     def insert_at(self, index: int, child: Node) -> Node:
@@ -281,7 +277,7 @@ class Element(Node):
         index = max(0, min(index, len(self.children)))
         child.parent = self
         self.children.insert(index, child)
-        self._document._note_attach(self, child)
+        _propagate_logical_count(self, child, 1)
         return child
 
     def new_element(
@@ -294,9 +290,7 @@ class Element(Node):
 
     def new_text(self, value: str) -> Text:
         """Create and append a text child; returns the child."""
-        child = Text(self._document, value)
-        self.append(child)
-        return child
+        return self.append(Text(self._document, value))
 
     def _check_adoptable(self, child: Node) -> None:
         if child.parent is not None:
@@ -338,8 +332,7 @@ class Element(Node):
 
     def first_child(self, name: Union[str, QName]) -> Optional["Element"]:
         """First direct child element with the given name, or None."""
-        matches = self.find_children(name)
-        return matches[0] if matches else None
+        return next(iter(self.find_children(name)), None)
 
     # -- content ----------------------------------------------------------------
 
@@ -401,16 +394,6 @@ class Document:
         if isinstance(node, Element):
             self.index.rekey_element(node, old_id)
 
-    # -- logical-count bookkeeping ------------------------------------------------
-
-    def _note_attach(self, parent: Element, child: Node) -> None:
-        if isinstance(child, Element) and not is_axml_meta_name(child.name):
-            _propagate_logical_count(parent, child._logical_count)
-
-    def _note_detach(self, parent: Element, child: Node) -> None:
-        if isinstance(child, Element) and not is_axml_meta_name(child.name):
-            _propagate_logical_count(parent, -child._logical_count)
-
     # -- construction --------------------------------------------------------------
 
     def create_root(
@@ -443,15 +426,11 @@ class Document:
 
     def iter(self) -> Iterator[Node]:
         """Traverse all attached nodes in document order."""
-        if self.root is None:
-            return iter(())
-        return self.root.iter()
+        return iter(()) if self.root is None else self.root.iter()
 
     def iter_elements(self) -> Iterator[Element]:
         """Traverse all attached elements in document order."""
-        if self.root is None:
-            return iter(())
-        return self.root.iter_elements()
+        return iter(()) if self.root is None else self.root.iter_elements()
 
     def size(self) -> int:
         """Number of attached nodes."""
@@ -465,9 +444,7 @@ class Document:
         Returns the number of entries removed.  Run after compensation is
         no longer possible (transaction committed and log truncated).
         """
-        reachable = set()
-        if self.root is not None:
-            reachable = {node.node_id for node in self.root.iter()}
+        reachable = {node.node_id for node in self.iter()}
         dead = [node_id for node_id in self._index if node_id not in reachable]
         for node_id in dead:
             node = self._index.pop(node_id)
@@ -513,17 +490,39 @@ class Document:
         return f"Document({self.name!r}, serial=d{self.serial}, size={self.size()})"
 
 
-def _propagate_logical_count(parent: Element, delta: int) -> None:
-    """Add *delta* logical elements to *parent* and its counting ancestors.
+def _propagate_logical_count(parent: Element, child: Node, sign: int) -> None:
+    """Account for *child* joining (*sign* 1) or leaving (-1) *parent*.
 
-    A subtree contributes to every ancestor up to — and including — the
-    first ``axml`` metadata element on the path: metadata elements count
-    their own descendants but are pruned from their parent's logical
-    subtree, so propagation stops there.
-    """
+    Its ``_logical_count`` counts in each ancestor up to and including
+    the first ``axml`` metadata element (pruned from its parent's
+    subtree); its children in *parent*'s ``_child_count``, and on up
+    through transparent ``axml:sc``s (a metadata child is one child and
+    no content).  The climb drops the value maps of those ancestors'
+    names too: their logical text changed."""
+    values = parent._document.index._values
+    if child.__class__ is Text:
+        if not values:
+            return
+        elements = children = 0
+    else:
+        name, children = child.name, 1
+        if name.prefix == AXML_PREFIX:
+            if name.local in AXML_META_LOCALS:
+                parent._child_count += sign
+                return
+            if name.local == "sc":  # its logical children, not its metadata
+                children = child._child_count - sum(
+                    is_axml_meta_name(c.name) for c in child.children if c.__class__ is Element)
+        elements, children = sign * child._logical_count, sign * children
     node: Optional[Element] = parent
     while node is not None:
-        node._logical_count += delta
-        if is_axml_meta_name(node.name):
-            break
+        node._logical_count += elements
+        node._child_count += children
+        name = node.name
+        if values:
+            values.pop(name.local, None)
+        if name.prefix != AXML_PREFIX or name.local != "sc":
+            if name.prefix == AXML_PREFIX and name.local in AXML_META_LOCALS:
+                break
+            children = 0
         node = node.parent

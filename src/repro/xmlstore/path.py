@@ -23,10 +23,9 @@ walk would have charged; :meth:`PathExpr.each` runs the same functions
 over many contexts at a time, each kept apart (a where-clause's filter).
 
 A Select runs reach → filter → order: the where-clause (*keep*) sees a
-``//name`` step's reachable candidates before only its survivors are put
-in document order, and a comparison whose path ends in a child step is
-compiled as a test (:meth:`PathExpr.compile_test`).  Comparisons and
-results read :func:`logical_text`: call metadata is not content.
+``//name`` step's reachable candidates before its survivors are ordered;
+a comparison ending in a child step is a test or a value-postings lookup
+(:meth:`PathExpr.compile_test`).  Comparisons read :func:`logical_text`.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from math import isfinite
+from operator import eq
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import QuerySyntaxError
@@ -181,12 +181,17 @@ class PathExpr:
         candidates, or None unless the path's last navigation step is a
         child step (``i/sku``, ``p/name/lastname``, ``i/sku/text()``).
         The earlier steps run as in :meth:`each`, the last as a test
-        (:func:`_child_step`): same kept candidates, order and meter
-        charge as :meth:`each` followed by ``Comparison.matches``."""
+        (:func:`_child_step`): same kept candidates, order and meter as
+        :meth:`each` then ``Comparison.matches``.  ``=`` on one step with
+        no ``axml:`` prefix is ``StructuralIndex.value_join`` instead."""
         functions = (self._plan or self._compile_steps())[0]
         steps = [step for step in self.steps if step.axis not in ("text", "attribute")]
         if not steps or steps[-1].axis != "child" or self.attribute_name is not None:
             return None
+        name = steps[-1].name
+        if compare is eq and len(steps) == 1 and name is not None and name.prefix != AXML_PREFIX:
+            return lambda candidates, meter: candidates[0].document.index.value_join(
+                name, literal, number, candidates, meter)
         test = _child_step(steps[-1], (compare, literal, number))
         earlier = functions[:-1]
 
@@ -336,17 +341,14 @@ def _walk_descendants(step: Step, context: List[Element], meter: TraversalMeter)
 def _indexed_descendants(
     step: Step, context: List[Element], meter: TraversalMeter, keep: Optional[Callable] = None
 ) -> Optional[List[Element]]:
-    """Answer a named descendant step from the document's structural
-    index, or return None (the walk answers) when the test is ``*``,
-    there are several context nodes (walk order is per context), or the
-    postings list is larger than the context's logical subtree.  The
-    context may be any element — detached, or inside call machinery: the
-    index climbs no further than it.  The meter is charged the *logical*
-    visit count, what the walk would touch, so the paper's traversal
+    """Answer a named descendant step from the structural index, or
+    None (the walk answers) for ``*``, several contexts (walk order is
+    per context) or postings larger than the context's logical subtree.
+    The context may be any element: the index climbs no further.  The
+    meter is charged what the walk would touch, so the paper's traversal
     cost (§3.2, E7) does not depend on which ran.  With *keep*, the
-    reachable candidates go through it in postings order, and only two
-    or more survivors are put in document order.
-    """
+    reachable candidates go through it in postings order; only two or
+    more survivors are put in document order."""
     if step.name is None or len(context) != 1:
         return None
     ctx = context[0]
@@ -368,13 +370,11 @@ def _indexed_descendants(
     return index.order_ranks(survivors, ctx) if len(survivors) > 1 else survivors
 
 
-# AXML transparency (paper §1/§3.1): the results of an embedded service
-# call logically stand where the ``axml:sc`` element sits, so ``p/points``
-# must find ``<points>`` inside ``<axml:sc …><points>890</points></axml:sc>``.
-# Conversely, call *metadata* (params, fault handlers) is never document
-# content.  An explicit ``axml:``-prefixed name test still addresses the
-# machinery itself.  The predicates live in :mod:`repro.xmlstore.names`
-# so the structural index prunes exactly the same subtrees.
+# AXML transparency (paper §1/§3.1): an embedded call's results stand where
+# its ``axml:sc`` sits (``p/points`` finds ``<axml:sc …><points>890</points>
+# </axml:sc>``); call *metadata* (params, handlers) is never content, and an
+# explicit ``axml:`` name test addresses the machinery itself.  The
+# predicates live in :mod:`repro.xmlstore.names`, shared with the index.
 
 
 def _logical_children(node: Element, step: Step) -> List[Element]:

@@ -29,9 +29,13 @@ from hypothesis import event, given, settings, strategies as st
 
 from repro.errors import QueryEvaluationError
 from repro.obs.prof import PROF
-from repro.query.ast import BooleanCondition, Comparison, NodeRef, SelectQuery, VarPath
+from repro.query.ast import (
+    ActionType, BooleanCondition, Comparison, NodeRef, SelectQuery, UpdateAction, VarPath,
+)
 from repro.query.evaluate import evaluate_select
 from repro.query.parser import parse_select
+from repro.query.update import _materialize, apply_action
+from repro.txn.compensation import compensating_actions_for
 from repro.xmlstore import path as path_module
 from repro.xmlstore.index import StructuralIndex
 from repro.xmlstore.names import QName
@@ -575,3 +579,156 @@ class TestNumericComparison:
                 Comparison(VarPath("i", parse_path("v")), "=", where),
             )
             assert evaluate_select(query, doc).texts() == expected
+
+
+# ---------------------------------------------------------------------------
+# Value postings across writes
+# ---------------------------------------------------------------------------
+#
+# ``i/name = literal`` is answered from per-name value maps the index
+# keeps between queries (``StructuralIndex.value_join``): the first
+# query-time structure of this store that outlives a write.  One document
+# lives through a drawn sequence of Selects and writes — every writer
+# the node layer has — and each Select must still agree with the
+# per-candidate reference, which reads text by its own rule.
+
+EQUALITIES = (
+    "i/a = 1", "i/a = x", "i/b = 10", "i/b = 12", "i/c = b", "i/p:a = 2", "i/a/text() = 1",
+    "i/b = NaN", "i/a = 1_0", "i/c = 2 or i/a = x", "i/a = 1 and i/b = 2",
+)
+EQUALITY_SOURCES = ("R//a", "R//b", "R//*", "R/*", "R//axml:sc", "R")
+WRITES = (
+    "append", "insert_at", "detach", "clone_attach", "materialize", "reinsert", "vacuum",
+    "restore",
+)
+
+
+def _fresh_node(data, doc: Document):
+    """A new text node, or a new element with a drawn name and text."""
+    if data.draw(st.integers(0, 3)) == 0:
+        return Text(doc, data.draw(st.sampled_from(TEXTS)))
+    element = Element(doc, data.draw(st.sampled_from(NAMES + ("axml:sc",))))
+    if data.draw(st.booleans()):
+        element.append(Text(doc, data.draw(st.sampled_from(TEXTS))))
+    return element
+
+
+def _adoptable(data, doc: Document, node):
+    """An element *node* may be attached under (no cycle), or None."""
+    targets = [
+        element for element in nodes_of(doc)
+        if element is not node and node not in element.ancestors()
+    ]
+    return data.draw(st.sampled_from(targets)) if targets else None
+
+
+def _write(data, doc: Document, kind: str, state: dict) -> None:
+    attached = [e for e in doc.root.iter_elements() if e is not doc.root]
+    if kind in ("append", "insert_at"):
+        detached = [e for e in nodes_of(doc) if e.parent is None and e is not doc.root]
+        if detached and data.draw(st.booleans()):
+            node = data.draw(st.sampled_from(detached))  # re-attach a subtree
+        else:
+            node = _fresh_node(data, doc)
+        parent = _adoptable(data, doc, node)
+        if parent is None:
+            return
+        if kind == "append":
+            parent.append(node)
+        else:
+            parent.insert_at(data.draw(st.integers(0, len(parent.children))), node)
+    elif kind == "detach":
+        texts = [n for n in doc.root.iter() if isinstance(n, Text)]
+        pool = attached + texts
+        if pool:
+            data.draw(st.sampled_from(pool)).detach()
+    elif kind == "clone_attach":
+        source = data.draw(st.sampled_from(nodes_of(doc)))
+        copy = source.clone_into(doc)
+        parent = _adoptable(data, doc, copy)
+        if parent is not None:
+            parent.append(copy)
+    elif kind == "materialize":
+        prototype = Document("data").create_root(data.draw(st.sampled_from(NAMES)))
+        prototype.new_element(data.draw(st.sampled_from(NAMES))).new_text("$v")
+        prototype.new_text("$v")
+        value = data.draw(st.sampled_from(TEXTS))
+        action = UpdateAction(
+            ActionType.INSERT, parse_select("Select i from i in R;"), ("<x/>",),
+            _prototypes=([[prototype]], lambda text: text.replace("$v", value)),
+        )
+        node = _materialize(doc, action, 0)
+        parent = _adoptable(data, doc, node)
+        if parent is not None:
+            parent.append(node)
+    elif kind == "reinsert":
+        if attached and data.draw(st.booleans()):  # delete now, compensate later
+            target = data.draw(st.sampled_from(attached))
+            query = SelectQuery((VarPath("i", PathExpr(())),), "i",
+                                NodeRef(repr(target.node_id), "R"))
+            result = apply_action(doc, UpdateAction(ActionType.DELETE, query))
+            state["pending"].append(compensating_actions_for(result, "R"))
+        elif state["pending"]:
+            for action in state["pending"].pop():
+                apply_action(doc, action, tolerate_missing_targets=True)
+    elif kind == "vacuum":
+        doc.vacuum()
+    else:
+        doc.restore_from(state["snapshot"])
+        state["pending"].clear()  # their targets are gone
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_value_postings_match_the_reference_across_writes(data):
+    """The same Selects before and after every write: a map one of them
+    built must be dropped by any write that could make it stale."""
+    doc = build_document(data)
+    for _ in range(data.draw(st.integers(1, 4))):  # rows the equalities can find
+        row = doc.root.new_element("a")
+        for name in data.draw(st.lists(st.sampled_from(("a", "b", "c", "p:a")), max_size=3)):
+            holder = row
+            for _ in range(data.draw(st.integers(0, 2))):  # inside nested calls
+                holder = holder.new_element("axml:sc")
+            holder.new_element(name).new_text(data.draw(st.sampled_from(TEXTS)))
+    state = {"snapshot": doc.clone_tree(), "pending": []}
+    equality = st.sampled_from(EQUALITIES).map(_where)
+    queries = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        where = data.draw(st.one_of(equality, equality, equality, conditions))
+        if data.draw(st.integers(0, 9)) == 9:
+            where = poison(where, data.draw(st.integers(0, 4)))
+        queries.append(SelectQuery(
+            (VarPath("i", data.draw(paths(terminals=("",)))),), "i",
+            parse_path(data.draw(st.sampled_from(EQUALITY_SOURCES))), where,
+        ))
+    joins = comparisons = 0
+    real_join = StructuralIndex.value_join
+
+    def counting_join(index, *args):
+        nonlocal joins
+        joins += 1
+        return real_join(index, *args)
+
+    for step in range(data.draw(st.integers(1, 6)) + 1):
+        if step:
+            kind = data.draw(st.sampled_from(WRITES))
+            kept = dict(doc.index._values)
+            _write(data, doc, kind, state)
+            if any(doc.index._values.get(name) is maps for name, maps in kept.items()):
+                event(f"a value map outlived a write ({kind})")
+        for query in queries:
+            comparisons += len(_comparisons_of(query.where))
+            expected = outcome(lambda meter: ref_select(query, doc, meter, True))
+            with mock.patch.object(StructuralIndex, "value_join", counting_join):
+                got = outcome(lambda meter: [
+                    (b.context, b.selected) for b in evaluate_select(query, doc, meter).bindings
+                ])
+            same(got, expected)
+    event(f"value_join share of comparisons: {min(joins / comparisons, 1.0):.1f}")
+
+
+def _comparisons_of(condition) -> list:
+    if isinstance(condition, Comparison):
+        return [condition]
+    return [leaf for part in condition.parts for leaf in _comparisons_of(part)]

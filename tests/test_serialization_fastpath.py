@@ -148,6 +148,7 @@ class TestCloneTree:
         copy = doc.clone_tree(preserve_ids=True)
         for src, dst in zip(doc.iter_elements(), copy.iter_elements()):
             assert src._logical_count == dst._logical_count
+            assert src._child_count == dst._child_count
 
     def test_cloned_ids_resolve_in_the_copy(self):
         doc = build_doc()

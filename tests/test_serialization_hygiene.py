@@ -39,3 +39,27 @@ def test_fragment_reparse_and_scratch_frame_trees_are_findings(tmp_path):
     assert lines(update) == [1]
     assert lines(wal) == [1, 2]
     assert lines(memo) == []
+
+
+def test_text_and_child_list_writes_outside_the_node_layer_are_findings(tmp_path):
+    tool = _tool()
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "text.value = 'x'\n"                    # 1: a text write
+        "node.children.append(child)\n"         # 2: a child-list mutator
+        "node.children[0] = child\n"            # 3: an item assignment
+        "del node.children[1:]\n"               # 4: a del
+        "node.children = []\n"                  # 5: a rebinding
+        "same = text.value == 'x'\n"            # 6: reads are fine
+        "first = node.children[0]\n"            # 7
+    )
+
+    def lines(*parts):
+        rel = os.path.join("src", "repro", *parts)
+        found = tool.check_file(str(source), False, tool.src_patterns(rel))
+        return sorted(line for _path, line, _message in found)
+
+    assert lines("query", "evaluate.py") == [1, 2, 3, 4, 5]
+    assert lines("query", "update.py") == [2, 3, 4, 5]
+    assert lines("p2p", "chain.py") == [1]
+    assert lines("xmlstore", "nodes.py") == []

@@ -11,6 +11,7 @@ import sys
 from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro.obs.prof import PROF
 from repro.query.ast import ActionType, UpdateAction
@@ -148,6 +149,124 @@ class TestMeterParity:
         # The sc container expands; params stay invisible.
         assert_parity(doc, "r//points")
         assert_parity(doc, "r//param")
+
+
+class TestChildCount:
+    """``Element._child_count`` — the element children a child step's
+    loop passes, ``axml:sc`` expanded — is what the value-postings join
+    charges the meter per candidate, so it must equal a fresh
+    ``_logical_children`` after any mutation, on ``axml:sc`` containers,
+    metadata regions, detached subtrees and plain elements alike."""
+
+    NAMES = ("a", "b", "p:a", "axml:sc", "axml:sc", "axml:params", "axml:catch", "axml:value")
+
+    @staticmethod
+    def assert_counts(doc):
+        from repro.xmlstore.path import Step, _logical_children, _logical_descendants
+
+        step = Step("child", QName("a"))
+        for element in doc._index.values():
+            if isinstance(element, Element):
+                assert element._child_count == len(_logical_children(element, step)), element
+                assert element._logical_count == len(_logical_descendants(element)), element
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_child_count_tracks_every_mutation(self, data):
+        doc = Document("R")
+        doc.create_root(QName("R"))
+        expanded = False
+        for _ in range(data.draw(st.integers(1, 40))):
+            elements = [n for n in doc._index.values() if isinstance(n, Element)]
+            kind = data.draw(st.sampled_from(("new", "new", "text", "detach", "move", "clone")))
+            if kind == "detach":
+                attached = [n for n in doc.root.iter() if n is not doc.root]
+                if attached:
+                    data.draw(st.sampled_from(attached)).detach()
+            else:
+                if kind == "new":
+                    node = Element(doc, data.draw(st.sampled_from(self.NAMES)))
+                elif kind == "text":
+                    node = doc.root.new_text("t").detach().node
+                else:
+                    tops = [e for e in elements if e.parent is None and e is not doc.root]
+                    if kind == "clone":
+                        node = data.draw(st.sampled_from(elements)).clone_into(doc)
+                    elif tops:
+                        node = data.draw(st.sampled_from(tops))
+                    else:
+                        continue
+                parents = [e for e in elements if e is not node and node not in e.ancestors()]
+                parent = data.draw(st.sampled_from(parents))
+                parent.insert_at(data.draw(st.integers(0, len(parent.children))), node)
+            self.assert_counts(doc)
+            expanded = expanded or any(
+                e._child_count > len(e.child_elements()) for e in doc.iter_elements())
+        event(f"an axml:sc expanded into its parent's count: {expanded}")
+
+
+class TestValuePostings:
+    """``i/sku = X`` is a lookup in the index's per-name value maps: a map
+    outlives writes that cannot change its name's texts, and is dropped
+    by every one that can."""
+
+    DOC = (
+        "<C><book><sku>1</sku><price>5</price></book><cd><sku>2</sku><price>7</price></cd>"
+        "<book><sku>3</sku><price>5.0</price></book></C>"
+    )
+
+    @staticmethod
+    def skus(doc, where):
+        query = parse_select(f"Select i/sku from i in C//book where {where};")
+        return evaluate_select(query, doc).texts()
+
+    def test_a_map_outlives_writes_to_other_names(self):
+        doc = parse_document(self.DOC, name="C")
+        assert self.skus(doc, "i/sku = 3") == ["3"]
+        maps = doc.index._values["sku"]
+        book = doc.root.children[0]
+        book.new_element("note").new_text("x")
+        book.children[1].detach()
+        assert self.skus(doc, "i/sku = 1") == ["1"]
+        assert doc.index._values["sku"] is maps
+
+    @pytest.mark.parametrize("write", [
+        lambda sku, doc: sku.new_text("0"),
+        lambda sku, doc: sku.children[0].detach(),
+        lambda sku, doc: sku.insert_at(0, Element(doc, "b")),
+        lambda sku, doc: sku.parent.append(Element(doc, "sku")),
+        lambda sku, doc: doc.vacuum() if sku.detach() else None,
+        lambda sku, doc: doc.restore_from(parse_document("<C><book/></C>")),
+    ], ids=["text", "detach-text", "child", "create", "vacuum", "restore"])
+    def test_a_write_that_can_change_a_sku_text_drops_the_map(self, write):
+        doc = parse_document(self.DOC, name="C")
+        assert self.skus(doc, "i/sku = 1") == ["1"]
+        write(doc.root.children[0].children[0], doc)
+        assert "sku" not in doc.index._values
+
+    def test_a_call_is_transparent_and_its_metadata_is_not_content(self):
+        doc = parse_document(
+            "<C><book><axml:sc xmlns:axml='x' service='S'><axml:sc service='T'>"
+            "<sku>9</sku></axml:sc><axml:params><sku>8</sku></axml:params></axml:sc>"
+            "</book><book><p:sku xmlns:p='y'>9</p:sku></book></C>",
+            name="C",
+        )
+        assert self.skus(doc, "i/sku = 9") == ["9"]
+        assert self.skus(doc, "i/sku = 8") == []
+        for source, where, found in (
+            ("C//axml:sc", "i/sku = 9", 2), ("C//axml:params", "i/sku = 8", 0),
+            ("C//book", "i/p:sku = 9", 1),
+        ):
+            query = parse_select(f"Select i from i in {source} where {where};")
+            assert len(evaluate_select(query, doc)) == found, (source, where)
+
+    def test_numbers_compare_as_numbers_and_the_rest_as_strings(self):
+        doc = parse_document(self.DOC, name="C")
+        assert self.skus(doc, "i/price = 5") == ["1", "3"]
+        assert self.skus(doc, "i/price = 5.0") == ["1", "3"]
+        assert self.skus(doc, "i/price/text() = 7") == []
+        assert self.skus(doc, "i/sku = 01") == ["1"]
+        assert self.skus(doc, "i/sku = x1") == []
 
 
 class TestMutateUnderQuery:

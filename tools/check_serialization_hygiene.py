@@ -22,6 +22,15 @@ keeps them from creeping back in.  Three patterns are flagged:
   instead of re-parsing the ``<data>`` text.
 * in ``src/repro/txn/wal.py``, any ``Document(``: ``entry_to_xml``
   writes a frame straight from the entry, not through a scratch tree.
+* under ``src/``, any ``.value =`` write outside ``xmlstore/nodes.py``
+  and ``query/update.py``, and any ``.children`` mutator (a list method
+  that changes it, an assignment, a ``del``) outside ``xmlstore/nodes.py``
+  and ``p2p/chain.py`` (whose chain nodes are not XML).  The index's value
+  postings outlive queries and are dropped by the node layer's
+  attach/detach climb; a text or child list changed behind its back
+  would leave them stale.  ``update.py``'s one write is ``_materialize``
+  filling the holes of a fresh, detached clone, whose creation already
+  dropped the maps of its names.
 
 Under ``benchmarks/`` an occurrence is *approved* by a ``roundtrip-ok``
 comment on the same line or within the five lines above it (a baseline
@@ -87,6 +96,29 @@ WAL_TREE = (
 )
 
 
+#: Only the node layer writes text, and ``_materialize`` a fresh clone's.
+TEXT_WRITERS = tuple(
+    os.path.join("src", "repro", *parts)
+    for parts in (("xmlstore", "nodes.py"), ("query", "update.py"))
+)
+TEXT_WRITE = (
+    re.compile(r"\.value\s*\+?=(?!=)"),
+    "a text write outside the node layer — the index's value postings would go stale",
+)
+#: Only the node layer changes a child list (``p2p/chain.py``'s are a chain's).
+CHILD_WRITERS = tuple(
+    os.path.join("src", "repro", *parts)
+    for parts in (("xmlstore", "nodes.py"), ("p2p", "chain.py"))
+)
+CHILD_WRITE = (
+    re.compile(
+        r"\.children\.(?:append|insert|extend|pop|remove|clear|sort|reverse)\("
+        r"|\.children\s*(?:\[[^\]\n]*\]\s*)?\+?=(?!=)|\bdel\s+[\w.]*\.children\b"
+    ),
+    "a child list changed outside the node layer — use Element.append/insert_at/detach",
+)
+
+
 def src_patterns(rel: str) -> tuple:
     """The patterns a file under ``src/`` is checked against."""
     patterns = PATTERNS
@@ -96,6 +128,10 @@ def src_patterns(rel: str) -> tuple:
         patterns += (FRAGMENT_TEXT,)
     if rel == WAL_MODULE:
         patterns += (WAL_TREE,)
+    if rel not in TEXT_WRITERS:
+        patterns += (TEXT_WRITE,)
+    if rel not in CHILD_WRITERS:
+        patterns += (CHILD_WRITE,)
     return patterns
 
 
