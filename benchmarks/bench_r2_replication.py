@@ -13,6 +13,12 @@ Two measurements (docs/REPLICATION.md):
   the shipped tail — the replayed entry count is gated to be at least 1
   and at most the shipped lag at crash time (never a full state
   transfer on the hot path).
+* Part C, dead-replica commit cost: a primary commits while its only
+  replica is down (``ship_batch=1``), so every commit re-offers the
+  whole growing backlog.  The Python calls made under
+  ``ReplicationManager.on_committed`` per commit, counted with
+  ``sys.setprofile``, are gated to stay flat: at 100 commits at most
+  1.1x the count at 10 (re-summing the backlog grows it linearly).
 
 Gates are deterministic (logical counters, not wall time); wall-clock
 times are informational only.
@@ -95,8 +101,9 @@ def bench_replicated_sweep(args) -> dict:
     )
 
 
-def bench_failover_replay(args) -> dict:
-    """Part B: failover replays the shipped tail, bounded by the lag."""
+def primary_with_replica():
+    """AP1 (origin) invoking setPrice on AP2, the primary of Shop2, whose
+    document and service are replicated on AP3."""
     network = SimNetwork()
     replication = ReplicationManager(network)
     origin = AXMLPeer("AP1", network)
@@ -117,7 +124,12 @@ def bench_failover_replay(args) -> dict:
     origin.set_fault_policy(
         "setPrice", [FaultPolicy(fault_names={DISCONNECT_FAULT}, retry_times=1)]
     )
+    return network, replication, origin
 
+
+def bench_failover_replay(args) -> dict:
+    """Part B: failover replays the shipped tail, bounded by the lag."""
+    network, replication, origin = primary_with_replica()
     # Commit N transactions against a lagging replica: frames pile up
     # unacked in AP3's inbox.
     committed = 4 if args.smoke else 12
@@ -154,7 +166,62 @@ def bench_failover_replay(args) -> dict:
     )
 
 
-def gates(args, sweep_rec, replay_rec):
+def calls_per_dead_replica_commit(commits: int) -> float:
+    """Python calls made under ``on_committed`` per commit while the
+    replica is down (every commit re-offers the backlog and fails)."""
+    network, replication, origin = primary_with_replica()
+    network.disconnect("AP3")
+    target = ReplicationManager.on_committed.__code__
+    inside = None
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal inside, calls
+        if inside is None:
+            if event == "call" and frame.f_code is target:
+                inside = frame
+        elif event == "call":
+            calls += 1
+        elif event == "return" and frame is inside:
+            inside = None
+
+    for i in range(commits):
+        txn = origin.begin_transaction()
+        origin.invoke(txn.txn_id, "AP2", "setPrice", {"price": str(i)})
+        sys.setprofile(count)
+        try:
+            origin.commit(txn.txn_id)
+        finally:
+            sys.setprofile(None)
+    assert network.metrics.get("ship_failures") == commits
+    return calls / commits
+
+
+def bench_dead_replica_commit_cost(args) -> dict:
+    """Part C: a commit's replication work does not grow with the
+    backlog a dead replica leaves behind."""
+    start = time.perf_counter()
+    short, long = 10, 100
+    per_commit = {n: calls_per_dead_replica_commit(n) for n in (short, long)}
+    elapsed = time.perf_counter() - start
+    growth = per_commit[long] / per_commit[short]
+    print(
+        f"R2/C dead replica: {per_commit[short]:.1f} calls per commit "
+        f"over {short} commits, {per_commit[long]:.1f} over {long} "
+        f"(growth {growth:.3f}x, bound 1.1x)"
+    )
+    return perf_record(
+        "dead_replica_commit_cost",
+        args.seed,
+        elapsed,
+        1.0,  # gate quantity is the per-commit call growth, not a ratio
+        commits=[short, long],
+        calls_per_commit=[round(per_commit[short], 2), round(per_commit[long], 2)],
+        growth=round(growth, 4),
+    )
+
+
+def gates(args, sweep_rec, replay_rec, cost_rec):
     """Reasons this run fails its gate.  Deterministic counters, not wall time."""
     if sweep_rec["violations_total"] != 0:
         yield (
@@ -175,11 +242,19 @@ def gates(args, sweep_rec, replay_rec):
             f"failover replayed {replayed} entries for a shipped lag of "
             f"{lag} (expected 1 <= replayed <= lag)"
         )
+    if cost_rec["growth"] > 1.1:
+        yield (
+            f"calls per dead-replica commit grew {cost_rec['growth']}x from "
+            f"{cost_rec['commits'][0]} to {cost_rec['commits'][1]} commits "
+            f"(bound 1.1x): a re-offer costs the whole backlog"
+        )
 
 
 def main() -> int:
     return run_perf_bench(
-        "R2", __doc__, [bench_replicated_sweep, bench_failover_replay], gates
+        "R2", __doc__,
+        [bench_replicated_sweep, bench_failover_replay, bench_dead_replica_commit_cost],
+        gates,
     )
 
 

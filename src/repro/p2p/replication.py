@@ -62,9 +62,10 @@ class _ShipChannel:
     source: str
     replica: str
     pending: List[LogEntry] = field(default_factory=list)
+    #: Logical bytes of ``pending``, added as each entry joins it.
+    pending_bytes: int = 0
     inbox: List[LogEntry] = field(default_factory=list)
-    #: Highest seq put on the wire / acked by the replica / applied.
-    shipped_seq: int = 0
+    #: Highest seq acked by the replica / applied.
     acked_seq: int = 0
     applied_seq: int = 0
     #: Seqs shipped but not yet acked (the in-flight window).
@@ -192,11 +193,9 @@ class ReplicationManager:
     # -- WAL shipping: primary side ----------------------------------------
 
     def _channel(self, source: str, replica: str) -> _ShipChannel:
-        key = (source, replica)
-        channel = self._channels.get(key)
+        channel = self._channels.get((source, replica))
         if channel is None:
-            channel = _ShipChannel(source=source, replica=replica)
-            self._channels[key] = channel
+            channel = self._channels[source, replica] = _ShipChannel(source, replica)
         return channel
 
     @staticmethod
@@ -231,11 +230,13 @@ class ReplicationManager:
             # operation; remember that so a later failover ship of the
             # same operation from another holder is not applied twice.
             self._applied_keys.add(self._entry_key(source_peer, entry))
+            size = entry_bytes(entry)
             for holder in holders:
                 if holder == source_peer:
                     continue
                 channel = self._channel(source_peer, holder)
                 channel.pending.append(entry)
+                channel.pending_bytes += size
                 if (
                     entry.document_name,
                     holder,
@@ -254,8 +255,8 @@ class ReplicationManager:
         """Put one channel's pending batch on the wire."""
         if not channel.pending:
             return
-        batch = list(channel.pending)
-        channel.pending.clear()
+        batch, size = channel.pending, channel.pending_bytes
+        channel.pending, channel.pending_bytes = [], 0
         message = WalShipMessage(
             from_peer=channel.source,
             to_peer=channel.replica,
@@ -265,24 +266,23 @@ class ReplicationManager:
         )
         metrics = self.network.metrics
         metrics.incr("ship_frames", len(batch))
-        metrics.incr("ship_bytes", sum(entry_bytes(e) for e in batch))
+        metrics.incr("ship_bytes", size)
         # Record the in-flight window *before* the send: delivery is
         # synchronous in the simulator, so the replica's ack can arrive
         # inside the notify call — seqs added afterwards would never be
         # pruned and the window would read as permanently lagged.
-        channel.shipped_seq = max(channel.shipped_seq, batch[-1].seq)
-        channel.unacked.extend(e.seq for e in batch)
+        mark = len(channel.unacked)
+        channel.unacked.extend([e.seq for e in batch])
         metrics.record_value("ship_lag", float(len(channel.unacked)))
         delivered = self.network.notify(channel.source, channel.replica, message)
         if not delivered:
-            # Receiver (or sender) dead: re-queue the batch in order so
-            # the next ship attempt (at the latest, settlement's flush
-            # after every peer reconnected) retries it.  Dropping the
-            # frames here would silently under-replicate a holder that
-            # may later be *promoted* — resync can't repair the primary.
-            channel.pending[:0] = batch
-            shipped = {e.seq for e in batch}
-            channel.unacked = [s for s in channel.unacked if s not in shipped]
+            # Receiver (or sender) dead: nothing was delivered, so no ack
+            # pruned the window.  Restore both; the next attempt (at the
+            # latest, settlement's flush) retries the batch.  Dropping it
+            # would under-replicate a holder that may later be *promoted*.
+            assert len(channel.unacked) == mark + len(batch) and not channel.pending
+            channel.pending, channel.pending_bytes = batch, size
+            del channel.unacked[mark:]
             metrics.incr("ship_failures")
 
     # -- WAL shipping: replica side ----------------------------------------
@@ -542,9 +542,7 @@ class ReplicationManager:
         incremental repair — e.g. its share was resolved after the
         primary role moved)."""
         holders = self.directory.document_map.get(document_name, [])
-        if holder not in holders:
-            return
-        if not self.network.is_alive(holder):
+        if holder not in holders or not self.network.is_alive(holder):
             return
         source = self._resync_source(document_name, holder)
         if source is None:

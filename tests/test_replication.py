@@ -19,7 +19,9 @@ from repro.axml.document import AXMLDocument
 from repro.chaos import ChaosConfig, run_chaos
 from repro.chaos.oracle import AtomicityOracle
 from repro.chaos.shrink import summary_text
+from repro.p2p import replication as replication_module
 from repro.p2p.chain import PeerChain
+from repro.p2p.messages import WalShipMessage
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
@@ -29,7 +31,8 @@ from repro.services.service import FunctionService, QueryService, UpdateService
 from repro.txn.modes import DurabilityPolicy
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 from repro.txn.transaction import Transaction, TransactionState
-from repro.txn.wal import LogEntry, OperationLog, entry_from_xml
+from repro.txn.wal import LogEntry, OperationLog, entry_bytes, entry_from_xml
+from repro.xmlstore.serializer import canonical_digest
 
 SHOP2 = "<Shop2><item id='1'><price>10</price><stock>3</stock></item></Shop2>"
 
@@ -115,10 +118,10 @@ class TestWalShipping:
         network, replication, peers = make_cluster()
         txn = peers["AP1"].begin_transaction()
         peers["AP1"].invoke(txn.txn_id, "AP2", "setPrice", {"price": "88"})
+        last_seq = peers["AP2"].manager.log.entries_for(txn.txn_id)[-1].seq
         peers["AP1"].commit(txn.txn_id)
         channel = replication._channel("AP2", "AP3")
-        assert channel.shipped_seq > 0
-        assert channel.acked_seq == channel.shipped_seq
+        assert channel.acked_seq == last_seq
         assert channel.unacked == []
 
     def test_ship_batch_buffers_until_full(self):
@@ -157,6 +160,91 @@ class TestWalShipping:
         peers["AP3"].rejoin()
         replication.settle()
         assert "44" in peers["AP3"].get_axml_document("Shop2").to_xml()
+
+
+def commit_price(peers, price):
+    txn = peers["AP1"].begin_transaction()
+    peers["AP1"].invoke(txn.txn_id, "AP2", "setPrice", {"price": price})
+    peers["AP1"].commit(txn.txn_id)
+
+
+class TestReofferToADeadReplica:
+    """While a replica is down every commit of its source re-offers the
+    whole backlog.  The offers and their counters stay what they were,
+    but an offer's bookkeeping costs only the entries that joined the
+    channel since the last one."""
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_counters_match_the_offers_and_sizes_are_taken_once(self, monkeypatch, k):
+        network, replication, peers = make_cluster()
+        offers = []  # (WalShipMessage, delivered)
+        notify = network.notify
+
+        def recording_notify(source, target, message):
+            delivered = notify(source, target, message)
+            if isinstance(message, WalShipMessage):
+                offers.append((message, delivered))
+            return delivered
+
+        sized = []
+
+        def counting_entry_bytes(entry):
+            sized.append(entry.seq)
+            return entry_bytes(entry)
+
+        monkeypatch.setattr(network, "notify", recording_notify)
+        monkeypatch.setattr(replication_module, "entry_bytes", counting_entry_bytes)
+        commit_price(peers, "10")
+        network.disconnect("AP3")
+        for i in range(k):
+            commit_price(peers, str(20 + i))
+        network.reconnect("AP3")
+        replication.settle()
+
+        # One live offer, k failed re-offers of the growing backlog, and
+        # settlement's flush: every offer is still made, none is parked.
+        assert [len(m.entries) for m, _ in offers] == [1, *range(1, k + 1), k]
+        metrics = network.metrics
+        assert metrics.get("ship_frames") == sum(len(m.entries) for m, _ in offers)
+        assert metrics.get("ship_bytes") == sum(
+            entry_bytes(e) for m, _ in offers for e in m.entries
+        )
+        assert metrics.get("ship_failures") == sum(1 for _, ok in offers if not ok) == k
+        # Every delivered offer is acked inside its notify, so each offer
+        # finds the window empty and samples its own length.
+        assert metrics.histogram("ship_lag").values == [
+            float(len(m.entries)) for m, _ in offers
+        ]
+        channel = replication._channel("AP2", "AP3")
+        assert channel.pending == [] and channel.pending_bytes == 0
+        assert channel.unacked == []
+        assert channel.acked_seq == offers[-1][0].last_seq
+        # Converged by the shipped entries alone, not by a resync.
+        assert metrics.get("replica_resyncs") == 0
+        assert metrics.get("replica_applied_entries") == k + 1
+        primary, replica = (
+            canonical_digest(peers[p].get_axml_document("Shop2").document)
+            for p in ("AP2", "AP3")
+        )
+        assert replica == primary
+        # Each entry is sized once, when it joins the channel.
+        assert sized == sorted({e.seq for m, _ in offers for e in m.entries})
+        assert len(sized) == k + 1
+
+    def test_failed_offer_leaves_earlier_deliveries_in_the_window(self):
+        # A recovered in-doubt share re-ships entries whose seqs are still
+        # in flight from an earlier, delivered but unacked offer.  Failing
+        # the re-offer takes back only its own seqs.
+        network, replication, peers = make_cluster()
+        network.disconnect("AP3")
+        channel = replication._channel("AP2", "AP3")
+        channel.unacked = [3, 4]
+        batch = [LogEntry(seq, "T9", "update", "Shop2", SET_PRICE) for seq in (3, 5)]
+        channel.pending, channel.pending_bytes = list(batch), 99
+        replication._ship(channel)
+        assert network.metrics.histogram("ship_lag").values == [4.0]
+        assert channel.unacked == [3, 4]
+        assert channel.pending == batch and channel.pending_bytes == 99
 
 
 class TestShipCarriesEntries:
@@ -310,6 +398,7 @@ class TestFailover:
         replication.lag_replica("AP3")
         txn = peers["AP1"].begin_transaction()
         peers["AP1"].invoke(txn.txn_id, "AP2", "setPrice", {"price": "51"})
+        last_seq = peers["AP2"].manager.log.entries_for(txn.txn_id)[-1].seq
         peers["AP1"].commit(txn.txn_id)
         channel = replication._channel("AP2", "AP3")
         # Delivered but unapplied: the frame waits in the inbox, unacked.
@@ -318,7 +407,8 @@ class TestFailover:
         assert "51" not in peers["AP3"].get_axml_document("Shop2").to_xml()
         replication.unlag_replica("AP3")
         assert "51" in peers["AP3"].get_axml_document("Shop2").to_xml()
-        assert channel.acked_seq == channel.shipped_seq
+        assert channel.acked_seq == last_seq
+        assert channel.unacked == []
 
     def test_primary_crash_between_flush_and_ack(self):
         network, replication, peers = make_cluster()
