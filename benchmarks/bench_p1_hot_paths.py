@@ -1,6 +1,6 @@
 """P1 — hot-path performance: structural indexes, parallel sweeps, parsing.
 
-Six measurements, all gated (a regression makes this script exit 1,
+Seven measurements, all gated (a regression makes this script exit 1,
 and CI runs it with ``--smoke`` on every push):
 
 * **Part A — indexed vs. walk-based query evaluation.**  Builds one
@@ -56,6 +56,18 @@ and CI runs it with ``--smoke`` on every push):
   candidate measured 71.6; the value-postings lookup 10.7).  Counts, so
   exact on every machine.
 
+* **Part G — an action text parses in one pass.**  1 000 action texts
+  of ``catalogue_occ``'s shape (60 % sku-selective queries, 25 %
+  replaces, 15 % inserts) over a seeded catalogue are parsed with
+  ``parse_action`` and run, under ``sys.setprofile``: each parse must
+  create exactly as many ``Element``s as its ``<data>`` payload holds (0
+  for a query: the envelope is scanned, not built), and ``path._compile``
+  may run at most once per distinct path text (a path text parses to one
+  shared, compiled ``PathExpr``).  A ``Document`` per envelope measured
+  2.41 elements beyond the payload per action, and a fresh ``PathExpr``
+  per parse 2.86 compiles per action for 12 distinct texts (seed 7,
+  smoke).  Counts, so exact on every machine.
+
 Run:  python benchmarks/bench_p1_hot_paths.py [--smoke] [--seed N]
                                               [--workers N]
 
@@ -75,10 +87,10 @@ from repro.chaos import ChaosConfig, chaos_sweep
 from repro.chaos.runner import _chaos_service
 from repro.obs import stable_json
 from repro.obs.prof import PROF
-from repro.query.ast import UpdateAction
+from repro.query.ast import ActionType, UpdateAction
 from repro.query.evaluate import evaluate_select
 from repro.query.lexer import tokenize
-from repro.query.parser import parse_action, parse_select
+from repro.query.parser import iter_comparisons, parse_action, parse_select
 from repro.query.update import apply_action
 from repro.sim.metrics import MetricsCollector
 from repro.sim.parallel import available_cores, parallel_map
@@ -88,7 +100,7 @@ from repro.xmlstore.index import StructuralIndex
 from repro.xmlstore.names import QName
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_document, parse_fragment
-from repro.xmlstore.path import TraversalMeter, parse_path
+from repro.xmlstore.path import PathExpr, TraversalMeter, parse_path
 
 from _util import perf_record, run_perf_bench
 
@@ -546,7 +558,95 @@ def bench_select_plan(args) -> dict:
     )
 
 
-def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec, plan_rec):
+#: Part G's payload words, as ``catalogue_occ`` draws them.
+WORDS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot")
+
+
+def catalogue_actions(doc: Document, count: int, seed: int) -> list:
+    """*count* sku-selective action texts against *doc*'s items."""
+    rng = SeededRng(seed)
+    items = [(item.name.local, item.first_child("sku").text_content())
+             for item in doc.root.child_elements()]
+    texts = []
+    for k in range(count):
+        category, sku = rng.choice(items)
+        field = rng.choice(FIELDS)
+        where = f"{doc.name}//{category} where i/sku = {sku};</location></action>"
+        roll = rng.random()
+        if roll < 0.60:
+            texts.append(f'<action type="query"><location>Select i/{field} from i in {where}')
+        elif roll < 0.85:
+            texts.append(
+                f'<action type="replace"><data><{field}>{rng.choice(WORDS)}</{field}></data>'
+                f"<location>Select i/{field} from i in {where}"
+            )
+        else:
+            texts.append(
+                f'<action type="insert"><data><note by="g{k}">{rng.choice(WORDS)}</note></data>'
+                f"<location>Select i from i in {where}"
+            )
+    return texts
+
+
+def _path_texts(query) -> set:
+    paths = [query.source, *(vp.path for vp in query.select_paths),
+             *(comparison.left.path for comparison in iter_comparisons(query.where))]
+    return {str(path) for path in paths if isinstance(path, PathExpr) and path.steps}
+
+
+def bench_submit_edge(args) -> dict:
+    doc = build_catalogue(60 if args.smoke else 600, args.seed)
+    texts = catalogue_actions(doc, 1_000, args.seed)
+    watched = {Element.__init__.__code__: 0, path_module._compile.__code__: 1}
+    counts = [0, 0]  # Element.__init__, path._compile
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            counts[watched[frame.f_code]] += 1
+
+    actions, built = [], []
+    sys.setprofile(count)
+    try:
+        for text in texts:
+            before = counts[0]
+            action = parse_action(text)
+            built.append(counts[0] - before)
+            actions.append(action)
+            if action.action_type is ActionType.QUERY:
+                evaluate_select(action.location, doc)
+            else:
+                apply_action(doc, action)
+    finally:
+        sys.setprofile(None)
+    payload = [sum(len(list(fragment[0].iter_elements())) for fragment in action._prototypes[0])
+               for action in actions]
+    distinct = set().union(*(_path_texts(action.location) for action in actions))
+    start = time.perf_counter()
+    for text in texts:
+        parse_action(text)
+    wall_time = (time.perf_counter() - start) / len(texts)
+    extra = sum(built) - sum(payload)
+    print(
+        f"P1/G submit edge: {len(texts)} actions -> {sum(built)} elements built for "
+        f"{sum(payload)} in payloads ({extra / len(texts):.2f} extra per action), "
+        f"{counts[1]} path compiles for {len(distinct)} distinct path texts "
+        f"({counts[1] / len(texts):.2f} per action); {wall_time * 1e6:.0f} us per parse"
+    )
+    return perf_record(
+        "submit_edge_calls",
+        args.seed,
+        wall_time,
+        len(distinct) / max(counts[1], 1),  # >= 1 while the gate holds
+        actions=len(texts),
+        elements_built=sum(built),
+        payload_elements=sum(payload),
+        actions_beyond_payload=sum(b != p for b, p in zip(built, payload)),
+        compiles=counts[1],
+        distinct_paths=len(distinct),
+    )
+
+
+def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec, plan_rec, submit_rec):
     """Reasons this run fails its gate.  Speedup ratios; wall time only
     where the measured pool floor says the machine can deliver one."""
     required = 1.0 if args.smoke else 2.0
@@ -604,6 +704,20 @@ def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec, plan_r
         )
 
 
+    if submit_rec["actions_beyond_payload"]:
+        yield (
+            f"{submit_rec['actions_beyond_payload']} of {submit_rec['actions']} action parses "
+            f"built {submit_rec['elements_built']} elements for {submit_rec['payload_elements']} "
+            "in their payloads: the <action> envelope is built as a Document again"
+        )
+    if submit_rec["compiles"] > submit_rec["distinct_paths"]:
+        yield (
+            f"{submit_rec['actions']} actions compiled paths {submit_rec['compiles']} times "
+            f"for {submit_rec['distinct_paths']} distinct path texts: a path text compiles "
+            "per parse again"
+        )
+
+
 def _configure(parser) -> None:
     parser.add_argument("--workers", type=int, default=4,
                         help="worker processes for Part B's parallel leg")
@@ -613,7 +727,7 @@ def main() -> int:
     return run_perf_bench(
         "P1", __doc__,
         [bench_queries, bench_sweep, bench_parser_scan, bench_locate_insert,
-         bench_service_template, bench_select_plan],
+         bench_service_template, bench_select_plan, bench_submit_edge],
         gates,
         configure=_configure,
     )

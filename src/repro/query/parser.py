@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import QuerySyntaxError
 from repro.query.ast import (
@@ -16,8 +16,9 @@ from repro.query.ast import (
     VarPath,
 )
 from repro.query.lexer import Token, tokenize
+from repro.xmlstore.names import QName
 from repro.xmlstore.nodes import Element, Node, Text
-from repro.xmlstore.parser import parse_document
+from repro.xmlstore.parser import scan_action
 from repro.xmlstore.path import PathExpr, parse_path
 from repro.xmlstore.serializer import serialize
 
@@ -225,28 +226,36 @@ def iter_comparisons(condition: Optional[Condition]):
 
 
 def parse_action(xml_text: str) -> UpdateAction:
-    """Parse an ``<action type="…">`` document (§3.1) to an UpdateAction."""
-    document = parse_document(xml_text, name="action")
-    return action_from_element(document.root)
+    """Parse an ``<action type="…">`` document (§3.1) to an UpdateAction.
+
+    The envelope is read without being built (:func:`scan_action`)."""
+    return _build_action(*scan_action(xml_text))
 
 
 def action_from_element(root: Element) -> UpdateAction:
     """Build an UpdateAction from an already-parsed ``<action>`` element."""
-    if root.name.local != "action":
-        raise QuerySyntaxError(f"expected <action>, found <{root.name.text}>")
-    type_text = root.attributes.get("type", "")
+    location = root.first_child("location")
+    children = [child for data_el in root.find_children("data") for child in data_el.children]
+    text = None if location is None else location.text_content()
+    return _build_action(root.name, root.attributes, text, children)
+
+
+def _build_action(name: QName, attributes: Dict[str, str], location_text: Optional[str],
+                  children: List[Node]) -> UpdateAction:
+    """What an ``<action>`` root means, read as :func:`scan_action` returns it."""
+    if name.local != "action":
+        raise QuerySyntaxError(f"expected <action>, found <{name.text}>")
+    type_text = attributes.get("type", "")
     try:
         action_type = ActionType.parse(type_text)
     except ValueError as exc:
         raise QuerySyntaxError(str(exc))
-    location_el = root.first_child("location")
-    if location_el is None:
+    if location_text is None:
         raise QuerySyntaxError("<action> is missing its <location> query")
-    location = parse_select(location_el.text_content())
-    children = [child for data_el in root.find_children("data") for child in data_el.children]
+    location = parse_select(location_text)
     data = [serialize(child) for child in children]
     anchor: Optional[Tuple[str, str]] = None
-    anchor_text = root.attributes.get("anchor")
+    anchor_text = attributes.get("anchor")
     if anchor_text:
         mode, _, node_id = anchor_text.partition(":")
         if mode not in ("before", "after") or not node_id:
@@ -256,7 +265,7 @@ def action_from_element(root: Element) -> UpdateAction:
         raise QuerySyntaxError(
             f"<action type={action_type.value!r}> requires a <data> payload"
         )
-    rebind = root.attributes.get("rebind", "") == "true"
+    rebind = attributes.get("rebind", "") == "true"
     prototypes = [[child] if _clone_parses(child) else None for child in children]
     return UpdateAction(action_type, location, tuple(data), anchor, rebind, (prototypes, None))
 

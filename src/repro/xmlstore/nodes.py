@@ -386,7 +386,11 @@ class Document:
         return node_id
 
     def _adopt_id(self, node: Node, node_id: NodeId) -> None:
-        """Re-register *node* under a preserved foreign id."""
+        """Re-register *node* under a preserved foreign id, which a detached
+        node may hold (a compensating re-insert replaces it), a live one not."""
+        holder = self._index.get(node_id)
+        if holder is not None and holder is not node and holder.is_attached():
+            raise XmlStructureError(f"node id {node_id!r} is held by a live node")
         old_id = node.node_id
         del self._index[old_id]
         node.node_id = node_id
@@ -459,15 +463,10 @@ class Document:
     def clone_tree(
         self, preserve_ids: bool = True, name: Optional[str] = None
     ) -> "Document":
-        """Structural copy of the document (replication, resync,
-        snapshots) — what a serialize→``parse_document`` round trip of a
-        parser- or update-built tree yields, without the text.
-
-        ``preserve_ids=True`` keeps every node's id (re-registered with
-        the copy, as a compensating action addressing the same ids must
-        resolve on the replica); ``preserve_ids=False`` is the
-        id-rebinding variant — the copy allocates fresh ids.
-        """
+        """Structural copy (replication, resync, snapshots): what a
+        serialize→``parse_document`` round trip yields, without the text.
+        ``preserve_ids=True`` keeps every node's id (a compensating action
+        addressing them must resolve on the replica); False: fresh ids."""
         copy = Document(self.name if name is None else name)
         if self.root is not None:
             copy.root = self.root.clone_into(copy, preserve_ids)

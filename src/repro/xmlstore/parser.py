@@ -29,7 +29,8 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import XmlParseError
-from repro.xmlstore.nodes import Document, Element
+from repro.xmlstore.names import QName
+from repro.xmlstore.nodes import Document, Element, Node, Text
 
 _ENTITIES = {
     "amp": "&",
@@ -119,13 +120,9 @@ def _attribute_error(text: str, pos: int) -> XmlParseError:
     return _error(text, pos + 1, f"unterminated construct: expected {quote!r}")
 
 
-def _parse_start_tag(
-    text: str, pos: int, document: Document, parent: Optional[Element]
-) -> Tuple[Element, int, bool]:
-    """Read the start tag at offset *pos* and create its element under
-    *parent* (``None``: as the document root).  Returns the element, the
-    offset after the tag and whether the tag left the element open.
-    """
+def _read_start_tag(text: str, pos: int) -> Tuple[str, Dict[str, str], int]:
+    """Read the name and attributes of the start tag at offset *pos*;
+    returns them and the offset of the tag's ``>`` or ``/>``."""
     match = _tag_open(text, pos)
     if match is None:
         raise _invalid_name(text, pos + 1)
@@ -145,14 +142,7 @@ def _parse_start_tag(
     pos = _skip_space(text, pos).end()
     if text[pos : pos + 1] not in ("", ">", "/", "?"):
         raise _attribute_error(text, pos)
-    if parent is None:
-        element = document.create_root(name)
-        element.attributes.update(attributes)
-    else:
-        element = parent.new_element(name, attributes)
-    if text.startswith("/>", pos):
-        return element, pos + 2, False
-    return element, _expect(text, pos, ">"), True
+    return name, attributes, pos
 
 
 def _skip_misc(text: str, pos: int) -> int:
@@ -170,18 +160,27 @@ def _skip_misc(text: str, pos: int) -> int:
             return pos
 
 
-def _parse_element(text: str, pos: int, document: Document, parent: Optional[Element]) -> int:
+def _parse_element(text: str, pos: int, document: Document, parent) -> int:
     """Parse the element at offset *pos* — start tag, content, end tag —
-    under *parent*; returns the offset after it."""
+    under *parent* (an element, a stand-in :func:`scan_action` reads
+    through, or None: as the document root); returns the offset after
+    it."""
     _expect(text, pos, "<")
     open_elements: List[Element] = []  # innermost last
     while True:
-        element, pos, is_open = _parse_start_tag(text, pos, document, parent)
-        if is_open:
+        name, attributes, pos = _read_start_tag(text, pos)
+        if parent is None:
+            element = document.create_root(name, attributes)
+        else:
+            element = parent.new_element(name, attributes)
+        if text.startswith("/>", pos):
+            pos += 2
+            if not open_elements:
+                return pos
+        else:
+            pos = _expect(text, pos, ">")
             open_elements.append(element)
             parent = element
-        elif not open_elements:
-            return pos
         while True:  # content of *parent*, up to the next start tag
             lt = text.find("<", pos)
             if lt < 0:
@@ -232,13 +231,78 @@ def parse_document(text: str, name: str = "") -> Document:
     information on malformed input.
     """
     document = Document(name)
+    _parse_root(text, document, None)
+    return document
+
+
+def _parse_root(text: str, document: Document, parent: Optional[_Unbuilt]) -> None:
     pos = _skip_misc(text, 0)
     if pos == len(text):
         raise _error(text, pos, "document contains no root element")
-    pos = _skip_misc(text, _parse_element(text, pos, document, None))
+    pos = _skip_misc(text, _parse_element(text, pos, document, parent))
     if pos < len(text):
         raise _error(text, pos, "content after the root element")
-    return document
+
+
+class _Unbuilt:
+    """An element :func:`scan_action` reads without building: its text
+    runs, and its descendants', join *texts* (None: dropped), as
+    ``text_content()`` reads them; below a ``<data>``, *nodes* (not
+    None) keeps its children, built in *document*."""
+
+    __slots__ = ("name", "texts", "nodes", "document")
+
+    def __init__(self, name: str, texts=None, nodes=None, document=None):
+        self.name = QName.parse(name)  # what the parser's errors name
+        self.texts, self.nodes, self.document = texts, nodes, document
+
+    def new_element(self, name: str, attributes: Dict[str, str]):
+        if self.nodes is None:
+            return _Unbuilt(name, self.texts)
+        self.nodes.append(Element(self.document, name, attributes))
+        return self.nodes[-1]
+
+    def new_text(self, run: str) -> None:
+        if self.nodes is not None:
+            self.nodes.append(Text(self.document, run))
+        elif self.texts is not None:
+            self.texts.append(run)
+
+
+class _Envelope(_Unbuilt):
+    """The ``<action>`` root (and, for its own start tag, its parent):
+    keeps its attributes, its first ``<location>``'s text runs and its
+    ``<data>`` children's children; text between its children is not
+    content."""
+
+    __slots__ = ("attributes", "location", "data")
+
+    def __init__(self, document: Document):
+        self.name, self.texts, self.nodes, self.document = None, None, None, document
+        self.attributes, self.location, self.data = {}, None, []
+
+    def new_element(self, name: str, attributes: Dict[str, str]) -> _Unbuilt:
+        if self.name is None:  # the root's own start tag
+            self.name, self.attributes = QName.parse(name), attributes
+            return self
+        if name == "location" and self.location is None:
+            self.location = []
+            return _Unbuilt(name, self.location)
+        return _Unbuilt(name, None, self.data if name == "data" else None, self.document)
+
+
+def scan_action(text: str) -> Tuple[QName, Dict[str, str], Optional[str], List[Node]]:
+    """Read an ``<action>`` document in one pass, building no envelope node.
+
+    Returns the root's name and attributes, its first ``<location>``
+    child's text as ``text_content()`` reads it (None: there is none)
+    and its ``<data>`` children's children, parsed into one scratch
+    ``Document("action")``.  Raises what :func:`parse_document` raises
+    on the same text."""
+    envelope = _Envelope(Document("action"))
+    _parse_root(text, envelope.document, envelope)
+    location = None if envelope.location is None else "".join(envelope.location)
+    return envelope.name, envelope.attributes, location, envelope.data
 
 
 def parse_fragment(text: str, document: Document) -> List[Element]:

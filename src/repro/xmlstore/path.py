@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isfinite
 from operator import eq
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
@@ -39,12 +40,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 from repro.errors import QuerySyntaxError
 from repro.obs.prof import PROF
 from repro.xmlstore.names import (
-    AXML_PREFIX,
-    QName,
-    is_axml_meta_name,
-    is_sc_name,
-    is_valid_name,
-)
+    AXML_PREFIX, QName, is_axml_meta_name, is_sc_name, is_valid_name)
 from repro.xmlstore.nodes import Document, Element, Node, Text
 
 
@@ -393,11 +389,8 @@ def _logical_children(node: Element, step: Step) -> List[Element]:
 
 
 def _logical_descendants(node: Element) -> List[Element]:
-    """Descendant-or-self elements, skipping axml metadata subtrees.
-
-    ``axml:sc`` elements themselves are yielded (so ``//axml:sc`` works)
-    but their params/handler regions are not content.
-    """
+    """Descendant-or-self elements, skipping axml metadata subtrees: an
+    ``axml:sc`` is yielded (``//axml:sc`` works), its params/handlers not."""
     out: List[Element] = []
     stack: List[Element] = [node]
     while stack:
@@ -448,8 +441,14 @@ def parse_path(text: str) -> PathExpr:
 
     A leading ``//`` makes the first step a descendant step (e.g.
     ``ATPList//player`` has steps ``[child ATPList, descendant player]``;
-    ``//player`` alone has ``[descendant player]``).
+    ``//player`` alone has ``[descendant player]``).  One expression is
+    shared per text (:func:`_parsed_path`), so its plan compiles once.
     """
+    return _parsed_path(text)
+
+
+@lru_cache(maxsize=4096)  # a PathExpr is frozen but for its own plan; errors are not cached
+def _parsed_path(text: str) -> PathExpr:
     text = text.strip()
     if not text:
         raise QuerySyntaxError("empty path expression")

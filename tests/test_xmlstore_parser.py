@@ -6,11 +6,11 @@ import sys
 import pytest
 
 from repro.axml.document import AXMLDocument
-from repro.errors import XmlParseError
+from repro.errors import XmlParseError, XmlStructureError
 from repro.p2p.distribution import distribute_fragment
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.xmlstore.nodes import Document
+from repro.xmlstore.nodes import Document, NodeId
 from repro.xmlstore.parser import parse_document, parse_fragment
 from repro.xmlstore.serializer import (
     canonical,
@@ -299,6 +299,14 @@ class TestIdPersistence:
         doc = parse_document("<r><a/><b/></r>")
         restored = parse_document(serialize(doc, include_ids=True))
         assert rebind_ids(restored) == 3
+
+    def test_rebind_refuses_a_repeated_id(self):
+        """A text that gives two elements one ``repro:id`` is hostile
+        input: the second may not silently take the id from the first."""
+        restored = parse_document('<r><a repro:id="d1.n5"/><b repro:id="d1.n5"/></r>')
+        with pytest.raises(XmlStructureError, match="d1.n5 is held by a live node"):
+            rebind_ids(restored)
+        assert restored.get_node(NodeId.parse("d1.n5")).name.local == "a"
 
 
 class TestFragments:

@@ -5,7 +5,8 @@ Runs the non-test traffic in this process under one ``sys.setprofile`` hook: the
 eight ``python -m repro ...`` figure/report commands, the non-pytest
 ``run: PYTHONPATH=src python ...`` lines of ``.github/workflows/ci.yml``, and ``pytest``
 over the paper-claim benches (``bench_e*``, ``bench_a*``, ``bench_fig*``).  Prints per
-item its exit status and the ``PROF`` counters on either side of each fork, then every
+item its exit status, the ``PROF`` counters on either side of each fork and the traffic
+of the ``parse_path`` memo (hits, misses, size; emptied per item), then every
 function under ``src/repro/`` none of it entered, with their line total — candidates
 for ROADMAP item 8; check tests and docs/PAPER_MAP.md first.  Not seen: pool workers,
 and ``bench_p1`` after its Part C installs its own hook.
@@ -92,9 +93,13 @@ if __name__ == "__main__":
     for item in traffic():
         status = run(item)
         from repro.obs.prof import PROF  # only now: the hook has seen the import
+        from repro.xmlstore.path import _parsed_path  # the parse_path memo
         forks = {n: v for n, v in sorted(PROF.counters.items()) if n.startswith(FORK_COUNTERS)}
-        print(f"exit {status}  {' '.join(item)}\n    {forks}")
+        memo = _parsed_path.cache_info()
+        print(f"exit {status}  {' '.join(item)}\n    {forks}\n    parse_path memo: "
+              f"{memo.hits} hits, {memo.misses} misses, {memo.currsize} texts")
         PROF.counters.clear()  # not reset(): the hook is still armed
+        _parsed_path.cache_clear()
     functions = defined_functions()
     idle = sorted(set(functions) - entered)
     print(
