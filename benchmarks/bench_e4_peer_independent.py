@@ -19,7 +19,7 @@ from repro.axml.document import AXMLDocument
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.sim.rng import SeededRng
 from repro.sim.harness import ExperimentTable
@@ -44,10 +44,7 @@ def build(peer_independent: bool, with_replicas: bool):
         replication.register_primary(doc_name, name)
         peer.host_service(
             UpdateService(
-                ServiceDescriptor(
-                    f"book{name}", kind="update", params=(ParamSpec("c"),),
-                    target_document=doc_name,
-                ),
+                ServiceDescriptor(f"book{name}", params=("c",), target_document=doc_name),
                 f'<action type="insert"><data><slot c="$c"/></data>'
                 f"<location>Select d from d in {doc_name}//slots;</location></action>",
             )

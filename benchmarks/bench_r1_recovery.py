@@ -37,7 +37,7 @@ from _util import perf_record, run_perf_bench
 from repro.axml.document import AXMLDocument
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.modes import DurabilityPolicy
 
@@ -59,10 +59,7 @@ def _durable_world(directory: str, checkpoint_every: int):
     )
     worker.host_document(AXMLDocument.from_xml("<D><slots/></D>", name="D"))
     worker.host_service(UpdateService(
-        ServiceDescriptor(
-            "book", kind="update", params=(ParamSpec("c"),),
-            target_document="D",
-        ),
+        ServiceDescriptor("book", params=("c",), target_document="D"),
         '<action type="insert"><data><slot c="$c"/></data>'
         "<location>Select d from d in D//slots;</location></action>",
     ))

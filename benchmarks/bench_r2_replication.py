@@ -40,7 +40,7 @@ from repro.chaos.shrink import summary_text
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 
@@ -110,10 +110,7 @@ def primary_with_replica():
     primary = AXMLPeer("AP2", network)
     primary.host_document(AXMLDocument.from_xml(SHOP2, name="Shop2"))
     primary.host_service(UpdateService(
-        ServiceDescriptor(
-            "setPrice", kind="update", params=(ParamSpec("price"),),
-            target_document="Shop2",
-        ),
+        ServiceDescriptor("setPrice", params=("price",), target_document="Shop2"),
         SET_PRICE,
     ))
     replication.register_primary("Shop2", "AP2")

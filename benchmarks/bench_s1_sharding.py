@@ -40,7 +40,7 @@ from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
 from repro.p2p.sharding import ShardCoordinator, ShardRing
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 
 D1 = "<D1><items/></D1>"
@@ -125,10 +125,7 @@ def bench_migration_disruption(args) -> dict:
     primary = ring.primary("D1")  # AP3 with seed 42 (pinned by the tests)
     peers[primary].host_document(AXMLDocument.from_xml(D1, name="D1"))
     peers[primary].host_service(UpdateService(
-        ServiceDescriptor(
-            "addItem", kind="update", params=(ParamSpec("v"),),
-            target_document="D1",
-        ),
+        ServiceDescriptor("addItem", params=("v",), target_document="D1"),
         ADD_ITEM,
     ))
     replication.register_primary("D1", primary)

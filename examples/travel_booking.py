@@ -29,7 +29,6 @@ from repro import (
     SimNetwork,
     UpdateService,
 )
-from repro.services.descriptor import ParamSpec
 from repro.xmlstore.serializer import canonical
 
 
@@ -57,8 +56,7 @@ def build_world(peer_independent: bool):
             UpdateService(
                 ServiceDescriptor(
                     method,
-                    kind="update",
-                    params=(ParamSpec("customer"),),
+                    params=("customer",),
                     target_document=doc_name,
                 ),
                 f'<action type="insert"><data><{unit} customer="$customer"/></data>'

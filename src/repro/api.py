@@ -41,7 +41,7 @@ from repro.p2p.failure import FailureInjector
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import DelegatingService, FunctionService, Service
 from repro.sim.scenarios import (
     ATPLIST_XML,
@@ -313,26 +313,14 @@ class Cluster:
         cluster.host_service(
             "AP2",
             FunctionService(
-                ServiceDescriptor(
-                    "getPoints",
-                    kind="function",
-                    params=(ParamSpec("name"),),
-                    result_name="points",
-                    compensatable=False,
-                ),
+                ServiceDescriptor("getPoints", params=("name",)),
                 body=lambda params: [f"<points>{points_value}</points>"],
             ),
         )
         cluster.host_service(
             "AP3",
             FunctionService(
-                ServiceDescriptor(
-                    "getGrandSlamsWonbyYear",
-                    kind="function",
-                    params=(ParamSpec("name"), ParamSpec("year")),
-                    result_name="grandslamswon",
-                    compensatable=False,
-                ),
+                ServiceDescriptor("getGrandSlamsWonbyYear", params=("name", "year")),
                 body=lambda params: [
                     f'<grandslamswon year="{params["year"]}">A, F</grandslamswon>'
                 ],
@@ -386,12 +374,7 @@ class Cluster:
             cluster.host_service(
                 peer_id,
                 DelegatingService(
-                    ServiceDescriptor(
-                        method,
-                        kind="delegating",
-                        target_document=f"D{peer_id[2:]}",
-                        result_name="entry",
-                    ),
+                    ServiceDescriptor(method, target_document=f"D{peer_id[2:]}"),
                     delegations=topology.get(peer_id, []),
                     local_action_template=_marker_action(peer_id),
                     extra_fragments=(

@@ -52,7 +52,7 @@ from repro.obs import run_summary
 from repro.obs.prof import profiled
 from repro.query.parser import parse_action  # noqa: F401 - alias benchmarks/e2e's tracer test reads
 from repro.query.update import apply_action
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import DelegatingService
 from repro.sim.rng import SeededRng, stable_seed
 from repro.sim.scheduler import COMMITTED, InvokeOp, TxnResult, TxnSpec
@@ -314,15 +314,9 @@ def _chaos_service(index: int, providers: int) -> DelegatingService:
     delegations = [
         (f"AP{c}", f"S{c}") for c in _provider_children(index, providers)
     ]
-    descriptor = ServiceDescriptor(
-        method_name=f"S{index}",
-        kind="delegating",
-        params=(ParamSpec("tag"), ParamSpec("step")),
-        target_document=f"D{index}",
-        description="chaos marker service",
-    )
     return DelegatingService(
-        descriptor, delegations,
+        ServiceDescriptor(f"S{index}", params=("tag", "step"), target_document=f"D{index}"),
+        delegations,
         local_action_template=_marker_template(f"D{index}"),
     )
 

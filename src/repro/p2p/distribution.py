@@ -98,13 +98,7 @@ def distribute_fragment(
     target.host_document(AXMLDocument(fragment_document, name=fragment_doc_name))
     target.host_service(
         QueryService(
-            ServiceDescriptor(
-                method_name,
-                kind="query",
-                target_document=fragment_doc_name,
-                result_name=subtree.name.local,
-                description=f"serves the distributed fragment of {document_name}",
-            ),
+            ServiceDescriptor(method_name, target_document=fragment_doc_name),
             # The fragment document is addressed by its document name (its
             # root element keeps the subtree's original name).
             f"Select f from f in {fragment_doc_name};",
@@ -169,12 +163,7 @@ def remote_subquery(
     if not host.registry.has(method):
         host.host_service(
             QueryService(
-                ServiceDescriptor(
-                    method,
-                    kind="query",
-                    target_document=placement.fragment_document,
-                    result_name="result",
-                ),
+                ServiceDescriptor(method, target_document=placement.fragment_document),
                 "$q",
             )
         )

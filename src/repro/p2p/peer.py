@@ -48,7 +48,6 @@ from repro.services.registry import ServiceRegistry
 from repro.services.service import Service, ServiceResponse
 from repro.obs.spans import Span
 from repro.outcome import Outcome
-from repro.sim.rng import SeededRng, stable_seed
 from repro.txn.manager import TransactionManager
 from repro.txn.modes import DurabilityPolicy
 from repro.txn.peer_independent import dispatch_compensations
@@ -106,7 +105,6 @@ class AXMLPeer:
         parent_watch_interval: Optional[float] = None,
         occ: bool = False,
         injector=None,
-        seed: int = 0,
         durability: Optional[DurabilityPolicy] = None,
     ):
         self.peer_id = peer_id
@@ -159,10 +157,6 @@ class AXMLPeer:
                 document_source=self._snapshot_documents,
             )
             self.manager.log.attach(self.wal)
-        # Per-peer stream derived with a process-stable digest — never
-        # hash(), whose per-process salting (PYTHONHASHSEED) would make
-        # "seeded" runs irreproducible across interpreter processes.
-        self.rng = SeededRng(stable_seed(seed, peer_id))
         #: Caller-side fault policies per remote method (§3.2 handlers).
         self.fault_policies: Dict[str, List[FaultPolicy]] = {}
         #: txn id → this peer's protocol state for the transaction.
@@ -264,9 +258,6 @@ class AXMLPeer:
     # ------------------------------------------------------------------
     # ServiceHost protocol (what hosted services may ask of us)
     # ------------------------------------------------------------------
-
-    def random(self) -> float:
-        return self.rng.random()
 
     def record_changes(self, records, document_name: str, action_xml: str, action) -> None:
         """ServiceHost hook: log tree changes as the service makes them."""

@@ -11,7 +11,7 @@ paper's needs:
 * :class:`UpdateService` — ditto for updates; the provider can derive
   the compensating-service definition from the returned records (§3.2);
 * :class:`FunctionService` — a generic web service backed by a Python
-  callable, with optional named-fault injection;
+  callable (it faults by raising :class:`~repro.errors.ServiceFault`);
 * :class:`DelegatingService` — a service that invokes services on other
   peers while executing (distributed nesting, §1): the shape of Fig. 1's
   S2→S3→S5 chains.
@@ -27,29 +27,15 @@ from itertools import islice
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.axml.document import AXMLDocument
-from repro.axml.materialize import Resolver, run_action
-from repro.errors import ReproError, ServiceError, ServiceFault
+from repro.axml.materialize import OperationOutcome, Resolver, run_action
+from repro.errors import ReproError, ServiceError
 from repro.obs.prof import PROF
-from repro.query.ast import (
-    ActionType,
-    BooleanCondition,
-    Comparison,
-    Condition,
-    SelectQuery,
-    UpdateAction,
-)
-from repro.query.lexer import KEYWORDS
-from repro.query.parser import (
-    action_from_element,
-    iter_comparisons,
-    parse_action,
-    parse_select,
-)
-from repro.query.update import ChangeRecord, UpdateResult, apply_action
+from repro.query.ast import ActionType, UpdateAction
+from repro.query.parser import action_from_element, parse_action, parse_select
+from repro.query.update import ChangeRecord
 from repro.services.descriptor import ServiceDescriptor
 from repro.xmlstore.nodes import Text
 from repro.xmlstore.parser import parse_document
-from repro.xmlstore.path import TraversalMeter
 from repro.xmlstore.serializer import serialize
 
 
@@ -87,10 +73,6 @@ class ServiceHost(Protocol):
         """
         ...
 
-    def random(self) -> float:
-        """A float in [0, 1) from the host's seeded RNG."""
-        ...
-
 
 @dataclass
 class ServiceResponse:
@@ -100,8 +82,6 @@ class ServiceResponse:
     records: List[ChangeRecord] = field(default_factory=list)
     document_name: str = ""
     nodes_affected: int = 0
-    #: (peer, method) pairs this execution invoked remotely, in order.
-    remote_invocations: List[Tuple[str, str]] = field(default_factory=list)
 
 
 class Service:
@@ -145,20 +125,18 @@ _MARK = "zzhole"
 _SENTINEL = re.compile(_MARK + r"(\d+)zz")
 
 #: The values a compiled template binds: one word of characters that
-#: are inert in XML character data, in a quoted attribute value and in
-#: a Select token alike, so putting one where a sentinel stood cannot
-#: change the parse.  Deliberately narrow — whatever it turns away
-#: (spaces, markup, quotes, non-ASCII, the empty string) is still served,
-#: through the text path.
+#: are inert in XML character data and in a quoted attribute value
+#: alike, so putting one where a sentinel stood cannot change the parse.
+#: Deliberately narrow — whatever it turns away (spaces, markup, quotes,
+#: non-ASCII, the empty string) is still served, through the text path.
 _inert = re.compile(r"[A-Za-z0-9_.:-]+").fullmatch
 
 
 def _bindable(params: Dict[str, str], names: Iterable[str]) -> bool:
-    """Whether every hole has an inert value (and no Select keyword,
-    which the lexer would not read as a literal)."""
+    """Whether every hole has an inert value."""
     for name in names:
         value = params.get(name)
-        if not isinstance(value, str) or _inert(value) is None or value.lower() in KEYWORDS:
+        if not isinstance(value, str) or _inert(value) is None:
             return False
     return True
 
@@ -190,87 +168,19 @@ def _format_of(rendered: str, names: Sequence[str]) -> str:
     )
 
 
-def _literal_holes(query: SelectQuery) -> Dict[str, int]:
-    """sentinel → hole number, for each hole that is the whole literal of
-    a where-comparison — the one place in a Select where a value is data."""
-    matches = (_SENTINEL.fullmatch(c.literal) for c in iter_comparisons(query.where))
-    return {match[0]: int(match[1]) for match in matches if match is not None}
-
-
-def _all_found_once(found: Sequence[int], names: Sequence[str]) -> bool:
-    """Whether every hole landed, exactly once, where a value is data."""
-    return sorted(found) == list(range(len(names)))
-
-
-def _bind_where(condition: Condition, literals: Dict[str, str]) -> Condition:
-    if isinstance(condition, Comparison):
-        literal = literals.get(condition.literal)
-        if literal is None:
-            return condition
-        return Comparison(condition.left, condition.op, literal)
-    return BooleanCondition(
-        condition.op, tuple(_bind_where(part, literals) for part in condition.parts)
-    )
-
-
-def _bind_query(
-    query: SelectQuery, literal_names: Dict[str, str], params: Dict[str, str]
-) -> SelectQuery:
-    """*query* with each sentinel literal replaced by the value of the
-    parameter it stands for; *query* itself when it has none."""
-    if not literal_names:
-        return query
-    literals = {sentinel: params[name] for sentinel, name in literal_names.items()}
-    return SelectQuery(
-        query.select_paths, query.var, query.source, _bind_where(query.where, literals)
-    )
-
-
-class SelectTemplate:
-    """A Select statement with ``$name`` holes, parsed once.
-
-    :meth:`bind` returns the :class:`~repro.query.ast.SelectQuery` that
-    ``parse_select(substitute(text, params))`` builds.  When every hole
-    is the whole literal of a where-comparison and every value is inert
-    (see ``_inert``), it gets there by rebuilding the where-clause around
-    the values; otherwise — a hole in a path or name, a value with a
-    space or a quote in it, a template that does not parse — by
-    substituting and parsing the text, errors included.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self._query: Optional[SelectQuery] = None  # None: text only
-        try:
-            filled, names = _fill_with_sentinels(text)
-            query = parse_select(filled)
-        except (ValueError, ReproError):
-            return  # binding raises what this text has always raised
-        holes = _literal_holes(query)
-        if _all_found_once(list(holes.values()), names):
-            self._query = query
-            self._literal_names = {sentinel: names[i] for sentinel, i in holes.items()}
-
-    def bind(self, params: Dict[str, str]) -> SelectQuery:
-        if self._query is not None and _bindable(params, self._literal_names.values()):
-            PROF.incr("service_template_bound")
-            return _bind_query(self._query, self._literal_names, params)
-        PROF.incr("service_template_text")
-        return parse_select(substitute(self.text, params))
-
-
 class ActionTemplate:
     """An ``<action>`` document with ``$name`` holes, parsed once.
 
     :meth:`bind` returns what ``parse_action(substitute(text, params))``
-    builds, plus that action's ``to_xml()`` text for the log.  A hole is
-    bound without parsing where its value is data — in an attribute
-    value or character data below ``<data>``, or as the whole literal of
-    a where-comparison of the ``<location>`` — and inert (see
-    ``_inert``): the data fragments and the logged text are then
-    ``%``-formatted from canonical text split at the holes, and a
-    hole-free location is shared by every bound action.  Anything else
-    takes the text path, errors included, as for :class:`SelectTemplate`.
+    builds, plus that action's ``to_xml()`` text for the log.  When every
+    hole sits where its value is data — in an attribute value or
+    character data below ``<data>`` — and every value is inert (see
+    ``_inert``), the data fragments and the logged text are
+    ``%``-formatted from canonical text split at the holes, and the
+    location is shared by every bound action.  Anything else — a hole in
+    the ``<location>`` or in markup, a value with a space or a quote in
+    it, a template that does not parse — takes the text path, errors
+    included.
     """
 
     def __init__(self, text: str):
@@ -282,17 +192,15 @@ class ActionTemplate:
             action = action_from_element(root)
         except (ValueError, ReproError):
             return  # binding raises what this text has always raised
-        holes = _literal_holes(action.location)
-        found = list(holes.values())
+        found: List[int] = []
         for data_element in root.find_children("data"):
             for node in islice(data_element.iter(), 1, None):  # below <data>
                 values = [node.value] if isinstance(node, Text) else node.attributes.values()
                 found.extend(int(i) for value in values for i in _SENTINEL.findall(value))
-        if _all_found_once(found, names):
+        if sorted(found) == list(range(len(names))):  # each hole once, below <data>
             self._action = action
             self._hole_names = names
             self._names = tuple(dict.fromkeys(names))
-            self._literal_names = {sentinel: names[i] for sentinel, i in holes.items()}
             self._data_formats = [_format_of(fragment, names) for fragment in action.data]
             self._xml_format = _format_of(action.to_xml(), names)
 
@@ -307,7 +215,7 @@ class ActionTemplate:
                 prototypes = (template._prototypes[0], fill)
             action = UpdateAction(
                 template.action_type,
-                _bind_query(template.location, self._literal_names, params),
+                template.location,
                 tuple(fragment % params for fragment in self._data_formats),
                 template.anchor,
                 template.rebind,
@@ -319,26 +227,30 @@ class ActionTemplate:
         return action, action.to_xml()
 
 
-def _apply_template(
-    template: ActionTemplate,
-    params: Dict[str, str],
+def _run_local(
+    action: UpdateAction,
+    action_xml: str,
     descriptor: ServiceDescriptor,
     host: ServiceHost,
-) -> Tuple[UpdateResult, ServiceResponse]:
-    """Bind *template*, apply the action to its document and log the
-    changes before anything else happens: a later delegation may fail,
-    and the local work must already be compensatable."""
-    action, action_xml = template.bind(params)
+    evaluation: str = "lazy",
+) -> Tuple[OperationOutcome, ServiceResponse]:
+    """Run *action* on its document and log the changes before anything
+    else happens: a later delegation may fail, and the local work must
+    already be compensatable.  A query materializes the embedded calls it
+    needs (§3.1) and answers with the nodes it selected."""
     document_name = descriptor.target_document or action.location.document_name
-    axml_document = host.get_axml_document(document_name)
-    meter = TraversalMeter()
-    result = apply_action(axml_document.document, action, meter)
-    if result.records:
-        host.record_changes(result.records, document_name, action_xml, action)
-    return result, ServiceResponse(
-        records=list(result.records),
+    query = action.action_type is ActionType.QUERY
+    resolver = host.materialization_resolver() if query else None  # only a query reads it
+    outcome = run_action(action, host.get_axml_document(document_name), resolver, evaluation)
+    records = outcome.change_records()
+    if records:
+        host.record_changes(records, document_name, action_xml, action)
+    selected = outcome.query_result.all_nodes() if query else ()
+    return outcome, ServiceResponse(
+        fragments=[serialize(node) for node in selected],
+        records=records,
         document_name=document_name,
-        nodes_affected=meter.nodes_traversed,
+        nodes_affected=outcome.nodes_affected,
     )
 
 
@@ -360,28 +272,12 @@ class QueryService(Service):
         super().__init__(descriptor)
         if evaluation not in ("lazy", "eager"):
             raise ServiceError(f"evaluation must be lazy or eager, not {evaluation!r}")
-        self.template = SelectTemplate(template)
+        self.template = template
         self.evaluation = evaluation
 
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
-        query = self.template.bind(params)
-        document_name = self.descriptor.target_document or query.document_name
-        action = UpdateAction(ActionType.QUERY, query)
-        outcome = run_action(
-            action,
-            host.get_axml_document(document_name),
-            host.materialization_resolver(),
-            self.evaluation,
-        )
-        records = outcome.change_records()
-        if records:
-            host.record_changes(records, document_name, action.to_xml(), action)
-        return ServiceResponse(
-            fragments=[serialize(node) for node in outcome.query_result.all_nodes()],
-            records=records,
-            document_name=document_name,
-            nodes_affected=outcome.nodes_affected,
-        )
+        action = UpdateAction(ActionType.QUERY, parse_select(substitute(self.template, params)))
+        return _run_local(action, action.to_xml(), self.descriptor, host, self.evaluation)[1]
 
 
 class UpdateService(Service):
@@ -398,10 +294,12 @@ class UpdateService(Service):
         self.template = ActionTemplate(template)
 
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
-        result, response = _apply_template(self.template, params, self.descriptor, host)
-        response.fragments = [
-            f'<inserted id="{node_id!r}"/>' for node_id in result.inserted_ids
-        ] or [f'<updated count="{result.target_count}"/>']
+        outcome, response = _run_local(*self.template.bind(params), self.descriptor, host)
+        result = outcome.update_result
+        if result is not None:
+            response.fragments = [
+                f'<inserted id="{node_id!r}"/>' for node_id in result.inserted_ids
+            ] or [f'<updated count="{result.target_count}"/>']
         return response
 
 
@@ -412,34 +310,17 @@ FunctionBody = Callable[[Dict[str, str]], List[str]]
 class FunctionService(Service):
     """A generic web service backed by a Python callable.
 
-    ``fault_name``/``fault_probability`` inject named faults through the
-    host's seeded RNG — the raw material of §3.2's fault handlers.
-    Generic services are non-compensatable unless an ``inverse`` body is
-    supplied (e.g. *Book Hotel* / *Cancel Hotel Booking*).
+    The body faults by raising :class:`~repro.errors.ServiceFault`; a
+    scripted fault at a chosen point is the
+    :class:`~repro.axml.faults.FailureInjector`'s job.
     """
 
-    def __init__(
-        self,
-        descriptor: ServiceDescriptor,
-        body: FunctionBody,
-        inverse: Optional[FunctionBody] = None,
-        fault_name: str = "",
-        fault_probability: float = 0.0,
-    ):
+    def __init__(self, descriptor: ServiceDescriptor, body: FunctionBody):
         super().__init__(descriptor)
         self.body = body
-        self.inverse = inverse
-        self.fault_name = fault_name
-        self.fault_probability = fault_probability
 
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
-        if self.fault_probability > 0 and host.random() < self.fault_probability:
-            raise ServiceFault(
-                self.fault_name or "ServiceFailure",
-                f"injected fault in {self.method_name}",
-            )
-        fragments = list(self.body(params))
-        return ServiceResponse(fragments=fragments)
+        return ServiceResponse(fragments=list(self.body(params)))
 
 
 class DelegatingService(Service):
@@ -473,16 +354,9 @@ class DelegatingService(Service):
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
         response = ServiceResponse()
         if self.local_action_template is not None:
-            result, response = _apply_template(
-                self.local_action_template, params, self.descriptor, host
-            )
-            if result.action.action_type is ActionType.QUERY and result.query_result:
-                response.fragments.extend(
-                    serialize(node) for node in result.query_result.all_nodes()
-                )
+            action, action_xml = self.local_action_template.bind(params)
+            response = _run_local(action, action_xml, self.descriptor, host)[1]
         for target_peer, method_name in self.delegations:
-            fragments = host.invoke_remote(target_peer, method_name, params)
-            response.fragments.extend(fragments)
-            response.remote_invocations.append((target_peer, method_name))
+            response.fragments.extend(host.invoke_remote(target_peer, method_name, params))
         response.fragments.extend(self.extra_fragments)
         return response

@@ -71,7 +71,7 @@ def build_throughput_cluster(
     peers: Dict[str, AXMLPeer] = {}
     for index in range(1, peer_count + 1):
         peer_id = f"AP{index}"
-        peer = AXMLPeer(peer_id, network, occ=True, seed=seed)
+        peer = AXMLPeer(peer_id, network, occ=True)
         doc_rng = SeededRng(stable_seed(seed, f"catalogue:{peer_id}"))
         peer.host_document(
             generate_catalogue(doc_rng, items, name=f"Catalogue{index}")

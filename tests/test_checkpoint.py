@@ -17,7 +17,7 @@ from repro.chaos.planner import FaultEvent
 from repro.p2p.failure import POINTS, FailureInjector
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.checkpoint import Checkpoint, CheckpointStore
 from repro.txn.modes import DurabilityPolicy
@@ -45,10 +45,7 @@ def durable_world(tmp_path, **policy_kwargs):
     )
     worker.host_document(AXMLDocument.from_xml("<D><slots/></D>", name="D"))
     worker.host_service(UpdateService(
-        ServiceDescriptor(
-            "book", kind="update", params=(ParamSpec("c"),),
-            target_document="D",
-        ),
+        ServiceDescriptor("book", params=("c",), target_document="D"),
         '<action type="insert"><data><slot c="$c"/></data>'
         "<location>Select d from d in D//slots;</location></action>",
     ))

@@ -12,7 +12,7 @@ from repro.cli import main
 from repro.p2p.failure import FailureInjector
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.modes import DurabilityPolicy
 from repro.xmlstore.serializer import canonical
@@ -27,10 +27,7 @@ def durable_world(tmp_path):
     )
     worker.host_document(AXMLDocument.from_xml("<D><slots/></D>", name="D"))
     worker.host_service(UpdateService(
-        ServiceDescriptor(
-            "book", kind="update", params=(ParamSpec("c"),),
-            target_document="D",
-        ),
+        ServiceDescriptor("book", params=("c",), target_document="D"),
         '<action type="insert"><data><slot c="$c"/></data>'
         "<location>Select d from d in D//slots;</location></action>",
     ))

@@ -3,11 +3,14 @@
 Peer RNG streams used to be derived with ``seed ^ hash(peer_id)``;
 ``hash(str)`` is salted per process (PYTHONHASHSEED), so the "same"
 seeded run produced different fault patterns in different interpreter
-processes.  The regression test runs one fault-probability scenario in
-two subprocesses with *different* hash seeds and asserts the protocol
-traces come out identical.
+processes.  Every seeded stream now comes from :func:`stable_seed`.
+The regression test runs one small chaos run — planned service faults,
+crashes and a replica, all drawn from seeded streams — in two
+subprocesses with *different* hash seeds and asserts the summaries come
+out identical.
 """
 
+import json
 import os
 import pathlib
 import subprocess
@@ -17,48 +20,14 @@ from repro.sim.rng import SeededRng, stable_seed
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-#: A run whose trace depends on per-peer RNG draws: three workers host
-#: flaky services (fault_probability=0.5 drawn from the hosting peer's
-#: RNG); eight transactions invoke them until one faults.
+#: A run whose summary depends on every seeded stream: the fault plan,
+#: the workload, the scheduler's arrivals and the ring of replicas.
 SCENARIO_SCRIPT = """
-from repro.axml.document import AXMLDocument
-from repro.errors import ServiceFault
-from repro.p2p.network import SimNetwork
-from repro.p2p.peer import AXMLPeer
-from repro.services.descriptor import ServiceDescriptor
-from repro.services.service import FunctionService
-from repro.sim.trace import TraceRecorder
+import json
+from repro.chaos import ChaosConfig, run_chaos
 
-network = SimNetwork()
-origin = AXMLPeer("alpha", network, seed=11)
-workers = []
-for name in ("beta", "gamma", "delta"):
-    peer = AXMLPeer(name, network, seed=11)
-    peer.host_document(
-        AXMLDocument.from_xml("<D><items/></D>", name="D_" + name)
-    )
-    peer.host_service(
-        FunctionService(
-            ServiceDescriptor("flaky_" + name, kind="function"),
-            body=lambda params: ["<ok/>"],
-            fault_name="Flaky",
-            fault_probability=0.5,
-        )
-    )
-    workers.append(peer)
-
-recorder = TraceRecorder(network)
-for _ in range(8):
-    txn = origin.begin_transaction()
-    try:
-        for peer in workers:
-            origin.invoke(txn.txn_id, peer.peer_id, "flaky_" + peer.peer_id, {})
-    except ServiceFault:
-        continue  # backward recovery already aborted the transaction
-    origin.commit(txn.txn_id)
-
-for event in recorder.events:
-    print(f"{event.kind}:{event.source}->{event.target}:{event.detail}")
+config = ChaosConfig(seed=4, txns=12, fault_rate=0.3, crash_rate=0.1, replicas=1)
+print(json.dumps(run_chaos(config).summary, sort_keys=True))
 """
 
 
@@ -95,7 +64,9 @@ class TestCrossProcessDeterminism:
         first = _run_with_hash_seed("0")
         second = _run_with_hash_seed("4242")
         assert first == second
-        # The scenario must actually exercise RNG-dependent branches,
-        # otherwise this test would pass vacuously.
-        assert "fault:" in first
-        assert "invoke:" in first
+        # The run must actually take seeded fault branches, otherwise
+        # this test would pass vacuously.
+        summary = json.loads(first)
+        kinds = {event["kind"] for event in summary["plan"]["events"]}
+        assert {"service_fault", "crash"} <= kinds
+        assert set(summary["outcomes"].values()) - {"committed"}

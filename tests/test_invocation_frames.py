@@ -13,7 +13,7 @@ from repro.axml.document import AXMLDocument
 from repro.p2p.messages import AbortMessage
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import DelegatingService
 from repro.txn.recovery import FaultPolicy
 from repro.txn.transaction import TransactionState
@@ -32,10 +32,7 @@ def marker_peer(network, peer_id, delegations=(), **kwargs):
     doc = f"D{peer_id}"
     peer.host_document(AXMLDocument.from_xml(f"<{doc}/>", name=doc))
     peer.host_service(DelegatingService(
-        ServiceDescriptor(
-            f"S{peer_id}", kind="delegating", params=(ParamSpec("step"),),
-            target_document=doc,
-        ),
+        ServiceDescriptor(f"S{peer_id}", params=("step",), target_document=doc),
         [(target, f"S{target}") for target in delegations],
         local_action_template=MARK.format(doc=doc),
     ))

@@ -17,7 +17,7 @@ from repro.errors import P2PError
 from repro.obs import stable_json
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.sim.harness import ExperimentTable
 from repro.txn.occ import ValidationConflict
@@ -156,10 +156,7 @@ def _pair(target_document="Shop2", occ=False):
             f"<{name}><item><price>10</price></item></{name}>", name=name
         ))
     b.host_service(UpdateService(
-        ServiceDescriptor(
-            "setPrice", kind="update", params=(ParamSpec("price"),),
-            target_document=target_document,
-        ),
+        ServiceDescriptor("setPrice", params=("price",), target_document=target_document),
         SET_PRICE.format(doc=target_document),
     ))
     return network, a, b

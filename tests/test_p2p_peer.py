@@ -7,7 +7,7 @@ from repro.errors import PeerDisconnected, ServiceFault, TransactionError
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import FunctionService, UpdateService
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 from repro.txn.transaction import TransactionState
@@ -30,14 +30,15 @@ def make_pair(peer_independent=False, chaining=True):
     ap2.host_document(AXMLDocument.from_xml(SHOP.replace("Shop", "Shop2"), name="Shop2"))
     ap2.host_service(
         UpdateService(
-            ServiceDescriptor(
-                "setPrice", kind="update", params=(ParamSpec("price"),),
-                target_document="Shop2",
-            ),
+            ServiceDescriptor("setPrice", params=("price",), target_document="Shop2"),
             SET_PRICE.replace("Shop//item", "Shop2//item"),
         )
     )
     return network, ap1, ap2
+
+
+def _boom(params):
+    raise ServiceFault("Boom", "injected fault in boom")
 
 
 class TestLocalTransactions:
@@ -120,14 +121,8 @@ class TestRemoteInvocation:
     def test_service_fault_aborts_participant(self):
         network, ap1, ap2 = make_pair()
         ap2.host_service(
-            FunctionService(
-                ServiceDescriptor("boom", kind="function"),
-                body=lambda p: [],
-                fault_name="Boom",
-                fault_probability=1.0,
-            )
+            FunctionService(ServiceDescriptor("boom"), body=_boom)
         )
-        ap2.rng.random = lambda: 0.0  # force the fault
         txn = ap1.begin_transaction()
         with pytest.raises(ServiceFault):
             ap1.invoke(txn.txn_id, "AP2", "boom", {})
@@ -138,14 +133,8 @@ class TestRemoteInvocation:
         network, ap1, ap2 = make_pair()
         pre = canonical(ap2.get_axml_document("Shop2").document)
         ap2.host_service(
-            FunctionService(
-                ServiceDescriptor("boom", kind="function"),
-                body=lambda p: [],
-                fault_name="Boom",
-                fault_probability=1.0,
-            )
+            FunctionService(ServiceDescriptor("boom"), body=_boom)
         )
-        ap2.rng.random = lambda: 0.0
         txn = ap1.begin_transaction()
         ap1.invoke(txn.txn_id, "AP2", "setPrice", {"price": "55"})
         assert "55" in ap2.get_axml_document("Shop2").to_xml()
@@ -158,14 +147,8 @@ class TestRemoteInvocation:
     def test_forward_recovery_absorb(self):
         network, ap1, ap2 = make_pair()
         ap2.host_service(
-            FunctionService(
-                ServiceDescriptor("boom", kind="function"),
-                body=lambda p: [],
-                fault_name="Boom",
-                fault_probability=1.0,
-            )
+            FunctionService(ServiceDescriptor("boom"), body=_boom)
         )
-        ap2.rng.random = lambda: 0.0
         ap1.set_fault_policy("boom", [FaultPolicy(fault_names={"Boom"}, absorb=True)])
         txn = ap1.begin_transaction()
         assert ap1.invoke(txn.txn_id, "AP2", "boom", {}) == []

@@ -12,7 +12,7 @@ from repro.errors import (
 )
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import FunctionService, UpdateService
 from repro.txn.recovery import FaultPolicy
 from repro.txn.transaction import TransactionState
@@ -71,7 +71,7 @@ class TestUnknownService:
         network, a, b = make_pair()
         b.host_service(
             FunctionService(
-                ServiceDescriptor("needs", kind="function", params=(ParamSpec("p"),)),
+                ServiceDescriptor("needs", params=("p",)),
                 body=lambda params: [],
             )
         )
@@ -84,7 +84,7 @@ class TestUnknownService:
         network, a, b = make_pair()
         b.host_service(
             UpdateService(
-                ServiceDescriptor("ins", kind="update", target_document="D"),
+                ServiceDescriptor("ins", target_document="D"),
                 '<action type="insert"><data><y/></data>'
                 "<location>Select d from d in D//nonexistent;</location></action>",
             )
@@ -99,7 +99,7 @@ class TestPeerGuards:
     def test_commit_from_non_origin_rejected(self):
         network, a, b = make_pair()
         b.host_service(
-            FunctionService(ServiceDescriptor("s", kind="function"), body=lambda p: [])
+            FunctionService(ServiceDescriptor("s"), body=lambda p: [])
         )
         txn = a.begin_transaction()
         a.invoke(txn.txn_id, "B", "s", {})
@@ -128,7 +128,7 @@ class TestPeerGuards:
     def test_invoke_on_finished_context_rejected(self):
         network, a, b = make_pair()
         b.host_service(
-            FunctionService(ServiceDescriptor("s", kind="function"), body=lambda p: [])
+            FunctionService(ServiceDescriptor("s"), body=lambda p: [])
         )
         txn = a.begin_transaction()
         a.commit(txn.txn_id)
@@ -156,7 +156,7 @@ class TestParentWatch:
         b.host_document(AXMLDocument.from_xml("<D><x/></D>", name="D"))
         b.host_service(
             UpdateService(
-                ServiceDescriptor("ins", kind="update", target_document="D"),
+                ServiceDescriptor("ins", target_document="D"),
                 '<action type="insert"><data><y/></data>'
                 "<location>Select d from d in D;</location></action>",
             )
@@ -176,7 +176,7 @@ class TestParentWatch:
         a = AXMLPeer("A", network, parent_watch_interval=0.05)
         b = AXMLPeer("B", network, parent_watch_interval=0.05)
         b.host_service(
-            FunctionService(ServiceDescriptor("s", kind="function"), body=lambda p: [])
+            FunctionService(ServiceDescriptor("s"), body=lambda p: [])
         )
         txn = a.begin_transaction()
         a.invoke(txn.txn_id, "B", "s", {})

@@ -20,7 +20,7 @@ from repro.p2p.chain import PeerChain
 from repro.p2p.messages import DisconnectNotice, InvokeRequest, RedirectedResult
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.compensation import CompensationPlan
 from repro.txn.peer_independent import dispatch_compensations
@@ -186,7 +186,7 @@ class TestPartialRecoveryFanOut:
 # -- record lifecycle ----------------------------------------------------
 
 _COLLABORATORS = (
-    "network", "manager", "wal", "registry", "documents", "injector", "rng",
+    "network", "manager", "wal", "registry", "documents", "injector",
 )
 
 
@@ -227,10 +227,7 @@ def _lifecycle_world():
             f"<{name}><item><price>1</price></item></{name}>", name=name
         ))
         owner.host_service(UpdateService(
-            ServiceDescriptor(
-                f"set{name}", kind="update", params=(ParamSpec("price"),),
-                target_document=name,
-            ),
+            ServiceDescriptor(f"set{name}", params=("price",), target_document=name),
             '<action type="replace"><data><price>$price</price></data>'
             f"<location>Select i/price from i in {name}//item;</location></action>",
         ))

@@ -26,7 +26,7 @@ from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
 from repro.query.parser import parse_action
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import FunctionService, QueryService, UpdateService
 from repro.txn.modes import DurabilityPolicy
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
@@ -65,10 +65,7 @@ def make_cluster(replicas=("AP3",), ship_batch=1, durability=None, shop=SHOP2):
     peers["AP2"].host_document(AXMLDocument.from_xml(shop, name="Shop2"))
     peers["AP2"].host_service(
         UpdateService(
-            ServiceDescriptor(
-                "setPrice", kind="update", params=(ParamSpec("price"),),
-                target_document="Shop2",
-            ),
+            ServiceDescriptor("setPrice", params=("price",), target_document="Shop2"),
             SET_PRICE,
         )
     )
@@ -474,12 +471,12 @@ def materializing_cluster():
     the primary, and AP4 answering the embedded getStock call."""
     network, replication, peers = make_cluster(shop=SHOP2_WITH_CALL)
     peers["AP2"].host_service(QueryService(
-        ServiceDescriptor("q", kind="query", target_document="Shop2"),
+        ServiceDescriptor("q", target_document="Shop2"),
         "Select i from i in Shop2//item;", evaluation="eager",
     ))
     peers["AP4"] = AXMLPeer("AP4", network)
     peers["AP4"].host_service(FunctionService(
-        ServiceDescriptor("getStock", kind="function"), lambda params: ["<stock>7</stock>"],
+        ServiceDescriptor("getStock"), lambda params: ["<stock>7</stock>"],
     ))
     return network, replication, peers
 

@@ -1,16 +1,18 @@
 """Compiled service templates against the text path they replace.
 
-A service parses its definition once (``SelectTemplate`` /
-``ActionTemplate`` in ``repro.services.service``) and binds parameters
-into the parsed form.  The reference is what every execution did before:
-``parse_select(substitute(text, params))`` / ``parse_action(...)`` and
-the action's ``to_xml()``.  For every template string in the tree and a
-list of hostile values the two must agree — equal frozen dataclasses and
-equal logged bytes, or the same exception type and message — and the
-tests below also pin *which* path a (template, value) pair takes, since
-agreement alone would hold for a compiler that never compiled anything.
-The last section checks that ``<data>`` cloned from an action's
-prototypes is, ids included, what parsing the ``<data>`` text gave.
+An update or delegating service parses its ``<action>`` definition once
+(``ActionTemplate`` in ``repro.services.service``) and binds parameters
+below ``<data>`` into the parsed form; a hole anywhere else — the
+``<location>`` included — and every query service's Select take the text
+path.  The reference is what every execution did before:
+``parse_action(substitute(text, params))`` and the action's ``to_xml()``.
+For every template string in the tree and a list of hostile values the
+two must agree — equal frozen dataclasses and equal logged bytes, or the
+same exception type and message — and the tests below also pin *which*
+path a (template, value) pair takes, since agreement alone would hold
+for a compiler that never compiled anything.  The last section checks
+that ``<data>`` cloned from an action's prototypes is, ids included,
+what parsing the ``<data>`` text gave.
 
 Pinned on purpose, not endorsed: parameters are spliced as markup, so
 ``tag = a"/><evil x="1`` inserts a second node and
@@ -32,12 +34,11 @@ from repro.query.ast import ActionType, UpdateAction
 from repro.query.evaluate import evaluate_select
 from repro.query.parser import parse_action, parse_select
 from repro.query.update import _materialize, apply_action
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import (
     ActionTemplate,
     DelegatingService,
     QueryService,
-    SelectTemplate,
     UpdateService,
     substitute,
 )
@@ -55,7 +56,7 @@ VALUES = [
 ]
 #: The values of VALUES a compiled template binds; every other one must
 #: reach the text path.
-INERT = {"T001", "s0", "42", "-1.5e3"}
+INERT = {"T001", "s0", "42", "-1.5e3", "In", "and"}
 
 MARKER = (
     '<action type="insert"><data><chaos txn="$tag" step="$step"/></data>'
@@ -64,21 +65,30 @@ MARKER = (
 POINTS = "Select p/points from p in ATPList//player where p/name/lastname = $name;"
 
 #: Template shapes the tree does not happen to contain.  These compile:
-#: every hole sits where a value is data.
+#: every hole sits below ``<data>``, where a value is data.
 COMPILED_TEMPLATES = [
     MARKER,
-    POINTS,
+    '<action type="insert"><data><m a="${tag}x" b="$$5">$tag $$ ${step}</m>t$step</data>'
+    "<location>Select d from d in D//items where d/@k = 'k' and d/n != 1;</location></action>",
+    '<action type="replace"><data><price cur="$$">$price</price></data>'
+    "<location>Select i/price from i in Shop//item where i/@id = 1;</location></action>",
+    '<action type="query"><location>Select i/price from i in Shop//item;</location></action>',
+]
+#: A hole in the ``<location>``, even as the whole literal of a
+#: where-comparison: the text path, whatever the values.
+LOCATION_HOLE_TEMPLATES = [
     '<action type="insert"><data><m a="${tag}x" b="$$5">$tag $$ ${step}</m>t$step</data>'
     "<location>Select d from d in D//items where d/@k = '$tag' and d/n != ${step};</location>"
     "</action>",
-    "Select p from p in D//x where p/a = ${a} or p/b >= $b and p/c = \"$a\";",
     '<action type="replace"><data><price cur="$$">$price</price></data>'
     "<location>Select i/price from i in Shop//item where i/@id = $id;</location></action>",
     '<action type="delete"><location>Select i from i in Shop//item where i/@id = $id;</location>'
     "</action>",
-    '<action type="query"><location>Select i/price from i in Shop//item;</location></action>',
+    f'<action type="query"><location>{POINTS}</location></action>',
+    '<action type="query"><location>'
+    "Select p from p in D//x where p/a = ${a} or p/b >= $b and p/c = \"$a\";</location></action>",
 ]
-TEXT_ONLY_TEMPLATES = [
+TEXT_ONLY_TEMPLATES = LOCATION_HOLE_TEMPLATES + [
     # a hole where a value is not data
     '<action type="insert"><data><$tag/></data><location>Select d from d in D;</location></action>',
     '<action type="insert"><data><m $tag="1"/></data><location>Select d from d in D;</location>'
@@ -161,9 +171,7 @@ def _text_action(text, params):
 
 
 def _assert_same(text, params):
-    """Both template kinds agree with their text path on (*text*, *params*)."""
-    bound = _outcome(lambda: SelectTemplate(text).bind(params))
-    assert bound == _outcome(lambda: parse_select(substitute(text, params)))
+    """The template agrees with its text path on (*text*, *params*)."""
     bound = _outcome(lambda: ActionTemplate(text).bind(params))
     assert bound == _outcome(lambda: _text_action(text, params))
     if not isinstance(bound[0], type):
@@ -190,6 +198,13 @@ def test_bind_agrees_with_the_text_path():
     for text in TEMPLATES:
         for params in _parameter_sets(_hole_names(text)):
             _assert_same(text, params)
+    # A location hole is served by the text path itself, inert value or not.
+    for text in LOCATION_HOLE_TEMPLATES:
+        compiled = ActionTemplate(text)
+        for params in _parameter_sets(_hole_names(text)):
+            assert _paths_taken(lambda: compiled.bind(params)) == (0, 1), (text, params)
+            bound = _outcome(lambda: compiled.bind(params))
+            assert bound == _outcome(lambda: _text_action(text, params))
 
 
 _hostile = st.text(alphabet="aT0.:-_ '\"<>&;=$/,!\né", max_size=6)
@@ -214,13 +229,9 @@ def _paths_taken(thunk):
     return delta.get("service_template_bound", 0), delta.get("service_template_text", 0)
 
 
-def _kind(text):
-    return ActionTemplate if text.startswith("<action") else SelectTemplate
-
-
 def test_only_inert_values_are_bound():
     for text in COMPILED_TEMPLATES:
-        compiled = _kind(text)(text)
+        compiled = ActionTemplate(text)
         for value in VALUES if _hole_names(text) else ():
             params = {name: value for name in _hole_names(text)}
             expected = (1, 0) if value in INERT else (0, 1)
@@ -230,9 +241,8 @@ def test_only_inert_values_are_bound():
 def test_holes_in_markup_and_malformed_templates_stay_text_only():
     for text in TEXT_ONLY_TEMPLATES:
         params = {name: "T001" for name in _hole_names(text)}
-        for kind in (ActionTemplate, SelectTemplate):
-            compiled = kind(text)  # never raises
-            assert _paths_taken(lambda: compiled.bind(params)) == (0, 1), text
+        compiled = ActionTemplate(text)  # never raises
+        assert _paths_taken(lambda: compiled.bind(params)) == (0, 1), text
 
 
 def test_missing_parameter_and_non_string_value_take_the_text_path():
@@ -251,11 +261,21 @@ def test_hole_free_location_is_shared():
     assert first.data != second.data
 
 
+ATPLIST = (
+    "<ATPList><player><name><lastname>Federer</lastname></name><points>890</points></player>"
+    "<player><name><lastname>Nadal</lastname></name><points>5</points></player></ATPList>"
+)
+
+
 def test_spliced_markup_is_pinned_not_endorsed():
     action, _ = ActionTemplate(MARKER).bind({"tag": 'a"/><evil x="1', "step": "s0"})
     assert action.data == ('<chaos txn="a"/>', '<evil step="s0" x="1"/>')
-    query = SelectTemplate(POINTS).bind({"name": "x or p/points > 0"})
-    assert str(query.where) == "p/name/lastname = x or p/points > 0"
+    # QueryService substitutes and parses: the value widens the where clause.
+    service = QueryService(ServiceDescriptor("points", params=("name",)), POINTS)
+    host = StubHost({"ATPList": AXMLDocument.from_xml(ATPLIST, name="ATPList")})
+    assert service.execute({"name": "Federer"}, host).fragments == ["<points>890</points>"]
+    widened = service.execute({"name": "x or p/points > 0"}, host).fragments
+    assert widened == ["<points>890</points>", "<points>5</points>"]
 
 
 # -- through the services -----------------------------------------------------
@@ -292,18 +312,19 @@ def _host():
 
 def _reference_run(text, params, host, update_fragments):
     """What ``UpdateService._run`` and the local half of
-    ``DelegatingService._run`` did before templates compiled."""
+    ``DelegatingService._run`` did before templates compiled (no
+    resolver here, so a query materializes nothing)."""
     action = parse_action(substitute(text, params))
     document = host.get_axml_document("Shop").document
     result = apply_action(document, action)
     if result.records:
         host.record_changes(result.records, "Shop", action.to_xml(), action)
+    if action.action_type is ActionType.QUERY:  # either service answers with the nodes
+        return [serialize(node) for node in result.query_result.all_nodes()]
     if update_fragments:
         return [f'<inserted id="{i!r}"/>' for i in result.inserted_ids] or [
             f'<updated count="{result.target_count}"/>'
         ]
-    if action.action_type is ActionType.QUERY and result.query_result:
-        return [serialize(node) for node in result.query_result.all_nodes()]
     return []
 
 
@@ -321,7 +342,7 @@ def _ids_normalised(host, value):
 def test_service_execution_matches_the_text_path(text, value, delegating):
     params = {"tag": value, "step": "2" if value == "20" else value}
     descriptor = ServiceDescriptor(
-        "S", kind="update", params=(ParamSpec("tag"), ParamSpec("step")), target_document="Shop"
+        "S", params=("tag", "step"), target_document="Shop"
     )
     if delegating:
         service = DelegatingService(descriptor, [("AP2", "S2")], local_action_template=text)
@@ -357,7 +378,7 @@ def test_query_service_matches_the_text_path():
 
 def _check_query_service(value):
     text = "Select i/price from i in Shop//item where i/price > $low;"
-    service = QueryService(ServiceDescriptor("q", kind="query", params=(ParamSpec("low"),)), text)
+    service = QueryService(ServiceDescriptor("q", params=("low",)), text)
     host = _host()
 
     def reference():
@@ -369,9 +390,9 @@ def _check_query_service(value):
 
 
 def test_the_definition_text_stays_readable():
-    service = UpdateService(ServiceDescriptor("S", kind="update"), MARKER)
+    service = UpdateService(ServiceDescriptor("S"), MARKER)
     assert service.template.text == MARKER
-    delegating = DelegatingService(ServiceDescriptor("S", kind="delegating"), [])
+    delegating = DelegatingService(ServiceDescriptor("S"), [])
     assert delegating.local_action_template is None
 
 
@@ -491,7 +512,7 @@ def test_apply_of_a_seeded_action_matches_an_unseeded_copy(text, value):
 
 
 def test_template_inserts_leave_no_fragment_holder_behind():
-    service = UpdateService(ServiceDescriptor("S", kind="update"), SERVICE_TEMPLATES[0])
+    service = UpdateService(ServiceDescriptor("S"), SERVICE_TEMPLATES[0])
     host = _host()
     for i in range(50):
         service.execute({"tag": f"T{i:03d}", "step": "s0"}, host)

@@ -5,7 +5,7 @@ import pytest
 from repro.axml.document import AXMLDocument
 from repro.outcome import Outcome
 from repro.errors import ServiceError, ServiceFault, ServiceNotFound
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.registry import ServiceRegistry
 from repro.services.service import (
     DelegatingService,
@@ -24,7 +24,6 @@ class StubHost:
         self.resolver = resolver
         self.recorded = []
         self.invocations = []
-        self.rolls = iter([0.9] * 100)
 
     def get_axml_document(self, name):
         return self.documents[name]
@@ -39,9 +38,6 @@ class StubHost:
     def record_changes(self, records, document_name, action_xml, action):
         self.recorded.append((document_name, len(records)))
 
-    def random(self):
-        return next(self.rolls)
-
 
 @pytest.fixture
 def shop_host():
@@ -53,16 +49,15 @@ def shop_host():
 
 class TestDescriptor:
     def test_validate_params(self):
-        d = ServiceDescriptor("m", kind="function", params=(ParamSpec("a"),))
+        d = ServiceDescriptor("m", params=("a",))
         d.validate_params({"a": "1"})
         with pytest.raises(ServiceError):
             d.validate_params({})
 
     def test_optional_params(self):
-        d = ServiceDescriptor(
-            "m", kind="function", params=(ParamSpec("a", required=False),)
-        )
-        d.validate_params({})
+        # Only the names in ``params`` are required; any other is optional.
+        ServiceDescriptor("m").validate_params({})
+        ServiceDescriptor("m", params=("a",)).validate_params({"a": "1", "b": "2"})
 
 
 class TestSubstitute:
@@ -78,7 +73,7 @@ class TestQueryService:
     def test_executes_template(self, shop_host):
         host, _ = shop_host
         service = QueryService(
-            ServiceDescriptor("getPrice", kind="query", params=(ParamSpec("id"),)),
+            ServiceDescriptor("getPrice", params=("id",)),
             "Select i/price from i in Shop//item where i/price > $id;",
         )
         response = service.execute({"id": "1"}, host)
@@ -96,7 +91,7 @@ class TestQueryService:
             resolver=lambda call, params: Outcome(["<stock>5</stock>"]),
         )
         service = QueryService(
-            ServiceDescriptor("getStock", kind="query"),
+            ServiceDescriptor("getStock"),
             "Select i/stock from i in Shop//item;",
         )
         response = service.execute({}, host)
@@ -107,7 +102,7 @@ class TestQueryService:
     def test_bad_evaluation_mode(self):
         with pytest.raises(ServiceError):
             QueryService(
-                ServiceDescriptor("q", kind="query"), "Select i from i in S//x;",
+                ServiceDescriptor("q"), "Select i from i in S//x;",
                 evaluation="psychic",
             )
 
@@ -116,7 +111,7 @@ class TestUpdateService:
     def test_applies_action(self, shop_host):
         host, doc = shop_host
         service = UpdateService(
-            ServiceDescriptor("setPrice", kind="update", params=(ParamSpec("price"),)),
+            ServiceDescriptor("setPrice", params=("price",)),
             '<action type="replace"><data><price>$price</price></data>'
             "<location>Select i/price from i in Shop//item;</location></action>",
         )
@@ -128,7 +123,7 @@ class TestUpdateService:
     def test_insert_reports_ids(self, shop_host):
         host, _ = shop_host
         service = UpdateService(
-            ServiceDescriptor("addTag", kind="update"),
+            ServiceDescriptor("addTag"),
             '<action type="insert"><data><tag/></data>'
             "<location>Select i from i in Shop//item;</location></action>",
         )
@@ -139,53 +134,37 @@ class TestUpdateService:
 class TestFunctionService:
     def test_body_runs(self):
         service = FunctionService(
-            ServiceDescriptor("hello", kind="function"),
+            ServiceDescriptor("hello"),
             body=lambda params: [f"<hi to='{params.get('who', '')}'/>"],
         )
         response = service.execute({"who": "x"}, StubHost())
         assert response.fragments == ["<hi to='x'/>"]
 
     def test_fault_injection(self):
-        service = FunctionService(
-            ServiceDescriptor("flaky", kind="function"),
-            body=lambda params: ["<ok/>"],
-            fault_name="Boom",
-            fault_probability=1.0,
-        )
-        host = StubHost()
-        host.rolls = iter([0.0])
-        with pytest.raises(ServiceFault) as exc:
-            service.execute({}, host)
-        assert exc.value.fault_name == "Boom"
+        def boom(params):
+            raise ServiceFault("Boom", "injected fault in flaky")
 
-    def test_no_fault_when_roll_high(self):
-        service = FunctionService(
-            ServiceDescriptor("flaky", kind="function"),
-            body=lambda params: ["<ok/>"],
-            fault_name="Boom",
-            fault_probability=0.5,
-        )
-        host = StubHost()
-        host.rolls = iter([0.9])
-        assert service.execute({}, host).fragments == ["<ok/>"]
+        service = FunctionService(ServiceDescriptor("flaky"), body=boom)
+        with pytest.raises(ServiceFault) as exc:
+            service.execute({}, StubHost())
+        assert exc.value.fault_name == "Boom"
 
 
 class TestDelegatingService:
     def test_delegates_in_order(self, shop_host):
         host, _ = shop_host
         service = DelegatingService(
-            ServiceDescriptor("combo", kind="delegating"),
+            ServiceDescriptor("combo"),
             delegations=[("P2", "a"), ("P3", "b")],
         )
         response = service.execute({}, host)
         assert host.invocations == [("P2", "a"), ("P3", "b")]
-        assert response.remote_invocations == [("P2", "a"), ("P3", "b")]
         assert len(response.fragments) == 2
 
     def test_local_work_logged_before_delegation(self, shop_host):
         host, doc = shop_host
         service = DelegatingService(
-            ServiceDescriptor("combo", kind="delegating", target_document="Shop"),
+            ServiceDescriptor("combo", target_document="Shop"),
             delegations=[("P2", "a")],
             local_action_template=(
                 '<action type="insert"><data><mark/></data>'
@@ -199,7 +178,7 @@ class TestDelegatingService:
     def test_extra_fragments(self, shop_host):
         host, _ = shop_host
         service = DelegatingService(
-            ServiceDescriptor("combo", kind="delegating"),
+            ServiceDescriptor("combo"),
             delegations=[],
             extra_fragments=("<done/>",),
         )
@@ -210,7 +189,7 @@ class TestRegistry:
     def test_register_lookup(self):
         registry = ServiceRegistry("P1")
         service = FunctionService(
-            ServiceDescriptor("m", kind="function"), body=lambda p: []
+            ServiceDescriptor("m"), body=lambda p: []
         )
         registry.register(service)
         assert registry.lookup("m") is service
@@ -221,3 +200,40 @@ class TestRegistry:
         with pytest.raises(ServiceNotFound):
             ServiceRegistry("P1").lookup("ghost")
 
+
+
+POINTS_OF_FEDERER = (
+    "Select p/points from p in ATPList//player where p/name/lastname = Federer;"
+)
+
+
+@pytest.mark.parametrize("kind", ["query", "delegating"])
+def test_a_local_query_materializes_logs_and_compensates(kind):
+    """§3.1 for every service kind that runs a local query: the embedded
+    ``getPoints`` call is materialized first (890, not the stale 475),
+    the materialization is logged as one ``service`` entry, and an
+    abort restores the document."""
+    from repro.api import Cluster
+    from repro.xmlstore.serializer import canonical
+
+    cluster = Cluster.atplist()
+    if kind == "query":
+        service = QueryService(ServiceDescriptor("points"), POINTS_OF_FEDERER)
+    else:
+        service = DelegatingService(
+            ServiceDescriptor("points"),
+            delegations=[],
+            local_action_template=(
+                f'<action type="query"><location>{POINTS_OF_FEDERER}</location></action>'
+            ),
+        )
+    cluster.host_service("AP1", service)
+    cluster.add_peer("AP0")
+    ap1 = cluster.peer("AP1")
+    before = canonical(ap1.get_axml_document("ATPList").document)
+    txn = cluster.peer("AP0").begin_transaction()
+    fragments = cluster.peer("AP0").invoke(txn.txn_id, "AP1", "points", {})
+    assert fragments == ["<points>890</points>"]
+    assert [e.kind for e in ap1.manager.log.entries_for(txn.txn_id)] == ["service"]
+    cluster.peer("AP0").abort(txn.txn_id)
+    assert canonical(ap1.get_axml_document("ATPList").document) == before

@@ -23,7 +23,7 @@ from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
 from repro.p2p.sharding import PlacementDirectory, ShardCoordinator, ShardRing, moved_keys
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 
 D1 = "<D1><items/></D1>"
@@ -60,10 +60,7 @@ def make_sharded_cluster(seed=42, replicas=1, **coordinator_kwargs):
     peers[primary].host_document(AXMLDocument.from_xml(D1, name="D1"))
     peers[primary].host_service(
         UpdateService(
-            ServiceDescriptor(
-                "addItem", kind="update", params=(ParamSpec("v"),),
-                target_document="D1",
-            ),
+            ServiceDescriptor("addItem", params=("v",), target_document="D1"),
             ADD_ITEM,
         )
     )

@@ -6,7 +6,7 @@ from repro.axml.document import AXMLDocument
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.query.parser import parse_action
-from repro.services.descriptor import ParamSpec, ServiceDescriptor
+from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.compensation import build_compensation_for_entries
 from repro.txn.manager import TransactionManager
@@ -197,10 +197,7 @@ class TestPeerRejoin:
         )
         worker.host_service(
             UpdateService(
-                ServiceDescriptor(
-                    "book", kind="update", params=(ParamSpec("c"),),
-                    target_document="D",
-                ),
+                ServiceDescriptor("book", params=("c",), target_document="D"),
                 '<action type="insert"><data><slot c="$c"/></data>'
                 "<location>Select d from d in D//slots;</location></action>",
             )
