@@ -1,6 +1,6 @@
 """P1 — hot-path performance: structural indexes, parallel sweeps, parsing.
 
-Seven measurements, all gated (a regression makes this script exit 1,
+Eight measurements, all gated (a regression makes this script exit 1,
 and CI runs it with ``--smoke`` on every push):
 
 * **Part A — indexed vs. walk-based query evaluation.**  Builds one
@@ -34,7 +34,7 @@ and CI runs it with ``--smoke`` on every push):
 * **Part E — a service parses its definition once.**  1 000 executions
   of the chaos marker service (``<chaos txn="$tag" step="$step"/>`` into
   ``D1//items``) under ``sys.setprofile``: they must enter
-  ``parse_document``, ``tokenize``, ``parse_path`` and
+  ``parse_document``, ``scan_select``, ``parse_path`` and
   ``UpdateAction.to_xml`` and ``parse_fragment`` **0** times (the bound
   ``<data>`` becomes nodes by cloning the template's prototype).  Counts,
   so exact on every machine.
@@ -48,13 +48,14 @@ and CI runs it with ``--smoke`` on every push):
   survives).  Re-entering the generic path walker once per candidate
   measured 36.4 per candidate; the compiled plan that ordered all
   candidates first 4.5; filtering first, with the sku test compiled into
-  the child loop, 0.62 (Python 3.11).  That cold count includes building
-  the ``sku`` value postings, so the build makes no Python call per
-  element.  A second evaluation of the same Select on the unchanged
+  the child loop, 0.62; starting from the value hits 0.46 (Python 3.11).
+  That cold count includes building the ``sku`` value postings, so the
+  build makes no Python call per element.  A second evaluation of the same Select on the unchanged
   catalogue runs under ``sys.settrace``: its line events per candidate
   must stay under ``WARM_LINES_PER_CANDIDATE`` (the child loop per
-  candidate measured 71.6; the value-postings lookup 10.7).  Counts, so
-  exact on every machine.
+  candidate measured 71.6; the value-postings lookup 10.7; starting the
+  ``//book`` step from the sku's value hits, with the meter charged
+  from the index's kept total, 1.78).  Counts, so exact on every machine.
 
 * **Part G — an action text parses in one pass.**  1 000 action texts
   of ``catalogue_occ``'s shape (60 % sku-selective queries, 25 %
@@ -67,6 +68,14 @@ and CI runs it with ``--smoke`` on every push):
   2.41 elements beyond the payload per action, and a fresh ``PathExpr``
   per parse 2.86 compiles per action for 12 distinct texts (seed 7,
   smoke).  Counts, so exact on every machine.
+
+* **Part H — a Select parses in one pass.**  The ``<location>`` texts
+  of Part G's 1 000 actions are parsed with ``parse_select`` under
+  ``sys.setprofile`` (every path text compiled beforehand): the
+  Python-level calls per parse must stay under ``SELECT_CALLS_PER_PARSE``
+  (16.861: one ``finditer`` scan into plain tuples, walked by index).
+  The token-stream parser it replaced made 72.861 (seed 7).  A count,
+  so exact on every machine.
 
 Run:  python benchmarks/bench_p1_hot_paths.py [--smoke] [--seed N]
                                               [--workers N]
@@ -89,7 +98,7 @@ from repro.obs import stable_json
 from repro.obs.prof import PROF
 from repro.query.ast import ActionType, UpdateAction
 from repro.query.evaluate import evaluate_select
-from repro.query.lexer import tokenize
+from repro.query.lexer import scan_select
 from repro.query.parser import iter_comparisons, parse_action, parse_select
 from repro.query.update import apply_action
 from repro.sim.metrics import MetricsCollector
@@ -408,7 +417,7 @@ class _MarkerHost:
 
 
 #: Part E: what an execution may not enter.
-TEXT_ROUND_TRIP = (parse_document, tokenize, parse_path, UpdateAction.to_xml, parse_fragment)
+TEXT_ROUND_TRIP = (parse_document, scan_select, parse_path, UpdateAction.to_xml, parse_fragment)
 
 
 def bench_service_template(args) -> dict:
@@ -454,14 +463,14 @@ def bench_service_template(args) -> dict:
 CATEGORIES = ("book", "cd", "dvd", "game", "map", "toy")
 FIELDS = ("title", "author", "year", "price", "publisher")
 #: Part F's gate: Python-level calls per candidate of one sku-selective
-#: Select (filter before order makes 0.62; ordering every candidate
-#: first 4.5; a per-candidate walker 36.4).  Under 1.0, a Python call
+#: Select (starting from the value hits makes 0.46; filter before order
+#: 0.62; ordering every candidate first 4.5; a per-candidate walker 36.4).  Under 1.0, a Python call
 #: per candidate fails it.
 PLAN_CALLS_PER_CANDIDATE = 1.0
 #: Part F's warm gate: line events per candidate of the same Select run
 #: again (a child loop per candidate measured 71.6, the value-postings
-#: lookup 10.7).
-WARM_LINES_PER_CANDIDATE = 20.0
+#: lookup 10.7, the step started from the value hits 1.78).
+WARM_LINES_PER_CANDIDATE = 2.0
 
 
 def build_catalogue(items: int, seed: int) -> Document:
@@ -646,7 +655,60 @@ def bench_submit_edge(args) -> dict:
     )
 
 
-def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec, plan_rec, submit_rec):
+#: Part H's gate: Python-level calls per ``parse_select`` of a
+#: ``catalogue_occ``-shaped location (1 000 of them, seed 7), with every
+#: path text already compiled.  The one-pass scan walked by index makes
+#: 16.861; the token-stream parser it replaced made 72.861 (a
+#: ``peek``/``next`` call and a frozen ``Token`` per token).  A count,
+#: exact on any box.
+SELECT_CALLS_PER_PARSE = 16.861
+PARENT_SELECT_CALLS_PER_PARSE = 72.861
+
+
+def bench_select_parse(args) -> dict:
+    doc = build_catalogue(60, args.seed)
+    texts = [text[text.index("<location>") + 10:text.index("</location>")]
+             for text in catalogue_actions(doc, 1_000, args.seed)]
+    for text in texts:  # compile every path text first: the count is the parse's
+        parse_select(text)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        for text in texts:
+            parse_select(text)
+    finally:
+        sys.setprofile(None)
+    start = time.perf_counter()
+    for text in texts:
+        parse_select(text)
+    wall_time = (time.perf_counter() - start) / len(texts)
+    per_parse = calls / len(texts)
+    print(
+        f"P1/H select parse: {len(texts)} locations -> {calls} Python calls "
+        f"({per_parse:.2f} per parse, gate {SELECT_CALLS_PER_PARSE}, token stream "
+        f"{PARENT_SELECT_CALLS_PER_PARSE}); {wall_time * 1e6:.1f} us per parse"
+    )
+    return perf_record(
+        "select_parse_calls",
+        args.seed,
+        wall_time,
+        PARENT_SELECT_CALLS_PER_PARSE / per_parse,  # the call count's fall
+        parses=len(texts),
+        calls=calls,
+        calls_per_parse=round(per_parse, 3),
+        bound=SELECT_CALLS_PER_PARSE,
+        parent_calls_per_parse=PARENT_SELECT_CALLS_PER_PARSE,
+    )
+
+
+def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec, plan_rec, submit_rec,
+          parse_rec):
     """Reasons this run fails its gate.  Speedup ratios; wall time only
     where the measured pool floor says the machine can deliver one."""
     required = 1.0 if args.smoke else 2.0
@@ -716,6 +778,11 @@ def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec, plan_r
             f"for {submit_rec['distinct_paths']} distinct path texts: a path text compiles "
             "per parse again"
         )
+    if parse_rec["calls_per_parse"] > SELECT_CALLS_PER_PARSE:
+        yield (
+            f"a catalogue Select parse made {parse_rec['calls_per_parse']} Python calls "
+            f"(bound {SELECT_CALLS_PER_PARSE}): the parser calls per token again"
+        )
 
 
 def _configure(parser) -> None:
@@ -727,7 +794,7 @@ def main() -> int:
     return run_perf_bench(
         "P1", __doc__,
         [bench_queries, bench_sweep, bench_parser_scan, bench_locate_insert,
-         bench_service_template, bench_select_plan, bench_submit_edge],
+         bench_service_template, bench_select_plan, bench_submit_edge, bench_select_parse],
         gates,
         configure=_configure,
     )

@@ -23,10 +23,10 @@ class ActionType(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "ActionType":
-        for member in cls:
-            if member.value == text.lower():
-                return member
-        raise ValueError(f"unknown action type {text!r}")
+        member = cls._value2member_map_.get(text.lower())
+        if member is None:
+            raise ValueError(f"unknown action type {text!r}")
+        return member
 
     @property
     def is_update(self) -> bool:

@@ -9,13 +9,18 @@ evaluation that makes query compensation necessary (§3.1) — is composed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from operator import eq
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import QueryEvaluationError
 from repro.obs.prof import PROF
-from repro.query.ast import Comparison, Condition, NodeRef, SelectQuery
+from repro.query.ast import BooleanCondition, Comparison, Condition, NodeRef, SelectQuery
 from repro.xmlstore.nodes import Document, Element, Node, NodeId
-from repro.xmlstore.path import NULL_METER, TraversalMeter, logical_text
+from repro.xmlstore.index import Seek
+from repro.xmlstore.names import AXML_PREFIX, QName
+from repro.xmlstore.path import NULL_METER, Step, TraversalMeter, logical_text
+
+_TEXT = Step("text")
 
 
 @dataclass
@@ -78,7 +83,7 @@ def evaluate_select(
     where = query.where
     keep = None if where is None else (lambda nodes: _filter(where, nodes, meter))
     bindings: List[Binding] = []
-    for node in _source_nodes(query, document, meter, keep):
+    for node in _source_nodes(query, document, meter, keep, _seek(where, meter)):
         binding = Binding(node)
         for vp in query.select_paths:
             binding.selected[str(vp)] = vp.path.evaluate(node, meter) if vp.path.steps else [node]
@@ -91,6 +96,7 @@ def _source_nodes(
     document: Document,
     meter: TraversalMeter,
     keep: Optional[Callable[[List[Element]], List[Element]]],
+    seek: Optional[Seek],
 ) -> List[Element]:
     """Resolve the query source, a path or an id reference
     (``id(..@..)``), and filter it through *keep* (the where-clause).
@@ -109,7 +115,24 @@ def _source_nodes(
         if not isinstance(node, Element) or not node.is_attached():
             return []
         return [node] if keep is None else keep([node])
-    return query.source.evaluate(document, meter, keep)
+    return query.source.evaluate(document, meter, keep, seek)
+
+
+def _seek(condition: Optional[Condition], meter: TraversalMeter) -> Optional[Seek]:
+    """*condition* as ``PathExpr.evaluate``'s *seek*, when it is — or is an
+    ``and`` led by — a comparison the value postings answer
+    (:func:`_joined`): the ``and``'s other parts filter what that keeps."""
+    if isinstance(condition, Comparison):
+        joined = _joined(condition)
+        return None if joined is None else (*joined, None)
+    if (condition is None or condition.op != "and" or not condition.parts
+            or not isinstance(condition.parts[0], Comparison)):
+        return None
+    joined = _joined(condition.parts[0])
+    if joined is None:
+        return None
+    rest = BooleanCondition("and", condition.parts[1:])
+    return (*joined, lambda nodes: _filter(rest, nodes, meter))
 
 
 def _filter(
@@ -159,6 +182,10 @@ def _compile_comparison(
     """The left path's own test when its last step is a child step
     (``PathExpr.compile_test``); otherwise apply the path to every
     candidate at once and compare the values it reaches."""
+    joined = _joined(comparison)
+    if joined is not None:
+        return lambda candidates, meter: candidates[0].document.index.value_join(
+            *joined, candidates, meter)
     path = comparison.left.path
     if comparison._compare is not None:  # an unknown operator raises below
         test = path.compile_test(comparison._compare, comparison.literal, comparison._number)
@@ -180,6 +207,19 @@ def _compile_comparison(
         return kept
 
     return apply
+
+
+def _joined(comparison: Comparison) -> Optional[Tuple[QName, str, Optional[float]]]:
+    """``(name, literal, number)`` when *comparison* is ``var/name =
+    literal`` over one child step with no ``axml:`` prefix (``i/sku``,
+    ``i/sku/text()``): ``StructuralIndex.value_join`` answers it."""
+    steps = comparison.left.path.steps
+    if comparison._compare is not eq or not steps or tuple(steps[1:]) not in ((), (_TEXT,)):
+        return None
+    step = steps[0]
+    if step.axis != "child" or step.name is None or step.name.prefix == AXML_PREFIX:
+        return None
+    return step.name, comparison.literal, comparison._number
 
 
 def attribute_values_of(owners: Sequence[Element], name: str) -> List[str]:

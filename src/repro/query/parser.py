@@ -15,7 +15,7 @@ from repro.query.ast import (
     UpdateAction,
     VarPath,
 )
-from repro.query.lexer import Token, tokenize
+from repro.query.lexer import scan_select
 from repro.xmlstore.names import QName
 from repro.xmlstore.nodes import Element, Node, Text
 from repro.xmlstore.parser import scan_action
@@ -23,38 +23,9 @@ from repro.xmlstore.path import PathExpr, parse_path
 from repro.xmlstore.serializer import serialize
 
 
-class _TokenStream:
-    """A peekable stream over the token list."""
-
-    def __init__(self, tokens: List[Token], source: str):
-        self._tokens = tokens
-        self._pos = 0
-        self._source = source
-
-    def peek(self) -> Optional[Token]:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
-
-    def next(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise QuerySyntaxError(
-                f"unexpected end of query: {self._source!r}", len(self._source)
-            )
-        self._pos += 1
-        return token
-
-    def expect_keyword(self, word: str) -> Token:
-        token = self.next()
-        if not token.is_keyword(word):
-            raise QuerySyntaxError(
-                f"expected {word!r}, found {token.value!r}", token.position
-            )
-        return token
-
-    def at_end(self) -> bool:
-        return self.peek() is None
+#: What :func:`parse_select` appends to the token list: reading it is
+#: reading past the end of the query.
+_END = ("END", "", -1)
 
 
 def parse_select(text: str) -> SelectQuery:
@@ -64,137 +35,116 @@ def parse_select(text: str) -> SelectQuery:
 
         Select p/citizenship from p in ATPList//player
         where p/name/lastname = Federer;
+
+    The token list (:func:`scan_select`, plain tuples) is walked by index.
     """
-    stream = _TokenStream(tokenize(text), text)
-    stream.expect_keyword("select")
-    select_paths = [_parse_varpath_token(stream.next())]
-    while stream.peek() is not None and stream.peek().kind == "COMMA":
-        stream.next()
-        select_paths.append(_parse_varpath_token(stream.next()))
-    stream.expect_keyword("from")
-    var_token = stream.next()
-    if var_token.kind != "PATH" or "/" in var_token.value:
-        raise QuerySyntaxError(
-            f"expected a variable name after 'from', found {var_token.value!r}",
-            var_token.position,
-        )
-    var = var_token.value
-    stream.expect_keyword("in")
-    source_token = stream.next()
-    if source_token.kind != "PATH":
-        raise QuerySyntaxError(
-            f"expected a source path after 'in', found {source_token.value!r}",
-            source_token.position,
-        )
+    tokens = scan_select(text)
+    tokens.append(_END)
+    if tokens[0][:2] != ("KEYWORD", "select"):
+        raise _error(tokens[0], text, f"expected 'select', found {tokens[0][1]!r}")
+    select_paths = [_varpath(tokens[1], text)]
+    i = 2
+    while tokens[i][0] == "COMMA":
+        select_paths.append(_varpath(tokens[i + 1], text))
+        i += 2
+    if tokens[i][:2] != ("KEYWORD", "from"):
+        raise _error(tokens[i], text, f"expected 'from', found {tokens[i][1]!r}")
+    kind, var, position = tokens[i + 1]
+    if kind != "PATH" or "/" in var:
+        raise _error(tokens[i + 1], text,
+                     f"expected a variable name after 'from', found {var!r}")
+    if tokens[i + 2][:2] != ("KEYWORD", "in"):
+        raise _error(tokens[i + 2], text, f"expected 'in', found {tokens[i + 2][1]!r}")
+    kind, value, position = tokens[i + 3]
+    if kind != "PATH":
+        raise _error(tokens[i + 3], text, f"expected a source path after 'in', found {value!r}")
     source: Union[PathExpr, NodeRef]
-    if source_token.value.startswith("id(") and source_token.value.endswith(")"):
-        inner = source_token.value[3:-1]
-        node_id_text, at, doc_name = inner.partition("@")
+    if value.startswith("id(") and value.endswith(")"):
+        node_id_text, at, doc_name = value[3:-1].partition("@")
         if not at or not node_id_text or not doc_name:
             raise QuerySyntaxError(
-                f"malformed id source {source_token.value!r}; expected "
-                "id(<nodeid>@<document>)",
-                source_token.position,
+                f"malformed id source {value!r}; expected id(<nodeid>@<document>)", position
             )
         source = NodeRef(node_id_text, doc_name)
     else:
-        source = parse_path(source_token.value)
+        source = parse_path(value)
+    i += 4
     where: Optional[Condition] = None
-    nxt = stream.peek()
-    if nxt is not None and nxt.is_keyword("where"):
-        stream.next()
-        where = _parse_condition(stream)
-    nxt = stream.peek()
-    if nxt is not None and nxt.kind == "SEMI":
-        stream.next()
-    if not stream.at_end():
-        trailing = stream.peek()
-        raise QuerySyntaxError(
-            f"unexpected trailing token {trailing.value!r}", trailing.position
-        )
-    _check_var_consistency(select_paths, var, where)
+    comparisons: List[Comparison] = []
+    if tokens[i][:2] == ("KEYWORD", "where"):
+        where, i = _parse_condition(tokens, i + 1, text, comparisons)
+    if tokens[i][0] == "SEMI":
+        i += 1
+    if tokens[i] is not _END:
+        raise QuerySyntaxError(f"unexpected trailing token {tokens[i][1]!r}", tokens[i][2])
+    _check_var_consistency(select_paths, var, comparisons)
     return SelectQuery(tuple(select_paths), var, source, where)
 
 
-def _parse_varpath_token(token: Token) -> VarPath:
-    if token.kind != "PATH":
-        raise QuerySyntaxError(f"expected a path, found {token.value!r}", token.position)
-    return _split_varpath(token.value, token.position)
+def _error(token: Tuple[str, str, int], text: str, message: str) -> QuerySyntaxError:
+    """*message* at *token*, or the end of the query for :data:`_END`."""
+    if token is _END:
+        return QuerySyntaxError(f"unexpected end of query: {text!r}", len(text))
+    return QuerySyntaxError(message, token[2])
 
 
-def _split_varpath(text: str, position: int) -> VarPath:
-    var, slash, rest = text.partition("/")
+def _varpath(token: Tuple[str, str, int], text: str) -> VarPath:
+    kind, value, position = token
+    if kind != "PATH":
+        raise _error(token, text, f"expected a path, found {value!r}")
+    var, slash, rest = value.partition("/")
     if not var:
-        raise QuerySyntaxError(f"path must start with a variable: {text!r}", position)
-    if not slash:
-        return VarPath(var, PathExpr(()))
-    return VarPath(var, parse_path(rest))
+        raise QuerySyntaxError(f"path must start with a variable: {value!r}", position)
+    return VarPath(var, parse_path(rest) if slash else PathExpr(()))
 
 
-def _parse_condition(stream: _TokenStream) -> Condition:
-    parts: List[Union[BooleanCondition, Comparison]] = [_parse_comparison(stream)]
-    ops: List[str] = []
-    while True:
-        token = stream.peek()
-        if token is None or not (token.is_keyword("and") or token.is_keyword("or")):
-            break
-        ops.append(stream.next().value)
-        parts.append(_parse_comparison(stream))
-    if len(parts) == 1:
-        return parts[0]
-    # 'and' binds tighter than 'or': group maximal and-runs first.
-    or_groups: List[Union[BooleanCondition, Comparison]] = []
-    group: List[Union[BooleanCondition, Comparison]] = [parts[0]]
-    for op, part in zip(ops, parts[1:]):
+def _parse_condition(tokens: List[Tuple[str, str, int]], i: int, text: str,
+                     comparisons: List[Comparison]) -> Tuple[Condition, int]:
+    """The comparisons from token *i* on (each appended to *comparisons*),
+    joined by ``and``/``or`` (``and`` binds tighter: maximal and-runs are
+    grouped first), and the index of the token after them."""
+    part, i = _parse_comparison(tokens, i, text)
+    comparisons.append(part)
+    if tokens[i][1] not in ("and", "or") or tokens[i][0] != "KEYWORD":
+        return part, i
+    or_groups = [[part]]
+    while tokens[i][0] == "KEYWORD" and tokens[i][1] in ("and", "or"):
+        op = tokens[i][1]
+        part, i = _parse_comparison(tokens, i + 1, text)
+        comparisons.append(part)
         if op == "and":
-            group.append(part)
+            or_groups[-1].append(part)
         else:
-            or_groups.append(_fold_and(group))
-            group = [part]
-    or_groups.append(_fold_and(group))
-    if len(or_groups) == 1:
-        return or_groups[0]
-    return BooleanCondition("or", tuple(or_groups))
+            or_groups.append([part])
+    parts = [group[0] if len(group) == 1 else BooleanCondition("and", tuple(group))
+             for group in or_groups]
+    return (parts[0] if len(parts) == 1 else BooleanCondition("or", tuple(parts))), i
 
 
-def _fold_and(
-    group: List[Union[BooleanCondition, Comparison]]
-) -> Union[BooleanCondition, Comparison]:
-    if len(group) == 1:
-        return group[0]
-    return BooleanCondition("and", tuple(group))
-
-
-def _parse_comparison(stream: _TokenStream) -> Comparison:
-    left = _parse_varpath_token(stream.next())
-    op_token = stream.next()
-    if op_token.kind != "OP":
-        raise QuerySyntaxError(
-            f"expected a comparison operator, found {op_token.value!r}",
-            op_token.position,
-        )
+def _parse_comparison(tokens: List[Tuple[str, str, int]], i: int,
+                      text: str) -> Tuple[Comparison, int]:
+    left = _varpath(tokens[i], text)
+    op_token = tokens[i + 1]
+    if op_token[0] != "OP":
+        raise _error(op_token, text, f"expected a comparison operator, found {op_token[1]!r}")
+    i += 2
+    # Barewords may span several tokens ("Roger Federer"); rejoin them.
     literal_parts: List[str] = []
     while True:
-        token = stream.peek()
-        if token is None or token.kind in ("SEMI", "COMMA") or (
-            token.kind == "KEYWORD" and token.value in ("and", "or")
-        ):
+        kind, value, _ = tokens[i]
+        if kind in ("SEMI", "COMMA", "END") or (kind == "KEYWORD" and value in ("and", "or")):
             break
-        token = stream.next()
-        literal_parts.append(token.value)
-        if token.kind == "STRING":
+        literal_parts.append(value)
+        i += 1
+        if kind == "STRING":
             break
     if not literal_parts:
-        raise QuerySyntaxError(
-            "comparison is missing its right-hand side", op_token.position
-        )
-    # Barewords may span several tokens ("Roger Federer"); rejoin them.
-    literal = " ".join(literal_parts)
-    return Comparison(left, op_token.value, literal)
+        raise QuerySyntaxError("comparison is missing its right-hand side", op_token[2])
+    return Comparison(left, op_token[1], " ".join(literal_parts)), i
 
 
 def _check_var_consistency(
-    select_paths: List[VarPath], var: str, where: Optional[Condition]
+    select_paths: List[VarPath], var: str, comparisons: List[Comparison]
 ) -> None:
     for vp in select_paths:
         if vp.var != var:
@@ -206,7 +156,7 @@ def _check_var_consistency(
                 "attribute steps (@name) are supported in where clauses only; "
                 f"select path {vp} returns nodes"
             )
-    for comparison in iter_comparisons(where):
+    for comparison in comparisons:
         if comparison.left.var != var:
             raise QuerySyntaxError(
                 f"where-clause variable {comparison.left.var!r} is not the bound "

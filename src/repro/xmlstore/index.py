@@ -43,14 +43,16 @@ name changes (the attach/detach climb of
 :meth:`StructuralIndex.clear`.  Text is otherwise written only into a
 fresh, detached clone before anything queries it (``_materialize`` in
 :mod:`repro.query.update`), and ``tools/check_serialization_hygiene.py``
-keeps it that way.
+keeps it that way.  :meth:`StructuralIndex.seek` runs that join from the
+hits' side, so it keeps one more thing per name: the ``_child_count``
+total its meter charge needs, which the same climb adjusts.
 """
 
 from __future__ import annotations
 
 from math import isfinite
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.xmlstore.names import AXML_PREFIX, QName, is_axml_meta_name
 
@@ -60,15 +62,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _EMPTY: Dict[object, object] = {}
 _CHILD_COUNT = attrgetter("_child_count")
+_PARENT = attrgetter("parent")
+_PREFIX = attrgetter("name.prefix")
 #: Per local name: logical text → elements, and that text as a number
 #: (``Comparison.matches``'s reading) → elements.
 _ValueMaps = Tuple[Dict[str, List["Element"]], Dict[float, List["Element"]]]
+#: A where-clause that holds only for elements with a logical child
+#: ``name`` whose logical text equals ``literal`` (``number``: see
+#: :meth:`StructuralIndex.value_join`), as ``(name, literal, number,
+#: then)``; ``then`` filters those elements by the rest of the clause
+#: (None: there is no rest).
+Seek = Tuple[QName, str, Optional[float],
+             Optional[Callable[[List["Element"]], List["Element"]]]]
 
 
 class StructuralIndex:
     """Tag and value postings plus on-demand document ordering for one document."""
 
-    __slots__ = ("_postings", "_values")
+    __slots__ = ("_postings", "_values", "_seeks")
 
     def __init__(self) -> None:
         #: local name → insertion-ordered {NodeId: Element} postings.
@@ -76,6 +87,12 @@ class StructuralIndex:
         #: local name → its value maps, built by :meth:`value_join` and
         #: dropped by the node layer when they may be stale.
         self._values: Dict[str, _ValueMaps] = {}
+        #: local name → ``[under, prefix, total]`` once :meth:`seek` found
+        #: every element of the name a child of ``under`` with ``prefix``:
+        #: ``total`` is their ``_child_count`` sum, kept by the node layer's
+        #: attach/detach climb, which drops the entry when an element of
+        #: the name is attached or detached (creation and vacuum drop it here).
+        self._seeks: Dict[str, list] = {}
 
     # -- incremental maintenance (driven by the node layer) -----------------
 
@@ -85,6 +102,8 @@ class StructuralIndex:
         self._postings.setdefault(local, {})[element.node_id] = element
         if self._values:
             self._values.pop(local, None)
+        if self._seeks:
+            self._seeks.pop(local, None)
 
     def rekey_element(self, element: "Element", old_id: "NodeId") -> None:
         """Move an element's posting after :meth:`Document._adopt_id`."""
@@ -99,12 +118,14 @@ class StructuralIndex:
         if bucket is not None:
             bucket.pop(element.node_id, None)
         self._values.pop(element.name.local, None)
+        self._seeks.pop(element.name.local, None)
 
     def clear(self) -> None:
         """Drop everything; pairs with a wholesale node-map reset
         (snapshot rollback swaps the entire tree out from under us)."""
         self._postings.clear()
         self._values.clear()
+        self._seeks.clear()
 
     # -- queries ------------------------------------------------------------
 
@@ -168,27 +189,63 @@ class StructuralIndex:
         candidates in that set are kept.  The meter is charged what the
         loop passes, every candidate's ``_child_count``.
         """
+        holders = self._holders(step_name, literal, number)
+        meter.touch(sum(map(_CHILD_COUNT, candidates)))
+        return list(filter(holders.__contains__, candidates)) if holders else []
+
+    def seek(
+        self, name: QName, under: "Element", seek: "Seek", meter: "TraversalMeter"
+    ) -> Optional[List["Element"]]:
+        """:meth:`value_join` started from the value hits: the elements
+        named *name* (not call metadata) below *under* that the where-clause
+        *seek* keeps — or None unless every element of *name*'s local name
+        is a child of *under* with *name*'s prefix.  Then the walk from
+        *under* reaches each, so the meter is charged the value join over
+        all of them (their ``_child_count`` sum, kept in ``_seeks``), and
+        a hit's logical parent is a match by its local name alone.
+        """
+        if is_axml_meta_name(name):  # it reaches no element but *under* itself
+            return None
+        local, prefix = name.local, name.prefix
+        memo = self._seeks.get(local)
+        if memo is None or memo[0] is not under or memo[1] != prefix:
+            elements = self._postings.get(local, _EMPTY).values()
+            parents = list(map(_PARENT, elements))
+            if (parents.count(under) != len(parents)
+                    or list(map(_PREFIX, elements)).count(prefix) != len(parents)):
+                return None
+            memo = self._seeks[local] = [under, prefix, sum(map(_CHILD_COUNT, elements))]
+        meter.touch(memo[2])
+        step_name, literal, number, then = seek
+        found = [node for node in self._holders(step_name, literal, number)
+                 if node.name.local == local]
+        return found if then is None else then(found)
+
+    def _holders(
+        self, step_name: QName, literal: str, number: Optional[float]
+    ) -> Dict["Element", None]:
+        """The logical parents of the elements named *step_name* whose
+        logical text equals *literal* (read as *number* when not None),
+        in hit order: each hit's parent, and on through ``axml:sc``
+        containers, which are transparent."""
         local = step_name.local
         maps = self._values.get(local)
         if maps is None:
             maps = self._values[local] = _value_maps(self._postings.get(local, _EMPTY))
         hits = maps[0].get(literal) if number is None else maps[1].get(number)
-        meter.touch(sum(map(_CHILD_COUNT, candidates)))
-        if not hits:
-            return []
+        holders: Dict["Element", None] = {}
         prefix = step_name.prefix
-        parents = set()
-        for hit in hits:
+        for hit in hits or ():
             if hit.name.prefix != prefix:
                 continue
             node = hit.parent
             while node is not None:
-                parents.add(node)
+                holders[node] = None
                 name = node.name
                 if name.local != "sc" or name.prefix != AXML_PREFIX:
                     break
                 node = node.parent
-        return list(filter(parents.__contains__, candidates))
+        return holders
 
     # -- introspection ------------------------------------------------------
 

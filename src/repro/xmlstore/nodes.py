@@ -23,8 +23,8 @@ by the document's own id).
 
 A document is its tree, the id → node map, the tag postings
 (:mod:`repro.xmlstore.index`) and the per-element logical counts the
-traversal meter charges; the index's value postings, the one derived
-structure, are dropped by the attach/detach climb when they may be stale
+traversal meter charges; the index's derived structures (value postings,
+seek totals) are kept or dropped by the attach/detach climb
 (:func:`_propagate_logical_count`).  Attributes and text are plain fields.
 """
 
@@ -136,13 +136,8 @@ class Node:
         parent = self.parent
         siblings = parent.children
         idx = siblings.index(self)  # the one scan: the neighbours are idx ± 1
-        record = DetachRecord(
-            node=self,
-            parent_id=parent.node_id,
-            index=idx,
-            before_id=siblings[idx - 1].node_id if idx else None,
-            after_id=siblings[idx + 1].node_id if idx + 1 < len(siblings) else None,
-        )
+        record = DetachRecord(self, parent.node_id, idx, siblings[idx - 1].node_id if idx else None,
+                              siblings[idx + 1].node_id if idx + 1 < len(siblings) else None)
         del siblings[idx]
         self.parent = None
         _propagate_logical_count(parent, self, -1)
@@ -497,17 +492,20 @@ def _propagate_logical_count(parent: Element, child: Node, sign: int) -> None:
     subtree); its children in *parent*'s ``_child_count``, and on up
     through transparent ``axml:sc``s (a metadata child is one child and
     no content).  The climb drops the value maps of those ancestors'
-    names too: their logical text changed."""
-    values = parent._document.index._values
+    names (their logical text changed) and the child's name's seek entry
+    (its parent changed), and keeps the ancestors' (``StructuralIndex.seek``)."""
+    values, seeks = parent._document.index._values, parent._document.index._seeks
     if child.__class__ is Text:
         if not values:
             return
         elements = children = 0
     else:
         name, children = child.name, 1
+        seeks.pop(name.local, None)
         if name.prefix == AXML_PREFIX:
             if name.local in AXML_META_LOCALS:
                 parent._child_count += sign
+                seeks.pop(parent.name.local, None)
                 return
             if name.local == "sc":  # its logical children, not its metadata
                 children = child._child_count - sum(
@@ -520,6 +518,8 @@ def _propagate_logical_count(parent: Element, child: Node, sign: int) -> None:
         name = node.name
         if values:
             values.pop(name.local, None)
+        if children and name.local in seeks:
+            seeks[name.local][2] += children
         if name.prefix != AXML_PREFIX or name.local != "sc":
             if name.prefix == AXML_PREFIX and name.local in AXML_META_LOCALS:
                 break

@@ -23,9 +23,9 @@ walk would have charged; :meth:`PathExpr.each` runs the same functions
 over many contexts at a time, each kept apart (a where-clause's filter).
 
 A Select runs reach → filter → order: the where-clause (*keep*) sees a
-``//name`` step's reachable candidates before its survivors are ordered;
-a comparison ending in a child step is a test or a value-postings lookup
-(:meth:`PathExpr.compile_test`).  Comparisons read :func:`logical_text`.
+``//name`` step's reachable candidates before its survivors are ordered,
+or the step starts from value-postings hits (*seek*).  A comparison reads
+:func:`logical_text`; ending in a child step, it is one test.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isfinite
-from operator import eq
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import QuerySyntaxError
 from repro.obs.prof import PROF
+from repro.xmlstore.index import Seek
 from repro.xmlstore.names import (
     AXML_PREFIX, QName, is_axml_meta_name, is_sc_name, is_valid_name)
 from repro.xmlstore.nodes import Document, Element, Node, Text
@@ -116,6 +116,7 @@ class PathExpr:
         context: Union[Document, Element, Sequence[Element]],
         meter: TraversalMeter = NULL_METER,
         keep: Optional[Callable[[List[Element]], List[Element]]] = None,
+        seek: Optional[Seek] = None,
     ) -> List[Node]:
         """Evaluate against a context node (or node list), document order.
 
@@ -123,7 +124,8 @@ class PathExpr:
         callers read :func:`logical_text` themselves — keeping the result
         homogeneous simplifies update targets.  *keep* (a where-clause)
         filters the result, keeping order; when the index answers a last
-        ``//name`` step, it runs before the survivors are ordered.
+        ``//name`` step, it runs before the survivors are ordered (or
+        ``StructuralIndex.seek`` starts that step from *seek*'s value hits).
         """
         functions, repeats, tail = self._plan or self._compile_steps()
         start = 0
@@ -152,7 +154,7 @@ class PathExpr:
         groups = _run(functions[start:len(functions) - (tail is not None)], [current], meter)
         nodes: List[Node] = groups[0]
         if tail is not None:
-            reached = _indexed_descendants(tail, nodes, meter, keep)
+            reached = _indexed_descendants(tail, nodes, meter, keep, seek)
             if reached is not None:
                 return reached  # from one context: no node twice
             nodes = _walk_descendants(tail, nodes, meter)
@@ -178,16 +180,11 @@ class PathExpr:
         child step (``i/sku``, ``p/name/lastname``, ``i/sku/text()``).
         The earlier steps run as in :meth:`each`, the last as a test
         (:func:`_child_step`): same kept candidates, order and meter as
-        :meth:`each` then ``Comparison.matches``.  ``=`` on one step with
-        no ``axml:`` prefix is ``StructuralIndex.value_join`` instead."""
+        :meth:`each` then ``Comparison.matches``."""
         functions = (self._plan or self._compile_steps())[0]
         steps = [step for step in self.steps if step.axis not in ("text", "attribute")]
         if not steps or steps[-1].axis != "child" or self.attribute_name is not None:
             return None
-        name = steps[-1].name
-        if compare is eq and len(steps) == 1 and name is not None and name.prefix != AXML_PREFIX:
-            return lambda candidates, meter: candidates[0].document.index.value_join(
-                name, literal, number, candidates, meter)
         test = _child_step(steps[-1], (compare, literal, number))
         earlier = functions[:-1]
 
@@ -335,7 +332,8 @@ def _walk_descendants(step: Step, context: List[Element], meter: TraversalMeter)
 
 
 def _indexed_descendants(
-    step: Step, context: List[Element], meter: TraversalMeter, keep: Optional[Callable] = None
+    step: Step, context: List[Element], meter: TraversalMeter, keep: Optional[Callable] = None,
+    seek: Optional[Seek] = None,
 ) -> Optional[List[Element]]:
     """Answer a named descendant step from the structural index, or
     None (the walk answers) for ``*``, several contexts (walk order is
@@ -344,7 +342,8 @@ def _indexed_descendants(
     meter is charged what the walk would touch, so the paper's traversal
     cost (§3.2, E7) does not depend on which ran.  With *keep*, the
     reachable candidates go through it in postings order; only two or
-    more survivors are put in document order."""
+    more survivors are put in document order.  ``StructuralIndex.seek``
+    answers instead when it can (same survivors and meter)."""
     if step.name is None or len(context) != 1:
         return None
     ctx = context[0]
@@ -356,13 +355,15 @@ def _indexed_descendants(
         return None
     meter.touch(logical)
     PROF.incr("query_index_hits")
-    prefix = step.name.prefix
-    candidates = [element for element in postings.values() if element.name.prefix == prefix]
-    if is_axml_meta_name(step.name):  # once per step: every candidate has the name
-        candidates = [element for element in candidates if element is ctx]
-    if keep is None:
-        return index.order_ranks(candidates, ctx)
-    survivors = keep(index.reachable(candidates, ctx))
+    survivors = None if seek is None else index.seek(step.name, ctx, seek, meter)
+    if survivors is None:
+        prefix = step.name.prefix
+        candidates = [element for element in postings.values() if element.name.prefix == prefix]
+        if is_axml_meta_name(step.name):  # once per step: every candidate has the name
+            candidates = [element for element in candidates if element is ctx]
+        if keep is None:
+            return index.order_ranks(candidates, ctx)
+        survivors = keep(index.reachable(candidates, ctx))
     return index.order_ranks(survivors, ctx) if len(survivors) > 1 else survivors
 
 

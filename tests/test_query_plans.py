@@ -22,7 +22,7 @@ from the reference walk alike.
 import contextlib
 import re
 from collections import Counter
-from typing import List
+from typing import List, Optional
 from unittest import mock
 
 import pytest
@@ -766,3 +766,152 @@ def _comparisons_of(condition) -> list:
     if isinstance(condition, Comparison):
         return [condition]
     return [leaf for part in condition.parts for leaf in _comparisons_of(part)]
+
+
+# ---------------------------------------------------------------------------
+# A //name step started from the value hits, across writes
+# ---------------------------------------------------------------------------
+#
+# ``var/child = literal``, alone or leading an ``and``, lets the index
+# start a ``//name`` source step from the value hits
+# (``StructuralIndex.seek``) when every element of that local name is a
+# child of the context with the step's prefix; the meter is then charged
+# from a per-name ``_child_count`` total that the attach/detach climb
+# keeps.  Rows under one parent — with prefixed twins, ``axml:sc``
+# containers, call metadata, nested rows, a second parent and hits under
+# other names — live through drawn writes that break and restore that
+# shape, and after every write each Select must agree with the
+# per-candidate reference (bindings by identity and order, meter,
+# ``query_*`` counters, exceptions).
+
+ROW_VALUES = ("1", "x", " 1 ", "2")
+ROW_CHILDREN = ("b", "b", "b", "c", "p:b", "sc", "params")
+DRIVE_SOURCES = ("R//a", "R//a", "R//a", "R//p:a", "R/g//a", "R//axml:sc", "R//c",
+                 "R//axml:params")
+DRIVE_WHERES = (
+    "i/b = 1", "i/b = 1", "i/b = x", "i/b/text() = 1", "i/p:b = 1", "i/b = 1 and i/c = 2",
+    "i/b = 1 and i/b != x", "i/b = 1 and i/c = 1 and i/b/text() < 5", "i/b = 1 or i/c = 1",
+    "i/c = 1 or i/b = 1", "i/b = 2 and i/c = 1 or i/b = 1",
+)
+DRIVE_WRITES = WRITES + ("row", "row", "params", "detach_row", "move_row", "loose_row")
+
+
+def _new_row(data, doc: Document, parent: Optional[Element], name: str, tidy: bool) -> Element:
+    """A row *name* under *parent* (detached when None) with drawn
+    children: ``b``/``c`` values, maybe through an ``axml:sc`` or inside
+    its params, maybe (unless *tidy*) a prefixed ``p:b`` or a row."""
+    row = Element(doc, name, {"rank": data.draw(st.sampled_from(("1", "2")))})
+    if parent is not None:
+        parent.append(row)
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(ROW_CHILDREN if tidy else ROW_CHILDREN + ("row",)))
+        holder = row
+        if kind == "sc":  # a hit through a transparent call
+            holder, kind = row.new_element("axml:sc"), "b"
+        elif kind == "params":  # a hit inside call metadata: not content
+            holder, kind = row.new_element("axml:sc").new_element("axml:params"), "b"
+        elif kind == "row":  # a row inside a row
+            holder, kind = row.new_element("a"), "b"
+        holder.new_element(kind).new_text(data.draw(st.sampled_from(ROW_VALUES)))
+    return row
+
+
+def build_rows_document(data) -> Document:
+    """Rows under the root; a *tidy* document (drawn half the time) keeps
+    every ``a`` a root child, so the drive answers from the start."""
+    doc = Document("R")
+    root = doc.create_root(QName("R"))
+    tidy = data.draw(st.booleans())
+    parents = [root, root, root]
+    if data.draw(st.booleans()):
+        g = root.new_element("g")  # a second parent: a non-root context
+        if not tidy:
+            parents.append(g)
+    for _ in range(data.draw(st.integers(1, 6))):
+        name = "a" if tidy else data.draw(st.sampled_from(("a", "a", "a", "p:a")))
+        _new_row(data, doc, data.draw(st.sampled_from(parents)), name, tidy)
+    if data.draw(st.booleans()):  # a hit whose parent has another name
+        root.new_element("c").new_element("b").new_text(data.draw(st.sampled_from(ROW_VALUES)))
+    if data.draw(st.booleans()):  # call metadata as a child of the context
+        root.new_element("axml:params").new_element("b").new_text("1")
+    return doc
+
+
+def _drive_write(data, doc: Document, kind: str, state: dict) -> None:
+    rows = [e for e in doc.root.iter_elements() if e.name.local == "a"]
+    if kind == "row":  # a new row, usually where the rows are
+        parent = data.draw(st.sampled_from([doc.root, doc.root] + nodes_of(doc)))
+        _new_row(data, doc, parent, data.draw(st.sampled_from(("a", "a", "p:a"))), False)
+    elif kind == "loose_row":  # a new row left detached, holding a hit
+        _new_row(data, doc, None, "a", True).new_element("b").new_text("1")
+    elif kind in ("detach_row", "move_row") and rows:
+        row = data.draw(st.sampled_from(rows))
+        row.detach()
+        if kind == "move_row":
+            parent = _adoptable(data, doc, row)
+            if parent is not None:
+                parent.append(row)
+    elif kind == "params":  # call metadata joins or leaves an element
+        params = [e for e in doc.root.iter_elements() if e.name.local == "params"]
+        if params and data.draw(st.booleans()):
+            data.draw(st.sampled_from(params)).detach()
+        else:
+            meta = data.draw(st.sampled_from(nodes_of(doc))).new_element("axml:params")
+            meta.new_element("b").new_text("1")
+    elif kind in WRITES:
+        _write(data, doc, kind, state)
+
+
+@settings(max_examples=250, deadline=None)
+@given(data=st.data())
+def test_a_step_started_from_value_hits_matches_the_reference_across_writes(data):
+    doc = build_rows_document(data)
+    state = {"snapshot": doc.clone_tree(), "pending": []}
+    queries = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        where = _where(data.draw(st.sampled_from(DRIVE_WHERES)))
+        if data.draw(st.integers(0, 9)) == 9:
+            where = poison(where, data.draw(st.integers(1, 4)))
+        queries.append(SelectQuery(
+            (VarPath("i", data.draw(paths(terminals=("",)))),), "i",
+            parse_path(data.draw(st.sampled_from(DRIVE_SOURCES))), where,
+        ))
+    seeks: Counter = Counter()
+    real_seek = StructuralIndex.seek
+
+    def counting_seek(index, *args):
+        found = real_seek(index, *args)
+        seeks["declined" if found is None else "found"] += 1
+        return found
+
+    for step in range(data.draw(st.integers(1, 6)) + 1):
+        if step:
+            _drive_write(data, doc, data.draw(st.sampled_from(DRIVE_WRITES)), state)
+        for query in queries:
+            expected = outcome(lambda meter: ref_select(query, doc, meter, True))
+            with mock.patch.object(StructuralIndex, "seek", counting_seek):
+                got = outcome(lambda meter: [
+                    (b.context, b.selected) for b in evaluate_select(query, doc, meter).bindings
+                ])
+            same(got, expected)
+    for verdict in seeks:
+        event(f"seek {verdict}")
+
+
+def test_seek_entries_do_not_outlive_their_elements():
+    """An entry ``StructuralIndex.seek`` keeps for a name goes with the
+    elements it counts: vacuum and ``clear()`` drop it, so it holds no
+    dropped tree (here the context is detached, then vacuumed)."""
+    doc = parse_document("<R><g><a><b>1</b></a><a><b>2</b></a></g></R>", name="R")
+    g = doc.root.first_child("g")
+    g.detach()
+    meter = TraversalMeter()
+    found = parse_path("//a").evaluate(g, meter, lambda nodes: nodes, (QName("b"), "1", 1.0, None))
+    assert found == [g.children[0]] and meter.nodes_traversed == g._logical_count + 2
+    assert doc.index._seeks["a"][0] is g
+    doc.vacuum()
+    assert "a" not in doc.index._seeks
+    evaluate_select(parse_select("Select i from i in R//a where i/b = 1;"), doc)
+    assert doc.index._seeks["a"][0] is doc.root
+    doc.index.clear()
+    assert not doc.index._seeks
