@@ -51,7 +51,7 @@ ADD_ITEM = (
 )
 
 #: Max allowed ratio of the largest per-peer primary share to the ideal
-#: K/N share (vnodes=16 placement variance; measured ≤ ~2.1 across the
+#: K/N share (VNODES=16 placement variance; measured ≤ ~2.1 across the
 #: gated ring sizes).
 BALANCE_BOUND = 3.0
 

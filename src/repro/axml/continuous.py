@@ -9,9 +9,9 @@ doesn't receive data at the specified interval".
 
 :class:`ContinuousDriver` schedules periodic materialization of every
 ``frequency``-carrying call of a document on the simulation's event
-queue.  The §3.3(d) sibling-to-sibling stream, whose consumer reports
-the producer's silence through the peer's chain, is
-:class:`repro.p2p.streams.SiblingStream`.
+queue.  A sibling that misses a datum reports the producer's silence
+with ``AXMLPeer.report_stream_timeout``, which notifies the producer's
+parent and children through the transaction's chain (§3.3(d)).
 """
 
 from __future__ import annotations

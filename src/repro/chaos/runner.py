@@ -332,7 +332,6 @@ def _place_sharded(cluster, config: ChaosConfig, providers: Sequence[str]) -> No
     ring = ShardRing(
         seed=stable_seed(config.seed, "ring"),
         members=providers,
-        vnodes=16,
         replicas=config.replicas,
     )
     coordinator = ShardCoordinator(cluster.network, cluster.replication, ring)

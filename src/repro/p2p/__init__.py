@@ -25,7 +25,6 @@ from repro.p2p.distribution import (
     distribute_fragment,
     remote_subquery,
 )
-from repro.p2p.streams import SiblingStream, StreamData, open_stream
 from repro.p2p.sharding import PlacementDirectory, ShardCoordinator, ShardRing
 
 __all__ = [
@@ -42,9 +41,6 @@ __all__ = [
     "FragmentPlacement",
     "distribute_fragment",
     "remote_subquery",
-    "SiblingStream",
-    "StreamData",
-    "open_stream",
     "PlacementDirectory",
     "ShardCoordinator",
     "ShardRing",

@@ -50,12 +50,14 @@ from repro.p2p.failure import crash_and_restart
 
 #: Virtual seconds between two quiescence-barrier rechecks of a migration.
 DEFER_DELAY = 0.05
+#: Points each member contributes to a :class:`ShardRing`.
+VNODES = 16
 
 
 class ShardRing:
     """A seeded consistent-hash ring with virtual nodes.
 
-    Every member contributes ``vnodes`` points on a 32-bit ring; a key
+    Every member contributes ``VNODES`` points on a 32-bit ring; a key
     hashes to a point and is owned by the next ``1 + replicas`` distinct
     members clockwise.  All hashing is :func:`zlib.crc32` over strings
     that include the ring *seed*, so the assignment is a pure function
@@ -67,15 +69,11 @@ class ShardRing:
         self,
         seed: int,
         members: Sequence[str] = (),
-        vnodes: int = 16,
         replicas: int = 0,
     ):
-        if vnodes < 1:
-            raise P2PError(f"vnodes must be >= 1, got {vnodes}")
         if replicas < 0:
             raise P2PError(f"replicas must be >= 0, got {replicas}")
         self.seed = seed
-        self.vnodes = vnodes
         self.replicas = replicas
         self._members: List[str] = []
         #: Sorted ``(point, member)`` pairs — the ring itself.
@@ -101,7 +99,7 @@ class ShardRing:
         if member in self._members:
             return
         self._members.append(member)
-        for index in range(self.vnodes):
+        for index in range(VNODES):
             bisect.insort(self._points, (self._member_point(member, index), member))
 
     def remove_member(self, member: str) -> None:
@@ -141,7 +139,7 @@ class ShardRing:
     def __repr__(self) -> str:
         return (
             f"ShardRing(seed={self.seed}, members={self._members}, "
-            f"vnodes={self.vnodes}, replicas={self.replicas})"
+            f"replicas={self.replicas})"
         )
 
 

@@ -6,6 +6,7 @@ breaking downstream callers — and pins the *absence* of every second
 spelling the compatibility layer used to carry, so none grows back."""
 
 import importlib
+import importlib.util
 
 import pytest
 
@@ -99,9 +100,12 @@ REMOVED = {
         "build_fig1", "build_fig2", "run_root_transaction",
     ),
     "repro.outcome": ("InvocationOutcome", "InvokeResult", "OutcomeStatus"),
-    # §3.3(d)'s stream is one class, p2p.streams.SiblingStream
+    # §3.3(d)'s reaction is one call, AXMLPeer.report_stream_timeout
     "repro.axml.continuous": ("StreamSubscription",),
-    "repro.p2p": ("InvokeResult", "Outcome", "PingMonitor"),
+    "repro.p2p": (
+        "InvokeResult", "Outcome", "PingMonitor",
+        "SiblingStream", "StreamData", "open_stream",
+    ),
     "repro.p2p.messages": ("InvokeResult", "Outcome"),
     "repro.axml": ("InvocationOutcome", "Outcome", "FaultHandler", "RetryPolicy"),
     "repro.axml.materialize": ("InvocationOutcome",),
@@ -136,6 +140,11 @@ REMOVED = {
 )
 def test_removed_spelling_stays_removed(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_stream_module_stays_removed():
+    # Only tests entered it; §3.3(d) is AXMLPeer.report_stream_timeout.
+    assert importlib.util.find_spec("repro.p2p.streams") is None
 
 
 def test_removed_members_stay_removed():

@@ -1,60 +1,169 @@
-"""Traffic census (non-gating, ~2 min, prints only): ``python tools/traffic_census.py``
+"""Traffic census and idle-code ratchet (ROADMAP item 22, ~2 min):
+``python tools/traffic_census.py [--check | --update]``
 
 Runs the non-test traffic in this process under one ``sys.setprofile`` hook: the
 ``BENCHMARK.json`` workloads (``benchmarks.e2e.child --smoke``), ``examples/*.py``, the
-eight ``python -m repro ...`` figure/report commands, the non-pytest
+``python -m repro ...`` commands of ``CLI_COMMANDS``, the non-pytest
 ``run: PYTHONPATH=src python ...`` lines of ``.github/workflows/ci.yml``, and ``pytest``
 over the paper-claim benches (``bench_e*``, ``bench_a*``, ``bench_fig*``).  Prints per
 item its exit status, the ``PROF`` counters on either side of each fork and the traffic
 of the ``parse_path`` memo (hits, misses, size; emptied per item), then every
-function under ``src/repro/`` none of it entered, with their line total — candidates
-for ROADMAP item 8; check tests and docs/PAPER_MAP.md first.  Not seen: pool workers,
-and ``bench_p1`` after its Part C installs its own hook.
+function under ``src/repro/`` none of it entered, with their line total.  Not seen:
+pool workers, and ``bench_p1`` after its Part C installs its own hook (the census
+re-arms its hook per item and never wraps ``sys.setprofile``, so no item's own
+call counts move).
+
+``tools/idle_ratchet.json`` maps every idle function, keyed ``path::qualname`` (a
+line shift is no finding), to one reason of ``REASONS``.  Dunders and the members of
+``typing.Protocol`` classes are exempt by rule.  ``--check`` exits 1 when an item
+exits non-zero, or on any finding:
+
+* an idle function that is not listed (give it traffic, delete it, or list it),
+* a listed function that was entered or no longer exists (bank it: ``--update``
+  rewrites the list and only ever removes entries), or
+* an entry whose reason is not in ``REASONS``.
 """
 
+import ast
 import contextlib
+import inspect
 import json
 import os
 import re
 import runpy
 import sys
 from pathlib import Path
+from typing import Dict, List, NamedTuple, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = str(ROOT / "src" / "repro") + os.sep
+SRC = ROOT / "src" / "repro"
+SRC_PREFIX = str(SRC) + os.sep
+RATCHET = ROOT / "tools" / "idle_ratchet.json"
 FORK_COUNTERS = (  # prefixes
     "serialize_tree_", "entry_codec_", "query_index_", "query_tree_", "service_template_",
 )
+#: The closed set of reasons an idle function may stay for.
+REASONS = {
+    "reserved:7": "a span or PROF reader; ROADMAP 7's debugger is its caller",
+    "reserved:9": "SphereAnalysis.explain; ROADMAP 9 decides it",
+    "reserved:13(ii)": "the parent watch; ROADMAP 13(ii) makes it the behaviour or deletes it",
+    "reserved:19": "shrinking and repro files; ROADMAP 19 gives them a caller",
+    "reserved:21": "a chaos mutation; ROADMAP 21 moves the mutations out of src/",
+    "tracer-boundary": "PeerChain.from_text and _ChainParser; they go with ROADMAP 5(v)",
+    "untaken-branch": "a program caller reaches it on a branch no traffic takes",
+    "error-path": "runs only on bad input or a failed step",
+    "reference": "public surface no program path needs: an accessor, a base-class default, a helper",
+    "pair": "the other half of a pair: an undo, or the index side of a maintenance call",
+    "cli": "reached only from a command the census does not run",
+}
 entered = set()
 
 
 def hook(frame, event, arg):
-    if event == "call" and frame.f_code.co_filename.startswith(SRC):
+    if event == "call" and frame.f_code.co_filename.startswith(SRC_PREFIX):
         entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
 
-CLI_COMMANDS = (  # the figure/report surface of the verify skill
+CLI_COMMANDS = (  # the figure/report surface of the verify skill, and one chaos run
     "atplist --query A", "atplist --query B --abort",
     "fig1 --fault AP5:S5 --handler AP3:S5",
     "fig2 --case b", "fig2 --case c", "fig2 --case d",
     "report --scenario fig1 --fault AP5:S5", "spheres --super-fraction 0.5",
+    "chaos --seed 3 --txns 8",
 )
 
 
-def defined_functions():
-    """``(file, first line) -> (qualified name, lines)`` of every def under src/repro/."""
+class Function(NamedTuple):
+    key: str  # "path::qualname"
+    lines: int
+    exempt: bool  # a dunder or a typing.Protocol member
+
+
+def _protocol_classes(tree: ast.AST) -> Set[str]:
+    """Qualified names of the classes in *tree* that subclass ``Protocol``."""
+    found = set()
+    pending = [(tree, "")]
+    while pending:
+        node, prefix = pending.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                bases = {getattr(base, "id", getattr(base, "attr", None)) for base in child.bases}
+                if "Protocol" in bases:
+                    found.add(prefix + child.name)
+                pending.append((child, f"{prefix}{child.name}."))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                pending.append((child, f"{prefix}{child.name}.<locals>."))
+    return found
+
+
+def defined_functions(src: Path = SRC, root: Path = ROOT) -> Dict[Tuple[str, int], Function]:
+    """``(file, first line) -> Function`` for every def under *src*."""
     found = {}
-    for path in Path(SRC).rglob("*.py"):
-        pending = [compile(path.read_text(), str(path), "exec")]
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        protocols = _protocol_classes(tree)
+        relative = path.relative_to(root).as_posix()
+        pending = [compile(tree, str(path), "exec")]
         while pending:
             code = pending.pop()
             pending.extend(c for c in code.co_consts if hasattr(c, "co_code"))
-            if not code.co_name.startswith("<"):  # <module>, <lambda>, <listcomp>
+            # Not <module>, <lambda>, <listcomp>, nor a class body (not optimized).
+            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
                 last = max(line for _, _, line in code.co_lines() if line)
-                found[str(path), code.co_firstlineno] = (
-                    code.co_qualname, last - code.co_firstlineno + 1
+                owner, _, name = code.co_qualname.rpartition(".")
+                dunder = name.startswith("__") and name.endswith("__")
+                found[str(path), code.co_firstlineno] = Function(
+                    f"{relative}::{code.co_qualname}",
+                    last - code.co_firstlineno + 1,
+                    dunder or owner in protocols,
                 )
     return found
+
+
+def idle_functions(
+    functions: Dict[Tuple[str, int], Function], entered: Set[Tuple[str, int]]
+) -> Dict[str, int]:
+    """``{key: lines}`` of every non-exempt function no traffic entered (a key
+    two defs share, such as a property and its setter, is idle only if both are)."""
+    live = {function.key for site, function in functions.items() if site in entered}
+    idle: Dict[str, int] = {}
+    for function in functions.values():
+        if not function.exempt and function.key not in live:
+            idle[function.key] = idle.get(function.key, 0) + function.lines
+    return idle
+
+
+def findings(
+    listed: Dict[str, str],
+    functions: Dict[Tuple[str, int], Function],
+    entered: Set[Tuple[str, int]],
+) -> List[str]:
+    idle = idle_functions(functions, entered)
+    defined = {function.key for function in functions.values()}
+    out = []
+    for key in sorted(set(idle) | set(listed)):
+        reason = listed.get(key)
+        if reason is None:
+            out.append(f"{key}: never entered and not listed — give it traffic, "
+                       "delete it, or list it with a reason")
+            continue
+        if key not in defined:
+            out.append(f"{key}: listed but gone — bank it (--update)")
+        elif key not in idle:
+            out.append(f"{key}: listed but no longer idle — bank it (--update)")
+        if reason not in REASONS:
+            out.append(f"{key}: reason {reason!r} is not one of {', '.join(sorted(REASONS))}")
+    return out
+
+
+def banked(
+    listed: Dict[str, str],
+    functions: Dict[Tuple[str, int], Function],
+    entered: Set[Tuple[str, int]],
+) -> Dict[str, str]:
+    """The list after ``--update``: entries that are still idle; none is added."""
+    idle = idle_functions(functions, entered)
+    return {key: reason for key, reason in sorted(listed.items()) if key in idle}
 
 
 def traffic():
@@ -87,11 +196,14 @@ def run(argv):
     return 0
 
 
-if __name__ == "__main__":
+def main(argv: List[str]) -> int:
     os.chdir(ROOT)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks"), str(ROOT)]
+    failed = []
     for item in traffic():
         status = run(item)
+        if status:
+            failed.append(f"exit {status}: {' '.join(item)} — its traffic is incomplete")
         from repro.obs.prof import PROF  # only now: the hook has seen the import
         from repro.xmlstore.path import _parsed_path  # the parse_path memo
         forks = {n: v for n, v in sorted(PROF.counters.items()) if n.startswith(FORK_COUNTERS)}
@@ -100,11 +212,30 @@ if __name__ == "__main__":
               f"{memo.hits} hits, {memo.misses} misses, {memo.currsize} texts")
         PROF.counters.clear()  # not reset(): the hook is still armed
         _parsed_path.cache_clear()
+    sys.setprofile(None)
     functions = defined_functions()
-    idle = sorted(set(functions) - entered)
+    idle = idle_functions(functions, entered)
     print(
-        f"{len(idle)} of {len(functions)} functions "
-        f"({sum(functions[key][1] for key in idle)} lines) under src/repro/ never entered:"
+        f"{len(idle)} of {len({f.key for f in functions.values()})} functions "
+        f"({sum(idle.values())} lines) under src/repro/ never entered, "
+        "dunders and Protocol members aside:"
     )
-    for path, line in idle:
-        print(f"  {os.path.relpath(path, ROOT)}:{line} {functions[path, line][0]}")
+    for key in sorted(idle):
+        print(f"  {key}")
+    if not {"--check", "--update"} & set(argv):
+        return 0
+    listed = json.loads(RATCHET.read_text())
+    if "--update" in argv:
+        listed = banked(listed, functions, entered)
+        RATCHET.write_text(json.dumps(listed, indent=1, sort_keys=True) + "\n")
+    problems = failed + findings(listed, functions, entered)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        return 1
+    print(f"idle ratchet: {len(listed)} listed functions, no new idle code")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
