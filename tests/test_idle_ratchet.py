@@ -129,3 +129,39 @@ def test_committed_list_names_defined_functions_with_valid_reasons():
     assert sorted(key for key in listed if key not in keys) == []
     assert sorted(key for key in listed if keys[key].exempt) == []
     assert sorted(key for key, reason in listed.items() if reason not in tool.REASONS) == []
+
+
+def test_sites_and_keys_match_the_code_objects_the_hook_sees(tmp_path):
+    """A def's site is ``(co_filename, co_firstlineno)`` of its code object (the
+    first decorator's line) and its key ends in its ``__qualname__``."""
+    source = SOURCE + textwrap.dedent('''
+        import functools
+
+        if True:
+            class Cache:
+                @staticmethod
+                @functools.lru_cache(maxsize=None)
+                def lookup(key):
+                    def inner():
+                        return key
+                    return inner
+
+                @property
+                def size(self):
+                    return 0
+
+                async def refresh(self):
+                    return None
+    ''')
+    functions, _ = _census(tmp_path, source, set())
+    spec = importlib.util.spec_from_file_location("mod", tmp_path / "src" / "pkg" / "mod.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    Cache = module.Cache
+    for function in (
+        module.helper, module.Store.put, Cache.lookup.__wrapped__, Cache.lookup("k"),
+        Cache.size.fget, Cache.refresh,
+    ):
+        code = function.__code__
+        site = functions[code.co_filename, code.co_firstlineno]
+        assert site.key == f"src/pkg/mod.py::{function.__qualname__}"

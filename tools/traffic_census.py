@@ -15,8 +15,8 @@ call counts move).
 
 ``tools/idle_ratchet.json`` maps every idle function, keyed ``path::qualname`` (a
 line shift is no finding), to one reason of ``REASONS``.  Dunders and the members of
-``typing.Protocol`` classes are exempt by rule.  ``--check`` exits 1 when an item
-exits non-zero, or on any finding:
+``typing.Protocol`` classes are exempt by rule.  ``--check`` exits 1 on any finding
+(an item's exit status is printed, not checked: the CI jobs that run it gate it):
 
 * an idle function that is not listed (give it traffic, delete it, or list it),
 * a listed function that was entered or no longer exists (bank it: ``--update``
@@ -26,7 +26,6 @@ exits non-zero, or on any finding:
 
 import ast
 import contextlib
-import inspect
 import json
 import os
 import re
@@ -79,44 +78,34 @@ class Function(NamedTuple):
     exempt: bool  # a dunder or a typing.Protocol member
 
 
-def _protocol_classes(tree: ast.AST) -> Set[str]:
-    """Qualified names of the classes in *tree* that subclass ``Protocol``."""
-    found = set()
-    pending = [(tree, "")]
-    while pending:
-        node, prefix = pending.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                bases = {getattr(base, "id", getattr(base, "attr", None)) for base in child.bases}
-                if "Protocol" in bases:
-                    found.add(prefix + child.name)
-                pending.append((child, f"{prefix}{child.name}."))
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                pending.append((child, f"{prefix}{child.name}.<locals>."))
-    return found
+def _defs(node: ast.AST, prefix: str = "", protocol: bool = False):
+    """``(qualname, def node, in a Protocol class)`` for every def below *node*;
+    the qualname is built as ``__qualname__`` would be."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            bases = {getattr(base, "id", getattr(base, "attr", None)) for base in child.bases}
+            yield from _defs(child, f"{prefix}{child.name}.", "Protocol" in bases)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child, protocol
+            yield from _defs(child, f"{prefix}{child.name}.<locals>.")
+        else:  # an if/try/with body: same scope
+            yield from _defs(child, prefix, protocol)
 
 
 def defined_functions(src: Path = SRC, root: Path = ROOT) -> Dict[Tuple[str, int], Function]:
-    """``(file, first line) -> Function`` for every def under *src*."""
+    """``(file, first line) -> Function`` for every def under *src*; the first line
+    is the code object's ``co_firstlineno``, a decorator's line when there is one."""
     found = {}
     for path in sorted(src.rglob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        protocols = _protocol_classes(tree)
         relative = path.relative_to(root).as_posix()
-        pending = [compile(tree, str(path), "exec")]
-        while pending:
-            code = pending.pop()
-            pending.extend(c for c in code.co_consts if hasattr(c, "co_code"))
-            # Not <module>, <lambda>, <listcomp>, nor a class body (not optimized).
-            if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<"):
-                last = max(line for _, _, line in code.co_lines() if line)
-                owner, _, name = code.co_qualname.rpartition(".")
-                dunder = name.startswith("__") and name.endswith("__")
-                found[str(path), code.co_firstlineno] = Function(
-                    f"{relative}::{code.co_qualname}",
-                    last - code.co_firstlineno + 1,
-                    dunder or owner in protocols,
-                )
+        for qualname, node, protocol in _defs(ast.parse(path.read_text(), str(path))):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            name = node.name
+            found[str(path), first] = Function(
+                f"{relative}::{qualname}",
+                node.end_lineno - first + 1,
+                protocol or (name.startswith("__") and name.endswith("__")),
+            )
     return found
 
 
@@ -199,11 +188,8 @@ def run(argv):
 def main(argv: List[str]) -> int:
     os.chdir(ROOT)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks"), str(ROOT)]
-    failed = []
     for item in traffic():
         status = run(item)
-        if status:
-            failed.append(f"exit {status}: {' '.join(item)} — its traffic is incomplete")
         from repro.obs.prof import PROF  # only now: the hook has seen the import
         from repro.xmlstore.path import _parsed_path  # the parse_path memo
         forks = {n: v for n, v in sorted(PROF.counters.items()) if n.startswith(FORK_COUNTERS)}
@@ -228,7 +214,7 @@ def main(argv: List[str]) -> int:
     if "--update" in argv:
         listed = banked(listed, functions, entered)
         RATCHET.write_text(json.dumps(listed, indent=1, sort_keys=True) + "\n")
-    problems = failed + findings(listed, functions, entered)
+    problems = findings(listed, functions, entered)
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
