@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.axml.document import AXMLDocument
 from repro.axml.materialize import OperationOutcome
-from repro.chaos.runner import MUTATIONS, ChaosConfig
+from repro.chaos.runner import ChaosConfig
 from repro.outcome import Outcome
 from repro.p2p.failure import FailureInjector
 from repro.p2p.network import SimNetwork
@@ -422,9 +422,6 @@ def add_run_arguments(parser) -> None:
     parser.add_argument(
         "--handlers", action="store_true",
         help="install retry fault policies (forward recovery)")
-    parser.add_argument(
-        "--mutate", default="", choices=MUTATIONS,
-        help="deliberately break the protocol (oracle demo)")
     parser.add_argument(
         "--crash-rate", type=float, default=ChaosConfig.crash_rate,
         help="planned crash-and-restart faults per transaction "

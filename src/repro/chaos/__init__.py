@@ -31,7 +31,6 @@ from repro.chaos.planner import (
 from repro.chaos.runner import (
     ChaosConfig,
     ChaosRunResult,
-    MUTATIONS,
     build_chaos_cluster,
     chaos_sweep,
     describe_plan,
@@ -57,7 +56,6 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FaultPlanner",
-    "MUTATIONS",
     "ShrinkReport",
     "VIOLATION_KINDS",
     "Violation",

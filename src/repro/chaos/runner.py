@@ -29,9 +29,6 @@ shares against the origin's decision (``resolve_in_doubt``), which is
 exactly what a returning peer can learn by asking any chain member;
 (4) release per-transaction protocol state (``forget_transaction``).
 Only then does the oracle sweep.
-
-Mutation modes (``config.mutate``) deliberately break the protocol to
-prove the oracle catches real violations; see :data:`MUTATIONS`.
 """
 
 from __future__ import annotations
@@ -51,24 +48,12 @@ from repro.chaos.planner import (
 from repro.obs import run_summary
 from repro.obs.prof import profiled
 from repro.query.parser import parse_action  # noqa: F401 - alias benchmarks/e2e's tracer test reads
-from repro.query.update import apply_action
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import DelegatingService
 from repro.sim.rng import SeededRng, stable_seed
 from repro.sim.scheduler import COMMITTED, InvokeOp, TxnResult, TxnSpec
 from repro.txn.modes import DurabilityPolicy
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
-
-#: Deliberate protocol breakages; each trips a distinct oracle kind.
-MUTATIONS = (
-    "skip_undo",      # drop one undo entry before compensating -> compensation_missing
-    "double_apply",   # apply one insert twice, log it once      -> effect_duplicated
-    "stale_chain",    # skip one forget_transaction              -> orphan_chain
-    # drop the newest disk-recovered entry at restart -> compensation_missing
-    # (proves recovery replays from the on-disk WAL, not volatile state)
-    "crash_skip_undo",
-)
-
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -79,9 +64,9 @@ class ChaosConfig:
     :func:`chaos_sweep` and the ``repro chaos`` CLI (whose
     flags map onto these fields through
     :func:`~repro.api.add_run_arguments` / :meth:`from_namespace`).
-    Crash faults, the ``crash_skip_undo`` mutation, checkpointing,
-    group commit and replication all work on the on-disk WAL, so
-    setting any of them implies ``durability=True``.
+    Crash faults, checkpointing, group commit and replication all work
+    on the on-disk WAL, so setting any of them implies
+    ``durability=True``.
     """
 
     seed: int = 7
@@ -95,7 +80,6 @@ class ChaosConfig:
     arrival_rate: float = 20.0
     op_gap: float = 0.01
     handlers: bool = False
-    mutate: str = ""
     #: Give every provider a durable on-disk WAL (scratch directories).
     durability: bool = False
     #: Expected crash events per run = crash_rate * txns.
@@ -121,15 +105,10 @@ class ChaosConfig:
     shard_spares: int = 0
 
     def __post_init__(self) -> None:
-        if self.mutate and self.mutate not in MUTATIONS:
-            raise ValueError(
-                f"unknown mutation {self.mutate!r}; use one of {MUTATIONS}"
-            )
         if self.providers < 1 or self.origins < 1 or self.txns < 1:
             raise ValueError("providers, origins and txns must all be >= 1")
         if (
             self.crash_rate > 0
-            or self.mutate == "crash_skip_undo"
             or self.checkpoint_every > 0
             or self.wal_batch > 1
             or self.replicas > 0
@@ -175,8 +154,11 @@ class ChaosConfig:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChaosConfig":
         """Rebuild from :meth:`to_dict` output (a repro file's
-        ``config``); unknown keys are ignored, a wrongly typed value is
-        a ``ValueError`` naming the field."""
+        ``config``); an unknown key or a wrongly typed value is a
+        ``ValueError`` naming it."""
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config field(s) {unknown}")
         return cls(**typed_fields(cls, data, "config"))
 
     @classmethod
@@ -220,8 +202,8 @@ class ChaosRunResult:
         return not self.violations
 
     def oracle(self) -> AtomicityOracle:
-        """A fresh oracle over this run's outcomes (for re-checking a
-        cluster after poking at it — used by tests and notebooks)."""
+        """A fresh oracle over this run's outcomes: settlement's sweep,
+        and a re-check of a cluster after poking at it."""
         return AtomicityOracle(
             outcomes={r.label: r.status for r in self.results},
             expected=self.expected,
@@ -475,58 +457,6 @@ def _resharded(cluster, event: FaultEvent) -> FaultEvent:
 
 
 # ---------------------------------------------------------------------------
-# mutations
-# ---------------------------------------------------------------------------
-
-def _install_mutation(cluster, mutate: str, providers: Sequence[str]) -> None:
-    """Wrap one method of every provider so that the first call that can
-    break the protocol does — once per run, whichever provider gets
-    there first.  (``stale_chain`` needs no wrapper: settlement skips
-    one ``forget_transaction``.)"""
-    fired = False
-
-    def once(condition) -> bool:
-        nonlocal fired
-        if fired or not condition:
-            return False
-        fired = True
-        return True
-
-    for provider in providers:
-        peer = cluster.peer(provider)
-        manager, wal = peer.manager, peer.wal
-        if mutate == "skip_undo":
-            # The first compensation silently loses its newest entry.
-            def abort_local(txn_id, meter=None, _manager=manager,
-                            _orig=manager.abort_local):
-                entries = _manager.log.entries_for(txn_id)
-                if once(entries):
-                    _manager.log._entries.remove(entries[-1])
-                return _orig(txn_id, meter)
-
-            manager.abort_local = abort_local
-        elif mutate == "double_apply":
-            # The first insert is applied twice but logged once.
-            def record_changes(records, document_name, action_xml, action,
-                               _peer=peer, _orig=peer.record_changes):
-                _orig(records, document_name, action_xml, action)
-                if once(records):
-                    apply_action(_peer.get_axml_document(document_name).document, action)
-
-            peer.record_changes = record_changes
-        elif mutate == "crash_skip_undo" and wal is not None:
-            # The first crash recovery silently loses its newest
-            # disk-recovered entry — the across-a-restart analogue of
-            # skip_undo.  If this is *not* flagged, the restarted peer
-            # was compensating from somewhere other than the on-disk WAL.
-            def reload(_orig=wal.reload):
-                entries = _orig()
-                return entries[:-1] if once(entries) else entries
-
-            wal.reload = reload
-
-
-# ---------------------------------------------------------------------------
 # the run
 # ---------------------------------------------------------------------------
 
@@ -537,7 +467,6 @@ def run_chaos(config: ChaosConfig, plan: Optional[FaultPlan] = None) -> ChaosRun
         if plan is None:
             plan = FaultPlanner(config, providers, _spare_names(config)).plan()
         apply_plan(cluster, config, plan)
-        _install_mutation(cluster, config.mutate, providers)
 
         specs, expected = generate_workload(config, origins, providers)
         scheduler = cluster.scheduler(
@@ -550,22 +479,24 @@ def run_chaos(config: ChaosConfig, plan: Optional[FaultPlan] = None) -> ChaosRun
         # counts, so they land in the summary deterministically (identical
         # across reruns and across serial vs. parallel sweep execution).
         with profiled(cluster.metrics):
-            results = scheduler.run()
-            violations = _settle_and_check(cluster, config, results, expected)
-        summary = {
+            result = ChaosRunResult(
+                config, plan, scheduler.run(), [], {}, cluster, expected
+            )
+            result.violations = _settle_and_check(result)
+        result.summary = {
             "version": 1,
             "config": config.to_dict(),
             "plan": plan.to_dict(),
-            "outcomes": {r.label: r.status for r in sorted(results, key=lambda r: r.label)},
-            "violations": [v.to_dict() for v in violations],
+            "outcomes": {
+                r.label: r.status for r in sorted(result.results, key=lambda r: r.label)
+            },
+            "violations": [v.to_dict() for v in result.violations],
             "metrics": run_summary(cluster.metrics),
         }
         cluster.metrics.incr("chaos_runs")
-        if violations:
-            cluster.metrics.incr("chaos_violations", len(violations))
-        return ChaosRunResult(
-            config, plan, results, violations, summary, cluster, expected
-        )
+        if result.violations:
+            cluster.metrics.incr("chaos_violations", len(result.violations))
+        return result
     finally:
         _cleanup_durability(cluster)
 
@@ -585,12 +516,8 @@ def _cleanup_durability(cluster) -> None:
     scratch.cleanup()
 
 
-def _settle_and_check(
-    cluster,
-    config: ChaosConfig,
-    results: List[TxnResult],
-    expected: List[ExpectedEffect],
-) -> List[Violation]:
+def _settle_and_check(result: ChaosRunResult) -> List[Violation]:
+    cluster, config = result.cluster, result.config
     # (1) drain: delayed messages and late planned events still fire
     # while dead peers are dead — chaos timing is part of the run.
     cluster.run_all()
@@ -600,11 +527,11 @@ def _settle_and_check(
             cluster.network.reconnect(peer_id)
     # (3) settle in-doubt shares against the origins' decisions.
     decisions: List[Tuple[str, bool]] = []
-    for result in results:
-        for txn_id in result.txn_ids[:-1]:
+    for txn in result.results:
+        for txn_id in txn.txn_ids[:-1]:
             decisions.append((txn_id, False))
-        if result.txn_ids:
-            decisions.append((result.txn_ids[-1], result.status == COMMITTED))
+        if txn.txn_ids:
+            decisions.append((txn.txn_ids[-1], txn.status == COMMITTED))
     for txn_id, committed in decisions:
         for peer in cluster.peers.values():
             if peer.resolve_in_doubt(txn_id, committed) != "noop":
@@ -623,20 +550,11 @@ def _settle_and_check(
     if config.sharding:
         cluster.shard_coordinator.settle()
     # (4) hygiene: release per-txn protocol state everywhere.
-    skipped_stale = config.mutate != "stale_chain"
     for peer in cluster.peers.values():
         for txn_id, _committed in decisions:
-            if not skipped_stale and txn_id in peer.chain_views():
-                skipped_stale = True  # the deliberate stale entry
-                continue
             peer.forget_transaction(txn_id)
     # (5) sweep.
-    oracle = AtomicityOracle(
-        outcomes={r.label: r.status for r in results},
-        expected=expected,
-        txn_ids={r.label: list(r.txn_ids) for r in results},
-    )
-    return oracle.check(cluster.peers)
+    return result.oracle().check(cluster.peers)
 
 
 def describe_plan(plan: FaultPlan) -> List[str]:

@@ -198,7 +198,6 @@ def _print_chaos_result(result) -> None:
     print(
         f"chaos run: seed={config.seed} txns={config.txns} "
         f"concurrency={config.concurrency} fault_rate={config.fault_rate}"
-        + (f" mutate={config.mutate}" if config.mutate else "")
     )
     print(f"fault schedule ({len(result.plan)} events):")
     for line in describe_plan(result.plan) or ["(none)"]:

@@ -81,12 +81,14 @@ REMOVED = {
         "RunConfig", "chaos", "SweepConfig", "chaos_sweep", "add_sweep_arguments",
         "OutcomeStatus",
     ),
-    "repro.chaos": ("rerun",),
+    # the oracle's mutations are a test helper (tests/chaos_mutations.py)
+    "repro.chaos": ("rerun", "MUTATIONS"),
     "repro.chaos.planner": ("KINDS",),
     "repro.chaos.runner": (
         "_MutationState", "_sweep_row", "_install_skip_undo",
         "_install_double_apply", "_install_crash_skip_undo",
         "_install_message_chaos", "_schedule_kill_primary", "_schedule_lag",
+        "MUTATIONS", "_install_mutation",
     ),
     "repro.axml.faults": (
         "FaultHandler", "RetryPolicy", "HookRegistry", "select_handler",
@@ -140,6 +142,18 @@ REMOVED = {
 )
 def test_removed_spelling_stays_removed(module, name):
     assert not hasattr(importlib.import_module(module), name)
+
+
+def test_mutation_knob_stays_removed():
+    # Breaking the protocol on purpose is the tests' job, not a run knob.
+    import dataclasses
+
+    from repro.cli import main
+
+    assert "mutate" not in {f.name for f in dataclasses.fields(ChaosConfig)}
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chaos", "--mutate", "skip_undo"])
+    assert exit_info.value.code == 2
 
 
 def test_stream_module_stays_removed():

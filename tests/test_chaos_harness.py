@@ -30,6 +30,7 @@ from repro.cli import main
 from repro.p2p.network import SimNetwork
 from repro.sim.metrics import MetricsCollector
 from repro.sim.scheduler import InvokeOp
+from tests.chaos_mutations import mutated
 
 
 def _planner(seed, fault_rate=0.5, txns=20):
@@ -173,8 +174,12 @@ class TestHarnessRuns:
         assert result.ok, result.violations
 
     def test_unknown_mutation_rejected(self):
-        with pytest.raises(ValueError):
+        # Mutations are a test helper, not a config knob.
+        with pytest.raises(TypeError):
             ChaosConfig(mutate="nonsense")
+        with pytest.raises(ValueError):
+            with mutated("nonsense"):
+                pass
 
     @pytest.mark.parametrize("handlers", [False, True])
     @pytest.mark.parametrize("shape, moves", [
@@ -225,10 +230,16 @@ class TestSettlementApis:
         assert txn.txn_id not in origin.chain_views()
 
 
-class TestShrinkAndRepro:
-    CONFIG = ChaosConfig(seed=7, fault_rate=0.2, mutate="skip_undo")
+@pytest.fixture
+def skip_undo():
+    with mutated("skip_undo"):
+        yield
 
-    def test_shrink_minimizes_and_stays_failing(self):
+
+class TestShrinkAndRepro:
+    CONFIG = ChaosConfig(seed=7, fault_rate=0.2)
+
+    def test_shrink_minimizes_and_stays_failing(self, skip_undo):
         failing = run_chaos(self.CONFIG)
         assert not failing.ok
         report = shrink_plan(self.CONFIG, failing.plan)
@@ -241,7 +252,7 @@ class TestShrinkAndRepro:
         with pytest.raises(ValueError):
             shrink_plan(config, FaultPlan(()))
 
-    def test_repro_file_round_trip(self, tmp_path):
+    def test_repro_file_round_trip(self, tmp_path, skip_undo):
         failing = run_chaos(self.CONFIG)
         path = tmp_path / "repro.json"
         report = shrink_and_report(self.CONFIG, failing.plan, str(path))
@@ -255,7 +266,7 @@ class TestShrinkAndRepro:
         assert not replayed.ok
         assert [v.to_dict() for v in replayed.violations] == raw["violations"]
 
-    def test_repro_file_version_check(self, tmp_path):
+    def test_repro_file_version_check(self, tmp_path, skip_undo):
         failing = run_chaos(self.CONFIG)
         path = tmp_path / "repro.json"
         write_repro_file(str(path), failing)
@@ -310,12 +321,9 @@ class TestChaosCli:
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_mutated_run_writes_repro_and_exits_one(self, tmp_path, capsys):
+    def test_mutated_run_writes_repro_and_exits_one(self, tmp_path, capsys, skip_undo):
         repro = tmp_path / "repro.json"
-        code = main([
-            "chaos", "--seed", "7", "--mutate", "skip_undo",
-            "--repro-out", str(repro),
-        ])
+        code = main(["chaos", "--seed", "7", "--repro-out", str(repro)])
         assert code == 1
         assert repro.exists()
         assert "shrunk schedule" in capsys.readouterr().out
@@ -346,6 +354,10 @@ class TestChaosCli:
          "txns"),
         ('{"version": 1, "config": {"handlers": 1}, "plan": {"events": []}}',
          "handlers"),
+        ('{"version": 1, "config": {"bogus": 1}, "plan": {"events": []}}',
+         "unknown config field(s) ['bogus']"),
+        ('{"version": 1, "config": {"mutate": "skip_undo"}, "plan": {"events": []}}',
+         "unknown config field(s) ['mutate']"),
         ('{"version": 1, "config": {}}', "plan"),
         ('{"version": 1, "plan": {"events": []}}', "config"),
         ('{"version": 1, "config": {}, "plan": {"events": [{"bogus": 1}]}}',
@@ -370,7 +382,8 @@ class TestChaosCli:
          "malformed 'plan': unknown fault event field(s) ['when']"),
         (_repro_with('"disconnect"'), "malformed 'plan': a fault event is a JSON object"),
     ], ids=[
-        "config-str-for-int", "config-int-for-bool", "no-plan", "no-config",
+        "config-str-for-int", "config-int-for-bool", "config-unknown-key",
+        "config-removed-mutate", "no-plan", "no-config",
         "unknown-event-field", "events-not-a-list", "not-an-object",
         "not-json",
         "event-time-str", "event-delay-list", "event-drop-rate-bool",

@@ -21,6 +21,7 @@ from repro.chaos import (
 from repro.chaos.oracle import scan_markers
 from repro.query.parser import parse_action
 from repro.query.update import apply_action
+from tests.chaos_mutations import mutated
 
 # A plan with one late service fault: the victim transaction's work at
 # AP2 is done (and logged) before the fault aborts it, so compensation
@@ -33,20 +34,23 @@ _LATE_FAULT = FaultPlan(
 
 class TestMutationsTripTheOracle:
     def test_skip_undo_flags_compensation_missing(self):
-        config = ChaosConfig(seed=3, txns=6, fault_rate=0.0, mutate="skip_undo")
-        result = run_chaos(config, plan=_LATE_FAULT)
+        config = ChaosConfig(seed=3, txns=6, fault_rate=0.0)
+        with mutated("skip_undo"):
+            result = run_chaos(config, plan=_LATE_FAULT)
         kinds = {v.kind for v in result.violations}
         assert "compensation_missing" in kinds, result.violations
 
     def test_double_apply_flags_effect_duplicated(self):
-        config = ChaosConfig(seed=3, txns=6, fault_rate=0.0, mutate="double_apply")
-        result = run_chaos(config)
+        config = ChaosConfig(seed=3, txns=6, fault_rate=0.0)
+        with mutated("double_apply"):
+            result = run_chaos(config)
         kinds = {v.kind for v in result.violations}
         assert "effect_duplicated" in kinds, result.violations
 
     def test_stale_chain_flags_orphan_chain(self):
-        config = ChaosConfig(seed=3, txns=6, fault_rate=0.0, mutate="stale_chain")
-        result = run_chaos(config)
+        config = ChaosConfig(seed=3, txns=6, fault_rate=0.0)
+        with mutated("stale_chain"):
+            result = run_chaos(config)
         kinds = {v.kind for v in result.violations}
         assert "orphan_chain" in kinds, result.violations
 
@@ -58,9 +62,10 @@ class TestMutationsTripTheOracle:
         assert run_chaos(ChaosConfig(seed=3, txns=6, fault_rate=0.0)).ok
 
     def test_violations_are_replayable(self):
-        config = ChaosConfig(seed=3, txns=6, fault_rate=0.0, mutate="skip_undo")
-        first = run_chaos(config, plan=_LATE_FAULT)
-        second = run_chaos(config, plan=_LATE_FAULT)
+        config = ChaosConfig(seed=3, txns=6, fault_rate=0.0)
+        with mutated("skip_undo"):
+            first = run_chaos(config, plan=_LATE_FAULT)
+            second = run_chaos(config, plan=_LATE_FAULT)
         assert [v.to_dict() for v in first.violations] == [
             v.to_dict() for v in second.violations
         ]

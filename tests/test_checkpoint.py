@@ -391,7 +391,6 @@ class TestRunSweepConfig:
         assert ChaosConfig(crash_rate=0.1).durability
         assert ChaosConfig(checkpoint_every=4).durability
         assert ChaosConfig(wal_batch=8).durability
-        assert ChaosConfig(mutate="crash_skip_undo").durability
         assert ChaosConfig(replicas=1).durability
 
     def test_cli_flags_map_onto_run_config(self):

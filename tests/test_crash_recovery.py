@@ -127,7 +127,6 @@ class TestCrashChaos:
     def test_config_validation(self):
         # Crash faults work on the on-disk WAL, so they switch it on.
         assert ChaosConfig(crash_rate=0.5).durability
-        assert ChaosConfig(mutate="crash_skip_undo").durability
         assert not ChaosConfig().durability
 
     def test_crash_plan_extends_existing_plan(self):
@@ -156,9 +155,10 @@ class TestCrashChaos:
         assert a == b
 
     def test_crash_skip_undo_is_flagged(self):
-        from dataclasses import replace
+        from tests.chaos_mutations import mutated
 
-        result = run_chaos(replace(self.CONFIG, mutate="crash_skip_undo"))
+        with mutated("crash_skip_undo"):
+            result = run_chaos(self.CONFIG)
         assert not result.ok
         kinds = {v.kind for v in result.violations}
         # Recovery replayed from the (sabotaged) on-disk WAL: the lost

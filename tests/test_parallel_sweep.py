@@ -14,6 +14,7 @@ from repro.obs import stable_json
 from repro.sim.metrics import MetricsCollector
 from repro.sim.parallel import available_cores, parallel_map, resolve_workers
 from repro.sim.throughput import throughput_sweep
+from tests.chaos_mutations import mutated
 
 SMALL = ChaosConfig(txns=5, providers=3)
 
@@ -59,13 +60,15 @@ class TestChaosSweepIdentity:
         assert len(f1) == len(f2)
 
     def test_failures_are_reproduced_in_parent(self):
-        # A mutated config fails the oracle; the parallel path must hand
+        # A mutated run fails the oracle; the parallel path must hand
         # back full, shrink-ready results for exactly the same configs.
-        bad = ChaosConfig(txns=6, providers=3, mutate="skip_undo")
+        # Forked workers inherit the class-level patch.
+        bad = ChaosConfig(txns=6, providers=3)
         # Several cells: one item never reaches the pool.
         kwargs = dict(seeds=[1, 2, 3], concurrencies=(2,), fault_rates=(0.2,))
-        serial, serial_failures = chaos_sweep(bad, workers=1, **kwargs)
-        parallel, parallel_failures = chaos_sweep(bad, workers=2, **kwargs)
+        with mutated("skip_undo"):
+            serial, serial_failures = chaos_sweep(bad, workers=1, **kwargs)
+            parallel, parallel_failures = chaos_sweep(bad, workers=2, **kwargs)
         assert serial.render() == parallel.render()
         assert serial_failures
         assert [f.config for f in serial_failures] == [

@@ -47,7 +47,6 @@ REASONS = {
     "reserved:9": "SphereAnalysis.explain; ROADMAP 9 decides it",
     "reserved:13(ii)": "the parent watch; ROADMAP 13(ii) makes it the behaviour or deletes it",
     "reserved:19": "shrinking and repro files; ROADMAP 19 gives them a caller",
-    "reserved:21": "a chaos mutation; ROADMAP 21 moves the mutations out of src/",
     "tracer-boundary": "PeerChain.from_text and _ChainParser; they go with ROADMAP 5(v)",
     "untaken-branch": "a program caller reaches it on a branch no traffic takes",
     "error-path": "runs only on bad input or a failed step",
