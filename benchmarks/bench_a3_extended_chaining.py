@@ -33,7 +33,7 @@ BUSHY = {
 
 
 def run_point(scope: str, units_per_peer: int = 10):
-    scenario = Cluster.from_topology(BUSHY, super_peers=("AP1",), chain_scope=scope)
+    scenario = Cluster.from_topology(BUSHY, chain_scope=scope)
     txn, _ = scenario.run_topology()
     # Every leaf/branch holds pending continuous work; the txn is doomed
     # once AP3 dies, whether or not a peer has been told.

@@ -53,11 +53,11 @@ def run_point(depth: int, seed: int = 31):
     rng = SeededRng(seed)
     topology = generate_invocation_tree(rng, depth=depth, fanout=2, fanout_jitter=False)
     peers = len(tree_peers(topology))
-    scenario = Cluster.from_topology(topology, super_peers=("AP1",))
+    scenario = Cluster.from_topology(topology)
     counter = _ByteCounter(scenario.network)
     txn, error = scenario.run_topology()
     assert error is None
-    baseline = Cluster.from_topology(topology, super_peers=("AP1",), chaining=False)
+    baseline = Cluster.from_topology(topology, chaining=False)
     base_counter = _ByteCounter(baseline.network)
     baseline.run_topology()
     return {

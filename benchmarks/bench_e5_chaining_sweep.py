@@ -36,7 +36,7 @@ def run_one(depth: int, chaining: bool, seed: int):
     victim = pick_victim(topology, rng)
     if victim is None:
         return None
-    scenario = Cluster.from_topology(topology, super_peers=("AP1",), chaining=chaining)
+    scenario = Cluster.from_topology(topology, chaining=chaining)
     # The victim dies while its first child executes — its children hold
     # undeliverable results (§3.3b).
     first_child, first_method = topology[victim][0]

@@ -46,7 +46,7 @@ def run_point(fraction: float, seed: int = 17, transactions: int = 200):
     rng = SeededRng(seed)
     super_count = int(round(fraction * len(POOL)))
     super_peers = set(POOL[:super_count])
-    txns = generate_participant_sets(rng, POOL, transactions, 2, 6)
+    txns = generate_participant_sets(rng, POOL, transactions)
     plain = sphere_guarantee_rate(txns, super_peers)
     upgraded = sphere_guarantee_rate(
         txns,

@@ -44,7 +44,7 @@ def run_config(fail_depth: int, forward: bool):
     """Fail S<fail_depth> after its local work; optionally a retry handler
     sits at the invoking peer (depth-1)."""
     topology = linear_topology(CHAIN_LENGTH)
-    scenario = Cluster.from_topology(topology, super_peers=("AP1",))
+    scenario = Cluster.from_topology(topology)
     scenario.injector.fault_service(
         f"AP{fail_depth}", f"S{fail_depth}", "Crash", times=1, point="after_execute"
     )

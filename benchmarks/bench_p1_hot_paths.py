@@ -10,7 +10,8 @@ and CI runs it with ``--smoke`` on every push):
   Results and traversal-meter charges must be identical; wall time must
   not be (gate: indexed strictly faster in smoke, >= 2x in full runs).
 * **Part B — serial vs. parallel C1 chaos sweep.**  Runs the same sweep
-  with ``workers=1`` and ``workers=N`` and requires the rendered table
+  with ``workers=1`` and ``workers=N`` (``--workers``; the default 0 is
+  every available core) and requires the rendered table
   and its JSON payload to be **byte-identical** — the determinism
   contract of :mod:`repro.sim.parallel` — plus a wall-time reduction
   whenever this machine can deliver one for a sweep of that size: the
@@ -102,7 +103,7 @@ from repro.query.lexer import scan_select
 from repro.query.parser import iter_comparisons, parse_action, parse_select
 from repro.query.update import apply_action
 from repro.sim.metrics import MetricsCollector
-from repro.sim.parallel import available_cores, parallel_map
+from repro.sim.parallel import available_cores, parallel_map, resolve_workers
 from repro.sim.rng import SeededRng
 from repro.xmlstore import path as path_module
 from repro.xmlstore.index import StructuralIndex
@@ -226,6 +227,8 @@ def bench_sweep(args) -> dict:
     base = ChaosConfig(seed=args.seed, txns=8 if args.smoke else 20, providers=4)
     seeds = range(4) if args.smoke else range(10)
     kwargs = dict(seeds=seeds, concurrencies=(2, 4), fault_rates=(0.2,))
+    runs = len(seeds) * 2
+    workers = resolve_workers(args.workers, runs)
 
     start = time.perf_counter()
     serial_table, serial_failures = chaos_sweep(
@@ -235,7 +238,7 @@ def bench_sweep(args) -> dict:
 
     start = time.perf_counter()
     parallel_table, parallel_failures = chaos_sweep(
-        base, metrics=MetricsCollector(), workers=args.workers, **kwargs
+        base, metrics=MetricsCollector(), workers=workers, **kwargs
     )
     parallel_time = time.perf_counter() - start
 
@@ -249,16 +252,15 @@ def bench_sweep(args) -> dict:
 
     # What the pool costs here for this much work: the serial leg's
     # CPU time as perfectly parallel busy-work, through the same pool.
-    runs = len(list(seeds)) * 2
     start = time.perf_counter()
-    parallel_map(_burn, [serial_time / runs] * runs, workers=args.workers)
+    parallel_map(_burn, [serial_time / runs] * runs, workers=workers)
     pool_floor = time.perf_counter() - start
 
     speedup = serial_time / parallel_time if parallel_time > 0 else float("inf")
     cores = available_cores()
     print(
         f"P1/B C1 sweep: {runs} runs -> serial "
-        f"{serial_time:.3f}s vs {args.workers} workers {parallel_time:.3f}s "
+        f"{serial_time:.3f}s vs {workers} workers {parallel_time:.3f}s "
         f"({speedup:.2f}x on {cores} core(s), pool floor {pool_floor:.3f}s); "
         "output byte-identical"
     )
@@ -267,7 +269,7 @@ def bench_sweep(args) -> dict:
         args.seed,
         parallel_time,
         speedup,
-        workers=args.workers,
+        workers=workers,
         cores=cores,
         runs=runs,
         byte_identical=True,
@@ -786,8 +788,9 @@ def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec, plan_r
 
 
 def _configure(parser) -> None:
-    parser.add_argument("--workers", type=int, default=4,
-                        help="worker processes for Part B's parallel leg")
+    parser.add_argument("--workers", type=int, default=0,
+                        help="worker processes for Part B's parallel leg "
+                             "(default 0: all available cores)")
 
 
 def main() -> int:

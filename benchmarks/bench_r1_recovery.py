@@ -52,9 +52,6 @@ def _durable_world(directory: str, checkpoint_every: int):
         durability=DurabilityPolicy(
             directory=directory,
             checkpoint_every=checkpoint_every,
-            # Part A isolates checkpointing: a huge threshold keeps the
-            # no-checkpoint leg from compacting segments behind our back.
-            segment_max_frames=1 << 20,
         ),
     )
     worker.host_document(AXMLDocument.from_xml("<D><slots/></D>", name="D"))

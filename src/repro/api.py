@@ -96,10 +96,6 @@ class Transaction:
     def txn_id(self) -> str:
         return self.txn.txn_id
 
-    @property
-    def origin(self) -> str:
-        return self._peer.peer_id
-
     # -- work -----------------------------------------------------------
 
     def submit(
@@ -138,10 +134,6 @@ class Transaction:
         self._done = True
         return self._peer.abort(self.txn_id)
 
-    @property
-    def finished(self) -> bool:
-        return self._done
-
     # -- context manager ------------------------------------------------
 
     def __enter__(self) -> "Transaction":
@@ -157,7 +149,7 @@ class Transaction:
 
     def __repr__(self) -> str:
         state = "finished" if self._done else "active"
-        return f"Transaction({self.txn_id!r} @ {self.origin}, {state})"
+        return f"Transaction({self.txn_id!r} @ {self._peer.peer_id}, {state})"
 
 
 class Session:
@@ -188,8 +180,8 @@ class Cluster:
     :meth:`from_topology`).
     """
 
-    def __init__(self, hop_latency: float = 0.005):
-        self.network = SimNetwork(hop_latency=hop_latency)
+    def __init__(self):
+        self.network = SimNetwork()
         self.injector = FailureInjector(self.network)
         self.replication = ReplicationManager(self.network)
         #: The placement directory — the routing-truth holder maps the
@@ -255,10 +247,6 @@ class Cluster:
     def clock(self):
         return self.network.clock
 
-    @property
-    def events(self):
-        return self.network.events
-
     # -- driving --------------------------------------------------------
 
     def run_until(self, deadline: float, max_events: int = 100_000) -> int:
@@ -294,19 +282,12 @@ class Cluster:
     # -- canonical deployments -----------------------------------------
 
     @classmethod
-    def atplist(
-        cls,
-        peer_independent: bool = False,
-        chaining: bool = True,
-        points_value: str = "890",
-    ) -> "Cluster":
+    def atplist(cls) -> "Cluster":
         """The §3.1 running example: AP1 hosts ATPList.xml; AP2 serves
         getPoints; AP3 serves getGrandSlamsWonbyYear."""
         cluster = cls()
         for peer_id in ("AP1", "AP2", "AP3"):
-            cluster.add_peer(
-                peer_id, peer_independent=peer_independent, chaining=chaining
-            )
+            cluster.add_peer(peer_id)
         cluster.host_document(
             "AP1", AXMLDocument.from_xml(ATPLIST_XML, name="ATPList")
         )
@@ -314,7 +295,7 @@ class Cluster:
             "AP2",
             FunctionService(
                 ServiceDescriptor("getPoints", params=("name",)),
-                body=lambda params: [f"<points>{points_value}</points>"],
+                body=lambda params: ["<points>890</points>"],
             ),
         )
         cluster.host_service(
@@ -332,22 +313,19 @@ class Cluster:
     def from_topology(
         cls,
         topology: Topology,
-        super_peers: Sequence[str] = ("AP1",),
-        peer_independent: bool = False,
         chaining: bool = True,
         chain_scope: str = "immediate",
         parent_watch_interval: Optional[float] = None,
-        hop_latency: float = 0.005,
         extra_peers: Sequence[str] = (),
     ) -> "Cluster":
         """A cluster for an arbitrary invocation topology.
 
         Every mentioned peer gets a document ``D<i>`` and a delegating
         service ``S<i>`` (local marker insert, then child invocations in
-        topology order); ``extra_peers`` creates idle peers for
-        recovery/replica experiments.
+        topology order); AP1 is the one super peer; ``extra_peers``
+        creates idle peers for recovery/replica experiments.
         """
-        cluster = cls(hop_latency=hop_latency)
+        cluster = cls()
         peer_ids = tree_peers(topology)
         for extra in extra_peers:
             if extra not in peer_ids:
@@ -356,8 +334,7 @@ class Cluster:
         for peer_id in peer_ids:
             cluster.add_peer(
                 peer_id,
-                super_peer=peer_id in super_peers,
-                peer_independent=peer_independent,
+                super_peer=peer_id == "AP1",
                 chaining=chaining,
                 chain_scope=chain_scope,
                 parent_watch_interval=parent_watch_interval,
@@ -393,7 +370,6 @@ class Cluster:
     @classmethod
     def fig2(cls, **kwargs) -> "Cluster":
         """Fig. 2's deployment (AP1 is a super peer, per the chain)."""
-        kwargs.setdefault("super_peers", ("AP1",))
         return cls.from_topology(FIG2_TOPOLOGY, **kwargs)
 
     def __repr__(self) -> str:

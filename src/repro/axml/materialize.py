@@ -46,6 +46,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Resolver signature: (call, materialized parameter values) → outcome.
 Resolver = Callable[[ServiceCall, Dict[str, str]], Outcome]
 
+#: Bound on nested invocation (a result that is a service call whose
+#: result is a service call …), so a misbehaving service cannot loop the
+#: engine forever.
+MAX_DEPTH = 8
+
 
 @dataclass
 class MaterializedCall:
@@ -136,24 +141,17 @@ def run_action(
 
 
 class MaterializationEngine:
-    """Materializes service calls of one AXML document.
-
-    ``max_depth`` bounds nested invocation (a result that is a service
-    call whose result is a service call …) so a misbehaving service
-    cannot loop the engine forever.
-    """
+    """Materializes service calls of one AXML document."""
 
     def __init__(
         self,
         axml_document: AXMLDocument,
         resolver: Resolver,
         meter: TraversalMeter = NULL_METER,
-        max_depth: int = 8,
     ):
         self.axml_document = axml_document
         self.resolver = resolver
         self.meter = meter
-        self.max_depth = max_depth
 
     # -- public entry points ---------------------------------------------------
 
@@ -185,9 +183,9 @@ class MaterializationEngine:
     def _materialize(
         self, call: ServiceCall, report: MaterializationReport, depth: int
     ) -> None:
-        if depth > self.max_depth:
+        if depth > MAX_DEPTH:
             raise MaterializationError(
-                f"nested materialization exceeded max depth {self.max_depth} "
+                f"nested materialization exceeded max depth {MAX_DEPTH} "
                 f"at {call.describe()}"
             )
         if call.fetch_once and call.result_nodes():

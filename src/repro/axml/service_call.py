@@ -215,8 +215,6 @@ def install_service_call(
     params: Optional[Dict[str, str]] = None,
     initial_result_xml: Optional[Sequence[str]] = None,
     result_name: Optional[str] = None,
-    frequency: Optional[float] = None,
-    service_namespace: Optional[str] = None,
 ) -> ServiceCall:
     """Create and attach an ``axml:sc`` element under *parent*.
 
@@ -229,13 +227,11 @@ def install_service_call(
     attributes = {
         "mode": mode,
         "methodName": method_name,
-        "serviceNameSpace": service_namespace or method_name,
+        "serviceNameSpace": method_name,
         "serviceURL": service_url,
     }
     if result_name:
         attributes["resultName"] = result_name
-    if frequency is not None:
-        attributes["frequency"] = str(frequency)
     sc_element = parent.new_element(SC_NAME, attributes)
     if params:
         params_el = sc_element.new_element(PARAMS_NAME)

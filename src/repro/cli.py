@@ -225,7 +225,7 @@ def cmd_spheres(args: argparse.Namespace) -> int:
     super_count = int(round(args.super_fraction * len(pool)))
     super_peers = pool[:super_count]
     rng = SeededRng(args.seed)
-    transactions = generate_participant_sets(rng, pool, args.transactions, 2, 6)
+    transactions = generate_participant_sets(rng, pool, args.transactions)
     plain = sphere_guarantee_rate(transactions, super_peers)
     upgraded = sphere_guarantee_rate(
         transactions,

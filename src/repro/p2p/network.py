@@ -47,21 +47,18 @@ MessageVerdict = Union[None, str, float]
 MessageHook = Callable[[str, str, object], MessageVerdict]
 
 
+#: Virtual seconds one message hop takes (an rpc is two hops).
+HOP_LATENCY = 0.005
+
+
 class SimNetwork:
     """Synchronous-RPC network over a virtual clock."""
 
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        metrics: Optional[MetricsCollector] = None,
-        hop_latency: float = 0.005,
-        spans: Optional[SpanCollector] = None,
-    ):
-        self.clock = clock or Clock()
+    def __init__(self):
+        self.clock = Clock()
         self.events = EventQueue(self.clock)
-        self.metrics = metrics or MetricsCollector()
-        self.spans = spans or SpanCollector(now=lambda: self.clock.now)
-        self.hop_latency = hop_latency
+        self.metrics = MetricsCollector()
+        self.spans = SpanCollector(now=lambda: self.clock.now)
         self._peers: Dict[str, NetworkPeer] = {}
         #: Virtual time each peer disconnected at (for detection latency).
         self.disconnect_times: Dict[str, float] = {}
@@ -161,7 +158,7 @@ class SimNetwork:
         self, source_id: str, target_id: str, request: InvokeRequest
     ) -> Outcome:
         """The unobserved RPC protocol: deliver, execute, return."""
-        self.clock.advance(self.hop_latency)
+        self.clock.advance(HOP_LATENCY)
         target = self.get_peer(target_id)
         if target.disconnected:
             self.record_detection(target_id, source_id)
@@ -179,7 +176,7 @@ class SimNetwork:
             # Died between finishing and returning: caller sees a death.
             self.record_detection(target_id, source_id)
             raise PeerDisconnected(target_id)
-        self.clock.advance(self.hop_latency)
+        self.clock.advance(HOP_LATENCY)
         source = self.get_peer(source_id)
         if source.disconnected:
             # §3.3(b): the child holds results it cannot deliver.
@@ -215,7 +212,7 @@ class SimNetwork:
         delivery re-checks both endpoints' liveness when it fires.
         """
         self.metrics.record_message(message_kind(message))
-        self.clock.advance(self.hop_latency)
+        self.clock.advance(HOP_LATENCY)
         if self.message_hook is not None:
             verdict = self.message_hook(source_id, target_id, message)
             if verdict == "drop":
@@ -250,7 +247,7 @@ class SimNetwork:
         (or keep-alive) messages to detect peer disconnection")."""
         self.metrics.record_message("ping")
         self.metrics.incr("pings")
-        self.clock.advance(2 * self.hop_latency)
+        self.clock.advance(2 * HOP_LATENCY)
         alive = self.is_alive(target_id)
         if not alive and target_id in self._peers:
             self.record_detection(target_id, source_id)

@@ -150,7 +150,6 @@ class AXMLPeer:
                 durability.directory,
                 peer_id=peer_id,
                 metrics=network.metrics,
-                segment_max_frames=durability.segment_max_frames,
                 batch_size=durability.wal_batch,
                 events=network.events,
                 checkpoint_every=durability.checkpoint_every,

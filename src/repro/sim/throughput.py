@@ -29,7 +29,7 @@ JSON artifact) on every run, independent of ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
@@ -67,7 +67,7 @@ def build_throughput_cluster(
     seed: int, peer_count: int = 2, items: int = 12
 ) -> Tuple[SimNetwork, Dict[str, AXMLPeer]]:
     """An OCC cluster for load runs: each peer hosts its own catalogue."""
-    network = SimNetwork(hop_latency=0.005)
+    network = SimNetwork()
     peers: Dict[str, AXMLPeer] = {}
     for index in range(1, peer_count + 1):
         peer_id = f"AP{index}"
@@ -157,9 +157,6 @@ def _t1_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 def throughput_sweep(
     seed: int = 7,
-    clients_axis: Sequence[int] = (1, 4, 16),
-    hot_axis: Sequence[float] = (0.1, 0.9),
-    fail_axis: Sequence[float] = (0.0, 0.1),
     smoke: bool = False,
     workers: int = 1,
 ) -> ExperimentTable:
@@ -175,11 +172,10 @@ def throughput_sweep(
     from repro.sim.parallel import parallel_map
 
     if smoke:
-        clients_axis = (1, 2)
-        hot_axis = (0.0, 0.9)
-        fail_axis = (0.0,)
+        clients_axis, hot_axis, fail_axis = (1, 2), (0.0, 0.9), (0.0,)
         point_kwargs: Dict[str, Any] = {"txns_per_client": 2, "items": 6}
     else:
+        clients_axis, hot_axis, fail_axis = (1, 4, 16), (0.1, 0.9), (0.0, 0.1)
         point_kwargs = {}
     table = ExperimentTable(
         "T1: commit throughput under concurrent load (closed loop)", T1_COLUMNS

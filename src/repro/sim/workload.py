@@ -288,12 +288,10 @@ def generate_participant_sets(
     rng: SeededRng,
     peer_pool: Sequence[str],
     transactions: int,
-    min_size: int = 2,
-    max_size: int = 6,
 ) -> List[List[str]]:
-    """Random participant sets for the spheres experiment (E6)."""
+    """Participant sets of 2-6 random peers for the spheres experiment (E6)."""
     out: List[List[str]] = []
     for _ in range(transactions):
-        size = rng.randint(min_size, min(max_size, len(peer_pool)))
+        size = rng.randint(2, min(6, len(peer_pool)))
         out.append(rng.sample(list(peer_pool), size))
     return out

@@ -46,15 +46,12 @@ replays only the segment tail written after the newest valid
 checkpoint.  Retention keeps two checkpoint generations: segments
 covered by the *previous* checkpoint are deleted only when the *next*
 one publishes, so a checkpoint file torn by a crash mid-publish still
-leaves a complete fallback (older checkpoint + longer tail).  While
-checkpointing is on, segment rollover compaction is disabled —
-checkpoints subsume it, and an interleaved compaction could drop a
-tombstone that the checkpoint-plus-tail merge still needs.
+leaves a complete fallback (older checkpoint + longer tail).
 
-Without those two knobs (``batch_size=1``, ``checkpoint_every=0``) the
-write path is byte-for-byte the PR 5 behaviour: one flushed frame per
-append, rollover compaction at ``segment_max_frames``, and none of the
-new counters fire.
+Without those two knobs (``batch_size=1``, ``checkpoint_every=0``) every
+append is one flushed frame and the segments grow until a restart:
+:meth:`DurableWal.reload` is then the one compaction, rewriting the live
+entries into a fresh segment.
 """
 
 from __future__ import annotations
@@ -104,8 +101,8 @@ class DurableWal:
     """Append-only segmented WAL: the disk backend of one peer's log.
 
     ``metrics`` (a :class:`repro.sim.metrics.MetricsCollector`) receives
-    ``wal_appends`` / ``wal_bytes`` / ``wal_tombstones`` /
-    ``wal_compactions`` counters — plus, when the respective features
+    ``wal_appends`` / ``wal_bytes`` / ``wal_tombstones`` counters —
+    plus, when the respective features
     are on, ``wal_batch_flushes`` / ``wal_unflushed_discarded`` /
     ``checkpoints`` / ``checkpoint_bytes`` / ``checkpoints_torn`` and
     ``recovery_replay_entries``.  Byte counters track *logical* payload
@@ -119,14 +116,11 @@ class DurableWal:
         directory: str,
         peer_id: str = "",
         metrics=None,
-        segment_max_frames: int = 256,
         batch_size: int = 1,
         events=None,
         checkpoint_every: int = 0,
         document_source: Optional[Callable[[], Dict[str, str]]] = None,
     ):
-        if segment_max_frames < 2:
-            raise ValueError("segment_max_frames must be >= 2")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if checkpoint_every < 0:
@@ -134,7 +128,6 @@ class DurableWal:
         self.directory = directory
         self.peer_id = peer_id
         self.metrics = metrics
-        self.segment_max_frames = segment_max_frames
         self.batch_size = batch_size
         self.checkpoint_every = checkpoint_every
         self._document_source = document_source
@@ -169,7 +162,6 @@ class DurableWal:
             self._timer = OneShotTimer(events, self.flush)
         self._fh = None
         self._segment_index = 0
-        self._segment_frames = 0
         existing = self._segment_paths()
         if existing or (self._ckpt_store and self._ckpt_store.paths()):
             # Adopt an existing directory (restart): scan + truncate tail.
@@ -196,7 +188,6 @@ class DurableWal:
 
     def _open_segment(self, index: int) -> None:
         self._segment_index = index
-        self._segment_frames = 0
         path = os.path.join(self.directory, f"wal-{index:06d}.seg")
         self._fh = open(path, "ab")
         if self._fh.tell() == 0:
@@ -289,20 +280,11 @@ class DurableWal:
             raise RuntimeError("DurableWal is closed")
         self._fh.write(b"".join(frames))
         self._fh.flush()
-        self._segment_frames += len(frames)
 
     def _after_write(self) -> None:
-        """Compaction policy, consulted after every physical write:
-        checkpoints when enabled, else rollover at the segment cap.
-        Checkpoints subsume rollover compaction — an interleaved
-        compaction could drop a tombstone the checkpoint-plus-tail merge
-        still needs to suppress a checkpointed entry."""
-        if self.checkpoint_every > 0:
-            if self._appends_since_ckpt >= self.checkpoint_every:
-                self.take_checkpoint()
-        elif self._segment_frames >= self.segment_max_frames:
-            self._compact(self._live_entries())
-            self._incr("wal_compactions")
+        """Checkpoint policy, consulted after every physical write."""
+        if 0 < self.checkpoint_every <= self._appends_since_ckpt:
+            self.take_checkpoint()
 
     def _live_entries(self) -> List[LogEntry]:
         return list(self.log) if self.log is not None else []

@@ -26,9 +26,6 @@ class DurabilityPolicy:
     wal_batch: int = 1
     #: Take a checkpoint every N appended entries; 0 disables.
     checkpoint_every: int = 0
-    #: Segment rollover threshold (ignored while checkpointing is on —
-    #: checkpoints subsume rollover compaction).
-    segment_max_frames: int = 256
 
     def __post_init__(self) -> None:
         if not self.directory:

@@ -32,6 +32,8 @@ from repro.query.evaluate import QueryResult
 from repro.query.update import ChangeRecord, DeleteRecord, InsertRecord, ReplaceRecord
 from repro.xmlstore.nodes import NodeId
 
+HISTORY_LIMIT = 1000  # committed write sets kept for validation, newest
+
 
 class ValidationConflict(TransactionError):
     """Commit-time validation failed: the transaction must abort."""
@@ -104,11 +106,10 @@ class OptimisticValidator:
     deterministic and independent of the simulation clock.
     """
 
-    def __init__(self, history_limit: int = 1000):
+    def __init__(self):
         self._tick = 0
         self._active: Dict[str, _TxnFootprint] = {}
         self._committed: List[_CommittedWrite] = []
-        self._history_limit = history_limit
         self.conflicts = 0
 
     # -- lifecycle ---------------------------------------------------------
@@ -147,8 +148,7 @@ class OptimisticValidator:
             self._committed.append(
                 _CommittedWrite(txn_id, self._tick, set(footprint.writes))  # hash-ok: intersected
             )
-            if len(self._committed) > self._history_limit:
-                self._committed = self._committed[-self._history_limit :]
+            del self._committed[:-HISTORY_LIMIT]
         del self._active[txn_id]
 
     def abort(self, txn_id: str) -> None:

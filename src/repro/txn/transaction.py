@@ -206,15 +206,12 @@ class TransactionContext:
             if f.outcome is not None and (f.method_name, f.params) == (method_name, params)
         ), None)
 
-    def invoked_peers(self) -> List[str]:
-        """Distinct peers whose services this context invoked, in order."""
-        return list(dict.fromkeys(edge.target_peer for edge in self.invocations))
-
     def record_compensation_definition(self, provider_peer: str, plan_xml: str) -> None:
         self.received_compensations.append((provider_peer, plan_xml))
 
     def __repr__(self) -> str:
         return (
             f"TransactionContext({self.txn_id}@{self.peer_id}, "
-            f"state={self.state.value}, invoked={self.invoked_peers()})"
+            f"state={self.state.value}, "
+            f"invoked={list(dict.fromkeys(e.target_peer for e in self.invocations))})"
         )

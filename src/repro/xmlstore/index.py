@@ -10,7 +10,7 @@ compensation-log node lookups — all reduce to two access patterns:
 
 :class:`StructuralIndex` adds the tag half: a *postings* index from
 element local name to the elements carrying it, maintained incrementally
-as nodes are created, adopted and vacuumed.  ViP2P (PAPERS.md) gets its
+as nodes are created and adopted.  ViP2P (PAPERS.md) gets its
 XML-in-P2P performance from exactly this move — access structures that
 are maintained, not recomputed per query.
 
@@ -37,7 +37,7 @@ text read as a number, to the elements carrying it (ViP2P, PAPERS.md,
 answers value predicates from such access structures).  So a write has
 something to invalidate, and the node layer does it: a name's maps are
 dropped when an element of that
-name is created or vacuumed, when the logical text of an element of that
+name is created, when the logical text of an element of that
 name changes (the attach/detach climb of
 :func:`repro.xmlstore.nodes._propagate_logical_count`), and on
 :meth:`StructuralIndex.clear`.  Text is otherwise written only into a
@@ -91,7 +91,7 @@ class StructuralIndex:
         #: every element of the name a child of ``under`` with ``prefix``:
         #: ``total`` is their ``_child_count`` sum, kept by the node layer's
         #: attach/detach climb, which drops the entry when an element of
-        #: the name is attached or detached (creation and vacuum drop it here).
+        #: the name is attached or detached (creation drops it here).
         self._seeks: Dict[str, list] = {}
 
     # -- incremental maintenance (driven by the node layer) -----------------
@@ -111,14 +111,6 @@ class StructuralIndex:
         if bucket is not None:
             bucket.pop(old_id, None)
             bucket[element.node_id] = element
-
-    def drop_element(self, element: "Element") -> None:
-        """Forget a vacuumed element."""
-        bucket = self._postings.get(element.name.local)
-        if bucket is not None:
-            bucket.pop(element.node_id, None)
-        self._values.pop(element.name.local, None)
-        self._seeks.pop(element.name.local, None)
 
     def clear(self) -> None:
         """Drop everything; pairs with a wholesale node-map reset

@@ -361,8 +361,8 @@ class Document:
 
     The document keeps an index from :class:`NodeId` to node so that
     compensation can delete "the node having the corresponding ID" in
-    O(1) (§3.1).  Detached nodes stay in the index until garbage-collected
-    by :meth:`vacuum`; this mirrors a store that logically deletes.
+    O(1) (§3.1).  Detached nodes stay in the index, as in a store that
+    logically deletes.
     """
 
     def __init__(self, name: str = ""):
@@ -436,20 +436,6 @@ class Document:
         return self.root.subtree_size() if self.root is not None else 0
 
     # -- maintenance ----------------------------------------------------------------------
-
-    def vacuum(self) -> int:
-        """Drop index entries for nodes no longer reachable from the root.
-
-        Returns the number of entries removed.  Run after compensation is
-        no longer possible (transaction committed and log truncated).
-        """
-        reachable = {node.node_id for node in self.iter()}
-        dead = [node_id for node_id in self._index if node_id not in reachable]
-        for node_id in dead:
-            node = self._index.pop(node_id)
-            if isinstance(node, Element):
-                self.index.drop_element(node)
-        return len(dead)
 
     def clone(self, preserve_ids: bool = True) -> "Document":
         """Deep-copy the document (used by the snapshot-rollback baseline)."""

@@ -79,28 +79,17 @@ def _serialize_tree(node: Node, out: List[str], include_ids: bool) -> None:
         stack.extend(reversed(item.children))
 
 
-def _render(
-    node: Node, include_ids: bool, declaration: bool, document_level: bool
-) -> str:
-    if document_level:
-        # What BENCH_E2E and the P3 bench count: full-document renders.
-        PROF.incr("serialize_tree_builds")
-    out: List[str] = []
-    if declaration:
-        out.append('<?xml version="1.0" encoding="UTF-8"?>')
-    _serialize_tree(node, out, include_ids)
-    return "".join(out)
-
-
-def serialize(
-    node: Union[Document, Node], include_ids: bool = False, declaration: bool = False
-) -> str:
+def serialize(node: Union[Document, Node], include_ids: bool = False) -> str:
     """Serialize a document or subtree to compact XML text."""
     if isinstance(node, Document):
         if node.root is None:
             return ""
-        return _render(node.root, include_ids, declaration, document_level=True)
-    return _render(node, include_ids, declaration, document_level=False)
+        # What BENCH_E2E and the P3 bench count: full-document renders.
+        PROF.incr("serialize_tree_builds")
+        node = node.root
+    out: List[str] = []
+    _serialize_tree(node, out, include_ids)
+    return "".join(out)
 
 
 def _pretty_node(node: Node, out: List[str], depth: int, indent: str) -> None:

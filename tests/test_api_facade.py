@@ -46,7 +46,7 @@ class TestTransactionContextManager:
         cluster = self._cluster()
         with cluster.session("AP1").transaction() as txn:
             txn.submit(self.INSERT)
-        assert txn.finished
+        assert cluster.peer("AP1").manager.live_context(txn.txn_id) is None
         doc = cluster.peer("AP1").get_axml_document("Shop")
         assert "<item/>" in doc.to_xml()
 
@@ -57,7 +57,7 @@ class TestTransactionContextManager:
             with cluster.session("AP1").transaction() as txn:
                 txn.submit(self.INSERT)
                 raise RuntimeError("boom")
-        assert txn.finished
+        assert cluster.peer("AP1").manager.live_context(txn.txn_id) is None
         assert "<item/>" not in doc.to_xml()  # compensation undid the insert
 
     def test_explicit_finish_wins_over_exit(self):
@@ -84,4 +84,4 @@ class TestTransactionContextManager:
         with pytest.raises(ReproError):
             with cluster.session("AP1").transaction() as txn:
                 txn.invoke("AP2", "ghost")
-        assert txn.finished
+        assert cluster.peer("AP1").manager.live_context(txn.txn_id) is None

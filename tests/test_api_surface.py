@@ -43,8 +43,9 @@ def test_cluster_surface_snapshot():
         "atplist", "fig1", "fig2", "from_topology",
     }
     assert _public_methods(api.Cluster) == expected
-    for prop in ("metrics", "spans", "clock", "events"):
+    for prop in ("metrics", "spans", "clock"):
         assert isinstance(vars(api.Cluster)[prop], property)
+    assert "events" not in vars(api.Cluster)  # read only by tests: network.events
 
 
 def test_session_surface_snapshot():
@@ -249,6 +250,9 @@ def test_removed_members_stay_removed():
         (SnapshotRollback, "approximate_bytes"), (AXMLDocument, "size"),
         (ServiceCall, "param_values"), (ServiceCall, "service_namespace"),
         (Element, "set_text"),
+        (api.Cluster, "events"), (api.Transaction, "origin"), (api.Transaction, "finished"),
+        (Document, "vacuum"), (StructuralIndex, "drop_element"),
+        (TransactionContext, "invoked_peers"), (SimNetwork(), "hop_latency"),
     ):
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
     assert "parse_equivalent" not in inspect.signature(Document.clone_tree).parameters
@@ -318,7 +322,60 @@ def test_one_rejoin_mode_and_four_durability_knobs():
     assert list(inspect.signature(AXMLPeer.rejoin).parameters) == ["self"]
     assert "mode" not in inspect.signature(TransactionManager.recover).parameters
     assert [f.name for f in dataclasses.fields(DurabilityPolicy)] == [
-        "directory", "wal_batch", "checkpoint_every", "segment_max_frames",
+        "directory", "wal_batch", "checkpoint_every",
     ]
     assert "ordered_compensation" not in inspect.signature(TransactionManager).parameters
     assert "flush_interval" not in inspect.signature(DurableWal).parameters
+
+
+#: Options whose only non-default callers were tests: each is a constant
+#: now (``HOP_LATENCY``, ``HISTORY_LIMIT``, ``MAX_DEPTH``, ...) or gone, so
+#: passing one fails before the callee runs.
+REMOVED_KEYWORDS = [
+    ("repro.p2p.network:SimNetwork", (), {"hop_latency": 0.01}),
+    ("repro.p2p.network:SimNetwork", (), {"clock": None}),
+    ("repro.p2p.network:SimNetwork", (), {"metrics": None}),
+    ("repro.p2p.network:SimNetwork", (), {"spans": None}),
+    ("repro.api:Cluster", (), {"hop_latency": 0.01}),
+    ("repro.api:Cluster.from_topology", ({},), {"super_peers": ("AP1",)}),
+    ("repro.api:Cluster.from_topology", ({},), {"peer_independent": True}),
+    ("repro.api:Cluster.from_topology", ({},), {"hop_latency": 0.01}),
+    ("repro.api:Cluster.atplist", (), {"points_value": "1234"}),
+    ("repro.api:Cluster.atplist", (), {"peer_independent": True}),
+    ("repro.api:Cluster.atplist", (), {"chaining": False}),
+    ("repro.txn.occ:OptimisticValidator", (), {"history_limit": 5}),
+    ("repro.axml.materialize:MaterializationEngine", (None, None), {"max_depth": 3}),
+    ("repro.axml.service_call:install_service_call", (None, "m"), {"frequency": 1.0}),
+    ("repro.axml.service_call:install_service_call", (None, "m"), {"service_namespace": "n"}),
+    ("repro.xmlstore.serializer:serialize", (None,), {"declaration": True}),
+    ("repro.sim.workload:generate_participant_sets", (None, (), 0), {"min_size": 2}),
+    ("repro.sim.workload:generate_participant_sets", (None, (), 0), {"max_size": 6}),
+    ("repro.sim.throughput:throughput_sweep", (), {"clients_axis": (1,)}),
+    ("repro.sim.throughput:throughput_sweep", (), {"hot_axis": (0.1,)}),
+    ("repro.sim.throughput:throughput_sweep", (), {"fail_axis": (0.0,)}),
+    ("repro.txn.durable_wal:DurableWal", ("d",), {"segment_max_frames": 4}),
+    ("repro.txn.modes:DurabilityPolicy", (), {"directory": "d", "segment_max_frames": 4}),
+]
+
+
+@pytest.mark.parametrize(
+    "target, args, kwargs", REMOVED_KEYWORDS,
+    ids=[f"{target.split(':')[1]}-{list(kw)[-1]}" for target, _, kw in REMOVED_KEYWORDS],
+)
+def test_removed_keyword_is_rejected(target, args, kwargs):
+    module, qualname = target.split(":")
+    callee = importlib.import_module(module)
+    for part in qualname.split("."):
+        callee = getattr(callee, part)
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        callee(*args, **kwargs)
+
+
+def test_wal_has_one_compaction_per_run(tmp_path):
+    """Checkpoints bound replay during a run and ``reload`` compacts at
+    restart; there is no segment rollover beside them."""
+    from repro.txn.durable_wal import DurableWal
+
+    with DurableWal(str(tmp_path)) as wal:
+        for name in ("segment_max_frames", "_segment_frames"):
+            assert not hasattr(wal, name)

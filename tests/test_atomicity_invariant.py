@@ -46,9 +46,7 @@ def test_single_failure_atomicity(seed, depth, failure_kind, point_index):
     rng = SeededRng(seed)
     topology = generate_invocation_tree(rng, depth=depth, fanout=2)
     # parent watch on: orphans of an in-flight dead subtree self-detect.
-    scenario = Cluster.from_topology(
-        topology, super_peers=("AP1",), parent_watch_interval=0.05
-    )
+    scenario = Cluster.from_topology(topology, parent_watch_interval=0.05)
     pre = snapshot_documents(scenario)
     peers = tree_peers(topology)
     victim = rng.choice([p for p in peers if p != "AP1"])
@@ -91,7 +89,7 @@ def test_single_failure_atomicity(seed, depth, failure_kind, point_index):
 def test_no_failure_always_commits(seed, depth):
     rng = SeededRng(seed)
     topology = generate_invocation_tree(rng, depth=depth, fanout=2)
-    scenario = Cluster.from_topology(topology, super_peers=("AP1",))
+    scenario = Cluster.from_topology(topology)
     txn, error = scenario.run_topology()
     assert error is None
     scenario.peer("AP1").commit(txn.txn_id)
@@ -114,7 +112,9 @@ def test_peer_independent_matches_peer_dependent(seed, depth):
     victim = rng.choice(leaves)
     states = {}
     for peer_independent in (False, True):
-        scenario = Cluster.from_topology(topology, peer_independent=peer_independent)
+        scenario = Cluster.from_topology(topology)
+        for peer in scenario.peers.values():
+            peer.peer_independent = peer_independent
         scenario.injector.fault_service(
             victim, f"S{victim[2:]}", "Crash", point="after_execute"
         )

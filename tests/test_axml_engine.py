@@ -105,12 +105,11 @@ class TestServiceCall:
             params={"a": "1"},
             initial_result_xml=("<x>0</x>",),
             result_name="x",
-            frequency=2.0,
         )
         assert call.mode == "merge"
         assert [(p.name, p.value) for p in call.params()] == [("a", "1")]
         assert call.result_name == "x"
-        assert call.frequency == 2.0
+        assert call.frequency is None
 
     def test_nested_param_detection(self):
         doc = parse_document(
@@ -319,7 +318,7 @@ class TestMaterialization:
         def resolver(call, params):
             return Outcome(["<axml:sc mode='replace' methodName='loop'/>"])
 
-        engine = MaterializationEngine(doc, resolver, max_depth=3)
+        engine = MaterializationEngine(doc, resolver)
         with pytest.raises(MaterializationError):
             engine.materialize_all()
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.api import Cluster
 from repro.errors import PeerDisconnected
+from repro.p2p.network import HOP_LATENCY
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 
 
@@ -168,4 +169,4 @@ class TestDetectionLatency:
         s.run_topology()
         latency = s.metrics.detection_latency("AP3")
         assert latency is not None
-        assert latency <= 2 * s.network.hop_latency
+        assert latency <= 2 * HOP_LATENCY

@@ -6,7 +6,7 @@ from repro.errors import PeerDisconnected, UnknownPeer
 from repro.p2p.failure import FailureInjector
 from repro.outcome import Outcome
 from repro.p2p.messages import InvokeRequest
-from repro.p2p.network import SimNetwork
+from repro.p2p.network import HOP_LATENCY, SimNetwork
 from repro.sim.kernel import Clock, EventQueue
 
 
@@ -105,12 +105,12 @@ class TestEventQueue:
 
 class TestRpc:
     def test_roundtrip_advances_clock(self):
-        network = SimNetwork(hop_latency=0.01)
+        network = SimNetwork()
         StubPeer("A", network)
         StubPeer("B", network)
         result = network.rpc("A", "B", InvokeRequest("T1", "A", "A", "m"))
         assert result.fragments == ["<from>B</from>"]
-        assert network.clock.now == pytest.approx(0.02)
+        assert network.clock.now == pytest.approx(2 * HOP_LATENCY)
         assert network.metrics.get("messages.invoke") == 1
         assert network.metrics.get("messages.result") == 1
 

@@ -180,7 +180,8 @@ class TestPartialRecoveryFanOut:
         assert {ids for _, ids in told} == {tuple(range(10, 20))}
         targets = [target for target, _ in told]
         assert targets not in (sorted(targets), sorted(targets, reverse=True))
-        assert context.invoked_peers() == ["AP2"] and context.frames == [kept]
+        assert [e.target_peer for e in context.invocations] == ["AP2"]
+        assert context.frames == [kept]
 
 
 # -- record lifecycle ----------------------------------------------------

@@ -599,8 +599,7 @@ EQUALITIES = (
 )
 EQUALITY_SOURCES = ("R//a", "R//b", "R//*", "R/*", "R//axml:sc", "R")
 WRITES = (
-    "append", "insert_at", "detach", "clone_attach", "materialize", "reinsert", "vacuum",
-    "restore",
+    "append", "insert_at", "detach", "clone_attach", "materialize", "reinsert", "restore",
 )
 
 
@@ -676,8 +675,6 @@ def _write(data, doc: Document, kind: str, state: dict) -> None:
                 except XmlStructureError:  # a second live node would get an id
                     assert any(_live(doc, NodeId.parse(raw)) for raw in _restored_ids(action))
                     event("a compensation found a restored id held by a live node")
-    elif kind == "vacuum":
-        doc.vacuum()
     else:
         doc.restore_from(state["snapshot"])
         state["pending"].clear()  # their targets are gone
@@ -900,8 +897,8 @@ def test_a_step_started_from_value_hits_matches_the_reference_across_writes(data
 
 def test_seek_entries_do_not_outlive_their_elements():
     """An entry ``StructuralIndex.seek`` keeps for a name goes with the
-    elements it counts: vacuum and ``clear()`` drop it, so it holds no
-    dropped tree (here the context is detached, then vacuumed)."""
+    elements it counts: ``clear()`` drops it, so it holds no dropped tree
+    (here the context is a detached subtree)."""
     doc = parse_document("<R><g><a><b>1</b></a><a><b>2</b></a></g></R>", name="R")
     g = doc.root.first_child("g")
     g.detach()
@@ -909,9 +906,5 @@ def test_seek_entries_do_not_outlive_their_elements():
     found = parse_path("//a").evaluate(g, meter, lambda nodes: nodes, (QName("b"), "1", 1.0, None))
     assert found == [g.children[0]] and meter.nodes_traversed == g._logical_count + 2
     assert doc.index._seeks["a"][0] is g
-    doc.vacuum()
-    assert "a" not in doc.index._seeks
-    evaluate_select(parse_select("Select i from i in R//a where i/b = 1;"), doc)
-    assert doc.index._seeks["a"][0] is doc.root
     doc.index.clear()
     assert not doc.index._seeks

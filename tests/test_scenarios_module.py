@@ -2,7 +2,7 @@
 from_topology over the repro.sim.scenarios data)."""
 
 from repro.api import Cluster
-from repro.sim.scenarios import FIG1_TOPOLOGY, FIG2_TOPOLOGY, QUERY_B
+from repro.sim.scenarios import FIG1_TOPOLOGY, FIG2_TOPOLOGY
 
 
 class TestAtplistBuilder:
@@ -20,15 +20,6 @@ class TestAtplistBuilder:
         assert scenario.peer("AP2").registry.has("getPoints")
         assert scenario.peer("AP3").registry.has("getGrandSlamsWonbyYear")
         assert not scenario.peer("AP1").registry.has("getPoints")
-
-    def test_points_value_configurable(self):
-        scenario = Cluster.atplist(points_value="1234")
-        peer = scenario.peer("AP1")
-        txn = peer.begin_transaction()
-        outcome = peer.submit(
-            txn.txn_id, f'<action type="query"><location>{QUERY_B}</location></action>'
-        )
-        assert "1234" in outcome.query_result.texts()
 
 
 class TestTopologyBuilder:
@@ -58,13 +49,11 @@ class TestTopologyBuilder:
     def test_flags_propagate(self):
         scenario = Cluster.from_topology(
             FIG2_TOPOLOGY,
-            peer_independent=True,
             chaining=False,
             chain_scope="extended",
             parent_watch_interval=0.1,
         )
         peer = scenario.peer("AP2")
-        assert peer.peer_independent
         assert not peer.chaining
         assert peer.chain_scope == "extended"
         assert peer.parent_watch_interval == 0.1
@@ -82,7 +71,7 @@ class TestRunRootTransaction:
         scenario.injector.fault_service("AP2", "S2", "X")
         txn, error = scenario.run_topology()
         assert error is not None
-        assert txn.origin == "AP1"
+        assert txn.txn.origin_peer == "AP1"
 
     def test_custom_root(self):
         scenario = Cluster.fig1()

@@ -138,9 +138,9 @@ class TestWorkload:
 
     def test_participant_sets_bounds(self):
         rng = SeededRng(6)
-        sets = generate_participant_sets(rng, [f"P{i}" for i in range(10)], 20, 2, 5)
+        sets = generate_participant_sets(rng, [f"P{i}" for i in range(10)], 20)
         assert len(sets) == 20
-        assert all(2 <= len(s) <= 5 for s in sets)
+        assert all(2 <= len(s) <= 6 for s in sets)
 
 
 class TestHarness:

@@ -100,13 +100,6 @@ class TestPostingsMaintenance:
         assert doc.index.order_ranks(candidates, player) == [player]
         assert len(assert_parity(doc, "ATPList//player")) == 2
 
-    def test_vacuum_drops_postings(self):
-        doc = parse_document(ATP, name="ATPList")
-        player = parse_path("ATPList//player").evaluate(doc)[0]
-        player.detach()
-        assert doc.vacuum() > 0
-        assert len(doc.index.postings("player")) == 2
-
     def test_clone_into_preserved_ids_rekeys(self):
         doc = parse_document(ATP, name="ATPList")
         copy = doc.clone(preserve_ids=True)
@@ -235,9 +228,8 @@ class TestValuePostings:
         lambda sku, doc: sku.children[0].detach(),
         lambda sku, doc: sku.insert_at(0, Element(doc, "b")),
         lambda sku, doc: sku.parent.append(Element(doc, "sku")),
-        lambda sku, doc: doc.vacuum() if sku.detach() else None,
         lambda sku, doc: doc.restore_from(parse_document("<C><book/></C>")),
-    ], ids=["text", "detach-text", "child", "create", "vacuum", "restore"])
+    ], ids=["text", "detach-text", "child", "create", "restore"])
     def test_a_write_that_can_change_a_sku_text_drops_the_map(self, write):
         doc = parse_document(self.DOC, name="C")
         assert self.skus(doc, "i/sku = 1") == ["1"]

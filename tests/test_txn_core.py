@@ -68,7 +68,9 @@ class TestTransaction:
         ctx.record_invocation("AP2", "S2")
         ctx.record_invocation("AP3", "S3")
         ctx.record_invocation("AP2", "S2b")
-        assert ctx.invoked_peers() == ["AP2", "AP3"]
+        assert [(e.target_peer, e.method_name) for e in ctx.invocations] == [
+            ("AP2", "S2"), ("AP3", "S3"), ("AP2", "S2b"),
+        ]
 
 
 class TestOperationLog:

@@ -138,8 +138,9 @@ class TestValidator:
         with pytest.raises(TransactionError):
             OptimisticValidator().track_reads("ghost", [])
 
-    def test_history_bounded(self):
-        validator = OptimisticValidator(history_limit=5)
+    def test_history_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.txn.occ.HISTORY_LIMIT", 5)
+        validator = OptimisticValidator()
         for i in range(20):
             validator.begin(f"T{i}")
             validator.track_writes(f"T{i}", [NodeId(1, i)])

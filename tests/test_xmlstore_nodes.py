@@ -150,18 +150,6 @@ class TestDocumentIndex:
         with pytest.raises(NodeNotFound):
             doc.get_node(NodeId(999, 999))
 
-    def test_vacuum_drops_detached(self, doc):
-        a = doc.root.first_child("a")
-        a.detach()
-        removed = doc.vacuum()
-        assert removed == 2  # <a> plus its text child
-        assert not doc.has_node(a.node_id)
-
-    def test_vacuum_keeps_attached(self, doc):
-        before = doc.size()
-        assert doc.vacuum() == 0
-        assert doc.size() == before
-
     def test_size(self, doc):
         # root, a, text, b, c
         assert doc.size() == 5

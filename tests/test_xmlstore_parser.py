@@ -264,9 +264,6 @@ class TestSerializer:
         assert "&lt;" in out and "&amp;" in out and "&quot;" in out
         assert canonical(parse_document(out)) == canonical(doc)
 
-    def test_declaration(self):
-        assert serialize(parse_document("<r/>"), declaration=True).startswith("<?xml")
-
     def test_pretty_indents(self):
         doc = parse_document("<r><a><b/></a></r>")
         lines = pretty(doc).splitlines()
