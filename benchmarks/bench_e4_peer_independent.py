@@ -18,7 +18,6 @@ import pytest
 from repro.axml.document import AXMLDocument
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.p2p.replication import ReplicationManager
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.sim.rng import SeededRng
@@ -32,7 +31,7 @@ PROVIDERS = ("P1", "P2", "P3")
 def build(peer_independent: bool, with_replicas: bool):
     network = SimNetwork()
     origin = AXMLPeer("Origin", network, peer_independent=peer_independent)
-    replication = ReplicationManager(network)
+    replication = network.replication
     super_peer = AXMLPeer("Super", network, super_peer=True,
                           peer_independent=peer_independent)
     for name in PROVIDERS:

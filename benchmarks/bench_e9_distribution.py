@@ -22,7 +22,6 @@ from repro.axml.document import AXMLDocument
 from repro.p2p.distribution import distribute_fragment, remote_subquery
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.p2p.replication import ReplicationManager
 from repro.query.parser import parse_select
 from repro.sim.harness import ExperimentTable
 
@@ -33,7 +32,6 @@ BOOKS = 60
 
 def build_library():
     network = SimNetwork()
-    ReplicationManager(network)
     ap1 = AXMLPeer("AP1", network)
     ap2 = AXMLPeer("AP2", network)
     body = "".join(

@@ -105,7 +105,7 @@ def primary_with_replica():
     """AP1 (origin) invoking setPrice on AP2, the primary of Shop2, whose
     document and service are replicated on AP3."""
     network = SimNetwork()
-    replication = ReplicationManager(network)
+    replication = network.replication
     origin = AXMLPeer("AP1", network)
     primary = AXMLPeer("AP2", network)
     primary.host_document(AXMLDocument.from_xml(SHOP2, name="Shop2"))

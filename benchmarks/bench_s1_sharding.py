@@ -38,7 +38,6 @@ from repro.chaos import ChaosConfig, run_chaos
 from repro.chaos.shrink import summary_text
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.p2p.replication import ReplicationManager
 from repro.p2p.sharding import ShardCoordinator, ShardRing
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
@@ -113,14 +112,14 @@ def bench_ring_scaling(args) -> dict:
 def bench_migration_disruption(args) -> dict:
     """Part B: the barrier defers in-flight work; the tail ships exactly."""
     network = SimNetwork()
-    replication = ReplicationManager(network)
+    replication = network.replication
     peers = {
         pid: AXMLPeer(pid, network) for pid in ("C1", "AP1", "AP2", "AP3")
     }
     ring = ShardRing(seed=42, members=["AP1", "AP2", "AP3"], replicas=1)
     # A long copy→cutover gap so committed entries pile into the tail.
     coordinator = ShardCoordinator(
-        network, replication, ring, cutover_delay=1.0, max_defers=100
+        network, ring, cutover_delay=1.0, max_defers=100
     )
     primary = ring.primary("D1")  # AP3 with seed 42 (pinned by the tests)
     peers[primary].host_document(AXMLDocument.from_xml(D1, name="D1"))

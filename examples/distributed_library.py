@@ -9,7 +9,7 @@ continuous service streaming price updates.
 Run:  python examples/distributed_library.py
 """
 
-from repro import AXMLDocument, AXMLPeer, ReplicationManager, SimNetwork
+from repro import AXMLDocument, AXMLPeer, SimNetwork
 from repro.axml.continuous import ContinuousDriver
 from repro.outcome import Outcome
 from repro.p2p.distribution import distribute_fragment, remote_subquery
@@ -19,7 +19,6 @@ from repro.xmlstore.serializer import canonical
 
 def main() -> None:
     network = SimNetwork()
-    ReplicationManager(network)
     ap1 = AXMLPeer("AP1", network)
     ap2 = AXMLPeer("AP2", network)
     library = ap1.host_document(

@@ -23,7 +23,6 @@ Run:  python examples/travel_booking.py
 from repro import (
     AXMLDocument,
     AXMLPeer,
-    FailureInjector,
     ServiceDescriptor,
     ServiceFault,
     SimNetwork,
@@ -34,12 +33,9 @@ from repro.xmlstore.serializer import canonical
 
 def build_world(peer_independent: bool):
     network = SimNetwork()
-    injector = FailureInjector(network)
     peers = {}
     for name in ("Agency", "AirlinePeer", "HotelPeer", "CarPeer"):
-        peers[name] = AXMLPeer(
-            name, network, peer_independent=peer_independent, injector=injector
-        )
+        peers[name] = AXMLPeer(name, network, peer_independent=peer_independent)
     peers["Agency"].host_document(
         AXMLDocument.from_xml("<Itinerary><legs/></Itinerary>", name="Itinerary")
     )
@@ -63,7 +59,7 @@ def build_world(peer_independent: bool):
                 f"<location>Select b from b in {doc_name}//bookings;</location></action>",
             )
         )
-    return network, injector, peers
+    return network, peers
 
 
 def booked_state(peers):
@@ -73,10 +69,10 @@ def booked_state(peers):
     return "\n".join(out)
 
 
-def run_booking(peers, injector=None, fail_car=False):
-    if fail_car and injector is not None:
-        injector.fault_service("CarPeer", "bookCar", "NoCarsAvailable")
+def run_booking(peers, fail_car=False):
     agency = peers["Agency"]
+    if fail_car:
+        agency.network.injector.fault_service("CarPeer", "bookCar", "NoCarsAvailable")
     txn = agency.begin_transaction()
     try:
         agency.invoke(txn.txn_id, "AirlinePeer", "bookFlight", {"customer": "ada"})
@@ -92,18 +88,18 @@ def run_booking(peers, injector=None, fail_car=False):
 
 def main() -> None:
     print("=== run 1: happy path (peer-dependent) ===")
-    network, injector, peers = build_world(peer_independent=False)
+    network, peers = build_world(peer_independent=False)
     txn, ok = run_booking(peers)
     print(f"  committed: {ok}")
     print(booked_state(peers), "\n")
 
     print("=== run 2: car rental fails -> nested recovery compensates ===")
-    network, injector, peers = build_world(peer_independent=False)
+    network, peers = build_world(peer_independent=False)
     pre = {
         name: canonical(peers[name].get_axml_document(doc).document)
         for name, doc in (("AirlinePeer", "Flights"), ("HotelPeer", "Hotels"))
     }
-    txn, ok = run_booking(peers, injector, fail_car=True)
+    txn, ok = run_booking(peers, fail_car=True)
     print(f"  committed: {ok}")
     print(booked_state(peers))
     restored = all(
@@ -113,8 +109,8 @@ def main() -> None:
     print(f"  flight and hotel bookings compensated: {restored}\n")
 
     print("=== run 3: same failure, peer-independent compensation (§3.2) ===")
-    network, injector, peers = build_world(peer_independent=True)
-    txn, ok = run_booking(peers, injector, fail_car=True)
+    network, peers = build_world(peer_independent=True)
+    txn, ok = run_booking(peers, fail_car=True)
     print(f"  committed: {ok}")
     ledger = peers["Agency"].manager.context(txn.txn_id).received_compensations
     print(f"  compensating-service definitions the origin had collected: {len(ledger)}")

@@ -3,10 +3,10 @@
 Everything a test, benchmark or example needs to drive the simulated
 AXML P2P system lives behind three small classes:
 
-* :class:`Cluster` — builds and owns a deployment: the network, the
-  failure injector, replication, and the peers.  Classmethods construct
-  the paper's canonical deployments (:meth:`Cluster.atplist`,
-  :meth:`Cluster.fig1`, :meth:`Cluster.fig2`,
+* :class:`Cluster` — builds and owns a deployment: the network (with
+  its failure injector and replication manager) and the peers.
+  Classmethods construct the paper's canonical deployments
+  (:meth:`Cluster.atplist`, :meth:`Cluster.fig1`, :meth:`Cluster.fig2`,
   :meth:`Cluster.from_topology`); :meth:`Cluster.scheduler` attaches the
   concurrent transaction engine.
 * :class:`Session` — a client's view of one peer.
@@ -37,10 +37,8 @@ from repro.axml.document import AXMLDocument
 from repro.axml.materialize import OperationOutcome
 from repro.chaos.runner import ChaosConfig
 from repro.outcome import Outcome
-from repro.p2p.failure import FailureInjector
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.p2p.replication import ReplicationManager
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import DelegatingService, FunctionService, Service
 from repro.sim.scenarios import (
@@ -78,16 +76,10 @@ class Transaction:
     idempotent and will not double-finish.
     """
 
-    def __init__(
-        self,
-        cluster: "Cluster",
-        peer: AXMLPeer,
-        _adopt=None,
-        **span_attrs: str,
-    ):
+    def __init__(self, cluster: "Cluster", peer: AXMLPeer, **span_attrs: str):
         self._cluster = cluster
         self._peer = peer
-        self.txn = _adopt if _adopt is not None else peer.begin_transaction(**span_attrs)
+        self.txn = peer.begin_transaction(**span_attrs)
         self._done = False
 
     # -- identity -------------------------------------------------------
@@ -182,11 +174,6 @@ class Cluster:
 
     def __init__(self):
         self.network = SimNetwork()
-        self.injector = FailureInjector(self.network)
-        self.replication = ReplicationManager(self.network)
-        #: The placement directory — the routing-truth holder maps the
-        #: replication manager and elastic sharding share.
-        self.directory = self.network.directory
         self.peers: Dict[str, AXMLPeer] = {}
         #: invocation topology: peer → list of (child_peer, method).
         self.topology: Topology = {}
@@ -195,7 +182,6 @@ class Cluster:
 
     def add_peer(self, peer_id: str, **peer_kwargs) -> AXMLPeer:
         """Create and register a peer; keyword args go to AXMLPeer."""
-        peer_kwargs.setdefault("injector", self.injector)
         peer = AXMLPeer(peer_id, self.network, **peer_kwargs)
         self.peers[peer_id] = peer
         return peer
@@ -236,6 +222,14 @@ class Cluster:
         return Session(self, peer_id)
 
     @property
+    def replication(self):
+        return self.network.replication
+
+    @property
+    def injector(self):
+        return self.network.injector
+
+    @property
     def metrics(self):
         return self.network.metrics
 
@@ -249,13 +243,13 @@ class Cluster:
 
     # -- driving --------------------------------------------------------
 
-    def run_until(self, deadline: float, max_events: int = 100_000) -> int:
+    def run_until(self, deadline: float) -> int:
         """Fire scheduled events up to *deadline* virtual seconds."""
-        return self.network.events.run_until(deadline, max_events)
+        return self.network.events.run_until(deadline)
 
-    def run_all(self, max_events: int = 100_000) -> int:
+    def run_all(self) -> int:
         """Fire every pending scheduled event."""
-        return self.network.events.run_all(max_events)
+        return self.network.events.run_all()
 
     def scheduler(self, **scheduler_kwargs) -> TransactionScheduler:
         """A concurrent multi-transaction scheduler over this cluster."""

@@ -167,7 +167,7 @@ class AtomicityOracle:
     # -- sweep ---------------------------------------------------------
 
     def check(self, peers: Mapping[str, object]) -> List[Violation]:
-        """Run every predicate over *peers* (id → AXMLPeer)."""
+        """Run every predicate over *peers* (id → AXMLPeer, at least one)."""
         violations: List[Violation] = []
         violations.extend(self._check_documents(peers))
         violations.extend(self._check_logs(peers))
@@ -230,25 +230,22 @@ class AtomicityOracle:
 
     @staticmethod
     def _replication(peers: Mapping[str, object]):
-        """The cluster's replication map, if any (via any peer's network)."""
-        for peer in peers.values():
-            return peer.network.replication
-        return None
+        """The cluster's replication manager (via any peer's network)."""
+        return next(iter(peers.values())).network.replication
 
     @staticmethod
     def _effect_holders(replication, effect: ExpectedEffect) -> List[str]:
         """Every peer that must carry *effect*'s marker after settlement."""
-        if replication is not None:
-            if replication.directory.is_sharded(effect.document):
-                # Sharded placement: the directory's holder list is
-                # authoritative regardless of the workload's static
-                # peer hint (the ring may have moved the shard).
-                holders = replication.directory.document_holders(effect.document)
-                if holders:
-                    return holders
+        if replication.directory.is_sharded(effect.document):
+            # Sharded placement: the directory's holder list is
+            # authoritative regardless of the workload's static
+            # peer hint (the ring may have moved the shard).
             holders = replication.directory.document_holders(effect.document)
-            if len(holders) > 1 and effect.peer in holders:
+            if holders:
                 return holders
+        holders = replication.directory.document_holders(effect.document)
+        if len(holders) > 1 and effect.peer in holders:
+            return holders
         return [effect.peer]
 
     def _check_shards(self, peers: Mapping[str, object]) -> List[Violation]:
@@ -264,10 +261,9 @@ class AtomicityOracle:
           with the ring's assignment: routing truth drifted from
           placement truth.
         """
-        replication = self._replication(peers)
-        if replication is None or not replication.directory.sharded_docs:
+        directory = self._replication(peers).directory
+        if not directory.sharded_docs:
             return []
-        directory = replication.directory
         violations: List[Violation] = []
         for doc_name in sorted(directory.sharded_docs):
             holders = directory.document_holders(doc_name)
@@ -322,8 +318,6 @@ class AtomicityOracle:
         lazily for the primary the first time any holder needs it.
         """
         replication = self._replication(peers)
-        if replication is None:
-            return []
         violations: List[Violation] = []
         for doc_name in sorted(replication.replicated_documents()):
             holders = replication.directory.document_holders(doc_name)

@@ -316,7 +316,7 @@ def _place_sharded(cluster, config: ChaosConfig, providers: Sequence[str]) -> No
         members=providers,
         replicas=config.replicas,
     )
-    coordinator = ShardCoordinator(cluster.network, cluster.replication, ring)
+    coordinator = ShardCoordinator(cluster.network, ring)
     cluster.shard_coordinator = coordinator
     for i in range(1, config.providers + 1):
         document, method = f"D{i}", f"S{i}"

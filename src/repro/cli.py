@@ -67,8 +67,9 @@ def _parse_peer_method(raw: str) -> tuple:
     return peer_id, method
 
 
-def cmd_fig1(args: argparse.Namespace) -> int:
-    """Run the Fig. 1 nested-recovery scenario with optional fault/handler."""
+def _run_fig1(args: argparse.Namespace) -> tuple:
+    """Fig. 1 with the ``--fault``/``--handler`` flags applied, committed
+    when recovery succeeded; returns ``(cluster, error)``."""
     cluster = Cluster.fig1(chaining=not args.no_chaining)
     if args.fault:
         peer_id, method = _parse_peer_method(args.fault)
@@ -81,9 +82,15 @@ def cmd_fig1(args: argparse.Namespace) -> int:
             method, [FaultPolicy(fault_names={"Crash"}, retry_times=2)]
         )
     txn, error = cluster.run_topology()
-    print("Fig.1 run:", "recovered/committed" if error is None else f"aborted ({error})")
     if error is None:
         txn.commit()
+    return cluster, error
+
+
+def cmd_fig1(args: argparse.Namespace) -> int:
+    """Run the Fig. 1 nested-recovery scenario with optional fault/handler."""
+    cluster, error = _run_fig1(args)
+    print("Fig.1 run:", "recovered/committed" if error is None else f"aborted ({error})")
     for peer_id, peer in cluster.peers.items():
         doc = peer.get_axml_document(f"D{peer_id[2:]}")
         print(f"  {peer_id}: {doc.to_xml()}")
@@ -249,20 +256,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.obs import render_report, write_json_artifact
 
     if args.scenario == "fig1":
-        cluster = Cluster.fig1(chaining=not args.no_chaining)
-        if args.fault:
-            peer_id, method = _parse_peer_method(args.fault)
-            cluster.injector.fault_service(
-                peer_id, method, "Crash", point="after_execute"
-            )
-        if args.handler:
-            peer_id, method = _parse_peer_method(args.handler)
-            cluster.peer(peer_id).set_fault_policy(
-                method, [FaultPolicy(fault_names={"Crash"}, retry_times=2)]
-            )
-        txn, error = cluster.run_topology()
-        if error is None:
-            txn.commit()
+        cluster, _ = _run_fig1(args)
         title = "fig1 nested recovery"
     else:
         cluster = Cluster.fig2(chaining=not args.no_chaining)

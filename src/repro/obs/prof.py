@@ -115,11 +115,11 @@ SUMMARY_LOCAL_COUNTERS = frozenset(
 
 
 @contextmanager
-def profiled(metrics: Any = None, prefix: str = "prof_") -> Iterator[Profiler]:
+def profiled(metrics: Any = None) -> Iterator[Profiler]:
     """Capture :data:`PROF` deltas over a block.
 
     When *metrics* (a :class:`~repro.sim.metrics.MetricsCollector`) is
-    given, the block's counter deltas are merged into it under *prefix*
+    given, the block's counter deltas are merged into it as ``prof_*``
     so they surface in ``repro report`` and the run's JSON summary —
     except the :data:`SUMMARY_LOCAL_COUNTERS`.
     """
@@ -131,19 +131,19 @@ def profiled(metrics: Any = None, prefix: str = "prof_") -> Iterator[Profiler]:
             for name, delta in sorted(PROF.delta_since(before).items()):
                 if name in SUMMARY_LOCAL_COUNTERS:
                     continue
-                metrics.incr(prefix + name, delta)
+                metrics.incr("prof_" + name, delta)
 
 
-def profile_summary(counters: Dict[str, int], prefix: str = "prof_") -> Dict[str, Any]:
+def profile_summary(counters: Dict[str, int]) -> Dict[str, Any]:
     """The report-facing view of a run's ``prof_*`` counters.
 
     Returns the counters (prefix stripped) plus the derived index hit
     rate; empty dict when the run recorded nothing.
     """
     profile = {
-        name[len(prefix):]: value
+        name.removeprefix("prof_"): value
         for name, value in counters.items()
-        if name.startswith(prefix)
+        if name.startswith("prof_")
     }
     if not profile:
         return {}

@@ -104,10 +104,8 @@ def distribute_fragment(
             f"Select f from f in {fragment_doc_name};",
         )
     )
-    replication = owner.network.replication
-    if replication is not None:
-        replication.register_primary(fragment_doc_name, target.peer_id)
-        replication.register_service(method_name, target.peer_id)
+    owner.network.replication.register_primary(fragment_doc_name, target.peer_id)
+    owner.network.replication.register_service(method_name, target.peer_id)
 
     # Replace the subtree with an embedded call to the fragment service.
     # The placeholder declares *every* element name inside the fragment,

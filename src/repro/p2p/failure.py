@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (network imports sharding)
+if TYPE_CHECKING:  # pragma: no cover - typing only (network imports failure)
     from repro.p2p.network import SimNetwork
 
 #: Injection points inside a service execution.

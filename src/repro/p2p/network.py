@@ -8,7 +8,9 @@ protocol step — including *between* a service finishing and its results
 returning (the §3.3(b) window).
 
 The network knows nothing about transactions; peers implement the
-protocols on top of these primitives.
+protocols on top of these primitives.  It owns what every layer reads
+without asking whether it exists: the placement directory, replication
+manager, failure injector, metrics, spans and event queue.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from typing import Callable, Dict, Optional, Protocol, Union
 from repro.errors import PeerDisconnected, UnknownPeer
 from repro.obs.spans import SpanCollector
 from repro.outcome import Outcome
+from repro.p2p.failure import FailureInjector
 from repro.p2p.messages import InvokeRequest, message_kind
+from repro.p2p.replication import ReplicationManager
 from repro.p2p.sharding import PlacementDirectory
 from repro.sim.kernel import Clock, EventQueue
 from repro.sim.metrics import MetricsCollector
@@ -69,9 +73,11 @@ class SimNetwork:
         #: Routing layers ask it before dispatch; a non-sharded run is
         #: a directory with no sharded methods.
         self.directory = PlacementDirectory(self)
-        #: The cluster's :class:`~repro.p2p.replication.ReplicationManager`
-        #: (which installs itself here); ``None`` = no replication.
-        self.replication = None
+        #: Replica placement, WAL shipping and failover; with nothing
+        #: replicated it ships nothing and offers no failover target.
+        self.replication = ReplicationManager(self)
+        #: Scripted faults and disconnections; empty unless scripted.
+        self.injector = FailureInjector(self)
         #: Run-scoped fragment serial (see :func:`next_fragment_serial`):
         #: a module-global counter here would leak across sweep cells in
         #: one process while forked parallel workers start fresh,

@@ -10,6 +10,10 @@
   3–4 — and peer-independent compensation collection;
 * the §3.3 disconnection cases, using the piggybacked active-peer chain
   (or the naive baseline behaviour when ``chaining=False``).
+
+WAL shipping, failover targets, replica fallback and scripted faults
+come from the network every peer shares (``network.replication``,
+``network.injector``).
 """
 
 from __future__ import annotations
@@ -104,7 +108,6 @@ class AXMLPeer:
         chain_scope: str = "immediate",
         parent_watch_interval: Optional[float] = None,
         occ: bool = False,
-        injector=None,
         durability: Optional[DurabilityPolicy] = None,
     ):
         self.peer_id = peer_id
@@ -126,7 +129,6 @@ class AXMLPeer:
         #: learned about a subtree that was still in flight when its root
         #: died.  ``None`` disables the watch.
         self.parent_watch_interval = parent_watch_interval
-        self.injector = injector
         self.disconnected = False
         self.documents: Dict[str, AXMLDocument] = {}
         self.registry = ServiceRegistry(peer_id)
@@ -566,11 +568,7 @@ class AXMLPeer:
         """
         replication = self.network.replication
         entries = ()
-        if (
-            replication is not None
-            and replication.has_replicas()
-            and self.manager.live_context(txn_id) is not None
-        ):
+        if replication.has_replicas() and self.manager.live_context(txn_id) is not None:
             entries = self.manager.log.entries_for(txn_id)
         self.manager.commit_local(txn_id)
         if entries:
@@ -594,10 +592,7 @@ class AXMLPeer:
                     peer_id,
                     CompensationRequest(txn_id, plan_xml, self.peer_id),
                 ),
-                replica_holders=(
-                    None if self.network.replication is None
-                    else self.network.directory.document_holders
-                ),
+                replica_holders=self.network.directory.document_holders,
                 count=self.network.metrics.incr,
             )
             self._abort_share(txn_id)
@@ -684,10 +679,7 @@ class AXMLPeer:
                     nodes_affected=response.nodes_affected,
                     chain=my_chain.copy() if my_chain is not None else None,
                 )
-                replication = self.network.replication
-                if replication is not None and replication.is_replicated_method(
-                    request.method_name
-                ):
+                if self.network.replication.is_replicated_method(request.method_name):
                     # Only replicated services can be legitimately re-invoked
                     # (a failed-over parent re-running its delegations); for
                     # them, keep the outcome, chain snapshot and all, for dedup.
@@ -709,17 +701,15 @@ class AXMLPeer:
 
     def _injected_fault(self, method_name: str, point: str) -> None:
         """Raise the named fault scripted for this execution point."""
-        if self.injector is not None:
-            fault_name = self.injector.check_fault(self.peer_id, method_name, point)
-            if fault_name is not None:
-                raise ServiceFault(
-                    fault_name, f"injected fault in {method_name}@{self.peer_id}"
-                )
+        fault_name = self.network.injector.check_fault(self.peer_id, method_name, point)
+        if fault_name is not None:
+            raise ServiceFault(
+                fault_name, f"injected fault in {method_name}@{self.peer_id}"
+            )
 
     def _injected_disconnect(self, method_name: str, point: str) -> None:
         """Fire any disconnection/crash scripted for this execution point."""
-        if self.injector is not None:
-            self.injector.check_disconnect(self.peer_id, method_name, point)
+        self.network.injector.check_disconnect(self.peer_id, method_name, point)
 
     def _execute_local_service(
         self, txn_id: str, method_name: str, params: Dict[str, str]
@@ -787,9 +777,8 @@ class AXMLPeer:
         # replicated, and only when the policy names no explicit
         # alternative (an explicit ``axml:sc`` replica always wins).
         select_alternative = None
-        replication = self.network.replication
-        if replication is not None and not policy.alternative_peer:
-            select_alternative = replication.failover_selector(
+        if not policy.alternative_peer:
+            select_alternative = self.network.replication.failover_selector(
                 target_peer, method_name
             )
         decision = attempt_forward_recovery(
@@ -1007,11 +996,9 @@ class AXMLPeer:
                     context.record_compensation_definition(provider, plan_xml)
             self.network.metrics.incr("redirected_results_received")
         elif isinstance(message, WalShipMessage):
-            if self.network.replication is not None:
-                self.network.replication.on_ship(self.peer_id, message)
+            self.network.replication.on_ship(self.peer_id, message)
         elif isinstance(message, WalShipAck):
-            if self.network.replication is not None:
-                self.network.replication.on_ack(self.peer_id, message)
+            self.network.replication.on_ack(self.peer_id, message)
 
     def _on_abort_message(self, message: AbortMessage) -> None:
         """§3.2 step 2: a peer whose invoker aborted compensates the
@@ -1137,10 +1124,9 @@ class AXMLPeer:
         self.disconnected = False
         recovered = self.manager.recover(self._restore_lost_documents)
         self.network.metrics.incr("peer_rejoins")
-        if self.network.replication is not None:
-            # Replica copies on this peer may have missed ships while it
-            # was gone; schedule them for a settlement resync.
-            self.network.replication.on_peer_rejoined(self.peer_id)
+        # Replica copies on this peer may have missed ships while it
+        # was gone; schedule them for a settlement resync.
+        self.network.replication.on_peer_rejoined(self.peer_id)
         return recovered
 
     def _restore_lost_documents(self) -> None:

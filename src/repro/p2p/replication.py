@@ -38,15 +38,17 @@ construction.  It is now a real subsystem (see ``docs/REPLICATION.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.axml.document import AXMLDocument
 from repro.errors import P2PError
 from repro.p2p.messages import WalShipAck, WalShipMessage
-from repro.p2p.network import SimNetwork
 from repro.query.ast import ActionType
 from repro.query.update import apply_action
 from repro.txn.wal import LogEntry, entry_bytes
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (network imports replication)
+    from repro.p2p.network import SimNetwork
 
 
 @dataclass
@@ -83,14 +85,13 @@ class ReplicationManager:
 
     Tracks which peers hold which documents/services, ships committed
     WAL entries between holders, and selects failover targets
-    (``docs/REPLICATION.md``)."""
+    (``docs/REPLICATION.md``).  Every network owns one
+    (``network.replication``)."""
 
-    def __init__(self, network: SimNetwork, ship_batch: int = 1):
+    def __init__(self, network: SimNetwork):
         self.network = network
-        if ship_batch < 1:
-            raise P2PError(f"ship_batch must be >= 1, got {ship_batch}")
         #: Committed entries per channel buffered before one ship message.
-        self.ship_batch = ship_batch
+        self.ship_batch = 1
         #: The network's placement directory — the only holder maps, so
         #: shard migrations flipping directory ownership are instantly
         #: visible to replication, failover and routing.
@@ -111,9 +112,6 @@ class ReplicationManager:
         #: that keeps a failed-over share from being applied twice when
         #: both the old and the new primary eventually ship it.
         self._applied_keys: Set[Tuple[str, str, str, str]] = set()
-        # Make the manager discoverable by peers (peer-independent
-        # compensation fallback looks it up on the network).
-        network.replication = self
 
     # -- documents ---------------------------------------------------------
 

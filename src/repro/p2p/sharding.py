@@ -287,14 +287,13 @@ class ShardCoordinator:
     def __init__(
         self,
         network,
-        replication,
         ring: ShardRing,
         cutover_delay: float = 0.05,
         max_defers: int = 12,
     ):
         self.network = network
-        self.replication = replication
-        self.directory: PlacementDirectory = replication.directory
+        self.replication = network.replication
+        self.directory: PlacementDirectory = network.directory
         self.directory.ring = ring
         self.ring = ring
         self.cutover_delay = cutover_delay

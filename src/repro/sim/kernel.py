@@ -244,10 +244,10 @@ class ScratchSpace:
     roots.
     """
 
-    def __init__(self, prefix: str = "repro-scratch-"):
+    def __init__(self):
         import tempfile
 
-        self.root = tempfile.mkdtemp(prefix=prefix)
+        self.root = tempfile.mkdtemp(prefix="repro-scratch-")
 
     def path(self, *parts: str) -> str:
         """Directory ``<root>/<parts...>``, created on first use."""

@@ -110,9 +110,9 @@ class MetricsCollector:
         """Completed work thrown away during recovery (loss of effort)."""
         self.incr("invocations_discarded", count)
 
-    def record_reused_invocation(self, count: int = 1) -> None:
+    def record_reused_invocation(self) -> None:
         """Completed work salvaged through chaining (§3.3b)."""
-        self.incr("invocations_reused", count)
+        self.incr("invocations_reused")
 
     def record_forward_cost(self, nodes: int) -> None:
         self.incr("nodes_affected_forward", nodes)

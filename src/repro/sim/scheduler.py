@@ -212,16 +212,14 @@ class TransactionScheduler:
         state = _TxnState(spec, at_time, on_complete=on_complete)
         self.network.events.schedule_at(at_time, lambda: self._arrive(state))
 
-    def submit_open_loop(
-        self, specs: Sequence[TxnSpec], rate: float, start: float = 0.0
-    ) -> List[float]:
+    def submit_open_loop(self, specs: Sequence[TxnSpec], rate: float) -> List[float]:
         """Open-loop (Poisson) arrivals: one spec per exponential gap.
 
         Returns the arrival times (useful for asserting determinism).
         """
         from repro.sim.workload import poisson_arrival_times
 
-        times = poisson_arrival_times(self.rng, rate, len(specs), start=start)
+        times = poisson_arrival_times(self.rng, rate, len(specs))
         for spec, at_time in zip(specs, times):
             self.submit(spec, at_time)
         return times
@@ -344,12 +342,11 @@ class TransactionScheduler:
     def _route_invoke(self, operation: InvokeOp) -> str:
         """Pick the peer to invoke, rerouting around a dead primary.
 
-        Legacy (unreplicated) runs are untouched: the spec's target is
-        used verbatim.  When the network carries a replication manager
-        and the planned target of a *replicated* service is dead at
-        dispatch time, the invocation goes straight to the most-preferred
-        alive holder instead of failing at the origin and waiting for
-        forward recovery to rediscover the same fact.
+        Unreplicated services use the spec's target verbatim.  When the
+        planned target of a *replicated* service is dead at dispatch
+        time, the invocation goes straight to the most-preferred alive
+        holder instead of failing at the origin and waiting for forward
+        recovery to rediscover the same fact.
 
         Shard-placed services route through the placement directory
         first: under elastic sharding the workload's static target is
@@ -360,12 +357,9 @@ class TransactionScheduler:
         routed = self.network.directory.route_service(operation.method_name)
         if routed is not None:
             return routed
-        replication = self.network.replication
-        if replication is None:
-            return operation.target_peer
         if self.network.is_alive(operation.target_peer):
             return operation.target_peer
-        if not replication.is_replicated_method(operation.method_name):
+        if not self.network.replication.is_replicated_method(operation.method_name):
             return operation.target_peer
         for holder in self.network.directory.service_holders(operation.method_name):
             if self.network.is_alive(holder):

@@ -146,8 +146,8 @@ def run_throughput_point(
     }
 
 
-def _rounded(value: Optional[float], digits: int = 4) -> Optional[float]:
-    return None if value is None else round(value, digits)
+def _rounded(value: Optional[float]) -> Optional[float]:
+    return None if value is None else round(value, 4)
 
 
 def _t1_cell(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -30,14 +30,12 @@ def generate_catalogue(
     item_count: int,
     name: str = "Catalogue",
     call_density: float = 0.0,
-    service_peers: Sequence[str] = (),
 ) -> AXMLDocument:
     """A catalogue document with *item_count* items.
 
     Each item gets 2–4 text fields; with probability *call_density* an
-    item additionally embeds a service call (``getStock``-style) whose
-    declared result name is ``stock``, hosted on a random peer from
-    *service_peers* (or locally when none are given).
+    item additionally embeds a local service call (``getStock``-style)
+    whose declared result name is ``stock``.
     """
     document = Document(name)
     root = document.create_root(name)
@@ -55,11 +53,9 @@ def generate_catalogue(
             )
             item.new_element(field_name).new_text(value)
         if call_density > 0 and rng.coin(call_density):
-            peer = rng.choice(list(service_peers)) if service_peers else ""
             install_service_call(
                 item,
                 method_name="getStock",
-                service_url=f"axml://{peer}" if peer else "",
                 mode="replace",
                 params={"item": str(index)},
                 initial_result_xml=(f"<stock>{rng.randint(0, 99)}</stock>",),

@@ -211,7 +211,7 @@ class TransactionManager:
             frame.entries, frame.edges, frame.enclosing = [], [], ()
         self.log.truncate(txn_id)
 
-    def abort_local(self, txn_id: str, meter: Optional[TraversalMeter] = None) -> int:
+    def abort_local(self, txn_id: str) -> int:
         """Backward recovery of this peer's whole share: :meth:`_undo`
         over every entry the transaction logged here.
 
@@ -225,7 +225,7 @@ class TransactionManager:
             self.validator.abort(txn_id)
         context.transition(TransactionState.COMPENSATING)
         context.frames.clear()
-        executed = self._undo(context, self.log.undo_entries(txn_id), meter)
+        executed = self._undo(context, self.log.undo_entries(txn_id))
         context.transition(TransactionState.ABORTED)
         return executed
 
@@ -238,17 +238,14 @@ class TransactionManager:
         entries = sorted(context.detach(frames), key=lambda e: e.seq, reverse=True)
         return self._undo(context, entries) if entries else 0
 
-    def _undo(
-        self, context: TransactionContext, entries: Sequence[LogEntry],
-        meter: Optional[TraversalMeter] = None,
-    ) -> int:
+    def _undo(self, context: TransactionContext, entries: Sequence[LogEntry]) -> int:
         """Compensate *entries* (newest first) and remove them from the log,
         crash-safely: ``truncate`` writes the transaction's tombstone and
         the survivors are appended again after it and flushed at once —
         their results may already be handed off (§3.1) — so a restart
         recovers exactly the survivors (their frames follow the copies)."""
         txn_id = context.txn_id
-        meter = meter or TraversalMeter()
+        meter = TraversalMeter()
         plans = build_compensation_for_entries(entries)
         with self._span(f"compensate:{txn_id}", txn_id, plans=str(len(plans))):
             executed = self._run_plans(plans, meter)
@@ -334,9 +331,7 @@ class TransactionManager:
         plan.extend_from_records(records)
         return plan.to_xml()
 
-    def apply_compensation_xml(
-        self, plan_xml: str, meter: Optional[TraversalMeter] = None
-    ) -> int:
+    def apply_compensation_xml(self, plan_xml: str) -> int:
         """Execute a received compensating-service definition locally.
 
         "The original peers do not even need to be aware that the
@@ -345,7 +340,7 @@ class TransactionManager:
         """
         plan = CompensationPlan.from_xml(plan_xml)
         document = self._document_provider(plan.document_name).document
-        meter = meter or TraversalMeter()
+        meter = TraversalMeter()
         with self._span(
             f"apply_compensation:{plan.document_name}", "", actions=str(len(plan))
         ):

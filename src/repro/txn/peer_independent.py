@@ -18,7 +18,7 @@ messages, and the order/fallback rule is testable without a cluster.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.txn.compensation import CompensationPlan
 
@@ -26,7 +26,7 @@ from repro.txn.compensation import CompensationPlan
 def dispatch_compensations(
     definitions: Sequence[Tuple[str, str]],
     send: Callable[[str, str], bool],
-    replica_holders: Optional[Callable[[str], Sequence[str]]],
+    replica_holders: Callable[[str], Sequence[str]],
     count: Callable[[str], None],
 ) -> bool:
     """Invoke every compensating definition on its provider, newest first.
@@ -35,18 +35,18 @@ def dispatch_compensations(
     operations).  *definitions* are ``(provider_peer, plan_xml)`` in forward receipt
     order; ``send(peer_id, plan_xml)`` delivers one compensation request
     and answers whether it arrived.  When the provider is gone and
-    *replica_holders* (document name → holders, primary first; ``None``
-    without replication) knows another holder of the plan's document,
-    the first one that takes the request stands in
-    (``compensations_via_replica``).  A definition nobody took is a
-    ``compensation_failures`` dead end — the atomicity gap the spheres
-    analysis predicts.  Returns True when every definition was delivered.
+    *replica_holders* (document name → holders, primary first) knows
+    another holder of the plan's document, the first one that takes
+    the request stands in (``compensations_via_replica``).  A definition
+    nobody took is a ``compensation_failures`` dead end — the atomicity
+    gap the spheres analysis predicts.  Returns True when every
+    definition was delivered.
     """
     complete = True
     for provider, plan_xml in reversed(definitions):
         if send(provider, plan_xml):
             continue
-        if replica_holders is not None and any(
+        if any(
             holder != provider and send(holder, plan_xml)
             for holder in replica_holders(
                 CompensationPlan.from_xml(plan_xml).document_name

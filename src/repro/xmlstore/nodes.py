@@ -404,11 +404,9 @@ class Document:
         self.root = Element(self, name, attributes)
         return self.root
 
-    def create_element(
-        self, name: Union[str, QName], attributes: Optional[Dict[str, str]] = None
-    ) -> Element:
+    def create_element(self, name: Union[str, QName]) -> Element:
         """Create a detached element owned by this document."""
-        return Element(self, name, attributes)
+        return Element(self, name)
 
     # -- lookup -----------------------------------------------------------------------
 

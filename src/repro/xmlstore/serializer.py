@@ -92,8 +92,8 @@ def serialize(node: Union[Document, Node], include_ids: bool = False) -> str:
     return "".join(out)
 
 
-def _pretty_node(node: Node, out: List[str], depth: int, indent: str) -> None:
-    pad = indent * depth
+def _pretty_node(node: Node, out: List[str], depth: int) -> None:
+    pad = "  " * depth
     if isinstance(node, Text):
         out.append(f"{pad}{escape_text(node.value)}")
         return
@@ -108,18 +108,18 @@ def _pretty_node(node: Node, out: List[str], depth: int, indent: str) -> None:
         return
     out.append(f"{pad}<{tag}>")
     for child in node.children:
-        _pretty_node(child, out, depth + 1, indent)
+        _pretty_node(child, out, depth + 1)
     out.append(f"{pad}</{node.name.text}>")
 
 
-def pretty(node: Union[Document, Node], indent: str = "  ") -> str:
-    """Serialize with indentation for human consumption."""
+def pretty(node: Union[Document, Node]) -> str:
+    """Serialize with two-space indentation for human consumption."""
     if isinstance(node, Document):
         if node.root is None:
             return ""
         node = node.root
     out: List[str] = []
-    _pretty_node(node, out, 0, indent)
+    _pretty_node(node, out, 0)
     return "\n".join(out)
 
 

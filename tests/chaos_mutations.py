@@ -57,11 +57,11 @@ def mutated(mutation: str):
         if mutation == "skip_undo":
             orig_abort = TransactionManager.abort_local
 
-            def abort_local(self, txn_id, meter=None):
+            def abort_local(self, txn_id):
                 entries = self.log.entries_for(txn_id)
                 if entries and _provider(self.peer_id) and once(self.spans):
                     self.log._entries.remove(entries[-1])
-                return orig_abort(self, txn_id, meter)
+                return orig_abort(self, txn_id)
 
             patch.setattr(TransactionManager, "abort_local", abort_local)
         elif mutation == "double_apply":

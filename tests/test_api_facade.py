@@ -14,7 +14,12 @@ class TestClusterBuilding:
         cluster.add_peer("AP1")
         doc = cluster.host_document("AP1", "<D><x/></D>", name="D")
         assert cluster.peer("AP1").get_axml_document("D") is doc
-        assert cluster.directory.document_holders("D") == ["AP1"]
+        assert cluster.network.directory.document_holders("D") == ["AP1"]
+
+    def test_cluster_reads_its_networks_services(self):
+        cluster = Cluster()
+        assert cluster.replication is cluster.network.replication
+        assert cluster.injector is cluster.network.injector
 
     def test_host_document_text_requires_name(self):
         cluster = Cluster()

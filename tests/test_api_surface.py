@@ -43,9 +43,10 @@ def test_cluster_surface_snapshot():
         "atplist", "fig1", "fig2", "from_topology",
     }
     assert _public_methods(api.Cluster) == expected
-    for prop in ("metrics", "spans", "clock"):
+    for prop in ("replication", "injector", "metrics", "spans", "clock"):
         assert isinstance(vars(api.Cluster)[prop], property)
     assert "events" not in vars(api.Cluster)  # read only by tests: network.events
+    assert "directory" not in vars(api.Cluster)  # likewise: network.directory
 
 
 def test_session_surface_snapshot():
@@ -355,6 +356,23 @@ REMOVED_KEYWORDS = [
     ("repro.sim.throughput:throughput_sweep", (), {"fail_axis": (0.0,)}),
     ("repro.txn.durable_wal:DurableWal", ("d",), {"segment_max_frames": 4}),
     ("repro.txn.modes:DurabilityPolicy", (), {"directory": "d", "segment_max_frames": 4}),
+    # the network owns its replication manager and failure injector
+    ("repro.p2p.peer:AXMLPeer", ("P", None), {"injector": None}),
+    ("repro.p2p.replication:ReplicationManager", (None,), {"ship_batch": 2}),
+    ("repro.p2p.sharding:ShardCoordinator", (None, None), {"replication": None}),
+    ("repro.api:Cluster.run_until", (None, 1.0), {"max_events": 5}),
+    ("repro.api:Cluster.run_all", (None,), {"max_events": 5}),
+    ("repro.sim.kernel:ScratchSpace", (), {"prefix": "x-"}),
+    ("repro.txn.manager:TransactionManager.abort_local", (None, "T1"), {"meter": None}),
+    ("repro.txn.manager:TransactionManager.apply_compensation_xml", (None, ""), {"meter": None}),
+    ("repro.xmlstore.nodes:Document.create_element", (None, "e"), {"attributes": {}}),
+    ("repro.sim.workload:generate_catalogue", (None, 1), {"service_peers": ("P",)}),
+    ("repro.xmlstore.serializer:pretty", (None,), {"indent": " "}),
+    ("repro.obs.prof:profiled", (), {"prefix": "p_"}),
+    ("repro.obs.prof:profile_summary", ({},), {"prefix": "p_"}),
+    ("repro.sim.metrics:MetricsCollector.record_reused_invocation", (None,), {"count": 2}),
+    ("repro.sim.scheduler:TransactionScheduler.submit_open_loop", (None, (), 1.0), {"start": 1.0}),
+    ("repro.sim.throughput:_rounded", (1.0,), {"digits": 2}),
 ]
 
 

@@ -14,7 +14,7 @@ import pytest
 from repro.axml.document import AXMLDocument
 from repro.chaos import ChaosConfig, FaultPlanner, run_chaos
 from repro.chaos.planner import FaultEvent
-from repro.p2p.failure import POINTS, FailureInjector
+from repro.p2p.failure import POINTS
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.services.descriptor import ServiceDescriptor
@@ -299,8 +299,7 @@ class TestGroupCommit:
         after the tombstone.  That entry's result was already handed off,
         so it must be on disk before a crash can discard the buffer."""
         network, origin, worker = durable_world(tmp_path, wal_batch=8)
-        injector = FailureInjector(network)
-        worker.injector = injector
+        injector = network.injector
         origin.set_fault_policy("book", [FaultPolicy(absorb=True)])
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "a"})
@@ -327,8 +326,7 @@ class TestCrashConsistencyEveryPoint:
         network, origin, worker = durable_world(
             tmp_path / f"crash-{point}-{tear}", **self.POLICY
         )
-        injector = FailureInjector(network)
-        worker.injector = injector
+        injector = network.injector
         for i in range(3):
             commit_one(origin, f"pre{i}")
         injector.crash_peer_during(

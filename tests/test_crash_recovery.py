@@ -9,7 +9,6 @@ import pytest
 from repro.axml.document import AXMLDocument
 from repro.chaos import ChaosConfig, FaultPlanner, run_chaos
 from repro.cli import main
-from repro.p2p.failure import FailureInjector
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.services.descriptor import ServiceDescriptor
@@ -102,8 +101,7 @@ class TestPeerCrash:
         from repro.errors import PeerDisconnected, TransactionError
 
         network, origin, worker = durable_world(tmp_path)
-        injector = FailureInjector(network)
-        worker.injector = injector
+        injector = network.injector
         injector.crash_peer_during("Worker", "book", "after_local_work",
                                    restart_delay=0.25)
         pre = canonical(worker.get_axml_document("D").document)

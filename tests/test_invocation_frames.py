@@ -44,23 +44,6 @@ def steps(peer):
     return re.findall(r'step="(\w+)"', peer.get_axml_document(f"D{peer.peer_id}").to_xml())
 
 
-class FaultOnce:
-    """An injector raising one ``Boom`` fault at *point*."""
-
-    def __init__(self, point):
-        self.point = point
-        self.fired = False
-
-    def check_fault(self, peer_id, method_name, point):
-        if point == self.point and not self.fired:
-            self.fired = True
-            return "Boom"
-        return None
-
-    def check_disconnect(self, peer_id, method_name, point):
-        pass
-
-
 def retried_cluster(first_step_target):
     """O invokes *first_step_target* for step s0, then A for step s1:
     A → Q → P, and A faults once after executing, so O's retry handler
@@ -73,7 +56,7 @@ def retried_cluster(first_step_target):
         "Q": marker_peer(network, "Q", ["P"]),
         "A": marker_peer(network, "A", ["Q"]),
     }
-    peers["A"].injector = FaultOnce("after_execute")
+    network.injector.fault_service("A", "SA", "Boom", point="after_execute")
     origin.set_fault_policy("SA", [FaultPolicy(fault_names={"Boom"}, retry_times=1)])
     txn = origin.begin_transaction()
     origin.invoke(txn.txn_id, first_step_target, f"S{first_step_target}", {"step": "s0"})

@@ -89,9 +89,11 @@ def test_transaction_storm(seed):
 
     # The system still works once the adversary stops (leftover one-shot
     # fault scripts whose peer happened to be down when they were armed
-    # never fire).
-    for peer in scenario.peers.values():
-        peer.injector = None
+    # are disarmed: zero charges left).
+    for victim in ("AP3", "AP4", "AP5", "AP6"):
+        scenario.injector.fault_service(
+            victim, f"S{victim[2:]}", "Storm", times=0, point="after_execute"
+        )
     final = origin.begin_transaction()
     for child, method in FIG2_TOPOLOGY["AP1"]:
         origin.invoke(final.txn_id, child, method, {})

@@ -7,7 +7,6 @@ from repro.errors import P2PError, PeerDisconnected
 from repro.p2p.distribution import distribute_fragment, remote_subquery
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.p2p.replication import ReplicationManager
 from repro.query.parser import parse_select
 from repro.xmlstore.serializer import canonical
 
@@ -23,7 +22,7 @@ LIB = (
 @pytest.fixture
 def world():
     network = SimNetwork()
-    replication = ReplicationManager(network)
+    replication = network.replication
     ap1 = AXMLPeer("AP1", network)
     ap2 = AXMLPeer("AP2", network)
     doc = ap1.host_document(AXMLDocument.from_xml(LIB, name="Lib"))

@@ -7,6 +7,7 @@ from repro.p2p.failure import FailureInjector
 from repro.outcome import Outcome
 from repro.p2p.messages import InvokeRequest
 from repro.p2p.network import HOP_LATENCY, SimNetwork
+from repro.p2p.replication import ReplicationManager
 from repro.sim.kernel import Clock, EventQueue
 
 
@@ -208,10 +209,28 @@ class TestNotifyAndPing:
         assert network.is_alive("A")
 
 
+class TestNetworkOwnsItsServices:
+    def test_every_network_builds_a_replication_manager_and_an_injector(self):
+        network = SimNetwork()
+        assert isinstance(network.replication, ReplicationManager)
+        assert isinstance(network.injector, FailureInjector)
+        assert network.replication.network is network
+        assert network.injector.network is network
+        assert network.replication.directory is network.directory
+        assert network.replication.ship_batch == 1
+
+    def test_nothing_replicated_answers_like_no_replication(self):
+        replication = SimNetwork().replication
+        assert not replication.has_replicas()
+        assert not replication.is_replicated_method("m")
+        assert replication.failover_selector("P", "m") is None
+        assert replication.directory.document_holders("D") == []
+
+
 class TestFailureInjector:
     def test_fault_charges(self):
         network = SimNetwork()
-        injector = FailureInjector(network)
+        injector = network.injector
         injector.fault_service("P", "m", "F", times=2)
         assert injector.check_fault("P", "m") == "F"
         assert injector.check_fault("P", "m") == "F"
@@ -219,25 +238,25 @@ class TestFailureInjector:
 
     def test_fault_forever(self):
         network = SimNetwork()
-        injector = FailureInjector(network)
+        injector = network.injector
         injector.fault_service("P", "m", "F", times=-1)
         for _ in range(5):
             assert injector.check_fault("P", "m") == "F"
 
     def test_fault_points_independent(self):
-        injector = FailureInjector(SimNetwork())
+        injector = SimNetwork().injector
         injector.fault_service("P", "m", "F", point="after_execute")
         assert injector.check_fault("P", "m", "before_execute") is None
         assert injector.check_fault("P", "m", "after_execute") == "F"
 
     def test_bad_fault_point(self):
         with pytest.raises(ValueError):
-            FailureInjector(SimNetwork()).fault_service("P", "m", "F", point="later")
+            SimNetwork().injector.fault_service("P", "m", "F", point="later")
 
     def test_disconnect_during(self):
         network = SimNetwork()
         StubPeer("P", network)
-        injector = FailureInjector(network)
+        injector = network.injector
         injector.disconnect_peer_during("P", "P", "m", point="before_return")
         assert injector.check_disconnect("P", "m", "before_return")
         assert not network.is_alive("P")
@@ -249,7 +268,7 @@ class TestFailureInjector:
         network = SimNetwork()
         StubPeer("P", network)
         StubPeer("Q", network)
-        injector = FailureInjector(network)
+        injector = network.injector
         injector.disconnect_peer_during("Q", "P", "m", point="after_local_work")
         assert not injector.check_disconnect("P", "m", "after_local_work")
         assert not network.is_alive("Q")
@@ -258,7 +277,7 @@ class TestFailureInjector:
     def test_disconnect_at_time(self):
         network = SimNetwork()
         StubPeer("P", network)
-        injector = FailureInjector(network)
+        injector = network.injector
         injector.disconnect_at("P", 5.0)
         network.events.run_until(4.0)
         assert network.is_alive("P")
@@ -267,6 +286,6 @@ class TestFailureInjector:
 
     def test_bad_point_rejected(self):
         with pytest.raises(ValueError):
-            FailureInjector(SimNetwork()).disconnect_peer_during(
+            SimNetwork().injector.disconnect_peer_during(
                 "P", "P", "m", point="sideways"
             )

@@ -6,7 +6,6 @@ from repro.axml.document import AXMLDocument
 from repro.errors import PeerDisconnected, ServiceFault, TransactionError
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.p2p.replication import ReplicationManager
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import FunctionService, UpdateService
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
@@ -175,7 +174,7 @@ class TestRemoteInvocation:
 
     def test_retry_on_replica(self):
         network, ap1, ap2 = make_pair()
-        replication = ReplicationManager(network)
+        replication = network.replication
         ap3 = AXMLPeer("AP3", network)
         replication.register_primary("Shop2", "AP2")
         replication.register_service("setPrice", "AP2")
@@ -231,7 +230,7 @@ class TestPeerIndependent:
 
     def test_provider_dead_with_replica_completes(self):
         network, ap1, ap2 = make_pair(peer_independent=True)
-        replication = ReplicationManager(network)
+        replication = network.replication
         ap3 = AXMLPeer("AP3", network, peer_independent=True)
         replication.register_primary("Shop2", "AP2")
         txn = ap1.begin_transaction()

@@ -88,7 +88,7 @@ class TestDisconnectNoticeTargets:
 class _FakeNetwork:
     """Records what the dispatch sends, delivers to the *alive* peers."""
 
-    def __init__(self, alive, holders=None):
+    def __init__(self, alive, holders):
         self.alive = set(alive)
         self.holders = holders
         self.sent = []
@@ -105,7 +105,7 @@ class _FakeNetwork:
         return dispatch_compensations(
             definitions,
             send=self.send,
-            replica_holders=None if self.holders is None else self.holders.__getitem__,
+            replica_holders=self.holders.__getitem__,
             count=self.count,
         )
 
@@ -136,17 +136,13 @@ class TestPeerIndependentDispatch:
         assert net.sent == [("P2", "D2"), ("P1", "D1"), ("R1", "D1")]
         assert net.counters == {"compensation_failures": 1}
 
-    def test_without_replication_the_plan_is_never_opened(self):
-        sent = []
-        counters = []
-        complete = dispatch_compensations(
-            [("P1", "not a plan: must stay opaque")],
-            send=lambda peer_id, plan_xml: sent.append(peer_id) or False,
-            replica_holders=None,
-            count=counters.append,
-        )
-        assert not complete
-        assert sent == ["P1"] and counters == ["compensation_failures"]
+    def test_unreplicated_document_is_a_dead_end(self):
+        # What a network with nothing replicated answers: no holder, or
+        # the provider itself, which is not asked twice.
+        net = _FakeNetwork(alive=set(), holders={"D1": [], "D2": ["P2"]})
+        assert not net.dispatch([("P1", _plan("D1")), ("P2", _plan("D2"))])
+        assert net.sent == [("P2", "D2"), ("P1", "D1")]
+        assert net.counters == {"compensation_failures": 2}
 
 
 class TestPartialRecoveryFanOut:
@@ -186,9 +182,7 @@ class TestPartialRecoveryFanOut:
 
 # -- record lifecycle ----------------------------------------------------
 
-_COLLABORATORS = (
-    "network", "manager", "wal", "registry", "documents", "injector",
-)
+_COLLABORATORS = ("network", "manager", "wal", "registry", "documents")
 
 
 def _mentions(obj, txn_id, seen):

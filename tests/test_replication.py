@@ -24,7 +24,6 @@ from repro.p2p.chain import PeerChain
 from repro.p2p.messages import WalShipMessage
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.p2p.replication import ReplicationManager
 from repro.query.parser import parse_action
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import FunctionService, QueryService, UpdateService
@@ -57,7 +56,8 @@ INSERT_FLAG = (
 def make_cluster(replicas=("AP3",), ship_batch=1, durability=None, shop=SHOP2):
     """AP1 (origin) + AP2 (primary for Shop2/setPrice) + replica peers."""
     network = SimNetwork()
-    replication = ReplicationManager(network, ship_batch=ship_batch)
+    replication = network.replication
+    replication.ship_batch = ship_batch
     peers = {
         "AP1": AXMLPeer("AP1", network),
         "AP2": AXMLPeer("AP2", network, durability=durability),

@@ -43,8 +43,8 @@ class TestTopologyBuilder:
 
     def test_replication_registered(self):
         scenario = Cluster.fig1()
-        assert scenario.directory.document_holders("D3") == ["AP3"]
-        assert scenario.directory.service_holders("S3") == ["AP3"]
+        assert scenario.network.directory.document_holders("D3") == ["AP3"]
+        assert scenario.network.directory.service_holders("S3") == ["AP3"]
 
     def test_flags_propagate(self):
         scenario = Cluster.from_topology(

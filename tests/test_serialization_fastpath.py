@@ -17,7 +17,6 @@ from repro.chaos.oracle import AtomicityOracle
 from repro.obs.prof import PROF, SUMMARY_LOCAL_COUNTERS, profiled
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.p2p.replication import ReplicationManager
 from repro.sim.metrics import MetricsCollector
 from repro.txn.wal import LogEntry, entry_from_xml, entry_to_xml
 from repro.xmlstore.nodes import Document
@@ -234,7 +233,7 @@ class TestSummaryLocalCounters:
 class TestOracleDigestFirst:
     def make_replicated_pair(self):
         network = SimNetwork()
-        replication = ReplicationManager(network)
+        replication = network.replication
         peers = {
             "AP2": AXMLPeer("AP2", network),
             "AP3": AXMLPeer("AP3", network),

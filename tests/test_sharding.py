@@ -21,7 +21,6 @@ from repro.chaos.shrink import summary_text
 from repro.p2p.distribution import distribute_fragment
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
-from repro.p2p.replication import ReplicationManager
 from repro.p2p.sharding import PlacementDirectory, ShardCoordinator, ShardRing, moved_keys
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
@@ -49,12 +48,10 @@ def make_sharded_cluster(seed=42, replicas=1, **coordinator_kwargs):
     member named N15 takes over as D1's primary — pinned below.
     """
     network = SimNetwork()
-    replication = ReplicationManager(network)
+    replication = network.replication
     peers = {pid: AXMLPeer(pid, network) for pid in ("C1", "AP1", "AP2", "AP3")}
     ring = ShardRing(seed=seed, members=["AP1", "AP2", "AP3"], replicas=replicas)
-    coordinator = ShardCoordinator(
-        network, replication, ring, **coordinator_kwargs
-    )
+    coordinator = ShardCoordinator(network, ring, **coordinator_kwargs)
     owners = ring.lookup("D1")
     primary = owners[0]
     peers[primary].host_document(AXMLDocument.from_xml(D1, name="D1"))
@@ -161,7 +158,7 @@ class TestPlacementDirectory:
     def test_non_sharded_methods_route_to_none(self):
         network = SimNetwork()
         assert isinstance(network.directory, PlacementDirectory)
-        assert ReplicationManager(network).directory is network.directory
+        assert network.replication.directory is network.directory
         assert network.directory.route_service("anything") is None
 
     def test_routes_to_primary_with_liveness_fallback(self):
@@ -343,7 +340,7 @@ class TestFragmentSerialScoping:
         # one process (breaking serial vs. parallel sweep identity).
         for _ in range(2):
             network = SimNetwork()
-            replication = ReplicationManager(network)
+            replication = network.replication
             ap1 = AXMLPeer("AP1", network)
             ap2 = AXMLPeer("AP2", network)
             ap1.host_document(AXMLDocument.from_xml(self.LIB, name="Lib"))

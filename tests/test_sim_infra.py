@@ -219,12 +219,11 @@ class TestReplication:
         from repro.axml.document import AXMLDocument
         from repro.p2p.network import SimNetwork
         from repro.p2p.peer import AXMLPeer
-        from repro.p2p.replication import ReplicationManager
 
         network = SimNetwork()
         a = AXMLPeer("A", network)
         b = AXMLPeer("B", network)
-        replication = ReplicationManager(network)
+        replication = network.replication
         doc = a.host_document(AXMLDocument.from_xml("<D><x>1</x></D>", name="D"))
         replication.register_primary("D", "A")
         replica = replication.replicate_document("D", "B")
@@ -234,10 +233,9 @@ class TestReplication:
 
     def test_replicate_missing_document(self):
         from repro.p2p.network import SimNetwork
-        from repro.p2p.replication import ReplicationManager
 
         with pytest.raises(P2PError):
-            ReplicationManager(SimNetwork()).replicate_document("ghost", "B")
+            SimNetwork().replication.replicate_document("ghost", "B")
 
 
 class TestPeerIndependentLedger:
@@ -252,10 +250,7 @@ class TestPeerIndependentLedger:
             send=lambda peer_id, plan_xml: network.notify(
                 "O", peer_id, CompensationRequest("T1", plan_xml, "O")
             ),
-            replica_holders=(
-                None if network.replication is None
-                else network.directory.document_holders
-            ),
+            replica_holders=network.directory.document_holders,
             count=network.metrics.incr,
         )
 
@@ -263,14 +258,13 @@ class TestPeerIndependentLedger:
         from repro.axml.document import AXMLDocument
         from repro.p2p.network import SimNetwork
         from repro.p2p.peer import AXMLPeer
-        from repro.p2p.replication import ReplicationManager
         from repro.txn.compensation import CompensationPlan
 
         network = SimNetwork()
         AXMLPeer("O", network)
         provider = AXMLPeer("P", network)
         AXMLPeer("R", network)
-        replication = ReplicationManager(network)
+        replication = network.replication
         provider.host_document(AXMLDocument.from_xml("<D><x/></D>", name="D"))
         replication.register_primary("D", "P")
         replication.replicate_document("D", "R")
@@ -290,3 +284,26 @@ class TestPeerIndependentLedger:
         network.disconnect("P")
         assert not self._dispatch(network, [("P", CompensationPlan("D").to_xml())])
         assert network.metrics.get("compensation_failures") == 1
+
+    def test_abort_on_a_bare_network_with_its_provider_gone(self):
+        from repro.axml.document import AXMLDocument
+        from repro.p2p.network import SimNetwork
+        from repro.p2p.peer import AXMLPeer
+        from repro.services.descriptor import ServiceDescriptor
+        from repro.services.service import UpdateService
+
+        network = SimNetwork()
+        origin = AXMLPeer("O", network, peer_independent=True)
+        provider = AXMLPeer("P", network, peer_independent=True)
+        provider.host_document(AXMLDocument.from_xml("<D><s/></D>", name="D"))
+        provider.host_service(UpdateService(
+            ServiceDescriptor("book", target_document="D"),
+            '<action type="insert"><data><x/></data>'
+            "<location>Select s from s in D//s;</location></action>",
+        ))
+        txn = origin.begin_transaction()
+        origin.invoke(txn.txn_id, "P", "book", {})
+        network.disconnect("P")
+        assert not origin.abort(txn.txn_id)
+        assert network.metrics.get("compensation_failures") == 1
+        assert network.metrics.get("compensations_via_replica") == 0
