@@ -1,6 +1,6 @@
 """R2 — WAL-shipping replication and deterministic failover.
 
-Two measurements (docs/REPLICATION.md):
+Four measurements (docs/REPLICATION.md):
 
 * Part A, replicated chaos sweep: seeded chaos runs with ``replicas=2``
   and crash faults on.  The atomicity oracle (including the
@@ -19,6 +19,10 @@ Two measurements (docs/REPLICATION.md):
   ``ReplicationManager.on_committed`` per commit, counted with
   ``sys.setprofile``, are gated to stay flat: at 100 commits at most
   1.1x the count at 10 (re-summing the backlog grows it linearly).
+* Part D, replica apply by id: a replica redoes each shipped entry from
+  its change records.  The commits that ship must enter
+  ``apply_action`` 0 times (no Select runs on a replica), every entry
+  must apply, and the replica must hold the primary's node ids.
 
 Gates are deterministic (logical counters, not wall time); wall-clock
 times are informational only.
@@ -40,6 +44,7 @@ from repro.chaos.shrink import summary_text
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
+from repro.query.update import apply_action
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
@@ -218,7 +223,51 @@ def bench_dead_replica_commit_cost(args) -> dict:
     )
 
 
-def gates(args, sweep_rec, replay_rec, cost_rec):
+def bench_replica_apply(args) -> dict:
+    """Part D: shipped entries apply by node id, with no action re-run."""
+    network, replication, origin = primary_with_replica()
+    commits = 5 if args.smoke else 20
+    target = apply_action.__code__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is target:
+            calls += 1
+
+    start = time.perf_counter()
+    for i in range(commits):
+        txn = origin.begin_transaction()
+        origin.invoke(txn.txn_id, "AP2", "setPrice", {"price": str(i)})
+        sys.setprofile(count)
+        try:
+            origin.commit(txn.txn_id)
+        finally:
+            sys.setprofile(None)
+    elapsed = time.perf_counter() - start
+    ids = {
+        peer: [node.node_id for node in network.get_peer(peer).get_axml_document("Shop2").document.iter()]
+        for peer in ("AP2", "AP3")
+    }
+    applied = network.metrics.get("replica_applied_entries")
+    print(
+        f"R2/D replica apply: {commits} commits, {applied} entries applied, "
+        f"{calls} apply_action calls while shipping (bound 0), "
+        f"replica ids equal the primary's: {ids['AP2'] == ids['AP3']}"
+    )
+    return perf_record(
+        "replica_apply_by_id",
+        args.seed,
+        elapsed,
+        1.0,  # gate quantity is the apply_action count, not a ratio
+        commits=commits,
+        replica_applied_entries=applied,
+        apply_action_calls=calls,
+        same_ids=ids["AP2"] == ids["AP3"],
+    )
+
+
+def gates(args, sweep_rec, replay_rec, cost_rec, apply_rec):
     """Reasons this run fails its gate.  Deterministic counters, not wall time."""
     if sweep_rec["violations_total"] != 0:
         yield (
@@ -245,12 +294,25 @@ def gates(args, sweep_rec, replay_rec, cost_rec):
             f"{cost_rec['commits'][0]} to {cost_rec['commits'][1]} commits "
             f"(bound 1.1x): a re-offer costs the whole backlog"
         )
+    if apply_rec["apply_action_calls"] != 0:
+        yield (
+            f"shipping commits entered apply_action {apply_rec['apply_action_calls']} "
+            f"times (expected 0: replicas apply records by id)"
+        )
+    if apply_rec["replica_applied_entries"] != apply_rec["commits"]:
+        yield (
+            f"{apply_rec['replica_applied_entries']} of {apply_rec['commits']} "
+            f"shipped entries applied"
+        )
+    if not apply_rec["same_ids"]:
+        yield "the replica's node ids differ from the primary's"
 
 
 def main() -> int:
     return run_perf_bench(
         "R2", __doc__,
-        [bench_replicated_sweep, bench_failover_replay, bench_dead_replica_commit_cost],
+        [bench_replicated_sweep, bench_failover_replay, bench_dead_replica_commit_cost,
+         bench_replica_apply],
         gates,
     )
 

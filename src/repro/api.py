@@ -76,8 +76,7 @@ class Transaction:
     idempotent and will not double-finish.
     """
 
-    def __init__(self, cluster: "Cluster", peer: AXMLPeer, **span_attrs: str):
-        self._cluster = cluster
+    def __init__(self, peer: AXMLPeer, **span_attrs: str):
         self._peer = peer
         self.txn = peer.begin_transaction(**span_attrs)
         self._done = False
@@ -157,7 +156,7 @@ class Session:
 
     def transaction(self, **span_attrs: str) -> Transaction:
         """Begin a transaction with this peer as origin."""
-        return Transaction(self._cluster, self.peer, **span_attrs)
+        return Transaction(self.peer, **span_attrs)
 
     def __repr__(self) -> str:
         return f"Session({self.peer_id!r})"
@@ -264,7 +263,7 @@ class Cluster:
         commit/abort.
         """
         origin = self.peer(root)
-        handle = Transaction(self, origin)
+        handle = Transaction(origin)
         error: Optional[Exception] = None
         try:
             for child, method in self.topology.get(root, []):

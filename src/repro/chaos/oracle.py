@@ -26,8 +26,9 @@ relaxed-atomicity contract:
   (``wal_tail_inconsistent``): the same live entry seqs, and no torn
   frames after a settled run — the disk ↔ memory check
   (``wal_tail_consistent`` predicate, see ``docs/DURABILITY.md``);
-* every alive replica of a replicated document serializes identically
-  to its primary after settlement (``replica_diverged``): WAL shipping
+* every alive replica of a replicated document holds its primary's
+  nodes, siblings taken as a multiset, after settlement
+  (``replica_diverged``): WAL shipping
   plus settlement resync must leave the whole replica set convergent
   (see ``docs/REPLICATION.md``);
 * under elastic sharding (``docs/SHARDING.md``) every shard routes to
@@ -47,12 +48,13 @@ paper references) in ``docs/CHAOS.md``.
 
 from __future__ import annotations
 
-import re
+import hashlib
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.obs.prof import PROF
 from repro.txn.transaction import TransactionState
+from repro.xmlstore.nodes import Element, Node
 from repro.xmlstore.serializer import canonical_digest
 
 #: Violation kinds the oracle can report.
@@ -71,9 +73,6 @@ VIOLATION_KINDS = (
     "shard_duplicated",
     "directory_stale",
 )
-
-_MARKER = re.compile(r"<chaos\b([^>]*?)/?>")
-_ATTR = re.compile(r'(\w+)="([^"]*)"')
 
 
 @dataclass(frozen=True)
@@ -100,39 +99,64 @@ class ExpectedEffect:
     step: str
 
 
-def _canonical_xml(xml: str) -> str:
-    """Order-insensitive canonical form of a serialized document.
+def marker_counts(root: Element) -> Dict[Tuple[str, str], int]:
+    """Count the ``<chaos>`` markers of each ``(txn, step)`` under *root*.
 
-    Recursively sorts every element's children by their own canonical
-    serialization: two trees that hold the same nodes (same tags,
-    attributes and text) in any sibling interleaving canonicalize to
-    the same string.  Replication needs exactly this equivalence — the
-    primary applies operations in execution order while replicas apply
-    shipped frames per channel, and independent inserts into the same
-    parent commute.
+    One walk of the attached tree; a marker is an unprefixed ``chaos``
+    element, and a missing attribute reads as ``""``."""
+    counts: Dict[Tuple[str, str], int] = {}
+    pending: List[Node] = [root]
+    while pending:
+        node = pending.pop()
+        if node.__class__ is not Element:
+            continue
+        if node.name.local == "chaos" and not node.name.prefix:
+            attributes = node.attributes
+            key = (attributes.get("txn", ""), attributes.get("step", ""))
+            counts[key] = counts.get(key, 0) + 1
+        pending.extend(node.children)
+    return counts
+
+
+def unordered_digest(root: Element) -> str:
+    """Digest of *root*'s subtree with siblings compared as a multiset.
+
+    An element's digest covers its name, its attributes, the text before
+    its first child element and the sorted list of its child elements'
+    digests, each paired with the text that follows that child up to
+    the next one (a childless, textless element's is that form's
+    ``repr``, a SHA-256 hex digest otherwise).  Two trees that hold the
+    same nodes (tags, attributes, text) in any sibling interleaving get
+    the same digest: the primary applies operations in execution order
+    while replicas apply shipped entries per channel, and independent
+    inserts into one parent commute.  Node ids play no part.
     """
-    import xml.etree.ElementTree as ElementTree
-
-    def norm(element) -> None:
-        for child in element:
-            norm(child)
-        element[:] = sorted(
-            element,
-            key=lambda c: ElementTree.tostring(c, encoding="unicode"),
-        )
-
-    root = ElementTree.fromstring(xml)
-    norm(root)
-    return ElementTree.tostring(root, encoding="unicode")
-
-
-def scan_markers(xml: str) -> List[Tuple[str, str]]:
-    """All ``(txn, step)`` marker pairs in one serialized document."""
-    out: List[Tuple[str, str]] = []
-    for match in _MARKER.finditer(xml):
-        attrs = dict(_ATTR.findall(match.group(1)))
-        out.append((attrs.get("txn", ""), attrs.get("step", "")))
-    return out
+    order: List[Element] = []
+    pending: List[Node] = [root]
+    while pending:
+        node = pending.pop()
+        if node.__class__ is Element:
+            order.append(node)
+            pending.extend(node.children)
+    digests: Dict[Element, str] = {}
+    for element in reversed(order):  # every child before its parent
+        lead = ""
+        entries: List[List[str]] = []
+        for child in element.children:
+            if child.__class__ is Element:
+                entries.append([digests.pop(child), ""])
+            elif entries:
+                entries[-1][1] += child.value
+            else:
+                lead += child.value
+        form = (element.name.text, sorted(element.attributes.items()))
+        if entries or lead:
+            entries.sort()
+            text = repr((form, lead, entries)).encode("utf-8")
+            digests[element] = hashlib.sha256(text).hexdigest()
+        else:
+            digests[element] = repr(form)
+    return digests[root]
 
 
 class AtomicityOracle:
@@ -185,20 +209,23 @@ class AtomicityOracle:
         counts: Dict[Tuple[str, str, str, str], int] = {}
         for peer_id, peer in peers.items():
             for doc_name, document in peer.documents.items():
-                for label, step in scan_markers(document.to_xml()):
-                    key = (peer_id, doc_name, label, step)
-                    counts[key] = counts.get(key, 0) + 1
+                for (label, step), seen in marker_counts(document.document.root).items():
+                    counts[peer_id, doc_name, label, step] = seen
 
         violations: List[Violation] = []
         replication = self._replication(peers)
         expected_keys: Set[Tuple[str, str, str, str]] = set()
+        holders_of: Dict[Tuple[str, str], List[str]] = {}  # (document, peer) → holders
         for effect in self.expected:
             if self.outcomes.get(effect.label) != "committed":
                 continue
             # With replication, the committed marker must reach *every*
             # holder of the document (WAL shipping copies it); without,
             # the holder list degenerates to the effect's own peer.
-            for holder in self._effect_holders(replication, effect):
+            place = (effect.document, effect.peer)
+            if place not in holders_of:
+                holders_of[place] = self._effect_holders(replication, effect)
+            for holder in holders_of[place]:
                 key = (holder, effect.document, effect.label, effect.step)
                 expected_keys.add(key)
                 seen = counts.get(key, 0)
@@ -212,10 +239,9 @@ class AtomicityOracle:
                         "effect_duplicated", effect.label, holder,
                         effect.document, f"step {effect.step}: {seen} markers",
                     ))
-        for (peer_id, doc_name, label, step), seen in sorted(counts.items()):
-            key = (peer_id, doc_name, label, step)
-            if key in expected_keys:
-                continue
+        for key in sorted(key for key in counts if key not in expected_keys):
+            peer_id, doc_name, label, step = key
+            seen = counts[key]
             if label in self.outcomes and self.outcomes[label] != "committed":
                 violations.append(Violation(
                     "compensation_missing", label, peer_id, doc_name,
@@ -300,22 +326,20 @@ class AtomicityOracle:
     def _check_replicas(self, peers: Mapping[str, object]) -> List[Violation]:
         """``replica_diverged``: every alive replica ≡ its primary.
 
-        Equality is judged on the id-free *canonical* serialization:
-        node ids are rebound per host, and siblings are compared as a
-        multiset (:func:`_canonical_xml`) because the workload's only
-        write is an insert into an unordered collection — a holder that
-        applied the same logical operations in a different interleaving
-        (local execution vs. shipped frames from two primaries) has
-        converged; a holder with a missing, extra or altered node has
-        not.  Dead holders are skipped (settlement reconnects everyone,
-        so in practice this sweeps the full set).
+        Equality is judged without node ids, and siblings are compared
+        as a multiset (:func:`unordered_digest`) because the workload's
+        only write is an insert into an unordered collection — a holder
+        that applied the same logical operations in a different
+        interleaving (local execution vs. shipped entries from two
+        primaries) has converged; a holder with a missing, extra or
+        altered node has not.  Dead holders are skipped (settlement
+        reconnects everyone, so in practice this sweeps the full set).
 
-        Digest first: equal cached canonical digests mean byte-equal
-        canonical text — trivially converged, no canonicalization at
-        all.  Only mismatching digests (which may still be the same
-        multiset in a different sibling order) pay for the full
-        order-insensitive :func:`_canonical_xml` comparison, computed
-        lazily for the primary the first time any holder needs it.
+        Byte-equal first: equal canonical digests mean byte-equal
+        canonical text, trivially converged.  Only mismatching digests
+        (which may still be the same multiset in a different sibling
+        order) pay for the order-insensitive walk, computed lazily for
+        the primary the first time any holder needs it.
         """
         replication = self._replication(peers)
         violations: List[Violation] = []
@@ -333,7 +357,7 @@ class AtomicityOracle:
                 # this as shard_lost.
                 continue
             primary_digest = canonical_digest(primary_doc.document)
-            primary_xml: Optional[str] = None
+            primary_unordered: Optional[str] = None
             for holder in holders[1:]:
                 peer = peers.get(holder)
                 if peer is None or peer.disconnected:
@@ -348,9 +372,9 @@ class AtomicityOracle:
                 if canonical_digest(document.document) == primary_digest:
                     PROF.incr("replica_digest_matches")
                     continue
-                if primary_xml is None:
-                    primary_xml = _canonical_xml(primary_doc.to_xml())
-                if _canonical_xml(document.to_xml()) != primary_xml:
+                if primary_unordered is None:
+                    primary_unordered = unordered_digest(primary_doc.document.root)
+                if unordered_digest(document.document.root) != primary_unordered:
                     violations.append(Violation(
                         "replica_diverged", peer=holder, document=doc_name,
                         detail=f"content differs from primary {holders[0]}",

@@ -557,22 +557,23 @@ class AXMLPeer:
 
     def _commit_local_and_ship(self, txn_id: str) -> None:
         """Commit the local share, then stream its committed WAL entries
-        to every replica holder (WAL shipping; docs/REPLICATION.md).
+        on documents with a second holder to every other holder (WAL
+        shipping; docs/REPLICATION.md).
 
-        Entries are captured *before* ``commit_local`` because its
-        truncate tombstone drops them from the in-memory log — and the
-        tombstone's flush barrier also makes them durable on disk first,
-        so everything shipped already satisfies the write-ahead rule.
-        Nothing ships when the commit raises (OCC conflict) or when the
-        share was already settled.
+        Entries are captured *before* ``commit_local``, whose truncate
+        tombstone drops them from the in-memory log (and whose flush
+        barrier makes them durable first: the write-ahead rule holds
+        across the wire).  Nothing ships when the commit raises (OCC
+        conflict) or when the share was already settled.
         """
-        replication = self.network.replication
         entries = ()
-        if replication.has_replicas() and self.manager.live_context(txn_id) is not None:
-            entries = self.manager.log.entries_for(txn_id)
+        if self.manager.live_context(txn_id) is not None:
+            holders = self.network.directory.document_holders
+            entries = [e for e in self.manager.log.entries_for(txn_id)
+                       if len(holders(e.document_name)) > 1]
         self.manager.commit_local(txn_id)
         if entries:
-            replication.on_committed(self.peer_id, txn_id, entries)
+            self.network.replication.on_committed(self.peer_id, txn_id, entries)
 
     def abort(self, txn_id: str) -> bool:
         """Origin-initiated abort; returns True if compensation fully ran.
@@ -1188,11 +1189,8 @@ class AXMLPeer:
             raise PeerDisconnected(self.peer_id)
 
     def __repr__(self) -> str:
-        flags = []
-        if self.super_peer:
-            flags.append("super")
-        if self.disconnected:
-            flags.append("disconnected")
+        flags = [flag for flag, on in (("super", self.super_peer),
+                                       ("disconnected", self.disconnected)) if on]
         suffix = f" [{', '.join(flags)}]" if flags else ""
         return (
             f"AXMLPeer({self.peer_id!r}, docs={len(self.documents)}, "

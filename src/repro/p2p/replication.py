@@ -19,8 +19,9 @@ construction.  It is now a real subsystem (see ``docs/REPLICATION.md``):
   committed :class:`~repro.txn.wal.LogEntry` objects touching replicated
   documents are streamed to every other holder over the simulated
   network (:class:`~repro.p2p.messages.WalShipMessage`, batched by
-  ``ship_batch``).  Replicas apply each entry's parsed action to their
-  copies and return acked high-water marks
+  ``ship_batch``).  Replicas redo each entry from its change records,
+  by node id (every holder carries the same ids; no Select runs on a
+  replica), and return acked high-water marks
   (:class:`~repro.p2p.messages.WalShipAck`).
 * **Deterministic failover** — when a primary dies mid-transaction,
   :func:`repro.txn.recovery.attempt_forward_recovery` asks
@@ -44,7 +45,7 @@ from repro.axml.document import AXMLDocument
 from repro.errors import P2PError
 from repro.p2p.messages import WalShipAck, WalShipMessage
 from repro.query.ast import ActionType
-from repro.query.update import apply_action
+from repro.query.update import replay_records
 from repro.txn.wal import LogEntry, entry_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (network imports replication)
@@ -154,13 +155,6 @@ class ReplicationManager:
         return sorted(
             name for name, holders in self.directory.document_map.items()
             if len(holders) > 1
-        )
-
-    def has_replicas(self) -> bool:
-        """Whether anything is actually replicated (the commit path's
-        fast guard: without replicas, shipping is a no-op)."""
-        return bool(self._replicated_methods) or any(
-            len(holders) > 1 for holders in self.directory.document_map.values()
         )
 
     # -- services -------------------------------------------------------------
@@ -340,8 +334,14 @@ class ReplicationManager:
                     metrics.incr("ship_skipped_queries")
                 continue
             self._applied_keys.add(key)
-            apply_action(peer.get_axml_document(entry.document_name).document, action)
-            metrics.incr("replica_applied_entries")
+            document = peer.get_axml_document(entry.document_name).document
+            if replay_records(document, action, entry.records):
+                metrics.incr("replica_applied_entries")
+            else:
+                # A logged id is not live here (say, a copy re-hosted
+                # from checkpoint text): settlement's resync repairs it.
+                self._stale.add((entry.document_name, channel.replica))
+                metrics.incr("ship_unresolved_entries")
         channel.inbox[:] = deferred
 
     @staticmethod

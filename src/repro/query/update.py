@@ -14,7 +14,7 @@ exactly those records; :mod:`repro.txn.wal` persists them and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.errors import UpdateError
 from repro.query.ast import ActionType, SelectQuery, UpdateAction
@@ -310,3 +310,61 @@ def _apply_replace(
         inserted_ids=inserted_ids,
         nodes_affected=affected + meter.nodes_traversed,
     )
+
+
+def replay_records(
+    document: Document, action: UpdateAction, records: Sequence[ChangeRecord]
+) -> bool:
+    """Redo a logged update from its change records, by node id.
+
+    For another holder of *document*; no Select runs.  A delete detaches
+    its node.  An insert materializes its ``<data>`` fragment as
+    :func:`_materialize` does, gives the new nodes the logging holder's
+    ids (the record's for the root, then the next serials in pre-order;
+    a rebinding fragment carries its own) and places it under the logged
+    parent as an insert does (append, or ``action.anchor``).  A replace
+    is its delete, then its inserts at the deleted node's position.
+    Returns False, changing nothing, when a logged node is not live here
+    or a new node's id already is.
+    """
+    if not all(_resolves(document, record) for record in records):
+        return False
+    width = len(action.data)
+    for number, record in enumerate(records):
+        if record.kind == "delete":
+            document.get_node(record.node_id).detach()
+        elif record.kind == "insert":
+            node = _materialize_as(document, action, number % width, record.node_id)
+            _insert_fragment(document, document.get_node(record.parent_id), node, action.anchor)
+        else:
+            target = document.get_node(record.deleted.node_id)
+            parent = target.parent
+            position = target.detach().index
+            for offset, inserted in enumerate(record.inserted):
+                node = _materialize_as(document, action, offset, inserted.node_id)
+                parent.insert_at(position + offset, node)
+    return True
+
+
+def _live(document: Document, node_id: NodeId) -> bool:
+    return document.has_node(node_id) and document.get_node(node_id).is_attached()
+
+
+def _resolves(document: Document, record: ChangeRecord) -> bool:
+    if record.kind == "delete":
+        return _live(document, record.node_id)
+    if record.kind == "insert":
+        return _live(document, record.parent_id) and not _live(document, record.node_id)
+    return _live(document, record.deleted.node_id) and not any(
+        _live(document, inserted.node_id) for inserted in record.inserted
+    )
+
+
+def _materialize_as(
+    document: Document, action: UpdateAction, position: int, node_id: NodeId
+) -> Element:
+    node = _materialize(document, action, position)
+    if not action.rebind:
+        for serial, each in enumerate(node.iter(), node_id.node_serial):
+            document._adopt_id(each, NodeId(node_id.doc_serial, serial))
+    return node

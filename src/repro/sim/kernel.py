@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs.prof import PROF
 
@@ -55,12 +54,16 @@ class Clock:
         return f"Clock(t={self._now:.6f})"
 
 
-@dataclass(order=True)
 class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    """A scheduled callback.  The heap holds ``(time, seq, event)``
+    tuples, so ordering is tuple comparison (``seq`` is unique: the
+    event itself is never compared)."""
+
+    __slots__ = ("callback", "cancelled")
+
+    def __init__(self, callback: Callable[[], None]):
+        self.callback = callback
+        self.cancelled = False
 
 
 class EventHandle:
@@ -89,7 +92,7 @@ class EventQueue:
 
     def __init__(self, clock: Clock):
         self.clock = clock
-        self._heap: List[_Event] = []
+        self._heap: List[Tuple[float, int, _Event]] = []
         self._seq = itertools.count()
         #: Tombstones believed to still sit in the heap; drives compaction.
         self._cancelled = 0
@@ -98,8 +101,8 @@ class EventQueue:
         """Run *callback* ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule {delay}s in the past")
-        event = _Event(self.clock.now + delay, next(self._seq), callback)
-        heapq.heappush(self._heap, event)
+        event = _Event(callback)
+        heapq.heappush(self._heap, (self.clock.now + delay, next(self._seq), event))
         PROF.incr("eventq_scheduled")
         return EventHandle(event, self)
 
@@ -118,7 +121,7 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Drop every cancelled entry and restore the heap invariant."""
-        self._heap = [event for event in self._heap if not event.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled = 0
         PROF.incr("eventq_compactions")
@@ -142,11 +145,11 @@ class EventQueue:
         in (time, sequence) order.
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            time, _seq, event = heapq.heappop(self._heap)
             if event.cancelled:
                 self._pop_skipped()
                 continue
-            self.clock.advance_to(event.time)
+            self.clock.advance_to(time)
             PROF.incr("eventq_fired")
             event.callback()
             return True
@@ -159,12 +162,12 @@ class EventQueue:
         rests at *deadline* (or stays put if nothing fired beyond now).
         """
         fired = 0
-        while self._heap and self._heap[0].time <= deadline:
-            event = heapq.heappop(self._heap)
+        while self._heap and self._heap[0][0] <= deadline:
+            time, _seq, event = heapq.heappop(self._heap)
             if event.cancelled:
                 self._pop_skipped()
                 continue
-            self.clock.advance_to(event.time)
+            self.clock.advance_to(time)
             PROF.incr("eventq_fired")
             event.callback()
             fired += 1
@@ -179,11 +182,11 @@ class EventQueue:
         """Fire every pending event regardless of time."""
         fired = 0
         while self._heap:
-            event = heapq.heappop(self._heap)
+            time, _seq, event = heapq.heappop(self._heap)
             if event.cancelled:
                 self._pop_skipped()
                 continue
-            self.clock.advance_to(event.time)
+            self.clock.advance_to(time)
             PROF.incr("eventq_fired")
             event.callback()
             fired += 1

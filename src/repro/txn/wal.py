@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TransactionError
 from repro.query.update import ChangeRecord
+from repro.xmlstore.names import QName
 from repro.xmlstore.serializer import escape_attribute, escape_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -252,14 +253,19 @@ def entry_to_xml(entry: LogEntry) -> str:
 def entry_from_xml(text: str) -> LogEntry:
     """Decode one entry serialized by :func:`entry_to_xml`.
 
-    The text comes from disk (a WAL segment or a checkpoint), so every
-    way it can be wrong is a typed error: ill-formed XML is the
-    parser's :class:`~repro.errors.XmlParseError`, a missing or
-    ill-typed attribute a :class:`~repro.errors.TransactionError`.
+    The frame is read through the parser's builder protocol
+    (:func:`~repro.xmlstore.parser.scan_document`) into plain
+    :class:`_FrameElement` objects: no ``Document``, no node ids.  The
+    text comes from disk (a WAL segment or a checkpoint), so every way
+    it can be wrong is a typed error: ill-formed XML is the parser's
+    :class:`~repro.errors.XmlParseError`, a missing or ill-typed
+    attribute a :class:`~repro.errors.TransactionError`.
     """
-    from repro.xmlstore.parser import parse_document
+    from repro.xmlstore.parser import scan_document
 
-    root = parse_document(text, name="entry").root
+    holder = _FrameElement("frame", {})
+    scan_document(text, holder)
+    root = holder.content[0]
     forward_el = root.first_child("forward")
     try:
         return LogEntry(
@@ -278,6 +284,48 @@ def entry_from_xml(text: str) -> LogEntry:
         # RecursionError: replace records nest, and the parser (which
         # does not recurse) lets any depth through.
         raise TransactionError(f"malformed log entry: {exc!r}") from exc
+
+
+class _FrameElement:
+    """An element of a log-entry frame as :func:`entry_from_xml` reads
+    it: name, attributes and content (child elements and text runs, as
+    the parser hands them over), with the ``Element`` readers the
+    decoder uses."""
+
+    __slots__ = ("name", "attributes", "content")
+
+    def __init__(self, name: str, attributes: Dict[str, str]):
+        self.name = QName.parse(name)
+        self.attributes = attributes
+        self.content: List[Union["_FrameElement", str]] = []
+
+    def new_element(self, name: str, attributes: Dict[str, str]) -> "_FrameElement":
+        child = _FrameElement(name, attributes)
+        self.content.append(child)
+        return child
+
+    def new_text(self, run: str) -> None:
+        self.content.append(run)
+
+    def find_children(self, name: str) -> List["_FrameElement"]:
+        return [
+            child for child in self.content
+            if child.__class__ is _FrameElement and child.name.text == name
+        ]
+
+    def first_child(self, name: str) -> Optional["_FrameElement"]:
+        return next(iter(self.find_children(name)), None)
+
+    def text_content(self) -> str:
+        parts: List[str] = []
+        pending = self.content[::-1]
+        while pending:
+            node = pending.pop()
+            if node.__class__ is _FrameElement:
+                pending.extend(reversed(node.content))
+            else:
+                parts.append(node)
+        return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +420,7 @@ def _write_record(record: ChangeRecord, out: List[str]) -> None:
         raise TypeError(f"unknown record {record!r}")
 
 
-def _record_from_element(element) -> ChangeRecord:
+def _record_from_element(element: _FrameElement) -> ChangeRecord:
     from repro.query.update import DeleteRecord, InsertRecord, ReplaceRecord
     from repro.xmlstore.nodes import NodeId
 

@@ -79,25 +79,40 @@ def _find(text: str, pos: int, token: str) -> int:
 
 def _decode_entities(raw: str, text: str, pos: int) -> str:
     """Expand entity and character references in *raw*, reporting a bad
-    one at offset *pos* of *text*."""
+    one at offset *pos* of *text*.
 
-    def expand(match: "re.Match[str]") -> str:
+    Runs holding only the five predefined entities (what the serializer
+    writes) expand by string replacement: a reference produces no
+    ``&``, so once the other four are replaced, every ``&`` left must
+    start ``&amp;``.  Anything else takes the reference-by-reference
+    path, which reports what is wrong."""
+    fast = raw.replace("&lt;", "<").replace("&gt;", ">")
+    fast = fast.replace("&quot;", '"').replace("&apos;", "'")
+    if fast.count("&") == fast.count("&amp;"):
+        return fast.replace("&amp;", "&")
+
+    parts: List[str] = []
+    end = 0
+    for match in _reference.finditer(raw):
         name, terminated = match.groups()
+        parts.append(raw[end : match.start()])
+        end = match.end()
         if not terminated:
             raise _error(text, pos, "unterminated entity reference")
         if name in _ENTITIES:
-            return _ENTITIES[name]
+            parts.append(_ENTITIES[name])
+            continue
         if not name.startswith("#"):
             raise _error(text, pos, f"unknown entity &{name};")
         try:
             code = int(name[2:], 16) if name[1:2] in ("x", "X") else int(name[1:])
             if 0xD800 <= code <= 0xDFFF:  # a lone surrogate cannot be encoded
                 raise ValueError(code)
-            return chr(code)
+            parts.append(chr(code))
         except (ValueError, OverflowError):
             raise _error(text, pos, f"bad character reference &{name};")
-
-    return _reference.sub(expand, raw)
+    parts.append(raw[end:])
+    return "".join(parts)
 
 
 def _invalid_name(text: str, pos: int) -> XmlParseError:
@@ -235,7 +250,7 @@ def parse_document(text: str, name: str = "") -> Document:
     return document
 
 
-def _parse_root(text: str, document: Document, parent: Optional[_Unbuilt]) -> None:
+def _parse_root(text: str, document: Optional[Document], parent) -> None:
     pos = _skip_misc(text, 0)
     if pos == len(text):
         raise _error(text, pos, "document contains no root element")
@@ -300,9 +315,20 @@ def scan_action(text: str) -> Tuple[QName, Dict[str, str], Optional[str], List[N
     ``Document("action")``.  Raises what :func:`parse_document` raises
     on the same text."""
     envelope = _Envelope(Document("action"))
-    _parse_root(text, envelope.document, envelope)
+    scan_document(text, envelope)
     location = None if envelope.location is None else "".join(envelope.location)
     return envelope.name, envelope.attributes, location, envelope.data
+
+
+def scan_document(text: str, builder) -> None:
+    """Parse a complete document through *builder*, building no node itself.
+
+    The root's start tag goes to ``builder.new_element(name,
+    attributes)``, and each element's content to ``new_element`` /
+    ``new_text`` of what its start tag returned (which must name itself
+    as ``.name.text`` for the errors).  Raises what
+    :func:`parse_document` raises on the same text."""
+    _parse_root(text, None, builder)
 
 
 def parse_fragment(text: str, document: Document) -> List[Element]:

@@ -148,11 +148,11 @@ class TestHarnessRuns:
         result = run_chaos(ChaosConfig(seed=2, txns=8, fault_rate=0.0))
         committed = {r.label for r in result.results if r.committed}
         seen = set()
-        from repro.chaos.oracle import scan_markers
+        from repro.chaos.oracle import marker_counts
 
         for peer_id, peer in result.cluster.peers.items():
             for doc_name, document in peer.documents.items():
-                for label, step in scan_markers(document.to_xml()):
+                for label, step in marker_counts(document.document.root):
                     seen.add((peer_id, doc_name, label, step))
         expected = {
             (e.peer, e.document, e.label, e.step)

@@ -8,6 +8,8 @@ violation kind.  A final block pins determinism: the same seed produces
 a byte-identical run summary.
 """
 
+from hypothesis import given, settings, strategies as st
+
 from repro.chaos import (
     AtomicityOracle,
     ChaosConfig,
@@ -18,10 +20,32 @@ from repro.chaos import (
     run_chaos,
     summary_text,
 )
-from repro.chaos.oracle import scan_markers
+from repro.chaos.oracle import marker_counts, unordered_digest
 from repro.query.parser import parse_action
 from repro.query.update import apply_action
+from repro.xmlstore.nodes import Document
+from repro.xmlstore.parser import parse_document
+from repro.xmlstore.serializer import serialize
 from tests.chaos_mutations import mutated
+
+
+def _canonical_xml(xml: str) -> str:
+    """The reference for :func:`unordered_digest` (the oracle's former
+    ``ElementTree`` fallback): recursively sort every element's
+    children by their own serialization, trailing text included."""
+    import xml.etree.ElementTree as ElementTree
+
+    def norm(element) -> None:
+        for child in element:
+            norm(child)
+        element[:] = sorted(
+            element,
+            key=lambda c: ElementTree.tostring(c, encoding="unicode"),
+        )
+
+    root = ElementTree.fromstring(xml)
+    norm(root)
+    return ElementTree.tostring(root, encoding="unicode")
 
 # A plan with one late service fault: the victim transaction's work at
 # AP2 is done (and logged) before the fault aborts it, so compensation
@@ -83,12 +107,18 @@ class TestDeterminism:
 
 
 class TestOracleUnit:
-    def test_scan_markers_finds_chaos_elements(self):
-        xml = (
+    def test_marker_counts_finds_chaos_elements(self):
+        document = parse_document(
             '<doc><items><chaos txn="T001" step="s0"/>'
-            '<chaos txn="T002" step="s1"></chaos></items></doc>'
+            '<chaos txn="T002" step="s1"></chaos><chaos txn="T001" step="s0"/>'
+            '<chaos step="s2"/></items><xchaos txn="T003" step="s0"/></doc>'
         )
-        assert scan_markers(xml) == [("T001", "s0"), ("T002", "s1")]
+        assert marker_counts(document.root) == {
+            ("T001", "s0"): 2, ("T002", "s1"): 1, ("", "s2"): 1,
+        }
+        # Only the attached tree counts: a detached marker is gone.
+        document.root.first_child("items").first_child("chaos").detach()
+        assert marker_counts(document.root)[("T001", "s0")] == 1
 
     def test_missing_expected_effect_is_flagged(self):
         result = run_chaos(ChaosConfig(seed=5, txns=4, fault_rate=0.0))
@@ -146,3 +176,74 @@ class TestOracleUnit:
             "shard_duplicated",
             "directory_stale",
         }
+
+
+# -- the order-insensitive digest against its ElementTree reference --------
+
+_NAMES = st.sampled_from(["a", "b", "c"])
+_VALUES = st.text(alphabet="xy &<>\"'", max_size=3)
+_TEXT = st.tuples(st.just("text"), _VALUES)
+
+
+def _element(children):
+    return st.tuples(
+        st.just("element"), _NAMES,
+        st.dictionaries(st.sampled_from(["k", "m"]), _VALUES, max_size=2),
+        st.lists(children, max_size=4),
+    )
+
+
+_TREES = st.recursive(
+    _element(_TEXT), lambda children: _element(st.one_of(_TEXT, children)), max_leaves=10
+)
+
+
+def _build(spec) -> Document:
+    document = Document("t")
+
+    def add(parent, spec) -> None:
+        if spec[0] == "text":
+            parent.new_text(spec[1])
+            return
+        _, name, attributes, children = spec
+        if parent is None:
+            element = document.create_root(name, attributes)
+        else:
+            element = parent.new_element(name, attributes)
+        for child in children:
+            add(element, child)
+
+    add(None, spec)
+    return document
+
+
+def _shuffled(spec, rng):
+    if spec[0] == "text":
+        return spec
+    kind, name, attributes, children = spec
+    children = [_shuffled(child, rng) for child in children]
+    rng.shuffle(children)
+    return (kind, name, attributes, children)
+
+
+class TestUnorderedDigest:
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES, _TREES, st.randoms(use_true_random=False))
+    def test_agrees_with_the_elementtree_reference(self, first, second, rng):
+        # Random pairs, and sibling permutations (text runs move too, so
+        # a permutation may or may not keep the multiset): the digests
+        # are equal exactly when the reference forms are.
+        for other in (second, _shuffled(first, rng)):
+            a, b = _build(first), _build(other)
+            assert (unordered_digest(a.root) == unordered_digest(b.root)) == (
+                _canonical_xml(serialize(a)) == _canonical_xml(serialize(b))
+            )
+
+    def test_sibling_order_does_not_count_but_content_does(self):
+        # A child element moves with the text that follows it.
+        digest = unordered_digest(parse_document("<r><i>1</i><i>2</i>t<j k='v'/></r>").root)
+        for same in ("<r><j k='v'/><i>2</i>t<i>1</i></r>", "<r><i>2</i>t<j k='v'/><i>1</i></r>"):
+            assert unordered_digest(parse_document(same).root) == digest
+        for other in ("<r><i>1</i>t<i>2</i><j k='v'/></r>", "<r><i>1</i><i>2</i>t<j k='w'/></r>",
+                      "<r><i>1</i><i>2</i>t<j k='v'/><j k='v'/></r>"):
+            assert unordered_digest(parse_document(other).root) != digest

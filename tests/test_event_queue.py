@@ -16,7 +16,7 @@ def make_queue():
 
 def live(queue):
     """Events still due to fire (tombstones excluded)."""
-    return sum(1 for event in queue._heap if not event.cancelled)
+    return sum(1 for _time, _seq, event in queue._heap if not event.cancelled)
 
 
 class TestCompaction:

@@ -221,7 +221,7 @@ class TestNetworkOwnsItsServices:
 
     def test_nothing_replicated_answers_like_no_replication(self):
         replication = SimNetwork().replication
-        assert not replication.has_replicas()
+        assert replication.replicated_documents() == []
         assert not replication.is_replicated_method("m")
         assert replication.failover_selector("P", "m") is None
         assert replication.directory.document_holders("D") == []

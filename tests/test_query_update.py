@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import UpdateError
 from repro.query.parser import parse_action
-from repro.query.update import apply_action
+from repro.query.update import apply_action, replay_records
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import canonical
 
@@ -212,6 +212,69 @@ class TestReplace:
     def test_replace_returns_inserted_ids(self, doc):
         result = apply_action(doc, act(self.REPLACE))
         assert len(result.inserted_ids) == 1
+
+
+def ids_and_text(document):
+    return [node.node_id for node in document.iter()], canonical(document)
+
+
+class TestReplayRecords:
+    """A holder with the same ids redoes a logged update from its
+    records alone and ends with the same tree, ids included."""
+
+    ACTIONS = [
+        # two targets x two fragments, nested fragment nodes
+        '<action type="insert"><data><x><y>1</y></x></data><data><z/></data>'
+        "<location>Select p from p in ATPList//player;</location></action>",
+        '<action type="delete"><location>Select p/citizenship from p in '
+        "ATPList//player;</location></action>",
+        '<action type="replace"><data><lastname>Borg</lastname></data><data><first/></data>'
+        "<location>Select n/lastname from n in ATPList//name;</location></action>",
+    ]
+
+    @pytest.mark.parametrize("action_xml", ACTIONS)
+    def test_replica_ends_equal_to_the_primary(self, doc, action_xml):
+        replica = doc.clone_tree(preserve_ids=True)
+        action = act(action_xml)
+        result = apply_action(doc, action)
+        assert replay_records(replica, action, result.records)
+        assert ids_and_text(replica) == ids_and_text(doc)
+
+    @pytest.mark.parametrize("kind", ["delete", "replace"])
+    def test_nested_targets(self, kind):
+        # The second target lies inside the first, detached with it.
+        doc = parse_document("<r><a k='1'><a k='2'><b/></a></a><a k='3'/></r>", name="r")
+        replica = doc.clone_tree(preserve_ids=True)
+        data = "" if kind == "delete" else "<data><c/></data>"
+        action = act(f'<action type="{kind}">{data}<location>Select a from a in r//a;</location></action>')
+        result = apply_action(doc, action)
+        assert len(result.records) == 3
+        assert replay_records(replica, action, result.records)
+        assert ids_and_text(replica) == ids_and_text(doc)
+
+    def test_anchor_places_the_node_as_the_primary_did(self, doc):
+        replica = doc.clone_tree(preserve_ids=True)
+        citizenship = doc.root.child_elements()[0].find_children("citizenship")[0]
+        action = act(
+            f'<action type="insert" anchor="before:{citizenship.node_id!r}">'
+            "<data><points>475</points></data>"
+            "<location>Select p from p in ATPList//player "
+            "where p/name/lastname = Federer;</location></action>"
+        )
+        result = apply_action(doc, action)
+        assert replay_records(replica, action, result.records)
+        assert ids_and_text(replica) == ids_and_text(doc)
+
+    def test_an_unresolved_id_changes_nothing(self, doc):
+        action = act(self.ACTIONS[0])
+        rehosted = parse_document(canonical(doc), name="ATPList")  # fresh ids
+        before = ids_and_text(rehosted)
+        result = apply_action(doc, action)
+        assert not replay_records(rehosted, action, result.records)
+        assert ids_and_text(rehosted) == before
+        # Applied twice, the second time finds its new ids already live.
+        replica = doc.clone_tree(preserve_ids=True)
+        assert not replay_records(replica, action, result.records)
 
 
 class TestQueryAction:

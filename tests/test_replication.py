@@ -25,6 +25,7 @@ from repro.p2p.messages import WalShipMessage
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.query.parser import parse_action
+from repro.query.update import apply_action
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import FunctionService, QueryService, UpdateService
 from repro.txn.modes import DurabilityPolicy
@@ -308,6 +309,56 @@ class TestShipCarriesEntries:
         assert all(parse_action(e.action_xml) == e.action for e in seeded)
 
 
+def node_ids(peer, document="Shop2"):
+    return [node.node_id for node in peer.get_axml_document(document).document.iter()]
+
+
+class TestReplicasApplyRecordsById:
+    """A replica redoes a shipped entry from its change records under the
+    primary's node ids: no Select, no ``apply_action``."""
+
+    def test_replica_holds_the_primary_ids_and_runs_no_action(self):
+        network, replication, peers = make_cluster(replicas=("AP3", "AP4"))
+        for price in ("88", "89"):
+            txn = peers["AP1"].begin_transaction()
+            peers["AP1"].invoke(txn.txn_id, "AP2", "setPrice", {"price": price})
+            with entered(apply_action) as calls:
+                peers["AP1"].commit(txn.txn_id)
+            assert calls == {"apply_action": 0}
+        assert network.metrics.get("replica_applied_entries") == 4
+        for replica in ("AP3", "AP4"):
+            assert node_ids(peers[replica]) == node_ids(peers["AP2"])
+            assert canonical_digest(peers[replica].get_axml_document("Shop2").document) == (
+                canonical_digest(peers["AP2"].get_axml_document("Shop2").document))
+
+    def test_an_unresolved_id_marks_the_pair_stale_and_settles(self):
+        network, replication, peers = make_cluster()
+        # AP3's copy is re-hosted from text: same content, fresh ids.
+        text = peers["AP2"].get_axml_document("Shop2").to_xml()
+        peers["AP3"].host_document(AXMLDocument.from_xml(text, name="Shop2"))
+        txn = peers["AP1"].begin_transaction()
+        peers["AP1"].invoke(txn.txn_id, "AP2", "setPrice", {"price": "88"})
+        peers["AP1"].commit(txn.txn_id)
+        assert network.metrics.get("ship_unresolved_entries") == 1
+        assert network.metrics.get("replica_applied_entries") == 0
+        assert ("Shop2", "AP3") in replication._stale
+        assert "88" not in peers["AP3"].get_axml_document("Shop2").to_xml()
+        replication.settle()
+        assert node_ids(peers["AP3"]) == node_ids(peers["AP2"])
+        oracle = AtomicityOracle(outcomes={}, expected=[], txn_ids={})
+        assert oracle._check_replicas(peers) == []
+
+    def test_only_documents_with_a_second_holder_ship(self):
+        for replicas, shipped in (((), 0), (("AP3",), 1)):
+            network, replication, peers = make_cluster(replicas=replicas)
+            txn = peers["AP1"].begin_transaction()
+            peers["AP1"].invoke(txn.txn_id, "AP2", "setPrice", {"price": "88"})
+            with entered(replication_module.ReplicationManager.on_committed) as calls:
+                peers["AP1"].commit(txn.txn_id)
+            assert calls == {"on_committed": shipped}
+            assert network.metrics.get("ship_frames") == shipped
+
+
 class TestDeterministicFailoverSelection:
     def test_most_caught_up_replica_wins(self):
         network, replication, peers = make_cluster(replicas=("AP3", "AP4"))
@@ -447,10 +498,13 @@ class TestDeferredSiblingShareFrames:
         # AP3 holds its own live (in-doubt) share of T1 touching Shop2.
         ap3.manager.begin(Transaction("T1", "AP1"), parent_peer="AP1")
         ap3.manager.record_service_changes("T1", "Shop2", SET_PRICE, records=[])
-        # A sibling operation of the same transaction ships in from AP2.
+        # A sibling operation of the same transaction ran on AP2 and
+        # ships in with its change records.
+        done = apply_action(peers["AP2"].get_axml_document("Shop2").document,
+                            parse_action(INSERT_FLAG))
         entry = LogEntry(
             seq=5, txn_id="T1", kind="update",
-            document_name="Shop2", action_xml=INSERT_FLAG,
+            document_name="Shop2", action_xml=INSERT_FLAG, records=done.records,
         )
         channel = replication._channel("AP2", "AP3")
         channel.inbox.append(entry)
@@ -564,9 +618,6 @@ class TestOracleReplicaDiverged:
         oracle = AtomicityOracle(outcomes={}, expected=[], txn_ids={})
         assert oracle._check_replicas(peers) == []
         # Tamper with the replica copy behind the protocol's back.
-        from repro.query.parser import parse_action
-        from repro.query.update import apply_action
-
         apply_action(
             peers["AP3"].get_axml_document("Shop2").document,
             parse_action(INSERT_FLAG),

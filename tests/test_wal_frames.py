@@ -14,9 +14,12 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ReproError, TransactionError
 from repro.obs.prof import PROF
 from repro.query.update import DeleteRecord, InsertRecord, ReplaceRecord
+from repro.txn import wal
 from repro.txn.wal import LogEntry, entry_bytes, entry_from_xml, entry_to_xml
+from repro.xmlstore import nodes
 from repro.xmlstore.nodes import NodeId
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import serialize
@@ -114,3 +117,62 @@ def test_generated_frames_round_trip(entry):
     decoded = entry_from_xml(frame)
     assert decoded == entry
     assert entry_bytes(decoded) == entry_bytes(entry)
+
+
+# -- decoding builds no Document, and fails as the tree decoder did ---------
+
+def _tree_decode(text):
+    """The decoder ``entry_from_xml`` replaced: the frame parsed into a
+    scratch ``Document``, read through its ``Element``s."""
+    root = parse_document(text, name="entry").root
+    forward = root.first_child("forward")
+    try:
+        return LogEntry(
+            seq=int(root.attributes["seq"]),
+            txn_id=root.attributes["txn"],
+            kind=root.attributes["kind"],
+            document_name=root.attributes["document"],
+            action_xml=forward.text_content() if forward is not None else "",
+            records=[wal._record_from_element(r) for r in root.find_children("record")],
+            timestamp=float(root.attributes.get("timestamp", "0")),
+        )
+    except (KeyError, ValueError, RecursionError) as exc:
+        raise TransactionError(f"malformed log entry: {exc!r}") from exc
+
+
+def _outcome(decode, text):
+    try:
+        return ("entry", decode(text))
+    except ReproError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _malformed(frame):
+    """Frames a torn write or a corrupted disk could leave: every cut,
+    and edits that break the markup, an attribute, a node id or a
+    record kind."""
+    for end in range(0, len(frame), 5):
+        yield frame[:end]
+    edits = [
+        ('seq="', 'sq="'), ('txn="', 'tx="'), ('kind="', 'knd="'), ('document="', 'doc="'),
+        ('seq="', 'seq="x'), ('timestamp="', 'timestamp="x'), ('node="d', 'node="x'),
+        ('parent="d', 'parent="d.'), ('index="', 'index="-x'), ('kind="insert"', 'kind="move"'),
+        ('kind="delete"', 'kind="replace"'), ("<forward>", "<forward><b>x</b>"),
+        ("</forward>", "</forwrd>"), ("<record", "<record <"), ("&lt;", "&lt"),
+        ("&amp;", "&bogus;"), ("&gt;", "&#xD800;"), ("</entry>", "</entry><x/>"),
+        ("<forward>", "<!-- c --><forward>"), ("<data>", "<data><![CDATA[<y/>]]>"),
+    ]
+    for old, new in edits:
+        if old in frame:
+            yield frame.replace(old, new, 1)
+
+
+def test_malformed_frames_fail_as_the_tree_decoder_did():
+    # Same typed error and message, or the same entry, on every input;
+    # and no Document is built on the way.
+    for row in _golden()[::4]:
+        for text in _malformed(row["frame"]):
+            tree = _outcome(_tree_decode, text)
+            serials = repr(nodes._document_counter)  # count(<next serial>)
+            assert _outcome(entry_from_xml, text) == tree, text
+            assert repr(nodes._document_counter) == serials
