@@ -35,7 +35,6 @@ def main() -> int:
         ChaosConfig(fault_rate=args.fault_rate),
         seeds=seeds,
         concurrencies=(2, 4),
-        fault_rates=(args.fault_rate,),
         metrics=metrics,
     )
 

@@ -61,7 +61,7 @@ def run_point(query_fraction: float, seed: int = 7, operations: int = 60):
                 apply_action(document, staleifier)
             except Exception:
                 pass
-        pre = document.clone(preserve_ids=True)
+        pre = document.clone_tree()
         # --- forward execution (queries materialize lazily) ----------
         records = []
         try:
@@ -75,7 +75,7 @@ def run_point(query_fraction: float, seed: int = 7, operations: int = 60):
         except Exception:
             continue
         # --- static compensation on a copy ----------------------------
-        static_doc = document.clone(preserve_ids=True)
+        static_doc = document.clone_tree()
         compensator.compensate(key, static_doc, pre, static_report)
         # --- dynamic compensation on the real document ----------------
         dynamic_total += 1

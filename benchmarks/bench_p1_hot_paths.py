@@ -226,7 +226,7 @@ def _burn(cpu_seconds: float) -> None:
 def bench_sweep(args) -> dict:
     base = ChaosConfig(seed=args.seed, txns=8 if args.smoke else 20, providers=4)
     seeds = range(4) if args.smoke else range(10)
-    kwargs = dict(seeds=seeds, concurrencies=(2, 4), fault_rates=(0.2,))
+    kwargs = dict(seeds=seeds, concurrencies=(2, 4))
     runs = len(seeds) * 2
     workers = resolve_workers(args.workers, runs)
 

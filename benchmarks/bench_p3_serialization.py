@@ -135,7 +135,7 @@ def bench_structural_clone(args) -> dict:
 
     start = time.perf_counter()
     for _ in range(reps):
-        fast_copy = doc.clone_tree(preserve_ids=True)
+        fast_copy = doc.clone_tree()
     fast_time = time.perf_counter() - start
 
     start = time.perf_counter()

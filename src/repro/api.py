@@ -173,7 +173,6 @@ class Cluster:
 
     def __init__(self):
         self.network = SimNetwork()
-        self.peers: Dict[str, AXMLPeer] = {}
         #: invocation topology: peer → list of (child_peer, method).
         self.topology: Topology = {}
 
@@ -181,9 +180,7 @@ class Cluster:
 
     def add_peer(self, peer_id: str, **peer_kwargs) -> AXMLPeer:
         """Create and register a peer; keyword args go to AXMLPeer."""
-        peer = AXMLPeer(peer_id, self.network, **peer_kwargs)
-        self.peers[peer_id] = peer
-        return peer
+        return AXMLPeer(peer_id, self.network, **peer_kwargs)
 
     def host_document(
         self,
@@ -221,6 +218,10 @@ class Cluster:
         return Session(self, peer_id)
 
     @property
+    def peers(self) -> Dict[str, AXMLPeer]:
+        return self.network.peers
+
+    @property
     def replication(self):
         return self.network.replication
 
@@ -254,19 +255,18 @@ class Cluster:
         """A concurrent multi-transaction scheduler over this cluster."""
         return TransactionScheduler(self.network, **scheduler_kwargs)
 
-    def run_topology(self, root: str = "AP1") -> Tuple[Transaction, Optional[Exception]]:
-        """Begin a transaction at *root* and fire its topology invocations.
+    def run_topology(self) -> Tuple[Transaction, Optional[Exception]]:
+        """Begin a transaction at AP1 and fire its topology invocations.
 
         Returns ``(transaction, error)`` — *error* is the exception that
         reached the origin when recovery ended backward, else None.  The
         transaction is left open on success so the caller decides
         commit/abort.
         """
-        origin = self.peer(root)
-        handle = Transaction(origin)
+        handle = Transaction(self.peer("AP1"))
         error: Optional[Exception] = None
         try:
-            for child, method in self.topology.get(root, []):
+            for child, method in self.topology.get("AP1", []):
                 handle.invoke(child, method, {})
         except Exception as exc:  # noqa: BLE001 - driver reports it
             error = exc

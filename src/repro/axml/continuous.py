@@ -17,7 +17,7 @@ parent and children through the transaction's chain (§3.3(d)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.axml.document import AXMLDocument
 from repro.axml.materialize import MaterializationEngine, Resolver
@@ -53,12 +53,10 @@ class ContinuousDriver:
         axml_document: AXMLDocument,
         resolver: Resolver,
         events: EventQueue,
-        on_tick: Optional[Callable[[TickRecord], None]] = None,
     ):
         self.axml_document = axml_document
         self.resolver = resolver
         self.events = events
-        self.on_tick = on_tick
         self.history: List[TickRecord] = []
 
     def start(self) -> int:
@@ -68,12 +66,8 @@ class ContinuousDriver:
             self._schedule(call.call_id, call.frequency or 1.0)
         return len(calls)
 
-    def tick_count(self, method_name: Optional[str] = None) -> int:
-        return sum(
-            1
-            for record in self.history
-            if method_name is None or record.method_name == method_name
-        )
+    def tick_count(self) -> int:
+        return len(self.history)
 
     def _schedule(self, call_id: NodeId, period: float) -> None:
         self.events.schedule(period, lambda: self._tick(call_id, period))
@@ -101,7 +95,5 @@ class ContinuousDriver:
                 self.events.clock.now, call.method_name, succeeded=False
             )
         self.history.append(record)
-        if self.on_tick is not None:
-            self.on_tick(record)
         self._schedule(call_id, period)
 

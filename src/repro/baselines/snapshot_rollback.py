@@ -46,7 +46,7 @@ class SnapshotRollback:
         if key in self._snapshots:
             return
         document = axml_document.document
-        copy = document.clone(preserve_ids=True)
+        copy = document.clone_tree()
         self._snapshots[key] = copy
         self.stats.snapshots_taken += 1
         self.stats.nodes_copied += document.size()
@@ -63,5 +63,5 @@ class SnapshotRollback:
         snapshot = self._snapshots.pop(key, None)
         if snapshot is None:
             return False
-        axml_document.document.restore_from(snapshot, preserve_ids=True)
+        axml_document.document.restore_from(snapshot)
         return True

@@ -542,7 +542,7 @@ def _settle_and_check(result: ChaosRunResult) -> List[Violation]:
     # Sharded runs ship between migration endpoints even with
     # replicas=0, so they settle the channels too.
     if config.replicas > 0 or config.sharding:
-        cluster.replication.settle(drain=cluster.run_all)
+        cluster.replication.settle()
     # (3c) reconcile shard placement with the ring: parked/crashed
     # migrations converge, stray copies drop, the directory ends up
     # exactly at the ring's assignment (else the oracle's
@@ -592,11 +592,10 @@ def chaos_sweep(
     base: ChaosConfig,
     seeds: Sequence[int],
     concurrencies: Sequence[int] = (2, 4),
-    fault_rates: Sequence[float] = (0.2,),
     metrics=None,
     workers: int = 1,
 ):
-    """Run seeds × concurrency × fault-rate; returns ``(table, failures)``.
+    """Run seeds × concurrency on *base*; returns ``(table, failures)``.
 
     Aggregate ``chaos_runs`` / ``chaos_violations`` counters land on
     *metrics* (a :class:`~repro.sim.metrics.MetricsCollector`; one is
@@ -622,8 +621,7 @@ def chaos_sweep(
         ],
     )
     configs = [
-        replace(base, seed=seed, concurrency=concurrency, fault_rate=fault_rate)
-        for fault_rate in fault_rates
+        replace(base, seed=seed, concurrency=concurrency)
         for concurrency in concurrencies
         for seed in seeds
     ]

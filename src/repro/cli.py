@@ -167,7 +167,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             seeds=range(args.seeds),
             # dict.fromkeys: --concurrency 2 must not run every cell twice.
             concurrencies=tuple(dict.fromkeys((2, config.concurrency))),
-            fault_rates=(config.fault_rate,),
             metrics=metrics,
             workers=args.workers,
         )
@@ -347,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("--seeds", type=int, default=10,
                       help="(--sweep) how many seeds, 0..N-1")
     p_ch.add_argument("--sweep", action="store_true",
-                      help="sweep seeds x concurrency x fault-rate")
+                      help="sweep seeds x concurrency")
     p_ch.add_argument("--replay", metavar="FILE",
                       help="re-execute a repro file instead of planning")
     p_ch.add_argument("--repro-out", metavar="PATH", default="chaos_repro.json",

@@ -8,8 +8,9 @@ the full hierarchy: whatever is on top of the stack when a span starts
 is its parent.
 
 Long-lived spans that do not nest strictly (a transaction stays open
-across many top-level invocations) start *detached*: they never join the
-stack, and children name them explicitly via ``parent=``.
+across many top-level invocations) open *detached*
+(:meth:`SpanCollector.start`): they never join the stack, and children
+name them explicitly via ``parent=``.
 
 A step opened as ``with collector.span(...) as span:`` ends by one rule
 (:class:`_SpanScope`): ``ok``; ``disconnected`` with ``dead_peer``
@@ -119,15 +120,12 @@ class SpanCollector:
         peer: str = "",
         txn_id: str = "",
         parent: Optional[Span] = None,
-        detached: bool = False,
         **attrs: str,
     ) -> Span:
-        """Open a span; its parent is *parent* or the innermost open span.
-
-        ``detached`` keeps the span off the active stack (for long-lived
-        spans, e.g. whole transactions, that outlive strict nesting).
-        """
-        return self._open(name, kind, peer, txn_id, parent, attrs, detached)
+        """Open a detached span: it stays off the active stack (for
+        long-lived spans, e.g. whole transactions, that outlive strict
+        nesting); its parent is *parent* or the innermost open span."""
+        return self._open(name, kind, peer, txn_id, parent, attrs, stacked=False)
 
     def span(
         self,
@@ -140,11 +138,11 @@ class SpanCollector:
     ) -> "_SpanScope":
         """``with collector.span(...) as span:`` opens a span on the stack
         that ends by the module's rule."""
-        return _SpanScope(self, self._open(name, kind, peer, txn_id, parent, attrs, False))
+        return _SpanScope(self, self._open(name, kind, peer, txn_id, parent, attrs, stacked=True))
 
     def _open(
         self, name: str, kind: str, peer: str, txn_id: str,
-        parent: Optional[Span], attrs: Dict[str, str], detached: bool,
+        parent: Optional[Span], attrs: Dict[str, str], stacked: bool,
     ) -> Span:
         # *attrs* is the dict the caller's ``**attrs`` built: passing it
         # on as ``**attrs`` again would copy it once per span.
@@ -161,7 +159,7 @@ class SpanCollector:
             attrs={k: str(v) for k, v in attrs.items()},
         )
         self.spans.append(span)
-        if not detached:
+        if stacked:
             self._stack.append(span)
         return span
 
@@ -200,13 +198,9 @@ class SpanCollector:
     def children_of(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
-    def slowest(self, n: int = 5, kind: Optional[str] = None) -> List[Span]:
-        """The *n* longest finished spans (optionally of one kind)."""
-        pool = [
-            s
-            for s in self.spans
-            if s.finished and (kind is None or s.kind == kind)
-        ]
+    def slowest(self, n: int = 5) -> List[Span]:
+        """The *n* longest finished spans."""
+        pool = [s for s in self.spans if s.finished]
         pool.sort(key=lambda s: (-(s.duration or 0.0), s.span_id))
         return pool[:n]
 

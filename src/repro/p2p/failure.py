@@ -169,7 +169,7 @@ class FailureInjector:
                 from repro.txn.checkpoint import CheckpointStore
 
                 CheckpointStore(
-                    peer.wal.directory, peer.peer_id
+                    peer.wal.policy.directory, peer.peer_id
                 ).tear_newest()
             if dead_peer == peer_id:
                 return True

@@ -63,7 +63,9 @@ class SimNetwork:
         self.events = EventQueue(self.clock)
         self.metrics = MetricsCollector()
         self.spans = SpanCollector(now=lambda: self.clock.now)
-        self._peers: Dict[str, NetworkPeer] = {}
+        #: Every registered peer by id, in registration order: the one
+        #: peer map (``Cluster.peers`` reads it).
+        self.peers: Dict[str, NetworkPeer] = {}
         #: Virtual time each peer disconnected at (for detection latency).
         self.disconnect_times: Dict[str, float] = {}
         #: Optional chaos hook consulted for every one-way notification
@@ -97,12 +99,12 @@ class SimNetwork:
     # -- membership -------------------------------------------------------
 
     def register(self, peer: NetworkPeer) -> NetworkPeer:
-        self._peers[peer.peer_id] = peer
+        self.peers[peer.peer_id] = peer
         return peer
 
     def get_peer(self, peer_id: str) -> NetworkPeer:
         try:
-            return self._peers[peer_id]
+            return self.peers[peer_id]
         except KeyError:
             raise UnknownPeer(f"no peer {peer_id!r} in the network")
 
@@ -119,7 +121,7 @@ class SimNetwork:
         self.get_peer(peer_id).disconnected = False
 
     def is_alive(self, peer_id: str) -> bool:
-        peer = self._peers.get(peer_id)
+        peer = self.peers.get(peer_id)
         return peer is not None and not peer.disconnected
 
     # -- detection bookkeeping ----------------------------------------------
@@ -237,11 +239,11 @@ class SimNetwork:
 
     def _deliver_notify(self, source_id: str, target_id: str, message: object) -> bool:
         """Final delivery step (shared by immediate and delayed paths)."""
-        peer = self._peers.get(target_id)
+        peer = self.peers.get(target_id)
         if peer is None or peer.disconnected:
             self.metrics.incr("messages_dropped")
             return False
-        if source_id in self._peers and self._peers[source_id].disconnected:
+        if source_id in self.peers and self.peers[source_id].disconnected:
             # A dead peer sends nothing.
             self.metrics.incr("messages_dropped")
             return False
@@ -255,6 +257,6 @@ class SimNetwork:
         self.metrics.incr("pings")
         self.clock.advance(2 * HOP_LATENCY)
         alive = self.is_alive(target_id)
-        if not alive and target_id in self._peers:
+        if not alive and target_id in self.peers:
             self.record_detection(target_id, source_id)
         return alive

@@ -149,12 +149,10 @@ class AXMLPeer:
             from repro.txn.durable_wal import DurableWal
 
             self.wal = DurableWal(
-                durability.directory,
+                durability,
                 peer_id=peer_id,
                 metrics=network.metrics,
-                batch_size=durability.wal_batch,
                 events=network.events,
-                checkpoint_every=durability.checkpoint_every,
                 document_source=self._snapshot_documents,
             )
             self.manager.log.attach(self.wal)
@@ -345,7 +343,6 @@ class AXMLPeer:
             peer=self.peer_id,
             txn_id=transaction.txn_id,
             parent=parent_span,
-            detached=True,
             **span_attrs,
         )
         return transaction

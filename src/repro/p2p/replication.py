@@ -147,7 +147,7 @@ class ReplicationManager:
         source_peer = self.network.get_peer(source)
         target_peer = self.network.get_peer(target)
         source_document = source_peer.get_axml_document(document_name).document
-        copy = source_document.clone_tree(preserve_ids=True, name=document_name)
+        copy = source_document.clone_tree(name=document_name)
         return target_peer.host_document(AXMLDocument(copy, name=document_name))
 
     def replicated_documents(self) -> List[str]:
@@ -487,13 +487,13 @@ class ReplicationManager:
 
     # -- settlement --------------------------------------------------------
 
-    def settle(self, drain: Optional[Callable[[], None]] = None) -> None:
+    def settle(self) -> None:
         """Deterministic end-of-run convergence.
 
         1. lift every lag fault (applying accumulated inboxes);
         2. flush every pending ship buffer;
-        3. *drain* the event queue (delayed deliveries), then apply any
-           frames that were still in flight;
+        3. drain the network's event queue (delayed deliveries), then
+           apply any frames that were still in flight;
         4. re-synchronize stale holders by full content copy from the
            current primary.
 
@@ -504,14 +504,12 @@ class ReplicationManager:
             self.unlag_replica(peer_id)
         for _key, channel in sorted(self._channels.items()):
             self._ship(channel)
-        if drain is not None:
-            drain()
+        self.network.events.run_all()
         for _key, channel in sorted(self._channels.items()):
             if channel.inbox and self.network.is_alive(channel.replica):
                 self._apply_inbox(channel)
                 self._send_ack(channel)
-        if drain is not None:
-            drain()
+        self.network.events.run_all()
         for name, holder in sorted(self._stale):
             self._resync(name, holder)
         self._stale.clear()

@@ -26,12 +26,16 @@ from repro.obs.prof import PROF
 #: costs more in constant factors than the tombstones cost in log terms.
 _COMPACT_FLOOR = 8
 
+#: Events one ``run_until``/``run_all`` may fire before it calls the
+#: run an event storm (a callback that keeps rescheduling itself).
+MAX_EVENTS = 100_000
+
 
 class Clock:
     """Monotonic virtual time in simulated seconds."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = start
+    def __init__(self):
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -155,33 +159,25 @@ class EventQueue:
             return True
         return False
 
-    def run_until(self, deadline: float, max_events: int = 100_000) -> int:
+    def run_until(self, deadline: float) -> int:
         """Fire events with time ≤ *deadline*; returns how many fired.
 
         The clock jumps to each event's time; after the last event it
         rests at *deadline* (or stays put if nothing fired beyond now).
         """
-        fired = 0
-        while self._heap and self._heap[0][0] <= deadline:
-            time, _seq, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._pop_skipped()
-                continue
-            self.clock.advance_to(time)
-            PROF.incr("eventq_fired")
-            event.callback()
-            fired += 1
-            if fired >= max_events:
-                raise RuntimeError(
-                    f"event storm: more than {max_events} events before {deadline}"
-                )
+        fired = self._run(deadline)
         self.clock.advance_to(deadline)
         return fired
 
-    def run_all(self, max_events: int = 100_000) -> int:
+    def run_all(self) -> int:
         """Fire every pending event regardless of time."""
+        return self._run(None)
+
+    def _run(self, deadline: Optional[float]) -> int:
+        """Fire events in order, up to *deadline* (``None``: all of them);
+        more than :data:`MAX_EVENTS` is an event storm."""
         fired = 0
-        while self._heap:
+        while self._heap and (deadline is None or self._heap[0][0] <= deadline):
             time, _seq, event = heapq.heappop(self._heap)
             if event.cancelled:
                 self._pop_skipped()
@@ -190,8 +186,9 @@ class EventQueue:
             PROF.incr("eventq_fired")
             event.callback()
             fired += 1
-            if fired >= max_events:
-                raise RuntimeError(f"event storm: more than {max_events} events")
+            if fired >= MAX_EVENTS:
+                before = "" if deadline is None else f" before {deadline}"
+                raise RuntimeError(f"event storm: more than {MAX_EVENTS} events{before}")
         return fired
 
 

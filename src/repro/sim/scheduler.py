@@ -48,6 +48,10 @@ from repro.query.ast import UpdateAction
 from repro.sim.rng import SeededRng
 from repro.txn.occ import ValidationConflict
 
+#: Events one :meth:`TransactionScheduler.run` may step before it calls
+#: the run a scheduler storm.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class InvokeOp:
@@ -292,7 +296,6 @@ class TransactionScheduler:
                 f"client:{state.spec.label}",
                 "client",
                 peer=state.spec.origin,
-                detached=True,
                 label=state.spec.label,
             )
         origin = self.network.get_peer(state.spec.origin)
@@ -434,7 +437,7 @@ class TransactionScheduler:
 
     # -- driving --------------------------------------------------------
 
-    def run(self, max_events: int = 1_000_000) -> List[TxnResult]:
+    def run(self) -> List[TxnResult]:
         """Step the event queue until every submitted txn finished.
 
         Uses the kernel's step-driven primitive so in-flight transactions
@@ -448,8 +451,8 @@ class TransactionScheduler:
                     " transactions unfinished"
                 )
             steps += 1
-            if steps >= max_events:
-                raise RuntimeError(f"scheduler storm: more than {max_events} events")
+            if steps >= MAX_STEPS:
+                raise RuntimeError(f"scheduler storm: more than {MAX_STEPS} events")
         return list(self.results)
 
     # -- inspection -----------------------------------------------------

@@ -45,6 +45,13 @@ from repro.sim.workload import (
 #: Operation mix for throughput runs: no deletes, so pre-targeted
 #: operations never lose their target mid-run to a concurrent delete.
 THROUGHPUT_MIX = OperationMix(insert=0.35, delete=0.0, replace=0.45, query=0.2)
+#: Operations per transaction, a client's think time between
+#: transactions (simulated seconds), attempts per transaction before a
+#: conflict abort is terminal, and peers per cluster, at every T1 point.
+TXN_LENGTH = 4
+THINK_TIME = 0.02
+MAX_ATTEMPTS = 6
+PEER_COUNT = 2
 
 #: Columns of the T1 table, in render order.
 T1_COLUMNS = (
@@ -66,9 +73,9 @@ T1_COLUMNS = (
 def build_throughput_cluster(
     seed: int, peer_count: int = 2, items: int = 12
 ) -> Tuple[SimNetwork, Dict[str, AXMLPeer]]:
-    """An OCC cluster for load runs: each peer hosts its own catalogue."""
+    """An OCC cluster for load runs: each peer hosts its own catalogue.
+    Returns the network and its peer map (:attr:`SimNetwork.peers`)."""
     network = SimNetwork()
-    peers: Dict[str, AXMLPeer] = {}
     for index in range(1, peer_count + 1):
         peer_id = f"AP{index}"
         peer = AXMLPeer(peer_id, network, occ=True)
@@ -76,8 +83,7 @@ def build_throughput_cluster(
         peer.host_document(
             generate_catalogue(doc_rng, items, name=f"Catalogue{index}")
         )
-        peers[peer_id] = peer
-    return network, peers
+    return network, network.peers
 
 
 def run_throughput_point(
@@ -86,19 +92,15 @@ def run_throughput_point(
     hot_fraction: float,
     fail_rate: float,
     txns_per_client: int = 5,
-    txn_length: int = 4,
-    think_time: float = 0.02,
-    max_attempts: int = 6,
-    peer_count: int = 2,
     items: int = 12,
 ) -> Dict[str, Any]:
     """One parameter point of the sweep; returns the table row."""
-    network, peers = build_throughput_cluster(seed, peer_count, items)
+    network, peers = build_throughput_cluster(seed, PEER_COUNT, items)
     peer_ids = sorted(peers)
     scheduler = TransactionScheduler(
         network,
         max_inflight=clients,
-        max_attempts=max_attempts,
+        max_attempts=MAX_ATTEMPTS,
         seed=stable_seed(seed, f"sched:{clients}:{hot_fraction}:{fail_rate}"),
     )
     workload_rng = SeededRng(
@@ -109,11 +111,11 @@ def run_throughput_point(
         origin = peer_ids[client % len(peer_ids)]
         document = next(iter(peers[origin].documents.values()))
         operations = generate_contended_transaction(
-            workload_rng, document, txn_length, hot_fraction, THROUGHPUT_MIX
+            workload_rng, document, TXN_LENGTH, hot_fraction, THROUGHPUT_MIX
         )
         fail_at: Optional[int] = None
         if workload_rng.coin(fail_rate):
-            fail_at = workload_rng.randint(1, txn_length)
+            fail_at = workload_rng.randint(1, TXN_LENGTH)
         return TxnSpec(
             label=f"c{client}t{index}",
             origin=origin,
@@ -121,7 +123,7 @@ def run_throughput_point(
             fail_at=fail_at,
         )
 
-    scheduler.run_closed_loop(clients, txns_per_client, make_spec, think_time)
+    scheduler.run_closed_loop(clients, txns_per_client, make_spec, THINK_TIME)
     results = scheduler.run()
 
     counts = scheduler.outcome_counts()

@@ -166,10 +166,8 @@ def generate_operation(
 # load generation for the throughput experiments (T1)
 # ---------------------------------------------------------------------------
 
-def poisson_arrival_times(
-    rng: SeededRng, rate: float, count: int, start: float = 0.0
-) -> List[float]:
-    """*count* absolute arrival times of a Poisson process at *rate*.
+def poisson_arrival_times(rng: SeededRng, rate: float, count: int) -> List[float]:
+    """*count* arrival times from 0 of a Poisson process at *rate*.
 
     Inter-arrival gaps are exponential; the whole sequence is a pure
     function of the rng stream, so open-loop load is reproducible.
@@ -177,14 +175,14 @@ def poisson_arrival_times(
     if rate <= 0:
         raise ValueError(f"arrival rate must be > 0, got {rate}")
     times: List[float] = []
-    t = start
+    t = 0.0
     for _ in range(count):
         t += rng.expovariate(rate)
         times.append(t)
     return times
 
 
-def hot_spot_action(document: AXMLDocument) -> UpdateAction:
+def _hot_spot_action(document: AXMLDocument) -> UpdateAction:
     """A write that every contending transaction aims at the same node.
 
     Inserts a ``<hit/>`` marker under item 0: the write set includes the
@@ -225,7 +223,7 @@ def generate_contended_transaction(
     operations: List[UpdateAction] = []
     for _ in range(length):
         if hot_fraction > 0 and rng.coin(hot_fraction):
-            operations.append(hot_spot_action(document))
+            operations.append(_hot_spot_action(document))
         else:
             operations.append(generate_operation(rng, document, mix, selective=True))
     return operations

@@ -28,7 +28,7 @@ the durable prefix; the tail is discarded (and physically truncated by
 after the in-memory log accepted the entry, the durable prefix is always
 a consistent prefix of what the peer had applied.
 
-Group commit (``batch_size`` > 1): appends accumulate in a bounded
+Group commit (``wal_batch`` > 1): appends accumulate in a bounded
 in-memory buffer and reach disk as **one multi-frame write** when the
 buffer fills, when the virtual-time flush quantum (:data:`FLUSH_INTERVAL`)
 expires, or when a **barrier** forces them out: tombstone frames always
@@ -48,7 +48,7 @@ covered by the *previous* checkpoint are deleted only when the *next*
 one publishes, so a checkpoint file torn by a crash mid-publish still
 leaves a complete fallback (older checkpoint + longer tail).
 
-Without those two knobs (``batch_size=1``, ``checkpoint_every=0``) every
+Without those two knobs (``wal_batch=1``, ``checkpoint_every=0``) every
 append is one flushed frame and the segments grow until a restart:
 :meth:`DurableWal.reload` is then the one compaction, rewriting the live
 entries into a fresh segment.
@@ -63,6 +63,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.txn.checkpoint import Checkpoint, CheckpointStore
+from repro.txn.modes import DurabilityPolicy
 from repro.txn.wal import (
     LogEntry,
     OperationLog,
@@ -113,25 +114,19 @@ class DurableWal:
 
     def __init__(
         self,
-        directory: str,
+        policy: DurabilityPolicy,
         peer_id: str = "",
         metrics=None,
-        batch_size: int = 1,
         events=None,
-        checkpoint_every: int = 0,
         document_source: Optional[Callable[[], Dict[str, str]]] = None,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if checkpoint_every < 0:
-            raise ValueError("checkpoint_every must be >= 0")
-        self.directory = directory
+        #: The peer's durability settings (directory, ``wal_batch``,
+        #: ``checkpoint_every``), validated where they are spelled.
+        self.policy = policy
         self.peer_id = peer_id
         self.metrics = metrics
-        self.batch_size = batch_size
-        self.checkpoint_every = checkpoint_every
         self._document_source = document_source
-        os.makedirs(directory, exist_ok=True)
+        os.makedirs(policy.directory, exist_ok=True)
         #: The log this backend persists (set by ``OperationLog.attach``)
         #: — the owner of the live entry set compaction and checkpoints
         #: read.
@@ -147,7 +142,7 @@ class DurableWal:
         self.last_durable_seq = 0
         self._appends_since_ckpt = 0
         self._ckpt_store: Optional[CheckpointStore] = (
-            CheckpointStore(directory, peer_id) if checkpoint_every > 0 else None
+            CheckpointStore(policy.directory, peer_id) if policy.checkpoint_every > 0 else None
         )
         self._ckpt_index = 0
         #: Tail watermark of the previously published checkpoint: the
@@ -156,7 +151,7 @@ class DurableWal:
         #: What the last :meth:`reload` recovered (a :class:`WalScan`).
         self.last_recovery: Optional[WalScan] = None
         self._timer = None
-        if events is not None and batch_size > 1:
+        if events is not None and policy.wal_batch > 1:
             from repro.sim.kernel import OneShotTimer
 
             self._timer = OneShotTimer(events, self.flush)
@@ -179,16 +174,16 @@ class DurableWal:
         """This WAL's segments, oldest first; other files are not ours."""
         try:
             names = sorted(
-                n for n in os.listdir(self.directory)
+                n for n in os.listdir(self.policy.directory)
                 if _SEGMENT_NAME.fullmatch(n)
             )
         except FileNotFoundError:
             return []
-        return [os.path.join(self.directory, n) for n in names]
+        return [os.path.join(self.policy.directory, n) for n in names]
 
     def _open_segment(self, index: int) -> None:
         self._segment_index = index
-        path = os.path.join(self.directory, f"wal-{index:06d}.seg")
+        path = os.path.join(self.policy.directory, f"wal-{index:06d}.seg")
         self._fh = open(path, "ab")
         if self._fh.tell() == 0:
             self._fh.write(f"{MAGIC} {VERSION} {self.peer_id}\n".encode("utf-8"))
@@ -206,10 +201,10 @@ class DurableWal:
         self._incr("wal_bytes", entry_bytes(entry))
         self._appends_since_ckpt += 1
         self._pending.append((entry, _encode_frame("E", entry_to_xml(entry))))
-        if self.batch_size <= 1:
+        if self.policy.wal_batch <= 1:
             self._flush_pending()
             self._after_write()
-        elif len(self._pending) >= self.batch_size:
+        elif len(self._pending) >= self.policy.wal_batch:
             self.flush()
         elif self._timer is not None:
             self._timer.arm(FLUSH_INTERVAL)
@@ -283,7 +278,7 @@ class DurableWal:
 
     def _after_write(self) -> None:
         """Checkpoint policy, consulted after every physical write."""
-        if 0 < self.checkpoint_every <= self._appends_since_ckpt:
+        if 0 < self.policy.checkpoint_every <= self._appends_since_ckpt:
             self.take_checkpoint()
 
     def _live_entries(self) -> List[LogEntry]:

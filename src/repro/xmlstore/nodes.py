@@ -435,23 +435,17 @@ class Document:
 
     # -- maintenance ----------------------------------------------------------------------
 
-    def clone(self, preserve_ids: bool = True) -> "Document":
-        """Deep-copy the document (used by the snapshot-rollback baseline)."""
-        return self.clone_tree(preserve_ids=preserve_ids)
-
-    def clone_tree(
-        self, preserve_ids: bool = True, name: Optional[str] = None
-    ) -> "Document":
+    def clone_tree(self, name: Optional[str] = None) -> "Document":
         """Structural copy (replication, resync, snapshots): what a
         serialize→``parse_document`` round trip yields, without the text.
-        ``preserve_ids=True`` keeps every node's id (a compensating action
-        addressing them must resolve on the replica); False: fresh ids."""
+        Every node keeps its id (a compensating action addressing them
+        must resolve on the replica)."""
         copy = Document(self.name if name is None else name)
         if self.root is not None:
-            copy.root = self.root.clone_into(copy, preserve_ids)
+            copy.root = self.root.clone_into(copy, preserve_ids=True)
         return copy
 
-    def restore_from(self, snapshot: "Document", preserve_ids: bool = True) -> None:
+    def restore_from(self, snapshot: "Document") -> None:
         """Wholesale tree swap: replace this document's tree with a copy
         of *snapshot*'s (the snapshot-rollback restore path).
 
@@ -462,7 +456,7 @@ class Document:
         self._index.clear()
         self.index.clear()
         if snapshot.root is not None:
-            self.root = snapshot.root.clone_into(self, preserve_ids)
+            self.root = snapshot.root.clone_into(self, preserve_ids=True)
 
     def __repr__(self) -> str:
         return f"Document({self.name!r}, serial=d{self.serial}, size={self.size()})"

@@ -43,8 +43,10 @@ def test_cluster_surface_snapshot():
         "atplist", "fig1", "fig2", "from_topology",
     }
     assert _public_methods(api.Cluster) == expected
-    for prop in ("replication", "injector", "metrics", "spans", "clock"):
+    for prop in ("peers", "replication", "injector", "metrics", "spans", "clock"):
         assert isinstance(vars(api.Cluster)[prop], property)
+    cluster = api.Cluster.atplist()
+    assert cluster.peers is cluster.network.peers  # one peer map: the network's
     assert "events" not in vars(api.Cluster)  # read only by tests: network.events
     assert "directory" not in vars(api.Cluster)  # likewise: network.directory
 
@@ -254,6 +256,8 @@ def test_removed_members_stay_removed():
         (api.Cluster, "events"), (api.Transaction, "origin"), (api.Transaction, "finished"),
         (Document, "vacuum"), (StructuralIndex, "drop_element"),
         (TransactionContext, "invoked_peers"), (SimNetwork(), "hop_latency"),
+        # an alias of clone_tree, which always keeps ids
+        (Document, "clone"), (SimNetwork(), "_peers"),
     ):
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
     assert "parse_equivalent" not in inspect.signature(Document.clone_tree).parameters
@@ -373,6 +377,27 @@ REMOVED_KEYWORDS = [
     ("repro.sim.metrics:MetricsCollector.record_reused_invocation", (None,), {"count": 2}),
     ("repro.sim.scheduler:TransactionScheduler.submit_open_loop", (None, (), 1.0), {"start": 1.0}),
     ("repro.sim.throughput:_rounded", (1.0,), {"digits": 2}),
+    # values no non-test caller moved: constants, or worked out
+    ("repro.p2p.replication:ReplicationManager.settle", (None,), {"drain": None}),
+    ("repro.chaos.runner:chaos_sweep", (None, ()), {"fault_rates": (0.2,)}),
+    ("repro.sim.kernel:EventQueue.run_until", (None, 1.0), {"max_events": 5}),
+    ("repro.sim.kernel:EventQueue.run_all", (None,), {"max_events": 5}),
+    ("repro.sim.scheduler:TransactionScheduler.run", (None,), {"max_events": 5}),
+    ("repro.sim.throughput:run_throughput_point", (0, 1, 0.0, 0.0), {"txn_length": 2}),
+    ("repro.sim.throughput:run_throughput_point", (0, 1, 0.0, 0.0), {"think_time": 0.1}),
+    ("repro.sim.throughput:run_throughput_point", (0, 1, 0.0, 0.0), {"max_attempts": 2}),
+    ("repro.sim.throughput:run_throughput_point", (0, 1, 0.0, 0.0), {"peer_count": 3}),
+    ("repro.obs.spans:SpanCollector.slowest", (None,), {"kind": "rpc"}),
+    ("repro.xmlstore.nodes:Document.clone_tree", (None,), {"preserve_ids": False}),
+    ("repro.xmlstore.nodes:Document.restore_from", (None, None), {"preserve_ids": False}),
+    ("repro.txn.durable_wal:DurableWal", (), {"directory": "d"}),
+    ("repro.txn.durable_wal:DurableWal", ("d",), {"batch_size": 4}),
+    ("repro.txn.durable_wal:DurableWal", ("d",), {"checkpoint_every": 2}),
+    ("repro.axml.continuous:ContinuousDriver", (None, None, None), {"on_tick": None}),
+    ("repro.axml.continuous:ContinuousDriver.tick_count", (None,), {"method_name": "m"}),
+    ("repro.sim.kernel:Clock", (), {"start": 1.0}),
+    ("repro.sim.workload:poisson_arrival_times", (None, 1.0, 1), {"start": 1.0}),
+    ("repro.api:Cluster.run_topology", (None,), {"root": "AP3"}),
 ]
 
 
@@ -394,6 +419,8 @@ def test_wal_has_one_compaction_per_run(tmp_path):
     restart; there is no segment rollover beside them."""
     from repro.txn.durable_wal import DurableWal
 
-    with DurableWal(str(tmp_path)) as wal:
+    from repro.txn.modes import DurabilityPolicy
+
+    with DurableWal(DurabilityPolicy(str(tmp_path))) as wal:
         for name in ("segment_max_frames", "_segment_frames"):
             assert not hasattr(wal, name)

@@ -20,10 +20,10 @@ DOC = (
 )
 
 
-def make_driver(resolver, on_tick=None):
+def make_driver(resolver):
     doc = AXMLDocument.from_xml(DOC, name="Feed")
     events = EventQueue(Clock())
-    driver = ContinuousDriver(doc, resolver, events, on_tick)
+    driver = ContinuousDriver(doc, resolver, events)
     return doc, events, driver
 
 
@@ -41,7 +41,8 @@ class TestContinuousDriver:
         )
         driver.start()
         events.run_until(3.5)
-        assert driver.tick_count("getQuote") == 3
+        assert driver.tick_count() == 3
+        assert {r.method_name for r in driver.history} == {"getQuote"}
         quote = doc.service_calls()[0].result_nodes()[0]
         assert quote.text_content() == "103"
 
@@ -52,6 +53,7 @@ class TestContinuousDriver:
         driver.start()
         events.run_until(1.0)
         assert driver.history[0].succeeded
+        assert driver.history[0].time == pytest.approx(1.0)
         assert driver.history[0].records == 2  # replace = delete + insert
 
     def test_stop(self):
@@ -88,14 +90,4 @@ class TestContinuousDriver:
         doc.service_calls()[0].element.detach()
         events.run_until(5.0)
         assert driver.tick_count() == 0
-
-    def test_on_tick_callback(self):
-        seen = []
-        doc, events, driver = make_driver(
-            lambda c, p: Outcome(["<quote>1</quote>"]), on_tick=seen.append
-        )
-        driver.start()
-        events.run_until(2.0)
-        assert len(seen) == 2
-        assert seen[0].time == pytest.approx(1.0)
 

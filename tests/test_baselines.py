@@ -29,7 +29,7 @@ class TestStaticCompensator:
         )
         handler_xml = StaticCompensator.derive_handler(action, doc)
         compensator.define("op1", handler_xml)
-        pre = doc.clone(preserve_ids=True)
+        pre = doc.clone_tree()
         apply_action(doc, action)
         report = CoverageReport()
         compensator.compensate("op1", doc, pre, report)
@@ -55,7 +55,7 @@ class TestStaticCompensator:
                 "</location></action>"
             ),
         )
-        pre = doc.clone(preserve_ids=True)  # now French
+        pre = doc.clone_tree()  # now French
         apply_action(doc, action)  # -> USA
         report = CoverageReport()
         compensator.compensate("op1", doc, pre, report)
@@ -77,7 +77,7 @@ class TestStaticCompensator:
             "<stock>1</stock></axml:sc></item></D>",
             name="D",
         )
-        pre = axml.document.clone(preserve_ids=True)
+        pre = axml.document.clone_tree()
         q = parse_select("Select i/stock from i in D//item;")
         MaterializationEngine(
             axml, lambda c, p: Outcome(["<stock>2</stock>"])

@@ -280,17 +280,19 @@ class TestShrinkAndRepro:
 class TestSweep:
     def test_sweep_counts_and_metrics(self):
         metrics = MetricsCollector()
-        table, failures = chaos_sweep(
-            ChaosConfig(txns=6),
-            seeds=range(2),
-            concurrencies=(2,),
-            fault_rates=(0.0, 0.4),
-            metrics=metrics,
-        )
-        assert failures == []
+        rows = []
+        for fault_rate in (0.0, 0.4):
+            table, failures = chaos_sweep(
+                ChaosConfig(txns=6, fault_rate=fault_rate),
+                seeds=range(2),
+                concurrencies=(2,),
+                metrics=metrics,
+            )
+            assert failures == []
+            rows.extend(table.rows)
         assert metrics.get("chaos_runs") == 4
         assert metrics.get("chaos_violations") == 0
-        assert len(table.rows) == 4
+        assert [row["fault_rate"] for row in rows] == [0.0, 0.0, 0.4, 0.4]
 
 
 def _repro_with(event: str) -> str:

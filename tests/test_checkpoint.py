@@ -159,7 +159,7 @@ class TestWalCheckpointing:
         network, origin, worker = durable_world(tmp_path, checkpoint_every=2)
         for i in range(10):
             commit_one(origin, f"c{i}")
-        directory = worker.wal.directory
+        directory = worker.wal.policy.directory
         ckpts = [n for n in os.listdir(directory) if n.endswith(".ckpt")]
         segs = sorted(n for n in os.listdir(directory) if n.endswith(".seg"))
         # Two generations of checkpoints, and only the segments at or
@@ -182,7 +182,7 @@ class TestWalCheckpointing:
             commit_one(origin, f"c{i}")
         expected = canonical(worker.get_axml_document("D").document)
         worker.crash()
-        CheckpointStore(worker.wal.directory, "Worker").tear_newest()
+        CheckpointStore(worker.wal.policy.directory, "Worker").tear_newest()
         worker.rejoin()
         assert network.metrics.get("checkpoints_torn") == 1
         assert canonical(worker.get_axml_document("D").document) == expected
@@ -377,7 +377,7 @@ class TestModes:
 
     def test_peer_accepts_policy_and_enum(self, tmp_path):
         network, origin, worker = durable_world(tmp_path)
-        assert worker.wal.batch_size == 1
+        assert worker.wal.policy.wal_batch == 1  # the peer's own policy
         network.disconnect("Worker")
         worker.rejoin()
         assert not worker.disconnected

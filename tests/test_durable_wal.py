@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ReproError, TransactionError, XmlParseError
 from repro.sim.kernel import ScratchSpace
 from repro.txn.durable_wal import DurableWal
+from repro.txn.modes import DurabilityPolicy
 from repro.txn.wal import (
     LogEntry,
     OperationLog,
@@ -69,7 +70,7 @@ class TestEntryCodec:
 
 class TestAppendAndLoad:
     def test_append_load_roundtrip(self, tmp_path):
-        wal = DurableWal(str(tmp_path), peer_id="P1")
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
@@ -80,7 +81,7 @@ class TestAppendAndLoad:
         wal.close()
 
     def test_tombstone_filters_truncated_txn(self, tmp_path):
-        wal = DurableWal(str(tmp_path), peer_id="P1")
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
@@ -96,7 +97,7 @@ class TestAppendAndLoad:
         # id after the tombstone.  Those entries are live — a tombstone
         # suppresses only what precedes it in the stream, and a restart
         # must recover the retry's share.
-        wal = DurableWal(str(tmp_path), peer_id="P1")
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
@@ -107,17 +108,17 @@ class TestAppendAndLoad:
             (retried.seq, "T1", "<b/>")
         ]
         wal.close()
-        reopened = DurableWal(str(tmp_path), peer_id="P1")
+        reopened = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         assert [e.action_xml for e in reopened.load().entries] == ["<b/>"]
         reopened.close()
 
     def test_restart_adopts_directory(self, tmp_path):
-        wal = DurableWal(str(tmp_path), peer_id="P1")
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
         wal.close()
-        reopened = DurableWal(str(tmp_path), peer_id="P1")
+        reopened = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         restored = OperationLog("P1")
         restored.attach(reopened)
         restored.recover()
@@ -128,7 +129,7 @@ class TestAppendAndLoad:
         reopened.close()
 
     def test_empty_directory_loads_empty(self, tmp_path):
-        wal = DurableWal(str(tmp_path), peer_id="P1")
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         scan = wal.load()
         assert scan.entries == [] and not scan.torn
         wal.close()
@@ -136,7 +137,7 @@ class TestAppendAndLoad:
 
 class TestTornTail:
     def _wal_with_entries(self, tmp_path, count=3):
-        wal = DurableWal(str(tmp_path), peer_id="P1")
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(count):
@@ -149,7 +150,7 @@ class TestTornTail:
         seg = tmp_path / segment_files(tmp_path)[-1]
         data = seg.read_bytes()
         seg.write_bytes(data[:-5])  # chop mid-frame
-        wal2 = DurableWal(str(tmp_path), peer_id="P1")
+        wal2 = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         # The torn frame is gone; the durable prefix survives.
         assert [e.seq for e in wal2.load().entries] == [1, 2]
         wal2.close()
@@ -180,7 +181,7 @@ class TestTornTail:
         wal.close()
         seg = tmp_path / segment_files(tmp_path)[-1]
         seg.write_bytes(seg.read_bytes()[:-5])
-        wal2 = DurableWal(str(tmp_path), peer_id="P1")
+        wal2 = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         log = OperationLog("P1")
         log.attach(wal2)
         log.recover()
@@ -196,8 +197,8 @@ class TestHostileDirectory:
     restart: undecodable frames are a torn tail, files that are not this
     WAL's segments/checkpoints are ignored, unknown versions rejected."""
 
-    def _three_entries(self, tmp_path, **wal_kwargs):
-        wal = DurableWal(str(tmp_path), peer_id="P1", **wal_kwargs)
+    def _three_entries(self, tmp_path, **policy_kwargs):
+        wal = DurableWal(DurabilityPolicy(str(tmp_path), **policy_kwargs), peer_id="P1")
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(3):
@@ -213,7 +214,7 @@ class TestHostileDirectory:
         data[-10] = 0xFF  # inside the last frame's payload: not UTF-8
         seg.write_bytes(bytes(data))
         metrics = MetricsCollector()
-        wal = DurableWal(str(tmp_path), peer_id="P1", metrics=metrics)
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1", metrics=metrics)
         assert [e.seq for e in wal.last_recovery.entries] == [1, 2]
         assert metrics.get("wal_torn_tails") == 1
         assert [e.seq for e in wal.reload()] == [1, 2]
@@ -224,7 +225,7 @@ class TestHostileDirectory:
         seg = self._three_entries(tmp_path)
         with open(seg, "ab") as handle:
             handle.write(_encode_frame("E", text))
-        wal = DurableWal(str(tmp_path), peer_id="P1")
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         assert wal.last_recovery.torn
         assert [e.seq for e in wal.last_recovery.entries] == [1, 2, 3]
         wal.close()
@@ -239,13 +240,13 @@ class TestHostileDirectory:
 
         monkeypatch.setattr(durable_wal, "entry_from_xml", broken)
         with pytest.raises(RuntimeError):
-            DurableWal(str(tmp_path), peer_id="P1")
+            DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
 
     @pytest.mark.parametrize("stray", ["wal-backup.seg", "wal-1.seg", "wal-0000001.seg"])
     def test_foreign_segment_names_are_ignored(self, tmp_path, stray):
         self._three_entries(tmp_path)
         (tmp_path / stray).write_bytes(b"not ours\n")
-        wal = DurableWal(str(tmp_path), peer_id="P1")
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         assert [e.seq for e in wal.load().entries] == [1, 2, 3]
         assert (tmp_path / stray).read_bytes() == b"not ours\n"
         wal.close()
@@ -253,7 +254,7 @@ class TestHostileDirectory:
     def test_foreign_checkpoint_names_are_ignored(self, tmp_path):
         self._three_entries(tmp_path, checkpoint_every=2)
         (tmp_path / "ckpt-backup.ckpt").write_bytes(b"not ours\n")
-        wal = DurableWal(str(tmp_path), peer_id="P1", checkpoint_every=2)
+        wal = DurableWal(DurabilityPolicy(str(tmp_path), checkpoint_every=2), peer_id="P1")
         assert [e.seq for e in wal.load().entries] == [1, 2, 3]
         assert (tmp_path / "ckpt-backup.ckpt").exists()
         wal.close()
@@ -264,7 +265,7 @@ class TestHostileDirectory:
         data = seg.read_bytes()
         assert data.startswith(b"AXMLWAL 1 P1\n")
         seg.write_bytes(header + data[data.index(b"\n"):])
-        wal = DurableWal(str(tmp_path), peer_id="P1")
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         assert wal.last_recovery.torn and wal.last_recovery.entries == []
         wal.close()
 
@@ -296,7 +297,7 @@ class TestRolloverCompaction:
     then rolls the live entries over into a fresh segment."""
 
     def test_rollover_drops_tombstoned_frames(self, tmp_path):
-        wal = DurableWal(str(tmp_path), peer_id="P1")
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
@@ -311,14 +312,14 @@ class TestRolloverCompaction:
         wal.close()
 
     def test_restart_after_rollover(self, tmp_path):
-        wal = DurableWal(str(tmp_path), peer_id="P1")
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(300):
             log.append(f"T{i}", "update", "D", "<a/>")
         assert segment_files(tmp_path) == ["wal-000001.seg"]
         wal.close()
-        wal2 = DurableWal(str(tmp_path), peer_id="P1")  # adopting the directory reloads
+        wal2 = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")  # adopting the directory reloads
         assert segment_files(tmp_path) == ["wal-000002.seg"]
         assert len(wal2.load().entries) == 300
         wal2.close()
@@ -327,7 +328,7 @@ class TestRolloverCompaction:
         from repro.sim.metrics import MetricsCollector
 
         metrics = MetricsCollector()
-        wal = DurableWal(str(tmp_path), peer_id="P1", metrics=metrics)
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1", metrics=metrics)
         log = OperationLog("P1")
         log.attach(wal)
         for _ in range(3):
@@ -343,7 +344,7 @@ class TestRolloverCompaction:
         from repro.txn.wal import entry_bytes
 
         metrics = MetricsCollector()
-        wal = DurableWal(str(tmp_path), peer_id="P1", metrics=metrics)
+        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1", metrics=metrics)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")

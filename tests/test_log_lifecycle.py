@@ -16,13 +16,14 @@ from repro.axml.document import AXMLDocument
 from repro.query.parser import parse_action
 from repro.txn.durable_wal import DurableWal
 from repro.txn.manager import TransactionManager
+from repro.txn.modes import DurabilityPolicy
 from repro.txn.transaction import Transaction
 from repro.xmlstore.serializer import canonical_digest
 
 #: WAL write modes: the plain path and group commit + checkpoints.
 WAL_MODES = {
-    "plain": dict(batch_size=1),
-    "batched": dict(batch_size=4, checkpoint_every=3),
+    "plain": dict(wal_batch=1),
+    "batched": dict(wal_batch=4, checkpoint_every=3),
 }
 
 
@@ -61,14 +62,14 @@ def _script(manager, wal):
     ]
 
 
-def _world(directory=None, **wal_kwargs):
+def _world(directory=None, **policy_kwargs):
     document = AXMLDocument.from_xml("<D><slots/></D>", name="D")
     manager = TransactionManager("P", {"D": document}.__getitem__)
     wal = None
     if directory is not None:
         wal = DurableWal(
-            str(directory), peer_id="P",
-            document_source=lambda: {"D": document.to_xml()}, **wal_kwargs
+            DurabilityPolicy(str(directory), **policy_kwargs), peer_id="P",
+            document_source=lambda: {"D": document.to_xml()},
         )
         manager.log.attach(wal)
     return manager, wal, document

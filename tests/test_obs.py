@@ -97,22 +97,20 @@ class TestHistogramEdges:
 class TestSpanCollector:
     def test_stack_parenting(self):
         spans = SpanCollector()
-        outer = spans.start("outer", "invoke")
-        inner = spans.start("inner", "rpc")
-        assert inner.parent_id == outer.span_id
-        assert spans.current() is inner
-        spans.end(inner)
-        spans.end(outer)
+        with spans.span("outer", "invoke") as outer:
+            with spans.span("inner", "rpc") as inner:
+                assert inner.parent_id == outer.span_id
+                assert spans.current() is inner
         assert spans.current() is None
         assert spans.children_of(outer) == [inner]
 
     def test_detached_spans_stay_off_stack(self):
         spans = SpanCollector()
-        txn = spans.start("txn:T1", "transaction", detached=True)
-        child = spans.start("invoke:S1", "invoke", parent=txn)
-        assert spans.current() is child  # the detached span never stacked
-        assert child.parent_id == txn.span_id
-        spans.end(child)
+        txn = spans.start("txn:T1", "transaction")
+        assert spans.current() is None  # the detached span never stacked
+        with spans.span("invoke:S1", "invoke", parent=txn) as child:
+            assert spans.current() is child
+            assert child.parent_id == txn.span_id
         spans.end(txn, status="committed")
         assert txn.status == "committed"
 
@@ -129,9 +127,9 @@ class TestSpanCollector:
 
     def test_ending_a_non_top_span_removes_exactly_that_span(self):
         spans = SpanCollector()
-        outer = spans.start("outer", "invoke")
-        middle = spans.start("middle", "rpc")
-        inner = spans.start("inner", "service")
+        outer = spans.span("outer", "invoke").span
+        middle = spans.span("middle", "rpc").span
+        inner = spans.span("inner", "service").span
         spans.end(middle, status="fault")
         assert spans.current() is inner
         assert "open=2" in repr(spans)
@@ -193,7 +191,7 @@ class TestSpanCollector:
             spans.end(span)
         names = [s.name for s in spans.slowest(2)]
         assert names == ["s2", "s0"]
-        assert [s.name for s in spans.slowest(kind="none")] == []
+        assert [s.name for s in spans.slowest()] == ["s2", "s0", "s1"]
 
     def test_summary_counts(self):
         spans = SpanCollector()

@@ -45,7 +45,8 @@ class TestClock:
             Clock().advance(-1)
 
     def test_advance_to_only_forward(self):
-        clock = Clock(10)
+        clock = Clock()
+        clock.advance(10)
         clock.advance_to(5)
         assert clock.now == 10
         clock.advance_to(12)
@@ -92,7 +93,8 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             EventQueue(Clock()).schedule(-1, lambda: None)
 
-    def test_event_storm_guard(self):
+    def test_event_storm_guard(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.kernel.MAX_EVENTS", 50)
         clock = Clock()
         queue = EventQueue(clock)
 
@@ -100,8 +102,10 @@ class TestEventQueue:
             queue.schedule(0.0, respawn)
 
         queue.schedule(0.0, respawn)
-        with pytest.raises(RuntimeError):
-            queue.run_until(1.0, max_events=50)
+        with pytest.raises(RuntimeError, match="more than 50 events before 1.0"):
+            queue.run_until(1.0)
+        with pytest.raises(RuntimeError, match="more than 50 events$"):
+            queue.run_all()
 
 
 class TestRpc:

@@ -51,7 +51,7 @@ def _reciprocal(x):
 class TestChaosSweepIdentity:
     def test_byte_identical_table_and_metrics(self):
         m1, m2 = MetricsCollector(), MetricsCollector()
-        kwargs = dict(seeds=[0, 1, 2], concurrencies=(2,), fault_rates=(0.2,))
+        kwargs = dict(seeds=[0, 1, 2], concurrencies=(2,))
         serial, f1 = chaos_sweep(SMALL, metrics=m1, workers=1, **kwargs)
         parallel, f2 = chaos_sweep(SMALL, metrics=m2, workers=2, **kwargs)
         assert serial.render() == parallel.render()
@@ -65,7 +65,7 @@ class TestChaosSweepIdentity:
         # Forked workers inherit the class-level patch.
         bad = ChaosConfig(txns=6, providers=3)
         # Several cells: one item never reaches the pool.
-        kwargs = dict(seeds=[1, 2, 3], concurrencies=(2,), fault_rates=(0.2,))
+        kwargs = dict(seeds=[1, 2, 3], concurrencies=(2,))
         with mutated("skip_undo"):
             serial, serial_failures = chaos_sweep(bad, workers=1, **kwargs)
             parallel, parallel_failures = chaos_sweep(bad, workers=2, **kwargs)

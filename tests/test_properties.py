@@ -101,7 +101,7 @@ class TestXmlRoundtrip:
     @given(xml_trees())
     @settings(max_examples=30, deadline=None)
     def test_clone_preserves_canonical(self, document):
-        assert canonical(document.clone()) == canonical(document)
+        assert canonical(document.clone_tree()) == canonical(document)
 
     @given(xml_trees())
     @settings(max_examples=30, deadline=None)
@@ -295,7 +295,7 @@ class TestServiceCallDiscovery:
         ):
             # No handler replica: what the params-only walk listed before.
             assert walked_calls(document, pruned={"params"}) == original
-        assert listed_calls(document.clone_tree(preserve_ids=True)) == original
+        assert listed_calls(document.clone_tree()) == original
 
         elements = list(document.iter_elements())[1:]
         if not elements:
@@ -305,6 +305,6 @@ class TestServiceCallDiscovery:
         record = victim.detach()
         assert listed_calls(document) == walked_calls(document)
         assert not inside & set(listed_calls(document))
-        assert listed_calls(document.clone_tree(preserve_ids=True)) == walked_calls(document)
+        assert listed_calls(document.clone_tree()) == walked_calls(document)
         document.get_node(record.parent_id).insert_at(record.index, victim)
         assert listed_calls(document) == original

@@ -234,7 +234,7 @@ class TestReplayRecords:
 
     @pytest.mark.parametrize("action_xml", ACTIONS)
     def test_replica_ends_equal_to_the_primary(self, doc, action_xml):
-        replica = doc.clone_tree(preserve_ids=True)
+        replica = doc.clone_tree()
         action = act(action_xml)
         result = apply_action(doc, action)
         assert replay_records(replica, action, result.records)
@@ -244,7 +244,7 @@ class TestReplayRecords:
     def test_nested_targets(self, kind):
         # The second target lies inside the first, detached with it.
         doc = parse_document("<r><a k='1'><a k='2'><b/></a></a><a k='3'/></r>", name="r")
-        replica = doc.clone_tree(preserve_ids=True)
+        replica = doc.clone_tree()
         data = "" if kind == "delete" else "<data><c/></data>"
         action = act(f'<action type="{kind}">{data}<location>Select a from a in r//a;</location></action>')
         result = apply_action(doc, action)
@@ -253,7 +253,7 @@ class TestReplayRecords:
         assert ids_and_text(replica) == ids_and_text(doc)
 
     def test_anchor_places_the_node_as_the_primary_did(self, doc):
-        replica = doc.clone_tree(preserve_ids=True)
+        replica = doc.clone_tree()
         citizenship = doc.root.child_elements()[0].find_children("citizenship")[0]
         action = act(
             f'<action type="insert" anchor="before:{citizenship.node_id!r}">'
@@ -273,7 +273,7 @@ class TestReplayRecords:
         assert not replay_records(rehosted, action, result.records)
         assert ids_and_text(rehosted) == before
         # Applied twice, the second time finds its new ids already live.
-        replica = doc.clone_tree(preserve_ids=True)
+        replica = doc.clone_tree()
         assert not replay_records(replica, action, result.records)
 
 

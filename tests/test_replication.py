@@ -146,6 +146,23 @@ class TestWalShipping:
         replication.settle()
         assert "33" in peers["AP3"].get_axml_document("Shop2").to_xml()
 
+    def test_settle_drains_a_delayed_ship(self):
+        # settle() drains the network's own event queue: a ship a
+        # message hook delayed is delivered and applied, no caller hands
+        # it a drain.
+        network, replication, peers = make_cluster()
+        network.set_message_hook(
+            lambda source, target, message:
+                5.0 if isinstance(message, WalShipMessage) else None
+        )
+        commit_price(peers, "55")
+        assert network.metrics.get("messages_chaos_delayed") == 1
+        assert "55" not in peers["AP3"].get_axml_document("Shop2").to_xml()
+        replication.settle()
+        assert "55" in peers["AP3"].get_axml_document("Shop2").to_xml()
+        assert replication._channel("AP2", "AP3").unacked == []
+        assert network.events.run_all() == 0  # nothing left in flight
+
     def test_failed_ship_requeues_for_retry(self):
         network, replication, peers = make_cluster()
         network.disconnect("AP3")

@@ -74,9 +74,12 @@ class TestRunRootTransaction:
         assert txn.txn.origin_peer == "AP1"
 
     def test_custom_root(self):
+        # run_topology always starts at AP1; another root is a session's
+        # transaction invoking that peer's topology children.
         scenario = Cluster.fig1()
-        txn, error = scenario.run_topology("AP3")
-        assert error is None
+        txn = scenario.session("AP3").transaction()
+        for child, method in scenario.topology["AP3"]:
+            txn.invoke(child, method, {})
         # AP3's branch ran: AP4 and AP5/AP6 have markers
         assert '<entry by="AP4"/>' in scenario.peer("AP4").get_axml_document("D4").to_xml()
 

@@ -180,11 +180,11 @@ class TestConflictRetry:
 
 class TestArrivals:
     def test_poisson_arrival_times_deterministic(self):
-        a = poisson_arrival_times(SeededRng(5), rate=10.0, count=8, start=1.0)
-        b = poisson_arrival_times(SeededRng(5), rate=10.0, count=8, start=1.0)
+        a = poisson_arrival_times(SeededRng(5), rate=10.0, count=8)
+        b = poisson_arrival_times(SeededRng(5), rate=10.0, count=8)
         assert a == b
         assert a == sorted(a)
-        assert all(t > 1.0 for t in a)
+        assert all(t > 0.0 for t in a)
         with pytest.raises(ValueError):
             poisson_arrival_times(SeededRng(5), rate=0.0, count=3)
 

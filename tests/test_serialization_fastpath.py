@@ -102,19 +102,20 @@ class TestCanonicalDigest:
 class TestCloneTree:
     def test_preserving_clone_is_byte_identical_with_ids(self):
         doc = build_doc()
-        copy = doc.clone_tree(preserve_ids=True, name="copy")
+        copy = doc.clone_tree(name="copy")
         assert serialize(copy, include_ids=True) == serialize(doc, include_ids=True)
         assert copy.name == "copy"
 
     def test_rebinding_clone_gets_fresh_ids(self):
         doc = build_doc()
-        copy = doc.clone_tree(preserve_ids=False)
+        copy = Document(doc.name)
+        copy.root = doc.root.clone_into(copy, preserve_ids=False)
         assert canonical(copy) == canonical(doc)
         assert serialize(copy, include_ids=True) != serialize(doc, include_ids=True)
 
     def test_clone_is_independent(self):
         doc = build_doc()
-        copy = doc.clone_tree(preserve_ids=True)
+        copy = doc.clone_tree()
         copy.root.new_element("extra")
         assert "<extra/>" not in serialize(doc)
         assert "<extra/>" in serialize(copy)
@@ -125,7 +126,7 @@ class TestCloneTree:
         doc = build_doc()
         roundtrip = parse_document(serialize(doc, include_ids=True), name="copy")
         rebind_ids(roundtrip)
-        clone = doc.clone_tree(preserve_ids=True, name="copy")
+        clone = doc.clone_tree(name="copy")
         assert serialize(clone, include_ids=True) == serialize(
             roundtrip, include_ids=True
         )
@@ -135,23 +136,23 @@ class TestCloneTree:
         doc = Document("messy")
         root = doc.create_root("root")
         root.new_text("  padded  ")
-        copy = doc.clone_tree(preserve_ids=True)
+        copy = doc.clone_tree()
         assert serialize(copy) == serialize(doc)
 
     def test_empty_document_clones(self):
         doc = Document("empty")
-        assert doc.clone_tree(preserve_ids=True).root is None
+        assert doc.clone_tree().root is None
 
     def test_logical_counts_copied(self):
         doc = build_doc()
-        copy = doc.clone_tree(preserve_ids=True)
+        copy = doc.clone_tree()
         for src, dst in zip(doc.iter_elements(), copy.iter_elements()):
             assert src._logical_count == dst._logical_count
             assert src._child_count == dst._child_count
 
     def test_cloned_ids_resolve_in_the_copy(self):
         doc = build_doc()
-        copy = doc.clone_tree(preserve_ids=True)
+        copy = doc.clone_tree()
         for node in doc.iter():
             assert copy.get_node(node.node_id).node_id == node.node_id
 
@@ -160,7 +161,7 @@ class TestRestoreFrom:
     def test_restore_reverts_mutations(self):
         doc = build_doc()
         baseline = serialize(doc, include_ids=True)
-        snapshot = doc.clone(preserve_ids=True)
+        snapshot = doc.clone_tree()
         doc.root.new_element("extra")
         doc.root.children[0].attributes["id"] = "tampered"
         doc.restore_from(snapshot)

@@ -318,7 +318,7 @@ class TestShardOracle:
             pid for pid in sorted(result.cluster.peers) if pid not in holders
         )
         source = result.cluster.peer(holders[0]).get_axml_document("D1")
-        copy = source.document.clone_tree(preserve_ids=True, name="D1")
+        copy = source.document.clone_tree(name="D1")
         result.cluster.peer(stray).host_document(AXMLDocument(copy, name="D1"))
         kinds = {v.kind for v in result.oracle().check(result.cluster.peers)}
         assert "shard_duplicated" in kinds

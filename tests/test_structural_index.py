@@ -102,7 +102,7 @@ class TestPostingsMaintenance:
 
     def test_clone_into_preserved_ids_rekeys(self):
         doc = parse_document(ATP, name="ATPList")
-        copy = doc.clone(preserve_ids=True)
+        copy = doc.clone_tree()
         assert len(copy.index.postings("player")) == 3
         originals = set(doc.index.postings("player"))
         assert set(copy.index.postings("player")) == originals
@@ -352,7 +352,8 @@ class TestMutateUnderQuery:
                 for action in compensating_actions_for(undo.pop(), "R", True):
                     apply_action(doc, action, tolerate_missing_targets=True)
             if round_no % 20 == 19:
-                rebound = doc.clone_tree(preserve_ids=False)
+                rebound = Document("R")
+                rebound.root = doc.root.clone_into(rebound, preserve_ids=False)
                 assert_same_tree(doc, rebound, same_ids=False)
                 # Carry on in a copy whose ids were adopted, not allocated.
                 route = round_no // 20 % 3
@@ -360,7 +361,7 @@ class TestMutateUnderQuery:
                     copy = Document("R")
                     copy.root = doc.root.clone_into(copy, preserve_ids=True)
                 elif route == 1:
-                    copy = doc.clone_tree(preserve_ids=True)
+                    copy = doc.clone_tree()
                 else:
                     copy = rebound  # every node and posting of it replaced
                     copy.restore_from(doc)

@@ -157,22 +157,23 @@ class TestDocumentIndex:
 
 class TestClone:
     def test_clone_preserves_structure(self, doc):
-        copy = doc.clone()
+        copy = doc.clone_tree()
         assert [n.name.local for n in copy.iter_elements()] == [
             n.name.local for n in doc.iter_elements()
         ]
 
     def test_clone_preserves_ids(self, doc):
-        copy = doc.clone(preserve_ids=True)
+        copy = doc.clone_tree()
         assert copy.root.node_id == doc.root.node_id
         assert copy.has_node(doc.root.first_child("a").node_id)
 
     def test_clone_fresh_ids(self, doc):
-        copy = doc.clone(preserve_ids=False)
+        copy = Document(doc.name)
+        copy.root = doc.root.clone_into(copy, preserve_ids=False)
         assert copy.root.node_id != doc.root.node_id
 
     def test_clone_is_independent(self, doc):
-        copy = doc.clone()
+        copy = doc.clone_tree()
         doc.root.first_child("a").detach()
         assert copy.root.first_child("a") is not None
 
@@ -190,7 +191,7 @@ class TestTextAndAttributes:
         assert b.text_content() == "yx"
 
     def test_attributes_preserved_on_clone(self, doc):
-        copy = doc.clone()
+        copy = doc.clone_tree()
         assert copy.root.first_child("a").attributes == {"k": "1"}
 
     def test_subtree_size(self, doc):

@@ -8,7 +8,9 @@ Runs the non-test traffic in this process under one ``sys.setprofile`` hook: the
 over the paper-claim benches (``bench_e*``, ``bench_a*``, ``bench_fig*``).  Prints per
 item its exit status, the ``PROF`` counters on either side of each fork and the traffic
 of the ``parse_path`` memo (hits, misses, size; emptied per item), then every
-function under ``src/repro/`` none of it entered, with their line total.  Not seen:
+function under ``src/repro/`` none of it entered, with their line total, and then every
+defaulted parameter of an entered function that no call bound to a value other than its
+default (a knob the traffic never moves), with its call count.  Not seen:
 pool workers, and ``bench_p1`` after its Part C installs its own hook (the census
 re-arms its hook per item and never wraps ``sys.setprofile``, so no item's own
 call counts move).
@@ -26,11 +28,15 @@ line shift is no finding), to one reason of ``REASONS``.  Dunders and the member
 
 import ast
 import contextlib
+import gc
 import json
 import os
 import re
 import runpy
 import sys
+import time
+import types
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Set, Tuple
 
@@ -55,11 +61,61 @@ REASONS = {
     "cli": "reached only from a command the census does not run",
 }
 entered = set()
+#: ``(file, first line)`` of every def under ``src/repro/`` with a defaulted
+#: parameter (filled by ``main`` from ``defined_functions``).
+DEFAULTED: Set[Tuple[str, int]] = set()
+#: code object -> ``{parameter: default}`` not yet bound to another value.
+unmoved: Dict[types.CodeType, Dict[str, object]] = {}
+defaulted_calls: Counter = Counter()  # code object -> calls
 
 
 def hook(frame, event, arg):
-    if event == "call" and frame.f_code.co_filename.startswith(SRC_PREFIX):
-        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+    if event != "call":
+        return
+    code = frame.f_code
+    if not code.co_filename.startswith(SRC_PREFIX):
+        return
+    entered.add((code.co_filename, code.co_firstlineno))
+    defaults = unmoved.get(code)
+    if defaults is None:
+        if (code.co_filename, code.co_firstlineno) not in DEFAULTED:
+            return
+        defaults = unmoved[code] = defaults_of(code)
+    defaulted_calls[code] += 1
+    if defaults:
+        bound = frame.f_locals  # the profiler already copied the arguments there
+        for name, default in list(defaults.items()):
+            if not same_value(bound.get(name, default), default):
+                del defaults[name]
+
+
+def same_value(value, default) -> bool:
+    if value is default:
+        return True
+    return value is not None and default is not None and bool(value == default)
+
+
+def defaults_of(code: types.CodeType) -> Dict[str, object]:
+    """``{parameter: default}`` of the live function running *code* (once per code
+    object; only functions reference their code)."""
+    function = next((f for f in gc.get_referrers(code)
+                     if isinstance(f, types.FunctionType) and f.__code__ is code), None)
+    if function is None:
+        return {}
+    positional = function.__defaults__ or ()
+    names = code.co_varnames[code.co_argcount - len(positional):code.co_argcount]
+    return {**dict(zip(names, positional)), **(function.__kwdefaults__ or {})}
+
+
+def unmoved_knobs(functions: Dict[Tuple[str, int], "Function"]) -> List[str]:
+    """One line per defaulted parameter of an entered function that no call
+    bound to another value: ``path::qualname(name=default)  N calls``."""
+    lines = []
+    for code, defaults in unmoved.items():
+        key = functions[code.co_filename, code.co_firstlineno].key
+        for name, default in defaults.items():
+            lines.append(f"{key}({name}={default!r})  {defaulted_calls[code]} calls")
+    return sorted(lines)
 
 
 CLI_COMMANDS = (  # the figure/report surface of the verify skill, and one chaos run
@@ -75,6 +131,7 @@ class Function(NamedTuple):
     key: str  # "path::qualname"
     lines: int
     exempt: bool  # a dunder or a typing.Protocol member
+    defaulted: bool = False  # has a parameter with a default
 
 
 def _defs(node: ast.AST, prefix: str = "", protocol: bool = False):
@@ -104,6 +161,7 @@ def defined_functions(src: Path = SRC, root: Path = ROOT) -> Dict[Tuple[str, int
                 f"{relative}::{qualname}",
                 node.end_lineno - first + 1,
                 protocol or (name.startswith("__") and name.endswith("__")),
+                bool(node.args.defaults) or any(d is not None for d in node.args.kw_defaults),
             )
     return found
 
@@ -187,6 +245,9 @@ def run(argv):
 def main(argv: List[str]) -> int:
     os.chdir(ROOT)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks"), str(ROOT)]
+    started = time.perf_counter()
+    functions = defined_functions()
+    DEFAULTED.update(site for site, function in functions.items() if function.defaulted)
     for item in traffic():
         status = run(item)
         from repro.obs.prof import PROF  # only now: the hook has seen the import
@@ -198,7 +259,6 @@ def main(argv: List[str]) -> int:
         PROF.counters.clear()  # not reset(): the hook is still armed
         _parsed_path.cache_clear()
     sys.setprofile(None)
-    functions = defined_functions()
     idle = idle_functions(functions, entered)
     print(
         f"{len(idle)} of {len({f.key for f in functions.values()})} functions "
@@ -207,6 +267,12 @@ def main(argv: List[str]) -> int:
     )
     for key in sorted(idle):
         print(f"  {key}")
+    knobs = unmoved_knobs(functions)
+    print(f"{len(knobs)} defaulted parameters of entered functions under src/repro/ "
+          "never bound to a value other than their default:")
+    for line in knobs:
+        print(f"  {line}")
+    print(f"census wall time: {time.perf_counter() - started:.0f} s", file=sys.stderr)
     if not {"--check", "--update"} & set(argv):
         return 0
     listed = json.loads(RATCHET.read_text())
