@@ -12,6 +12,7 @@ import pytest
 
 from repro.baselines.snapshot_rollback import SnapshotRollback
 from repro.errors import UpdateError
+from repro.obs.spans import SpanCollector
 from repro.query.update import apply_action
 from repro.sim.harness import ExperimentTable, ratio
 from repro.sim.rng import SeededRng
@@ -32,7 +33,7 @@ def run_point(item_count: int, seed: int = 11):
     # --- log-based run --------------------------------------------------
     axml = generate_catalogue(rng, item_count=item_count, name="Cat")
     doc_nodes = axml.document.size()
-    manager = TransactionManager("P", lambda name: axml)
+    manager = TransactionManager("P", lambda name: axml, SpanCollector(lambda: 0.0))
     manager.begin(Transaction("T1", "P"))
     log = manager.log
     pre = canonical(axml.document)

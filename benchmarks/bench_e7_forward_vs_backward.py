@@ -46,7 +46,7 @@ def run_config(fail_depth: int, forward: bool):
     topology = linear_topology(CHAIN_LENGTH)
     scenario = Cluster.from_topology(topology)
     scenario.injector.fault_service(
-        f"AP{fail_depth}", f"S{fail_depth}", "Crash", times=1, point="after_execute"
+        f"AP{fail_depth}", f"S{fail_depth}", "Crash", point="after_execute"
     )
     if forward:
         scenario.peer(f"AP{fail_depth - 1}").set_fault_policy(

@@ -29,7 +29,7 @@ def run_config(handler_at: str):
     """One Fig. 1 run: AP5 faults after its work; optional handler."""
     scenario = Cluster.fig1()
     scenario.injector.fault_service(
-        "AP5", "S5", "Crash", times=1, point="after_execute"
+        "AP5", "S5", "Crash", point="after_execute"
     )
     if handler_at:
         scenario.peer(handler_at).set_fault_policy(

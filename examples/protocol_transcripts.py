@@ -42,7 +42,7 @@ def main() -> None:
     banner("3. Fig.1, same failure with a retry handler at AP3 — forward recovery")
     scenario = Cluster.fig1()
     recorder = TraceRecorder(scenario.network)
-    scenario.injector.fault_service("AP5", "S5", "Crash", times=1, point="after_execute")
+    scenario.injector.fault_service("AP5", "S5", "Crash", point="after_execute")
     scenario.peer("AP3").set_fault_policy(
         "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=1)]
     )

@@ -50,7 +50,6 @@ from repro.sim.scenarios import (
 )
 from repro.sim.scheduler import TransactionScheduler
 from repro.sim.workload import tree_peers
-from repro.txn.recovery import FaultPolicy
 
 __all__ = [
     "Cluster",
@@ -76,9 +75,9 @@ class Transaction:
     idempotent and will not double-finish.
     """
 
-    def __init__(self, peer: AXMLPeer, **span_attrs: str):
+    def __init__(self, peer: AXMLPeer):
         self._peer = peer
-        self.txn = peer.begin_transaction(**span_attrs)
+        self.txn = peer.begin_transaction()
         self._done = False
 
     # -- identity -------------------------------------------------------
@@ -89,26 +88,20 @@ class Transaction:
 
     # -- work -----------------------------------------------------------
 
-    def submit(
-        self,
-        action,
-        document_name: Optional[str] = None,
-        evaluation: str = "lazy",
-    ) -> OperationOutcome:
+    def submit(self, action) -> OperationOutcome:
         """Execute one local operation (an ``UpdateAction`` or its XML)."""
-        return self._peer.submit(self.txn_id, action, document_name, evaluation)
+        return self._peer.submit(self.txn_id, action)
 
     def invoke(
         self,
         target_peer: str,
         method_name: str,
         params: Optional[Dict[str, str]] = None,
-        policies: Optional[Sequence[FaultPolicy]] = None,
     ) -> Outcome:
-        """Invoke a service on another peer; returns a unified Outcome."""
-        fragments = self._peer.invoke(
-            self.txn_id, target_peer, method_name, params, policies
-        )
+        """Invoke a service on another peer; returns a unified Outcome.
+        Caller-side fault policies are the origin peer's
+        (:meth:`AXMLPeer.set_fault_policy`)."""
+        fragments = self._peer.invoke(self.txn_id, target_peer, method_name, params)
         return Outcome(tuple(fragments), provider_peer=target_peer)
 
     # -- finishing ------------------------------------------------------
@@ -154,9 +147,9 @@ class Session:
     def peer(self) -> AXMLPeer:
         return self._cluster.peer(self.peer_id)
 
-    def transaction(self, **span_attrs: str) -> Transaction:
+    def transaction(self) -> Transaction:
         """Begin a transaction with this peer as origin."""
-        return Transaction(self.peer, **span_attrs)
+        return Transaction(self.peer)
 
     def __repr__(self) -> str:
         return f"Session({self.peer_id!r})"

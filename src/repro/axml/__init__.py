@@ -9,9 +9,11 @@ Java implementation, is obsolete).  The engine implements the semantics
 * parameters that may themselves be service calls (local nesting);
 * invocation results that may be static XML *or another service call*
   (nested invocation);
-* lazy vs eager materialization — lazy materializes only the calls whose
-  results a query needs, which is why query compensation must be
-  constructed dynamically;
+* lazy materialization — every query materializes only the calls whose
+  results it needs (:func:`~repro.axml.materialize.run_action`), which is
+  why query compensation must be constructed dynamically; eager
+  materialization (``MaterializationEngine.materialize_all``) is E8's
+  baseline;
 * fault handlers ``axml:catch`` / ``axml:catchAll`` / ``axml:retry``
   (§3.2), the hooks of nested forward recovery.
 """

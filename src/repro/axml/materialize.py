@@ -109,28 +109,22 @@ def run_action(
     action: UpdateAction,
     axml_document: AXMLDocument,
     resolver: Optional[Resolver],
-    evaluation: str = "lazy",
 ) -> OperationOutcome:
     """Run *action* against *axml_document*; the caller logs the outcome.
 
-    A query first materializes the embedded calls it needs (``lazy``,
-    §3.1's preferred mode) or all of them (``eager``) through
-    *resolver*; those change records are what make the query
-    compensatable.  ``resolver=None`` skips materialization (a purely
-    local read over already-materialized data).
+    A query first materializes the embedded calls it needs through
+    *resolver* (lazily, §3.1's preferred mode; eager materialization is
+    :meth:`MaterializationEngine.materialize_all`); those change records
+    are what make the query compensatable.  ``resolver=None`` skips
+    materialization (a purely local read over already-materialized data).
     """
-    if evaluation not in ("lazy", "eager"):
-        raise ValueError(f"evaluation must be lazy or eager, not {evaluation!r}")
     meter = TraversalMeter()
     outcome = OperationOutcome(action)
     if action.action_type is ActionType.QUERY:
         if resolver is not None:
-            engine = MaterializationEngine(axml_document, resolver, meter)
-            outcome.materialization = (
-                engine.materialize_for_query(action.location)
-                if evaluation == "lazy"
-                else engine.materialize_all()
-            )
+            outcome.materialization = MaterializationEngine(
+                axml_document, resolver, meter
+            ).materialize_for_query(action.location)
         outcome.query_result = evaluate_select(
             action.location, axml_document.document, meter
         )

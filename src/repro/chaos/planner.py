@@ -224,7 +224,7 @@ FAULT_KINDS: Dict[str, Tuple[str, Callable]] = {
     "service_fault": (
         "service_fault {method}@{peer} [{point}]",
         lambda cluster, config, e: cluster.injector.fault_service(
-            e.peer, e.method, e.fault_name, times=1, point=e.point
+            e.peer, e.method, e.fault_name, point=e.point
         ),
     ),
     "disconnect": (

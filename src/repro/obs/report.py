@@ -76,7 +76,7 @@ def run_summary(metrics: Any, spans: Any = None) -> Dict[str, Any]:
                 "status": span.status,
                 "duration": span.duration,
             }
-            for span in spans.slowest(5)
+            for span in spans.slowest()
         ]
     return sanitize_for_json(summary)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.errors import PeerDisconnected, ServiceFault
 
@@ -101,12 +101,12 @@ class _SpanScope:
 class SpanCollector:
     """Collects spans for one simulation run.
 
-    ``now`` supplies virtual time — pass ``lambda: clock.now`` from the
-    owning network so span timestamps line up with the metrics.
+    ``now`` supplies virtual time — the owning network passes
+    ``lambda: clock.now`` so span timestamps line up with the metrics.
     """
 
-    def __init__(self, now: Optional[Callable[[], float]] = None):
-        self.now: Callable[[], float] = now or (lambda: 0.0)
+    def __init__(self, now: Callable[[], float]):
+        self.now = now
         self.spans: List[Span] = []
         self._stack: List[Span] = []
         self._ids = itertools.count(1)
@@ -120,11 +120,12 @@ class SpanCollector:
         peer: str = "",
         txn_id: str = "",
         parent: Optional[Span] = None,
-        **attrs: str,
+        attrs: Optional[Mapping[str, object]] = None,
     ) -> Span:
         """Open a detached span: it stays off the active stack (for
         long-lived spans, e.g. whole transactions, that outlive strict
-        nesting); its parent is *parent* or the innermost open span."""
+        nesting); its parent is *parent* or the innermost open span.
+        *attrs* annotate it, each value stored as text."""
         return self._open(name, kind, peer, txn_id, parent, attrs, stacked=False)
 
     def span(
@@ -134,7 +135,7 @@ class SpanCollector:
         peer: str = "",
         txn_id: str = "",
         parent: Optional[Span] = None,
-        **attrs: str,
+        attrs: Optional[Mapping[str, object]] = None,
     ) -> "_SpanScope":
         """``with collector.span(...) as span:`` opens a span on the stack
         that ends by the module's rule."""
@@ -142,10 +143,8 @@ class SpanCollector:
 
     def _open(
         self, name: str, kind: str, peer: str, txn_id: str,
-        parent: Optional[Span], attrs: Dict[str, str], stacked: bool,
+        parent: Optional[Span], attrs: Optional[Mapping[str, object]], stacked: bool,
     ) -> Span:
-        # *attrs* is the dict the caller's ``**attrs`` built: passing it
-        # on as ``**attrs`` again would copy it once per span.
         if parent is None and self._stack:
             parent = self._stack[-1]
         span = Span(
@@ -156,7 +155,7 @@ class SpanCollector:
             txn_id=txn_id,
             start=self.now(),
             parent_id=None if parent is None else parent.span_id,
-            attrs={k: str(v) for k, v in attrs.items()},
+            attrs={k: str(v) for k, v in attrs.items()} if attrs else {},
         )
         self.spans.append(span)
         if stacked:
@@ -198,11 +197,11 @@ class SpanCollector:
     def children_of(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 
-    def slowest(self, n: int = 5) -> List[Span]:
-        """The *n* longest finished spans."""
+    def slowest(self) -> List[Span]:
+        """The five longest finished spans."""
         pool = [s for s in self.spans if s.finished]
         pool.sort(key=lambda s: (-(s.duration or 0.0), s.span_id))
-        return pool[:n]
+        return pool[:5]
 
     def summary(self) -> Dict[str, object]:
         """Counts by kind and by status, plus the open-span count."""

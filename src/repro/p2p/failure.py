@@ -15,7 +15,6 @@ keep-alive) messages") is the protocol's own:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (network imports failure)
@@ -47,18 +46,13 @@ def crash_and_restart(network: "SimNetwork", peer_id: str, restart_delay: float)
     return peer
 
 
-@dataclass
-class _FaultScript:
-    fault_name: str
-    remaining: int  # how many invocations still fault (-1 = forever)
-
-
 class FailureInjector:
     """Deterministic, scripted failures for one simulation run."""
 
     def __init__(self, network: SimNetwork):
         self.network = network
-        self._faults: Dict[Tuple[str, str, str], _FaultScript] = {}
+        #: (peer, method, point) → fault the next execution raises.
+        self._faults: Dict[Tuple[str, str, str], str] = {}
         #: (trigger_peer, method, point) → peer to disconnect ("" = spent).
         self._disconnects: Dict[Tuple[str, str, str], str] = {}
         #: (trigger_peer, method, point) → (dead peer, restart delay);
@@ -72,20 +66,19 @@ class FailureInjector:
         peer_id: str,
         method_name: str,
         fault_name: str,
-        times: int = 1,
         point: str = "before_execute",
     ) -> None:
-        """Make the next *times* executions of the service raise a fault.
+        """Make the next execution of the service raise a fault (one-shot).
 
-        ``times=-1`` faults every execution — the shape that defeats
-        bounded retry and forces backward recovery.  ``point`` selects
-        *when* the fault strikes: ``before_execute`` (no work done) or
-        ``after_execute`` — the Fig. 1 shape, where AP5 "fails while
-        processing S5" after having already invoked S6 on AP6.
+        ``point`` selects *when* the fault strikes: ``before_execute``
+        (no work done) or ``after_execute`` — the Fig. 1 shape, where AP5
+        "fails while processing S5" after having already invoked S6 on
+        AP6.  Arming both points faults two executions in a row, which
+        outlasts a single retry.
         """
         if point not in ("before_execute", "after_execute"):
             raise ValueError(f"unknown fault point {point!r}")
-        self._faults[(peer_id, method_name, point)] = _FaultScript(fault_name, times)
+        self._faults[(peer_id, method_name, point)] = fault_name
 
     def disconnect_peer_during(
         self,
@@ -144,13 +137,8 @@ class FailureInjector:
     def check_fault(
         self, peer_id: str, method_name: str, point: str = "before_execute"
     ) -> Optional[str]:
-        """The fault name to raise now, or None.  Consumes one charge."""
-        script = self._faults.get((peer_id, method_name, point))
-        if script is None or script.remaining == 0:
-            return None
-        if script.remaining > 0:
-            script.remaining -= 1
-        return script.fault_name
+        """The fault name to raise now, or None.  Consumes the script."""
+        return self._faults.pop((peer_id, method_name, point), None)
 
     def check_disconnect(self, peer_id: str, method_name: str, point: str) -> bool:
         """Fire any disconnect scripted for this execution point (one-shot).

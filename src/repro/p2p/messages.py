@@ -2,7 +2,8 @@
 
 Invocations are synchronous in the simulation (the caller blocks for the
 result, as a SOAP call would); everything else — aborts, disconnect
-notices, redirected results, pings — travels as one-way notifications.
+notices, redirected results — travels as one-way notifications (a
+keep-alive ping is a network call, :meth:`SimNetwork.ping`).
 All messages are plain dataclasses; the network layer counts and
 delivers them.
 
@@ -161,13 +162,3 @@ class WalShipAck:
     from_peer: str
     to_peer: str
     acked_seq: int = 0
-
-
-@dataclass
-class PingMessage:
-    """Keep-alive probe; the reply is implicit in the network call."""
-
-    KIND: ClassVar[str] = "ping"
-
-    from_peer: str
-    to_peer: str

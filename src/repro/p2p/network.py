@@ -156,7 +156,7 @@ class SimNetwork:
                 "rpc",
                 peer=source_id,
                 txn_id=request.txn_id,
-                target=target_id,
+                attrs={"target": target_id},
             ):
                 return self._rpc_deliver(source_id, target_id, request)
         finally:

@@ -138,7 +138,7 @@ class AXMLPeer:
 
             validator = OptimisticValidator()
         self.manager = TransactionManager(
-            peer_id, self.get_axml_document, validator=validator
+            peer_id, self.get_axml_document, network.spans, validator=validator
         )
         #: Crash durability: a :class:`~repro.txn.modes.DurabilityPolicy`
         #: enables the on-disk WAL (:mod:`repro.txn.durable_wal`);
@@ -163,7 +163,6 @@ class AXMLPeer:
         #: Transactions currently executing on this peer (services run
         #: synchronously, so a stack suffices).
         self._txn_stack: List[str] = []
-        self.manager.bind_observability(network.spans)
         network.register(self)
 
     # ------------------------------------------------------------------
@@ -322,14 +321,14 @@ class AXMLPeer:
     # ------------------------------------------------------------------
 
     def begin_transaction(
-        self, parent_span: Optional[Span] = None, **span_attrs: str
+        self, parent_span: Optional[Span] = None, attempt: Optional[int] = None
     ) -> Transaction:
         """Begin a transaction with this peer as origin (§3.2).
 
         ``parent_span`` nests the transaction span under a caller-owned
         span — the scheduler uses this to group retry attempts of one
-        logical client transaction as siblings; ``span_attrs`` (e.g.
-        ``attempt="2"``) are attached to the transaction span.
+        logical client transaction as siblings, and numbers them with
+        ``attempt`` (an attribute of the transaction span).
         """
         transaction = Transaction.begin(self.peer_id)
         self.manager.begin(transaction)
@@ -343,7 +342,7 @@ class AXMLPeer:
             peer=self.peer_id,
             txn_id=transaction.txn_id,
             parent=parent_span,
-            **span_attrs,
+            attrs=None if attempt is None else {"attempt": attempt},
         )
         return transaction
 
@@ -356,14 +355,9 @@ class AXMLPeer:
             span, record.span = record.span, None
             self.network.spans.end(span, status=outcome)
 
-    def submit(
-        self,
-        txn_id: str,
-        action,
-        document_name: Optional[str] = None,
-        evaluation: str = "lazy",
-    ) -> OperationOutcome:
-        """Execute one local operation under the transaction.
+    def submit(self, txn_id: str, action) -> OperationOutcome:
+        """Execute one local operation under the transaction, on its
+        location's document.
 
         ``action`` is an :class:`UpdateAction` or its XML text.  Queries
         lazily materialize embedded calls — possibly invoking remote
@@ -372,15 +366,13 @@ class AXMLPeer:
         self._check_alive()
         if isinstance(action, str):
             action = parse_action(action)
-        document_name = document_name or action.location.document_name
         self._txn_stack.append(txn_id)
         try:
             outcome = self.manager.execute(
                 txn_id,
                 action,
-                document_name,
+                action.location.document_name,
                 resolver=self.materialization_resolver(),
-                evaluation=evaluation,
                 timestamp=self.network.clock.now,
             )
         finally:
@@ -424,7 +416,7 @@ class AXMLPeer:
             peer=self.peer_id,
             txn_id=txn_id,
             parent=spans.current() or record.span,
-            target=target_peer,
+            attrs={"target": target_peer},
         ) as span:
             edge = context.record_invocation(target_peer, method_name, self.network.next_edge_id())
             chain = self._chain(txn_id)
@@ -640,7 +632,7 @@ class AXMLPeer:
             "service",
             peer=self.peer_id,
             txn_id=request.txn_id,
-            sender=request.sender,
+            attrs={"sender": request.sender},
         ):
             self._txn_stack.append(request.txn_id)
             # This execution is one frame of the share: what it logs and

@@ -232,7 +232,6 @@ def _run_local(
     action_xml: str,
     descriptor: ServiceDescriptor,
     host: ServiceHost,
-    evaluation: str = "lazy",
 ) -> Tuple[OperationOutcome, ServiceResponse]:
     """Run *action* on its document and log the changes before anything
     else happens: a later delegation may fail, and the local work must
@@ -241,7 +240,7 @@ def _run_local(
     document_name = descriptor.target_document or action.location.document_name
     query = action.action_type is ActionType.QUERY
     resolver = host.materialization_resolver() if query else None  # only a query reads it
-    outcome = run_action(action, host.get_axml_document(document_name), resolver, evaluation)
+    outcome = run_action(action, host.get_axml_document(document_name), resolver)
     records = outcome.change_records()
     if records:
         host.record_changes(records, document_name, action_xml, action)
@@ -263,21 +262,13 @@ class QueryService(Service):
     so even a *query* service produces change records (§3.1).
     """
 
-    def __init__(
-        self,
-        descriptor: ServiceDescriptor,
-        template: str,
-        evaluation: str = "lazy",
-    ):
+    def __init__(self, descriptor: ServiceDescriptor, template: str):
         super().__init__(descriptor)
-        if evaluation not in ("lazy", "eager"):
-            raise ServiceError(f"evaluation must be lazy or eager, not {evaluation!r}")
         self.template = template
-        self.evaluation = evaluation
 
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
         action = UpdateAction(ActionType.QUERY, parse_select(substitute(self.template, params)))
-        return _run_local(action, action.to_xml(), self.descriptor, host, self.evaluation)[1]
+        return _run_local(action, action.to_xml(), self.descriptor, host)[1]
 
 
 class UpdateService(Service):

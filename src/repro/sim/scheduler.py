@@ -148,6 +148,7 @@ class _TxnState:
     txn_id: str = ""
     txn_ids: List[str] = field(default_factory=list)
     client_span: Optional[Span] = None
+    #: Closed-loop clients chain their next transaction here.
     on_complete: Optional[Callable[[TxnResult], None]] = None
 
 
@@ -197,15 +198,10 @@ class TransactionScheduler:
 
     # -- arrival generation --------------------------------------------
 
-    def submit(
-        self,
-        spec: TxnSpec,
-        at_time: float = 0.0,
-        on_complete: Optional[Callable[[TxnResult], None]] = None,
-    ) -> None:
+    def submit(self, spec: TxnSpec, at_time: float = 0.0) -> None:
         """Schedule *spec* to arrive at absolute virtual time *at_time*."""
         self._expected += 1
-        self._enqueue(spec, at_time, on_complete)
+        self._enqueue(spec, at_time)
 
     def _enqueue(
         self,
@@ -296,11 +292,11 @@ class TransactionScheduler:
                 f"client:{state.spec.label}",
                 "client",
                 peer=state.spec.origin,
-                label=state.spec.label,
+                attrs={"label": state.spec.label},
             )
         origin = self.network.get_peer(state.spec.origin)
         transaction = origin.begin_transaction(
-            parent_span=state.client_span, attempt=str(state.attempt)
+            parent_span=state.client_span, attempt=state.attempt
         )
         state.txn_id = transaction.txn_id
         state.txn_ids.append(transaction.txn_id)

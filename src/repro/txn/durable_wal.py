@@ -59,7 +59,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.txn.checkpoint import Checkpoint, CheckpointStore
@@ -73,6 +73,10 @@ from repro.txn.wal import (
     _encode_frame,
     _read_frame,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.kernel import EventQueue
+    from repro.sim.metrics import MetricsCollector
 
 MAGIC = "AXMLWAL"
 VERSION = 1
@@ -115,10 +119,10 @@ class DurableWal:
     def __init__(
         self,
         policy: DurabilityPolicy,
-        peer_id: str = "",
-        metrics=None,
-        events=None,
-        document_source: Optional[Callable[[], Dict[str, str]]] = None,
+        peer_id: str,
+        metrics: "MetricsCollector",
+        events: "EventQueue",
+        document_source: Callable[[], Dict[str, str]],
     ):
         #: The peer's durability settings (directory, ``wal_batch``,
         #: ``checkpoint_every``), validated where they are spelled.
@@ -151,7 +155,7 @@ class DurableWal:
         #: What the last :meth:`reload` recovered (a :class:`WalScan`).
         self.last_recovery: Optional[WalScan] = None
         self._timer = None
-        if events is not None and policy.wal_batch > 1:
+        if policy.wal_batch > 1:
             from repro.sim.kernel import OneShotTimer
 
             self._timer = OneShotTimer(events, self.flush)
@@ -189,16 +193,12 @@ class DurableWal:
             self._fh.write(f"{MAGIC} {VERSION} {self.peer_id}\n".encode("utf-8"))
             self._fh.flush()
 
-    def _incr(self, name: str, amount: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.incr(name, amount)
-
     # -- the log's mutations -----------------------------------------------
 
     def on_append(self, entry: LogEntry) -> None:
         self._last_seq = max(self._last_seq, entry.seq)
-        self._incr("wal_appends")
-        self._incr("wal_bytes", entry_bytes(entry))
+        self.metrics.incr("wal_appends")
+        self.metrics.incr("wal_bytes", entry_bytes(entry))
         self._appends_since_ckpt += 1
         self._pending.append((entry, _encode_frame("E", entry_to_xml(entry))))
         if self.policy.wal_batch <= 1:
@@ -214,7 +214,7 @@ class DurableWal:
         # it settles, so any buffered batch flushes first.
         self._barrier()
         self._write_frames([_encode_frame("T", txn_id)])
-        self._incr("wal_tombstones")
+        self.metrics.incr("wal_tombstones")
         self._after_write()
 
     # -- group commit ------------------------------------------------------
@@ -231,7 +231,7 @@ class DurableWal:
     def _barrier(self) -> int:
         wrote = self._flush_pending()
         if wrote:
-            self._incr("wal_batch_flushes")
+            self.metrics.incr("wal_batch_flushes")
         return wrote
 
     def _flush_pending(self) -> int:
@@ -264,7 +264,7 @@ class DurableWal:
         dropped = self.pending_entries()
         self._drop_pending()
         if dropped:
-            self._incr("wal_unflushed_discarded", len(dropped))
+            self.metrics.incr("wal_unflushed_discarded", len(dropped))
         return dropped
 
     # -- framing ----------------------------------------------------------
@@ -314,10 +314,7 @@ class DurableWal:
         if self._ckpt_store is None:
             return None
         self._barrier()
-        documents = (
-            dict(self._document_source())
-            if self._document_source is not None else {}
-        )
+        documents = dict(self._document_source())
         self._fh.close()
         self._open_segment(self._segment_index + 1)
         checkpoint = Checkpoint(
@@ -335,8 +332,8 @@ class DurableWal:
         self._ckpt_index = checkpoint.index
         self._prev_tail = checkpoint.tail_segment
         self._appends_since_ckpt = 0
-        self._incr("checkpoints")
-        self._incr("checkpoint_bytes", checkpoint.logical_bytes())
+        self.metrics.incr("checkpoints")
+        self.metrics.incr("checkpoint_bytes", checkpoint.logical_bytes())
         return checkpoint
 
     # -- scanning ---------------------------------------------------------
@@ -450,10 +447,10 @@ class DurableWal:
         self._drop_pending()
         scan = self.load()
         if scan.torn:
-            self._incr("wal_torn_tails")
+            self.metrics.incr("wal_torn_tails")
         if scan.checkpoint_torn:
-            self._incr("checkpoints_torn", scan.checkpoint_torn)
-        self._incr("recovery_replay_entries", scan.replayed)
+            self.metrics.incr("checkpoints_torn", scan.checkpoint_torn)
+        self.metrics.incr("recovery_replay_entries", scan.replayed)
         seqs = [e.seq for e in scan.entries]
         self._last_seq = max(seqs, default=self._last_seq)
         self.last_durable_seq = max(seqs, default=0)
@@ -465,7 +462,7 @@ class DurableWal:
         self._prev_tail = 0
         self._appends_since_ckpt = 0
         self._compact(scan.entries)
-        self._incr("wal_reloads")
+        self.metrics.incr("wal_reloads")
         self.last_recovery = scan
         return list(scan.entries)
 

@@ -37,6 +37,7 @@ class TransactionManager:
         self,
         peer_id: str,
         document_provider: DocumentProvider,
+        spans: "SpanCollector",
         validator: Optional["OptimisticValidator"] = None,
     ):
         self.peer_id = peer_id
@@ -49,26 +50,10 @@ class TransactionManager:
         self.validator = validator
         #: Total nodes traversed by compensation at this peer (§3.2 cost).
         self.compensation_cost = 0
-        #: Optional observability sink (see :meth:`bind_observability`).
-        self.spans: Optional["SpanCollector"] = None
-
-    def bind_observability(self, spans: "SpanCollector") -> None:
-        """Emit compensation/recovery spans into *spans* from now on.
-
-        The owning peer binds its network's collector here so every
-        compensation run shows up in the transaction's span tree.
-        """
+        #: Where compensation steps open their spans: the owning peer
+        #: passes its network's collector, so every compensation run
+        #: shows up in the transaction's span tree.
         self.spans = spans
-
-    def _span(self, name: str, txn_id: str, **attrs: str):
-        """A compensation-step span, or a no-op when unbound."""
-        if self.spans is None:
-            from contextlib import nullcontext
-
-            return nullcontext()
-        return self.spans.span(
-            name, "compensation", peer=self.peer_id, txn_id=txn_id, **attrs
-        )
 
     # -- context lifecycle ---------------------------------------------------
 
@@ -124,16 +109,13 @@ class TransactionManager:
         action: UpdateAction,
         document_name: str,
         resolver: Optional[Resolver] = None,
-        evaluation: str = "lazy",
         timestamp: float = 0.0,
     ) -> OperationOutcome:
         """Run one operation under the transaction (:func:`run_action`)
         and log it, records or none, as a ``query`` or ``update`` entry."""
         context = self.context(txn_id)
         context.require_active()
-        outcome = run_action(
-            action, self._document_provider(document_name), resolver, evaluation
-        )
+        outcome = run_action(action, self._document_provider(document_name), resolver)
         records = outcome.change_records()
         outcome.log_entry = self._log(
             context,
@@ -247,7 +229,10 @@ class TransactionManager:
         txn_id = context.txn_id
         meter = TraversalMeter()
         plans = build_compensation_for_entries(entries)
-        with self._span(f"compensate:{txn_id}", txn_id, plans=str(len(plans))):
+        with self.spans.span(
+            f"compensate:{txn_id}", "compensation", peer=self.peer_id, txn_id=txn_id,
+            attrs={"plans": len(plans)},
+        ):
             executed = self._run_plans(plans, meter)
         self.compensation_cost += meter.nodes_traversed
         undone = {e.seq for e in entries}
@@ -341,8 +326,9 @@ class TransactionManager:
         plan = CompensationPlan.from_xml(plan_xml)
         document = self._document_provider(plan.document_name).document
         meter = TraversalMeter()
-        with self._span(
-            f"apply_compensation:{plan.document_name}", "", actions=str(len(plan))
+        with self.spans.span(
+            f"apply_compensation:{plan.document_name}", "compensation", peer=self.peer_id,
+            attrs={"actions": len(plan)},
         ):
             plan.execute(document, meter)
         self.compensation_cost += meter.nodes_traversed

@@ -20,7 +20,7 @@ A participant is **safe** when
   them against the replica).
 
 Atomicity is guaranteed exactly when every participant that performed
-modifications is safe.
+modifications is safe; the analysis counts every participant as one.
 """
 
 from __future__ import annotations
@@ -50,28 +50,25 @@ class SphereAnalysis:
 def analyze_sphere(
     participants: Iterable[str],
     super_peers: Iterable[str],
-    modifying_peers: Iterable[str] = (),
     replicas_on_super_peers: Mapping[str, bool] = None,
     peer_independent: bool = False,
 ) -> SphereAnalysis:
     """Check whether a transaction's atomicity is guaranteed.
 
-    ``participants`` — every peer involved in the transaction;
+    ``participants`` — every peer involved in the transaction, each
+    assumed to modify (the conservative assumption);
     ``super_peers`` — the trusted peers that never disconnect;
-    ``modifying_peers`` — participants that performed modifications
-    (defaults to all participants — the conservative assumption);
     ``replicas_on_super_peers`` — per-peer: are all its modified
     documents replicated on some super peer?
     ``peer_independent`` — is peer-independent compensation in use?
     """
     participant_set = frozenset(participants)
     super_set = set(super_peers)
-    modifying = set(modifying_peers) or set(participant_set)
     replicas = dict(replicas_on_super_peers or {})
 
     at_risk: Set[str] = set()
     reasons: Dict[str, str] = {}
-    for peer in modifying:
+    for peer in sorted(participant_set):
         if peer in super_set:
             continue
         if peer_independent and replicas.get(peer, False):

@@ -258,6 +258,10 @@ def test_removed_members_stay_removed():
         (TransactionContext, "invoked_peers"), (SimNetwork(), "hop_latency"),
         # an alias of clone_tree, which always keeps ids
         (Document, "clone"), (SimNetwork(), "_peers"),
+        # the span collector is a constructor argument
+        (TransactionManager, "bind_observability"), (TransactionManager, "_span"),
+        # no program path sent one: a ping is SimNetwork.ping
+        (importlib.import_module("repro.p2p.messages"), "PingMessage"),
     ):
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
     assert "parse_equivalent" not in inspect.signature(Document.clone_tree).parameters
@@ -333,6 +337,27 @@ def test_one_rejoin_mode_and_four_durability_knobs():
     assert "flush_interval" not in inspect.signature(DurableWal).parameters
 
 
+def test_collaborators_every_caller_passes_are_required():
+    """The WAL's peer, metrics, event queue and document source, the
+    manager's span collector and the collector's clock have no default:
+    every program caller passes them, so no ``is None`` branch waits."""
+    import inspect
+
+    from repro.obs.spans import SpanCollector
+    from repro.txn.durable_wal import DurableWal
+    from repro.txn.manager import TransactionManager
+
+    for callee, names in (
+        (DurableWal, ("policy", "peer_id", "metrics", "events", "document_source")),
+        (TransactionManager, ("peer_id", "document_provider", "spans")),
+        (SpanCollector, ("now",)),
+    ):
+        parameters = inspect.signature(callee).parameters
+        assert [parameters[name].default for name in names] == [inspect.Parameter.empty] * len(
+            names
+        ), callee
+
+
 #: Options whose only non-default callers were tests: each is a constant
 #: now (``HOP_LATENCY``, ``HISTORY_LIMIT``, ``MAX_DEPTH``, ...) or gone, so
 #: passing one fails before the callee runs.
@@ -398,6 +423,28 @@ REMOVED_KEYWORDS = [
     ("repro.sim.kernel:Clock", (), {"start": 1.0}),
     ("repro.sim.workload:poisson_arrival_times", (None, 1.0, 1), {"start": 1.0}),
     ("repro.api:Cluster.run_topology", (None,), {"root": "AP3"}),
+    # queries materialize lazily; eager is MaterializationEngine.materialize_all
+    ("repro.api:Transaction.submit", (None, "<a/>"), {"evaluation": "eager"}),
+    ("repro.p2p.peer:AXMLPeer.submit", (None, "T1", "<a/>"), {"evaluation": "eager"}),
+    ("repro.txn.manager:TransactionManager.execute", (None, "T1", None, "D"),
+     {"evaluation": "eager"}),
+    ("repro.axml.materialize:run_action", (None, None, None), {"evaluation": "eager"}),
+    ("repro.services.service:_run_local", (None, "", None, None), {"evaluation": "eager"}),
+    ("repro.services.service:QueryService", (None, ""), {"evaluation": "eager"}),
+    # defaults no traffic moved
+    ("repro.api:Transaction.submit", (None, "<a/>"), {"document_name": "D"}),
+    ("repro.p2p.peer:AXMLPeer.submit", (None, "T1", "<a/>"), {"document_name": "D"}),
+    ("repro.api:Transaction.invoke", (None, "P", "m"), {"policies": ()}),
+    ("repro.sim.scheduler:TransactionScheduler.submit", (None, None), {"on_complete": None}),
+    ("repro.txn.spheres:analyze_sphere", ((), ()), {"modifying_peers": ()}),
+    ("repro.obs.spans:SpanCollector.slowest", (None,), {"n": 2}),
+    ("repro.p2p.failure:FailureInjector.fault_service", (None, "P", "m", "F"), {"times": 2}),
+    # span attributes are one mapping: a stray keyword is no attribute
+    ("repro.obs.spans:SpanCollector.start", (None, "t", "transaction"), {"detached": True}),
+    ("repro.obs.spans:SpanCollector.span", (None, "s", "rpc"), {"target": "AP2"}),
+    ("repro.p2p.peer:AXMLPeer.begin_transaction", (None,), {"label": "c1"}),
+    ("repro.api:Transaction", (None,), {"attempt": "2"}),
+    ("repro.api:Session.transaction", (None,), {"attempt": "2"}),
 ]
 
 
@@ -417,10 +464,12 @@ def test_removed_keyword_is_rejected(target, args, kwargs):
 def test_wal_has_one_compaction_per_run(tmp_path):
     """Checkpoints bound replay during a run and ``reload`` compacts at
     restart; there is no segment rollover beside them."""
+    from repro.sim.kernel import Clock, EventQueue
+    from repro.sim.metrics import MetricsCollector
     from repro.txn.durable_wal import DurableWal
-
     from repro.txn.modes import DurabilityPolicy
 
-    with DurableWal(DurabilityPolicy(str(tmp_path))) as wal:
+    policy = DurabilityPolicy(str(tmp_path))
+    with DurableWal(policy, "P", MetricsCollector(), EventQueue(Clock()), dict) as wal:
         for name in ("segment_max_frames", "_segment_frames"):
             assert not hasattr(wal, name)

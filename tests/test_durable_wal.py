@@ -5,7 +5,8 @@ import os
 import pytest
 
 from repro.errors import ReproError, TransactionError, XmlParseError
-from repro.sim.kernel import ScratchSpace
+from repro.sim.kernel import Clock, EventQueue, ScratchSpace
+from repro.sim.metrics import MetricsCollector
 from repro.txn.durable_wal import DurableWal
 from repro.txn.modes import DurabilityPolicy
 from repro.txn.wal import (
@@ -40,6 +41,15 @@ def make_entry(seq, txn_id="T1", action="<a/>"):
     )
 
 
+def open_wal(directory, metrics=None, **policy_kwargs):
+    """Peer P1's WAL over *directory*, with its own metrics and an event
+    queue no test runs (a group-commit timer never fires by itself)."""
+    return DurableWal(
+        DurabilityPolicy(str(directory), **policy_kwargs), "P1",
+        MetricsCollector() if metrics is None else metrics, EventQueue(Clock()), dict,
+    )
+
+
 def segment_files(directory):
     return sorted(n for n in os.listdir(directory) if n.endswith(".seg"))
 
@@ -70,7 +80,7 @@ class TestEntryCodec:
 
 class TestAppendAndLoad:
     def test_append_load_roundtrip(self, tmp_path):
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
@@ -81,7 +91,7 @@ class TestAppendAndLoad:
         wal.close()
 
     def test_tombstone_filters_truncated_txn(self, tmp_path):
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
@@ -97,7 +107,7 @@ class TestAppendAndLoad:
         # id after the tombstone.  Those entries are live — a tombstone
         # suppresses only what precedes it in the stream, and a restart
         # must recover the retry's share.
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
@@ -108,17 +118,17 @@ class TestAppendAndLoad:
             (retried.seq, "T1", "<b/>")
         ]
         wal.close()
-        reopened = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        reopened = open_wal(tmp_path)
         assert [e.action_xml for e in reopened.load().entries] == ["<b/>"]
         reopened.close()
 
     def test_restart_adopts_directory(self, tmp_path):
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
         wal.close()
-        reopened = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        reopened = open_wal(tmp_path)
         restored = OperationLog("P1")
         restored.attach(reopened)
         restored.recover()
@@ -129,7 +139,7 @@ class TestAppendAndLoad:
         reopened.close()
 
     def test_empty_directory_loads_empty(self, tmp_path):
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal = open_wal(tmp_path)
         scan = wal.load()
         assert scan.entries == [] and not scan.torn
         wal.close()
@@ -137,7 +147,7 @@ class TestAppendAndLoad:
 
 class TestTornTail:
     def _wal_with_entries(self, tmp_path, count=3):
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(count):
@@ -150,7 +160,7 @@ class TestTornTail:
         seg = tmp_path / segment_files(tmp_path)[-1]
         data = seg.read_bytes()
         seg.write_bytes(data[:-5])  # chop mid-frame
-        wal2 = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal2 = open_wal(tmp_path)
         # The torn frame is gone; the durable prefix survives.
         assert [e.seq for e in wal2.load().entries] == [1, 2]
         wal2.close()
@@ -181,7 +191,7 @@ class TestTornTail:
         wal.close()
         seg = tmp_path / segment_files(tmp_path)[-1]
         seg.write_bytes(seg.read_bytes()[:-5])
-        wal2 = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal2 = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal2)
         log.recover()
@@ -198,7 +208,7 @@ class TestHostileDirectory:
     WAL's segments/checkpoints are ignored, unknown versions rejected."""
 
     def _three_entries(self, tmp_path, **policy_kwargs):
-        wal = DurableWal(DurabilityPolicy(str(tmp_path), **policy_kwargs), peer_id="P1")
+        wal = open_wal(tmp_path, **policy_kwargs)
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(3):
@@ -207,14 +217,12 @@ class TestHostileDirectory:
         return tmp_path / segment_files(tmp_path)[-1]
 
     def test_undecodable_payload_is_a_torn_tail(self, tmp_path):
-        from repro.sim.metrics import MetricsCollector
-
         seg = self._three_entries(tmp_path)
         data = bytearray(seg.read_bytes())
         data[-10] = 0xFF  # inside the last frame's payload: not UTF-8
         seg.write_bytes(bytes(data))
         metrics = MetricsCollector()
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1", metrics=metrics)
+        wal = open_wal(tmp_path, metrics=metrics)
         assert [e.seq for e in wal.last_recovery.entries] == [1, 2]
         assert metrics.get("wal_torn_tails") == 1
         assert [e.seq for e in wal.reload()] == [1, 2]
@@ -225,7 +233,7 @@ class TestHostileDirectory:
         seg = self._three_entries(tmp_path)
         with open(seg, "ab") as handle:
             handle.write(_encode_frame("E", text))
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal = open_wal(tmp_path)
         assert wal.last_recovery.torn
         assert [e.seq for e in wal.last_recovery.entries] == [1, 2, 3]
         wal.close()
@@ -240,13 +248,13 @@ class TestHostileDirectory:
 
         monkeypatch.setattr(durable_wal, "entry_from_xml", broken)
         with pytest.raises(RuntimeError):
-            DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+            open_wal(tmp_path)
 
     @pytest.mark.parametrize("stray", ["wal-backup.seg", "wal-1.seg", "wal-0000001.seg"])
     def test_foreign_segment_names_are_ignored(self, tmp_path, stray):
         self._three_entries(tmp_path)
         (tmp_path / stray).write_bytes(b"not ours\n")
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal = open_wal(tmp_path)
         assert [e.seq for e in wal.load().entries] == [1, 2, 3]
         assert (tmp_path / stray).read_bytes() == b"not ours\n"
         wal.close()
@@ -254,7 +262,7 @@ class TestHostileDirectory:
     def test_foreign_checkpoint_names_are_ignored(self, tmp_path):
         self._three_entries(tmp_path, checkpoint_every=2)
         (tmp_path / "ckpt-backup.ckpt").write_bytes(b"not ours\n")
-        wal = DurableWal(DurabilityPolicy(str(tmp_path), checkpoint_every=2), peer_id="P1")
+        wal = open_wal(tmp_path, checkpoint_every=2)
         assert [e.seq for e in wal.load().entries] == [1, 2, 3]
         assert (tmp_path / "ckpt-backup.ckpt").exists()
         wal.close()
@@ -265,7 +273,7 @@ class TestHostileDirectory:
         data = seg.read_bytes()
         assert data.startswith(b"AXMLWAL 1 P1\n")
         seg.write_bytes(header + data[data.index(b"\n"):])
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal = open_wal(tmp_path)
         assert wal.last_recovery.torn and wal.last_recovery.entries == []
         wal.close()
 
@@ -297,7 +305,7 @@ class TestRolloverCompaction:
     then rolls the live entries over into a fresh segment."""
 
     def test_rollover_drops_tombstoned_frames(self, tmp_path):
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")
@@ -312,23 +320,21 @@ class TestRolloverCompaction:
         wal.close()
 
     def test_restart_after_rollover(self, tmp_path):
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")
+        wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(300):
             log.append(f"T{i}", "update", "D", "<a/>")
         assert segment_files(tmp_path) == ["wal-000001.seg"]
         wal.close()
-        wal2 = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1")  # adopting the directory reloads
+        wal2 = open_wal(tmp_path)  # adopting the directory reloads
         assert segment_files(tmp_path) == ["wal-000002.seg"]
         assert len(wal2.load().entries) == 300
         wal2.close()
 
     def test_metrics_counters(self, tmp_path):
-        from repro.sim.metrics import MetricsCollector
-
         metrics = MetricsCollector()
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1", metrics=metrics)
+        wal = open_wal(tmp_path, metrics=metrics)
         log = OperationLog("P1")
         log.attach(wal)
         for _ in range(3):
@@ -340,11 +346,10 @@ class TestRolloverCompaction:
         wal.close()
 
     def test_wal_bytes_matches_logical_accounting(self, tmp_path):
-        from repro.sim.metrics import MetricsCollector
         from repro.txn.wal import entry_bytes
 
         metrics = MetricsCollector()
-        wal = DurableWal(DurabilityPolicy(str(tmp_path)), peer_id="P1", metrics=metrics)
+        wal = open_wal(tmp_path, metrics=metrics)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>")

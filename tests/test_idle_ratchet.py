@@ -1,8 +1,9 @@
-"""tools/traffic_census.py: idle code is a ratchet."""
+"""tools/traffic_census.py: idle code and never-moved defaults are ratchets."""
 
 import importlib.util
 import json
 import os
+import sys
 import textwrap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -76,10 +77,10 @@ def test_a_listed_function_that_is_entered_or_deleted_asks_to_be_banked(tmp_path
         "src/pkg/mod.py::Store.drop: listed but gone — bank it (--update)",
         "src/pkg/mod.py::helper: listed but no longer idle — bank it (--update)",
     ]
-    assert tool.banked(listed, functions, entered) == {}
+    assert tool.bank(listed, tool.idle_functions(functions, entered)) == {}
     # --update only removes entries: an idle function it finds unlisted stays a finding.
     functions, entered = _census(tmp_path, SOURCE, {"Store.put"})
-    assert tool.banked(listed, functions, entered) == listed
+    assert tool.bank(listed, tool.idle_functions(functions, entered)) == listed
 
 
 def test_a_line_shift_is_not_a_finding(tmp_path):
@@ -165,3 +166,113 @@ def test_sites_and_keys_match_the_code_objects_the_hook_sees(tmp_path):
         code = function.__code__
         site = functions[code.co_filename, code.co_firstlineno]
         assert site.key == f"src/pkg/mod.py::{function.__qualname__}"
+
+
+KNOBS = "src/pkg/mod.py::Store.put(value)", "src/pkg/mod.py::scale(factor)"
+KNOB_SOURCE = SOURCE.replace("def put(self, key, value):", "def put(self, key, value=None):") + '''
+
+def scale(x, factor=2, *, offset=0):
+    return x * factor + offset
+'''
+
+
+def test_defaulted_parameters_are_read_from_the_ast(tmp_path):
+    tool = _tool()
+    functions, _ = _census(tmp_path, KNOB_SOURCE, set())
+    assert sorted(tool.defined_knobs(functions)) == [
+        "src/pkg/mod.py::Store.put(value)",
+        "src/pkg/mod.py::scale(factor)", "src/pkg/mod.py::scale(offset)",
+    ]
+
+
+def test_an_unlisted_never_moved_default_is_a_finding(tmp_path):
+    tool = _tool()
+    functions, _ = _census(tmp_path, KNOB_SOURCE, set())
+    assert tool.knob_findings({}, KNOBS, functions) == [
+        f"{key}: never moved and not listed — make it a constant, delete it, "
+        "or list it with a reason"
+        for key in KNOBS
+    ]
+    listed = {key: "reference" for key in KNOBS}
+    assert tool.knob_findings(listed, KNOBS, functions) == []
+
+
+def test_a_listed_default_that_moved_or_went_is_banked_by_update(tmp_path):
+    tool = _tool()
+    listed = {key: "derived" for key in KNOBS}
+    gone = KNOB_SOURCE.replace("def scale(x, factor=2,", "def scale(x, factor,")
+    functions, _ = _census(tmp_path, gone, set())
+    # put's value moved; scale's factor lost its default.
+    assert tool.knob_findings(listed, (), functions) == [
+        "src/pkg/mod.py::Store.put(value): listed but moved — bank it (--update)",
+        "src/pkg/mod.py::scale(factor): listed but gone — bank it (--update)",
+    ]
+    assert tool.bank(listed, ()) == {}
+    assert tool.knob_findings(tool.bank(listed, ()), (), functions) == []
+    # --update only removes entries: an unlisted never-moved default stays a finding.
+    assert tool.bank({}, KNOBS) == {}
+
+
+def test_an_unknown_knob_reason_is_a_finding(tmp_path):
+    tool = _tool()
+    functions, _ = _census(tmp_path, KNOB_SOURCE, set())
+    listed = {KNOBS[0]: "reference", KNOBS[1]: "tests-only"}
+    assert tool.knob_findings(listed, KNOBS, functions) == [
+        f"{KNOBS[1]}: reason 'tests-only' is not one of "
+        + ", ".join(sorted(tool.KNOB_REASONS)),
+    ]
+
+
+def test_check_exits_1_on_an_unlisted_never_moved_default(tmp_path, monkeypatch, capsys):
+    """The hook over real calls: ``scale``'s ``factor`` is never moved (a
+    finding until listed), ``put``'s ``value`` always is (reported as a
+    default only tests could rely on), and ``offset`` moves once."""
+    tool = _tool()
+    source = KNOB_SOURCE + '''
+
+def run():
+    store = Store()
+    store.put("k", 1)
+    store.drop("k")
+    helper()
+    scale(1, offset=1)
+    scale(2)
+'''
+    functions, _ = _census(tmp_path, source, set())
+    spec = importlib.util.spec_from_file_location("mod", tmp_path / "src" / "pkg" / "mod.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(tool, "SRC_PREFIX", str(tmp_path / "src") + os.sep)
+    tool.DEFAULTED.update(site for site, f in functions.items() if f.defaults)
+    previous = sys.getprofile()
+    sys.setprofile(tool.hook)
+    try:
+        module.run()
+    finally:
+        sys.setprofile(previous)
+    assert sorted(tool.knob_lines(functions, tool.unmoved).values()) == [
+        "src/pkg/mod.py::scale(factor=2)  2 calls",
+    ]
+    assert sorted(tool.knob_lines(functions, tool.always_moved).values()) == [
+        "src/pkg/mod.py::Store.put(value=None)  1 calls",
+    ]
+    idle, knobs = tmp_path / "idle.json", tmp_path / "knobs.json"
+    idle.write_text("{}")  # every function ran
+    knobs.write_text("{}")
+    monkeypatch.setattr(tool, "RATCHET", idle)
+    monkeypatch.setattr(tool, "KNOB_RATCHET", knobs)
+    assert tool.verdict(["--check"], functions) == 1
+    assert "scale(factor): never moved and not listed" in capsys.readouterr().err
+    knobs.write_text(json.dumps({"src/pkg/mod.py::scale(factor)": "reference"}))
+    assert tool.verdict(["--check"], functions) == 0
+
+
+def test_committed_knob_list_names_defaulted_parameters_with_valid_reasons():
+    """What can be checked without traffic: each entry names a defaulted
+    parameter under src/ and gives a reason from the closed set."""
+    tool = _tool()
+    with open(os.path.join(ROOT, "tools", "knob_ratchet.json"), encoding="utf-8") as handle:
+        listed = json.load(handle)
+    defined = tool.defined_knobs(tool.defined_functions())
+    assert sorted(key for key in listed if key not in defined) == []
+    assert sorted(key for key, reason in listed.items() if reason not in tool.KNOB_REASONS) == []

@@ -13,7 +13,10 @@ in-memory log agrees with what the WAL would recover.
 import pytest
 
 from repro.axml.document import AXMLDocument
+from repro.obs.spans import SpanCollector
 from repro.query.parser import parse_action
+from repro.sim.kernel import Clock, EventQueue
+from repro.sim.metrics import MetricsCollector
 from repro.txn.durable_wal import DurableWal
 from repro.txn.manager import TransactionManager
 from repro.txn.modes import DurabilityPolicy
@@ -64,12 +67,12 @@ def _script(manager, wal):
 
 def _world(directory=None, **policy_kwargs):
     document = AXMLDocument.from_xml("<D><slots/></D>", name="D")
-    manager = TransactionManager("P", {"D": document}.__getitem__)
+    manager = TransactionManager("P", {"D": document}.__getitem__, SpanCollector(lambda: 0.0))
     wal = None
     if directory is not None:
         wal = DurableWal(
-            DurabilityPolicy(str(directory), **policy_kwargs), peer_id="P",
-            document_source=lambda: {"D": document.to_xml()},
+            DurabilityPolicy(str(directory), **policy_kwargs), "P", MetricsCollector(),
+            EventQueue(Clock()), lambda: {"D": document.to_xml()},
         )
         manager.log.attach(wal)
     return manager, wal, document

@@ -9,7 +9,6 @@ from repro.p2p.messages import (
     CompensationRequest,
     DisconnectNotice,
     InvokeRequest,
-    PingMessage,
     RedirectedResult,
 )
 from repro.xmlstore.names import (
@@ -87,7 +86,6 @@ class TestMessages:
         assert (notice.disconnected_peer, notice.detected_by) == ("dead", "seer")
         redirect = RedirectedResult("T1", "child", "dead", "S6", ["<r/>"])
         assert redirect.method_name == "S6"
-        assert PingMessage("a", "b").to_peer == "b"
 
     def test_distinct_requests_do_not_share_mutables(self):
         a, b = InvokeRequest("T1", "O", "S", "m"), InvokeRequest("T2", "O", "S", "m")

@@ -96,7 +96,7 @@ class TestHistogramEdges:
 
 class TestSpanCollector:
     def test_stack_parenting(self):
-        spans = SpanCollector()
+        spans = SpanCollector(lambda: 0.0)
         with spans.span("outer", "invoke") as outer:
             with spans.span("inner", "rpc") as inner:
                 assert inner.parent_id == outer.span_id
@@ -105,7 +105,7 @@ class TestSpanCollector:
         assert spans.children_of(outer) == [inner]
 
     def test_detached_spans_stay_off_stack(self):
-        spans = SpanCollector()
+        spans = SpanCollector(lambda: 0.0)
         txn = spans.start("txn:T1", "transaction")
         assert spans.current() is None  # the detached span never stacked
         with spans.span("invoke:S1", "invoke", parent=txn) as child:
@@ -126,7 +126,7 @@ class TestSpanCollector:
         assert span.duration == 1.0
 
     def test_ending_a_non_top_span_removes_exactly_that_span(self):
-        spans = SpanCollector()
+        spans = SpanCollector(lambda: 0.0)
         outer = spans.span("outer", "invoke").span
         middle = spans.span("middle", "rpc").span
         inner = spans.span("inner", "service").span
@@ -158,7 +158,7 @@ class TestSpanCollector:
         )
 
     def test_context_manager_captures_exception_type(self):
-        spans = SpanCollector()
+        spans = SpanCollector(lambda: 0.0)
         with pytest.raises(RuntimeError):
             with spans.span("boom", "service"):
                 raise RuntimeError("x")
@@ -166,7 +166,7 @@ class TestSpanCollector:
         assert spans.spans[0].finished
 
     def test_span_rule_names_faults_and_disconnections(self):
-        spans = SpanCollector()
+        spans = SpanCollector(lambda: 0.0)
         for error in (PeerDisconnected("B"), ServiceFault("Crash", "x"), KeyError("k")):
             with pytest.raises(type(error)):
                 with spans.span("step", "invoke"):
@@ -184,17 +184,27 @@ class TestSpanCollector:
     def test_slowest_orders_by_duration(self):
         clock = [0.0]
         spans = SpanCollector(now=lambda: clock[0])
-        for i, took in enumerate((0.3, 0.1, 0.7)):
+        for i, took in enumerate((0.3, 0.1, 0.7, 0.2, 0.6, 0.4, 0.5)):
             clock[0] = 0.0
             span = spans.start(f"s{i}", "rpc")
             clock[0] = took
             spans.end(span)
-        names = [s.name for s in spans.slowest(2)]
-        assert names == ["s2", "s0"]
-        assert [s.name for s in spans.slowest()] == ["s2", "s0", "s1"]
+        spans.start("open", "rpc")
+        assert [s.name for s in spans.slowest()] == ["s2", "s4", "s6", "s5", "s0"]
+
+    def test_attributes_are_one_mapping_stored_as_text(self):
+        spans = SpanCollector(lambda: 0.0)
+        assert spans.start("t", "transaction", attrs={"attempt": 2}).attrs == {"attempt": "2"}
+        with spans.span("s", "service") as span:
+            assert span.attrs == {}
+        # A stray keyword is an error, not an attribute named after it.
+        with pytest.raises(TypeError, match="unexpected keyword argument 'detached'"):
+            spans.start("t", "transaction", detached=True)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'target'"):
+            spans.span("s", "rpc", target="AP2")
 
     def test_summary_counts(self):
-        spans = SpanCollector()
+        spans = SpanCollector(lambda: 0.0)
         spans.end(spans.start("a", "rpc"), status="ok")
         spans.start("b", "rpc")  # left open
         summary = spans.summary()
@@ -205,7 +215,7 @@ class TestSpanCollector:
     def test_json_round_trip(self):
         clock = [0.0]
         spans = SpanCollector(now=lambda: clock[0])
-        parent = spans.start("p", "invoke", peer="AP1", txn_id="T1", target="AP2")
+        parent = spans.start("p", "invoke", peer="AP1", txn_id="T1", attrs={"target": "AP2"})
         clock[0] = 0.5
         spans.end(parent, status="fault", fault_name="Crash")
         text = stable_json(spans.to_dict())
@@ -295,7 +305,7 @@ class TestReport:
         metrics.record_message("invoke")
         metrics.record_value("rpc_latency", 0.01)
         metrics.record_txn_outcome("T1", "committed")
-        spans = SpanCollector()
+        spans = SpanCollector(lambda: 0.0)
         spans.end(spans.start("rpc:S1", "rpc", peer="AP1"))
         return metrics, spans
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.axml.document import AXMLDocument
 from repro.errors import UpdateError
+from repro.obs.spans import SpanCollector
 from repro.p2p.chain import PeerChain
 from repro.query.parser import parse_action
 from repro.query.update import apply_action
@@ -139,7 +140,7 @@ class TestCompensationProperty:
         """Same invariant, via the WAL + build_compensation_for_entries path."""
         rng = SeededRng(seed)
         axml = generate_catalogue(rng, item_count=rng.randint(3, 8), name="Cat")
-        manager = TransactionManager("P", lambda name: axml)
+        manager = TransactionManager("P", lambda name: axml, SpanCollector(lambda: 0.0))
         manager.begin(Transaction("T1", "P"))
         pre = canonical(axml.document)
         for _ in range(length):

@@ -91,7 +91,7 @@ class TestFig1AbortTrace:
     def test_forward_recovery_trace(self):
         scenario = Cluster.fig1()
         recorder = TraceRecorder(scenario.network)
-        scenario.injector.fault_service("AP5", "S5", "Crash", times=1, point="after_execute")
+        scenario.injector.fault_service("AP5", "S5", "Crash", point="after_execute")
         scenario.peer("AP3").set_fault_policy(
             "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=1)]
         )

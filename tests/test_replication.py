@@ -39,7 +39,7 @@ SHOP2 = "<Shop2><item id='1'><price>10</price><stock>3</stock></item></Shop2>"
 #: Shop2 whose item embeds a call to AP4's getStock (answers 7).
 SHOP2_WITH_CALL = (
     "<Shop2><item id='1'><price>10</price>"
-    '<axml:sc serviceURL="axml://AP4" methodName="getStock" mode="replace"/>'
+    '<axml:sc serviceURL="axml://AP4" methodName="getStock" mode="replace" resultName="stock"/>'
     "</item></Shop2>"
 )
 
@@ -537,13 +537,16 @@ class TestDeferredSiblingShareFrames:
         assert channel.applied_seq == 5
 
 
+STOCK_QUERY = "Select i/stock from i in Shop2//item;"
+
+
 def materializing_cluster():
-    """make_cluster over SHOP2_WITH_CALL, an eager query service ``q`` on
-    the primary, and AP4 answering the embedded getStock call."""
+    """make_cluster over SHOP2_WITH_CALL, a query service ``q`` on the
+    primary whose Select needs the getStock result (so it materializes
+    the call), and AP4 answering that call."""
     network, replication, peers = make_cluster(shop=SHOP2_WITH_CALL)
     peers["AP2"].host_service(QueryService(
-        ServiceDescriptor("q", target_document="Shop2"),
-        "Select i from i in Shop2//item;", evaluation="eager",
+        ServiceDescriptor("q", target_document="Shop2"), STOCK_QUERY,
     ))
     peers["AP4"] = AXMLPeer("AP4", network)
     peers["AP4"].host_service(FunctionService(
@@ -575,8 +578,8 @@ class TestReplicatedMaterialization:
         network, replication, peers = materializing_cluster()
         ap2 = peers["AP2"]
         txn = ap2.begin_transaction()
-        query = '<action type="query"><location>Select i from i in Shop2//item;</location></action>'
-        outcome = ap2.submit(txn.txn_id, query, evaluation="eager")
+        query = f'<action type="query"><location>{STOCK_QUERY}</location></action>'
+        outcome = ap2.submit(txn.txn_id, query)
         assert outcome.log_entry.kind == "query" and outcome.log_entry.records
         ap2.commit(txn.txn_id)
         self.assert_converged(replication, peers)

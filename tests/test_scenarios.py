@@ -105,7 +105,7 @@ class TestFig1NestedRecovery:
 
     def test_fault_handler_at_ap3_stops_propagation(self):
         s = Cluster.fig1()
-        s.injector.fault_service("AP5", "S5", "Crash", times=1, point="after_execute")
+        s.injector.fault_service("AP5", "S5", "Crash", point="after_execute")
         s.peer("AP3").set_fault_policy(
             "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=2)]
         )
@@ -127,24 +127,27 @@ class TestFig1NestedRecovery:
 
     def test_exhausted_retries_fall_back_to_backward(self):
         s = Cluster.fig1()
-        s.injector.fault_service("AP5", "S5", "Crash", times=-1, point="after_execute")
+        # Two faults in a row (one per point) outlast the one retry.
+        s.injector.fault_service("AP5", "S5", "Crash", point="before_execute")
+        s.injector.fault_service("AP5", "S5", "Crash", point="after_execute")
         s.peer("AP3").set_fault_policy(
-            "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=2)]
+            "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=1)]
         )
         txn, err = s.run_topology()
         assert isinstance(err, ServiceFault)
+        assert s.metrics.get("forward_recoveries") == 0
         assert "<entry" not in doc_xml(s, "AP3")
 
     def test_forward_cost_lower_than_backward(self):
         """§3.2: forward recovery 'undoes only as much as required'."""
         forward = Cluster.fig1()
-        forward.injector.fault_service("AP5", "S5", "Crash", times=1, point="after_execute")
+        forward.injector.fault_service("AP5", "S5", "Crash", point="after_execute")
         forward.peer("AP3").set_fault_policy(
             "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=1)]
         )
         forward.run_topology()
         backward = Cluster.fig1()
-        backward.injector.fault_service("AP5", "S5", "Crash", times=1, point="after_execute")
+        backward.injector.fault_service("AP5", "S5", "Crash", point="after_execute")
         backward.run_topology()
         forward_comp = sum(
             p.manager.compensation_cost for p in forward.peers.values()

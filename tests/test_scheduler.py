@@ -105,14 +105,10 @@ class TestAdmissionControl:
     def test_backlog_drains_fifo(self):
         network, _, doc_name = _simple_cluster()
         scheduler = TransactionScheduler(network, max_inflight=1, seed=1)
-        order = []
         for i in range(4):
-            scheduler.submit(
-                TxnSpec(f"t{i}", "AP1", (_insert_op(doc_name),)),
-                on_complete=lambda r: order.append(r.label),
-            )
-        scheduler.run()
-        assert order == ["t0", "t1", "t2", "t3"]
+            scheduler.submit(TxnSpec(f"t{i}", "AP1", (_insert_op(doc_name),)))
+        # Results are recorded as transactions finish.
+        assert [r.label for r in scheduler.run()] == ["t0", "t1", "t2", "t3"]
 
 
 class TestConflictRetry:

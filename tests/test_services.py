@@ -99,13 +99,6 @@ class TestQueryService:
         assert len(response.records) == 2  # delete old + insert new
         assert host.recorded  # logged through the host
 
-    def test_bad_evaluation_mode(self):
-        with pytest.raises(ServiceError):
-            QueryService(
-                ServiceDescriptor("q"), "Select i from i in S//x;",
-                evaluation="psychic",
-            )
-
 
 class TestUpdateService:
     def test_applies_action(self, shop_host):

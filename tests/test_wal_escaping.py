@@ -1,6 +1,7 @@
 """The per-entry log codec with hostile content: escaping round-trips."""
 
 from repro.axml.document import AXMLDocument
+from repro.obs.spans import SpanCollector
 from repro.query.parser import parse_action
 from repro.txn.compensation import build_compensation_for_entries
 from repro.txn.manager import TransactionManager
@@ -11,7 +12,7 @@ from repro.xmlstore.serializer import canonical
 
 def logged(axml, action_xml):
     """The log of peer ``P`` after running one action as transaction T1."""
-    manager = TransactionManager("P", lambda name: axml)
+    manager = TransactionManager("P", lambda name: axml, SpanCollector(lambda: 0.0))
     manager.begin(Transaction("T1", "P"))
     manager.execute("T1", parse_action(action_xml), axml.name)
     return manager.log

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.axml.document import AXMLDocument
+from repro.obs.spans import SpanCollector
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.query.parser import parse_action
@@ -31,7 +32,7 @@ def restart(log):
 
 
 def populate_log(axml):
-    manager = TransactionManager("P1", lambda name: axml)
+    manager = TransactionManager("P1", lambda name: axml, SpanCollector(lambda: 0.0))
     manager.begin(Transaction("T1", "P1"))
     actions = [
         '<action type="insert"><data><tag a="1">t</tag></data>'

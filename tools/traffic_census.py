@@ -1,4 +1,4 @@
-"""Traffic census and idle-code ratchet (ROADMAP item 22, ~2 min):
+"""Traffic census, idle-code ratchet and knob ratchet (ROADMAP item 22, ~2 min):
 ``python tools/traffic_census.py [--check | --update]``
 
 Runs the non-test traffic in this process under one ``sys.setprofile`` hook: the
@@ -8,22 +8,27 @@ Runs the non-test traffic in this process under one ``sys.setprofile`` hook: the
 over the paper-claim benches (``bench_e*``, ``bench_a*``, ``bench_fig*``).  Prints per
 item its exit status, the ``PROF`` counters on either side of each fork and the traffic
 of the ``parse_path`` memo (hits, misses, size; emptied per item), then every
-function under ``src/repro/`` none of it entered, with their line total, and then every
+function under ``src/repro/`` none of it entered, with their line total, then every
 defaulted parameter of an entered function that no call bound to a value other than its
-default (a knob the traffic never moves), with its call count.  Not seen:
+default (a knob the traffic never moves), with its call count, and last every defaulted
+parameter that no call left at its default (a default only tests rely on; report
+only).  Not seen:
 pool workers, and ``bench_p1`` after its Part C installs its own hook (the census
 re-arms its hook per item and never wraps ``sys.setprofile``, so no item's own
 call counts move).
 
 ``tools/idle_ratchet.json`` maps every idle function, keyed ``path::qualname`` (a
 line shift is no finding), to one reason of ``REASONS``.  Dunders and the members of
-``typing.Protocol`` classes are exempt by rule.  ``--check`` exits 1 on any finding
-(an item's exit status is printed, not checked: the CI jobs that run it gate it):
+``typing.Protocol`` classes are exempt by rule.  ``tools/knob_ratchet.json`` maps every
+never-moved default, keyed ``path::qualname(parameter)``, to one reason of
+``KNOB_REASONS``.  ``--check`` exits 1 on any finding in either list (an item's exit
+status is printed, not checked: the CI jobs that run it gate it):
 
-* an idle function that is not listed (give it traffic, delete it, or list it),
-* a listed function that was entered or no longer exists (bank it: ``--update``
-  rewrites the list and only ever removes entries), or
-* an entry whose reason is not in ``REASONS``.
+* an idle function or never-moved default that is not listed (give it traffic,
+  delete it, or list it),
+* a listed one that was entered or moved, or no longer exists (bank it: ``--update``
+  rewrites both lists and only ever removes entries), or
+* an entry whose reason is not in its list's closed set.
 """
 
 import ast
@@ -38,12 +43,13 @@ import time
 import types
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 SRC_PREFIX = str(SRC) + os.sep
 RATCHET = ROOT / "tools" / "idle_ratchet.json"
+KNOB_RATCHET = ROOT / "tools" / "knob_ratchet.json"
 FORK_COUNTERS = (  # prefixes
     "serialize_tree_", "entry_codec_", "query_index_", "query_tree_", "service_template_",
 )
@@ -60,12 +66,23 @@ REASONS = {
     "pair": "the other half of a pair: an undo, or the index side of a maintenance call",
     "cli": "reached only from a command the census does not run",
 }
+#: The closed set of reasons a default no traffic moves may stay for.
+KNOB_REASONS = {
+    "reserved:13(ii)": "the parent watch interval; ROADMAP 13(ii) makes it the behaviour or deletes it",
+    "reserved:19": "run_chaos(plan=); ROADMAP 19's repro files replay a plan through it",
+    "derived": "the caller computes it from run state, and no traffic state yields another value",
+    "cli": "a command-line entry point's argument or default",
+    "frozen": "fed from a value the frozen benchmark ladder sets",
+    "reference": "a paper mechanism no program path drives",
+}
 entered = set()
 #: ``(file, first line)`` of every def under ``src/repro/`` with a defaulted
 #: parameter (filled by ``main`` from ``defined_functions``).
 DEFAULTED: Set[Tuple[str, int]] = set()
 #: code object -> ``{parameter: default}`` not yet bound to another value.
 unmoved: Dict[types.CodeType, Dict[str, object]] = {}
+#: code object -> ``{parameter: default}`` not yet left at its default.
+always_moved: Dict[types.CodeType, Dict[str, object]] = {}
 defaulted_calls: Counter = Counter()  # code object -> calls
 
 
@@ -81,12 +98,17 @@ def hook(frame, event, arg):
         if (code.co_filename, code.co_firstlineno) not in DEFAULTED:
             return
         defaults = unmoved[code] = defaults_of(code)
+        always_moved[code] = dict(defaults)
     defaulted_calls[code] += 1
-    if defaults:
+    moved = always_moved[code]
+    if defaults or moved:
         bound = frame.f_locals  # the profiler already copied the arguments there
         for name, default in list(defaults.items()):
             if not same_value(bound.get(name, default), default):
                 del defaults[name]
+        for name, default in list(moved.items()):
+            if same_value(bound.get(name, default), default):
+                del moved[name]
 
 
 def same_value(value, default) -> bool:
@@ -107,15 +129,17 @@ def defaults_of(code: types.CodeType) -> Dict[str, object]:
     return {**dict(zip(names, positional)), **(function.__kwdefaults__ or {})}
 
 
-def unmoved_knobs(functions: Dict[Tuple[str, int], "Function"]) -> List[str]:
-    """One line per defaulted parameter of an entered function that no call
-    bound to another value: ``path::qualname(name=default)  N calls``."""
-    lines = []
-    for code, defaults in unmoved.items():
+def knob_lines(
+    functions: Dict[Tuple[str, int], "Function"], knobs: Dict[types.CodeType, Dict[str, object]]
+) -> Dict[str, str]:
+    """``{"path::qualname(name)": "path::qualname(name=default)  N calls"}`` for
+    each parameter left in *knobs* (``unmoved`` or ``always_moved``)."""
+    lines = {}
+    for code, defaults in knobs.items():
         key = functions[code.co_filename, code.co_firstlineno].key
         for name, default in defaults.items():
-            lines.append(f"{key}({name}={default!r})  {defaulted_calls[code]} calls")
-    return sorted(lines)
+            lines[f"{key}({name})"] = f"{key}({name}={default!r})  {defaulted_calls[code]} calls"
+    return lines
 
 
 CLI_COMMANDS = (  # the figure/report surface of the verify skill, and one chaos run
@@ -131,7 +155,7 @@ class Function(NamedTuple):
     key: str  # "path::qualname"
     lines: int
     exempt: bool  # a dunder or a typing.Protocol member
-    defaulted: bool = False  # has a parameter with a default
+    defaults: Tuple[str, ...] = ()  # its parameters that have a default
 
 
 def _defs(node: ast.AST, prefix: str = "", protocol: bool = False):
@@ -156,12 +180,14 @@ def defined_functions(src: Path = SRC, root: Path = ROOT) -> Dict[Tuple[str, int
         relative = path.relative_to(root).as_posix()
         for qualname, node, protocol in _defs(ast.parse(path.read_text(), str(path))):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            name = node.name
+            name, args = node.name, node.args
+            positional = args.posonlyargs + args.args
             found[str(path), first] = Function(
                 f"{relative}::{qualname}",
                 node.end_lineno - first + 1,
                 protocol or (name.startswith("__") and name.endswith("__")),
-                bool(node.args.defaults) or any(d is not None for d in node.args.kw_defaults),
+                tuple(a.arg for a in positional[len(positional) - len(args.defaults):])
+                + tuple(a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None),
             )
     return found
 
@@ -179,37 +205,88 @@ def idle_functions(
     return idle
 
 
+def defined_knobs(functions: Dict[Tuple[str, int], Function]) -> Set[str]:
+    """``path::qualname(name)`` of every defaulted parameter under *functions*."""
+    return {f"{f.key}({name})" for f in functions.values() for name in f.defaults}
+
+
+def ratchet_findings(
+    listed: Dict[str, str], current: Iterable[str], defined: Set[str],
+    reasons: Dict[str, str], unlisted: str, stale: str,
+) -> List[str]:
+    """What ``--check`` reports for one list: a *current* key that is not
+    listed, a listed key that is no longer *current* or *defined*, and a
+    reason outside *reasons*."""
+    current = set(current)
+    out = []
+    for key in sorted(current | set(listed)):
+        reason = listed.get(key)
+        if reason is None:
+            out.append(f"{key}: {unlisted}")
+            continue
+        if key not in defined:
+            out.append(f"{key}: listed but gone — bank it (--update)")
+        elif key not in current:
+            out.append(f"{key}: listed but {stale} — bank it (--update)")
+        if reason not in reasons:
+            out.append(f"{key}: reason {reason!r} is not one of {', '.join(sorted(reasons))}")
+    return out
+
+
 def findings(
     listed: Dict[str, str],
     functions: Dict[Tuple[str, int], Function],
     entered: Set[Tuple[str, int]],
 ) -> List[str]:
-    idle = idle_functions(functions, entered)
-    defined = {function.key for function in functions.values()}
-    out = []
-    for key in sorted(set(idle) | set(listed)):
-        reason = listed.get(key)
-        if reason is None:
-            out.append(f"{key}: never entered and not listed — give it traffic, "
-                       "delete it, or list it with a reason")
-            continue
-        if key not in defined:
-            out.append(f"{key}: listed but gone — bank it (--update)")
-        elif key not in idle:
-            out.append(f"{key}: listed but no longer idle — bank it (--update)")
-        if reason not in REASONS:
-            out.append(f"{key}: reason {reason!r} is not one of {', '.join(sorted(REASONS))}")
-    return out
+    return ratchet_findings(
+        listed, idle_functions(functions, entered),
+        {function.key for function in functions.values()}, REASONS,
+        "never entered and not listed — give it traffic, delete it, or list it with a reason",
+        "no longer idle",
+    )
 
 
-def banked(
-    listed: Dict[str, str],
-    functions: Dict[Tuple[str, int], Function],
-    entered: Set[Tuple[str, int]],
-) -> Dict[str, str]:
-    """The list after ``--update``: entries that are still idle; none is added."""
+def knob_findings(
+    listed: Dict[str, str], knobs: Iterable[str], functions: Dict[Tuple[str, int], Function]
+) -> List[str]:
+    """:func:`findings` for the never-moved defaults *knobs* (their keys)."""
+    return ratchet_findings(
+        listed, knobs, defined_knobs(functions), KNOB_REASONS,
+        "never moved and not listed — make it a constant, delete it, or list it with a reason",
+        "moved",
+    )
+
+
+def bank(listed: Dict[str, str], current: Iterable[str]) -> Dict[str, str]:
+    """A list after ``--update``: entries still *current*; none is added."""
+    current = set(current)
+    return {key: reason for key, reason in sorted(listed.items()) if key in current}
+
+
+def verdict(argv: List[str], functions: Dict[Tuple[str, int], Function]) -> int:
+    """Apply both ratchets to what the hook saw (``--check``/``--update``);
+    returns the exit status."""
+    if not {"--check", "--update"} & set(argv):
+        return 0
     idle = idle_functions(functions, entered)
-    return {key: reason for key, reason in sorted(listed.items()) if key in idle}
+    knobs = knob_lines(functions, unmoved)
+    problems = []
+    for path, current, check in (
+        (RATCHET, idle, lambda listed: findings(listed, functions, entered)),
+        (KNOB_RATCHET, knobs, lambda listed: knob_findings(listed, knobs, functions)),
+    ):
+        listed = json.loads(path.read_text())
+        if "--update" in argv:
+            listed = bank(listed, current)
+            path.write_text(json.dumps(listed, indent=1, sort_keys=True) + "\n")
+        problems += check(listed)
+        print(f"{path.name}: {len(listed)} listed")
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        return 1
+    print("no new idle code, no new never-moved default")
+    return 0
 
 
 def traffic():
@@ -247,7 +324,7 @@ def main(argv: List[str]) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks"), str(ROOT)]
     started = time.perf_counter()
     functions = defined_functions()
-    DEFAULTED.update(site for site, function in functions.items() if function.defaulted)
+    DEFAULTED.update(site for site, function in functions.items() if function.defaults)
     for item in traffic():
         status = run(item)
         from repro.obs.prof import PROF  # only now: the hook has seen the import
@@ -267,25 +344,16 @@ def main(argv: List[str]) -> int:
     )
     for key in sorted(idle):
         print(f"  {key}")
-    knobs = unmoved_knobs(functions)
-    print(f"{len(knobs)} defaulted parameters of entered functions under src/repro/ "
-          "never bound to a value other than their default:")
-    for line in knobs:
-        print(f"  {line}")
+    for knobs, what in (
+        (unmoved, "never bound to a value other than their default"),
+        (always_moved, "never left at their default (only tests rely on the default)"),
+    ):
+        lines = knob_lines(functions, knobs)
+        print(f"{len(lines)} defaulted parameters of entered functions under src/repro/ {what}:")
+        for line in sorted(lines.values()):
+            print(f"  {line}")
     print(f"census wall time: {time.perf_counter() - started:.0f} s", file=sys.stderr)
-    if not {"--check", "--update"} & set(argv):
-        return 0
-    listed = json.loads(RATCHET.read_text())
-    if "--update" in argv:
-        listed = banked(listed, functions, entered)
-        RATCHET.write_text(json.dumps(listed, indent=1, sort_keys=True) + "\n")
-    problems = findings(listed, functions, entered)
-    for problem in problems:
-        print(problem, file=sys.stderr)
-    if problems:
-        return 1
-    print(f"idle ratchet: {len(listed)} listed functions, no new idle code")
-    return 0
+    return verdict(argv, functions)
 
 
 if __name__ == "__main__":
