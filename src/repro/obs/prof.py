@@ -27,7 +27,6 @@ Counter vocabulary used across the codebase::
     query_walk_nodes      elements visited by those walks
     comp_log_lookups      O(1) id lookups for compensation-log targets
     serialize_tree_builds  whole-document renders
-    entry_codec_hits/_misses  log-entry frames reused from the entry / encoded
     service_template_bound/_text  service executions that bound their
                           parameters into the compiled definition /
                           substituted and parsed its text
@@ -92,16 +91,13 @@ class Profiler:
 PROF = Profiler()
 
 #: Counters that never merge into run summaries: they count how the
-#: work was done (document renders, entry-codec memo traffic,
-#: digest-first matches, bound vs. re-parsed service definitions), not
-#: what the run did.  The frozen BENCH_E2E harness and ``bench_p3`` read
-#: them straight from :data:`PROF`, and run summaries keep the bytes
-#: they have always had.
+#: work was done (document renders, digest-first matches, bound vs.
+#: re-parsed service definitions), not what the run did.  The frozen
+#: BENCH_E2E harness reads them straight from :data:`PROF`, and run
+#: summaries keep the bytes they have always had.
 SUMMARY_LOCAL_COUNTERS = frozenset(
     {
         "serialize_tree_builds",
-        "entry_codec_hits",
-        "entry_codec_misses",
         "replica_digest_matches",
         "service_template_bound",
         "service_template_text",

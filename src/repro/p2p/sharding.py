@@ -159,9 +159,9 @@ class PlacementDirectory:
     the holder maps :class:`~repro.p2p.replication.ReplicationManager`
     registers copies in, plus the *sharded* registries: which documents
     are placed by the ring, and which service method co-locates with
-    each.  Routing layers (the scheduler's ``_route_invoke``,
-    ``AXMLPeer.invoke``) ask :meth:`route_service` before dispatching —
-    for non-sharded methods that answers ``None`` (keep your target).
+    each.  ``AXMLPeer.invoke`` asks :meth:`route_service` once per
+    dispatch — for non-sharded methods that answers ``None`` (keep your
+    target); the scheduler leaves shard-placed methods to it.
     """
 
     def __init__(self, network):

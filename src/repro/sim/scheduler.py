@@ -347,20 +347,19 @@ class TransactionScheduler:
         holder instead of failing at the origin and waiting for forward
         recovery to rediscover the same fact.
 
-        Shard-placed services route through the placement directory
-        first: under elastic sharding the workload's static target is
-        only a hint, and the directory knows where the primary lives
-        *now* (possibly mid-migration).  Non-sharded methods fall
-        through with ``route_service`` returning ``None``.
+        Shard-placed services keep the spec's target too:
+        :meth:`~repro.p2p.peer.AXMLPeer.invoke` routes them through the
+        placement directory, which knows where the primary lives *now*
+        (possibly mid-migration).
         """
-        routed = self.network.directory.route_service(operation.method_name)
-        if routed is not None:
-            return routed
+        directory = self.network.directory
+        if operation.method_name in directory.sharded_methods:
+            return operation.target_peer
         if self.network.is_alive(operation.target_peer):
             return operation.target_peer
         if not self.network.replication.is_replicated_method(operation.method_name):
             return operation.target_peer
-        for holder in self.network.directory.service_holders(operation.method_name):
+        for holder in directory.service_holders(operation.method_name):
             if self.network.is_alive(holder):
                 self.network.metrics.incr("scheduler_reroutes")
                 return holder

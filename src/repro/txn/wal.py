@@ -52,12 +52,6 @@ class LogEntry:
     records: List[ChangeRecord] = field(default_factory=list)
     #: Simulated time of the append (0.0 outside a simulation).
     timestamp: float = 0.0
-    #: Memoized :func:`entry_to_xml` frame.  Entries are immutable after
-    #: append, so the first encode (durable-WAL write) is reused by the
-    #: checkpoint instead of re-rendering.
-    _xml_cache: Optional[str] = field(
-        default=None, repr=False, compare=False
-    )
     #: Memoized :attr:`action`: seeded by the code that executed it.
     _action: Optional["UpdateAction"] = field(
         default=None, repr=False, compare=False
@@ -77,7 +71,7 @@ class LogEntry:
 class OperationLog:
     """Append-only operation log of one peer."""
 
-    def __init__(self, peer_id: str = ""):
+    def __init__(self, peer_id: str):
         self.peer_id = peer_id
         self._entries: List[LogEntry] = []
         self._seq = itertools.count(1)
@@ -102,12 +96,13 @@ class OperationLog:
         kind: str,
         document_name: str,
         action_xml: str,
-        records: Sequence[ChangeRecord] = (),
-        timestamp: float = 0.0,
-        action: Optional["UpdateAction"] = None,
+        records: Sequence[ChangeRecord],
+        timestamp: float,
+        action: Optional["UpdateAction"],
     ) -> LogEntry:
         """Append a forward operation's log entry and return it; *action*
-        is ``action_xml`` already parsed, when the caller holds it."""
+        is ``action_xml`` already parsed, or ``None`` when the caller
+        holds only the text (a survivor decoded from disk)."""
         entry = LogEntry(
             seq=next(self._seq),
             txn_id=txn_id,
@@ -159,16 +154,16 @@ class OperationLog:
 
     # -- diagnostics --------------------------------------------------------------
 
-    def approximate_bytes(self, txn_id: Optional[str] = None) -> int:
-        """Rough log footprint (used by the log-vs-snapshot experiment E3).
+    def approximate_bytes(self, txn_id: str) -> int:
+        """Rough log footprint of one transaction (used by the
+        log-vs-snapshot experiment E3).
 
         Every record — direct or nested inside a ``ReplaceRecord`` —
         pays the same flat per-record overhead plus its payload length,
         so E3's comparison is not skewed by how a change happens to be
         nested.
         """
-        entries = self.entries_for(txn_id) if txn_id else self._entries
-        return sum(entry_bytes(entry) for entry in entries)
+        return sum(entry_bytes(entry) for entry in self.entries_for(txn_id))
 
     def flush(self) -> None:
         """Make every appended entry durable now (a no-op in memory or
@@ -225,17 +220,8 @@ def entry_to_xml(entry: LogEntry) -> str:
 
     Written straight from the entry in :func:`~repro.xmlstore.serializer.serialize`'s
     bytes: attributes sorted by name, and a text-bearing child is always
-    ``<x>…</x>``, even when its text is empty.  Frames are memoized on
-    the entry (entries are immutable once appended), so an entry written
-    to the WAL and folded into a checkpoint encodes once.  The cache is
-    encode-side only: decoding never seeds it, keeping the memoized
-    frame provably identical to a fresh render.
+    ``<x>…</x>``, even when its text is empty.
     """
-    from repro.obs.prof import PROF
-
-    if entry._xml_cache is not None:
-        PROF.incr("entry_codec_hits")
-        return entry._xml_cache
     out = [
         f'<entry document="{escape_attribute(entry.document_name)}" '
         f'kind="{escape_attribute(entry.kind)}" seq="{entry.seq}" '
@@ -245,9 +231,7 @@ def entry_to_xml(entry: LogEntry) -> str:
     for record in entry.records:
         _write_record(record, out)
     out.append("</entry>")
-    PROF.incr("entry_codec_misses")
-    entry._xml_cache = text = "".join(out)
-    return text
+    return "".join(out)
 
 
 def entry_from_xml(text: str) -> LogEntry:

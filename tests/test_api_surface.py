@@ -339,18 +339,23 @@ def test_one_rejoin_mode_and_four_durability_knobs():
 
 def test_collaborators_every_caller_passes_are_required():
     """The WAL's peer, metrics, event queue and document source, the
-    manager's span collector and the collector's clock have no default:
-    every program caller passes them, so no ``is None`` branch waits."""
+    manager's span collector, the collector's clock and what the log
+    is told per append have no default: every program caller passes
+    them, so no ``is None`` branch waits."""
     import inspect
 
     from repro.obs.spans import SpanCollector
     from repro.txn.durable_wal import DurableWal
     from repro.txn.manager import TransactionManager
+    from repro.txn.wal import OperationLog
 
     for callee, names in (
         (DurableWal, ("policy", "peer_id", "metrics", "events", "document_source")),
         (TransactionManager, ("peer_id", "document_provider", "spans")),
         (SpanCollector, ("now",)),
+        (OperationLog, ("peer_id",)),
+        (OperationLog.append, ("records", "timestamp", "action")),
+        (OperationLog.approximate_bytes, ("txn_id",)),
     ):
         parameters = inspect.signature(callee).parameters
         assert [parameters[name].default for name in names] == [inspect.Parameter.empty] * len(

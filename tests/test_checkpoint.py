@@ -479,12 +479,23 @@ class TestChaosCheckpointing:
                 extra.peer, extra.point, extra.delay
             )
 
+    #: The same crash mix with three replicas, shipped two entries at a
+    #: time: every logged entry reaches the WAL, checkpoints and ships.
+    REPLICATED = [
+        ChaosConfig(
+            seed=seed, txns=20, ops_per_txn=5, fault_rate=0.2, crash_rate=0.3,
+            durability=True, checkpoint_every=4, wal_batch=4, replicas=3, ship_batch=2,
+        )
+        for seed in (1, 2, 3)
+    ]
+
     def test_checkpointed_crash_chaos_is_clean(self):
-        result = run_chaos(self.CONFIG)
-        assert result.ok, result.violations
-        counters = result.summary["metrics"]["counters"]
-        assert counters.get("wal_batch_flushes", 0) > 0
-        assert counters.get("checkpoints", 0) >= 1
+        for config in [self.CONFIG, *self.REPLICATED]:
+            result = run_chaos(config)
+            assert result.ok, (config.seed, result.violations)
+            counters = result.summary["metrics"]["counters"]
+            assert counters.get("wal_batch_flushes", 0) > 0
+            assert counters.get("checkpoints", 0) >= 1
 
     def test_checkpointed_summary_is_byte_identical(self):
         a = json.dumps(run_chaos(self.CONFIG).summary, sort_keys=True)

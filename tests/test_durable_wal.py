@@ -83,8 +83,8 @@ class TestAppendAndLoad:
         wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
-        log.append("T1", "update", "D", "<a/>")
-        log.append("T2", "update", "D", "<b/>")
+        log.append("T1", "update", "D", "<a/>", (), 0.0, None)
+        log.append("T2", "update", "D", "<b/>", (), 0.0, None)
         scan = wal.load()
         assert not scan.torn
         assert [(e.seq, e.txn_id) for e in scan.entries] == [(1, "T1"), (2, "T2")]
@@ -94,8 +94,8 @@ class TestAppendAndLoad:
         wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
-        log.append("T1", "update", "D", "<a/>")
-        log.append("T2", "update", "D", "<b/>")
+        log.append("T1", "update", "D", "<a/>", (), 0.0, None)
+        log.append("T2", "update", "D", "<b/>", (), 0.0, None)
         log.truncate("T1")
         scan = wal.load()
         assert [e.txn_id for e in scan.entries] == ["T2"]
@@ -110,9 +110,9 @@ class TestAppendAndLoad:
         wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
-        log.append("T1", "update", "D", "<a/>")
+        log.append("T1", "update", "D", "<a/>", (), 0.0, None)
         log.truncate("T1")
-        retried = log.append("T1", "update", "D", "<b/>")
+        retried = log.append("T1", "update", "D", "<b/>", (), 0.0, None)
         scan = wal.load()
         assert [(e.seq, e.txn_id, e.action_xml) for e in scan.entries] == [
             (retried.seq, "T1", "<b/>")
@@ -126,14 +126,14 @@ class TestAppendAndLoad:
         wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
-        log.append("T1", "update", "D", "<a/>")
+        log.append("T1", "update", "D", "<a/>", (), 0.0, None)
         wal.close()
         reopened = open_wal(tmp_path)
         restored = OperationLog("P1")
         restored.attach(reopened)
         restored.recover()
         assert len(restored) == 1
-        entry = restored.append("T2", "update", "D", "<b/>")
+        entry = restored.append("T2", "update", "D", "<b/>", (), 0.0, None)
         assert entry.seq == 2
         assert len(reopened.load().entries) == 2
         reopened.close()
@@ -151,7 +151,7 @@ class TestTornTail:
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(count):
-            log.append("T1", "update", "D", f"<a i='{i}'/>")
+            log.append("T1", "update", "D", f"<a i='{i}'/>", (), 0.0, None)
         return wal
 
     def test_truncated_frame_detected_and_discarded(self, tmp_path):
@@ -195,7 +195,7 @@ class TestTornTail:
         log = OperationLog("P1")
         log.attach(wal2)
         log.recover()
-        log.append("T2", "update", "D", "<b/>")
+        log.append("T2", "update", "D", "<b/>", (), 0.0, None)
         scan = wal2.load()
         assert not scan.torn
         assert [e.seq for e in scan.entries] == [1, 2, 3]
@@ -212,7 +212,7 @@ class TestHostileDirectory:
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(3):
-            log.append("T1", "update", "D", f"<a i='{i}'/>")
+            log.append("T1", "update", "D", f"<a i='{i}'/>", (), 0.0, None)
         wal.close()
         return tmp_path / segment_files(tmp_path)[-1]
 
@@ -308,9 +308,9 @@ class TestRolloverCompaction:
         wal = open_wal(tmp_path)
         log = OperationLog("P1")
         log.attach(wal)
-        log.append("T1", "update", "D", "<a/>")
-        log.append("T1", "update", "D", "<b/>")
-        log.append("T2", "update", "D", "<c/>")
+        log.append("T1", "update", "D", "<a/>", (), 0.0, None)
+        log.append("T1", "update", "D", "<b/>", (), 0.0, None)
+        log.append("T2", "update", "D", "<c/>", (), 0.0, None)
         log.truncate("T1")
         assert segment_files(tmp_path) == ["wal-000001.seg"]
         assert [e.txn_id for e in wal.reload()] == ["T2"]
@@ -324,7 +324,7 @@ class TestRolloverCompaction:
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(300):
-            log.append(f"T{i}", "update", "D", "<a/>")
+            log.append(f"T{i}", "update", "D", "<a/>", (), 0.0, None)
         assert segment_files(tmp_path) == ["wal-000001.seg"]
         wal.close()
         wal2 = open_wal(tmp_path)  # adopting the directory reloads
@@ -338,7 +338,7 @@ class TestRolloverCompaction:
         log = OperationLog("P1")
         log.attach(wal)
         for _ in range(3):
-            log.append("T1", "update", "D", "<a/>")
+            log.append("T1", "update", "D", "<a/>", (), 0.0, None)
         log.truncate("T1")
         assert metrics.get("wal_appends") == 3
         assert metrics.get("wal_tombstones") == 1
@@ -352,8 +352,8 @@ class TestRolloverCompaction:
         wal = open_wal(tmp_path, metrics=metrics)
         log = OperationLog("P1")
         log.attach(wal)
-        log.append("T1", "update", "D", "<a/>")
-        log.append("T1", "update", "D", "<bb/>")
+        log.append("T1", "update", "D", "<a/>", (), 0.0, None)
+        log.append("T1", "update", "D", "<bb/>", (), 0.0, None)
         assert metrics.get("wal_bytes") == sum(entry_bytes(e) for e in log)
         wal.close()
 

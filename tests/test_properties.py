@@ -214,9 +214,9 @@ class TestLogProperty:
     @given(st.lists(st.sampled_from(["T1", "T2", "T3"]), min_size=1, max_size=20))
     @settings(max_examples=40, deadline=None)
     def test_undo_order_is_reverse(self, txn_ids):
-        log = OperationLog()
+        log = OperationLog("P")
         for txn_id in txn_ids:
-            log.append(txn_id, "update", "D", "<a/>")
+            log.append(txn_id, "update", "D", "<a/>", (), 0.0, None)
         for txn_id in set(txn_ids):
             entries = log.entries_for(txn_id)
             assert [e.seq for e in log.undo_entries(txn_id)] == [
@@ -226,9 +226,9 @@ class TestLogProperty:
     @given(st.lists(st.sampled_from(["T1", "T2"]), min_size=1, max_size=15))
     @settings(max_examples=30, deadline=None)
     def test_truncate_leaves_others(self, txn_ids):
-        log = OperationLog()
+        log = OperationLog("P")
         for txn_id in txn_ids:
-            log.append(txn_id, "update", "D", "<a/>")
+            log.append(txn_id, "update", "D", "<a/>", (), 0.0, None)
         t2_count = len(log.entries_for("T2"))
         log.truncate("T1")
         assert log.entries_for("T1") == []

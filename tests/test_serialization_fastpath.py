@@ -1,14 +1,15 @@
-"""What is left of the serialization fast path (PR 9) now that the
-document-level cache is gone: the structural clone, the memoized entry
-codec and the digest-first replica check.
+"""What is left of the serialization fast path (PR 9): the structural
+clone and the digest-first replica check.
 
 Each is pinned against the plain spelling it stands in for: ``serialize``
 renders the tree as it is at the call, a structural clone equals the
-serialize→parse round trip of a parser-built tree, a memoized frame
-equals a fresh encode of the decoded entry.
+serialize→parse round trip of a parser-built tree, and a log-entry frame
+decoded and written again keeps its bytes.
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 from repro.axml.document import AXMLDocument
 from repro.baselines.snapshot_rollback import SnapshotRollback
@@ -18,8 +19,9 @@ from repro.obs.prof import PROF, SUMMARY_LOCAL_COUNTERS, profiled
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.sim.metrics import MetricsCollector
-from repro.txn.wal import LogEntry, entry_from_xml, entry_to_xml
-from repro.xmlstore.nodes import Document
+from repro.sim.rng import SeededRng
+from repro.txn.wal import entry_from_xml, entry_to_xml
+from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import (
     canonical,
@@ -35,6 +37,33 @@ def build_doc(name="Shop"):
         "<item id='2'><price>20</price></item></Shop>",
         name=name,
     )
+
+
+GOLDEN_FRAMES = Path(__file__).parent / "data" / "wal_frames_golden.json"
+
+
+def build_deep_wide_doc(depth=6, fanout=8, budget=2_000, seed=7):
+    """A seeded deep/wide document of *budget* nodes (P1's generator
+    shape), built node by node rather than parsed."""
+    rng = SeededRng(seed)
+    doc = Document("Bench")
+    frontier = [doc.create_root("Bench")]
+    built = 1
+    for _level in range(depth):
+        next_frontier = []
+        for parent in frontier:
+            for _ in range(fanout):
+                if built >= budget:
+                    return doc
+                child = Element(
+                    doc, rng.choice(["a", "b", "c", "d"]),
+                    {"rank": str(rng.randint(1, 5))},
+                )
+                parent.append(child)
+                next_frontier.append(child)
+                built += 1
+        frontier = next_frontier
+    return doc
 
 
 def sha(text: str) -> str:
@@ -123,14 +152,14 @@ class TestCloneTree:
     def test_parse_equivalent_matches_roundtrip_exactly(self):
         # A structural clone of a parse-normal tree (anything the parser
         # or the update layer built) equals the round trip.
-        doc = build_doc()
-        roundtrip = parse_document(serialize(doc, include_ids=True), name="copy")
-        rebind_ids(roundtrip)
-        clone = doc.clone_tree(name="copy")
-        assert serialize(clone, include_ids=True) == serialize(
-            roundtrip, include_ids=True
-        )
-        assert clone.name == roundtrip.name
+        for doc in (build_doc(), build_deep_wide_doc()):
+            roundtrip = parse_document(serialize(doc, include_ids=True), name="copy")
+            rebind_ids(roundtrip)
+            clone = doc.clone_tree(name="copy")
+            assert serialize(clone, include_ids=True) == serialize(
+                roundtrip, include_ids=True
+            ) == serialize(doc, include_ids=True)
+            assert clone.name == roundtrip.name
 
     def test_structural_clone_keeps_messy_text_without_parse_equivalence(self):
         doc = Document("messy")
@@ -180,38 +209,13 @@ class TestRestoreFrom:
         assert "<after/>" in serialize(axml.document)
 
 
-class TestEntryCodecMemo:
-    def entry(self):
-        return LogEntry(
-            seq=1, txn_id="t1", kind="service", document_name="Shop",
-            action_xml="<action type='noop'/>", records=[], timestamp=1.5,
-        )
-
-    def test_memoized_frame_identical_to_cold(self):
-        entry = self.entry()
-        warm = entry_to_xml(entry)
-        # Decoding never seeds the memo, so encoding the decoded entry
-        # is a cold render of the same entry.
-        before = PROF.snapshot()
-        cold = entry_to_xml(entry_from_xml(warm))
-        assert PROF.delta_since(before).get("entry_codec_misses") == 1
-        assert warm == cold
-        before = PROF.snapshot()
-        assert entry_to_xml(entry) == cold
-        delta = PROF.delta_since(before)
-        assert delta.get("entry_codec_hits") == 1
-        assert "serialize_tree_builds" not in delta
-
-    def test_decode_does_not_seed_the_cache(self):
-        frame = entry_to_xml(self.entry())
-        decoded = entry_from_xml(frame)
-        assert decoded._xml_cache is None
-        assert entry_to_xml(decoded) == frame
-
-    def test_cache_field_excluded_from_equality(self):
-        a, b = self.entry(), self.entry()
-        entry_to_xml(a)
-        assert a == b
+class TestEntryFrame:
+    def test_decode_then_encode_is_byte_identical(self):
+        # A checkpoint renders a live entry again; a frame read back from
+        # a WAL segment or a checkpoint renders to the bytes it was read from.
+        rows = json.loads(GOLDEN_FRAMES.read_text(encoding="utf-8"))["frames"]
+        for frame in [row["frame"] for row in rows]:
+            assert entry_to_xml(entry_from_xml(frame)) == frame
 
 
 class TestSummaryLocalCounters:

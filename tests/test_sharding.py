@@ -18,12 +18,14 @@ from hypothesis import given, settings, strategies as st
 from repro.axml.document import AXMLDocument
 from repro.chaos import ChaosConfig, run_chaos
 from repro.chaos.shrink import summary_text
+from repro.obs.prof import PROF
 from repro.p2p.distribution import distribute_fragment
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.p2p.sharding import PlacementDirectory, ShardCoordinator, ShardRing, moved_keys
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
+from repro.sim.scheduler import COMMITTED, InvokeOp, TransactionScheduler, TxnSpec
 
 D1 = "<D1><items/></D1>"
 
@@ -175,6 +177,17 @@ class TestPlacementDirectory:
         assert directory.document_holders("D1") == ["AP1", "AP3"]
         assert directory.service_holders("addItem") == ["AP1", "AP3"]
         assert directory.route_service("addItem") == "AP1"
+
+    def test_one_scheduled_dispatch_is_one_lookup(self):
+        # The scheduler hands a shard-placed invocation to the origin
+        # peer as written; the peer's route is the only directory read.
+        network, replication, coordinator, peers = make_sharded_cluster()
+        scheduler = TransactionScheduler(network, seed=1)
+        scheduler.submit(TxnSpec("t0", "C1", (InvokeOp("AP2", "addItem", {"v": "5"}),)))
+        before = PROF.snapshot()
+        assert [r.status for r in scheduler.run()] == [COMMITTED]
+        assert PROF.delta_since(before).get("directory_lookups") == 1
+        assert "5" in peers["AP3"].get_axml_document("D1").to_xml()
 
 
 class TestLiveMigration:

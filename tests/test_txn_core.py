@@ -77,17 +77,17 @@ class TestTransaction:
 class TestOperationLog:
     def test_append_and_read(self):
         log = OperationLog("AP1")
-        log.append("T1", "update", "D", "<action/>")
-        log.append("T2", "update", "D", "<action/>")
-        log.append("T1", "query", "D", "<action/>")
+        log.append("T1", "update", "D", "<action/>", (), 0.0, None)
+        log.append("T2", "update", "D", "<action/>", (), 0.0, None)
+        log.append("T1", "query", "D", "<action/>", (), 0.0, None)
         assert len(log) == 3
         assert [e.seq for e in log.entries_for("T1")] == [1, 3]
         assert [e.seq for e in log.undo_entries("T1")] == [3, 1]
 
     def test_truncate(self):
-        log = OperationLog()
-        log.append("T1", "update", "D", "<a/>")
-        log.append("T2", "update", "D", "<a/>")
+        log = OperationLog("P")
+        log.append("T1", "update", "D", "<a/>", (), 0.0, None)
+        log.append("T2", "update", "D", "<a/>", (), 0.0, None)
         assert log.truncate("T1") == 1
         assert len(log) == 1
         assert log.entries_for("T1") == []
@@ -95,8 +95,8 @@ class TestOperationLog:
     def test_approximate_bytes_grows(self, axml_doc):
         from repro.query.update import apply_action
 
-        log = OperationLog()
-        before = log.approximate_bytes()
+        log = OperationLog("P")
+        before = log.approximate_bytes("T1")
         result = apply_action(
             axml_doc.document,
             parse_action(
@@ -104,8 +104,8 @@ class TestOperationLog:
                 "Shop//item;</location></action>"
             ),
         )
-        log.append("T1", "update", "Shop", "<a/>", records=result.records)
-        assert log.approximate_bytes() > before
+        log.append("T1", "update", "Shop", "<a/>", result.records, 0.0, None)
+        assert log.approximate_bytes("T1") > before
 
 
 class TestTransactionalOperation:

@@ -93,7 +93,7 @@ class TestLogSerialization:
     def test_seq_continues_after_restore(self, shop):
         log = populate_log(shop)
         restored = restart(log)
-        entry = restored.append("T2", "update", "Shop", "<a/>")
+        entry = restored.append("T2", "update", "Shop", "<a/>", (), 0.0, None)
         assert entry.seq == len(log) + 1
 
     def test_empty_log_roundtrip(self):
@@ -104,7 +104,7 @@ class TestLogSerialization:
     def test_zero_record_entry_roundtrip(self):
         log = OperationLog("P")
         log.append("T1", "query", "Shop", "<query>Select i;</query>",
-                   records=(), timestamp=1.25)
+                   (), 1.25, None)
         restored = restart(log)
         entry = restored.entries_for("T1")[0]
         assert entry.records == []
@@ -120,7 +120,7 @@ class TestLogSerialization:
         inner = replace_entry.records[0]
         assert inner.kind == "replace"
         nested = ReplaceRecord(inner.deleted, [inner])
-        log.append("T1", "update", "Shop", "<nested/>", records=[nested])
+        log.append("T1", "update", "Shop", "<nested/>", [nested], 0.0, None)
         restored = restart(log)
         copy = restored.entries_for("T1")[-1].records[0]
         assert copy.kind == "replace"
@@ -131,7 +131,7 @@ class TestLogSerialization:
         log = OperationLog("P")
         stamps = [0.1 + 0.2, 1.0 / 3.0, 123456.78901234567, 0.0]
         for i, stamp in enumerate(stamps):
-            log.append("T1", "update", "D", f"<a i='{i}'/>", timestamp=stamp)
+            log.append("T1", "update", "D", f"<a i='{i}'/>", (), stamp, None)
         restored = restart(log)
         assert [e.timestamp for e in restored] == stamps
 
@@ -153,8 +153,8 @@ class TestLogSerialization:
     def test_seq_continues_after_restore_and_append(self, shop):
         log = populate_log(shop)
         restored = restart(log)
-        first = restored.append("T2", "update", "Shop", "<a/>")
-        second = restored.append("T2", "update", "Shop", "<b/>")
+        first = restored.append("T2", "update", "Shop", "<a/>", (), 0.0, None)
+        second = restored.append("T2", "update", "Shop", "<b/>", (), 0.0, None)
         assert (first.seq, second.seq) == (len(log) + 1, len(log) + 2)
 
 
