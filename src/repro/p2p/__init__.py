@@ -9,7 +9,7 @@ injection, super peers, document/service replication, and the
 active-peer chains of §3.3.
 """
 
-from repro.p2p.chain import ChainNode, PeerChain
+from repro.p2p.chain import PeerChain
 from repro.p2p.messages import (
     AbortMessage,
     DisconnectNotice,
@@ -28,7 +28,6 @@ from repro.p2p.distribution import (
 from repro.p2p.sharding import PlacementDirectory, ShardCoordinator, ShardRing
 
 __all__ = [
-    "ChainNode",
     "PeerChain",
     "AbortMessage",
     "DisconnectNotice",

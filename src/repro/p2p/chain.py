@@ -17,121 +17,88 @@ for the arrow); super peers carry the paper's ``*`` suffix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import P2PError
 
 
-@dataclass
-class ChainNode:
-    """One peer in the invocation tree."""
-
-    peer_id: str
-    super_peer: bool = False
-    children: List["ChainNode"] = field(default_factory=list)
-    parent: Optional["ChainNode"] = None
-
-    def add_child(self, peer_id: str, super_peer: bool = False) -> "ChainNode":
-        child = ChainNode(peer_id, super_peer, parent=self)
-        self.children.append(child)
-        return child
-
-    def iter(self) -> Iterator["ChainNode"]:
-        """Pre-order walk on an explicit stack: :meth:`PeerChain.from_text`
-        accepts any nesting depth, so depth is not ours to bound."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.children:
-                stack.extend(reversed(node.children))
-
-    @property
-    def label(self) -> str:
-        return f"{self.peer_id}*" if self.super_peer else self.peer_id
-
-
 class PeerChain:
-    """The active-peer list of one transaction."""
+    """The active-peer list of one transaction, as two maps keyed by peer id.
+
+    The protocol never puts a peer in the chain twice, so a view holds
+    no node objects and no back-pointers: a dropped view is freed by
+    reference counting."""
+
+    __slots__ = ("_root", "_up", "_down")
 
     def __init__(self, root_peer: str, root_super: bool = False):
-        self.root = ChainNode(root_peer, root_super)
-        #: peer id → the node a pre-order walk meets first.
-        self._index: Dict[str, ChainNode] = {root_peer: self.root}
-
-    def _reindex(self) -> None:
-        """Rebuild the index in place from a walk (after a rewrite)."""
-        self._index.clear()
-        for node in self.root.iter():
-            self._index.setdefault(node.peer_id, node)
+        self._root = root_peer
+        #: peer id → (parent id, ``None`` at the root; super-peer flag).
+        self._up: Dict[str, Tuple[Optional[str], bool]] = {root_peer: (None, root_super)}
+        #: peer id → its children's ids in invocation order (same keys).
+        self._down: Dict[str, Tuple[str, ...]] = {root_peer: ()}
 
     # -- construction -----------------------------------------------------
 
-    def add_invocation(
-        self, parent_peer: str, child_peer: str, child_super: bool = False
-    ) -> ChainNode:
+    def add_invocation(self, parent_peer: str, child_peer: str, child_super: bool) -> None:
         """Record that *parent_peer* invoked a service on *child_peer*."""
-        parent = self.find(parent_peer)
-        if parent is None:
+        if parent_peer not in self._up:
             raise P2PError(f"peer {parent_peer!r} is not in the chain")
-        child = parent.add_child(child_peer, child_super)
-        if child_peer in self._index:
-            self._reindex()  # a repeated peer: the walk says which comes first
-        else:
-            self._index[child_peer] = child
-        return child
+        if child_peer in self._up:
+            raise P2PError(f"peer {child_peer!r} is already in the chain")
+        self._up[child_peer] = (parent_peer, child_super)
+        self._down[child_peer] = ()
+        self._down[parent_peer] += (child_peer,)
 
     # -- lookup --------------------------------------------------------------
 
-    def find(self, peer_id: str) -> Optional[ChainNode]:
-        return self._index.get(peer_id)
-
     def contains(self, peer_id: str) -> bool:
-        return peer_id in self._index
+        return peer_id in self._up
 
     def __len__(self) -> int:
-        """Distinct peers in the chain (the protocol never repeats one)."""
-        return len(self._index)
+        """Peers in the chain (each appears once)."""
+        return len(self._up)
 
     def parent_of(self, peer_id: str) -> Optional[str]:
-        node = self.find(peer_id)
-        if node is None or node.parent is None:
-            return None
-        return node.parent.peer_id
+        entry = self._up.get(peer_id)
+        return None if entry is None else entry[0]
 
     def children_of(self, peer_id: str) -> List[str]:
-        node = self.find(peer_id)
-        if node is None:
-            return []
-        return [c.peer_id for c in node.children]
+        return list(self._down.get(peer_id, ()))
 
     def siblings_of(self, peer_id: str) -> List[str]:
         """Other children of the same parent (§3.3d's data-passing peers)."""
-        node = self.find(peer_id)
-        if node is None or node.parent is None:
+        parent = self.parent_of(peer_id)
+        if parent is None:
             return []
-        return [c.peer_id for c in node.parent.children if c.peer_id != peer_id]
+        return [c for c in self._down[parent] if c != peer_id]
 
     def descendants_of(self, peer_id: str) -> List[str]:
-        node = self.find(peer_id)
-        if node is None:
-            return []
-        return [n.peer_id for n in node.iter() if n.peer_id != peer_id]
+        return self._walk(peer_id)[1:] if peer_id in self._up else []
 
     def ancestors_of(self, peer_id: str) -> List[str]:
         """Ancestors nearest-first — who may take results meant for a
         dead *peer_id*, in the fallback order of §3.3(b): "AP6 can try
         the next closest peer (AP1) or the closest super peer … in the
         list" (the closest super peer is by construction one of them)."""
-        node = self.find(peer_id)
         out: List[str] = []
-        if node is None:
-            return out
-        current = node.parent
+        current = self.parent_of(peer_id)
         while current is not None:
-            out.append(current.peer_id)
-            current = current.parent
+            out.append(current)
+            current = self._up[current][0]
+        return out
+
+    def _walk(self, peer_id: str) -> List[str]:
+        """*peer_id* and its descendants in pre-order, on an explicit
+        stack: :meth:`from_text` accepts any nesting depth, so depth is
+        not ours to bound."""
+        down = self._down
+        out: List[str] = []
+        stack = [peer_id]
+        while stack:
+            peer = stack.pop()
+            out.append(peer)
+            stack.extend(reversed(down[peer]))
         return out
 
     # -- extended relations (the conclusion's future-work chaining) ---------
@@ -144,10 +111,8 @@ class PeerChain:
         exploring the feasibility of extending the same to uncles,
         cousins, etc." — implemented here as an optional scope.
         """
-        node = self.find(peer_id)
-        if node is None or node.parent is None:
-            return []
-        return self.siblings_of(node.parent.peer_id)
+        parent = self.parent_of(peer_id)
+        return [] if parent is None else self.siblings_of(parent)
 
     def cousins_of(self, peer_id: str) -> List[str]:
         """Children of the peer's uncles."""
@@ -201,7 +166,7 @@ class PeerChain:
         return targets
 
     def sibling_notice_targets(
-        self, silent_sibling: str, informer: str, scope: str = "immediate"
+        self, silent_sibling: str, informer: str, scope: str
     ) -> List[str]:
         """§3.3(d): who the sibling *informer* tells when another
         sibling's stream went silent — that peer's relatives."""
@@ -212,13 +177,11 @@ class PeerChain:
         ]
 
     def peers(self) -> List[str]:
-        return [n.peer_id for n in self.root.iter()]
+        return self._walk(self._root)
 
     # -- failover rewrite (§3.3 around a dead primary) ----------------------
 
-    def substitute(
-        self, old_peer: str, new_peer: str, super_peer: bool = False
-    ) -> bool:
+    def substitute(self, old_peer: str, new_peer: str, super_peer: bool) -> bool:
         """Rewrite the chain around a dead peer: *new_peer* takes over
         *old_peer*'s position (parent edge and all child edges), so the
         tree keeps routing for every descendant of the replaced node —
@@ -227,62 +190,67 @@ class PeerChain:
         If *new_peer* already participates in the transaction, the dead
         node is spliced out instead and its children are grafted under
         the existing node.  Returns False when *old_peer* is not in the
-        chain (nothing to rewrite).
+        chain (nothing to rewrite) or is the root with *new_peer*
+        present (the origin cannot be spliced out).
         """
-        node = self.find(old_peer)
-        if node is None or old_peer == new_peer:
+        up, down = self._up, self._down
+        if old_peer not in up or old_peer == new_peer:
             return False
-        existing = self.find(new_peer)
-        if existing is None:
-            node.peer_id = new_peer
-            node.super_peer = super_peer
-        elif node.parent is None:
-            # The root (origin) cannot be spliced out; leave it alone.
+        parent = up[old_peer][0]
+        children = down[old_peer]
+        if new_peer not in up:
+            del up[old_peer], down[old_peer]
+            up[new_peer] = (parent, super_peer)
+            down[new_peer] = children
+            if parent is None:
+                self._root = new_peer
+            else:
+                down[parent] = tuple(new_peer if c == old_peer else c for c in down[parent])
+        elif parent is None:
             return False
+        elif old_peer in self.ancestors_of(new_peer):
+            # Pinned, not endorsed: grafting here would make *new_peer*
+            # its own ancestor, and the view has always dropped the dead
+            # peer's whole subtree instead, *new_peer* included (ROADMAP
+            # 1(b)).  Keeping it hides a duplicated effect in shard_chaos.
+            down[parent] = tuple(c for c in down[parent] if c != old_peer)
+            for peer in self._walk(old_peer):
+                del up[peer], down[peer]
+            return True
         else:
-            for child in node.children:
-                child.parent = existing
-                existing.children.append(child)
-            node.children = []
-            node.parent.children.remove(node)
-            node.parent = None
-        self._reindex()
+            del up[old_peer], down[old_peer]
+            down[parent] = tuple(c for c in down[parent] if c != old_peer)
+            down[new_peer] += children
+        for child in children:
+            up[child] = (new_peer, up[child][1])
         return True
 
     # -- the paper's bracket notation -----------------------------------------
 
     def to_text(self) -> str:
+        up, down = self._up, self._down
         parts = ["["]
-        # Nodes still to write, interleaved with the literal separators
-        # that go between them.
-        stack: List[object] = [self.root]
+        # (text written before the peer, the peer or None for text alone)
+        stack: List[Tuple[str, Optional[str]]] = [("", self._root)]
         while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                parts.append(item)
+            text, peer = stack.pop()
+            parts.append(text)
+            if peer is None:
                 continue
-            parts.append(item.label)
-            children = item.children
+            parts.append(f"{peer}*" if up[peer][1] else peer)
+            children = down[peer]
             if len(children) == 1:
-                parts.append(" -> ")
-                stack.append(children[0])
+                stack.append((" -> ", children[0]))
             elif children:
-                parts.append(" -> [")
-                stack.append("]")
-                for child in reversed(children[1:]):
-                    stack.append(child)
-                    stack.append("] || [")
-                stack.append(children[0])
+                stack.append(("]", None))
+                stack.extend(("] || [", child) for child in reversed(children[1:]))
+                stack.append((" -> [", children[0]))
         parts.append("]")
         return "".join(parts)
 
     @classmethod
     def from_text(cls, text: str) -> "PeerChain":
-        chain = cls.__new__(cls)
-        chain.root = _ChainParser(text).parse()
-        chain._index = {}
-        chain._reindex()
-        return chain
+        return _ChainParser(text).parse()
 
     def merge(self, other: "PeerChain") -> int:
         """Fold *other*'s edges into this chain; returns edges added.
@@ -293,38 +261,27 @@ class PeerChain:
         edge does).
         """
         added = 0
-        index = self._index
+        up = self._up
         # Breadth-first so parents are inserted before their children:
         # the loop also visits what it appends.
-        pending = [other.root]
-        for node in pending:
-            for child in node.children:
+        pending = [other._root]
+        for parent in pending:
+            for child in other._down[parent]:
                 pending.append(child)
-                if child.peer_id in index or node.peer_id not in index:
+                if child in up or parent not in up:
                     continue
-                self.add_invocation(node.peer_id, child.peer_id, child.super_peer)
+                self.add_invocation(parent, child, other._up[child][1])
                 added += 1
         return added
 
     def copy(self) -> "PeerChain":
-        """Independent deep copy: the snapshot an invocation carries.
-
-        A direct structural copy of the node tree — equivalent to (and
-        pinned against, in ``tests/test_p2p_chain.py``) the
-        ``from_text``-of-``to_text`` round trip.  The index is copied
-        with it: a twin is indexed where its original is.
-        """
-        chain = PeerChain(self.root.peer_id, self.root.super_peer)
-        index, twin_index = self._index, chain._index
-        pending = [(self.root, chain.root)]
-        while pending:
-            node, twin = pending.pop()
-            for child in node.children:
-                child_twin = twin.add_child(child.peer_id, child.super_peer)
-                if index[child.peer_id] is child:
-                    twin_index[child.peer_id] = child_twin
-                pending.append((child, child_twin))
-        return chain
+        """Independent copy: the snapshot an invocation carries.  The
+        child tuples are immutable, so two shallow map copies suffice
+        (pinned against the ``from_text``-of-``to_text`` round trip in
+        ``tests/test_p2p_chain.py``)."""
+        twin = PeerChain.__new__(PeerChain)
+        twin._root, twin._up, twin._down = self._root, self._up.copy(), self._down.copy()
+        return twin
 
     def __repr__(self) -> str:
         return f"PeerChain({self.to_text()})"
@@ -338,36 +295,37 @@ class _ChainParser:
 
     Open brackets live on an explicit stack (no recursion): the text
     comes from another peer, and a hostile nesting depth must end in a
-    :class:`P2PError` or a chain, never a ``RecursionError``.
+    :class:`P2PError` or a chain, never a ``RecursionError``.  So must a
+    label that appears twice.
     """
 
     def __init__(self, text: str):
         self.text = text.strip()
         self.pos = 0
 
-    def parse(self) -> ChainNode:
+    def parse(self) -> PeerChain:
         self._expect("[")
-        root: Optional[ChainNode] = None
-        #: One entry per open bracket: the node its content hangs under.
-        open_brackets: List[Optional[ChainNode]] = [None]
-        parent: Optional[ChainNode] = None
+        chain: Optional[PeerChain] = None
+        #: One entry per open bracket: the peer its content hangs under.
+        open_brackets: List[Optional[str]] = [None]
+        parent: Optional[str] = None
         while open_brackets:
             label = self._parse_label()
-            node = ChainNode(label.rstrip("*"), label.endswith("*"), parent=parent)
+            peer, super_peer = label.rstrip("*"), label.endswith("*")
             if parent is None:
-                root = node
+                chain = PeerChain(peer, super_peer)
             else:
-                parent.children.append(node)
+                chain.add_invocation(parent, peer, super_peer)
             self._skip_ws()
             if self.text.startswith("->", self.pos):
                 self.pos += 2
                 self._skip_ws()
-                parent = node
+                parent = peer
                 if self.text.startswith("[", self.pos):
                     self.pos += 1
-                    open_brackets.append(node)
+                    open_brackets.append(peer)
                 continue
-            # A childless node ends its bracket — and every enclosing
+            # A childless peer ends its bracket — and every enclosing
             # bracket whose group it was the last member of.
             while open_brackets:
                 self._expect("]")
@@ -380,7 +338,7 @@ class _ChainParser:
                     break
         if self.pos != len(self.text):
             raise P2PError(f"trailing characters in chain text: {self.text!r}")
-        return root
+        return chain
 
     def _parse_label(self) -> str:
         self._skip_ws()

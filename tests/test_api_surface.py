@@ -111,7 +111,10 @@ REMOVED = {
     "repro.p2p": (
         "InvokeResult", "Outcome", "PingMonitor",
         "SiblingStream", "StreamData", "open_stream",
+        "ChainNode",
     ),
+    # a chain is two maps keyed by peer id, with no node objects
+    "repro.p2p.chain": ("ChainNode",),
     "repro.p2p.messages": ("InvokeResult", "Outcome"),
     "repro.axml": ("InvocationOutcome", "Outcome", "FaultHandler", "RetryPolicy"),
     "repro.axml.materialize": ("InvocationOutcome",),
@@ -175,6 +178,7 @@ def test_removed_members_stay_removed():
     from repro.obs.histogram import Histogram
     from repro.obs.prof import PROF
     from repro.obs.spans import Span, SpanCollector
+    from repro.p2p.chain import PeerChain
     from repro.p2p.failure import FailureInjector
     from repro.p2p.messages import InvokeRequest
     from repro.p2p.network import SimNetwork
@@ -262,6 +266,8 @@ def test_removed_members_stay_removed():
         (TransactionManager, "bind_observability"), (TransactionManager, "_span"),
         # no program path sent one: a ping is SimNetwork.ping
         (importlib.import_module("repro.p2p.messages"), "PingMessage"),
+        # a chain answers by peer id: no node to find, no root node
+        (PeerChain, "find"), (PeerChain, "root"), (PeerChain("AP1"), "root"),
     ):
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
     assert "parse_equivalent" not in inspect.signature(Document.clone_tree).parameters
@@ -339,12 +345,14 @@ def test_one_rejoin_mode_and_four_durability_knobs():
 
 def test_collaborators_every_caller_passes_are_required():
     """The WAL's peer, metrics, event queue and document source, the
-    manager's span collector, the collector's clock and what the log
-    is told per append have no default: every program caller passes
-    them, so no ``is None`` branch waits."""
+    manager's span collector, the collector's clock, what the log
+    is told per append and a chain edit's super flag and notice scope
+    have no default: every program caller passes them, so no ``is
+    None`` branch waits."""
     import inspect
 
     from repro.obs.spans import SpanCollector
+    from repro.p2p.chain import PeerChain
     from repro.txn.durable_wal import DurableWal
     from repro.txn.manager import TransactionManager
     from repro.txn.wal import OperationLog
@@ -356,6 +364,9 @@ def test_collaborators_every_caller_passes_are_required():
         (OperationLog, ("peer_id",)),
         (OperationLog.append, ("records", "timestamp", "action")),
         (OperationLog.approximate_bytes, ("txn_id",)),
+        (PeerChain.add_invocation, ("child_super",)),
+        (PeerChain.substitute, ("super_peer",)),
+        (PeerChain.sibling_notice_targets, ("scope",)),
     ):
         parameters = inspect.signature(callee).parameters
         assert [parameters[name].default for name in names] == [inspect.Parameter.empty] * len(

@@ -34,7 +34,7 @@ class TestChainMerge:
         mine = PeerChain.from_text("[A -> B]")
         theirs = PeerChain.from_text("[A -> B -> C*]")
         mine.merge(theirs)
-        assert mine.find("C").super_peer
+        assert mine.to_text() == "[A -> B -> C*]"
 
     def test_merge_partial_overlap(self):
         mine = PeerChain.from_text("[A -> [B] || [C]]")

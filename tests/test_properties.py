@@ -197,7 +197,7 @@ class TestChainProperty:
         peers = ["AP1"]
         for index in range(2, size + 2):
             parent = rng.choice(peers)
-            chain.add_invocation(parent, f"AP{index}")
+            chain.add_invocation(parent, f"AP{index}", False)
             peers.append(f"AP{index}")
         for peer in peers[1:]:
             ancestors = chain.ancestors_of(peer)

@@ -41,7 +41,7 @@ class TestRedirectTargets:
     def test_the_closest_super_peer_is_among_them(self):
         chain = PeerChain.from_text("[R -> S* -> A -> B -> C]")
         assert chain.ancestors_of("C") == ["B", "A", "S", "R"]
-        supers = [p for p in chain.ancestors_of("C") if chain.find(p).super_peer]
+        supers = [p for p in chain.ancestors_of("C") if f"{p}*" in chain.to_text()]
         assert supers[:1] == ["S"]  # the closest one comes first
 
     def test_root_and_strangers_have_nobody(self):
@@ -72,14 +72,14 @@ class TestDisconnectNoticeTargets:
     def test_sibling_informs_parent_and_children(self):
         """§3.3(d): AP4 noticed AP3's stream went silent."""
         chain = PeerChain.from_text(FIG2)
-        assert chain.sibling_notice_targets("AP3", "AP4") == ["AP2", "AP6"]
+        assert chain.sibling_notice_targets("AP3", "AP4", "immediate") == ["AP2", "AP6"]
         assert chain.sibling_notice_targets("AP3", "AP4", "extended") == [
             "AP2", "AP6", "AP1",
         ]
 
     def test_cousins_hear_of_it_under_extended_scope(self):
         chain = PeerChain.from_text("[R -> [A -> [A1] || [A2]] || [B -> B1]]")
-        assert chain.sibling_notice_targets("A1", "A2") == ["A"]
+        assert chain.sibling_notice_targets("A1", "A2", "immediate") == ["A"]
         assert chain.sibling_notice_targets("A1", "A2", "extended") == [
             "A", "R", "B", "B1",
         ]

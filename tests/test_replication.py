@@ -499,9 +499,9 @@ class TestFailover:
 class TestChainRewrite:
     def test_interior_node_substitution(self):
         chain = PeerChain("AP1")
-        chain.add_invocation("AP1", "AP2")
-        chain.add_invocation("AP2", "AP3")
-        assert chain.substitute("AP2", "APX")
+        chain.add_invocation("AP1", "AP2", False)
+        chain.add_invocation("AP2", "AP3", False)
+        assert chain.substitute("AP2", "APX", False)
         assert not chain.contains("AP2")
         assert chain.children_of("AP1") == ["APX"]
         # The interior node's subtree re-parents onto the substitute.

@@ -182,11 +182,11 @@ class TestHarness:
 class TestExtendedChain:
     def chain(self):
         chain = PeerChain("R")
-        chain.add_invocation("R", "A")
-        chain.add_invocation("R", "B")
-        chain.add_invocation("A", "A1")
-        chain.add_invocation("A", "A2")
-        chain.add_invocation("B", "B1")
+        chain.add_invocation("R", "A", False)
+        chain.add_invocation("R", "B", False)
+        chain.add_invocation("A", "A1", False)
+        chain.add_invocation("A", "A2", False)
+        chain.add_invocation("B", "B1", False)
         return chain
 
     def test_uncles(self):

@@ -24,11 +24,10 @@ keeps them from creeping back in.  Three patterns are flagged:
   writes a frame straight from the entry, not through a scratch tree.
 * under ``src/``, any ``.value =`` write outside ``xmlstore/nodes.py``
   and ``query/update.py``, and any ``.children`` mutator (a list method
-  that changes it, an assignment, a ``del``) outside ``xmlstore/nodes.py``
-  and ``p2p/chain.py`` (whose chain nodes are not XML).  The index's value
-  postings outlive queries and are dropped by the node layer's
-  attach/detach climb; a text or child list changed behind its back
-  would leave them stale.  ``update.py``'s one write is ``_materialize``
+  that changes it, an assignment, a ``del``) outside ``xmlstore/nodes.py``.
+  The index's value postings outlive queries and are dropped by the node
+  layer's attach/detach climb; a text or child list changed behind its
+  back would leave them stale.  ``update.py``'s one write is ``_materialize``
   filling the holes of a fresh, detached clone, whose creation already
   dropped the maps of its names.
 
@@ -105,11 +104,8 @@ TEXT_WRITE = (
     re.compile(r"\.value\s*\+?=(?!=)"),
     "a text write outside the node layer — the index's value postings would go stale",
 )
-#: Only the node layer changes a child list (``p2p/chain.py``'s are a chain's).
-CHILD_WRITERS = tuple(
-    os.path.join("src", "repro", *parts)
-    for parts in (("xmlstore", "nodes.py"), ("p2p", "chain.py"))
-)
+#: Only the node layer changes a child list.
+CHILD_WRITERS = (os.path.join("src", "repro", "xmlstore", "nodes.py"),)
 CHILD_WRITE = (
     re.compile(
         r"\.children\.(?:append|insert|extend|pop|remove|clear|sort|reverse)\("
