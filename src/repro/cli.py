@@ -67,9 +67,8 @@ def _parse_peer_method(raw: str) -> tuple:
     return peer_id, method
 
 
-def _run_fig1(args: argparse.Namespace) -> tuple:
-    """Fig. 1 with the ``--fault``/``--handler`` flags applied, committed
-    when recovery succeeded; returns ``(cluster, error)``."""
+def _fig1_cluster(args: argparse.Namespace) -> Cluster:
+    """Fig. 1 with the ``--fault``/``--handler`` flags applied."""
     cluster = Cluster.fig1(chaining=not args.no_chaining)
     if args.fault:
         peer_id, method = _parse_peer_method(args.fault)
@@ -81,15 +80,21 @@ def _run_fig1(args: argparse.Namespace) -> tuple:
         cluster.peer(peer_id).set_fault_policy(
             method, [FaultPolicy(fault_names={"Crash"}, retry_times=2)]
         )
+    return cluster
+
+
+def _run_fig1(cluster: Cluster) -> Optional[Exception]:
+    """Run Fig. 1, committed when recovery succeeded; returns the error."""
     txn, error = cluster.run_topology()
     if error is None:
         txn.commit()
-    return cluster, error
+    return error
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
     """Run the Fig. 1 nested-recovery scenario with optional fault/handler."""
-    cluster, error = _run_fig1(args)
+    cluster = _fig1_cluster(args)
+    error = _run_fig1(cluster)
     print("Fig.1 run:", "recovered/committed" if error is None else f"aborted ({error})")
     for peer_id, peer in cluster.peers.items():
         doc = peer.get_axml_document(f"D{peer_id[2:]}")
@@ -255,25 +260,29 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.obs import render_report, write_json_artifact
 
     if args.scenario == "fig1":
-        cluster, _ = _run_fig1(args)
+        cluster = _fig1_cluster(args)
+        run = lambda: _run_fig1(cluster)
         title = "fig1 nested recovery"
     else:
         cluster = Cluster.fig2(chaining=not args.no_chaining)
         cluster.injector.disconnect_peer_during(
             "AP3", "AP6", "S6", "after_local_work"
         )
-        cluster.run_topology()
+        run = cluster.run_topology
         title = "fig2 disconnection (case b window)"
+    # The collector keeps counts and the slowest spans; the artifact's
+    # span tree is recorded from before the first span opens.
+    recording = cluster.spans.record()
+    run()
 
-    spans = cluster.spans
-    print(render_report(cluster.metrics, spans, title=f"repro report: {title}"))
+    print(render_report(cluster.metrics, cluster.spans, title=f"repro report: {title}"))
     if args.json_out:
         write_json_artifact(
             args.json_out,
             {
                 "scenario": args.scenario,
                 "metrics": cluster.metrics.to_dict(),
-                "spans": spans.to_dict(),
+                "spans": recording.to_dict(),
             },
         )
         print(f"\njson artifact written: {args.json_out}")

@@ -7,7 +7,8 @@ platforms (ViP2P, the WebContent XML Store) treat tracing:
 
 * :mod:`repro.obs.spans` — hierarchical spans over virtual time
   (transaction → service invocation → compensation step), emitted by
-  the network, the peers and the transaction managers;
+  the network, the peers and the transaction managers, counted as they
+  close and kept whole only by a recording started before the run;
 * :mod:`repro.obs.histogram` — latency/size distributions with
   percentiles, recorded alongside the flat counters;
 * :mod:`repro.obs.export` — stable, strictly valid JSON artifacts
@@ -21,7 +22,7 @@ from repro.obs.export import sanitize_for_json, stable_json, write_json_artifact
 from repro.obs.histogram import Histogram
 from repro.obs.prof import PROF, Profiler, profile_summary, profiled
 from repro.obs.report import render_report, run_summary
-from repro.obs.spans import Span, SpanCollector
+from repro.obs.spans import Span, SpanCollector, SpanRecording
 
 __all__ = [
     "Histogram",
@@ -29,6 +30,7 @@ __all__ = [
     "Profiler",
     "Span",
     "SpanCollector",
+    "SpanRecording",
     "profile_summary",
     "profiled",
     "render_report",

@@ -18,18 +18,28 @@ when a :class:`~repro.errors.PeerDisconnected` escapes; ``fault`` with
 ``fault_name`` for a :class:`~repro.errors.ServiceFault`;
 ``error:<Type>`` for any other exception.  A body that ended its span
 itself (``reused``, ``recovered``) keeps that status.
+
+A collector keeps no finished span: it counts spans as they open and
+close and keeps the five slowest, so a closed span is freed once its
+opener lets go of it.  Whoever wants the whole trace asks for it before
+the run (:meth:`SpanCollector.record`): a recording holds every span
+opened after it started, and none opened before.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import PeerDisconnected, ServiceFault
 
+#: How many finished spans :meth:`SpanCollector.slowest` keeps.
+SLOWEST = 5
 
-@dataclass
+
+@dataclass(slots=True)
 class Span:
     """One timed, attributed step of a simulation run."""
 
@@ -43,10 +53,6 @@ class Span:
     status: str = "running"  # ok | committed | aborted | fault | disconnected | ...
     parent_id: Optional[int] = None
     attrs: Dict[str, str] = field(default_factory=dict)
-
-    @property
-    def finished(self) -> bool:
-        return self.end is not None
 
     @property
     def duration(self) -> Optional[float]:
@@ -98,8 +104,42 @@ class _SpanScope:
         return False
 
 
+class SpanRecording:
+    """The whole trace: every span opened since the recording started.
+
+    Spans are held in opening order, and they are the collector's own
+    objects, so the recording also sees how each one ends."""
+
+    def __init__(self) -> None:
+        self.spans: List[Span] = []
+
+    def finished(self) -> List[Span]:
+        return [s for s in self.spans if s.end is not None]
+
+    def by_kind(self, kind: str) -> List[Span]:
+        return [s for s in self.spans if s.kind == kind]
+
+    def children_of(self, span: Span) -> List[Span]:
+        return [s for s in self.spans if s.parent_id == span.span_id]
+
+    def to_dict(self) -> Dict[str, object]:
+        """The recorded spans, with counts by kind and by status."""
+        by_kind: Dict[str, int] = {}
+        by_status: Dict[str, int] = {}
+        for span in self.spans:
+            by_kind[span.kind] = by_kind.get(span.kind, 0) + 1
+            by_status[span.status] = by_status.get(span.status, 0) + 1
+        summary = {
+            "total": len(self.spans),
+            "open": sum(1 for s in self.spans if s.end is None),
+            "by_kind": by_kind,
+            "by_status": by_status,
+        }
+        return {"summary": summary, "spans": [span.to_dict() for span in self.spans]}
+
+
 class SpanCollector:
-    """Collects spans for one simulation run.
+    """Counts the spans of one simulation run.
 
     ``now`` supplies virtual time — the owning network passes
     ``lambda: clock.now`` so span timestamps line up with the metrics.
@@ -107,9 +147,19 @@ class SpanCollector:
 
     def __init__(self, now: Callable[[], float]):
         self.now = now
-        self.spans: List[Span] = []
         self._stack: List[Span] = []
-        self._ids = itertools.count(1)
+        self._opened = 0  # also the last span id handed out
+        self._by_kind: Dict[str, int] = defaultdict(int)  # counted as spans open
+        self._by_status: Dict[str, int] = defaultdict(int)  # counted as spans close
+        #: ``((-duration, span_id), span)`` of the slowest finished spans, fastest last.
+        self._slowest: List[Tuple[Tuple[float, int], Span]] = []
+        self._recordings: List[SpanRecording] = []
+
+    def record(self) -> SpanRecording:
+        """Keep every span opened from now on, for a reader of the whole trace."""
+        recording = SpanRecording()
+        self._recordings.append(recording)
+        return recording
 
     # -- lifecycle ------------------------------------------------------
 
@@ -117,7 +167,7 @@ class SpanCollector:
         self,
         name: str,
         kind: str,
-        peer: str = "",
+        peer: str,
         txn_id: str = "",
         parent: Optional[Span] = None,
         attrs: Optional[Mapping[str, object]] = None,
@@ -132,10 +182,11 @@ class SpanCollector:
         self,
         name: str,
         kind: str,
-        peer: str = "",
+        peer: str,
         txn_id: str = "",
         parent: Optional[Span] = None,
-        attrs: Optional[Mapping[str, object]] = None,
+        *,
+        attrs: Mapping[str, object],
     ) -> "_SpanScope":
         """``with collector.span(...) as span:`` opens a span on the stack
         that ends by the module's rule."""
@@ -147,8 +198,9 @@ class SpanCollector:
     ) -> Span:
         if parent is None and self._stack:
             parent = self._stack[-1]
+        self._opened += 1
         span = Span(
-            span_id=next(self._ids),
+            span_id=self._opened,
             name=name,
             kind=kind,
             peer=peer,
@@ -157,7 +209,9 @@ class SpanCollector:
             parent_id=None if parent is None else parent.span_id,
             attrs={k: str(v) for k, v in attrs.items()} if attrs else {},
         )
-        self.spans.append(span)
+        self._by_kind[kind] += 1
+        for recording in self._recordings:
+            recording.spans.append(span)
         if stacked:
             self._stack.append(span)
         return span
@@ -169,6 +223,12 @@ class SpanCollector:
             span.status = status
             if attrs:
                 span.attrs.update({k: str(v) for k, v in attrs.items()})
+            self._by_status[status] += 1
+            slowest = self._slowest
+            rank = (span.start - span.end, span.span_id)
+            if len(slowest) < SLOWEST or rank < slowest[-1][0]:
+                bisect.insort(slowest, (rank, span))  # ranks are unique: no Span compares
+                del slowest[SLOWEST:]
         stack = self._stack
         if stack and stack[-1] is span:
             stack.pop()
@@ -186,44 +246,25 @@ class SpanCollector:
     # -- reading --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.spans)
-
-    def finished(self) -> List[Span]:
-        return [s for s in self.spans if s.finished]
-
-    def by_kind(self, kind: str) -> List[Span]:
-        return [s for s in self.spans if s.kind == kind]
-
-    def children_of(self, span: Span) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
+        return self._opened
 
     def slowest(self) -> List[Span]:
         """The five longest finished spans."""
-        pool = [s for s in self.spans if s.finished]
-        pool.sort(key=lambda s: (-(s.duration or 0.0), s.span_id))
-        return pool[:5]
+        return [span for _, span in self._slowest]
 
     def summary(self) -> Dict[str, object]:
-        """Counts by kind and by status, plus the open-span count."""
-        by_kind: Dict[str, int] = {}
-        by_status: Dict[str, int] = {}
-        for span in self.spans:
-            by_kind[span.kind] = by_kind.get(span.kind, 0) + 1
-            by_status[span.status] = by_status.get(span.status, 0) + 1
+        """Counts by kind and by status (open spans are ``running``),
+        plus the open-span count."""
+        still_open = self._opened - sum(self._by_status.values())
+        by_status = dict(self._by_status)
+        if still_open:
+            by_status["running"] = by_status.get("running", 0) + still_open
         return {
-            "total": len(self.spans),
-            "open": sum(1 for s in self.spans if not s.finished),
-            "by_kind": by_kind,
+            "total": self._opened,
+            "open": still_open,
+            "by_kind": dict(self._by_kind),
             "by_status": by_status,
         }
 
-    # -- export ---------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "summary": self.summary(),
-            "spans": [span.to_dict() for span in self.spans],
-        }
-
     def __repr__(self) -> str:
-        return f"SpanCollector(spans={len(self.spans)}, open={len(self._stack)})"
+        return f"SpanCollector(spans={self._opened}, open={len(self._stack)})"

@@ -268,6 +268,10 @@ def test_removed_members_stay_removed():
         (importlib.import_module("repro.p2p.messages"), "PingMessage"),
         # a chain answers by peer id: no node to find, no root node
         (PeerChain, "find"), (PeerChain, "root"), (PeerChain("AP1"), "root"),
+        # a collector keeps counts; the whole trace is a SpanRecording's
+        (SpanCollector(lambda: 0.0), "spans"), (SpanCollector, "finished"),
+        (SpanCollector, "by_kind"), (SpanCollector, "children_of"),
+        (SpanCollector, "to_dict"), (Span, "finished"),
     ):
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
     assert "parse_equivalent" not in inspect.signature(Document.clone_tree).parameters
@@ -345,7 +349,8 @@ def test_one_rejoin_mode_and_four_durability_knobs():
 
 def test_collaborators_every_caller_passes_are_required():
     """The WAL's peer, metrics, event queue and document source, the
-    manager's span collector, the collector's clock, what the log
+    manager's span collector, the collector's clock and a span's peer
+    (and, for a stacked span, its attributes), what the log
     is told per append and a chain edit's super flag and notice scope
     have no default: every program caller passes them, so no ``is
     None`` branch waits."""
@@ -361,6 +366,8 @@ def test_collaborators_every_caller_passes_are_required():
         (DurableWal, ("policy", "peer_id", "metrics", "events", "document_source")),
         (TransactionManager, ("peer_id", "document_provider", "spans")),
         (SpanCollector, ("now",)),
+        (SpanCollector.span, ("peer", "attrs")),
+        (SpanCollector.start, ("peer",)),
         (OperationLog, ("peer_id",)),
         (OperationLog.append, ("records", "timestamp", "action")),
         (OperationLog.approximate_bytes, ("txn_id",)),

@@ -96,6 +96,9 @@ class TestCommands:
         assert {"scenario", "metrics", "spans"} <= set(data)
         assert data["metrics"]["histograms"]["rpc_latency"]["p50"] is not None
         assert data["spans"]["summary"]["total"] > 0
+        # The artifact carries the whole tree: the report records it from the start.
+        assert len(data["spans"]["spans"]) == data["spans"]["summary"]["total"]
+        assert data["spans"]["spans"][0]["span_id"] == 1
 
     def test_spheres(self, capsys):
         assert main(["spheres", "--super-fraction", "1.0"]) == 0

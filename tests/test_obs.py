@@ -1,5 +1,6 @@
 """Unit tests for the observability layer (repro.obs)."""
 
+import gc
 import hashlib
 import json
 import math
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.errors import PeerDisconnected, ServiceFault
@@ -21,6 +24,7 @@ from repro.obs import (
     stable_json,
     write_json_artifact,
 )
+from repro.obs.spans import SLOWEST
 from repro.sim.metrics import MetricsCollector
 
 
@@ -97,18 +101,19 @@ class TestHistogramEdges:
 class TestSpanCollector:
     def test_stack_parenting(self):
         spans = SpanCollector(lambda: 0.0)
-        with spans.span("outer", "invoke") as outer:
-            with spans.span("inner", "rpc") as inner:
+        recording = spans.record()
+        with spans.span("outer", "invoke", "P", attrs={}) as outer:
+            with spans.span("inner", "rpc", "P", attrs={}) as inner:
                 assert inner.parent_id == outer.span_id
                 assert spans.current() is inner
         assert spans.current() is None
-        assert spans.children_of(outer) == [inner]
+        assert recording.children_of(outer) == [inner]
 
     def test_detached_spans_stay_off_stack(self):
         spans = SpanCollector(lambda: 0.0)
-        txn = spans.start("txn:T1", "transaction")
+        txn = spans.start("txn:T1", "transaction", "P")
         assert spans.current() is None  # the detached span never stacked
-        with spans.span("invoke:S1", "invoke", parent=txn) as child:
+        with spans.span("invoke:S1", "invoke", "P", parent=txn, attrs={}) as child:
             assert spans.current() is child
             assert child.parent_id == txn.span_id
         spans.end(txn, status="committed")
@@ -117,7 +122,7 @@ class TestSpanCollector:
     def test_end_is_idempotent(self):
         clock = [0.0]
         spans = SpanCollector(now=lambda: clock[0])
-        span = spans.start("s", "rpc")
+        span = spans.start("s", "rpc", "P")
         clock[0] = 1.0
         spans.end(span, status="ok")
         clock[0] = 9.0
@@ -125,11 +130,23 @@ class TestSpanCollector:
         assert span.status == "ok"
         assert span.duration == 1.0
 
+    def test_a_second_end_changes_no_count(self):
+        clock = [0.0]
+        spans = SpanCollector(now=lambda: clock[0])
+        span = spans.start("s", "rpc", "P")
+        clock[0] = 1.0
+        spans.end(span, status="ok")
+        before = (spans.summary(), spans.slowest(), len(spans), repr(spans))
+        clock[0] = 9.0
+        spans.end(span, status="error")
+        assert (spans.summary(), spans.slowest(), len(spans), repr(spans)) == before
+        assert spans.summary()["by_status"] == {"ok": 1}
+
     def test_ending_a_non_top_span_removes_exactly_that_span(self):
         spans = SpanCollector(lambda: 0.0)
-        outer = spans.span("outer", "invoke").span
-        middle = spans.span("middle", "rpc").span
-        inner = spans.span("inner", "service").span
+        outer = spans.span("outer", "invoke", "P", attrs={}).span
+        middle = spans.span("middle", "rpc", "P", attrs={}).span
+        inner = spans.span("inner", "service", "P", attrs={}).span
         spans.end(middle, status="fault")
         assert spans.current() is inner
         assert "open=2" in repr(spans)
@@ -144,8 +161,9 @@ class TestSpanCollector:
     def test_report_artifact_is_pinned(self, tmp_path):
         """The span stack is maintained by identity: the observability
         artifact of Fig. 1 with a fault is the same bytes as when the
-        stack compared spans field by field.  A fresh interpreter, since
-        transaction ids count per process."""
+        stack compared spans field by field, and as when the collector
+        kept every span itself.  A fresh interpreter, since transaction
+        ids count per process."""
         path = tmp_path / "report.json"
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
         subprocess.run(
@@ -159,21 +177,23 @@ class TestSpanCollector:
 
     def test_context_manager_captures_exception_type(self):
         spans = SpanCollector(lambda: 0.0)
+        recording = spans.record()
         with pytest.raises(RuntimeError):
-            with spans.span("boom", "service"):
+            with spans.span("boom", "service", "P", attrs={}):
                 raise RuntimeError("x")
-        assert spans.spans[0].status == "error:RuntimeError"
-        assert spans.spans[0].finished
+        assert recording.spans[0].status == "error:RuntimeError"
+        assert recording.spans[0].end is not None
 
     def test_span_rule_names_faults_and_disconnections(self):
         spans = SpanCollector(lambda: 0.0)
+        recording = spans.record()
         for error in (PeerDisconnected("B"), ServiceFault("Crash", "x"), KeyError("k")):
             with pytest.raises(type(error)):
-                with spans.span("step", "invoke"):
+                with spans.span("step", "invoke", "P", attrs={}):
                     raise error
-        with spans.span("step", "invoke") as span:
+        with spans.span("step", "invoke", "P", attrs={}) as span:
             spans.end(span, status="reused")
-        assert [(s.status, s.attrs) for s in spans.spans] == [
+        assert [(s.status, s.attrs) for s in recording.spans] == [
             ("disconnected", {"dead_peer": "B"}),
             ("fault", {"fault_name": "Crash"}),
             ("error:KeyError", {}),
@@ -186,39 +206,43 @@ class TestSpanCollector:
         spans = SpanCollector(now=lambda: clock[0])
         for i, took in enumerate((0.3, 0.1, 0.7, 0.2, 0.6, 0.4, 0.5)):
             clock[0] = 0.0
-            span = spans.start(f"s{i}", "rpc")
+            span = spans.start(f"s{i}", "rpc", "P")
             clock[0] = took
             spans.end(span)
-        spans.start("open", "rpc")
+        spans.start("open", "rpc", "P")
         assert [s.name for s in spans.slowest()] == ["s2", "s4", "s6", "s5", "s0"]
 
     def test_attributes_are_one_mapping_stored_as_text(self):
         spans = SpanCollector(lambda: 0.0)
-        assert spans.start("t", "transaction", attrs={"attempt": 2}).attrs == {"attempt": "2"}
-        with spans.span("s", "service") as span:
+        assert spans.start("t", "transaction", "P", attrs={"attempt": 2}).attrs == {
+            "attempt": "2"
+        }
+        with spans.span("s", "service", "P", attrs={}) as span:
             assert span.attrs == {}
         # A stray keyword is an error, not an attribute named after it.
         with pytest.raises(TypeError, match="unexpected keyword argument 'detached'"):
-            spans.start("t", "transaction", detached=True)
+            spans.start("t", "transaction", "P", detached=True)
         with pytest.raises(TypeError, match="unexpected keyword argument 'target'"):
-            spans.span("s", "rpc", target="AP2")
+            spans.span("s", "rpc", "P", attrs={}, target="AP2")
 
     def test_summary_counts(self):
         spans = SpanCollector(lambda: 0.0)
-        spans.end(spans.start("a", "rpc"), status="ok")
-        spans.start("b", "rpc")  # left open
+        spans.end(spans.start("a", "rpc", "P"), status="ok")
+        spans.start("b", "rpc", "P")  # left open
         summary = spans.summary()
         assert summary["total"] == 2
         assert summary["open"] == 1
         assert summary["by_kind"] == {"rpc": 2}
+        assert summary["by_status"] == {"ok": 1, "running": 1}
 
     def test_json_round_trip(self):
         clock = [0.0]
         spans = SpanCollector(now=lambda: clock[0])
+        recording = spans.record()
         parent = spans.start("p", "invoke", peer="AP1", txn_id="T1", attrs={"target": "AP2"})
         clock[0] = 0.5
         spans.end(parent, status="fault", fault_name="Crash")
-        text = stable_json(spans.to_dict())
+        text = stable_json(recording.to_dict())
         data = json.loads(text)  # must be strict JSON
         assert data["summary"]["total"] == 1
         assert data["spans"] == [parent.to_dict()]
@@ -227,6 +251,115 @@ class TestSpanCollector:
     def test_span_str_renders(self):
         span = Span(1, "s", "rpc")
         assert "running" in str(span)
+
+    def test_a_span_has_no_instance_dict(self):
+        assert not hasattr(Span(1, "s", "rpc"), "__dict__")
+
+
+def _live_spans(name):
+    return [o for o in gc.get_objects() if type(o) is Span and o.name == name]
+
+
+class TestSpanMemory:
+    """A collector counts what closes and keeps only the slowest spans;
+    the whole trace is a recording's, from the moment it starts."""
+
+    def test_a_closed_span_is_freed_without_a_recording(self):
+        clock = [0.0]
+        spans = SpanCollector(now=lambda: clock[0])
+        for i in range(SLOWEST):  # slower spans hold every slowest place
+            span = spans.start(f"slow{i}", "rpc", "P")
+            clock[0] += 1.0
+            spans.end(span)
+        with spans.span("quick-probe", "rpc", "P", attrs={}) as span:
+            pass
+        del span
+        # Freed by reference counting: no collection runs first.
+        assert _live_spans("quick-probe") == []
+        assert spans.summary()["total"] == SLOWEST + 1
+
+    def test_a_recording_keeps_what_it_holds(self):
+        spans = SpanCollector(lambda: 0.0)
+        recording = spans.record()
+        with spans.span("kept-probe", "rpc", "P", attrs={}) as span:
+            pass
+        del span
+        assert [s.name for s in recording.finished()] == ["kept-probe"]
+        assert len(_live_spans("kept-probe")) == 1
+
+    def test_a_recording_started_mid_run_holds_only_later_spans(self):
+        spans = SpanCollector(lambda: 0.0)
+        txn = spans.start("txn:T1", "transaction", "P")
+        spans.end(spans.start("early", "rpc", "P"))
+        recording = spans.record()
+        with spans.span("late", "invoke", "P", parent=txn, attrs={}) as late:
+            pass
+        spans.end(txn, status="committed")
+        assert [s.name for s in recording.spans] == ["late"]
+        assert recording.children_of(txn) == [late]
+        assert recording.by_kind("transaction") == []
+        assert recording.to_dict()["summary"]["total"] == 1
+        assert spans.summary()["total"] == 3
+
+
+_ERRORS = (None, PeerDisconnected("B"), ServiceFault("Crash", "x"), KeyError("k"))
+_STATUSES = ("ok", "committed", "aborted", "reused", "running")
+_SPAN_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("tick"), st.sampled_from((0.0, 0.25, 0.5, 1.0))),
+        st.tuples(st.just("stacked"), st.sampled_from(("invoke", "rpc")), st.integers(0, 40)),
+        st.tuples(st.just("detached"), st.sampled_from(("transaction", "client")),
+                  st.integers(0, 40)),
+        st.tuples(st.just("exit"), st.integers(0, 40), st.integers(0, len(_ERRORS) - 1)),
+        st.tuples(st.just("end"), st.integers(0, 40), st.sampled_from(_STATUSES)),
+    ),
+    max_size=60,
+)
+
+
+def _reference_slowest(recording):
+    """The five longest finished spans, by the formula of the collector
+    that kept every span."""
+    pool = recording.finished()
+    pool.sort(key=lambda s: (-(s.duration or 0.0), s.span_id))
+    return pool[:5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPAN_OPS)
+def test_counts_and_slowest_equal_a_recording_of_the_whole_run(ops):
+    """Stacked, detached and nested spans, spans that raise and repeated
+    ``end`` calls: the collector's running totals and its five slowest
+    equal what a recording started first computes from its full list."""
+    clock = [0.0]
+    spans = SpanCollector(now=lambda: clock[0])
+    recording = spans.record()
+    scopes = {}  # span id -> the scope a stacked span opened with
+    for op in ops:
+        opened = recording.spans
+        if op[0] == "tick":
+            clock[0] += op[1]
+        elif op[0] in ("stacked", "detached"):
+            parent = opened[op[2] % len(opened)] if opened and op[2] % 3 else None
+            if op[0] == "stacked":
+                scope = spans.span("s", op[1], "P", parent=parent, attrs={})
+                scopes[scope.__enter__().span_id] = scope
+            else:
+                spans.start("d", op[1], "P", parent=parent)
+        elif opened and op[0] == "exit":
+            span = opened[op[1] % len(opened)]
+            error = _ERRORS[op[2]]
+            if span.span_id in scopes:
+                scopes[span.span_id].__exit__(type(error), error, None)
+            else:
+                spans.end(span, "ok" if error is None else "aborted")
+        elif opened and op[0] == "end":
+            spans.end(opened[op[1] % len(opened)], op[2])
+        assert spans.summary() == recording.to_dict()["summary"]
+        assert [s.span_id for s in spans.slowest()] == [
+            s.span_id for s in _reference_slowest(recording)
+        ]
+        assert len(spans) == len(opened)
 
 
 class TestExport:

@@ -23,17 +23,17 @@ from repro.sim.harness import ExperimentTable
 from repro.txn.occ import ValidationConflict
 
 
-def _by_id(spans):
-    return {span.span_id: span for span in spans.spans}
+def _by_id(recording):
+    return {span.span_id: span for span in recording.spans}
 
 
 class TestHappyPathSpans:
     def test_span_tree_shape(self):
         scenario = Cluster.fig1()
+        spans = scenario.network.spans.record()
         txn, error = scenario.run_topology()
         assert error is None
         scenario.peer("AP1").commit(txn.txn_id)
-        spans = scenario.network.spans
 
         txn_spans = spans.by_kind("transaction")
         assert [s.status for s in txn_spans] == ["committed"]
@@ -60,11 +60,12 @@ class TestHappyPathSpans:
 
     def test_all_spans_closed_and_timed(self):
         scenario = Cluster.fig1()
+        recording = scenario.network.spans.record()
         txn, _ = scenario.run_topology()
         scenario.peer("AP1").commit(txn.txn_id)
-        spans = scenario.network.spans
-        assert spans.summary()["open"] == 0
-        for span in spans.spans:
+        assert scenario.network.spans.summary()["open"] == 0
+        assert recording.spans
+        for span in recording.spans:
             assert span.duration is not None and span.duration >= 0
 
     def test_rpc_latency_histogram_populated(self):
@@ -85,18 +86,18 @@ class TestAbortPathSpans:
         scenario.injector.fault_service(
             "AP5", "S5", "Crash", point="after_execute"
         )
+        recording = scenario.network.spans.record()
         txn, error = scenario.run_topology()
         assert error is not None
-        return scenario, txn
+        return scenario, recording
 
     def test_transaction_span_aborted(self):
-        scenario, txn = self._aborted_run()
-        txn_spans = scenario.network.spans.by_kind("transaction")
+        _, spans = self._aborted_run()
+        txn_spans = spans.by_kind("transaction")
         assert [s.status for s in txn_spans] == ["aborted"]
 
     def test_compensation_spans_nest_under_service(self):
-        scenario, txn = self._aborted_run()
-        spans = scenario.network.spans
+        _, spans = self._aborted_run()
         comps = spans.by_kind("compensation")
         assert comps, "abort must emit compensation spans"
         index = _by_id(spans)
@@ -109,13 +110,12 @@ class TestAbortPathSpans:
         assert all(c.status == "ok" for c in comps)
 
     def test_fault_statuses_recorded(self):
-        scenario, txn = self._aborted_run()
-        spans = scenario.network.spans
+        _, spans = self._aborted_run()
         assert any(s.status == "fault" for s in spans.by_kind("rpc"))
         assert any(s.status == "fault" for s in spans.by_kind("service"))
 
     def test_compensation_depth_histogram(self):
-        scenario, txn = self._aborted_run()
+        scenario, _ = self._aborted_run()
         hist = scenario.metrics.histogram("compensation_depth")
         assert hist.count > 0
         assert hist.max >= 1
@@ -127,8 +127,8 @@ class TestDisconnectionSpans:
         scenario.injector.disconnect_peer_during(
             "AP3", "AP6", "S6", "after_local_work"
         )
+        spans = scenario.network.spans.record()
         scenario.run_topology()
-        spans = scenario.network.spans
         assert any(
             s.status == "disconnected" for s in spans.by_kind("rpc")
         )
@@ -147,7 +147,7 @@ SET_PRICE = (
 
 def _pair(target_document="Shop2", occ=False):
     """A (origin, hosts Shop) and B (hosts Shop2 and ``setPrice`` on
-    *target_document*)."""
+    *target_document*), and a recording of the network's spans."""
     network = SimNetwork()
     a = AXMLPeer("A", network, occ=occ)
     b = AXMLPeer("B", network)
@@ -159,42 +159,42 @@ def _pair(target_document="Shop2", occ=False):
         ServiceDescriptor("setPrice", params=("price",), target_document=target_document),
         SET_PRICE.format(doc=target_document),
     ))
-    return network, a, b
+    return network, a, network.spans.record()
 
 
 class TestTransactionSpanStatus:
     """The transaction span ends once, with the outcome the metrics record."""
 
-    def _statuses(self, network, txn_id):
-        span, = network.spans.by_kind("transaction")
+    def _statuses(self, network, recording, txn_id):
+        span, = recording.by_kind("transaction")
         return span.status, network.metrics.txn_outcomes[txn_id]
 
     def test_committed(self):
-        network, a, _ = _pair()
+        network, a, recording = _pair()
         txn = a.begin_transaction()
         a.invoke(txn.txn_id, "B", "setPrice", {"price": "5"})
         a.commit(txn.txn_id)
-        assert self._statuses(network, txn.txn_id) == ("committed", "committed")
+        assert self._statuses(network, recording, txn.txn_id) == ("committed", "committed")
 
     def test_aborted(self):
-        network, a, _ = _pair()
+        network, a, recording = _pair()
         txn = a.begin_transaction()
         a.invoke(txn.txn_id, "B", "setPrice", {"price": "5"})
         assert a.abort(txn.txn_id)
-        assert self._statuses(network, txn.txn_id) == ("aborted", "aborted")
+        assert self._statuses(network, recording, txn.txn_id) == ("aborted", "aborted")
 
     def test_abort_incomplete(self):
-        network, a, _ = _pair()
+        network, a, recording = _pair()
         txn = a.begin_transaction()
         a.invoke(txn.txn_id, "B", "setPrice", {"price": "5"})
         network.disconnect("B")
         assert not a.abort(txn.txn_id)
-        assert self._statuses(network, txn.txn_id) == (
+        assert self._statuses(network, recording, txn.txn_id) == (
             "abort_incomplete", "abort_incomplete"
         )
 
     def test_aborted_conflict(self):
-        network, a, _ = _pair(occ=True)
+        network, a, recording = _pair(occ=True)
         query = (
             '<action type="query"><location>Select i/price from i in Shop//item;'
             "</location></action>"
@@ -207,7 +207,7 @@ class TestTransactionSpanStatus:
         with pytest.raises(ValidationConflict):
             a.commit(reader.txn_id)
         span = next(
-            s for s in network.spans.by_kind("transaction") if s.txn_id == reader.txn_id
+            s for s in recording.by_kind("transaction") if s.txn_id == reader.txn_id
         )
         assert (span.status, network.metrics.txn_outcomes[reader.txn_id]) == (
             "aborted_conflict", "aborted_conflict"
@@ -218,11 +218,11 @@ def test_every_step_of_an_invocation_reports_an_escaping_error():
     """An exception other than a fault or a disconnection (B does not
     host the service's document) ends the invoke, rpc and service spans
     alike."""
-    network, a, _ = _pair(target_document="Elsewhere")
+    _, a, recording = _pair(target_document="Elsewhere")
     txn = a.begin_transaction()
     with pytest.raises(P2PError):
         a.invoke(txn.txn_id, "B", "setPrice", {"price": "5"})
-    statuses = {kind: [s.status for s in network.spans.by_kind(kind)]
+    statuses = {kind: [s.status for s in recording.by_kind(kind)]
                 for kind in ("invoke", "rpc", "service")}
     assert statuses == {kind: ["error:P2PError"] for kind in statuses}
 
@@ -233,9 +233,10 @@ class TestLiveRunExport:
         scenario.injector.fault_service(
             "AP5", "S5", "Crash", point="after_execute"
         )
+        recording = scenario.network.spans.record()
         scenario.run_topology()
         metrics_text = stable_json(scenario.metrics.to_dict())
-        spans_text = stable_json(scenario.network.spans.to_dict())
+        spans_text = stable_json(recording.to_dict())
         for text in (metrics_text, spans_text):
             assert "Infinity" not in text and "NaN" not in text
             json.loads(text)

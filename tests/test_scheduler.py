@@ -121,6 +121,7 @@ class TestConflictRetry:
         scheduler = TransactionScheduler(
             network, max_inflight=2, seed=stable_seed(11, "demo")
         )
+        spans = network.spans.record()
         rng = SeededRng(stable_seed(11, "demo-workload"))
         for client in range(2):
             ops = generate_contended_transaction(
@@ -136,7 +137,6 @@ class TestConflictRetry:
 
         # Span shape: one detached client span per logical transaction,
         # attempt txn spans as siblings underneath it.
-        spans = network.spans
         client_spans = {s.attrs["label"]: s for s in spans.by_kind("client")}
         assert set(client_spans) == {"hot0", "hot1"}
         for result in results:
