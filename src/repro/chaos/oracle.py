@@ -4,7 +4,7 @@ The chaos workload is built so every forward effect is *addressable*:
 each operation inserts exactly one ``<chaos txn="LABEL" step="STEP"/>``
 marker per document its (possibly delegated) execution touches.  After
 the run settles, the oracle sweeps every peer's documents, operation
-log, transaction contexts and chain state and checks the paper's
+log, transaction states and chain views and checks the paper's
 relaxed-atomicity contract:
 
 * a **committed** transaction's markers are present *exactly once* at
@@ -17,7 +17,7 @@ relaxed-atomicity contract:
 * every :class:`~repro.txn.wal.OperationLog` is empty — commit and
   compensation both truncate, so surviving entries mean a share was
   never settled (``log_residue``: the WAL ↔ document-state check);
-* every transaction context reached a terminal state and that state
+* every transaction context or recorded outcome is terminal and
   matches the scheduler's outcome (``unfinished_context`` /
   ``outcome_mismatch``);
 * no peer still holds an active-peer chain entry for a settled
@@ -398,12 +398,12 @@ class AtomicityOracle:
     def _check_contexts(self, peers: Mapping[str, object]) -> List[Violation]:
         violations: List[Violation] = []
         for peer_id, peer in sorted(peers.items()):
-            for txn_id, context in sorted(peer.manager.contexts.items()):
+            for txn_id, state in sorted(peer.manager.states().items()):
                 label, committed = self._decisions.get(txn_id, ("", False))
-                if not context.is_finished:
+                if state not in (TransactionState.COMMITTED, TransactionState.ABORTED):
                     violations.append(Violation(
                         "unfinished_context", label, peer_id,
-                        detail=f"context left {context.state.value}",
+                        detail=f"context left {state.value}",
                     ))
                     continue
                 if txn_id not in self._decisions:
@@ -412,11 +412,11 @@ class AtomicityOracle:
                     TransactionState.COMMITTED if committed
                     else TransactionState.ABORTED
                 )
-                if context.state is not wanted:
+                if state is not wanted:
                     violations.append(Violation(
                         "outcome_mismatch", label, peer_id,
                         detail=(
-                            f"context {context.state.value}, scheduler says "
+                            f"context {state.value}, scheduler says "
                             f"{'committed' if committed else 'aborted'}"
                         ),
                     ))

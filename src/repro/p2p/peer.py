@@ -70,9 +70,9 @@ from repro.txn.transaction import TransactionContext, TransactionState
 class _TxnRecord:
     """One peer's protocol state for one transaction: what §3.2's
     transaction context and §3.3's piggybacked peer list need beyond the
-    manager's share.  Kept after commit/abort so late protocol traffic
-    (and the paper's reuse cases) still resolve; dropped whole by
-    :meth:`AXMLPeer.forget_transaction` or :meth:`AXMLPeer.crash`."""
+    manager's share.  Dropped whole (:meth:`AXMLPeer.forget_transaction`)
+    by the commit decision — announced at the origin, received at a
+    participant — or a crash; kept after an abort for the reuse cases."""
 
     #: This peer's view of the active-peer chain (§3.3).
     chain: Optional[PeerChain] = None
@@ -526,6 +526,7 @@ class AXMLPeer:
             raise
         self._announce_decision(txn_id, CommitMessage(txn_id, self.peer_id))
         self._close_origin(txn_id, "committed")
+        self.forget_transaction(txn_id)
 
     def _announce_decision(self, txn_id: str, message: object) -> None:
         """The origin's decision goes to every other peer of its chain
@@ -672,7 +673,7 @@ class AXMLPeer:
                 if self.network.replication.is_replicated_method(request.method_name):
                     # Only replicated services can be legitimately re-invoked
                     # (a failed-over parent re-running its delegations); for
-                    # them, keep the outcome, chain snapshot and all, for dedup.
+                    # them, keep the outcome for dedup until the share commits.
                     frame.outcome = result
                 return result
             except ServiceFault:
@@ -834,7 +835,7 @@ class AXMLPeer:
         frames and their kept outcomes included, and cancel its
         continuous work; returns the compensating actions executed."""
         self._cancel_pending_work(txn_id)
-        if not self.manager.has_context(txn_id):
+        if self.manager.live_context(txn_id) is None:
             return 0
         return self.manager.abort_local(txn_id)
 
@@ -969,7 +970,7 @@ class AXMLPeer:
         elif isinstance(message, CommitMessage):
             if self.manager.has_context(message.txn_id):
                 self._commit_local_and_ship(message.txn_id)
-            self._cancel_pending_work(message.txn_id)
+            self.forget_transaction(message.txn_id)
         elif isinstance(message, CompensationRequest):
             # §3.2: execute without knowing it is compensation.
             self.manager.apply_compensation_xml(message.plan_xml)
@@ -1151,13 +1152,11 @@ class AXMLPeer:
         return "aborted"
 
     def forget_transaction(self, txn_id: str) -> None:
-        """Drop per-transaction protocol state for a settled transaction.
-
-        Chain views, doomed-markers and redirected-result caches are
-        kept after commit/abort so late protocol traffic (and the
-        paper's reuse cases) still resolve; a harness that *knows* the
-        transaction is globally settled calls this to release them.
-        """
+        """Drop this peer's protocol state for *txn_id*: chain view, span,
+        doomed-marker, reuse caches, pending work.  The commit decision
+        calls this; an aborted or in-doubt share keeps its state for late
+        traffic and §3.3's reuse until a harness that *knows* the
+        transaction is globally settled calls this."""
         record = self._txns.pop(txn_id, None)
         if record is not None:
             record.cancel_work()

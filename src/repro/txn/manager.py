@@ -43,6 +43,9 @@ class TransactionManager:
         self.peer_id = peer_id
         self.log = OperationLog(peer_id)
         self.contexts: Dict[str, TransactionContext] = {}
+        #: txn id → ``COMMITTED``: what stays of a share once it commits
+        #: here (its context leaves ``contexts``; :meth:`commit_local`).
+        self.outcomes: Dict[str, TransactionState] = {}
         self._document_provider = document_provider
         #: Optional optimistic concurrency control (see repro.txn.occ):
         #: when set, executions are tracked and commit validates; a
@@ -76,6 +79,7 @@ class TransactionManager:
                 del self.contexts[transaction.txn_id]
             else:
                 return existing
+        self.outcomes.pop(transaction.txn_id, None)
         context = TransactionContext(
             transaction, self.peer_id, parent_peer, service_name
         )
@@ -93,13 +97,19 @@ class TransactionManager:
             )
 
     def has_context(self, txn_id: str) -> bool:
-        return txn_id in self.contexts
+        """Whether this peer holds a share of *txn_id*, decided or not."""
+        return txn_id in self.contexts or txn_id in self.outcomes
 
     def live_context(self, txn_id: str) -> Optional[TransactionContext]:
         """This peer's share of *txn_id* if it still awaits a decision
         (a context exists and is not finished), else ``None``."""
         context = self.contexts.get(txn_id)
         return None if context is None or context.is_finished else context
+
+    def states(self) -> Dict[str, TransactionState]:
+        """txn id → this peer's state of it: a held context's state or a
+        committed share's recorded outcome."""
+        return {**self.outcomes, **{t: c.state for t, c in self.contexts.items()}}
 
     # -- operation execution ------------------------------------------------------
 
@@ -137,8 +147,8 @@ class TransactionManager:
         document_name: str,
         action_xml: str,
         records: Sequence[ChangeRecord],
-        timestamp: float = 0.0,
-        action: Optional[UpdateAction] = None,
+        timestamp: float,
+        action: Optional[UpdateAction],
     ) -> None:
         """Log changes made by a service executed for a remote invoker;
         *action* is the executed action ``action_xml`` spells."""
@@ -166,13 +176,16 @@ class TransactionManager:
     # -- commit / abort ---------------------------------------------------------------
 
     def commit_local(self, txn_id: str) -> None:
-        """Commit this peer's share: log entries are no longer needed.
+        """Commit this peer's share: its log entries and context go, and
+        ``outcomes`` records ``COMMITTED`` — a committed frame is never undone.
 
         A context already aborted stays aborted: this happens when the
         origin absorbed a participant's fault (forward recovery) and
         committed the rest — the faulted participant's share was already
         compensated, which is exactly the absorb semantics.
         """
+        if txn_id in self.outcomes:
+            return
         context = self.context(txn_id)
         if context.is_finished:
             return
@@ -187,10 +200,8 @@ class TransactionManager:
                 self.abort_local(txn_id)
                 raise
         context.transition(TransactionState.COMMITTED)
-        # Committed frames are never undone: only exactly-once outcomes stay.
-        context.frames = [f for f in context.frames if f.outcome is not None]
-        for frame in context.frames:
-            frame.entries, frame.edges, frame.enclosing = [], [], ()
+        del self.contexts[txn_id]
+        self.outcomes[txn_id] = TransactionState.COMMITTED
         self.log.truncate(txn_id)
 
     def abort_local(self, txn_id: str) -> int:
@@ -264,7 +275,7 @@ class TransactionManager:
     # -- crash / restart -------------------------------------------------------------
 
     def crash(self) -> None:
-        """Process death: contexts and the in-memory log are lost.
+        """Process death: contexts, outcomes and the in-memory log are lost.
 
         With group commit, entries still in the WAL's batch buffer die
         with the process.  Their document effects must die too — the
@@ -276,13 +287,14 @@ class TransactionManager:
         depends on the effect.
         """
         self.contexts.clear()
+        self.outcomes.clear()
         unflushed = self.log.crash()
         for txn_id in sorted({e.txn_id for e in unflushed}):
             self._run_plans(build_compensation_for_entries(
                 [e for e in reversed(unflushed) if e.txn_id == txn_id]
             ))
 
-    def recover(self, restore_store: Optional[Callable[[], None]] = None) -> int:
+    def recover(self, restore_store: Callable[[], None]) -> int:
         """Restart: refill the log (:meth:`OperationLog.recover` — from
         disk when durable) and give every recovered share an ``ACTIVE``
         context that waits for a decision (``AXMLPeer.resolve_in_doubt``).
@@ -294,8 +306,7 @@ class TransactionManager:
         Returns the number of shares rebuilt.
         """
         self.log.recover()
-        if restore_store is not None:
-            restore_store()
+        restore_store()
         txn_ids = sorted({entry.txn_id for entry in self.log})
         for txn_id in txn_ids:
             self.begin(Transaction(txn_id, self.peer_id))

@@ -159,7 +159,7 @@ class TransactionContext:
     # -- bookkeeping ---------------------------------------------------------
 
     def record_invocation(
-        self, target_peer: str, method_name: str, edge_id: int = 0
+        self, target_peer: str, method_name: str, edge_id: int
     ) -> InvocationEdge:
         edge = InvocationEdge(target_peer, method_name, edge_id)
         self.invocations.append(edge)

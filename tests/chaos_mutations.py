@@ -7,7 +7,7 @@ trips a distinct oracle kind:
   -> ``compensation_missing``;
 * ``double_apply``: the first insert is applied twice, logged once
   -> ``effect_duplicated``;
-* ``stale_chain``: settlement skips one ``forget_transaction``
+* ``stale_chain``: one peer never forgets one transaction's chain view
   -> ``orphan_chain``;
 * ``crash_skip_undo``: the first restart loses its newest on-disk entry
   (recovery must replay the on-disk WAL) -> ``compensation_missing`` +
@@ -19,8 +19,10 @@ object, so every :func:`~repro.chaos.run_chaos` in the block (a
 shrink's replays, a sweep's cells, the parent's re-run of a failing
 cell) breaks the same way; forked sweep workers inherit the patch.
 ``skip_undo``, ``double_apply`` and ``crash_skip_undo`` act only on
-provider peers (``AP*``); ``stale_chain`` skips the first chain entry
-settlement releases, on any peer, origins first.
+provider peers (``AP*``); ``stale_chain`` keeps the first chain view a
+``forget_transaction`` meets — the commit decision releases most of
+them, settlement the rest — through that call and every later one for
+the same peer and transaction.
 """
 
 from contextlib import contextmanager
@@ -75,9 +77,12 @@ def mutated(mutation: str):
             patch.setattr(AXMLPeer, "record_changes", record_changes)
         elif mutation == "stale_chain":
             orig_forget = AXMLPeer.forget_transaction
+            kept = {}  # id(network) -> the (peer, txn) whose chain stays
 
             def forget_transaction(self, txn_id):
                 if txn_id in self.chain_views() and once(self.network):
+                    kept[id(self.network)] = (self.peer_id, txn_id)
+                if kept.get(id(self.network)) == (self.peer_id, txn_id):
                     return  # the deliberate stale entry
                 orig_forget(self, txn_id)
 

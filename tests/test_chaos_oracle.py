@@ -158,6 +158,34 @@ class TestOracleUnit:
         assert "unfinished_context" in kinds
         assert "log_residue" in kinds
 
+    def test_recorded_commit_against_an_abort_decision_is_a_mismatch(self):
+        # A committed share leaves only its outcome; the oracle still
+        # reads it against the decision, beside the live contexts.
+        result = run_chaos(ChaosConfig(seed=5, txns=4, fault_rate=0.0))
+        flipped = next(r for r in result.results if r.committed)
+        txn_id = flipped.txn_ids[-1]
+        holders = sorted(
+            peer_id for peer_id, peer in result.cluster.peers.items()
+            if txn_id in peer.manager.outcomes
+        )
+        assert holders and not any(
+            txn_id in peer.manager.contexts for peer in result.cluster.peers.values()
+        )
+        oracle = AtomicityOracle(
+            outcomes={r.label: "aborted_failure" if r is flipped else r.status
+                      for r in result.results},
+            expected=result.expected,
+            txn_ids={r.label: list(r.txn_ids) for r in result.results},
+        )
+        result.cluster.peer("C1").begin_transaction()  # left undecided
+        violations = oracle.check(result.cluster.peers)
+        mismatches = [v for v in violations if v.kind == "outcome_mismatch"]
+        assert [v.peer for v in mismatches] == holders
+        assert {(v.label, v.detail) for v in mismatches} == {
+            (flipped.label, "context committed, scheduler says aborted")
+        }
+        assert "unfinished_context" in {v.kind for v in violations}
+
     def test_violation_kinds_are_documented(self):
         # docs/CHAOS.md enumerates the predicates; keep the constant in
         # sync with the set the oracle can actually emit.

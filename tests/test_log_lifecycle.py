@@ -108,7 +108,7 @@ def test_all_or_nothing_at_every_crash_point(tmp_path, crash_point, wal_mode, se
     manager.crash()
     assert len(manager.log) == 0 and manager.contexts == {}
 
-    recovered = manager.recover()
+    recovered = manager.recover(lambda: None)
     if settle == "in_doubt":
         # Every recovered share is in doubt, and memory == disk already.
         assert recovered == len(_live(manager))
@@ -138,7 +138,7 @@ def test_recovered_log_is_the_durable_prefix(tmp_path, wal_mode):
     assert buffered == (1 if wal_mode == "batched" else 0)
 
     manager.crash()
-    assert manager.recover() == 1  # T3 only
+    assert manager.recover(lambda: None) == 1  # T3 only
     assert manager.log is log
     assert [e.seq for e in log] == durable
     assert [e.seq for e in log.entries_for("T3")] == durable

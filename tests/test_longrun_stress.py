@@ -61,9 +61,11 @@ def test_transaction_storm(seed):
         network.events.run_until(network.clock.now + 0.1)
 
     # Every transaction reached a decision at the origin.
-    for txn_id in committed + aborted:
-        context = origin.manager.contexts[txn_id]
-        assert context.is_finished, txn_id
+    states = origin.manager.states()
+    for txn_id in committed:
+        assert states[txn_id] is TransactionState.COMMITTED, txn_id
+    for txn_id in aborted:
+        assert states[txn_id] is TransactionState.ABORTED, txn_id
     assert all(c.is_finished for c in origin.manager.contexts.values())
     assert len(origin.manager.log) == 0
 

@@ -89,10 +89,10 @@ class TestRemoteInvocation:
         assert fragments
         assert "55" in ap2.get_axml_document("Shop2").to_xml()
         ap1.commit(txn.txn_id)
-        # participant context committed via CommitMessage
-        assert (
-            ap2.manager.context(txn.txn_id).state is TransactionState.COMMITTED
-        )
+        # participant share committed via CommitMessage: only the outcome stays
+        assert ap2.manager.states()[txn.txn_id] is TransactionState.COMMITTED
+        assert txn.txn_id not in ap2.manager.contexts
+        assert ap2.chain_views() == {} == ap1.chain_views()
 
     def test_invoke_and_abort_cascades(self):
         network, ap1, ap2 = make_pair()

@@ -437,7 +437,7 @@ class TestFailover:
         assert network.metrics.get("failovers") == 1
         assert network.metrics.get("chains_rewritten") == 1
         peers["AP1"].commit(txn.txn_id)
-        state = peers["AP3"].manager.context(txn.txn_id).state
+        state = peers["AP3"].manager.states()[txn.txn_id]
         assert state is TransactionState.COMMITTED
 
     def test_double_failover(self):
@@ -514,7 +514,7 @@ class TestDeferredSiblingShareFrames:
         ap3 = peers["AP3"]
         # AP3 holds its own live (in-doubt) share of T1 touching Shop2.
         ap3.manager.begin(Transaction("T1", "AP1"), parent_peer="AP1")
-        ap3.manager.record_service_changes("T1", "Shop2", SET_PRICE, records=[])
+        ap3.manager.record_service_changes("T1", "Shop2", SET_PRICE, [], 0.0, None)
         # A sibling operation of the same transaction ran on AP2 and
         # ships in with its change records.
         done = apply_action(peers["AP2"].get_axml_document("Shop2").document,

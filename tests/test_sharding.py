@@ -226,18 +226,22 @@ class TestLiveMigration:
         assert "7" in peers["N15"].get_axml_document("D1").to_xml()
 
     def test_cutover_leaves_chain_views_alone(self):
-        # The old primary stays a holder, so a settled transaction's
-        # chain keeps naming it: a migration rewrites no §3.3 chain.
+        # The commit decision drops the transaction's chain views, and
+        # the old primary stays a holder: a migration rewrites no §3.3
+        # chain.
         network, replication, coordinator, peers = make_sharded_cluster()
         txn = peers["C1"].begin_transaction()
         peers["C1"].invoke(txn.txn_id, "AP3", "addItem", {"v": "1"})
+        assert peers["C1"].chain_views()[txn.txn_id].contains("AP3")
         peers["C1"].commit(txn.txn_id)
+        network.events.run_all()
+        assert all(not peer.chain_views() for peer in peers.values())
         peers["N15"] = AXMLPeer("N15", network)
         coordinator.add_peer("N15")
         network.events.run_all()
         assert network.metrics.get("migrations") == 1
         assert network.metrics.get("chains_rewritten") == 0
-        assert peers["C1"].chain_views()[txn.txn_id].contains("AP3")
+        assert all(not peer.chain_views() for peer in peers.values())
 
     def test_parked_migration_settles_to_ring_assignment(self):
         # A transaction that never finishes exhausts the defer budget;

@@ -66,9 +66,9 @@ class TestTransaction:
 
     def test_invocation_edges(self):
         ctx = TransactionContext(Transaction.begin("AP1"), "AP1")
-        ctx.record_invocation("AP2", "S2")
-        ctx.record_invocation("AP3", "S3")
-        ctx.record_invocation("AP2", "S2b")
+        ctx.record_invocation("AP2", "S2", 1)
+        ctx.record_invocation("AP3", "S3", 2)
+        ctx.record_invocation("AP2", "S2b", 3)
         assert [(e.target_peer, e.method_name) for e in ctx.invocations] == [
             ("AP2", "S2"), ("AP3", "S3"), ("AP2", "S2b"),
         ]
