@@ -27,9 +27,7 @@ Out:  benchmarks/results/BENCH_R1[_smoke].json   (repro-bench-perf/1)
 
 from __future__ import annotations
 
-import shutil
 import sys
-import tempfile
 import time
 
 from _util import perf_record, run_perf_bench
@@ -42,17 +40,14 @@ from repro.services.service import UpdateService
 from repro.txn.modes import DurabilityPolicy
 
 
-def _durable_world(directory: str, checkpoint_every: int):
+def _durable_world(checkpoint_every: int):
     """Origin + one durable worker hosting a single update service."""
     network = SimNetwork()
     origin = AXMLPeer("Origin", network)
     worker = AXMLPeer(
         "Worker",
         network,
-        durability=DurabilityPolicy(
-            directory=directory,
-            checkpoint_every=checkpoint_every,
-        ),
+        durability=DurabilityPolicy(directory="Worker", checkpoint_every=checkpoint_every),
     )
     worker.host_document(AXMLDocument.from_xml("<D><slots/></D>", name="D"))
     worker.host_service(UpdateService(
@@ -66,22 +61,18 @@ def _durable_world(directory: str, checkpoint_every: int):
 def _measure_recovery(wal_length: int, checkpoint_every: int):
     """Run *wal_length* committed txns, crash, rejoin; returns
     ``(replayed_entries, recovery_seconds)``."""
-    scratch = tempfile.mkdtemp(prefix="bench-r1-")
-    try:
-        network, origin, worker = _durable_world(scratch, checkpoint_every)
-        for i in range(wal_length):
-            txn = origin.begin_transaction()
-            origin.invoke(txn.txn_id, "Worker", "book", {"c": f"c{i}"})
-            origin.commit(txn.txn_id)
-        worker.crash()
-        before = network.metrics.get("recovery_replay_entries")
-        start = time.perf_counter()
-        worker.rejoin()
-        elapsed = time.perf_counter() - start
-        replayed = network.metrics.get("recovery_replay_entries") - before
-        return replayed, elapsed
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    network, origin, worker = _durable_world(checkpoint_every)
+    for i in range(wal_length):
+        txn = origin.begin_transaction()
+        origin.invoke(txn.txn_id, "Worker", "book", {"c": f"c{i}"})
+        origin.commit(txn.txn_id)
+    worker.crash()
+    before = network.metrics.get("recovery_replay_entries")
+    start = time.perf_counter()
+    worker.rejoin()
+    elapsed = time.perf_counter() - start
+    replayed = network.metrics.get("recovery_replay_entries") - before
+    return replayed, elapsed
 
 
 def bench_recovery(args) -> dict:
@@ -125,30 +116,26 @@ def bench_recovery(args) -> dict:
 def _commit_workload(wal_batch: int, txns: int, ops: int):
     """Run *txns* committed transactions of *ops* local submits each on a
     durable origin with *wal_batch*; returns ``(seconds, counters_dict)``."""
-    scratch = tempfile.mkdtemp(prefix="bench-r1-")
-    try:
-        network = SimNetwork()
-        origin = AXMLPeer(
-            "Origin", network,
-            durability=DurabilityPolicy(directory=scratch, wal_batch=wal_batch),
-        )
-        origin.host_document(
-            AXMLDocument.from_xml("<D><slots/></D>", name="D")
-        )
-        start = time.perf_counter()
-        for i in range(txns):
-            txn = origin.begin_transaction()
-            for j in range(ops):
-                origin.submit(
-                    txn.txn_id,
-                    f'<action type="insert"><data><slot c="c{i}.{j}"/></data>'
-                    "<location>Select d from d in D//slots;</location></action>",
-                )
-            origin.commit(txn.txn_id)
-        elapsed = time.perf_counter() - start
-        return elapsed, dict(network.metrics.snapshot())
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+    network = SimNetwork()
+    origin = AXMLPeer(
+        "Origin", network,
+        durability=DurabilityPolicy(directory="Origin", wal_batch=wal_batch),
+    )
+    origin.host_document(
+        AXMLDocument.from_xml("<D><slots/></D>", name="D")
+    )
+    start = time.perf_counter()
+    for i in range(txns):
+        txn = origin.begin_transaction()
+        for j in range(ops):
+            origin.submit(
+                txn.txn_id,
+                f'<action type="insert"><data><slot c="c{i}.{j}"/></data>'
+                "<location>Select d from d in D//slots;</location></action>",
+            )
+        origin.commit(txn.txn_id)
+    elapsed = time.perf_counter() - start
+    return elapsed, dict(network.metrics.snapshot())
 
 
 def bench_group_commit(args) -> dict:

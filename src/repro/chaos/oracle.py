@@ -443,11 +443,11 @@ class AtomicityOracle:
         which would break byte-identical summaries.
 
         With group commit a live peer may legitimately hold appended
-        entries whose frames are still in the batch buffer — that is
-        the durability *window*, not a violation (a crash inside it
-        discards the entries from memory and store alike).  The scan
-        therefore overlays the pending batch (``include_pending``): it
-        checks "disk ∪ buffer ≡ memory", which batching preserves and
+        entries whose frames are not yet synced — that is the
+        durability *window*, not a violation (a crash inside it discards
+        the entries from memory and store alike).  The scan therefore
+        reads what the live process sees, unsynced tail included: it
+        checks "synced ∪ tail ≡ memory", which batching preserves and
         every real tail bug still breaks.
         """
         violations: List[Violation] = []
@@ -455,7 +455,7 @@ class AtomicityOracle:
             wal = peer.wal
             if wal is None:
                 continue
-            scan = wal.load(include_pending=True)
+            scan = wal.load()
             if scan.torn:
                 violations.append(Violation(
                     "wal_tail_inconsistent", peer=peer_id,

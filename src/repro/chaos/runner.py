@@ -65,7 +65,7 @@ class ChaosConfig:
     flags map onto these fields through
     :func:`~repro.api.add_run_arguments` / :meth:`from_namespace`).
     Crash faults, checkpointing, group commit and replication all work
-    on the on-disk WAL, so setting any of them implies
+    on the durable WAL, so setting any of them implies
     ``durability=True``.
     """
 
@@ -80,7 +80,7 @@ class ChaosConfig:
     arrival_rate: float = 20.0
     op_gap: float = 0.01
     handlers: bool = False
-    #: Give every provider a durable on-disk WAL (scratch directories).
+    #: Give every provider a durable WAL on the network's simulated disk.
     durability: bool = False
     #: Expected crash events per run = crash_rate * txns.
     crash_rate: float = 0.0
@@ -241,21 +241,13 @@ def build_chaos_cluster(config: ChaosConfig):
 
     cluster = Cluster()
     cluster.replication.ship_batch = config.ship_batch
-    scratch = None
-    if config.durability:
-        from repro.sim.kernel import ScratchSpace
-
-        scratch = ScratchSpace()
-    #: The run's scratch root (None without durability); run_chaos
-    #: removes it after the oracle sweep.
-    cluster.scratch = scratch
     origins = [f"C{j}" for j in range(1, config.origins + 1)]
     providers = [f"AP{i}" for i in range(1, config.providers + 1)]
     for j, origin in enumerate(origins, start=1):
         cluster.add_peer(origin, super_peer=True)
         cluster.host_document(origin, f"<O{j}><items/></O{j}>", name=f"O{j}")
     for i, provider in enumerate(providers, start=1):
-        cluster.add_peer(provider, **_durability_kwargs(config, scratch, provider))
+        cluster.add_peer(provider, **_durability_kwargs(config, provider))
         if config.sharding:
             # Placement is the ring's job (_place_sharded), not the
             # static one-doc-per-provider map.
@@ -263,7 +255,7 @@ def build_chaos_cluster(config: ChaosConfig):
         cluster.host_document(provider, f"<D{i}><items/></D{i}>", name=f"D{i}")
         cluster.host_service(provider, _chaos_service(i, config.providers))
     for spare in _spare_names(config):
-        cluster.add_peer(spare, **_durability_kwargs(config, scratch, spare))
+        cluster.add_peer(spare, **_durability_kwargs(config, spare))
     if config.sharding:
         _place_sharded(cluster, config, providers)
     elif config.replicas > 0:
@@ -272,12 +264,12 @@ def build_chaos_cluster(config: ChaosConfig):
     return cluster, origins, providers
 
 
-def _durability_kwargs(config: ChaosConfig, scratch, peer_id: str) -> Dict[str, object]:
-    if scratch is None:
+def _durability_kwargs(config: ChaosConfig, peer_id: str) -> Dict[str, object]:
+    if not config.durability:
         return {}
     return {
         "durability": DurabilityPolicy(
-            directory=scratch.path(peer_id),
+            directory=peer_id,
             wal_batch=config.wal_batch,
             checkpoint_every=config.checkpoint_every,
         )
@@ -463,57 +455,39 @@ def _resharded(cluster, event: FaultEvent) -> FaultEvent:
 def run_chaos(config: ChaosConfig, plan: Optional[FaultPlan] = None) -> ChaosRunResult:
     """Execute one chaos run; pass *plan* to replay/shrink a schedule."""
     cluster, origins, providers = build_chaos_cluster(config)
-    try:
-        if plan is None:
-            plan = FaultPlanner(config, providers, _spare_names(config)).plan()
-        apply_plan(cluster, config, plan)
+    if plan is None:
+        plan = FaultPlanner(config, providers, _spare_names(config)).plan()
+    apply_plan(cluster, config, plan)
 
-        specs, expected = generate_workload(config, origins, providers)
-        scheduler = cluster.scheduler(
-            max_inflight=config.concurrency,
-            op_gap=config.op_gap,
-            seed=stable_seed(config.seed, "sched"),
+    specs, expected = generate_workload(config, origins, providers)
+    scheduler = cluster.scheduler(
+        max_inflight=config.concurrency,
+        op_gap=config.op_gap,
+        seed=stable_seed(config.seed, "sched"),
+    )
+    scheduler.submit_open_loop(specs, rate=config.arrival_rate)
+    # The whole hot region is profiled: prof counters are logical event
+    # counts, so they land in the summary deterministically (identical
+    # across reruns and across serial vs. parallel sweep execution).
+    with profiled(cluster.metrics):
+        result = ChaosRunResult(
+            config, plan, scheduler.run(), [], {}, cluster, expected
         )
-        scheduler.submit_open_loop(specs, rate=config.arrival_rate)
-        # The whole hot region is profiled: prof counters are logical event
-        # counts, so they land in the summary deterministically (identical
-        # across reruns and across serial vs. parallel sweep execution).
-        with profiled(cluster.metrics):
-            result = ChaosRunResult(
-                config, plan, scheduler.run(), [], {}, cluster, expected
-            )
-            result.violations = _settle_and_check(result)
-        result.summary = {
-            "version": 1,
-            "config": config.to_dict(),
-            "plan": plan.to_dict(),
-            "outcomes": {
-                r.label: r.status for r in sorted(result.results, key=lambda r: r.label)
-            },
-            "violations": [v.to_dict() for v in result.violations],
-            "metrics": run_summary(cluster.metrics),
-        }
-        cluster.metrics.incr("chaos_runs")
-        if result.violations:
-            cluster.metrics.incr("chaos_violations", len(result.violations))
-        return result
-    finally:
-        _cleanup_durability(cluster)
-
-
-def _cleanup_durability(cluster) -> None:
-    """Close WAL handles and remove the run's scratch root.
-
-    Runs after the oracle sweep (which reads the WALs), so no tempdir
-    artifact outlives the run even when it raised.
-    """
-    scratch = getattr(cluster, "scratch", None)
-    if scratch is None:
-        return
-    for peer in cluster.peers.values():
-        if peer.wal is not None:
-            peer.wal.close()
-    scratch.cleanup()
+        result.violations = _settle_and_check(result)
+    result.summary = {
+        "version": 1,
+        "config": config.to_dict(),
+        "plan": plan.to_dict(),
+        "outcomes": {
+            r.label: r.status for r in sorted(result.results, key=lambda r: r.label)
+        },
+        "violations": [v.to_dict() for v in result.violations],
+        "metrics": run_summary(cluster.metrics),
+    }
+    cluster.metrics.incr("chaos_runs")
+    if result.violations:
+        cluster.metrics.incr("chaos_violations", len(result.violations))
+    return result
 
 
 def _settle_and_check(result: ChaosRunResult) -> List[Violation]:

@@ -154,11 +154,7 @@ class FailureInjector:
             if tear and peer is not None and peer.wal is not None:
                 # The crash lands mid-publish: tear the newest
                 # checkpoint so recovery exercises the fallback path.
-                from repro.txn.checkpoint import CheckpointStore
-
-                CheckpointStore(
-                    peer.wal.policy.directory, peer.peer_id
-                ).tear_newest()
+                peer.wal.checkpoints.tear_newest()
             if dead_peer == peer_id:
                 return True
         dead_peer = self._disconnects.get(key)

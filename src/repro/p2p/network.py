@@ -25,6 +25,7 @@ from repro.p2p.failure import FailureInjector
 from repro.p2p.messages import InvokeRequest, message_kind
 from repro.p2p.replication import ReplicationManager
 from repro.p2p.sharding import PlacementDirectory
+from repro.sim.disk import SimDisk
 from repro.sim.kernel import Clock, EventQueue
 from repro.sim.metrics import MetricsCollector
 
@@ -80,6 +81,9 @@ class SimNetwork:
         self.replication = ReplicationManager(self)
         #: Scripted faults and disconnections; empty unless scripted.
         self.injector = FailureInjector(self)
+        #: Every durable file of the run (WAL segments, checkpoints):
+        #: what a crash keeps is what was synced here.
+        self.disk = SimDisk()
         #: Run-scoped fragment serial (see :func:`next_fragment_serial`):
         #: a module-global counter here would leak across sweep cells in
         #: one process while forked parallel workers start fresh,

@@ -141,7 +141,7 @@ class AXMLPeer:
             peer_id, self.get_axml_document, network.spans, validator=validator
         )
         #: Crash durability: a :class:`~repro.txn.modes.DurabilityPolicy`
-        #: enables the on-disk WAL (:mod:`repro.txn.durable_wal`);
+        #: enables the WAL on the network's disk (:mod:`repro.txn.durable_wal`);
         #: ``None`` keeps the log memory-only and peers fail by
         #: disconnecting, never crashing.
         self.wal = None
@@ -149,10 +149,7 @@ class AXMLPeer:
             from repro.txn.durable_wal import DurableWal
 
             self.wal = DurableWal(
-                durability,
-                peer_id=peer_id,
-                metrics=network.metrics,
-                events=network.events,
+                durability, peer_id, network.disk, network.metrics, network.events,
                 document_source=self._snapshot_documents,
             )
             self.manager.log.attach(self.wal)
@@ -1065,8 +1062,8 @@ class AXMLPeer:
         Unlike a *disconnection* (state intact, links down), a crash
         drops the in-memory operation log, transaction contexts, chain
         views, reuse caches and pending work.  Hosted documents model
-        the peer's durable store and survive, as does the on-disk WAL
-        directory when ``durability`` is enabled — that WAL is the only
+        the peer's durable store and survive, as does the synced part of
+        the WAL directory when ``durability`` is enabled — that WAL is the only
         route back to compensating in-flight shares after a restart
         (:meth:`rejoin`).
 

@@ -230,42 +230,3 @@ class OneShotTimer:
     def _fire(self) -> None:
         self._handle = None
         self._callback()
-
-
-class ScratchSpace:
-    """Deterministically-named scratch directories under one random root.
-
-    Durable-WAL simulations need real directories on disk, but nothing
-    about the *root* path may leak into run summaries or the WAL frames
-    themselves, or byte-identical reruns would diverge.  The root is a
-    fresh ``tempfile.mkdtemp``; everything below it is named by the
-    caller (``path("AP1")``, ``path("AP1", "wal")``), so two runs with
-    the same seed produce identical relative layouts under different
-    roots.
-    """
-
-    def __init__(self):
-        import tempfile
-
-        self.root = tempfile.mkdtemp(prefix="repro-scratch-")
-
-    def path(self, *parts: str) -> str:
-        """Directory ``<root>/<parts...>``, created on first use."""
-        import os
-
-        if not parts:
-            return self.root
-        target = os.path.join(self.root, *parts)
-        os.makedirs(target, exist_ok=True)
-        return target
-
-    def cleanup(self) -> None:
-        import shutil
-
-        shutil.rmtree(self.root, ignore_errors=True)
-
-    def __enter__(self) -> "ScratchSpace":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.cleanup()

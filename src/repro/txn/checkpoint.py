@@ -6,7 +6,8 @@ it: every ``checkpoint_every`` appended entries the
 :class:`~repro.txn.durable_wal.DurableWal` serializes a consistent
 snapshot — each hosted document plus the still-live (uncommitted)
 :class:`~repro.txn.wal.LogEntry` set — into one file written
-*atomically* next to the WAL segments.  Recovery then loads the newest
+*atomically* next to the WAL segments, on the same
+:class:`~repro.sim.disk.SimDisk`.  Recovery then loads the newest
 valid checkpoint and replays only the segment tail written after it
 (``docs/DURABILITY.md`` has the full recovery sequence).
 
@@ -26,8 +27,8 @@ cannot drift.
 Atomicity and torn files
 ------------------------
 
-A checkpoint is written to a temp file and published with
-``os.replace``, so a reader only ever sees complete publishes — *or* a
+A checkpoint is published whole with ``SimDisk.publish`` (a temp write
+plus rename), so a reader only ever sees complete publishes — *or* a
 file torn by a crash mid-publish on filesystems without atomic rename
 semantics (which the chaos harness models explicitly with its
 ``tear_checkpoint`` crash flag).  Validity is all-or-nothing: the
@@ -43,11 +44,10 @@ needs, see :meth:`CheckpointStore.retire`).
 
 from __future__ import annotations
 
-import os
 import re
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.txn.wal import (
@@ -58,6 +58,9 @@ from repro.txn.wal import (
     _encode_frame,
     _read_frame,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.disk import SimDisk
 
 CKPT_MAGIC = "AXMLCKPT"
 CKPT_VERSION = 1
@@ -89,32 +92,27 @@ class Checkpoint:
 
 
 class CheckpointStore:
-    """Reads and writes the numbered checkpoint files of one WAL directory."""
+    """Reads and writes the numbered checkpoint files of one WAL directory.
 
-    def __init__(self, directory: str, peer_id: str = ""):
+    The files live on *disk*, next to the WAL's segments."""
+
+    def __init__(self, disk: "SimDisk", directory: str, peer_id: str):
+        self.disk = disk
         self.directory = directory
         self.peer_id = peer_id
 
     # -- paths ------------------------------------------------------------
 
-    @staticmethod
-    def _name(index: int) -> str:
-        return f"ckpt-{index:06d}.ckpt"
-
     def paths(self) -> List[str]:
         """Checkpoint file paths, oldest first; other files are not ours."""
-        try:
-            names = sorted(
-                n for n in os.listdir(self.directory)
-                if _CKPT_NAME.fullmatch(n)
-            )
-        except FileNotFoundError:
-            return []
-        return [os.path.join(self.directory, n) for n in names]
+        return [
+            f"{self.directory}/{name}" for name in self.disk.names(self.directory)
+            if _CKPT_NAME.fullmatch(name)
+        ]
 
     @staticmethod
     def _index_of(path: str) -> int:
-        return int(os.path.basename(path)[5:-5])
+        return int(path[path.rindex("/") + 6:-5])
 
     def latest_index(self) -> int:
         """Highest checkpoint index on disk (valid or not); 0 when none."""
@@ -124,7 +122,7 @@ class CheckpointStore:
     # -- writing ----------------------------------------------------------
 
     def write(self, checkpoint: Checkpoint) -> str:
-        """Atomically publish *checkpoint*; returns the final path."""
+        """Publish *checkpoint* whole and durably; returns its path."""
         parts: List[bytes] = [
             f"{CKPT_MAGIC} {CKPT_VERSION} {self.peer_id} "
             f"{checkpoint.index} {checkpoint.last_seq} "
@@ -136,13 +134,9 @@ class CheckpointStore:
             parts.append(_encode_frame("E", entry_to_xml(entry)))
         body = b"".join(parts)
         blob = body + f"C {zlib.crc32(body) & 0xFFFFFFFF:08x}\n".encode("ascii")
-        final = os.path.join(self.directory, self._name(checkpoint.index))
-        tmp = final + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-        os.replace(tmp, final)
-        return final
+        path = f"{self.directory}/ckpt-{checkpoint.index:06d}.ckpt"
+        self.disk.publish(path, blob)
+        return path
 
     # -- reading ----------------------------------------------------------
 
@@ -163,11 +157,7 @@ class CheckpointStore:
         return None, torn
 
     def _parse(self, path: str) -> Optional[Checkpoint]:
-        try:
-            with open(path, "rb") as fh:
-                blob = fh.read()
-        except OSError:
-            return None
+        blob = self.disk.read(path)
         # Trailing checksum line: all-or-nothing validity.
         tail = blob.rfind(b"\nC ")
         if tail < 0 or not blob.endswith(b"\n"):
@@ -222,14 +212,14 @@ class CheckpointStore:
         removed = []
         for path in self.paths():
             if self._index_of(path) < keep_from_index:
-                os.unlink(path)
+                self.disk.unlink(path)
                 removed.append(path)
         return removed
 
     def delete_all(self) -> None:
         """Drop every checkpoint (restart compaction starts fresh)."""
         for path in self.paths():
-            os.unlink(path)
+            self.disk.unlink(path)
 
     # -- chaos hooks ------------------------------------------------------
 
@@ -241,8 +231,5 @@ class CheckpointStore:
         paths = self.paths()
         if not paths:
             return None
-        path = paths[-1]
-        size = os.path.getsize(path)
-        with open(path, "rb+") as fh:
-            fh.truncate(size // 2)
-        return path
+        self.disk.tear(paths[-1])
+        return paths[-1]

@@ -5,8 +5,9 @@ compensations after a failure, which only works if the log outlives the
 process.  :class:`DurableWal` is the disk backend of one
 :class:`~repro.txn.wal.OperationLog`
 (:meth:`~repro.txn.wal.OperationLog.attach`): frames in, frames out.
-Every appended :class:`~repro.txn.wal.LogEntry` is streamed to disk as a
-self-delimiting frame (the entry's own XML encoding, see
+Every appended :class:`~repro.txn.wal.LogEntry` goes to the network's
+:class:`~repro.sim.disk.SimDisk` as a self-delimiting frame (the entry's
+own XML encoding, see
 :func:`repro.txn.wal.entry_to_xml`), and every commit/abort-time
 ``truncate`` is recorded as a tombstone frame.  The live entry set
 itself stays with the log: the backend reads it from there when it
@@ -28,16 +29,16 @@ the durable prefix; the tail is discarded (and physically truncated by
 after the in-memory log accepted the entry, the durable prefix is always
 a consistent prefix of what the peer had applied.
 
-Group commit (``wal_batch`` > 1): appends accumulate in a bounded
-in-memory buffer and reach disk as **one multi-frame write** when the
-buffer fills, when the virtual-time flush quantum (:data:`FLUSH_INTERVAL`)
-expires, or when a **barrier** forces them out: tombstone frames always
-flush first (a commit/compensation record must never precede its
-entries), and peers flush before protocol-critical message sends (the
-write-ahead barrier — see ``docs/DURABILITY.md``).  Buffered
-frames are volatile: a crash discards them (:meth:`discard_unflushed`),
-and the crashing peer undoes their document effects so the durable
-prefix and the durable store agree.
+Group commit (``wal_batch`` > 1): appended frames sit in the segment's
+volatile tail and become durable in **one sync** when the batch fills,
+when the virtual-time flush quantum (:data:`FLUSH_INTERVAL`) expires, or
+when a **barrier** forces them: tombstone frames always sync first (a
+commit/compensation record must never precede its entries), and peers
+flush before protocol-critical message sends (the write-ahead barrier —
+see ``docs/DURABILITY.md``).  Unsynced frames are volatile: a crash
+(:meth:`DurableWal.crash`) cuts them off the disk, and the crashing peer
+undoes their document effects so the durable prefix and the durable
+store agree.
 
 Checkpoints (``checkpoint_every`` > 0): every N appended entries the
 WAL publishes a :class:`~repro.txn.checkpoint.Checkpoint` — hosted
@@ -49,17 +50,16 @@ one publishes, so a checkpoint file torn by a crash mid-publish still
 leaves a complete fallback (older checkpoint + longer tail).
 
 Without those two knobs (``wal_batch=1``, ``checkpoint_every=0``) every
-append is one flushed frame and the segments grow until a restart:
+append is one synced frame and the segments grow until a restart:
 :meth:`DurableWal.reload` is then the one compaction, rewriting the live
 entries into a fresh segment.
 """
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.txn.checkpoint import Checkpoint, CheckpointStore
@@ -75,6 +75,7 @@ from repro.txn.wal import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.disk import SimDisk
     from repro.sim.kernel import EventQueue
     from repro.sim.metrics import MetricsCollector
 
@@ -105,6 +106,9 @@ class WalScan:
 class DurableWal:
     """Append-only segmented WAL: the disk backend of one peer's log.
 
+    Its segments and checkpoints live on *disk* under
+    ``policy.directory``.
+
     ``metrics`` (a :class:`repro.sim.metrics.MetricsCollector`) receives
     ``wal_appends`` / ``wal_bytes`` / ``wal_tombstones`` counters —
     plus, when the respective features
@@ -120,6 +124,7 @@ class DurableWal:
         self,
         policy: DurabilityPolicy,
         peer_id: str,
+        disk: "SimDisk",
         metrics: "MetricsCollector",
         events: "EventQueue",
         document_source: Callable[[], Dict[str, str]],
@@ -128,26 +133,24 @@ class DurableWal:
         #: ``checkpoint_every``), validated where they are spelled.
         self.policy = policy
         self.peer_id = peer_id
+        self.disk = disk
         self.metrics = metrics
         self._document_source = document_source
-        os.makedirs(policy.directory, exist_ok=True)
         #: The log this backend persists (set by ``OperationLog.attach``)
         #: — the owner of the live entry set compaction and checkpoints
         #: read.
         self.log: Optional[OperationLog] = None
-        #: Group-commit buffer: entries accepted but not yet on disk,
-        #: each with its encoded frame.
-        self._pending: List[Tuple[LogEntry, bytes]] = []
+        #: Entries whose frames sit in the segment's volatile tail.
+        self._unsynced: List[LogEntry] = []
         #: Highest entry seq ever appended (checkpoint header bookkeeping).
         self._last_seq = 0
         #: Highest entry seq durably on disk — the write-ahead high-water
         #: mark WAL shipping checks before an entry may leave the peer
-        #: (buffered group-commit frames are *not* durable yet).
+        #: (unsynced group-commit frames are *not* durable yet).
         self.last_durable_seq = 0
         self._appends_since_ckpt = 0
-        self._ckpt_store: Optional[CheckpointStore] = (
-            CheckpointStore(policy.directory, peer_id) if policy.checkpoint_every > 0 else None
-        )
+        #: This WAL's checkpoints, on the same disk and directory.
+        self.checkpoints = CheckpointStore(disk, policy.directory, peer_id)
         self._ckpt_index = 0
         #: Tail watermark of the previously published checkpoint: the
         #: segments below it become deletable at the *next* publish.
@@ -159,10 +162,8 @@ class DurableWal:
             from repro.sim.kernel import OneShotTimer
 
             self._timer = OneShotTimer(events, self.flush)
-        self._fh = None
-        self._segment_index = 0
-        existing = self._segment_paths()
-        if existing or (self._ckpt_store and self._ckpt_store.paths()):
+        self._segment = ""
+        if self._segment_paths() or self.checkpoints.paths():
             # Adopt an existing directory (restart): scan + truncate tail.
             self.reload()
         else:
@@ -172,26 +173,19 @@ class DurableWal:
 
     @staticmethod
     def _segment_index_of(path: str) -> int:
-        return int(os.path.basename(path)[4:-4])
+        return int(path[path.rindex("/") + 5:-4])
 
     def _segment_paths(self) -> List[str]:
         """This WAL's segments, oldest first; other files are not ours."""
-        try:
-            names = sorted(
-                n for n in os.listdir(self.policy.directory)
-                if _SEGMENT_NAME.fullmatch(n)
-            )
-        except FileNotFoundError:
-            return []
-        return [os.path.join(self.policy.directory, n) for n in names]
+        directory = self.policy.directory
+        return [
+            f"{directory}/{name}" for name in self.disk.names(directory)
+            if _SEGMENT_NAME.fullmatch(name)
+        ]
 
     def _open_segment(self, index: int) -> None:
-        self._segment_index = index
-        path = os.path.join(self.policy.directory, f"wal-{index:06d}.seg")
-        self._fh = open(path, "ab")
-        if self._fh.tell() == 0:
-            self._fh.write(f"{MAGIC} {VERSION} {self.peer_id}\n".encode("utf-8"))
-            self._fh.flush()
+        self._segment = f"{self.policy.directory}/wal-{index:06d}.seg"
+        self._write_frames([f"{MAGIC} {VERSION} {self.peer_id}\n".encode("utf-8")])
 
     # -- the log's mutations -----------------------------------------------
 
@@ -200,18 +194,19 @@ class DurableWal:
         self.metrics.incr("wal_appends")
         self.metrics.incr("wal_bytes", entry_bytes(entry))
         self._appends_since_ckpt += 1
-        self._pending.append((entry, _encode_frame("E", entry_to_xml(entry))))
+        self.disk.append(self._segment, _encode_frame("E", entry_to_xml(entry)))
+        self._unsynced.append(entry)
         if self.policy.wal_batch <= 1:
-            self._flush_pending()
+            self._sync_unsynced()
             self._after_write()
-        elif len(self._pending) >= self.policy.wal_batch:
+        elif len(self._unsynced) >= self.policy.wal_batch:
             self.flush()
         elif self._timer is not None:
             self._timer.arm(FLUSH_INTERVAL)
 
     def on_truncate(self, txn_id: str) -> None:
-        # Barrier: a tombstone must never reach disk before the entries
-        # it settles, so any buffered batch flushes first.
+        # Barrier: a tombstone must never be durable before the entries
+        # it settles, so any unsynced batch syncs first.
         self._barrier()
         self._write_frames([_encode_frame("T", txn_id)])
         self.metrics.incr("wal_tombstones")
@@ -220,49 +215,48 @@ class DurableWal:
     # -- group commit ------------------------------------------------------
 
     def flush(self) -> int:
-        """Write the buffered batch as one multi-frame write; returns
-        how many frames were flushed (0 = nothing pending).  This is the
-        write-ahead barrier peers call before message sends."""
+        """Sync the unsynced batch in one go; returns how many frames
+        became durable (0 = nothing unsynced).  This is the write-ahead
+        barrier peers call before message sends."""
         wrote = self._barrier()
         if wrote:
             self._after_write()
         return wrote
 
     def _barrier(self) -> int:
-        wrote = self._flush_pending()
+        wrote = self._sync_unsynced()
         if wrote:
             self.metrics.incr("wal_batch_flushes")
         return wrote
 
-    def _flush_pending(self) -> int:
-        wrote = len(self._pending)
+    def _sync_unsynced(self) -> int:
+        wrote = len(self._unsynced)
         if wrote:
-            self._write_frames([frame for _, frame in self._pending])
+            self.disk.sync(self._segment)
             self.last_durable_seq = max(
-                self.last_durable_seq, max(e.seq for e, _ in self._pending)
+                self.last_durable_seq, max(e.seq for e in self._unsynced)
             )
-            self._drop_pending()
+            self._forget_unsynced()
         return wrote
 
-    def _drop_pending(self) -> None:
-        self._pending.clear()
+    def _forget_unsynced(self) -> List[LogEntry]:
+        dropped, self._unsynced = self._unsynced, []
         if self._timer is not None:
             self._timer.cancel()
+        return dropped
 
-    def pending_entries(self) -> List[LogEntry]:
-        """Buffered-but-unflushed entries (read-only view)."""
-        return [entry for entry, _ in self._pending]
+    def crash(self) -> List[LogEntry]:
+        """Process death: the disk keeps this WAL's files up to their
+        last sync.
 
-    def discard_unflushed(self) -> List[LogEntry]:
-        """Crash path: drop the buffered batch *without* writing it.
-
-        Returns the discarded entries so the caller can undo their
-        document effects — with write-ahead batching, an effect whose
-        log entry never reached disk must not survive the crash either
-        (the restarted peer could not compensate it).
+        Returns the entries whose frames the crash cut off, so the
+        caller can undo their document effects — with write-ahead
+        batching, an effect whose log entry never became durable must
+        not survive the crash either (the restarted peer could not
+        compensate it).
         """
-        dropped = self.pending_entries()
-        self._drop_pending()
+        dropped = self._forget_unsynced()
+        self.disk.crash(self.policy.directory)
         if dropped:
             self.metrics.incr("wal_unflushed_discarded", len(dropped))
         return dropped
@@ -270,11 +264,9 @@ class DurableWal:
     # -- framing ----------------------------------------------------------
 
     def _write_frames(self, frames: Sequence[bytes]) -> None:
-        """The one physical write: *frames* reach disk together."""
-        if self._fh is None:
-            raise RuntimeError("DurableWal is closed")
-        self._fh.write(b"".join(frames))
-        self._fh.flush()
+        """Append *frames* to the current segment and sync them together."""
+        self.disk.append(self._segment, b"".join(frames))
+        self.disk.sync(self._segment)
 
     def _after_write(self) -> None:
         """Checkpoint policy, consulted after every physical write."""
@@ -288,8 +280,6 @@ class DurableWal:
         """Rewrite *entries* into a fresh segment numbered past every
         existing one, then unlink the older segments."""
         old_paths = self._segment_paths()
-        if self._fh is not None:
-            self._fh.close()
         self._open_segment(
             self._segment_index_of(old_paths[-1]) + 1 if old_paths else 1
         )
@@ -297,38 +287,38 @@ class DurableWal:
             [_encode_frame("E", entry_to_xml(entry)) for entry in entries]
         )
         for path in old_paths:
-            os.unlink(path)
+            self.disk.unlink(path)
 
     # -- checkpoints -------------------------------------------------------
 
     def take_checkpoint(self) -> Optional[Checkpoint]:
         """Publish a checkpoint now and start a fresh tail segment.
 
-        Flushes any buffered batch first (a checkpoint covers only what
+        Syncs any unsynced batch first (a checkpoint covers only what
         is durable), then writes documents + the live entry set through
-        :class:`~repro.txn.checkpoint.CheckpointStore` (atomic publish,
+        :class:`~repro.txn.checkpoint.CheckpointStore` (durable publish,
         trailing checksum).  Retention deletes the segments covered by
         the *previous* checkpoint and retires checkpoints older than it,
         keeping exactly two generations on disk.
         """
-        if self._ckpt_store is None:
+        if self.policy.checkpoint_every <= 0:
             return None
         self._barrier()
         documents = dict(self._document_source())
-        self._fh.close()
-        self._open_segment(self._segment_index + 1)
+        tail_segment = self._segment_index_of(self._segment) + 1
+        self._open_segment(tail_segment)
         checkpoint = Checkpoint(
             index=self._ckpt_index + 1,
             last_seq=self._last_seq,
-            tail_segment=self._segment_index,
+            tail_segment=tail_segment,
             documents=documents,
             entries=self._live_entries(),
         )
-        self._ckpt_store.write(checkpoint)
+        self.checkpoints.write(checkpoint)
         for path in self._segment_paths():
             if self._segment_index_of(path) < self._prev_tail:
-                os.unlink(path)
-        self._ckpt_store.retire(checkpoint.index - 1)
+                self.disk.unlink(path)
+        self.checkpoints.retire(checkpoint.index - 1)
         self._ckpt_index = checkpoint.index
         self._prev_tail = checkpoint.tail_segment
         self._appends_since_ckpt = 0
@@ -338,23 +328,21 @@ class DurableWal:
 
     # -- scanning ---------------------------------------------------------
 
-    def load(self, include_pending: bool = False) -> WalScan:
-        """Read-only scan: durable live entries, sorted by seq.
+    def load(self) -> WalScan:
+        """Read-only scan: the live entries on disk, sorted by seq.
 
-        With checkpointing, bases the merge on the newest valid
-        checkpoint and replays only segments at or past its
-        ``tail_segment`` watermark (torn checkpoint files are skipped,
-        falling back to the previous generation).  Tail tombstones apply
-        to checkpointed entries too.  ``include_pending`` overlays the
-        buffered-but-unflushed batch — what the WAL *would* recover if
-        the batch were flushed — which is how the oracle accounts for
-        the group-commit window without mutating anything.
+        Bases the merge on the newest valid checkpoint, if any, and
+        replays only segments at or past its ``tail_segment`` watermark
+        (torn checkpoint files are skipped, falling back to the previous
+        generation).  Tail tombstones apply to checkpointed entries too.
+        The scan reads what the live process sees, unsynced group-commit
+        frames included — what the WAL *would* recover once they sync —
+        which is how the oracle accounts for the group-commit window
+        without mutating anything.  After a crash the disk holds only
+        the synced prefix, so the restart (:meth:`reload`) reads that.
         """
         by_seq: Dict[int, LogEntry] = {}
-        checkpoint: Optional[Checkpoint] = None
-        ckpt_torn = 0
-        if self._ckpt_store is not None:
-            checkpoint, ckpt_torn = self._ckpt_store.load_latest()
+        checkpoint, ckpt_torn = self.checkpoints.load_latest()
         if checkpoint is not None:
             for entry in checkpoint.entries:
                 by_seq[entry.seq] = entry
@@ -367,9 +355,6 @@ class DurableWal:
             seg_torn, seg_entries = self._scan_segment(path, by_seq)
             torn = torn or seg_torn
             replayed += seg_entries
-        if include_pending:
-            for entry, _ in self._pending:
-                by_seq[entry.seq] = entry
         live = [e for _, e in sorted(by_seq.items())]
         return WalScan(
             entries=live,
@@ -391,8 +376,7 @@ class DurableWal:
 
         Returns ``(torn, entry_frames)``.
         """
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        blob = self.disk.read(path)
         newline = blob.find(b"\n")
         header = (
             blob[:newline].decode("utf-8", "replace").split(" ")
@@ -443,8 +427,9 @@ class DurableWal:
         compaction (their watermarks point at deleted segments); the
         index keeps counting monotonically.
         """
-        # A reload models a restart: the buffered batch is volatile.
-        self._drop_pending()
+        # A reload models a restart: the previous process died with
+        # whatever it had not synced.
+        self.crash()
         scan = self.load()
         if scan.torn:
             self.metrics.incr("wal_torn_tails")
@@ -454,32 +439,11 @@ class DurableWal:
         seqs = [e.seq for e in scan.entries]
         self._last_seq = max(seqs, default=self._last_seq)
         self.last_durable_seq = max(seqs, default=0)
-        if self._ckpt_store is not None:
-            self._ckpt_index = max(
-                self._ckpt_index, self._ckpt_store.latest_index()
-            )
-            self._ckpt_store.delete_all()
+        self._ckpt_index = max(self._ckpt_index, self.checkpoints.latest_index())
+        self.checkpoints.delete_all()
         self._prev_tail = 0
         self._appends_since_ckpt = 0
         self._compact(scan.entries)
         self.metrics.incr("wal_reloads")
         self.last_recovery = scan
         return list(scan.entries)
-
-    # -- lifecycle --------------------------------------------------------
-
-    def close(self) -> None:
-        if self._fh is not None:
-            # Graceful shutdown persists the buffered batch (a crash
-            # goes through discard_unflushed instead).
-            self._flush_pending()
-            self._fh.close()
-            self._fh = None
-        if self._timer is not None:
-            self._timer.cancel()
-
-    def __enter__(self) -> "DurableWal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -277,21 +277,21 @@ class TransactionManager:
     def crash(self) -> None:
         """Process death: contexts, outcomes and the in-memory log are lost.
 
-        With group commit, entries still in the WAL's batch buffer die
-        with the process.  Their document effects must die too — the
+        With group commit, entries whose WAL frames were not yet synced
+        die with the process.  Their document effects must die too — the
         restarted log has no record to compensate them from — so they
         are undone here (the write-ahead rule, enforced late).  Safe
-        because the peer's write-ahead barrier guarantees an unflushed
+        because the peer's write-ahead barrier guarantees an unsynced
         entry belongs to a share whose result was never handed off: the
         invoker saw this crash as a failed invocation, so no other peer
         depends on the effect.
         """
         self.contexts.clear()
         self.outcomes.clear()
-        unflushed = self.log.crash()
-        for txn_id in sorted({e.txn_id for e in unflushed}):
+        unsynced = self.log.crash()
+        for txn_id in sorted({e.txn_id for e in unsynced}):
             self._run_plans(build_compensation_for_entries(
-                [e for e in reversed(unflushed) if e.txn_id == txn_id]
+                [e for e in reversed(unsynced) if e.txn_id == txn_id]
             ))
 
     def recover(self, restore_store: Callable[[], None]) -> int:

@@ -1,6 +1,6 @@
 """Typed durability knobs.
 
-:class:`DurabilityPolicy` is the one way to give a peer an on-disk WAL
+:class:`DurabilityPolicy` is the one way to give a peer a durable WAL
 (``AXMLPeer(durability=DurabilityPolicy(directory=...))``; ``None`` keeps
 the log memory-only) and carries the write-path knobs: group-commit
 batching (``wal_batch``) and checkpointing (``checkpoint_every``) — see
@@ -20,7 +20,9 @@ class DurabilityPolicy:
     (``wal_batch=1``), no checkpoints.
     """
 
-    #: Where the WAL segments and checkpoints live.
+    #: The directory on the network's :class:`~repro.sim.disk.SimDisk`
+    #: that holds the WAL segments and checkpoints (a name, not a path
+    #: on the real file system).
     directory: str
     #: Frames buffered per group-commit batch; 1 = flush every frame.
     wal_batch: int = 1

@@ -174,19 +174,16 @@ class OperationLog:
     # -- crash / restart ------------------------------------------------------
 
     def crash(self) -> List[LogEntry]:
-        """Process death: the in-memory entries are gone and the disk
-        backend (if any) is closed.
+        """Process death: the in-memory entries are gone, and the disk
+        backend (if any) keeps only what it synced.
 
-        Returns the entries whose frames never reached disk (the
-        group-commit buffer): the restarted log will not know them, so
+        Returns the entries whose frames were never synced (the
+        group-commit batch): the restarted log will not know them, so
         the caller must undo their document effects.
         """
-        unflushed: List[LogEntry] = []
-        if self._wal is not None:
-            unflushed = self._wal.discard_unflushed()
-            self._wal.close()
+        unsynced = self._wal.crash() if self._wal is not None else []
         self._adopt(())
-        return unflushed
+        return unsynced
 
     def recover(self) -> None:
         """Restart: refill this log in place — from disk when durable

@@ -100,6 +100,8 @@ REMOVED = {
     ),
     "repro.p2p.failure": ("PingMonitor",),
     "repro.sim.harness": ("sweep",),
+    # WAL segments and checkpoints live on the network's SimDisk
+    "repro.sim.kernel": ("ScratchSpace",),
     "repro.xmlstore.serializer": ("strip_ids", "trees_equal"),
     "repro.sim.scenarios": (
         "Scenario", "build_atplist_scenario", "build_topology",
@@ -189,6 +191,7 @@ def test_removed_members_stay_removed():
     from repro.services.registry import ServiceRegistry
     from repro.sim.harness import ExperimentTable
     from repro.sim.metrics import MetricsCollector
+    from repro.txn.durable_wal import DurableWal
     from repro.txn.manager import TransactionManager
     from repro.txn.modes import DurabilityPolicy
     from repro.txn.occ import OptimisticValidator
@@ -272,10 +275,15 @@ def test_removed_members_stay_removed():
         (SpanCollector(lambda: 0.0), "spans"), (SpanCollector, "finished"),
         (SpanCollector, "by_kind"), (SpanCollector, "children_of"),
         (SpanCollector, "to_dict"), (Span, "finished"),
+        # the disk decides what a crash keeps: no private frame buffer,
+        # no file handle to close
+        (DurableWal, "discard_unflushed"), (DurableWal, "pending_entries"),
+        (DurableWal, "close"), (DurableWal, "__enter__"), (DurableWal, "__exit__"),
     ):
         assert not hasattr(owner, name), f"{owner!r}.{name} is back"
     assert "parse_equivalent" not in inspect.signature(Document.clone_tree).parameters
     assert "scratch" not in inspect.signature(ShardCoordinator).parameters
+    assert "include_pending" not in inspect.signature(DurableWal.load).parameters
     assert "follow_nested_results" not in inspect.signature(MaterializationEngine).parameters
     for module in (
         "repro.baselines.naive_disconnect", "repro.baselines.two_phase_commit",
@@ -348,7 +356,8 @@ def test_one_rejoin_mode_and_four_durability_knobs():
 
 
 def test_collaborators_every_caller_passes_are_required():
-    """The WAL's peer, metrics, event queue and document source, the
+    """The WAL's peer, disk, metrics, event queue and document source,
+    a checkpoint store's disk, directory and peer, the
     manager's span collector, the collector's clock and a span's peer
     (and, for a stacked span, its attributes), what the log
     is told per append and a chain edit's super flag and notice scope
@@ -358,12 +367,14 @@ def test_collaborators_every_caller_passes_are_required():
 
     from repro.obs.spans import SpanCollector
     from repro.p2p.chain import PeerChain
+    from repro.txn.checkpoint import CheckpointStore
     from repro.txn.durable_wal import DurableWal
     from repro.txn.manager import TransactionManager
     from repro.txn.wal import OperationLog
 
     for callee, names in (
-        (DurableWal, ("policy", "peer_id", "metrics", "events", "document_source")),
+        (DurableWal, ("policy", "peer_id", "disk", "metrics", "events", "document_source")),
+        (CheckpointStore, ("disk", "directory", "peer_id")),
         (TransactionManager, ("peer_id", "document_provider", "spans")),
         (SpanCollector, ("now",)),
         (SpanCollector.span, ("peer", "attrs")),
@@ -414,7 +425,6 @@ REMOVED_KEYWORDS = [
     ("repro.p2p.sharding:ShardCoordinator", (None, None), {"replication": None}),
     ("repro.api:Cluster.run_until", (None, 1.0), {"max_events": 5}),
     ("repro.api:Cluster.run_all", (None,), {"max_events": 5}),
-    ("repro.sim.kernel:ScratchSpace", (), {"prefix": "x-"}),
     ("repro.txn.manager:TransactionManager.abort_local", (None, "T1"), {"meter": None}),
     ("repro.txn.manager:TransactionManager.apply_compensation_xml", (None, ""), {"meter": None}),
     ("repro.xmlstore.nodes:Document.create_element", (None, "e"), {"attributes": {}}),
@@ -484,15 +494,17 @@ def test_removed_keyword_is_rejected(target, args, kwargs):
         callee(*args, **kwargs)
 
 
-def test_wal_has_one_compaction_per_run(tmp_path):
+def test_wal_has_one_compaction_per_run():
     """Checkpoints bound replay during a run and ``reload`` compacts at
     restart; there is no segment rollover beside them."""
+    from repro.sim.disk import SimDisk
     from repro.sim.kernel import Clock, EventQueue
     from repro.sim.metrics import MetricsCollector
     from repro.txn.durable_wal import DurableWal
     from repro.txn.modes import DurabilityPolicy
 
-    policy = DurabilityPolicy(str(tmp_path))
-    with DurableWal(policy, "P", MetricsCollector(), EventQueue(Clock()), dict) as wal:
-        for name in ("segment_max_frames", "_segment_frames"):
-            assert not hasattr(wal, name)
+    wal = DurableWal(
+        DurabilityPolicy("P"), "P", SimDisk(), MetricsCollector(), EventQueue(Clock()), dict
+    )
+    for name in ("segment_max_frames", "_segment_frames"):
+        assert not hasattr(wal, name)

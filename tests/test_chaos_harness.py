@@ -25,7 +25,6 @@ from repro.chaos import (
     write_repro_file,
 )
 from repro.chaos.planner import FAULT_KINDS
-from repro.chaos.runner import _cleanup_durability
 from repro.cli import main
 from repro.p2p.network import SimNetwork
 from repro.sim.metrics import MetricsCollector
@@ -194,20 +193,17 @@ class TestHarnessRuns:
         # marker service on *every* peer, spares included.
         config = ChaosConfig(providers=4, handlers=handlers, **shape)
         cluster, origins, providers = build_chaos_cluster(config)
-        try:
-            names = [CHAOS_FAULT] * handlers + ["PeerDisconnected"] * moves
-            expected = {
-                f"S{i}": [({name}, 2) for name in names] for i in range(1, 5)
-            } if names else {}
-            spares = [f"SP{k}" for k in range(1, config.shard_spares + 1)]
-            assert list(cluster.peers) == origins + providers + spares
-            for peer in cluster.peers.values():
-                assert {
-                    method: [(p.fault_names, p.retry_times) for p in policies]
-                    for method, policies in peer.fault_policies.items()
-                } == expected
-        finally:
-            _cleanup_durability(cluster)
+        names = [CHAOS_FAULT] * handlers + ["PeerDisconnected"] * moves
+        expected = {
+            f"S{i}": [({name}, 2) for name in names] for i in range(1, 5)
+        } if names else {}
+        spares = [f"SP{k}" for k in range(1, config.shard_spares + 1)]
+        assert list(cluster.peers) == origins + providers + spares
+        for peer in cluster.peers.values():
+            assert {
+                method: [(p.fault_names, p.retry_times) for p in policies]
+                for method, policies in peer.fault_policies.items()
+            } == expected
 
 
 class TestSettlementApis:

@@ -2,10 +2,11 @@
 
 Covers the R1 tentpole (checkpoint store round-trips, torn-file
 fallback, bounded tail replay, segment retention, group-commit
-buffering/barriers/crash-discard) plus the typed surface:
+batching/barriers/crash-discard) plus the typed surface:
 `DurabilityPolicy` and `ChaosConfig`.
 """
 
+import copy
 import json
 from dataclasses import replace
 
@@ -19,7 +20,11 @@ from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
+from repro.sim.disk import SimDisk
+from repro.sim.kernel import Clock, EventQueue
+from repro.sim.metrics import MetricsCollector
 from repro.txn.checkpoint import Checkpoint, CheckpointStore
+from repro.txn.durable_wal import DurableWal
 from repro.txn.modes import DurabilityPolicy
 from repro.txn.recovery import FaultPolicy
 from repro.txn.wal import LogEntry
@@ -33,15 +38,32 @@ def _entry(seq, txn_id="t1", doc="D"):
     )
 
 
-def durable_world(tmp_path, **policy_kwargs):
+@pytest.fixture
+def disk():
+    return SimDisk()
+
+
+def durable_entries(peer):
+    """The entries a crash now would leave of *peer*'s WAL: a copy of
+    the disk is crashed and a fresh WAL recovers from it."""
+    disk = copy.deepcopy(peer.wal.disk)
+    disk.crash(peer.wal.policy.directory)
+    wal = DurableWal(peer.wal.policy, peer.peer_id, disk, MetricsCollector(),
+                     EventQueue(Clock()), dict)
+    return [e.seq for e in wal.last_recovery.entries]
+
+
+def live_entries(peer):
+    return [e.seq for e in peer.wal.load().entries]
+
+
+def durable_world(**policy_kwargs):
     """Origin + durable worker; policy knobs come from the caller."""
     network = SimNetwork()
     origin = AXMLPeer("Origin", network)
     worker = AXMLPeer(
         "Worker", network,
-        durability=DurabilityPolicy(
-            directory=str(tmp_path / "worker-wal"), **policy_kwargs
-        ),
+        durability=DurabilityPolicy(directory="Worker", **policy_kwargs),
     )
     worker.host_document(AXMLDocument.from_xml("<D><slots/></D>", name="D"))
     worker.host_service(UpdateService(
@@ -52,16 +74,14 @@ def durable_world(tmp_path, **policy_kwargs):
     return network, origin, worker
 
 
-def durable_origin(tmp_path, **policy_kwargs):
+def durable_origin(**policy_kwargs):
     """A durable origin that writes its own document with local submits:
     no message between two submits, so only the batch size, the flush
     timer or the commit's tombstone flushes the group-commit buffer."""
     network = SimNetwork()
     origin = AXMLPeer(
         "Origin", network,
-        durability=DurabilityPolicy(
-            directory=str(tmp_path / "origin-wal"), **policy_kwargs
-        ),
+        durability=DurabilityPolicy(directory="Origin", **policy_kwargs),
     )
     origin.host_document(AXMLDocument.from_xml("<D><slots/></D>", name="D"))
     return network, origin
@@ -83,8 +103,8 @@ def commit_one(origin, c):
 
 
 class TestCheckpointStore:
-    def test_round_trip(self, tmp_path):
-        store = CheckpointStore(str(tmp_path), "P1")
+    def test_round_trip(self, disk):
+        store = CheckpointStore(disk, "P1", "P1")
         ckpt = Checkpoint(
             index=3, last_seq=9, tail_segment=4,
             documents={"D": "<D><slots/></D>", "E": "<E/>"},
@@ -100,8 +120,8 @@ class TestCheckpointStore:
         assert [e.seq for e in loaded.entries] == [7, 9]
         assert loaded.entries[0].txn_id == "t1"
 
-    def test_torn_newest_falls_back_to_previous(self, tmp_path):
-        store = CheckpointStore(str(tmp_path), "P1")
+    def test_torn_newest_falls_back_to_previous(self, disk):
+        store = CheckpointStore(disk, "P1", "P1")
         store.write(Checkpoint(index=1, last_seq=2, tail_segment=2,
                                documents={"D": "<D/>"}))
         store.write(Checkpoint(index=2, last_seq=5, tail_segment=3,
@@ -114,23 +134,22 @@ class TestCheckpointStore:
         # Read-only: the torn file stays for deterministic replays.
         assert len(store.paths()) == 2
 
-    def test_every_checkpoint_torn_means_none(self, tmp_path):
-        store = CheckpointStore(str(tmp_path), "P1")
+    def test_every_checkpoint_torn_means_none(self, disk):
+        store = CheckpointStore(disk, "P1", "P1")
         store.write(Checkpoint(index=1, last_seq=1, tail_segment=1))
         store.tear_newest()
         loaded, torn = store.load_latest()
         assert loaded is None
         assert torn == 1
 
-    def test_trailing_garbage_invalidates(self, tmp_path):
-        store = CheckpointStore(str(tmp_path), "P1")
+    def test_trailing_garbage_invalidates(self, disk):
+        store = CheckpointStore(disk, "P1", "P1")
         path = store.write(Checkpoint(index=1, last_seq=1, tail_segment=1))
-        with open(path, "ab") as fh:
-            fh.write(b"junk\n")
+        disk.append(path, b"junk\n")
         assert store.load_latest() == (None, 1)
 
-    def test_retire_keeps_newer_generations(self, tmp_path):
-        store = CheckpointStore(str(tmp_path), "P1")
+    def test_retire_keeps_newer_generations(self, disk):
+        store = CheckpointStore(disk, "P1", "P1")
         for i in (1, 2, 3):
             store.write(Checkpoint(index=i, last_seq=i, tail_segment=i))
         removed = store.retire(2)
@@ -139,8 +158,8 @@ class TestCheckpointStore:
 
 
 class TestWalCheckpointing:
-    def test_checkpoints_bound_recovery_replay(self, tmp_path):
-        network, origin, worker = durable_world(tmp_path, checkpoint_every=4)
+    def test_checkpoints_bound_recovery_replay(self):
+        network, origin, worker = durable_world(checkpoint_every=4)
         for i in range(11):
             commit_one(origin, f"c{i}")
         worker.crash()
@@ -153,19 +172,17 @@ class TestWalCheckpointing:
         # All 11 committed effects survived the bounded replay.
         assert worker.get_axml_document("D").to_xml().count("<slot c=") == 11
 
-    def test_checkpoint_retention_truncates_segments(self, tmp_path):
-        import os
-
-        network, origin, worker = durable_world(tmp_path, checkpoint_every=2)
+    def test_checkpoint_retention_truncates_segments(self):
+        network, origin, worker = durable_world(checkpoint_every=2)
         for i in range(10):
             commit_one(origin, f"c{i}")
         directory = worker.wal.policy.directory
-        ckpts = [n for n in os.listdir(directory) if n.endswith(".ckpt")]
-        segs = sorted(n for n in os.listdir(directory) if n.endswith(".seg"))
+        ckpts = [n for n in worker.wal.disk.names(directory) if n.endswith(".ckpt")]
+        segs = [n for n in worker.wal.disk.names(directory) if n.endswith(".seg")]
         # Two generations of checkpoints, and only the segments at or
         # past the previous generation's tail watermark survive.
         assert len(ckpts) == 2
-        store = CheckpointStore(directory, "Worker")
+        store = worker.wal.checkpoints
         previous, _ = store.load_latest()
         older = store._parse(store.paths()[0])
         assert all(
@@ -173,23 +190,23 @@ class TestWalCheckpointing:
         )
         assert previous.index == older.index + 1
 
-    def test_torn_checkpoint_recovery_regression(self, tmp_path):
+    def test_torn_checkpoint_recovery_regression(self):
         """A crash mid-publish tears the newest checkpoint; recovery
         must fall back to the previous generation + a longer replay and
         still reconstruct the exact committed state."""
-        network, origin, worker = durable_world(tmp_path, checkpoint_every=2)
+        network, origin, worker = durable_world(checkpoint_every=2)
         for i in range(9):
             commit_one(origin, f"c{i}")
         expected = canonical(worker.get_axml_document("D").document)
         worker.crash()
-        CheckpointStore(worker.wal.policy.directory, "Worker").tear_newest()
+        worker.wal.checkpoints.tear_newest()
         worker.rejoin()
         assert network.metrics.get("checkpoints_torn") == 1
         assert canonical(worker.get_axml_document("D").document) == expected
         assert not worker.wal.load().entries
 
-    def test_in_flight_share_survives_checkpointing(self, tmp_path):
-        network, origin, worker = durable_world(tmp_path, checkpoint_every=2)
+    def test_in_flight_share_survives_checkpointing(self):
+        network, origin, worker = durable_world(checkpoint_every=2)
         for i in range(4):
             commit_one(origin, f"c{i}")
         txn = origin.begin_transaction()
@@ -200,8 +217,8 @@ class TestWalCheckpointing:
         assert "inflight" not in worker.get_axml_document("D").to_xml()
         assert worker.get_axml_document("D").to_xml().count("<slot c=") == 4
 
-    def test_checkpoint_restores_missing_document(self, tmp_path):
-        network, origin, worker = durable_world(tmp_path, checkpoint_every=2)
+    def test_checkpoint_restores_missing_document(self):
+        network, origin, worker = durable_world(checkpoint_every=2)
         for i in range(4):
             commit_one(origin, f"c{i}")
         expected = worker.get_axml_document("D").to_xml()
@@ -213,10 +230,10 @@ class TestWalCheckpointing:
         assert worker.get_axml_document("D").to_xml() == expected
 
 
-    def test_lost_document_is_restored_before_compensation(self, tmp_path):
+    def test_lost_document_is_restored_before_compensation(self):
         """The checkpoint snapshot is back in place when ``rejoin``
         returns, so the recovered share compensates against it."""
-        network, origin, worker = durable_world(tmp_path, checkpoint_every=2)
+        network, origin, worker = durable_world(checkpoint_every=2)
         for i in range(4):
             commit_one(origin, f"c{i}")
         txn = origin.begin_transaction()
@@ -230,75 +247,78 @@ class TestWalCheckpointing:
 
 
 class TestGroupCommit:
-    def test_appends_buffer_until_commit_barrier(self, tmp_path):
-        network, origin = durable_origin(tmp_path, wal_batch=8)
+    def test_appends_buffer_until_commit_barrier(self):
+        network, origin = durable_origin(wal_batch=8)
         txn = origin.begin_transaction()
         submit_one(origin, txn, "a")
         submit_one(origin, txn, "b")
-        assert len(origin.wal.pending_entries()) == 2
-        assert not origin.wal.load().entries          # nothing on disk yet
-        assert len(origin.wal.load(include_pending=True).entries) == 2
+        assert durable_entries(origin) == []          # nothing synced yet
+        assert live_entries(origin) == [1, 2]
         origin.commit(txn.txn_id)
-        # The tombstone barrier flushed the batch before truncating.
-        assert origin.wal.pending_entries() == []
+        # The tombstone barrier synced the batch before truncating.
         assert network.metrics.get("wal_batch_flushes") == 1
+        assert durable_entries(origin) == []
         assert not origin.wal.load().entries          # then truncated
 
-    def test_flush_on_prepare_barrier_at_hand_off(self, tmp_path):
-        network, origin, worker = durable_world(tmp_path, wal_batch=8)
+    def test_flush_on_prepare_barrier_at_hand_off(self):
+        network, origin, worker = durable_world(wal_batch=8)
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "a"})
         # The write-ahead barrier flushed at the share hand-off: the
         # entry is durable before the invoker saw the result.
-        assert worker.wal.pending_entries() == []
-        assert [e.seq for e in worker.wal.load().entries] == [1]
+        assert durable_entries(worker) == [1]
 
-    def test_batch_size_triggers_flush(self, tmp_path):
-        network, origin = durable_origin(tmp_path, wal_batch=2)
+    def test_batch_size_triggers_flush(self):
+        network, origin = durable_origin(wal_batch=2)
         txn = origin.begin_transaction()
         submit_one(origin, txn, "a")
-        assert len(origin.wal.pending_entries()) == 1
+        assert durable_entries(origin) == []
         submit_one(origin, txn, "b")
-        assert origin.wal.pending_entries() == []     # batch filled -> one write
+        assert durable_entries(origin) == [1, 2]      # batch filled -> one sync
         assert network.metrics.get("wal_batch_flushes") == 1
 
-    def test_flush_interval_quantum(self, tmp_path):
-        network, origin = durable_origin(tmp_path, wal_batch=8)
+    def test_flush_interval_quantum(self):
+        network, origin = durable_origin(wal_batch=8)
         txn = origin.begin_transaction()
         submit_one(origin, txn, "a")
-        assert len(origin.wal.pending_entries()) == 1
+        assert durable_entries(origin) == []
         network.events.run_until(network.clock.now + 0.1)
-        assert origin.wal.pending_entries() == []
-        assert [e.seq for e in origin.wal.load().entries] == [1]
+        assert durable_entries(origin) == [1]
         # The one-shot timer drained: run_all() must not spin.
         assert not network.events.step()
 
-    def test_crash_discards_unflushed_and_undoes_effects(self, tmp_path):
-        network, origin = durable_origin(tmp_path, wal_batch=8)
+    def test_crash_discards_unflushed_and_undoes_effects(self):
+        network, origin = durable_origin(wal_batch=8)
         pre = canonical(origin.get_axml_document("D").document)
         txn = origin.begin_transaction()
         submit_one(origin, txn, "lost")
         origin.crash()
-        # Buffered-but-unflushed entries are gone after restart, and the
-        # store shows no trace of their effects.
+        # Unsynced entries are gone after restart, and the store shows
+        # no trace of their effects.
         assert network.metrics.get("wal_unflushed_discarded") == 1
         assert canonical(origin.get_axml_document("D").document) == pre
         assert origin.rejoin() == 0
         assert not origin.wal.load().entries
 
-    def test_graceful_close_persists_buffer(self, tmp_path):
-        network, origin = durable_origin(tmp_path, wal_batch=8)
+    def test_flushed_batch_survives_restart(self):
+        network, origin = durable_origin(wal_batch=8)
         txn = origin.begin_transaction()
         submit_one(origin, txn, "a")
-        origin.wal.close()
+        assert origin.wal.flush() == 1
         assert [e.seq for e in origin.wal.reload()] == [1]
 
-    def test_partial_undo_keeps_handed_off_entries_durable(self, tmp_path):
+    def test_unflushed_batch_dies_with_a_restart(self):
+        network, origin = durable_origin(wal_batch=8)
+        txn = origin.begin_transaction()
+        submit_one(origin, txn, "a")
+        assert origin.wal.reload() == []
+
+    def test_partial_undo_keeps_handed_off_entries_durable(self):
         """§3.1 write-ahead across a partial undo: the worker undoes only
         its faulted second invocation, re-appending the first one's entry
         after the tombstone.  That entry's result was already handed off,
-        so it must be on disk before a crash can discard the buffer."""
-        network, origin, worker = durable_world(tmp_path, wal_batch=8)
+        so it must be synced before a crash can cut the tail."""
+        network, origin, worker = durable_world(wal_batch=8)
         injector = network.injector
         origin.set_fault_policy("book", [FaultPolicy(absorb=True)])
         txn = origin.begin_transaction()
@@ -306,7 +326,7 @@ class TestGroupCommit:
         injector.fault_service("Worker", "book", "boom", point="after_execute")
         assert origin.invoke(txn.txn_id, "Worker", "book", {"c": "b"}) == []
         assert network.metrics.get("partial_aborts") == 1
-        assert worker.wal.pending_entries() == []
+        assert durable_entries(worker) == live_entries(worker)
         worker.crash()                                 # before any later barrier
         origin.commit(txn.txn_id)
         assert worker.rejoin() == 1
@@ -322,10 +342,8 @@ class TestCrashConsistencyEveryPoint:
 
     POLICY = dict(checkpoint_every=2, wal_batch=2)
 
-    def _run_with_crash(self, tmp_path, point, tear):
-        network, origin, worker = durable_world(
-            tmp_path / f"crash-{point}-{tear}", **self.POLICY
-        )
+    def _run_with_crash(self, point, tear):
+        network, origin, worker = durable_world(**self.POLICY)
         injector = network.injector
         for i in range(3):
             commit_one(origin, f"pre{i}")
@@ -343,13 +361,11 @@ class TestCrashConsistencyEveryPoint:
             worker.resolve_in_doubt(doomed.txn_id, committed=False)
         for i in range(3):
             commit_one(origin, f"post{i}")
-        assert not worker.wal.load(include_pending=True).entries
+        assert not worker.wal.load().entries
         return canonical(worker.get_axml_document("D").document)
 
-    def _run_without_crash(self, tmp_path):
-        network, origin, worker = durable_world(
-            tmp_path / "twin", **self.POLICY
-        )
+    def _run_without_crash(self):
+        network, origin, worker = durable_world(**self.POLICY)
         for i in range(3):
             commit_one(origin, f"pre{i}")
         for i in range(3):
@@ -359,10 +375,10 @@ class TestCrashConsistencyEveryPoint:
     @pytest.mark.parametrize("tear", [False, True])
     @pytest.mark.parametrize("point", POINTS)
     def test_recovered_state_matches_uncrashed_twin(
-        self, tmp_path, point, tear
+        self, point, tear
     ):
-        crashed = self._run_with_crash(tmp_path, point, tear)
-        clean = self._run_without_crash(tmp_path)
+        crashed = self._run_with_crash(point, tear)
+        clean = self._run_without_crash()
         assert crashed == clean
 
 
@@ -375,8 +391,8 @@ class TestModes:
         with pytest.raises(ValueError, match="directory"):
             DurabilityPolicy(directory="")
 
-    def test_peer_accepts_policy_and_enum(self, tmp_path):
-        network, origin, worker = durable_world(tmp_path)
+    def test_peer_accepts_policy_and_enum(self):
+        network, origin, worker = durable_world()
         assert worker.wal.policy.wal_batch == 1  # the peer's own policy
         network.disconnect("Worker")
         worker.rejoin()

@@ -1,7 +1,9 @@
 """Crash-and-restart recovery: peer-level (crash/rejoin/resolve) and the
 chaos harness's crash fault kind."""
 
+import contextlib
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -17,12 +19,41 @@ from repro.txn.modes import DurabilityPolicy
 from repro.xmlstore.serializer import canonical
 
 
-def durable_world(tmp_path):
+#: Audit events of a process touching the file system.
+FILE_EVENTS = frozenset({
+    "open", "os.listdir", "os.scandir", "os.mkdir", "os.rename", "os.remove",
+    "os.rmdir", "os.truncate", "shutil.rmtree", "tempfile.mkdtemp", "tempfile.mkstemp",
+})
+#: Where the audit hook below records; an audit hook cannot be removed,
+#: so it records only inside :func:`file_system_events`.
+_RECORDER = []
+
+
+def _audit(event, args):
+    if _RECORDER and event in FILE_EVENTS:
+        _RECORDER[-1].append((event, args[0]))
+
+
+sys.addaudithook(_audit)
+
+
+@contextlib.contextmanager
+def file_system_events():
+    """Every file-system audit event raised inside the block."""
+    events = []
+    _RECORDER.append(events)
+    try:
+        yield events
+    finally:
+        _RECORDER.remove(events)
+
+
+def durable_world():
     network = SimNetwork()
     origin = AXMLPeer("Origin", network)
     worker = AXMLPeer(
         "Worker", network,
-        durability=DurabilityPolicy(directory=str(tmp_path / "worker-wal")),
+        durability=DurabilityPolicy(directory="Worker"),
     )
     worker.host_document(AXMLDocument.from_xml("<D><slots/></D>", name="D"))
     worker.host_service(UpdateService(
@@ -34,8 +65,8 @@ def durable_world(tmp_path):
 
 
 class TestPeerCrash:
-    def test_crash_loses_volatile_state(self, tmp_path):
-        network, origin, worker = durable_world(tmp_path)
+    def test_crash_loses_volatile_state(self):
+        network, origin, worker = durable_world()
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "x"})
         assert len(worker.manager.log) == 1
@@ -47,16 +78,16 @@ class TestPeerCrash:
         assert worker.chain_views() == {}
         assert network.metrics.get("peer_crashes") == 1
 
-    def test_documents_survive_a_crash(self, tmp_path):
-        network, origin, worker = durable_world(tmp_path)
+    def test_documents_survive_a_crash(self):
+        network, origin, worker = durable_world()
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "x"})
         worker.crash()
         # The durable store keeps the (dirty) document content.
         assert "slot" in worker.get_axml_document("D").to_xml()
 
-    def test_restart_compensates_aborted_txn_from_disk(self, tmp_path):
-        network, origin, worker = durable_world(tmp_path)
+    def test_restart_compensates_aborted_txn_from_disk(self):
+        network, origin, worker = durable_world()
         pre = canonical(worker.get_axml_document("D").document)
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "x"})
@@ -71,8 +102,8 @@ class TestPeerCrash:
         assert len(worker.manager.log) == 0
         assert not worker.wal.load().entries
 
-    def test_restart_keeps_committed_txn_effects(self, tmp_path):
-        network, origin, worker = durable_world(tmp_path)
+    def test_restart_keeps_committed_txn_effects(self):
+        network, origin, worker = durable_world()
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "y"})
         worker.crash()
@@ -81,10 +112,10 @@ class TestPeerCrash:
         assert 'c="y"' in worker.get_axml_document("D").to_xml()
         assert not worker.wal.load().entries  # commit truncated on disk too
 
-    def test_default_rejoin_compensates_from_disk(self, tmp_path):
+    def test_default_rejoin_compensates_from_disk(self):
         """A caller that knows the transaction aborted around the dead
         peer settles every rebuilt share with ``committed=False``."""
-        network, origin, worker = durable_world(tmp_path)
+        network, origin, worker = durable_world()
         pre = canonical(worker.get_axml_document("D").document)
         txn = origin.begin_transaction()
         origin.invoke(txn.txn_id, "Worker", "book", {"c": "x"})
@@ -97,10 +128,10 @@ class TestPeerCrash:
         assert canonical(worker.get_axml_document("D").document) == pre
         assert network.metrics.get("recovery_replay_entries") == 1
 
-    def test_crash_during_own_service_execution(self, tmp_path):
+    def test_crash_during_own_service_execution(self):
         from repro.errors import PeerDisconnected, TransactionError
 
-        network, origin, worker = durable_world(tmp_path)
+        network, origin, worker = durable_world()
         injector = network.injector
         injector.crash_peer_during("Worker", "book", "after_local_work",
                                    restart_delay=0.25)
@@ -165,11 +196,22 @@ class TestCrashChaos:
         assert "compensation_missing" in kinds
         assert "wal_tail_inconsistent" in kinds
 
-    def test_scratch_directories_are_removed(self):
-        result = run_chaos(self.CONFIG)
-        import os
-
-        assert not os.path.exists(result.cluster.scratch.root)
+    def test_durable_chaos_touches_no_real_file(self):
+        """WAL segments and checkpoints live on the network's simulated
+        disk: a run with crashes, checkpoints and a torn checkpoint
+        opens, lists, creates and removes nothing on the real file
+        system."""
+        config = ChaosConfig(
+            seed=7, txns=20, fault_rate=0.2, crash_rate=0.3,
+            checkpoint_every=4, wal_batch=4,
+        )
+        run_chaos(config)  # lazy imports read their modules once
+        with file_system_events() as events:
+            result = run_chaos(config)
+        counters = result.summary["metrics"]["counters"]
+        assert counters["peer_crashes"] and counters["checkpoints_torn"]
+        assert counters["wal_unflushed_discarded"]
+        assert events == []
 
     def test_cli_crash_smoke(self, capsys):
         code = main([

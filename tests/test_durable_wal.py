@@ -1,11 +1,10 @@
-"""The on-disk segmented WAL (repro.txn.durable_wal) and ScratchSpace."""
-
-import os
+"""The segmented WAL (repro.txn.durable_wal) on a simulated disk."""
 
 import pytest
 
 from repro.errors import ReproError, TransactionError, XmlParseError
-from repro.sim.kernel import Clock, EventQueue, ScratchSpace
+from repro.sim.disk import SimDisk
+from repro.sim.kernel import Clock, EventQueue
 from repro.sim.metrics import MetricsCollector
 from repro.txn.durable_wal import DurableWal
 from repro.txn.modes import DurabilityPolicy
@@ -41,17 +40,35 @@ def make_entry(seq, txn_id="T1", action="<a/>"):
     )
 
 
-def open_wal(directory, metrics=None, **policy_kwargs):
-    """Peer P1's WAL over *directory*, with its own metrics and an event
-    queue no test runs (a group-commit timer never fires by itself)."""
+#: The WAL's directory on the disk.
+DIR = "P1"
+
+
+@pytest.fixture
+def disk():
+    return SimDisk()
+
+
+def open_wal(disk, metrics=None, **policy_kwargs):
+    """Peer P1's WAL on *disk*, with its own metrics and an event queue
+    no test runs (a group-commit timer never fires by itself)."""
     return DurableWal(
-        DurabilityPolicy(str(directory), **policy_kwargs), "P1",
+        DurabilityPolicy(DIR, **policy_kwargs), "P1", disk,
         MetricsCollector() if metrics is None else metrics, EventQueue(Clock()), dict,
     )
 
 
-def segment_files(directory):
-    return sorted(n for n in os.listdir(directory) if n.endswith(".seg"))
+def segment_files(disk):
+    return [n for n in disk.names(DIR) if n.endswith(".seg")]
+
+
+def last_segment(disk):
+    return f"{DIR}/{segment_files(disk)[-1]}"
+
+
+def rewrite(disk, path, data):
+    """Replace a file's bytes on *disk* (a hand-made corruption)."""
+    disk.publish(path, data)
 
 
 class TestEntryCodec:
@@ -79,8 +96,8 @@ class TestEntryCodec:
 
 
 class TestAppendAndLoad:
-    def test_append_load_roundtrip(self, tmp_path):
-        wal = open_wal(tmp_path)
+    def test_append_load_roundtrip(self, disk):
+        wal = open_wal(disk)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>", (), 0.0, None)
@@ -88,10 +105,9 @@ class TestAppendAndLoad:
         scan = wal.load()
         assert not scan.torn
         assert [(e.seq, e.txn_id) for e in scan.entries] == [(1, "T1"), (2, "T2")]
-        wal.close()
 
-    def test_tombstone_filters_truncated_txn(self, tmp_path):
-        wal = open_wal(tmp_path)
+    def test_tombstone_filters_truncated_txn(self, disk):
+        wal = open_wal(disk)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>", (), 0.0, None)
@@ -99,15 +115,14 @@ class TestAppendAndLoad:
         log.truncate("T1")
         scan = wal.load()
         assert [e.txn_id for e in scan.entries] == ["T2"]
-        wal.close()
 
-    def test_tombstone_only_kills_earlier_entries(self, tmp_path):
+    def test_tombstone_only_kills_earlier_entries(self, disk):
         # A transaction can abort (tombstone) and then be retried on the
         # same peer: the retry appends fresh entries for the *same* txn
         # id after the tombstone.  Those entries are live — a tombstone
         # suppresses only what precedes it in the stream, and a restart
         # must recover the retry's share.
-        wal = open_wal(tmp_path)
+        wal = open_wal(disk)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>", (), 0.0, None)
@@ -117,18 +132,15 @@ class TestAppendAndLoad:
         assert [(e.seq, e.txn_id, e.action_xml) for e in scan.entries] == [
             (retried.seq, "T1", "<b/>")
         ]
-        wal.close()
-        reopened = open_wal(tmp_path)
+        reopened = open_wal(disk)
         assert [e.action_xml for e in reopened.load().entries] == ["<b/>"]
-        reopened.close()
 
-    def test_restart_adopts_directory(self, tmp_path):
-        wal = open_wal(tmp_path)
+    def test_restart_adopts_directory(self, disk):
+        wal = open_wal(disk)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>", (), 0.0, None)
-        wal.close()
-        reopened = open_wal(tmp_path)
+        reopened = open_wal(disk)
         restored = OperationLog("P1")
         restored.attach(reopened)
         restored.recover()
@@ -136,47 +148,39 @@ class TestAppendAndLoad:
         entry = restored.append("T2", "update", "D", "<b/>", (), 0.0, None)
         assert entry.seq == 2
         assert len(reopened.load().entries) == 2
-        reopened.close()
 
-    def test_empty_directory_loads_empty(self, tmp_path):
-        wal = open_wal(tmp_path)
+    def test_empty_directory_loads_empty(self, disk):
+        wal = open_wal(disk)
         scan = wal.load()
         assert scan.entries == [] and not scan.torn
-        wal.close()
 
 
 class TestTornTail:
-    def _wal_with_entries(self, tmp_path, count=3):
-        wal = open_wal(tmp_path)
+    def _wal_with_entries(self, disk, count=3):
+        wal = open_wal(disk)
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(count):
             log.append("T1", "update", "D", f"<a i='{i}'/>", (), 0.0, None)
         return wal
 
-    def test_truncated_frame_detected_and_discarded(self, tmp_path):
-        wal = self._wal_with_entries(tmp_path)
-        wal.close()
-        seg = tmp_path / segment_files(tmp_path)[-1]
-        data = seg.read_bytes()
-        seg.write_bytes(data[:-5])  # chop mid-frame
-        wal2 = open_wal(tmp_path)
+    def test_truncated_frame_detected_and_discarded(self, disk):
+        wal = self._wal_with_entries(disk)
+        seg = last_segment(disk)
+        rewrite(disk, seg, disk.read(seg)[:-5])  # chop mid-frame
+        wal2 = open_wal(disk)
         # The torn frame is gone; the durable prefix survives.
         assert [e.seq for e in wal2.load().entries] == [1, 2]
-        wal2.close()
 
-    def test_garbage_frame_header_stops_scan(self, tmp_path):
-        wal = self._wal_with_entries(tmp_path, count=2)
-        with open(os.path.join(str(tmp_path), segment_files(tmp_path)[-1]),
-                  "ab") as fh:
-            fh.write(b"XX not a frame\n")
+    def test_garbage_frame_header_stops_scan(self, disk):
+        wal = self._wal_with_entries(disk, count=2)
+        disk.append(last_segment(disk), b"XX not a frame\n")
         scan = wal.load()
         assert scan.torn
         assert [e.seq for e in scan.entries] == [1, 2]
-        wal.close()
 
-    def test_seq_regression_is_a_torn_tail(self, tmp_path):
-        wal = self._wal_with_entries(tmp_path, count=2)
+    def test_seq_regression_is_a_torn_tail(self, disk):
+        wal = self._wal_with_entries(disk, count=2)
         # Hand-forge a stale frame whose seq goes backwards.
         wal._write_frames([_encode_frame("E", entry_to_xml(make_entry(1, txn_id="T9")))])
         scan = wal.load()
@@ -184,14 +188,12 @@ class TestTornTail:
         assert [(e.seq, e.txn_id) for e in scan.entries] == [
             (1, "T1"), (2, "T1"),
         ]
-        wal.close()
 
-    def test_reload_truncates_and_resumes_cleanly(self, tmp_path):
-        wal = self._wal_with_entries(tmp_path)
-        wal.close()
-        seg = tmp_path / segment_files(tmp_path)[-1]
-        seg.write_bytes(seg.read_bytes()[:-5])
-        wal2 = open_wal(tmp_path)
+    def test_reload_truncates_and_resumes_cleanly(self, disk):
+        wal = self._wal_with_entries(disk)
+        seg = last_segment(disk)
+        rewrite(disk, seg, disk.read(seg)[:-5])
+        wal2 = open_wal(disk)
         log = OperationLog("P1")
         log.attach(wal2)
         log.recover()
@@ -199,7 +201,6 @@ class TestTornTail:
         scan = wal2.load()
         assert not scan.torn
         assert [e.seq for e in scan.entries] == [1, 2, 3]
-        wal2.close()
 
 
 class TestHostileDirectory:
@@ -207,75 +208,69 @@ class TestHostileDirectory:
     restart: undecodable frames are a torn tail, files that are not this
     WAL's segments/checkpoints are ignored, unknown versions rejected."""
 
-    def _three_entries(self, tmp_path, **policy_kwargs):
-        wal = open_wal(tmp_path, **policy_kwargs)
+    def _three_entries(self, disk, **policy_kwargs):
+        wal = open_wal(disk, **policy_kwargs)
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(3):
             log.append("T1", "update", "D", f"<a i='{i}'/>", (), 0.0, None)
-        wal.close()
-        return tmp_path / segment_files(tmp_path)[-1]
+        return last_segment(disk)
 
-    def test_undecodable_payload_is_a_torn_tail(self, tmp_path):
-        seg = self._three_entries(tmp_path)
-        data = bytearray(seg.read_bytes())
+    def test_undecodable_payload_is_a_torn_tail(self, disk):
+        seg = self._three_entries(disk)
+        data = bytearray(disk.read(seg))
         data[-10] = 0xFF  # inside the last frame's payload: not UTF-8
-        seg.write_bytes(bytes(data))
+        rewrite(disk, seg, bytes(data))
         metrics = MetricsCollector()
-        wal = open_wal(tmp_path, metrics=metrics)
+        wal = open_wal(disk, metrics=metrics)
         assert [e.seq for e in wal.last_recovery.entries] == [1, 2]
         assert metrics.get("wal_torn_tails") == 1
         assert [e.seq for e in wal.reload()] == [1, 2]
-        wal.close()
 
     @pytest.mark.parametrize("text", MALFORMED_ENTRIES[:2])
-    def test_malformed_entry_frame_is_a_torn_tail(self, tmp_path, text):
-        seg = self._three_entries(tmp_path)
-        with open(seg, "ab") as handle:
-            handle.write(_encode_frame("E", text))
-        wal = open_wal(tmp_path)
+    def test_malformed_entry_frame_is_a_torn_tail(self, disk, text):
+        seg = self._three_entries(disk)
+        disk.append(seg, _encode_frame("E", text))
+        disk.sync(seg)
+        wal = open_wal(disk)
         assert wal.last_recovery.torn
         assert [e.seq for e in wal.last_recovery.entries] == [1, 2, 3]
-        wal.close()
 
-    def test_scan_does_not_swallow_programming_errors(self, tmp_path, monkeypatch):
+    def test_scan_does_not_swallow_programming_errors(self, disk, monkeypatch):
         import repro.txn.durable_wal as durable_wal
 
-        self._three_entries(tmp_path)
+        self._three_entries(disk)
 
         def broken(payload):
             raise RuntimeError("not a decode failure")
 
         monkeypatch.setattr(durable_wal, "entry_from_xml", broken)
         with pytest.raises(RuntimeError):
-            open_wal(tmp_path)
+            open_wal(disk)
 
     @pytest.mark.parametrize("stray", ["wal-backup.seg", "wal-1.seg", "wal-0000001.seg"])
-    def test_foreign_segment_names_are_ignored(self, tmp_path, stray):
-        self._three_entries(tmp_path)
-        (tmp_path / stray).write_bytes(b"not ours\n")
-        wal = open_wal(tmp_path)
+    def test_foreign_segment_names_are_ignored(self, disk, stray):
+        self._three_entries(disk)
+        rewrite(disk, f"{DIR}/{stray}", b"not ours\n")
+        wal = open_wal(disk)
         assert [e.seq for e in wal.load().entries] == [1, 2, 3]
-        assert (tmp_path / stray).read_bytes() == b"not ours\n"
-        wal.close()
+        assert disk.read(f"{DIR}/{stray}") == b"not ours\n"
 
-    def test_foreign_checkpoint_names_are_ignored(self, tmp_path):
-        self._three_entries(tmp_path, checkpoint_every=2)
-        (tmp_path / "ckpt-backup.ckpt").write_bytes(b"not ours\n")
-        wal = open_wal(tmp_path, checkpoint_every=2)
+    def test_foreign_checkpoint_names_are_ignored(self, disk):
+        self._three_entries(disk, checkpoint_every=2)
+        rewrite(disk, f"{DIR}/ckpt-backup.ckpt", b"not ours\n")
+        wal = open_wal(disk, checkpoint_every=2)
         assert [e.seq for e in wal.load().entries] == [1, 2, 3]
-        assert (tmp_path / "ckpt-backup.ckpt").exists()
-        wal.close()
+        assert "ckpt-backup.ckpt" in disk.names(DIR)
 
     @pytest.mark.parametrize("header", [b"AXMLWAL 10 P1", b"AXMLWAL 1x P1", b"AXMLWALL 1 P1"])
-    def test_header_version_is_compared_as_a_field(self, tmp_path, header):
-        seg = self._three_entries(tmp_path)
-        data = seg.read_bytes()
+    def test_header_version_is_compared_as_a_field(self, disk, header):
+        seg = self._three_entries(disk)
+        data = disk.read(seg)
         assert data.startswith(b"AXMLWAL 1 P1\n")
-        seg.write_bytes(header + data[data.index(b"\n"):])
-        wal = open_wal(tmp_path)
+        rewrite(disk, seg, header + data[data.index(b"\n"):])
+        wal = open_wal(disk)
         assert wal.last_recovery.torn and wal.last_recovery.entries == []
-        wal.close()
 
 
 class TestFrameCodec:
@@ -304,37 +299,34 @@ class TestRolloverCompaction:
     """Without checkpoints the segment grows until a restart; ``reload``
     then rolls the live entries over into a fresh segment."""
 
-    def test_rollover_drops_tombstoned_frames(self, tmp_path):
-        wal = open_wal(tmp_path)
+    def test_rollover_drops_tombstoned_frames(self, disk):
+        wal = open_wal(disk)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>", (), 0.0, None)
         log.append("T1", "update", "D", "<b/>", (), 0.0, None)
         log.append("T2", "update", "D", "<c/>", (), 0.0, None)
         log.truncate("T1")
-        assert segment_files(tmp_path) == ["wal-000001.seg"]
+        assert segment_files(disk) == ["wal-000001.seg"]
         assert [e.txn_id for e in wal.reload()] == ["T2"]
-        assert segment_files(tmp_path) == ["wal-000002.seg"]
-        blob = (tmp_path / "wal-000002.seg").read_bytes()
+        assert segment_files(disk) == ["wal-000002.seg"]
+        blob = disk.read(f"{DIR}/wal-000002.seg")
         assert blob.count(b"\nE ") == 1 and b"\nT " not in blob
-        wal.close()
 
-    def test_restart_after_rollover(self, tmp_path):
-        wal = open_wal(tmp_path)
+    def test_restart_after_rollover(self, disk):
+        wal = open_wal(disk)
         log = OperationLog("P1")
         log.attach(wal)
         for i in range(300):
             log.append(f"T{i}", "update", "D", "<a/>", (), 0.0, None)
-        assert segment_files(tmp_path) == ["wal-000001.seg"]
-        wal.close()
-        wal2 = open_wal(tmp_path)  # adopting the directory reloads
-        assert segment_files(tmp_path) == ["wal-000002.seg"]
+        assert segment_files(disk) == ["wal-000001.seg"]
+        wal2 = open_wal(disk)  # adopting the directory reloads
+        assert segment_files(disk) == ["wal-000002.seg"]
         assert len(wal2.load().entries) == 300
-        wal2.close()
 
-    def test_metrics_counters(self, tmp_path):
+    def test_metrics_counters(self, disk):
         metrics = MetricsCollector()
-        wal = open_wal(tmp_path, metrics=metrics)
+        wal = open_wal(disk, metrics=metrics)
         log = OperationLog("P1")
         log.attach(wal)
         for _ in range(3):
@@ -343,32 +335,14 @@ class TestRolloverCompaction:
         assert metrics.get("wal_appends") == 3
         assert metrics.get("wal_tombstones") == 1
         assert metrics.get("wal_bytes") > 0
-        wal.close()
 
-    def test_wal_bytes_matches_logical_accounting(self, tmp_path):
+    def test_wal_bytes_matches_logical_accounting(self, disk):
         from repro.txn.wal import entry_bytes
 
         metrics = MetricsCollector()
-        wal = open_wal(tmp_path, metrics=metrics)
+        wal = open_wal(disk, metrics=metrics)
         log = OperationLog("P1")
         log.attach(wal)
         log.append("T1", "update", "D", "<a/>", (), 0.0, None)
         log.append("T1", "update", "D", "<bb/>", (), 0.0, None)
         assert metrics.get("wal_bytes") == sum(entry_bytes(e) for e in log)
-        wal.close()
-
-
-class TestScratchSpace:
-    def test_deterministic_relative_layout(self):
-        with ScratchSpace() as a, ScratchSpace() as b:
-            pa = a.path("AP1", "wal")
-            pb = b.path("AP1", "wal")
-            assert os.path.relpath(pa, a.root) == os.path.relpath(pb, b.root)
-            assert os.path.isdir(pa) and os.path.isdir(pb)
-
-    def test_cleanup_removes_root(self):
-        scratch = ScratchSpace()
-        root = scratch.root
-        scratch.path("x")
-        scratch.cleanup()
-        assert not os.path.exists(root)

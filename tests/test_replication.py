@@ -277,10 +277,9 @@ class TestShipCarriesEntries:
         for replica in ("AP3", "AP4"):
             assert "88" in peers[replica].get_axml_document("Shop2").to_xml()
 
-    def test_entry_recovered_from_disk_is_parsed_once_for_two_replicas(self, tmp_path):
+    def test_entry_recovered_from_disk_is_parsed_once_for_two_replicas(self):
         network, replication, peers = make_cluster(
-            replicas=("AP3", "AP4"),
-            durability=DurabilityPolicy(directory=str(tmp_path / "wal")),
+            replicas=("AP3", "AP4"), durability=DurabilityPolicy(directory="AP2"),
         )
         ap2 = peers["AP2"]
         txn = peers["AP1"].begin_transaction()
