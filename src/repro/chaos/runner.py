@@ -27,7 +27,7 @@ there is nothing to recover (:meth:`AXMLPeer.rejoin` is the crash
 path's restart); (3) resolve each peer's in-doubt
 shares against the origin's decision (``resolve_in_doubt``), which is
 exactly what a returning peer can learn by asking any chain member;
-(4) release per-transaction protocol state (``forget_transaction``).
+(4) forget every share of each decided one (``TransactionManager.forget``).
 Only then does the oracle sweep.
 """
 
@@ -526,7 +526,7 @@ def _settle_and_check(result: ChaosRunResult) -> List[Violation]:
     # (4) hygiene: release per-txn protocol state everywhere.
     for peer in cluster.peers.values():
         for txn_id, _committed in decisions:
-            peer.forget_transaction(txn_id)
+            peer.manager.forget(txn_id)
     # (5) sweep.
     return result.oracle().check(cluster.peers)
 

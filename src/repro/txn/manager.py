@@ -43,8 +43,8 @@ class TransactionManager:
         self.peer_id = peer_id
         self.log = OperationLog(peer_id)
         self.contexts: Dict[str, TransactionContext] = {}
-        #: txn id → ``COMMITTED``: what stays of a share once it commits
-        #: here (its context leaves ``contexts``; :meth:`commit_local`).
+        #: txn id → final state: what stays of a share once its context
+        #: leaves ``contexts`` (:meth:`forget`).
         self.outcomes: Dict[str, TransactionState] = {}
         self._document_provider = document_provider
         #: Optional optimistic concurrency control (see repro.txn.occ):
@@ -68,22 +68,20 @@ class TransactionManager:
     ) -> TransactionContext:
         """Create (or return) this peer's context for *transaction*.
 
-        A participant whose previous context finished (aborted during
-        nested recovery) gets a *fresh* context: the parent's retry (§3.2
-        forward recovery) is a new attempt, not a resurrection — the old
-        attempt's effects were already compensated.
+        A participant whose share finished (aborted during nested
+        recovery) and is still held restarts it in place
+        (:meth:`TransactionContext.restart`).
         """
-        existing = self.contexts.get(transaction.txn_id)
-        if existing is not None:
-            if existing.is_finished and parent_peer is not None:
-                del self.contexts[transaction.txn_id]
-            else:
-                return existing
-        self.outcomes.pop(transaction.txn_id, None)
-        context = TransactionContext(
-            transaction, self.peer_id, parent_peer, service_name
-        )
-        self.contexts[transaction.txn_id] = context
+        context = self.contexts.get(transaction.txn_id)
+        if context is None:
+            self.outcomes.pop(transaction.txn_id, None)
+            context = self.contexts[transaction.txn_id] = TransactionContext(
+                transaction, self.peer_id, parent_peer, service_name
+            )
+        elif context.is_finished and parent_peer is not None:
+            context.restart(parent_peer, service_name)
+        else:
+            return context
         if self.validator is not None:
             self.validator.begin(transaction.txn_id)
         return context
@@ -108,8 +106,19 @@ class TransactionManager:
 
     def states(self) -> Dict[str, TransactionState]:
         """txn id → this peer's state of it: a held context's state or a
-        committed share's recorded outcome."""
+        forgotten share's final one."""
         return {**self.outcomes, **{t: c.state for t, c in self.contexts.items()}}
+
+    def forget(self, txn_id: str) -> None:
+        """The one way a share leaves: its context goes with its pending
+        work, and ``outcomes`` keeps its final state.  The commit decision
+        calls this (announced at the origin, received at a participant);
+        an aborted or in-doubt share stays for late traffic and §3.3's
+        reuse until settlement, which knows the global outcome."""
+        context = self.contexts.pop(txn_id, None)
+        if context is not None:
+            context.cancel_work()
+            self.outcomes[txn_id] = context.state
 
     # -- operation execution ------------------------------------------------------
 
@@ -176,8 +185,8 @@ class TransactionManager:
     # -- commit / abort ---------------------------------------------------------------
 
     def commit_local(self, txn_id: str) -> None:
-        """Commit this peer's share: its log entries and context go, and
-        ``outcomes`` records ``COMMITTED`` — a committed frame is never undone.
+        """Commit this peer's share: its log entries go and the context is
+        ``COMMITTED`` — a committed frame is never undone.
 
         A context already aborted stays aborted: this happens when the
         origin absorbed a participant's fault (forward recovery) and
@@ -200,8 +209,6 @@ class TransactionManager:
                 self.abort_local(txn_id)
                 raise
         context.transition(TransactionState.COMMITTED)
-        del self.contexts[txn_id]
-        self.outcomes[txn_id] = TransactionState.COMMITTED
         self.log.truncate(txn_id)
 
     def abort_local(self, txn_id: str) -> int:
@@ -275,7 +282,8 @@ class TransactionManager:
     # -- crash / restart -------------------------------------------------------------
 
     def crash(self) -> None:
-        """Process death: contexts, outcomes and the in-memory log are lost.
+        """Process death: contexts (with their pending work), outcomes and
+        the in-memory log are lost.
 
         With group commit, entries whose WAL frames were not yet synced
         die with the process.  Their document effects must die too — the
@@ -286,6 +294,8 @@ class TransactionManager:
         invoker saw this crash as a failed invocation, so no other peer
         depends on the effect.
         """
+        for context in self.contexts.values():
+            context.cancel_work()
         self.contexts.clear()
         self.outcomes.clear()
         unsynced = self.log.crash()

@@ -10,8 +10,10 @@ transaction."
 One :class:`Transaction` value identifies the global unit; each
 participant peer holds its own :class:`TransactionContext` with the
 services it invoked on other peers, received compensating-service
-definitions (peer-independent mode) and its share as
-:class:`InvocationFrame` s — the unit every undo names.
+definitions (peer-independent mode), its share as
+:class:`InvocationFrame` s — the unit every undo names — and §3.3's
+recovery state: the chain view, reusable results, the doomed flag,
+continuous work and, at the origin, the transaction span.
 """
 
 from __future__ import annotations
@@ -19,10 +21,14 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import TransactionStateError
 from repro.txn.wal import LogEntry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.spans import Span
+    from repro.p2p.chain import PeerChain
 
 _txn_counter = itertools.count(1)
 
@@ -127,6 +133,20 @@ class TransactionContext:
         self.frames: List[InvocationFrame] = []
         #: Frames executing now, innermost last.
         self.open_frames: List[InvocationFrame] = []
+        #: This peer's view of the active-peer chain (§3.3).
+        self.chain: Optional["PeerChain"] = None
+        #: Results redirected past a dead peer, awaiting reuse: method →
+        #: fragments (§3.3b).
+        self.redirected: Dict[str, List[str]] = {}
+        #: Reuse fragments that arrived piggybacked on an InvokeRequest.
+        self.incoming_reuse: Dict[str, List[str]] = {}
+        #: The peer learned the transaction is doomed (disconnection
+        #: notices); pending continuous work for it is wasted effort.
+        self.doomed = False
+        #: Handles of the remaining continuous work units.
+        self.work: List = []
+        #: The origin-side transaction span (detached root).
+        self.span: Optional["Span"] = None
 
     @property
     def txn_id(self) -> str:
@@ -155,6 +175,21 @@ class TransactionContext:
     @property
     def is_finished(self) -> bool:
         return self.state in (TransactionState.COMMITTED, TransactionState.ABORTED)
+
+    def restart(self, parent_peer: str, service_name: Optional[str]) -> None:
+        """A finished participant share invoked again: the parent's retry
+        (§3.2 forward recovery) is a new attempt, not a resurrection — the
+        old attempt's effects were already compensated — so the share
+        starts ``ACTIVE`` with no frames, invocations or received
+        compensations, and keeps its §3.3 recovery state."""
+        self.parent_peer, self.service_name = parent_peer, service_name
+        self.state = TransactionState.ACTIVE
+        self.invocations, self.received_compensations, self.frames = [], [], []
+
+    def cancel_work(self) -> None:
+        for handle in self.work:
+            handle.cancel()
+        self.work = []
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -29,6 +29,7 @@ from repro.cli import main
 from repro.p2p.network import SimNetwork
 from repro.sim.metrics import MetricsCollector
 from repro.sim.scheduler import InvokeOp
+from repro.txn.transaction import TransactionState
 from tests.chaos_mutations import mutated
 
 
@@ -222,8 +223,9 @@ class TestSettlementApis:
         txn = origin.begin_transaction()
         assert txn.txn_id in origin.chain_views()
         origin.resolve_in_doubt(txn.txn_id, committed=False)
-        origin.forget_transaction(txn.txn_id)
+        origin.manager.forget(txn.txn_id)
         assert txn.txn_id not in origin.chain_views()
+        assert origin.manager.states()[txn.txn_id] is TransactionState.ABORTED
 
 
 @pytest.fixture

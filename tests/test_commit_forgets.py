@@ -1,11 +1,11 @@
 """A committed transaction leaves only its effects (ROADMAP 25).
 
-The commit decision is where a peer forgets a transaction: the manager
-keeps ``txn_id → COMMITTED`` in ``outcomes`` in place of the context,
-and the origin (after announcing the decision) and each participant (on
-the ``CommitMessage``) drop the transaction's ``_TxnRecord`` with its
-chain view.  The objects are counted with ``gc.get_objects()`` against
-those alive before the work began.
+The commit decision is where a peer forgets a transaction: the origin
+(after announcing the decision) and each participant (on the
+``CommitMessage``) call ``TransactionManager.forget``, so the context
+goes with its chain view and frames, and ``outcomes`` keeps
+``txn_id → COMMITTED``.  The objects are counted with
+``gc.get_objects()`` against those alive before the work began.
 """
 
 import gc
@@ -17,11 +17,10 @@ from repro.api import Cluster
 from repro.chaos import ChaosConfig, run_chaos
 from repro.chaos import runner
 from repro.p2p.chain import PeerChain
-from repro.p2p.peer import _TxnRecord
 from repro.sim.scenarios import FIG2_TOPOLOGY
 from repro.txn.transaction import InvocationFrame, TransactionContext, TransactionState
 
-KINDS = (TransactionContext, _TxnRecord, PeerChain, InvocationFrame)
+KINDS = (TransactionContext, PeerChain, InvocationFrame)
 
 #: The ``mem_invoke`` rung of ``benchmarks/e2e``: invocation trees and
 #: chain piggyback only, no fault, WAL, replica or shard.
@@ -53,9 +52,8 @@ def test_a_committed_fig2_transaction_leaves_no_protocol_state():
     txn = origin.begin_transaction()
     origin.invoke(txn.txn_id, "AP2", "S2", {})
     undecided = _alive_since(held)
-    # Before the decision all six peers hold a context, record and view.
-    assert undecided["TransactionContext"] == 6
-    assert undecided["_TxnRecord"] == undecided["PeerChain"] == 6
+    # Before the decision all six peers hold a context with its view.
+    assert undecided["TransactionContext"] == undecided["PeerChain"] == 6
     assert undecided["InvocationFrame"] == 5
 
     origin.commit(txn.txn_id)

@@ -1,5 +1,5 @@
 """The §3.2/§3.3 decisions, without a cluster — and the lifecycle of the
-per-transaction record that holds their state on a peer.
+transaction context that holds their state on a peer.
 
 * who receives redirected results / a disconnect notice: pure
   :class:`~repro.p2p.chain.PeerChain` methods on the Fig. 2 chain;
@@ -7,8 +7,9 @@ per-transaction record that holds their state on a peer.
   callables;
 * undoing one invocation frame tells its children in invocation
   order, whatever ``PYTHONHASHSEED`` is;
-* whatever happened to a transaction on a peer, ``forget_transaction``
-  and ``crash`` release all of it.
+* whatever happened to a transaction on a peer, ``manager.forget`` and
+  ``crash`` release all of it, and traffic for a transaction the peer
+  holds no share of leaves nothing behind.
 """
 
 import re
@@ -17,14 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.axml.document import AXMLDocument
 from repro.p2p.chain import PeerChain
-from repro.p2p.messages import DisconnectNotice, InvokeRequest, RedirectedResult
+from repro.p2p.messages import AbortMessage, DisconnectNotice, InvokeRequest, RedirectedResult
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.compensation import CompensationPlan
 from repro.txn.peer_independent import dispatch_compensations
-from repro.txn.transaction import Transaction
+from repro.txn.transaction import Transaction, TransactionState
 
 FIG2 = "[AP1* -> AP2 -> [AP3 -> AP6] || [AP4 -> AP5]]"
 
@@ -180,7 +181,7 @@ class TestPartialRecoveryFanOut:
         assert context.frames == [kept]
 
 
-# -- record lifecycle ----------------------------------------------------
+# -- context lifecycle ---------------------------------------------------
 
 _COLLABORATORS = ("network", "manager", "wal", "registry", "documents")
 
@@ -269,16 +270,59 @@ def test_forget_and_crash_release_everything_a_transaction_left(events, forgotte
         elif kind == "notice":
             peer.on_notify(DisconnectNotice(txn_id, "AP3", "AP2", 0.0))
         elif kind == "work":
-            peer.add_pending_work(txn_id, units=2)
+            peer.add_pending_work(txn_id, units=2, unit_duration=0.01)
 
     target = txn_of(forgotten)
-    peer.forget_transaction(target)
+    peer.manager.forget(target)
     assert not _peer_mentions(peer, target)
+    assert not _mentions(peer.manager.contexts, target, set())
     survivors = [t for t in txn_ids.values() if t != target]
     peer.crash()
+    assert peer.manager.contexts == {}
     for txn_id in survivors:
         assert not _peer_mentions(peer, txn_id)
     # ... and nothing they scheduled still does work after the restart
     peer.rejoin()
     network.events.run_all()
     assert network.metrics.get("work_units_done") == 0
+
+
+def test_late_traffic_for_a_forgotten_transaction_leaves_no_state():
+    network, peer = _lifecycle_world()
+    txn_id = peer.begin_transaction().txn_id
+    peer.invoke(txn_id, "AP2", "setShop2", {"price": "5"})
+    peer.commit(txn_id)
+    peer.on_notify(DisconnectNotice(txn_id, "AP2", "AP3", 0.0))
+    peer.on_notify(RedirectedResult(txn_id, "AP6", "AP2", "S6", ["<r/>"]))
+    peer.add_pending_work(txn_id, units=2, unit_duration=0.01)
+    assert not _peer_mentions(peer, txn_id)
+    assert peer.manager.contexts == {}
+    assert peer.manager.states() == {txn_id: TransactionState.COMMITTED}
+    assert not peer.is_doomed(txn_id) and peer.take_redirected(txn_id) == {}
+    network.events.run_all()
+    assert network.metrics.get("work_units_done") == 0
+
+
+def test_a_finished_share_invoked_again_keeps_its_recovery_state():
+    network, peer = _lifecycle_world()
+    txn_id = "T950"
+
+    def serve(chain, edge_id):
+        peer.handle_invoke(InvokeRequest(
+            txn_id, "AP9", "AP9", "setShop", {"price": "7"}, chain=chain, edge_id=edge_id,
+        ))
+
+    serve(PeerChain.from_text("[AP9 -> AP1*]"), 1)
+    context = peer.manager.context(txn_id)
+    view = context.chain
+    peer.on_notify(AbortMessage(txn_id, "AP9"))
+    assert context.state is TransactionState.ABORTED
+    peer.on_notify(RedirectedResult(txn_id, "AP6", "AP3", "S6", ["<r/>"]))
+    peer.on_notify(DisconnectNotice(txn_id, "AP3", "AP9", 0.0))
+    serve(None, 2)  # the parent's retry: a new attempt on the same share
+    assert peer.manager.context(txn_id) is context
+    assert context.state is TransactionState.ACTIVE
+    assert [f.edge_id for f in context.frames] == [2]
+    assert peer.chain_views() == {txn_id: view}
+    assert peer.is_doomed(txn_id)
+    assert peer.take_redirected(txn_id) == {"S6": ["<r/>"]}
