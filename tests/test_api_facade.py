@@ -88,5 +88,5 @@ class TestTransactionContextManager:
         cluster.add_peer("AP2")
         with pytest.raises(ReproError):
             with cluster.session("AP1").transaction() as txn:
-                txn.invoke("AP2", "ghost")
+                txn.invoke("AP2", "ghost", {})
         assert cluster.peer("AP1").manager.live_context(txn.txn_id) is None
