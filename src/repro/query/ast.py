@@ -5,9 +5,11 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.errors import QuerySyntaxError
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_fragment
 from repro.xmlstore.path import PathExpr
@@ -68,7 +70,7 @@ class Comparison:
     )
 
     def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.literal}"
+        return f"{self.left} {self.op} {literal_text(self.literal)}"
 
     def matches(self, value: str) -> bool:
         """Apply the comparison to a candidate text value.
@@ -89,8 +91,34 @@ class Comparison:
         return compare(value, self.literal)
 
     def __post_init__(self) -> None:
+        if "'" in self.literal and '"' in self.literal:
+            raise QuerySyntaxError(
+                f"literal {self.literal!r} holds both quote characters: no Select can spell it"
+            )
         object.__setattr__(self, "_compare", _OPERATORS.get(self.op))
         object.__setattr__(self, "_number", _as_number(self.literal))
+
+
+#: Lexer words and operators one space apart, none of them a keyword the
+#: parser ends the literal at (``and``/``or``) or lowers (``In``): the
+#: runs it joins back into the literal they spell (``Roger Federer``).
+_TOKEN = (
+    r"(?!(?:(?i:and|or)|(?!select|from|in|where)(?i:select|from|in|where))(?![^ ]))"
+    r"""(?:(?:[^ \t\r\n,;'"!<>=]|!(?!=))+|[!<>]=|[=<>])"""
+)
+_BAREWORDS = re.compile(f"{_TOKEN}(?: {_TOKEN})*").fullmatch
+
+
+def literal_text(literal: str) -> str:
+    """*literal* as a where-clause writes it, bare or quoted.
+
+    Bare when the parser reads the bare form back as *literal*
+    (``= Federer``), else quoted with the quote character it does not
+    contain (``= 'a;b'``)."""
+    if _BAREWORDS(literal) is not None:
+        return literal
+    quote = '"' if "'" in literal else "'"
+    return f"{quote}{literal}{quote}"
 
 
 _OPERATORS: Dict[str, Callable[[Any, Any], bool]] = {
@@ -182,7 +210,7 @@ class SelectQuery:
         return names
 
     def __str__(self) -> str:
-        parts = ", ".join(str(vp) for vp in self.select_paths)
+        parts = ", ".join(map(str, self.select_paths))
         text = f"Select {parts} from {self.var} in {self.source}"
         if self.where is not None:
             text += f" where {self.where}"

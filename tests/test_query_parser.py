@@ -1,9 +1,13 @@
 """Unit tests for the Select/action parsers (repro.query)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import QuerySyntaxError
-from repro.query.ast import ActionType, BooleanCondition, Comparison, NodeRef
+from repro.query.ast import (
+    ActionType, BooleanCondition, Comparison, NodeRef, SelectQuery, UpdateAction,
+)
 from repro.query.lexer import tokenize
 from repro.query.parser import iter_comparisons, parse_action, parse_select
 
@@ -197,3 +201,45 @@ class TestParseAction:
     def test_rejects(self, bad):
         with pytest.raises(QuerySyntaxError):
             parse_action(bad)
+
+
+class TestLiteralRoundTrip:
+    """A where-literal's logged text reads back as the same literal: bare
+    where the bare words parse back to it, quoted otherwise."""
+
+    BASE = parse_select("Select p from p in D//x where p/name = a;")
+
+    def test_a_literal_with_a_semicolon_is_quoted(self):
+        a = parse_action(
+            "<action type=\"query\"><location>Select p from p in D//x where p/name = 'a;b';"
+            "</location></action>"
+        )
+        assert a.to_xml().endswith("p/name = 'a;b';</location></action>")
+        assert parse_action(a.to_xml()) == a
+
+    def test_traffic_literals_stay_bare(self):
+        for text in ["Federer", "Roger Federer", "890", "-1.5e3", "SKU-0001", "in", "a = b", "x!"]:
+            comparison = Comparison(self.BASE.where.left, "=", text)
+            assert str(comparison) == f"p/name = {text}"
+
+    def test_both_quote_characters_raise_where_the_literal_is_built(self):
+        with pytest.raises(QuerySyntaxError, match="both quote characters"):
+            Comparison(self.BASE.where.left, "=", "it's \"x\"")
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(), st.sampled_from(["=", "!=", "<", "<=", ">", ">="]))
+    @example("a;b", "=")
+    @example("Roger  Federer", "=")
+    @example("In", "=")
+    @example("x or p/points > 0", "=")
+    @example("", "=")
+    @example("<>", "!=")
+    def test_any_literal_round_trips(self, literal, op):
+        if "'" in literal and '"' in literal:
+            with pytest.raises(QuerySyntaxError):
+                Comparison(self.BASE.where.left, op, literal)
+            return
+        where = Comparison(self.BASE.where.left, op, literal)
+        select = SelectQuery(self.BASE.select_paths, "p", self.BASE.source, where)
+        a = UpdateAction(ActionType.QUERY, select)
+        assert parse_action(a.to_xml()) == a
