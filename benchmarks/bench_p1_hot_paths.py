@@ -34,11 +34,13 @@ and CI runs it with ``--smoke`` on every push):
   that re-ranks the document after every write measures ~76x).
 * **Part E — a service parses its definition once.**  1 000 executions
   of the chaos marker service (``<chaos txn="$tag" step="$step"/>`` into
-  ``D1//items``) under ``sys.setprofile``: they must enter
-  ``parse_document``, ``scan_select``, ``parse_path`` and
-  ``UpdateAction.to_xml`` and ``parse_fragment`` **0** times (the bound
-  ``<data>`` becomes nodes by cloning the template's prototype).  Counts,
-  so exact on every machine.
+  ``D1//items``) and 1 000 of a query service with a where-literal hole
+  (``Select d from d in D1//items where d/@k = $k;``) under
+  ``sys.setprofile``: they must enter ``parse_document``,
+  ``scan_select``, ``parse_path``, ``UpdateAction.to_xml`` and
+  ``parse_fragment`` **0** times (a value binds into the compiled
+  definition, and the bound ``<data>`` becomes nodes by cloning the
+  template's prototype).  Counts, so exact on every machine.
 
 * **Part F — a where-clause filters its candidates before they are
   ordered.**  One ``Select i/price from i in C//book where i/sku = X``
@@ -102,6 +104,8 @@ from repro.query.evaluate import evaluate_select
 from repro.query.lexer import scan_select
 from repro.query.parser import iter_comparisons, parse_action, parse_select
 from repro.query.update import apply_action
+from repro.services.descriptor import ServiceDescriptor
+from repro.services.service import QueryService
 from repro.sim.metrics import MetricsCollector
 from repro.sim.parallel import available_cores, parallel_map, resolve_workers
 from repro.sim.rng import SeededRng
@@ -414,50 +418,64 @@ class _MarkerHost:
     def get_axml_document(self, name):
         return self.document
 
+    def materialization_resolver(self):
+        return None
+
     def record_changes(self, records, document_name, action_xml, action):
         self.logged.append(action_xml)
 
 
 #: Part E: what an execution may not enter.
 TEXT_ROUND_TRIP = (parse_document, scan_select, parse_path, UpdateAction.to_xml, parse_fragment)
+#: Part E's query service: its one hole is a where-literal.
+QUERY_TEMPLATE = "Select d from d in D1//items where d/@k = $k;"
 
 
-def bench_service_template(args) -> dict:
-    executions = 1_000
-    service = _chaos_service(1, providers=1)  # no children: no delegation
-    host = _MarkerHost()
+def _entries(service, params_of, executions, host):
+    """Wall time of *executions* runs of *service*, and how often they
+    entered each function of :data:`TEXT_ROUND_TRIP`."""
     entered = {function.__code__: 0 for function in TEXT_ROUND_TRIP}
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code in entered:
             entered[frame.f_code] += 1
 
-    before = PROF.snapshot()
     sys.setprofile(count)
     try:
         start = time.perf_counter()
         for i in range(executions):
-            service.execute({"tag": f"T{i:03d}", "step": f"s{i % 4}"}, host)
+            service.execute(params_of(i), host)
         wall_time = time.perf_counter() - start
     finally:
         sys.setprofile(None)
-    delta = PROF.delta_since(before)
-    calls = {function.__qualname__: entered[function.__code__] for function in TEXT_ROUND_TRIP}
+    return wall_time, {f.__qualname__: entered[f.__code__] for f in TEXT_ROUND_TRIP}
+
+
+def bench_service_template(args) -> dict:
+    executions = 1_000
+    host = _MarkerHost()
+    marker = _chaos_service(1, providers=1)  # no children: no delegation
+    wall_time, calls = _entries(
+        marker, lambda i: {"tag": f"T{i:03d}", "step": f"s{i % 4}"}, executions, host
+    )
+    query = QueryService(ServiceDescriptor("q", params=("k",)), QUERY_TEMPLATE)
+    query_wall_time, query_calls = _entries(query, lambda i: {"k": f"k{i}"}, executions, host)
     assert len(host.document.document.root.first_child("items").children) == executions
     assert host.logged[-1] == parse_action(host.logged[-1]).to_xml()
-    print(
-        f"P1/E service template: {executions} marker executions -> "
-        + ", ".join(f"{name} {n}" for name, n in calls.items())
-    )
+    for label, counts in (("marker", calls), ("where-literal query", query_calls)):
+        print(
+            f"P1/E service template: {executions} {label} executions -> "
+            + ", ".join(f"{name} {n}" for name, n in counts.items())
+        )
+    entries = sum(calls.values()) + sum(query_calls.values())
     return perf_record(
         "service_template_calls",
         args.seed,
-        wall_time,
-        executions / (executions + sum(calls.values())),  # 1.0; less when an execution re-parses
+        wall_time + query_wall_time,
+        2 * executions / (2 * executions + entries),  # 1.0; less when an execution re-parses
         executions=executions,
         calls=calls,
-        bound=delta.get("service_template_bound", 0),
-        text=delta.get("service_template_text", 0),
+        query_calls=query_calls,
     )
 
 
@@ -743,12 +761,12 @@ def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec, plan_r
             f"{locate_rec['markers_small']}: a location pays for the document again"
         )
     expected = {name: 0 for name in template_rec["calls"]}
-    if template_rec["calls"] != expected or template_rec["text"]:
-        yield (
-            f"{template_rec['executions']} marker executions entered {template_rec['calls']} "
-            f"({template_rec['text']} through the text path), expected {expected}: "
-            "a service re-parses its definition again"
-        )
+    for label, key in (("marker", "calls"), ("where-literal query", "query_calls")):
+        if template_rec[key] != expected:
+            yield (
+                f"{template_rec['executions']} {label} executions entered {template_rec[key]}, "
+                f"expected {expected}: a service re-parses its definition again"
+            )
     if plan_rec["calls_per_candidate"] > PLAN_CALLS_PER_CANDIDATE:
         yield (
             f"one sku-selective Select made {plan_rec['calls_per_candidate']} Python calls "

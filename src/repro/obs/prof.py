@@ -27,9 +27,6 @@ Counter vocabulary used across the codebase::
     query_walk_nodes      elements visited by those walks
     comp_log_lookups      O(1) id lookups for compensation-log targets
     serialize_tree_builds  whole-document renders
-    service_template_bound/_text  service executions that bound their
-                          parameters into the compiled definition /
-                          substituted and parsed its text
     replica_digest_matches  replica pairs the oracle accepted on digest alone
     eventq_scheduled/_fired/_cancelled/_compactions   kernel heap ops
     messages_sent         simulated network sends
@@ -91,16 +88,14 @@ class Profiler:
 PROF = Profiler()
 
 #: Counters that never merge into run summaries: they count how the
-#: work was done (document renders, digest-first matches, bound vs.
-#: re-parsed service definitions), not what the run did.  The frozen
+#: work was done (document renders, digest-first matches), not what the
+#: run did.  The frozen
 #: BENCH_E2E harness reads them straight from :data:`PROF`, and run
 #: summaries keep the bytes they have always had.
 SUMMARY_LOCAL_COUNTERS = frozenset(
     {
         "serialize_tree_builds",
         "replica_digest_matches",
-        "service_template_bound",
-        "service_template_text",
         # Directory consultations happen on every routed invocation —
         # including ones outside the profiled block (settlement,
         # benches poking at clusters) — so the count is cache-like

@@ -37,7 +37,7 @@ from repro.errors import P2PError
 from repro.p2p.peer import AXMLPeer
 from repro.query.ast import SelectQuery
 from repro.services.descriptor import ServiceDescriptor
-from repro.services.service import QueryService
+from repro.services.service import QueryService, SubqueryService
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.path import parse_path
 from repro.xmlstore.serializer import serialize
@@ -159,12 +159,9 @@ def remote_subquery(
     method = f"query_{placement.fragment_document}"
     host = requester.network.get_peer(placement.fragment_peer)
     if not host.registry.has(method):
-        host.host_service(
-            QueryService(
-                ServiceDescriptor(method, target_document=placement.fragment_document),
-                "$q",
-            )
-        )
+        host.host_service(SubqueryService(
+            ServiceDescriptor(method, params=("q",), target_document=placement.fragment_document)
+        ))
     return requester.invoke(
         txn_id, placement.fragment_peer, method, {"q": str(subquery)}
     )

@@ -7,7 +7,8 @@ records the transactional layer logs.  Four concrete kinds cover the
 paper's needs:
 
 * :class:`QueryService` — an AXML service "defined as queries … over
-  AXML documents" (§1), with lazy materialization of embedded calls;
+  AXML documents" (§1), with lazy materialization of embedded calls
+  (:class:`SubqueryService` is the one whose parameter is the query);
 * :class:`UpdateService` — ditto for updates; the provider can derive
   the compensating-service definition from the returned records (§3.2);
 * :class:`FunctionService` — a generic web service backed by a Python
@@ -24,19 +25,26 @@ import string
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.axml.document import AXMLDocument
 from repro.axml.materialize import OperationOutcome, Resolver, run_action
 from repro.errors import ReproError, ServiceError
-from repro.obs.prof import PROF
-from repro.query.ast import ActionType, UpdateAction
-from repro.query.parser import action_from_element, parse_action, parse_select
+from repro.query.ast import (
+    ActionType,
+    BooleanCondition,
+    Comparison,
+    Condition,
+    SelectQuery,
+    UpdateAction,
+    literal_text,
+)
+from repro.query.parser import action_from_element, iter_comparisons, parse_select
 from repro.query.update import ChangeRecord
 from repro.services.descriptor import ServiceDescriptor
 from repro.xmlstore.nodes import Text
 from repro.xmlstore.parser import parse_document
-from repro.xmlstore.serializer import serialize
+from repro.xmlstore.serializer import escape_attribute, escape_text, serialize
 
 
 class ServiceHost(Protocol):
@@ -105,40 +113,13 @@ class Service:
         return f"{type(self).__name__}({self.method_name!r})"
 
 
-def substitute(template: str, params: Dict[str, str]) -> str:
-    """Fill ``$name`` placeholders in a query/action template.
-
-    Raises :class:`ServiceError` on unreferenced placeholders so a typo
-    in a workload template fails loudly, not as an empty result.
-    """
-    try:
-        return string.Template(template).substitute(params)
-    except KeyError as exc:
-        raise ServiceError(f"template parameter {exc.args[0]!r} was not provided")
-    except ValueError as exc:
-        raise ServiceError(f"malformed template: {exc}")
-
-
 #: Compilation parses a template once with its i-th hole filled by
 #: ``zzhole<i>zz`` and looks for where each of these sentinels landed.
 _MARK = "zzhole"
 _SENTINEL = re.compile(_MARK + r"(\d+)zz")
-
-#: The values a compiled template binds: one word of characters that
-#: are inert in XML character data and in a quoted attribute value
-#: alike, so putting one where a sentinel stood cannot change the parse.
-#: Deliberately narrow — whatever it turns away (spaces, markup, quotes,
-#: non-ASCII, the empty string) is still served, through the text path.
-_inert = re.compile(r"[A-Za-z0-9_.:-]+").fullmatch
-
-
-def _bindable(params: Dict[str, str], names: Iterable[str]) -> bool:
-    """Whether every hole has an inert value."""
-    for name in names:
-        value = params.get(name)
-        if not isinstance(value, str) or _inert(value) is None:
-            return False
-    return True
+#: A sentinel in the canonical text: an element's whole character data
+#: (up to its end tag, which an empty value turns into ``/>``) or a value.
+_SLOT = re.compile(r">zzhole(\d+)zz</[^>]*>|zzhole(\d+)zz")
 
 
 class _Holes:
@@ -153,78 +134,130 @@ class _Holes:
         return f"{_MARK}{len(self.names) - 1}zz"
 
 
-def _fill_with_sentinels(text: str) -> Tuple[str, List[str]]:
-    """*text* with hole *i* replaced by sentinel *i*, and the holes' names."""
-    if _MARK in text or "&#" in text:  # a character reference could spell a sentinel
-        raise ValueError("template text collides with the sentinels")
-    holes = _Holes()
-    return string.Template(text).substitute(holes), holes.names
+def _format_of(canonical: str) -> str:
+    """Canonical text with sentinels → a ``%(<hole>)s`` format string."""
+    return _SLOT.sub(lambda match: f"%({match[1] or match[2]})s", canonical.replace("%", "%%"))
 
 
-def _format_of(rendered: str, names: Sequence[str]) -> str:
-    """Canonical text with sentinels → a ``%(name)s`` format string."""
-    return _SENTINEL.sub(
-        lambda match: f"%({names[int(match[1])]})s", rendered.replace("%", "%%")
+#: A value the serializer writes as it is (escaping is four replaces).
+_PLAIN = re.compile(r'[^&<>"]*').fullmatch
+
+
+def _attribute_value(value: str) -> str:
+    return value if _PLAIN(value) else escape_attribute(value)
+
+
+def _character_data(name: str, value: str) -> str:
+    """Element *name* from the end of its start tag, holding *value* as
+    the parser keeps character data (trimmed; an empty run is no node)."""
+    text = escape_text(value.strip())
+    return f">{text}</{name}>" if text else "/>"
+
+
+def _with_literals(condition: Condition, literals: Dict[int, str]) -> Condition:
+    """*condition* with each comparison *literals* keys (by identity)
+    comparing against the value it maps to."""
+    if isinstance(condition, Comparison):
+        literal = literals.get(id(condition))
+        return condition if literal is None else Comparison(condition.left, condition.op, literal)
+    return BooleanCondition(
+        condition.op, tuple(_with_literals(part, literals) for part in condition.parts)
     )
 
 
 class ActionTemplate:
     """An ``<action>`` document with ``$name`` holes, parsed once.
 
-    :meth:`bind` returns what ``parse_action(substitute(text, params))``
-    builds, plus that action's ``to_xml()`` text for the log.  When every
-    hole sits where its value is data — in an attribute value or
-    character data below ``<data>`` — and every value is inert (see
-    ``_inert``), the data fragments and the logged text are
-    ``%``-formatted from canonical text split at the holes, and the
-    location is shared by every bound action.  Anything else — a hole in
-    the ``<location>`` or in markup, a value with a space or a quote in
-    it, a template that does not parse — takes the text path, errors
-    included.
+    A hole stands for a whole value: an attribute value or an element's
+    character data below ``<data>``, or a where-literal of the
+    ``<location>``.  Anywhere else (a name, a path step, the document,
+    ``type``/``anchor``/``rebind``, part of a value) it raises
+    :class:`ServiceError` here, as does a template that does not parse.
+
+    :meth:`bind` binds every value (``str()`` of it) as data: escaped
+    into the ``<data>`` fragments and the logged text as the serializer
+    renders the node the parser reads back (character data trimmed),
+    filled raw into clones of the template's prototypes, and made the
+    literal of a new comparison in the compiled Select.  The bound
+    action is what ``parse_action`` reads from its logged text.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self._action: Optional[UpdateAction] = None  # None: text only
+        names: List[str] = []
         try:
-            filled, names = _fill_with_sentinels(text)
-            root = parse_document(filled, name="action").root
+            if _MARK in text or "&#" in text:  # a character reference could spell a sentinel
+                raise ValueError("template text collides with the sentinels")
+            holes = _Holes()
+            names = holes.names
+            root = parse_document(string.Template(text).substitute(holes), name="action").root
             action = action_from_element(root)
-        except (ValueError, ReproError):
-            return  # binding raises what this text has always raised
-        found: List[int] = []
+        except (ValueError, ReproError) as exc:
+            message = _SENTINEL.sub(lambda match: "$" + names[int(match[1])], str(exc))
+            raise ServiceError(f"service template does not parse: {message}") from exc
+        renders: Dict[int, Callable[[str], str]] = {}
+        trimmed: List[int] = []  # character data: a clone keeps it untrimmed
         for data_element in root.find_children("data"):
             for node in islice(data_element.iter(), 1, None):  # below <data>
-                values = [node.value] if isinstance(node, Text) else node.attributes.values()
-                found.extend(int(i) for value in values for i in _SENTINEL.findall(value))
-        if sorted(found) == list(range(len(names))):  # each hole once, below <data>
-            self._action = action
-            self._hole_names = names
-            self._names = tuple(dict.fromkeys(names))
-            self._data_formats = [_format_of(fragment, names) for fragment in action.data]
-            self._xml_format = _format_of(action.to_xml(), names)
+                if isinstance(node, Text):
+                    match = _SENTINEL.fullmatch(node.value)
+                    if match and node.parent is not data_element and len(node.parent.children) == 1:
+                        renders[int(match[1])] = partial(_character_data, node.parent.name.text)
+                        trimmed.append(int(match[1]))
+                    continue
+                for value in node.attributes.values():
+                    match = _SENTINEL.fullmatch(value)
+                    if match:
+                        renders[int(match[1])] = _attribute_value
+        self._literals: List[Tuple[int, str]] = []  # (id of a compiled comparison, its hole)
+        for comparison in iter_comparisons(action.location.where):
+            match = _SENTINEL.fullmatch(comparison.literal)
+            if match:
+                renders[int(match[1])] = lambda value: escape_text(literal_text(value))
+                self._literals.append((id(comparison), names[int(match[1])]))
+        stray = [name for i, name in enumerate(names) if i not in renders]
+        if stray:
+            raise ServiceError(
+                f"template hole ${stray[0]} is not a whole value: an attribute value or "
+                "character data below <data>, or a where-literal"
+            )
+        self._action = action
+        self._hole_names = names
+        self._slots = [(str(i), name, renders[i], i in trimmed) for i, name in enumerate(names)]
+        self._data_formats = [_format_of(fragment) for fragment in action.data]
+        self._xml_format = _format_of(action.to_xml())
 
     def bind(self, params: Dict[str, str]) -> Tuple[UpdateAction, str]:
+        raw: Dict[str, str] = {}
+        values = {}
         template = self._action
-        if template is not None and _bindable(params, self._names):
-            PROF.incr("service_template_bound")
-            prototypes = None  # some fragment is not clonable: parse this action's text
-            if None not in template._prototypes[0]:  # holes filled while cloning
-                names = self._hole_names
-                fill = partial(_SENTINEL.sub, lambda match: params[names[int(match[1])]])
-                prototypes = (template._prototypes[0], fill)
-            action = UpdateAction(
-                template.action_type,
-                template.location,
-                tuple(fragment % params for fragment in self._data_formats),
-                template.anchor,
-                template.rebind,
-                prototypes,
-            )
-            return action, self._xml_format % params
-        PROF.incr("service_template_text")
-        action = parse_action(substitute(self.text, params))
-        return action, action.to_xml()
+        clonable = None not in template._prototypes[0]
+        for key, name, render, trimmed in self._slots:
+            if name not in params:
+                raise ServiceError(f"template parameter {name!r} was not provided")
+            raw[name] = value = str(params[name])
+            values[key] = render(value)
+            if trimmed and (not value or value != value.strip()):
+                clonable = False  # a clone would keep what the parse trims
+        location = template.location
+        if self._literals:
+            literals = {comparison: raw[name] for comparison, name in self._literals}
+            where = _with_literals(location.where, literals)
+            location = SelectQuery(location.select_paths, location.var, location.source, where)
+        prototypes = None  # some fragment is not clonable: parse this action's text
+        if clonable:  # holes filled while cloning
+            names = self._hole_names
+            fill = partial(_SENTINEL.sub, lambda match: raw[names[int(match[1])]])
+            prototypes = (template._prototypes[0], fill)
+        action = UpdateAction(
+            template.action_type,
+            location,
+            tuple([fragment % values for fragment in self._data_formats]),
+            template.anchor,
+            template.rebind,
+            prototypes,
+        )
+        return action, self._xml_format % values
 
 
 def _run_local(
@@ -253,24 +286,6 @@ def _run_local(
     )
 
 
-class QueryService(Service):
-    """An AXML query service over one hosted document.
-
-    ``template`` is a Select statement with ``$param`` placeholders, e.g.
-    ``Select p/points from p in ATPList//player where p/name/lastname = $name;``.
-    Execution lazily materializes the embedded calls the query needs —
-    so even a *query* service produces change records (§3.1).
-    """
-
-    def __init__(self, descriptor: ServiceDescriptor, template: str):
-        super().__init__(descriptor)
-        self.template = template
-
-    def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
-        action = UpdateAction(ActionType.QUERY, parse_select(substitute(self.template, params)))
-        return _run_local(action, action.to_xml(), self.descriptor, host)[1]
-
-
 class UpdateService(Service):
     """An AXML update service over one hosted document.
 
@@ -292,6 +307,34 @@ class UpdateService(Service):
                 f'<inserted id="{node_id!r}"/>' for node_id in result.inserted_ids
             ] or [f'<updated count="{result.target_count}"/>']
         return response
+
+
+class QueryService(UpdateService):
+    """An AXML query service over one hosted document.
+
+    ``template`` is a Select statement with ``$param`` placeholders, e.g.
+    ``Select p/points from p in ATPList//player where p/name/lastname = $name;``,
+    compiled once as the ``<location>`` of a query action: a parameter
+    binds as a where-literal, never as query text.  Execution lazily
+    materializes the embedded calls the query needs — so even a *query*
+    service produces change records (§3.1).
+    """
+
+    def __init__(self, descriptor: ServiceDescriptor, template: str):
+        action = f'<action type="query"><location>{escape_text(template)}</location></action>'
+        super().__init__(descriptor, action)
+
+
+class SubqueryService(Service):
+    """The one service whose parameter is a query: sub-query shipping.
+
+    §1's option (a) sends a Select to the fragment's host; ``q`` carries
+    its text, parsed here and evaluated over the descriptor's document.
+    """
+
+    def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
+        action = UpdateAction(ActionType.QUERY, parse_select(params["q"]))
+        return _run_local(action, action.to_xml(), self.descriptor, host)[1]
 
 
 #: Signature of a function-service body: params → result fragments.
@@ -321,7 +364,7 @@ class DelegatingService(Service):
     service S_X of peer AP2, by peer AP1, may require the peer AP2 to
     invoke another service S_Y of peer AP3 (while executing S_X)" (§1).
     ``delegations`` is an ordered list of ``(target_peer, method_name)``;
-    parameters are forwarded.  An optional ``local_action_template``
+    parameters are forwarded.  A ``local_action_template`` (or None)
     performs local work first (so the peer has something to compensate,
     as in Fig. 1's intermediate peers).
     """
@@ -330,7 +373,7 @@ class DelegatingService(Service):
         self,
         descriptor: ServiceDescriptor,
         delegations: Sequence[Tuple[str, str]],
-        local_action_template: Optional[str] = None,
+        local_action_template: Optional[str],
         extra_fragments: Sequence[str] = (),
     ):
         super().__init__(descriptor)

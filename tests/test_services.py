@@ -8,11 +8,11 @@ from repro.errors import ServiceError, ServiceFault, ServiceNotFound
 from repro.services.descriptor import ServiceDescriptor
 from repro.services.registry import ServiceRegistry
 from repro.services.service import (
+    ActionTemplate,
     DelegatingService,
     FunctionService,
     QueryService,
     UpdateService,
-    substitute,
 )
 
 
@@ -60,13 +60,22 @@ class TestDescriptor:
         ServiceDescriptor("m", params=("a",)).validate_params({"a": "1", "b": "2"})
 
 
+GREETING = (
+    '<action type="insert"><data><m to="$name">$greeting</m></data>'
+    "<location>Select d from d in D;</location></action>"
+)
+
+
 class TestSubstitute:
+    """A template's placeholders take the parameters' values."""
+
     def test_fills_placeholders(self):
-        assert substitute("hello $name", {"name": "world"}) == "hello world"
+        action, _ = ActionTemplate(GREETING).bind({"name": "world", "greeting": "hello"})
+        assert action.data == ('<m to="world">hello</m>',)
 
     def test_missing_param(self):
-        with pytest.raises(ServiceError):
-            substitute("$missing", {})
+        with pytest.raises(ServiceError, match="'name' was not provided"):
+            ActionTemplate(GREETING).bind({"greeting": "hello"})
 
 
 class TestQueryService:
@@ -149,6 +158,7 @@ class TestDelegatingService:
         service = DelegatingService(
             ServiceDescriptor("combo"),
             delegations=[("P2", "a"), ("P3", "b")],
+            local_action_template=None,
         )
         response = service.execute({}, host)
         assert host.invocations == [("P2", "a"), ("P3", "b")]
@@ -173,6 +183,7 @@ class TestDelegatingService:
         service = DelegatingService(
             ServiceDescriptor("combo"),
             delegations=[],
+            local_action_template=None,
             extra_fragments=("<done/>",),
         )
         assert service.execute({}, host).fragments == ["<done/>"]

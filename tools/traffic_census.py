@@ -51,7 +51,7 @@ SRC_PREFIX = str(SRC) + os.sep
 RATCHET = ROOT / "tools" / "idle_ratchet.json"
 KNOB_RATCHET = ROOT / "tools" / "knob_ratchet.json"
 FORK_COUNTERS = (  # prefixes
-    "serialize_tree_", "query_index_", "query_tree_", "service_template_",
+    "serialize_tree_", "query_index_", "query_tree_",
 )
 #: The closed set of reasons an idle function may stay for.
 REASONS = {
