@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 from typing import List, Optional, Union
 
+from repro.errors import XmlStructureError
 from repro.obs.prof import PROF
 from repro.xmlstore.nodes import Document, Element, Node, NodeId, Text
 
@@ -140,14 +141,19 @@ def rebind_element_ids(element: Element, document: Document) -> int:
     Fragment-level counterpart of :func:`rebind_ids`, used when a
     compensating insert restores a logged snapshot: the restored nodes
     take back their original identities, so earlier compensations that
-    reference them by id still resolve.
+    reference them by id still resolve.  A persisted id that is not one
+    raises :class:`~repro.errors.XmlStructureError`, as a repeated one does.
     """
     rebound = 0
     for el in list(element.iter_elements()):
         raw = el.attributes.pop(ID_ATTRIBUTE, None)
         if raw is None:
             continue
-        document._adopt_id(el, NodeId.parse(raw))
+        try:
+            node_id = NodeId.parse(raw)
+        except ValueError as exc:
+            raise XmlStructureError(str(exc)) from exc
+        document._adopt_id(el, node_id)
         rebound += 1
     return rebound
 
