@@ -89,9 +89,8 @@ PROF = Profiler()
 
 #: Counters that never merge into run summaries: they count how the
 #: work was done (document renders, digest-first matches), not what the
-#: run did.  The frozen
-#: BENCH_E2E harness reads them straight from :data:`PROF`, and run
-#: summaries keep the bytes they have always had.
+#: run did.  The frozen BENCH_E2E harness reads them straight from
+#: :data:`PROF`, and run summaries keep the bytes they have always had.
 SUMMARY_LOCAL_COUNTERS = frozenset(
     {
         "serialize_tree_builds",

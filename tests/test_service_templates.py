@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.axml.document import AXMLDocument
 from repro.errors import QuerySyntaxError, ServiceError, UpdateError
-from repro.query.ast import ActionType, UpdateAction, literal_text
+from repro.query.ast import ActionType, UpdateAction
 from repro.query.evaluate import evaluate_select
 from repro.query.lexer import scan_select
 from repro.query.parser import parse_action, parse_select
@@ -235,6 +235,7 @@ _HOLED = [text for text in GOOD_TEMPLATES if _hole_names(text)]
 @example('a"/><evil x="1', MARKER, ["", "", ""])
 @example(" pad ", COMPILED_TEMPLATES[2], ["", "", ""])
 @example("x", COMPILED_TEMPLATES[8], ["x or p/a = 1", "'", "In"])
+@example("x", COMPILED_TEMPLATES[6], ['it\'s "q"', "", ""])  # no Select can spell it
 def test_bind_agrees_on_generated_values(value, text, values):
     # Any text value inserts one element carrying that value ...
     action = _assert_round_trip(MARKER, {"tag": value, "step": "s0"})
@@ -245,9 +246,8 @@ def test_bind_agrees_on_generated_values(value, text, values):
     assert marker.attributes == {"txn": value, "step": "s0"}
     # ... and in any template, the logged text parses back to the bound action.
     params = dict(zip(_hole_names(text), values))
-    if any("'" in v and '"' in v for v in values) and "<location>" in text and "$" in text.split(
-        "<location>"
-    )[1]:
+    literals = [params[name] for name in _hole_names(text.partition("<location>")[2])]
+    if any("'" in value and '"' in value for value in literals):
         with pytest.raises(QuerySyntaxError):
             ActionTemplate(text).bind(params)  # a literal no Select can spell
         return
@@ -369,12 +369,17 @@ def _host():
     return RecordingHost({"Shop": AXMLDocument.from_xml(SHOP, name="Shop")})
 
 
+def _quoted(value):
+    """*value* as a quoted where-literal (none of the values holds both quotes)."""
+    return f"'{value}'" if "'" not in value else f'"{value}"'
+
+
 def _spliced(text, params):
     """*text* with each value spliced in as the text that spells it as
-    data: escaped below ``<data>``, a where-literal in the ``<location>``."""
+    data: escaped below ``<data>``, quoted in the ``<location>``."""
     data, _, location = text.partition("<location>")
     escaped = {name: escape_attribute(value) for name, value in params.items()}
-    literals = {name: escape_text(literal_text(value)) for name, value in params.items()}
+    literals = {name: escape_text(_quoted(value)) for name, value in params.items()}
     return (
         string.Template(data).substitute(escaped)
         + "<location>"
@@ -455,7 +460,7 @@ def _check_query_service(value):
     host = _host()
 
     def reference():
-        query = parse_select(string.Template(text).substitute({"low": literal_text(value)}))
+        query = parse_select(string.Template(text).substitute({"low": _quoted(value)}))
         document = host.get_axml_document("Shop").document
         return [serialize(node) for node in evaluate_select(query, document).all_nodes()]
 
