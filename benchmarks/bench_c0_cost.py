@@ -13,8 +13,11 @@ at seed 21 it reports, per committed transaction:
   ``stdlib``).  ``pstats`` keys functions by label, so
   the thirty generated ``__init__``s, which all read
   ``<string>:2(__init__)``, would count as one;
-* objects the cyclic collector freed (``gc.get_stats``), and the number
-  of generation-2 collections during the run.
+* cyclic garbage made: the objects one ``gc.collect()`` frees after the
+  run, which ran with automatic collection off, while every
+  ``SimNetwork`` it built is still referenced (so the count is what the
+  run dropped, not the cluster, and does not move with when the
+  collector happened to run).
 
 Each workload runs in a fresh interpreter under ``PYTHONHASHSEED=0``,
 after one fixed warm-up (``mem_invoke`` at smoke size), so lazy imports
@@ -43,6 +46,7 @@ import platform
 import subprocess
 import sys
 from typing import Dict, List, Optional
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COST_PATH = os.path.join(ROOT, "benchmarks", "results", "COST.json")
@@ -72,15 +76,25 @@ def measure(workload: str, smoke: bool) -> Dict[str, object]:
     """One workload in this process: warm up, then count one run."""
     sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
     from benchmarks.e2e.workloads import RUNNERS
+    from repro.p2p.network import SimNetwork
 
     RUNNERS["mem_invoke"](SEED, True)
+    networks = []  # the run's clusters, referenced until the count is taken
+    build = SimNetwork.__init__
+
+    def keep(network, *args, **kwargs):
+        build(network, *args, **kwargs)
+        networks.append(network)
+
     gc.collect()
-    before = gc.get_stats()
-    profile = cProfile.Profile()
-    outcome = profile.runcall(RUNNERS[workload], SEED, smoke)
-    after = gc.get_stats()
-    freed = sum(a["collected"] - b["collected"] for a, b in zip(after, before))
-    gen2 = after[2]["collections"] - before[2]["collections"]
+    gc.disable()
+    try:
+        with mock.patch.object(SimNetwork, "__init__", keep):
+            profile = cProfile.Profile()
+            outcome = profile.runcall(RUNNERS[workload], SEED, smoke)
+        freed = gc.collect()
+    finally:
+        gc.enable()
     commits = sum(1 for result in outcome.results if result.committed)
     per_module: Dict[str, int] = {}
     for entry in profile.getstats():
@@ -91,7 +105,6 @@ def measure(workload: str, smoke: bool) -> Dict[str, object]:
         "commits": commits,
         "calls_per_commit": round(sum(per_module.values()) / per, 3),
         "gc_freed_per_commit": round(freed / per, 3),
-        "gen2_collections": gen2,
         "modules": {m: round(n / per, 3) for m, n in sorted(per_module.items())},
     }
 
@@ -148,20 +161,17 @@ def compare(old: Dict[str, dict], new: Dict[str, dict]) -> List[str]:
         for name, was, now in pairs:
             if abs(now - was) > max(BAND * abs(was), FLOOR):
                 moved.append(f"{workload}: {name} {was} -> {now}")
-        if before["gen2_collections"] != after["gen2_collections"]:
-            moved.append(f"{workload}: gen2_collections "
-                         f"{before['gen2_collections']} -> {after['gen2_collections']}")
     return moved
 
 
 def render(table: Dict[str, dict], size: str) -> str:
     lines = [f"C0 cost per commit ({size}, seed {SEED}, Python {_python()})",
-             f"{'workload':<14}{'commits':>8}{'calls':>11}{'gc freed':>10}{'gen2':>6}  top modules"]
+             f"{'workload':<14}{'commits':>8}{'calls':>11}{'gc freed':>10}  top modules"]
     for workload, row in table.items():
         top = sorted(row["modules"].items(), key=lambda kv: -kv[1])[:4]
         lines.append(
             f"{workload:<14}{row['commits']:>8}{row['calls_per_commit']:>11.1f}"
-            f"{row['gc_freed_per_commit']:>10.2f}{row['gen2_collections']:>6}  "
+            f"{row['gc_freed_per_commit']:>10.2f}  "
             + ", ".join(f"{m} {n:.0f}" for m, n in top)
         )
     return "\n".join(lines)

@@ -60,17 +60,24 @@ and CI runs it with ``--smoke`` on every push):
   ``//book`` step from the sku's value hits, with the meter charged
   from the index's kept total, 1.78).  Counts, so exact on every machine.
 
-* **Part G — an action text parses in one pass.**  1 000 action texts
-  of ``catalogue_occ``'s shape (60 % sku-selective queries, 25 %
-  replaces, 15 % inserts) over a seeded catalogue are parsed with
-  ``parse_action`` and run, under ``sys.setprofile``: each parse must
-  create exactly as many ``Element``s as its ``<data>`` payload holds (0
-  for a query: the envelope is scanned, not built), and ``path._compile``
-  may run at most once per distinct path text (a path text parses to one
+* **Part G — an action text parses in one pass, into a value.**  1 000
+  action texts of ``catalogue_occ``'s shape (60 % sku-selective
+  queries, 25 % replaces, 15 % inserts) over a seeded catalogue are
+  parsed with ``parse_action`` and executed through a
+  ``TransactionManager`` with no WAL (four per transaction, each
+  committed), under ``sys.setprofile``: the parses must create **0**
+  ``Document``s and **0** ``Element``s (the envelope is scanned and the
+  ``<data>`` payload kept as a fragment tree that belongs to no
+  document, built only into the document an insert or replace
+  changes), ``UpdateAction.to_xml`` must run **0** times (nothing writes
+  the log's text, so nothing renders it), and ``path._compile`` may run
+  at most once per distinct path text (a path text parses to one
   shared, compiled ``PathExpr``).  A ``Document`` per envelope measured
-  2.41 elements beyond the payload per action, and a fresh ``PathExpr``
-  per parse 2.86 compiles per action for 12 distinct texts (seed 7,
-  smoke).  Counts, so exact on every machine.
+  2.41 elements beyond the payload per action, a payload parsed into a
+  scratch ``Document`` one ``Document`` and its elements per action and
+  one ``to_xml`` per execution, and a fresh ``PathExpr`` per parse 2.86
+  compiles per action for 12 distinct texts (seed 7, smoke).  Counts,
+  so exact on every machine.
 
 * **Part H — a Select parses in one pass.**  The ``<location>`` texts
   of Part G's 1 000 actions are parsed with ``parse_select`` under
@@ -99,7 +106,8 @@ from repro.chaos import ChaosConfig, chaos_sweep
 from repro.chaos.runner import _chaos_service
 from repro.obs import stable_json
 from repro.obs.prof import PROF
-from repro.query.ast import ActionType, UpdateAction
+from repro.obs.spans import SpanCollector
+from repro.query.ast import UpdateAction
 from repro.query.evaluate import evaluate_select
 from repro.query.lexer import scan_select
 from repro.query.parser import iter_comparisons, parse_action, parse_select
@@ -109,6 +117,8 @@ from repro.services.service import QueryService
 from repro.sim.metrics import MetricsCollector
 from repro.sim.parallel import available_cores, parallel_map, resolve_workers
 from repro.sim.rng import SeededRng
+from repro.txn.manager import TransactionManager
+from repro.txn.transaction import Transaction
 from repro.xmlstore import path as path_module
 from repro.xmlstore.index import StructuralIndex
 from repro.xmlstore.names import QName
@@ -124,6 +134,23 @@ QUERIES = (
     "Select n from n in Bench//needle;",
     "Select n from n in Bench//needle where n/@rank = 3;",
 )
+
+
+def _arm(count):
+    """Make *count* the profile hook and return the one it replaces, which
+    the caller restores (``sys.setprofile(found)``, its only call after
+    this, as the count's own).  Each event also goes on to that hook (a
+    traffic census's, say), so the counted calls are still seen and
+    nothing after them is lost; a hook's own calls raise no events, so
+    *count* sees what it saw alone."""
+    found = sys.getprofile()
+
+    def both(frame, event, arg):
+        count(frame, event, arg)
+        found(frame, event, arg)
+
+    sys.setprofile(count if found is None else both)
+    return found
 
 
 def walk_only():
@@ -309,11 +336,11 @@ def _calls_while_parsing(text: str) -> int:
 
     gc.collect()
     gc.disable()
-    sys.setprofile(count)
+    found = _arm(count)
     try:
         parse_document(text)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(found)
         gc.enable()
     return calls
 
@@ -409,7 +436,7 @@ def bench_locate_insert(args) -> dict:
 
 class _MarkerHost:
     """The ServiceHost Part E's service runs against: one document, and
-    a log that keeps the action text it is handed."""
+    a log that keeps the actions it is handed."""
 
     def __init__(self) -> None:
         self.document = AXMLDocument.from_xml("<D1><items/></D1>", name="D1")
@@ -421,8 +448,8 @@ class _MarkerHost:
     def materialization_resolver(self):
         return None
 
-    def record_changes(self, records, document_name, action_xml, action):
-        self.logged.append(action_xml)
+    def record_changes(self, records, document_name, action):
+        self.logged.append(action)
 
 
 #: Part E: what an execution may not enter.
@@ -440,14 +467,14 @@ def _entries(service, params_of, executions, host):
         if event == "call" and frame.f_code in entered:
             entered[frame.f_code] += 1
 
-    sys.setprofile(count)
+    found = _arm(count)
     try:
         start = time.perf_counter()
         for i in range(executions):
             service.execute(params_of(i), host)
         wall_time = time.perf_counter() - start
     finally:
-        sys.setprofile(None)
+        sys.setprofile(found)
     return wall_time, {f.__qualname__: entered[f.__code__] for f in TEXT_ROUND_TRIP}
 
 
@@ -461,7 +488,7 @@ def bench_service_template(args) -> dict:
     query = QueryService(ServiceDescriptor("q", params=("k",)), QUERY_TEMPLATE)
     query_wall_time, query_calls = _entries(query, lambda i: {"k": f"k{i}"}, executions, host)
     assert len(host.document.document.root.first_child("items").children) == executions
-    assert host.logged[-1] == parse_action(host.logged[-1]).to_xml()
+    assert parse_action(host.logged[-1].to_xml()) == host.logged[-1]
     for label, counts in (("marker", calls), ("where-literal query", query_calls)):
         print(
             f"P1/E service template: {executions} {label} executions -> "
@@ -521,11 +548,11 @@ def bench_select_plan(args) -> dict:
     query = parse_select(text)  # fresh: the count includes compiling its plan
     gc.collect()
     gc.disable()
-    sys.setprofile(count)
+    found = _arm(count)
     try:
         result = evaluate_select(query, doc)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(found)
         gc.enable()
     assert [b.context for b in result.bindings] == [books[len(books) // 2]]
     lines = 0
@@ -626,52 +653,57 @@ def _path_texts(query) -> set:
 def bench_submit_edge(args) -> dict:
     doc = build_catalogue(60 if args.smoke else 600, args.seed)
     texts = catalogue_actions(doc, 1_000, args.seed)
-    watched = {Element.__init__.__code__: 0, path_module._compile.__code__: 1}
-    counts = [0, 0]  # Element.__init__, path._compile
+    axml = AXMLDocument(doc)
+    manager = TransactionManager("P1", lambda name: axml, SpanCollector(now=lambda: 0.0))
+    watched = {Document.__init__.__code__: 0, Element.__init__.__code__: 1,
+               path_module._compile.__code__: 2, UpdateAction.to_xml.__code__: 3}
+    counts = [0, 0, 0, 0]  # Document, Element, path._compile, UpdateAction.to_xml
+    parse_built = [0, 0]  # the Documents and Elements of the parses alone
 
     def count(frame, event, arg):
         if event == "call" and frame.f_code in watched:
             counts[watched[frame.f_code]] += 1
 
-    actions, built = [], []
-    sys.setprofile(count)
+    actions = []
+    found = _arm(count)
     try:
-        for text in texts:
-            before = counts[0]
+        for k, text in enumerate(texts):  # four actions per transaction, as catalogue_occ
+            before = counts[:2]
             action = parse_action(text)
-            built.append(counts[0] - before)
+            parse_built[0] += counts[0] - before[0]
+            parse_built[1] += counts[1] - before[1]
             actions.append(action)
-            if action.action_type is ActionType.QUERY:
-                evaluate_select(action.location, doc)
-            else:
-                apply_action(doc, action)
+            txn_id = f"G{k // 4}"
+            if k % 4 == 0:
+                manager.begin(Transaction(txn_id, "P1"))
+            manager.execute(txn_id, action, doc.name)
+            if k % 4 == 3 or k == len(texts) - 1:
+                manager.commit_local(txn_id)
     finally:
-        sys.setprofile(None)
-    payload = [sum(len(list(fragment[0].iter_elements())) for fragment in action._prototypes[0])
-               for action in actions]
+        sys.setprofile(found)
     distinct = set().union(*(_path_texts(action.location) for action in actions))
     start = time.perf_counter()
     for text in texts:
         parse_action(text)
     wall_time = (time.perf_counter() - start) / len(texts)
-    extra = sum(built) - sum(payload)
     print(
-        f"P1/G submit edge: {len(texts)} actions -> {sum(built)} elements built for "
-        f"{sum(payload)} in payloads ({extra / len(texts):.2f} extra per action), "
-        f"{counts[1]} path compiles for {len(distinct)} distinct path texts "
-        f"({counts[1] / len(texts):.2f} per action); {wall_time * 1e6:.0f} us per parse"
+        f"P1/G submit edge: {len(texts)} actions parsed and executed -> the parses made "
+        f"{parse_built[0]} Documents and {parse_built[1]} Elements, "
+        f"{counts[2]} path compiles for {len(distinct)} distinct path texts "
+        f"({counts[2] / len(texts):.2f} per action), UpdateAction.to_xml entered "
+        f"{counts[3]} times; {wall_time * 1e6:.0f} us per parse"
     )
     return perf_record(
         "submit_edge_calls",
         args.seed,
         wall_time,
-        len(distinct) / max(counts[1], 1),  # >= 1 while the gate holds
+        len(distinct) / max(counts[2], 1),  # >= 1 while the gate holds
         actions=len(texts),
-        elements_built=sum(built),
-        payload_elements=sum(payload),
-        actions_beyond_payload=sum(b != p for b, p in zip(built, payload)),
-        compiles=counts[1],
+        parse_documents=parse_built[0],
+        parse_elements=parse_built[1],
+        compiles=counts[2],
         distinct_paths=len(distinct),
+        to_xml_calls=counts[3],
     )
 
 
@@ -698,12 +730,12 @@ def bench_select_parse(args) -> dict:
         if event == "call":
             calls += 1
 
-    sys.setprofile(count)
+    found = _arm(count)
     try:
         for text in texts:
             parse_select(text)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(found)
     start = time.perf_counter()
     for text in texts:
         parse_select(text)
@@ -786,11 +818,16 @@ def gates(args, query_rec, sweep_rec, scan_rec, locate_rec, template_rec, plan_r
         )
 
 
-    if submit_rec["actions_beyond_payload"]:
+    if submit_rec["parse_documents"] or submit_rec["parse_elements"]:
         yield (
-            f"{submit_rec['actions_beyond_payload']} of {submit_rec['actions']} action parses "
-            f"built {submit_rec['elements_built']} elements for {submit_rec['payload_elements']} "
-            "in their payloads: the <action> envelope is built as a Document again"
+            f"{submit_rec['actions']} action parses built {submit_rec['parse_documents']} "
+            f"Documents and {submit_rec['parse_elements']} Elements: an <action> or its "
+            "<data> payload is built as nodes again"
+        )
+    if submit_rec["to_xml_calls"]:
+        yield (
+            f"{submit_rec['actions']} actions executed with no WAL rendered their text "
+            f"{submit_rec['to_xml_calls']} times: the log renders an action it never writes"
         )
     if submit_rec["compiles"] > submit_rec["distinct_paths"]:
         yield (

@@ -35,6 +35,7 @@ from repro.query.update import (
     apply_action,
     detach_to_record,
 )
+from repro.xmlstore.fragment import Fragment
 from repro.xmlstore.nodes import Element
 from repro.xmlstore.parser import parse_fragment
 from repro.xmlstore.path import NULL_METER, TraversalMeter
@@ -244,6 +245,7 @@ class MaterializationEngine:
                     node.detach()
                     self.meter.touch()
         for fragment in fragments:
+            value = Fragment(text=fragment)
             for node in parse_fragment(fragment, document):
                 sc_element.append(node)
                 self.meter.touch(node.subtree_size())
@@ -252,7 +254,7 @@ class MaterializationEngine:
                         node_id=node.node_id,
                         parent_id=sc_element.node_id,
                         index=len(sc_element.children) - 1,
-                        inserted_xml=fragment,
+                        fragment=value,
                     )
                 )
         return records

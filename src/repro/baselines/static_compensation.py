@@ -99,7 +99,7 @@ class StaticCompensator:
             # best possible handler deletes by re-evaluated path; we
             # approximate with a delete of the same location's children
             # matching the data's element name.
-            first = action.data[0] if action.data else ""
+            first = action.data[0].text if action.data else ""
             name = first[1:].split(">", 1)[0].split(" ", 1)[0].rstrip("/") if first else "*"
             location = str(action.location).rstrip(";")
             # Narrow to the inserted element name below the target.

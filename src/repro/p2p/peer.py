@@ -218,14 +218,13 @@ class AXMLPeer:
     # ServiceHost protocol (what hosted services may ask of us)
     # ------------------------------------------------------------------
 
-    def record_changes(self, records, document_name: str, action_xml: str, action) -> None:
+    def record_changes(self, records, document_name: str, action) -> None:
         """ServiceHost hook: log tree changes as the service makes them."""
         txn_id = self._current_txn()
         if txn_id is None or not records:
             return
         self.manager.record_service_changes(
-            txn_id, document_name, action_xml, records,
-            timestamp=self.network.clock.now, action=action,
+            txn_id, document_name, records, timestamp=self.network.clock.now, action=action,
         )
 
     def materialization_resolver(self) -> Optional[Resolver]:

@@ -7,11 +7,10 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import QuerySyntaxError
-from repro.xmlstore.nodes import Document, Element
-from repro.xmlstore.parser import parse_fragment
+from repro.xmlstore.fragment import Fragment
 from repro.xmlstore.path import PathExpr
 
 
@@ -232,40 +231,24 @@ def _condition_names(condition: Optional[Condition]) -> List[str]:
 class UpdateAction:
     """An ``<action type="…">`` document (§3.1).
 
-    ``data`` carries the serialized XML fragments of the ``<data>``
-    element (for inserts/replaces); ``location`` is the target query.
-    ``anchor`` optionally pins an insert before/after a specific node id
-    ([16]'s ordered-insert semantics, used by order-preserving
-    compensation); it is the pair ``("before"|"after", node_id_text)``.
+    ``data`` carries the ``<data>`` element's children as
+    :class:`~repro.xmlstore.fragment.Fragment` values (for
+    inserts/replaces): parsed, bound or logged, they belong to no
+    document until an insert materializes them; ``location`` is the
+    target query.  ``anchor`` optionally pins an insert before/after a
+    specific node id ([16]'s ordered-insert semantics, used by
+    order-preserving compensation); it is the pair
+    ``("before"|"after", node_id_text)``.
     """
 
     action_type: ActionType
     location: SelectQuery
-    data: Sequence[str] = field(default_factory=tuple)
+    data: Sequence[Fragment] = field(default_factory=tuple)
     anchor: Optional[tuple] = None
     #: When True, ``repro:id`` attributes inside the data fragments are
     #: re-adopted as real node ids on insertion — compensating inserts
     #: restore the identities of the nodes they bring back.
     rebind: bool = False
-    #: ``data`` as nodes, memoized like ``LogEntry.action``: per fragment
-    #: the elements its text parses to (``None``: not parsed yet), plus
-    #: the function that fills a compiled template's holes in a copy
-    #: (``None``: nothing to fill).  Seeded by whoever built the action
-    #: from a tree; see :meth:`prototype`.
-    _prototypes: Optional[Tuple[List[Optional[List[Element]]], Optional[Callable[[str], str]]]] = (
-        field(default=None, repr=False, compare=False)
-    )
-
-    def prototype(self, position: int) -> Tuple[List[Element], Optional[Callable[[str], str]]]:
-        """Fragment *position* of ``data`` from the memo — parsed into a
-        scratch document on its first use when no tree seeded it (e.g. a
-        compensation's snapshot text)."""
-        if self._prototypes is None:
-            object.__setattr__(self, "_prototypes", ([None] * len(self.data), None))
-        fragments, fill = self._prototypes
-        if fragments[position] is None:
-            fragments[position] = parse_fragment(self.data[position], Document("data"))
-        return fragments[position], fill
 
     def to_xml(self) -> str:
         """Serialize back to the paper's ``<action>`` document form.
@@ -273,7 +256,8 @@ class UpdateAction:
         The result parses back with
         :func:`repro.query.parser.parse_action` — operations travel
         between peers in this form (peer-independent compensation sends
-        compensating *definitions* across the network, §3.2).
+        compensating *definitions* across the network, §3.2).  Only a
+        byte edge calls this: a log entry renders its text on first read.
         """
         parts = [f'<action type="{self.action_type.value}"']
         if self.anchor is not None:
@@ -282,7 +266,7 @@ class UpdateAction:
             parts.append(' rebind="true"')
         parts.append(">")
         for fragment in self.data:
-            parts.append(f"<data>{fragment}</data>")
+            parts.append(f"<data>{fragment.text}</data>")
         location_text = (
             str(self.location).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         )

@@ -16,8 +16,9 @@ from repro.query.ast import (
     VarPath,
 )
 from repro.query.lexer import scan_select
+from repro.xmlstore.fragment import Fragment
 from repro.xmlstore.names import QName
-from repro.xmlstore.nodes import Element, Node, Text
+from repro.xmlstore.nodes import Element
 from repro.xmlstore.parser import scan_action
 from repro.xmlstore.path import PathExpr, parse_path
 from repro.xmlstore.serializer import serialize
@@ -178,20 +179,24 @@ def iter_comparisons(condition: Optional[Condition]):
 def parse_action(xml_text: str) -> UpdateAction:
     """Parse an ``<action type="…">`` document (§3.1) to an UpdateAction.
 
-    The envelope is read without being built (:func:`scan_action`)."""
+    The envelope is read without being built (:func:`scan_action`), and
+    its ``<data>`` children become fragments that belong to no document."""
     return _build_action(*scan_action(xml_text))
 
 
 def action_from_element(root: Element) -> UpdateAction:
-    """Build an UpdateAction from an already-parsed ``<action>`` element."""
+    """Build an UpdateAction from an already-parsed ``<action>`` element
+    (a shipped ``<compensation>``'s); each ``<data>`` child is kept as
+    its text."""
     location = root.first_child("location")
-    children = [child for data_el in root.find_children("data") for child in data_el.children]
+    fragments = [Fragment(text=serialize(child))
+                 for data_el in root.find_children("data") for child in data_el.children]
     text = None if location is None else location.text_content()
-    return _build_action(root.name, root.attributes, text, children)
+    return _build_action(root.name, root.attributes, text, fragments)
 
 
 def _build_action(name: QName, attributes: Dict[str, str], location_text: Optional[str],
-                  children: List[Node]) -> UpdateAction:
+                  fragments: List[Fragment]) -> UpdateAction:
     """What an ``<action>`` root means, read as :func:`scan_action` returns it."""
     if name.local != "action":
         raise QuerySyntaxError(f"expected <action>, found <{name.text}>")
@@ -203,7 +208,6 @@ def _build_action(name: QName, attributes: Dict[str, str], location_text: Option
     if location_text is None:
         raise QuerySyntaxError("<action> is missing its <location> query")
     location = parse_select(location_text)
-    data = [serialize(child) for child in children]
     anchor: Optional[Tuple[str, str]] = None
     anchor_text = attributes.get("anchor")
     if anchor_text:
@@ -211,21 +215,9 @@ def _build_action(name: QName, attributes: Dict[str, str], location_text: Option
         if mode not in ("before", "after") or not node_id:
             raise QuerySyntaxError(f"malformed anchor attribute {anchor_text!r}")
         anchor = (mode, node_id)
-    if action_type.is_update and action_type is not ActionType.DELETE and not data:
+    if action_type.is_update and action_type is not ActionType.DELETE and not fragments:
         raise QuerySyntaxError(
             f"<action type={action_type.value!r}> requires a <data> payload"
         )
     rebind = attributes.get("rebind", "") == "true"
-    prototypes = [[child] if _clone_parses(child) else None for child in children]
-    return UpdateAction(action_type, location, tuple(data), anchor, rebind, (prototypes, None))
-
-
-def _clone_parses(child: Node) -> bool:
-    """Whether a clone of *child* is what parsing its serialized text
-    gives: it is an element, and no two text nodes in it are adjacent
-    siblings (the text would hold them as one run)."""
-    return isinstance(child, Element) and not any(
-        isinstance(left, Text) and isinstance(right, Text)
-        for element in child.iter_elements()
-        for left, right in zip(element.children, element.children[1:])
-    )
+    return UpdateAction(action_type, location, tuple(fragments), anchor, rebind)

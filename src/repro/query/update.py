@@ -19,7 +19,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.errors import UpdateError
 from repro.query.ast import ActionType, SelectQuery, UpdateAction
 from repro.query.evaluate import QueryResult, evaluate_select
-from repro.xmlstore.nodes import Document, Element, Node, NodeId, Text
+from repro.xmlstore.fragment import Fragment
+from repro.xmlstore.nodes import Document, Element, NodeId
 from repro.xmlstore.path import NULL_METER, TraversalMeter
 from repro.xmlstore.serializer import rebind_element_ids, serialize
 
@@ -48,16 +49,22 @@ class DeleteRecord:
 
 @dataclass
 class InsertRecord:
-    """Log record for one inserted subtree: the returned unique id (§3.1)."""
+    """Log record for one inserted subtree: the returned unique id (§3.1),
+    and the fragment inserted there."""
 
     node_id: NodeId
     parent_id: NodeId
     index: int
-    inserted_xml: str
+    fragment: Fragment
 
     @property
     def kind(self) -> str:
         return "insert"
+
+    @property
+    def inserted_xml(self) -> str:
+        """The fragment's text (rendered on first read, at a byte edge)."""
+        return self.fragment.text
 
 
 @dataclass
@@ -201,7 +208,7 @@ def _apply_insert(
     inserted_ids: List[NodeId] = []
     affected = 0
     for target in targets:
-        for position, fragment_xml in enumerate(action.data):
+        for position, fragment in enumerate(action.data):
             node = _materialize(document, action, position)
             index = _insert_fragment(document, target, node, action.anchor)
             affected += node.subtree_size()
@@ -210,7 +217,7 @@ def _apply_insert(
                     node_id=node.node_id,
                     parent_id=target.node_id,
                     index=index,
-                    inserted_xml=fragment_xml,
+                    fragment=fragment,
                 )
             )
             inserted_ids.append(node.node_id)
@@ -224,24 +231,14 @@ def _apply_insert(
 
 def _materialize(document: Document, action: UpdateAction, position: int) -> Element:
     """Fragment *position* of *action*'s ``<data>`` as new, detached nodes
-    of *document*: a clone of its prototype, holes filled, with the ids a
-    ``parse_fragment`` of its text would hand out (the serial that
-    parser's holder element takes is skipped, then pre-order).  Text
-    that does not parse leaves no other serial used: it was parsed
-    elsewhere."""
-    next(document._next_node_serial)
-    elements, fill = action.prototype(position)
+    of *document*, with the ids a ``parse_fragment`` of its text hands
+    out there (:meth:`~repro.xmlstore.fragment.Fragment.materialize`)."""
+    elements = action.data[position].materialize(document)
     if len(elements) != 1:
         raise UpdateError(
             f"<data> fragment must contain exactly one element, got {len(elements)}"
         )
-    node = elements[0].clone_into(document)
-    if fill is not None:
-        for each in node.iter():
-            if isinstance(each, Text):
-                each.value = fill(each.value)
-            else:
-                each.attributes = {key: fill(value) for key, value in each.attributes.items()}
+    node = elements[0]
     if action.rebind:
         rebind_element_ids(node, document)
     return node
@@ -290,7 +287,7 @@ def _apply_replace(
         delete_record = _detach_to_record(target)
         position = delete_record.index
         insert_records: List[InsertRecord] = []
-        for offset, fragment_xml in enumerate(action.data):
+        for offset, fragment in enumerate(action.data):
             node = _materialize(document, action, offset)
             parent.insert_at(position + offset, node)
             affected += node.subtree_size()
@@ -299,7 +296,7 @@ def _apply_replace(
                     node_id=node.node_id,
                     parent_id=parent.node_id,
                     index=position + offset,
-                    inserted_xml=fragment_xml,
+                    fragment=fragment,
                 )
             )
             inserted_ids.append(node.node_id)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.axml.document import AXMLDocument
@@ -37,14 +35,12 @@ from repro.query.ast import (
     Condition,
     SelectQuery,
     UpdateAction,
-    literal_text,
 )
-from repro.query.parser import action_from_element, iter_comparisons, parse_select
+from repro.query.parser import iter_comparisons, parse_action, parse_select
 from repro.query.update import ChangeRecord
 from repro.services.descriptor import ServiceDescriptor
-from repro.xmlstore.nodes import Text
-from repro.xmlstore.parser import parse_document
-from repro.xmlstore.serializer import escape_attribute, escape_text, serialize
+from repro.xmlstore.fragment import Fragment, FragmentNode
+from repro.xmlstore.serializer import escape_text, serialize
 
 
 class ServiceHost(Protocol):
@@ -68,11 +64,10 @@ class ServiceHost(Protocol):
         self,
         records: Sequence[ChangeRecord],
         document_name: str,
-        action_xml: str,
         action: UpdateAction,
     ) -> None:
         """Log tree changes the moment they happen, with the executed
-        *action* and its ``to_xml()`` text *action_xml*.
+        *action*.
 
         Services call this *before* continuing with further work (e.g.
         delegations), so a failure later in the execution still finds the
@@ -117,9 +112,6 @@ class Service:
 #: ``zzhole<i>zz`` and looks for where each of these sentinels landed.
 _MARK = "zzhole"
 _SENTINEL = re.compile(_MARK + r"(\d+)zz")
-#: A sentinel in the canonical text: an element's whole character data
-#: (up to its end tag, which an empty value turns into ``/>``) or a value.
-_SLOT = re.compile(r">zzhole(\d+)zz</[^>]*>|zzhole(\d+)zz")
 
 
 class _Holes:
@@ -134,26 +126,6 @@ class _Holes:
         return f"{_MARK}{len(self.names) - 1}zz"
 
 
-def _format_of(canonical: str) -> str:
-    """Canonical text with sentinels → a ``%(<hole>)s`` format string."""
-    return _SLOT.sub(lambda match: f"%({match[1] or match[2]})s", canonical.replace("%", "%%"))
-
-
-#: A value the serializer writes as it is (escaping is four replaces).
-_PLAIN = re.compile(r'[^&<>"]*').fullmatch
-
-
-def _attribute_value(value: str) -> str:
-    return value if _PLAIN(value) else escape_attribute(value)
-
-
-def _character_data(name: str, value: str) -> str:
-    """Element *name* from the end of its start tag, holding *value* as
-    the parser keeps character data (trimmed; an empty run is no node)."""
-    text = escape_text(value.strip())
-    return f">{text}</{name}>" if text else "/>"
-
-
 def _with_literals(condition: Condition, literals: Dict[int, str]) -> Condition:
     """*condition* with each comparison *literals* keys (by identity)
     comparing against the value it maps to."""
@@ -165,6 +137,46 @@ def _with_literals(condition: Condition, literals: Dict[int, str]) -> Condition:
     )
 
 
+def _holes_in(root: FragmentNode) -> List[int]:
+    """The holes of a ``<data>`` fragment that are whole values: an
+    attribute value, or an element's only text run."""
+    found, pending = [], [root]
+    while pending:
+        node = pending.pop()
+        values = list(node.attributes.values())
+        if len(node.children) == 1 and node.children[0].__class__ is str:
+            values.append(node.children[0])
+        found.extend(int(match[1]) for match in map(_SENTINEL.fullmatch, values) if match)
+        pending.extend(child for child in node.children if child.__class__ is not str)
+    return found
+
+
+def _bound(root: FragmentNode, values: List[str]) -> FragmentNode:
+    """A copy of *root* with each hole's value in place: as it is in an
+    attribute, trimmed as the parser keeps character data (no run at all
+    when that leaves it empty)."""
+
+    def fill(text: str) -> str:
+        match = _SENTINEL.fullmatch(text)
+        return text if match is None else values[int(match[1])]
+
+    def attributes(node: FragmentNode) -> Dict[str, str]:
+        return {key: fill(value) for key, value in node.attributes.items()}
+
+    top = FragmentNode(root.name, attributes(root))
+    pending = [(root, top)]
+    while pending:
+        source, target = pending.pop()
+        for child in source.children:
+            if child.__class__ is str:
+                text = fill(child).strip()
+                if text:
+                    target.new_text(text)
+            else:
+                pending.append((child, target.new_element(child.name, attributes(child))))
+    return top
+
+
 class ActionTemplate:
     """An ``<action>`` document with ``$name`` holes, parsed once.
 
@@ -174,12 +186,12 @@ class ActionTemplate:
     ``type``/``anchor``/``rebind``, part of a value) it raises
     :class:`ServiceError` here, as does a template that does not parse.
 
-    :meth:`bind` binds every value (``str()`` of it) as data: escaped
-    into the ``<data>`` fragments and the logged text as the serializer
-    renders the node the parser reads back (character data trimmed),
-    filled raw into clones of the template's prototypes, and made the
-    literal of a new comparison in the compiled Select.  The bound
-    action is what ``parse_action`` reads from its logged text.
+    :meth:`bind` binds every value (``str()`` of it) as data: into a copy
+    of each ``<data>`` fragment that has a hole (character data trimmed
+    as the parser keeps it), and as the literal of a new comparison in
+    the compiled Select.  The bound action is what ``parse_action``
+    reads from its ``to_xml()`` text, which nothing renders until a byte
+    edge asks for it.
     """
 
     def __init__(self, text: str):
@@ -190,32 +202,21 @@ class ActionTemplate:
                 raise ValueError("template text collides with the sentinels")
             holes = _Holes()
             names = holes.names
-            root = parse_document(string.Template(text).substitute(holes), name="action").root
-            action = action_from_element(root)
+            action = parse_action(string.Template(text).substitute(holes))
         except (ValueError, ReproError) as exc:
             message = _SENTINEL.sub(lambda match: "$" + names[int(match[1])], str(exc))
             raise ServiceError(f"service template does not parse: {message}") from exc
-        renders: Dict[int, Callable[[str], str]] = {}
-        trimmed: List[int] = []  # character data: a clone keeps it untrimmed
-        for data_element in root.find_children("data"):
-            for node in islice(data_element.iter(), 1, None):  # below <data>
-                if isinstance(node, Text):
-                    match = _SENTINEL.fullmatch(node.value)
-                    if match and node.parent is not data_element and len(node.parent.children) == 1:
-                        renders[int(match[1])] = partial(_character_data, node.parent.name.text)
-                        trimmed.append(int(match[1]))
-                    continue
-                for value in node.attributes.values():
-                    match = _SENTINEL.fullmatch(value)
-                    if match:
-                        renders[int(match[1])] = _attribute_value
+        holes_of = [[] if f.root is None else _holes_in(f.root) for f in action.data]
+        found = {hole for holes in holes_of for hole in holes}
+        #: Per fragment, whether a bind copies it (it has a hole) or shares it.
+        self._holed = [bool(holes) for holes in holes_of]
         self._literals: List[Tuple[int, str]] = []  # (id of a compiled comparison, its hole)
         for comparison in iter_comparisons(action.location.where):
             match = _SENTINEL.fullmatch(comparison.literal)
             if match:
-                renders[int(match[1])] = lambda value: escape_text(literal_text(value))
+                found.add(int(match[1]))
                 self._literals.append((id(comparison), names[int(match[1])]))
-        stray = [name for i, name in enumerate(names) if i not in renders]
+        stray = [name for i, name in enumerate(names) if i not in found]
         if stray:
             raise ServiceError(
                 f"template hole ${stray[0]} is not a whole value: an attribute value or "
@@ -223,46 +224,29 @@ class ActionTemplate:
             )
         self._action = action
         self._hole_names = names
-        self._slots = [(str(i), name, renders[i], i in trimmed) for i, name in enumerate(names)]
-        self._data_formats = [_format_of(fragment) for fragment in action.data]
-        self._xml_format = _format_of(action.to_xml())
 
-    def bind(self, params: Dict[str, str]) -> Tuple[UpdateAction, str]:
-        raw: Dict[str, str] = {}
-        values = {}
-        template = self._action
-        clonable = None not in template._prototypes[0]
-        for key, name, render, trimmed in self._slots:
+    def bind(self, params: Dict[str, str]) -> UpdateAction:
+        values: List[str] = []
+        for name in self._hole_names:
             if name not in params:
                 raise ServiceError(f"template parameter {name!r} was not provided")
-            raw[name] = value = str(params[name])
-            values[key] = render(value)
-            if trimmed and (not value or value != value.strip()):
-                clonable = False  # a clone would keep what the parse trims
+            values.append(str(params[name]))
+        template = self._action
         location = template.location
         if self._literals:
+            raw = dict(zip(self._hole_names, values))
             literals = {comparison: raw[name] for comparison, name in self._literals}
             where = _with_literals(location.where, literals)
             location = SelectQuery(location.select_paths, location.var, location.source, where)
-        prototypes = None  # some fragment is not clonable: parse this action's text
-        if clonable:  # holes filled while cloning
-            names = self._hole_names
-            fill = partial(_SENTINEL.sub, lambda match: raw[names[int(match[1])]])
-            prototypes = (template._prototypes[0], fill)
-        action = UpdateAction(
-            template.action_type,
-            location,
-            tuple([fragment % values for fragment in self._data_formats]),
-            template.anchor,
-            template.rebind,
-            prototypes,
+        data = tuple(
+            Fragment(_bound(fragment.root, values)) if holed else fragment
+            for fragment, holed in zip(template.data, self._holed)
         )
-        return action, self._xml_format % values
+        return UpdateAction(template.action_type, location, data, template.anchor, template.rebind)
 
 
 def _run_local(
     action: UpdateAction,
-    action_xml: str,
     descriptor: ServiceDescriptor,
     host: ServiceHost,
 ) -> Tuple[OperationOutcome, ServiceResponse]:
@@ -276,7 +260,7 @@ def _run_local(
     outcome = run_action(action, host.get_axml_document(document_name), resolver)
     records = outcome.change_records()
     if records:
-        host.record_changes(records, document_name, action_xml, action)
+        host.record_changes(records, document_name, action)
     selected = outcome.query_result.all_nodes() if query else ()
     return outcome, ServiceResponse(
         fragments=[serialize(node) for node in selected],
@@ -300,7 +284,7 @@ class UpdateService(Service):
         self.template = ActionTemplate(template)
 
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
-        outcome, response = _run_local(*self.template.bind(params), self.descriptor, host)
+        outcome, response = _run_local(self.template.bind(params), self.descriptor, host)
         result = outcome.update_result
         if result is not None:
             response.fragments = [
@@ -334,7 +318,7 @@ class SubqueryService(Service):
 
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
         action = UpdateAction(ActionType.QUERY, parse_select(params["q"]))
-        return _run_local(action, action.to_xml(), self.descriptor, host)[1]
+        return _run_local(action, self.descriptor, host)[1]
 
 
 #: Signature of a function-service body: params → result fragments.
@@ -388,8 +372,8 @@ class DelegatingService(Service):
     def _run(self, params: Dict[str, str], host: ServiceHost) -> ServiceResponse:
         response = ServiceResponse()
         if self.local_action_template is not None:
-            action, action_xml = self.local_action_template.bind(params)
-            response = _run_local(action, action_xml, self.descriptor, host)[1]
+            action = self.local_action_template.bind(params)
+            response = _run_local(action, self.descriptor, host)[1]
         for target_peer, method_name in self.delegations:
             response.fragments.extend(host.invoke_remote(target_peer, method_name, params))
         response.fragments.extend(self.extra_fragments)

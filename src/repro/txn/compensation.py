@@ -37,6 +37,7 @@ from repro.query.update import (
     UpdateResult,
     apply_action,
 )
+from repro.xmlstore.fragment import Fragment
 from repro.xmlstore.nodes import Document, NodeId
 from repro.xmlstore.path import NULL_METER, PathExpr, TraversalMeter
 
@@ -84,7 +85,7 @@ def compensation_for_delete(
     return UpdateAction(
         action_type=ActionType.INSERT,
         location=node_query(record.parent_id, document_name),
-        data=(record.snapshot_xml,),
+        data=(Fragment(text=record.snapshot_xml),),
         anchor=anchor,
         rebind=True,
     )

@@ -139,7 +139,7 @@ class TransactionManager:
         outcome.log_entry = self._log(
             context,
             "query" if action.action_type is ActionType.QUERY else "update",
-            document_name, action.to_xml(), records, timestamp, action,
+            document_name, records, timestamp, action,
         )
         if self.validator is not None:
             from repro.txn.occ import read_ids, written_ids
@@ -154,30 +154,29 @@ class TransactionManager:
         self,
         txn_id: str,
         document_name: str,
-        action_xml: str,
         records: Sequence[ChangeRecord],
         timestamp: float,
-        action: Optional[UpdateAction],
+        action: UpdateAction,
     ) -> None:
-        """Log changes made by a service executed for a remote invoker;
-        *action* is the executed action ``action_xml`` spells."""
+        """Log changes made by a service executed for a remote invoker,
+        with the executed *action*."""
         context = self.context(txn_id)
         context.require_active()
-        self._log(context, "service", document_name, action_xml, records, timestamp, action)
+        self._log(context, "service", document_name, records, timestamp, action)
 
     def _log(
         self,
         context: TransactionContext,
         kind: str,
         document_name: str,
-        action_xml: str,
         records: Sequence[ChangeRecord],
         timestamp: float,
-        action: Optional[UpdateAction],
+        action: UpdateAction,
     ) -> LogEntry:
-        """Append one entry to the log and to *context*'s open frame."""
+        """Append one entry to the log and to *context*'s open frame; its
+        text is rendered from *action* only when a byte edge reads it."""
         entry = self.log.append(
-            context.txn_id, kind, document_name, action_xml, records, timestamp, action
+            context.txn_id, kind, document_name, None, records, timestamp, action
         )
         context.record_entry(entry)
         return entry
@@ -256,8 +255,8 @@ class TransactionManager:
         undone = {e.seq for e in entries}
         survivors = [e for e in self.log.entries_for(txn_id) if e.seq not in undone]
         self.log.truncate(txn_id)
-        renewed = {  # an entry's parsed action goes with it: a survivor is not re-parsed
-            e.seq: self.log.append(e.txn_id, e.kind, e.document_name, e.action_xml,
+        renewed = {  # a survivor keeps its action and text as they are: neither is re-made
+            e.seq: self.log.append(e.txn_id, e.kind, e.document_name, e._action_xml,
                                    e.records, e.timestamp, e._action)
             for e in survivors
         }

@@ -22,7 +22,6 @@ replication ships hand replicas the entries themselves, whose parsed
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TransactionError
@@ -35,37 +34,78 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.txn.durable_wal import DurableWal
 
 
-@dataclass
 class LogEntry:
     """One logged forward operation.
 
     ``kind`` is ``update`` (insert/delete/replace), ``query`` (with the
     materialization records lazy evaluation produced) or ``service``
     (an operation executed on behalf of a remote invoker).
+
+    The operation is held as the action that ran, its text, or both,
+    each made from the other at most once: an appended entry holds the
+    action and renders :attr:`action_xml` when a byte edge first reads
+    it (a WAL frame, :func:`entry_bytes`, a replication key); one
+    decoded from disk holds its text and parses :attr:`action` on first
+    use.
     """
 
-    seq: int
-    txn_id: str
-    kind: str
-    document_name: str
-    action_xml: str
-    records: List[ChangeRecord] = field(default_factory=list)
-    #: Simulated time of the append (0.0 outside a simulation).
-    timestamp: float = 0.0
-    #: Memoized :attr:`action`: seeded by the code that executed it.
-    _action: Optional["UpdateAction"] = field(
-        default=None, repr=False, compare=False
-    )
+    __slots__ = ("seq", "txn_id", "kind", "document_name", "records", "timestamp",
+                 "_action_xml", "_action")
+
+    def __init__(
+        self,
+        seq: int,
+        txn_id: str,
+        kind: str,
+        document_name: str,
+        action_xml: Optional[str],
+        records: Sequence[ChangeRecord],
+        timestamp: float = 0.0,
+        action: Optional["UpdateAction"] = None,
+    ):
+        if action_xml is None and action is None:
+            raise ValueError("a log entry needs its action or the action's text")
+        self.seq = seq
+        self.txn_id = txn_id
+        self.kind = kind
+        self.document_name = document_name
+        self.records: List[ChangeRecord] = list(records)
+        #: Simulated time of the append (0.0 outside a simulation).
+        self.timestamp = timestamp
+        self._action_xml = action_xml
+        self._action = action
+
+    @property
+    def action_xml(self) -> str:
+        """The action's ``<action>`` text, rendered on first read."""
+        if self._action_xml is None:
+            self._action_xml = self._action.to_xml()
+        return self._action_xml
 
     @property
     def action(self) -> "UpdateAction":
-        """``action_xml`` parsed — at most once per entry (a decoded one
-        parses on first use; an appended one usually arrives seeded)."""
+        """``action_xml`` parsed, on first use (an appended entry holds
+        the action that ran)."""
         if self._action is None:
             from repro.query.parser import parse_action
 
-            self._action = parse_action(self.action_xml)
+            self._action = parse_action(self._action_xml)
         return self._action
+
+    def __eq__(self, other: object) -> bool:
+        fields = ("seq", "txn_id", "kind", "document_name", "action_xml", "records", "timestamp")
+        return isinstance(other, LogEntry) and all(
+            getattr(self, name) == getattr(other, name) for name in fields
+        )
+
+    __hash__ = None  # compared by value, and mutable
+
+    def __repr__(self) -> str:
+        return (
+            f"LogEntry(seq={self.seq!r}, txn_id={self.txn_id!r}, kind={self.kind!r}, "
+            f"document_name={self.document_name!r}, action_xml={self.action_xml!r}, "
+            f"records={self.records!r}, timestamp={self.timestamp!r})"
+        )
 
 
 class OperationLog:
@@ -95,23 +135,23 @@ class OperationLog:
         txn_id: str,
         kind: str,
         document_name: str,
-        action_xml: str,
+        action_xml: Optional[str],
         records: Sequence[ChangeRecord],
         timestamp: float,
         action: Optional["UpdateAction"],
     ) -> LogEntry:
-        """Append a forward operation's log entry and return it; *action*
-        is ``action_xml`` already parsed, or ``None`` when the caller
-        holds only the text (a survivor decoded from disk)."""
+        """Append a forward operation's log entry and return it: the
+        executed *action*, with ``action_xml`` ``None`` until a byte edge
+        renders it, or only the text (a survivor decoded from disk)."""
         entry = LogEntry(
             seq=next(self._seq),
             txn_id=txn_id,
             kind=kind,
             document_name=document_name,
             action_xml=action_xml,
-            records=list(records),
+            records=records,
             timestamp=timestamp,
-            _action=action,
+            action=action,
         )
         self._entries.append(entry)
         if self._wal is not None:
@@ -403,6 +443,7 @@ def _write_record(record: ChangeRecord, out: List[str]) -> None:
 
 def _record_from_element(element: _FrameElement) -> ChangeRecord:
     from repro.query.update import DeleteRecord, InsertRecord, ReplaceRecord
+    from repro.xmlstore.fragment import Fragment
     from repro.xmlstore.nodes import NodeId
 
     kind = element.attributes.get("kind", "")
@@ -430,7 +471,7 @@ def _record_from_element(element: _FrameElement) -> ChangeRecord:
             node_id=NodeId.parse(element.attributes["node"]),
             parent_id=NodeId.parse(element.attributes["parent"]),
             index=int(element.attributes["index"]),
-            inserted_xml=data_el.text_content() if data_el is not None else "",
+            fragment=Fragment(text=data_el.text_content() if data_el is not None else ""),
         )
     if kind == "replace":
         children = element.find_children("record")

@@ -29,8 +29,10 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import XmlParseError
+from repro.xmlstore.fragment import Fragment, FragmentNode
 from repro.xmlstore.names import QName
-from repro.xmlstore.nodes import Document, Element, Node, Text
+from repro.xmlstore.nodes import Document, Element
+from repro.xmlstore.serializer import escape_text
 
 _ENTITIES = {
     "amp": "&",
@@ -262,24 +264,25 @@ def _parse_root(text: str, document: Optional[Document], parent) -> None:
 class _Unbuilt:
     """An element :func:`scan_action` reads without building: its text
     runs, and its descendants', join *texts* (None: dropped), as
-    ``text_content()`` reads them; below a ``<data>``, *nodes* (not
-    None) keeps its children, built in *document*."""
+    ``text_content()`` reads them; below a ``<data>``, *fragments* (not
+    None) keeps each child as a :class:`Fragment`."""
 
-    __slots__ = ("name", "texts", "nodes", "document")
+    __slots__ = ("name", "texts", "fragments")
 
-    def __init__(self, name: str, texts=None, nodes=None, document=None):
+    def __init__(self, name: str, texts=None, fragments=None):
         self.name = QName.parse(name)  # what the parser's errors name
-        self.texts, self.nodes, self.document = texts, nodes, document
+        self.texts, self.fragments = texts, fragments
 
     def new_element(self, name: str, attributes: Dict[str, str]):
-        if self.nodes is None:
+        if self.fragments is None:
             return _Unbuilt(name, self.texts)
-        self.nodes.append(Element(self.document, name, attributes))
-        return self.nodes[-1]
+        node = FragmentNode(name, attributes)
+        self.fragments.append(Fragment(node))
+        return node
 
     def new_text(self, run: str) -> None:
-        if self.nodes is not None:
-            self.nodes.append(Text(self.document, run))
+        if self.fragments is not None:
+            self.fragments.append(Fragment(text=escape_text(run)))
         elif self.texts is not None:
             self.texts.append(run)
 
@@ -292,8 +295,8 @@ class _Envelope(_Unbuilt):
 
     __slots__ = ("attributes", "location", "data")
 
-    def __init__(self, document: Document):
-        self.name, self.texts, self.nodes, self.document = None, None, None, document
+    def __init__(self):
+        self.name, self.texts, self.fragments = None, None, None
         self.attributes, self.location, self.data = {}, None, []
 
     def new_element(self, name: str, attributes: Dict[str, str]) -> _Unbuilt:
@@ -303,18 +306,18 @@ class _Envelope(_Unbuilt):
         if name == "location" and self.location is None:
             self.location = []
             return _Unbuilt(name, self.location)
-        return _Unbuilt(name, None, self.data if name == "data" else None, self.document)
+        return _Unbuilt(name, None, self.data if name == "data" else None)
 
 
-def scan_action(text: str) -> Tuple[QName, Dict[str, str], Optional[str], List[Node]]:
-    """Read an ``<action>`` document in one pass, building no envelope node.
+def scan_action(text: str) -> Tuple[QName, Dict[str, str], Optional[str], List[Fragment]]:
+    """Read an ``<action>`` document in one pass, building no node.
 
     Returns the root's name and attributes, its first ``<location>``
     child's text as ``text_content()`` reads it (None: there is none)
-    and its ``<data>`` children's children, parsed into one scratch
-    ``Document("action")``.  Raises what :func:`parse_document` raises
-    on the same text."""
-    envelope = _Envelope(Document("action"))
+    and its ``<data>`` children's children as fragments, which belong
+    to no document.  Raises what :func:`parse_document` raises on the
+    same text."""
+    envelope = _Envelope()
     scan_document(text, envelope)
     location = None if envelope.location is None else "".join(envelope.location)
     return envelope.name, envelope.attributes, location, envelope.data

@@ -70,8 +70,8 @@ def mutated(mutation: str):
         elif mutation == "double_apply":
             orig_record = AXMLPeer.record_changes
 
-            def record_changes(self, records, document_name, action_xml, action):
-                orig_record(self, records, document_name, action_xml, action)
+            def record_changes(self, records, document_name, action):
+                orig_record(self, records, document_name, action)
                 if records and _provider(self.peer_id) and once(self.network):
                     apply_action(self.get_axml_document(document_name).document, action)
 

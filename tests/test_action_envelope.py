@@ -1,14 +1,17 @@
 """``parse_action`` against the tree reader it replaced.
 
 ``parse_action`` scans the ``<action>`` envelope in one pass
-(:func:`repro.xmlstore.parser.scan_action`) instead of parsing the text
-into a ``Document`` and reading the tree.  The tree reader is kept here,
-verbatim, as the reference: for every input both must give an equal
-action (dataclass equality, ``to_xml()`` text, ``data``, the
-``<data>`` prototypes as text) or raise the same exception type with
-the same message (line and column included).  Inputs: every ``<action``
-string literal in the tree, the parser golden corpus's documents,
-generated envelopes and every truncation of three canonical texts.
+(:func:`repro.xmlstore.parser.scan_action`) and keeps each ``<data>``
+child as a fragment tree that belongs to no document, instead of
+parsing the text into a ``Document``, reading the tree and serializing
+each ``<data>`` child back to text.  The tree reader is kept here as the
+reference (its fragments held as that text): for every input both must
+give an equal action (dataclass equality, ``to_xml()`` text, each
+fragment's text, and each fragment built into a fresh document, ids
+included) or raise the same exception type with the same message (line
+and column included).  Inputs: every ``<action`` string literal in the
+tree, the parser golden corpus's documents, generated envelopes and
+every truncation of three canonical texts.
 """
 
 import ast
@@ -21,7 +24,8 @@ from hypothesis import strategies as st
 
 from repro.errors import QuerySyntaxError
 from repro.query.ast import ActionType, UpdateAction
-from repro.query.parser import _clone_parses, parse_action, parse_select
+from repro.query.parser import parse_action, parse_select
+from repro.xmlstore.fragment import Fragment
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import serialize
@@ -31,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def reference_parse_action(xml_text: str) -> UpdateAction:
     """The reader ``parse_action`` replaced: a whole ``Document``, then
-    the tree read."""
+    the tree read, each ``<data>`` child kept as its serialized text."""
     root = parse_document(xml_text, name="action").root
     if root.name.local != "action":
         raise QuerySyntaxError(f"expected <action>, found <{root.name.text}>")
@@ -45,7 +49,7 @@ def reference_parse_action(xml_text: str) -> UpdateAction:
         raise QuerySyntaxError("<action> is missing its <location> query")
     location = parse_select(location_el.text_content())
     children = [child for data_el in root.find_children("data") for child in data_el.children]
-    data = [serialize(child) for child in children]
+    data = [Fragment(text=serialize(child)) for child in children]
     anchor: Optional[Tuple[str, str]] = None
     anchor_text = root.attributes.get("anchor")
     if anchor_text:
@@ -58,8 +62,20 @@ def reference_parse_action(xml_text: str) -> UpdateAction:
             f"<action type={action_type.value!r}> requires a <data> payload"
         )
     rebind = root.attributes.get("rebind", "") == "true"
-    prototypes = [[child] if _clone_parses(child) else None for child in children]
-    return UpdateAction(action_type, location, tuple(data), anchor, rebind, (prototypes, None))
+    return UpdateAction(action_type, location, tuple(data), anchor, rebind)
+
+
+def _built(fragment: Fragment):
+    """*fragment* built into a fresh document: the nodes with their ids
+    (the document's serial normalised) and the next serial, or the error."""
+    document = Document("target")
+    try:
+        nodes = fragment.materialize(document)
+    except Exception as exc:
+        built = (type(exc), str(exc))
+    else:
+        built = [serialize(node, include_ids=True) for node in nodes]
+    return repr(built).replace(f"d{document.serial}.", "d0."), next(document._next_node_serial)
 
 
 def outcome(reader, text: str):
@@ -68,9 +84,8 @@ def outcome(reader, text: str):
         action = reader(text)
     except Exception as exc:  # the type is part of what is compared
         return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
-    fragments, fill = action._prototypes
-    prototypes = [None if p is None else [serialize(e) for e in p] for p in fragments]
-    return action, action.to_xml(), action.data, prototypes, fill
+    texts = [fragment.text for fragment in action.data]
+    return action, action.to_xml(), texts, [_built(fragment) for fragment in action.data]
 
 
 def assert_same(texts) -> int:
@@ -121,15 +136,17 @@ def test_every_truncation_of_the_canonical_texts():
     assert assert_same(texts) == len(CANONICAL) + 1
 
 
-def test_one_document_serial_per_call():
+def test_no_document_per_parse():
     for text in CANONICAL + ("<action", "<action type='query'/>"):
-        for reader in (parse_action, reference_parse_action):
-            before = Document("probe").serial
-            outcome(reader, text)
-            assert Document("probe").serial == before + 2
+        before = Document("probe").serial
+        try:
+            parse_action(text)
+        except Exception:
+            pass
+        assert Document("probe").serial == before + 1  # the probe's own
 
 
-def test_a_query_builds_no_element(monkeypatch):
+def test_no_parse_builds_an_element(monkeypatch):
     built = []
     real_init = Element.__init__
 
@@ -139,9 +156,11 @@ def test_a_query_builds_no_element(monkeypatch):
 
     monkeypatch.setattr(Element, "__init__", init)
     parse_action('<action type="query"><location>Select i from i in D//b;</location></action>')
-    assert built == []
-    parse_action(CANONICAL[0])
-    assert built == ["note"]  # the payload, not the envelope
+    for text in CANONICAL:
+        action = parse_action(text)
+    assert built == []  # no envelope, and no payload until an insert builds it
+    action.data[1].materialize(Document("target"))  # <e a='&lt;'>x<?pi?>y</e>
+    assert [str(name) for name in built] == ["e"]
 
 
 # -- generated envelopes ------------------------------------------------------

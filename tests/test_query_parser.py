@@ -147,7 +147,7 @@ class TestParseAction:
             "<location>Select p from p in D//x;</location></action>"
         )
         assert a.action_type is ActionType.INSERT
-        assert a.data == ("<citizenship>Swiss</citizenship>",)
+        assert [fragment.text for fragment in a.data] == ["<citizenship>Swiss</citizenship>"]
 
     def test_replace_action(self):
         a = parse_action(

@@ -38,6 +38,7 @@ from repro.query.parser import parse_select
 from repro.query.update import _materialize, apply_action
 from repro.txn.compensation import compensating_actions_for
 from repro.xmlstore import path as path_module
+from repro.xmlstore.fragment import Fragment, FragmentNode
 from repro.xmlstore.index import StructuralIndex
 from repro.xmlstore.names import QName
 from repro.xmlstore.nodes import Document, Element, NodeId, Text
@@ -649,13 +650,12 @@ def _write(data, doc: Document, kind: str, state: dict) -> None:
         if parent is not None:
             parent.append(copy)
     elif kind == "materialize":
-        prototype = Document("data").create_root(data.draw(st.sampled_from(NAMES)))
-        prototype.new_element(data.draw(st.sampled_from(NAMES))).new_text("$v")
-        prototype.new_text("$v")
         value = data.draw(st.sampled_from(TEXTS))
+        tree = FragmentNode(data.draw(st.sampled_from(NAMES)), {})
+        tree.new_element(data.draw(st.sampled_from(NAMES)), {}).new_text(value)
+        tree.new_text(value)
         action = UpdateAction(
-            ActionType.INSERT, parse_select("Select i from i in R;"), ("<x/>",),
-            _prototypes=([[prototype]], lambda text: text.replace("$v", value)),
+            ActionType.INSERT, parse_select("Select i from i in R;"), (Fragment(tree),)
         )
         node = _materialize(doc, action, 0)
         parent = _adoptable(data, doc, node)
@@ -681,7 +681,8 @@ def _write(data, doc: Document, kind: str, state: dict) -> None:
 
 
 def _restored_ids(action: UpdateAction) -> List[str]:
-    return [raw for fragment in action.data for raw in re.findall(r'repro:id="([^"]+)"', fragment)]
+    return [raw for fragment in action.data
+            for raw in re.findall(r'repro:id="([^"]+)"', fragment.text)]
 
 
 def _live(doc: Document, node_id: NodeId) -> bool:

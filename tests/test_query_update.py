@@ -5,6 +5,7 @@ import pytest
 from repro.errors import UpdateError
 from repro.query.parser import parse_action
 from repro.query.update import apply_action, replay_records
+from repro.xmlstore.fragment import Fragment
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import canonical
 
@@ -173,7 +174,7 @@ class TestInsert:
         a = UpdateAction(
             ActionType.INSERT,
             parse_select("Select p from p in ATPList//player;"),
-            data=("<x/><y/>",),
+            data=(Fragment(text="<x/><y/>"),),
         )
         with pytest.raises(UpdateError):
             apply_action(doc, a)

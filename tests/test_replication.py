@@ -254,7 +254,7 @@ class TestReofferToADeadReplica:
         network.disconnect("AP3")
         channel = replication._channel("AP2", "AP3")
         channel.unacked = [3, 4]
-        batch = [LogEntry(seq, "T9", "update", "Shop2", SET_PRICE) for seq in (3, 5)]
+        batch = [LogEntry(seq, "T9", "update", "Shop2", SET_PRICE, []) for seq in (3, 5)]
         channel.pending, channel.pending_bytes = list(batch), 99
         replication._ship(channel)
         assert network.metrics.histogram("ship_lag").values == [4.0]
@@ -513,7 +513,7 @@ class TestDeferredSiblingShareFrames:
         ap3 = peers["AP3"]
         # AP3 holds its own live (in-doubt) share of T1 touching Shop2.
         ap3.manager.begin(Transaction("T1", "AP1"), parent_peer="AP1")
-        ap3.manager.record_service_changes("T1", "Shop2", SET_PRICE, [], 0.0, None)
+        ap3.manager.record_service_changes("T1", "Shop2", [], 0.0, parse_action(SET_PRICE))
         # A sibling operation of the same transaction ran on AP2 and
         # ships in with its change records.
         done = apply_action(peers["AP2"].get_axml_document("Shop2").document,

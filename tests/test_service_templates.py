@@ -10,8 +10,8 @@ For every value, the bound action is what ``parse_action`` reads back
 from its logged text; for values that mean the same spliced as text
 (``INERT``) it is also what splicing them into the definition and
 parsing gave (``_text_path``, the reference the binding replaced).  The
-last section checks that ``<data>`` cloned from an action's prototypes
-is, ids included, what parsing the ``<data>`` text gives.
+last section checks that ``<data>`` built from a fragment's tree is, ids
+included, what parsing the fragment's text gives.
 """
 
 import ast
@@ -38,6 +38,7 @@ from repro.services.service import (
     UpdateService,
 )
 from repro.txn.compensation import compensating_actions_for
+from repro.xmlstore.fragment import Fragment
 from repro.xmlstore.nodes import Document
 from repro.xmlstore.parser import parse_document, parse_fragment
 from repro.xmlstore.serializer import escape_attribute, escape_text, rebind_element_ids, serialize
@@ -187,16 +188,14 @@ def _outcome(thunk):
 def _text_path(text, params):
     """What a bind gave before values were data: *params* spliced into
     the definition's text, parsed.  A reference for INERT values only."""
-    action = parse_action(string.Template(text).substitute(params))
-    return action, action.to_xml()
+    return parse_action(string.Template(text).substitute(params))
 
 
 def _assert_round_trip(text, params):
-    """*params* bound into *text*: the logged text is the bound action's
-    ``to_xml()`` and parses back to it."""
-    action, action_xml = ActionTemplate(text).bind(params)
-    assert action.to_xml() == action_xml
-    assert parse_action(action_xml) == action
+    """*params* bound into *text*: the bound action's ``to_xml()`` (the
+    logged text) parses back to it."""
+    action = ActionTemplate(text).bind(params)
+    assert parse_action(action.to_xml()) == action
     return action
 
 
@@ -223,8 +222,9 @@ def test_bind_agrees_with_the_text_path():
     # One test, not one per template: a template's text is no test id.
     for text in GOOD_TEMPLATES:
         for params in _parameter_sets(_hole_names(text), sorted(INERT)):
-            bound = ActionTemplate(text).bind(params)
-            assert bound == _text_path(text, params), (text, params)
+            bound, reference = ActionTemplate(text).bind(params), _text_path(text, params)
+            assert bound == reference, (text, params)
+            assert bound.to_xml() == reference.to_xml(), (text, params)
 
 
 _HOLED = [text for text in GOOD_TEMPLATES if _hole_names(text)]
@@ -257,8 +257,10 @@ def test_bind_agrees_on_generated_values(value, text, values):
 # -- what a bind enters ------------------------------------------------------------
 
 
-#: What a bind may not enter: it re-reads no text.
-TEXT_READERS = (parse_action, parse_document, parse_select, scan_select, parse_fragment)
+#: What a bind may not enter: it re-reads no text, and renders none.
+TEXT_READERS = (
+    parse_action, parse_document, parse_select, scan_select, parse_fragment, UpdateAction.to_xml
+)
 
 
 def _entered_readers(thunk):
@@ -281,10 +283,9 @@ def test_every_value_is_bound_as_data():
     for text in COMPILED_TEMPLATES:
         compiled = ActionTemplate(text)
         for params in _parameter_sets(_hole_names(text)) if _hole_names(text) else ({},):
-            entered, (action, action_xml) = _entered_readers(lambda: compiled.bind(params))
+            entered, action = _entered_readers(lambda: compiled.bind(params))
             assert entered == [], (text, params)
-            assert action.to_xml() == action_xml
-            assert parse_action(action_xml) == action, (text, params)
+            assert parse_action(action.to_xml()) == action, (text, params)
 
 
 def test_bad_holes_and_malformed_templates_raise_at_construction():
@@ -303,15 +304,15 @@ def test_missing_parameter_raises_and_non_string_value_binds():
     compiled = ActionTemplate(MARKER)
     with pytest.raises(ServiceError, match="template parameter 'step' was not provided"):
         compiled.bind({"tag": "T001"})
-    action, _ = compiled.bind({"tag": "T001", "step": 3})
-    assert action.data == ('<chaos step="3" txn="T001"/>',)
-    assert action._prototypes[1] is not None
+    action = compiled.bind({"tag": "T001", "step": 3})
+    assert [fragment.text for fragment in action.data] == ['<chaos step="3" txn="T001"/>']
+    assert action.data[0].root is not None  # a tree, not a text
 
 
 def test_hole_free_location_is_shared():
     compiled = ActionTemplate(MARKER)
-    first, _ = compiled.bind({"tag": "T001", "step": "s0"})
-    second, _ = compiled.bind({"tag": "T002", "step": "s1"})
+    first = compiled.bind({"tag": "T001", "step": "s0"})
+    second = compiled.bind({"tag": "T002", "step": "s1"})
     assert first.location is second.location
     assert first.data != second.data
 
@@ -324,8 +325,8 @@ ATPLIST = (
 
 def test_spliced_markup_and_query_syntax_are_data():
     hostile = 'a"/><evil x="1'
-    action, _ = ActionTemplate(MARKER).bind({"tag": hostile, "step": "s0"})
-    assert action.data == ('<chaos step="s0" txn="a&quot;/&gt;&lt;evil x=&quot;1"/>',)
+    action = ActionTemplate(MARKER).bind({"tag": hostile, "step": "s0"})
+    assert action.data[0].text == '<chaos step="s0" txn="a&quot;/&gt;&lt;evil x=&quot;1"/>'
     document = AXMLDocument.from_xml("<D><items/></D>", name="D").document
     apply_action(document, action)
     (marker,) = document.root.first_child("items").children
@@ -343,8 +344,9 @@ def test_spliced_markup_and_query_syntax_are_data():
 class RecordingHost(StubHost):
     """Keeps the logged text and the records, not just their count."""
 
-    def record_changes(self, records, document_name, action_xml, action):
-        # The seeded action is what parsing the logged text gives back.
+    def record_changes(self, records, document_name, action):
+        # The executed action is what parsing its logged text gives back.
+        action_xml = action.to_xml()
         assert parse_action(action_xml) == action
         self.recorded.append((document_name, [repr(r) for r in records], action_xml))
 
@@ -396,7 +398,7 @@ def _reference_run(text, params, host, update_fragments):
     document = host.get_axml_document("Shop").document
     result = apply_action(document, action)
     if result.records:
-        host.record_changes(result.records, "Shop", action.to_xml(), action)
+        host.record_changes(result.records, "Shop", action)
     if action.action_type is ActionType.QUERY:  # either service answers with the nodes
         return [serialize(node) for node in result.query_result.all_nodes()]
     if update_fragments:
@@ -474,11 +476,11 @@ def test_the_definition_text_stays_readable():
     assert delegating.local_action_template is None
 
 
-# -- <data> becomes nodes by cloning ------------------------------------------
+# -- <data> becomes nodes by building its tree -------------------------------
 
 
 def _parse_fragment_as_before(document, fragment_xml, rebind):
-    """How ``<data>`` text became nodes before actions carried prototypes."""
+    """How ``<data>`` text became nodes before actions carried trees."""
     fragments = parse_fragment(fragment_xml, document)
     if len(fragments) != 1:
         raise UpdateError(f"<data> fragment must contain exactly one element, got {len(fragments)}")
@@ -496,30 +498,33 @@ def _rendered(document, build):
 
 
 def _assert_clone_is_parse(action):
-    """Each fragment of *action* cloned into a fresh document is what
+    """Each fragment of *action* built into a fresh document is what
     parsing its text there gives: tree, ids and serials used, or the
-    error (which now uses the holder's serial only)."""
-    for position, fragment_xml in enumerate(action.data):
-        cloned = _rendered(Document("twin"), lambda doc: _materialize(doc, action, position))
+    error."""
+    for position, fragment in enumerate(action.data):
+        built = _rendered(Document("twin"), lambda doc: _materialize(doc, action, position))
         parsed = _rendered(
             Document("twin"),
-            lambda doc: _parse_fragment_as_before(doc, fragment_xml, action.rebind),
+            lambda doc: _parse_fragment_as_before(doc, fragment.text, action.rebind),
         )
-        if cloned[0].startswith("(<class"):
-            assert (cloned[0], cloned[1]) == (parsed[0], 2), (action, position)
-        else:
-            assert cloned == parsed, (action, position)
+        assert built == parsed, (action, position)
+
+
+def _as_text(action):
+    """*action* with each fragment held as its text (what a payload read
+    back from disk, or a compensation's snapshot, is)."""
+    return dataclasses.replace(action, data=tuple(Fragment(text=f.text) for f in action.data))
 
 
 def _actions_of(text, params):
-    """The bound action, the parse of its logged text and an unseeded
-    copy of each."""
+    """The bound action, the parse of its logged text and a copy of each
+    that holds its fragments as text."""
     actions = []
     bound = _outcome(lambda: ActionTemplate(text).bind(params))
-    for build in (lambda: bound[0], lambda: parse_action(bound[1])):
+    for build in (lambda: bound, lambda: parse_action(bound.to_xml())):
         action = _outcome(build)
         if isinstance(action, UpdateAction):
-            actions += [action, dataclasses.replace(action, _prototypes=None)]
+            actions += [action, _as_text(action)]
     return actions
 
 
@@ -545,14 +550,24 @@ def test_clone_agrees_with_parse_on_generated_values(text, values):
 
 
 def test_only_the_bound_path_fills_holes_while_cloning():
-    # Every value is filled into a clone of the prototype, except one a
-    # clone would keep untrimmed: that action's <data> parses on first use.
+    # Every value binds into a copy of the template's tree, one a copy
+    # must trim included; the template's own fragment keeps its holes,
+    # and a fragment without a hole is shared, not copied.
     marker, price = ActionTemplate(MARKER), ActionTemplate(COMPILED_TEMPLATES[2])
     for value in VALUES:
-        action, _ = marker.bind({"tag": value, "step": "s0"})
-        assert action._prototypes is not None and action._prototypes[1] is not None, value
-        action, _ = price.bind({"price": value})
-        assert (action._prototypes is not None) == (value == value.strip() != ""), value
+        action = marker.bind({"tag": value, "step": "s0"})
+        assert action.data[0].root is not None, value
+        action = price.bind({"price": value})
+        assert action.data[0].root is not None, value
+        text = escape_text(value.strip())
+        assert action.data[0].text == (
+            f'<price cur="$">{text}</price>' if text else '<price cur="$"/>'
+        ), value
+    assert "zzhole" in marker._action.data[0].text
+    holeless = ActionTemplate(COMPILED_TEMPLATES[4].replace("$tag", "t"))
+    assert holeless.bind({"step": "1"}).data[0] is not holeless._action.data[0]
+    fixed = ActionTemplate(SERVICE_TEMPLATES[0].replace("$tag", "t").replace("$step", "1"))
+    assert fixed.bind({}).data[0] is fixed._action.data[0]
 
 
 def test_snapshot_text_parses_once_and_rebinds_ids():
@@ -563,10 +578,10 @@ def test_snapshot_text_parses_once_and_rebinds_ids():
         "</location></action>"
     ))
     (compensation,) = compensating_actions_for(deleted, "Shop")
-    assert compensation._prototypes is None  # snapshot text: parsed on first use
+    assert compensation.data[0].root is None  # snapshot text: parsed where it lands
     restored = apply_action(document, compensation)
     assert restored.inserted_ids == [deleted.records[0].node_id]
-    assert compensation._prototypes is not None
+    assert compensation.data[0].root is None  # ... and no tree kept beside it
     _assert_clone_is_parse(compensation)
 
 
@@ -586,9 +601,10 @@ def _apply_twins(action, reference):
 @pytest.mark.parametrize("text", SERVICE_TEMPLATES[:2], ids=["insert", "replace"])
 @pytest.mark.parametrize("value", ["20", "T001", "a b", 'a"/><evil x="1', "", "and"])
 def test_apply_of_a_seeded_action_matches_an_unseeded_copy(text, value):
+    # Seeded: the fragments are trees; unseeded: the same fragments as text.
     params = {"tag": value, "step": "2" if value == "20" else value}
     for action in _actions_of(text, params)[::2]:
-        seeded, unseeded = _apply_twins(action, dataclasses.replace(action, _prototypes=None))
+        seeded, unseeded = _apply_twins(action, _as_text(action))
         assert seeded == unseeded
 
 

@@ -35,7 +35,7 @@ class StubHost:
         self.invocations.append((target_peer, method_name))
         return [f"<from peer='{target_peer}'/>"]
 
-    def record_changes(self, records, document_name, action_xml, action):
+    def record_changes(self, records, document_name, action):
         self.recorded.append((document_name, len(records)))
 
 
@@ -70,8 +70,8 @@ class TestSubstitute:
     """A template's placeholders take the parameters' values."""
 
     def test_fills_placeholders(self):
-        action, _ = ActionTemplate(GREETING).bind({"name": "world", "greeting": "hello"})
-        assert action.data == ('<m to="world">hello</m>',)
+        action = ActionTemplate(GREETING).bind({"name": "world", "greeting": "hello"})
+        assert [fragment.text for fragment in action.data] == ['<m to="world">hello</m>']
 
     def test_missing_param(self):
         with pytest.raises(ServiceError, match="'name' was not provided"):

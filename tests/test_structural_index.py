@@ -21,6 +21,7 @@ from repro.query.update import apply_action
 from repro.sim.rng import SeededRng
 from repro.txn.compensation import compensating_actions_for, node_query
 from repro.xmlstore import path as path_module
+from repro.xmlstore.fragment import Fragment
 from repro.xmlstore.names import QName, is_axml_meta_name
 from repro.xmlstore.nodes import Document, Element
 from repro.xmlstore.parser import parse_document
@@ -336,13 +337,13 @@ class TestMutateUnderQuery:
                     sibling = rng.choice(target.children)
                     anchor = (rng.choice(["before", "after"]), repr(sibling.node_id))
                 action = UpdateAction(
-                    ActionType.INSERT, by_id, (rng.choice(self.FRAGMENTS),), anchor
+                    ActionType.INSERT, by_id, (Fragment(text=rng.choice(self.FRAGMENTS)),), anchor
                 )
             elif roll < 0.8:
                 action = UpdateAction(ActionType.DELETE, by_id)
             else:
                 action = UpdateAction(
-                    ActionType.REPLACE, by_id, (rng.choice(self.FRAGMENTS),)
+                    ActionType.REPLACE, by_id, (Fragment(text=rng.choice(self.FRAGMENTS)),)
                 )
             result = apply_action(doc, action)
             if target.parent is None and target is not doc.root:

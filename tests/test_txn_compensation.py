@@ -84,7 +84,7 @@ class TestDeleteCompensation:
         result = apply_action(doc, parse_action(self.DELETE))
         actions = compensating_actions_for(result, "ATPList")
         assert actions[0].action_type is ActionType.INSERT
-        assert "Swiss" in actions[0].data[0]
+        assert "Swiss" in actions[0].data[0].text
         assert actions[0].rebind
 
     def test_restores_state_and_order(self, doc):
@@ -128,7 +128,7 @@ class TestReplaceCompensation:
         result = apply_action(doc, parse_action(self.REPLACE))
         actions = compensating_actions_for(result, "ATPList")
         assert [a.action_type for a in actions] == [ActionType.DELETE, ActionType.INSERT]
-        assert "Spanish" in actions[1].data[0]
+        assert "Spanish" in actions[1].data[0].text
 
     def test_restores_state(self, doc):
         pre, post = roundtrip(doc, self.REPLACE)

@@ -20,6 +20,7 @@ from repro.query.update import DeleteRecord, InsertRecord, ReplaceRecord
 from repro.txn import wal
 from repro.txn.wal import LogEntry, entry_bytes, entry_from_xml, entry_to_xml
 from repro.xmlstore import nodes
+from repro.xmlstore.fragment import Fragment
 from repro.xmlstore.nodes import NodeId
 from repro.xmlstore.parser import parse_document
 from repro.xmlstore.serializer import serialize
@@ -39,7 +40,8 @@ def _record(spec):
         )
     if spec["kind"] == "insert":
         return InsertRecord(
-            _node_id(spec["node"]), _node_id(spec["parent"]), spec["index"], spec["data"]
+            _node_id(spec["node"]), _node_id(spec["parent"]), spec["index"],
+            Fragment(text=spec["data"]),
         )
     return ReplaceRecord(_record(spec["deleted"]), [_record(s) for s in spec["inserted"]])
 
@@ -91,7 +93,9 @@ _ids = st.builds(NodeId, st.integers(1, 99), st.integers(1, 9999))
 _deletes = st.builds(
     DeleteRecord, _ids, _ids, st.integers(0, 50), st.none() | _ids, st.none() | _ids, _text
 )
-_inserts = st.builds(InsertRecord, _ids, _ids, st.integers(0, 50), _text)
+_inserts = st.builds(
+    InsertRecord, _ids, _ids, st.integers(0, 50), _text.map(lambda text: Fragment(text=text))
+)
 _records = st.recursive(
     _deletes | _inserts,
     lambda inner: st.builds(ReplaceRecord, _deletes, st.lists(_inserts | inner, max_size=3)),

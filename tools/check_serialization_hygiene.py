@@ -15,21 +15,21 @@ keeps them from creeping back in.  Three patterns are flagged:
   chain as a ``PeerChain`` snapshot, and the bracket text is the paper's
   notation for the edges (``repr``, E10's byte count), not a per-hop
   encoding.
-* under ``src/``, any ``parse_fragment(`` call outside the
-  ``UpdateAction`` ``<data>`` memo (``query/ast.py``) and the two axml
-  readers of service results (``axml/materialize.py``,
-  ``axml/service_call.py``): an insert clones its action's prototype
-  instead of re-parsing the ``<data>`` text.
+* under ``src/``, any ``parse_fragment(`` call outside
+  ``xmlstore/fragment.py`` (a ``<data>`` fragment held as text is parsed
+  into the document that receives it) and the two axml readers of
+  service results (``axml/materialize.py``, ``axml/service_call.py``):
+  a parsed or bound ``<data>`` fragment is a tree that belongs to no
+  document, built into its target, never re-parsed from its text.
 * in ``src/repro/txn/wal.py``, any ``Document(``: ``entry_to_xml``
   writes a frame straight from the entry, not through a scratch tree.
-* under ``src/``, any ``.value =`` write outside ``xmlstore/nodes.py``
-  and ``query/update.py``, and any ``.children`` mutator (a list method
-  that changes it, an assignment, a ``del``) outside ``xmlstore/nodes.py``.
+* under ``src/``, any ``.value =`` write outside ``xmlstore/nodes.py``,
+  and any ``.children`` mutator (a list method that changes it, an
+  assignment, a ``del``) outside ``xmlstore/nodes.py`` and
+  ``xmlstore/fragment.py`` (whose trees belong to no document).
   The index's value postings outlive queries and are dropped by the node
   layer's attach/detach climb; a text or child list changed behind its
-  back would leave them stale.  ``update.py``'s one write is ``_materialize``
-  filling the holes of a fresh, detached clone, whose creation already
-  dropped the maps of its names.
+  back would leave them stale.
 
 Under ``benchmarks/`` an occurrence is *approved* by a ``roundtrip-ok``
 comment on the same line or within the five lines above it (a baseline
@@ -73,18 +73,18 @@ CHAIN_TEXT = (
     "chain text outside p2p/chain.py — carry the PeerChain (copy() a snapshot)",
 )
 
-#: Under ``src/`` a ``<data>`` fragment is parsed once, by the action's
-#: first-use memo; only service results and materialized calls arrive
-#: as text to parse.
+#: Under ``src/`` a ``<data>`` fragment held as text is parsed only into
+#: the document that receives it; service results and materialized calls
+#: are the other texts to parse.
 FRAGMENT_PARSERS = tuple(
     os.path.join("src", "repro", *parts)
-    for parts in (("query", "ast.py"), ("axml", "materialize.py"), ("axml", "service_call.py"),
-                  ("xmlstore", "parser.py"))
+    for parts in (("xmlstore", "fragment.py"), ("axml", "materialize.py"),
+                  ("axml", "service_call.py"), ("xmlstore", "parser.py"))
 )
 FRAGMENT_TEXT = (
     re.compile(r"\bparse_fragment\("),
-    "parse_fragment outside the <data> memo (query/ast.py) and the axml result readers — "
-    "clone the action's prototype (UpdateAction.prototype)",
+    "parse_fragment outside Fragment.materialize (xmlstore/fragment.py) and the axml result "
+    "readers — keep the <data> fragment's tree (repro.xmlstore.fragment.Fragment)",
 )
 
 #: The WAL encoder writes a frame straight from the entry.
@@ -95,17 +95,17 @@ WAL_TREE = (
 )
 
 
-#: Only the node layer writes text, and ``_materialize`` a fresh clone's.
-TEXT_WRITERS = tuple(
-    os.path.join("src", "repro", *parts)
-    for parts in (("xmlstore", "nodes.py"), ("query", "update.py"))
-)
+#: Only the node layer writes text.
+TEXT_WRITERS = (os.path.join("src", "repro", "xmlstore", "nodes.py"),)
 TEXT_WRITE = (
     re.compile(r"\.value\s*\+?=(?!=)"),
     "a text write outside the node layer — the index's value postings would go stale",
 )
-#: Only the node layer changes a child list.
-CHILD_WRITERS = (os.path.join("src", "repro", "xmlstore", "nodes.py"),)
+#: Only the node layer changes a child list (and a fragment tree, which
+#: no document holds, its own).
+CHILD_WRITERS = tuple(
+    os.path.join("src", "repro", "xmlstore", name) for name in ("nodes.py", "fragment.py")
+)
 CHILD_WRITE = (
     re.compile(
         r"\.children\.(?:append|insert|extend|pop|remove|clear|sort|reverse)\("

@@ -13,9 +13,9 @@ defaulted parameter of an entered function that no call bound to a value other t
 default (a knob the traffic never moves), with its call count, and last every defaulted
 parameter that no call left at its default (a default only tests rely on; report
 only).  Not seen:
-pool workers, and ``bench_p1`` after its Part C installs its own hook (the census
-re-arms its hook per item and never wraps ``sys.setprofile``, so no item's own
-call counts move).
+pool workers.  ``bench_p1``'s counting hooks pass each event on to the hook they
+found and put it back after, so its parts are seen (the census re-arms its hook per
+item and never wraps ``sys.setprofile``, so no item's own call counts move).
 
 ``tools/idle_ratchet.json`` maps every idle function, keyed ``path::qualname`` (a
 line shift is no finding), to one reason of ``REASONS``.  Dunders and the members of
@@ -310,7 +310,7 @@ def traffic():
 def run(argv):
     """Run one item as ``python *argv`` would; returns its exit status."""
     sys.argv, start = (argv[1:], runpy.run_module) if argv[0] == "-m" else (argv, runpy.run_path)
-    sys.setprofile(hook)  # per item: one may have replaced it (bench_p1 Part C)
+    sys.setprofile(hook)  # per item: an item may have replaced it
     try:
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             start(sys.argv[0], run_name="__main__")
