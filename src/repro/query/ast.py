@@ -187,6 +187,10 @@ class SelectQuery:
     var: str
     source: Union[PathExpr, NodeRef]
     where: Optional[Condition] = None
+    #: The text :meth:`__str__` renders, kept from its first call: every
+    #: action a service template binds without a where-literal shares its
+    #: location, so a log writes that text once.
+    _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def document_name(self) -> str:
@@ -209,11 +213,13 @@ class SelectQuery:
         return names
 
     def __str__(self) -> str:
-        parts = ", ".join(map(str, self.select_paths))
-        text = f"Select {parts} from {self.var} in {self.source}"
-        if self.where is not None:
-            text += f" where {self.where}"
-        return text + ";"
+        if self._text is None:
+            parts = ", ".join(map(str, self.select_paths))
+            text = f"Select {parts} from {self.var} in {self.source}"
+            if self.where is not None:
+                text += f" where {self.where}"
+            object.__setattr__(self, "_text", text + ";")
+        return self._text
 
 
 def _condition_names(condition: Optional[Condition]) -> List[str]:

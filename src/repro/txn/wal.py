@@ -63,8 +63,6 @@ class LogEntry:
         timestamp: float = 0.0,
         action: Optional["UpdateAction"] = None,
     ):
-        if action_xml is None and action is None:
-            raise ValueError("a log entry needs its action or the action's text")
         self.seq = seq
         self.txn_id = txn_id
         self.kind = kind

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.xmlstore.names import QName
 from repro.xmlstore.nodes import Document, Element
-from repro.xmlstore.serializer import escape_attribute, escape_text
+from repro.xmlstore.serializer import serialize
 
 
 class FragmentNode:
@@ -61,9 +61,7 @@ class Fragment:
         """The fragment as :func:`~repro.xmlstore.serializer.serialize`
         writes it, rendered from the tree on first read."""
         if self._text is None:
-            out: List[str] = []
-            _render(self.root, out)
-            self._text = "".join(out)
+            self._text = serialize(self.root)
         return self._text
 
     def materialize(self, document: Document) -> List[Element]:
@@ -86,29 +84,6 @@ class Fragment:
 
     def __repr__(self) -> str:
         return f"Fragment({self.text!r})"
-
-
-def _render(root: FragmentNode, out: List[str]) -> None:
-    """*root*'s tree as ``serialize`` renders the element it builds, with
-    an explicit stack (a closing tag waits on it as a 1-tuple)."""
-    stack: List[object] = [root]
-    while stack:
-        item = stack.pop()
-        if item.__class__ is str:
-            out.append(escape_text(item))
-        elif item.__class__ is tuple:
-            out.append(item[0])
-        else:
-            attributes = item.attributes
-            tag = " ".join([item.name.text] + [
-                f'{key}="{escape_attribute(attributes[key])}"' for key in sorted(attributes)
-            ])
-            if not item.children:
-                out.append(f"<{tag}/>")
-                continue
-            out.append(f"<{tag}>")
-            stack.append((f"</{item.name.text}>",))
-            stack.extend(reversed(item.children))
 
 
 def _build(root: FragmentNode, document: Document) -> Element:

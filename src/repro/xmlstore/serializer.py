@@ -23,11 +23,14 @@ the one text that is reused, a log entry's frame, is kept on the entry
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Union
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from repro.errors import XmlStructureError
 from repro.obs.prof import PROF
 from repro.xmlstore.nodes import Document, Element, Node, NodeId, Text
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.xmlstore.fragment import FragmentNode
 
 #: Attribute used to persist node ids across serialization.
 ID_ATTRIBUTE = "repro:id"
@@ -57,31 +60,33 @@ def _open_tag(element: Element, include_ids: bool) -> str:
     return " ".join(parts)
 
 
-def _serialize_tree(node: Node, out: List[str], include_ids: bool) -> None:
-    """Render *node*'s subtree with an explicit stack (no recursion, so
-    document depth is bounded by memory rather than the interpreter's
-    recursion limit)."""
-    stack: List[Union[Node, str]] = [node]
+def _serialize_tree(node, out: List[str], include_ids: bool) -> None:
+    """Render *node*'s subtree — a node's, or a
+    :class:`~repro.xmlstore.fragment.FragmentNode` tree's, whose text
+    runs are strings — with an explicit stack (no recursion, so document
+    depth is bounded by memory rather than the interpreter's recursion
+    limit); a closing tag waits on it as a 1-tuple."""
+    stack: List[object] = [node]
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        if isinstance(item, Text):
+        if item.__class__ is tuple:
+            out.append(item[0])
+        elif item.__class__ is str:
+            out.append(escape_text(item))
+        elif isinstance(item, Text):
             out.append(escape_text(item.value))
-            continue
-        assert isinstance(item, Element)
-        tag = _open_tag(item, include_ids)
-        if not item.children:
-            out.append(f"<{tag}/>")
-            continue
-        out.append(f"<{tag}>")
-        stack.append(f"</{item.name.text}>")
-        stack.extend(reversed(item.children))
+        else:
+            tag = _open_tag(item, include_ids)
+            if not item.children:
+                out.append(f"<{tag}/>")
+                continue
+            out.append(f"<{tag}>")
+            stack.append((f"</{item.name.text}>",))
+            stack.extend(reversed(item.children))
 
 
-def serialize(node: Union[Document, Node], include_ids: bool = False) -> str:
-    """Serialize a document or subtree to compact XML text."""
+def serialize(node: Union[Document, Node, "FragmentNode"], include_ids: bool = False) -> str:
+    """Serialize a document, a subtree or a fragment tree to compact XML text."""
     if isinstance(node, Document):
         if node.root is None:
             return ""
