@@ -185,9 +185,10 @@ def parse_action(xml_text: str) -> UpdateAction:
 
 
 def action_from_element(root: Element) -> UpdateAction:
-    """Build an UpdateAction from an already-parsed ``<action>`` element
-    (a shipped ``<compensation>``'s); each ``<data>`` child is kept as
-    its text."""
+    """Build an UpdateAction from an already-parsed ``<action>`` element.
+
+    The element is a shipped ``<compensation>``'s child; each ``<data>``
+    child is kept as its text."""
     location = root.first_child("location")
     fragments = [Fragment(text=serialize(child))
                  for data_el in root.find_children("data") for child in data_el.children]

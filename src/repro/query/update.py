@@ -49,8 +49,7 @@ class DeleteRecord:
 
 @dataclass
 class InsertRecord:
-    """Log record for one inserted subtree: the returned unique id (§3.1),
-    and the fragment inserted there."""
+    """Log record for one inserted subtree: the returned id (§3.1) and the fragment."""
 
     node_id: NodeId
     parent_id: NodeId

@@ -21,10 +21,11 @@ from repro.xmlstore.serializer import serialize
 
 
 class FragmentNode:
-    """An element of a fragment tree: its name, attributes and children
-    (nodes, and text runs as plain strings).  It is also the parser's
-    builder (``new_element``/``new_text``): adjacent runs join into one,
-    as the text they serialize to parses back."""
+    """An element of a fragment tree: name, attributes and children.
+
+    Children are nodes and text runs (plain strings).  It is also the
+    parser's builder (``new_element``/``new_text``): adjacent runs join
+    into one, as the text they serialize to parses back."""
 
     __slots__ = ("name", "attributes", "children")
 
@@ -47,8 +48,9 @@ class FragmentNode:
 
 
 class Fragment:
-    """One ``<data>`` child: a tree (*root*) or a *text*; equal when
-    their texts are."""
+    """One ``<data>`` child as a value: a tree (*root*) or a *text*.
+
+    Two fragments are equal when their texts are."""
 
     __slots__ = ("root", "_text")
 
