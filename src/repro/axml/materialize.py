@@ -245,7 +245,7 @@ class MaterializationEngine:
                     node.detach()
                     self.meter.touch()
         for fragment in fragments:
-            value = Fragment(text=fragment)
+            inserted = Fragment(text=fragment)
             for node in parse_fragment(fragment, document):
                 sc_element.append(node)
                 self.meter.touch(node.subtree_size())
@@ -254,7 +254,7 @@ class MaterializationEngine:
                         node_id=node.node_id,
                         parent_id=sc_element.node_id,
                         index=len(sc_element.children) - 1,
-                        fragment=value,
+                        fragment=inserted,
                     )
                 )
         return records

@@ -46,7 +46,7 @@ def escape_attribute(value: str) -> str:
     return escape_text(value).replace('"', "&quot;")
 
 
-def _open_tag(element: Element, include_ids: bool) -> str:
+def _open_tag(element: Union[Element, "FragmentNode"], include_ids: bool) -> str:
     parts: List[str] = [element.name.text]
     if include_ids:
         # Only the id-bearing rendering needs a merged copy; the common
