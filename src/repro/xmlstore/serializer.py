@@ -15,9 +15,9 @@ survive a serialize/parse round trip; the parser side is handled by
 
 Every call renders the tree as it is at the call; nothing is kept on
 the document.  Copies do not come through here
-(:meth:`~repro.xmlstore.nodes.Document.clone_tree` is structural), and
-the one text that is reused, a log entry's frame, is kept on the entry
-(:func:`repro.txn.wal.entry_to_xml`).
+(:meth:`~repro.xmlstore.nodes.Document.clone_tree` is structural).  A
+``<data>`` fragment tree (:mod:`repro.xmlstore.fragment`) renders here
+too, once, when a byte edge first asks for its text, and keeps it.
 """
 
 from __future__ import annotations
